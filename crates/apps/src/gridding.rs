@@ -166,6 +166,24 @@ impl Reduction for Gridding {
     fn local_reduce(&self, robj: &mut Grid2D, item: &Sample) {
         robj.observe(item);
     }
+
+    /// Move only the cells this job's samples fell into; the same result,
+    /// bit for bit, as the dense merge (see `PageRank::commit`).
+    fn commit(&self, acc: &mut Grid2D, scratch: &mut Grid2D, items: &[Sample]) {
+        for s in items {
+            let c = scratch.cell_of(s.x, s.y);
+            acc.counts[c] += std::mem::take(&mut scratch.counts[c]);
+            acc.sums[c] += std::mem::take(&mut scratch.sums[c]);
+        }
+    }
+
+    fn discard(&self, scratch: &mut Grid2D, items: &[Sample]) {
+        for s in items {
+            let c = scratch.cell_of(s.x, s.y);
+            scratch.counts[c] = 0;
+            scratch.sums[c] = 0.0;
+        }
+    }
 }
 
 /// MapReduce formulation: one `(cell, (count, sum))` pair per sample.

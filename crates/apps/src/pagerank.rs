@@ -121,6 +121,25 @@ impl Reduction for PageRank {
     fn local_reduce(&self, robj: &mut RankMass, item: &Edge) {
         robj.0[item.dst as usize] += self.contrib[item.src as usize];
     }
+
+    /// Move only the entries this job's edges deposited onto. Bit-identical
+    /// to the dense merge: an untouched entry would have added `+0.0` (the
+    /// accumulator never holds `-0.0`, since it only ever grows by adding
+    /// onto `+0.0`), and a `dst` that repeats adds the zero left behind by
+    /// its first visit.
+    fn commit(&self, acc: &mut RankMass, scratch: &mut RankMass, items: &[Edge]) {
+        for e in items {
+            let dst = e.dst as usize;
+            acc.0[dst] += scratch.0[dst];
+            scratch.0[dst] = 0.0;
+        }
+    }
+
+    fn discard(&self, scratch: &mut RankMass, items: &[Edge]) {
+        for e in items {
+            scratch.0[e.dst as usize] = 0.0;
+        }
+    }
 }
 
 /// The MapReduce formulation: each edge emits `(dst, contribution)`; the

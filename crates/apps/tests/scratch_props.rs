@@ -1,0 +1,164 @@
+//! Property tests for the scratch-object lifecycle (`Reduction::commit` /
+//! `Reduction::discard`).
+//!
+//! The runtime keeps one scratch reduction object per worker and relies on
+//! two things for every shipped application: committing a job from the
+//! reused scratch leaves the accumulator bit-equal to merging a freshly
+//! made per-job object, and after every `commit` and `discard` the scratch
+//! is indistinguishable from a fresh `make_robj()`. A job that panics
+//! mid-reduce is modelled the way the runtime handles it: the half-applied
+//! scratch is dropped and the next job makes a new one.
+
+use cloudburst_apps::gen::{gen_clustered_points, gen_edges, gen_id_points, gen_words};
+use cloudburst_apps::gridding::gen_samples;
+use cloudburst_apps::{
+    Grid2D, Gridding, KMeans, KMeansObj, Knn, KnnObj, PageRank, RankMass, WordCount, WordCounts,
+};
+use cloudburst_core::{Merge, Reduction};
+use proptest::prelude::*;
+
+/// The head's answer to one job — or the job dying half-way through.
+#[derive(Debug, Clone, Copy)]
+enum Verdict {
+    Accept,
+    Reject,
+    Panic,
+}
+
+fn verdicts() -> impl Strategy<Value = Vec<Verdict>> {
+    prop::collection::vec(0u8..6, 1..16).prop_map(|v| {
+        v.into_iter()
+            .map(|x| match x {
+                0 => Verdict::Reject,
+                1 => Verdict::Panic,
+                _ => Verdict::Accept,
+            })
+            .collect()
+    })
+}
+
+fn f64_bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    xs.iter().map(|x| x.to_bits())
+}
+
+/// Run `data` as jobs of `units_per_chunk` units under `verdicts` (cycled)
+/// two ways — one reused scratch with `commit`/`discard`, and a fresh
+/// `make_robj()` per job with `merge` — checking the contract after every
+/// job. `same` is the application's notion of "bit-equal".
+fn reused_scratch_matches_fresh_objects<R: Reduction>(
+    app: &R,
+    data: &[u8],
+    units_per_chunk: usize,
+    verdicts: &[Verdict],
+    same: impl Fn(&R::RObj, &R::RObj) -> bool,
+) {
+    let mut acc = app.make_robj();
+    let mut scratch: Option<R::RObj> = None;
+    let mut reference = app.make_robj();
+    let mut items = Vec::new();
+    let jobs = data.chunks(units_per_chunk * app.unit_size());
+    for (job, (chunk, verdict)) in jobs.zip(verdicts.iter().cycle()).enumerate() {
+        items.clear();
+        app.decode(chunk, &mut items);
+        let reused = scratch.get_or_insert_with(|| app.make_robj());
+        if matches!(verdict, Verdict::Panic) {
+            app.reduce_group(reused, &items[..items.len() / 2]);
+            scratch = None;
+            continue;
+        }
+        let mut fresh = app.make_robj();
+        for group in items.chunks(7) {
+            app.reduce_group(reused, group);
+            app.reduce_group(&mut fresh, group);
+        }
+        match verdict {
+            Verdict::Accept => {
+                app.commit(&mut acc, reused, &items);
+                reference.merge(fresh);
+            }
+            Verdict::Reject => app.discard(reused, &items),
+            Verdict::Panic => unreachable!("handled above"),
+        }
+        assert!(same(reused, &app.make_robj()), "job {job}: scratch not fresh after {verdict:?}");
+        assert!(same(&acc, &reference), "job {job}: accumulator diverged after {verdict:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn pagerank_commit_is_bit_equal_to_dense_merge(
+        seed in any::<u64>(),
+        pages in 2u32..600,
+        edges in 1u32..3000,
+        per_chunk in 1usize..400,
+        verdicts in verdicts(),
+    ) {
+        let data = gen_edges(pages, edges, seed);
+        let outdeg = PageRank::outdegrees(&data, pages as usize);
+        let ranks = vec![1.0 / f64::from(pages); pages as usize];
+        let app = PageRank::new(&ranks, &outdeg, 0.85);
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &RankMass, b| {
+            f64_bits(&a.0).eq(f64_bits(&b.0))
+        });
+    }
+
+    #[test]
+    fn gridding_commit_is_bit_equal_to_dense_merge(
+        seed in any::<u64>(),
+        (width, height) in (1usize..48, 1usize..48),
+        samples in 1u32..3000,
+        per_chunk in 1usize..400,
+        verdicts in verdicts(),
+    ) {
+        let data = gen_samples(samples, 3, seed);
+        let app = Gridding::new(width, height);
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &Grid2D, b| {
+            a.counts == b.counts && f64_bits(&a.sums).eq(f64_bits(&b.sums))
+        });
+    }
+
+    #[test]
+    fn kmeans_default_commit_matches_merge(
+        seed in any::<u64>(),
+        points in 1u32..2000,
+        per_chunk in 1usize..300,
+        verdicts in verdicts(),
+    ) {
+        let (data, centers) = gen_clustered_points::<3>(points, 4, 0.05, seed);
+        let app = KMeans::new(centers.iter().map(|c| c.map(f64::from)).collect());
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &KMeansObj, b| {
+            a.counts == b.counts && f64_bits(&a.sums).eq(f64_bits(&b.sums))
+        });
+    }
+
+    #[test]
+    fn knn_default_commit_matches_merge(
+        seed in any::<u64>(),
+        points in 1u32..2000,
+        k in 1usize..20,
+        per_chunk in 1usize..300,
+        verdicts in verdicts(),
+    ) {
+        let data = gen_id_points::<3>(points, seed);
+        let app = Knn::new([0.5f32; 3], k);
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &KnnObj, b| a == b);
+    }
+
+    #[test]
+    fn wordcount_default_commit_matches_merge(
+        seed in any::<u64>(),
+        words in 1u32..2000,
+        vocab in 1u32..200,
+        per_chunk in 1usize..300,
+        verdicts in verdicts(),
+    ) {
+        let data = gen_words(words, vocab, seed);
+        reused_scratch_matches_fresh_objects(
+            &WordCount,
+            &data,
+            per_chunk,
+            &verdicts,
+            |a: &WordCounts, b| a == b,
+        );
+    }
+}

@@ -20,13 +20,14 @@ use crate::router::{Fetched, StoreRouter};
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::{
     ns_between, ns_since, secs_to_ns, tree_reduce, BatchPolicy, DataIndex, EnvConfig, Event,
-    EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig, LocalJob, MasterPool, Merge,
-    Reduction, ReductionObject, RunReport, Seconds, SiteId, Take, Telemetry,
+    EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig, LocalJob, MasterPool, Reduction,
+    ReductionObject, RunReport, Seconds, SiteId, Take, Telemetry,
 };
 use cloudburst_netsim::Topology;
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -377,6 +378,12 @@ impl SlaveCtx {
     /// Nanoseconds of run clock at `at` (saturating at the epoch).
     fn ns_at(&self, at: Instant) -> u64 {
         ns_between(self.epoch, at)
+    }
+
+    /// Emit `event` tagged with this slave and `job`'s chunk and span.
+    fn emit_job(&self, job: &LocalJob, event: Event) {
+        self.telemetry
+            .emit(event.site(self.site).worker(self.worker).chunk(job.chunk.id).span_id(job.span));
     }
 }
 
@@ -877,11 +884,25 @@ impl ReportSink<'_> {
     }
 }
 
+/// Ask the site master for the next job: `None` once the pool has drained
+/// or the master is gone.
+fn request_job(master_tx: &Sender<MasterMsg>) -> Option<LocalJob> {
+    let (rtx, rrx) = bounded(1);
+    master_tx.send(MasterMsg::GetJob { reply: rtx }).ok()?;
+    match rrx.recv().ok()? {
+        Take::Job(j) => Some(j),
+        Take::Drained => None,
+        Take::NeedRefill => unreachable!("master resolves refills internally"),
+    }
+}
+
 /// The slave loop: pull a job, retrieve its chunk (local stream or remote
 /// ranged fetch), split into cache-sized unit groups, and fold into the
 /// worker's reduction object. With `pipeline_depth ≥ 2` the pull+fetch
 /// half runs on a companion prefetcher so retrieval of chunk *N+1*
-/// overlaps processing of chunk *N*; depth 1 is the untouched serial loop.
+/// overlaps processing of chunk *N*; depth 1 requests, fetches and
+/// processes in turn. Either way every fetched job goes through
+/// [`Worker::process_job`].
 pub(crate) fn run_slave<R: Reduction>(
     app: &R,
     ctx: SlaveCtx,
@@ -890,212 +911,257 @@ pub(crate) fn run_slave<R: Reduction>(
     router: &StoreRouter,
     config: &RuntimeConfig,
 ) -> Result<(R::RObj, SlaveStats), RunError> {
+    let mut worker = Worker::new(app, &ctx, reports, config);
     if config.pipeline_depth >= 2 {
-        run_slave_pipelined(app, ctx, master_tx, reports, router, config)
+        run_slave_pipelined(&mut worker, master_tx, router)?;
     } else {
-        run_slave_serial(app, ctx, master_tx, reports, router, config)
+        run_slave_serial(&mut worker, master_tx, router)?;
     }
+    Ok(worker.finish())
 }
 
-/// The classic serial slave loop (`pipeline_depth ≤ 1`): request, fetch,
-/// process, repeat — nothing in flight while the worker computes.
-fn run_slave_serial<R: Reduction>(
-    app: &R,
-    ctx: SlaveCtx,
-    master_tx: &Sender<MasterMsg>,
-    reports: &ReportSink<'_>,
-    router: &StoreRouter,
-    config: &RuntimeConfig,
-) -> Result<(R::RObj, SlaveStats), RunError> {
-    let site = ctx.site;
-    let mut robj = app.make_robj();
-    let mut stats = SlaveStats::default();
-    let mut items: Vec<R::Item> = Vec::new();
-    let crash_after = ctx.chaos.as_deref().and_then(|p| p.crash_after(site, ctx.worker));
-    let slowdown = ctx.chaos.as_deref().map_or(0.0, |p| p.worker_delay(site, ctx.worker));
-    let site_factor = ctx.chaos.as_deref().map_or(1.0, |p| p.site_slowdown(site));
-    let mut taken: u64 = 0;
-    'jobs: loop {
-        if ctx.site_dead() {
-            // The site just lost power: stop mid-run without reporting. The
-            // accumulated robj is discarded by the coordinator; the head
-            // re-runs everything this site was credited with.
-            break;
-        }
-        let (rtx, rrx) = bounded(1);
-        if master_tx.send(MasterMsg::GetJob { reply: rtx }).is_err() {
-            break;
-        }
-        let Ok(take) = rrx.recv() else { break };
-        let job = match take {
-            Take::Job(j) => j,
-            Take::Drained => break,
-            Take::NeedRefill => unreachable!("master resolves refills internally"),
-        };
-        ctx.telemetry.emit(
-            Event::at(ctx.ns_at(Instant::now()), EventKind::JobStarted { stolen: job.stolen })
-                .site(site)
-                .worker(ctx.worker)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
-        );
-        taken += 1;
-        if crash_after.is_some_and(|k| taken > k) {
-            // Simulated worker crash: the job it just pulled leaks — only
-            // the head's lease reaper can recover it. Prior completed work
-            // stays valid (it was already merged and acked).
-            break;
-        }
+/// What a slave carries from one job to the next, and the
+/// process-and-commit half that the serial and pipelined loops share.
+struct Worker<'a, R: Reduction> {
+    app: &'a R,
+    ctx: &'a SlaveCtx,
+    reports: &'a ReportSink<'a>,
+    config: &'a RuntimeConfig,
+    /// The worker's accumulator. On the isolated path it only ever holds
+    /// whole jobs the head accepted.
+    robj: R::RObj,
+    /// Under the retry policy (or any FT machinery) a chunk is reduced into
+    /// this scratch object and moved into `robj` only on success/ack, so a
+    /// mid-chunk panic cannot leave a partially-applied job in the
+    /// accumulator and a deduplicated completion is never double-merged.
+    isolate: bool,
+    /// The one scratch object of the isolated path, equal to a fresh
+    /// `make_robj()` between jobs ([`Reduction::commit`] and
+    /// [`Reduction::discard`] restore it). `None` until the first isolated
+    /// job and after a caught panic, which may have left it half-applied.
+    scratch: Option<R::RObj>,
+    /// The current job's decoded units, kept until its verdict because
+    /// `commit`/`discard` walk them.
+    items: Vec<R::Item>,
+    stats: SlaveStats,
+    /// Jobs pulled so far, against the chaos plan's `crash_after`.
+    taken: u64,
+    crash_after: Option<u64>,
+    slowdown: f64,
+    site_factor: f64,
+}
 
-        // Whatever goes wrong below — retrieval error or a panic inside the
-        // application's decode/reduce — the in-flight job must be reported
-        // to the head, or its masters would poll for it forever.
-        let fail_job = |e: RunError| -> Result<(), RunError> {
-            reports.fail(job.chunk.id, site);
-            match config.fault_policy {
-                FaultPolicy::FailFast => Err(e),
-                FaultPolicy::Retry { .. } => Ok(()), // head requeues/abandons
-            }
-        };
+impl<'a, R: Reduction> Worker<'a, R> {
+    fn new(
+        app: &'a R,
+        ctx: &'a SlaveCtx,
+        reports: &'a ReportSink<'a>,
+        config: &'a RuntimeConfig,
+    ) -> Worker<'a, R> {
+        let chaos = ctx.chaos.as_deref();
+        Worker {
+            app,
+            ctx,
+            reports,
+            config,
+            robj: app.make_robj(),
+            isolate: ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. }),
+            scratch: None,
+            items: Vec::new(),
+            stats: SlaveStats::default(),
+            taken: 0,
+            crash_after: chaos.and_then(|p| p.crash_after(ctx.site, ctx.worker)),
+            slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
+            site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
+        }
+    }
 
-        let fetch_start = Instant::now();
-        let fetched = match router.fetch(site, &job.chunk) {
+    /// Count one pulled job; true when the chaos plan crashes this worker
+    /// on it. The job (and anything prefetched behind it) leaks — only the
+    /// head's lease reaper can recover it. Prior completed work stays valid
+    /// (it was already merged and acked).
+    fn crashed(&mut self) -> bool {
+        self.taken += 1;
+        self.crash_after.is_some_and(|k| self.taken > k)
+    }
+
+    /// Whatever goes wrong with a granted job — retrieval error or a panic
+    /// inside the application's decode/reduce — it must be reported to the
+    /// head, or its masters would poll for it forever.
+    fn fail_job(&self, job: &LocalJob, e: RunError) -> Result<(), RunError> {
+        self.reports.fail(job.chunk.id, self.ctx.site);
+        match self.config.fault_policy {
+            FaultPolicy::FailFast => Err(e),
+            FaultPolicy::Retry { .. } => Ok(()), // head requeues/abandons
+        }
+    }
+
+    /// Return the scratch object to its fresh state after a job whose
+    /// result will not be merged.
+    fn discard_scratch(&mut self) {
+        if let Some(scratch) = &mut self.scratch {
+            self.app.discard(scratch, &self.items);
+        }
+    }
+
+    /// Account for one retrieval, decode and reduce the chunk, sit out any
+    /// injected straggling, report the completion and act on the head's
+    /// verdict. `Break` means the site died under the job: stop without
+    /// reporting (the coordinator discards the accumulated robj and the
+    /// head re-runs everything this site was credited with).
+    fn process_job(&mut self, pre: FetchedJob) -> Result<ControlFlow<()>, RunError> {
+        let ctx = self.ctx;
+        let FetchedJob { job, fetched, fetch_start, fetch_dur } = pre;
+        let job = &job;
+        let fetched = match fetched {
             Ok(f) => f,
             Err(e) => {
-                fail_job(e)?;
-                continue;
+                self.fail_job(job, e)?;
+                return Ok(ControlFlow::Continue(()));
             }
         };
-        let fetch_dur = fetch_start.elapsed();
-        stats.retrieval += fetch_dur.as_secs_f64();
-        stats.retries += fetched.retries;
+        let bytes = fetched.bytes.len() as u64;
+        self.stats.retrieval += fetch_dur.as_secs_f64();
+        self.stats.retries += fetched.retries;
         if fetched.remote {
-            stats.remote_bytes += fetched.bytes.len() as u64;
+            self.stats.remote_bytes += bytes;
         }
-        ctx.metrics.fetched(fetch_dur, fetched.bytes.len() as u64, fetched.remote, fetched.retries);
+        ctx.metrics.fetched(fetch_dur, bytes, fetched.remote, fetched.retries);
         if fetched.retries > 0 {
-            ctx.telemetry.emit(
+            ctx.emit_job(
+                job,
                 Event::at(
-                    ctx.ns_at(Instant::now()),
+                    ns_since(ctx.epoch),
                     EventKind::StorageRetry { retries: fetched.retries },
-                )
-                .site(site)
-                .worker(ctx.worker)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
+                ),
             );
         }
-        ctx.telemetry.emit(
+        ctx.emit_job(
+            job,
             Event::span(
                 ctx.ns_at(fetch_start),
                 fetch_dur.as_nanos() as u64,
-                EventKind::ChunkFetched {
-                    bytes: fetched.bytes.len() as u64,
-                    remote: fetched.remote,
-                    retries: fetched.retries,
-                },
-            )
-            .site(site)
-            .worker(ctx.worker)
-            .chunk(job.chunk.id)
-            .span_id(job.span),
+                EventKind::ChunkFetched { bytes, remote: fetched.remote, retries: fetched.retries },
+            ),
         );
 
         let proc_start = Instant::now();
-        // Under the retry policy (or any FT machinery), fold the chunk into
-        // a scratch object and merge only on success/ack, so a mid-chunk
-        // panic cannot leave a partially-applied job in the worker's
-        // accumulator and a deduplicated completion is never double-merged.
-        let isolate = ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. });
+        let (app, unit_group) = (self.app, self.config.unit_group.max(1));
         let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            items.clear();
-            app.decode(&fetched.bytes, &mut items);
-            if isolate {
-                let mut scratch = app.make_robj();
-                for group in items.chunks(config.unit_group.max(1)) {
-                    app.reduce_group(&mut scratch, group);
-                }
-                Some(scratch)
+            self.items.clear();
+            app.decode(&fetched.bytes, &mut self.items);
+            let target = if self.isolate {
+                self.scratch.get_or_insert_with(|| app.make_robj())
             } else {
-                for group in items.chunks(config.unit_group.max(1)) {
-                    app.reduce_group(&mut robj, group);
-                }
-                None
+                &mut self.robj
+            };
+            for group in self.items.chunks(unit_group) {
+                app.reduce_group(target, group);
             }
         }));
-        let scratch = match processed {
-            Ok(scratch) => scratch,
-            Err(p) => {
-                // The items buffer may hold garbage from the aborted decode.
-                items.clear();
-                fail_job(RunError::WorkerPanic(panic_msg(&*p)))?;
-                continue;
-            }
-        };
+        if let Err(p) = processed {
+            // The items buffer may hold garbage from the aborted decode,
+            // and the scratch a half-applied job that no walk over those
+            // items could undo: drop both.
+            self.items.clear();
+            self.scratch = None;
+            self.fail_job(job, RunError::WorkerPanic(panic_msg(&*p)))?;
+            return Ok(ControlFlow::Continue(()));
+        }
         let proc_dur = proc_start.elapsed();
-        stats.processing += proc_dur.as_secs_f64();
-        stats.jobs += 1;
+        self.stats.processing += proc_dur.as_secs_f64();
+        self.stats.jobs += 1;
         ctx.metrics.processed(proc_dur);
-        ctx.telemetry.emit(
-            Event::span(ctx.ns_at(proc_start), proc_dur.as_nanos() as u64, EventKind::JobProcessed)
-                .site(site)
-                .worker(ctx.worker)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
+        ctx.emit_job(
+            job,
+            Event::span(ctx.ns_at(proc_start), proc_dur.as_nanos() as u64, EventKind::JobProcessed),
         );
 
         // Injected straggling: a fixed per-worker delay plus a site-wide
         // multiplicative slowdown scaled by this job's real elapsed time.
-        let delay =
-            slowdown + (site_factor - 1.0) * (fetch_dur.as_secs_f64() + proc_dur.as_secs_f64());
+        let delay = self.slowdown
+            + (self.site_factor - 1.0) * (fetch_dur.as_secs_f64() + proc_dur.as_secs_f64());
         if delay > 0.0 {
-            // Simulated straggler: crawl through the injected delay in
-            // small steps so a cancellation (our lease was reaped, or a
-            // duplicate copy won) or the site's death aborts the wait.
-            let step = Duration::from_micros(500);
+            // Crawl through the injected delay in small steps so a
+            // cancellation (our lease was reaped, or a duplicate copy won)
+            // or the site's death aborts the wait.
             let until = Instant::now() + Duration::from_secs_f64(delay);
-            while Instant::now() < until {
-                if ctx.site_dead() {
-                    break 'jobs;
-                }
-                if ctx.revoked(job.chunk.id) {
-                    continue 'jobs; // lost the race: drop the result silently
-                }
-                std::thread::sleep(step);
+            while Instant::now() < until && !ctx.site_dead() && !ctx.revoked(job.chunk.id) {
+                std::thread::sleep(Duration::from_micros(500));
             }
         }
         if ctx.site_dead() {
-            break;
+            return Ok(ControlFlow::Break(()));
         }
         if ctx.revoked(job.chunk.id) {
-            continue;
+            self.discard_scratch(); // lost the race: drop the result silently
+            return Ok(ControlFlow::Continue(()));
         }
 
-        let merged = reports.complete(job.chunk.id, site, ctx.ack_gated);
-        if merged {
-            if let Some(scratch) = scratch {
-                robj.merge(scratch);
-            }
+        if !self.reports.complete(job.chunk.id, ctx.site, ctx.ack_gated) {
+            self.discard_scratch();
+        } else if let Some(scratch) = &mut self.scratch {
+            self.app.commit(&mut self.robj, scratch, &self.items);
         }
+        Ok(ControlFlow::Continue(()))
     }
-    stats.finish = ctx.epoch.elapsed().as_secs_f64();
-    ctx.telemetry.emit(
-        Event::at(secs_to_ns(stats.finish), EventKind::SlaveFinished).site(site).worker(ctx.worker),
-    );
-    Ok((robj, stats))
+
+    fn finish(mut self) -> (R::RObj, SlaveStats) {
+        self.stats.finish = self.ctx.epoch.elapsed().as_secs_f64();
+        self.ctx.telemetry.emit(
+            Event::at(secs_to_ns(self.stats.finish), EventKind::SlaveFinished)
+                .site(self.ctx.site)
+                .worker(self.ctx.worker),
+        );
+        (self.robj, self.stats)
+    }
 }
 
-/// A job pulled and fetched by a slave's companion prefetcher, queued for
-/// the processing half of the pipeline.
-struct PrefetchedJob {
+/// The serial slave loop (`pipeline_depth ≤ 1`): request, fetch, process,
+/// repeat — nothing in flight while the worker computes.
+fn run_slave_serial<R: Reduction>(
+    worker: &mut Worker<'_, R>,
+    master_tx: &Sender<MasterMsg>,
+    router: &StoreRouter,
+) -> Result<(), RunError> {
+    let ctx = worker.ctx;
+    // A dead site stops mid-run without a word, like `process_job`'s Break.
+    while !ctx.site_dead() {
+        let Some(job) = request_job(master_tx) else { break };
+        ctx.emit_job(
+            &job,
+            Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen }),
+        );
+        if worker.crashed() {
+            break;
+        }
+        if worker.process_job(FetchedJob::fetch(ctx, router, job))?.is_break() {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// A granted job and the outcome of retrieving its chunk — what the fetch
+/// half of a slave (its own loop, or the companion prefetcher) hands to
+/// [`Worker::process_job`].
+struct FetchedJob {
     job: LocalJob,
     fetched: Result<Fetched, RunError>,
     fetch_start: Instant,
     fetch_dur: Duration,
 }
 
+impl FetchedJob {
+    fn fetch(ctx: &SlaveCtx, router: &StoreRouter, job: LocalJob) -> FetchedJob {
+        let fetch_start = Instant::now();
+        let fetched = router.fetch(ctx.site, &job.chunk);
+        FetchedJob { job, fetched, fetch_start, fetch_dur: fetch_start.elapsed() }
+    }
+}
+
 /// The pull+fetch half of a pipelined slave: request jobs from the master
-/// and retrieve their chunks, handing each [`PrefetchedJob`] to the
+/// and retrieve their chunks, handing each [`FetchedJob`] to the
 /// processing half over a bounded channel whose capacity enforces the
 /// pipeline depth. Runs until the pool drains, the site dies, or the
 /// processing half hangs up (crash or abort) — grants abandoned that way
@@ -1105,22 +1171,10 @@ fn prefetch_loop(
     ctx: &SlaveCtx,
     master_tx: &Sender<MasterMsg>,
     router: &StoreRouter,
-    ftx: Sender<PrefetchedJob>,
+    ftx: Sender<FetchedJob>,
 ) {
-    loop {
-        if ctx.site_dead() {
-            return;
-        }
-        let (rtx, rrx) = bounded(1);
-        if master_tx.send(MasterMsg::GetJob { reply: rtx }).is_err() {
-            return;
-        }
-        let Ok(take) = rrx.recv() else { return };
-        let job = match take {
-            Take::Job(j) => j,
-            Take::Drained => return,
-            Take::NeedRefill => unreachable!("master resolves refills internally"),
-        };
+    while !ctx.site_dead() {
+        let Some(job) = request_job(master_tx) else { return };
         if ctx.revoked(job.chunk.id) {
             // The grant was revoked (evacuation, a reaped lease, or a
             // finished replica) while it sat in the master's queue: skip
@@ -1129,17 +1183,11 @@ fn prefetch_loop(
             ctx.metrics.prefetch_dropped();
             continue;
         }
-        ctx.telemetry.emit(
-            Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen })
-                .site(ctx.site)
-                .worker(ctx.worker)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
+        ctx.emit_job(
+            &job,
+            Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen }),
         );
-        let fetch_start = Instant::now();
-        let fetched = router.fetch(ctx.site, &job.chunk);
-        let fetch_dur = fetch_start.elapsed();
-        if ftx.send(PrefetchedJob { job, fetched, fetch_start, fetch_dur }).is_err() {
+        if ftx.send(FetchedJob::fetch(ctx, router, job)).is_err() {
             return; // processing half gone: abandon the granted job
         }
         ctx.metrics.pipeline(1);
@@ -1149,47 +1197,25 @@ fn prefetch_loop(
 /// The pipelined slave loop (`pipeline_depth ≥ 2`): a companion thread —
 /// one per slave for the whole run, not one per chunk — pulls and fetches
 /// ahead while this thread decodes and reduces, hiding retrieval behind
-/// computation. The processing half is behaviourally identical to the
-/// serial loop: same failure reporting, revocation, ack gating, and
-/// scratch merging.
+/// computation.
 fn run_slave_pipelined<R: Reduction>(
-    app: &R,
-    ctx: SlaveCtx,
+    worker: &mut Worker<'_, R>,
     master_tx: &Sender<MasterMsg>,
-    reports: &ReportSink<'_>,
     router: &StoreRouter,
-    config: &RuntimeConfig,
-) -> Result<(R::RObj, SlaveStats), RunError> {
-    let site = ctx.site;
-    let mut robj = app.make_robj();
-    let mut stats = SlaveStats::default();
-    let mut items: Vec<R::Item> = Vec::new();
-    let crash_after = ctx.chaos.as_deref().and_then(|p| p.crash_after(site, ctx.worker));
-    let slowdown = ctx.chaos.as_deref().map_or(0.0, |p| p.worker_delay(site, ctx.worker));
-    let site_factor = ctx.chaos.as_deref().map_or(1.0, |p| p.site_slowdown(site));
-    let mut taken: u64 = 0;
-    let outcome = std::thread::scope(|scope| -> Result<(), RunError> {
+) -> Result<(), RunError> {
+    let ctx = worker.ctx;
+    std::thread::scope(|scope| {
         // Depth d keeps one job processing here, one fetching on the
         // companion, and d - 2 fetched-and-waiting in the channel (depth 2
         // is a rendezvous channel: fetch exactly one ahead).
-        let (ftx, frx) = bounded::<PrefetchedJob>(config.pipeline_depth - 2);
-        let ctx_ref = &ctx;
-        scope.spawn(move || prefetch_loop(ctx_ref, master_tx, router, ftx));
-        'jobs: for pre in frx.iter() {
+        let (ftx, frx) = bounded::<FetchedJob>(worker.config.pipeline_depth - 2);
+        scope.spawn(move || prefetch_loop(ctx, master_tx, router, ftx));
+        for pre in frx.iter() {
             ctx.metrics.pipeline(-1);
-            if ctx.site_dead() {
+            if ctx.site_dead() || worker.crashed() {
                 break;
             }
-            taken += 1;
-            if crash_after.is_some_and(|k| taken > k) {
-                // Simulated worker crash: the prefetched job (and anything
-                // still in the pipeline) leaks — only the head's lease
-                // reaper can recover them. Prior completed work stays
-                // valid (it was already merged and acked).
-                break;
-            }
-            let PrefetchedJob { job, fetched, fetch_start, fetch_dur } = pre;
-            if ctx.revoked(job.chunk.id) {
+            if ctx.revoked(pre.job.chunk.id) {
                 // The fetch raced a revocation: the chunk was evacuated or
                 // fenced while it sat buffered in the pipeline. Drop it at
                 // the handoff instead of processing a result the head would
@@ -1197,146 +1223,19 @@ fn run_slave_pipelined<R: Reduction>(
                 ctx.metrics.prefetch_dropped();
                 continue;
             }
-            let fail_job = |e: RunError| -> Result<(), RunError> {
-                reports.fail(job.chunk.id, site);
-                match config.fault_policy {
-                    FaultPolicy::FailFast => Err(e),
-                    FaultPolicy::Retry { .. } => Ok(()), // head requeues/abandons
-                }
-            };
-            let fetched = match fetched {
-                Ok(f) => f,
-                Err(e) => {
-                    fail_job(e)?;
-                    continue;
-                }
-            };
-            stats.retrieval += fetch_dur.as_secs_f64();
-            stats.retries += fetched.retries;
-            if fetched.remote {
-                stats.remote_bytes += fetched.bytes.len() as u64;
-            }
-            ctx.metrics.fetched(
-                fetch_dur,
-                fetched.bytes.len() as u64,
-                fetched.remote,
-                fetched.retries,
-            );
-            // Fetch telemetry is emitted here rather than by the companion,
-            // so a crashed slave's unprocessed prefetches never show up in
-            // the event stream (they never reach SlaveStats either); the
-            // span still carries the companion's true fetch timing.
-            if fetched.retries > 0 {
-                ctx.telemetry.emit(
-                    Event::at(
-                        ctx.ns_at(Instant::now()),
-                        EventKind::StorageRetry { retries: fetched.retries },
-                    )
-                    .site(site)
-                    .worker(ctx.worker)
-                    .chunk(job.chunk.id)
-                    .span_id(job.span),
-                );
-            }
-            ctx.telemetry.emit(
-                Event::span(
-                    ctx.ns_at(fetch_start),
-                    fetch_dur.as_nanos() as u64,
-                    EventKind::ChunkFetched {
-                        bytes: fetched.bytes.len() as u64,
-                        remote: fetched.remote,
-                        retries: fetched.retries,
-                    },
-                )
-                .site(site)
-                .worker(ctx.worker)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
-            );
-
-            let proc_start = Instant::now();
-            let isolate = ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. });
-            let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                items.clear();
-                app.decode(&fetched.bytes, &mut items);
-                if isolate {
-                    let mut scratch = app.make_robj();
-                    for group in items.chunks(config.unit_group.max(1)) {
-                        app.reduce_group(&mut scratch, group);
-                    }
-                    Some(scratch)
-                } else {
-                    for group in items.chunks(config.unit_group.max(1)) {
-                        app.reduce_group(&mut robj, group);
-                    }
-                    None
-                }
-            }));
-            let scratch = match processed {
-                Ok(scratch) => scratch,
-                Err(p) => {
-                    items.clear();
-                    fail_job(RunError::WorkerPanic(panic_msg(&*p)))?;
-                    continue;
-                }
-            };
-            let proc_dur = proc_start.elapsed();
-            stats.processing += proc_dur.as_secs_f64();
-            stats.jobs += 1;
-            ctx.metrics.processed(proc_dur);
-            ctx.telemetry.emit(
-                Event::span(
-                    ctx.ns_at(proc_start),
-                    proc_dur.as_nanos() as u64,
-                    EventKind::JobProcessed,
-                )
-                .site(site)
-                .worker(ctx.worker)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
-            );
-
-            // Per-worker fixed delay plus the site-wide multiplicative
-            // slowdown, exactly as in the serial loop.
-            let delay =
-                slowdown + (site_factor - 1.0) * (fetch_dur.as_secs_f64() + proc_dur.as_secs_f64());
-            if delay > 0.0 {
-                let step = Duration::from_micros(500);
-                let until = Instant::now() + Duration::from_secs_f64(delay);
-                while Instant::now() < until {
-                    if ctx.site_dead() {
-                        break 'jobs;
-                    }
-                    if ctx.revoked(job.chunk.id) {
-                        continue 'jobs; // lost the race: drop the result silently
-                    }
-                    std::thread::sleep(step);
-                }
-            }
-            if ctx.site_dead() {
+            // Fetch telemetry is emitted by `process_job` rather than by
+            // the companion, so a crashed slave's unprocessed prefetches
+            // never show up in the event stream (they never reach
+            // SlaveStats either); the span still carries the companion's
+            // true fetch timing.
+            if worker.process_job(pre)?.is_break() {
                 break;
-            }
-            if ctx.revoked(job.chunk.id) {
-                continue;
-            }
-
-            let merged = reports.complete(job.chunk.id, site, ctx.ack_gated);
-            if merged {
-                if let Some(scratch) = scratch {
-                    robj.merge(scratch);
-                }
             }
         }
         // `frx` drops here: a companion parked on a full channel sees the
         // hangup and exits before the scope joins it.
         Ok(())
-    });
-    outcome?;
-    stats.finish = ctx.epoch.elapsed().as_secs_f64();
-    ctx.telemetry.emit(
-        Event::at(secs_to_ns(stats.finish), EventKind::SlaveFinished).site(site).worker(ctx.worker),
-    );
-    Ok((robj, stats))
+    })
 }
 
 fn sleep_secs(secs: f64) {
@@ -1359,7 +1258,7 @@ pub(crate) fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use cloudburst_core::{reduce_serial, LayoutParams};
+    use cloudburst_core::{reduce_serial, LayoutParams, Merge};
     use cloudburst_storage::{fraction_placement, organize, organize_redundant};
 
     /// Units are little-endian u32s; the result is their sum (order-free).
@@ -1573,6 +1472,68 @@ mod tests {
         assert!(out.head.dead_sites.is_empty());
         assert_eq!(out.head.abandoned, 0);
         assert_eq!(out.report.total_jobs(), index.n_chunks() as u64);
+    }
+
+    /// `SumApp` that counts `make_robj` calls and commits from the reused
+    /// scratch in place, the way an app with a large object would.
+    struct CountingApp(std::sync::atomic::AtomicUsize);
+
+    impl Reduction for CountingApp {
+        type Item = u32;
+        type RObj = SumObj;
+        fn make_robj(&self) -> SumObj {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            SumObj(0)
+        }
+        fn unit_size(&self) -> usize {
+            4
+        }
+        fn decode(&self, chunk: &[u8], out: &mut Vec<u32>) {
+            SumApp.decode(chunk, out);
+        }
+        fn local_reduce(&self, robj: &mut SumObj, item: &u32) {
+            SumApp.local_reduce(robj, item);
+        }
+        fn commit(&self, acc: &mut SumObj, scratch: &mut SumObj, _: &[u32]) {
+            acc.0 += std::mem::take(&mut scratch.0);
+        }
+        fn discard(&self, scratch: &mut SumObj, _: &[u32]) {
+            scratch.0 = 0;
+        }
+    }
+
+    #[test]
+    fn ft_run_allocates_reduction_objects_per_worker_not_per_job() {
+        type Run = fn(
+            &CountingApp,
+            &DataIndex,
+            BTreeMap<SiteId, Arc<dyn ChunkStore>>,
+            &RuntimeConfig,
+        ) -> Result<RunOutcome<SumObj>, RunError>;
+        let units = 8192;
+        let workers = 6;
+        for (run, depth) in [
+            (run_hybrid as Run, 1),
+            (run_hybrid as Run, 3),
+            (crate::net::run_hybrid_tcp as Run, 1),
+            (crate::net::run_hybrid_tcp as Run, 3),
+        ] {
+            let (index, stores) = setup(units, 0.5, 4);
+            let mut config = fast_config(EnvConfig::new("ft-count", 0.5, 3, 3));
+            config.pipeline_depth = depth;
+            config.fault_policy = FaultPolicy::Retry { max_attempts: 4 };
+            config.ft = FtConfig {
+                heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
+                ..FtConfig::enabled()
+            };
+            let app = CountingApp(std::sync::atomic::AtomicUsize::new(0));
+            let out = run(&app, &index, stores, &config).unwrap();
+            assert_eq!(out.result.0, expected_sum(units), "depth {depth}");
+            let made = app.0.into_inner();
+            // One accumulator and one lazily made scratch per worker.
+            assert!(index.n_chunks() > 4 * workers, "the bound must separate jobs from workers");
+            assert!(made <= 2 * workers, "depth {depth}: {made} make_robj calls");
+        }
     }
 
     #[test]

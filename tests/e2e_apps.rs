@@ -134,3 +134,43 @@ fn head_counts_agree_with_site_reports() {
     }
     assert_eq!(out.head.completions, out.report.total_jobs());
 }
+
+#[test]
+fn pagerank_isolated_path_is_bit_equal_to_per_job_dense_merge() {
+    use cloudburst_cluster::FaultPolicy;
+    use cloudburst_core::{EventKind, Merge, Recorder, Telemetry};
+    let n_pages = 500;
+    let data = gen_edges(n_pages, 6_000, 91);
+    let outdeg = PageRank::outdegrees(&data, n_pages as usize);
+    let ranks = vec![1.0 / f64::from(n_pages); n_pages as usize];
+    let app = PageRank::new(&ranks, &outdeg, 0.85);
+    let (index, stores) = hybrid_setup(&data, 8, 1.0);
+    // The retry policy puts every job on the isolated path (reused scratch,
+    // `commit` on success); one worker makes the commit order the order of
+    // the `JobProcessed` events.
+    let mut config = RuntimeConfig::new(EnvConfig::new("env-local", 1.0, 1, 0), 1e-6);
+    config.fault_policy = FaultPolicy::Retry { max_attempts: 2 };
+    let recorder = Arc::new(Recorder::new());
+    config.telemetry = Telemetry::to(recorder.clone());
+    let out = run_hybrid(&app, &index, stores.clone(), &config).expect("hybrid run");
+
+    // What the runtime did before it reused the scratch: a fresh object per
+    // job, dense-merged into the accumulator in processing order.
+    let mut reference = app.make_robj();
+    let mut items = Vec::new();
+    let events = recorder.take();
+    let processed: Vec<_> =
+        events.iter().filter(|e| matches!(e.kind, EventKind::JobProcessed)).collect();
+    assert_eq!(processed.len(), index.n_chunks());
+    for event in processed {
+        let chunk = &index.chunks[event.chunk.expect("job events name their chunk").0 as usize];
+        let bytes = stores[&chunk.site].read(chunk.file, chunk.offset, chunk.len).unwrap();
+        items.clear();
+        app.decode(&bytes, &mut items);
+        let mut fresh = app.make_robj();
+        app.reduce_group(&mut fresh, &items);
+        reference.merge(fresh);
+    }
+    let bits = |m: &cloudburst_apps::RankMass| m.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&out.result), bits(&reference));
+}

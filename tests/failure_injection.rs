@@ -264,8 +264,11 @@ fn fail_fast_remains_the_default() {
     assert_eq!(config.fault_policy, cloudburst_cluster::FaultPolicy::FailFast);
 }
 
-/// An app that panics on a magic byte — a crashing worker.
-struct PanickyApp;
+/// An app that panics on a magic byte — a crashing worker — for as long as
+/// it has panics left.
+struct PanickyApp {
+    panics_left: AtomicU64,
+}
 
 impl cloudburst_core::Reduction for PanickyApp {
     type Item = u8;
@@ -280,7 +283,12 @@ impl cloudburst_core::Reduction for PanickyApp {
         out.extend_from_slice(chunk);
     }
     fn local_reduce(&self, robj: &mut Self::RObj, item: &u8) {
-        assert!(*item != 0xEE, "injected: poisoned record");
+        let poisoned = *item == 0xEE
+            && self
+                .panics_left
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+                .is_ok();
+        assert!(!poisoned, "injected: poisoned record");
         robj.bump();
     }
 }
@@ -300,9 +308,38 @@ fn worker_panic_becomes_an_error_not_a_hang() {
         .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
         .collect();
     let env = EnvConfig::new("panicky", 0.5, 2, 2);
-    let err = run_hybrid(&PanickyApp, &org.index, stores, &fast_config(env)).unwrap_err();
+    let app = PanickyApp { panics_left: AtomicU64::new(u64::MAX) };
+    let err = run_hybrid(&app, &org.index, stores, &fast_config(env)).unwrap_err();
     match err {
         RunError::WorkerPanic(msg) => assert!(msg.contains("poisoned record"), "{msg}"),
         other => panic!("expected WorkerPanic, got {other}"),
+    }
+}
+
+#[test]
+fn job_after_a_mid_reduce_panic_starts_from_a_clean_scratch() {
+    use cloudburst_cluster::FaultPolicy;
+    // The poisoned byte sits 100 units into its chunk, so the worker's
+    // scratch object already holds 100 counts when the panic hits. With one
+    // worker, the next job and the retry of the failed one both reuse it:
+    // a half-applied scratch that survived would be committed with them.
+    let mut raw = vec![1u8; 4096];
+    raw[2048 + 100] = 0xEE;
+    let data = Bytes::from(raw);
+    let params = LayoutParams { unit_size: 1, units_per_chunk: 256, n_files: 4 };
+    for depth in [1, 3] {
+        let org = organize(&data, params, &mut fraction_placement(1.0, 4)).unwrap();
+        let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = org
+            .stores
+            .iter()
+            .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
+            .collect();
+        let mut config = fast_config(EnvConfig::new("panic-once", 1.0, 1, 0));
+        config.fault_policy = FaultPolicy::Retry { max_attempts: 3 };
+        config.pipeline_depth = depth;
+        let app = PanickyApp { panics_left: AtomicU64::new(1) };
+        let out = run_hybrid(&app, &org.index, stores, &config).expect("the retry must succeed");
+        assert_eq!(out.result.0, 4096, "depth {depth}: every unit counted exactly once");
+        assert_eq!(out.head.failures, 1, "depth {depth}");
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification (see ROADMAP.md): the build and the full test suite
-# must pass before a change lands, followed by hygiene gates (rustfmt,
+# Tier-1 verification (see ROADMAP.md): after the burst ladder's own stage
+# (the only one that needs no crate registry), the build and the full test
+# suite must pass before a change lands, followed by hygiene gates (rustfmt,
 # clippy across every target) and an observability smoke test that runs a
 # chaos workload end-to-end and round-trips each emitted artifact through
 # `cloudburst check-json`.
@@ -14,6 +15,15 @@ if [[ "${1:-}" == "--offline" ]]; then
     export CARGO_NET_OFFLINE=1
     CARGO_FLAGS+=(--offline)
 fi
+
+echo "== ladder: its own tests, then one oracle-checked FT burst set on the real runtime"
+# First, because it is the one stage a container without a crate registry
+# can run: the ladder is a workspace of its own over path dependencies and
+# vendored stand-ins, so `--offline` always resolves. The run exits 0 only
+# when every burst matched its serial oracle with no failed operation.
+cargo test -q --offline --manifest-path ladder/Cargo.toml --workspace
+cargo run --release --offline --quiet --manifest-path ladder/Cargo.toml -- \
+    --workload pagerank-ft-5050 --seconds 8 >/dev/null
 
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
