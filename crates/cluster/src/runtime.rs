@@ -21,12 +21,12 @@ use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::{
     ns_between, ns_since, secs_to_ns, tree_reduce, BatchPolicy, DataIndex, EnvConfig, Event,
     EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig, LocalJob, MasterPool, Reduction,
-    ReductionObject, RunReport, Seconds, SiteId, Take, Telemetry,
+    ReductionObject, RequestId, RunReport, Seconds, SiteId, Take, Telemetry,
 };
 use cloudburst_netsim::Topology;
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -505,6 +505,7 @@ pub fn run_hybrid<R: Reduction>(
                                         cancel,
                                         epoch,
                                         telemetry: config.telemetry.clone(),
+                                        metrics: MasterMetrics::new(&config.metrics, site),
                                     },
                                 )
                             }
@@ -692,7 +693,44 @@ pub(crate) fn collect_global<O: ReductionObject>(
     (final_robj, global_reduction, total_time)
 }
 
-/// Fault-tolerance context for one site master.
+/// Per-master live-metrics instruments for the grant layer, per site (no-ops
+/// with metrics off).
+#[derive(Clone, Default)]
+struct MasterMetrics {
+    grant_rtt: Histogram,
+    window: Gauge,
+    starved: Counter,
+}
+
+impl MasterMetrics {
+    fn new(metrics: &Metrics, site: SiteId) -> MasterMetrics {
+        if !metrics.is_enabled() {
+            return MasterMetrics::default();
+        }
+        let site_v = site.to_string();
+        let per_site: &[(&str, &str)] = &[("site", &site_v)];
+        MasterMetrics {
+            grant_rtt: metrics.histogram(
+                "cloudburst_master_grant_rtt_seconds",
+                "Time from a master issuing a grant request to the batch landing in its pool.",
+                per_site,
+            ),
+            window: metrics.gauge(
+                "cloudburst_master_window_jobs",
+                "Jobs a master keeps queued or on request: low watermark plus the jobs \
+                 dispatched during one grant round trip.",
+                per_site,
+            ),
+            starved: metrics.time_counter(
+                "cloudburst_master_starved_seconds_total",
+                "Time slaves' job requests spent parked at a master with an empty pool.",
+                per_site,
+            ),
+        }
+    }
+}
+
+/// Fault-tolerance and observability context for one site master.
 struct MasterFt {
     heartbeat: Option<HeartbeatConfig>,
     chaos: Option<Arc<FaultPlan>>,
@@ -701,6 +739,7 @@ struct MasterFt {
     cancel: Option<CancelBoard>,
     epoch: Instant,
     telemetry: Telemetry,
+    metrics: MasterMetrics,
 }
 
 impl MasterFt {
@@ -713,10 +752,15 @@ impl MasterFt {
     }
 }
 
-/// The master loop: serve slaves from the site pool, refilling from the head
-/// (paying the control-plane latency) when the pool runs low. With
-/// heartbeats on it beacons liveness between requests; with a chaos outage
-/// scheduled it vanishes abruptly when the site's hour arrives.
+/// The master loop: serve slaves from the site pool and keep it stocked from
+/// the head without ever waiting out a round trip. A grant request is two
+/// timed legs — due at the head, then due back here, one control-plane
+/// latency each — held in delay queues; the loop sleeps until the next slave
+/// message or the next due leg, parks slaves that find the pool empty and
+/// serves them the moment a batch lands. When and how many requests to
+/// issue is [`MasterPool`]'s window rule. With heartbeats on the master
+/// beacons liveness on every pass; with a chaos outage scheduled it
+/// vanishes abruptly when the site's hour arrives.
 fn run_master(
     site: SiteId,
     low_watermark: usize,
@@ -726,104 +770,104 @@ fn run_master(
     ft: MasterFt,
 ) -> MasterPool {
     let mut pool = MasterPool::new(site, low_watermark);
-    let refill = |pool: &mut MasterPool| {
-        // Request leg.
-        sleep_secs(control_latency_real);
-        let (btx, brx) = bounded(1);
-        if head_tx.send(HeadMsg::RequestJobs { site, reply: btx }).is_err() {
-            return false;
-        }
-        let Ok(batch) = brx.recv() else { return false };
-        // Response leg.
-        sleep_secs(control_latency_real);
-        pool.refill(batch);
-        true
-    };
+    let leg = Duration::from_secs_f64(control_latency_real.max(0.0));
+    let mut due_at_head: VecDeque<(Instant, RequestId)> = VecDeque::new();
+    let mut due_back: VecDeque<(Instant, RequestId)> = VecDeque::new();
+    // Slaves that found the pool empty, oldest first, and since when.
+    let mut waiting: VecDeque<(Sender<Take>, Instant)> = VecDeque::new();
+    let secs = |at: Instant| at.saturating_duration_since(ft.epoch).as_secs_f64();
     let mut last_beat = Instant::now();
-    let beat = |last: &mut Instant| {
-        if let Some(hb) = ft.heartbeat {
-            if last.elapsed().as_secs_f64() >= hb.interval {
-                let _ = head_tx.send(HeadMsg::Heartbeat { site });
-                ft.telemetry.emit(Event::at(ns_since(ft.epoch), EventKind::Heartbeat).site(site));
-                *last = Instant::now();
-            }
-        }
-    };
     let tick = ft.heartbeat.map_or(Duration::from_millis(50), |h| {
         Duration::from_secs_f64((h.interval / 2.0).max(1e-4))
     });
-    // Idle polling against an empty head backs off exponentially from
-    // 100 µs to a cap, instead of hammering a fixed short period.
-    const POLL_MIN: Duration = Duration::from_micros(100);
-    const POLL_CAP: Duration = Duration::from_millis(5);
-    let mut idle_wait = POLL_MIN;
-    loop {
+    'serve: loop {
         if ft.site_dead(site) {
             // Simulated spot revocation: no goodbye, no final report. The
             // head notices via the missed heartbeats (channel mode) or the
             // broken connection (TCP mode).
             break;
         }
-        beat(&mut last_beat);
-        let msg = match rx.recv_timeout(tick) {
-            Ok(msg) => msg,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        let reply = match msg {
-            MasterMsg::GetJob { reply } => reply,
+        if let Some(hb) = ft.heartbeat {
+            if last_beat.elapsed().as_secs_f64() >= hb.interval {
+                let _ = head_tx.send(HeadMsg::Heartbeat { site });
+                ft.telemetry.emit(Event::at(ns_since(ft.epoch), EventKind::Heartbeat).site(site));
+                last_beat = Instant::now();
+            }
+        }
+        // Requests arriving at the head. The exchange itself is a hop over
+        // an in-process channel, so it is waited for; the modelled link
+        // time is in the two legs around it.
+        let now = Instant::now();
+        while due_at_head.front().is_some_and(|&(due, _)| due <= now) {
+            let (_, id) = due_at_head.pop_front().expect("front was checked");
+            let (btx, brx) = bounded(1);
+            if head_tx.send(HeadMsg::RequestJobs { site, reply: btx }).is_err() {
+                break 'serve; // head gone: shutting down
+            }
+            let Ok(batch) = brx.recv() else { break 'serve };
+            pool.granted(id, batch);
+            due_back.push_back((Instant::now() + leg, id));
+        }
+        let now = Instant::now();
+        while due_back.front().is_some_and(|&(due, _)| due <= now) {
+            let (_, id) = due_back.pop_front().expect("front was checked");
+            let rtt = pool.land(id, secs(now));
+            ft.metrics.grant_rtt.observe_secs(rtt);
+        }
+        while let Some((reply, since)) = waiting.front() {
+            // A copy elsewhere already completed this chunk and the head
+            // fenced it (or its site was evacuated): the grant is no longer
+            // assigned to us, so drop it instead of dispatching dead work.
+            pool.skip_revoked(|chunk| ft.revoked(chunk));
+            match pool.serve_parked(secs(now)) {
+                Take::NeedRefill => break,
+                take => {
+                    ft.metrics.starved.add(since.elapsed().as_nanos() as u64);
+                    let _ = reply.send(take);
+                    waiting.pop_front();
+                }
+            }
+        }
+        // Requests go out after the slaves were answered, so a slave is
+        // already fetching while its master talks to the head.
+        while let Some(id) = pool.next_request(secs(now)) {
+            due_at_head.push_back((now + leg, id));
+        }
+        ft.metrics.window.set(pool.window() as i64);
+
+        let retry = pool.retry_at().map(|at| ft.epoch + Duration::from_secs_f64(at));
+        let wake = [due_at_head.front().map(|r| r.0), due_back.front().map(|r| r.0), retry]
+            .into_iter()
+            .flatten()
+            .min();
+        let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
+        let reply = match rx.recv_timeout(timeout) {
+            Ok(MasterMsg::GetJob { reply }) => reply,
             // Completion reports only flow through masters in the TCP
             // deployment mode; the in-process runtime reports to the head
             // directly.
-            MasterMsg::Complete { .. } | MasterMsg::Failed { .. } => continue,
+            Ok(MasterMsg::Complete { .. } | MasterMsg::Failed { .. }) => continue,
+            Err(RecvTimeoutError::Timeout) => continue,
+            Err(RecvTimeoutError::Disconnected) => break,
         };
-        let take = loop {
-            if ft.site_dead(site) {
-                break Take::Drained;
+        let now = Instant::now();
+        pool.skip_revoked(|chunk| ft.revoked(chunk));
+        match pool.arrive(secs(now)) {
+            Take::NeedRefill => waiting.push_back((reply, now)),
+            take => {
+                let _ = reply.send(take);
             }
-            match pool.take() {
-                // A copy elsewhere already completed this chunk and the head
-                // fenced it (or its site was evacuated): the grant is no
-                // longer assigned to us, so drop it instead of dispatching
-                // dead work.
-                Take::Job(j) if ft.revoked(j.chunk.id) => continue,
-                Take::NeedRefill => {
-                    if !refill(&mut pool) {
-                        break Take::Drained; // head gone: shutting down
-                    }
-                    if pool.queued() == 0 && !pool.is_drained() {
-                        // Nothing pending at the head, but in-flight jobs
-                        // may yet fail and be requeued: poll with capped
-                        // exponential backoff.
-                        beat(&mut last_beat);
-                        std::thread::sleep(idle_wait);
-                        idle_wait = (idle_wait * 2).min(POLL_CAP);
-                    }
-                }
-                other => {
-                    idle_wait = POLL_MIN;
-                    break other;
-                }
-            }
-        };
-        let served_job = matches!(take, Take::Job(_));
-        let _ = reply.send(take);
-        // Low-watermark prefetch happens after replying, so the slave is
-        // already fetching while the head round-trip is in flight. A gone
-        // head means shutdown: skip straight to the drain path instead of
-        // rediscovering the broken channel one request at a time.
-        if served_job && pool.needs_refill() && !refill(&mut pool) {
-            break;
         }
     }
-    // All slaves hung up. Any granted-but-undispatched job would stay
-    // assigned at the head forever (classic mode has no lease reaper),
-    // deadlocking the surviving sites that poll for it — hand the queue
-    // back as failures so the head requeues the jobs. A chaos-dead site
-    // skips this: vanishing with its grants is the scenario, and the
-    // head's evacuation (or lease reaping) recovers them.
+    // All slaves hung up (or the head did). Any job granted to this master
+    // and not dispatched — queued, or in a batch still on its way back —
+    // would stay assigned at the head forever (classic mode has no lease
+    // reaper), deadlocking the surviving sites that poll for it: hand every
+    // one back as a failure so the head requeues it. A chaos-dead site
+    // skips this: vanishing with its grants is the scenario, and the head's
+    // evacuation (or lease reaping) recovers them.
     if !ft.site_dead(site) {
-        for job in pool.drain_queued() {
+        for job in pool.close() {
             let _ = head_tx.send(HeadMsg::Failed { job: job.chunk.id, site });
         }
         // The orderly goodbye: a site that vanishes without one is treated
@@ -1258,7 +1302,7 @@ pub(crate) fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use cloudburst_core::{reduce_serial, LayoutParams, Merge};
+    use cloudburst_core::{reduce_serial, JobBatch, LayoutParams, Merge};
     use cloudburst_storage::{fraction_placement, organize, organize_redundant};
 
     /// Units are little-endian u32s; the result is their sum (order-free).
@@ -1472,6 +1516,63 @@ mod tests {
         assert!(out.head.dead_sites.is_empty());
         assert_eq!(out.head.abandoned, 0);
         assert_eq!(out.report.total_jobs(), index.n_chunks() as u64);
+    }
+
+    #[test]
+    fn master_keeps_beaconing_while_its_grant_requests_are_away() {
+        // A master 0.25 s from its head, beaconing every 10 ms. One slave
+        // asks for a job: the request takes a quarter second to reach the
+        // head and the grant as long to come back. Through all of it the
+        // head must keep hearing from the master — a master that sleeps out
+        // the legs is silent for their length, and a heartbeat timeout
+        // shorter than a round trip then evacuates a healthy site.
+        let leg = 0.25;
+        let (index, _) = setup(256, 1.0, 1);
+        let mut batch = JobPool::from_index(&index, BatchPolicy::Fixed(2)).request(SiteId::CLOUD);
+        batch.stolen = true;
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, head_rx) = unbounded::<HeadMsg>();
+        let ft = MasterFt {
+            heartbeat: Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 }),
+            chaos: None,
+            cancel: None,
+            epoch: Instant::now(),
+            telemetry: Telemetry::off(),
+            metrics: MasterMetrics::default(),
+        };
+        std::thread::scope(|scope| {
+            // The master owns its ends of both channels: when it returns,
+            // the head's receiver disconnects.
+            scope.spawn(move || run_master(SiteId::CLOUD, 1, leg, &master_rx, &head_tx, ft));
+            let (rtx, rrx) = bounded(1);
+            master_tx.send(MasterMsg::GetJob { reply: rtx }).unwrap();
+            // The head: answer the first request, note when each message
+            // arrives, stop once the slave has its job.
+            let mut last = Instant::now();
+            let mut longest_silence = Duration::ZERO;
+            let mut grant = Some(batch);
+            while let Ok(msg) = head_rx.recv_timeout(Duration::from_secs(5)) {
+                longest_silence = longest_silence.max(last.elapsed());
+                last = Instant::now();
+                if let HeadMsg::RequestJobs { reply, .. } = msg {
+                    let _ = reply.send(grant.take().unwrap_or_else(|| JobBatch::empty(false)));
+                }
+                if let Ok(take) = rrx.try_recv() {
+                    assert!(matches!(take, Take::Job(j) if j.stolen));
+                    break;
+                }
+            }
+            drop(master_tx); // the slave hangs up; the master says goodbye
+            assert!(
+                longest_silence.as_secs_f64() < leg,
+                "the head heard nothing for {longest_silence:?} of a {leg} s leg"
+            );
+            // Shutdown hands the second granted job back, then the goodbye.
+            let rest: Vec<HeadMsg> = head_rx.iter().collect();
+            let failed = rest.iter().filter(|m| matches!(m, HeadMsg::Failed { .. })).count();
+            assert_eq!(failed, 1, "the undispatched job of the batch goes back to the head");
+            assert!(matches!(rest.last(), Some(HeadMsg::Bye { site: SiteId::CLOUD })));
+        });
     }
 
     /// `SumApp` that counts `make_robj` calls and commits from the reused

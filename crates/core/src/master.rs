@@ -5,14 +5,82 @@
 //! master receives the set of jobs, they are added into the pool, and
 //! assigned to the requesting slaves individually."
 //!
-//! Like [`crate::pool::JobPool`], this is pure logic: the threaded runtime
-//! wraps it in a mutex and performs the actual head RPC; the simulator drives
-//! it directly and charges virtual time for the RPC.
+//! Like [`crate::pool::JobPool`], this is pure logic with no clock and no
+//! channel: every timed operation takes `now` as an argument. The threaded
+//! runtime and the simulator are adapters that own the transport — they carry
+//! a request to the head and its grant back, each leg taking as long as the
+//! link says — and tell the pool when each thing happened.
+//!
+//! # Windowed grants
+//!
+//! A master that waits out the head round trip before serving the next slave
+//! starves its site whenever jobs are shorter than the link is long. So a
+//! request is not a call but a pair of events — [`MasterPool::next_request`]
+//! now, [`MasterPool::land`] one round trip later — and several may be in
+//! flight at once. The master asks again while
+//!
+//! ```text
+//! queued + jobs expected from requests in flight ≤ low_watermark + ⌊rtt / gap⌋
+//! ```
+//!
+//! where `gap` is its measured mean time between dispatches and `rtt` its
+//! measured request→grant time — the mean plus twice the mean deviation, so
+//! a link with jitter gets that much more cover, the way TCP sizes its
+//! retransmit timer. `⌊rtt / gap⌋` jobs leave the queue while a request is
+//! away, so the rule keeps `low_watermark` jobs queued when the grant lands:
+//! one bandwidth-delay product of work on top of the floor. At most
+//! `1 + ⌊rtt / gap⌋` requests are in flight, each one justified by a
+//! dispatch that is due before the previous one returns.
+//!
+//! With jobs slower than the link the term is zero and the rule is the
+//! blocking loop's — one request, at the watermark, after a dispatch — so
+//! nothing is hoarded at the tail of a run. The rule is evaluated only when
+//! a job was just dispatched or a slave is waiting. A head that answered
+//! "nothing right now" closes the window to the watermark until it has jobs
+//! again, and is polled for a starving slave only, with capped exponential
+//! backoff.
 
 use crate::layout::ChunkMeta;
 use crate::pool::JobBatch;
-use crate::types::{ChunkId, SiteId};
+use crate::types::{ChunkId, Seconds, SiteId};
 use std::collections::VecDeque;
+
+/// First wait before asking a head that had nothing again; doubles per
+/// empty answer up to [`POLL_CAP`].
+pub const POLL_MIN: Seconds = 100e-6;
+/// Longest wait between polls of a head that has nothing.
+pub const POLL_CAP: Seconds = 5e-3;
+/// Upper bound on `⌊rtt / gap⌋`, so one wild measurement (two slaves asking
+/// in the same microsecond) cannot make a master hoard the whole dataset.
+const MAX_BDP_JOBS: usize = 1024;
+
+/// Identifies one grant request between [`MasterPool::next_request`] and
+/// [`MasterPool::land`].
+pub type RequestId = u64;
+
+/// A request the head has not answered here yet.
+#[derive(Debug, Clone)]
+struct InFlight {
+    id: RequestId,
+    issued_at: Seconds,
+    /// The head's answer once it exists; it still has the return leg to
+    /// travel, but its jobs are this master's responsibility already.
+    batch: Option<JobBatch>,
+}
+
+/// The jobs of a grant as a master holds them.
+fn jobs_of(batch: &JobBatch) -> impl Iterator<Item = LocalJob> + '_ {
+    batch.jobs.iter().enumerate().map(|(i, chunk)| LocalJob {
+        chunk: *chunk,
+        stolen: batch.stolen,
+        span: batch.span_of(i),
+    })
+}
+
+/// Fold `sample` into the running mean `est` with weight `1 / weight`.
+fn ewma(est: &mut Option<Seconds>, sample: Seconds, weight: f64) {
+    *est = Some(est.map_or(sample, |e| e + (sample - e) / weight));
+}
 
 /// One job as held by a master: the chunk plus whether it was stolen from a
 /// remote site (and therefore needs remote retrieval).
@@ -38,25 +106,55 @@ pub enum Take {
     Drained,
 }
 
-/// The master's site-local pool of granted-but-unprocessed jobs.
+/// The master's site-local pool of granted-but-unprocessed jobs, and the
+/// window of grant requests that keeps it from running dry.
 #[derive(Debug, Clone)]
 pub struct MasterPool {
     site: SiteId,
     queue: VecDeque<LocalJob>,
-    /// Request a refill when the queue shrinks to this many jobs, so slaves
-    /// rarely block on the head round-trip.
+    /// Jobs that should still be queued when a grant lands: the floor of
+    /// the request window.
     low_watermark: usize,
-    /// Set when the head returned an empty batch: no more work exists.
+    /// Set when the head returned an empty terminal batch: no more work
+    /// exists.
     drained: bool,
-    /// Refill requests issued (control-traffic accounting).
+    /// Grants received (control-traffic accounting).
     refills: u64,
     /// Jobs handed to slaves.
     dispatched: u64,
+    /// Requests issued and not yet landed, oldest first.
+    in_flight: Vec<InFlight>,
+    next_id: RequestId,
+    /// Running mean of the request→grant time, and of its absolute
+    /// deviation from that mean.
+    rtt: Option<Seconds>,
+    rtt_dev: Option<Seconds>,
+    /// Running mean of the time between dispatches.
+    gap: Option<Seconds>,
+    last_dispatch: Option<Seconds>,
+    /// Size of the last non-empty grant: what a request in flight is
+    /// expected to bring.
+    last_batch_len: usize,
+    /// A job was dispatched since the window rule last said no.
+    demand: bool,
+    /// Slaves that asked and are waiting for a grant to land.
+    parked: usize,
+    /// The head's last answer was empty: until it has jobs again one probe
+    /// at a time is enough, so the window falls back to the watermark.
+    dry: bool,
+    /// Backoff state for a starving slave's polls of a dry head.
+    idle_wait: Seconds,
+    poll_at: Seconds,
+    /// Jobs received from the head, handed back at close, and dropped as
+    /// revoked (conservation accounting).
+    granted: u64,
+    returned: u64,
+    dropped: u64,
 }
 
 impl MasterPool {
-    /// An empty pool for `site` that asks for more work once its queue
-    /// shrinks to `low_watermark` jobs.
+    /// An empty pool for `site` whose request window never shrinks below
+    /// `low_watermark` jobs.
     #[must_use]
     pub fn new(site: SiteId, low_watermark: usize) -> MasterPool {
         MasterPool {
@@ -66,6 +164,21 @@ impl MasterPool {
             drained: false,
             refills: 0,
             dispatched: 0,
+            in_flight: Vec::new(),
+            next_id: 0,
+            rtt: None,
+            rtt_dev: None,
+            gap: None,
+            last_dispatch: None,
+            last_batch_len: 1,
+            demand: false,
+            parked: 0,
+            dry: false,
+            idle_wait: POLL_MIN,
+            poll_at: 0.0,
+            granted: 0,
+            returned: 0,
+            dropped: 0,
         }
     }
 
@@ -82,14 +195,16 @@ impl MasterPool {
     }
 
     /// Whether the pool is at or below its low watermark and has not yet been
-    /// told the head is empty. The runtime should issue a head request when
-    /// this returns true.
+    /// told the head is empty: the refill test of a master that asks the head
+    /// synchronously (the TCP masters), which has no window to keep.
     #[must_use]
     pub fn needs_refill(&self) -> bool {
         !self.drained && self.queue.len() <= self.low_watermark
     }
 
-    /// Add a batch granted by the head.
+    /// Add a batch granted by the head (a master that asks synchronously;
+    /// windowed requests go through [`MasterPool::granted`] and
+    /// [`MasterPool::land`]).
     ///
     /// An empty **terminal** batch marks the pool as drained: the head has
     /// guaranteed no work will ever appear again. An empty *non*-terminal
@@ -97,20 +212,16 @@ impl MasterPool {
     /// and be requeued, so the caller should poll again after a short
     /// backoff.
     pub fn refill(&mut self, batch: JobBatch) {
+        self.granted += batch.len() as u64;
+        self.enqueue(batch);
+    }
+
+    fn enqueue(&mut self, batch: JobBatch) {
         self.refills += 1;
-        if batch.is_empty() {
-            if batch.terminal {
-                self.drained = true;
-            }
-            return;
+        if batch.is_empty() && batch.terminal {
+            self.drained = true;
         }
-        for (i, chunk) in batch.jobs.iter().enumerate() {
-            self.queue.push_back(LocalJob {
-                chunk: *chunk,
-                stolen: batch.stolen,
-                span: batch.span_of(i),
-            });
-        }
+        self.queue.extend(jobs_of(&batch));
     }
 
     /// Hand the next job to a slave.
@@ -119,11 +230,161 @@ impl MasterPool {
             self.dispatched += 1;
             return Take::Job(job);
         }
-        if self.drained {
+        // A grant with jobs that is still travelling back must be waited
+        // for even after a terminal answer overtook it.
+        if self.drained && self.in_flight_jobs() == 0 {
             Take::Drained
         } else {
             Take::NeedRefill
         }
+    }
+
+    /// A slave asks for a job at `now`. `Take::NeedRefill` means it has to
+    /// wait: the caller parks it and offers it [`MasterPool::serve_parked`]
+    /// after the next grant lands.
+    pub fn arrive(&mut self, now: Seconds) -> Take {
+        // The time since the last dispatch is how long the slaves took to
+        // come back for more — unless one is parked already, in which case
+        // it measures the wait for the grant instead.
+        if let (0, Some(last)) = (self.parked, self.last_dispatch) {
+            ewma(&mut self.gap, (now - last).max(0.0), 8.0);
+        }
+        let take = self.take();
+        match take {
+            Take::Job(_) => self.dispatched_at(now),
+            Take::NeedRefill => self.parked += 1,
+            Take::Drained => {}
+        }
+        take
+    }
+
+    /// Offer the longest-parked slave a job at `now`; `Take::NeedRefill`
+    /// leaves it parked.
+    pub fn serve_parked(&mut self, now: Seconds) -> Take {
+        debug_assert!(self.parked > 0, "no slave is parked");
+        let take = self.take();
+        match take {
+            Take::Job(_) => {
+                self.parked -= 1;
+                self.dispatched_at(now);
+            }
+            Take::NeedRefill => {}
+            Take::Drained => self.parked -= 1,
+        }
+        take
+    }
+
+    fn dispatched_at(&mut self, now: Seconds) {
+        self.last_dispatch = Some(now);
+        self.demand = true;
+    }
+
+    /// Jobs that leave the queue during one round trip to the head:
+    /// `⌊rtt / gap⌋` with `rtt` taken as mean + 2 deviations; zero until
+    /// both have been measured and while the head has nothing to send.
+    fn bdp_jobs(&self) -> usize {
+        if self.dry {
+            return 0;
+        }
+        match (self.rtt, self.gap) {
+            // A zero gap divides to infinity, which saturates and is capped.
+            (Some(rtt), Some(gap)) => {
+                let rtt = rtt + 2.0 * self.rtt_dev.unwrap_or(0.0);
+                ((rtt / gap) as usize).min(MAX_BDP_JOBS)
+            }
+            _ => 0,
+        }
+    }
+
+    /// The request window in jobs: the master asks again while no more than
+    /// this many are queued or expected.
+    #[must_use]
+    pub fn window(&self) -> usize {
+        self.low_watermark + self.bdp_jobs()
+    }
+
+    /// Jobs of grants the head has answered that have not landed yet.
+    fn in_flight_jobs(&self) -> usize {
+        self.in_flight.iter().filter_map(|r| r.batch.as_ref()).map(JobBatch::len).sum()
+    }
+
+    /// Issue a grant request at `now` if the window rule (see the module
+    /// docs) asks for one. Call it until it returns `None` after every
+    /// dispatch, and whenever slaves are parked and a grant landed or
+    /// [`MasterPool::retry_at`] passed.
+    pub fn next_request(&mut self, now: Seconds) -> Option<RequestId> {
+        if self.drained || !(self.demand || self.parked > 0) || now < self.poll_at {
+            return None;
+        }
+        let bdp = self.bdp_jobs();
+        let expected: usize = self
+            .in_flight
+            .iter()
+            .map(|r| r.batch.as_ref().map_or(self.last_batch_len, JobBatch::len))
+            .sum();
+        // A request beyond the first is worth sending only if a dispatch is
+        // due before the first returns.
+        if self.in_flight.len() > bdp || self.queue.len() + expected > self.low_watermark + bdp {
+            self.demand = false;
+            return None;
+        }
+        let id = self.next_id;
+        self.next_id += 1;
+        self.in_flight.push(InFlight { id, issued_at: now, batch: None });
+        Some(id)
+    }
+
+    /// The head answered request `id` with `batch`. The batch stays with the
+    /// request until [`MasterPool::land`] — the adapter owns the clock that
+    /// says when — but from here on its jobs are this master's to dispatch or
+    /// to hand back.
+    ///
+    /// # Panics
+    /// Panics when `id` is not in flight.
+    pub fn granted(&mut self, id: RequestId, batch: JobBatch) {
+        let req = self.in_flight.iter_mut().find(|r| r.id == id).expect("request is in flight");
+        self.granted += batch.len() as u64;
+        req.batch = Some(batch);
+    }
+
+    /// The grant for request `id` arrived at `now`: queue its jobs and take
+    /// the round-trip sample. Returns that sample, for the adapter's
+    /// histogram.
+    ///
+    /// # Panics
+    /// Panics when `id` is not in flight or was never [`MasterPool::granted`].
+    pub fn land(&mut self, id: RequestId, now: Seconds) -> Seconds {
+        let at = self.in_flight.iter().position(|r| r.id == id).expect("request is in flight");
+        let req = self.in_flight.remove(at);
+        let batch = req.batch.expect("a grant lands after the head answered");
+        let rtt = (now - req.issued_at).max(0.0);
+        let dev = self.rtt.map_or(0.0, |mean| (rtt - mean).abs());
+        ewma(&mut self.rtt_dev, dev, 4.0);
+        ewma(&mut self.rtt, rtt, 4.0);
+        self.dry = batch.is_empty();
+        if self.dry {
+            // The head had nothing: do not ask again on a dispatch's
+            // account, and for a starving slave only after a backoff.
+            self.demand = false;
+            if !batch.terminal && self.parked > 0 {
+                self.poll_at = now + self.idle_wait;
+                self.idle_wait = (self.idle_wait * 2.0).min(POLL_CAP);
+            }
+        } else {
+            self.last_batch_len = batch.len();
+            self.idle_wait = POLL_MIN;
+            self.poll_at = 0.0;
+        }
+        self.enqueue(batch);
+        rtt
+    }
+
+    /// When to call [`MasterPool::next_request`] again although nothing else
+    /// happened: the end of the current backoff, while a slave is starving
+    /// on a head that had nothing.
+    #[must_use]
+    pub fn retry_at(&self) -> Option<Seconds> {
+        (self.parked > 0 && !self.drained && self.in_flight.is_empty()).then_some(self.poll_at)
     }
 
     /// True once the head reported no remaining work **and** the local queue
@@ -137,7 +398,22 @@ impl MasterPool {
     /// shutting down early (all its slaves gone) can hand them back to the
     /// head instead of stranding them in the assigned state forever.
     pub fn drain_queued(&mut self) -> Vec<LocalJob> {
+        self.returned += self.queue.len() as u64;
         self.queue.drain(..).collect()
+    }
+
+    /// Shut the master down: return every job it was granted and has not
+    /// dispatched — the queue *and* every grant still travelling back — so
+    /// the caller can fail each back to the head exactly once. Requests the
+    /// head has not answered are forgotten; nothing was granted for them.
+    pub fn close(&mut self) -> Vec<LocalJob> {
+        let mut jobs = self.drain_queued();
+        for batch in self.in_flight.drain(..).filter_map(|r| r.batch) {
+            self.returned += batch.len() as u64;
+            jobs.extend(jobs_of(&batch));
+        }
+        self.drained = true;
+        jobs
     }
 
     /// Drop every queued-but-undispatched job in `revoked` — the head
@@ -147,10 +423,25 @@ impl MasterPool {
     pub fn drop_revoked(&mut self, revoked: &[ChunkId]) -> usize {
         let before = self.queue.len();
         self.queue.retain(|j| !revoked.contains(&j.chunk.id));
-        before - self.queue.len()
+        let n = before - self.queue.len();
+        self.dropped += n as u64;
+        n
     }
 
-    /// Number of head refill requests issued so far.
+    /// Drop jobs from the front of the queue while `is_revoked` says their
+    /// grant is dead, so the next [`MasterPool::arrive`] dispatches live
+    /// work. Returns how many were dropped.
+    pub fn skip_revoked(&mut self, is_revoked: impl Fn(ChunkId) -> bool) -> usize {
+        let before = self.queue.len();
+        while self.queue.front().is_some_and(|j| is_revoked(j.chunk.id)) {
+            self.queue.pop_front();
+        }
+        let n = before - self.queue.len();
+        self.dropped += n as u64;
+        n
+    }
+
+    /// Number of grants received so far.
     #[must_use]
     pub fn refill_count(&self) -> u64 {
         self.refills
@@ -160,6 +451,58 @@ impl MasterPool {
     #[must_use]
     pub fn dispatched(&self) -> u64 {
         self.dispatched
+    }
+
+    /// Requests issued and not yet landed.
+    #[must_use]
+    pub fn requests_in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// Slaves waiting for a grant to land.
+    #[must_use]
+    pub fn parked(&self) -> usize {
+        self.parked
+    }
+
+    /// Where every job the head ever granted this master is now:
+    /// `granted = dispatched + queued + in_flight + returned + dropped`.
+    #[must_use]
+    pub fn ledger(&self) -> Ledger {
+        Ledger {
+            granted: self.granted,
+            dispatched: self.dispatched,
+            queued: self.queue.len() as u64,
+            in_flight: self.in_flight_jobs() as u64,
+            returned: self.returned,
+            dropped: self.dropped,
+        }
+    }
+}
+
+/// The conservation ledger of a [`MasterPool`] (see [`MasterPool::ledger`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ledger {
+    /// Jobs the head granted this master.
+    pub granted: u64,
+    /// Jobs handed to slaves.
+    pub dispatched: u64,
+    /// Jobs queued here.
+    pub queued: u64,
+    /// Jobs of grants still travelling back.
+    pub in_flight: u64,
+    /// Jobs handed back at shutdown.
+    pub returned: u64,
+    /// Jobs dropped because their grant was revoked.
+    pub dropped: u64,
+}
+
+impl Ledger {
+    /// Whether every granted job is accounted for exactly once.
+    #[must_use]
+    pub fn balanced(&self) -> bool {
+        self.granted
+            == self.dispatched + self.queued + self.in_flight + self.returned + self.dropped
     }
 }
 
@@ -258,6 +601,98 @@ mod tests {
         assert_eq!(mp.drop_revoked(&[target]), 1);
         assert_eq!(mp.queued(), 1);
         assert!(matches!(mp.take(), Take::Job(j) if j.chunk.id != target));
+    }
+
+    /// Carry request `id` to a head that answers with `batch` and back.
+    fn round_trip(mp: &mut MasterPool, id: RequestId, batch: JobBatch, lands_at: Seconds) {
+        mp.granted(id, batch);
+        mp.land(id, lands_at);
+    }
+
+    #[test]
+    fn slow_jobs_keep_one_request_at_the_watermark() {
+        let mut mp = MasterPool::new(SiteId::LOCAL, 1);
+        assert_eq!(mp.next_request(0.0), None, "nobody asked for anything yet");
+        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        let id = mp.next_request(0.0).expect("a slave is waiting");
+        assert_eq!(mp.next_request(0.0), None, "one request covers a window of one job");
+        round_trip(&mut mp, id, some_batch(3, false), 0.1);
+        assert!(matches!(mp.serve_parked(0.1), Take::Job(_)));
+        assert_eq!(mp.next_request(0.1), None, "two jobs queued, watermark one");
+        // Jobs take 1 s, the link 0.1 s: the window stays at the watermark.
+        assert!(matches!(mp.arrive(1.1), Take::Job(_)));
+        assert_eq!(mp.window(), 1);
+        assert!(mp.next_request(1.1).is_some(), "at the watermark after a dispatch");
+        assert_eq!(mp.next_request(1.1), None);
+        assert!(mp.ledger().balanced());
+    }
+
+    #[test]
+    fn fast_jobs_open_the_window_by_the_jobs_in_one_round_trip() {
+        let mut mp = MasterPool::new(SiteId::LOCAL, 1);
+        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        let id = mp.next_request(0.0).unwrap();
+        round_trip(&mut mp, id, some_batch(4, false), 1.0);
+        assert!(matches!(mp.serve_parked(1.0), Take::Job(_)));
+        // The slave is back after 1/8 s; the round trip took 1 s.
+        assert!(matches!(mp.arrive(1.125), Take::Job(_)));
+        assert_eq!(mp.window(), 1 + 8);
+        // Two queued; requests (4 jobs each, like the last grant) go out
+        // until 9 jobs are covered.
+        let issued = std::iter::from_fn(|| mp.next_request(1.125)).count();
+        assert_eq!(issued, 2, "2 + 4 = 6 <= 9 < 2 + 4 + 4");
+        assert_eq!(mp.requests_in_flight(), 2);
+    }
+
+    #[test]
+    fn dry_head_is_polled_only_for_a_waiting_slave_and_backs_off() {
+        let mut mp = MasterPool::new(SiteId::LOCAL, 0);
+        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        let id = mp.next_request(0.0).unwrap();
+        round_trip(&mut mp, id, JobBatch::empty(false), 0.0);
+        assert_eq!(mp.next_request(0.0), None, "backing off");
+        assert_eq!(mp.retry_at(), Some(POLL_MIN));
+        let id = mp.next_request(POLL_MIN).expect("backoff over, slave still waiting");
+        round_trip(&mut mp, id, JobBatch::empty(false), POLL_MIN);
+        assert_eq!(mp.retry_at(), Some(POLL_MIN + 2.0 * POLL_MIN), "the wait doubles");
+        let id = mp.next_request(1.0).unwrap();
+        round_trip(&mut mp, id, JobBatch::empty(true), 1.0);
+        assert_eq!(mp.serve_parked(1.0), Take::Drained);
+        assert_eq!(mp.next_request(2.0), None, "drained: never ask again");
+    }
+
+    #[test]
+    fn close_hands_back_queued_jobs_and_grants_still_travelling() {
+        let mut mp = MasterPool::new(SiteId::LOCAL, 0);
+        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        let landed = mp.next_request(0.0).unwrap();
+        round_trip(&mut mp, landed, some_batch(3, false), 0.1);
+        assert!(matches!(mp.serve_parked(0.1), Take::Job(_)));
+        // Empty the queue so the master asks again; close while that grant
+        // is on its way back and one more request never reached the head.
+        assert!(matches!(mp.arrive(0.2), Take::Job(_)));
+        assert!(matches!(mp.arrive(0.3), Take::Job(_)));
+        let answered = mp.next_request(0.3).unwrap();
+        mp.granted(answered, some_batch(2, false));
+        assert_eq!(mp.take(), Take::NeedRefill, "granted jobs are not here yet");
+        let handed_back = mp.close();
+        assert_eq!(handed_back.len(), 2);
+        let ledger = mp.ledger();
+        assert_eq!((ledger.granted, ledger.dispatched, ledger.returned), (5, 3, 2));
+        assert!(ledger.balanced());
+        assert_eq!(mp.requests_in_flight(), 0);
+        assert_eq!(mp.next_request(1.0), None);
+    }
+
+    #[test]
+    fn skip_revoked_drops_dead_grants_from_the_front_only() {
+        let mut mp = MasterPool::new(SiteId::LOCAL, 0);
+        mp.refill(some_batch(3, false));
+        let ids: Vec<ChunkId> = mp.queue.iter().map(|j| j.chunk.id).collect();
+        assert_eq!(mp.skip_revoked(|c| c == ids[0] || c == ids[2]), 1);
+        assert!(matches!(mp.arrive(0.0), Take::Job(j) if j.chunk.id == ids[1]));
+        assert_eq!(mp.ledger().dropped, 1);
+        assert!(mp.ledger().balanced());
     }
 
     #[test]

@@ -476,6 +476,17 @@ impl Registry {
         )))
     }
 
+    /// The histogram series `name{labels}`, if one was ever created — a
+    /// read-only lookup for views that want quantiles, which
+    /// [`Registry::snapshot`] flattens away.
+    #[must_use]
+    pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
+        match self.families.lock().get(name)?.series.get(&canon_labels(labels))? {
+            Instrument::Histogram(h) => Some(Histogram(Some(Arc::clone(h)))),
+            _ => None,
+        }
+    }
+
     /// Install (or replace) the named pull-based collector. Keying by name
     /// lets iterative runs re-register their collectors without stacking
     /// duplicate series.

@@ -1,0 +1,349 @@
+//! Virtual-clock properties of the master's windowed grant requests.
+//!
+//! [`MasterPool`] is pure logic, so these tests are its transport: a tiny
+//! discrete-event loop carries each request to a model head and its grant
+//! back (one `latency` per leg), and model slaves come back for a job every
+//! `gap × slaves` seconds. The head hands out `total` jobs in batches of
+//! `batch`; once they are all out it answers "nothing right now" until the
+//! last one completes, then "never again" — so every run ends in the
+//! empty-non-terminal polling and the terminal grant the real head produces.
+//!
+//! Checked after every event: the conservation ledger balances and the
+//! master never has more than a window plus one batch outstanding. Checked
+//! per run: a single slave never waits once the window is warm and the head
+//! has work; with jobs slower than the link there is at most one request in
+//! flight and exactly the request count of the blocking loop this machine
+//! replaced; a zero-latency link cannot busy-loop; and closing at any point
+//! hands back every job that was granted and not dispatched.
+//!
+//! A failure prints the generated scenario, which replays it.
+
+use cloudburst_core::master::{POLL_CAP, POLL_MIN};
+use cloudburst_core::{ChunkId, ChunkMeta, FileId, JobBatch, MasterPool, RequestId, SiteId, Take};
+use proptest::prelude::*;
+
+/// One generated run.
+#[derive(Debug, Clone, Copy)]
+struct Scenario {
+    /// One-way master↔head latency, seconds.
+    latency: f64,
+    /// Site-wide time between job requests when nobody waits, seconds.
+    gap: f64,
+    /// Jobs per (non-final) grant.
+    batch: usize,
+    slaves: usize,
+    low_watermark: usize,
+    total: usize,
+}
+
+/// The head: `total` jobs in batches, then empty until all are complete.
+/// Completion reports do not ride the master, so the head knows a job is
+/// done the moment it is: `finish_times` holds every dispatched job's.
+struct Head {
+    batch: usize,
+    total: usize,
+    granted: usize,
+    finish_times: Vec<f64>,
+    requests: u64,
+}
+
+impl Head {
+    fn new(sc: Scenario) -> Head {
+        Head { batch: sc.batch, total: sc.total, granted: 0, finish_times: Vec::new(), requests: 0 }
+    }
+
+    fn grant(&mut self, now: f64) -> JobBatch {
+        self.requests += 1;
+        let n = self.batch.min(self.pending());
+        if n == 0 {
+            let completed = self.finish_times.iter().filter(|&&t| t <= now).count();
+            return JobBatch::empty(completed == self.total);
+        }
+        let jobs = (self.granted..self.granted + n)
+            .map(|i| ChunkMeta {
+                id: ChunkId(i as u32),
+                file: FileId(0),
+                offset: 0,
+                len: 1,
+                n_units: 1,
+                site: SiteId::CLOUD,
+            })
+            .collect();
+        self.granted += n;
+        JobBatch { jobs, spans: Vec::new(), stolen: false, terminal: false }
+    }
+
+    fn pending(&self) -> usize {
+        self.total - self.granted
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Ev {
+    /// A slave is free and asks for its next job.
+    Arrive,
+    AtHead(RequestId),
+    Landed(RequestId),
+    Retry,
+}
+
+/// A future-event list ordered by time, ties in scheduling order.
+#[derive(Default)]
+struct Agenda {
+    events: Vec<(f64, u64, Ev)>,
+    seq: u64,
+}
+
+impl Agenda {
+    fn schedule(&mut self, at: f64, ev: Ev) {
+        self.seq += 1;
+        self.events.push((at, self.seq, ev));
+    }
+
+    fn pop(&mut self) -> Option<(f64, Ev)> {
+        let next = (0..self.events.len()).min_by(|&a, &b| {
+            let (a, b) = (&self.events[a], &self.events[b]);
+            (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("times are finite")
+        })?;
+        let (at, _, ev) = self.events.swap_remove(next);
+        Some((at, ev))
+    }
+}
+
+/// What a run observed.
+#[derive(Debug, Default)]
+struct Trace {
+    requests: u64,
+    dispatches: u64,
+    max_in_flight: usize,
+    /// `(when, jobs the head still had)` for every slave that had to wait.
+    parks: Vec<(f64, usize)>,
+    /// When the second grant landed: both estimates exist from here on.
+    warm_at: Option<f64>,
+    end: f64,
+    events: u64,
+}
+
+/// Drive a [`MasterPool`] through `sc` until every slave saw `Drained`, or —
+/// with `close_after` — stop after that many events (the caller closes the
+/// master). Panics on any per-event invariant violation.
+fn run(sc: Scenario, close_after: Option<u64>) -> (MasterPool, Trace) {
+    let mut pool = MasterPool::new(SiteId::CLOUD, sc.low_watermark);
+    let mut head = Head::new(sc);
+    let mut trace = Trace::default();
+    let mut agenda = Agenda::default();
+    let service = sc.gap * sc.slaves as f64;
+    for i in 0..sc.slaves {
+        // Staggered starts, so undisturbed slaves ask once per `gap`.
+        agenda.schedule(sc.gap * i as f64, Ev::Arrive);
+    }
+    let mut parked = 0usize;
+    let mut finished = 0usize;
+    let mut retry_at = 0.0;
+    let mut landings = 0u32;
+
+    while finished < sc.slaves {
+        let (now, ev) = agenda.pop().expect("a live run always has a next event");
+        trace.events += 1;
+        assert!(trace.events < 200_000, "runaway event loop (busy loop?) in {sc:?}");
+        if close_after.is_some_and(|n| trace.events > n) {
+            break;
+        }
+        trace.end = now;
+        // A slave got its answer: a job keeps it busy for `service`.
+        let mut answered = |take: Take, agenda: &mut Agenda, head: &mut Head| match take {
+            Take::Job(_) => {
+                trace.dispatches += 1;
+                head.finish_times.push(now + service);
+                agenda.schedule(now + service, Ev::Arrive);
+            }
+            Take::Drained => finished += 1,
+            Take::NeedRefill => unreachable!("a waiting slave is not answered"),
+        };
+        match ev {
+            Ev::Arrive => match pool.arrive(now) {
+                Take::NeedRefill => {
+                    parked += 1;
+                    trace.parks.push((now, head.pending()));
+                }
+                take => answered(take, &mut agenda, &mut head),
+            },
+            Ev::AtHead(id) => {
+                pool.granted(id, head.grant(now));
+                agenda.schedule(now + sc.latency, Ev::Landed(id));
+            }
+            Ev::Landed(id) => {
+                pool.land(id, now);
+                landings += 1;
+                if landings == 2 {
+                    trace.warm_at = Some(now);
+                }
+                while parked > 0 {
+                    match pool.serve_parked(now) {
+                        Take::NeedRefill => break,
+                        take => answered(take, &mut agenda, &mut head),
+                    }
+                    parked -= 1;
+                }
+            }
+            Ev::Retry => {}
+        }
+        assert_eq!(pool.parked(), parked, "parked count drifted in {sc:?}");
+        while let Some(id) = pool.next_request(now) {
+            trace.requests += 1;
+            agenda.schedule(now + sc.latency, Ev::AtHead(id));
+            // While the head has jobs to hoard (so every grant is a full
+            // batch): never more than a window plus one batch outstanding.
+            let outstanding = pool.queued() + pool.requests_in_flight() * sc.batch;
+            assert!(
+                head.pending() == 0 || outstanding <= pool.window() + sc.batch,
+                "{outstanding} outstanding, window {} in {sc:?}",
+                pool.window()
+            );
+        }
+        trace.max_in_flight = trace.max_in_flight.max(pool.requests_in_flight());
+        if let Some(at) = pool.retry_at().filter(|&at| at > now && at != retry_at) {
+            retry_at = at;
+            agenda.schedule(at, Ev::Retry);
+        }
+        assert!(pool.ledger().balanced(), "ledger {:?} in {sc:?}", pool.ledger());
+    }
+    (pool, trace)
+}
+
+/// The loop this machine replaced, in the same virtual time: ask the head
+/// and wait out both legs — serving nobody meanwhile — whenever a slave
+/// finds the pool empty and, after serving one, whenever the pool is at the
+/// watermark; poll a dry head with the 100 µs – 5 ms backoff. Returns the
+/// number of head requests.
+fn blocking_loop_requests(sc: Scenario) -> u64 {
+    let mut head = Head::new(sc);
+    let mut pool = MasterPool::new(SiteId::CLOUD, sc.low_watermark);
+    let service = sc.gap * sc.slaves as f64;
+    // When each slave next asks; the master serves in arrival order and
+    // never before it is free again.
+    let mut arrivals: Vec<f64> = (0..sc.slaves).map(|i| sc.gap * i as f64).collect();
+    let mut free_at = 0.0_f64;
+    while !arrivals.is_empty() {
+        let next = (0..arrivals.len())
+            .min_by(|&a, &b| arrivals[a].partial_cmp(&arrivals[b]).expect("times are finite"))
+            .expect("non-empty");
+        let mut now = arrivals.swap_remove(next).max(free_at);
+        // One blocking round trip starting at `now`; the head answers
+        // after the first leg.
+        let refill = |pool: &mut MasterPool, head: &mut Head, now: &mut f64| {
+            pool.refill(head.grant(*now + sc.latency));
+            *now += 2.0 * sc.latency;
+        };
+        let mut idle_wait = POLL_MIN;
+        let take = loop {
+            match pool.take() {
+                Take::NeedRefill => {
+                    refill(&mut pool, &mut head, &mut now);
+                    if pool.queued() == 0 && !pool.is_drained() {
+                        now += idle_wait;
+                        idle_wait = (idle_wait * 2.0).min(POLL_CAP);
+                    }
+                }
+                other => break other,
+            }
+        };
+        if matches!(take, Take::Job(_)) {
+            head.finish_times.push(now + service);
+            arrivals.push(now + service);
+            if pool.needs_refill() {
+                refill(&mut pool, &mut head, &mut now);
+            }
+        }
+        free_at = now;
+    }
+    head.requests
+}
+
+fn scenario() -> impl Strategy<Value = Scenario> {
+    (0.0f64..0.05, 1e-5f64..0.05, 1usize..=8, 1usize..=4, 0usize..=3, 1usize..400, any::<bool>())
+        .prop_map(|(latency, gap, batch, slaves, low_watermark, total, zero_latency)| Scenario {
+            latency: if zero_latency { 0.0 } else { latency },
+            gap,
+            batch,
+            slaves,
+            low_watermark,
+            total,
+        })
+}
+
+proptest! {
+    /// Any scenario runs to completion with the per-event invariants
+    /// holding, dispatches every job exactly once, and — whatever the link —
+    /// asks the head no more often than once per dispatch plus the polls
+    /// the backoff allows.
+    #[test]
+    fn every_run_drains_conserves_and_never_busy_loops(sc in scenario()) {
+        let (pool, trace) = run(sc, None);
+        let ledger = pool.ledger();
+        prop_assert_eq!(ledger.dispatched, sc.total as u64, "{:?}", sc);
+        prop_assert_eq!(ledger.granted, sc.total as u64, "{:?}", sc);
+        prop_assert_eq!(ledger.queued + ledger.in_flight + ledger.returned + ledger.dropped, 0);
+        prop_assert_eq!(trace.dispatches, sc.total as u64);
+        // Beyond one request per dispatch: whatever was in flight when the
+        // head ran dry, and the polls of the dry head — the 100 µs → 5 ms
+        // doubling takes 6 steps to reach the cap, then one poll per cap
+        // and round trip at most.
+        let polls = 8.0 + trace.end / (POLL_CAP + 2.0 * sc.latency);
+        prop_assert!(
+            (trace.requests as f64) <= (trace.dispatches + trace.max_in_flight as u64) as f64 + polls,
+            "{} requests for {} dispatches over {:.4} s in {:?}",
+            trace.requests, trace.dispatches, trace.end, sc
+        );
+    }
+
+    /// One slave, a watermark of at least one job: once both estimates
+    /// exist, no request for a job waits while the head still has any.
+    #[test]
+    fn a_warm_window_never_starves_a_slave_while_the_head_has_work(sc in scenario()) {
+        let sc = Scenario { slaves: 1, low_watermark: sc.low_watermark.max(1), ..sc };
+        let (_, trace) = run(sc, None);
+        let Some(warm_at) = trace.warm_at else { return };
+        // The estimates settle over the first few round trips and jobs.
+        let settled = warm_at + 8.0 * (2.0 * sc.latency + sc.gap);
+        for &(at, head_pending) in &trace.parks {
+            prop_assert!(
+                at < settled || head_pending == 0,
+                "slave waited at {at:.5} (warm at {warm_at:.5}) with {head_pending} jobs \
+                 at the head in {sc:?}"
+            );
+        }
+    }
+
+    /// Jobs slower than the link (with room for the poll backoff): the
+    /// window is the watermark alone, one request is in flight at a time,
+    /// and the head sees exactly the requests of the blocking loop.
+    #[test]
+    fn slow_jobs_degenerate_to_the_blocking_loop(sc in scenario()) {
+        let rtt = 2.0 * sc.latency;
+        let sc = Scenario { gap: sc.gap.max(2.0 * rtt + 2.0 * POLL_CAP), ..sc };
+        let (pool, trace) = run(sc, None);
+        prop_assert_eq!(pool.window(), sc.low_watermark, "{:?}", sc);
+        prop_assert!(trace.max_in_flight <= 1, "{} in flight in {:?}", trace.max_in_flight, sc);
+        prop_assert_eq!(trace.requests, blocking_loop_requests(sc), "{:?}", sc);
+    }
+
+    /// Closing the master at any point hands back exactly the jobs it was
+    /// granted and never dispatched: `granted = dispatched + returned`.
+    #[test]
+    fn closing_anywhere_hands_back_every_undispatched_job(sc in scenario(), cut in 0u64..600) {
+        let (mut pool, trace) = run(sc, Some(cut));
+        let before = pool.ledger();
+        let handed_back = pool.close();
+        let after = pool.ledger();
+        prop_assert_eq!(handed_back.len() as u64, before.queued + before.in_flight, "{:?}", sc);
+        prop_assert_eq!(after.granted, after.dispatched + after.returned, "{:?}", sc);
+        prop_assert_eq!(after.queued + after.in_flight, 0);
+        prop_assert_eq!(after.dispatched, trace.dispatches);
+        let mut ids: Vec<u32> = handed_back.iter().map(|j| j.chunk.id.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        prop_assert_eq!(ids.len(), handed_back.len(), "a job was handed back twice in {:?}", sc);
+        prop_assert_eq!(pool.next_request(trace.end), None, "a closed master asked again");
+    }
+}

@@ -15,12 +15,12 @@ use crate::model::AppModel;
 use crate::params::{ResourceSpec, SimParams};
 use cloudburst_core::{
     secs_to_ns, BatchPolicy, Breakdown, ChunkId, DataIndex, Event, EventKind, FaultPlan, JobPool,
-    LayoutParams, LeaseConfig, LocalJob, MasterPool, RunReport, Seconds, SiteId, SiteStats, Take,
-    Telemetry,
+    LayoutParams, LeaseConfig, LocalJob, MasterPool, RequestId, RunReport, Seconds, SiteId,
+    SiteStats, Take, Telemetry,
 };
 use cloudburst_des::{EventQueue, Servers, SimTime, Timeline};
 use cloudburst_netsim::Jitter;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// What a simulated slave is doing at a point in time (timeline kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,10 +213,166 @@ pub fn simulate_multi_instrumented(
     run_multi(app, env, None, telemetry)
 }
 
+/// A simulated slave's accumulators and fault profile.
+struct Worker {
+    site: SiteId,
+    /// Slave index within the site (the telemetry worker tag).
+    lane: u32,
+    speed: f64,
+    factor: f64,
+    processing: Seconds,
+    retrieval: Seconds,
+    /// Time spent parked at the master waiting for a grant to land.
+    control: Seconds,
+    remote_bytes: u64,
+    /// When the worker finished its last job — the paper's notion of a
+    /// worker going idle.
+    last_done: Seconds,
+    jitter: Jitter,
+    /// Injected per-job slowdown (straggler model).
+    delay: Seconds,
+    /// Site-wide multiplicative slowdown on compute (≥ 1.0).
+    slow: f64,
+    /// Crash after taking this many jobs (the job in hand leaks).
+    crash_after: Option<u64>,
+    taken: u64,
+}
+
+/// What moves the simulation forward.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// A slave is free — having just finished `completes`, if any — and asks
+    /// its master for work.
+    Ready { worker: usize, completes: Option<ChunkId> },
+    /// A master's grant request reaches the head.
+    AtHead { site: SiteId, id: RequestId },
+    /// The head's grant reaches the master.
+    Landed { site: SiteId, id: RequestId },
+    /// A starving master's poll backoff ran out.
+    Retry { site: SiteId },
+}
+
+/// A site master: the same [`MasterPool`] window logic the threaded runtime
+/// runs, with the simulator as its transport.
+struct SimMaster {
+    pool: MasterPool,
+    /// Slaves waiting for a grant, oldest first, and since when.
+    parked: VecDeque<(usize, Seconds)>,
+    /// The latest instant a [`Ev::Retry`] is scheduled for.
+    retry: Seconds,
+}
+
+impl SimMaster {
+    fn new(site: SiteId) -> SimMaster {
+        SimMaster { pool: MasterPool::new(site, 0), parked: VecDeque::new(), retry: 0.0 }
+    }
+}
+
+/// The mutable state of one simulated run.
+struct Sim<'a> {
+    app: &'a AppModel,
+    env: &'a MultiEnv,
+    specs: &'a BTreeMap<SiteId, &'a SiteSpec>,
+    telemetry: &'a Telemetry,
+    trace: Option<&'a mut Timeline<Activity>>,
+    workers: Vec<Worker>,
+    stores: BTreeMap<SiteId, Servers>,
+    wan: Servers,
+    queue: EventQueue<Ev>,
+    masters: BTreeMap<SiteId, SimMaster>,
+}
+
+impl Sim<'_> {
+    fn master(&mut self, site: SiteId) -> &mut SimMaster {
+        self.masters.get_mut(&site).expect("active site has a master")
+    }
+
+    /// The slave saw the drained signal, crashed, or lost its site.
+    fn slave_finished(&mut self, worker: usize, now: Seconds) {
+        let w = &self.workers[worker];
+        self.telemetry
+            .emit(Event::at(secs_to_ns(now), EventKind::SlaveFinished).site(w.site).worker(w.lane));
+    }
+
+    /// Slave `worker` was handed `job` at `now`: occupy the storage (and, for
+    /// a remote chunk, the WAN), compute, and come back for more.
+    fn start_job(&mut self, worker: usize, job: LocalJob, now: Seconds) {
+        let (env, telemetry) = (self.env, self.telemetry);
+        let w = &mut self.workers[worker];
+        let site = w.site;
+        w.taken += 1;
+        if w.crash_after.is_some_and(|k| w.taken > k) {
+            // Simulated worker crash: the job it just pulled leaks — the
+            // lease reaper recovers it once the deadline passes.
+            self.slave_finished(worker, now);
+            return;
+        }
+        telemetry.emit(
+            Event::at(secs_to_ns(now), EventKind::JobStarted { stolen: job.stolen })
+                .site(site)
+                .worker(w.lane)
+                .chunk(job.chunk.id)
+                .span_id(job.span),
+        );
+
+        // Under coded redundancy the chunk's bytes are replicated at the
+        // reader: the read is served on-site and never touches the WAN.
+        let data_site = if env.redundancy > 1 { site } else { job.chunk.site };
+        let spec = self.specs[&data_site];
+        let store = self.stores.get_mut(&data_site).expect("store for data site");
+        let grant = store.request(SimTime::at(now), spec.store.service_time(job.chunk.len));
+        let mut retr_end = grant.finish.seconds();
+        if data_site != site {
+            let wg = self
+                .wan
+                .request(SimTime::at(retr_end.max(now)), env.wan.service_time(job.chunk.len));
+            retr_end = wg.finish.seconds();
+            w.remote_bytes += job.chunk.len;
+        }
+        w.retrieval += retr_end - now;
+
+        let compute =
+            w.jitter.stretch(self.app.compute_time(job.chunk.n_units, w.factor)) / w.speed * w.slow
+                + w.delay;
+        w.processing += compute;
+        w.last_done = retr_end + compute;
+        if telemetry.is_enabled() {
+            let tag = |e: Event| e.site(site).worker(w.lane).chunk(job.chunk.id).span_id(job.span);
+            telemetry.emit(tag(Event::span(
+                secs_to_ns(now),
+                secs_to_ns(retr_end - now),
+                EventKind::ChunkFetched {
+                    bytes: job.chunk.len,
+                    remote: data_site != site,
+                    retries: 0,
+                },
+            )));
+            telemetry.emit(tag(Event::span(
+                secs_to_ns(retr_end),
+                secs_to_ns(compute),
+                EventKind::JobProcessed,
+            )));
+        }
+        if let Some(t) = self.trace.as_deref_mut() {
+            t.record(worker, Activity::Retrieval, SimTime::at(now), SimTime::at(retr_end));
+            t.record(
+                worker,
+                Activity::Compute,
+                SimTime::at(retr_end),
+                SimTime::at(retr_end + compute),
+            );
+        }
+        self.queue.schedule(
+            SimTime::at(retr_end + compute),
+            Ev::Ready { worker, completes: Some(job.chunk.id) },
+        );
+    }
+}
+
 fn run_multi(
     app: &AppModel,
     env: &MultiEnv,
-    mut trace: Option<&mut Timeline<Activity>>,
+    trace: Option<&mut Timeline<Activity>>,
     telemetry: &Telemetry,
 ) -> RunReport {
     let placement = env.file_placement();
@@ -285,38 +441,9 @@ fn run_multi(
         pool.set_steal_cost(shape.site, cost);
     }
 
-    let mut masters: BTreeMap<SiteId, MasterPool> =
-        active.iter().map(|s| (s.site, MasterPool::new(s.site, 0))).collect();
-    let mut stores: BTreeMap<SiteId, Servers> =
+    let stores: BTreeMap<SiteId, Servers> =
         env.sites.iter().map(|s| (s.site, Servers::new(s.store.servers))).collect();
-    let mut wan = Servers::new(env.wan.servers);
 
-    struct Worker {
-        site: SiteId,
-        /// Slave index within the site (the telemetry worker tag).
-        lane: u32,
-        speed: f64,
-        factor: f64,
-        processing: Seconds,
-        retrieval: Seconds,
-        control: Seconds,
-        remote_bytes: u64,
-        /// When the worker observed the drained signal (includes the final
-        /// cross-site polling wait).
-        finish: Seconds,
-        /// When the worker finished its last job — the paper's notion of a
-        /// worker going idle.
-        last_done: Seconds,
-        jitter: Jitter,
-        done: bool,
-        /// Injected per-job slowdown (straggler model).
-        delay: Seconds,
-        /// Site-wide multiplicative slowdown on compute (≥ 1.0).
-        slow: f64,
-        /// Crash after taking this many jobs (the job in hand leaks).
-        crash_after: Option<u64>,
-        taken: u64,
-    }
     let mut workers: Vec<Worker> = Vec::new();
     for shape in &active {
         let spec = specs[&shape.site];
@@ -330,13 +457,11 @@ fn run_multi(
                 retrieval: 0.0,
                 control: 0.0,
                 remote_bytes: 0,
-                finish: 0.0,
                 last_done: 0.0,
                 jitter: Jitter::new(
                     env.seed ^ (u64::from(shape.site.0) << 32) ^ u64::from(c),
                     spec.jitter,
                 ),
-                done: false,
                 delay: chaos.map_or(0.0, |p| p.worker_delay(shape.site, c)),
                 slow: chaos.map_or(1.0, |p| p.site_slowdown(shape.site)),
                 crash_after: chaos.and_then(|p| p.crash_after(shape.site, c)),
@@ -345,23 +470,25 @@ fn run_multi(
         }
     }
 
-    struct Ready {
-        worker: usize,
-        completes: Option<ChunkId>,
-    }
-    enum Pull {
-        Job(LocalJob),
-        PollLater,
-        Finished,
-    }
-
-    let mut queue: EventQueue<Ready> = EventQueue::new();
+    let mut queue: EventQueue<Ev> = EventQueue::new();
     for w in 0..workers.len() {
-        queue.schedule(SimTime::ZERO, Ready { worker: w, completes: None });
+        queue.schedule(SimTime::ZERO, Ev::Ready { worker: w, completes: None });
     }
+    let mut sim = Sim {
+        app,
+        env,
+        specs: &specs,
+        telemetry,
+        trace,
+        workers,
+        stores,
+        wan: Servers::new(env.wan.servers),
+        queue,
+        masters: active.iter().map(|s| (s.site, SimMaster::new(s.site))).collect(),
+    };
 
-    while let Some((at, ev)) = queue.pop() {
-        let mut now = at.seconds();
+    while let Some((at, ev)) = sim.queue.pop() {
+        let now = at.seconds();
         if let Some(plan) = chaos {
             if let Some(o) = plan.site_outage {
                 if now >= o.at {
@@ -370,134 +497,84 @@ fn run_multi(
             }
             for _ in pool.reap_expired(now) {}
         }
-        let w = &mut workers[ev.worker];
-        let site = w.site;
+        let site = match ev {
+            Ev::Ready { worker, .. } => sim.workers[worker].site,
+            Ev::AtHead { site, .. } | Ev::Landed { site, .. } | Ev::Retry { site } => site,
+        };
         if chaos.is_some_and(|p| p.site_dead(site, now)) {
             // The site just lost power: the in-flight completion dies with
-            // the site's robj; evacuation above re-homes its jobs.
-            w.finish = now;
-            w.done = true;
-            telemetry.emit(
-                Event::at(secs_to_ns(now), EventKind::SlaveFinished).site(site).worker(w.lane),
-            );
+            // the site's robj, its master's requests and grants with the
+            // master; evacuation above re-homes its jobs.
+            if let Ev::Ready { worker, .. } = ev {
+                sim.slave_finished(worker, now);
+            }
+            let parked = std::mem::take(&mut sim.master(site).parked);
+            for (worker, _) in parked {
+                sim.slave_finished(worker, now);
+            }
             continue;
         }
-        if let Some(job) = ev.completes {
-            pool.complete_at(job, site, now);
-        }
-
-        let master = masters.get_mut(&site).expect("active site has a master");
-        let pull = loop {
-            match master.take() {
-                Take::Job(j) => break Pull::Job(j),
-                Take::Drained => break Pull::Finished,
-                Take::NeedRefill => {
-                    let rpc = if site == head_site { 2e-4 } else { 2.0 * env.control_latency };
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.record(
-                            ev.worker,
-                            Activity::Control,
-                            SimTime::at(now),
-                            SimTime::at(now + rpc),
-                        );
-                    }
-                    now += rpc;
-                    w.control += rpc;
-                    let batch = pool.request_for_at(site, now);
-                    let empty_nonterminal = batch.is_empty() && !batch.terminal;
-                    master.refill(batch);
-                    if empty_nonterminal {
-                        break Pull::PollLater;
-                    }
+        // One way across the control link; the co-located master's hop is
+        // a LAN message.
+        let leg = if site == head_site { 1e-4 } else { env.control_latency };
+        match ev {
+            Ev::Ready { worker, completes } => {
+                if let Some(job) = completes {
+                    pool.complete_at(job, site, now);
+                }
+                match sim.master(site).pool.arrive(now) {
+                    Take::Job(job) => sim.start_job(worker, job, now),
+                    Take::NeedRefill => sim.master(site).parked.push_back((worker, now)),
+                    Take::Drained => sim.slave_finished(worker, now),
                 }
             }
-        };
-        let job = match pull {
-            Pull::Job(j) => j,
-            Pull::PollLater => {
-                queue
-                    .schedule(SimTime::at(now + 0.2), Ready { worker: ev.worker, completes: None });
+            Ev::AtHead { id, .. } => {
+                let batch = pool.request_for_at(site, now);
+                sim.master(site).pool.granted(id, batch);
+                sim.queue.schedule(SimTime::at(now + leg), Ev::Landed { site, id });
                 continue;
             }
-            Pull::Finished => {
-                w.finish = now;
-                w.done = true;
-                telemetry.emit(
-                    Event::at(secs_to_ns(now), EventKind::SlaveFinished).site(site).worker(w.lane),
-                );
-                continue;
+            Ev::Landed { id, .. } => {
+                sim.master(site).pool.land(id, now);
+                while let Some(&(worker, since)) = sim.master(site).parked.front() {
+                    let take = sim.master(site).pool.serve_parked(now);
+                    if take == Take::NeedRefill {
+                        break;
+                    }
+                    sim.master(site).parked.pop_front();
+                    let Take::Job(job) = take else {
+                        // Waiting out the end of the run is barrier time,
+                        // accounted from the slave's last completion.
+                        sim.slave_finished(worker, now);
+                        continue;
+                    };
+                    // The wait for the grant is the slave's control time.
+                    sim.workers[worker].control += now - since;
+                    if let Some(t) = sim.trace.as_deref_mut() {
+                        t.record(worker, Activity::Control, SimTime::at(since), SimTime::at(now));
+                    }
+                    sim.start_job(worker, job, now);
+                }
             }
-        };
-        w.taken += 1;
-        if w.crash_after.is_some_and(|k| w.taken > k) {
-            // Simulated worker crash: the job it just pulled leaks — the
-            // lease reaper recovers it once the deadline passes.
-            w.finish = now;
-            w.done = true;
-            telemetry.emit(
-                Event::at(secs_to_ns(now), EventKind::SlaveFinished).site(site).worker(w.lane),
-            );
-            continue;
+            Ev::Retry { .. } => {}
         }
-        telemetry.emit(
-            Event::at(secs_to_ns(now), EventKind::JobStarted { stolen: job.stolen })
-                .site(site)
-                .worker(w.lane)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
-        );
-
-        // Under coded redundancy the chunk's bytes are replicated at the
-        // reader: the read is served on-site and never touches the WAN.
-        let data_site = if env.redundancy > 1 { site } else { job.chunk.site };
-        let spec = specs[&data_site];
-        let store = stores.get_mut(&data_site).expect("store for data site");
-        let grant = store.request(SimTime::at(now), spec.store.service_time(job.chunk.len));
-        let mut retr_end = grant.finish.seconds();
-        if data_site != site {
-            let wg =
-                wan.request(SimTime::at(retr_end.max(now)), env.wan.service_time(job.chunk.len));
-            retr_end = wg.finish.seconds();
-            w.remote_bytes += job.chunk.len;
+        // The paper's master holds nothing ahead of demand ("when it senses
+        // that it is depleted, it will request a new group of jobs"): with a
+        // window of zero it asks only for a waiting slave. Once jobs prove
+        // shorter than the link the window opens and it asks ahead, as the
+        // runtime's master does.
+        let master = sim.masters.get_mut(&site).expect("active site has a master");
+        if !master.parked.is_empty() || master.pool.window() > 0 {
+            while let Some(id) = master.pool.next_request(now) {
+                sim.queue.schedule(SimTime::at(now + leg), Ev::AtHead { site, id });
+            }
         }
-        w.retrieval += retr_end - now;
-
-        let compute = w.jitter.stretch(app.compute_time(job.chunk.n_units, w.factor)) / w.speed
-            * w.slow
-            + w.delay;
-        w.processing += compute;
-        w.last_done = retr_end + compute;
-        if telemetry.is_enabled() {
-            let tag = |e: Event| e.site(site).worker(w.lane).chunk(job.chunk.id).span_id(job.span);
-            telemetry.emit(tag(Event::span(
-                secs_to_ns(now),
-                secs_to_ns(retr_end - now),
-                EventKind::ChunkFetched {
-                    bytes: job.chunk.len,
-                    remote: data_site != site,
-                    retries: 0,
-                },
-            )));
-            telemetry.emit(tag(Event::span(
-                secs_to_ns(retr_end),
-                secs_to_ns(compute),
-                EventKind::JobProcessed,
-            )));
+        if let Some(at) = master.pool.retry_at().filter(|&at| at > now && at != master.retry) {
+            master.retry = at;
+            sim.queue.schedule(SimTime::at(at), Ev::Retry { site });
         }
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(ev.worker, Activity::Retrieval, SimTime::at(now), SimTime::at(retr_end));
-            t.record(
-                ev.worker,
-                Activity::Compute,
-                SimTime::at(retr_end),
-                SimTime::at(retr_end + compute),
-            );
-        }
-        queue.schedule(
-            SimTime::at(retr_end + compute),
-            Ready { worker: ev.worker, completes: Some(job.chunk.id) },
-        );
     }
+    let workers = sim.workers;
 
     debug_assert!(pool.all_done(), "simulation ended with unprocessed jobs");
 

@@ -27,8 +27,8 @@ use cloudburst_core::{
     analyze, check_sequence, chrome_trace, diff_benchmarks, events_to_jsonl, http_get,
     http_get_status, ns_since, parse_events_jsonl, parse_exposition, report_to_json, ConsoleSink,
     Direction, Event, EventKind, EventSink, Exposition, FlightRecorder, HealthConfig,
-    HealthMonitor, HealthSample, Json, JsonlSink, LogLevel, Metrics, MetricsServer, Recorder,
-    Registry, RouteHandler, Sample, Telemetry,
+    HealthMonitor, HealthSample, Histogram, Json, JsonlSink, LogLevel, Metrics, MetricsServer,
+    Recorder, Registry, RouteHandler, Sample, Telemetry,
 };
 use cloudburst_sim::{cost_of_usage, CostReport, PricingModel};
 use cloudburst_storage::{organize_redundant, read_index_meta, write_index_redundant, SiteStore};
@@ -128,8 +128,9 @@ OBSERVABILITY:
   --metrics-addr also mounts the live introspection plane next to /metrics:
                      /healthz       machine-readable verdict (503 = degraded)
                      /debug/pool    global + per-shard pool depths, steals
-                     /debug/sites   per-site throughput, drain ETA, head
-                                    connection accounting
+                     /debug/sites   per-site throughput, drain ETA, the
+                                    master's grant round trip / window /
+                                    starved time, head connection accounting
                      /debug/events?last=N  flight-recorder tail as JSONL
   health URL         fetch a run's /healthz and render the verdict; exits
                      non-zero when any detector is tripped
@@ -767,7 +768,10 @@ fn debug_routes(
             let prev_view = prev
                 .as_ref()
                 .map(|(at, sums)| (now.saturating_duration_since(*at).as_secs_f64(), sums));
-            let mut body = sites_debug_json(&sums, prev_view).to_text();
+            let grant_rtt = |site: &str| {
+                reg.find_histogram("cloudburst_master_grant_rtt_seconds", &[("site", site)])
+            };
+            let mut body = sites_debug_json(&sums, prev_view, grant_rtt).to_text();
             body.push('\n');
             ("200 OK", "application/json", body)
         }),
@@ -824,7 +828,11 @@ fn pool_debug_json(sums: &MetricSums) -> Json {
 /// The `/debug/sites` document: per-site throughput (over the window since
 /// the previous scrape), drain ETA, and the head reactor's connection
 /// accounting.
-fn sites_debug_json(sums: &MetricSums, prev: Option<(f64, &MetricSums)>) -> Json {
+fn sites_debug_json(
+    sums: &MetricSums,
+    prev: Option<(f64, &MetricSums)>,
+    grant_rtt: impl Fn(&str) -> Option<Histogram>,
+) -> Json {
     let outstanding = (sums.queue_depth.max(0) + sums.in_flight.max(0)) as u64;
     let mut total_rate = 0.0;
     let mut sites = Vec::new();
@@ -835,6 +843,21 @@ fn sites_debug_json(sums: &MetricSums, prev: Option<(f64, &MetricSums)>) -> Json
             .field("steals", Json::U64(cur.steals))
             .field("queue", Json::U64(cur.queue.max(0) as u64))
             .field("busy_secs", Json::F64(cur.busy_secs));
+        // The grant layer, by the bench ladder's names: how long a request
+        // to the head takes, how many jobs the master keeps on request to
+        // cover it, and what the slaves still waited.
+        if cur.grant_round_trips > 0 {
+            let mut master = Json::obj()
+                .field("grant_round_trips", Json::U64(cur.grant_round_trips))
+                .field("window_jobs", Json::U64(cur.window_jobs.max(0) as u64))
+                .field("starved_secs", Json::F64(cur.starved_secs));
+            if let Some(h) = grant_rtt(site) {
+                master = master
+                    .field("grant_rtt_us_p50", Json::F64(h.quantile(0.5) * 1e6))
+                    .field("grant_rtt_us_p99", Json::F64(h.quantile(0.99) * 1e6));
+            }
+            entry = entry.field("master", master);
+        }
         if let Some((dt, p)) = prev {
             if dt > 0.0 {
                 let before = p.sites.get(site).cloned().unwrap_or_default();
@@ -909,6 +932,12 @@ struct SiteSums {
     queue: i64,
     /// Jobs stolen *out of* this site's shard by other sites.
     stolen_from: u64,
+    /// Grant round trips the site's master completed.
+    grant_round_trips: u64,
+    /// The master's current request window, in jobs.
+    window_jobs: i64,
+    /// Seconds the site's slaves spent parked at a master with no job.
+    starved_secs: f64,
 }
 
 /// Everything the watch line and the snapshot event need, distilled from
@@ -967,6 +996,23 @@ fn summarize(samples: &[Sample]) -> MetricSums {
             "cloudburst_pool_shard_stolen_from_total" => {
                 if let Some(site) = label("site") {
                     out.sites.entry(site.to_owned()).or_default().stolen_from += s.value as u64;
+                }
+            }
+            // A histogram flattens to its count in a snapshot.
+            "cloudburst_master_grant_rtt_seconds" => {
+                if let Some(site) = label("site") {
+                    out.sites.entry(site.to_owned()).or_default().grant_round_trips +=
+                        s.value as u64;
+                }
+            }
+            "cloudburst_master_window_jobs" => {
+                if let Some(site) = label("site") {
+                    out.sites.entry(site.to_owned()).or_default().window_jobs = s.value as i64;
+                }
+            }
+            "cloudburst_master_starved_seconds_total" => {
+                if let Some(site) = label("site") {
+                    out.sites.entry(site.to_owned()).or_default().starved_secs += s.value;
                 }
             }
             "cloudburst_pool_in_flight" => out.in_flight += s.value as i64,
@@ -1376,8 +1422,10 @@ fn verdict_for(category: &str) -> &'static str {
              (or slaves) to go faster; deeper pipelining will not help."
         }
         "pool_wait" => {
-            "workers starve waiting for grants: raise the batch size or lower the \
-             master pool's low watermark."
+            "workers wait between jobs: the master already hides the head round trip \
+             behind a window of requests (see cloudburst_master_starved_seconds_total), \
+             so what is left is the per-job request and completion-ack hand-offs — use \
+             larger chunks, or raise the head's batch size if the masters do starve."
         }
         "recovery" => {
             "fault recovery dominates: leases, evacuations or retries are eating the \
@@ -1945,4 +1993,43 @@ fn run_simulation(artifact: &str) -> Result<(), String> {
         other => return Err(format!("unknown artifact `{other}`")),
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pool_wait_advice_names_what_is_left_of_the_grant_path() {
+        let advice = verdict_for("pool_wait");
+        assert!(advice.contains("hand-offs"), "{advice}");
+        assert!(advice.contains("batch size"), "{advice}");
+        // The request window sizes itself; the watermark is only its floor.
+        assert!(!advice.contains("watermark"), "{advice}");
+    }
+
+    #[test]
+    fn debug_sites_shows_the_grant_layer_per_master() {
+        let metrics = Metrics::on();
+        let site = [("site", "cloud")];
+        let rtt = metrics.histogram("cloudburst_master_grant_rtt_seconds", "rtt", &site);
+        rtt.observe_secs(0.002);
+        metrics.gauge("cloudburst_master_window_jobs", "window", &site).set(12);
+        metrics
+            .time_counter("cloudburst_master_starved_seconds_total", "starved", &site)
+            .add(1_500_000);
+        let registry = metrics.registry().expect("metrics are on");
+        let sums = summarize(&registry.snapshot());
+        let doc = sites_debug_json(&sums, None, |s| {
+            registry.find_histogram("cloudburst_master_grant_rtt_seconds", &[("site", s)])
+        });
+        let sites = doc.get("sites").and_then(Json::as_arr).expect("sites array");
+        let master = sites[0].get("master").expect("a master that made a round trip");
+        assert_eq!(master.get("grant_round_trips").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(master.get("window_jobs").and_then(Json::as_f64), Some(12.0));
+        let starved = master.get("starved_secs").and_then(Json::as_f64).expect("starved_secs");
+        assert!((starved - 0.0015).abs() < 1e-9, "{starved}");
+        let p50 = master.get("grant_rtt_us_p50").and_then(Json::as_f64).expect("p50");
+        assert!((1_750.0..=2_300.0).contains(&p50), "one 2 ms sample, got {p50} us");
+    }
 }

@@ -31,6 +31,12 @@ cargo build --release "${CARGO_FLAGS[@]}"
 echo "== tier-1: cargo test -q"
 cargo test -q "${CARGO_FLAGS[@]}"
 
+echo "== master window: virtual-clock proptests at 256 cases"
+# Conservation, the outstanding bound, no starvation once warm, the
+# slow-job degeneration to the blocking loop's request count, and the
+# hand-back at any close point (a failure prints the scenario to replay).
+PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test master_window_props
+
 echo "== hygiene: cargo fmt --check"
 # House style lives in rustfmt.toml; drift fails the run.
 if cargo fmt --version >/dev/null 2>&1; then
