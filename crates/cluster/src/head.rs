@@ -118,9 +118,12 @@ pub fn run_head_with(mut pool: JobPool, rx: Receiver<HeadMsg>, options: HeadOpti
             }
         }
         if let Some(hb) = options.heartbeat {
+            // A site that said goodbye is finished, not dead: its silence
+            // from then on means nothing, however long the others still work.
             let silent: Vec<SiteId> = last_beat
                 .iter()
-                .filter(|&(&site, &beat)| now - beat > hb.timeout && !pool.is_dead(site))
+                .filter(|&(site, _)| !said_bye.contains(site) && !pool.is_dead(*site))
+                .filter(|&(_, &beat)| now - beat > hb.timeout)
                 .map(|(&site, _)| site)
                 .collect();
             for site in silent {

@@ -12,8 +12,8 @@
 //! same protocol with the head ↔ master control plane over real TCP
 //! sockets, see [`net`]/[`wire`]). The TCP head serves every connection
 //! from one poll-reactor thread ([`reactor`]) and speaks both the v1
-//! single-job protocol and the v2 batched, credit-windowed protocol
-//! (negotiated per connection, see [`wire`]).
+//! single-job protocol and the v2 batched protocol (negotiated per
+//! connection, see [`wire`]); the TCP masters speak v2 only.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -23,6 +23,7 @@ pub mod head;
 pub mod net;
 pub mod protocol;
 pub mod reactor;
+mod readiness;
 mod report;
 pub mod router;
 pub mod runtime;
@@ -33,4 +34,4 @@ pub use head::{run_head, run_head_with, CancelBoard, HeadOptions};
 pub use net::{run_hybrid_tcp, serve_head};
 pub use protocol::{HeadMsg, HeadReport, MasterMsg};
 pub use router::{Fetched, StoreRouter};
-pub use runtime::{run_hybrid, FaultPolicy, FtConfig, RunOutcome, RuntimeConfig, WireMode};
+pub use runtime::{run_hybrid, FaultPolicy, FtConfig, RunOutcome, RuntimeConfig};

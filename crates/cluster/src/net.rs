@@ -19,25 +19,24 @@
 
 use crate::error::RunError;
 use crate::protocol::{HeadReport, MasterMsg};
-use crate::report::{assemble_report, SiteOutcome};
-use crate::router::StoreRouter;
+use crate::report::SiteOutcome;
 use crate::runtime::{
-    collect_global, merge_site_outcome, meter_stores, panic_msg, run_slave, FaultPolicy,
-    ReportSink, RunOutcome, RuntimeConfig, SlaveCtx, SlaveMetrics, WireMode,
+    conclude, mailbox_tick, merge_site_outcome, panic_msg, prepare, run_slave, MasterMetrics,
+    Prepared, ReportSink, RunOutcome, RuntimeConfig, SlaveCtx, SlaveMetrics,
 };
 use crate::wire::{
-    read_ack, read_batch_reply, read_grant, read_hello_ack, write_ack_batch, write_hello,
-    write_to_head, AckEntry, MasterToHead, WIRE_VERSION,
+    put_ack_batch, put_to_head, read_batch_reply, read_hello_ack, write_hello, AckEntry,
+    BatchReply, MasterToHead, WIRE_VERSION,
 };
 use cloudburst_core::{
     ns_since, ChunkId, DataIndex, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool,
-    MasterPool, Metrics, Reduction, SiteId, Take, Telemetry,
+    MasterPool, Metrics, Reduction, RequestId, SiteId, Take, Telemetry,
 };
-use cloudburst_storage::{ChaosStore, ChunkStore};
-use crossbeam::channel::{unbounded, Receiver};
+use cloudburst_storage::ChunkStore;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -53,8 +52,8 @@ pub struct TcpHeadOptions {
     /// Run the lease reaper and treat connection failures as site deaths
     /// (evacuate) instead of run-fatal errors.
     pub ft_active: bool,
-    /// Live-metrics handle for the reactor's connection/backoff gauges
-    /// (`cloudburst_head_*`); [`Metrics::off`] publishes nothing.
+    /// Live-metrics handle for the reactor's connection gauges and wake-up
+    /// counter (`cloudburst_head_*`); [`Metrics::off`] publishes nothing.
     pub metrics: Metrics,
 }
 
@@ -106,409 +105,351 @@ pub fn serve_head_with(
     Ok(report)
 }
 
-/// A transport wrapper that severs all I/O once the chaos plan declares the
-/// site dead — the TCP-mode analogue of pulling the site's uplink.
-struct ChaosTransport<T> {
-    inner: T,
+/// Everything one TCP site master is told at start-up.
+struct TcpMaster {
     site: SiteId,
-    chaos: Option<Arc<FaultPlan>>,
-    epoch: Instant,
-}
-
-impl<T> ChaosTransport<T> {
-    fn new(inner: T, site: SiteId, chaos: Option<Arc<FaultPlan>>, epoch: Instant) -> Self {
-        ChaosTransport { inner, site, chaos, epoch }
-    }
-
-    fn check(&self) -> io::Result<()> {
-        let dead = self
-            .chaos
-            .as_deref()
-            .is_some_and(|p| p.site_dead(self.site, self.epoch.elapsed().as_secs_f64()));
-        if dead {
-            Err(io::Error::new(io::ErrorKind::ConnectionReset, "chaos: site uplink severed"))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl<T: Read> Read for ChaosTransport<T> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.check()?;
-        self.inner.read(buf)
-    }
-}
-
-impl<T: Write> Write for ChaosTransport<T> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.check()?;
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.check()?;
-        self.inner.flush()
-    }
-}
-
-/// Per-master fault-tolerance context for the TCP deployment mode.
-struct TcpMasterFt {
+    low_watermark: usize,
+    /// Jobs that keep every slave pipeline slot busy, plus one: the part of
+    /// a request's size that does not depend on the link (see
+    /// [`MasterPool::ask`]).
+    floor: usize,
+    /// One leg of modelled control-plane latency, in real time.
+    leg: Duration,
     heartbeat: Option<HeartbeatConfig>,
     chaos: Option<Arc<FaultPlan>>,
     epoch: Instant,
     telemetry: Telemetry,
+    metrics: MasterMetrics,
 }
 
-impl TcpMasterFt {
-    fn site_dead(&self, site: SiteId) -> bool {
-        self.chaos.as_deref().is_some_and(|p| p.site_dead(site, self.epoch.elapsed().as_secs_f64()))
+impl TcpMaster {
+    fn site_dead(&self) -> bool {
+        self.chaos
+            .as_deref()
+            .is_some_and(|p| p.site_dead(self.site, self.epoch.elapsed().as_secs_f64()))
     }
+}
+
+/// Reports waiting for a frame are flushed at this many, well under the
+/// `u16` entry count of an `AckBatch`.
+const REPORT_FLUSH: usize = 1024;
+
+/// Hangs the control connection up when dropped — on *every* exit of the
+/// master, the wordless chaos death included — so the socket reader wakes
+/// from its read and the head sees EOF although the reader's clone is open.
+struct HangUp(TcpStream);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown(Shutdown::Both);
+    }
+}
+
+/// Per report of a frame, the slave waiting for the head's verdict on it.
+type Waiters = Vec<Option<Sender<bool>>>;
+
+/// An `AckBatch` travelling the outbound leg.
+struct Outbound {
+    due: Instant,
+    /// The grant request it carries, if any (else `want` is 0).
+    request: Option<RequestId>,
+    want: u16,
+    entries: Vec<AckEntry>,
+    acks: Waiters,
+}
+
+/// Completion and failure reports no frame carries yet.
+#[derive(Default)]
+struct Reports {
+    entries: Vec<AckEntry>,
+    acks: Waiters,
+    /// Since when the oldest has waited.
+    since: Option<Instant>,
+}
+
+impl Reports {
+    fn push(&mut self, job: ChunkId, ok: bool, ack: Option<Sender<bool>>, now: Instant) {
+        self.entries.push(AckEntry { job, ok });
+        self.acks.push(ack);
+        self.since.get_or_insert(now);
+    }
+
+    /// Cut a frame due at `due`: up to [`REPORT_FLUSH`] of the reports,
+    /// oldest first, with `request` asking for `want` jobs.
+    fn frame(&mut self, request: Option<RequestId>, want: usize, due: Instant) -> Outbound {
+        let n = self.entries.len().min(REPORT_FLUSH);
+        if n == self.entries.len() {
+            self.since = None;
+        }
+        Outbound {
+            due,
+            request,
+            want: want.min(usize::from(u16::MAX)) as u16,
+            entries: self.entries.drain(..n).collect(),
+            acks: self.acks.drain(..n).collect(),
+        }
+    }
+}
+
+/// A `BatchReply` travelling the return leg. Its grant is already with the
+/// pool ([`MasterPool::granted`]); verdicts and revocations wait here.
+struct Inbound {
+    due: Instant,
+    request: Option<RequestId>,
+    verdicts: Vec<(Sender<bool>, bool)>,
+    revoked: Vec<ChunkId>,
 }
 
 /// The master side of the control connection plus the local slave-facing
-/// loop: serve slaves from the site pool, refilling over TCP, forwarding
-/// completion/failure reports upstream (with the head's merge verdict
-/// relayed back when a slave asked for an ack).
+/// loop: a non-blocking adapter over [`MasterPool`], shaped like the channel
+/// runtime's master. Slaves are served from the site pool the moment they
+/// ask; the window rule decides when to ask the head for more and
+/// [`MasterPool::ask`] how much; every exchange is an `AckBatch` out and a
+/// `BatchReply` back, several may be in flight (replies come back in order,
+/// decoded by a reader thread into this master's one mailbox), and each leg
+/// of modelled link latency is a delay queue rather than a sleep.
 ///
-/// `credit` is the v2 prefetch-credit window in jobs; `0` skips the
-/// `Hello` handshake entirely and speaks the v1 single-job protocol. A
-/// positive credit still falls back to v1 when the head answers the
-/// handshake with version 1.
+/// Completion and failure reports ride the next request. A report whose
+/// slave is waiting for the head's verdict does not wait for one: it goes
+/// out at once, as `want: 0` when the window asks for nothing. Reports
+/// nobody waits on are also flushed after one mailbox tick, at
+/// [`REPORT_FLUSH`], once the pool is drained and when the slaves are gone,
+/// so the head always learns what it needs to terminate.
+///
+/// Returns the pool for its ledger. A chaos-revoked site dies
+/// mid-conversation by design; its broken socket is the failure signal the
+/// head is meant to see, not an error of this process.
 fn run_tcp_master(
-    site: SiteId,
-    low_watermark: usize,
-    control_latency_real: f64,
-    rx: &Receiver<MasterMsg>,
+    cfg: &TcpMaster,
+    rx: Receiver<MasterMsg>,
+    tx: Sender<MasterMsg>,
     stream: TcpStream,
-    ft: TcpMasterFt,
-    credit: usize,
 ) -> io::Result<MasterPool> {
-    let mut pool = MasterPool::new(site, low_watermark);
-    let result = tcp_master_loop(site, control_latency_real, rx, stream, &ft, &mut pool, credit);
-    match result {
-        // A chaos-revoked site dies mid-conversation by design; its broken
-        // socket is the failure signal the head is meant to see, not a
-        // run-fatal error in this process.
-        Err(_) if ft.site_dead(site) => Ok(pool),
-        Err(e) => Err(e),
-        Ok(()) => Ok(pool),
-    }
+    let mut pool = MasterPool::new(cfg.site, cfg.low_watermark);
+    let result = connect_and_serve(cfg, &rx, tx, stream, &mut pool);
+    // Whatever is still in the mailbox holds a slave's reply channel: let go
+    // of it, and of the mailbox, so no slave waits on a master that is gone.
+    while rx.try_recv().is_ok() {}
+    drop(rx);
+    result.or_else(|e| if cfg.site_dead() { Ok(()) } else { Err(e) }).map(|()| pool)
 }
 
-/// Build the (chaos-wrapped, buffered) transports, negotiate the protocol
-/// version, and dispatch to the v1 or v2 loop.
-fn tcp_master_loop(
-    site: SiteId,
-    control_latency_real: f64,
+/// Negotiate wire v2, start the socket reader and run [`serve_site`] beside
+/// it.
+fn connect_and_serve(
+    cfg: &TcpMaster,
     rx: &Receiver<MasterMsg>,
+    tx: Sender<MasterMsg>,
     stream: TcpStream,
-    ft: &TcpMasterFt,
     pool: &mut MasterPool,
-    credit: usize,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut reader =
-        BufReader::new(ChaosTransport::new(stream.try_clone()?, site, ft.chaos.clone(), ft.epoch));
-    let mut writer = BufWriter::new(ChaosTransport::new(stream, site, ft.chaos.clone(), ft.epoch));
-    let mut version = 1;
-    if credit > 0 {
-        let window = credit.min(usize::from(u16::MAX)) as u16;
-        write_hello(&mut writer, site, WIRE_VERSION, window)?;
-        version = read_hello_ack(&mut reader)?;
+    let hang_up = HangUp(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    let window = (cfg.floor + cfg.low_watermark).min(usize::from(u16::MAX)) as u16;
+    write_hello(&mut writer, cfg.site, WIRE_VERSION, window)?;
+    if read_hello_ack(&mut reader)? < WIRE_VERSION {
+        return Err(io::Error::new(io::ErrorKind::Unsupported, "the head speaks only wire v1"));
     }
-    if version >= 2 {
-        master_loop_v2(site, control_latency_real, rx, ft, pool, credit, &mut reader, &mut writer)
-    } else {
-        master_loop_v1(site, control_latency_real, rx, ft, pool, &mut reader, &mut writer)
-    }
-}
-
-/// Polling pace against an empty head: capped exponential backoff instead
-/// of a fixed short period.
-const POLL_MIN: Duration = Duration::from_micros(100);
-const POLL_CAP: Duration = Duration::from_millis(5);
-
-/// The mailbox tick: how long the master sleeps in `recv_timeout` when no
-/// slave request is parked (halved heartbeat interval when beaconing).
-fn master_tick(ft: &TcpMasterFt) -> Duration {
-    ft.heartbeat.map_or(Duration::from_millis(50), |h| {
-        Duration::from_secs_f64((h.interval / 2.0).max(1e-4))
+    std::thread::scope(|scope| {
+        scope.spawn(move || loop {
+            let msg = read_batch_reply(&mut reader)
+                .map_or_else(MasterMsg::HeadGone, MasterMsg::HeadReply);
+            let last = matches!(msg, MasterMsg::HeadGone(_));
+            if tx.send(msg).is_err() || last {
+                break;
+            }
+        });
+        // Dropped when this closure ends, however it ends — which is what
+        // lets the scope join the reader.
+        let _hang_up = hang_up;
+        serve_site(cfg, rx, &mut writer, pool)
     })
 }
 
-/// The classic v1 single-job lockstep loop: one `Request`/grant round-trip
-/// per refill, one `Complete`/ack round-trip per acked report.
-fn master_loop_v1(
-    site: SiteId,
-    control_latency_real: f64,
+/// The master loop proper (see [`run_tcp_master`]).
+fn serve_site(
+    cfg: &TcpMaster,
     rx: &Receiver<MasterMsg>,
-    ft: &TcpMasterFt,
-    pool: &mut MasterPool,
-    reader: &mut impl Read,
     writer: &mut impl Write,
+    pool: &mut MasterPool,
 ) -> io::Result<()> {
-    fn refill(
-        pool: &mut MasterPool,
-        site: SiteId,
-        latency: f64,
-        writer: &mut impl Write,
-        reader: &mut impl Read,
-    ) -> io::Result<()> {
-        sleep_secs(latency);
-        write_to_head(writer, &MasterToHead::Request { site })?;
-        let batch = read_grant(reader)?;
-        sleep_secs(latency);
-        pool.refill(batch);
-        Ok(())
-    }
-
-    // Any frame doubles as a liveness beacon; explicit pings cover idle
-    // stretches. `last_sent` tracks the last time anything went upstream.
+    let site = cfg.site;
+    let tick = mailbox_tick(cfg.heartbeat);
+    let secs = |at: Instant| at.saturating_duration_since(cfg.epoch).as_secs_f64();
+    let mut reports = Reports::default();
+    let mut outbound: VecDeque<Outbound> = VecDeque::new();
+    // Frames on the wire, oldest first: the request each carries and the
+    // slaves its verdicts go to.
+    let mut sent: VecDeque<(Option<RequestId>, Waiters)> = VecDeque::new();
+    let mut inbound: VecDeque<Inbound> = VecDeque::new();
+    // Slaves that found the pool empty, oldest first, and since when.
+    let mut parked: VecDeque<(Sender<Take>, Instant)> = VecDeque::new();
+    // Encoded frames not yet written; any of them doubles as a liveness
+    // beacon, explicit pings cover idle stretches.
+    let mut wbuf: Vec<u8> = Vec::new();
     let mut last_sent = Instant::now();
-    let tick = master_tick(ft);
-    let mut idle_wait = POLL_MIN;
+    let mut slaves_gone = false;
 
-    // Slaves blocked on empty non-terminal grants must not stop the master
-    // from forwarding its other slaves' completion reports — the head can
-    // only mark the pool terminal once it has seen those completions. So
-    // the master never blocks while holding unserved requests: it parks
-    // them in `waiting` and keeps draining its mailbox.
-    let mut waiting: VecDeque<crossbeam::channel::Sender<Take>> = VecDeque::new();
-    let mut disconnected = false;
-    while !(disconnected && waiting.is_empty()) {
-        if ft.site_dead(site) {
+    while !slaves_gone {
+        if cfg.site_dead() {
             // Simulated spot revocation: vanish without a Bye. The dropped
             // socket is the head's cue to evacuate this site.
             return Ok(());
         }
-        if let Some(hb) = ft.heartbeat {
-            if last_sent.elapsed().as_secs_f64() >= hb.interval {
-                write_to_head(writer, &MasterToHead::Ping { site })?;
-                ft.telemetry.emit(Event::at(ns_since(ft.epoch), EventKind::Heartbeat).site(site));
-                last_sent = Instant::now();
-            }
+        let now = Instant::now();
+        if cfg.heartbeat.is_some_and(|hb| (now - last_sent).as_secs_f64() >= hb.interval) {
+            put_to_head(&mut wbuf, &MasterToHead::Ping { site });
+            cfg.telemetry.emit(Event::at(ns_since(cfg.epoch), EventKind::Heartbeat).site(site));
         }
-        let wait = if waiting.is_empty() { tick } else { idle_wait };
-        let msg = match rx.recv_timeout(wait) {
-            Ok(m) => {
-                idle_wait = POLL_MIN;
-                Some(m)
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if !waiting.is_empty() {
-                    idle_wait = (idle_wait * 2).min(POLL_CAP);
-                }
-                None
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                disconnected = true;
-                None
-            }
-        };
-        match msg {
-            Some(MasterMsg::Complete { job, reply }) => {
-                let want_ack = reply.is_some();
-                write_to_head(writer, &MasterToHead::Complete { job, site, want_ack })?;
-                last_sent = Instant::now();
-                if let Some(reply) = reply {
-                    // Lockstep: the ack frame is the next head→master frame.
-                    let merged = read_ack(reader)?;
-                    let _ = reply.send(merged);
-                }
-            }
-            Some(MasterMsg::Failed { job }) => {
-                write_to_head(writer, &MasterToHead::Failed { job, site })?;
-                last_sent = Instant::now();
-            }
-            Some(MasterMsg::GetJob { reply }) => waiting.push_back(reply),
-            None => {}
-        }
-        // Serve as many parked requests as the pool allows right now.
-        while let Some(reply) = waiting.front() {
-            match pool.take() {
-                Take::Job(j) => {
-                    let _ = reply.send(Take::Job(j));
-                    waiting.pop_front();
-                    idle_wait = POLL_MIN;
-                    if pool.needs_refill() {
-                        refill(pool, site, control_latency_real, writer, reader)?;
-                        last_sent = Instant::now();
-                    }
-                }
-                Take::Drained => {
-                    let _ = reply.send(Take::Drained);
-                    waiting.pop_front();
-                }
-                Take::NeedRefill => {
-                    refill(pool, site, control_latency_real, writer, reader)?;
-                    last_sent = Instant::now();
-                    if pool.queued() == 0 && !pool.is_drained() {
-                        // Nothing to hand out yet: go back to the mailbox
-                        // (the backed-off recv_timeout above paces polling).
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    // All slaves hung up. Granted-but-undispatched jobs would stay assigned
-    // at the head forever (and without leases nothing reaps them), stalling
-    // the surviving sites that poll for the work — hand the queue back as
-    // failures so the head requeues it before the orderly goodbye.
-    for job in pool.drain_queued() {
-        write_to_head(writer, &MasterToHead::Failed { job: job.chunk.id, site })?;
-    }
-    write_to_head(writer, &MasterToHead::Bye)?;
-    Ok(())
-}
-
-/// Serve parked slave requests from the local pool until it runs dry.
-/// Returns whether any job was handed out.
-fn serve_waiting(
-    pool: &mut MasterPool,
-    waiting: &mut VecDeque<crossbeam::channel::Sender<Take>>,
-) -> bool {
-    let mut progressed = false;
-    while let Some(reply) = waiting.front() {
-        match pool.take() {
-            Take::Job(j) => {
-                let _ = reply.send(Take::Job(j));
-                waiting.pop_front();
-                progressed = true;
-            }
-            Take::Drained => {
-                let _ = reply.send(Take::Drained);
-                waiting.pop_front();
-            }
-            Take::NeedRefill => break,
-        }
-    }
-    progressed
-}
-
-/// The v2 batched loop. Completion/failure reports accumulate locally and
-/// go upstream as one `AckBatch` per burst; the lockstep [`BatchReply`]
-/// carries the merge verdicts, the head's revoked-lease notices (the
-/// master drops those jobs from its queue — whole-batch fencing), and a
-/// refill grant sized to the remaining prefetch credit, so a slave never
-/// stalls on a grant round-trip while credit remains.
-#[allow(clippy::too_many_arguments)] // mirrors master_loop_v1's surface plus the credit window
-fn master_loop_v2(
-    site: SiteId,
-    control_latency_real: f64,
-    rx: &Receiver<MasterMsg>,
-    ft: &TcpMasterFt,
-    pool: &mut MasterPool,
-    credit: usize,
-    reader: &mut impl Read,
-    writer: &mut impl Write,
-) -> io::Result<()> {
-    /// One lockstep exchange: ship the accumulated reports, apply the
-    /// verdicts/revocations, and refill from the piggybacked grant (`want`
-    /// = remaining credit; 0 during shutdown, when only verdicts matter).
-    fn exchange(
-        pool: &mut MasterPool,
-        site: SiteId,
-        latency: f64,
-        want: u16,
-        reports: &mut Vec<(ChunkId, bool, Option<crossbeam::channel::Sender<bool>>)>,
-        writer: &mut impl Write,
-        reader: &mut impl Read,
-    ) -> io::Result<()> {
-        sleep_secs(latency);
-        let entries: Vec<AckEntry> =
-            reports.iter().map(|&(job, ok, _)| AckEntry { job, ok }).collect();
-        write_ack_batch(writer, site, want, &entries)?;
-        let reply = read_batch_reply(reader)?;
-        sleep_secs(latency);
-        if reply.verdicts.len() != entries.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "batch reply verdict count mismatch",
-            ));
-        }
-        for ((_, _, ack), verdict) in reports.drain(..).zip(reply.verdicts) {
-            if let Some(ack) = ack {
+        while inbound.front().is_some_and(|r| r.due <= now) {
+            let reply = inbound.pop_front().expect("front was checked");
+            for (ack, verdict) in reply.verdicts {
                 let _ = ack.send(verdict);
             }
+            // Fencing: every undelivered job the head revoked dies here,
+            // before the refill can resurrect a fresh copy of the same chunk.
+            pool.drop_revoked(&reply.revoked);
+            if let Some(id) = reply.request {
+                cfg.metrics.grant_rtt.observe_secs(pool.land(id, secs(now)));
+            }
         }
-        // Fencing: every undelivered job the head revoked dies here, before
-        // the refill can resurrect a fresh copy of the same chunk.
-        pool.drop_revoked(&reply.revoked);
-        pool.refill(reply.grant);
-        Ok(())
+        while let Some((reply, since)) = parked.front() {
+            match pool.serve_parked(secs(now)) {
+                Take::NeedRefill => break,
+                take => {
+                    cfg.metrics.starved.add(since.elapsed().as_nanos() as u64);
+                    let _ = reply.send(take);
+                    parked.pop_front();
+                }
+            }
+        }
+        // Requests go out after the slaves were answered, so a slave is
+        // already fetching while its master talks to the head.
+        while let Some(id) = pool.next_request(secs(now)) {
+            outbound.push_back(reports.frame(Some(id), pool.ask(id, cfg.floor), now + cfg.leg));
+        }
+        cfg.metrics.window.set(pool.window() as i64);
+        let flush = reports.acks.iter().any(Option::is_some)
+            || pool.is_drained()
+            || reports.since.is_some_and(|since| now - since >= tick);
+        while reports.entries.len() >= REPORT_FLUSH || (flush && !reports.entries.is_empty()) {
+            outbound.push_back(reports.frame(None, 0, now + cfg.leg));
+        }
+        while outbound.front().is_some_and(|f| f.due <= now) {
+            let f = outbound.pop_front().expect("front was checked");
+            put_ack_batch(&mut wbuf, site, f.want, &f.entries);
+            sent.push_back((f.request, f.acks));
+        }
+        if !wbuf.is_empty() {
+            writer.write_all(&wbuf)?;
+            wbuf.clear();
+            last_sent = now;
+        }
+
+        let retry = pool.retry_at().map(|at| cfg.epoch + Duration::from_secs_f64(at));
+        let wake = [
+            outbound.front().map(|f| f.due),
+            inbound.front().map(|r| r.due),
+            reports.since.map(|since| since + tick),
+            retry,
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
+        // One pass serves everything the mailbox holds, so a burst of
+        // reports shares a frame.
+        let mut next = rx.recv_timeout(timeout).ok();
+        let now = Instant::now();
+        while let Some(msg) = next {
+            match msg {
+                MasterMsg::GetJob { reply } => match pool.arrive(secs(now)) {
+                    Take::NeedRefill => parked.push_back((reply, now)),
+                    take => {
+                        let _ = reply.send(take);
+                    }
+                },
+                MasterMsg::Complete { job, reply } => reports.push(job, true, reply, now),
+                MasterMsg::Failed { job } => reports.push(job, false, None, now),
+                MasterMsg::HeadReply(reply) => {
+                    let (request, acks) = sent.pop_front().ok_or_else(|| unasked("reply"))?;
+                    inbound.push_back(receive(pool, reply, request, acks, now + cfg.leg)?);
+                }
+                MasterMsg::HeadGone(e) => return Err(e),
+                MasterMsg::SlavesGone => slaves_gone = true,
+            }
+            next = rx.try_recv().ok();
+        }
     }
 
-    let mut last_sent = Instant::now();
-    let tick = master_tick(ft);
-    let mut idle_wait = POLL_MIN;
-    let mut waiting: VecDeque<crossbeam::channel::Sender<Take>> = VecDeque::new();
-    let mut reports: Vec<(ChunkId, bool, Option<crossbeam::channel::Sender<bool>>)> = Vec::new();
-    let mut disconnected = false;
-    while !(disconnected && waiting.is_empty() && reports.is_empty()) {
-        if ft.site_dead(site) {
-            return Ok(());
-        }
-        if let Some(hb) = ft.heartbeat {
-            if last_sent.elapsed().as_secs_f64() >= hb.interval {
-                write_to_head(writer, &MasterToHead::Ping { site })?;
-                ft.telemetry.emit(Event::at(ns_since(ft.epoch), EventKind::Heartbeat).site(site));
-                last_sent = Instant::now();
+    if cfg.site_dead() {
+        return Ok(()); // the slaves left because the site died under them
+    }
+    // All slaves hung up. Every job granted to this master and not dispatched
+    // would stay assigned at the head forever (and without leases nothing
+    // reaps them), stalling the surviving sites that poll for the work. So:
+    // ship what reports are left (`want: 0` — requests still on the outbound
+    // leg never reached the head and are forgotten), wait for the head's
+    // answer to every frame on the wire — it may still be granting jobs to
+    // this master — and only then hand back the queue and every grant that
+    // was travelling, as failures, before the orderly goodbye.
+    let mut entries: Vec<AckEntry> = outbound.into_iter().flat_map(|f| f.entries).collect();
+    entries.append(&mut reports.entries);
+    for chunk in entries.chunks(REPORT_FLUSH) {
+        put_ack_batch(&mut wbuf, site, 0, chunk);
+        sent.push_back((None, vec![None; chunk.len()])); // nobody is left to tell
+    }
+    writer.write_all(&wbuf)?;
+    wbuf.clear();
+    while !sent.is_empty() {
+        match rx.recv() {
+            Ok(MasterMsg::HeadReply(reply)) => {
+                let (request, acks) = sent.pop_front().expect("checked non-empty");
+                receive(pool, reply, request, acks, Instant::now())?;
             }
-        }
-        let wait = if waiting.is_empty() { tick } else { idle_wait };
-        match rx.recv_timeout(wait) {
-            Ok(m) => {
-                idle_wait = POLL_MIN;
-                let mut next = Some(m);
-                // Batch the whole burst: drain everything already queued so
-                // one exchange carries every report that is ready.
-                while let Some(msg) = next {
-                    match msg {
-                        MasterMsg::Complete { job, reply } => reports.push((job, true, reply)),
-                        MasterMsg::Failed { job } => reports.push((job, false, None)),
-                        MasterMsg::GetJob { reply } => waiting.push_back(reply),
-                    }
-                    next = rx.try_recv().ok();
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                if !waiting.is_empty() {
-                    idle_wait = (idle_wait * 2).min(POLL_CAP);
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => disconnected = true,
-        }
-        if serve_waiting(pool, &mut waiting) {
-            idle_wait = POLL_MIN;
-        }
-        // One exchange covers every upstream need of this iteration:
-        // shipping reports, feeding starved slaves, and topping the credit
-        // window back up before it runs dry.
-        let starving = !waiting.is_empty() && pool.queued() == 0 && !pool.is_drained();
-        let top_up = !pool.is_drained() && pool.needs_refill() && credit > pool.queued();
-        if !reports.is_empty() || starving || top_up {
-            let want = credit.saturating_sub(pool.queued()).min(usize::from(u16::MAX)) as u16;
-            exchange(pool, site, control_latency_real, want, &mut reports, writer, reader)?;
-            last_sent = Instant::now();
-            if serve_waiting(pool, &mut waiting) {
-                idle_wait = POLL_MIN;
-            }
+            Ok(MasterMsg::HeadGone(e)) => return Err(e),
+            Ok(_) => {}
+            Err(_) => return Err(io::Error::new(io::ErrorKind::BrokenPipe, "socket reader gone")),
         }
     }
-    // All slaves hung up: flush any still-buffered verdictless reports
-    // (want 0 — no refill), hand undispatched credit back as failures, and
-    // say goodbye. (The loop condition drains `reports` before exit, so
-    // this flush only fires when the mailbox disconnected mid-burst.)
-    if !reports.is_empty() {
-        exchange(pool, site, control_latency_real, 0, &mut reports, writer, reader)?;
+    for job in pool.close() {
+        put_to_head(&mut wbuf, &MasterToHead::Failed { job: job.chunk.id, site });
     }
-    for job in pool.drain_queued() {
-        write_to_head(writer, &MasterToHead::Failed { job: job.chunk.id, site })?;
+    put_to_head(&mut wbuf, &MasterToHead::Bye);
+    writer.write_all(&wbuf)?;
+    writer.flush()
+}
+
+fn unasked(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("the head sent a {what} nobody asked for"))
+}
+
+/// Take in the head's answer to one frame: its grant goes to the pool at
+/// once — from here on those jobs are this master's to dispatch or hand
+/// back — and the rest starts the return leg.
+fn receive(
+    pool: &mut MasterPool,
+    reply: BatchReply,
+    request: Option<RequestId>,
+    acks: Waiters,
+    due: Instant,
+) -> io::Result<Inbound> {
+    if reply.verdicts.len() != acks.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "batch reply verdict count mismatch",
+        ));
     }
-    write_to_head(writer, &MasterToHead::Bye)?;
-    Ok(())
+    match request {
+        Some(id) => pool.granted(id, reply.grant),
+        None if !reply.grant.is_empty() => return Err(unasked("grant")),
+        None => {}
+    }
+    let verdicts =
+        acks.into_iter().zip(reply.verdicts).filter_map(|(a, v)| Some((a?, v))).collect();
+    Ok(Inbound { due, request, verdicts, revoked: reply.revoked })
 }
 
 /// [`run_hybrid`](crate::runtime::run_hybrid) with the head ↔ master control
@@ -523,49 +464,8 @@ pub fn run_hybrid_tcp<R: Reduction>(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<RunOutcome<R::RObj>, RunError> {
-    let active: Vec<(SiteId, u32)> =
-        config.env.active_sites().into_iter().map(|s| (s, config.env.cores_at(s))).collect();
-    if active.is_empty() {
-        return Err(RunError::NoWorkers);
-    }
-    for (&site, &n) in index.chunks_per_site().iter() {
-        if n > 0 && !stores.contains_key(&site) {
-            return Err(RunError::NoStoreForSite(site));
-        }
-    }
-    let head_site = active[0].0;
-
-    let chaos = config.ft.chaos.clone().filter(|p| !p.is_empty());
-    let stores = meter_stores(stores, &config.metrics);
-    let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = match &chaos {
-        Some(plan) if plan.storage_error_rate > 0.0 => stores
-            .into_iter()
-            .map(|(s, st)| (s, Arc::new(ChaosStore::new(st, plan.clone())) as Arc<dyn ChunkStore>))
-            .collect(),
-        _ => stores,
-    };
-    let mut router = StoreRouter::new(stores, &config.topology, config.fetch, config.time_scale);
-    router.set_metrics(&config.metrics);
-    router.set_concurrency(active.iter().map(|&(_, c)| c as usize).sum());
-    if let Some(retry) = config.ft.retry {
-        router.set_retry(retry);
-    }
-    router.set_replicated(config.redundancy > 1);
-    let mut pool = JobPool::from_index(index, config.batch_policy);
-    if let FaultPolicy::Retry { max_attempts } = config.fault_policy {
-        pool.set_max_attempts(max_attempts);
-    }
-    if let Some(lease) = config.ft.lease {
-        pool.set_lease(lease);
-    }
-    pool.set_speculation(config.ft.speculate);
-    pool.set_redundancy(config.redundancy);
-    pool.set_sink(config.telemetry.clone());
-    pool.set_metrics(config.metrics.clone());
-    let ft_active = config.ft.active();
-    // Replica grants can complete a chunk twice even with FT off, so coded
-    // runs gate merges on the head's verdict exactly like the FT stack.
-    let dedup_active = ft_active || config.redundancy > 1;
+    let Prepared { active, head_site, chaos, router, pool, ft_active, dedup_active } =
+        prepare(index, stores, config)?;
 
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let head_addr: SocketAddr = listener.local_addr()?;
@@ -586,23 +486,32 @@ pub fn run_hybrid_tcp<R: Reduction>(
             serve_head_with(&listener, pool, n_masters, &head_options).map_err(RunError::Io)
         });
 
+        // Each site keeps to as many CPUs as it has cores, its own where the
+        // host has enough: a slave ↔ master hand-off that crosses CPUs costs
+        // whatever the kernel's wake-up does that day.
+        let mut next_cpu = 0;
         let coordinators: Vec<_> = active
             .iter()
             .map(|&(site, cores)| {
                 let router = &router;
                 let chaos = chaos.clone();
+                let first_cpu = next_cpu;
+                next_cpu += cores as usize;
                 scope.spawn(move || -> Result<SiteOutcome<R::RObj>, RunError> {
+                    crate::readiness::confine(first_cpu, cores as usize);
                     let control_latency = config.topology.link(site.0, head_site.0).latency;
-                    // The prefetch-credit window generalizes the slave-side
-                    // pipeline depth: enough granted-but-unprocessed jobs to
-                    // keep every core and prefetcher busy across one grant
-                    // round-trip, plus the refill watermark.
-                    let credit = match config.wire {
-                        WireMode::SingleJob => 0,
-                        WireMode::Batched { window: 0 } => {
-                            cores as usize * config.pipeline_depth.max(1) + config.low_watermark + 1
-                        }
-                        WireMode::Batched { window } => window,
+                    let master_cfg = TcpMaster {
+                        site,
+                        low_watermark: config.low_watermark,
+                        floor: cores as usize * config.pipeline_depth.max(1) + 1,
+                        leg: Duration::from_secs_f64(
+                            (control_latency * config.time_scale).max(0.0),
+                        ),
+                        heartbeat: config.ft.heartbeat,
+                        chaos: chaos.clone(),
+                        epoch,
+                        telemetry: config.telemetry.clone(),
+                        metrics: MasterMetrics::new(&config.metrics, site),
                     };
                     let (master_tx, master_rx) = unbounded::<MasterMsg>();
                     let stream = TcpStream::connect(head_addr)?;
@@ -612,23 +521,8 @@ pub fn run_hybrid_tcp<R: Reduction>(
                     let mut master_result: Option<io::Result<MasterPool>> = None;
                     std::thread::scope(|site_scope| {
                         let master = site_scope.spawn({
-                            let chaos = chaos.clone();
-                            || {
-                                run_tcp_master(
-                                    site,
-                                    config.low_watermark,
-                                    control_latency * config.time_scale,
-                                    &master_rx,
-                                    stream,
-                                    TcpMasterFt {
-                                        heartbeat: config.ft.heartbeat,
-                                        chaos,
-                                        epoch,
-                                        telemetry: config.telemetry.clone(),
-                                    },
-                                    credit,
-                                )
-                            }
+                            let (cfg, tx) = (&master_cfg, master_tx.clone());
+                            move || run_tcp_master(cfg, master_rx, tx, stream)
                         });
                         let handles: Vec<_> = (0..cores)
                             .map(|worker| {
@@ -658,7 +552,6 @@ pub fn run_hybrid_tcp<R: Reduction>(
                                 })
                             })
                             .collect();
-                        drop(master_tx);
                         results = handles
                             .into_iter()
                             .map(|h| {
@@ -666,25 +559,16 @@ pub fn run_hybrid_tcp<R: Reduction>(
                                     .unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p))))
                             })
                             .collect();
+                        // The master's socket reader holds a sender too, so
+                        // hanging up would tell the master nothing.
+                        let _ = master_tx.send(MasterMsg::SlavesGone);
                         master_result = Some(
                             master.join().unwrap_or_else(|p| Err(io::Error::other(panic_msg(&p)))),
                         );
                     });
                     master_result.expect("master joined")?;
 
-                    let mut robjs = Vec::with_capacity(results.len());
-                    let mut slaves = Vec::with_capacity(results.len());
-                    for r in results {
-                        let (robj, stats) = r?;
-                        robjs.push(robj);
-                        slaves.push(stats);
-                    }
-                    // A chaos-revoked site loses its accumulated results;
-                    // the head re-runs its jobs at the survivors.
-                    let revoked = chaos
-                        .as_deref()
-                        .is_some_and(|p| p.site_dead(site, epoch.elapsed().as_secs_f64()));
-                    Ok(merge_site_outcome(site, robjs, slaves, revoked, epoch, &config.telemetry))
+                    merge_site_outcome(site, results, chaos.as_deref(), epoch, &config.telemetry)
                 })
             })
             .collect();
@@ -697,34 +581,155 @@ pub fn run_hybrid_tcp<R: Reduction>(
             Some(head_handle.join().unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p)))));
     });
 
-    let head = head_result.expect("head joined in scope")?;
-    let mut outcomes = Vec::with_capacity(site_outcomes.len());
-    for o in site_outcomes {
-        outcomes.push(o?);
+    conclude(head_result.expect("head joined in scope")?, site_outcomes, head_site, config, epoch)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::write_hello_ack;
+    use cloudburst_core::{BatchPolicy, LayoutParams};
+    use crossbeam::channel::bounded;
+    use std::io::Read;
+
+    fn pool(n_chunks: u64) -> JobPool {
+        let params = LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 2 };
+        let idx = DataIndex::build(n_chunks * 2, params, |_| SiteId::LOCAL).unwrap();
+        JobPool::from_index(&idx, BatchPolicy::Fixed(2))
     }
-    if head.abandoned > 0 {
-        return Err(RunError::Incomplete { abandoned: head.faults.abandoned_jobs.clone() });
-    }
-    // Fencing: a site the head declared dead had all its work requeued, so
-    // merging its robj anyway would double-count every re-executed job.
-    for o in &mut outcomes {
-        if head.dead_sites.contains(&o.site) {
-            o.robj = None;
+
+    fn master(site: SiteId, leg: Duration, heartbeat: Option<HeartbeatConfig>) -> TcpMaster {
+        TcpMaster {
+            site,
+            low_watermark: 1,
+            floor: 2,
+            leg,
+            heartbeat,
+            chaos: None,
+            epoch: Instant::now(),
+            telemetry: Telemetry::off(),
+            metrics: MasterMetrics::default(),
         }
     }
 
-    // Global reduction (same accounting as the in-process runtime, with the
-    // same overlapped inter-site transfers).
-    let (final_robj, global_reduction, total_time) =
-        collect_global(&mut outcomes, head_site, config, epoch);
-    let result = final_robj.ok_or(RunError::NothingProcessed)?;
+    /// One site: a master on `addr` and a slave that takes up to `limit`
+    /// jobs, reports each complete (waiting for the verdict when `acked`)
+    /// and leaves. Returns the master's outcome and the jobs taken.
+    fn site(
+        addr: SocketAddr,
+        cfg: &TcpMaster,
+        limit: usize,
+        acked: bool,
+    ) -> (io::Result<MasterPool>, usize) {
+        let (tx, rx) = unbounded::<MasterMsg>();
+        let stream = TcpStream::connect(addr).unwrap();
+        std::thread::scope(|scope| {
+            let reader_tx = tx.clone();
+            let master = scope.spawn(move || run_tcp_master(cfg, rx, reader_tx, stream));
+            let mut taken = 0;
+            while taken < limit {
+                let (rtx, rrx) = bounded(1);
+                if tx.send(MasterMsg::GetJob { reply: rtx }).is_err() {
+                    break;
+                }
+                let Ok(Take::Job(job)) = rrx.recv() else { break };
+                taken += 1;
+                let (atx, arx) = bounded(1);
+                let reply = acked.then_some(atx);
+                tx.send(MasterMsg::Complete { job: job.chunk.id, reply }).unwrap();
+                if acked {
+                    assert!(arx.recv().unwrap(), "a first completion merges");
+                }
+            }
+            let _ = tx.send(MasterMsg::SlavesGone);
+            (master.join().unwrap(), taken)
+        })
+    }
 
-    let report = assemble_report(&config.env.name, &outcomes, &head, global_reduction, total_time);
-    Ok(RunOutcome { result, report, head })
-}
+    #[test]
+    fn slaves_hanging_up_at_any_point_get_every_undispatched_grant_handed_back() {
+        // Fault tolerance off: no reaper, so a single grant stranded at a
+        // master that left would keep the other site polling forever. With a
+        // link latency there are requests on the wire and grants travelling
+        // back whenever the slave leaves.
+        const CHUNKS: u64 = 40;
+        for leg in [Duration::ZERO, Duration::from_millis(2)] {
+            for limit in [0, 1, 2, 3, 5, 9, 17] {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let addr = listener.local_addr().unwrap();
+                let (quitter, finisher) =
+                    (master(SiteId::LOCAL, leg, None), master(SiteId::CLOUD, leg, None));
+                let (left, stayed, head) = std::thread::scope(|scope| {
+                    let head = scope.spawn(|| serve_head(&listener, pool(CHUNKS), 2));
+                    let left = scope.spawn(|| site(addr, &quitter, limit, false));
+                    let stayed = site(addr, &finisher, usize::MAX, false);
+                    (left.join().unwrap(), stayed, head.join().unwrap().unwrap())
+                });
+                let what = format!("leg {leg:?}, leaving after {limit}");
+                let (ledger, taken) = (left.0.unwrap().ledger(), left.1);
+                // (Fewer than `limit` only if the other site drained the pool.)
+                assert!(taken <= limit, "{what}");
+                assert_eq!(ledger.dispatched, taken as u64, "{what}");
+                assert_eq!(
+                    ledger.granted,
+                    ledger.dispatched + ledger.returned,
+                    "{what}: {ledger:?}"
+                );
+                assert_eq!(
+                    ledger.queued + ledger.in_flight + ledger.dropped,
+                    0,
+                    "{what}: {ledger:?}"
+                );
+                assert!(stayed.0.unwrap().ledger().balanced(), "{what}");
+                assert_eq!(taken + stayed.1, CHUNKS as usize, "{what}");
+                assert_eq!(head.completions, CHUNKS, "{what}");
+                assert_eq!(
+                    head.failures, ledger.returned,
+                    "{what}: one failure per job handed back"
+                );
+                assert_eq!(head.abandoned, 0, "{what}");
+            }
+        }
+    }
 
-fn sleep_secs(secs: f64) {
-    if secs > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(secs));
+    #[test]
+    fn heartbeats_and_verdicts_flow_while_requests_are_away() {
+        // A master 0.2 s from its head beaconing every 10 ms, and a head
+        // that declares it dead after 0.3 s of silence — less than one round
+        // trip. Every grant and every verdict the slave waits on spends
+        // 0.4 s on the two legs; a master that slept them out would be
+        // evacuated during the first.
+        let heartbeat = Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 });
+        let cfg = master(SiteId::LOCAL, Duration::from_millis(200), heartbeat);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let options = TcpHeadOptions { heartbeat, ft_active: true, ..TcpHeadOptions::default() };
+        let (master, head) = std::thread::scope(|scope| {
+            let head = scope.spawn(|| serve_head_with(&listener, pool(3), 1, &options));
+            (site(addr, &cfg, usize::MAX, true), head.join().unwrap().unwrap())
+        });
+        assert_eq!(master.1, 3);
+        assert!(master.0.unwrap().ledger().balanced());
+        assert!(head.dead_sites.is_empty(), "a healthy site was evacuated: {head:?}");
+        assert_eq!(head.completions, 3);
+        assert_eq!(head.faults.evacuated_jobs, 0);
+    }
+
+    #[test]
+    fn a_head_that_only_speaks_wire_v1_is_an_error() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cfg = master(SiteId::LOCAL, Duration::ZERO, None);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut hello = [0u8; 7];
+                conn.read_exact(&mut hello).unwrap();
+                write_hello_ack(&mut conn, 1).unwrap();
+            });
+            let (outcome, taken) = site(addr, &cfg, 1, false);
+            assert_eq!(outcome.unwrap_err().kind(), io::ErrorKind::Unsupported);
+            assert_eq!(taken, 0, "no master, no job");
+        });
     }
 }

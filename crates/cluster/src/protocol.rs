@@ -15,9 +15,11 @@
 //! additionally emit [`HeadMsg::Heartbeat`] beacons so the head can detect
 //! a silently dead site.
 
+use crate::wire::BatchReply;
 use cloudburst_core::{ChunkId, FaultCounters, JobBatch, SiteId, SiteJobCounts, Take};
 use crossbeam::channel::Sender;
 use std::collections::BTreeMap;
+use std::io;
 
 /// Messages the head node serves.
 pub enum HeadMsg {
@@ -64,7 +66,10 @@ pub enum HeadMsg {
     },
 }
 
-/// Messages a site master serves.
+/// Messages a site master serves: its slaves' requests and reports and, in
+/// the TCP deployment mode, what its control connection and its site
+/// coordinator have to tell it — one mailbox, so the master sleeps in one
+/// place.
 pub enum MasterMsg {
     /// A slave asks for its next job.
     GetJob {
@@ -85,6 +90,16 @@ pub enum MasterMsg {
         /// The failed job.
         job: ChunkId,
     },
+    /// The head answered the oldest unanswered `AckBatch` on the control
+    /// connection (TCP deployment mode; replies arrive in request order).
+    HeadReply(BatchReply),
+    /// The control connection ended — EOF or a read error (TCP deployment
+    /// mode). Nothing follows it.
+    HeadGone(io::Error),
+    /// Every slave of the site has exited (TCP deployment mode). The master's
+    /// socket reader keeps the mailbox connected, so the site coordinator
+    /// says it in so many words.
+    SlavesGone,
 }
 
 /// What the head reports after the run: the authoritative per-site job

@@ -5,11 +5,13 @@
 //! paper's two sites, fatal for a scale bench hosting thousands of
 //! simulated slaves. This module serves every connection from one thread:
 //! non-blocking sockets, a per-connection read buffer fed into the
-//! incremental [`try_read_frame`] decoder, and a write buffer drained on
-//! each sweep (partial writes tracked by offset). The house rule is *no
-//! async runtime*, so readiness is discovered by the reads themselves —
-//! `WouldBlock` means "not ready" — and an adaptive backoff sleep keeps
-//! idle sweeps from spinning a core.
+//! incremental [`try_read_frame`] decoder, and a write buffer drained as the
+//! socket accepts it (partial writes tracked by offset). The house rule is
+//! *no async runtime*, so the thread blocks in `poll(2)` ([`crate::readiness`])
+//! over the listener and every connection — write interest only while a
+//! reply is buffered — until a socket is ready or the next timer (lease
+//! reap, heartbeat deadline) is due, and touches only the connections the
+//! wait reported: an idle head costs nothing and a sweep is O(ready).
 //!
 //! Job grants go through [`ShardedPool`]: v1 `Request` frames take the
 //! legacy policy path, v2 `GetJobs`/`AckBatch` frames take the lock-free
@@ -27,8 +29,9 @@
 
 use crate::net::TcpHeadOptions;
 use crate::protocol::HeadReport;
+use crate::readiness::{self, PollFd, READABLE, WRITABLE};
 use crate::wire::{
-    try_read_frame, write_ack, write_batch_reply, write_grant, write_hello_ack, BatchReply, Frame,
+    put_ack, put_batch_reply, put_grant, put_hello_ack, try_read_frame, BatchReply, Frame,
     MasterToHead, WIRE_VERSION,
 };
 use bytes::BytesMut;
@@ -38,12 +41,6 @@ use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-/// Floor of the adaptive idle sleep: short enough that a lockstep v1
-/// exchange (request → sweep → grant) stays in the tens of microseconds.
-const SLEEP_MIN: Duration = Duration::from_micros(50);
-/// Ceiling of the adaptive idle sleep; also bounds how stale the reap tick
-/// and heartbeat checks can get.
-const SLEEP_CAP: Duration = Duration::from_millis(2);
 /// Lease-reap cadence (matches the threaded head's reaper thread).
 const REAP_EVERY: Duration = Duration::from_millis(1);
 
@@ -58,8 +55,6 @@ struct Conn {
     wpos: usize,
     /// Learned from the first site-bearing frame; where evacuation goes.
     site: Option<SiteId>,
-    /// Negotiated protocol version (1 until a `Hello` raises it).
-    version: u16,
     last_heard: Instant,
     said_bye: bool,
     closed: bool,
@@ -73,7 +68,6 @@ impl Conn {
             wbuf: Vec::new(),
             wpos: 0,
             site: None,
-            version: 1,
             last_heard: Instant::now(),
             said_bye: false,
             closed: false,
@@ -103,14 +97,22 @@ pub(crate) fn serve_head_reactor(
     let mut report = HeadReport::default();
     let mut revocations: Revocations = BTreeMap::new();
     let mut conns: Vec<Conn> = Vec::new();
+    // What the readiness wait watches: slot 0 is the listener, slot `i + 1`
+    // belongs to `conns[i]`.
+    let mut fds = vec![PollFd::listener(listener)];
     let mut accepted = 0usize;
     let mut first_err: Option<io::Error> = None;
-    let mut last_reap = Instant::now();
-    let mut idle_sleep = SLEEP_MIN;
+    // The two timers. A connection's silence deadline only ever moves later,
+    // so the earliest one seen at the last scan is a safe time to scan again.
+    let mut next_reap = Instant::now() + REAP_EVERY;
+    let silence = options.heartbeat.map(|hb| Duration::from_secs_f64(hb.timeout.max(0.0)));
+    let mut next_silence_scan = silence.map(|limit| Instant::now() + limit);
+    // Every connection reads through this one buffer.
+    let mut scratch = [0u8; 16384];
 
-    // Introspection gauges for the /debug/sites plane: connection churn and
-    // the adaptive-backoff level, resolved once so the sweep loop pays only
-    // relaxed stores (nothing at all with metrics off).
+    // Introspection instruments for the /debug/sites plane: connection churn
+    // and how often the reactor thread wakes, resolved once so the loop pays
+    // only relaxed stores (nothing at all with metrics off).
     let g_opened = options.metrics.gauge(
         "cloudburst_head_conns_opened_total",
         "Master connections accepted by the head reactor",
@@ -121,89 +123,116 @@ pub(crate) fn serve_head_reactor(
         "Master connection states reclaimed by the head reactor",
         &[],
     );
-    let g_backoff = options.metrics.gauge(
-        "cloudburst_head_backoff_us",
-        "Current adaptive idle-sleep backoff of the head reactor, microseconds",
+    let c_wakeups = options.metrics.counter(
+        "cloudburst_head_wakeups_total",
+        "Returns of the head reactor's readiness wait: socket activity plus timer ticks",
         &[],
     );
-    g_backoff.set(idle_sleep.as_micros() as i64);
 
     while accepted < n_masters || !conns.is_empty() {
-        let mut progressed = false;
+        let timer = [options.ft_active.then_some(next_reap), next_silence_scan]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|due| due.saturating_duration_since(Instant::now()));
+        let mut ready = readiness::wait(&mut fds, timer)?;
+        c_wakeups.inc();
+        let now = Instant::now();
 
-        while accepted < n_masters {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    stream.set_nodelay(true)?;
-                    stream.set_nonblocking(true)?;
-                    conns.push(Conn::new(stream));
-                    accepted += 1;
-                    report.conns_opened += 1;
-                    g_opened.set(report.conns_opened as i64);
-                    progressed = true;
+        if fds[0].ready() {
+            ready -= 1;
+            while accepted < n_masters {
+                match listener.accept() {
+                    Ok((stream, _addr)) => {
+                        stream.set_nodelay(true)?;
+                        stream.set_nonblocking(true)?;
+                        fds.push(PollFd::stream(&stream));
+                        conns.push(Conn::new(stream));
+                        accepted += 1;
+                        report.conns_opened += 1;
+                        g_opened.set(report.conns_opened as i64);
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+            }
+            if accepted == n_masters {
+                fds[0].ignore();
             }
         }
 
-        if options.ft_active && last_reap.elapsed() >= REAP_EVERY {
-            let now = options.epoch.elapsed().as_secs_f64();
-            for (job, site) in sharded.reap_expired(now) {
+        if options.ft_active && now >= next_reap {
+            for (job, site) in sharded.reap_expired(options.epoch.elapsed().as_secs_f64()) {
                 revocations.entry(site).or_default().push(job);
             }
-            last_reap = Instant::now();
+            next_reap = now + REAP_EVERY;
         }
 
-        for conn in &mut conns {
-            match pump(conn, &sharded, options, &mut report, &mut revocations) {
-                Ok(p) => progressed |= p,
-                Err(e) => {
-                    conn.closed = true;
-                    if options.ft_active {
-                        // A broken connection is a site death, not a fatal
-                        // run error: evacuate and keep serving survivors.
-                        if let Some(site) = conn.site {
-                            sharded.evacuate(site);
-                        }
-                    } else {
-                        first_err = first_err.or(Some(e));
-                    }
+        // A connection broke or fell silent: a site death to evacuate with
+        // fault tolerance on, the run's error without.
+        let mut lost = |conn: &mut Conn, e: io::Error| {
+            conn.closed = true;
+            if options.ft_active {
+                if let Some(site) = conn.site {
+                    sharded.evacuate(site);
                 }
+            } else {
+                first_err.get_or_insert(e);
+            }
+        };
+        // Dropping the `Conn` reclaims everything it held.
+        let reclaim = |conns: &mut Vec<Conn>, fds: &mut Vec<PollFd>, i: usize| {
+            conns.swap_remove(i);
+            fds.swap_remove(i + 1);
+        };
+
+        // Only the connections the wait reported. Going backwards, a
+        // reclaimed slot is refilled by a connection already visited (or one
+        // accepted just now, which the wait did not see).
+        for i in (0..conns.len()).rev() {
+            if ready == 0 {
+                break;
+            }
+            if !fds[i + 1].ready() {
+                continue;
+            }
+            ready -= 1;
+            let conn = &mut conns[i];
+            if let Err(e) =
+                pump(conn, &mut scratch, &sharded, options, &mut report, &mut revocations)
+            {
+                lost(conn, e);
+            }
+            if conn.closed {
+                reclaim(&mut conns, &mut fds, i);
+            } else {
+                let unsent = conn.wpos < conn.wbuf.len();
+                fds[i + 1].events = if unsent { READABLE | WRITABLE } else { READABLE };
             }
         }
 
-        if let Some(hb) = options.heartbeat {
-            for conn in &mut conns {
-                if !conn.closed && conn.last_heard.elapsed().as_secs_f64() > hb.timeout {
-                    conn.closed = true;
-                    if options.ft_active {
-                        if let Some(site) = conn.site {
-                            sharded.evacuate(site);
-                        }
-                    } else {
-                        first_err = first_err
-                            .or_else(|| Some(io::Error::new(ErrorKind::TimedOut, "silent master")));
-                    }
+        if let Some(limit) = silence.filter(|_| next_silence_scan.is_some_and(|at| at <= now)) {
+            let mut earliest = now;
+            for i in (0..conns.len()).rev() {
+                let conn = &mut conns[i];
+                if conn.said_bye {
+                    continue; // leaving in good order, only its last reply to flush
+                }
+                if now.saturating_duration_since(conn.last_heard) >= limit {
+                    lost(conn, io::Error::new(ErrorKind::TimedOut, "silent master"));
+                    reclaim(&mut conns, &mut fds, i);
+                } else {
+                    earliest = earliest.min(conn.last_heard);
                 }
             }
+            next_silence_scan = Some(earliest + limit);
         }
 
-        let before = conns.len();
-        conns.retain(|c| !c.closed);
-        if before != conns.len() {
-            report.conns_reclaimed += (before - conns.len()) as u64;
-            g_reclaimed.set(report.conns_reclaimed as i64);
-        }
-
-        if progressed {
-            idle_sleep = SLEEP_MIN;
-            g_backoff.set(idle_sleep.as_micros() as i64);
-        } else if accepted < n_masters || !conns.is_empty() {
-            std::thread::sleep(idle_sleep);
-            idle_sleep = (idle_sleep * 2).min(SLEEP_CAP);
-            g_backoff.set(idle_sleep.as_micros() as i64);
+        let reclaimed = report.conns_opened - conns.len() as u64;
+        if reclaimed != report.conns_reclaimed {
+            report.conns_reclaimed = reclaimed;
+            g_reclaimed.set(reclaimed as i64);
         }
     }
 
@@ -214,32 +243,33 @@ pub(crate) fn serve_head_reactor(
     Ok((pool, report))
 }
 
-/// One sweep over one connection: flush pending writes, read to
-/// `WouldBlock`/EOF, decode and handle every complete frame, flush again.
-/// Returns whether any byte moved or frame was handled. Marks the
-/// connection closed on Bye-with-drained-writes or EOF (evacuating an
-/// unclean exit when fault tolerance is on).
+/// Serve one ready connection: flush pending writes, read what has arrived
+/// (or the EOF) through `scratch`, decode and handle every complete frame,
+/// flush again. Marks the connection closed on Bye-with-drained-writes
+/// or EOF (evacuating an unclean exit when fault tolerance is on).
 fn pump(
     conn: &mut Conn,
+    scratch: &mut [u8],
     sharded: &ShardedPool,
     options: &TcpHeadOptions,
     report: &mut HeadReport,
     revocations: &mut Revocations,
-) -> io::Result<bool> {
-    let mut progressed = flush(conn)?;
+) -> io::Result<()> {
+    flush(conn)?;
 
     let mut eof = false;
-    let mut tmp = [0u8; 16384];
     loop {
-        match conn.stream.read(&mut tmp) {
+        match conn.stream.read(scratch) {
             Ok(0) => {
                 eof = true;
                 break;
             }
             Ok(n) => {
-                conn.rbuf.extend_from_slice(&tmp[..n]);
+                conn.rbuf.extend_from_slice(&scratch[..n]);
                 conn.last_heard = Instant::now();
-                progressed = true;
+                if n < scratch.len() {
+                    break; // drained; the wait reports whatever comes next
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -249,15 +279,12 @@ fn pump(
 
     while !conn.said_bye {
         match try_read_frame(&mut conn.rbuf)? {
-            Some(frame) => {
-                progressed = true;
-                handle_frame(conn, frame, sharded, options, report, revocations)?;
-            }
+            Some(frame) => handle_frame(conn, frame, sharded, options, report, revocations),
             None => break,
         }
     }
 
-    progressed |= flush(conn)?;
+    flush(conn)?;
 
     if conn.said_bye && conn.wpos == conn.wbuf.len() {
         conn.closed = true;
@@ -272,19 +299,15 @@ fn pump(
             }
         }
     }
-    Ok(progressed)
+    Ok(())
 }
 
 /// Write as much of the pending output as the socket accepts right now.
-fn flush(conn: &mut Conn) -> io::Result<bool> {
-    let mut progressed = false;
+fn flush(conn: &mut Conn) -> io::Result<()> {
     while conn.wpos < conn.wbuf.len() {
         match conn.stream.write(&conn.wbuf[conn.wpos..]) {
             Ok(0) => return Err(io::Error::new(ErrorKind::WriteZero, "master hung up mid-reply")),
-            Ok(n) => {
-                conn.wpos += n;
-                progressed = true;
-            }
+            Ok(n) => conn.wpos += n,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -294,7 +317,7 @@ fn flush(conn: &mut Conn) -> io::Result<bool> {
         conn.wbuf.clear();
         conn.wpos = 0;
     }
-    Ok(progressed)
+    Ok(())
 }
 
 /// A freshly granted job is live again: drop any stale revocation notice
@@ -315,7 +338,7 @@ fn handle_frame(
     options: &TcpHeadOptions,
     report: &mut HeadReport,
     revocations: &mut Revocations,
-) -> io::Result<()> {
+) {
     let now = options.epoch.elapsed().as_secs_f64();
     match frame {
         Frame::Legacy(MasterToHead::Request { site }) => {
@@ -323,7 +346,7 @@ fn handle_frame(
             report.requests += 1;
             let batch = sharded.request_for_at(site, now);
             clear_granted(revocations, site, &batch);
-            write_grant(&mut conn.wbuf, &batch)?;
+            put_grant(&mut conn.wbuf, &batch);
         }
         Frame::Legacy(MasterToHead::Complete { job, site, want_ack }) => {
             conn.site = Some(site);
@@ -335,9 +358,7 @@ fn handle_frame(
                 }
             }
             if want_ack {
-                // A Vec writer cannot fail; this only buffers the 2-byte
-                // ack frame for the next socket flush.
-                write_ack(&mut conn.wbuf, outcome.is_merged())?;
+                put_ack(&mut conn.wbuf, outcome.is_merged());
             }
         }
         Frame::Legacy(MasterToHead::Failed { job, site }) => {
@@ -353,15 +374,14 @@ fn handle_frame(
         }
         Frame::Hello { site, version, credit: _ } => {
             conn.site = Some(site);
-            conn.version = WIRE_VERSION.min(version);
-            write_hello_ack(&mut conn.wbuf, conn.version)?;
+            put_hello_ack(&mut conn.wbuf, WIRE_VERSION.min(version));
         }
         Frame::GetJobs { site, max } => {
             conn.site = Some(site);
             report.requests += 1;
             let batch = sharded.get_jobs(site, max as usize, now);
             clear_granted(revocations, site, &batch);
-            write_grant(&mut conn.wbuf, &batch)?;
+            put_grant(&mut conn.wbuf, &batch);
         }
         Frame::AckBatch { site, want, entries } => {
             conn.site = Some(site);
@@ -386,8 +406,7 @@ fn handle_frame(
             let grant = sharded.get_jobs(site, want as usize, now);
             clear_granted(revocations, site, &grant);
             let revoked = revocations.remove(&site).unwrap_or_default();
-            write_batch_reply(&mut conn.wbuf, &BatchReply { verdicts, revoked, grant })?;
+            put_batch_reply(&mut conn.wbuf, &BatchReply { verdicts, revoked, grant });
         }
     }
-    Ok(())
 }

@@ -90,31 +90,6 @@ impl FtConfig {
     }
 }
 
-/// How the TCP deployment mode speaks to the head. Ignored by the channel
-/// runtime, which has no wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireMode {
-    /// v2 batched protocol: the master opens with a `Hello`, holds a
-    /// prefetch-credit window of granted-but-unprocessed jobs, ships
-    /// completions in `AckBatch` frames, and is refilled by each reply's
-    /// piggybacked grant — so a slave never stalls on a grant round-trip
-    /// while credit remains. Falls back to v1 against an old head.
-    Batched {
-        /// Prefetch-credit window in jobs. `0` sizes it automatically:
-        /// cores × pipeline depth + refill watermark + 1.
-        window: usize,
-    },
-    /// v1 single-job lockstep RPC per grant — the per-RPC baseline the
-    /// scale bench compares against.
-    SingleJob,
-}
-
-impl Default for WireMode {
-    fn default() -> WireMode {
-        WireMode::Batched { window: 0 }
-    }
-}
-
 /// Everything configurable about a run.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -149,9 +124,6 @@ pub struct RuntimeConfig {
     pub redundancy: u32,
     /// Failure handling.
     pub fault_policy: FaultPolicy,
-    /// Head ↔ master wire protocol for the TCP deployment mode (batched v2
-    /// by default; [`WireMode::SingleJob`] forces the v1 per-RPC baseline).
-    pub wire: WireMode,
     /// Fault-tolerance subsystem (off by default).
     pub ft: FtConfig,
     /// Event sink for the run (off by default): the pool, the masters, and
@@ -181,7 +153,6 @@ impl RuntimeConfig {
             pipeline_depth: 1,
             redundancy: 1,
             fault_policy: FaultPolicy::FailFast,
-            wire: WireMode::default(),
             ft: FtConfig::default(),
             telemetry: Telemetry::off(),
             metrics: Metrics::off(),
@@ -193,7 +164,7 @@ impl RuntimeConfig {
 /// backend publishes request/byte/error counters and read-latency
 /// histograms. The decorator sits *below* the chaos layer: it counts
 /// physical reads against the real backend, not injected failures.
-pub(crate) fn meter_stores(
+fn meter_stores(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     metrics: &Metrics,
 ) -> BTreeMap<SiteId, Arc<dyn ChunkStore>> {
@@ -387,18 +358,31 @@ impl SlaveCtx {
     }
 }
 
-/// Execute `app` over the dataset described by `index`, with per-site
-/// `stores`, under `config`. This is the framework's main entry point.
-///
-/// # Errors
-/// Fails when the environment has no cores, a store is missing for a site
-/// that hosts data, retrieval fails, or a worker panics.
-pub fn run_hybrid<R: Reduction>(
-    app: &R,
+/// What both deployment modes build before they spawn anything.
+pub(crate) struct Prepared {
+    /// Sites with cores, and how many.
+    pub(crate) active: Vec<(SiteId, u32)>,
+    /// The head is co-located with the local cluster when it is active
+    /// (paper Fig. 2); centralized-cloud baselines host it in the cloud, so
+    /// the baselines see no inter-cluster control traffic.
+    pub(crate) head_site: SiteId,
+    pub(crate) chaos: Option<Arc<FaultPlan>>,
+    pub(crate) router: StoreRouter,
+    pub(crate) pool: JobPool,
+    pub(crate) ft_active: bool,
+    /// Replica grants mean a chunk can complete more than once even with the
+    /// FT stack off, so coded runs need the same dedup machinery: acked
+    /// completions (the head's merge/discard verdict) and fencing of the
+    /// losing copies.
+    pub(crate) dedup_active: bool,
+}
+
+/// Validate the run and build its router and job pool from `config`.
+pub(crate) fn prepare(
     index: &DataIndex,
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
-) -> Result<RunOutcome<R::RObj>, RunError> {
+) -> Result<Prepared, RunError> {
     let active: Vec<(SiteId, u32)> =
         config.env.active_sites().into_iter().map(|s| (s, config.env.cores_at(s))).collect();
     if active.is_empty() {
@@ -410,11 +394,6 @@ pub fn run_hybrid<R: Reduction>(
             return Err(RunError::NoStoreForSite(site));
         }
     }
-    // The head is co-located with the local cluster when it is active
-    // (paper Fig. 2); centralized-cloud baselines host it in the cloud, so
-    // the baselines see no inter-cluster control traffic.
-    let head_site = active[0].0;
-
     let chaos = config.ft.chaos.clone().filter(|p| !p.is_empty());
     let stores = meter_stores(stores, &config.metrics);
     let stores = match &chaos {
@@ -450,11 +429,25 @@ pub fn run_hybrid<R: Reduction>(
     pool.set_sink(config.telemetry.clone());
     pool.set_metrics(config.metrics.clone());
     let ft_active = config.ft.active();
-    // Replica grants mean a chunk can complete more than once even with the
-    // FT stack off, so coded runs need the same dedup machinery: acked
-    // completions (the head's merge/discard verdict) and a cancel board for
-    // fencing the losing copies.
     let dedup_active = ft_active || config.redundancy > 1;
+    Ok(Prepared { head_site: active[0].0, active, chaos, router, pool, ft_active, dedup_active })
+}
+
+/// Execute `app` over the dataset described by `index`, with per-site
+/// `stores`, under `config`. This is the framework's main entry point.
+///
+/// # Errors
+/// Fails when the environment has no cores, a store is missing for a site
+/// that hosts data, retrieval fails, or a worker panics.
+pub fn run_hybrid<R: Reduction>(
+    app: &R,
+    index: &DataIndex,
+    stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
+    config: &RuntimeConfig,
+) -> Result<RunOutcome<R::RObj>, RunError> {
+    let Prepared { active, head_site, chaos, router, pool, dedup_active, .. } =
+        prepare(index, stores, config)?;
+    // A cancel board lets slaves abandon executions the head has fenced.
     let cancel = dedup_active.then(CancelBoard::new);
 
     let (head_tx, head_rx) = unbounded::<HeadMsg>();
@@ -548,21 +541,7 @@ pub fn run_hybrid<R: Reduction>(
                         let _ = master.join();
                     });
 
-                    let mut robjs = Vec::with_capacity(results.len());
-                    let mut slaves = Vec::with_capacity(results.len());
-                    for r in results {
-                        let (robj, stats) = r?;
-                        robjs.push(robj);
-                        slaves.push(stats);
-                    }
-                    // A site taken down by the chaos plan loses everything
-                    // it accumulated: its reduction object never reaches
-                    // global reduction (the head evacuates and re-runs its
-                    // jobs at surviving sites).
-                    let revoked = chaos
-                        .as_deref()
-                        .is_some_and(|p| p.site_dead(site, epoch.elapsed().as_secs_f64()));
-                    Ok(merge_site_outcome(site, robjs, slaves, revoked, epoch, &config.telemetry))
+                    merge_site_outcome(site, results, chaos.as_deref(), epoch, &config.telemetry)
                 })
             })
             .collect();
@@ -576,8 +555,19 @@ pub fn run_hybrid<R: Reduction>(
         head_result = Some(head_handle.join().map_err(|p| RunError::WorkerPanic(panic_msg(&p))));
     });
 
-    let head = head_result.expect("head joined in scope")?;
+    conclude(head_result.expect("head joined in scope")?, site_outcomes, head_site, config, epoch)
+}
 
+/// What both deployment modes do once every thread has been joined: surface
+/// failures, fence dead sites, run the global reduction and assemble the
+/// report.
+pub(crate) fn conclude<O: ReductionObject>(
+    head: HeadReport,
+    site_outcomes: Vec<Result<SiteOutcome<O>, RunError>>,
+    head_site: SiteId,
+    config: &RuntimeConfig,
+    epoch: Instant,
+) -> Result<RunOutcome<O>, RunError> {
     // Worker-level failures take precedence over the aggregate
     // incompleteness report: they carry the root cause.
     let mut outcomes = Vec::with_capacity(site_outcomes.len());
@@ -605,18 +595,23 @@ pub fn run_hybrid<R: Reduction>(
     Ok(RunOutcome { result, report, head })
 }
 
-/// Site-local combination shared by both runtimes: a parallel binary-tree
-/// merge of the site's worker objects (a revoked site loses everything it
-/// accumulated), with the `SiteMerged`/`SiteFinished` events emitted the
-/// same way in channel and TCP mode.
+/// Site-local combination shared by both runtimes, once every slave of
+/// `site` has been joined: the first slave failure if there was one, else a
+/// parallel binary-tree merge of the site's worker objects, with the
+/// `SiteMerged`/`SiteFinished` events emitted the same way in channel and
+/// TCP mode. A site taken down by the chaos plan loses everything it
+/// accumulated: its reduction object never reaches global reduction (the
+/// head evacuates and re-runs its jobs at surviving sites).
 pub(crate) fn merge_site_outcome<O: ReductionObject>(
     site: SiteId,
-    robjs: Vec<O>,
-    slaves: Vec<SlaveStats>,
-    revoked: bool,
+    results: Vec<Result<(O, SlaveStats), RunError>>,
+    chaos: Option<&FaultPlan>,
     epoch: Instant,
     telemetry: &Telemetry,
-) -> SiteOutcome<O> {
+) -> Result<SiteOutcome<O>, RunError> {
+    let (robjs, slaves): (Vec<O>, Vec<SlaveStats>) =
+        results.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+    let revoked = chaos.is_some_and(|p| p.site_dead(site, epoch.elapsed().as_secs_f64()));
     let merge_start = Instant::now();
     let robj = if revoked { None } else { tree_reduce(robjs) };
     let merge_dur = merge_start.elapsed();
@@ -631,7 +626,7 @@ pub(crate) fn merge_site_outcome<O: ReductionObject>(
         .site(site),
     );
     telemetry.emit(Event::at(secs_to_ns(finish), EventKind::SiteFinished).site(site));
-    SiteOutcome { site, robj, slaves, local_merge, finish }
+    Ok(SiteOutcome { site, robj, slaves, local_merge, finish })
 }
 
 /// The global-reduction phase shared by both runtimes. Every remote site
@@ -641,7 +636,7 @@ pub(crate) fn merge_site_outcome<O: ReductionObject>(
 /// costs the *largest* transfer rather than their sum. Returns
 /// `(result, global_reduction, total_time)` with the same accounting (and
 /// the same `GlobalReduction`/`RunFinished` events) as before.
-pub(crate) fn collect_global<O: ReductionObject>(
+fn collect_global<O: ReductionObject>(
     outcomes: &mut [SiteOutcome<O>],
     head_site: SiteId,
     config: &RuntimeConfig,
@@ -696,14 +691,14 @@ pub(crate) fn collect_global<O: ReductionObject>(
 /// Per-master live-metrics instruments for the grant layer, per site (no-ops
 /// with metrics off).
 #[derive(Clone, Default)]
-struct MasterMetrics {
-    grant_rtt: Histogram,
-    window: Gauge,
-    starved: Counter,
+pub(crate) struct MasterMetrics {
+    pub(crate) grant_rtt: Histogram,
+    pub(crate) window: Gauge,
+    pub(crate) starved: Counter,
 }
 
 impl MasterMetrics {
-    fn new(metrics: &Metrics, site: SiteId) -> MasterMetrics {
+    pub(crate) fn new(metrics: &Metrics, site: SiteId) -> MasterMetrics {
         if !metrics.is_enabled() {
             return MasterMetrics::default();
         }
@@ -752,6 +747,14 @@ impl MasterFt {
     }
 }
 
+/// The longest a master sleeps with nothing due: half the heartbeat interval
+/// when beaconing.
+pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
+    heartbeat.map_or(Duration::from_millis(50), |h| {
+        Duration::from_secs_f64((h.interval / 2.0).max(1e-4))
+    })
+}
+
 /// The master loop: serve slaves from the site pool and keep it stocked from
 /// the head without ever waiting out a round trip. A grant request is two
 /// timed legs — due at the head, then due back here, one control-plane
@@ -777,9 +780,7 @@ fn run_master(
     let mut waiting: VecDeque<(Sender<Take>, Instant)> = VecDeque::new();
     let secs = |at: Instant| at.saturating_duration_since(ft.epoch).as_secs_f64();
     let mut last_beat = Instant::now();
-    let tick = ft.heartbeat.map_or(Duration::from_millis(50), |h| {
-        Duration::from_secs_f64((h.interval / 2.0).max(1e-4))
-    });
+    let tick = mailbox_tick(ft.heartbeat);
     'serve: loop {
         if ft.site_dead(site) {
             // Simulated spot revocation: no goodbye, no final report. The
@@ -843,10 +844,9 @@ fn run_master(
         let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
         let reply = match rx.recv_timeout(timeout) {
             Ok(MasterMsg::GetJob { reply }) => reply,
-            // Completion reports only flow through masters in the TCP
-            // deployment mode; the in-process runtime reports to the head
-            // directly.
-            Ok(MasterMsg::Complete { .. } | MasterMsg::Failed { .. }) => continue,
+            // Everything else belongs to the TCP deployment mode: here
+            // slaves report to the head directly and there is no socket.
+            Ok(_) => continue,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };

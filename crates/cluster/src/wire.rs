@@ -23,7 +23,7 @@
 //! and v2 frames, which is what lets a v2 master reuse the v1 `Failed`,
 //! `Ping` and `Bye` frames unchanged.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BytesMut};
 use cloudburst_core::{ByteSize, ChunkId, ChunkMeta, FileId, JobBatch, SiteId};
 use std::io::{self, ErrorKind, Read, Write};
 
@@ -79,73 +79,61 @@ fn err(msg: &str) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg)
 }
 
+/// Append one master→head message to `out`.
+pub(crate) fn put_to_head(out: &mut Vec<u8>, msg: &MasterToHead) {
+    match *msg {
+        MasterToHead::Request { site } => {
+            out.push(TAG_REQUEST);
+            out.extend_from_slice(&site.0.to_le_bytes());
+        }
+        MasterToHead::Complete { job, site, want_ack } => {
+            out.push(TAG_COMPLETE);
+            out.extend_from_slice(&job.0.to_le_bytes());
+            out.extend_from_slice(&site.0.to_le_bytes());
+            out.push(u8::from(want_ack));
+        }
+        MasterToHead::Failed { job, site } => {
+            out.push(TAG_FAILED);
+            out.extend_from_slice(&job.0.to_le_bytes());
+            out.extend_from_slice(&site.0.to_le_bytes());
+        }
+        MasterToHead::Ping { site } => {
+            out.push(TAG_PING);
+            out.extend_from_slice(&site.0.to_le_bytes());
+        }
+        MasterToHead::Bye => out.push(TAG_BYE),
+    }
+}
+
 /// Encode one master→head message.
 #[must_use]
 pub fn encode_to_head(msg: &MasterToHead) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(16);
-    match *msg {
-        MasterToHead::Request { site } => {
-            buf.put_u8(TAG_REQUEST);
-            buf.put_u16_le(site.0);
-        }
-        MasterToHead::Complete { job, site, want_ack } => {
-            buf.put_u8(TAG_COMPLETE);
-            buf.put_u32_le(job.0);
-            buf.put_u16_le(site.0);
-            buf.put_u8(u8::from(want_ack));
-        }
-        MasterToHead::Failed { job, site } => {
-            buf.put_u8(TAG_FAILED);
-            buf.put_u32_le(job.0);
-            buf.put_u16_le(site.0);
-        }
-        MasterToHead::Ping { site } => {
-            buf.put_u8(TAG_PING);
-            buf.put_u16_le(site.0);
-        }
-        MasterToHead::Bye => buf.put_u8(TAG_BYE),
-    }
-    buf.to_vec()
+    let mut out = Vec::with_capacity(8);
+    put_to_head(&mut out, msg);
+    out
 }
 
 /// Read one master→head message from a stream. Returns `None` on a clean
 /// EOF before any byte of a message.
 pub fn read_from_master(r: &mut impl Read) -> io::Result<Option<MasterToHead>> {
-    let mut tag = [0u8; 1];
-    match r.read_exact(&mut tag) {
+    let mut frame = [0u8; 8]; // the longest v1 frame
+    match r.read_exact(&mut frame[..1]) {
         Ok(()) => {}
         Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let msg = match tag[0] {
-        TAG_REQUEST | TAG_PING => {
-            let mut b = [0u8; 2];
-            r.read_exact(&mut b)?;
-            let site = SiteId(u16::from_le_bytes(b));
-            if tag[0] == TAG_REQUEST {
-                MasterToHead::Request { site }
-            } else {
-                MasterToHead::Ping { site }
-            }
-        }
-        TAG_COMPLETE => {
-            let mut b = [0u8; 7];
-            r.read_exact(&mut b)?;
-            let job = ChunkId(u32::from_le_bytes(b[0..4].try_into().expect("job id")));
-            let site = SiteId(u16::from_le_bytes(b[4..6].try_into().expect("site id")));
-            MasterToHead::Complete { job, site, want_ack: b[6] != 0 }
-        }
-        TAG_FAILED => {
-            let mut b = [0u8; 6];
-            r.read_exact(&mut b)?;
-            let job = ChunkId(u32::from_le_bytes(b[0..4].try_into().expect("job id")));
-            let site = SiteId(u16::from_le_bytes(b[4..6].try_into().expect("site id")));
-            MasterToHead::Failed { job, site }
-        }
-        TAG_BYE => MasterToHead::Bye,
+    let len = match frame[0] {
+        TAG_REQUEST | TAG_PING => 3,
+        TAG_COMPLETE => 8,
+        TAG_FAILED => 7,
+        TAG_BYE => 1,
         other => return Err(err(&format!("unknown control tag {other}"))),
     };
-    Ok(Some(msg))
+    r.read_exact(&mut frame[1..len])?;
+    match try_read_frame(&mut BytesMut::from(&frame[..len]))? {
+        Some(Frame::Legacy(msg)) => Ok(Some(msg)),
+        _ => unreachable!("a whole v1 frame decodes to a v1 message"),
+    }
 }
 
 /// Write one master→head message to a stream.
@@ -154,27 +142,33 @@ pub fn write_to_head(w: &mut impl Write, msg: &MasterToHead) -> io::Result<()> {
     w.flush()
 }
 
-/// Encode a head→master grant (the reply to `Request`). Each job record
-/// carries the causal span the head allocated for the execution, so the
-/// slave-side telemetry of a TCP-mode run joins the head-side events in one
-/// DAG (0 when the batch was built without tracking).
+/// Append a head→master grant (the reply to `Request`) to `out`. Each job
+/// record carries the causal span the head allocated for the execution, so
+/// the slave-side telemetry of a TCP-mode run joins the head-side events in
+/// one DAG (0 when the batch was built without tracking).
+pub(crate) fn put_grant(out: &mut Vec<u8>, batch: &JobBatch) {
+    out.reserve(7 + batch.jobs.len() * GRANT_RECORD);
+    out.push(TAG_GRANT);
+    out.push(u8::from(batch.stolen));
+    out.push(u8::from(batch.terminal));
+    out.extend_from_slice(&(batch.jobs.len() as u32).to_le_bytes());
+    for (i, c) in batch.jobs.iter().enumerate() {
+        out.extend_from_slice(&c.id.0.to_le_bytes());
+        out.extend_from_slice(&c.file.0.to_le_bytes());
+        out.extend_from_slice(&c.offset.to_le_bytes());
+        out.extend_from_slice(&c.len.to_le_bytes());
+        out.extend_from_slice(&c.n_units.to_le_bytes());
+        out.extend_from_slice(&c.site.0.to_le_bytes());
+        out.extend_from_slice(&batch.span_of(i).to_le_bytes());
+    }
+}
+
+/// Encode a head→master grant (see [`write_grant`]).
 #[must_use]
 pub fn encode_grant(batch: &JobBatch) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(8 + batch.jobs.len() * GRANT_RECORD);
-    buf.put_u8(TAG_GRANT);
-    buf.put_u8(u8::from(batch.stolen));
-    buf.put_u8(u8::from(batch.terminal));
-    buf.put_u32_le(batch.jobs.len() as u32);
-    for (i, c) in batch.jobs.iter().enumerate() {
-        buf.put_u32_le(c.id.0);
-        buf.put_u32_le(c.file.0);
-        buf.put_u64_le(c.offset);
-        buf.put_u64_le(c.len);
-        buf.put_u64_le(c.n_units);
-        buf.put_u16_le(c.site.0);
-        buf.put_u64_le(batch.span_of(i));
-    }
-    buf.to_vec()
+    let mut out = Vec::new();
+    put_grant(&mut out, batch);
+    out
 }
 
 /// Bytes per job record in a grant frame.
@@ -223,6 +217,11 @@ pub fn read_grant(r: &mut impl Read) -> io::Result<JobBatch> {
 pub fn write_ack(w: &mut impl Write, merged: bool) -> io::Result<()> {
     w.write_all(&[TAG_ACK, u8::from(merged)])?;
     w.flush()
+}
+
+/// Append a completion ack to `out` (see [`write_ack`]).
+pub(crate) fn put_ack(out: &mut Vec<u8>, merged: bool) {
+    out.extend_from_slice(&[TAG_ACK, u8::from(merged)]);
 }
 
 /// Read a completion ack from a stream.
@@ -380,40 +379,44 @@ pub fn try_read_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
     Ok(Some(decoded))
 }
 
+/// Append an `AckBatch` frame to `out`.
+///
+/// # Panics
+/// Panics when `entries` outgrows the frame's `u16` count.
+pub(crate) fn put_ack_batch(out: &mut Vec<u8>, site: SiteId, want: u16, entries: &[AckEntry]) {
+    let n = u16::try_from(entries.len()).expect("an AckBatch holds at most u16::MAX reports");
+    out.reserve(7 + entries.len() * ACK_ENTRY);
+    out.push(TAG_ACK_BATCH);
+    out.extend_from_slice(&site.0.to_le_bytes());
+    out.extend_from_slice(&want.to_le_bytes());
+    out.extend_from_slice(&n.to_le_bytes());
+    for e in entries {
+        out.extend_from_slice(&e.job.0.to_le_bytes());
+        out.push(u8::from(e.ok));
+    }
+}
+
 /// Encode any frame (the inverse of [`try_read_frame`]). Legacy frames
 /// encode exactly as [`encode_to_head`] would.
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    let mut out = Vec::new();
     match frame {
-        Frame::Legacy(msg) => encode_to_head(msg),
+        Frame::Legacy(msg) => put_to_head(&mut out, msg),
         Frame::Hello { site, version, credit } => {
-            let mut buf = BytesMut::with_capacity(7);
-            buf.put_u8(TAG_HELLO);
-            buf.put_u16_le(site.0);
-            buf.put_u16_le(*version);
-            buf.put_u16_le(*credit);
-            buf.to_vec()
+            out.push(TAG_HELLO);
+            out.extend_from_slice(&site.0.to_le_bytes());
+            out.extend_from_slice(&version.to_le_bytes());
+            out.extend_from_slice(&credit.to_le_bytes());
         }
         Frame::GetJobs { site, max } => {
-            let mut buf = BytesMut::with_capacity(5);
-            buf.put_u8(TAG_GET_JOBS);
-            buf.put_u16_le(site.0);
-            buf.put_u16_le(*max);
-            buf.to_vec()
+            out.push(TAG_GET_JOBS);
+            out.extend_from_slice(&site.0.to_le_bytes());
+            out.extend_from_slice(&max.to_le_bytes());
         }
-        Frame::AckBatch { site, want, entries } => {
-            let mut buf = BytesMut::with_capacity(7 + entries.len() * ACK_ENTRY);
-            buf.put_u8(TAG_ACK_BATCH);
-            buf.put_u16_le(site.0);
-            buf.put_u16_le(*want);
-            buf.put_u16_le(entries.len() as u16);
-            for e in entries {
-                buf.put_u32_le(e.job.0);
-                buf.put_u8(u8::from(e.ok));
-            }
-            buf.to_vec()
-        }
+        Frame::AckBatch { site, want, entries } => put_ack_batch(&mut out, *site, *want, entries),
     }
+    out
 }
 
 /// Open the v2 handshake: announce `site` and the prefetch-credit window.
@@ -432,6 +435,12 @@ pub fn write_hello_ack(w: &mut impl Write, version: u16) -> io::Result<()> {
     buf[1..3].copy_from_slice(&version.to_le_bytes());
     w.write_all(&buf)?;
     w.flush()
+}
+
+/// Append a `HelloAck` to `out` (see [`write_hello_ack`]).
+pub(crate) fn put_hello_ack(out: &mut Vec<u8>, version: u16) {
+    out.push(TAG_HELLO_ACK);
+    out.extend_from_slice(&version.to_le_bytes());
 }
 
 /// Read the head's handshake answer: the negotiated protocol version.
@@ -458,25 +467,30 @@ pub fn write_ack_batch(
     want: u16,
     entries: &[AckEntry],
 ) -> io::Result<()> {
-    w.write_all(&encode_frame(&Frame::AckBatch { site, want, entries: entries.to_vec() }))?;
+    let mut out = Vec::new();
+    put_ack_batch(&mut out, site, want, entries);
+    w.write_all(&out)?;
     w.flush()
+}
+
+/// Append a [`BatchReply`] to `out`.
+pub(crate) fn put_batch_reply(out: &mut Vec<u8>, reply: &BatchReply) {
+    out.reserve(5 + reply.verdicts.len() + reply.revoked.len() * 4);
+    out.push(TAG_BATCH_REPLY);
+    out.extend_from_slice(&(reply.verdicts.len() as u16).to_le_bytes());
+    out.extend(reply.verdicts.iter().map(|&v| u8::from(v)));
+    out.extend_from_slice(&(reply.revoked.len() as u16).to_le_bytes());
+    for job in &reply.revoked {
+        out.extend_from_slice(&job.0.to_le_bytes());
+    }
+    put_grant(out, &reply.grant);
 }
 
 /// Encode a [`BatchReply`] (head → master).
 #[must_use]
 pub fn encode_batch_reply(reply: &BatchReply) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(6 + reply.verdicts.len() + reply.revoked.len() * 4);
-    buf.put_u8(TAG_BATCH_REPLY);
-    buf.put_u16_le(reply.verdicts.len() as u16);
-    for &v in &reply.verdicts {
-        buf.put_u8(u8::from(v));
-    }
-    buf.put_u16_le(reply.revoked.len() as u16);
-    for &job in &reply.revoked {
-        buf.put_u32_le(job.0);
-    }
-    let mut out = buf.to_vec();
-    out.extend(encode_grant(&reply.grant));
+    let mut out = Vec::new();
+    put_batch_reply(&mut out, reply);
     out
 }
 

@@ -84,7 +84,7 @@ pub use health::{
 pub use index::DataIndex;
 pub use json::Json;
 pub use layout::{ChunkMeta, FileMeta, LayoutParams};
-pub use master::{Ledger, LocalJob, MasterPool, RequestId, Take};
+pub use master::{ask_size, Ledger, LocalJob, MasterPool, RequestId, Take};
 pub use metrics::{
     check_monotonic, http_get, http_get_status, parse_exposition, Counter, Exposition, Gauge,
     Histogram, MetricKind, Metrics, MetricsServer, Registry, RouteHandler, RouteResponse, Sample,

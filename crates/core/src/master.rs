@@ -39,6 +39,16 @@
 //! "nothing right now" closes the window to the watermark until it has jobs
 //! again, and is polled for a starving slave only, with capped exponential
 //! backoff.
+//!
+//! # Sized requests
+//!
+//! The channel head sizes a grant by its own batch policy; the TCP head
+//! grants what a request asks for, so a master on that transport also has to
+//! say *how many*. [`MasterPool::ask`] sizes a request that the window rule
+//! just issued with [`ask_size`]: enough to bring what the master holds or
+//! expects up to a floor (one job per slave pipeline slot, plus one) plus the
+//! window, and remembers the figure as what that request is expected to
+//! bring.
 
 use crate::layout::ChunkMeta;
 use crate::pool::JobBatch;
@@ -63,6 +73,8 @@ pub type RequestId = u64;
 struct InFlight {
     id: RequestId,
     issued_at: Seconds,
+    /// How many jobs the request asked for, when the master sized it.
+    asked: Option<usize>,
     /// The head's answer once it exists; it still has the return leg to
     /// travel, but its jobs are this master's responsibility already.
     batch: Option<JobBatch>,
@@ -75,6 +87,15 @@ fn jobs_of(batch: &JobBatch) -> impl Iterator<Item = LocalJob> + '_ {
         stolen: batch.stolen,
         span: batch.span_of(i),
     })
+}
+
+/// How many jobs a master that sizes its own requests asks for: what brings
+/// the `outstanding` jobs — queued, or expected from requests in flight — up
+/// to `floor + window`, and never nothing (a request is only issued when the
+/// window rule wants jobs).
+#[must_use]
+pub fn ask_size(floor: usize, window: usize, outstanding: usize) -> usize {
+    (floor + window).saturating_sub(outstanding).max(1)
 }
 
 /// Fold `sample` into the running mean `est` with weight `1 / weight`.
@@ -95,12 +116,13 @@ pub struct LocalJob {
     pub span: u64,
 }
 
-/// State of a [`MasterPool::take`] request.
+/// What a slave asking its master for a job gets ([`MasterPool::arrive`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Take {
     /// A job to process.
     Job(LocalJob),
-    /// Pool empty but the head may still have jobs: the caller must refill.
+    /// Pool empty but the head may still have jobs: the slave waits for a
+    /// grant to land.
     NeedRefill,
     /// The head has confirmed there is no work left anywhere.
     Drained,
@@ -194,28 +216,10 @@ impl MasterPool {
         self.queue.len()
     }
 
-    /// Whether the pool is at or below its low watermark and has not yet been
-    /// told the head is empty: the refill test of a master that asks the head
-    /// synchronously (the TCP masters), which has no window to keep.
-    #[must_use]
-    pub fn needs_refill(&self) -> bool {
-        !self.drained && self.queue.len() <= self.low_watermark
-    }
-
-    /// Add a batch granted by the head (a master that asks synchronously;
-    /// windowed requests go through [`MasterPool::granted`] and
-    /// [`MasterPool::land`]).
-    ///
-    /// An empty **terminal** batch marks the pool as drained: the head has
-    /// guaranteed no work will ever appear again. An empty *non*-terminal
-    /// batch leaves the pool as-is — in-flight jobs elsewhere may still fail
-    /// and be requeued, so the caller should poll again after a short
-    /// backoff.
-    pub fn refill(&mut self, batch: JobBatch) {
-        self.granted += batch.len() as u64;
-        self.enqueue(batch);
-    }
-
+    /// Queue a landed grant. An empty **terminal** batch marks the pool as
+    /// drained: the head has guaranteed no work will ever appear again. An
+    /// empty *non*-terminal batch leaves the pool as-is — in-flight jobs
+    /// elsewhere may still fail and be requeued.
     fn enqueue(&mut self, batch: JobBatch) {
         self.refills += 1;
         if batch.is_empty() && batch.terminal {
@@ -225,7 +229,7 @@ impl MasterPool {
     }
 
     /// Hand the next job to a slave.
-    pub fn take(&mut self) -> Take {
+    fn take(&mut self) -> Take {
         if let Some(job) = self.queue.pop_front() {
             self.dispatched += 1;
             return Take::Job(job);
@@ -303,6 +307,19 @@ impl MasterPool {
         self.low_watermark + self.bdp_jobs()
     }
 
+    /// Jobs request `r` is expected to bring: what the head granted, else
+    /// what was asked for, else as many as the last grant.
+    fn expected_from(&self, r: &InFlight) -> usize {
+        r.batch.as_ref().map_or(r.asked.unwrap_or(self.last_batch_len), JobBatch::len)
+    }
+
+    /// Jobs queued here or expected from requests in flight: what the window
+    /// rule compares with [`MasterPool::window`].
+    #[must_use]
+    pub fn outstanding(&self) -> usize {
+        self.queue.len() + self.in_flight.iter().map(|r| self.expected_from(r)).sum::<usize>()
+    }
+
     /// Jobs of grants the head has answered that have not landed yet.
     fn in_flight_jobs(&self) -> usize {
         self.in_flight.iter().filter_map(|r| r.batch.as_ref()).map(JobBatch::len).sum()
@@ -317,21 +334,31 @@ impl MasterPool {
             return None;
         }
         let bdp = self.bdp_jobs();
-        let expected: usize = self
-            .in_flight
-            .iter()
-            .map(|r| r.batch.as_ref().map_or(self.last_batch_len, JobBatch::len))
-            .sum();
         // A request beyond the first is worth sending only if a dispatch is
         // due before the first returns.
-        if self.in_flight.len() > bdp || self.queue.len() + expected > self.low_watermark + bdp {
+        if self.in_flight.len() > bdp || self.outstanding() > self.low_watermark + bdp {
             self.demand = false;
             return None;
         }
         let id = self.next_id;
         self.next_id += 1;
-        self.in_flight.push(InFlight { id, issued_at: now, batch: None });
+        self.in_flight.push(InFlight { id, issued_at: now, asked: None, batch: None });
         Some(id)
+    }
+
+    /// Size request `id`, which [`MasterPool::next_request`] just issued, for
+    /// a head that grants what it is asked for: [`ask_size`] over `floor`,
+    /// the window and everything outstanding besides this request. The
+    /// answer is remembered as what the request is expected to bring.
+    ///
+    /// # Panics
+    /// Panics when `id` is not in flight.
+    pub fn ask(&mut self, id: RequestId, floor: usize) -> usize {
+        let at = self.in_flight.iter().position(|r| r.id == id).expect("request is in flight");
+        let others = self.outstanding() - self.expected_from(&self.in_flight[at]);
+        let n = ask_size(floor, self.window(), others);
+        self.in_flight[at].asked = Some(n);
+        n
     }
 
     /// The head answered request `id` with `batch`. The batch stays with the
@@ -394,20 +421,15 @@ impl MasterPool {
         self.drained && self.queue.is_empty()
     }
 
-    /// Remove and return every queued-but-undispatched job, so a master
-    /// shutting down early (all its slaves gone) can hand them back to the
-    /// head instead of stranding them in the assigned state forever.
-    pub fn drain_queued(&mut self) -> Vec<LocalJob> {
-        self.returned += self.queue.len() as u64;
-        self.queue.drain(..).collect()
-    }
-
     /// Shut the master down: return every job it was granted and has not
     /// dispatched — the queue *and* every grant still travelling back — so
-    /// the caller can fail each back to the head exactly once. Requests the
-    /// head has not answered are forgotten; nothing was granted for them.
+    /// the caller can fail each back to the head exactly once, instead of
+    /// stranding them in the assigned state forever. Requests the head has
+    /// not answered are forgotten: an adapter whose head may still answer
+    /// them (a request already on a socket) waits for those answers first.
     pub fn close(&mut self) -> Vec<LocalJob> {
-        let mut jobs = self.drain_queued();
+        self.returned += self.queue.len() as u64;
+        let mut jobs: Vec<LocalJob> = self.queue.drain(..).collect();
         for batch in self.in_flight.drain(..).filter_map(|r| r.batch) {
             self.returned += batch.len() as u64;
             jobs.extend(jobs_of(&batch));
@@ -523,11 +545,17 @@ mod tests {
         JobBatch { jobs: idx.chunks.clone(), spans, stolen, terminal: false }
     }
 
+    /// A grant that is simply there, the way a blocking master added it.
+    fn refill(mp: &mut MasterPool, batch: JobBatch) {
+        mp.granted += batch.len() as u64;
+        mp.enqueue(batch);
+    }
+
     #[test]
     fn empty_pool_requests_refill_then_serves() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
         assert_eq!(mp.take(), Take::NeedRefill);
-        mp.refill(some_batch(3, false));
+        refill(&mut mp, some_batch(3, false));
         assert!(matches!(mp.take(), Take::Job(j) if !j.stolen));
         assert_eq!(mp.queued(), 2);
         assert_eq!(mp.dispatched(), 1);
@@ -536,59 +564,49 @@ mod tests {
     #[test]
     fn stolen_flag_propagates_to_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        mp.refill(some_batch(1, true));
+        refill(&mut mp, some_batch(1, true));
         assert!(matches!(mp.take(), Take::Job(j) if j.stolen));
     }
 
     #[test]
     fn spans_propagate_in_grant_order_and_default_to_zero() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        mp.refill(some_batch(2, false));
+        refill(&mut mp, some_batch(2, false));
         assert!(matches!(mp.take(), Take::Job(j) if j.span == 1));
         assert!(matches!(mp.take(), Take::Job(j) if j.span == 2));
         // A batch without span tracking yields span 0 (untracked).
         let mut bare = some_batch(1, false);
         bare.spans.clear();
-        mp.refill(bare);
+        refill(&mut mp, bare);
         assert!(matches!(mp.take(), Take::Job(j) if j.span == 0));
-    }
-
-    #[test]
-    fn low_watermark_triggers_early_refill() {
-        let mut mp = MasterPool::new(SiteId::LOCAL, 2);
-        mp.refill(some_batch(4, false));
-        assert!(!mp.needs_refill());
-        let _ = mp.take();
-        let _ = mp.take(); // 2 left == watermark
-        assert!(mp.needs_refill());
     }
 
     #[test]
     fn empty_refill_drains_pool() {
         let mut mp = MasterPool::new(SiteId::CLOUD, 0);
-        mp.refill(some_batch(1, false));
-        mp.refill(JobBatch::empty(true));
+        refill(&mut mp, some_batch(1, false));
+        refill(&mut mp, JobBatch::empty(true));
         assert!(!mp.is_drained(), "queued job still to be handed out");
         assert!(matches!(mp.take(), Take::Job(_)));
         assert_eq!(mp.take(), Take::Drained);
         assert!(mp.is_drained());
-        assert!(!mp.needs_refill(), "drained pool must not request refills");
+        assert_eq!(mp.next_request(0.0), None, "a drained pool must not ask again");
     }
 
     #[test]
     fn empty_nonterminal_refill_does_not_drain() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        mp.refill(JobBatch::empty(false));
+        refill(&mut mp, JobBatch::empty(false));
         assert!(!mp.is_drained());
         assert_eq!(mp.take(), Take::NeedRefill, "must keep polling");
-        mp.refill(JobBatch::empty(true));
+        refill(&mut mp, JobBatch::empty(true));
         assert_eq!(mp.take(), Take::Drained);
     }
 
     #[test]
     fn drop_revoked_removes_only_undispatched_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        mp.refill(some_batch(3, false));
+        refill(&mut mp, some_batch(3, false));
         let first = match mp.take() {
             Take::Job(j) => j.chunk.id,
             other => panic!("expected a job, got {other:?}"),
@@ -685,9 +703,29 @@ mod tests {
     }
 
     #[test]
+    fn a_sized_request_tops_the_pool_up_to_floor_plus_window_and_counts_as_expected() {
+        assert_eq!(ask_size(3, 1, 0), 4);
+        assert_eq!(ask_size(3, 1, 2), 2);
+        assert_eq!(ask_size(3, 1, 9), 1, "an issued request never asks for nothing");
+
+        let mut mp = MasterPool::new(SiteId::LOCAL, 1);
+        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        let id = mp.next_request(0.0).unwrap();
+        assert_eq!(mp.ask(id, 3), 4, "empty pool, window 1: floor + window");
+        assert_eq!(mp.outstanding(), 4, "the ask is what the request is expected to bring");
+        // The head had only two: the grant, not the ask, counts from here.
+        mp.granted(id, some_batch(2, false));
+        assert_eq!(mp.outstanding(), 2);
+        mp.land(id, 0.1);
+        assert!(matches!(mp.serve_parked(0.1), Take::Job(_)));
+        let id = mp.next_request(0.1).expect("one queued, at the watermark");
+        assert_eq!(mp.ask(id, 3), 3, "one queued besides this request");
+    }
+
+    #[test]
     fn skip_revoked_drops_dead_grants_from_the_front_only() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        mp.refill(some_batch(3, false));
+        refill(&mut mp, some_batch(3, false));
         let ids: Vec<ChunkId> = mp.queue.iter().map(|j| j.chunk.id).collect();
         assert_eq!(mp.skip_revoked(|c| c == ids[0] || c == ids[2]), 1);
         assert!(matches!(mp.arrive(0.0), Take::Job(j) if j.chunk.id == ids[1]));
@@ -698,8 +736,8 @@ mod tests {
     #[test]
     fn refill_count_tracks_requests() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        mp.refill(some_batch(1, false));
-        mp.refill(some_batch(1, false));
+        refill(&mut mp, some_batch(1, false));
+        refill(&mut mp, some_batch(1, false));
         assert_eq!(mp.refill_count(), 2);
     }
 }

@@ -8,8 +8,11 @@
 //! last one completes, then "never again" — so every run ends in the
 //! empty-non-terminal polling and the terminal grant the real head produces.
 //!
-//! Checked after every event: the conservation ledger balances and the
-//! master never has more than a window plus one batch outstanding. Checked
+//! Checked after every event: the conservation ledger balances, the
+//! master never has more than a window plus one batch outstanding and, when
+//! the master sizes its requests itself (the TCP transport, where the head
+//! grants what it is asked for), each is for `1 ..= floor + window −
+//! outstanding` jobs. Checked
 //! per run: a single slave never waits once the window is warm and the head
 //! has work; with jobs slower than the link there is at most one request in
 //! flight and exactly the request count of the blocking loop this machine
@@ -40,7 +43,6 @@ struct Scenario {
 /// Completion reports do not ride the master, so the head knows a job is
 /// done the moment it is: `finish_times` holds every dispatched job's.
 struct Head {
-    batch: usize,
     total: usize,
     granted: usize,
     finish_times: Vec<f64>,
@@ -49,12 +51,13 @@ struct Head {
 
 impl Head {
     fn new(sc: Scenario) -> Head {
-        Head { batch: sc.batch, total: sc.total, granted: 0, finish_times: Vec::new(), requests: 0 }
+        Head { total: sc.total, granted: 0, finish_times: Vec::new(), requests: 0 }
     }
 
-    fn grant(&mut self, now: f64) -> JobBatch {
+    /// Answer a request for up to `want` jobs.
+    fn grant(&mut self, now: f64, want: usize) -> JobBatch {
         self.requests += 1;
-        let n = self.batch.min(self.pending());
+        let n = want.min(self.pending());
         if n == 0 {
             let completed = self.finish_times.iter().filter(|&&t| t <= now).count();
             return JobBatch::empty(completed == self.total);
@@ -82,7 +85,8 @@ impl Head {
 enum Ev {
     /// A slave is free and asks for its next job.
     Arrive,
-    AtHead(RequestId),
+    /// A request reaches the head, asking for this many jobs.
+    AtHead(RequestId, usize),
     Landed(RequestId),
     Retry,
 }
@@ -126,8 +130,11 @@ struct Trace {
 
 /// Drive a [`MasterPool`] through `sc` until every slave saw `Drained`, or —
 /// with `close_after` — stop after that many events (the caller closes the
-/// master). Panics on any per-event invariant violation.
-fn run(sc: Scenario, close_after: Option<u64>) -> (MasterPool, Trace) {
+/// master). With `sized` the master says how many jobs each request is for
+/// ([`MasterPool::ask`], as on the TCP transport) and the head grants that
+/// many; without, the head grants `batch` (the channel head's own policy).
+/// Panics on any per-event invariant violation.
+fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trace) {
     let mut pool = MasterPool::new(SiteId::CLOUD, sc.low_watermark);
     let mut head = Head::new(sc);
     let mut trace = Trace::default();
@@ -168,8 +175,8 @@ fn run(sc: Scenario, close_after: Option<u64>) -> (MasterPool, Trace) {
                 }
                 take => answered(take, &mut agenda, &mut head),
             },
-            Ev::AtHead(id) => {
-                pool.granted(id, head.grant(now));
+            Ev::AtHead(id, want) => {
+                pool.granted(id, head.grant(now, want));
                 agenda.schedule(now + sc.latency, Ev::Landed(id));
             }
             Ev::Landed(id) => {
@@ -189,9 +196,25 @@ fn run(sc: Scenario, close_after: Option<u64>) -> (MasterPool, Trace) {
             Ev::Retry => {}
         }
         assert_eq!(pool.parked(), parked, "parked count drifted in {sc:?}");
-        while let Some(id) = pool.next_request(now) {
+        loop {
+            let (window, outstanding) = (pool.window(), pool.outstanding());
+            let Some(id) = pool.next_request(now) else { break };
             trace.requests += 1;
-            agenda.schedule(now + sc.latency, Ev::AtHead(id));
+            if sized {
+                // Never nothing, never past the floor plus the window, and
+                // what was asked for is what the window rule expects back.
+                let floor = sc.slaves + 1;
+                let ask = pool.ask(id, floor);
+                assert!(
+                    (1..=floor + window - outstanding).contains(&ask),
+                    "asked for {ask}: floor {floor}, window {window}, {outstanding} outstanding \
+                     in {sc:?}"
+                );
+                assert_eq!(pool.outstanding(), outstanding + ask, "{sc:?}");
+                agenda.schedule(now + sc.latency, Ev::AtHead(id, ask));
+                continue;
+            }
+            agenda.schedule(now + sc.latency, Ev::AtHead(id, sc.batch));
             // While the head has jobs to hoard (so every grant is a full
             // batch): never more than a window plus one batch outstanding.
             let outstanding = pool.queued() + pool.requests_in_flight() * sc.batch;
@@ -214,11 +237,12 @@ fn run(sc: Scenario, close_after: Option<u64>) -> (MasterPool, Trace) {
 /// The loop this machine replaced, in the same virtual time: ask the head
 /// and wait out both legs — serving nobody meanwhile — whenever a slave
 /// finds the pool empty and, after serving one, whenever the pool is at the
-/// watermark; poll a dry head with the 100 µs – 5 ms backoff. Returns the
-/// number of head requests.
+/// watermark; poll a dry head with the 100 µs – 5 ms backoff. The blocking
+/// pool was a queue and a drained flag, so the model keeps just those.
+/// Returns the number of head requests.
 fn blocking_loop_requests(sc: Scenario) -> u64 {
     let mut head = Head::new(sc);
-    let mut pool = MasterPool::new(SiteId::CLOUD, sc.low_watermark);
+    let (mut queued, mut drained) = (0usize, false);
     let service = sc.gap * sc.slaves as f64;
     // When each slave next asks; the master serves in arrival order and
     // never before it is free again.
@@ -231,28 +255,26 @@ fn blocking_loop_requests(sc: Scenario) -> u64 {
         let mut now = arrivals.swap_remove(next).max(free_at);
         // One blocking round trip starting at `now`; the head answers
         // after the first leg.
-        let refill = |pool: &mut MasterPool, head: &mut Head, now: &mut f64| {
-            pool.refill(head.grant(*now + sc.latency));
+        let refill = |head: &mut Head, queued: &mut usize, drained: &mut bool, now: &mut f64| {
+            let batch = head.grant(*now + sc.latency, sc.batch);
+            *drained |= batch.is_empty() && batch.terminal;
+            *queued += batch.len();
             *now += 2.0 * sc.latency;
         };
         let mut idle_wait = POLL_MIN;
-        let take = loop {
-            match pool.take() {
-                Take::NeedRefill => {
-                    refill(&mut pool, &mut head, &mut now);
-                    if pool.queued() == 0 && !pool.is_drained() {
-                        now += idle_wait;
-                        idle_wait = (idle_wait * 2.0).min(POLL_CAP);
-                    }
-                }
-                other => break other,
+        while queued == 0 && !drained {
+            refill(&mut head, &mut queued, &mut drained, &mut now);
+            if queued == 0 && !drained {
+                now += idle_wait;
+                idle_wait = (idle_wait * 2.0).min(POLL_CAP);
             }
-        };
-        if matches!(take, Take::Job(_)) {
+        }
+        if queued > 0 {
+            queued -= 1;
             head.finish_times.push(now + service);
             arrivals.push(now + service);
-            if pool.needs_refill() {
-                refill(&mut pool, &mut head, &mut now);
+            if !drained && queued <= sc.low_watermark {
+                refill(&mut head, &mut queued, &mut drained, &mut now);
             }
         }
         free_at = now;
@@ -279,7 +301,7 @@ proptest! {
     /// the backoff allows.
     #[test]
     fn every_run_drains_conserves_and_never_busy_loops(sc in scenario()) {
-        let (pool, trace) = run(sc, None);
+        let (pool, trace) = run(sc, None, false);
         let ledger = pool.ledger();
         prop_assert_eq!(ledger.dispatched, sc.total as u64, "{:?}", sc);
         prop_assert_eq!(ledger.granted, sc.total as u64, "{:?}", sc);
@@ -302,7 +324,7 @@ proptest! {
     #[test]
     fn a_warm_window_never_starves_a_slave_while_the_head_has_work(sc in scenario()) {
         let sc = Scenario { slaves: 1, low_watermark: sc.low_watermark.max(1), ..sc };
-        let (_, trace) = run(sc, None);
+        let (_, trace) = run(sc, None, false);
         let Some(warm_at) = trace.warm_at else { return };
         // The estimates settle over the first few round trips and jobs.
         let settled = warm_at + 8.0 * (2.0 * sc.latency + sc.gap);
@@ -322,17 +344,34 @@ proptest! {
     fn slow_jobs_degenerate_to_the_blocking_loop(sc in scenario()) {
         let rtt = 2.0 * sc.latency;
         let sc = Scenario { gap: sc.gap.max(2.0 * rtt + 2.0 * POLL_CAP), ..sc };
-        let (pool, trace) = run(sc, None);
+        let (pool, trace) = run(sc, None, false);
         prop_assert_eq!(pool.window(), sc.low_watermark, "{:?}", sc);
         prop_assert!(trace.max_in_flight <= 1, "{} in flight in {:?}", trace.max_in_flight, sc);
         prop_assert_eq!(trace.requests, blocking_loop_requests(sc), "{:?}", sc);
     }
 
+    /// A master that sizes its own requests (the TCP transport) asks for at
+    /// least one job and at most what tops it up to floor + window — checked
+    /// at every request inside `run` — and still drains every job exactly
+    /// once through a head that grants what it is asked for.
+    #[test]
+    fn sized_requests_stay_within_the_window_and_drain(sc in scenario()) {
+        let (pool, trace) = run(sc, None, true);
+        let ledger = pool.ledger();
+        prop_assert_eq!(ledger.dispatched, sc.total as u64, "{:?}", sc);
+        prop_assert_eq!(ledger.granted, sc.total as u64, "{:?}", sc);
+        prop_assert_eq!(trace.dispatches, sc.total as u64);
+    }
+
     /// Closing the master at any point hands back exactly the jobs it was
     /// granted and never dispatched: `granted = dispatched + returned`.
     #[test]
-    fn closing_anywhere_hands_back_every_undispatched_job(sc in scenario(), cut in 0u64..600) {
-        let (mut pool, trace) = run(sc, Some(cut));
+    fn closing_anywhere_hands_back_every_undispatched_job(
+        sc in scenario(),
+        cut in 0u64..600,
+        sized in any::<bool>(),
+    ) {
+        let (mut pool, trace) = run(sc, Some(cut), sized);
         let before = pool.ledger();
         let handed_back = pool.close();
         let after = pool.ledger();

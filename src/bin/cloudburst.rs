@@ -110,7 +110,7 @@ OBSERVABILITY:
   --watch            print a live status line to stderr every 250 ms:
                      per-site throughput, utilization, steal counts,
                      per-shard queue depth and imbalance, a straggler
-                     alert, head connection churn/backoff (TCP mode), and
+                     alert, head connection churn/wake-ups (TCP mode), and
                      the running dollar cost of the burst
   --flight-recorder-cap N
                      capacity of the always-on in-memory flight recorder
@@ -878,7 +878,7 @@ fn sites_debug_json(
         Json::obj()
             .field("conns_opened", Json::U64(sums.head_conns_opened))
             .field("conns_reclaimed", Json::U64(sums.head_conns_reclaimed))
-            .field("backoff_us", Json::U64(sums.head_backoff_us.max(0) as u64)),
+            .field("wakeups", Json::U64(sums.head_wakeups)),
     )
 }
 
@@ -962,8 +962,9 @@ struct MetricSums {
     head_conns_opened: u64,
     /// Connection states the reactor reclaimed on close/death.
     head_conns_reclaimed: u64,
-    /// The reactor's current adaptive idle-sleep backoff, microseconds.
-    head_backoff_us: i64,
+    /// Times the reactor's readiness wait returned (socket activity plus
+    /// timer ticks).
+    head_wakeups: u64,
     sites: BTreeMap<String, SiteSums>,
 }
 
@@ -1020,7 +1021,7 @@ fn summarize(samples: &[Sample]) -> MetricSums {
             "cloudburst_net_transfer_seconds_total" => out.wan_secs += s.value,
             "cloudburst_head_conns_opened_total" => out.head_conns_opened += s.value as u64,
             "cloudburst_head_conns_reclaimed_total" => out.head_conns_reclaimed += s.value as u64,
-            "cloudburst_head_backoff_us" => out.head_backoff_us = s.value as i64,
+            "cloudburst_head_wakeups_total" => out.head_wakeups += s.value as u64,
             "cloudburst_store_bytes_total" => out.bytes += s.value as u64,
             "cloudburst_store_requests_total" if label("site") == Some("cloud") => {
                 out.cloud_gets += s.value as u64;
@@ -1224,13 +1225,11 @@ fn watch_line(
         }
     }
     // TCP-mode runs: the head reactor's connection churn and its current
-    // adaptive-backoff level (threaded-mode runs never move these gauges).
+    // wake-up count (threaded-mode runs never move these instruments).
     if sums.head_conns_opened > 0 {
         line.push_str(&format!(
-            " | head conns {}/{} backoff {}us",
-            sums.head_conns_opened,
-            sums.head_conns_reclaimed,
-            sums.head_backoff_us.max(0)
+            " | head conns {}/{} wakeups {}",
+            sums.head_conns_opened, sums.head_conns_reclaimed, sums.head_wakeups
         ));
     }
     let cost = cost_of_usage(pricing, cloud_cores, elapsed, sums.cloud_gets, sums.cloud_egress);

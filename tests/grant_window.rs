@@ -17,10 +17,11 @@
 //! one 80 ms round trip of start-up, and steals only where the two sites'
 //! ends do not line up. Both the DES's prediction and a real `run_hybrid`
 //! must land on that side — steals fall, makespan falls — and near each
-//! other.
+//! other; so must `run_hybrid_tcp`, whose master drives the same state
+//! machine over a socket.
 
 use bytes::Bytes;
-use cloudburst_cluster::{run_hybrid, RuntimeConfig};
+use cloudburst_cluster::{run_hybrid, run_hybrid_tcp, RuntimeConfig};
 use cloudburst_core::{EnvConfig, LayoutParams, Merge, Reduction, ReductionObject, SiteId};
 use cloudburst_sim::multi::{simulate_multi, MultiEnv, SiteSpec};
 use cloudburst_sim::{AppModel, ResourceSpec};
@@ -74,8 +75,9 @@ impl Reduction for SleepySum {
     }
 }
 
-/// `(makespan, stolen jobs)` of the real runtime on the configuration.
-fn measured() -> (f64, u64) {
+/// `(makespan, stolen jobs)` of the real runtime on the configuration, the
+/// control plane over channels or over loopback TCP.
+fn measured(tcp: bool) -> (f64, u64) {
     let units = u64::from(CHUNKS) * UNITS_PER_CHUNK;
     let data = Bytes::from((0..units as u32).flat_map(u32::to_le_bytes).collect::<Vec<u8>>());
     let params = LayoutParams { unit_size: 4, units_per_chunk: UNITS_PER_CHUNK, n_files: 8 };
@@ -88,7 +90,8 @@ fn measured() -> (f64, u64) {
     // Real time: the paper test bed's 40 ms WAN is the control link.
     let config = RuntimeConfig::new(EnvConfig::new("tiny-jobs", 0.5, 1, 1), 1.0);
     assert_eq!(config.topology.link(SiteId::LOCAL.0, SiteId::CLOUD.0).latency, ONE_WAY);
-    let out = run_hybrid(&SleepySum, &org.index, stores, &config).unwrap();
+    let run = if tcp { run_hybrid_tcp } else { run_hybrid };
+    let out = run(&SleepySum, &org.index, stores, &config).unwrap();
     assert_eq!(out.result.0, (0..units).sum::<u64>());
     assert_eq!(out.head.completions, u64::from(CHUNKS));
     (out.report.total_time, out.report.total_stolen())
@@ -140,7 +143,7 @@ fn predicted() -> (f64, u64) {
 #[test]
 fn des_and_runtime_agree_that_the_grant_round_trip_is_hidden() {
     let (sim_makespan, sim_steals) = predicted();
-    let (run_makespan, run_steals) = measured();
+    let (run_makespan, run_steals) = measured(false);
     for (who, makespan, steals) in
         [("DES", sim_makespan, sim_steals), ("runtime", run_makespan, run_steals)]
     {
@@ -159,5 +162,22 @@ fn des_and_runtime_agree_that_the_grant_round_trip_is_hidden() {
     assert!(
         sim_makespan <= run_makespan * 1.1 && run_makespan <= sim_makespan * 3.0,
         "DES {sim_makespan:.2} s vs runtime {run_makespan:.2} s"
+    );
+}
+
+/// The TCP master is the same state machine behind a socket. Its lockstep
+/// predecessor slept out one 80 ms exchange per finished job and took 17 s
+/// here, worse than the blocking channel master; this one has to land where
+/// the channel master does.
+#[test]
+fn the_tcp_master_hides_the_grant_round_trip_too() {
+    let (makespan, steals) = measured(true);
+    assert!(
+        makespan < BLOCKING_MAKESPAN / 2.0,
+        "TCP: {makespan:.2} s is not clear of the blocking master's {BLOCKING_MAKESPAN} s"
+    );
+    assert!(
+        steals < BLOCKING_STEALS / 2,
+        "TCP: {steals} steals, the blocking master causes about {BLOCKING_STEALS}"
     );
 }

@@ -7,7 +7,7 @@
 use bytes::Bytes;
 use cloudburst_apps::gen::gen_words;
 use cloudburst_apps::wordcount::WordCount;
-use cloudburst_cluster::{run_hybrid_tcp, RuntimeConfig, WireMode};
+use cloudburst_cluster::{run_hybrid_tcp, RuntimeConfig};
 use cloudburst_core::{
     check_sequence, events_to_jsonl, DataIndex, EnvConfig, Json, LayoutParams, Recorder, SiteId,
     Telemetry,
@@ -48,7 +48,6 @@ fn batched_v2_stream_passes_strict_seq_audit() {
     let rec = Arc::new(Recorder::new());
     let mut config = RuntimeConfig::new(EnvConfig::new("v2-audit", 0.5, 2, 2), 1e-6);
     config.fetch = FetchConfig { threads: 2, min_range: 256 };
-    config.wire = WireMode::Batched { window: 0 };
     config.telemetry = Telemetry::to(rec.clone());
     run_hybrid_tcp(&WordCount, &index, stores, &config).expect("v2 run");
 

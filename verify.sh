@@ -16,7 +16,7 @@ if [[ "${1:-}" == "--offline" ]]; then
     CARGO_FLAGS+=(--offline)
 fi
 
-echo "== ladder: its own tests, then one oracle-checked FT burst set on the real runtime"
+echo "== ladder: its own tests, then oracle-checked burst sets on the real runtime (FT channel, TCP)"
 # First, because it is the one stage a container without a crate registry
 # can run: the ladder is a workspace of its own over path dependencies and
 # vendored stand-ins, so `--offline` always resolves. The run exits 0 only
@@ -24,6 +24,19 @@ echo "== ladder: its own tests, then one oracle-checked FT burst set on the real
 cargo test -q --offline --manifest-path ladder/Cargo.toml --workspace
 cargo run --release --offline --quiet --manifest-path ladder/Cargo.toml -- \
     --workload pagerank-ft-5050 --seconds 8 >/dev/null
+# The TCP control plane end to end — reactor head, windowed masters, 60 000
+# completions per burst or the oracle check fails.
+cargo run --release --offline --quiet --manifest-path ladder/Cargo.toml -- \
+    --workload grant-storm-tcp --seconds 8 >/dev/null
+
+echo "== hygiene: \`unsafe\` only where it is accounted for"
+# core::json's byte scanner and cluster::readiness's libc calls (poll(2) and
+# the site CPU confinement's sched_{get,set}affinity(2)); any
+# other occurrence (in code or comment) fails the run.
+if grep -rn --include='*.rs' -w unsafe crates src tests examples \
+    | grep -v -e '^crates/core/src/json.rs:' -e '^crates/cluster/src/readiness.rs:'; then
+    echo "unsafe outside core/src/json.rs and cluster/src/readiness.rs"; exit 1
+fi
 
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
@@ -33,9 +46,19 @@ cargo test -q "${CARGO_FLAGS[@]}"
 
 echo "== master window: virtual-clock proptests at 256 cases"
 # Conservation, the outstanding bound, no starvation once warm, the
-# slow-job degeneration to the blocking loop's request count, and the
-# hand-back at any close point (a failure prints the scenario to replay).
+# slow-job degeneration to the blocking loop's request count, the size of
+# every sized request, and the hand-back at any close point (a failure
+# prints the scenario to replay).
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test master_window_props
+
+echo "== TCP control plane: reactor readiness, goodbye, the master adapter, the 40 ms link"
+# Already part of `cargo test` above; named here so a failure says which
+# layer broke: the head's readiness wait (split frame, write readiness, idle
+# wake-ups), no evacuation after `Bye` on either head, the adapter's
+# hand-back/heartbeat/v1-refusal tests, and the TCP twin of grant_window.
+cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --test reactor_readiness --test goodbye
+cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib net::tests
+cargo test -q "${CARGO_FLAGS[@]}" --test grant_window
 
 echo "== hygiene: cargo fmt --check"
 # House style lives in rustfmt.toml; drift fails the run.
