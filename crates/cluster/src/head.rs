@@ -161,17 +161,15 @@ pub fn run_head_with(mut pool: JobPool, rx: Receiver<HeadMsg>, options: HeadOpti
             }
             HeadMsg::Complete { job, site, reply } => {
                 last_beat.insert(site, now);
-                let outcome = pool.complete_at(job, site, now);
-                if let cloudburst_core::Completion::Merged { preempted } = &outcome {
-                    report.completions += 1;
-                    if let Some(board) = &options.cancel {
-                        for _ in preempted {
-                            board.revoke(job);
-                        }
-                    }
-                }
+                let merged = complete(&mut pool, &mut report, &options, job, site, now);
                 if let Some(reply) = reply {
-                    let _ = reply.send(outcome.is_merged());
+                    let _ = reply.send(merged);
+                }
+            }
+            HeadMsg::Completed { jobs, site } => {
+                last_beat.insert(site, now);
+                for job in jobs {
+                    complete(&mut pool, &mut report, &options, job, site, now);
                 }
             }
             HeadMsg::Failed { job, site } => {
@@ -213,6 +211,28 @@ pub fn run_head_with(mut pool: JobPool, rx: Receiver<HeadMsg>, options: HeadOpti
     report.faults = pool.faults().clone();
     report.dead_sites = pool.dead_sites();
     report
+}
+
+/// Record one completion of `job` at `site`; true when it was merged (the
+/// first completion of its chunk) rather than discarded as a duplicate.
+fn complete(
+    pool: &mut JobPool,
+    report: &mut HeadReport,
+    options: &HeadOptions,
+    job: ChunkId,
+    site: SiteId,
+    now: Seconds,
+) -> bool {
+    let outcome = pool.complete_at(job, site, now);
+    if let cloudburst_core::Completion::Merged { preempted } = &outcome {
+        report.completions += 1;
+        if let Some(board) = &options.cancel {
+            for _ in preempted {
+                board.revoke(job);
+            }
+        }
+    }
+    outcome.is_merged()
 }
 
 #[cfg(test)]

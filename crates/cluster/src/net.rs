@@ -22,7 +22,7 @@ use crate::protocol::{HeadReport, MasterMsg};
 use crate::report::SiteOutcome;
 use crate::runtime::{
     conclude, mailbox_tick, merge_site_outcome, panic_msg, prepare, run_slave, MasterMetrics,
-    Prepared, ReportSink, RunOutcome, RuntimeConfig, SlaveCtx, SlaveMetrics,
+    Parked, Prepared, ReportSink, RunOutcome, RuntimeConfig, SlaveCtx, SlaveMetrics,
 };
 use crate::wire::{
     put_ack_batch, put_to_head, read_batch_reply, read_hello_ack, write_hello, AckEntry,
@@ -109,9 +109,9 @@ pub fn serve_head_with(
 struct TcpMaster {
     site: SiteId,
     low_watermark: usize,
-    /// Jobs that keep every slave pipeline slot busy, plus one: the part of
-    /// a request's size that does not depend on the link (see
-    /// [`MasterPool::ask`]).
+    /// Hand-offs that keep every slave pipeline slot busy, plus one: in jobs
+    /// (times what a slave takes per hand-off) the part of a request's size
+    /// that does not depend on the link (see [`MasterPool::ask`]).
     floor: usize,
     /// One leg of modelled control-plane latency, in real time.
     leg: Duration,
@@ -174,6 +174,13 @@ impl Reports {
         self.since.get_or_insert(now);
     }
 
+    /// Completions nobody waits on.
+    fn done(&mut self, jobs: Vec<ChunkId>, now: Instant) {
+        for job in jobs {
+            self.push(job, true, None, now);
+        }
+    }
+
     /// Cut a frame due at `due`: up to [`REPORT_FLUSH`] of the reports,
     /// oldest first, with `request` asking for `want` jobs.
     fn frame(&mut self, request: Option<RequestId>, want: usize, due: Instant) -> Outbound {
@@ -209,12 +216,13 @@ struct Inbound {
 /// decoded by a reader thread into this master's one mailbox), and each leg
 /// of modelled link latency is a delay queue rather than a sleep.
 ///
-/// Completion and failure reports ride the next request. A report whose
-/// slave is waiting for the head's verdict does not wait for one: it goes
-/// out at once, as `want: 0` when the window asks for nothing. Reports
-/// nobody waits on are also flushed after one mailbox tick, at
-/// [`REPORT_FLUSH`], once the pool is drained and when the slaves are gone,
-/// so the head always learns what it needs to terminate.
+/// Completion and failure reports ride the next request — a slave's
+/// fire-and-forget completions reach the master with its own next request for
+/// jobs. A report whose slave is waiting for the head's verdict does not wait
+/// for one: it goes out at once, as `want: 0` when the window asks for
+/// nothing. Reports nobody waits on are also flushed after one mailbox tick,
+/// at [`REPORT_FLUSH`], once the pool is drained and when the slaves are
+/// gone, so the head always learns what it needs to terminate.
 ///
 /// Returns the pool for its ledger. A chaos-revoked site dies
 /// mid-conversation by design; its broken socket is the failure signal the
@@ -284,13 +292,17 @@ fn serve_site(
     // slaves its verdicts go to.
     let mut sent: VecDeque<(Option<RequestId>, Waiters)> = VecDeque::new();
     let mut inbound: VecDeque<Inbound> = VecDeque::new();
-    // Slaves that found the pool empty, oldest first, and since when.
-    let mut parked: VecDeque<(Sender<Take>, Instant)> = VecDeque::new();
+    // Slaves that found the pool empty, oldest first.
+    let mut parked: VecDeque<Parked> = VecDeque::new();
     // Encoded frames not yet written; any of them doubles as a liveness
     // beacon, explicit pings cover idle stretches.
     let mut wbuf: Vec<u8> = Vec::new();
     let mut last_sent = Instant::now();
     let mut slaves_gone = false;
+    // What a slave takes per hand-off, as of the last request: the floor is
+    // counted in these, so a request tops the pool up by hand-offs' worth and
+    // not by the few jobs a single dispatch just took.
+    let mut quantum = 1;
 
     while !slaves_gone {
         if cfg.site_dead() {
@@ -315,12 +327,12 @@ fn serve_site(
                 cfg.metrics.grant_rtt.observe_secs(pool.land(id, secs(now)));
             }
         }
-        while let Some((reply, since)) = parked.front() {
-            match pool.serve_parked(secs(now)) {
+        while let Some((reply, want, since)) = parked.front() {
+            match pool.serve_parked(secs(now), *want) {
                 Take::NeedRefill => break,
                 take => {
                     cfg.metrics.starved.add(since.elapsed().as_nanos() as u64);
-                    let _ = reply.send(take);
+                    cfg.metrics.answer(reply, take);
                     parked.pop_front();
                 }
             }
@@ -328,7 +340,8 @@ fn serve_site(
         // Requests go out after the slaves were answered, so a slave is
         // already fetching while its master talks to the head.
         while let Some(id) = pool.next_request(secs(now)) {
-            outbound.push_back(reports.frame(Some(id), pool.ask(id, cfg.floor), now + cfg.leg));
+            let want = pool.ask(id, cfg.floor * quantum);
+            outbound.push_back(reports.frame(Some(id), want, now + cfg.leg));
         }
         cfg.metrics.window.set(pool.window() as i64);
         let flush = reports.acks.iter().any(Option::is_some)
@@ -365,13 +378,16 @@ fn serve_site(
         let now = Instant::now();
         while let Some(msg) = next {
             match msg {
-                MasterMsg::GetJob { reply } => match pool.arrive(secs(now)) {
-                    Take::NeedRefill => parked.push_back((reply, now)),
-                    take => {
-                        let _ = reply.send(take);
+                MasterMsg::GetJobs { want, done, reply } => {
+                    quantum = want;
+                    reports.done(done, now);
+                    match pool.arrive(secs(now), want) {
+                        Take::NeedRefill => parked.push_back((reply, want, now)),
+                        take => cfg.metrics.answer(&reply, take),
                     }
-                },
-                MasterMsg::Complete { job, reply } => reports.push(job, true, reply, now),
+                }
+                MasterMsg::Complete { job, reply } => reports.push(job, true, Some(reply), now),
+                MasterMsg::Done { jobs } => reports.done(jobs, now),
                 MasterMsg::Failed { job } => reports.push(job, false, None, now),
                 MasterMsg::HeadReply(reply) => {
                     let (request, acks) = sent.pop_front().ok_or_else(|| unasked("reply"))?;
@@ -613,8 +629,9 @@ mod tests {
     }
 
     /// One site: a master on `addr` and a slave that takes up to `limit`
-    /// jobs, reports each complete (waiting for the verdict when `acked`)
-    /// and leaves. Returns the master's outcome and the jobs taken.
+    /// jobs one at a time, reports each complete (waiting for the verdict
+    /// when `acked`, else with its next request) and leaves. Returns the
+    /// master's outcome and the jobs taken.
     fn site(
         addr: SocketAddr,
         cfg: &TcpMaster,
@@ -627,20 +644,26 @@ mod tests {
             let reader_tx = tx.clone();
             let master = scope.spawn(move || run_tcp_master(cfg, rx, reader_tx, stream));
             let mut taken = 0;
+            let mut done = Vec::new();
             while taken < limit {
                 let (rtx, rrx) = bounded(1);
-                if tx.send(MasterMsg::GetJob { reply: rtx }).is_err() {
+                let request =
+                    MasterMsg::GetJobs { want: 1, done: std::mem::take(&mut done), reply: rtx };
+                if tx.send(request).is_err() {
                     break;
                 }
-                let Ok(Take::Job(job)) = rrx.recv() else { break };
+                let Ok(Take::Jobs(jobs)) = rrx.recv() else { break };
+                let job = jobs[0].chunk.id;
                 taken += 1;
-                let (atx, arx) = bounded(1);
-                let reply = acked.then_some(atx);
-                tx.send(MasterMsg::Complete { job: job.chunk.id, reply }).unwrap();
                 if acked {
+                    let (atx, arx) = bounded(1);
+                    tx.send(MasterMsg::Complete { job, reply: atx }).unwrap();
                     assert!(arx.recv().unwrap(), "a first completion merges");
+                } else {
+                    done.push(job);
                 }
             }
+            let _ = tx.send(MasterMsg::Done { jobs: done });
             let _ = tx.send(MasterMsg::SlavesGone);
             (master.join().unwrap(), taken)
         })

@@ -1,9 +1,10 @@
 //! Control-plane messages between node roles (Fig. 2 of the paper).
 //!
 //! The control plane (job assignment) flows over channels: slaves ask their
-//! site's **master** for jobs; masters ask the **head** for batches and
-//! report completions. The data plane — chunk bytes and reduction objects —
-//! never rides these channels: chunks go through the
+//! site's **master** for jobs, a quantum of work per exchange, and hand it
+//! their finished jobs with the next request; masters ask the **head** for
+//! batches and report completions. The data plane — chunk bytes and
+//! reduction objects — never rides these channels: chunks go through the
 //! [`StoreRouter`](crate::router::StoreRouter), and reduction objects are
 //! merged at site level and charged explicitly against the inter-site link
 //! during global reduction.
@@ -42,6 +43,15 @@ pub enum HeadMsg {
         /// duplicate can exist.
         reply: Option<Sender<bool>>,
     },
+    /// Jobs a site's slaves finished, fire-and-forget: what one slave handed
+    /// its master with a job request ([`MasterMsg::GetJobs`]). Only sound
+    /// when no duplicate can exist, as [`HeadMsg::Complete`] without a reply.
+    Completed {
+        /// The finished jobs.
+        jobs: Vec<ChunkId>,
+        /// The site that processed them.
+        site: SiteId,
+    },
     /// A slave failed to process one job (retrieval error, crash); the head
     /// requeues it for reassignment or abandons it after too many attempts.
     Failed {
@@ -71,19 +81,32 @@ pub enum HeadMsg {
 /// coordinator have to tell it — one mailbox, so the master sleeps in one
 /// place.
 pub enum MasterMsg {
-    /// A slave asks for its next job.
-    GetJob {
-        /// Where to send the job (or the drained signal).
+    /// A slave asks for its next jobs. The master answers with one to `want`
+    /// of them the moment its pool holds any — it never waits to fill a
+    /// batch — and parks the request while the pool is empty.
+    GetJobs {
+        /// The most jobs the slave takes: one quantum of its work.
+        want: usize,
+        /// The jobs the slave finished since its last request whose
+        /// completion nobody waits on; the master passes them to the head.
+        done: Vec<ChunkId>,
+        /// Where to send the jobs (or the drained signal).
         reply: Sender<Take>,
     },
-    /// A slave reports a finished job (TCP deployment mode: the master
-    /// forwards it to the head over its control connection).
+    /// A slave reports a finished job and waits for the head's merge/discard
+    /// verdict on it (TCP deployment mode: the master forwards both ways over
+    /// its control connection; see [`HeadMsg::Complete`]).
     Complete {
         /// The finished job.
         job: ChunkId,
-        /// When present, the master forwards the head's merge/discard
-        /// verdict back to the slave (see [`HeadMsg::Complete`]).
-        reply: Option<Sender<bool>>,
+        /// Where the master sends the verdict.
+        reply: Sender<bool>,
+    },
+    /// A slave that is leaving hands over the completions no request of its
+    /// own will carry any more (TCP deployment mode).
+    Done {
+        /// The finished jobs.
+        jobs: Vec<ChunkId>,
     },
     /// A slave reports a failed job (TCP deployment mode).
     Failed {

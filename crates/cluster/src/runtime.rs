@@ -19,13 +19,14 @@ use crate::report::{assemble_report, SiteOutcome};
 use crate::router::{Fetched, StoreRouter};
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::{
-    ns_between, ns_since, secs_to_ns, tree_reduce, BatchPolicy, DataIndex, EnvConfig, Event,
-    EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig, LocalJob, MasterPool, Reduction,
-    ReductionObject, RequestId, RunReport, Seconds, SiteId, Take, Telemetry,
+    ns_between, ns_since, secs_to_ns, tree_reduce, BatchPolicy, ChunkId, DataIndex, EnvConfig,
+    Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig, LocalJob, MasterPool,
+    Reduction, ReductionObject, RequestId, RunReport, Seconds, SiteId, Take, Telemetry,
 };
 use cloudburst_netsim::Topology;
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -276,8 +277,9 @@ impl SlaveMetrics {
             ),
             dropped: metrics.counter(
                 "cloudburst_prefetch_dropped_total",
-                "Prefetched jobs dropped because their execution was revoked \
-                 (evacuation or a finished replica) before processing.",
+                "Granted jobs a slave dropped unprocessed because their execution was \
+                 revoked (evacuation or a finished replica) while they waited in its \
+                 batch or its pipeline.",
                 per_site,
             ),
         }
@@ -307,8 +309,8 @@ impl SlaveMetrics {
         self.occupancy.add(delta);
     }
 
-    /// A granted job was dropped at the prefetch/process handoff because
-    /// its execution had been revoked.
+    /// A granted job was dropped before its fetch or at the prefetch/process
+    /// handoff because its execution had been revoked.
     fn prefetch_dropped(&self) {
         self.dropped.inc();
     }
@@ -342,7 +344,7 @@ impl SlaveCtx {
             .is_some_and(|p| p.site_dead(self.site, self.epoch.elapsed().as_secs_f64()))
     }
 
-    fn revoked(&self, chunk: cloudburst_core::ChunkId) -> bool {
+    fn revoked(&self, chunk: ChunkId) -> bool {
         self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
     }
 
@@ -490,7 +492,7 @@ pub fn run_hybrid<R: Reduction>(
                                     site,
                                     config.low_watermark,
                                     control_latency * config.time_scale,
-                                    &master_rx,
+                                    master_rx,
                                     &head_tx,
                                     MasterFt {
                                         heartbeat: config.ft.heartbeat,
@@ -693,6 +695,7 @@ fn collect_global<O: ReductionObject>(
 #[derive(Clone, Default)]
 pub(crate) struct MasterMetrics {
     pub(crate) grant_rtt: Histogram,
+    pub(crate) batch_jobs: Histogram,
     pub(crate) window: Gauge,
     pub(crate) starved: Counter,
 }
@@ -710,6 +713,11 @@ impl MasterMetrics {
                 "Time from a master issuing a grant request to the batch landing in its pool.",
                 per_site,
             ),
+            batch_jobs: metrics.size_histogram(
+                "cloudburst_slave_batch_jobs",
+                "Jobs a master handed a slave in answer to one request.",
+                per_site,
+            ),
             window: metrics.gauge(
                 "cloudburst_master_window_jobs",
                 "Jobs a master keeps queued or on request: low watermark plus the jobs \
@@ -723,7 +731,19 @@ impl MasterMetrics {
             ),
         }
     }
+
+    /// Answer a slave's request for jobs.
+    pub(crate) fn answer(&self, reply: &Sender<Take>, take: Take) {
+        if let Take::Jobs(jobs) = &take {
+            self.batch_jobs.observe(jobs.len() as u64);
+        }
+        let _ = reply.send(take);
+    }
 }
+
+/// A slave whose request found the master's pool empty: where to answer it,
+/// how many jobs it asked for, and since when it has waited.
+pub(crate) type Parked = (Sender<Take>, usize, Instant);
 
 /// Fault-tolerance and observability context for one site master.
 struct MasterFt {
@@ -742,7 +762,7 @@ impl MasterFt {
         self.chaos.as_deref().is_some_and(|p| p.site_dead(site, self.epoch.elapsed().as_secs_f64()))
     }
 
-    fn revoked(&self, chunk: cloudburst_core::ChunkId) -> bool {
+    fn revoked(&self, chunk: ChunkId) -> bool {
         self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
     }
 }
@@ -761,14 +781,19 @@ pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
 /// latency each — held in delay queues; the loop sleeps until the next slave
 /// message or the next due leg, parks slaves that find the pool empty and
 /// serves them the moment a batch lands. When and how many requests to
-/// issue is [`MasterPool`]'s window rule. With heartbeats on the master
+/// issue is [`MasterPool`]'s window rule. A slave's request carries the jobs
+/// it finished since its last one, which go to the head as one message
+/// before anything the request causes. With heartbeats on the master
 /// beacons liveness on every pass; with a chaos outage scheduled it
 /// vanishes abruptly when the site's hour arrives.
+///
+/// The master owns its mailbox and lets go of it on every exit, so a request
+/// that reaches it too late fails at once instead of waiting for an answer.
 fn run_master(
     site: SiteId,
     low_watermark: usize,
     control_latency_real: f64,
-    rx: &Receiver<MasterMsg>,
+    rx: Receiver<MasterMsg>,
     head_tx: &Sender<HeadMsg>,
     ft: MasterFt,
 ) -> MasterPool {
@@ -776,8 +801,7 @@ fn run_master(
     let leg = Duration::from_secs_f64(control_latency_real.max(0.0));
     let mut due_at_head: VecDeque<(Instant, RequestId)> = VecDeque::new();
     let mut due_back: VecDeque<(Instant, RequestId)> = VecDeque::new();
-    // Slaves that found the pool empty, oldest first, and since when.
-    let mut waiting: VecDeque<(Sender<Take>, Instant)> = VecDeque::new();
+    let mut waiting: VecDeque<Parked> = VecDeque::new();
     let secs = |at: Instant| at.saturating_duration_since(ft.epoch).as_secs_f64();
     let mut last_beat = Instant::now();
     let tick = mailbox_tick(ft.heartbeat);
@@ -815,16 +839,16 @@ fn run_master(
             let rtt = pool.land(id, secs(now));
             ft.metrics.grant_rtt.observe_secs(rtt);
         }
-        while let Some((reply, since)) = waiting.front() {
+        while let Some((reply, want, since)) = waiting.front() {
             // A copy elsewhere already completed this chunk and the head
             // fenced it (or its site was evacuated): the grant is no longer
             // assigned to us, so drop it instead of dispatching dead work.
             pool.skip_revoked(|chunk| ft.revoked(chunk));
-            match pool.serve_parked(secs(now)) {
+            match pool.serve_parked(secs(now), *want) {
                 Take::NeedRefill => break,
                 take => {
                     ft.metrics.starved.add(since.elapsed().as_nanos() as u64);
-                    let _ = reply.send(take);
+                    ft.metrics.answer(reply, take);
                     waiting.pop_front();
                 }
             }
@@ -842,23 +866,33 @@ fn run_master(
             .flatten()
             .min();
         let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
-        let reply = match rx.recv_timeout(timeout) {
-            Ok(MasterMsg::GetJob { reply }) => reply,
+        let (want, done, reply) = match rx.recv_timeout(timeout) {
+            Ok(MasterMsg::GetJobs { want, done, reply }) => (want, done, reply),
             // Everything else belongs to the TCP deployment mode: here
             // slaves report to the head directly and there is no socket.
             Ok(_) => continue,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => break,
         };
+        if !done.is_empty() {
+            let _ = head_tx.send(HeadMsg::Completed { jobs: done, site });
+        }
         let now = Instant::now();
         pool.skip_revoked(|chunk| ft.revoked(chunk));
-        match pool.arrive(secs(now)) {
-            Take::NeedRefill => waiting.push_back((reply, now)),
-            take => {
-                let _ = reply.send(take);
-            }
+        match pool.arrive(secs(now), want) {
+            Take::NeedRefill => waiting.push_back((reply, want, now)),
+            take => ft.metrics.answer(&reply, take),
         }
     }
+    // A request that reached the mailbox behind the message this master left
+    // on holds its slave's reply channel: drop it, the parked slaves' and the
+    // mailbox itself, so every slave still asking learns the master is gone
+    // instead of waiting on it. (The completions such a request carries are
+    // moot: the master leaves early only when its site died, whose work the
+    // head re-runs, or when the head is gone.)
+    drop(waiting);
+    while rx.try_recv().is_ok() {}
+    drop(rx);
     // All slaves hung up (or the head did). Any job granted to this master
     // and not dispatched — queued, or in a batch still on its way back —
     // would stay assigned at the head forever (classic mode has no lease
@@ -888,35 +922,34 @@ pub(crate) enum ReportSink<'a> {
 }
 
 impl ReportSink<'_> {
-    /// Report a completion. With `want_ack` the call blocks for the head's
-    /// merge/discard verdict and returns it; without, it is fire-and-forget
-    /// and optimistically returns `true`.
-    fn complete(&self, job: cloudburst_core::ChunkId, site: SiteId, want_ack: bool) -> bool {
-        if !want_ack {
-            match self {
-                ReportSink::Head(tx) => {
-                    let _ = tx.send(HeadMsg::Complete { job, site, reply: None });
-                }
-                ReportSink::Master(tx) => {
-                    let _ = tx.send(MasterMsg::Complete { job, reply: None });
-                }
-            }
-            return true;
-        }
+    /// Report a completion the head must rule on: blocks for its
+    /// merge/discard verdict and returns it.
+    fn complete(&self, job: ChunkId, site: SiteId) -> bool {
         let (ack_tx, ack_rx) = bounded(1);
         let sent = match self {
             ReportSink::Head(tx) => {
                 tx.send(HeadMsg::Complete { job, site, reply: Some(ack_tx) }).is_ok()
             }
-            ReportSink::Master(tx) => {
-                tx.send(MasterMsg::Complete { job, reply: Some(ack_tx) }).is_ok()
-            }
+            ReportSink::Master(tx) => tx.send(MasterMsg::Complete { job, reply: ack_tx }).is_ok(),
         };
         // A torn-down control plane can no longer merge anything: discard.
         sent && ack_rx.recv().unwrap_or(false)
     }
 
-    fn fail(&self, job: cloudburst_core::ChunkId, site: SiteId) {
+    /// Hand over completions nobody waits on, outside a job request: what a
+    /// leaving slave still holds.
+    fn done(&self, jobs: Vec<ChunkId>, site: SiteId) {
+        match self {
+            ReportSink::Head(tx) => {
+                let _ = tx.send(HeadMsg::Completed { jobs, site });
+            }
+            ReportSink::Master(tx) => {
+                let _ = tx.send(MasterMsg::Done { jobs });
+            }
+        }
+    }
+
+    fn fail(&self, job: ChunkId, site: SiteId) {
         match self {
             ReportSink::Head(tx) => {
                 let _ = tx.send(HeadMsg::Failed { job, site });
@@ -928,15 +961,162 @@ impl ReportSink<'_> {
     }
 }
 
-/// Ask the site master for the next job: `None` once the pool has drained
-/// or the master is gone.
-fn request_job(master_tx: &Sender<MasterMsg>) -> Option<LocalJob> {
-    let (rtx, rrx) = bounded(1);
-    master_tx.send(MasterMsg::GetJob { reply: rtx }).ok()?;
-    match rrx.recv().ok()? {
-        Take::Job(j) => Some(j),
-        Take::Drained => None,
-        Take::NeedRefill => unreachable!("master resolves refills internally"),
+/// How much work a slave takes from its master in one exchange, as time: it
+/// asks for as many jobs as its own job times say fit in here. A hand-off
+/// (request, master wake-up, reply, slave wake-up) measures ≈ 15 µs, so a
+/// quantum of these buys a slave of microsecond jobs ≈ 16 hand-offs' worth of
+/// work per hand-off, and a job that takes this long or longer is asked for
+/// alone. A constant and not a multiple of a measured hand-off: the time a
+/// request spends parked at a master that waits on its head is not the cost
+/// of a hand-off, and would make a slave of slow jobs hoard.
+const QUANTUM: Seconds = 250e-6;
+/// The most jobs a slave takes in one exchange, however short they are.
+const MAX_BATCH: usize = 64;
+
+/// Fire-and-forget completions of a slave, from where its processing half
+/// leaves them to where its next request picks them up.
+type DoneList = Mutex<Vec<ChunkId>>;
+
+/// Report the completions `done` holds outside a request for jobs.
+fn flush_done(ctx: &SlaveCtx, reports: &ReportSink<'_>, done: &DoneList) {
+    let done = std::mem::take(&mut *done.lock());
+    if !done.is_empty() {
+        reports.done(done, ctx.site);
+    }
+}
+
+/// Where a slave's jobs come from: the one place that talks to the master.
+/// It asks for a quantum of jobs at a time ([`QUANTUM`]), holds the ones not
+/// started yet, sends the completions nobody waits on along with the next
+/// request, and on the way out — whichever way — settles what it still
+/// holds.
+struct JobSource<'a> {
+    ctx: &'a SlaveCtx,
+    master_tx: &'a Sender<MasterMsg>,
+    reports: &'a ReportSink<'a>,
+    done: &'a DoneList,
+    /// Granted and not started, in grant order.
+    batch: VecDeque<LocalJob>,
+    /// When the current batch arrived and how many jobs it held.
+    batch_start: Option<(Instant, usize)>,
+    /// Running mean of what one job costs this slave end to end: the wall
+    /// time of a batch, from its arrival to the request for the next, over
+    /// its length. The wait for the master's answer is not part of it.
+    per_job: Option<Seconds>,
+    /// Jobs started so far, against the chaos plan's `crash_after`.
+    taken: u64,
+    crash_after: Option<u64>,
+    crashed: bool,
+}
+
+impl<'a> JobSource<'a> {
+    fn new(
+        ctx: &'a SlaveCtx,
+        master_tx: &'a Sender<MasterMsg>,
+        reports: &'a ReportSink<'a>,
+        done: &'a DoneList,
+    ) -> JobSource<'a> {
+        JobSource {
+            ctx,
+            master_tx,
+            reports,
+            done,
+            batch: VecDeque::new(),
+            batch_start: None,
+            per_job: None,
+            taken: 0,
+            crash_after: ctx.chaos.as_deref().and_then(|p| p.crash_after(ctx.site, ctx.worker)),
+            crashed: false,
+        }
+    }
+
+    /// The next job to fetch and process: `None` once the pool has drained,
+    /// the master is gone, the site died (it stops mid-run without a word)
+    /// or the chaos plan crashed this worker.
+    fn next(&mut self) -> Option<LocalJob> {
+        let ctx = self.ctx;
+        while !ctx.site_dead() {
+            let Some(job) = self.batch.pop_front() else {
+                self.refill()?;
+                continue;
+            };
+            if ctx.revoked(job.chunk.id) {
+                // The grant was revoked (evacuation, a reaped lease, or a
+                // finished replica) while it sat in the master's queue or
+                // in this batch: skip the fetch entirely instead of
+                // retrieving bytes nobody will process. The head has
+                // already requeued or fenced the chunk.
+                ctx.metrics.prefetch_dropped();
+                continue;
+            }
+            if ctx.telemetry.is_enabled() {
+                ctx.emit_job(
+                    &job,
+                    Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen }),
+                );
+            }
+            self.taken += 1;
+            if self.crash_after.is_some_and(|k| self.taken > k) {
+                // The job, and the rest of the batch behind it, leaks — only
+                // the head's lease reaper can recover them. Prior completed
+                // work stays valid (it was already merged and acked).
+                self.crashed = true;
+                return None;
+            }
+            return Some(job);
+        }
+        None
+    }
+
+    /// Ask the master for the next quantum of jobs, handing it the
+    /// completions since the last request. `None` when there are no more.
+    fn refill(&mut self) -> Option<()> {
+        if let Some((since, jobs)) = self.batch_start.take() {
+            let sample = since.elapsed().as_secs_f64() / jobs as f64;
+            self.per_job = Some(self.per_job.map_or(sample, |t| t + (sample - t) / 4.0));
+        }
+        // Before the first batch nothing is known: ask for one job.
+        let want = self.per_job.map_or(1, |t| ((QUANTUM / t) as usize).clamp(1, MAX_BATCH));
+        let done = std::mem::take(&mut *self.done.lock());
+        let (rtx, rrx) = bounded(1);
+        self.master_tx.send(MasterMsg::GetJobs { want, done, reply: rtx }).ok()?;
+        match rrx.recv().ok()? {
+            Take::Jobs(jobs) => {
+                self.batch_start = Some((Instant::now(), jobs.len()));
+                self.batch = jobs.into();
+                Some(())
+            }
+            Take::Drained => None,
+            Take::NeedRefill => unreachable!("master resolves refills internally"),
+        }
+    }
+
+    /// Take back a started job nobody will process (the processing half of
+    /// the pipeline hung up): it leaves with the rest of the batch.
+    fn unstarted(&mut self, job: LocalJob) {
+        self.batch.push_front(job);
+    }
+}
+
+impl Drop for JobSource<'_> {
+    /// Settle accounts with the head on every way out. What this slave
+    /// finished and has not said yet is said; what it was granted and never
+    /// started is failed back, because the head — which has no lease reaper
+    /// in classic mode — would wait for it forever. Two exits settle
+    /// nothing, by design: a dead site says no word at all (the head
+    /// evacuates it), and a crashed worker leaks its grants to the lease
+    /// reaper like the process it stands for.
+    fn drop(&mut self) {
+        let ctx = self.ctx;
+        if ctx.site_dead() {
+            return;
+        }
+        flush_done(ctx, self.reports, self.done);
+        if !self.crashed {
+            for job in self.batch.drain(..) {
+                self.reports.fail(job.chunk.id, ctx.site);
+            }
+        }
     }
 }
 
@@ -944,9 +1124,9 @@ fn request_job(master_tx: &Sender<MasterMsg>) -> Option<LocalJob> {
 /// ranged fetch), split into cache-sized unit groups, and fold into the
 /// worker's reduction object. With `pipeline_depth ≥ 2` the pull+fetch
 /// half runs on a companion prefetcher so retrieval of chunk *N+1*
-/// overlaps processing of chunk *N*; depth 1 requests, fetches and
-/// processes in turn. Either way every fetched job goes through
-/// [`Worker::process_job`].
+/// overlaps processing of chunk *N*; depth 1 pulls, fetches and processes
+/// in turn. Either way jobs come from one [`JobSource`] and every fetched
+/// job goes through [`Worker::process_job`].
 pub(crate) fn run_slave<R: Reduction>(
     app: &R,
     ctx: SlaveCtx,
@@ -955,11 +1135,13 @@ pub(crate) fn run_slave<R: Reduction>(
     router: &StoreRouter,
     config: &RuntimeConfig,
 ) -> Result<(R::RObj, SlaveStats), RunError> {
-    let mut worker = Worker::new(app, &ctx, reports, config);
+    let done = DoneList::default();
+    let mut worker = Worker::new(app, &ctx, reports, &done, config);
+    let source = JobSource::new(&ctx, master_tx, reports, &done);
     if config.pipeline_depth >= 2 {
-        run_slave_pipelined(&mut worker, master_tx, router)?;
+        run_slave_pipelined(&mut worker, source, router)?;
     } else {
-        run_slave_serial(&mut worker, master_tx, router)?;
+        run_slave_serial(&mut worker, source, router)?;
     }
     Ok(worker.finish())
 }
@@ -970,6 +1152,9 @@ struct Worker<'a, R: Reduction> {
     app: &'a R,
     ctx: &'a SlaveCtx,
     reports: &'a ReportSink<'a>,
+    /// Where completions nobody waits on go; the job source sends them with
+    /// its next request.
+    done: &'a DoneList,
     config: &'a RuntimeConfig,
     /// The worker's accumulator. On the isolated path it only ever holds
     /// whole jobs the head accepted.
@@ -988,9 +1173,6 @@ struct Worker<'a, R: Reduction> {
     /// `commit`/`discard` walk them.
     items: Vec<R::Item>,
     stats: SlaveStats,
-    /// Jobs pulled so far, against the chaos plan's `crash_after`.
-    taken: u64,
-    crash_after: Option<u64>,
     slowdown: f64,
     site_factor: f64,
 }
@@ -1000,6 +1182,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
         app: &'a R,
         ctx: &'a SlaveCtx,
         reports: &'a ReportSink<'a>,
+        done: &'a DoneList,
         config: &'a RuntimeConfig,
     ) -> Worker<'a, R> {
         let chaos = ctx.chaos.as_deref();
@@ -1007,26 +1190,16 @@ impl<'a, R: Reduction> Worker<'a, R> {
             app,
             ctx,
             reports,
+            done,
             config,
             robj: app.make_robj(),
             isolate: ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. }),
             scratch: None,
             items: Vec::new(),
             stats: SlaveStats::default(),
-            taken: 0,
-            crash_after: chaos.and_then(|p| p.crash_after(ctx.site, ctx.worker)),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
             site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
         }
-    }
-
-    /// Count one pulled job; true when the chaos plan crashes this worker
-    /// on it. The job (and anything prefetched behind it) leaks — only the
-    /// head's lease reaper can recover it. Prior completed work stays valid
-    /// (it was already merged and acked).
-    fn crashed(&mut self) -> bool {
-        self.taken += 1;
-        self.crash_after.is_some_and(|k| self.taken > k)
     }
 
     /// Whatever goes wrong with a granted job — retrieval error or a panic
@@ -1142,7 +1315,15 @@ impl<'a, R: Reduction> Worker<'a, R> {
             return Ok(ControlFlow::Continue(()));
         }
 
-        if !self.reports.complete(job.chunk.id, ctx.site, ctx.ack_gated) {
+        // Without dedup no duplicate can exist: the completion is merged by
+        // construction and rides the next request for jobs.
+        let merged = if ctx.ack_gated {
+            self.reports.complete(job.chunk.id, ctx.site)
+        } else {
+            self.done.lock().push(job.chunk.id);
+            true
+        };
+        if !merged {
             self.discard_scratch();
         } else if let Some(scratch) = &mut self.scratch {
             self.app.commit(&mut self.robj, scratch, &self.items);
@@ -1161,24 +1342,15 @@ impl<'a, R: Reduction> Worker<'a, R> {
     }
 }
 
-/// The serial slave loop (`pipeline_depth ≤ 1`): request, fetch, process,
+/// The serial slave loop (`pipeline_depth ≤ 1`): pull, fetch, process,
 /// repeat — nothing in flight while the worker computes.
 fn run_slave_serial<R: Reduction>(
     worker: &mut Worker<'_, R>,
-    master_tx: &Sender<MasterMsg>,
+    mut source: JobSource<'_>,
     router: &StoreRouter,
 ) -> Result<(), RunError> {
     let ctx = worker.ctx;
-    // A dead site stops mid-run without a word, like `process_job`'s Break.
-    while !ctx.site_dead() {
-        let Some(job) = request_job(master_tx) else { break };
-        ctx.emit_job(
-            &job,
-            Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen }),
-        );
-        if worker.crashed() {
-            break;
-        }
+    while let Some(job) = source.next() {
         if worker.process_job(FetchedJob::fetch(ctx, router, job))?.is_break() {
             break;
         }
@@ -1204,35 +1376,20 @@ impl FetchedJob {
     }
 }
 
-/// The pull+fetch half of a pipelined slave: request jobs from the master
-/// and retrieve their chunks, handing each [`FetchedJob`] to the
-/// processing half over a bounded channel whose capacity enforces the
-/// pipeline depth. Runs until the pool drains, the site dies, or the
-/// processing half hangs up (crash or abort) — grants abandoned that way
-/// are recovered by lease reaping or evacuation, exactly like a crashed
-/// worker's.
-fn prefetch_loop(
-    ctx: &SlaveCtx,
-    master_tx: &Sender<MasterMsg>,
-    router: &StoreRouter,
-    ftx: Sender<FetchedJob>,
-) {
-    while !ctx.site_dead() {
-        let Some(job) = request_job(master_tx) else { return };
-        if ctx.revoked(job.chunk.id) {
-            // The grant was revoked (evacuation, a reaped lease, or a
-            // finished replica) while it sat in the master's queue: skip
-            // the fetch entirely instead of retrieving bytes nobody will
-            // process. The head has already requeued or fenced the chunk.
-            ctx.metrics.prefetch_dropped();
-            continue;
-        }
-        ctx.emit_job(
-            &job,
-            Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen }),
-        );
-        if ftx.send(FetchedJob::fetch(ctx, router, job)).is_err() {
-            return; // processing half gone: abandon the granted job
+/// The pull+fetch half of a pipelined slave: pull jobs from the source and
+/// retrieve their chunks, handing each [`FetchedJob`] to the processing half
+/// over a bounded channel whose capacity enforces the pipeline depth. Runs
+/// until the source ends or the processing half hangs up (abort or site
+/// death); the job that bounces goes back to the source, which settles it
+/// with the rest of its batch. What already sits fetched in the channel is
+/// abandoned, and recovered by lease reaping or evacuation like a crashed
+/// worker's grants.
+fn prefetch_loop(mut source: JobSource<'_>, router: &StoreRouter, ftx: Sender<FetchedJob>) {
+    let ctx = source.ctx;
+    while let Some(job) = source.next() {
+        if let Err(bounced) = ftx.send(FetchedJob::fetch(ctx, router, job)) {
+            source.unstarted(bounced.0.job);
+            return;
         }
         ctx.metrics.pipeline(1);
     }
@@ -1244,7 +1401,7 @@ fn prefetch_loop(
 /// computation.
 fn run_slave_pipelined<R: Reduction>(
     worker: &mut Worker<'_, R>,
-    master_tx: &Sender<MasterMsg>,
+    source: JobSource<'_>,
     router: &StoreRouter,
 ) -> Result<(), RunError> {
     let ctx = worker.ctx;
@@ -1253,32 +1410,46 @@ fn run_slave_pipelined<R: Reduction>(
         // companion, and d - 2 fetched-and-waiting in the channel (depth 2
         // is a rendezvous channel: fetch exactly one ahead).
         let (ftx, frx) = bounded::<FetchedJob>(worker.config.pipeline_depth - 2);
-        scope.spawn(move || prefetch_loop(ctx, master_tx, router, ftx));
-        for pre in frx.iter() {
-            ctx.metrics.pipeline(-1);
-            if ctx.site_dead() || worker.crashed() {
-                break;
+        scope.spawn(move || prefetch_loop(source, router, ftx));
+        let mut drain = || -> Result<(), RunError> {
+            // With nothing fetched to take, the companion may be waiting at
+            // the master, and the master on a head that cannot call the run
+            // finished before it hears of the jobs this half completed: say
+            // them now, the companion's request being out without them.
+            while let Some(pre) = frx.try_recv().ok().or_else(|| {
+                flush_done(ctx, worker.reports, worker.done);
+                frx.recv().ok()
+            }) {
+                ctx.metrics.pipeline(-1);
+                if ctx.site_dead() {
+                    break;
+                }
+                if ctx.revoked(pre.job.chunk.id) {
+                    // The fetch raced a revocation: the chunk was evacuated
+                    // or fenced while it sat buffered in the pipeline. Drop
+                    // it at the handoff instead of processing a result the
+                    // head would discard anyway.
+                    ctx.metrics.prefetch_dropped();
+                    continue;
+                }
+                // Fetch telemetry is emitted by `process_job` rather than by
+                // the companion, so a slave's unprocessed prefetches never
+                // show up in the event stream (they never reach SlaveStats
+                // either); the span still carries the companion's true
+                // fetch timing.
+                if worker.process_job(pre)?.is_break() {
+                    break;
+                }
             }
-            if ctx.revoked(pre.job.chunk.id) {
-                // The fetch raced a revocation: the chunk was evacuated or
-                // fenced while it sat buffered in the pipeline. Drop it at
-                // the handoff instead of processing a result the head would
-                // discard anyway.
-                ctx.metrics.prefetch_dropped();
-                continue;
-            }
-            // Fetch telemetry is emitted by `process_job` rather than by
-            // the companion, so a crashed slave's unprocessed prefetches
-            // never show up in the event stream (they never reach
-            // SlaveStats either); the span still carries the companion's
-            // true fetch timing.
-            if worker.process_job(pre)?.is_break() {
-                break;
-            }
-        }
-        // `frx` drops here: a companion parked on a full channel sees the
-        // hangup and exits before the scope joins it.
-        Ok(())
+            Ok(())
+        };
+        let outcome = drain();
+        // Hang up, so a companion parked on a full channel exits before the
+        // scope joins it — and, leaving on an error, say what was completed
+        // before it, for the same reason as above.
+        drop(frx);
+        flush_done(ctx, worker.reports, worker.done);
+        outcome
     })
 }
 
@@ -1543,9 +1714,9 @@ mod tests {
         std::thread::scope(|scope| {
             // The master owns its ends of both channels: when it returns,
             // the head's receiver disconnects.
-            scope.spawn(move || run_master(SiteId::CLOUD, 1, leg, &master_rx, &head_tx, ft));
+            scope.spawn(move || run_master(SiteId::CLOUD, 1, leg, master_rx, &head_tx, ft));
             let (rtx, rrx) = bounded(1);
-            master_tx.send(MasterMsg::GetJob { reply: rtx }).unwrap();
+            master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
             // The head: answer the first request, note when each message
             // arrives, stop once the slave has its job.
             let mut last = Instant::now();
@@ -1558,7 +1729,7 @@ mod tests {
                     let _ = reply.send(grant.take().unwrap_or_else(|| JobBatch::empty(false)));
                 }
                 if let Ok(take) = rrx.try_recv() {
-                    assert!(matches!(take, Take::Job(j) if j.stolen));
+                    assert!(matches!(take, Take::Jobs(jobs) if jobs.len() == 1 && jobs[0].stolen));
                     break;
                 }
             }
@@ -1573,6 +1744,377 @@ mod tests {
             assert_eq!(failed, 1, "the undispatched job of the batch goes back to the head");
             assert!(matches!(rest.last(), Some(HeadMsg::Bye { site: SiteId::CLOUD })));
         });
+    }
+
+    #[test]
+    fn a_request_in_the_mailbox_of_a_master_that_is_gone_fails_at_once() {
+        // The slave's request is in the mailbox before the master looks, and
+        // the master's site is dead from the first instant: it leaves
+        // without reading its mail. Other holders of the mailbox's sending
+        // end are still around (here: this test), so only the master letting
+        // go of the mailbox — and of what is in it — tells the slave.
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, _head_rx) = unbounded::<HeadMsg>();
+        let (rtx, rrx) = bounded(1);
+        master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
+        let plan = FaultPlan {
+            site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.0 }),
+            ..FaultPlan::seeded(1)
+        };
+        let ft = MasterFt {
+            heartbeat: None,
+            chaos: Some(Arc::new(plan)),
+            cancel: None,
+            epoch: Instant::now(),
+            telemetry: Telemetry::off(),
+            metrics: MasterMetrics::default(),
+        };
+        run_master(SiteId::CLOUD, 1, 0.0, master_rx, &head_tx, ft);
+        assert_eq!(
+            rrx.recv_timeout(Duration::from_secs(1)),
+            Err(RecvTimeoutError::Disconnected),
+            "the slave must learn that nobody will answer"
+        );
+        let (rtx, _rrx) = bounded(1);
+        let late = MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx };
+        assert!(master_tx.send(late).is_err(), "a later request has nowhere to go");
+    }
+
+    /// A store that fails the `n`-th read after it is armed with `n`.
+    struct FusedStore {
+        inner: Arc<dyn ChunkStore>,
+        reads_left: std::sync::atomic::AtomicI64,
+    }
+
+    impl ChunkStore for FusedStore {
+        fn site(&self) -> SiteId {
+            self.inner.site()
+        }
+        fn read(
+            &self,
+            file: cloudburst_core::FileId,
+            offset: cloudburst_core::ByteSize,
+            len: cloudburst_core::ByteSize,
+        ) -> std::io::Result<Bytes> {
+            if self.reads_left.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
+                return Err(std::io::Error::other("injected: fuse blown"));
+            }
+            self.inner.read(file, offset, len)
+        }
+        fn file_len(&self, file: cloudburst_core::FileId) -> std::io::Result<u64> {
+            self.inner.file_len(file)
+        }
+        fn n_files(&self) -> usize {
+            self.inner.n_files()
+        }
+    }
+
+    /// 160-byte chunks of `SumApp` units, all at `site`, behind a fuse.
+    fn fused_setup(chunks: u32, site: SiteId) -> (DataIndex, Arc<FusedStore>) {
+        let data = dataset(chunks * 40);
+        let params = LayoutParams { unit_size: 4, units_per_chunk: 40, n_files: 1 };
+        let frac = if site == SiteId::LOCAL { 1.0 } else { 0.0 };
+        let org = organize(&data, params, &mut fraction_placement(frac, 1)).unwrap();
+        let inner = Arc::new(org.stores[&site].clone()) as Arc<dyn ChunkStore>;
+        let fused =
+            FusedStore { inner, reads_left: std::sync::atomic::AtomicI64::new(i64::MAX / 2) };
+        (org.index, Arc::new(fused))
+    }
+
+    #[test]
+    fn a_slave_that_errors_out_mid_batch_says_what_it_finished_and_hands_the_rest_back() {
+        // A scripted master gives the slave what it asks for; the store
+        // fails the second job of the first batch that has at least four.
+        // The slave (FailFast) must return that error having reported the
+        // batch's first job complete, the second failed, and every job it
+        // was granted and never started failed too — to the head directly
+        // or through its master, whichever its reports go to.
+        for through_master in [false, true] {
+            let (index, store) = fused_setup(400, SiteId::LOCAL);
+            let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> =
+                [(SiteId::LOCAL, store.clone() as Arc<dyn ChunkStore>)].into();
+            let mut config = fast_config(EnvConfig::new("fuse", 1.0, 1, 0));
+            config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+            let router = StoreRouter::new(stores, &config.topology, config.fetch, 1e-9);
+            let (master_tx, master_rx) = unbounded::<MasterMsg>();
+            let (head_tx, head_rx) = unbounded::<HeadMsg>();
+            let ctx = SlaveCtx {
+                site: SiteId::LOCAL,
+                worker: 0,
+                cancel: None,
+                chaos: None,
+                ack_gated: false,
+                epoch: Instant::now(),
+                telemetry: Telemetry::off(),
+                metrics: SlaveMetrics::default(),
+            };
+            let mut chunks = index.chunks.iter();
+            let (mut wants, mut batch_len, mut granted) = (Vec::new(), 0, 0);
+            let (mut done, mut failed) = (Vec::new(), Vec::new());
+            let outcome = std::thread::scope(|scope| {
+                let slave = scope.spawn(|| {
+                    let reports = if through_master {
+                        ReportSink::Master(&master_tx)
+                    } else {
+                        ReportSink::Head(&head_tx)
+                    };
+                    run_slave(&SumApp, ctx, &master_tx, &reports, &router, &config)
+                });
+                let mut serve = |msg: MasterMsg| match msg {
+                    MasterMsg::GetJobs { want, done: said, reply } => {
+                        wants.push(want);
+                        done.extend(said);
+                        let jobs: Vec<LocalJob> = chunks
+                            .by_ref()
+                            .take(want)
+                            .map(|&chunk| LocalJob { chunk, stolen: false, span: 0 })
+                            .collect();
+                        granted += jobs.len();
+                        if batch_len == 0 && jobs.len() >= 4 {
+                            batch_len = jobs.len();
+                            store.reads_left.store(2, std::sync::atomic::Ordering::SeqCst);
+                        }
+                        let _ = reply.send(Take::Jobs(jobs));
+                    }
+                    MasterMsg::Done { jobs } => done.extend(jobs),
+                    MasterMsg::Failed { job } => failed.push(job),
+                    _ => panic!("unexpected message to the master"),
+                };
+                while !slave.is_finished() {
+                    if let Ok(msg) = master_rx.recv_timeout(Duration::from_millis(1)) {
+                        serve(msg);
+                    }
+                }
+                while let Ok(msg) = master_rx.try_recv() {
+                    serve(msg);
+                }
+                slave.join().unwrap()
+            });
+            while let Ok(msg) = head_rx.try_recv() {
+                match msg {
+                    HeadMsg::Completed { jobs, .. } => done.extend(jobs),
+                    HeadMsg::Failed { job, .. } => failed.push(job),
+                    _ => panic!("unexpected message to the head"),
+                }
+            }
+            let what = format!("reports through the master: {through_master}");
+            assert!(matches!(outcome, Err(RunError::Io(_))), "{what}: {:?}", outcome.map(|_| ()));
+            assert_eq!(wants[0], 1, "{what}: nothing is known before the first job");
+            assert!(wants.iter().all(|&w| (1..=MAX_BATCH).contains(&w)), "{what}: {wants:?}");
+            assert!(batch_len >= 4, "{what}: 160-byte jobs are asked for in batches, {wants:?}");
+            // Everything before the fatal batch, plus its first job, is done;
+            // its second job and the ones behind it are failed, in order.
+            assert_eq!(done.len(), granted - batch_len + 1, "{what}");
+            assert_eq!(failed.len(), batch_len - 2 + 1, "{what}: handed back, plus the error");
+            let expected: Vec<ChunkId> = index.chunks[..granted].iter().map(|c| c.id).collect();
+            done.extend(failed);
+            assert_eq!(done, expected, "{what}: every granted job is settled exactly once");
+        }
+    }
+
+    #[test]
+    fn a_job_revoked_while_it_waits_in_the_slaves_batch_is_dropped_before_its_fetch() {
+        // Depth 1: the serial slave fences at the batch boundary like the
+        // prefetcher does. The master hands out a batch and the head revokes
+        // its second job before the slave gets to it.
+        let (index, store) = fused_setup(200, SiteId::LOCAL);
+        let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> =
+            [(SiteId::LOCAL, store as Arc<dyn ChunkStore>)].into();
+        let mut config = fast_config(EnvConfig::new("fence", 1.0, 1, 0));
+        config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+        let metrics = Metrics::on();
+        let router = StoreRouter::new(stores, &config.topology, config.fetch, 1e-9);
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, _head_rx) = unbounded::<HeadMsg>();
+        let board = CancelBoard::new();
+        let ctx = SlaveCtx {
+            site: SiteId::LOCAL,
+            worker: 0,
+            cancel: Some(board.clone()),
+            chaos: None,
+            ack_gated: false,
+            epoch: Instant::now(),
+            telemetry: Telemetry::off(),
+            metrics: SlaveMetrics::new(&metrics, SiteId::LOCAL, 0),
+        };
+        let mut chunks = index.chunks.iter();
+        let (mut done, mut revoked) = (Vec::new(), Vec::new());
+        std::thread::scope(|scope| {
+            let slave = scope.spawn(|| {
+                let reports = ReportSink::Head(&head_tx);
+                run_slave(&SumApp, ctx, &master_tx, &reports, &router, &config)
+            });
+            while let Ok(MasterMsg::GetJobs { want, done: said, reply }) = master_rx.recv() {
+                done.extend(said);
+                let jobs: Vec<LocalJob> = chunks
+                    .by_ref()
+                    .take(want)
+                    .map(|&chunk| LocalJob { chunk, stolen: false, span: 0 })
+                    .collect();
+                if jobs.is_empty() {
+                    let _ = reply.send(Take::Drained);
+                    break;
+                }
+                if jobs.len() >= 3 {
+                    board.revoke(jobs[1].chunk.id);
+                    revoked.push(jobs[1].chunk.id);
+                }
+                let _ = reply.send(Take::Jobs(jobs));
+            }
+            slave.join().unwrap().unwrap();
+        });
+        assert!(!revoked.is_empty(), "160-byte jobs come in batches");
+        let mut settled = done.clone();
+        settled.extend(&revoked);
+        settled.sort_unstable();
+        let all: Vec<ChunkId> = index.chunks.iter().map(|c| c.id).collect();
+        assert_eq!(settled, all, "every job is either processed or dropped, none both");
+        let exp = cloudburst_core::parse_exposition(&metrics.registry().unwrap().render()).unwrap();
+        assert_eq!(exp.sum_family("cloudburst_prefetch_dropped_total") as usize, revoked.len());
+        assert_eq!(exp.sum_family("cloudburst_slave_jobs_total") as usize, done.len());
+    }
+
+    type Run = fn(
+        &SumApp,
+        &DataIndex,
+        BTreeMap<SiteId, Arc<dyn ChunkStore>>,
+        &RuntimeConfig,
+    ) -> Result<RunOutcome<SumObj>, RunError>;
+
+    #[test]
+    fn a_store_error_mid_batch_fails_the_run_promptly_and_leaks_no_grant() {
+        use cloudburst_core::Recorder;
+        // One site, one slave, 160-byte chunks, and a store whose 1000th
+        // read fails: by then the slave takes dozens of jobs per hand-off,
+        // so the error strikes inside a batch. No lease reaper runs, so a
+        // job left granted would hang the head; instead the run must return
+        // the error at once with every grant either merged or failed back.
+        for (run, name) in
+            [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
+        {
+            let (index, store) = fused_setup(4000, SiteId::LOCAL);
+            store.reads_left.store(1000, std::sync::atomic::Ordering::SeqCst);
+            let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> =
+                [(SiteId::LOCAL, store as Arc<dyn ChunkStore>)].into();
+            let mut config = fast_config(EnvConfig::new("fuse", 1.0, 1, 0));
+            config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+            let rec = Arc::new(Recorder::new());
+            config.telemetry = Telemetry::to(rec.clone());
+            let started = Instant::now();
+            let err = run(&SumApp, &index, stores, &config).unwrap_err();
+            assert!(started.elapsed() < Duration::from_secs(1), "{name}: {:?}", started.elapsed());
+            assert!(matches!(&err, RunError::Io(e) if e.to_string().contains("fuse")), "{name}");
+            let count = |pred: fn(&EventKind) -> bool| {
+                rec.snapshot().iter().filter(|e| pred(&e.kind)).count()
+            };
+            let granted = count(|k| matches!(k, EventKind::JobGranted { .. }));
+            let begun = count(|k| matches!(k, EventKind::JobStarted { .. }));
+            let merged = count(|k| matches!(k, EventKind::JobCompleted { merged: true, .. }));
+            let failures = count(|k| matches!(k, EventKind::JobFailed));
+            assert_eq!(begun, 1000, "{name}: the slave stops at the error");
+            assert_eq!(merged, 999, "{name}: what it finished before is reported");
+            assert_eq!(failures, granted - begun + 1, "{name}: jobs handed back + 1");
+            assert!(granted > begun, "{name}: the error struck with jobs granted and not begun");
+        }
+    }
+
+    /// `SumApp` whose every chunk takes at least a given time to decode.
+    struct SlowSum(Duration);
+
+    impl Reduction for SlowSum {
+        type Item = u32;
+        type RObj = SumObj;
+        fn make_robj(&self) -> SumObj {
+            SumObj(0)
+        }
+        fn unit_size(&self) -> usize {
+            4
+        }
+        fn decode(&self, chunk: &[u8], out: &mut Vec<u32>) {
+            std::thread::sleep(self.0);
+            SumApp.decode(chunk, out);
+        }
+        fn local_reduce(&self, robj: &mut SumObj, item: &u32) {
+            SumApp.local_reduce(robj, item);
+        }
+    }
+
+    /// Jobs per answered request at each site, from a run's metrics.
+    fn batch_histograms(config: &RuntimeConfig) -> Vec<Histogram> {
+        let registry = config.metrics.registry().unwrap();
+        [SiteId::LOCAL, SiteId::CLOUD]
+            .iter()
+            .filter_map(|site| {
+                registry
+                    .find_histogram("cloudburst_slave_batch_jobs", &[("site", &site.to_string())])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn millisecond_jobs_are_taken_one_per_hand_off_on_both_transports() {
+        // A job of a quantum or more is asked for alone: every answered
+        // request carried exactly one job, so each slave made one request
+        // per job and the one that told it the pool had drained.
+        type SlowRun = fn(
+            &SlowSum,
+            &DataIndex,
+            BTreeMap<SiteId, Arc<dyn ChunkStore>>,
+            &RuntimeConfig,
+        ) -> Result<RunOutcome<SumObj>, RunError>;
+        for (run, name) in
+            [(run_hybrid as SlowRun, "channels"), (crate::net::run_hybrid_tcp as SlowRun, "tcp")]
+        {
+            let units = 64 * 48;
+            let (index, stores) = setup(units, 0.5, 4);
+            let mut config = fast_config(EnvConfig::new("slow-jobs", 0.5, 2, 2));
+            config.metrics = Metrics::on();
+            let app = SlowSum(Duration::from_millis(1));
+            let out = run(&app, &index, stores, &config).unwrap();
+            assert_eq!(out.result.0, expected_sum(units), "{name}");
+            let (answers, jobs) = batch_histograms(&config)
+                .iter()
+                .fold((0, 0.0), |(n, sum), h| (n + h.count(), sum + h.sum()));
+            assert_eq!(jobs as u64, index.n_chunks() as u64, "{name}");
+            assert_eq!(answers, index.n_chunks() as u64, "{name}: one job per answered request");
+        }
+    }
+
+    #[test]
+    fn tiny_jobs_are_taken_a_quantum_at_a_time_and_never_more_than_the_cap() {
+        for (run, name) in
+            [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
+        {
+            let units = 40 * 6000;
+            let data = dataset(units);
+            let params = LayoutParams { unit_size: 4, units_per_chunk: 40, n_files: 4 };
+            let org = organize(&data, params, &mut fraction_placement(0.5, 4)).unwrap();
+            let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = org
+                .stores
+                .iter()
+                .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
+                .collect();
+            let mut config = fast_config(EnvConfig::new("tiny-jobs", 0.5, 1, 1));
+            // The channel head sizes grants itself: let it grant a hand-off's
+            // worth, as the TCP master asks for unbidden.
+            config.batch_policy = BatchPolicy::Fixed(MAX_BATCH);
+            // One plain read per chunk: a ranged fetch through the pool's
+            // threads is a hand-off of its own and no tiny job.
+            config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+            config.metrics = Metrics::on();
+            let out = run(&SumApp, &org.index, stores, &config).unwrap();
+            assert_eq!(out.result.0, expected_sum(units), "{name}");
+            let hists = batch_histograms(&config);
+            let (answers, jobs) =
+                hists.iter().fold((0, 0.0), |(n, sum), h| (n + h.count(), sum + h.sum()));
+            assert_eq!(jobs as u64, 6000, "{name}");
+            assert!(jobs / answers as f64 >= 8.0, "{name}: {jobs} jobs in {answers} hand-offs");
+            // (The histogram's grid puts 64 in a bucket that ends at 71.)
+            let cap = cloudburst_core::metrics::bucket_upper(
+                cloudburst_core::metrics::bucket_index(MAX_BATCH as u64),
+            );
+            assert!(hists.iter().all(|h| h.quantile_raw(1.0) <= cap), "{name}: a batch over 64");
+        }
     }
 
     /// `SumApp` that counts `make_robj` calls and commits from the reused

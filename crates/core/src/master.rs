@@ -23,10 +23,10 @@
 //! queued + jobs expected from requests in flight ≤ low_watermark + ⌊rtt / gap⌋
 //! ```
 //!
-//! where `gap` is its measured mean time between dispatches and `rtt` its
-//! measured request→grant time — the mean plus twice the mean deviation, so
-//! a link with jitter gets that much more cover, the way TCP sizes its
-//! retransmit timer. `⌊rtt / gap⌋` jobs leave the queue while a request is
+//! where `gap` is its measured mean time between dispatches, per job
+//! dispatched, and `rtt` its measured request→grant time — the mean plus
+//! twice the mean deviation, so a link with jitter gets that much more
+//! cover, the way TCP sizes its retransmit timer. `⌊rtt / gap⌋` jobs leave the queue while a request is
 //! away, so the rule keeps `low_watermark` jobs queued when the grant lands:
 //! one bandwidth-delay product of work on top of the floor. At most
 //! `1 + ⌊rtt / gap⌋` requests are in flight, each one justified by a
@@ -39,6 +39,17 @@
 //! "nothing right now" closes the window to the watermark until it has jobs
 //! again, and is polled for a starving slave only, with capped exponential
 //! backoff.
+//!
+//! # Sized hand-offs
+//!
+//! A slave does not ask for *a* job but for up to `want` of them
+//! ([`MasterPool::arrive`]), and is answered with `1 ..= want` the moment the
+//! queue holds any: a batch is never waited for, and an empty queue parks the
+//! slave whatever it asked for. How much to ask for is the slave's business
+//! (the threaded runtime sizes it from its own job times; the simulator asks
+//! for one). The `gap` sample of an arrival is the time since the previous
+//! dispatch divided by the jobs that dispatch handed out, so `⌊rtt / gap⌋`
+//! counts jobs whether they leave one at a time or a batch at a time.
 //!
 //! # Sized requests
 //!
@@ -116,11 +127,12 @@ pub struct LocalJob {
     pub span: u64,
 }
 
-/// What a slave asking its master for a job gets ([`MasterPool::arrive`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What a slave asking its master for work gets ([`MasterPool::arrive`]).
+#[derive(Debug, Clone, PartialEq)]
 pub enum Take {
-    /// A job to process.
-    Job(LocalJob),
+    /// Jobs to process, in grant order: at least one, at most as many as the
+    /// slave asked for.
+    Jobs(Vec<LocalJob>),
     /// Pool empty but the head may still have jobs: the slave waits for a
     /// grant to land.
     NeedRefill,
@@ -151,9 +163,10 @@ pub struct MasterPool {
     /// deviation from that mean.
     rtt: Option<Seconds>,
     rtt_dev: Option<Seconds>,
-    /// Running mean of the time between dispatches.
+    /// Running mean of the time between dispatches, per job dispatched.
     gap: Option<Seconds>,
-    last_dispatch: Option<Seconds>,
+    /// When the last dispatch happened and how many jobs it handed out.
+    last_dispatch: Option<(Seconds, usize)>,
     /// Size of the last non-empty grant: what a request in flight is
     /// expected to bring.
     last_batch_len: usize,
@@ -228,11 +241,14 @@ impl MasterPool {
         self.queue.extend(jobs_of(&batch));
     }
 
-    /// Hand the next job to a slave.
-    fn take(&mut self) -> Take {
-        if let Some(job) = self.queue.pop_front() {
-            self.dispatched += 1;
-            return Take::Job(job);
+    /// Hand a slave the next `want` jobs, or as many as are queued: a
+    /// batch is never waited for.
+    fn take(&mut self, want: usize) -> Take {
+        debug_assert!(want > 0, "a slave asks for at least one job");
+        let n = want.min(self.queue.len());
+        if n > 0 {
+            self.dispatched += n as u64;
+            return Take::Jobs(self.queue.drain(..n).collect());
         }
         // A grant with jobs that is still travelling back must be waited
         // for even after a terminal answer overtook it.
@@ -243,34 +259,35 @@ impl MasterPool {
         }
     }
 
-    /// A slave asks for a job at `now`. `Take::NeedRefill` means it has to
-    /// wait: the caller parks it and offers it [`MasterPool::serve_parked`]
-    /// after the next grant lands.
-    pub fn arrive(&mut self, now: Seconds) -> Take {
+    /// A slave asks for up to `want` jobs at `now`. `Take::NeedRefill` means
+    /// it has to wait: the caller parks it and offers it
+    /// [`MasterPool::serve_parked`] after the next grant lands.
+    pub fn arrive(&mut self, now: Seconds, want: usize) -> Take {
         // The time since the last dispatch is how long the slaves took to
-        // come back for more — unless one is parked already, in which case
-        // it measures the wait for the grant instead.
-        if let (0, Some(last)) = (self.parked, self.last_dispatch) {
-            ewma(&mut self.gap, (now - last).max(0.0), 8.0);
+        // come back for more, and it bought as many jobs as that dispatch
+        // handed out — unless a slave is parked already, in which case it
+        // measures the wait for the grant instead.
+        if let (0, Some((last, jobs))) = (self.parked, self.last_dispatch) {
+            ewma(&mut self.gap, (now - last).max(0.0) / jobs as f64, 8.0);
         }
-        let take = self.take();
-        match take {
-            Take::Job(_) => self.dispatched_at(now),
+        let take = self.take(want);
+        match &take {
+            Take::Jobs(jobs) => self.dispatched_at(now, jobs.len()),
             Take::NeedRefill => self.parked += 1,
             Take::Drained => {}
         }
         take
     }
 
-    /// Offer the longest-parked slave a job at `now`; `Take::NeedRefill`
-    /// leaves it parked.
-    pub fn serve_parked(&mut self, now: Seconds) -> Take {
+    /// Offer the longest-parked slave the up to `want` jobs it asked for at
+    /// `now`; `Take::NeedRefill` leaves it parked.
+    pub fn serve_parked(&mut self, now: Seconds, want: usize) -> Take {
         debug_assert!(self.parked > 0, "no slave is parked");
-        let take = self.take();
-        match take {
-            Take::Job(_) => {
+        let take = self.take(want);
+        match &take {
+            Take::Jobs(jobs) => {
                 self.parked -= 1;
-                self.dispatched_at(now);
+                self.dispatched_at(now, jobs.len());
             }
             Take::NeedRefill => {}
             Take::Drained => self.parked -= 1,
@@ -278,13 +295,14 @@ impl MasterPool {
         take
     }
 
-    fn dispatched_at(&mut self, now: Seconds) {
-        self.last_dispatch = Some(now);
+    fn dispatched_at(&mut self, now: Seconds, jobs: usize) {
+        self.last_dispatch = Some((now, jobs));
         self.demand = true;
     }
 
     /// Jobs that leave the queue during one round trip to the head:
-    /// `⌊rtt / gap⌋` with `rtt` taken as mean + 2 deviations; zero until
+    /// `⌊rtt / gap⌋` with `rtt` taken as mean + 2 deviations and `gap` per
+    /// job, however many a slave takes per exchange; zero until
     /// both have been measured and while the head has nothing to send.
     fn bdp_jobs(&self) -> usize {
         if self.dry {
@@ -545,6 +563,14 @@ mod tests {
         JobBatch { jobs: idx.chunks.clone(), spans, stolen, terminal: false }
     }
 
+    /// The job of a one-job hand-off.
+    fn one(take: Take) -> LocalJob {
+        match take {
+            Take::Jobs(jobs) if jobs.len() == 1 => jobs[0],
+            other => panic!("expected one job, got {other:?}"),
+        }
+    }
+
     /// A grant that is simply there, the way a blocking master added it.
     fn refill(mp: &mut MasterPool, batch: JobBatch) {
         mp.granted += batch.len() as u64;
@@ -554,9 +580,9 @@ mod tests {
     #[test]
     fn empty_pool_requests_refill_then_serves() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.take(), Take::NeedRefill);
+        assert_eq!(mp.take(1), Take::NeedRefill);
         refill(&mut mp, some_batch(3, false));
-        assert!(matches!(mp.take(), Take::Job(j) if !j.stolen));
+        assert!(!one(mp.take(1)).stolen);
         assert_eq!(mp.queued(), 2);
         assert_eq!(mp.dispatched(), 1);
     }
@@ -565,20 +591,20 @@ mod tests {
     fn stolen_flag_propagates_to_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(1, true));
-        assert!(matches!(mp.take(), Take::Job(j) if j.stolen));
+        assert!(one(mp.take(1)).stolen);
     }
 
     #[test]
     fn spans_propagate_in_grant_order_and_default_to_zero() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(2, false));
-        assert!(matches!(mp.take(), Take::Job(j) if j.span == 1));
-        assert!(matches!(mp.take(), Take::Job(j) if j.span == 2));
+        assert_eq!(one(mp.take(1)).span, 1);
+        assert_eq!(one(mp.take(1)).span, 2);
         // A batch without span tracking yields span 0 (untracked).
         let mut bare = some_batch(1, false);
         bare.spans.clear();
         refill(&mut mp, bare);
-        assert!(matches!(mp.take(), Take::Job(j) if j.span == 0));
+        assert_eq!(one(mp.take(1)).span, 0);
     }
 
     #[test]
@@ -587,8 +613,8 @@ mod tests {
         refill(&mut mp, some_batch(1, false));
         refill(&mut mp, JobBatch::empty(true));
         assert!(!mp.is_drained(), "queued job still to be handed out");
-        assert!(matches!(mp.take(), Take::Job(_)));
-        assert_eq!(mp.take(), Take::Drained);
+        assert!(matches!(mp.take(1), Take::Jobs(_)));
+        assert_eq!(mp.take(1), Take::Drained);
         assert!(mp.is_drained());
         assert_eq!(mp.next_request(0.0), None, "a drained pool must not ask again");
     }
@@ -598,19 +624,16 @@ mod tests {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, JobBatch::empty(false));
         assert!(!mp.is_drained());
-        assert_eq!(mp.take(), Take::NeedRefill, "must keep polling");
+        assert_eq!(mp.take(1), Take::NeedRefill, "must keep polling");
         refill(&mut mp, JobBatch::empty(true));
-        assert_eq!(mp.take(), Take::Drained);
+        assert_eq!(mp.take(1), Take::Drained);
     }
 
     #[test]
     fn drop_revoked_removes_only_undispatched_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(3, false));
-        let first = match mp.take() {
-            Take::Job(j) => j.chunk.id,
-            other => panic!("expected a job, got {other:?}"),
-        };
+        let first = one(mp.take(1)).chunk.id;
         // The dispatched job is out of the queue: revoking it is a no-op.
         assert_eq!(mp.drop_revoked(&[first]), 0);
         assert_eq!(mp.queued(), 2);
@@ -618,7 +641,7 @@ mod tests {
         let target = mp.queue.front().copied().unwrap().chunk.id;
         assert_eq!(mp.drop_revoked(&[target]), 1);
         assert_eq!(mp.queued(), 1);
-        assert!(matches!(mp.take(), Take::Job(j) if j.chunk.id != target));
+        assert_ne!(one(mp.take(1)).chunk.id, target);
     }
 
     /// Carry request `id` to a head that answers with `batch` and back.
@@ -631,14 +654,14 @@ mod tests {
     fn slow_jobs_keep_one_request_at_the_watermark() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
         assert_eq!(mp.next_request(0.0), None, "nobody asked for anything yet");
-        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
         let id = mp.next_request(0.0).expect("a slave is waiting");
         assert_eq!(mp.next_request(0.0), None, "one request covers a window of one job");
         round_trip(&mut mp, id, some_batch(3, false), 0.1);
-        assert!(matches!(mp.serve_parked(0.1), Take::Job(_)));
+        assert!(matches!(mp.serve_parked(0.1, 1), Take::Jobs(_)));
         assert_eq!(mp.next_request(0.1), None, "two jobs queued, watermark one");
         // Jobs take 1 s, the link 0.1 s: the window stays at the watermark.
-        assert!(matches!(mp.arrive(1.1), Take::Job(_)));
+        assert!(matches!(mp.arrive(1.1, 1), Take::Jobs(_)));
         assert_eq!(mp.window(), 1);
         assert!(mp.next_request(1.1).is_some(), "at the watermark after a dispatch");
         assert_eq!(mp.next_request(1.1), None);
@@ -648,12 +671,12 @@ mod tests {
     #[test]
     fn fast_jobs_open_the_window_by_the_jobs_in_one_round_trip() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, id, some_batch(4, false), 1.0);
-        assert!(matches!(mp.serve_parked(1.0), Take::Job(_)));
+        assert!(matches!(mp.serve_parked(1.0, 1), Take::Jobs(_)));
         // The slave is back after 1/8 s; the round trip took 1 s.
-        assert!(matches!(mp.arrive(1.125), Take::Job(_)));
+        assert!(matches!(mp.arrive(1.125, 1), Take::Jobs(_)));
         assert_eq!(mp.window(), 1 + 8);
         // Two queued; requests (4 jobs each, like the last grant) go out
         // until 9 jobs are covered.
@@ -665,7 +688,7 @@ mod tests {
     #[test]
     fn dry_head_is_polled_only_for_a_waiting_slave_and_backs_off() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, id, JobBatch::empty(false), 0.0);
         assert_eq!(mp.next_request(0.0), None, "backing off");
@@ -675,24 +698,24 @@ mod tests {
         assert_eq!(mp.retry_at(), Some(POLL_MIN + 2.0 * POLL_MIN), "the wait doubles");
         let id = mp.next_request(1.0).unwrap();
         round_trip(&mut mp, id, JobBatch::empty(true), 1.0);
-        assert_eq!(mp.serve_parked(1.0), Take::Drained);
+        assert_eq!(mp.serve_parked(1.0, 1), Take::Drained);
         assert_eq!(mp.next_request(2.0), None, "drained: never ask again");
     }
 
     #[test]
     fn close_hands_back_queued_jobs_and_grants_still_travelling() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
         let landed = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, landed, some_batch(3, false), 0.1);
-        assert!(matches!(mp.serve_parked(0.1), Take::Job(_)));
+        assert!(matches!(mp.serve_parked(0.1, 1), Take::Jobs(_)));
         // Empty the queue so the master asks again; close while that grant
         // is on its way back and one more request never reached the head.
-        assert!(matches!(mp.arrive(0.2), Take::Job(_)));
-        assert!(matches!(mp.arrive(0.3), Take::Job(_)));
+        assert!(matches!(mp.arrive(0.2, 1), Take::Jobs(_)));
+        assert!(matches!(mp.arrive(0.3, 1), Take::Jobs(_)));
         let answered = mp.next_request(0.3).unwrap();
         mp.granted(answered, some_batch(2, false));
-        assert_eq!(mp.take(), Take::NeedRefill, "granted jobs are not here yet");
+        assert_eq!(mp.take(1), Take::NeedRefill, "granted jobs are not here yet");
         let handed_back = mp.close();
         assert_eq!(handed_back.len(), 2);
         let ledger = mp.ledger();
@@ -709,7 +732,7 @@ mod tests {
         assert_eq!(ask_size(3, 1, 9), 1, "an issued request never asks for nothing");
 
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.arrive(0.0), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         assert_eq!(mp.ask(id, 3), 4, "empty pool, window 1: floor + window");
         assert_eq!(mp.outstanding(), 4, "the ask is what the request is expected to bring");
@@ -717,9 +740,38 @@ mod tests {
         mp.granted(id, some_batch(2, false));
         assert_eq!(mp.outstanding(), 2);
         mp.land(id, 0.1);
-        assert!(matches!(mp.serve_parked(0.1), Take::Job(_)));
+        assert!(matches!(mp.serve_parked(0.1, 1), Take::Jobs(_)));
         let id = mp.next_request(0.1).expect("one queued, at the watermark");
         assert_eq!(mp.ask(id, 3), 3, "one queued besides this request");
+    }
+
+    #[test]
+    fn a_sized_take_hands_out_what_is_queued_up_to_the_want_and_never_waits() {
+        let mut mp = MasterPool::new(SiteId::LOCAL, 0);
+        assert_eq!(mp.arrive(0.0, 8), Take::NeedRefill, "an empty pool parks whatever the want");
+        let id = mp.next_request(0.0).unwrap();
+        round_trip(&mut mp, id, some_batch(5, false), 0.1);
+        // Five landed, eight wanted: the slave gets the five now.
+        assert!(matches!(mp.serve_parked(0.1, 8), Take::Jobs(jobs) if jobs.len() == 5));
+        assert_eq!((mp.parked(), mp.queued(), mp.dispatched()), (0, 0, 5));
+        refill(&mut mp, some_batch(5, false));
+        assert!(matches!(mp.arrive(0.2, 2), Take::Jobs(jobs) if jobs.len() == 2));
+        assert_eq!(mp.queued(), 3);
+        assert!(mp.ledger().balanced());
+    }
+
+    #[test]
+    fn the_gap_is_per_job_however_many_a_dispatch_handed_out() {
+        // One round trip of 1 s; then a slave that takes four jobs and is
+        // back after half a second: 1/8 s per job, a window of 8 jobs — what
+        // four one-job hand-offs 1/8 s apart measure.
+        let mut mp = MasterPool::new(SiteId::LOCAL, 1);
+        assert_eq!(mp.arrive(0.0, 4), Take::NeedRefill);
+        let id = mp.next_request(0.0).unwrap();
+        round_trip(&mut mp, id, some_batch(8, false), 1.0);
+        assert!(matches!(mp.serve_parked(1.0, 4), Take::Jobs(jobs) if jobs.len() == 4));
+        assert!(matches!(mp.arrive(1.5, 4), Take::Jobs(jobs) if jobs.len() == 4));
+        assert_eq!(mp.window(), 1 + 8);
     }
 
     #[test]
@@ -728,7 +780,7 @@ mod tests {
         refill(&mut mp, some_batch(3, false));
         let ids: Vec<ChunkId> = mp.queue.iter().map(|j| j.chunk.id).collect();
         assert_eq!(mp.skip_revoked(|c| c == ids[0] || c == ids[2]), 1);
-        assert!(matches!(mp.arrive(0.0), Take::Job(j) if j.chunk.id == ids[1]));
+        assert_eq!(one(mp.arrive(0.0, 1)).chunk.id, ids[1]);
         assert_eq!(mp.ledger().dropped, 1);
         assert!(mp.ledger().balanced());
     }

@@ -741,6 +741,16 @@ impl Metrics {
         }
     }
 
+    /// Get-or-create a histogram of plain counts or sizes: recorded and
+    /// rendered in the same unit (feed it with [`Histogram::observe`]).
+    #[must_use]
+    pub fn size_histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
+        match &self.registry {
+            Some(r) => r.histogram_scaled(name, help, labels, 1.0),
+            None => Histogram::noop(),
+        }
+    }
+
     /// Install a keyed pull-based collector (no-op when disabled).
     pub fn register_collector(
         &self,

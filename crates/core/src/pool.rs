@@ -882,6 +882,12 @@ impl JobPool {
     fn release_assignee(&mut self, i: usize, site: SiteId) -> Option<Assignee> {
         let pos = self.assignees[i].iter().position(|a| a.site == site)?;
         let released = self.assignees[i].remove(pos);
+        if self.assignees[i].is_empty() {
+            // Give the lease list's buffer back with the last lease: kept,
+            // it is a heap block per job ever granted that lives as long as
+            // the pool, and the next grant can have this one.
+            self.assignees[i] = Vec::new();
+        }
         self.readers[self.chunks[i].file.0 as usize] -= 1;
         *self.assigned_to.entry(site).or_insert(1) -= 1;
         Some(released)

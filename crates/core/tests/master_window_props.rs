@@ -2,28 +2,34 @@
 //!
 //! [`MasterPool`] is pure logic, so these tests are its transport: a tiny
 //! discrete-event loop carries each request to a model head and its grant
-//! back (one `latency` per leg), and model slaves come back for a job every
-//! `gap × slaves` seconds. The head hands out `total` jobs in batches of
+//! back (one `latency` per leg), and model slaves come back for up to `want`
+//! jobs — drawn anew for every request from `1 ..= max_want` — `gap × slaves`
+//! seconds per job taken after they got the last ones. The head hands out `total` jobs in batches of
 //! `batch`; once they are all out it answers "nothing right now" until the
 //! last one completes, then "never again" — so every run ends in the
 //! empty-non-terminal polling and the terminal grant the real head produces.
 //!
-//! Checked after every event: the conservation ledger balances, the
+//! Checked after every event: the conservation ledger balances, a slave is
+//! handed `1 ..= want` jobs whenever the queue holds any and waits only on an
+//! empty queue — so a parked slave is served as soon as one job lands — the
 //! master never has more than a window plus one batch outstanding and, when
 //! the master sizes its requests itself (the TCP transport, where the head
 //! grants what it is asked for), each is for `1 ..= floor + window −
 //! outstanding` jobs. Checked
 //! per run: a single slave never waits once the window is warm and the head
-//! has work; with jobs slower than the link there is at most one request in
-//! flight and exactly the request count of the blocking loop this machine
-//! replaced; a zero-latency link cannot busy-loop; and closing at any point
-//! hands back every job that was granted and not dispatched.
+//! has work; with jobs slower than the link and one job per hand-off there is
+//! at most one request in flight and exactly the request count of the
+//! blocking loop this machine replaced; with one job per hand-off the request
+//! sequence is, time for time, the one this machine produced before a
+//! hand-off had a size; a zero-latency link cannot busy-loop; and closing at any point hands back every job that
+//! was granted and not dispatched.
 //!
 //! A failure prints the generated scenario, which replays it.
 
 use cloudburst_core::master::{POLL_CAP, POLL_MIN};
 use cloudburst_core::{ChunkId, ChunkMeta, FileId, JobBatch, MasterPool, RequestId, SiteId, Take};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// One generated run.
 #[derive(Debug, Clone, Copy)]
@@ -37,6 +43,10 @@ struct Scenario {
     slaves: usize,
     low_watermark: usize,
     total: usize,
+    /// A slave asks for `1 ..= max_want` jobs, drawn per request from `seed`;
+    /// 1 is the paper's one job per hand-off.
+    max_want: usize,
+    seed: u64,
 }
 
 /// The head: `total` jobs in batches, then empty until all are complete.
@@ -46,17 +56,18 @@ struct Head {
     total: usize,
     granted: usize,
     finish_times: Vec<f64>,
-    requests: u64,
+    /// When each request was answered, and for how many jobs it asked.
+    requests: Vec<(f64, usize)>,
 }
 
 impl Head {
     fn new(sc: Scenario) -> Head {
-        Head { total: sc.total, granted: 0, finish_times: Vec::new(), requests: 0 }
+        Head { total: sc.total, granted: 0, finish_times: Vec::new(), requests: Vec::new() }
     }
 
     /// Answer a request for up to `want` jobs.
     fn grant(&mut self, now: f64, want: usize) -> JobBatch {
-        self.requests += 1;
+        self.requests.push((now, want));
         let n = want.min(self.pending());
         if n == 0 {
             let completed = self.finish_times.iter().filter(|&&t| t <= now).count();
@@ -83,7 +94,7 @@ impl Head {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Ev {
-    /// A slave is free and asks for its next job.
+    /// A slave is free and asks for its next jobs.
     Arrive,
     /// A request reaches the head, asking for this many jobs.
     AtHead(RequestId, usize),
@@ -124,8 +135,16 @@ struct Trace {
     parks: Vec<(f64, usize)>,
     /// When the second grant landed: both estimates exist from here on.
     warm_at: Option<f64>,
+    /// When the head answered each request, and for how many jobs it asked.
+    head_requests: Vec<(f64, usize)>,
     end: f64,
     events: u64,
+}
+
+/// The next `want` of a scenario's slaves (a 64-bit LCG, top bits).
+fn next_want(state: &mut u64, max_want: usize) -> usize {
+    *state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+    1 + ((*state >> 33) as usize) % max_want
 }
 
 /// Drive a [`MasterPool`] through `sc` until every slave saw `Drained`, or —
@@ -144,7 +163,9 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
         // Staggered starts, so undisturbed slaves ask once per `gap`.
         agenda.schedule(sc.gap * i as f64, Ev::Arrive);
     }
-    let mut parked = 0usize;
+    // The wants of the slaves waiting for a grant, oldest first.
+    let mut parked: VecDeque<usize> = VecDeque::new();
+    let mut wants = sc.seed;
     let mut finished = 0usize;
     let mut retry_at = 0.0;
     let mut landings = 0u32;
@@ -157,24 +178,30 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
             break;
         }
         trace.end = now;
-        // A slave got its answer: a job keeps it busy for `service`.
-        let mut answered = |take: Take, agenda: &mut Agenda, head: &mut Head| match take {
-            Take::Job(_) => {
-                trace.dispatches += 1;
-                head.finish_times.push(now + service);
-                agenda.schedule(now + service, Ev::Arrive);
+        // A slave that asked for `want` got its answer: each job keeps it
+        // busy for `service`, and it is back when the last is done.
+        let mut answered = |take: Take, want: usize, queued: usize| match take {
+            Take::Jobs(jobs) => {
+                assert_eq!(jobs.len(), want.min(queued), "want {want}, {queued} queued in {sc:?}");
+                trace.dispatches += jobs.len() as u64;
+                head.finish_times.extend((1..=jobs.len()).map(|i| now + service * i as f64));
+                agenda.schedule(now + service * jobs.len() as f64, Ev::Arrive);
             }
             Take::Drained => finished += 1,
             Take::NeedRefill => unreachable!("a waiting slave is not answered"),
         };
         match ev {
-            Ev::Arrive => match pool.arrive(now) {
-                Take::NeedRefill => {
-                    parked += 1;
-                    trace.parks.push((now, head.pending()));
+            Ev::Arrive => {
+                let (want, queued) = (next_want(&mut wants, sc.max_want), pool.queued());
+                match pool.arrive(now, want) {
+                    Take::NeedRefill => {
+                        assert_eq!(queued, 0, "a slave waits with {queued} jobs queued in {sc:?}");
+                        parked.push_back(want);
+                        trace.parks.push((now, head.pending()));
+                    }
+                    take => answered(take, want, queued),
                 }
-                take => answered(take, &mut agenda, &mut head),
-            },
+            }
             Ev::AtHead(id, want) => {
                 pool.granted(id, head.grant(now, want));
                 agenda.schedule(now + sc.latency, Ev::Landed(id));
@@ -185,17 +212,21 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
                 if landings == 2 {
                     trace.warm_at = Some(now);
                 }
-                while parked > 0 {
-                    match pool.serve_parked(now) {
+                while let Some(&want) = parked.front() {
+                    let queued = pool.queued();
+                    match pool.serve_parked(now, want) {
                         Take::NeedRefill => break,
-                        take => answered(take, &mut agenda, &mut head),
+                        take => answered(take, want, queued),
                     }
-                    parked -= 1;
+                    parked.pop_front();
                 }
+                // Served as soon as one job lands: whoever still waits, waits
+                // on an empty queue.
+                assert!(parked.is_empty() || pool.queued() == 0, "{sc:?}");
             }
             Ev::Retry => {}
         }
-        assert_eq!(pool.parked(), parked, "parked count drifted in {sc:?}");
+        assert_eq!(pool.parked(), parked.len(), "parked count drifted in {sc:?}");
         loop {
             let (window, outstanding) = (pool.window(), pool.outstanding());
             let Some(id) = pool.next_request(now) else { break };
@@ -231,6 +262,7 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
         }
         assert!(pool.ledger().balanced(), "ledger {:?} in {sc:?}", pool.ledger());
     }
+    trace.head_requests = head.requests;
     (pool, trace)
 }
 
@@ -279,19 +311,33 @@ fn blocking_loop_requests(sc: Scenario) -> u64 {
         }
         free_at = now;
     }
-    head.requests
+    head.requests.len() as u64
 }
 
 fn scenario() -> impl Strategy<Value = Scenario> {
-    (0.0f64..0.05, 1e-5f64..0.05, 1usize..=8, 1usize..=4, 0usize..=3, 1usize..400, any::<bool>())
-        .prop_map(|(latency, gap, batch, slaves, low_watermark, total, zero_latency)| Scenario {
-            latency: if zero_latency { 0.0 } else { latency },
-            gap,
-            batch,
-            slaves,
-            low_watermark,
-            total,
-        })
+    (
+        (0.0f64..0.05, any::<bool>()),
+        1e-5f64..0.05,
+        1usize..=8,
+        1usize..=4,
+        0usize..=3,
+        1usize..400,
+        (any::<bool>(), any::<u64>()),
+    )
+        .prop_map(
+            |((latency, zero_latency), gap, batch, slaves, low_watermark, total, (sized, seed))| {
+                Scenario {
+                    latency: if zero_latency { 0.0 } else { latency },
+                    gap,
+                    batch,
+                    slaves,
+                    low_watermark,
+                    total,
+                    max_want: if sized { 64 } else { 1 },
+                    seed,
+                }
+            },
+        )
 }
 
 proptest! {
@@ -337,13 +383,14 @@ proptest! {
         }
     }
 
-    /// Jobs slower than the link (with room for the poll backoff): the
-    /// window is the watermark alone, one request is in flight at a time,
-    /// and the head sees exactly the requests of the blocking loop.
+    /// Jobs slower than the link (with room for the poll backoff), taken
+    /// one per hand-off as such jobs are: the window is the watermark alone,
+    /// one request is in flight at a time, and the head sees exactly the
+    /// requests of the blocking loop.
     #[test]
     fn slow_jobs_degenerate_to_the_blocking_loop(sc in scenario()) {
         let rtt = 2.0 * sc.latency;
-        let sc = Scenario { gap: sc.gap.max(2.0 * rtt + 2.0 * POLL_CAP), ..sc };
+        let sc = Scenario { gap: sc.gap.max(2.0 * rtt + 2.0 * POLL_CAP), max_want: 1, ..sc };
         let (pool, trace) = run(sc, None, false);
         prop_assert_eq!(pool.window(), sc.low_watermark, "{:?}", sc);
         prop_assert!(trace.max_in_flight <= 1, "{} in flight in {:?}", trace.max_in_flight, sc);
@@ -384,5 +431,51 @@ proptest! {
         ids.dedup();
         prop_assert_eq!(ids.len(), handed_back.len(), "a job was handed back twice in {:?}", sc);
         prop_assert_eq!(pool.next_request(trace.end), None, "a closed master asked again");
+    }
+}
+
+/// Two hundred scenarios that do not depend on the property-test generator.
+fn fixed_scenarios() -> Vec<Scenario> {
+    let mut state = 0x5EED_u64;
+    let mut next = |n: u64| {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    (0..200)
+        .map(|_| Scenario {
+            latency: if next(4) == 0 { 0.0 } else { next(50_000) as f64 * 1e-6 },
+            gap: (1 + next(50_000)) as f64 * 1e-6,
+            batch: 1 + next(8) as usize,
+            slaves: 1 + next(4) as usize,
+            low_watermark: next(4) as usize,
+            total: 1 + next(400) as usize,
+            max_want: 1,
+            seed: 0,
+        })
+        .collect()
+}
+
+/// One job per hand-off is the machine as it was before a hand-off had a
+/// size: over [`fixed_scenarios`] the head is asked at the same instants, to
+/// the bit, for the same numbers of jobs. The digests were recorded by this
+/// harness driving that machine (`arrive(now)`, `serve_parked(now)`).
+#[test]
+fn one_job_per_hand_off_asks_the_head_exactly_as_before_hand_offs_had_a_size() {
+    for (sized, requests, digest) in
+        [(false, 16_713, 0x8720_b840_0752_0728_u64), (true, 14_171, 0xdde8_a3d2_4130_19f1)]
+    {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut n = 0;
+        for sc in fixed_scenarios() {
+            let (_, trace) = run(sc, None, sized);
+            for (at, want) in trace.head_requests {
+                for word in [at.to_bits(), want as u64] {
+                    h = (h ^ word).wrapping_mul(0x0100_0000_01b3);
+                }
+                n += 1;
+            }
+        }
+        assert_eq!((n, h), (requests, digest), "sized requests: {sized}");
     }
 }

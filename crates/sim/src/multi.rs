@@ -522,8 +522,9 @@ fn run_multi(
                 if let Some(job) = completes {
                     pool.complete_at(job, site, now);
                 }
-                match sim.master(site).pool.arrive(now) {
-                    Take::Job(job) => sim.start_job(worker, job, now),
+                // The paper's slave takes one job per hand-off.
+                match sim.master(site).pool.arrive(now, 1) {
+                    Take::Jobs(jobs) => sim.start_job(worker, jobs[0], now),
                     Take::NeedRefill => sim.master(site).parked.push_back((worker, now)),
                     Take::Drained => sim.slave_finished(worker, now),
                 }
@@ -537,12 +538,12 @@ fn run_multi(
             Ev::Landed { id, .. } => {
                 sim.master(site).pool.land(id, now);
                 while let Some(&(worker, since)) = sim.master(site).parked.front() {
-                    let take = sim.master(site).pool.serve_parked(now);
+                    let take = sim.master(site).pool.serve_parked(now, 1);
                     if take == Take::NeedRefill {
                         break;
                     }
                     sim.master(site).parked.pop_front();
-                    let Take::Job(job) = take else {
+                    let Take::Jobs(jobs) = take else {
                         // Waiting out the end of the run is barrier time,
                         // accounted from the slave's last completion.
                         sim.slave_finished(worker, now);
@@ -553,7 +554,7 @@ fn run_multi(
                     if let Some(t) = sim.trace.as_deref_mut() {
                         t.record(worker, Activity::Control, SimTime::at(since), SimTime::at(now));
                     }
-                    sim.start_job(worker, job, now);
+                    sim.start_job(worker, jobs[0], now);
                 }
             }
             Ev::Retry { .. } => {}

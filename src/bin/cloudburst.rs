@@ -768,10 +768,8 @@ fn debug_routes(
             let prev_view = prev
                 .as_ref()
                 .map(|(at, sums)| (now.saturating_duration_since(*at).as_secs_f64(), sums));
-            let grant_rtt = |site: &str| {
-                reg.find_histogram("cloudburst_master_grant_rtt_seconds", &[("site", site)])
-            };
-            let mut body = sites_debug_json(&sums, prev_view, grant_rtt).to_text();
+            let histogram = |name: &str, site: &str| reg.find_histogram(name, &[("site", site)]);
+            let mut body = sites_debug_json(&sums, prev_view, histogram).to_text();
             body.push('\n');
             ("200 OK", "application/json", body)
         }),
@@ -831,7 +829,7 @@ fn pool_debug_json(sums: &MetricSums) -> Json {
 fn sites_debug_json(
     sums: &MetricSums,
     prev: Option<(f64, &MetricSums)>,
-    grant_rtt: impl Fn(&str) -> Option<Histogram>,
+    histogram: impl Fn(&str, &str) -> Option<Histogram>,
 ) -> Json {
     let outstanding = (sums.queue_depth.max(0) + sums.in_flight.max(0)) as u64;
     let mut total_rate = 0.0;
@@ -845,16 +843,24 @@ fn sites_debug_json(
             .field("busy_secs", Json::F64(cur.busy_secs));
         // The grant layer, by the bench ladder's names: how long a request
         // to the head takes, how many jobs the master keeps on request to
-        // cover it, and what the slaves still waited.
+        // cover it, what the slaves still waited, and how many jobs a slave
+        // takes per hand-off.
         if cur.grant_round_trips > 0 {
             let mut master = Json::obj()
                 .field("grant_round_trips", Json::U64(cur.grant_round_trips))
                 .field("window_jobs", Json::U64(cur.window_jobs.max(0) as u64))
                 .field("starved_secs", Json::F64(cur.starved_secs));
-            if let Some(h) = grant_rtt(site) {
+            if let Some(h) = histogram("cloudburst_master_grant_rtt_seconds", site) {
                 master = master
                     .field("grant_rtt_us_p50", Json::F64(h.quantile(0.5) * 1e6))
                     .field("grant_rtt_us_p99", Json::F64(h.quantile(0.99) * 1e6));
+            }
+            let hand_offs = histogram("cloudburst_slave_batch_jobs", site);
+            if let Some(h) = hand_offs.filter(|h| h.count() > 0) {
+                master = master
+                    .field("hand_offs", Json::U64(h.count()))
+                    .field("jobs_per_hand_off_mean", Json::F64(h.sum() / h.count() as f64))
+                    .field("jobs_per_hand_off_p99", Json::F64(h.quantile(0.99)));
             }
             entry = entry.field("master", master);
         }
@@ -1422,9 +1428,12 @@ fn verdict_for(category: &str) -> &'static str {
         }
         "pool_wait" => {
             "workers wait between jobs: the master already hides the head round trip \
-             behind a window of requests (see cloudburst_master_starved_seconds_total), \
-             so what is left is the per-job request and completion-ack hand-offs — use \
-             larger chunks, or raise the head's batch size if the masters do starve."
+             behind a window of requests (see cloudburst_master_starved_seconds_total) \
+             and a slave takes a quantum of jobs per hand-off with its completions \
+             riding the request (see cloudburst_slave_batch_jobs), so what is left is \
+             the per-job verdict round trip to the head under fault tolerance or coded \
+             replicas — use larger chunks, or raise the head's batch size if the \
+             masters do starve."
         }
         "recovery" => {
             "fault recovery dominates: leases, evacuations or retries are eating the \
@@ -2001,7 +2010,11 @@ mod tests {
     #[test]
     fn pool_wait_advice_names_what_is_left_of_the_grant_path() {
         let advice = verdict_for("pool_wait");
-        assert!(advice.contains("hand-offs"), "{advice}");
+        assert!(advice.contains("verdict round trip"), "{advice}");
+        assert!(advice.contains("fault tolerance"), "{advice}");
+        assert!(advice.contains("cloudburst_slave_batch_jobs"), "{advice}");
+        // A request for jobs is no longer a per-job cost.
+        assert!(!advice.contains("per-job request"), "{advice}");
         assert!(advice.contains("batch size"), "{advice}");
         // The request window sizes itself; the watermark is only its floor.
         assert!(!advice.contains("watermark"), "{advice}");
@@ -2017,11 +2030,13 @@ mod tests {
         metrics
             .time_counter("cloudburst_master_starved_seconds_total", "starved", &site)
             .add(1_500_000);
+        let batch = metrics.size_histogram("cloudburst_slave_batch_jobs", "jobs", &site);
+        batch.observe(64);
+        batch.observe(16);
         let registry = metrics.registry().expect("metrics are on");
         let sums = summarize(&registry.snapshot());
-        let doc = sites_debug_json(&sums, None, |s| {
-            registry.find_histogram("cloudburst_master_grant_rtt_seconds", &[("site", s)])
-        });
+        let doc =
+            sites_debug_json(&sums, None, |name, s| registry.find_histogram(name, &[("site", s)]));
         let sites = doc.get("sites").and_then(Json::as_arr).expect("sites array");
         let master = sites[0].get("master").expect("a master that made a round trip");
         assert_eq!(master.get("grant_round_trips").and_then(Json::as_f64), Some(1.0));
@@ -2030,5 +2045,7 @@ mod tests {
         assert!((starved - 0.0015).abs() < 1e-9, "{starved}");
         let p50 = master.get("grant_rtt_us_p50").and_then(Json::as_f64).expect("p50");
         assert!((1_750.0..=2_300.0).contains(&p50), "one 2 ms sample, got {p50} us");
+        assert_eq!(master.get("hand_offs").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(master.get("jobs_per_hand_off_mean").and_then(Json::as_f64), Some(40.0));
     }
 }

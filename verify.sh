@@ -45,11 +45,28 @@ echo "== tier-1: cargo test -q"
 cargo test -q "${CARGO_FLAGS[@]}"
 
 echo "== master window: virtual-clock proptests at 256 cases"
-# Conservation, the outstanding bound, no starvation once warm, the
-# slow-job degeneration to the blocking loop's request count, the size of
-# every sized request, and the hand-back at any close point (a failure
-# prints the scenario to replay).
+# Conservation, 1..=want jobs per hand-off with wants drawn from 1..=64, a
+# parked slave served as soon as one job lands, the outstanding bound, no
+# starvation once warm, the slow-job degeneration to the blocking loop's
+# request count, the size of every sized request, the hand-back at any close
+# point (a failure prints the scenario to replay) — and, pinned, the request
+# sequence at one job per hand-off.
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test master_window_props
+
+echo "== slave quantum: hand-back, fencing at the batch boundary, the mailbox, batch sizes per transport"
+# Already part of `cargo test` above; named here so a failure says which
+# promise broke: a slave that errors out mid-batch settles every granted job
+# exactly once (scripted master, then both runtimes end to end within a
+# second), a job revoked in the slave's batch is dropped before its fetch, a
+# request in a dead master's mailbox fails at once, millisecond jobs go one
+# per hand-off and 160-byte jobs a quantum at a time, never over 64.
+cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib -- \
+    runtime::tests::a_slave_that_errors_out_mid_batch \
+    runtime::tests::a_store_error_mid_batch \
+    runtime::tests::a_job_revoked_while_it_waits \
+    runtime::tests::a_request_in_the_mailbox \
+    runtime::tests::millisecond_jobs_are_taken_one_per_hand_off \
+    runtime::tests::tiny_jobs_are_taken_a_quantum_at_a_time
 
 echo "== TCP control plane: reactor readiness, goodbye, the master adapter, the 40 ms link"
 # Already part of `cargo test` above; named here so a failure says which
