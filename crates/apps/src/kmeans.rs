@@ -7,6 +7,7 @@
 //! dataset size. The per-unit cost is `k·D` multiply-adds, which is what
 //! makes kmeans the compute-bound application of the trio.
 
+use crate::kmeans_avx2::Tiles;
 use crate::units::{decode_all, dist2, Point};
 use cloudburst_core::{Merge, Reduction, ReductionObject};
 use cloudburst_mapreduce::MapReduceApp;
@@ -72,8 +73,10 @@ impl ReductionObject for KMeansObj {
 /// One Lloyd iteration of k-means over `D`-dimensional points.
 #[derive(Debug, Clone)]
 pub struct KMeans<const D: usize> {
-    /// Current centroids.
-    pub centroids: Vec<[f64; D]>,
+    centroids: Vec<[f64; D]>,
+    /// `centroids` again, in the assignment kernel's layout. Both fields are
+    /// private and set together in [`KMeans::new`], so they cannot disagree.
+    tiles: Tiles<D>,
 }
 
 impl<const D: usize> KMeans<D> {
@@ -84,7 +87,14 @@ impl<const D: usize> KMeans<D> {
     #[must_use]
     pub fn new(centroids: Vec<[f64; D]>) -> KMeans<D> {
         assert!(!centroids.is_empty(), "kmeans needs at least one centroid");
-        KMeans { centroids }
+        let tiles = Tiles::new(&centroids);
+        KMeans { centroids, tiles }
+    }
+
+    /// The centroids this iteration assigns points to.
+    #[must_use]
+    pub fn centroids(&self) -> &[[f64; D]] {
+        &self.centroids
     }
 
     /// Index of the centroid nearest to `p`.
@@ -125,6 +135,16 @@ impl<const D: usize> Reduction for KMeans<D> {
             robj.sums[c * D + d] += f64::from(x);
         }
         robj.counts[c] += 1;
+    }
+
+    /// The tiled AVX2 kernel where the CPU has it, the `local_reduce` loop
+    /// elsewhere; the two produce the same bits (see `kmeans_avx2`).
+    fn reduce_group(&self, robj: &mut KMeansObj, items: &[Point<D>]) {
+        if !self.tiles.reduce_group(robj, items) {
+            for item in items {
+                self.local_reduce(robj, item);
+            }
+        }
     }
 }
 
@@ -235,20 +255,22 @@ mod tests {
     #[test]
     fn lloyd_iterations_converge_to_true_centers() {
         let (data, truth) = gen_clustered_points::<2>(3000, 3, 0.02, 41);
-        let mut centroids = initial_centroids::<2>(3);
+        // Start beside the generator's own centres, not from a fixed grid:
+        // which grid cell captures which cluster depends on where the seed's
+        // random stream put the centres, and this test is about Lloyd
+        // iterations pulling a nearby start onto the cluster.
+        let mut centroids: Vec<[f64; 2]> =
+            truth.iter().map(|t| [f64::from(t[0]) + 0.03, f64::from(t[1]) - 0.03]).collect();
         for _ in 0..10 {
             let app = KMeans::new(centroids.clone());
             let obj = reduce_serial(&app, [data.as_ref()]);
             centroids = obj.new_centroids(&centroids);
         }
-        // Every true center must have a learned centroid nearby.
+        // Every true center must have a learned centroid nearby — nearer
+        // than the start was (0.03² + 0.03² = 1.8e-3).
         for t in &truth {
-            let t64 = [f64::from(t[0]), f64::from(t[1])];
-            let nearest = centroids
-                .iter()
-                .map(|c| (c[0] - t64[0]).powi(2) + (c[1] - t64[1]).powi(2))
-                .fold(f64::INFINITY, f64::min);
-            assert!(nearest < 0.01, "no centroid near true center {t:?} ({nearest})");
+            let nearest = centroids.iter().map(|c| dist2(t, c)).fold(f64::INFINITY, f64::min);
+            assert!(nearest < 1e-3, "no centroid near true center {t:?} ({nearest})");
         }
     }
 
@@ -281,5 +303,115 @@ mod tests {
                 assert!((partial.sums[d] - oracle.sums[c * 2 + d]).abs() < 1e-9);
             }
         }
+    }
+
+    /// splitmix64: the kernel tests' own generator, so they run (and repeat)
+    /// in every configuration, with or without `proptest` and `rand`.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// A coordinate in `[0, 1)` on a 1/1024 grid: coarse enough that
+        /// equidistant centroids (ties) occur without being arranged.
+        fn coord(&mut self) -> f32 {
+            (self.next() % 1024) as f32 / 1024.0
+        }
+    }
+
+    /// `==` would call two NaN sums different and `+0.0` and `-0.0` the
+    /// same; the kernel promises the same bits, so compare bits — with every
+    /// NaN as one value, because which operand's sign and payload a NaN sum
+    /// inherits is the compiler's choice (`a + b` may be emitted as `b + a`)
+    /// and differs between builds of the reference loop itself.
+    fn bits(obj: &KMeansObj) -> (Vec<u64>, &[u64]) {
+        let canonical = |s: &f64| if s.is_nan() { f64::NAN.to_bits() } else { s.to_bits() };
+        (obj.sums.iter().map(canonical).collect(), &obj.counts)
+    }
+
+    /// The reference fold against the dispatching `reduce_group` and the
+    /// AVX2 kernel called directly. Returns whether the kernel ran.
+    fn kernel_matches_fold<const D: usize>(app: &KMeans<D>, items: &[Point<D>]) -> bool {
+        let mut want = app.make_robj();
+        for item in items {
+            app.local_reduce(&mut want, item);
+        }
+        let mut got = app.make_robj();
+        app.reduce_group(&mut got, items);
+        assert_eq!(bits(&got), bits(&want), "reduce_group, k={} D={D}", app.centroids.len());
+        let mut got = app.make_robj();
+        let ran = app.tiles.reduce_group(&mut got, items);
+        if ran {
+            assert_eq!(bits(&got), bits(&want), "avx2 kernel, k={} D={D}", app.centroids.len());
+        }
+        ran
+    }
+
+    fn kernel_cases<const D: usize>(rng: &mut SplitMix) -> bool {
+        let mut ran = true;
+        for k in [1, 5, 8, 9, 32, 33] {
+            let mut centroids: Vec<[f64; D]> = Vec::with_capacity(k);
+            for i in 0..k {
+                // One centroid in four repeats an earlier one: a tie the
+                // lower index must win.
+                let c = match rng.next() % 4 {
+                    0 if i > 0 => centroids[rng.next() as usize % i],
+                    _ => [0; D].map(|_| f64::from(rng.coord())),
+                };
+                centroids.push(c);
+            }
+            let app = KMeans::new(centroids);
+            for len in [0, 1, 7, 1024] {
+                let items: Vec<Point<D>> = (0..len)
+                    .map(|_| match rng.next() % 8 {
+                        // A point on a centroid (distance exactly 0)...
+                        0 => Point(app.centroids[rng.next() as usize % k].map(|x| x as f32)),
+                        // ...and one no centroid can win: every distance is
+                        // +inf or NaN, so it folds into centroid 0.
+                        1 => {
+                            let mut p = [0; D].map(|_| rng.coord());
+                            p[rng.next() as usize % D] =
+                                [f32::INFINITY, f32::NEG_INFINITY, f32::NAN]
+                                    [rng.next() as usize % 3];
+                            Point(p)
+                        }
+                        _ => Point([0; D].map(|_| rng.coord())),
+                    })
+                    .collect();
+                ran &= kernel_matches_fold(&app, &items);
+            }
+        }
+        ran
+    }
+
+    #[test]
+    fn reduce_group_is_bit_exact_against_the_local_reduce_fold() {
+        let mut rng = SplitMix(19);
+        let ran =
+            kernel_cases::<2>(&mut rng) & kernel_cases::<3>(&mut rng) & kernel_cases::<8>(&mut rng);
+        if !ran {
+            // Past libtest's capture, which only intercepts the print macros.
+            use std::io::Write;
+            let _ =
+                writeln!(std::io::stderr(), "skipped: no avx2 (default reduce_group path only)");
+        }
+    }
+
+    #[test]
+    fn a_point_no_centroid_beats_folds_into_centroid_zero() {
+        let app = KMeans::new(vec![[0.25, 0.25], [0.75, 0.75], [0.5, 0.5]]);
+        let items = [Point([f32::NAN, 0.7]), Point([0.7, f32::INFINITY]), Point([0.7, 0.7])];
+        assert_eq!(items.each_ref().map(|p| app.nearest(&p.0)), [0, 0, 1]);
+        let mut got = app.make_robj();
+        app.reduce_group(&mut got, &items);
+        assert_eq!(got.counts, [2, 1, 0]);
+        assert!(got.sums[0].is_nan() && got.sums[1] == f64::INFINITY);
+        assert_eq!(got.sums[2..], [f64::from(0.7f32), f64::from(0.7f32), 0.0, 0.0]);
     }
 }

@@ -14,6 +14,7 @@
 pub mod gen;
 pub mod gridding;
 pub mod kmeans;
+mod kmeans_avx2;
 pub mod knn;
 pub mod pagerank;
 pub mod units;

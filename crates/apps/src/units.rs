@@ -152,10 +152,9 @@ impl Word {
 /// `out`. `chunk.len()` must be a multiple of `size`.
 pub fn decode_all<T>(chunk: &[u8], size: usize, out: &mut Vec<T>, decode_one: impl Fn(&[u8]) -> T) {
     debug_assert_eq!(chunk.len() % size, 0, "chunk not unit-aligned");
-    out.reserve(chunk.len() / size);
-    for rec in chunk.chunks_exact(size) {
-        out.push(decode_one(rec));
-    }
+    // An exact-size iterator: one capacity check for the chunk, not one
+    // per record.
+    out.extend(chunk.chunks_exact(size).map(decode_one));
 }
 
 /// Squared Euclidean distance between two same-dimension slices.

@@ -8,8 +8,9 @@ use cloudburst_apps::gen::{gen_clustered_points, gen_edges, gen_id_points, gen_w
 use cloudburst_apps::kmeans::{kmeans_oracle, KMeans};
 use cloudburst_apps::knn::{knn_oracle, Knn};
 use cloudburst_apps::pagerank::PageRank;
+use cloudburst_apps::units::{dist2, Point};
 use cloudburst_apps::wordcount::{wordcount_oracle, WordCount};
-use cloudburst_cluster::{run_hybrid, RunOutcome, RuntimeConfig};
+use cloudburst_cluster::{run_hybrid, FtConfig, RunOutcome, RuntimeConfig};
 use cloudburst_core::{DataIndex, EnvConfig, LayoutParams, Reduction, SiteId};
 use cloudburst_storage::{fraction_placement, organize, ChunkStore, FetchConfig};
 use std::collections::BTreeMap;
@@ -40,8 +41,17 @@ fn run<R: Reduction>(
     local_frac: f64,
     env: EnvConfig,
 ) -> RunOutcome<R::RObj> {
+    run_with(app, data, unit_size, local_frac, RuntimeConfig::new(env, 1e-6))
+}
+
+fn run_with<R: Reduction>(
+    app: &R,
+    data: &Bytes,
+    unit_size: u32,
+    local_frac: f64,
+    mut config: RuntimeConfig,
+) -> RunOutcome<R::RObj> {
     let (index, stores) = hybrid_setup(data, unit_size, local_frac);
-    let mut config = RuntimeConfig::new(env, 1e-6);
     config.fetch = FetchConfig { threads: 2, min_range: 256 };
     run_hybrid(app, &index, stores, &config).expect("hybrid run")
 }
@@ -59,19 +69,66 @@ fn knn_end_to_end_matches_oracle() {
     assert!(out.report.total_jobs() >= 18);
 }
 
+/// Clustered points snapped to a 2⁻¹² grid: every partial sum of a few
+/// thousand of them is exact in `f64`, so the per-slave accumulators merge to
+/// the same bits in any order and the runtime's result can be held to `==`.
+fn gridded_points<const D: usize>(n: u32, k: usize, seed: u64) -> Bytes {
+    let (data, _) = gen_clustered_points::<D>(n, k, 0.05, seed);
+    let mut out = bytes::BytesMut::with_capacity(data.len());
+    for rec in data.chunks_exact(Point::<D>::SIZE) {
+        Point(Point::<D>::decode(rec).0.map(|x| (x * 4096.0).round() / 4096.0)).encode(&mut out);
+    }
+    out.freeze()
+}
+
 #[test]
 fn kmeans_end_to_end_matches_oracle() {
     const D: usize = 3;
-    let (data, _) = gen_clustered_points::<D>(5_000, 5, 0.05, 33);
+    let data = gridded_points::<D>(5_000, 5, 33);
     let centroids: Vec<[f64; D]> = (0..5).map(|i| [(f64::from(i) + 0.5) / 5.0; D]).collect();
     let app = KMeans::new(centroids.clone());
-    let env = EnvConfig::new("env-50/50", 0.5, 2, 2);
-    let out = run(&app, &data, (4 * D) as u32, 0.5, env);
     let oracle = kmeans_oracle::<D>(&data, &centroids);
-    assert_eq!(out.result.counts, oracle.counts);
-    for (a, b) in out.result.sums.iter().zip(&oracle.sums) {
-        assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+    assert_eq!(oracle.counts.iter().sum::<u64>(), 5_000);
+    // The classic path reduces into the slave's accumulator; under FT every
+    // job goes through the scratch object and the default `commit`.
+    for ft in [FtConfig::default(), FtConfig::enabled()] {
+        let mut config = RuntimeConfig::new(EnvConfig::new("env-50/50", 0.5, 2, 2), 1e-6);
+        config.ft = ft;
+        let ft_on = config.ft.active();
+        let out = run_with(&app, &data, (4 * D) as u32, 0.5, config);
+        assert_eq!(out.result, oracle, "ft active: {ft_on}");
     }
+}
+
+/// The oracle is the reference arithmetic and nothing else: a double loop
+/// over `units::dist2` with a strict `<`. The ladder checks every burst
+/// against `kmeans_oracle`, so it must not come to share `reduce_group`'s
+/// kernel.
+#[test]
+fn kmeans_oracle_is_the_plain_double_loop() {
+    const D: usize = 3;
+    let (data, _) = gen_clustered_points::<D>(2_000, 9, 0.05, 71);
+    // Nine centroids (a tail tile in the kernel's layout), two of them equal.
+    let mut centroids: Vec<[f64; D]> = (0..9).map(|i| [(f64::from(i) + 0.5) / 9.0; D]).collect();
+    centroids[6] = centroids[2];
+    let mut sums = vec![0f64; 9 * D];
+    let mut counts = vec![0u64; 9];
+    for rec in data.chunks_exact(Point::<D>::SIZE) {
+        let p = Point::<D>::decode(rec).0;
+        let (mut best, mut best_d) = (0, f64::INFINITY);
+        for (i, c) in centroids.iter().enumerate() {
+            let d = dist2(&p, c);
+            if d < best_d {
+                (best, best_d) = (i, d);
+            }
+        }
+        for (d, &x) in p.iter().enumerate() {
+            sums[best * D + d] += f64::from(x);
+        }
+        counts[best] += 1;
+    }
+    let oracle = kmeans_oracle::<D>(&data, &centroids);
+    assert_eq!((oracle.sums, oracle.counts), (sums, counts));
 }
 
 #[test]

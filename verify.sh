@@ -30,12 +30,17 @@ cargo run --release --offline --quiet --manifest-path ladder/Cargo.toml -- \
     --workload grant-storm-tcp --seconds 8 >/dev/null
 
 echo "== hygiene: \`unsafe\` only where it is accounted for"
-# core::json's byte scanner and cluster::readiness's libc calls (poll(2) and
-# the site CPU confinement's sched_{get,set}affinity(2)); any
-# other occurrence (in code or comment) fails the run.
+# core::json's byte scanner, cluster::readiness's libc calls (poll(2) and
+# the site CPU confinement's sched_{get,set}affinity(2)) and the k-means
+# assignment kernel (apps/src/kmeans_avx2.rs: the call into its
+# `target_feature(enable = "avx2")` function behind the CPU check, and that
+# function's unaligned loads and stores); any other occurrence (in code or
+# comment) fails the run.
 if grep -rn --include='*.rs' -w unsafe crates src tests examples \
-    | grep -v -e '^crates/core/src/json.rs:' -e '^crates/cluster/src/readiness.rs:'; then
-    echo "unsafe outside core/src/json.rs and cluster/src/readiness.rs"; exit 1
+    | grep -v -e '^crates/core/src/json.rs:' -e '^crates/cluster/src/readiness.rs:' \
+        -e '^crates/apps/src/kmeans_avx2.rs:'; then
+    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs and apps/src/kmeans_avx2.rs"
+    exit 1
 fi
 
 echo "== tier-1: cargo build --release"
@@ -52,6 +57,16 @@ echo "== master window: virtual-clock proptests at 256 cases"
 # point (a failure prints the scenario to replay) — and, pinned, the request
 # sequence at one job per hand-off.
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test master_window_props
+
+echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
+# Already part of `cargo test` above; named here so a failure says what
+# broke: the tiled AVX2 kernel and the `local_reduce` fold must agree on
+# every bit (ties, a point on a centroid, NaN and infinite coordinates, tail
+# tiles), a whole run must `==` the oracle on the classic and the FT path,
+# and the oracle itself must still be the plain loop over `units::dist2`.
+{ cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --lib kmeans::tests \
+    && cargo test -q "${CARGO_FLAGS[@]}" --test e2e_apps kmeans; } \
+    || { echo "k-means kernel differs from the reference loop"; exit 1; }
 
 echo "== slave quantum: hand-back, fencing at the batch boundary, the mailbox, batch sizes per transport"
 # Already part of `cargo test` above; named here so a failure says which
