@@ -1,13 +1,18 @@
 //! Property tests for the scratch-object lifecycle (`Reduction::commit` /
 //! `Reduction::discard`).
 //!
-//! The runtime keeps one scratch reduction object per worker and relies on
-//! two things for every shipped application: committing a job from the
-//! reused scratch leaves the accumulator bit-equal to merging a freshly
-//! made per-job object, and after every `commit` and `discard` the scratch
-//! is indistinguishable from a fresh `make_robj()`. A job that panics
-//! mid-reduce is modelled the way the runtime handles it: the half-applied
-//! scratch is dropped and the next job makes a new one.
+//! The runtime keeps one scratch reduction object per worker, reduces every
+//! job of a hand-off into it, and relies on two things for every shipped
+//! application: committing from the reused scratch — one job's units or
+//! several jobs' units concatenated — leaves the accumulator bit-equal to
+//! merging a freshly made object that the same units were reduced into, and
+//! after every `commit` and `discard` the scratch is indistinguishable from a
+//! fresh `make_robj()`. A batch with a rejected job in it is settled the way
+//! the runtime does it: the scratch is discarded over the whole batch's units
+//! and every accepted job is reduced and committed again on its own. A job
+//! that panics mid-reduce is modelled the way the runtime handles it too: the
+//! half-applied scratch is dropped, the jobs open before it are settled one
+//! by one, and the next job makes a new scratch.
 
 use cloudburst_apps::gen::{gen_clustered_points, gen_edges, gen_id_points, gen_words};
 use cloudburst_apps::gridding::gen_samples;
@@ -41,46 +46,86 @@ fn f64_bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
     xs.iter().map(|x| x.to_bits())
 }
 
-/// Run `data` as jobs of `units_per_chunk` units under `verdicts` (cycled)
-/// two ways — one reused scratch with `commit`/`discard`, and a fresh
-/// `make_robj()` per job with `merge` — checking the contract after every
-/// job. `same` is the application's notion of "bit-equal".
+/// Reduce `items` into `robj` in the small groups both sides use.
+fn reduce<R: Reduction>(app: &R, robj: &mut R::RObj, items: &[R::Item]) {
+    for group in items.chunks(7) {
+        app.reduce_group(robj, group);
+    }
+}
+
+/// Run `data` as jobs of `units_per_chunk` units under `verdicts` (cycled),
+/// settled `batch` jobs at a time, two ways — one reused scratch with
+/// `commit`/`discard` as the runtime drives them, and freshly made objects
+/// with `merge` (one per batch when all of it is accepted, else one per
+/// accepted job) — checking the contract after every settlement. `same` is
+/// the application's notion of "bit-equal".
 fn reused_scratch_matches_fresh_objects<R: Reduction>(
     app: &R,
     data: &[u8],
     units_per_chunk: usize,
+    batch: usize,
     verdicts: &[Verdict],
     same: impl Fn(&R::RObj, &R::RObj) -> bool,
 ) {
     let mut acc = app.make_robj();
     let mut scratch: Option<R::RObj> = None;
     let mut reference = app.make_robj();
-    let mut items = Vec::new();
-    let jobs = data.chunks(units_per_chunk * app.unit_size());
-    for (job, (chunk, verdict)) in jobs.zip(verdicts.iter().cycle()).enumerate() {
-        items.clear();
+    // The open jobs' units, one job after the other; each open job's share
+    // of them and whether it will be accepted; and what a fresh object per
+    // batch would hold.
+    let mut items: Vec<R::Item> = Vec::new();
+    let mut open: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
+    let mut fresh = app.make_robj();
+    let jobs: Vec<&[u8]> = data.chunks(units_per_chunk * app.unit_size()).collect();
+    for (job, (chunk, verdict)) in jobs.iter().zip(verdicts.iter().cycle()).enumerate() {
+        let first = items.len();
         app.decode(chunk, &mut items);
         let reused = scratch.get_or_insert_with(|| app.make_robj());
         if matches!(verdict, Verdict::Panic) {
-            app.reduce_group(reused, &items[..items.len() / 2]);
+            app.reduce_group(reused, &items[first..first + (items.len() - first) / 2]);
+            items.truncate(first);
             scratch = None;
-            continue;
-        }
-        let mut fresh = app.make_robj();
-        for group in items.chunks(7) {
-            app.reduce_group(reused, group);
-            app.reduce_group(&mut fresh, group);
-        }
-        match verdict {
-            Verdict::Accept => {
-                app.commit(&mut acc, reused, &items);
-                reference.merge(fresh);
+        } else {
+            reduce(app, reused, &items[first..]);
+            reduce(app, &mut fresh, &items[first..]);
+            open.push((first..items.len(), matches!(verdict, Verdict::Accept)));
+            if open.len() < batch && job + 1 < jobs.len() {
+                continue;
             }
-            Verdict::Reject => app.discard(reused, &items),
-            Verdict::Panic => unreachable!("handled above"),
         }
-        assert!(same(reused, &app.make_robj()), "job {job}: scratch not fresh after {verdict:?}");
+        match &mut scratch {
+            Some(reused) if open.iter().all(|(_, accepted)| *accepted) => {
+                app.commit(&mut acc, reused, &items);
+                reference.merge(std::mem::replace(&mut fresh, app.make_robj()));
+            }
+            reused => {
+                if let Some(reused) = reused.as_mut() {
+                    app.discard(reused, &items);
+                    assert!(
+                        same(reused, &app.make_robj()),
+                        "job {job}: scratch not fresh, discard"
+                    );
+                }
+                for (range, _) in open.iter().filter(|(_, accepted)| *accepted) {
+                    let reused = reused.get_or_insert_with(|| app.make_robj());
+                    reduce(app, reused, &items[range.clone()]);
+                    app.commit(&mut acc, reused, &items[range.clone()]);
+                    let mut alone = app.make_robj();
+                    reduce(app, &mut alone, &items[range.clone()]);
+                    reference.merge(alone);
+                }
+                fresh = app.make_robj();
+            }
+        }
+        if let Some(reused) = &scratch {
+            assert!(
+                same(reused, &app.make_robj()),
+                "job {job}: scratch not fresh after {verdict:?}"
+            );
+        }
         assert!(same(&acc, &reference), "job {job}: accumulator diverged after {verdict:?}");
+        items.clear();
+        open.clear();
     }
 }
 
@@ -91,13 +136,14 @@ proptest! {
         pages in 2u32..600,
         edges in 1u32..3000,
         per_chunk in 1usize..400,
+        batch in 1usize..6,
         verdicts in verdicts(),
     ) {
         let data = gen_edges(pages, edges, seed);
         let outdeg = PageRank::outdegrees(&data, pages as usize);
         let ranks = vec![1.0 / f64::from(pages); pages as usize];
         let app = PageRank::new(&ranks, &outdeg, 0.85);
-        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &RankMass, b| {
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, batch, &verdicts, |a: &RankMass, b| {
             f64_bits(&a.0).eq(f64_bits(&b.0))
         });
     }
@@ -108,11 +154,12 @@ proptest! {
         (width, height) in (1usize..48, 1usize..48),
         samples in 1u32..3000,
         per_chunk in 1usize..400,
+        batch in 1usize..6,
         verdicts in verdicts(),
     ) {
         let data = gen_samples(samples, 3, seed);
         let app = Gridding::new(width, height);
-        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &Grid2D, b| {
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, batch, &verdicts, |a: &Grid2D, b| {
             a.counts == b.counts && f64_bits(&a.sums).eq(f64_bits(&b.sums))
         });
     }
@@ -122,11 +169,12 @@ proptest! {
         seed in any::<u64>(),
         points in 1u32..2000,
         per_chunk in 1usize..300,
+        batch in 1usize..6,
         verdicts in verdicts(),
     ) {
         let (data, centers) = gen_clustered_points::<3>(points, 4, 0.05, seed);
         let app = KMeans::new(centers.iter().map(|c| c.map(f64::from)).collect());
-        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &KMeansObj, b| {
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, batch, &verdicts, |a: &KMeansObj, b| {
             a.counts == b.counts && f64_bits(&a.sums).eq(f64_bits(&b.sums))
         });
     }
@@ -137,11 +185,12 @@ proptest! {
         points in 1u32..2000,
         k in 1usize..20,
         per_chunk in 1usize..300,
+        batch in 1usize..6,
         verdicts in verdicts(),
     ) {
         let data = gen_id_points::<3>(points, seed);
         let app = Knn::new([0.5f32; 3], k);
-        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, &verdicts, |a: &KnnObj, b| a == b);
+        reused_scratch_matches_fresh_objects(&app, &data, per_chunk, batch, &verdicts, |a: &KnnObj, b| a == b);
     }
 
     #[test]
@@ -150,6 +199,7 @@ proptest! {
         words in 1u32..2000,
         vocab in 1u32..200,
         per_chunk in 1usize..300,
+        batch in 1usize..6,
         verdicts in verdicts(),
     ) {
         let data = gen_words(words, vocab, seed);
@@ -157,6 +207,7 @@ proptest! {
             &WordCount,
             &data,
             per_chunk,
+            batch,
             &verdicts,
             |a: &WordCounts, b| a == b,
         );

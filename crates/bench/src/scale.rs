@@ -212,7 +212,8 @@ fn run_channel_single(n_jobs: u64, n_sites: u16) -> RawRun {
         for j in &batch.jobs {
             checksum = checksum.wrapping_add(mix(j.id));
             jobs += 1;
-            tx.send(HeadMsg::Complete { job: j.id, site, reply: None }).expect("head hung up");
+            tx.send(HeadMsg::Complete { jobs: vec![j.id], site, reply: None })
+                .expect("head hung up");
         }
     }
     let seconds = start.elapsed().as_secs_f64();

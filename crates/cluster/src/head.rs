@@ -159,17 +159,14 @@ pub fn run_head_with(mut pool: JobPool, rx: Receiver<HeadMsg>, options: HeadOpti
                 // data loss.
                 let _ = reply.send(batch);
             }
-            HeadMsg::Complete { job, site, reply } => {
+            HeadMsg::Complete { jobs, site, reply } => {
                 last_beat.insert(site, now);
-                let merged = complete(&mut pool, &mut report, &options, job, site, now);
+                let verdicts = jobs
+                    .into_iter()
+                    .map(|job| complete(&mut pool, &mut report, &options, job, site, now))
+                    .collect();
                 if let Some(reply) = reply {
-                    let _ = reply.send(merged);
-                }
-            }
-            HeadMsg::Completed { jobs, site } => {
-                last_beat.insert(site, now);
-                for job in jobs {
-                    complete(&mut pool, &mut report, &options, job, site, now);
+                    let _ = reply.send(verdicts);
                 }
             }
             HeadMsg::Failed { job, site } => {
@@ -273,7 +270,8 @@ mod tests {
         let batch = brx.recv().unwrap();
         assert_eq!(batch.len(), 2);
         for j in &batch.jobs {
-            tx.send(HeadMsg::Complete { job: j.id, site: SiteId::LOCAL, reply: None }).unwrap();
+            tx.send(HeadMsg::Complete { jobs: vec![j.id], site: SiteId::LOCAL, reply: None })
+                .unwrap();
         }
         drop(tx);
         let report = head.join().unwrap();
@@ -297,7 +295,8 @@ mod tests {
                 break;
             }
             for j in &batch.jobs {
-                tx.send(HeadMsg::Complete { job: j.id, site: SiteId::CLOUD, reply: None }).unwrap();
+                tx.send(HeadMsg::Complete { jobs: vec![j.id], site: SiteId::CLOUD, reply: None })
+                    .unwrap();
             }
         }
         drop(tx);
@@ -330,13 +329,13 @@ mod tests {
             let (btx, brx) = bounded(1);
             tx.send(HeadMsg::RequestJobs { site: SiteId::LOCAL, reply: btx }).unwrap();
             let batch = brx.recv().unwrap();
-            for j in &batch.jobs {
-                let (ack_tx, ack_rx) = bounded(1);
-                tx.send(HeadMsg::Complete { job: j.id, site: SiteId::LOCAL, reply: Some(ack_tx) })
-                    .unwrap();
-                assert!(ack_rx.recv().unwrap(), "survivor completions must merge");
-                done += 1;
-            }
+            // The whole batch is settled in one exchange.
+            let jobs: Vec<ChunkId> = batch.jobs.iter().map(|j| j.id).collect();
+            done += jobs.len();
+            let (ack_tx, ack_rx) = bounded(1);
+            tx.send(HeadMsg::Complete { jobs, site: SiteId::LOCAL, reply: Some(ack_tx) }).unwrap();
+            let verdicts = ack_rx.recv().unwrap();
+            assert_eq!(verdicts, vec![true; batch.len()], "survivor completions must merge");
         }
         tx.send(HeadMsg::Bye { site: SiteId::LOCAL }).unwrap();
         drop(tx);
@@ -361,16 +360,16 @@ mod tests {
         let job = batch.jobs[0].id;
 
         let (ack_tx, ack_rx) = bounded(1);
-        tx.send(HeadMsg::Complete { job, site: SiteId::LOCAL, reply: Some(ack_tx) }).unwrap();
-        assert!(ack_rx.recv().unwrap(), "first completion merges");
+        let first = HeadMsg::Complete { jobs: vec![job], site: SiteId::LOCAL, reply: Some(ack_tx) };
+        tx.send(first).unwrap();
+        assert_eq!(ack_rx.recv().unwrap(), [true], "first completion merges");
 
+        // One report, a verdict per job: the repeat is a duplicate, its
+        // batch-mate merges.
         let (ack_tx, ack_rx) = bounded(1);
-        tx.send(HeadMsg::Complete { job, site: SiteId::LOCAL, reply: Some(ack_tx) }).unwrap();
-        assert!(!ack_rx.recv().unwrap(), "second completion is a duplicate");
-
-        for j in &batch.jobs[1..] {
-            tx.send(HeadMsg::Complete { job: j.id, site: SiteId::LOCAL, reply: None }).unwrap();
-        }
+        let jobs = vec![job, batch.jobs[1].id];
+        tx.send(HeadMsg::Complete { jobs, site: SiteId::LOCAL, reply: Some(ack_tx) }).unwrap();
+        assert_eq!(ack_rx.recv().unwrap(), [false, true]);
         drop(tx);
         let report = head.join().unwrap();
         assert_eq!(report.completions, 2);
@@ -408,7 +407,8 @@ mod tests {
         assert!(!board.is_revoked(job));
 
         for j in &regrant.jobs {
-            tx.send(HeadMsg::Complete { job: j.id, site: SiteId::LOCAL, reply: None }).unwrap();
+            tx.send(HeadMsg::Complete { jobs: vec![j.id], site: SiteId::LOCAL, reply: None })
+                .unwrap();
         }
         drop(tx);
         let report = head.join().unwrap();

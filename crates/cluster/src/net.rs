@@ -218,9 +218,10 @@ struct Inbound {
 ///
 /// Completion and failure reports ride the next request — a slave's
 /// fire-and-forget completions reach the master with its own next request for
-/// jobs. A report whose slave is waiting for the head's verdict does not wait
-/// for one: it goes out at once, as `want: 0` when the window asks for
-/// nothing. Reports nobody waits on are also flushed after one mailbox tick,
+/// jobs. Reports whose slave is waiting for the head's verdicts — the jobs of
+/// one hand-off, settled together — do not wait for one: they go out at once,
+/// as `want: 0` when the window asks for nothing, and each entry's verdict
+/// goes back to that slave in entry order. Reports nobody waits on are also flushed after one mailbox tick,
 /// at [`REPORT_FLUSH`], once the pool is drained and when the slaves are
 /// gone, so the head always learns what it needs to terminate.
 ///
@@ -386,7 +387,11 @@ fn serve_site(
                         take => cfg.metrics.answer(&reply, take),
                     }
                 }
-                MasterMsg::Complete { job, reply } => reports.push(job, true, Some(reply), now),
+                MasterMsg::Complete { jobs, reply } => {
+                    for job in jobs {
+                        reports.push(job, true, Some(reply.clone()), now);
+                    }
+                }
                 MasterMsg::Done { jobs } => reports.done(jobs, now),
                 MasterMsg::Failed { job } => reports.push(job, false, None, now),
                 MasterMsg::HeadReply(reply) => {
@@ -657,7 +662,7 @@ mod tests {
                 taken += 1;
                 if acked {
                     let (atx, arx) = bounded(1);
-                    tx.send(MasterMsg::Complete { job, reply: atx }).unwrap();
+                    tx.send(MasterMsg::Complete { jobs: vec![job], reply: atx }).unwrap();
                     assert!(arx.recv().unwrap(), "a first completion merges");
                 } else {
                     done.push(job);

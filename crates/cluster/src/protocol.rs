@@ -10,9 +10,10 @@
 //! during global reduction.
 //!
 //! When fault tolerance is on, completions become a *request/response*:
-//! the reporter attaches a reply channel and the head answers whether the
-//! result was merged (first completion of the chunk) or must be discarded
-//! (duplicate from a preempted, reaped, or evacuated execution). Masters
+//! the reporter attaches a reply channel and the head answers, for every job
+//! of the report, whether the result was merged (first completion of the
+//! chunk) or must be discarded (duplicate from a preempted, reaped, or
+//! evacuated execution) — one exchange per hand-off of jobs, not per job. Masters
 //! additionally emit [`HeadMsg::Heartbeat`] beacons so the head can detect
 //! a silently dead site.
 
@@ -31,26 +32,20 @@ pub enum HeadMsg {
         /// Where to send the granted batch (empty batch = no work left).
         reply: Sender<JobBatch>,
     },
-    /// A slave finished one job.
+    /// Jobs a site's slaves finished: what one slave settles in one exchange
+    /// (every job of a hand-off it reduced since its last report), or the
+    /// fire-and-forget completions it handed its master with a job request
+    /// ([`MasterMsg::GetJobs`]).
     Complete {
-        /// The finished job.
-        job: ChunkId,
-        /// The site that processed it.
-        site: SiteId,
-        /// When present, the head answers whether the result was merged
-        /// (`true`) or is a duplicate to discard (`false`). Fire-and-forget
-        /// (`None`) is only sound with fault tolerance off, when no
-        /// duplicate can exist.
-        reply: Option<Sender<bool>>,
-    },
-    /// Jobs a site's slaves finished, fire-and-forget: what one slave handed
-    /// its master with a job request ([`MasterMsg::GetJobs`]). Only sound
-    /// when no duplicate can exist, as [`HeadMsg::Complete`] without a reply.
-    Completed {
         /// The finished jobs.
         jobs: Vec<ChunkId>,
         /// The site that processed them.
         site: SiteId,
+        /// When present, the head answers, job by job and in one reply,
+        /// whether the result was merged (`true`) or is a duplicate to
+        /// discard (`false`). Fire-and-forget (`None`) is only sound with
+        /// fault tolerance off, when no duplicate can exist.
+        reply: Option<Sender<Vec<bool>>>,
     },
     /// A slave failed to process one job (retrieval error, crash); the head
     /// requeues it for reassignment or abandons it after too many attempts.
@@ -93,13 +88,14 @@ pub enum MasterMsg {
         /// Where to send the jobs (or the drained signal).
         reply: Sender<Take>,
     },
-    /// A slave reports a finished job and waits for the head's merge/discard
-    /// verdict on it (TCP deployment mode: the master forwards both ways over
-    /// its control connection; see [`HeadMsg::Complete`]).
+    /// A slave reports the jobs it finished since its last report and waits
+    /// for the head's merge/discard verdict on each (TCP deployment mode: the
+    /// master forwards both ways over its control connection; see
+    /// [`HeadMsg::Complete`]).
     Complete {
-        /// The finished job.
-        job: ChunkId,
-        /// Where the master sends the verdict.
+        /// The finished jobs.
+        jobs: Vec<ChunkId>,
+        /// Where the master sends the verdicts, one per job, in order.
         reply: Sender<bool>,
     },
     /// A slave that is leaving hands over the completions no request of its

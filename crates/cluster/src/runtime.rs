@@ -29,6 +29,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -202,6 +203,8 @@ pub(crate) struct SlaveStats {
     pub(crate) remote_bytes: u64,
     pub(crate) jobs: u64,
     pub(crate) retries: u64,
+    /// Accepted jobs reduced a second time because a batch-mate was not.
+    pub(crate) rereduced: u64,
 }
 
 /// Per-slave live-metrics instruments, resolved once at spawn so the hot
@@ -223,6 +226,7 @@ pub(crate) struct SlaveMetrics {
     proc_hist: Histogram,
     occupancy: Gauge,
     dropped: Counter,
+    settle_jobs: Histogram,
 }
 
 impl SlaveMetrics {
@@ -280,6 +284,11 @@ impl SlaveMetrics {
                 "Granted jobs a slave dropped unprocessed because their execution was \
                  revoked (evacuation or a finished replica) while they waited in its \
                  batch or its pipeline.",
+                per_site,
+            ),
+            settle_jobs: metrics.size_histogram(
+                "cloudburst_slave_settle_jobs",
+                "Jobs a slave reported in one completion message it waited for verdicts on.",
                 per_site,
             ),
         }
@@ -564,7 +573,7 @@ pub fn run_hybrid<R: Reduction>(
 /// failures, fence dead sites, run the global reduction and assemble the
 /// report.
 pub(crate) fn conclude<O: ReductionObject>(
-    head: HeadReport,
+    mut head: HeadReport,
     site_outcomes: Vec<Result<SiteOutcome<O>, RunError>>,
     head_site: SiteId,
     config: &RuntimeConfig,
@@ -576,6 +585,8 @@ pub(crate) fn conclude<O: ReductionObject>(
     for o in site_outcomes {
         outcomes.push(o?);
     }
+    // The one fault-path number only the slaves know.
+    head.faults.rereduced_jobs = outcomes.iter().flat_map(|o| &o.slaves).map(|s| s.rereduced).sum();
     if head.abandoned > 0 {
         return Err(RunError::Incomplete { abandoned: head.faults.abandoned_jobs.clone() });
     }
@@ -875,7 +886,7 @@ fn run_master(
             Err(RecvTimeoutError::Disconnected) => break,
         };
         if !done.is_empty() {
-            let _ = head_tx.send(HeadMsg::Completed { jobs: done, site });
+            let _ = head_tx.send(HeadMsg::Complete { jobs: done, site, reply: None });
         }
         let now = Instant::now();
         pool.skip_revoked(|chunk| ft.revoked(chunk));
@@ -922,18 +933,24 @@ pub(crate) enum ReportSink<'a> {
 }
 
 impl ReportSink<'_> {
-    /// Report a completion the head must rule on: blocks for its
-    /// merge/discard verdict and returns it.
-    fn complete(&self, job: ChunkId, site: SiteId) -> bool {
-        let (ack_tx, ack_rx) = bounded(1);
-        let sent = match self {
+    /// Report completions the head must rule on, in one exchange: blocks for
+    /// its merge/discard verdicts and returns them, one per job.
+    fn settle(&self, jobs: Vec<ChunkId>, site: SiteId) -> Vec<bool> {
+        let k = jobs.len();
+        let verdicts = match self {
             ReportSink::Head(tx) => {
-                tx.send(HeadMsg::Complete { job, site, reply: Some(ack_tx) }).is_ok()
+                let (ack_tx, ack_rx) = bounded(1);
+                let report = HeadMsg::Complete { jobs, site, reply: Some(ack_tx) };
+                tx.send(report).ok().and_then(|()| ack_rx.recv().ok())
             }
-            ReportSink::Master(tx) => tx.send(MasterMsg::Complete { job, reply: ack_tx }).is_ok(),
+            ReportSink::Master(tx) => {
+                let (ack_tx, ack_rx) = bounded(k);
+                let report = MasterMsg::Complete { jobs, reply: ack_tx };
+                tx.send(report).ok().and_then(|()| (0..k).map(|_| ack_rx.recv().ok()).collect())
+            }
         };
         // A torn-down control plane can no longer merge anything: discard.
-        sent && ack_rx.recv().unwrap_or(false)
+        verdicts.unwrap_or_else(|| vec![false; k])
     }
 
     /// Hand over completions nobody waits on, outside a job request: what a
@@ -941,7 +958,7 @@ impl ReportSink<'_> {
     fn done(&self, jobs: Vec<ChunkId>, site: SiteId) {
         match self {
             ReportSink::Head(tx) => {
-                let _ = tx.send(HeadMsg::Completed { jobs, site });
+                let _ = tx.send(HeadMsg::Complete { jobs, site, reply: None });
             }
             ReportSink::Master(tx) => {
                 let _ = tx.send(MasterMsg::Done { jobs });
@@ -962,14 +979,16 @@ impl ReportSink<'_> {
 }
 
 /// How much work a slave takes from its master in one exchange, as time: it
-/// asks for as many jobs as its own job times say fit in here. A hand-off
-/// (request, master wake-up, reply, slave wake-up) measures ≈ 15 µs, so a
-/// quantum of these buys a slave of microsecond jobs ≈ 16 hand-offs' worth of
-/// work per hand-off, and a job that takes this long or longer is asked for
-/// alone. A constant and not a multiple of a measured hand-off: the time a
-/// request spends parked at a master that waits on its head is not the cost
-/// of a hand-off, and would make a slave of slow jobs hoard.
-const QUANTUM: Seconds = 250e-6;
+/// asks for as many jobs as its own job times say fit in here, and under
+/// ack-gating it reports them — and waits for their verdicts — together. A
+/// blocking exchange (request, peer wake-up, reply, slave wake-up) measures
+/// 40–60 µs on the channel runtime, so a quantum of these buys a slave of
+/// microsecond jobs ≈ 20 exchanges' worth of work per exchange, and a job that
+/// takes this long or longer is asked for and reported alone. A constant and
+/// not a multiple of a measured hand-off: the time a request spends parked at
+/// a master that waits on its head is not the cost of a hand-off, and would
+/// make a slave of slow jobs hoard. Measured: DESIGN §3.4.3.
+const QUANTUM: Seconds = 1e-3;
 /// The most jobs a slave takes in one exchange, however short they are.
 const MAX_BATCH: usize = 64;
 
@@ -1034,12 +1053,22 @@ impl<'a> JobSource<'a> {
     /// the master is gone, the site died (it stops mid-run without a word)
     /// or the chaos plan crashed this worker.
     fn next(&mut self) -> Option<LocalJob> {
+        loop {
+            if let Some(job) = self.take() {
+                return Some(job);
+            }
+            self.refill()?;
+        }
+    }
+
+    /// The next job of the batch in hand: `None` when it is used up — the
+    /// moment to settle what is open, before [`JobSource::refill`] can block
+    /// on a master whose head waits for exactly those completions — and when
+    /// this slave is to stop, which `refill` then says.
+    fn take(&mut self) -> Option<LocalJob> {
         let ctx = self.ctx;
         while !ctx.site_dead() {
-            let Some(job) = self.batch.pop_front() else {
-                self.refill()?;
-                continue;
-            };
+            let job = self.batch.pop_front()?;
             if ctx.revoked(job.chunk.id) {
                 // The grant was revoked (evacuation, a reaped lease, or a
                 // finished replica) while it sat in the master's queue or
@@ -1059,7 +1088,7 @@ impl<'a> JobSource<'a> {
             if self.crash_after.is_some_and(|k| self.taken > k) {
                 // The job, and the rest of the batch behind it, leaks — only
                 // the head's lease reaper can recover them. Prior completed
-                // work stays valid (it was already merged and acked).
+                // work stays valid (it is reported like any other).
                 self.crashed = true;
                 return None;
             }
@@ -1069,8 +1098,12 @@ impl<'a> JobSource<'a> {
     }
 
     /// Ask the master for the next quantum of jobs, handing it the
-    /// completions since the last request. `None` when there are no more.
+    /// completions since the last request. `None` when there are no more, or
+    /// this slave crashed or its site died.
     fn refill(&mut self) -> Option<()> {
+        if self.crashed || self.ctx.site_dead() {
+            return None;
+        }
         if let Some((since, jobs)) = self.batch_start.take() {
             let sample = since.elapsed().as_secs_f64() / jobs as f64;
             self.per_job = Some(self.per_job.map_or(sample, |t| t + (sample - t) / 4.0));
@@ -1138,11 +1171,14 @@ pub(crate) fn run_slave<R: Reduction>(
     let done = DoneList::default();
     let mut worker = Worker::new(app, &ctx, reports, &done, config);
     let source = JobSource::new(&ctx, master_tx, reports, &done);
-    if config.pipeline_depth >= 2 {
-        run_slave_pipelined(&mut worker, source, router)?;
+    let outcome = if config.pipeline_depth >= 2 {
+        run_slave_pipelined(&mut worker, source, router)
     } else {
-        run_slave_serial(&mut worker, source, router)?;
-    }
+        run_slave_serial(&mut worker, source, router)
+    };
+    // Whichever way the loop ended, every job still open is settled once.
+    worker.settle();
+    outcome?;
     Ok(worker.finish())
 }
 
@@ -1164,14 +1200,21 @@ struct Worker<'a, R: Reduction> {
     /// mid-chunk panic cannot leave a partially-applied job in the
     /// accumulator and a deduplicated completion is never double-merged.
     isolate: bool,
-    /// The one scratch object of the isolated path, equal to a fresh
-    /// `make_robj()` between jobs ([`Reduction::commit`] and
-    /// [`Reduction::discard`] restore it). `None` until the first isolated
-    /// job and after a caught panic, which may have left it half-applied.
+    /// The one scratch object of the isolated path: the open jobs' units
+    /// reduced, so equal to a fresh `make_robj()` while none is open
+    /// ([`Reduction::commit`] and [`Reduction::discard`] restore it). `None`
+    /// until the first isolated job and after a caught panic, which may have
+    /// left it half-applied.
     scratch: Option<R::RObj>,
-    /// The current job's decoded units, kept until its verdict because
-    /// `commit`/`discard` walk them.
+    /// The open jobs' decoded units, one job after the other, kept until
+    /// their verdicts because `commit`/`discard` walk them.
     items: Vec<R::Item>,
+    /// Ack-gated jobs reduced into the scratch and not reported yet, oldest
+    /// first, each with its share of `items`.
+    open: Vec<(ChunkId, std::ops::Range<usize>)>,
+    /// When the oldest open job began: all are settled a quantum later at
+    /// the latest, however many the batch still holds.
+    opened: Instant,
     stats: SlaveStats,
     slowdown: f64,
     site_factor: f64,
@@ -1196,6 +1239,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
             isolate: ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. }),
             scratch: None,
             items: Vec::new(),
+            open: Vec::new(),
+            opened: ctx.epoch,
             stats: SlaveStats::default(),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
             site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
@@ -1213,19 +1258,55 @@ impl<'a, R: Reduction> Worker<'a, R> {
         }
     }
 
-    /// Return the scratch object to its fresh state after a job whose
-    /// result will not be merged.
-    fn discard_scratch(&mut self) {
-        if let Some(scratch) = &mut self.scratch {
-            self.app.discard(scratch, &self.items);
+    /// Report every open job in one exchange and act on the head's verdicts.
+    /// All merged — nearly always — the scratch holds exactly what the head
+    /// accepted and is committed in one walk over the batch's units. If a job
+    /// was refused, was revoked while it was open (it lost its race: neither
+    /// reported nor merged), or a panic cost the scratch, what the scratch
+    /// holds is thrown away and each accepted job is reduced and committed
+    /// again on its own. A dead site says nothing.
+    fn settle(&mut self) {
+        if self.open.is_empty() || self.ctx.site_dead() {
+            return;
         }
+        let (app, ctx) = (self.app, self.ctx);
+        let n_open = self.open.len();
+        self.open.retain(|(job, _)| !ctx.revoked(*job));
+        let mut verdicts = Vec::new();
+        if !self.open.is_empty() {
+            ctx.metrics.settle_jobs.observe(self.open.len() as u64);
+            verdicts = self.reports.settle(self.open.iter().map(|o| o.0).collect(), ctx.site);
+        }
+        match &mut self.scratch {
+            Some(scratch) if verdicts.len() == n_open && verdicts.iter().all(|&merged| merged) => {
+                app.commit(&mut self.robj, scratch, &self.items);
+            }
+            scratch => {
+                if let Some(scratch) = scratch.as_mut() {
+                    app.discard(scratch, &self.items);
+                }
+                let unit_group = self.config.unit_group.max(1);
+                for ((job, range), _) in self.open.drain(..).zip(verdicts).filter(|(_, v)| *v) {
+                    let units = &self.items[range];
+                    let scratch = scratch.get_or_insert_with(|| app.make_robj());
+                    units.chunks(unit_group).for_each(|group| app.reduce_group(scratch, group));
+                    app.commit(&mut self.robj, scratch, units);
+                    self.stats.rereduced += 1;
+                    let event = Event::at(ns_since(ctx.epoch), EventKind::JobRereduced);
+                    ctx.telemetry.emit(event.site(ctx.site).worker(ctx.worker).chunk(job));
+                }
+            }
+        }
+        self.open.clear();
+        self.items.clear();
     }
 
     /// Account for one retrieval, decode and reduce the chunk, sit out any
-    /// injected straggling, report the completion and act on the head's
-    /// verdict. `Break` means the site died under the job: stop without
-    /// reporting (the coordinator discards the accumulated robj and the
-    /// head re-runs everything this site was credited with).
+    /// injected straggling, and leave the completion where its report picks
+    /// it up: with the slave's next request, or — ack-gated — open until
+    /// [`Worker::settle`]. `Break` means the site died under the job: stop
+    /// without reporting (the coordinator discards the accumulated robj and
+    /// the head re-runs everything this site was credited with).
     fn process_job(&mut self, pre: FetchedJob) -> Result<ControlFlow<()>, RunError> {
         let ctx = self.ctx;
         let FetchedJob { job, fetched, fetch_start, fetch_dur } = pre;
@@ -1264,24 +1345,27 @@ impl<'a, R: Reduction> Worker<'a, R> {
 
         let proc_start = Instant::now();
         let (app, unit_group) = (self.app, self.config.unit_group.max(1));
+        // Behind the open jobs' units; nothing is open unless ack-gated.
+        let first = self.items.len();
         let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.items.clear();
             app.decode(&fetched.bytes, &mut self.items);
             let target = if self.isolate {
                 self.scratch.get_or_insert_with(|| app.make_robj())
             } else {
                 &mut self.robj
             };
-            for group in self.items.chunks(unit_group) {
+            for group in self.items[first..].chunks(unit_group) {
                 app.reduce_group(target, group);
             }
         }));
         if let Err(p) = processed {
-            // The items buffer may hold garbage from the aborted decode,
+            // The buffer's tail may hold garbage from the aborted decode,
             // and the scratch a half-applied job that no walk over those
-            // items could undo: drop both.
-            self.items.clear();
+            // items could undo: drop both. The jobs open before it are whole
+            // in the buffer: settle them now, one by one.
+            self.items.truncate(first);
             self.scratch = None;
+            self.settle();
             self.fail_job(job, RunError::WorkerPanic(panic_msg(&*p)))?;
             return Ok(ControlFlow::Continue(()));
         }
@@ -1310,24 +1394,28 @@ impl<'a, R: Reduction> Worker<'a, R> {
         if ctx.site_dead() {
             return Ok(ControlFlow::Break(()));
         }
-        if ctx.revoked(job.chunk.id) {
-            self.discard_scratch(); // lost the race: drop the result silently
+
+        if ctx.ack_gated {
+            if self.open.is_empty() {
+                self.opened = proc_start;
+            }
+            self.open.push((job.chunk.id, first..self.items.len()));
+            // A job of a quantum or more is reported alone, and a straggler
+            // does not sit on its batch-mates' completions. No clock is read
+            // for a job nothing delayed.
+            let now = if delay > 0.0 { Instant::now() } else { proc_start + proc_dur };
+            if now.duration_since(self.opened).as_secs_f64() >= QUANTUM {
+                self.settle();
+            }
             return Ok(ControlFlow::Continue(()));
         }
-
         // Without dedup no duplicate can exist: the completion is merged by
         // construction and rides the next request for jobs.
-        let merged = if ctx.ack_gated {
-            self.reports.complete(job.chunk.id, ctx.site)
-        } else {
-            self.done.lock().push(job.chunk.id);
-            true
-        };
-        if !merged {
-            self.discard_scratch();
-        } else if let Some(scratch) = &mut self.scratch {
+        self.done.lock().push(job.chunk.id);
+        if let Some(scratch) = &mut self.scratch {
             self.app.commit(&mut self.robj, scratch, &self.items);
         }
+        self.items.clear();
         Ok(ControlFlow::Continue(()))
     }
 
@@ -1350,12 +1438,20 @@ fn run_slave_serial<R: Reduction>(
     router: &StoreRouter,
 ) -> Result<(), RunError> {
     let ctx = worker.ctx;
-    while let Some(job) = source.next() {
+    loop {
+        let Some(job) = source.take() else {
+            // The batch is used up: settle what is open before the request
+            // for the next can block — the head cannot drain without it.
+            worker.settle();
+            if source.refill().is_none() {
+                return Ok(());
+            }
+            continue;
+        };
         if worker.process_job(FetchedJob::fetch(ctx, router, job))?.is_break() {
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
 /// A granted job and the outcome of retrieving its chunk — what the fetch
@@ -1379,14 +1475,19 @@ impl FetchedJob {
 /// The pull+fetch half of a pipelined slave: pull jobs from the source and
 /// retrieve their chunks, handing each [`FetchedJob`] to the processing half
 /// over a bounded channel whose capacity enforces the pipeline depth. Runs
-/// until the source ends or the processing half hangs up (abort or site
-/// death); the job that bounces goes back to the source, which settles it
-/// with the rest of its batch. What already sits fetched in the channel is
-/// abandoned, and recovered by lease reaping or evacuation like a crashed
-/// worker's grants.
-fn prefetch_loop(mut source: JobSource<'_>, router: &StoreRouter, ftx: Sender<FetchedJob>) {
+/// until the source ends or the processing half says `stop` (abort or site
+/// death) and takes in what is on its way; should it hang up instead, the job
+/// that bounces goes back to the source, which settles it with the rest of
+/// its batch.
+fn prefetch_loop(
+    mut source: JobSource<'_>,
+    router: &StoreRouter,
+    ftx: Sender<FetchedJob>,
+    stop: &AtomicBool,
+) {
     let ctx = source.ctx;
-    while let Some(job) = source.next() {
+    while !stop.load(Ordering::SeqCst) {
+        let Some(job) = source.next() else { return };
         if let Err(bounced) = ftx.send(FetchedJob::fetch(ctx, router, job)) {
             source.unstarted(bounced.0.job);
             return;
@@ -1405,24 +1506,32 @@ fn run_slave_pipelined<R: Reduction>(
     router: &StoreRouter,
 ) -> Result<(), RunError> {
     let ctx = worker.ctx;
+    let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         // Depth d keeps one job processing here, one fetching on the
         // companion, and d - 2 fetched-and-waiting in the channel (depth 2
         // is a rendezvous channel: fetch exactly one ahead).
         let (ftx, frx) = bounded::<FetchedJob>(worker.config.pipeline_depth - 2);
-        scope.spawn(move || prefetch_loop(source, router, ftx));
+        scope.spawn(|| prefetch_loop(source, router, ftx, &stop));
         let mut drain = || -> Result<(), RunError> {
-            // With nothing fetched to take, the companion may be waiting at
-            // the master, and the master on a head that cannot call the run
-            // finished before it hears of the jobs this half completed: say
-            // them now, the companion's request being out without them.
-            while let Some(pre) = frx.try_recv().ok().or_else(|| {
-                flush_done(ctx, worker.reports, worker.done);
-                frx.recv().ok()
-            }) {
+            loop {
+                let pre = match frx.try_recv() {
+                    Ok(pre) => pre,
+                    Err(_) => {
+                        // With nothing fetched to take, the companion may be
+                        // waiting at the master, and the master on a head
+                        // that cannot call the run finished before it hears
+                        // of the jobs this half completed: say them now, the
+                        // companion's request being out without them.
+                        flush_done(ctx, worker.reports, worker.done);
+                        worker.settle();
+                        let Ok(pre) = frx.recv() else { return Ok(()) };
+                        pre
+                    }
+                };
                 ctx.metrics.pipeline(-1);
                 if ctx.site_dead() {
-                    break;
+                    return Ok(());
                 }
                 if ctx.revoked(pre.job.chunk.id) {
                     // The fetch raced a revocation: the chunk was evacuated
@@ -1438,17 +1547,26 @@ fn run_slave_pipelined<R: Reduction>(
                 // either); the span still carries the companion's true
                 // fetch timing.
                 if worker.process_job(pre)?.is_break() {
-                    break;
+                    return Ok(());
                 }
             }
-            Ok(())
         };
         let outcome = drain();
-        // Hang up, so a companion parked on a full channel exits before the
-        // scope joins it — and, leaving on an error, say what was completed
-        // before it, for the same reason as above.
-        drop(frx);
+        // Leaving on an error, say what was completed before it, for the
+        // same reason as above; then take in what the companion had fetched
+        // (it may be parked on a full channel) until it has seen `stop` and
+        // hung up, and hand each job back as its source does the unstarted
+        // ones — the head, which has no lease reaper in classic mode, would
+        // wait for them forever. A dead site says nothing.
+        stop.store(true, Ordering::SeqCst);
         flush_done(ctx, worker.reports, worker.done);
+        worker.settle();
+        for pre in frx.iter() {
+            ctx.metrics.pipeline(-1);
+            if !ctx.site_dead() {
+                worker.reports.fail(pre.job.chunk.id, ctx.site);
+            }
+        }
         outcome
     })
 }
@@ -1821,95 +1939,367 @@ mod tests {
         (org.index, Arc::new(fused))
     }
 
+    /// What a scripted control plane saw of one slave.
+    #[derive(Default)]
+    struct Seen {
+        /// The `want` of every request for jobs.
+        wants: Vec<usize>,
+        /// Completion reports, one entry per message: lists that rode a
+        /// request, a leaving slave's last list, and settled batches.
+        reports: Vec<Vec<ChunkId>>,
+        failed: Vec<ChunkId>,
+    }
+
+    impl Seen {
+        fn reported(&self) -> Vec<ChunkId> {
+            self.reports.concat()
+        }
+    }
+
+    fn local_ctx(
+        ack_gated: bool,
+        cancel: Option<CancelBoard>,
+        chaos: Option<FaultPlan>,
+    ) -> SlaveCtx {
+        SlaveCtx {
+            site: SiteId::LOCAL,
+            worker: 0,
+            cancel,
+            chaos: chaos.map(Arc::new),
+            ack_gated,
+            epoch: Instant::now(),
+            telemetry: Telemetry::off(),
+            metrics: SlaveMetrics::default(),
+        }
+    }
+
+    /// One local site, one slave, plain reads of whole chunks from `store`.
+    fn one_slave(
+        store: Arc<dyn ChunkStore>,
+        depth: usize,
+        fault_policy: FaultPolicy,
+    ) -> (RuntimeConfig, StoreRouter) {
+        let mut config = fast_config(EnvConfig::new("scripted", 1.0, 1, 0));
+        config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+        config.pipeline_depth = depth;
+        config.fault_policy = fault_policy;
+        let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = [(SiteId::LOCAL, store)].into();
+        let router = StoreRouter::new(stores, &config.topology, config.fetch, 1e-9);
+        (config, router)
+    }
+
+    fn jobs_of(chunks: &[cloudburst_core::ChunkMeta]) -> Take {
+        if chunks.is_empty() {
+            return Take::Drained;
+        }
+        Take::Jobs(chunks.iter().map(|&chunk| LocalJob { chunk, stolen: false, span: 0 }).collect())
+    }
+
+    /// Run one slave against a scripted master and head. The master answers
+    /// every request for jobs with `grant(want)`; the head — or, when the
+    /// slave reports `through_master`, the master on its behalf — rules
+    /// `verdict(job)` on every job of a report that waits for verdicts.
+    fn scripted_slave<R: Reduction>(
+        app: &R,
+        ctx: SlaveCtx,
+        (config, router): &(RuntimeConfig, StoreRouter),
+        through_master: bool,
+        mut grant: impl FnMut(usize) -> Take,
+        verdict: impl Fn(ChunkId) -> bool + Sync,
+    ) -> (Result<(R::RObj, SlaveStats), RunError>, Seen) {
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, head_rx) = unbounded::<HeadMsg>();
+        let verdict = &verdict;
+        std::thread::scope(|scope| {
+            let head = scope.spawn(move || {
+                let mut seen = Seen::default();
+                for msg in head_rx.iter() {
+                    match msg {
+                        HeadMsg::Complete { jobs, reply, .. } => {
+                            if let Some(reply) = reply {
+                                let _ = reply.send(jobs.iter().map(|&j| verdict(j)).collect());
+                            }
+                            seen.reports.push(jobs);
+                        }
+                        HeadMsg::Failed { job, .. } => seen.failed.push(job),
+                        _ => panic!("unexpected message to the head"),
+                    }
+                }
+                seen
+            });
+            let slave = scope.spawn({
+                let master_tx = master_tx.clone();
+                move || {
+                    let reports = if through_master {
+                        ReportSink::Master(&master_tx)
+                    } else {
+                        ReportSink::Head(&head_tx)
+                    };
+                    run_slave(app, ctx, &master_tx, &reports, router, config)
+                }
+            });
+            let mut seen = Seen::default();
+            let mut serve = |msg: MasterMsg| match msg {
+                MasterMsg::GetJobs { want, done, reply } => {
+                    seen.wants.push(want);
+                    if !done.is_empty() {
+                        seen.reports.push(done);
+                    }
+                    let _ = reply.send(grant(want));
+                }
+                MasterMsg::Complete { jobs, reply } => {
+                    for &job in &jobs {
+                        let _ = reply.send(verdict(job));
+                    }
+                    seen.reports.push(jobs);
+                }
+                MasterMsg::Done { jobs } => seen.reports.push(jobs),
+                MasterMsg::Failed { job } => seen.failed.push(job),
+                _ => panic!("unexpected message to the master"),
+            };
+            while !slave.is_finished() {
+                if let Ok(msg) = master_rx.recv_timeout(Duration::from_millis(1)) {
+                    serve(msg);
+                }
+            }
+            while let Ok(msg) = master_rx.try_recv() {
+                serve(msg);
+            }
+            let outcome = slave.join().unwrap();
+            // The slave's was the last sender to the head.
+            let at_head = head.join().unwrap();
+            seen.reports.extend(at_head.reports);
+            seen.failed.extend(at_head.failed);
+            (outcome, seen)
+        })
+    }
+
     #[test]
     fn a_slave_that_errors_out_mid_batch_says_what_it_finished_and_hands_the_rest_back() {
         // A scripted master gives the slave what it asks for; the store
         // fails the second job of the first batch that has at least four.
         // The slave (FailFast) must return that error having reported the
         // batch's first job complete, the second failed, and every job it
-        // was granted and never started failed too — to the head directly
-        // or through its master, whichever its reports go to.
-        for through_master in [false, true] {
+        // was granted and never processed failed too — what was still
+        // waiting in its batch and, pipelined, what its companion had
+        // already fetched — to the head directly or through its master,
+        // whichever its reports go to, and whether or not a report waits for
+        // verdicts (the fatal batch's first job is then still open when the
+        // error strikes).
+        for (through_master, depth, ack_gated) in [
+            (false, 1, false),
+            (true, 1, false),
+            (false, 3, false),
+            (true, 3, false),
+            (false, 1, true),
+            (true, 1, true),
+            (false, 3, true),
+            (true, 3, true),
+        ] {
             let (index, store) = fused_setup(400, SiteId::LOCAL);
-            let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> =
-                [(SiteId::LOCAL, store.clone() as Arc<dyn ChunkStore>)].into();
-            let mut config = fast_config(EnvConfig::new("fuse", 1.0, 1, 0));
-            config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
-            let router = StoreRouter::new(stores, &config.topology, config.fetch, 1e-9);
-            let (master_tx, master_rx) = unbounded::<MasterMsg>();
-            let (head_tx, head_rx) = unbounded::<HeadMsg>();
-            let ctx = SlaveCtx {
-                site: SiteId::LOCAL,
-                worker: 0,
-                cancel: None,
-                chaos: None,
-                ack_gated: false,
-                epoch: Instant::now(),
-                telemetry: Telemetry::off(),
-                metrics: SlaveMetrics::default(),
-            };
+            let plane = one_slave(store.clone(), depth, FaultPolicy::FailFast);
             let mut chunks = index.chunks.iter();
-            let (mut wants, mut batch_len, mut granted) = (Vec::new(), 0, 0);
-            let (mut done, mut failed) = (Vec::new(), Vec::new());
-            let outcome = std::thread::scope(|scope| {
-                let slave = scope.spawn(|| {
-                    let reports = if through_master {
-                        ReportSink::Master(&master_tx)
-                    } else {
-                        ReportSink::Head(&head_tx)
-                    };
-                    run_slave(&SumApp, ctx, &master_tx, &reports, &router, &config)
-                });
-                let mut serve = |msg: MasterMsg| match msg {
-                    MasterMsg::GetJobs { want, done: said, reply } => {
-                        wants.push(want);
-                        done.extend(said);
-                        let jobs: Vec<LocalJob> = chunks
-                            .by_ref()
-                            .take(want)
-                            .map(|&chunk| LocalJob { chunk, stolen: false, span: 0 })
-                            .collect();
-                        granted += jobs.len();
-                        if batch_len == 0 && jobs.len() >= 4 {
-                            batch_len = jobs.len();
-                            store.reads_left.store(2, std::sync::atomic::Ordering::SeqCst);
-                        }
-                        let _ = reply.send(Take::Jobs(jobs));
-                    }
-                    MasterMsg::Done { jobs } => done.extend(jobs),
-                    MasterMsg::Failed { job } => failed.push(job),
-                    _ => panic!("unexpected message to the master"),
-                };
-                while !slave.is_finished() {
-                    if let Ok(msg) = master_rx.recv_timeout(Duration::from_millis(1)) {
-                        serve(msg);
-                    }
+            let (mut batch_len, mut granted) = (0, 0);
+            let grant = |want: usize| {
+                let jobs: Vec<_> = chunks.by_ref().take(want).copied().collect();
+                granted += jobs.len();
+                if batch_len == 0 && jobs.len() >= 4 {
+                    batch_len = jobs.len();
+                    store.reads_left.store(2, std::sync::atomic::Ordering::SeqCst);
                 }
-                while let Ok(msg) = master_rx.try_recv() {
-                    serve(msg);
-                }
-                slave.join().unwrap()
-            });
-            while let Ok(msg) = head_rx.try_recv() {
-                match msg {
-                    HeadMsg::Completed { jobs, .. } => done.extend(jobs),
-                    HeadMsg::Failed { job, .. } => failed.push(job),
-                    _ => panic!("unexpected message to the head"),
-                }
-            }
-            let what = format!("reports through the master: {through_master}");
+                jobs_of(&jobs)
+            };
+            let ctx = local_ctx(ack_gated, None, None);
+            let (outcome, seen) =
+                scripted_slave(&SumApp, ctx, &plane, through_master, grant, |_| true);
+            let what =
+                format!("through the master: {through_master}, depth {depth}, acked: {ack_gated}");
             assert!(matches!(outcome, Err(RunError::Io(_))), "{what}: {:?}", outcome.map(|_| ()));
+            let wants = &seen.wants;
             assert_eq!(wants[0], 1, "{what}: nothing is known before the first job");
             assert!(wants.iter().all(|&w| (1..=MAX_BATCH).contains(&w)), "{what}: {wants:?}");
             assert!(batch_len >= 4, "{what}: 160-byte jobs are asked for in batches, {wants:?}");
             // Everything before the fatal batch, plus its first job, is done;
-            // its second job and the ones behind it are failed, in order.
+            // its second job and the ones behind it are failed.
+            let (mut done, mut failed) = (seen.reported(), seen.failed);
             assert_eq!(done.len(), granted - batch_len + 1, "{what}");
             assert_eq!(failed.len(), batch_len - 2 + 1, "{what}: handed back, plus the error");
+            done.sort_unstable();
+            failed.sort_unstable();
             let expected: Vec<ChunkId> = index.chunks[..granted].iter().map(|c| c.id).collect();
             done.extend(failed);
             assert_eq!(done, expected, "{what}: every granted job is settled exactly once");
         }
+    }
+
+    /// `SumApp` with a hook on every chunk it decodes, handed the chunk's
+    /// first unit.
+    struct HookedSum<F>(F);
+
+    impl<F: Fn(u32) + Send + Sync> Reduction for HookedSum<F> {
+        type Item = u32;
+        type RObj = SumObj;
+        fn make_robj(&self) -> SumObj {
+            SumObj(0)
+        }
+        fn unit_size(&self) -> usize {
+            4
+        }
+        fn decode(&self, chunk: &[u8], out: &mut Vec<u32>) {
+            SumApp.decode(chunk, out);
+            (self.0)(out[out.len() - 40]);
+        }
+        fn local_reduce(&self, robj: &mut SumObj, item: &u32) {
+            SumApp.local_reduce(robj, item);
+        }
+    }
+
+    /// The sum of the units of `fused_setup`'s chunk `i`.
+    fn chunk_sum(i: u32) -> u64 {
+        (i * 40..(i + 1) * 40).map(u64::from).sum()
+    }
+
+    #[test]
+    fn a_refused_job_costs_its_batch_mates_a_second_reduce_and_nothing_else() {
+        // Three jobs open on one worker, then one report; the head merges
+        // the first and the third and calls the second a duplicate. The
+        // accumulator must hold exactly the two accepted chunks, the scratch
+        // must be fresh again, and the accepted two were reduced twice.
+        let (index, store) = fused_setup(3, SiteId::LOCAL);
+        let (config, router) = one_slave(store, 1, FaultPolicy::FailFast);
+        let (head_tx, head_rx) = unbounded::<HeadMsg>();
+        let duplicate = index.chunks[1].id;
+        let head = std::thread::spawn(move || {
+            let mut reports = Vec::new();
+            for msg in head_rx.iter() {
+                let HeadMsg::Complete { jobs, reply: Some(reply), .. } = msg else {
+                    panic!("only reports that wait for verdicts are expected")
+                };
+                reply.send(jobs.iter().map(|&j| j != duplicate).collect()).unwrap();
+                reports.push(jobs);
+            }
+            reports
+        });
+        let ctx = local_ctx(true, None, None);
+        let (reports, done) = (ReportSink::Head(&head_tx), DoneList::default());
+        let mut worker = Worker::new(&SumApp, &ctx, &reports, &done, &config);
+        for &chunk in &index.chunks {
+            let job = LocalJob { chunk, stolen: false, span: 0 };
+            assert!(worker
+                .process_job(FetchedJob::fetch(&ctx, &router, job))
+                .unwrap()
+                .is_continue());
+        }
+        worker.settle();
+        assert!(worker.open.is_empty() && worker.items.is_empty());
+        assert_eq!(worker.scratch, Some(SumObj(0)), "the scratch is fresh after the verdicts");
+        assert_eq!(worker.robj, SumObj(chunk_sum(0) + chunk_sum(2)));
+        let rereduced = worker.stats.rereduced;
+        drop(worker);
+        drop(head_tx);
+        let reports = head.join().unwrap();
+        assert_eq!(reports.concat(), index.chunks.iter().map(|c| c.id).collect::<Vec<_>>());
+        // (A stall of a quantum between two of the jobs splits the report;
+        // whatever shared a message with the duplicate was reduced again.)
+        let mates = reports.iter().find(|r| r.contains(&duplicate)).unwrap().len() as u64 - 1;
+        assert_eq!(rereduced, mates);
+        assert!(done.lock().is_empty(), "no completion of an ack-gated slave rides a request");
+    }
+
+    #[test]
+    fn a_panic_in_a_batch_leaves_the_jobs_before_it_reportable_and_mergeable() {
+        // Four jobs in one hand-off, the third panics in the application.
+        // Under the retry policy the slave goes on: the first two are
+        // reported and merged although the panic cost the scratch they had
+        // been reduced into, the third is failed, the fourth is processed.
+        for through_master in [false, true] {
+            let (index, store) = fused_setup(4, SiteId::LOCAL);
+            let plane = one_slave(store, 1, FaultPolicy::Retry { max_attempts: 2 });
+            let app = HookedSum(|first| assert_ne!(first, 2 * 40, "injected: chunk 2 panics"));
+            let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
+            let grant = |_| batches.pop().unwrap();
+            let ctx = local_ctx(true, None, None);
+            let (outcome, seen) =
+                scripted_slave(&app, ctx, &plane, through_master, grant, |_| true);
+            let (robj, stats) = outcome.unwrap();
+            assert_eq!(robj, SumObj(chunk_sum(0) + chunk_sum(1) + chunk_sum(3)));
+            assert_eq!(seen.failed, [index.chunks[2].id]);
+            let ids = |of: &[usize]| of.iter().map(|&i| index.chunks[i].id).collect::<Vec<_>>();
+            assert_eq!(seen.reported(), ids(&[0, 1, 3]));
+            assert!(!seen.reports.iter().any(|r| r.contains(&ids(&[3])[0]) && r.len() > 1));
+            assert_eq!(stats.jobs, 3);
+            assert!(stats.rereduced <= 2, "only what was open at the panic is reduced again");
+        }
+    }
+
+    #[test]
+    fn a_job_revoked_while_it_is_open_is_neither_reported_nor_merged() {
+        // Three jobs in one hand-off; the head fences the second while the
+        // slave is reducing it — too late for the fences before the fetch
+        // and at the pipeline's handoff. It lost its race: the slave must not
+        // report it and must not merge it, and its batch-mates lose nothing.
+        for depth in [1, 3] {
+            let (index, store) = fused_setup(3, SiteId::LOCAL);
+            let plane = one_slave(store, depth, FaultPolicy::FailFast);
+            let board = CancelBoard::new();
+            let fenced = index.chunks[1].id;
+            let app = HookedSum(|first| {
+                if first == 40 {
+                    board.revoke(fenced);
+                }
+            });
+            let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
+            let grant = |_| batches.pop().unwrap();
+            let ctx = local_ctx(true, Some(board.clone()), None);
+            let (outcome, seen) = scripted_slave(&app, ctx, &plane, false, grant, |_| true);
+            let (robj, stats) = outcome.unwrap();
+            assert_eq!(robj, SumObj(chunk_sum(0) + chunk_sum(2)), "depth {depth}");
+            assert_eq!(seen.reported(), [index.chunks[0].id, index.chunks[2].id], "depth {depth}");
+            assert!(
+                seen.failed.is_empty(),
+                "depth {depth}: the head requeued it when it fenced it"
+            );
+            assert_eq!(stats.jobs, 3, "depth {depth}: all three were processed");
+        }
+    }
+
+    #[test]
+    fn a_slow_job_does_not_sit_on_its_batch_mates_completions() {
+        // Three jobs in one hand-off. (a) The chaos plan slows the worker by
+        // 50 ms per job: every job lasts a quantum or more and is reported
+        // alone, so no job's delay holds an earlier completion. (b) The
+        // second job alone takes 50 ms, in the application: the first waits
+        // for it — nothing can report from inside a reduce — but not a job
+        // longer, the third is never in their report.
+        let (index, store) = fused_setup(3, SiteId::LOCAL);
+        let plane = one_slave(store, 1, FaultPolicy::FailFast);
+        let ids: Vec<ChunkId> = index.chunks.iter().map(|c| c.id).collect();
+
+        let mut plan = FaultPlan::seeded(3);
+        plan.slow_workers.push(cloudburst_core::SlowWorker {
+            site: SiteId::LOCAL,
+            worker: 0,
+            delay_per_job: 0.05,
+        });
+        let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
+        let ctx = local_ctx(true, None, Some(plan));
+        let (outcome, seen) =
+            scripted_slave(&SumApp, ctx, &plane, false, |_| batches.pop().unwrap(), |_| true);
+        assert_eq!(outcome.unwrap().0, SumObj(chunk_sum(0) + chunk_sum(1) + chunk_sum(2)));
+        assert_eq!(seen.reports, [[ids[0]], [ids[1]], [ids[2]]], "one report per delayed job");
+
+        let app = HookedSum(|first| {
+            if first == 40 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        });
+        let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
+        let ctx = local_ctx(true, None, None);
+        let (outcome, seen) =
+            scripted_slave(&app, ctx, &plane, false, |_| batches.pop().unwrap(), |_| true);
+        assert_eq!(outcome.unwrap().0, SumObj(chunk_sum(0) + chunk_sum(1) + chunk_sum(2)));
+        assert_eq!(seen.reported(), ids);
+        assert_eq!(seen.reports.last().unwrap(), &[ids[2]], "{:?}", seen.reports);
     }
 
     #[test]
@@ -1918,51 +2308,24 @@ mod tests {
         // prefetcher does. The master hands out a batch and the head revokes
         // its second job before the slave gets to it.
         let (index, store) = fused_setup(200, SiteId::LOCAL);
-        let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> =
-            [(SiteId::LOCAL, store as Arc<dyn ChunkStore>)].into();
-        let mut config = fast_config(EnvConfig::new("fence", 1.0, 1, 0));
-        config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+        let plane = one_slave(store, 1, FaultPolicy::FailFast);
         let metrics = Metrics::on();
-        let router = StoreRouter::new(stores, &config.topology, config.fetch, 1e-9);
-        let (master_tx, master_rx) = unbounded::<MasterMsg>();
-        let (head_tx, _head_rx) = unbounded::<HeadMsg>();
         let board = CancelBoard::new();
-        let ctx = SlaveCtx {
-            site: SiteId::LOCAL,
-            worker: 0,
-            cancel: Some(board.clone()),
-            chaos: None,
-            ack_gated: false,
-            epoch: Instant::now(),
-            telemetry: Telemetry::off(),
-            metrics: SlaveMetrics::new(&metrics, SiteId::LOCAL, 0),
-        };
+        let mut ctx = local_ctx(false, Some(board.clone()), None);
+        ctx.metrics = SlaveMetrics::new(&metrics, SiteId::LOCAL, 0);
         let mut chunks = index.chunks.iter();
-        let (mut done, mut revoked) = (Vec::new(), Vec::new());
-        std::thread::scope(|scope| {
-            let slave = scope.spawn(|| {
-                let reports = ReportSink::Head(&head_tx);
-                run_slave(&SumApp, ctx, &master_tx, &reports, &router, &config)
-            });
-            while let Ok(MasterMsg::GetJobs { want, done: said, reply }) = master_rx.recv() {
-                done.extend(said);
-                let jobs: Vec<LocalJob> = chunks
-                    .by_ref()
-                    .take(want)
-                    .map(|&chunk| LocalJob { chunk, stolen: false, span: 0 })
-                    .collect();
-                if jobs.is_empty() {
-                    let _ = reply.send(Take::Drained);
-                    break;
-                }
-                if jobs.len() >= 3 {
-                    board.revoke(jobs[1].chunk.id);
-                    revoked.push(jobs[1].chunk.id);
-                }
-                let _ = reply.send(Take::Jobs(jobs));
+        let mut revoked = Vec::new();
+        let grant = |want: usize| {
+            let jobs: Vec<_> = chunks.by_ref().take(want).copied().collect();
+            if jobs.len() >= 3 {
+                board.revoke(jobs[1].id);
+                revoked.push(jobs[1].id);
             }
-            slave.join().unwrap().unwrap();
-        });
+            jobs_of(&jobs)
+        };
+        let (outcome, seen) = scripted_slave(&SumApp, ctx, &plane, false, grant, |_| true);
+        outcome.unwrap();
+        let done = seen.reported();
         assert!(!revoked.is_empty(), "160-byte jobs come in batches");
         let mut settled = done.clone();
         settled.extend(&revoked);
@@ -2039,29 +2402,30 @@ mod tests {
         }
     }
 
-    /// Jobs per answered request at each site, from a run's metrics.
-    fn batch_histograms(config: &RuntimeConfig) -> Vec<Histogram> {
+    /// The per-site histograms called `name` of a run's metrics, summed:
+    /// (observations, observed total).
+    fn site_histograms(config: &RuntimeConfig, name: &str) -> (Vec<Histogram>, u64, f64) {
         let registry = config.metrics.registry().unwrap();
-        [SiteId::LOCAL, SiteId::CLOUD]
+        let hists: Vec<Histogram> = [SiteId::LOCAL, SiteId::CLOUD]
             .iter()
-            .filter_map(|site| {
-                registry
-                    .find_histogram("cloudburst_slave_batch_jobs", &[("site", &site.to_string())])
-            })
-            .collect()
+            .filter_map(|site| registry.find_histogram(name, &[("site", &site.to_string())]))
+            .collect();
+        let (n, sum) = hists.iter().fold((0, 0.0), |(n, sum), h| (n + h.count(), sum + h.sum()));
+        (hists, n, sum)
     }
+
+    type SlowRun = fn(
+        &SlowSum,
+        &DataIndex,
+        BTreeMap<SiteId, Arc<dyn ChunkStore>>,
+        &RuntimeConfig,
+    ) -> Result<RunOutcome<SumObj>, RunError>;
 
     #[test]
     fn millisecond_jobs_are_taken_one_per_hand_off_on_both_transports() {
-        // A job of a quantum or more is asked for alone: every answered
-        // request carried exactly one job, so each slave made one request
-        // per job and the one that told it the pool had drained.
-        type SlowRun = fn(
-            &SlowSum,
-            &DataIndex,
-            BTreeMap<SiteId, Arc<dyn ChunkStore>>,
-            &RuntimeConfig,
-        ) -> Result<RunOutcome<SumObj>, RunError>;
+        // A job of a quantum or more — these last two — is asked for alone:
+        // every answered request carried exactly one job, so each slave made
+        // one request per job and the one that told it the pool had drained.
         for (run, name) in
             [(run_hybrid as SlowRun, "channels"), (crate::net::run_hybrid_tcp as SlowRun, "tcp")]
         {
@@ -2069,14 +2433,79 @@ mod tests {
             let (index, stores) = setup(units, 0.5, 4);
             let mut config = fast_config(EnvConfig::new("slow-jobs", 0.5, 2, 2));
             config.metrics = Metrics::on();
-            let app = SlowSum(Duration::from_millis(1));
+            let app = SlowSum(Duration::from_secs_f64(2.0 * QUANTUM));
             let out = run(&app, &index, stores, &config).unwrap();
             assert_eq!(out.result.0, expected_sum(units), "{name}");
-            let (answers, jobs) = batch_histograms(&config)
-                .iter()
-                .fold((0, 0.0), |(n, sum), h| (n + h.count(), sum + h.sum()));
+            let (_, answers, jobs) = site_histograms(&config, "cloudburst_slave_batch_jobs");
             assert_eq!(jobs as u64, index.n_chunks() as u64, "{name}");
             assert_eq!(answers, index.n_chunks() as u64, "{name}: one job per answered request");
+        }
+    }
+
+    /// 6 000 jobs of 160 bytes over two one-slave sites, metrics on: the
+    /// outcome, and the configuration whose registry holds the histograms.
+    fn tiny_jobs_run(run: Run, ft: FtConfig) -> (RunOutcome<SumObj>, RuntimeConfig) {
+        let units = 40 * 6000;
+        let data = dataset(units);
+        let params = LayoutParams { unit_size: 4, units_per_chunk: 40, n_files: 4 };
+        let org = organize(&data, params, &mut fraction_placement(0.5, 4)).unwrap();
+        let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = org
+            .stores
+            .iter()
+            .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
+            .collect();
+        let mut config = fast_config(EnvConfig::new("tiny-jobs", 0.5, 1, 1));
+        // The channel head sizes grants itself: let it grant a hand-off's
+        // worth, as the TCP master asks for unbidden.
+        config.batch_policy = BatchPolicy::Fixed(MAX_BATCH);
+        // One plain read per chunk: a ranged fetch through the pool's
+        // threads is a hand-off of its own and no tiny job.
+        config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
+        (config.ft, config.metrics) = (ft, Metrics::on());
+        let out = run(&SumApp, &org.index, stores, &config).unwrap();
+        assert_eq!(out.result.0, expected_sum(units));
+        (out, config)
+    }
+
+    #[test]
+    fn under_fault_tolerance_a_completion_message_carries_a_hand_off_of_jobs() {
+        // The whole FT stack on, so every completion waits for a verdict.
+        // Jobs of two quanta are reported as they are asked for, alone:
+        // one completion message per job, the old message pattern. 160-byte
+        // jobs are reported about as they are taken, a hand-off at a time.
+        // (Speculation may run a job twice, so the head merged no more than
+        // the slaves reported.)
+        let ft = FtConfig {
+            heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
+            ..FtConfig::enabled()
+        };
+        for (run, name) in
+            [(run_hybrid as SlowRun, "channels"), (crate::net::run_hybrid_tcp as SlowRun, "tcp")]
+        {
+            let (index, stores) = setup(64 * 48, 0.5, 4);
+            let mut config = fast_config(EnvConfig::new("slow-ft-jobs", 0.5, 2, 2));
+            (config.ft, config.metrics) = (ft.clone(), Metrics::on());
+            let app = SlowSum(Duration::from_secs_f64(2.0 * QUANTUM));
+            let out = run(&app, &index, stores, &config).unwrap();
+            assert_eq!(out.result.0, expected_sum(64 * 48), "{name}");
+            let (_, messages, reported) = site_histograms(&config, "cloudburst_slave_settle_jobs");
+            assert!(reported as u64 >= out.head.completions, "{name}");
+            assert_eq!(messages, reported as u64, "{name}: one completion message per job");
+        }
+        for (run, name) in
+            [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
+        {
+            let (out, config) = tiny_jobs_run(run, ft.clone());
+            let (_, hand_offs, _) = site_histograms(&config, "cloudburst_slave_batch_jobs");
+            let (_, messages, reported) = site_histograms(&config, "cloudburst_slave_settle_jobs");
+            assert!(reported as u64 >= out.head.completions, "{name}");
+            assert!(
+                reported / messages as f64 >= 4.0,
+                "{name}: {reported} jobs, {messages} reports"
+            );
+            // One report when the batch is used up, and at most one more
+            // when it outlasted its quantum.
+            assert!(messages <= 2 * hand_offs, "{name}: {messages} reports, {hand_offs} hand-offs");
         }
     }
 
@@ -2085,28 +2514,8 @@ mod tests {
         for (run, name) in
             [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
         {
-            let units = 40 * 6000;
-            let data = dataset(units);
-            let params = LayoutParams { unit_size: 4, units_per_chunk: 40, n_files: 4 };
-            let org = organize(&data, params, &mut fraction_placement(0.5, 4)).unwrap();
-            let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = org
-                .stores
-                .iter()
-                .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
-                .collect();
-            let mut config = fast_config(EnvConfig::new("tiny-jobs", 0.5, 1, 1));
-            // The channel head sizes grants itself: let it grant a hand-off's
-            // worth, as the TCP master asks for unbidden.
-            config.batch_policy = BatchPolicy::Fixed(MAX_BATCH);
-            // One plain read per chunk: a ranged fetch through the pool's
-            // threads is a hand-off of its own and no tiny job.
-            config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
-            config.metrics = Metrics::on();
-            let out = run(&SumApp, &org.index, stores, &config).unwrap();
-            assert_eq!(out.result.0, expected_sum(units), "{name}");
-            let hists = batch_histograms(&config);
-            let (answers, jobs) =
-                hists.iter().fold((0, 0.0), |(n, sum), h| (n + h.count(), sum + h.sum()));
+            let (_, config) = tiny_jobs_run(run, FtConfig::default());
+            let (hists, answers, jobs) = site_histograms(&config, "cloudburst_slave_batch_jobs");
             assert_eq!(jobs as u64, 6000, "{name}");
             assert!(jobs / answers as f64 >= 8.0, "{name}: {jobs} jobs in {answers} hand-offs");
             // (The histogram's grid puts 64 in a bucket that ends at 71.)

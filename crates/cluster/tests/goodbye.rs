@@ -51,11 +51,11 @@ fn the_channel_head_leaves_a_site_alone_after_its_goodbye() {
         let (btx, brx) = bounded(1);
         tx.send(HeadMsg::RequestJobs { site, reply: btx }).unwrap();
         let batch = brx.recv().unwrap();
-        for j in &batch.jobs {
-            let (atx, arx) = bounded(1);
-            tx.send(HeadMsg::Complete { job: j.id, site, reply: Some(atx) }).unwrap();
-            assert!(arx.recv().unwrap(), "{site} completes its own grant once");
-        }
+        let jobs: Vec<_> = batch.jobs.iter().map(|j| j.id).collect();
+        let (atx, arx) = bounded(1);
+        tx.send(HeadMsg::Complete { jobs, site, reply: Some(atx) }).unwrap();
+        let verdicts = arx.recv().unwrap();
+        assert!(verdicts.iter().all(|&merged| merged), "{site} completes its own grant once");
         batch
     };
     assert_eq!(work(&tx, SiteId::LOCAL).len(), 2);

@@ -400,6 +400,7 @@ fn is_fault(kind: EventKind) -> bool {
             | EventKind::JobFailed
             | EventKind::JobAbandoned
             | EventKind::StorageRetry { .. }
+            | EventKind::JobRereduced
             | EventKind::SpeculationResolved { won: false }
     )
 }

@@ -298,6 +298,11 @@ pub struct FaultCounters {
     /// Completions rejected because another execution already merged the
     /// chunk (or the reporter was already declared dead).
     pub duplicate_completions: u64,
+    /// Accepted jobs a slave reduced a second time because a job settled in
+    /// the same exchange was refused or revoked: the price of a duplicate
+    /// under batched verdicts.
+    #[serde(default)]
+    pub rereduced_jobs: u64,
     /// Completions accepted from a site whose lease had already been
     /// reaped — the original worker won the race after all.
     pub late_completions: u64,
@@ -320,6 +325,7 @@ impl FaultCounters {
             && self.replica_fences == 0
             && self.saved_refetches == 0
             && self.duplicate_completions == 0
+            && self.rereduced_jobs == 0
             && self.late_completions == 0
             && self.abandoned_jobs.is_empty()
     }

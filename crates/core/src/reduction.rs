@@ -74,12 +74,15 @@ pub trait Reduction: Send + Sync {
         }
     }
 
-    /// Fold an accepted job into the worker's accumulator. `scratch` was
-    /// equal to a fresh [`Reduction::make_robj`] before exactly `items` (the
-    /// job's decoded units) were reduced into it; on return `acc` must hold
+    /// Fold accepted work into the worker's accumulator. `scratch` was equal
+    /// to a fresh [`Reduction::make_robj`] before exactly `items` were
+    /// reduced into it, in order: the decoded units of one job, or of several
+    /// jobs one after the other (the runtime settles a whole hand-off of
+    /// jobs in one call when the head accepted them all; units may repeat
+    /// across those jobs as they may within one). On return `acc` must hold
     /// what `acc.merge(scratch)` would have produced and `scratch` must again
     /// equal a fresh `make_robj()`, because the runtime keeps one scratch
-    /// object per worker and reuses it for the next job.
+    /// object per worker and reuses it for the next batch.
     ///
     /// The default swaps in a new object and merges the old one, which is
     /// right whenever the object is no larger than a chunk's footprint in it
@@ -87,16 +90,17 @@ pub trait Reduction: Send + Sync {
     /// together with [`Reduction::discard`] — when the object is much larger
     /// than what one chunk touches (a dense rank vector, a raster grid): walk
     /// `items`, move only the entries they hit, and zero those entries, so
-    /// committing a job costs O(chunk) instead of O(object).
+    /// committing costs O(units) instead of O(object).
     fn commit(&self, acc: &mut Self::RObj, scratch: &mut Self::RObj, items: &[Self::Item]) {
         let _ = items;
         acc.merge(std::mem::replace(scratch, self.make_robj()));
     }
 
-    /// Throw a job's result away (the head rejected or revoked it): return
-    /// `scratch`, into which exactly `items` were reduced, to the state of a
-    /// fresh [`Reduction::make_robj`]. Same contract and same reason to
-    /// override as [`Reduction::commit`].
+    /// Throw work away (the head rejected or revoked a job of the batch):
+    /// return `scratch`, into which exactly `items` — one job's units or
+    /// several jobs' concatenated — were reduced, to the state of a fresh
+    /// [`Reduction::make_robj`]. Same contract and same reason to override as
+    /// [`Reduction::commit`].
     fn discard(&self, scratch: &mut Self::RObj, items: &[Self::Item]) {
         let _ = items;
         *scratch = self.make_robj();

@@ -261,6 +261,7 @@ pub fn faults_to_json(f: &FaultCounters) -> Json {
         .field("replica_fences", Json::U64(f.replica_fences))
         .field("saved_refetches", Json::U64(f.saved_refetches))
         .field("duplicate_completions", Json::U64(f.duplicate_completions))
+        .field("rereduced_jobs", Json::U64(f.rereduced_jobs))
         .field("late_completions", Json::U64(f.late_completions))
         .field("abandoned", Json::Arr(abandoned))
 }

@@ -108,6 +108,9 @@ pub enum EventKind {
     },
     /// A slave ran the reduction over a chunk (span).
     JobProcessed,
+    /// A slave reduced an accepted job a second time, because a job it shared
+    /// the scratch object with was refused or revoked.
+    JobRereduced,
     /// The head ruled on a completion report (the dedup verdict).
     JobCompleted {
         /// The result was accepted for merging (first completion wins).
@@ -191,6 +194,7 @@ impl EventKind {
             EventKind::ChunkFetched { .. } => "chunk-fetched",
             EventKind::StorageRetry { .. } => "storage-retry",
             EventKind::JobProcessed => "job-processed",
+            EventKind::JobRereduced => "job-rereduced",
             EventKind::JobCompleted { .. } => "job-completed",
             EventKind::SpeculationResolved { .. } => "speculation-resolved",
             EventKind::JobFailed => "job-failed",
@@ -243,9 +247,10 @@ impl EventKind {
             | EventKind::LeaseReaped
             | EventKind::JobEvacuated
             | EventKind::JobAbandoned => "pool",
-            EventKind::JobStarted { .. } | EventKind::JobProcessed | EventKind::SlaveFinished => {
-                "slave"
-            }
+            EventKind::JobStarted { .. }
+            | EventKind::JobProcessed
+            | EventKind::JobRereduced
+            | EventKind::SlaveFinished => "slave",
             EventKind::ChunkFetched { .. } | EventKind::StorageRetry { .. } => "storage",
             EventKind::SiteEvacuated | EventKind::LostResult { .. } | EventKind::Heartbeat => {
                 "liveness"
@@ -265,6 +270,7 @@ impl EventKind {
             EventKind::JobGranted { speculative: true, .. }
                 | EventKind::JobCompleted { merged: false, .. }
                 | EventKind::JobCompleted { late: true, .. }
+                | EventKind::JobRereduced
                 | EventKind::SpeculationResolved { .. }
                 | EventKind::JobFailed
                 | EventKind::LeaseReaped
@@ -478,6 +484,7 @@ impl Event {
                 EventKind::StorageRetry { retries: u64_of(j, "retries").unwrap_or(0) }
             }
             "job-processed" => EventKind::JobProcessed,
+            "job-rereduced" => EventKind::JobRereduced,
             "job-completed" => EventKind::JobCompleted {
                 merged: bool_of(j, "merged"),
                 late: bool_of(j, "late"),
@@ -1122,6 +1129,7 @@ pub fn derive_report(events: &[Event], env: &str) -> RunReport {
                 }
             }
             EventKind::LeaseReaped => faults.lease_expiries += 1,
+            EventKind::JobRereduced => faults.rereduced_jobs += 1,
             EventKind::JobEvacuated => faults.evacuated_jobs += 1,
             EventKind::JobAbandoned => {
                 if let Some(c) = e.chunk {

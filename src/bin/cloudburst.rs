@@ -844,7 +844,7 @@ fn sites_debug_json(
         // The grant layer, by the bench ladder's names: how long a request
         // to the head takes, how many jobs the master keeps on request to
         // cover it, what the slaves still waited, and how many jobs a slave
-        // takes per hand-off.
+        // takes per hand-off and reports per completion message it waits on.
         if cur.grant_round_trips > 0 {
             let mut master = Json::obj()
                 .field("grant_round_trips", Json::U64(cur.grant_round_trips))
@@ -861,6 +861,13 @@ fn sites_debug_json(
                     .field("hand_offs", Json::U64(h.count()))
                     .field("jobs_per_hand_off_mean", Json::F64(h.sum() / h.count() as f64))
                     .field("jobs_per_hand_off_p99", Json::F64(h.quantile(0.99)));
+            }
+            let settles = histogram("cloudburst_slave_settle_jobs", site);
+            if let Some(h) = settles.filter(|h| h.count() > 0) {
+                master = master
+                    .field("settles", Json::U64(h.count()))
+                    .field("jobs_per_settle_mean", Json::F64(h.sum() / h.count() as f64))
+                    .field("jobs_per_settle_p99", Json::F64(h.quantile(0.99)));
             }
             entry = entry.field("master", master);
         }
@@ -1429,11 +1436,13 @@ fn verdict_for(category: &str) -> &'static str {
         "pool_wait" => {
             "workers wait between jobs: the master already hides the head round trip \
              behind a window of requests (see cloudburst_master_starved_seconds_total) \
-             and a slave takes a quantum of jobs per hand-off with its completions \
-             riding the request (see cloudburst_slave_batch_jobs), so what is left is \
-             the per-job verdict round trip to the head under fault tolerance or coded \
-             replicas — use larger chunks, or raise the head's batch size if the \
-             masters do starve."
+             and a slave takes a quantum of jobs per hand-off (see \
+             cloudburst_slave_batch_jobs) and reports them together — riding its next \
+             request or, under fault tolerance or coded replicas, in one verdict \
+             exchange per hand-off (see cloudburst_slave_settle_jobs) — so what is left \
+             is one blocking exchange per millisecond of work, and the second reduce of \
+             a refused job's batch-mates (faults: re-reduced) — use larger chunks, or \
+             raise the head's batch size if the masters do starve."
         }
         "recovery" => {
             "fault recovery dominates: leases, evacuations or retries are eating the \
@@ -1860,7 +1869,7 @@ fn print_report(report: &RunReport, cost: &CostReport) {
     if !f.is_quiet() || report.total_retries() > 0 {
         println!(
             "  faults: {} lease expiries | {} evacuated | {} lost results | \
-             {} speculative ({} won, {} lost) | {} duplicates | {} late | \
+             {} speculative ({} won, {} lost) | {} duplicates ({} re-reduced) | {} late | \
              {} abandoned | {} storage retries",
             f.lease_expiries,
             f.evacuated_jobs,
@@ -1869,6 +1878,7 @@ fn print_report(report: &RunReport, cost: &CostReport) {
             f.speculative_wins,
             f.speculative_losses,
             f.duplicate_completions,
+            f.rereduced_jobs,
             f.late_completions,
             f.abandoned_jobs.len(),
             report.total_retries()
@@ -2010,11 +2020,13 @@ mod tests {
     #[test]
     fn pool_wait_advice_names_what_is_left_of_the_grant_path() {
         let advice = verdict_for("pool_wait");
-        assert!(advice.contains("verdict round trip"), "{advice}");
+        assert!(advice.contains("one verdict exchange per hand-off"), "{advice}");
         assert!(advice.contains("fault tolerance"), "{advice}");
         assert!(advice.contains("cloudburst_slave_batch_jobs"), "{advice}");
-        // A request for jobs is no longer a per-job cost.
-        assert!(!advice.contains("per-job request"), "{advice}");
+        assert!(advice.contains("cloudburst_slave_settle_jobs"), "{advice}");
+        assert!(advice.contains("re-reduced"), "{advice}");
+        // Neither a request for jobs nor a verdict is a per-job cost any more.
+        assert!(!advice.contains("per-job"), "{advice}");
         assert!(advice.contains("batch size"), "{advice}");
         // The request window sizes itself; the watermark is only its floor.
         assert!(!advice.contains("watermark"), "{advice}");
@@ -2033,6 +2045,10 @@ mod tests {
         let batch = metrics.size_histogram("cloudburst_slave_batch_jobs", "jobs", &site);
         batch.observe(64);
         batch.observe(16);
+        let settle = metrics.size_histogram("cloudburst_slave_settle_jobs", "jobs", &site);
+        for jobs in [12, 12, 6] {
+            settle.observe(jobs);
+        }
         let registry = metrics.registry().expect("metrics are on");
         let sums = summarize(&registry.snapshot());
         let doc =
@@ -2047,5 +2063,7 @@ mod tests {
         assert!((1_750.0..=2_300.0).contains(&p50), "one 2 ms sample, got {p50} us");
         assert_eq!(master.get("hand_offs").and_then(Json::as_f64), Some(2.0));
         assert_eq!(master.get("jobs_per_hand_off_mean").and_then(Json::as_f64), Some(40.0));
+        assert_eq!(master.get("settles").and_then(Json::as_f64), Some(3.0));
+        assert_eq!(master.get("jobs_per_settle_mean").and_then(Json::as_f64), Some(10.0));
     }
 }

@@ -68,20 +68,34 @@ echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
     && cargo test -q "${CARGO_FLAGS[@]}" --test e2e_apps kmeans; } \
     || { echo "k-means kernel differs from the reference loop"; exit 1; }
 
-echo "== slave quantum: hand-back, fencing at the batch boundary, the mailbox, batch sizes per transport"
+echo "== slave quantum: hand-back, fencing at the batch boundary, the mailbox, batch sizes per transport, verdicts by the quantum"
 # Already part of `cargo test` above; named here so a failure says which
 # promise broke: a slave that errors out mid-batch settles every granted job
-# exactly once (scripted master, then both runtimes end to end within a
-# second), a job revoked in the slave's batch is dropped before its fetch, a
-# request in a dead master's mailbox fails at once, millisecond jobs go one
-# per hand-off and 160-byte jobs a quantum at a time, never over 64.
+# exactly once at depth 1 and 3, acked or not (scripted master, then both
+# runtimes end to end within a second), a job revoked in the slave's batch is
+# dropped before its fetch, a request in a dead master's mailbox fails at
+# once, jobs of two quanta go one per hand-off and 160-byte jobs a quantum at
+# a time, never over 64. Ack-gated, a hand-off of jobs is settled in one
+# exchange: a refused job costs its batch-mates a second reduce and leaves the
+# scratch fresh, a panic leaves the jobs open before it mergeable, a job
+# revoked while open is neither reported nor merged, a slow job does not sit
+# on its batch-mates' completions, and under the FT stack a completion message
+# carries one slow job or a hand-off of tiny ones; `commit`/`discard` over
+# several jobs' units hold their contract for all five apps.
 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib -- \
     runtime::tests::a_slave_that_errors_out_mid_batch \
     runtime::tests::a_store_error_mid_batch \
     runtime::tests::a_job_revoked_while_it_waits \
     runtime::tests::a_request_in_the_mailbox \
     runtime::tests::millisecond_jobs_are_taken_one_per_hand_off \
-    runtime::tests::tiny_jobs_are_taken_a_quantum_at_a_time
+    runtime::tests::tiny_jobs_are_taken_a_quantum_at_a_time \
+    runtime::tests::a_refused_job_costs_its_batch_mates \
+    runtime::tests::a_panic_in_a_batch \
+    runtime::tests::a_job_revoked_while_it_is_open \
+    runtime::tests::a_slow_job_does_not_sit \
+    runtime::tests::under_fault_tolerance_a_completion_message \
+    runtime::tests::ft_run_allocates_reduction_objects_per_worker
+cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --test scratch_props
 
 echo "== TCP control plane: reactor readiness, goodbye, the master adapter, the 40 ms link"
 # Already part of `cargo test` above; named here so a failure says which
