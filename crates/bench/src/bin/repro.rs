@@ -8,16 +8,12 @@
 //!
 //! Artifacts: `fig3a` `fig3b` `fig3c` `table1` `table2`
 //! `fig4a` `fig4b` `fig4c` `summary` `cost` `trace` `ablation` `runtime`
-//! `scale` `all` (default: `all`).
+//! `all` (default: `all`).
 //! (`cost` is the time/dollar frontier from the authors' follow-up work,
 //! not a figure of the SC'11 paper. `runtime` measures retrieval/compute
 //! overlap of the real runtime on this machine, sweeps the makespan
 //! attribution per pipeline depth, and rewrites `BENCH_runtime.json`;
-//! `scale` drains a million tiny jobs through the head's grant engine —
-//! sharded pool, batched v2 wire protocol, poll-reactor head — against
-//! the per-RPC baselines and rewrites `BENCH_scale.json`; pass `--quick`
-//! for the CI shape. `all` includes both, so the bench artifacts always
-//! track the tree.)
+//! `all` includes it, so the bench artifact always tracks the tree.)
 
 use cloudburst_sim::figures::{
     fig3, fig4, fig4_cumulative_efficiencies, fig4_efficiencies, summary, table1, table2,
@@ -52,7 +48,6 @@ fn main() {
         "cost" => print_cost(&apps, &params),
         "trace" => print_trace(&params),
         "runtime" => print_runtime(),
-        "scale" => print_scale(args.iter().any(|a| a == "--quick")),
         "ablation" => print_ablation(&params),
         "table1" => print_table1(&apps, &params),
         "table2" => print_table2(&apps, &params),
@@ -71,12 +66,11 @@ fn main() {
             print_trace(&params);
             print_ablation(&params);
             print_runtime();
-            print_scale(true);
         }
         other => {
             eprintln!("unknown artifact `{other}`");
             eprintln!(
-                "expected: fig3a fig3b fig3c table1 table2 fig4a fig4b fig4c summary cost trace ablation runtime scale all"
+                "expected: fig3a fig3b fig3c table1 table2 fig4a fig4b fig4c summary cost trace ablation runtime all"
             );
             std::process::exit(2);
         }
@@ -122,46 +116,6 @@ fn print_runtime() {
 
     let out = write_runtime_artifact(&report, &sweep);
     println!("\nwrote {out}");
-}
-
-fn print_scale(quick: bool) {
-    use cloudburst_bench::scale::{run_scale, write_scale_artifact, ScaleParams};
-    let p = if quick { ScaleParams::quick() } else { ScaleParams::full() };
-    println!(
-        "\n=== Grant engine at scale — {} jobs, {} simulated slaves, window {} ({}) ===",
-        p.jobs_batched,
-        p.n_slaves,
-        p.window,
-        if quick { "quick" } else { "full" }
-    );
-    println!(
-        "(real wall clock on this machine; single-job baselines drain {} jobs)\n",
-        p.jobs_single
-    );
-    let report = run_scale(&p);
-    println!(
-        "{:<16} {:>9} {:>10} {:>9} {:>13} {:>10} {:>10} {:>7}",
-        "mode", "jobs", "exchanges", "seconds", "grants/sec", "p50 us", "p99 us", "exact?"
-    );
-    for m in &report.modes {
-        println!(
-            "{:<16} {:>9} {:>10} {:>9.3} {:>13.0} {:>10.1} {:>10.1} {:>7}",
-            m.mode,
-            m.jobs,
-            m.exchanges,
-            m.seconds,
-            m.grants_per_sec,
-            m.grant_latency_ns.p50 / 1_000.0,
-            m.grant_latency_ns.p99 / 1_000.0,
-            m.checksum_ok
-        );
-    }
-    println!(
-        "\nbatched over single-job grants/sec — channel: {:.1}x   tcp: {:.1}x",
-        report.speedup_channel, report.speedup_tcp
-    );
-    let out = write_scale_artifact(&report);
-    println!("wrote {out}");
 }
 
 fn print_fig3(app: &AppModel, params: &SimParams) {

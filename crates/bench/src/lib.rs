@@ -8,4 +8,3 @@
 
 pub mod coded;
 pub mod overlap;
-pub mod scale;

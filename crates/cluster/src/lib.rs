@@ -10,16 +10,17 @@
 //!
 //! Entry points: [`run_hybrid`] (channels) and [`run_hybrid_tcp`] (the
 //! same protocol with the head ↔ master control plane over real TCP
-//! sockets, see [`net`]/[`wire`]). The TCP head serves every connection
-//! from one poll-reactor thread ([`reactor`]) and speaks both the v1
-//! single-job protocol and the v2 batched protocol (negotiated per
-//! connection, see [`wire`]); the TCP masters speak v2 only.
+//! sockets, see [`net`]/[`wire`]). There is one head, [`HeadCore`] — a state
+//! machine that does no I/O — behind two adapters: [`head`] feeds it from a
+//! channel, [`reactor`] from every TCP connection on one `poll(2)` thread,
+//! speaking the one batched wire protocol of [`wire`].
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod error;
 pub mod head;
+pub mod head_core;
 pub mod net;
 pub mod protocol;
 pub mod reactor;
@@ -30,7 +31,8 @@ pub mod runtime;
 pub mod wire;
 
 pub use error::RunError;
-pub use head::{run_head, run_head_with, CancelBoard, HeadOptions};
+pub use head::{run_head, CancelBoard, HeadOptions};
+pub use head_core::HeadCore;
 pub use net::{run_hybrid_tcp, serve_head};
 pub use protocol::{HeadMsg, HeadReport, MasterMsg};
 pub use router::{Fetched, StoreRouter};

@@ -18,7 +18,9 @@
 //! server and connects one control socket per site.
 
 use crate::error::RunError;
+use crate::head::HeadOptions;
 use crate::protocol::{HeadReport, MasterMsg};
+pub use crate::reactor::{serve_head, serve_head_with};
 use crate::report::SiteOutcome;
 use crate::runtime::{
     conclude, mailbox_tick, merge_site_outcome, panic_msg, prepare, run_slave, MasterMetrics,
@@ -29,8 +31,8 @@ use crate::wire::{
     BatchReply, MasterToHead, WIRE_VERSION,
 };
 use cloudburst_core::{
-    ns_since, ChunkId, DataIndex, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool,
-    MasterPool, Metrics, Reduction, RequestId, SiteId, Take, Telemetry,
+    ns_since, ChunkId, DataIndex, Event, EventKind, FaultPlan, HeartbeatConfig, MasterPool,
+    Reduction, RequestId, SiteId, Take, Telemetry,
 };
 use cloudburst_storage::ChunkStore;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -39,71 +41,6 @@ use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Fault-tolerance options for the TCP head. [`Default`] reproduces the
-/// classic fault-oblivious server.
-pub struct TcpHeadOptions {
-    /// Per-connection read timeout (`timeout`); a connection silent past it
-    /// is declared dead and its site evacuated. Masters beacon at
-    /// `interval` with ping frames.
-    pub heartbeat: Option<HeartbeatConfig>,
-    /// Origin of the head's clock for lease deadlines.
-    pub epoch: Instant,
-    /// Run the lease reaper and treat connection failures as site deaths
-    /// (evacuate) instead of run-fatal errors.
-    pub ft_active: bool,
-    /// Live-metrics handle for the reactor's connection gauges and wake-up
-    /// counter (`cloudburst_head_*`); [`Metrics::off`] publishes nothing.
-    pub metrics: Metrics,
-}
-
-impl Default for TcpHeadOptions {
-    fn default() -> TcpHeadOptions {
-        TcpHeadOptions {
-            heartbeat: None,
-            epoch: Instant::now(),
-            ft_active: false,
-            metrics: Metrics::off(),
-        }
-    }
-}
-
-/// Serve the head's control protocol to exactly `n_masters` connections,
-/// then return the head's report. All connections are served from one
-/// poll-reactor thread (see [`crate::reactor`]); grants go through the
-/// sharded pool, so v2 peers get lock-free batched grants and v1 peers the
-/// legacy policy path.
-pub fn serve_head(
-    listener: &TcpListener,
-    pool: JobPool,
-    n_masters: usize,
-) -> io::Result<HeadReport> {
-    serve_head_with(listener, pool, n_masters, &TcpHeadOptions::default())
-}
-
-/// [`serve_head`] with the fault-tolerance machinery of `options`: an
-/// inline lease reaper, per-connection death detection, and site
-/// evacuation on unclean disconnects.
-pub fn serve_head_with(
-    listener: &TcpListener,
-    pool: JobPool,
-    n_masters: usize,
-    options: &TcpHeadOptions,
-) -> io::Result<HeadReport> {
-    let (mut pool, mut report) =
-        crate::reactor::serve_head_reactor(listener, pool, n_masters, options)?;
-    // A dead site can strand work when every surviving master drained and
-    // disconnected before its jobs were re-homed: record it as abandoned so
-    // the runtime reports a partial result instead of a silent one.
-    if !pool.all_done() && !pool.dead_sites().is_empty() {
-        pool.abandon_unfinished();
-    }
-    report.counts = pool.site_counts().clone();
-    report.abandoned = pool.abandoned() as u64;
-    report.faults = pool.faults().clone();
-    report.dead_sites = pool.dead_sites();
-    Ok(report)
-}
 
 /// Everything one TCP site master is told at start-up.
 struct TcpMaster {
@@ -243,7 +180,7 @@ fn run_tcp_master(
     result.or_else(|e| if cfg.site_dead() { Ok(()) } else { Err(e) }).map(|()| pool)
 }
 
-/// Negotiate wire v2, start the socket reader and run [`serve_site`] beside
+/// Say hello, start the socket reader and run [`serve_site`] beside
 /// it.
 fn connect_and_serve(
     cfg: &TcpMaster,
@@ -259,7 +196,7 @@ fn connect_and_serve(
     let window = (cfg.floor + cfg.low_watermark).min(usize::from(u16::MAX)) as u16;
     write_hello(&mut writer, cfg.site, WIRE_VERSION, window)?;
     if read_hello_ack(&mut reader)? < WIRE_VERSION {
-        return Err(io::Error::new(io::ErrorKind::Unsupported, "the head speaks only wire v1"));
+        return Err(io::Error::new(io::ErrorKind::Unsupported, "the head speaks an older wire"));
     }
     std::thread::scope(|scope| {
         scope.spawn(move || loop {
@@ -497,12 +434,7 @@ pub fn run_hybrid_tcp<R: Reduction>(
     let mut head_result: Option<Result<HeadReport, RunError>> = None;
 
     std::thread::scope(|scope| {
-        let head_options = TcpHeadOptions {
-            heartbeat: config.ft.heartbeat,
-            epoch,
-            ft_active,
-            metrics: config.metrics.clone(),
-        };
+        let head_options = HeadOptions::of(config, ft_active, epoch);
         let head_handle = scope.spawn(move || {
             serve_head_with(&listener, pool, n_masters, &head_options).map_err(RunError::Io)
         });
@@ -608,8 +540,8 @@ pub fn run_hybrid_tcp<R: Reduction>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::write_hello_ack;
-    use cloudburst_core::{BatchPolicy, LayoutParams};
+    use crate::wire::put_hello_ack;
+    use cloudburst_core::{BatchPolicy, JobPool, LayoutParams};
     use crossbeam::channel::bounded;
     use std::io::Read;
 
@@ -731,7 +663,7 @@ mod tests {
         let cfg = master(SiteId::LOCAL, Duration::from_millis(200), heartbeat);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = TcpHeadOptions { heartbeat, ft_active: true, ..TcpHeadOptions::default() };
+        let options = HeadOptions { heartbeat, ft_active: true, ..HeadOptions::default() };
         let (master, head) = std::thread::scope(|scope| {
             let head = scope.spawn(|| serve_head_with(&listener, pool(3), 1, &options));
             (site(addr, &cfg, usize::MAX, true), head.join().unwrap().unwrap())
@@ -753,7 +685,9 @@ mod tests {
                 let (mut conn, _) = listener.accept().unwrap();
                 let mut hello = [0u8; 7];
                 conn.read_exact(&mut hello).unwrap();
-                write_hello_ack(&mut conn, 1).unwrap();
+                let mut ack = Vec::new();
+                put_hello_ack(&mut ack, 1);
+                conn.write_all(&ack).unwrap();
             });
             let (outcome, taken) = site(addr, &cfg, 1, false);
             assert_eq!(outcome.unwrap_err().kind(), io::ErrorKind::Unsupported);

@@ -144,12 +144,6 @@ impl StoreRouter {
         }
     }
 
-    /// The retrieval configuration slaves use.
-    #[must_use]
-    pub fn fetch_config(&self) -> FetchConfig {
-        self.fetch
-    }
-
     /// Sites with a registered store.
     #[must_use]
     pub fn sites(&self) -> Vec<SiteId> {

@@ -13,7 +13,7 @@
 //! chaos injection on top without touching the fault-free fast path.
 
 use crate::error::RunError;
-use crate::head::{run_head_with, CancelBoard, HeadOptions};
+use crate::head::{run_head, CancelBoard, HeadOptions};
 use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
 use crate::report::{assemble_report, SiteOutcome};
 use crate::router::{Fetched, StoreRouter};
@@ -456,7 +456,7 @@ pub fn run_hybrid<R: Reduction>(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<RunOutcome<R::RObj>, RunError> {
-    let Prepared { active, head_site, chaos, router, pool, dedup_active, .. } =
+    let Prepared { active, head_site, chaos, router, pool, ft_active, dedup_active } =
         prepare(index, stores, config)?;
     // A cancel board lets slaves abandon executions the head has fenced.
     let cancel = dedup_active.then(CancelBoard::new);
@@ -468,14 +468,10 @@ pub fn run_hybrid<R: Reduction>(
     let mut head_result: Option<Result<HeadReport, RunError>> = None;
 
     std::thread::scope(|scope| {
-        let head_options = HeadOptions {
-            heartbeat: config.ft.heartbeat,
-            cancel: cancel.clone(),
-            epoch,
-            tick: config.ft.heartbeat.map_or(0.005, |h| (h.interval / 2.0).min(0.005)),
-            n_sites: active.len(),
-        };
-        let head_handle = scope.spawn(move || run_head_with(pool, head_rx, head_options));
+        let head_options = HeadOptions::of(config, ft_active, epoch);
+        let (n_sites, board) = (active.len(), cancel.as_ref());
+        let head_handle =
+            scope.spawn(move || run_head(pool, head_rx, n_sites, board, &head_options));
 
         let coordinators: Vec<_> = active
             .iter()
@@ -830,20 +826,6 @@ fn run_master(
                 last_beat = Instant::now();
             }
         }
-        // Requests arriving at the head. The exchange itself is a hop over
-        // an in-process channel, so it is waited for; the modelled link
-        // time is in the two legs around it.
-        let now = Instant::now();
-        while due_at_head.front().is_some_and(|&(due, _)| due <= now) {
-            let (_, id) = due_at_head.pop_front().expect("front was checked");
-            let (btx, brx) = bounded(1);
-            if head_tx.send(HeadMsg::RequestJobs { site, reply: btx }).is_err() {
-                break 'serve; // head gone: shutting down
-            }
-            let Ok(batch) = brx.recv() else { break 'serve };
-            pool.granted(id, batch);
-            due_back.push_back((Instant::now() + leg, id));
-        }
         let now = Instant::now();
         while due_back.front().is_some_and(|&(due, _)| due <= now) {
             let (_, id) = due_back.pop_front().expect("front was checked");
@@ -870,29 +852,48 @@ fn run_master(
             due_at_head.push_back((now + leg, id));
         }
         ft.metrics.window.set(pool.window() as i64);
-
+        // Requests arriving at the head. The exchange itself is a hop over
+        // an in-process channel, so it is waited for; the modelled link
+        // time is in the two legs around it. What it brings lands on the next
+        // pass, after the mailbox was read to the bottom: a slave that asked
+        // meanwhile was waiting for this grant. Taken for one that came back
+        // right after it, it would put a gap of a microsecond into the window
+        // rule, which then asks for the whole pool.
+        let now = Instant::now();
+        while due_at_head.front().is_some_and(|&(due, _)| due <= now) {
+            let (_, id) = due_at_head.pop_front().expect("front was checked");
+            let (btx, brx) = bounded(1);
+            if head_tx.send(HeadMsg::RequestJobs { site, reply: btx }).is_err() {
+                break 'serve; // head gone: shutting down
+            }
+            let Ok(batch) = brx.recv() else { break 'serve };
+            pool.granted(id, batch);
+            due_back.push_back((Instant::now() + leg, id));
+        }
         let retry = pool.retry_at().map(|at| ft.epoch + Duration::from_secs_f64(at));
         let wake = [due_at_head.front().map(|r| r.0), due_back.front().map(|r| r.0), retry]
             .into_iter()
             .flatten()
             .min();
-        let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
-        let (want, done, reply) = match rx.recv_timeout(timeout) {
-            Ok(MasterMsg::GetJobs { want, done, reply }) => (want, done, reply),
-            // Everything else belongs to the TCP deployment mode: here
-            // slaves report to the head directly and there is no socket.
-            Ok(_) => continue,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        if !done.is_empty() {
-            let _ = head_tx.send(HeadMsg::Complete { jobs: done, site, reply: None });
-        }
         let now = Instant::now();
-        pool.skip_revoked(|chunk| ft.revoked(chunk));
-        match pool.arrive(secs(now), want) {
-            Take::NeedRefill => waiting.push_back((reply, want, now)),
-            take => ft.metrics.answer(&reply, take),
+        let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
+        let mut next = match rx.recv_timeout(timeout) {
+            Err(RecvTimeoutError::Disconnected) => break,
+            first => first.ok(),
+        };
+        // Everything but `GetJobs` belongs to the TCP deployment mode: here
+        // slaves report to the head directly and there is no socket.
+        while let Some(MasterMsg::GetJobs { want, done, reply }) = next {
+            if !done.is_empty() {
+                let _ = head_tx.send(HeadMsg::Complete { jobs: done, site, reply: None });
+            }
+            let now = Instant::now();
+            pool.skip_revoked(|chunk| ft.revoked(chunk));
+            match pool.arrive(secs(now), want) {
+                Take::NeedRefill => waiting.push_back((reply, want, now)),
+                take => ft.metrics.answer(&reply, take),
+            }
+            next = rx.try_recv().ok();
         }
     }
     // A request that reached the mailbox behind the message this master left
@@ -1807,6 +1808,62 @@ mod tests {
         assert_eq!(out.report.total_jobs(), index.n_chunks() as u64);
     }
 
+    fn master_ft(heartbeat: Option<HeartbeatConfig>, chaos: Option<FaultPlan>) -> MasterFt {
+        MasterFt {
+            heartbeat,
+            chaos: chaos.map(Arc::new),
+            cancel: None,
+            epoch: Instant::now(),
+            telemetry: Telemetry::off(),
+            metrics: MasterMetrics::default(),
+        }
+    }
+
+    #[test]
+    fn slaves_that_asked_while_the_master_was_at_the_head_were_waiting_not_coming_back() {
+        // Three slaves ask at once; the head takes 2 ms to answer. All three
+        // waited for that grant. A master that serves the first from it and
+        // only then reads the second's request takes the microsecond between
+        // the two for its slaves' pace, divides the 2 ms round trip by it, and
+        // asks for a thousand jobs' worth of batches nobody is there to run.
+        let (index, _) = setup(4096, 1.0, 1);
+        let mut jobs = JobPool::from_index(&index, BatchPolicy::Fixed(8));
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, head_rx) = unbounded::<HeadMsg>();
+        let mut hungry = Vec::new();
+        for _ in 0..3 {
+            let (rtx, rrx) = bounded(1);
+            master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
+            hungry.push(rrx);
+        }
+        let mut master_tx = Some(master_tx);
+        std::thread::scope(|scope| {
+            let ft = master_ft(None, None);
+            scope.spawn(move || run_master(SiteId::LOCAL, 1, 0.0, master_rx, &head_tx, ft));
+            let mut requests = 0;
+            loop {
+                match head_rx.recv_timeout(Duration::from_millis(5)) {
+                    Ok(HeadMsg::RequestJobs { site, reply }) => {
+                        requests += 1;
+                        std::thread::sleep(Duration::from_millis(2));
+                        let _ = reply.send(jobs.request(site));
+                    }
+                    Ok(_) => {}
+                    // Quiet: once every slave has its job, they all hang up.
+                    Err(RecvTimeoutError::Timeout) => {
+                        hungry.retain(|slave| slave.try_recv().is_err());
+                        master_tx = master_tx.filter(|_| !hungry.is_empty());
+                    }
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+            }
+            assert_eq!(
+                requests, 1,
+                "one batch of eight covers three slaves asking for one job each"
+            );
+        });
+    }
+
     #[test]
     fn master_keeps_beaconing_while_its_grant_requests_are_away() {
         // A master 0.25 s from its head, beaconing every 10 ms. One slave
@@ -1821,14 +1878,7 @@ mod tests {
         batch.stolen = true;
         let (master_tx, master_rx) = unbounded::<MasterMsg>();
         let (head_tx, head_rx) = unbounded::<HeadMsg>();
-        let ft = MasterFt {
-            heartbeat: Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 }),
-            chaos: None,
-            cancel: None,
-            epoch: Instant::now(),
-            telemetry: Telemetry::off(),
-            metrics: MasterMetrics::default(),
-        };
+        let ft = master_ft(Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 }), None);
         std::thread::scope(|scope| {
             // The master owns its ends of both channels: when it returns,
             // the head's receiver disconnects.
@@ -1879,15 +1929,7 @@ mod tests {
             site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.0 }),
             ..FaultPlan::seeded(1)
         };
-        let ft = MasterFt {
-            heartbeat: None,
-            chaos: Some(Arc::new(plan)),
-            cancel: None,
-            epoch: Instant::now(),
-            telemetry: Telemetry::off(),
-            metrics: MasterMetrics::default(),
-        };
-        run_master(SiteId::CLOUD, 1, 0.0, master_rx, &head_tx, ft);
+        run_master(SiteId::CLOUD, 1, 0.0, master_rx, &head_tx, master_ft(None, Some(plan)));
         assert_eq!(
             rrx.recv_timeout(Duration::from_secs(1)),
             Err(RecvTimeoutError::Disconnected),

@@ -5,10 +5,11 @@
 //! rounds against one head and asserts the process's open-fd count stays
 //! flat and the head's churn accounting balances exactly.
 
-use cloudburst_cluster::net::{serve_head_with, TcpHeadOptions};
+use cloudburst_cluster::net::serve_head_with;
 use cloudburst_cluster::wire::{
     read_hello_ack, write_hello, write_to_head, MasterToHead, WIRE_VERSION,
 };
+use cloudburst_cluster::HeadOptions;
 use cloudburst_core::{BatchPolicy, DataIndex, JobPool, LayoutParams, SiteId};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -31,7 +32,7 @@ fn five_hundred_connect_disconnect_cycles_leak_nothing() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let head =
-        thread::spawn(move || serve_head_with(&listener, pool, CYCLES, &TcpHeadOptions::default()));
+        thread::spawn(move || serve_head_with(&listener, pool, CYCLES, &HeadOptions::default()));
 
     // Let the first few dozen cycles settle allocator/socket warm-up, then
     // demand a flat fd count for the remaining 450.

@@ -4,12 +4,12 @@
 //! readiness while the peer drains slowly; and a head with nothing to do
 //! stays asleep — it wakes for traffic and for its timers, nothing else.
 
-use cloudburst_cluster::net::{serve_head_with, TcpHeadOptions};
+use cloudburst_cluster::net::serve_head_with;
 use cloudburst_cluster::wire::{
     encode_frame, read_batch_reply, read_grant, read_hello_ack, write_ack_batch, write_hello,
     write_to_head, Frame, MasterToHead, WIRE_VERSION,
 };
-use cloudburst_cluster::HeadReport;
+use cloudburst_cluster::{HeadOptions, HeadReport};
 use cloudburst_core::{BatchPolicy, DataIndex, JobPool, LayoutParams, Metrics, SiteId};
 use std::collections::HashSet;
 use std::io::{BufReader, Read, Write};
@@ -27,7 +27,7 @@ fn pool(n_chunks: u64) -> JobPool {
 /// completed the v2 handshake; returns the head's report.
 fn with_head(
     pool: JobPool,
-    options: TcpHeadOptions,
+    options: HeadOptions,
     client: impl FnOnce(&mut TcpStream),
 ) -> HeadReport {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -44,7 +44,7 @@ fn with_head(
 
 #[test]
 fn a_frame_split_across_two_writes_is_served_once() {
-    let report = with_head(pool(8), TcpHeadOptions::default(), |stream| {
+    let report = with_head(pool(8), HeadOptions::default(), |stream| {
         let frame = encode_frame(&Frame::GetJobs { site: SiteId::LOCAL, max: 3 });
         let (first, rest) = frame.split_at(2);
         stream.write_all(first).unwrap();
@@ -66,7 +66,7 @@ fn a_reply_larger_than_the_socket_buffers_completes_through_write_readiness() {
     // hurry. The first write stops at `WouldBlock`; the rest must follow as
     // the socket reports room, not never and not by spinning.
     const WANT: u16 = u16::MAX;
-    let report = with_head(pool(70_000), TcpHeadOptions::default(), |stream| {
+    let report = with_head(pool(70_000), HeadOptions::default(), |stream| {
         write_ack_batch(stream, SiteId::LOCAL, WANT, &[]).unwrap();
         thread::sleep(Duration::from_millis(100));
         /// Hands the bytes over in small sips with a pause between them.
@@ -89,7 +89,7 @@ fn a_reply_larger_than_the_socket_buffers_completes_through_write_readiness() {
 
 /// Wake-ups of a head whose one master says hello, nothing for `quiet`, and
 /// goodbye.
-fn wakeups_while_silent(mut options: TcpHeadOptions, quiet: Duration) -> u64 {
+fn wakeups_while_silent(mut options: HeadOptions, quiet: Duration) -> u64 {
     let metrics = Metrics::on();
     options.metrics = metrics.clone();
     with_head(pool(8), options, |_| thread::sleep(quiet));
@@ -101,11 +101,11 @@ fn an_idle_head_wakes_for_traffic_and_timers_only() {
     let quiet = Duration::from_millis(200);
     // No timers at all: the connect, the hello and the goodbye (which may
     // arrive as goodbye then EOF), with room for a spurious wake-up or two.
-    let wakeups = wakeups_while_silent(TcpHeadOptions::default(), quiet);
+    let wakeups = wakeups_while_silent(HeadOptions::default(), quiet);
     assert!(wakeups <= 6, "{wakeups} wake-ups with no timer set and three events");
     // With the lease reaper on, its 1 ms tick is the only other reason.
     let began = Instant::now();
-    let ticking = TcpHeadOptions { ft_active: true, ..TcpHeadOptions::default() };
+    let ticking = HeadOptions { ft_active: true, ..HeadOptions::default() };
     let wakeups = wakeups_while_silent(ticking, quiet);
     let ticks = began.elapsed().as_millis() as u64;
     assert!(wakeups <= ticks + 6, "{wakeups} wake-ups in {ticks} reaper ticks");

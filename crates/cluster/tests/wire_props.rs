@@ -5,8 +5,7 @@
 
 use bytes::BytesMut;
 use cloudburst_cluster::wire::{
-    encode_frame, read_ack, read_batch_reply, read_from_master, read_grant, read_hello_ack,
-    try_read_frame, AckEntry, Frame,
+    encode_frame, read_batch_reply, read_grant, read_hello_ack, try_read_frame, AckEntry, Frame,
 };
 use cloudburst_core::{ChunkId, SiteId};
 use proptest::prelude::*;
@@ -14,28 +13,10 @@ use std::io::Cursor;
 
 proptest! {
     #[test]
-    fn garbage_never_panics_the_master_frame_decoder(
-        bytes in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let mut cur = Cursor::new(bytes);
-        // Decode as many frames as the buffer yields. Errors and EOF are
-        // fine; panics and runaway allocations are not. Every successful
-        // decode consumes at least the tag byte, so this terminates.
-        while let Ok(Some(_)) = read_from_master(&mut cur) {}
-    }
-
-    #[test]
     fn garbage_never_panics_the_grant_decoder(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
     ) {
         let _ = read_grant(&mut Cursor::new(bytes));
-    }
-
-    #[test]
-    fn garbage_never_panics_the_ack_decoder(
-        bytes in prop::collection::vec(any::<u8>(), 0..64),
-    ) {
-        let _ = read_ack(&mut Cursor::new(bytes));
     }
 
     #[test]
@@ -45,14 +26,11 @@ proptest! {
     ) {
         let mut buf = vec![tag];
         buf.extend(&body);
-        let _ = read_from_master(&mut Cursor::new(&buf[..]));
+        let _ = try_read_frame(&mut BytesMut::from(&buf[..]));
         let _ = read_grant(&mut Cursor::new(&buf[..]));
-        let _ = read_ack(&mut Cursor::new(&buf[..]));
         let _ = read_hello_ack(&mut Cursor::new(&buf[..]));
         let _ = read_batch_reply(&mut Cursor::new(&buf[..]));
     }
-
-    // ---- v2: the reactor's incremental decoder and the batched replies ----
 
     #[test]
     fn garbage_never_panics_the_incremental_frame_decoder(

@@ -12,8 +12,7 @@
 //!   `proc(e)` step over a mergeable *reduction object*, avoiding the
 //!   intermediate-pair memory, sorting, grouping and shuffling costs of
 //!   classic MapReduce;
-//! * the ready-made accumulator library ([`combiners`]) and the
-//!   closure-based application builder ([`closure`]);
+//! * the ready-made accumulator library ([`combiners`]);
 //! * the **files → chunks → units** data-organization model ([`layout`],
 //!   [`index`]);
 //! * the head node's global **job pool** with locality-aware consecutive
@@ -51,7 +50,6 @@
 #![warn(clippy::all)]
 
 pub mod analysis;
-pub mod closure;
 pub mod combiners;
 pub mod config;
 pub mod fault;
@@ -72,7 +70,6 @@ pub use analysis::{
     analyze, check_sequence, diff_benchmarks, parse_events_jsonl, Attribution, BenchDelta,
     Direction, PathSegment, RunAnalysis, SeqCheck, SpanDag, SpanNode,
 };
-pub use closure::{from_fns, FnReduction};
 pub use config::EnvConfig;
 pub use fault::{
     AbandonedJob, FaultCounters, FaultPlan, HeartbeatConfig, LeaseConfig, SiteOutage, SlowSite,
@@ -90,13 +87,11 @@ pub use metrics::{
     Histogram, MetricKind, Metrics, MetricsServer, Registry, RouteHandler, RouteResponse, Sample,
 };
 pub use pool::Completion;
-pub use pool::{
-    BatchPolicy, JobBatch, JobPool, PoolIntrospection, SiteJobCounts, SitePoolIntrospection,
-};
+pub use pool::{BatchPolicy, JobBatch, JobPool, SiteJobCounts};
 pub use reduction::{
     coded_combine, global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject,
 };
-pub use shard::{ShardIntrospection, ShardedPool};
+pub use shard::ShardedPool;
 pub use stats::{
     assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport, SiteSample,
     SiteStats, SlaveSample,

@@ -684,12 +684,6 @@ impl Metrics {
         Metrics { registry: Some(Arc::new(Registry::new())) }
     }
 
-    /// An enabled handle over an existing registry.
-    #[must_use]
-    pub fn with_registry(registry: Arc<Registry>) -> Metrics {
-        Metrics { registry: Some(registry) }
-    }
-
     /// Whether a registry is attached.
     #[must_use]
     pub fn is_enabled(&self) -> bool {

@@ -457,70 +457,6 @@ impl PoolMetrics {
     }
 }
 
-/// One site's slice of a [`PoolIntrospection`] snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SitePoolIntrospection {
-    /// Pending jobs whose data is homed at this site (its shard's backlog).
-    pub queued: usize,
-    /// In-flight leases this site is currently processing.
-    pub leases: usize,
-    /// Completions merged from this site so far (local + stolen).
-    pub completed: u64,
-    /// Processing failures this site has reported.
-    pub failures: u64,
-}
-
-/// A point-in-time snapshot of the pool's grant state — the typed object
-/// behind the `/debug/pool` endpoint and the black-box dump.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PoolIntrospection {
-    /// Jobs not yet granted anywhere.
-    pub pending: usize,
-    /// Jobs granted but neither completed nor failed.
-    pub in_flight: usize,
-    /// Jobs fully processed.
-    pub completed: usize,
-    /// Jobs permanently abandoned.
-    pub abandoned: usize,
-    /// Every job is processed or abandoned.
-    pub all_done: bool,
-    /// Sites declared dead and evacuated.
-    pub dead_sites: Vec<SiteId>,
-    /// Per-site backlog/lease/completion slices.
-    pub per_site: BTreeMap<SiteId, SitePoolIntrospection>,
-}
-
-impl PoolIntrospection {
-    /// Serialize as the `/debug/pool` JSON object.
-    #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        let sites = self
-            .per_site
-            .iter()
-            .map(|(site, s)| {
-                Json::obj()
-                    .field("site", Json::Str(site.to_string()))
-                    .field("queued", Json::U64(s.queued as u64))
-                    .field("leases", Json::U64(s.leases as u64))
-                    .field("completed", Json::U64(s.completed))
-                    .field("failures", Json::U64(s.failures))
-            })
-            .collect();
-        Json::obj()
-            .field("pending", Json::U64(self.pending as u64))
-            .field("in_flight", Json::U64(self.in_flight as u64))
-            .field("completed", Json::U64(self.completed as u64))
-            .field("abandoned", Json::U64(self.abandoned as u64))
-            .field("all_done", Json::Bool(self.all_done))
-            .field(
-                "dead_sites",
-                Json::Arr(self.dead_sites.iter().map(|s| Json::Str(s.to_string())).collect()),
-            )
-            .field("sites", Json::Arr(sites))
-    }
-}
-
 /// The head node's global job pool.
 #[derive(Debug, Clone)]
 pub struct JobPool {
@@ -725,12 +661,6 @@ impl JobPool {
         self.steal_cost.insert(site, cost);
     }
 
-    /// Total number of jobs.
-    #[must_use]
-    pub fn n_jobs(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Jobs not yet assigned.
     #[must_use]
     pub fn pending(&self) -> usize {
@@ -812,35 +742,6 @@ impl JobPool {
     #[must_use]
     pub fn site_counts(&self) -> &BTreeMap<SiteId, SiteJobCounts> {
         &self.counts
-    }
-
-    /// A point-in-time snapshot of the pool's grant state, for the
-    /// `/debug/pool` endpoint and the black-box dump. Read-only and cheap:
-    /// one pass over the per-file queues plus a few map copies.
-    #[must_use]
-    pub fn introspect(&self) -> PoolIntrospection {
-        let mut per_site: BTreeMap<SiteId, SitePoolIntrospection> = BTreeMap::new();
-        for (q, &site) in self.pending_by_file.iter().zip(&self.file_site) {
-            per_site.entry(site).or_default().queued += q.len();
-        }
-        for (&site, &leases) in &self.assigned_to {
-            per_site.entry(site).or_default().leases = leases;
-        }
-        for (&site, counts) in &self.counts {
-            per_site.entry(site).or_default().completed = counts.total();
-        }
-        for (&site, &failures) in &self.failures {
-            per_site.entry(site).or_default().failures = failures;
-        }
-        PoolIntrospection {
-            pending: self.pending_total,
-            in_flight: self.in_flight(),
-            completed: self.done_total,
-            abandoned: self.abandoned_total,
-            all_done: self.all_done(),
-            dead_sites: self.dead_sites(),
-            per_site,
-        }
     }
 
     /// Handle a master's job request: grant a batch for `site`, or an empty
@@ -1560,7 +1461,9 @@ impl JobPool {
                 q.remove(pos);
                 jobs.push(self.chunks[i]);
             } else {
-                debug_assert!(false, "{id} pending but missing from its file queue");
+                // `ids` named it twice — a stale shard entry beside the one a
+                // requeue pushed — and the first mention took it.
+                debug_assert!(jobs.iter().any(|j| j.id == id), "{id} pending but not queued");
             }
         }
         let mut batch = JobBatch { jobs, spans: Vec::new(), stolen, terminal: false };

@@ -41,7 +41,7 @@ use crate::types::{ChunkId, SiteId};
 use crossbeam::queue::SegQueue;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One site's lock-free queue of (probably) pending job ids.
 #[derive(Default)]
@@ -50,8 +50,6 @@ struct Shard {
     /// Entries currently queued (stale ones included) — a cheap victim-
     /// selection signal, not an exact pending count.
     len: AtomicUsize,
-    /// Jobs stolen out of this shard by other sites.
-    stolen_from: AtomicU64,
 }
 
 impl Shard {
@@ -189,7 +187,6 @@ impl ShardedPool {
                 let batch = inner.assign_ids(site, &ids, true, now);
                 Self::push_requeued(&self.shards, &mut inner);
                 if !batch.is_empty() {
-                    shard.stolen_from.fetch_add(batch.len() as u64, Ordering::Relaxed);
                     return batch;
                 }
             }
@@ -202,7 +199,8 @@ impl ShardedPool {
         batch
     }
 
-    /// The legacy single-request grant path (v1 wire peers), under the lock.
+    /// The policy-sized grant path (a channel master's request), under the
+    /// lock.
     pub fn request_for_at(&self, site: SiteId, now: f64) -> JobBatch {
         self.with(|p| p.request_for_at(site, now))
     }
@@ -233,70 +231,13 @@ impl ShardedPool {
     pub fn all_done(&self) -> bool {
         self.inner.lock().all_done()
     }
-
-    /// Current queued entries per shard (stale entries included).
-    #[must_use]
-    pub fn shard_depths(&self) -> BTreeMap<SiteId, usize> {
-        self.shards.iter().map(|(&s, sh)| (s, sh.len())).collect()
-    }
-
-    /// Jobs stolen out of each site's shard so far.
-    #[must_use]
-    pub fn stolen_from(&self) -> BTreeMap<SiteId, u64> {
-        self.shards.iter().map(|(&s, sh)| (s, sh.stolen_from.load(Ordering::Relaxed))).collect()
-    }
-
-    /// A point-in-time snapshot of both layers — the lock-free shard
-    /// queues (depths, steal counters) and the inner pool's grant state —
-    /// for `/debug/pool` on a reactor head and the black-box dump.
-    #[must_use]
-    pub fn introspect(&self) -> ShardIntrospection {
-        ShardIntrospection {
-            depths: self.shard_depths(),
-            stolen_from: self.stolen_from(),
-            pool: self.inner.lock().introspect(),
-        }
-    }
-}
-
-/// A point-in-time snapshot of a [`ShardedPool`]: per-shard queue depths
-/// and steal counters over the inner pool's [`PoolIntrospection`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardIntrospection {
-    /// Current queued entries per shard (stale entries included).
-    pub depths: BTreeMap<SiteId, usize>,
-    /// Jobs stolen out of each site's shard so far.
-    pub stolen_from: BTreeMap<SiteId, u64>,
-    /// The inner pool's grant state.
-    pub pool: crate::pool::PoolIntrospection,
-}
-
-impl ShardIntrospection {
-    /// Serialize as the reactor-head `/debug/pool` JSON object: the inner
-    /// pool document plus a `shards` array.
-    #[must_use]
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        let shards = self
-            .depths
-            .iter()
-            .map(|(site, &depth)| {
-                Json::obj()
-                    .field("site", Json::Str(site.to_string()))
-                    .field("depth", Json::U64(depth as u64))
-                    .field(
-                        "stolen_from",
-                        Json::U64(self.stolen_from.get(site).copied().unwrap_or(0)),
-                    )
-            })
-            .collect();
-        self.pool.to_json().field("shards", Json::Arr(shards))
-    }
 }
 
 impl std::fmt::Debug for ShardedPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedPool").field("depths", &self.shard_depths()).finish()
+        let depths: BTreeMap<SiteId, usize> =
+            self.shards.iter().map(|(&s, sh)| (s, sh.len())).collect();
+        f.debug_struct("ShardedPool").field("depths", &depths).finish()
     }
 }
 
@@ -379,17 +320,15 @@ mod tests {
                 let _ = pool.complete_at(j.id, SiteId::LOCAL, 0.0);
             }
         }
-        assert!(pool.stolen_from()[&SiteId::CLOUD] >= 1);
-        assert_eq!(pool.stolen_from()[&SiteId::LOCAL], 0);
     }
 
     #[test]
     fn failed_jobs_return_to_their_home_shard() {
         let pool = two_site_pool();
         let batch = pool.get_jobs(SiteId::LOCAL, 2, 0.0);
-        let depth_after_grant = pool.shard_depths()[&SiteId::LOCAL];
+        let depth_after_grant = pool.shards[&SiteId::LOCAL].len();
         assert!(pool.fail(batch.jobs[0].id, SiteId::LOCAL));
-        assert_eq!(pool.shard_depths()[&SiteId::LOCAL], depth_after_grant + 1);
+        assert_eq!(pool.shards[&SiteId::LOCAL].len(), depth_after_grant + 1);
         // The re-queued job is grantable again through the fast path.
         let again = pool.get_jobs(SiteId::LOCAL, 16, 0.0);
         assert!(again.jobs.iter().any(|j| j.id == batch.jobs[0].id));
@@ -399,11 +338,11 @@ mod tests {
     fn dead_site_gets_empty_grants_and_its_pops_are_returned() {
         let pool = two_site_pool();
         pool.evacuate(SiteId::CLOUD);
-        let before = pool.shard_depths()[&SiteId::CLOUD];
+        let before = pool.shards[&SiteId::CLOUD].len();
         let batch = pool.get_jobs(SiteId::CLOUD, 8, 0.0);
         assert!(batch.is_empty());
         assert!(!batch.terminal);
-        assert_eq!(pool.shard_depths()[&SiteId::CLOUD], before, "pops must be handed back");
+        assert_eq!(pool.shards[&SiteId::CLOUD].len(), before, "pops must be handed back");
     }
 
     #[test]
@@ -427,31 +366,6 @@ mod tests {
                 let _ = pool.complete_at(j.id, SiteId::LOCAL, 0.0);
             }
         }
-    }
-
-    #[test]
-    fn introspection_tracks_grants_depths_and_steals() {
-        let pool = two_site_pool();
-        let snap = pool.introspect();
-        assert_eq!(snap.pool.pending, 32);
-        assert_eq!(snap.pool.in_flight, 0);
-        assert_eq!(snap.depths[&SiteId::LOCAL] + snap.depths[&SiteId::CLOUD], 32);
-        let batch = pool.get_jobs(SiteId::LOCAL, 4, 0.0);
-        for j in batch.jobs.iter().take(2) {
-            let _ = pool.complete_at(j.id, SiteId::LOCAL, 0.0);
-        }
-        let snap = pool.introspect();
-        assert_eq!(snap.pool.in_flight, 2);
-        assert_eq!(snap.pool.completed, 2);
-        assert_eq!(snap.pool.per_site[&SiteId::LOCAL].leases, 2);
-        assert_eq!(snap.pool.per_site[&SiteId::LOCAL].completed, 2);
-        assert!(!snap.pool.all_done);
-        // The JSON shape /debug/pool serves: pool fields + shards array.
-        let text = snap.to_json().to_text();
-        for key in ["\"pending\"", "\"in_flight\"", "\"sites\"", "\"shards\"", "\"stolen_from\""] {
-            assert!(text.contains(key), "introspection JSON is missing {key}: {text}");
-        }
-        crate::json::Json::parse(&text).expect("introspection JSON parses");
     }
 
     #[test]

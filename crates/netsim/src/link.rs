@@ -78,12 +78,6 @@ pub mod profiles {
         LinkSpec::new(2e-4, 350.0e6)
     }
 
-    /// Intra-EC2 network between instances: ~120 MB/s, sub-millisecond.
-    #[must_use]
-    pub fn ec2_lan() -> LinkSpec {
-        LinkSpec::new(3e-4, 120.0e6)
-    }
-
     /// One S3 GET connection from EC2: ~25 MB/s with ~30 ms time-to-first-
     /// byte. Parallel ranged GETs aggregate (paper: "multiple retrieval
     /// threads, to capitalize on the fast network interconnects").

@@ -110,15 +110,6 @@ impl Throttle {
         }
         modelled
     }
-
-    /// Block for one request/response round trip plus serialization of
-    /// `bytes` in the response (the shape of a control RPC or ranged GET).
-    /// Returns modelled seconds.
-    pub fn rpc(&self, bytes: u64) -> f64 {
-        // The request leg only pays latency; the response leg is `transfer`.
-        std::thread::sleep(Duration::from_secs_f64(self.spec.latency * self.time_scale));
-        self.spec.latency + self.transfer(bytes)
-    }
 }
 
 #[cfg(test)]
