@@ -10,9 +10,7 @@
 
 use crate::protocol::HeadReport;
 use crate::wire::{BatchReply, Frame, MasterToHead, WIRE_VERSION};
-use cloudburst_core::{
-    ChunkId, Completion, HeartbeatConfig, JobBatch, JobPool, Seconds, ShardedPool, SiteId,
-};
+use cloudburst_core::{ChunkId, Completion, HeartbeatConfig, JobBatch, JobPool, Seconds, SiteId};
 use std::collections::BTreeMap;
 
 /// Lease-reap cadence.
@@ -59,7 +57,7 @@ pub enum Reply {
 
 /// The head's whole state (see the module docs).
 pub struct HeadCore {
-    pool: ShardedPool,
+    pool: JobPool,
     report: HeadReport,
     peers: BTreeMap<Peer, PeerState>,
     /// Revocation notices not yet delivered, by the site that must drop the
@@ -95,7 +93,7 @@ impl HeadCore {
     ) -> HeadCore {
         let silence = heartbeat.map(|hb| hb.timeout.max(0.0));
         HeadCore {
-            pool: ShardedPool::new(pool),
+            pool,
             report: HeadReport::default(),
             peers: BTreeMap::new(),
             revocations: BTreeMap::new(),
@@ -109,7 +107,7 @@ impl HeadCore {
 
     /// The pool, for inspection.
     #[must_use]
-    pub fn pool(&self) -> &ShardedPool {
+    pub fn pool(&self) -> &JobPool {
         &self.pool
     }
 
@@ -191,7 +189,7 @@ impl HeadCore {
     /// Up to `max` jobs for `site`, counted as a request when it asks for any.
     fn grant(&mut self, site: SiteId, max: usize, now: Seconds) -> JobBatch {
         self.report.requests += u64::from(max > 0);
-        let batch = self.pool.get_jobs(site, max, now);
+        let batch = self.pool.grant(site, max, now);
         self.clear_granted(site, &batch);
         batch
     }
@@ -292,14 +290,12 @@ impl HeadCore {
         if !self.ft_active {
             return;
         }
-        let n_sites = self.n_sites;
-        self.pool.with(|p| {
-            p.evacuate(site);
-            if n_sites > 0 && !p.all_done() && p.dead_sites().len() >= n_sites {
-                // Every site is dead: nobody is left to drain the backlog.
-                p.abandon_unfinished();
-            }
-        });
+        self.pool.evacuate(site);
+        let dead = self.pool.dead_sites().len();
+        if self.n_sites > 0 && dead >= self.n_sites && !self.pool.all_done() {
+            // Every site is dead: nobody is left to drain the backlog.
+            self.pool.abandon_unfinished();
+        }
     }
 
     /// Every peer is gone: write the run up.
@@ -310,7 +306,7 @@ impl HeadCore {
         for peer in left {
             self.on_disconnect(peer);
         }
-        let mut pool = self.pool.into_inner();
+        let mut pool = self.pool;
         // A dead site can strand work when every surviving master drained and
         // left before its jobs were re-homed: record it as abandoned, so the
         // runtime reports a partial result instead of a silent one.

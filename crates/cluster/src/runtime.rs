@@ -1846,7 +1846,7 @@ mod tests {
                     Ok(HeadMsg::RequestJobs { site, reply }) => {
                         requests += 1;
                         std::thread::sleep(Duration::from_millis(2));
-                        let _ = reply.send(jobs.request(site));
+                        let _ = reply.send(jobs.request_for(site));
                     }
                     Ok(_) => {}
                     // Quiet: once every slave has its job, they all hang up.
@@ -1874,7 +1874,8 @@ mod tests {
         // shorter than a round trip then evacuates a healthy site.
         let leg = 0.25;
         let (index, _) = setup(256, 1.0, 1);
-        let mut batch = JobPool::from_index(&index, BatchPolicy::Fixed(2)).request(SiteId::CLOUD);
+        let mut batch =
+            JobPool::from_index(&index, BatchPolicy::Fixed(2)).request_for(SiteId::CLOUD);
         batch.stolen = true;
         let (master_tx, master_rx) = unbounded::<MasterMsg>();
         let (head_tx, head_rx) = unbounded::<HeadMsg>();

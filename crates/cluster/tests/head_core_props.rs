@@ -11,12 +11,16 @@
 //! * exactly-once — a chunk gets the verdict `true` at most once (again only
 //!   after the site that merged it was evacuated, its result lost with it);
 //! * fencing — a site the head declared dead is granted nothing;
-//! * terminal soundness — a terminal grant only once every job is done.
+//! * terminal soundness — a terminal grant only once every job is done;
+//! * one grant policy on every transport (§III-B) — a grant holds at most the
+//!   jobs asked for, all of one file and physically consecutive, and a stolen
+//!   one at most `STEAL_BATCH_MAX`.
 //!
 //! A failure prints the seed that replays it.
 
 use cloudburst_cluster::head_core::{HeadCore, Peer, Reply};
 use cloudburst_cluster::wire::{AckEntry, Frame, MasterToHead};
+use cloudburst_core::pool::STEAL_BATCH_MAX;
 use cloudburst_core::{
     BatchPolicy, ChunkId, DataIndex, HeartbeatConfig, JobBatch, JobPool, LayoutParams, LeaseConfig,
     SiteId,
@@ -26,6 +30,9 @@ use std::collections::BTreeMap;
 
 const SITES: [SiteId; 3] = [SiteId(0), SiteId(1), SiteId(2)];
 const HEARTBEAT: HeartbeatConfig = HeartbeatConfig { interval: 0.005, timeout: 0.04 };
+
+/// What a policy-sized `request` may grant: the pool's `BatchPolicy::Fixed`.
+const POLICY_BATCH: usize = 2;
 
 /// The head and what its peers know.
 struct World {
@@ -42,11 +49,16 @@ struct World {
 
 impl World {
     fn is_dead(&self, site: SiteId) -> bool {
-        self.head.pool().with(|p| p.is_dead(site))
+        self.head.pool().is_dead(site)
     }
 
-    fn take_grant(&mut self, s: usize, was_dead: bool, batch: JobBatch) {
+    fn take_grant(&mut self, s: usize, was_dead: bool, max: usize, batch: JobBatch) {
         assert!(!was_dead || batch.is_empty(), "{} was dead and got {batch:?}", SITES[s]);
+        let cap = if batch.stolen { max.min(STEAL_BATCH_MAX) } else { max };
+        assert!(batch.len() <= cap, "asked for {max}, got {batch:?}");
+        for w in batch.jobs.windows(2) {
+            assert!(w[0].file == w[1].file && w[1].id == w[0].id.next(), "a gap in {batch:?}");
+        }
         if batch.terminal {
             assert!(batch.is_empty() && self.head.pool().all_done(), "terminal too early");
         }
@@ -74,15 +86,16 @@ impl World {
             _ if self.left[s] => {}
             0 => {
                 let batch = self.head.request(site, now);
-                self.take_grant(s, was_dead, batch);
+                self.take_grant(s, was_dead, POLICY_BATCH, batch);
             }
             1 => {
+                let max = arg % 5;
                 let Reply::Grant(batch) =
-                    self.head.on_frame(peer, Frame::GetJobs { site, max: arg % 5 }, now)
+                    self.head.on_frame(peer, Frame::GetJobs { site, max }, now)
                 else {
                     panic!("GetJobs is answered by a grant")
                 };
-                self.take_grant(s, was_dead, batch);
+                self.take_grant(s, was_dead, usize::from(max), batch);
             }
             2 => {
                 let jobs: Vec<ChunkId> = self.held[s].drain(..k).collect();
@@ -108,9 +121,8 @@ impl World {
                     assert!(e.ok || !merged, "a failure report was merged");
                 }
                 self.take_verdicts(s, &jobs, &reply.verdicts);
-                assert!(reply.grant.len() <= usize::from(want));
                 self.held[s].retain(|job| !reply.revoked.contains(job));
-                self.take_grant(s, was_dead, reply.grant);
+                self.take_grant(s, was_dead, usize::from(want), reply.grant);
             }
             4 => {
                 if let Some(job) = self.held[s].pop() {
@@ -152,11 +164,11 @@ impl World {
             }
         }
         // What a dead site merged is lost with it.
-        let dead = self.head.pool().with(|p| p.dead_sites());
+        let pool = self.head.pool();
+        let dead = pool.dead_sites();
         self.merged_at.retain(|_, site| !dead.contains(site));
-        let (pending, in_flight, merged, abandoned) =
-            self.head.pool().with(|p| (p.pending(), p.in_flight(), p.completed(), p.abandoned()));
-        assert_eq!(pending + in_flight + merged + abandoned, self.n);
+        let (pending, in_flight, merged) = (pool.pending(), pool.in_flight(), pool.completed());
+        assert_eq!(pending + in_flight + merged + pool.abandoned(), self.n);
         assert_eq!(merged, self.merged_at.len(), "the pool and the verdicts disagree");
     }
 }
@@ -176,7 +188,7 @@ proptest! {
             SITES[file_sites[f.0 as usize]]
         })
         .unwrap();
-        let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(2));
+        let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(POLICY_BATCH));
         pool.set_lease(LeaseConfig { base: 0.01, min: 0.01, max: 0.02, ..LeaseConfig::default() });
         pool.set_speculation(true);
         pool.set_max_attempts(3);

@@ -525,8 +525,8 @@ mod tests {
             shard_depths: depths,
             ..HealthSample::default()
         };
-        // max/mean is bounded by the shard count, so skew only registers
-        // across several shards — the regime the sharded pool runs in.
+        // max/mean is bounded by the shard count (a shard is one site's
+        // pending depth), so skew only registers across several sites.
         m.observe(&tick(0, vec![4, 0, 0, 0, 0]));
         m.observe(&tick(1, vec![4, 0, 0, 0, 0]));
         m.observe(&tick(2, vec![4, 0, 0, 0, 0]));

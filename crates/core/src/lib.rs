@@ -16,9 +16,8 @@
 //! * the **files → chunks → units** data-organization model ([`layout`],
 //!   [`index`]);
 //! * the head node's global **job pool** with locality-aware consecutive
-//!   batching and inter-cluster **work stealing** ([`pool`]), the sharded
-//!   lock-free façade that takes the same policy to millions-of-jobs grant
-//!   rates ([`shard`]), and the per-site master pool ([`master`]);
+//!   batching and inter-cluster **work stealing** behind one sized grant
+//!   ([`pool`]), and the per-site master pool ([`master`]);
 //! * the experiment **environment configurations** ([`config`]) and the
 //!   **statistics model** matching the paper's figures and tables
 //!   ([`stats`]);
@@ -61,7 +60,6 @@ pub mod master;
 pub mod metrics;
 pub mod pool;
 pub mod reduction;
-pub mod shard;
 pub mod stats;
 pub mod telemetry;
 pub mod types;
@@ -87,11 +85,10 @@ pub use metrics::{
     Histogram, MetricKind, Metrics, MetricsServer, Registry, RouteHandler, RouteResponse, Sample,
 };
 pub use pool::Completion;
-pub use pool::{BatchPolicy, JobBatch, JobPool, SiteJobCounts};
+pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};
 pub use reduction::{
     coded_combine, global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject,
 };
-pub use shard::ShardedPool;
 pub use stats::{
     assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport, SiteSample,
     SiteStats, SlaveSample,

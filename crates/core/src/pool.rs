@@ -24,9 +24,10 @@
 //!   revokes the site's in-flight jobs *and* re-queues the jobs whose
 //!   results died in the site's unreduced robj.
 //!
-//! The pool is pure single-threaded logic: the threaded runtime wraps it in a
-//! mutex, the discrete-event simulator drives it directly. This guarantees
-//! both runtimes execute the *same* policy.
+//! The pool is pure single-threaded logic with one sized grant,
+//! [`JobPool::grant`]: the head's sans-IO core owns it by value on the
+//! channel and the TCP transport alike, and the discrete-event simulator
+//! drives it directly, so every runtime executes the *same* policy.
 
 use crate::fault::{AbandonedJob, FaultCounters, LeaseConfig};
 use crate::index::DataIndex;
@@ -518,12 +519,6 @@ pub struct JobPool {
     /// incremented at the same points that feed the run-report accumulators
     /// so a scrape and `derive_report` agree exactly. Off by default.
     metrics: PoolMetrics,
-    /// When present, every job returned to the pending pool (failure
-    /// requeue, lease reap, evacuation) is also appended here, so the
-    /// sharded wrapper ([`crate::shard::ShardedPool`]) can push it back onto
-    /// the owning site's lock-free shard queue. `None` (the default) is the
-    /// classic unsharded pool, byte-for-byte.
-    shard_log: Option<Vec<ChunkId>>,
 }
 
 impl JobPool {
@@ -566,7 +561,6 @@ impl JobPool {
             faults: FaultCounters::default(),
             sink: Telemetry::off(),
             metrics: PoolMetrics::default(),
-            shard_log: None,
         }
     }
 
@@ -744,30 +738,6 @@ impl JobPool {
         &self.counts
     }
 
-    /// Handle a master's job request: grant a batch for `site`, or an empty
-    /// batch when no pending jobs remain anywhere (or stealing would not
-    /// pay off).
-    pub fn request(&mut self, site: SiteId) -> JobBatch {
-        if self.dead_sites.contains(&site) {
-            return self.empty_grant();
-        }
-        let want = self.batch_policy.batch_size(self.pending_total);
-        // Phase 1: local jobs, consecutive within one file.
-        if let Some(file) = self.pick_local_file(site) {
-            return self.grant_from_file(file, want, false);
-        }
-        // Phase 2: steal from the remote file with the fewest readers.
-        // Stolen jobs ride the slow inter-site path, so grants are kept
-        // fine-grained: a site that over-commits to remote retrieval would
-        // starve the (faster) data-local site of its own pending jobs.
-        if let Some(file) = self.pick_steal_file(site) {
-            if self.steal_pays_off(site, self.file_site[file.0 as usize]) {
-                return self.grant_from_file(file, want.min(STEAL_BATCH_MAX), true);
-            }
-        }
-        self.empty_grant()
-    }
-
     /// Whether `site` ever held (or still holds) a lease on job `i`, or
     /// finished it — i.e. a report from `site` is stale rather than a
     /// protocol violation.
@@ -832,9 +802,6 @@ impl JobPool {
         let q = &mut self.pending_by_file[self.chunks[i].file.0 as usize];
         let pos = q.partition_point(|&c| c < job);
         q.insert(pos, job);
-        if let Some(log) = &mut self.shard_log {
-            log.push(job);
-        }
         self.sync_depth();
     }
 
@@ -1035,7 +1002,7 @@ impl JobPool {
 
     /// The rate-aware steal condition: worth stealing only while the owner
     /// site's pending backlog outlasts the thief's end-to-end steal cost.
-    pub(crate) fn steal_pays_off(&self, thief: SiteId, owner: SiteId) -> bool {
+    fn steal_pays_off(&self, thief: SiteId, owner: SiteId) -> bool {
         if self.dead_sites.contains(&owner) {
             return true; // a dead owner will never drain its own backlog
         }
@@ -1063,12 +1030,16 @@ impl JobPool {
         backlog / rate > cost
     }
 
-    /// [`JobPool::request`] with the caller's clock, feeding the online
-    /// rate estimator. Both runtimes use this form; `request_for` is the
-    /// rate-blind wrapper.
+    /// A master's request for as many jobs as the batch policy gives at the
+    /// current backlog: [`JobPool::grant`] at that size.
     pub fn request_for_at(&mut self, site: SiteId, now: f64) -> JobBatch {
-        self.now = self.now.max(now);
-        self.request_for(site)
+        self.grant(site, self.batch_policy.batch_size(self.pending_total), now)
+    }
+
+    /// [`JobPool::request_for_at`] without a clock of the caller's: the
+    /// rate-aware steal condition sees no time pass.
+    pub fn request_for(&mut self, site: SiteId) -> JobBatch {
+        self.request_for_at(site, self.now)
     }
 
     /// [`JobPool::complete`] with the caller's clock, feeding the rate and
@@ -1271,13 +1242,11 @@ impl JobPool {
         }
     }
 
-    /// Record that `batch` is now owned by `site`, allocating one causal
-    /// span per job (written back into `batch.spans` so the grant carries
-    /// them to the processing site). Split from `request` so the policy
-    /// methods stay pure; `request_for` combines both.
+    /// Record that `batch`, fresh from [`Self::grant_from_file`], is now
+    /// owned by `site`, allocating one causal span per job (written into
+    /// `batch.spans` so the grant carries them to the processing site).
     fn assign_to(&mut self, batch: &mut JobBatch, site: SiteId) {
         let deadline = self.deadline_for(site);
-        batch.spans.clear();
         for k in 0..batch.jobs.len() {
             let j = batch.jobs[k];
             let i = j.id.0 as usize;
@@ -1307,9 +1276,7 @@ impl JobPool {
                 .span_id(span),
             );
         }
-        if !batch.is_empty() {
-            self.sync_depth();
-        }
+        self.sync_depth();
     }
 
     /// The straggler to duplicate for an otherwise-idle `site`: the oldest
@@ -1369,16 +1336,39 @@ impl JobPool {
         JobBatch { jobs: vec![self.chunks[i]], spans: vec![span], stolen, terminal: false }
     }
 
-    /// Request a batch for `site` and record the assignment. When the pool
-    /// has nothing pending but stragglers are in flight, the idle site is
-    /// handed a duplicate of the oldest straggler instead of an empty poll —
-    /// a speculative copy when speculation is enabled, a proactive replica
+    /// Grant `site` up to `max` jobs — the one place pending jobs are
+    /// selected and leased, whatever the transport (paper §III-B): a run of
+    /// *consecutive* jobs from the site's own fullest file; once it has none,
+    /// a steal of at most [`STEAL_BATCH_MAX`] from the remote file with the
+    /// fewest readers, while the rate-aware condition says it pays off.
+    /// Stolen jobs ride the slow inter-site path, so those grants are kept
+    /// fine-grained: a site that over-commits to remote retrieval would
+    /// starve the (faster) data-local site of its own pending jobs.
+    ///
+    /// When nothing is pending but stragglers are in flight, the idle site
+    /// is handed a duplicate of the oldest one instead of an empty poll — a
+    /// speculative copy when speculation is enabled, a proactive replica
     /// when coded redundancy (`r > 1`) is — first completion wins either
-    /// way.
-    pub fn request_for(&mut self, site: SiteId) -> JobBatch {
-        let mut batch = self.request(site);
-        self.assign_to(&mut batch, site);
-        if batch.is_empty() && !batch.terminal && !self.dead_sites.contains(&site) {
+    /// way. `max == 0` only asks whether the run is over: nothing is
+    /// granted, no copy launched. A dead site gets the same empty answer.
+    pub fn grant(&mut self, site: SiteId, max: usize, now: f64) -> JobBatch {
+        self.now = self.now.max(now);
+        if max == 0 || self.dead_sites.contains(&site) {
+            return self.empty_grant();
+        }
+        let pick = match self.pick_local_file(site) {
+            Some(file) => Some((file, max, false)),
+            None => self
+                .pick_steal_file(site)
+                .filter(|file| self.steal_pays_off(site, self.file_site[file.0 as usize]))
+                .map(|file| (file, max.min(STEAL_BATCH_MAX), true)),
+        };
+        if let Some((file, want, stolen)) = pick {
+            let mut batch = self.grant_from_file(file, want, stolen);
+            self.assign_to(&mut batch, site);
+            return batch;
+        }
+        if !self.all_done() {
             if self.speculate {
                 if let Some(i) = self.pick_duplicate_target(site, MAX_ASSIGNEES) {
                     return self.grant_duplicate(i, site, true);
@@ -1391,84 +1381,31 @@ impl JobPool {
                 }
             }
         }
-        batch
+        self.empty_grant()
+    }
+}
+
+/// What `ladder/src/api.rs` still pins from the time several head threads
+/// shared the pool: a lock around a [`JobPool`] and the three methods the
+/// ladder's `pool.*` probe calls through `&self`. Nothing else uses it; it
+/// goes when the ladder is hoisted into the workspace (ROADMAP item 1).
+pub struct ShardedPool(parking_lot::Mutex<JobPool>);
+
+impl ShardedPool {
+    /// Wrap `pool`.
+    #[must_use]
+    pub fn new(pool: JobPool) -> ShardedPool {
+        ShardedPool(parking_lot::Mutex::new(pool))
     }
 
-    // ---- sharded-wrapper support (see `crate::shard::ShardedPool`) ----
-
-    /// Turn the requeue log on or off. While on, every job returned to the
-    /// pending pool is also recorded for [`JobPool::take_requeued`].
-    pub(crate) fn set_shard_log(&mut self, on: bool) {
-        self.shard_log = if on { Some(Vec::new()) } else { None };
+    /// [`JobPool::grant`] under the lock.
+    pub fn get_jobs(&self, site: SiteId, max: usize, now: f64) -> JobBatch {
+        self.0.lock().grant(site, max, now)
     }
 
-    /// Drain the requeue log: the jobs put back in the pending pool since
-    /// the last call (failure requeues, lease reaps, evacuations).
-    pub(crate) fn take_requeued(&mut self) -> Vec<ChunkId> {
-        match &mut self.shard_log {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
-    }
-
-    /// The data-home site of `job`.
-    pub(crate) fn home_of(&self, job: ChunkId) -> SiteId {
-        self.chunks[job.0 as usize].site
-    }
-
-    /// Every pending job grouped by its data-home site, in physical order —
-    /// the initial shard contents for the sharded wrapper.
-    pub(crate) fn pending_ids_by_site(&self) -> BTreeMap<SiteId, Vec<ChunkId>> {
-        let mut out: BTreeMap<SiteId, Vec<ChunkId>> = BTreeMap::new();
-        for (q, &site) in self.pending_by_file.iter().zip(&self.file_site) {
-            out.entry(site).or_default().extend(q.iter().copied());
-        }
-        for ids in out.values_mut() {
-            ids.sort_unstable();
-        }
-        out
-    }
-
-    /// Grant the still-pending jobs among `ids` to `site` in one batch,
-    /// advancing the pool clock to `now`.
-    ///
-    /// This is the registration half of a sharded grant: the caller already
-    /// *selected* the jobs by popping them off a lock-free shard queue, so
-    /// no policy scan runs here — each id is checked (a shard entry can be
-    /// stale: the job may have completed late, been abandoned, or been
-    /// granted through the legacy path since it was pushed), removed from
-    /// its file's pending queue, and leased via the same bookkeeping as
-    /// [`JobPool::request_for`] (spans, leases, telemetry, metrics). Stale
-    /// ids are skipped silently; the returned batch may therefore be
-    /// smaller than `ids`, or empty.
-    pub(crate) fn assign_ids(
-        &mut self,
-        site: SiteId,
-        ids: &[ChunkId],
-        stolen: bool,
-        now: f64,
-    ) -> JobBatch {
-        self.now = self.now.max(now);
-        let mut jobs = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let i = id.0 as usize;
-            if self.state[i] != JobState::Pending {
-                continue; // stale shard entry
-            }
-            let q = &mut self.pending_by_file[self.chunks[i].file.0 as usize];
-            let pos = q.partition_point(|&c| c < id);
-            if q.get(pos) == Some(&id) {
-                q.remove(pos);
-                jobs.push(self.chunks[i]);
-            } else {
-                // `ids` named it twice — a stale shard entry beside the one a
-                // requeue pushed — and the first mention took it.
-                debug_assert!(jobs.iter().any(|j| j.id == id), "{id} pending but not queued");
-            }
-        }
-        let mut batch = JobBatch { jobs, spans: Vec::new(), stolen, terminal: false };
-        self.assign_to(&mut batch, site);
-        batch
+    /// [`JobPool::complete_at`] under the lock.
+    pub fn complete_at(&self, job: ChunkId, site: SiteId, now: f64) -> Completion {
+        self.0.lock().complete_at(job, site, now)
     }
 }
 
@@ -1517,14 +1454,20 @@ mod tests {
 
     #[test]
     fn steals_only_after_local_exhausted() {
-        let idx = index(2, 2, |f| if f.0 == 0 { SiteId::LOCAL } else { SiteId::CLOUD });
+        let idx = index(2, 4, |f| if f.0 == 0 { SiteId::LOCAL } else { SiteId::CLOUD });
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(2));
         let b1 = pool.request_for(SiteId::LOCAL);
         assert!(!b1.stolen);
         assert_eq!(b1.len(), 2);
-        let b2 = pool.request_for(SiteId::LOCAL);
-        assert!(b2.stolen, "local jobs exhausted; must steal");
-        assert!(b2.jobs.iter().all(|c| c.site == SiteId::CLOUD));
+        // A sized grant is one file's run, however much is asked for.
+        let b2 = pool.grant(SiteId::LOCAL, 16, 0.0);
+        assert!(!b2.stolen);
+        assert_eq!(b2.len(), 2);
+        // And a steal is capped, however much is asked for.
+        let b3 = pool.grant(SiteId::LOCAL, 16, 0.0);
+        assert!(b3.stolen, "local jobs exhausted; must steal");
+        assert_eq!(b3.len(), STEAL_BATCH_MAX);
+        assert!(b3.jobs.iter().all(|c| c.site == SiteId::CLOUD));
     }
 
     #[test]
@@ -1650,10 +1593,10 @@ mod fault_tests {
         for j in &b.jobs[1..] {
             p.complete(j.id, SiteId::LOCAL);
         }
-        // Drain the rest; the victim must come back.
+        // Drain the rest by sized grants; the victim must come back.
         let mut saw_victim = false;
         while !p.all_done() {
-            let b = p.request_for(SiteId::CLOUD);
+            let b = p.grant(SiteId::CLOUD, 16, 0.0);
             for j in &b.jobs {
                 saw_victim |= j.id == victim;
                 p.complete(j.id, SiteId::CLOUD);
@@ -1795,6 +1738,11 @@ mod lease_tests {
         let b = p.request_for_at(SiteId::LOCAL, 0.0);
         assert_eq!(b.len(), 2);
         p.complete_at(b.jobs[1].id, SiteId::LOCAL, 0.2);
+        // Asking for nothing only learns that the run is not over: no copy
+        // is launched for it.
+        let probe = p.grant(SiteId::CLOUD, 0, 0.3);
+        assert!(probe.is_empty() && !probe.terminal);
+        assert_eq!(p.faults().speculative_grants, 0);
         // Cloud polls with nothing pending: granted a speculative copy of
         // the straggler.
         let spec = p.request_for_at(SiteId::CLOUD, 0.3);
@@ -1812,7 +1760,7 @@ mod lease_tests {
         }
         // The straggler eventually reports: duplicate, merged exactly once.
         assert_eq!(p.complete_at(b.jobs[0].id, SiteId::LOCAL, 9.0), Completion::Duplicate);
-        assert!(p.all_done());
+        assert!(p.all_done() && p.grant(SiteId::CLOUD, 0, 9.0).terminal);
         assert_eq!(p.completed(), 2);
         // The gamble paid off; the preempted straggler was not speculative.
         assert_eq!(p.faults().speculative_wins, 1);
@@ -1896,8 +1844,11 @@ mod lease_tests {
         assert_eq!(p.completed(), 0);
         assert_eq!(p.pending(), 2);
         assert!(p.is_dead(SiteId::CLOUD));
-        // The dead site polls: empty, and its zombie reports are discarded.
-        assert!(p.request_for(SiteId::CLOUD).is_empty());
+        // The dead site polls: empty, the run not over, the re-queued jobs
+        // left for the survivor; and its zombie reports are discarded.
+        let poll = p.grant(SiteId::CLOUD, 8, 0.0);
+        assert!(poll.is_empty() && !poll.terminal);
+        assert_eq!(p.pending(), 2);
         assert_eq!(p.complete(inflight_at_cloud, SiteId::CLOUD), Completion::Duplicate);
         // The survivor finishes its own grant and the re-queued jobs.
         for j in &b2.jobs {
@@ -1986,7 +1937,10 @@ mod redundancy_tests {
         p.set_redundancy(2);
         let b = p.request_for(SiteId::LOCAL);
         let job = b.jobs[0].id;
-        // The idle site is handed a proactive replica, not an empty poll.
+        // The idle site is handed a proactive replica, not an empty poll —
+        // unless it asked for nothing.
+        assert!(p.grant(SiteId::CLOUD, 0, 0.0).is_empty());
+        assert_eq!(p.faults().replica_grants, 0);
         let rep = p.request_for(SiteId::CLOUD);
         assert_eq!(rep.len(), 1);
         assert_eq!(rep.jobs[0].id, job);

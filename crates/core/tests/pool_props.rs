@@ -3,8 +3,9 @@
 //! exactly once, batches are physically consecutive, and stealing only
 //! happens when the requester has no local pending jobs. With fault
 //! tolerance on, the same exactly-once guarantee must survive arbitrary
-//! interleavings of lease expiries, failures, duplicate completions, and a
-//! mid-run site evacuation.
+//! interleavings of grants of every size 1..=64, lease expiries, failures,
+//! duplicate completions, and a mid-run site evacuation, with no terminal
+//! grant before every job is done or abandoned.
 
 use cloudburst_core::{
     BatchPolicy, ChunkId, Completion, DataIndex, JobPool, LayoutParams, LeaseConfig, SiteId,
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_index() -> impl Strategy<Value = DataIndex> {
-    (1u32..8, 1u64..6, 1u64..5, 0.0f64..=1.0).prop_map(|(n_files, cpf, upc, frac)| {
+    (1u32..8, 1u64..10, 1u64..5, 0.0f64..=1.0).prop_map(|(n_files, cpf, upc, frac)| {
         let total = u64::from(n_files) * cpf * upc;
         let n_local = (frac * f64::from(n_files)).round() as u32;
         DataIndex::build(total, LayoutParams { unit_size: 4, units_per_chunk: upc, n_files }, |f| {
@@ -128,15 +129,16 @@ proptest! {
         prop_assert_eq!(c.stolen, index.n_chunks() as u64 - n_local_chunks);
     }
 
-    /// The chaos-monkey property: random interleavings of grants,
-    /// completions, failures, lease reaps and a cloud evacuation, then the
+    /// The chaos-monkey property: random interleavings of policy-sized and
+    /// sized grants (`max` in 1..=64), completions each followed by its
+    /// duplicate, failures, lease reaps and a cloud evacuation, then the
     /// surviving local site drains the rest. Each chunk must end up merged
     /// in exactly one *surviving* robj or abandoned — never both, never
-    /// twice, never dropped.
+    /// twice, never dropped — and no grant is terminal before that.
     #[test]
     fn chaotic_interleavings_merge_each_chunk_exactly_once(
         index in arb_index(),
-        ops in prop::collection::vec((0u8..5, any::<u8>(), any::<u16>()), 0..250),
+        ops in prop::collection::vec((0u8..6, any::<u8>(), any::<u16>()), 0..250),
         batch in 1usize..5,
     ) {
         let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(batch));
@@ -156,8 +158,15 @@ proptest! {
             t += 0.3;
             let site = sites[usize::from(s) % 2];
             match op {
-                0 => {
-                    let b = pool.request_for_at(site, t);
+                0 | 5 => {
+                    let (max, b) = if op == 0 {
+                        (batch, pool.request_for_at(site, t))
+                    } else {
+                        let max = usize::from(x) % 64 + 1;
+                        (max, pool.grant(site, max, t))
+                    };
+                    prop_assert!(b.len() <= max, "granted {} jobs for max {max}", b.len());
+                    prop_assert!(!b.terminal || pool.all_done(), "terminal grant too early");
                     held.get_mut(&site).unwrap().extend(b.jobs.iter().map(|j| j.id));
                 }
                 1 => {
@@ -173,6 +182,8 @@ proptest! {
                             held.get_mut(&s).unwrap().retain(|&c| c != job);
                         }
                     }
+                    let again = pool.complete_at(job, site, t);
+                    prop_assert!(!again.is_merged(), "a repeated report of {job} merged");
                 }
                 2 => {
                     let h = held.get_mut(&site).unwrap();
@@ -200,7 +211,8 @@ proptest! {
         while !pool.all_done() {
             t += 1.0;
             pool.reap_expired(t);
-            let b = pool.request_for_at(SiteId::LOCAL, t);
+            let b = pool.grant(SiteId::LOCAL, rounds % 64 + 1, t);
+            prop_assert!(!b.terminal, "terminal grant with work left");
             for j in &b.jobs {
                 if pool.complete_at(j.id, SiteId::LOCAL, t).is_merged() {
                     robj.get_mut(&SiteId::LOCAL).unwrap().insert(j.id.0);

@@ -58,6 +58,16 @@ echo "== master window: virtual-clock proptests at 256 cases"
 # sequence at one job per hand-off.
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test master_window_props
 
+echo "== the pool: exactly-once proptests at 256 cases"
+# The suite that carries the exactly-once gate of the one pool: conservation
+# (every job granted and completed once, local before stolen, batches
+# consecutive within one file), each chunk merged at exactly one surviving
+# site or abandoned under any interleaving of policy-sized and sized grants
+# (every size 1..=64), steals, duplicate reports, failures, lease reaps and
+# an evacuation, a late completion racing its re-execution, and terminal
+# soundness: no terminal grant before every job is done or abandoned.
+PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test pool_props
+
 echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
 # Already part of `cargo test` above; named here so a failure says what
 # broke: the tiled AVX2 kernel and the `local_reduce` fold must agree on
@@ -219,29 +229,41 @@ grep -q '^\[watch ' "$SMOKE/watch.txt" \
 echo "   metrics valid"
 
 echo "== smoke: health plane trips on chaos, stays quiet clean, and dumps a black box"
-# Sick run: cloud slowed 8x with a straggler threshold tight enough that
-# the detector must trip. Probe the live introspection plane mid-run.
+# Sick run: every cloud job takes five times a local one, with a straggler
+# threshold tight enough that the detector must trip. The slowness is a
+# per-job delay on each worker, not a factor on measured durations: 147 jobs
+# at 0.06 s on three local and 0.3 s on three cloud workers cannot finish in
+# under 2.4 s however fast the machine, so the run outlasts the probes below
+# and the detector's two hysteresis ticks (250 ms each) by construction.
 HPORT=$((20000 + RANDOM % 20000))
+SICK='seed=5'
+for w in 0 1 2; do SICK+=",slow=local:$w:0.06,slow=cloud:$w:0.3"; done
 "$BIN" run wordcount --org "$SMOKE/borg" --local-cores 3 --cloud-cores 3 \
-    --time-scale 2.0 --chaos 'seed=5,slow=cloud:8' --health 'straggler=0.9' \
+    --time-scale 2.0 --chaos "$SICK" --health 'straggler=0.9' \
     --metrics-addr "127.0.0.1:$HPORT" \
     --stats-out "$SMOKE/hstats.json" 2>"$SMOKE/hrun.txt" &
 HRUN_PID=$!
-# Wait for the listener, then give the detector its two hysteresis ticks.
+# GET one document of the live plane into a file, retried the way
+# check-metrics retries its scrape; whatever the status (/healthz answers 503
+# while degraded), the body must be valid JSON.
+probe() {
+    for _ in $(seq 20); do
+        if curl -s "http://127.0.0.1:$HPORT$1" >"$2" && "$BIN" check-json "$2" >/dev/null; then
+            return 0
+        fi
+        sleep 0.3
+    done
+    kill "$HRUN_PID" 2>/dev/null
+    echo "$1 unreachable or not JSON"; cat "$SMOKE/hrun.txt"; exit 1
+}
+# Probe the live introspection plane as soon as the listener answers.
 "$BIN" check-metrics "http://127.0.0.1:$HPORT/metrics" --retries 20 \
     || { kill "$HRUN_PID" 2>/dev/null; cat "$SMOKE/hrun.txt"; exit 1; }
-sleep 1
-# /healthz must serve the machine verdict and the probe subcommand must
-# agree; both shapes are valid JSON documents.
-curl -sf "http://127.0.0.1:$HPORT/debug/pool" >"$SMOKE/pool.json" \
-    || { kill "$HRUN_PID" 2>/dev/null; echo "/debug/pool unreachable"; exit 1; }
-"$BIN" check-json "$SMOKE/pool.json"
+probe /debug/pool "$SMOKE/pool.json"
 grep -q '"queue_depth"' "$SMOKE/pool.json" && grep -q '"shards"' "$SMOKE/pool.json" \
     || { kill "$HRUN_PID" 2>/dev/null; echo "/debug/pool missing fields"; exit 1; }
-curl -s "http://127.0.0.1:$HPORT/debug/sites" >"$SMOKE/sites.json"
-"$BIN" check-json "$SMOKE/sites.json"
-curl -s "http://127.0.0.1:$HPORT/healthz" >"$SMOKE/healthz.json"
-"$BIN" check-json "$SMOKE/healthz.json"
+probe /debug/sites "$SMOKE/sites.json"
+probe /healthz "$SMOKE/healthz.json"
 wait "$HRUN_PID" || { cat "$SMOKE/hrun.txt"; exit 1; }
 # The chaos run must have tripped at least one detector (recorded in the
 # stats document's health block), and the clean run below exactly zero.
