@@ -25,7 +25,6 @@ pub mod net;
 pub mod protocol;
 pub mod reactor;
 mod readiness;
-mod report;
 pub mod router;
 pub mod runtime;
 pub mod wire;

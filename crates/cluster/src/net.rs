@@ -21,10 +21,9 @@ use crate::error::RunError;
 use crate::head::HeadOptions;
 use crate::protocol::{HeadReport, MasterMsg};
 pub use crate::reactor::{serve_head, serve_head_with};
-use crate::report::SiteOutcome;
 use crate::runtime::{
     conclude, mailbox_tick, merge_site_outcome, panic_msg, prepare, run_slave, MasterMetrics,
-    Parked, Prepared, ReportSink, RunOutcome, RuntimeConfig, SlaveCtx, SlaveMetrics,
+    Parked, Prepared, ReportSink, RunOutcome, RuntimeConfig, SiteOutcome, SlaveCtx, SlaveMetrics,
 };
 use crate::wire::{
     put_ack_batch, put_to_head, read_batch_reply, read_hello_ack, write_hello, AckEntry,
@@ -32,7 +31,7 @@ use crate::wire::{
 };
 use cloudburst_core::{
     ns_since, ChunkId, DataIndex, Event, EventKind, FaultPlan, HeartbeatConfig, MasterPool,
-    Reduction, RequestId, SiteId, Take, Telemetry,
+    Reduction, RequestId, SiteId, SlaveSample, Take, Telemetry,
 };
 use cloudburst_storage::ChunkStore;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -469,8 +468,7 @@ pub fn run_hybrid_tcp<R: Reduction>(
                     let (master_tx, master_rx) = unbounded::<MasterMsg>();
                     let stream = TcpStream::connect(head_addr)?;
 
-                    let mut results: Vec<Result<(R::RObj, crate::runtime::SlaveStats), RunError>> =
-                        Vec::new();
+                    let mut results: Vec<Result<(R::RObj, SlaveSample), RunError>> = Vec::new();
                     let mut master_result: Option<io::Result<MasterPool>> = None;
                     std::thread::scope(|site_scope| {
                         let master = site_scope.spawn({

@@ -15,13 +15,13 @@
 use crate::error::RunError;
 use crate::head::{run_head, CancelBoard, HeadOptions};
 use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
-use crate::report::{assemble_report, SiteOutcome};
 use crate::router::{Fetched, StoreRouter};
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::{
-    ns_between, ns_since, secs_to_ns, tree_reduce, BatchPolicy, ChunkId, DataIndex, EnvConfig,
-    Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig, LocalJob, MasterPool,
-    Reduction, ReductionObject, RequestId, RunReport, Seconds, SiteId, Take, Telemetry,
+    assemble_report, ns_between, ns_since, ns_to_secs, tree_reduce, BatchPolicy, ChunkId,
+    DataIndex, EnvConfig, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig,
+    LocalJob, MasterPool, Reduction, ReductionObject, RequestId, RunReport, Seconds, SiteId,
+    SiteSample, SlaveSample, Take, Telemetry,
 };
 use cloudburst_netsim::Topology;
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
@@ -194,27 +194,15 @@ pub struct RunOutcome<R> {
     pub head: HeadReport,
 }
 
-/// Per-slave measurements gathered during the run.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SlaveStats {
-    pub(crate) processing: Seconds,
-    pub(crate) retrieval: Seconds,
-    pub(crate) finish: Seconds,
-    pub(crate) remote_bytes: u64,
-    pub(crate) jobs: u64,
-    pub(crate) retries: u64,
-    /// Accepted jobs reduced a second time because a batch-mate was not.
-    pub(crate) rereduced: u64,
-}
-
 /// Per-slave live-metrics instruments, resolved once at spawn so the hot
 /// loop pays only relaxed atomic adds — or, with metrics off, a single
 /// branch inside each no-op instrument.
 ///
-/// Job/byte/retry counters are per-worker (summing a site's workers gives
-/// the run report's per-site numbers exactly); latency histograms and the
-/// pipeline-occupancy gauge are per-site, shared by all of a site's workers
-/// through the registry's get-or-create.
+/// Job/byte/retry counters are per-worker and fed by [`SlaveCtx::note`], the
+/// call that feeds the slave's [`SlaveSample`], so summing a site's workers
+/// gives the run report's per-site numbers exactly; latency histograms and
+/// the pipeline-occupancy gauge are per-site, shared by all of a site's
+/// workers through the registry's get-or-create.
 #[derive(Clone, Default)]
 pub(crate) struct SlaveMetrics {
     jobs: Counter,
@@ -294,23 +282,29 @@ impl SlaveMetrics {
         }
     }
 
-    /// One chunk retrieval finished (successfully) on this slave's behalf.
-    fn fetched(&self, dur: Duration, bytes: u64, remote: bool, retries: u64) {
-        self.fetch_time.add(dur.as_nanos() as u64);
-        self.fetch_hist.observe(dur.as_nanos() as u64);
-        if remote {
-            self.remote_bytes.add(bytes);
+    /// The registry's reading of one of the slave's events: a chunk
+    /// retrieval that finished (successfully) on its behalf, or a chunk
+    /// fully decoded and reduced.
+    #[inline(always)]
+    fn record(&self, e: &Event) {
+        match e.kind {
+            EventKind::ChunkFetched { bytes, remote, retries } => {
+                self.fetch_time.add(e.dur_ns);
+                self.fetch_hist.observe(e.dur_ns);
+                if remote {
+                    self.remote_bytes.add(bytes);
+                }
+                if retries > 0 {
+                    self.retries.add(retries);
+                }
+            }
+            EventKind::JobProcessed => {
+                self.proc_time.add(e.dur_ns);
+                self.proc_hist.observe(e.dur_ns);
+                self.jobs.inc();
+            }
+            _ => {}
         }
-        if retries > 0 {
-            self.retries.add(retries);
-        }
-    }
-
-    /// One chunk fully decoded and reduced.
-    fn processed(&self, dur: Duration) {
-        self.proc_time.add(dur.as_nanos() as u64);
-        self.proc_hist.observe(dur.as_nanos() as u64);
-        self.jobs.inc();
     }
 
     /// A prefetched job entered (+1) or left (-1) the pipeline buffer.
@@ -357,16 +351,21 @@ impl SlaveCtx {
         self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
     }
 
-    /// Nanoseconds of run clock at `at` (saturating at the epoch).
-    fn ns_at(&self, at: Instant) -> u64 {
-        ns_between(self.epoch, at)
+    /// State one fact of this slave's — the only way a slave states any, the
+    /// twin of the pool's `note`: the event, tagged with the slave, is folded
+    /// into its `tally`, read off into its live counters and emitted.
+    #[inline(always)]
+    fn note(&self, tally: &mut SlaveSample, event: Event) {
+        let event = event.site(self.site).worker(self.worker);
+        tally.apply(&event);
+        self.metrics.record(&event);
+        self.telemetry.emit(event);
     }
+}
 
-    /// Emit `event` tagged with this slave and `job`'s chunk and span.
-    fn emit_job(&self, job: &LocalJob, event: Event) {
-        self.telemetry
-            .emit(event.site(self.site).worker(self.worker).chunk(job.chunk.id).span_id(job.span));
-    }
+/// `event` tagged with `job`'s chunk and causal span.
+fn of_job(event: Event, job: &LocalJob) -> Event {
+    event.chunk(job.chunk.id).span_id(job.span)
 }
 
 /// What both deployment modes build before they spawn anything.
@@ -486,7 +485,7 @@ pub fn run_hybrid<R: Reduction>(
                     let control_latency = config.topology.link(site.0, head_site.0).latency;
                     let (master_tx, master_rx) = unbounded::<MasterMsg>();
 
-                    let mut results: Vec<Result<(R::RObj, SlaveStats), RunError>> = Vec::new();
+                    let mut results: Vec<Result<(R::RObj, SlaveSample), RunError>> = Vec::new();
                     std::thread::scope(|site_scope| {
                         let master = site_scope.spawn({
                             let head_tx = head_tx.clone();
@@ -565,11 +564,23 @@ pub fn run_hybrid<R: Reduction>(
     conclude(head_result.expect("head joined in scope")?, site_outcomes, head_site, config, epoch)
 }
 
+/// One site's end-of-run state, as collected by its coordinator.
+pub(crate) struct SiteOutcome<O> {
+    pub(crate) site: SiteId,
+    /// The site's locally combined reduction object (`None` when the site
+    /// was revoked or fenced off as dead).
+    pub(crate) robj: Option<O>,
+    /// Its slaves' tallies and its own times; the job counts are the head's
+    /// to fill in.
+    pub(crate) sample: SiteSample,
+}
+
 /// What both deployment modes do once every thread has been joined: surface
 /// failures, fence dead sites, run the global reduction and assemble the
-/// report.
+/// report — [`assemble_report`] over the slaves' tallies and the head's, the
+/// function [`cloudburst_core::derive_report`] ends in too.
 pub(crate) fn conclude<O: ReductionObject>(
-    mut head: HeadReport,
+    head: HeadReport,
     site_outcomes: Vec<Result<SiteOutcome<O>, RunError>>,
     head_site: SiteId,
     config: &RuntimeConfig,
@@ -581,8 +592,6 @@ pub(crate) fn conclude<O: ReductionObject>(
     for o in site_outcomes {
         outcomes.push(o?);
     }
-    // The one fault-path number only the slaves know.
-    head.faults.rereduced_jobs = outcomes.iter().flat_map(|o| &o.slaves).map(|s| s.rereduced).sum();
     if head.abandoned > 0 {
         return Err(RunError::Incomplete { abandoned: head.faults.abandoned_jobs.clone() });
     }
@@ -600,7 +609,15 @@ pub(crate) fn conclude<O: ReductionObject>(
         collect_global(&mut outcomes, head_site, config, epoch);
     let result = final_robj.ok_or(RunError::NothingProcessed)?;
 
-    let report = assemble_report(&config.env.name, &outcomes, &head, global_reduction, total_time);
+    let samples = outcomes
+        .into_iter()
+        .map(|o| {
+            let jobs = head.counts.get(&o.site).copied().unwrap_or_default();
+            (o.site, SiteSample { jobs, ..o.sample })
+        })
+        .collect();
+    let (env, faults) = (&config.env.name, head.faults.clone());
+    let report = assemble_report(env, faults, &samples, global_reduction, total_time);
     Ok(RunOutcome { result, report, head })
 }
 
@@ -613,29 +630,26 @@ pub(crate) fn conclude<O: ReductionObject>(
 /// head evacuates and re-runs its jobs at surviving sites).
 pub(crate) fn merge_site_outcome<O: ReductionObject>(
     site: SiteId,
-    results: Vec<Result<(O, SlaveStats), RunError>>,
+    results: Vec<Result<(O, SlaveSample), RunError>>,
     chaos: Option<&FaultPlan>,
     epoch: Instant,
     telemetry: &Telemetry,
 ) -> Result<SiteOutcome<O>, RunError> {
-    let (robjs, slaves): (Vec<O>, Vec<SlaveStats>) =
+    let (robjs, slaves): (Vec<O>, Vec<SlaveSample>) =
         results.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
     let revoked = chaos.is_some_and(|p| p.site_dead(site, epoch.elapsed().as_secs_f64()));
     let merge_start = Instant::now();
     let robj = if revoked { None } else { tree_reduce(robjs) };
-    let merge_dur = merge_start.elapsed();
-    let local_merge = merge_dur.as_secs_f64();
-    let finish = epoch.elapsed().as_secs_f64();
-    telemetry.emit(
-        Event::span(
-            ns_between(epoch, merge_start),
-            merge_dur.as_nanos() as u64,
-            EventKind::SiteMerged,
-        )
-        .site(site),
-    );
-    telemetry.emit(Event::at(secs_to_ns(finish), EventKind::SiteFinished).site(site));
-    Ok(SiteOutcome { site, robj, slaves, local_merge, finish })
+    let merge_ns = merge_start.elapsed().as_nanos() as u64;
+    // The report's times are the events' stamps read back, so a report
+    // derived from the stream carries the same numbers.
+    let merged = Event::span(ns_between(epoch, merge_start), merge_ns, EventKind::SiteMerged);
+    let finished = Event::at(ns_since(epoch), EventKind::SiteFinished);
+    telemetry.emit(merged.site(site));
+    telemetry.emit(finished.site(site));
+    let (local_merge, finish) = (ns_to_secs(merged.dur_ns), ns_to_secs(finished.at_ns));
+    let sample = SiteSample { slaves, local_merge, finish, jobs: Default::default() };
+    Ok(SiteOutcome { site, robj, sample })
 }
 
 /// The global-reduction phase shared by both runtimes. Every remote site
@@ -685,16 +699,12 @@ fn collect_global<O: ReductionObject>(
             });
         }
     });
-    let gr_dur = gr_start.elapsed();
-    let global_reduction = gr_dur.as_secs_f64();
-    let total_time = epoch.elapsed().as_secs_f64();
-    config.telemetry.emit(Event::span(
-        ns_between(epoch, gr_start),
-        gr_dur.as_nanos() as u64,
-        EventKind::GlobalReduction,
-    ));
-    config.telemetry.emit(Event::at(secs_to_ns(total_time), EventKind::RunFinished));
-    (final_robj, global_reduction, total_time)
+    let gr_ns = gr_start.elapsed().as_nanos() as u64;
+    let reduced = Event::span(ns_between(epoch, gr_start), gr_ns, EventKind::GlobalReduction);
+    let finished = Event::at(ns_since(epoch), EventKind::RunFinished);
+    config.telemetry.emit(reduced);
+    config.telemetry.emit(finished);
+    (final_robj, ns_to_secs(reduced.dur_ns), ns_to_secs(finished.at_ns))
 }
 
 /// Per-master live-metrics instruments for the grant layer, per site (no-ops
@@ -1079,11 +1089,12 @@ impl<'a> JobSource<'a> {
                 ctx.metrics.prefetch_dropped();
                 continue;
             }
+            // No ledger entry, and maybe said from the prefetcher's thread:
+            // straight to the sink, the clock read only for a listener.
             if ctx.telemetry.is_enabled() {
-                ctx.emit_job(
-                    &job,
-                    Event::at(ns_since(ctx.epoch), EventKind::JobStarted { stolen: job.stolen }),
-                );
+                let started = EventKind::JobStarted { stolen: job.stolen };
+                let started = of_job(Event::at(ns_since(ctx.epoch), started), &job);
+                ctx.telemetry.emit(started.site(ctx.site).worker(ctx.worker));
             }
             self.taken += 1;
             if self.crash_after.is_some_and(|k| self.taken > k) {
@@ -1168,7 +1179,7 @@ pub(crate) fn run_slave<R: Reduction>(
     reports: &ReportSink<'_>,
     router: &StoreRouter,
     config: &RuntimeConfig,
-) -> Result<(R::RObj, SlaveStats), RunError> {
+) -> Result<(R::RObj, SlaveSample), RunError> {
     let done = DoneList::default();
     let mut worker = Worker::new(app, &ctx, reports, &done, config);
     let source = JobSource::new(&ctx, master_tx, reports, &done);
@@ -1216,7 +1227,8 @@ struct Worker<'a, R: Reduction> {
     /// When the oldest open job began: all are settled a quantum later at
     /// the latest, however many the batch still holds.
     opened: Instant,
-    stats: SlaveStats,
+    /// The slave's share of the run report, folded from what it `note`s.
+    stats: SlaveSample,
     slowdown: f64,
     site_factor: f64,
 }
@@ -1242,7 +1254,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
             items: Vec::new(),
             open: Vec::new(),
             opened: ctx.epoch,
-            stats: SlaveStats::default(),
+            stats: SlaveSample::default(),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
             site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
         }
@@ -1292,9 +1304,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
                     let scratch = scratch.get_or_insert_with(|| app.make_robj());
                     units.chunks(unit_group).for_each(|group| app.reduce_group(scratch, group));
                     app.commit(&mut self.robj, scratch, units);
-                    self.stats.rereduced += 1;
-                    let event = Event::at(ns_since(ctx.epoch), EventKind::JobRereduced);
-                    ctx.telemetry.emit(event.site(ctx.site).worker(ctx.worker).chunk(job));
+                    let rereduced = Event::at(ns_since(ctx.epoch), EventKind::JobRereduced);
+                    ctx.note(&mut self.stats, rereduced.chunk(job));
                 }
             }
         }
@@ -1319,30 +1330,16 @@ impl<'a, R: Reduction> Worker<'a, R> {
                 return Ok(ControlFlow::Continue(()));
             }
         };
-        let bytes = fetched.bytes.len() as u64;
-        self.stats.retrieval += fetch_dur.as_secs_f64();
-        self.stats.retries += fetched.retries;
-        if fetched.remote {
-            self.stats.remote_bytes += bytes;
+        let (bytes, remote, retries) =
+            (fetched.bytes.len() as u64, fetched.remote, fetched.retries);
+        if retries > 0 {
+            let retried = Event::at(ns_since(ctx.epoch), EventKind::StorageRetry { retries });
+            ctx.note(&mut self.stats, of_job(retried, job));
         }
-        ctx.metrics.fetched(fetch_dur, bytes, fetched.remote, fetched.retries);
-        if fetched.retries > 0 {
-            ctx.emit_job(
-                job,
-                Event::at(
-                    ns_since(ctx.epoch),
-                    EventKind::StorageRetry { retries: fetched.retries },
-                ),
-            );
-        }
-        ctx.emit_job(
-            job,
-            Event::span(
-                ctx.ns_at(fetch_start),
-                fetch_dur.as_nanos() as u64,
-                EventKind::ChunkFetched { bytes, remote: fetched.remote, retries: fetched.retries },
-            ),
-        );
+        let fetch = EventKind::ChunkFetched { bytes, remote, retries };
+        let fetch =
+            Event::span(ns_between(ctx.epoch, fetch_start), fetch_dur.as_nanos() as u64, fetch);
+        ctx.note(&mut self.stats, of_job(fetch, job));
 
         let proc_start = Instant::now();
         let (app, unit_group) = (self.app, self.config.unit_group.max(1));
@@ -1371,13 +1368,12 @@ impl<'a, R: Reduction> Worker<'a, R> {
             return Ok(ControlFlow::Continue(()));
         }
         let proc_dur = proc_start.elapsed();
-        self.stats.processing += proc_dur.as_secs_f64();
-        self.stats.jobs += 1;
-        ctx.metrics.processed(proc_dur);
-        ctx.emit_job(
-            job,
-            Event::span(ctx.ns_at(proc_start), proc_dur.as_nanos() as u64, EventKind::JobProcessed),
+        let processed = Event::span(
+            ns_between(ctx.epoch, proc_start),
+            proc_dur.as_nanos() as u64,
+            EventKind::JobProcessed,
         );
+        ctx.note(&mut self.stats, of_job(processed, job));
 
         // Injected straggling: a fixed per-worker delay plus a site-wide
         // multiplicative slowdown scaled by this job's real elapsed time.
@@ -1420,13 +1416,9 @@ impl<'a, R: Reduction> Worker<'a, R> {
         Ok(ControlFlow::Continue(()))
     }
 
-    fn finish(mut self) -> (R::RObj, SlaveStats) {
-        self.stats.finish = self.ctx.epoch.elapsed().as_secs_f64();
-        self.ctx.telemetry.emit(
-            Event::at(secs_to_ns(self.stats.finish), EventKind::SlaveFinished)
-                .site(self.ctx.site)
-                .worker(self.ctx.worker),
-        );
+    fn finish(mut self) -> (R::RObj, SlaveSample) {
+        let finished = Event::at(ns_since(self.ctx.epoch), EventKind::SlaveFinished);
+        self.ctx.note(&mut self.stats, finished);
         (self.robj, self.stats)
     }
 }
@@ -1544,9 +1536,9 @@ fn run_slave_pipelined<R: Reduction>(
                 }
                 // Fetch telemetry is emitted by `process_job` rather than by
                 // the companion, so a slave's unprocessed prefetches never
-                // show up in the event stream (they never reach SlaveStats
-                // either); the span still carries the companion's true
-                // fetch timing.
+                // show up in the event stream, nor in the slave's tally that
+                // is folded from it; the span still carries the companion's
+                // true fetch timing.
                 if worker.process_job(pre)?.is_break() {
                     return Ok(());
                 }
@@ -2049,7 +2041,7 @@ mod tests {
         through_master: bool,
         mut grant: impl FnMut(usize) -> Take,
         verdict: impl Fn(ChunkId) -> bool + Sync,
-    ) -> (Result<(R::RObj, SlaveStats), RunError>, Seen) {
+    ) -> (Result<(R::RObj, SlaveSample), RunError>, Seen) {
         let (master_tx, master_rx) = unbounded::<MasterMsg>();
         let (head_tx, head_rx) = unbounded::<HeadMsg>();
         let verdict = &verdict;
@@ -2635,58 +2627,95 @@ mod tests {
     fn event_stream_rederives_the_legacy_report() {
         use cloudburst_core::{derive_report, Recorder};
 
-        // A run with the whole FT stack on (leases, speculation, heartbeats,
-        // acked completions) so the event stream covers grants, steals,
-        // heartbeats, and completions — then the aggregator must rebuild the
-        // exact job counts and fault counters, and the time decomposition
-        // within float-conversion noise.
-        let units = 4096;
-        let (index, stores) = setup(units, 0.5, 4);
-        let env = EnvConfig::new("telemetry-eq", 0.5, 3, 3);
-        let mut config = fast_config(env);
-        config.fault_policy = FaultPolicy::Retry { max_attempts: 4 };
-        config.ft = FtConfig {
-            lease: Some(LeaseConfig::default()),
-            speculate: true,
-            heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
-            retry: Some(RetryPolicy::default()),
-            chaos: None,
+        // Two runs whose ledgers have something in every column, on both
+        // transports. (a) The whole FT stack under a chaos plan: storage
+        // errors absorbed by retries, every worker slowed so the run lasts,
+        // one that crashes early and leaks a job only the lease reaper brings
+        // back, and one slower still, whose last job the idle sites take
+        // speculative copies of. (b) A
+        // coded run (r = 2) whose masters take the whole pool at once, so
+        // that each is handed replicas of the other's backlog from the first
+        // millisecond — grants, wins and fences — and whose cloud site then
+        // dies: an evacuation that saves its re-fetches.
+        let ft_chaos = || {
+            let mut config = fast_config(EnvConfig::new("telemetry-eq", 0.5, 2, 2));
+            config.fault_policy = FaultPolicy::Retry { max_attempts: 5 };
+            let mut plan = FaultPlan {
+                storage_error_rate: 0.2,
+                worker_crash: vec![cloudburst_core::WorkerCrash {
+                    site: SiteId::CLOUD,
+                    worker: 0,
+                    after_jobs: 2,
+                }],
+                ..FaultPlan::seeded(11)
+            };
+            slow_all_workers(&mut plan, 0.004);
+            plan.slow_workers[1].delay_per_job = 0.02;
+            config.ft = FtConfig {
+                lease: Some(LeaseConfig { base: 0.05, min: 0.05, max: 0.2, multiplier: 8.0 }),
+                heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
+                chaos: Some(Arc::new(plan)),
+                ..FtConfig::enabled()
+            };
+            (setup(8192, 0.5, 4), config)
         };
-        let rec = Arc::new(Recorder::new());
-        config.telemetry = Telemetry::to(rec.clone());
-        let out = run_hybrid(&SumApp, &index, stores, &config).unwrap();
-        assert_eq!(out.result.0, expected_sum(units));
-
-        let events = rec.take();
-        assert!(!events.is_empty(), "an attached sink must see the run");
-        let derived = derive_report(&events, &out.report.env);
-
-        // Discrete facts are exact.
-        assert_eq!(derived.faults, out.report.faults);
-        assert_eq!(derived.sites.len(), out.report.sites.len());
-        for (site, legacy) in &out.report.sites {
-            let d = &derived.sites[site];
-            assert_eq!(d.jobs, legacy.jobs, "{site} job counts");
-            assert_eq!(d.remote_bytes, legacy.remote_bytes, "{site} remote bytes");
-            assert_eq!(d.retries, legacy.retries, "{site} retries");
-        }
-
-        // Times go through a seconds → integer-nanoseconds → seconds round
-        // trip on the event path; everything else about the arithmetic is
-        // the same `assemble_sites` call, so the agreement is tight.
-        let close = |a: f64, b: f64, what: &str| {
-            assert!((a - b).abs() < 1e-6, "{what}: derived {a} vs legacy {b}");
+        let coded_outage = || {
+            let mut config = fast_config(EnvConfig::new("telemetry-eq-coded", 0.5, 2, 2));
+            config.redundancy = 2;
+            (config.batch_policy, config.low_watermark) = (BatchPolicy::Fixed(64), 256);
+            let mut plan = FaultPlan {
+                site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.1 }),
+                ..FaultPlan::seeded(5)
+            };
+            // The run must outlast the outage and the quarter second the
+            // head takes to notice it.
+            slow_all_workers(&mut plan, 0.02);
+            config.ft = FtConfig {
+                // A speculative copy would take the slot a replica is for.
+                speculate: false,
+                heartbeat: Some(HeartbeatConfig { interval: 0.01, timeout: 0.25 }),
+                chaos: Some(Arc::new(plan)),
+                ..FtConfig::enabled()
+            };
+            (setup_redundant(8192, 0.5, 4, 2), config)
         };
-        for (site, legacy) in &out.report.sites {
-            let d = &derived.sites[site];
-            close(d.breakdown.processing, legacy.breakdown.processing, "processing");
-            close(d.breakdown.retrieval, legacy.breakdown.retrieval, "retrieval");
-            close(d.breakdown.sync, legacy.breakdown.sync, "sync");
-            close(d.finish_time, legacy.finish_time, "finish_time");
-            close(d.idle, legacy.idle, "idle");
+        type Case = fn() -> ((DataIndex, BTreeMap<SiteId, Arc<dyn ChunkStore>>), RuntimeConfig);
+        let cases: [(&str, Case); 2] = [("ft+chaos", ft_chaos), ("coded+outage", coded_outage)];
+        for (case, make) in cases {
+            for (run, transport) in
+                [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
+            {
+                let what = format!("{case} over {transport}");
+                let ((index, stores), mut config) = make();
+                let rec = Arc::new(Recorder::new());
+                config.telemetry = Telemetry::to(rec.clone());
+                let out = run(&SumApp, &index, stores, &config).unwrap();
+                let units: u64 = index.chunks.iter().map(|c| c.n_units).sum();
+                assert_eq!(out.result.0, expected_sum(units as u32), "{what}");
+
+                let derived = derive_report(&rec.take(), &out.report.env);
+                let live = &out.report;
+                assert!(!live.faults.is_quiet(), "{what}: the run was to exercise the fault path");
+                if config.redundancy == 1 {
+                    assert!(live.total_retries() > 0, "{what}: storage errors were injected");
+                } else {
+                    assert!(live.faults.replica_grants > 0, "{what}: {:?}", live.faults);
+                    assert!(live.faults.saved_refetches > 0, "{what}: {:?}", live.faults);
+                }
+                // The derived report is the live one: the same events went
+                // through the same `apply` functions and the same assembly,
+                // every time through the same nanosecond stamp.
+                assert_eq!(derived.faults, live.faults, "{what}");
+                for (site, l) in &live.sites {
+                    let d = &derived.sites[site];
+                    assert_eq!(d.jobs, l.jobs, "{what}: {site} job counts");
+                    assert_eq!(d.remote_bytes, l.remote_bytes, "{what}: {site} remote bytes");
+                    assert_eq!(d.retries, l.retries, "{what}: {site} retries");
+                    assert_eq!(d.breakdown, l.breakdown, "{what}: {site} breakdown");
+                }
+                assert_eq!(&derived, live, "{what}");
+            }
         }
-        close(derived.global_reduction, out.report.global_reduction, "global_reduction");
-        close(derived.total_time, out.report.total_time, "total_time");
     }
 
     #[test]

@@ -402,6 +402,8 @@ fn is_fault(kind: EventKind) -> bool {
             | EventKind::StorageRetry { .. }
             | EventKind::JobRereduced
             | EventKind::SpeculationResolved { won: false }
+            | EventKind::ReplicaResolved { won: false }
+            | EventKind::RefetchSaved
     )
 }
 
@@ -803,11 +805,14 @@ mod tests {
         let mut events = sample_run();
         // A speculative copy of span 2, granted as its child.
         events.push(
-            Event::at(secs_to_ns(2.0), EventKind::JobGranted { stolen: true, speculative: true })
-                .site(SiteId::LOCAL)
-                .chunk(ChunkId(1))
-                .span_id(9)
-                .cause(2),
+            Event::at(
+                secs_to_ns(2.0),
+                EventKind::JobGranted { stolen: true, speculative: true, replica: false },
+            )
+            .site(SiteId::LOCAL)
+            .chunk(ChunkId(1))
+            .span_id(9)
+            .cause(2),
         );
         let dag = SpanDag::from_events(&events);
         assert_eq!(dag.len(), 5, "spans 1,2,3,4,9");

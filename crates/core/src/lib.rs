@@ -90,12 +90,12 @@ pub use reduction::{
     coded_combine, global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject,
 };
 pub use stats::{
-    assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport, SiteSample,
-    SiteStats, SlaveSample,
+    assemble_report, assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport,
+    SiteSample, SiteStats, SlaveSample,
 };
 pub use telemetry::{
     chrome_trace, derive_report, events_to_jsonl, ns_between, ns_since, ns_to_secs, secs_to_ns,
-    ConsoleSink, Event, EventKind, EventSink, FlightRecorder, JsonlSink, LogLevel, Recorder,
-    Telemetry,
+    ConsoleSink, Event, EventKind, EventSink, FlightRecorder, JsonlSink, LogLevel, PoolTally,
+    Recorder, Telemetry,
 };
 pub use types::{ByteSize, ChunkId, FileId, JobId, NodeId, Seconds, SiteId};

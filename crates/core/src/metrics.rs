@@ -35,7 +35,7 @@ use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Sharded counters
@@ -1048,7 +1048,8 @@ pub type RouteHandler = Box<dyn Fn(&str) -> RouteResponse + Send + Sync>;
 /// A tiny, dependency-free HTTP/1.1 listener serving `GET /metrics` with
 /// the registry's current exposition, plus any extra routes mounted at
 /// bind time (the `/healthz` + `/debug/*` introspection plane). One accept
-/// thread, one request per connection, `Connection: close`.
+/// thread, one request per connection, `Connection: close`; a request head
+/// that has not arrived within two seconds is answered `408`.
 pub struct MetricsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -1117,27 +1118,43 @@ impl Drop for MetricsServer {
     }
 }
 
+/// How long a client has to send its whole request head. One deadline for
+/// the head, not one per `read`: requests are served inline on the one accept
+/// thread, so a client dribbling a byte at a time would otherwise hold every
+/// route — and `shutdown`, which joins that thread — for as long as it liked.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
 fn serve_one(
     mut stream: TcpStream,
     registry: &Registry,
     routes: &[(String, RouteHandler)],
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
+    stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
     // Read until the end of the request head (we ignore any body).
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
-    loop {
+    let in_time = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break false;
+        }
+        stream.set_read_timeout(Some(left))?;
         match stream.read(&mut chunk) {
-            Ok(0) => break,
+            Ok(0) => break true,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
                 if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 16 * 1024 {
-                    break;
+                    break true;
                 }
             }
-            Err(_) => break,
+            // Out of time (or the connection broke, and the answer goes nowhere).
+            Err(_) => break false,
         }
+    };
+    if !in_time {
+        let body = "request head not received in time\n".to_owned();
+        return respond(stream, ("408 Request Timeout", "text/plain; charset=utf-8", body));
     }
     let request = String::from_utf8_lossy(&buf);
     let target =
@@ -1146,13 +1163,17 @@ fn serve_one(
         Some((p, q)) => (p, q),
         None => (target.as_str(), ""),
     };
-    let (status, content_type, body) = if path == "/metrics" || path == "/" {
+    let response = if path == "/metrics" || path == "/" {
         ("200 OK", "text/plain; version=0.0.4; charset=utf-8", registry.render())
     } else if let Some((_, handler)) = routes.iter().find(|(p, _)| p == path) {
         handler(query)
     } else {
         ("404 Not Found", "text/plain; charset=utf-8", "not found\n".to_owned())
     };
+    respond(stream, response)
+}
+
+fn respond(mut stream: TcpStream, (status, content_type, body): RouteResponse) -> io::Result<()> {
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -1368,6 +1389,46 @@ mod tests {
             http_get(&format!("http://{}/nope", server.local_addr()), Duration::from_secs(2));
         assert!(miss.is_err());
         server.shutdown();
+    }
+
+    #[test]
+    fn a_client_that_dribbles_its_request_holds_the_listener_for_one_deadline_only() {
+        let m = Metrics::on();
+        let server = MetricsServer::bind(m.registry().unwrap(), "127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        // A byte every 300 ms, never a whole request head: each byte lands
+        // well inside a per-`read` timeout.
+        let dribble = move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+            let mut answer = [0u8; 64];
+            for byte in b"GET /metrics HTTP/1.1\r\nX-Slow: a very long header".iter().cycle() {
+                if stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                // The wait between two bytes is the look for an answer.
+                if let Ok(n) = stream.read(&mut answer) {
+                    return String::from_utf8_lossy(&answer[..n]).into_owned();
+                }
+            }
+            String::new()
+        };
+        let started = Instant::now();
+        let slow = std::thread::spawn(dribble);
+        std::thread::sleep(Duration::from_millis(100)); // the dribbler is first in line
+        let url = format!("http://{addr}/metrics");
+        http_get(&url, Duration::from_secs(10)).expect("the next client is served");
+        let waited = started.elapsed();
+        assert!(waited < REQUEST_DEADLINE + Duration::from_secs(2), "served after {waited:?}");
+        assert!(slow.join().unwrap().starts_with("HTTP/1.1 408"), "the dribbler is told why");
+        // `shutdown` joins the accept thread: it must not wait out a dribbler.
+        let slow = std::thread::spawn(dribble);
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        server.shutdown();
+        let waited = started.elapsed();
+        assert!(waited < REQUEST_DEADLINE + Duration::from_secs(2), "shut down after {waited:?}");
+        let _ = slow.join();
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::fault::{AbandonedJob, FaultCounters, LeaseConfig};
 use crate::index::DataIndex;
 use crate::layout::ChunkMeta;
 use crate::metrics::{Counter, Gauge, Metrics};
-use crate::telemetry::{secs_to_ns, Event, EventKind, Telemetry};
+use crate::telemetry::{secs_to_ns, Event, EventKind, PoolTally, Telemetry};
 use crate::types::{ChunkId, FileId, SiteId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -205,256 +205,178 @@ impl SiteJobCounts {
     }
 }
 
-/// Live-metrics handles for the pool's accounting paths, cached per site so
-/// an enabled increment is one `BTreeMap` lookup plus a relaxed atomic add.
-/// With metrics disabled every recording method is a single branch.
+/// A per-site counter family of the pool's ledger in a scrape; `Merged` and
+/// `Lost` carry whether the job was stolen (their `kind` label).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Family {
+    Grants,
+    Steals,
+    StolenFrom,
+    Speculations,
+    ReplicaGrants,
+    Merged(bool),
+    Lost(bool),
+    Duplicates,
+    Reaps,
+    Failures,
+    Evacuated,
+    ReplicaWins,
+    ReplicaFences,
+    SavedRefetches,
+}
+
+impl Family {
+    /// The family's metric name and help string.
+    fn spec(self) -> (&'static str, &'static str) {
+        match self {
+            Family::Grants => (
+                "cloudburst_pool_grants_total",
+                "Job leases granted by the head (speculative copies included).",
+            ),
+            Family::Steals => ("cloudburst_pool_steals_total", "Cross-site (stolen) job grants."),
+            Family::StolenFrom => (
+                "cloudburst_pool_shard_stolen_from_total",
+                "Jobs stolen out of a site's shard by other sites.",
+            ),
+            Family::Speculations => (
+                "cloudburst_pool_speculations_total",
+                "Speculative straggler re-executions granted.",
+            ),
+            Family::ReplicaGrants => (
+                "cloudburst_pool_replica_grants_total",
+                "Proactive replica executions granted under coded redundancy.",
+            ),
+            Family::Merged(_) => (
+                "cloudburst_pool_jobs_merged_total",
+                "Completions accepted for merging, by processing site and job kind.",
+            ),
+            Family::Lost(_) => (
+                "cloudburst_pool_results_lost_total",
+                "Merged results that died with an evacuated site's robj.",
+            ),
+            Family::Duplicates => (
+                "cloudburst_pool_duplicate_completions_total",
+                "Completion reports discarded by the dedup verdict.",
+            ),
+            Family::Reaps => (
+                "cloudburst_pool_lease_reaps_total",
+                "Silent leases reclaimed after their deadline.",
+            ),
+            Family::Failures => {
+                ("cloudburst_pool_failures_total", "Processing failures reported per site.")
+            }
+            Family::Evacuated => (
+                "cloudburst_pool_evacuated_jobs_total",
+                "In-flight leases revoked by site evacuation.",
+            ),
+            Family::ReplicaWins => (
+                "cloudburst_pool_replica_wins_total",
+                "Replica executions that completed first and were merged.",
+            ),
+            Family::ReplicaFences => (
+                "cloudburst_pool_replica_fences_total",
+                "Sibling executions fenced because a replica completed first.",
+            ),
+            Family::SavedRefetches => (
+                "cloudburst_pool_saved_refetch_total",
+                "Evacuation re-executions served from a local replica (no WAN re-fetch).",
+            ),
+        }
+    }
+
+    /// The `kind` label of the two families that have one.
+    fn kind(self) -> Option<&'static str> {
+        match self {
+            Family::Merged(stolen) | Family::Lost(stolen) => {
+                Some(if stolen { "stolen" } else { "local" })
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The pool's live-metrics handles: the ledger counters, cached per
+/// `(family, site)` so an enabled increment is one `BTreeMap` lookup plus a
+/// relaxed atomic add, and the backlog gauges.
 #[derive(Debug, Clone, Default)]
 struct PoolMetrics {
     handle: Metrics,
-    grants: BTreeMap<SiteId, Counter>,
-    steals: BTreeMap<SiteId, Counter>,
-    speculations: BTreeMap<SiteId, Counter>,
-    merged_local: BTreeMap<SiteId, Counter>,
-    merged_stolen: BTreeMap<SiteId, Counter>,
-    lost_local: BTreeMap<SiteId, Counter>,
-    lost_stolen: BTreeMap<SiteId, Counter>,
-    duplicates: BTreeMap<SiteId, Counter>,
-    reaps: BTreeMap<SiteId, Counter>,
-    failures: BTreeMap<SiteId, Counter>,
-    evacuated: BTreeMap<SiteId, Counter>,
-    replica_grants: BTreeMap<SiteId, Counter>,
-    replica_wins: BTreeMap<SiteId, Counter>,
-    replica_fences: BTreeMap<SiteId, Counter>,
-    saved_refetches: BTreeMap<SiteId, Counter>,
+    counters: BTreeMap<(Family, SiteId), Counter>,
     /// Pending jobs per data-home site — one gauge per shard, so a scrape
     /// (or `--watch`) shows shard imbalance, not just the global backlog.
     queue_depth: BTreeMap<SiteId, Gauge>,
-    /// Jobs stolen *out of* a site's shard (by home site) — the per-shard
-    /// steal rate; the thief side is counted in `steals`.
-    stolen_from: BTreeMap<SiteId, Counter>,
     in_flight: Gauge,
 }
 
 impl PoolMetrics {
-    fn new(handle: Metrics) -> PoolMetrics {
+    /// One depth gauge per shard (data-home site) up front, so every shard
+    /// shows up in a scrape from the first sample on — a site whose backlog
+    /// is zero is a signal, not a missing series.
+    fn new(handle: Metrics, shards: BTreeSet<SiteId>) -> PoolMetrics {
         let in_flight =
             handle.gauge("cloudburst_pool_in_flight", "Jobs currently leased to some site.", &[]);
-        PoolMetrics { handle, in_flight, ..PoolMetrics::default() }
-    }
-
-    /// Get-or-create the queue-depth gauge of one shard (data-home site).
-    fn depth_gauge<'a>(
-        map: &'a mut BTreeMap<SiteId, Gauge>,
-        handle: &Metrics,
-        site: SiteId,
-    ) -> &'a Gauge {
-        map.entry(site).or_insert_with(|| {
+        let depth = |site: SiteId| {
             handle.gauge(
                 "cloudburst_pool_queue_depth",
                 "Jobs waiting in the head's pool by data-home site (shard depth).",
                 &[("site", &site.to_string())],
             )
-        })
+        };
+        let queue_depth = shards.into_iter().map(|site| (site, depth(site))).collect();
+        PoolMetrics { handle, counters: BTreeMap::new(), queue_depth, in_flight }
     }
 
-    /// Get-or-create the per-site series of a counter family.
-    fn site<'a>(
-        map: &'a mut BTreeMap<SiteId, Counter>,
-        handle: &Metrics,
-        name: &str,
-        help: &str,
-        site: SiteId,
-    ) -> &'a Counter {
-        map.entry(site)
-            .or_insert_with(|| handle.counter(name, help, &[("site", &site.to_string())]))
-    }
-
-    fn granted(&mut self, site: SiteId, home: SiteId, stolen: bool, speculative: bool) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.grants,
-            &self.handle,
-            "cloudburst_pool_grants_total",
-            "Job leases granted by the head (speculative copies included).",
-            site,
-        )
-        .inc();
-        if stolen {
-            Self::site(
-                &mut self.steals,
-                &self.handle,
-                "cloudburst_pool_steals_total",
-                "Cross-site (stolen) job grants.",
-                site,
-            )
-            .inc();
-            Self::site(
-                &mut self.stolen_from,
-                &self.handle,
-                "cloudburst_pool_shard_stolen_from_total",
-                "Jobs stolen out of a site's shard by other sites.",
-                home,
-            )
-            .inc();
-        }
-        if speculative {
-            Self::site(
-                &mut self.speculations,
-                &self.handle,
-                "cloudburst_pool_speculations_total",
-                "Speculative straggler re-executions granted.",
-                site,
-            )
-            .inc();
-        }
-    }
-
-    fn merged(&mut self, site: SiteId, stolen: bool) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        let map = if stolen { &mut self.merged_stolen } else { &mut self.merged_local };
-        let kind = if stolen { "stolen" } else { "local" };
-        map.entry(site)
+    /// Increment `family`'s series for `site`, creating it at its first use.
+    fn bump(&mut self, family: Family, site: SiteId) {
+        let handle = &self.handle;
+        self.counters
+            .entry((family, site))
             .or_insert_with(|| {
-                self.handle.counter(
-                    "cloudburst_pool_jobs_merged_total",
-                    "Completions accepted for merging, by processing site and job kind.",
-                    &[("site", &site.to_string()), ("kind", kind)],
-                )
+                let (name, help) = family.spec();
+                let site = site.to_string();
+                let mut labels = vec![("site", site.as_str())];
+                labels.extend(family.kind().map(|kind| ("kind", kind)));
+                handle.counter(name, help, &labels)
             })
             .inc();
     }
 
-    fn lost(&mut self, site: SiteId, stolen: bool) {
-        if !self.handle.is_enabled() {
-            return;
+    /// The registry's reading of a pool event — the third output of the one
+    /// fold, next to the tally and the sink: which families the event moves,
+    /// at its site. `home` is the data-home site of the event's chunk, the
+    /// one fact a family (`StolenFrom`: whose shard a steal came out of)
+    /// needs that the event does not carry.
+    fn record(&mut self, e: &Event, home: Option<SiteId>) {
+        let Some(site) = e.site else { return };
+        match e.kind {
+            EventKind::JobGranted { stolen, speculative, replica } => {
+                self.bump(Family::Grants, site);
+                if stolen {
+                    self.bump(Family::Steals, site);
+                    if let Some(home) = home {
+                        self.bump(Family::StolenFrom, home);
+                    }
+                }
+                if speculative {
+                    self.bump(Family::Speculations, site);
+                }
+                if replica {
+                    self.bump(Family::ReplicaGrants, site);
+                }
+            }
+            EventKind::JobCompleted { merged: true, stolen, .. } => {
+                self.bump(Family::Merged(stolen), site);
+            }
+            EventKind::JobCompleted { merged: false, .. } => self.bump(Family::Duplicates, site),
+            EventKind::LostResult { stolen } => self.bump(Family::Lost(stolen), site),
+            EventKind::LeaseReaped => self.bump(Family::Reaps, site),
+            EventKind::JobFailed => self.bump(Family::Failures, site),
+            EventKind::JobEvacuated => self.bump(Family::Evacuated, site),
+            EventKind::ReplicaResolved { won: true } => self.bump(Family::ReplicaWins, site),
+            EventKind::ReplicaResolved { won: false } => self.bump(Family::ReplicaFences, site),
+            EventKind::RefetchSaved => self.bump(Family::SavedRefetches, site),
+            _ => {}
         }
-        let map = if stolen { &mut self.lost_stolen } else { &mut self.lost_local };
-        let kind = if stolen { "stolen" } else { "local" };
-        map.entry(site)
-            .or_insert_with(|| {
-                self.handle.counter(
-                    "cloudburst_pool_results_lost_total",
-                    "Merged results that died with an evacuated site's robj.",
-                    &[("site", &site.to_string()), ("kind", kind)],
-                )
-            })
-            .inc();
-    }
-
-    fn duplicate(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.duplicates,
-            &self.handle,
-            "cloudburst_pool_duplicate_completions_total",
-            "Completion reports discarded by the dedup verdict.",
-            site,
-        )
-        .inc();
-    }
-
-    fn reaped(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.reaps,
-            &self.handle,
-            "cloudburst_pool_lease_reaps_total",
-            "Silent leases reclaimed after their deadline.",
-            site,
-        )
-        .inc();
-    }
-
-    fn failed(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.failures,
-            &self.handle,
-            "cloudburst_pool_failures_total",
-            "Processing failures reported per site.",
-            site,
-        )
-        .inc();
-    }
-
-    fn evacuated_job(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.evacuated,
-            &self.handle,
-            "cloudburst_pool_evacuated_jobs_total",
-            "In-flight leases revoked by site evacuation.",
-            site,
-        )
-        .inc();
-    }
-
-    fn replica_grant(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.replica_grants,
-            &self.handle,
-            "cloudburst_pool_replica_grants_total",
-            "Proactive replica executions granted under coded redundancy.",
-            site,
-        )
-        .inc();
-    }
-
-    fn replica_win(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.replica_wins,
-            &self.handle,
-            "cloudburst_pool_replica_wins_total",
-            "Replica executions that completed first and were merged.",
-            site,
-        )
-        .inc();
-    }
-
-    fn replica_fence(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.replica_fences,
-            &self.handle,
-            "cloudburst_pool_replica_fences_total",
-            "Sibling executions fenced because a replica completed first.",
-            site,
-        )
-        .inc();
-    }
-
-    fn saved_refetch(&mut self, site: SiteId) {
-        if !self.handle.is_enabled() {
-            return;
-        }
-        Self::site(
-            &mut self.saved_refetches,
-            &self.handle,
-            "cloudburst_pool_saved_refetch_total",
-            "Evacuation re-executions served from a local replica (no WAN re-fetch).",
-            site,
-        )
-        .inc();
     }
 }
 
@@ -477,7 +399,6 @@ pub struct JobPool {
     pending_total: usize,
     done_total: usize,
     batch_policy: BatchPolicy,
-    counts: BTreeMap<SiteId, SiteJobCounts>,
     /// Estimated end-to-end cost (seconds) for each site to process one
     /// *stolen* job: remote retrieval plus processing. Zero disables the
     /// rate-aware steal condition for that site.
@@ -490,10 +411,6 @@ pub struct JobPool {
     attempts: Vec<u8>,
     /// Attempts after which a failing job is abandoned.
     max_attempts: u8,
-    /// Jobs permanently abandoned.
-    abandoned_total: usize,
-    /// Failures reported per site.
-    failures: BTreeMap<SiteId, u64>,
     /// Jobs currently assigned to each processing site.
     assigned_to: BTreeMap<SiteId, usize>,
     /// Lease sizing; `None` disables deadlines (infinite leases).
@@ -509,15 +426,16 @@ pub struct JobPool {
     dead_sites: BTreeSet<SiteId>,
     /// Next causal span id to allocate (1-based; 0 means "no span").
     next_span: u64,
-    /// Fault-path accounting for the run report.
-    faults: FaultCounters,
+    /// The run report's share of the pool: fault counters and per-site job
+    /// counts (Table I), folded from every event [`JobPool::note`] states.
+    tally: PoolTally,
     /// Telemetry sink: every grant, completion verdict, reap, evacuation and
     /// abandonment is emitted here, stamped with the pool clock. Disabled by
     /// default (a single branch per would-be event).
     sink: Telemetry,
-    /// Live metrics: grant/steal/completion counters and queue-depth gauges,
-    /// incremented at the same points that feed the run-report accumulators
-    /// so a scrape and `derive_report` agree exactly. Off by default.
+    /// Live metrics: the ledger counters, fed by the same `note` as the
+    /// tally so a scrape and the report agree exactly, and the queue-depth
+    /// gauges. Off by default.
     metrics: PoolMetrics,
 }
 
@@ -543,14 +461,11 @@ impl JobPool {
             pending_total: n,
             done_total: 0,
             batch_policy,
-            counts: BTreeMap::new(),
             steal_cost: BTreeMap::new(),
             rate_completed: BTreeMap::new(),
             now: 0.0,
             attempts: vec![0; n],
             max_attempts: 3,
-            abandoned_total: 0,
-            failures: BTreeMap::new(),
             assigned_to: BTreeMap::new(),
             lease: None,
             speculate: false,
@@ -558,7 +473,7 @@ impl JobPool {
             ewma_dur: BTreeMap::new(),
             dead_sites: BTreeSet::new(),
             next_span: 1,
-            faults: FaultCounters::default(),
+            tally: PoolTally::default(),
             sink: Telemetry::off(),
             metrics: PoolMetrics::default(),
         }
@@ -576,21 +491,11 @@ impl JobPool {
     /// Attach a live-metrics handle: grants, steals, speculative launches,
     /// completion verdicts, reaps, failures and evacuations increment
     /// per-site counters, and queue-depth / in-flight gauges track the
-    /// pool's backlog. Increments happen at the same code points that feed
-    /// the run-report accumulators, so scrape totals and the end-of-run
-    /// report agree exactly.
+    /// pool's backlog. The counters are fed by the same call that feeds the
+    /// run report's tally, so scrape totals and the end-of-run report agree
+    /// exactly.
     pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = PoolMetrics::new(metrics);
-        if self.metrics.handle.is_enabled() {
-            // Pre-create one depth gauge per data-home site so every shard
-            // shows up in a scrape from the first sample on — a site whose
-            // backlog is zero is a signal, not a missing series.
-            let sites: BTreeSet<SiteId> = self.file_site.iter().copied().collect();
-            for site in sites {
-                let map = &mut self.metrics.queue_depth;
-                let _ = PoolMetrics::depth_gauge(map, &self.metrics.handle, site);
-            }
-        }
+        self.metrics = PoolMetrics::new(metrics, self.file_site.iter().copied().collect());
         self.sync_depth();
     }
 
@@ -611,9 +516,30 @@ impl JobPool {
         self.metrics.in_flight.set(self.in_flight() as i64);
     }
 
-    /// The pool clock as an event timestamp.
-    fn now_ns(&self) -> u64 {
-        secs_to_ns(self.now)
+    /// A pool event at the pool clock.
+    #[inline]
+    fn event(&self, kind: EventKind) -> Event {
+        Event::at(secs_to_ns(self.now), kind)
+    }
+
+    /// A pool event about job `i` at `site`, on the execution `span` when the
+    /// fact is about one in particular (0 otherwise).
+    #[inline]
+    fn job_event(&self, kind: EventKind, i: usize, site: SiteId, span: u64) -> Event {
+        self.event(kind).site(site).chunk(self.chunks[i].id).span_id(span)
+    }
+
+    /// State one fact — the only way the pool states any: the event is
+    /// folded into the tally, read off into the registry's counters and
+    /// emitted to the sink.
+    #[inline(always)]
+    fn note(&mut self, e: Event) {
+        self.tally.apply(&e);
+        if self.metrics.handle.is_enabled() {
+            let home = e.chunk.map(|c| self.chunks[c.0 as usize].site);
+            self.metrics.record(&e, home);
+        }
+        self.sink.emit(e);
     }
 
     /// Set how many processing attempts a job gets before being abandoned
@@ -670,37 +596,31 @@ impl JobPool {
     /// True when every job has been processed or permanently abandoned.
     #[must_use]
     pub fn all_done(&self) -> bool {
-        self.done_total + self.abandoned_total == self.chunks.len()
+        self.done_total + self.abandoned() == self.chunks.len()
     }
 
     /// Jobs currently assigned but neither completed nor failed.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.chunks.len() - self.pending_total - self.done_total - self.abandoned_total
+        self.chunks.len() - self.pending_total - self.done_total - self.abandoned()
     }
 
     /// Jobs permanently abandoned after exhausting their attempts.
     #[must_use]
     pub fn abandoned(&self) -> usize {
-        self.abandoned_total
+        self.tally.faults.abandoned_jobs.len()
     }
 
     /// The abandoned jobs with the site that last failed each.
     #[must_use]
     pub fn abandoned_jobs(&self) -> &[AbandonedJob] {
-        &self.faults.abandoned_jobs
-    }
-
-    /// Failure reports per site.
-    #[must_use]
-    pub fn failure_counts(&self) -> &BTreeMap<SiteId, u64> {
-        &self.failures
+        &self.tally.faults.abandoned_jobs
     }
 
     /// Fault-path accounting so far.
     #[must_use]
     pub fn faults(&self) -> &FaultCounters {
-        &self.faults
+        &self.tally.faults
     }
 
     /// Sites that have been declared dead and evacuated.
@@ -735,7 +655,7 @@ impl JobPool {
     /// Per-site processed/stolen counts (Table I data).
     #[must_use]
     pub fn site_counts(&self) -> &BTreeMap<SiteId, SiteJobCounts> {
-        &self.counts
+        &self.tally.counts
     }
 
     /// Whether `site` ever held (or still holds) a lease on job `i`, or
@@ -771,25 +691,18 @@ impl JobPool {
         span
     }
 
-    /// Account (and emit) a speculative execution that was released without
-    /// its result merging: preempted, reaped, evacuated, failed, abandoned.
+    /// A speculative execution was released without its result merging:
+    /// preempted, reaped, evacuated, failed, abandoned.
     fn speculation_lost(&mut self, i: usize, site: SiteId, span: u64) {
-        self.faults.speculative_losses += 1;
-        self.sink.emit(
-            Event::at(self.now_ns(), EventKind::SpeculationResolved { won: false })
-                .site(site)
-                .chunk(self.chunks[i].id)
-                .span_id(span),
-        );
+        self.note(self.job_event(EventKind::SpeculationResolved { won: false }, i, site, span));
     }
 
     /// Under coded redundancy every surviving site holds a local copy of
-    /// the evacuated site's data, so an evacuation-forced re-execution is
-    /// served without a WAN re-fetch — count the save.
-    fn refetch_saved(&mut self, site: SiteId) {
+    /// the evacuated site's data, so an evacuation-forced re-execution of
+    /// job `i` is served without a WAN re-fetch — state the save.
+    fn refetch_saved(&mut self, i: usize, site: SiteId) {
         if self.redundancy > 1 {
-            self.faults.saved_refetches += 1;
-            self.metrics.saved_refetch(site);
+            self.note(self.job_event(EventKind::RefetchSaved, i, site, 0));
         }
     }
 
@@ -808,13 +721,9 @@ impl JobPool {
     /// Permanently give up on job `i`.
     fn abandon(&mut self, i: usize, last_site: Option<SiteId>) {
         self.state[i] = JobState::Abandoned;
-        self.abandoned_total += 1;
-        self.faults.abandoned_jobs.push(AbandonedJob { chunk: self.chunks[i].id, last_site });
-        let mut e = Event::at(self.now_ns(), EventKind::JobAbandoned).chunk(self.chunks[i].id);
-        if let Some(site) = last_site {
-            e = e.site(site);
-        }
-        self.sink.emit(e);
+        let mut e = self.event(EventKind::JobAbandoned).chunk(self.chunks[i].id);
+        e.site = last_site;
+        self.note(e);
         self.sync_depth();
     }
 
@@ -830,16 +739,9 @@ impl JobPool {
     pub fn fail(&mut self, job: ChunkId, site: SiteId) -> bool {
         let i = job.0 as usize;
         if let Some(released) = self.release_assignee(i, site) {
-            *self.failures.entry(site).or_insert(0) += 1;
             self.attempts[i] = self.attempts[i].saturating_add(1);
             self.past[i].push(site);
-            self.metrics.failed(site);
-            self.sink.emit(
-                Event::at(self.now_ns(), EventKind::JobFailed)
-                    .site(site)
-                    .chunk(job)
-                    .span_id(released.span),
-            );
+            self.note(self.job_event(EventKind::JobFailed, i, site, released.span));
             if released.speculative {
                 self.speculation_lost(i, site, released.span);
             }
@@ -881,15 +783,8 @@ impl JobPool {
             for (site, speculative, span) in expired {
                 self.release_assignee(i, site);
                 self.past[i].push(site);
-                self.faults.lease_expiries += 1;
                 self.attempts[i] = self.attempts[i].saturating_add(1);
-                self.metrics.reaped(site);
-                self.sink.emit(
-                    Event::at(self.now_ns(), EventKind::LeaseReaped)
-                        .site(site)
-                        .chunk(self.chunks[i].id)
-                        .span_id(span),
-                );
+                self.note(self.job_event(EventKind::LeaseReaped, i, site, span));
                 if speculative {
                     self.speculation_lost(i, site, span);
                 }
@@ -915,52 +810,33 @@ impl JobPool {
         if !self.dead_sites.insert(site) {
             return;
         }
-        self.sink.emit(Event::at(self.now_ns(), EventKind::SiteEvacuated).site(site));
+        self.note(self.event(EventKind::SiteEvacuated).site(site));
         for i in 0..self.state.len() {
             let state = self.state[i];
             match state {
                 JobState::Assigned => {
                     let Some(released) = self.release_assignee(i, site) else { continue };
                     self.past[i].push(site);
-                    self.faults.evacuated_jobs += 1;
-                    self.metrics.evacuated_job(site);
-                    self.sink.emit(
-                        Event::at(self.now_ns(), EventKind::JobEvacuated)
-                            .site(site)
-                            .chunk(self.chunks[i].id)
-                            .span_id(released.span),
-                    );
+                    self.note(self.job_event(EventKind::JobEvacuated, i, site, released.span));
                     if released.speculative {
                         self.speculation_lost(i, site, released.span);
                     }
                     if self.assignees[i].is_empty() {
                         self.requeue(i);
-                        self.refetch_saved(site);
+                        self.refetch_saved(i, site);
                     }
                 }
                 JobState::Done(s) if s == site => {
                     // The merged result died with the site's robj.
                     self.done_total -= 1;
-                    let stolen = self.chunks[i].site != site;
-                    let entry = self.counts.entry(site).or_default();
-                    if stolen {
-                        entry.stolen -= 1;
-                    } else {
-                        entry.local -= 1;
-                    }
                     if let Some(r) = self.rate_completed.get_mut(&site) {
                         *r = r.saturating_sub(1);
                     }
                     self.past[i].push(site);
-                    self.faults.lost_results += 1;
-                    self.metrics.lost(site, stolen);
-                    self.sink.emit(
-                        Event::at(self.now_ns(), EventKind::LostResult { stolen })
-                            .site(site)
-                            .chunk(self.chunks[i].id),
-                    );
+                    let stolen = self.chunks[i].site != site;
+                    self.note(self.job_event(EventKind::LostResult { stolen }, i, site, 0));
                     self.requeue(i);
-                    self.refetch_saved(site);
+                    self.refetch_saved(i, site);
                 }
                 _ => {}
             }
@@ -1104,36 +980,21 @@ impl JobPool {
                     // A preemption inside a replica group is a fence: the
                     // first finished copy invalidates its siblings.
                     if replica || winner_replica {
-                        self.faults.replica_fences += 1;
-                        self.metrics.replica_fence(s);
+                        let fenced = EventKind::ReplicaResolved { won: false };
+                        self.note(self.job_event(fenced, i, s, span));
                     }
                 }
-                let late = winner.is_none();
-                if late {
-                    self.faults.late_completions += 1;
-                }
                 self.finish(i, site);
-                self.sink.emit(
-                    Event::at(
-                        self.now_ns(),
-                        EventKind::JobCompleted { merged: true, late, stolen },
-                    )
-                    .site(site)
-                    .chunk(job)
-                    .span_id(winner_span),
-                );
+                let late = winner.is_none();
+                let merged = EventKind::JobCompleted { merged: true, late, stolen };
+                self.note(self.job_event(merged, i, site, winner_span));
                 if winner_replica {
-                    self.faults.replica_wins += 1;
-                    self.metrics.replica_win(site);
+                    let won = EventKind::ReplicaResolved { won: true };
+                    self.note(self.job_event(won, i, site, winner_span));
                 }
                 if winner.is_some_and(|w| w.speculative) {
-                    self.faults.speculative_wins += 1;
-                    self.sink.emit(
-                        Event::at(self.now_ns(), EventKind::SpeculationResolved { won: true })
-                            .site(site)
-                            .chunk(job)
-                            .span_id(winner_span),
-                    );
+                    let won = EventKind::SpeculationResolved { won: true };
+                    self.note(self.job_event(won, i, site, winner_span));
                 }
                 Completion::Merged { preempted: losers.into_iter().map(|(s, _, _, _)| s).collect() }
             }
@@ -1145,48 +1006,26 @@ impl JobPool {
                     q.remove(pos);
                 }
                 self.pending_total -= 1;
-                self.faults.late_completions += 1;
                 self.finish(i, site);
-                self.sink.emit(
-                    Event::at(
-                        self.now_ns(),
-                        EventKind::JobCompleted { merged: true, late: true, stolen },
-                    )
-                    .site(site)
-                    .chunk(job),
-                );
+                let merged = EventKind::JobCompleted { merged: true, late: true, stolen };
+                self.note(self.job_event(merged, i, site, 0));
                 Completion::Merged { preempted: Vec::new() }
             }
         }
     }
 
-    /// Account (and emit) a completion report that must be discarded.
+    /// A completion report that must be discarded.
     fn duplicate_completion(&mut self, job: ChunkId, site: SiteId, stolen: bool) -> Completion {
-        self.faults.duplicate_completions += 1;
-        self.metrics.duplicate(site);
-        self.sink.emit(
-            Event::at(
-                self.now_ns(),
-                EventKind::JobCompleted { merged: false, late: false, stolen },
-            )
-            .site(site)
-            .chunk(job),
-        );
+        let dup = EventKind::JobCompleted { merged: false, late: false, stolen };
+        self.note(self.job_event(dup, job.0 as usize, site, 0));
         Completion::Duplicate
     }
 
-    /// Common completion bookkeeping once the dedup verdict is `Merged`.
+    /// Pool state once the dedup verdict is `Merged`; the ledger's entry is
+    /// the `JobCompleted` event the caller states.
     fn finish(&mut self, i: usize, site: SiteId) {
         self.state[i] = JobState::Done(site);
         self.done_total += 1;
-        let local = self.chunks[i].site == site;
-        let entry = self.counts.entry(site).or_default();
-        if local {
-            entry.local += 1;
-        } else {
-            entry.stolen += 1;
-        }
-        self.metrics.merged(site, !local);
         self.sync_depth();
     }
 
@@ -1265,16 +1104,9 @@ impl JobPool {
             self.readers[j.file.0 as usize] += 1;
             self.pending_total -= 1;
             *self.assigned_to.entry(site).or_insert(0) += 1;
-            self.metrics.granted(site, j.site, batch.stolen, false);
-            self.sink.emit(
-                Event::at(
-                    self.now_ns(),
-                    EventKind::JobGranted { stolen: batch.stolen, speculative: false },
-                )
-                .site(site)
-                .chunk(j.id)
-                .span_id(span),
-            );
+            let granted =
+                EventKind::JobGranted { stolen: batch.stolen, speculative: false, replica: false };
+            self.note(self.job_event(granted, i, site, span));
         }
         self.sync_depth();
     }
@@ -1319,20 +1151,8 @@ impl JobPool {
         self.readers[self.chunks[i].file.0 as usize] += 1;
         *self.assigned_to.entry(site).or_insert(0) += 1;
         let stolen = self.chunks[i].site != site;
-        if speculative {
-            self.faults.speculative_grants += 1;
-        } else {
-            self.faults.replica_grants += 1;
-            self.metrics.replica_grant(site);
-        }
-        self.metrics.granted(site, self.chunks[i].site, stolen, speculative);
-        self.sink.emit(
-            Event::at(self.now_ns(), EventKind::JobGranted { stolen, speculative })
-                .site(site)
-                .chunk(self.chunks[i].id)
-                .span_id(span)
-                .cause(parent),
-        );
+        let granted = EventKind::JobGranted { stolen, speculative, replica: !speculative };
+        self.note(self.job_event(granted, i, site, span).cause(parent));
         JobBatch { jobs: vec![self.chunks[i]], spans: vec![span], stolen, terminal: false }
     }
 
@@ -1604,7 +1424,11 @@ mod fault_tests {
         }
         assert!(saw_victim, "requeued job must be granted again");
         assert_eq!(p.abandoned(), 0);
-        assert_eq!(p.failure_counts()[&SiteId::LOCAL], 1);
+        // The tally credits the failed execution to nobody: a requeue is no
+        // fault-path entry, and the victim counts where it finally merged.
+        assert!(p.faults().is_quiet());
+        assert_eq!(p.site_counts()[&SiteId::LOCAL].total(), b.len() as u64 - 1);
+        assert_eq!(p.site_counts()[&SiteId::CLOUD].total(), 4 - (b.len() as u64 - 1));
     }
 
     #[test]

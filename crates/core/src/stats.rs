@@ -158,7 +158,9 @@ pub fn doubling_efficiency(t_small: Seconds, t_double: Seconds) -> f64 {
     }
 }
 
-/// Raw per-slave measurements feeding [`assemble_sites`].
+/// One slave's ledger, feeding [`assemble_sites`]: the fold of the slave's
+/// own events by [`SlaveSample::apply`], the same function on a live slave
+/// and in [`derive_report`](crate::telemetry::derive_report).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SlaveSample {
     /// Seconds the slave spent in the reduction layer.
@@ -167,6 +169,15 @@ pub struct SlaveSample {
     pub retrieval: Seconds,
     /// Run-clock time at which the slave processed its last job and exited.
     pub finish: Seconds,
+    /// Bytes the slave fetched from remote storage.
+    pub remote_bytes: u64,
+    /// Transient storage-read failures absorbed under the slave's fetches.
+    pub retries: u64,
+    /// Accepted jobs the slave reduced a second time because a job settled
+    /// in the same exchange was not.
+    pub rereduced: u64,
+    /// Jobs the slave fully decoded and reduced.
+    pub jobs: u64,
 }
 
 /// Raw per-site measurements feeding [`assemble_sites`].
@@ -181,10 +192,6 @@ pub struct SiteSample {
     pub finish: Seconds,
     /// Jobs the site was credited with (local vs stolen).
     pub jobs: SiteJobCounts,
-    /// Bytes the site's workers fetched from remote storage.
-    pub remote_bytes: u64,
-    /// Transient storage-read failures absorbed below the chunk level.
-    pub retries: u64,
 }
 
 /// Assemble per-site [`SiteStats`] from raw samples — the single place the
@@ -193,9 +200,10 @@ pub struct SiteSample {
 /// Per site: `processing` and `retrieval` are per-core means; `sync` is the
 /// mean intra-site barrier (waiting for the slowest sibling slave) plus the
 /// local combination plus the end-of-run idle wait for the slowest *site*.
-/// Both threaded runtimes and the telemetry aggregator
-/// ([`crate::telemetry::derive_report`]) call this, which is what makes the
-/// event-derived report provably equal to the live accumulators.
+/// The site's remote bytes and retries are its slaves' summed. Both threaded
+/// runtimes and the telemetry aggregator
+/// ([`crate::telemetry::derive_report`]) come here through
+/// [`assemble_report`].
 #[must_use]
 pub fn assemble_sites(samples: &BTreeMap<SiteId, SiteSample>) -> BTreeMap<SiteId, SiteStats> {
     let compute_finish = samples.values().map(|s| s.finish).fold(0.0_f64, f64::max);
@@ -220,12 +228,35 @@ pub fn assemble_sites(samples: &BTreeMap<SiteId, SiteSample>) -> BTreeMap<SiteId
                 finish_time: sample.finish,
                 idle,
                 jobs: sample.jobs,
-                remote_bytes: sample.remote_bytes,
-                retries: sample.retries,
+                remote_bytes: sample.slaves.iter().map(|s| s.remote_bytes).sum(),
+                retries: sample.slaves.iter().map(|s| s.retries).sum(),
             },
         );
     }
     sites
+}
+
+/// The run report from the pool's fault ledger and the per-site samples —
+/// the last step of the live runtimes and of
+/// [`derive_report`](crate::telemetry::derive_report) alike. Re-reduced jobs
+/// are the one fault-path number the slaves keep, not the pool: it is summed
+/// from their samples here.
+#[must_use]
+pub fn assemble_report(
+    env: &str,
+    mut faults: FaultCounters,
+    samples: &BTreeMap<SiteId, SiteSample>,
+    global_reduction: Seconds,
+    total_time: Seconds,
+) -> RunReport {
+    faults.rereduced_jobs = samples.values().flat_map(|s| &s.slaves).map(|s| s.rereduced).sum();
+    RunReport {
+        env: env.to_owned(),
+        sites: assemble_sites(samples),
+        global_reduction,
+        total_time,
+        faults,
+    }
 }
 
 /// Serialize a [`Breakdown`] as a JSON object.
@@ -372,6 +403,10 @@ mod tests {
         assert_eq!(doubling_efficiency(10.0, 0.0), 0.0);
     }
 
+    fn slave(processing: Seconds, retrieval: Seconds, finish: Seconds) -> SlaveSample {
+        SlaveSample { processing, retrieval, finish, ..SlaveSample::default() }
+    }
+
     #[test]
     fn assemble_sites_computes_the_paper_decomposition() {
         let mut samples = BTreeMap::new();
@@ -379,25 +414,21 @@ mod tests {
             SiteId::LOCAL,
             SiteSample {
                 slaves: vec![
-                    SlaveSample { processing: 4.0, retrieval: 1.0, finish: 8.0 },
-                    SlaveSample { processing: 6.0, retrieval: 3.0, finish: 10.0 },
+                    SlaveSample { remote_bytes: 256, ..slave(4.0, 1.0, 8.0) },
+                    SlaveSample { retries: 2, ..slave(6.0, 3.0, 10.0) },
                 ],
                 local_merge: 0.5,
                 finish: 10.5,
                 jobs: SiteJobCounts { local: 5, stolen: 1 },
-                remote_bytes: 256,
-                retries: 2,
             },
         );
         samples.insert(
             SiteId::CLOUD,
             SiteSample {
-                slaves: vec![SlaveSample { processing: 2.0, retrieval: 9.0, finish: 11.0 }],
+                slaves: vec![slave(2.0, 9.0, 11.0)],
                 local_merge: 0.0,
                 finish: 12.0,
                 jobs: SiteJobCounts { local: 4, stolen: 0 },
-                remote_bytes: 0,
-                retries: 0,
             },
         );
         let sites = assemble_sites(&samples);
@@ -407,6 +438,7 @@ mod tests {
         // barrier = ((10-8)+(10-10))/2 = 1.0; idle = 12 - 10.5 = 1.5.
         assert!((local.idle - 1.5).abs() < 1e-12);
         assert!((local.breakdown.sync - (1.0 + 0.5 + 1.5)).abs() < 1e-12);
+        assert_eq!((local.remote_bytes, local.retries), (256, 2), "summed over the slaves");
         let cloud = &sites[&SiteId::CLOUD];
         assert_eq!(cloud.idle, 0.0, "slowest site never idles");
         assert_eq!(cloud.jobs.total(), 4);
@@ -429,10 +461,10 @@ mod tests {
             ..RunReport::default()
         };
         r.faults.lease_expiries = 3;
-        r.faults.abandoned_jobs.push(crate::fault::AbandonedJob {
+        r.faults.abandoned_jobs = vec![crate::fault::AbandonedJob {
             chunk: crate::types::ChunkId(7),
             last_site: Some(SiteId::CLOUD),
-        });
+        }];
         r.sites.insert(
             SiteId::LOCAL,
             SiteStats {

@@ -19,11 +19,13 @@
 //!   log), [`chrome_trace`] (Chrome `trace_event` JSON that opens directly
 //!   in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev) as
 //!   per-slave swimlanes), and [`ConsoleSink`] (filtered stderr log);
-//! * [`derive_report`] — the aggregator: it rebuilds the paper-shaped
-//!   [`RunReport`] (breakdowns, per-site counts, fault counters) from the
-//!   event stream alone, using the same assembly arithmetic
-//!   ([`crate::stats::assemble_sites`]) as the live accumulators, so an
-//!   equivalence test can prove the derived numbers match the legacy path.
+//! * the ledger: [`PoolTally::apply`] and [`SlaveSample::apply`] give each
+//!   event its one meaning as a count or a time. The live pool and the live
+//!   slaves fold every fact they state through them, and [`derive_report`]
+//!   folds a recorded stream through the same two functions into the same
+//!   [`crate::stats::assemble_report`], so the paper-shaped [`RunReport`]
+//!   (breakdowns, per-site counts, fault counters) rebuilt from the event
+//!   stream alone is the live one by construction.
 //!
 //! Overhead budget: with telemetry off the runtimes pay one branch per
 //! would-be event. With a recorder attached, each event is a ~64-byte
@@ -79,12 +81,16 @@ pub fn ns_since(epoch: std::time::Instant) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// The head granted a job lease to a site. `stolen` marks cross-site
-    /// grants (work stealing); `speculative` marks straggler re-executions.
+    /// grants (work stealing); `speculative` marks straggler re-executions,
+    /// `replica` proactive copies under coded redundancy.
     JobGranted {
         /// Job data lives at a different site than the processor.
         stolen: bool,
         /// This is a speculative copy of an in-flight straggler.
         speculative: bool,
+        /// This is a proactive replica of an in-flight job (`r > 1`). Logs
+        /// written before the flag existed read as `false`.
+        replica: bool,
     },
     /// A slave began processing a job it took from its master.
     JobStarted {
@@ -126,6 +132,13 @@ pub enum EventKind {
         /// True when the speculative copy's result was the one merged.
         won: bool,
     },
+    /// An execution in a replica group (`r > 1`) resolved: a replica
+    /// finished first and was the copy merged, or an execution — replica or
+    /// original — was fenced because a sibling copy finished first.
+    ReplicaResolved {
+        /// True for the merged replica, false for a fenced sibling.
+        won: bool,
+    },
     /// A site reported a processing failure; the job was released.
     JobFailed,
     /// A silent lease expired and the head reclaimed the job.
@@ -140,6 +153,10 @@ pub enum EventKind {
         /// The lost execution had been a stolen job.
         stolen: bool,
     },
+    /// An evacuation re-queued a job that the survivors hold a replica of
+    /// (`r > 1`): its re-execution needs no WAN re-fetch. Tagged with the
+    /// evacuated site.
+    RefetchSaved,
     /// A job was permanently abandoned after exhausting its attempts.
     JobAbandoned,
     /// A master liveness beacon reached the head.
@@ -197,11 +214,13 @@ impl EventKind {
             EventKind::JobRereduced => "job-rereduced",
             EventKind::JobCompleted { .. } => "job-completed",
             EventKind::SpeculationResolved { .. } => "speculation-resolved",
+            EventKind::ReplicaResolved { .. } => "replica-resolved",
             EventKind::JobFailed => "job-failed",
             EventKind::LeaseReaped => "lease-reap",
             EventKind::JobEvacuated => "job-evacuated",
             EventKind::SiteEvacuated => "site-evacuated",
             EventKind::LostResult { .. } => "lost-result",
+            EventKind::RefetchSaved => "refetch-saved",
             EventKind::JobAbandoned => "job-abandoned",
             EventKind::Heartbeat => "heartbeat",
             EventKind::MetricsSnapshot { .. } => "metrics-snapshot",
@@ -214,12 +233,14 @@ impl EventKind {
         }
     }
 
-    /// Human-facing trace name; grant flavors get their own names so steals
-    /// and speculations are findable in a timeline by eye or by search.
+    /// Human-facing trace name; grant flavors get their own names so steals,
+    /// speculations and replicas are findable in a timeline by eye or by
+    /// search.
     #[must_use]
     pub fn display_name(&self) -> &'static str {
         match self {
             EventKind::JobGranted { speculative: true, .. } => "speculate",
+            EventKind::JobGranted { replica: true, .. } => "replica",
             EventKind::JobGranted { stolen: true, .. } => "steal",
             EventKind::JobGranted { .. } => "grant",
             EventKind::JobStarted { .. } => "start",
@@ -230,6 +251,8 @@ impl EventKind {
             EventKind::JobCompleted { .. } => "complete",
             EventKind::SpeculationResolved { won: true } => "spec-win",
             EventKind::SpeculationResolved { won: false } => "spec-loss",
+            EventKind::ReplicaResolved { won: true } => "replica-win",
+            EventKind::ReplicaResolved { won: false } => "replica-fence",
             EventKind::HealthTransition { tripped: true, .. } => "health-trip",
             EventKind::HealthTransition { tripped: false, .. } => "health-clear",
             other => other.label(),
@@ -243,6 +266,7 @@ impl EventKind {
             EventKind::JobGranted { .. }
             | EventKind::JobCompleted { .. }
             | EventKind::SpeculationResolved { .. }
+            | EventKind::ReplicaResolved { .. }
             | EventKind::JobFailed
             | EventKind::LeaseReaped
             | EventKind::JobEvacuated
@@ -252,9 +276,10 @@ impl EventKind {
             | EventKind::JobRereduced
             | EventKind::SlaveFinished => "slave",
             EventKind::ChunkFetched { .. } | EventKind::StorageRetry { .. } => "storage",
-            EventKind::SiteEvacuated | EventKind::LostResult { .. } | EventKind::Heartbeat => {
-                "liveness"
-            }
+            EventKind::SiteEvacuated
+            | EventKind::LostResult { .. }
+            | EventKind::RefetchSaved
+            | EventKind::Heartbeat => "liveness",
             EventKind::MetricsSnapshot { .. } => "metrics",
             EventKind::HealthTransition { .. } => "health",
             EventKind::SiteMerged | EventKind::SiteFinished => "site",
@@ -268,15 +293,18 @@ impl EventKind {
         matches!(
             self,
             EventKind::JobGranted { speculative: true, .. }
+                | EventKind::JobGranted { replica: true, .. }
                 | EventKind::JobCompleted { merged: false, .. }
                 | EventKind::JobCompleted { late: true, .. }
                 | EventKind::JobRereduced
                 | EventKind::SpeculationResolved { .. }
+                | EventKind::ReplicaResolved { .. }
                 | EventKind::JobFailed
                 | EventKind::LeaseReaped
                 | EventKind::JobEvacuated
                 | EventKind::SiteEvacuated
                 | EventKind::LostResult { .. }
+                | EventKind::RefetchSaved
                 | EventKind::JobAbandoned
                 | EventKind::StorageRetry { .. }
                 | EventKind::HealthTransition { .. }
@@ -381,9 +409,11 @@ impl Event {
     /// Kind-specific payload fields, shared by the JSONL and trace exports.
     fn payload(&self) -> Vec<(&'static str, Json)> {
         match self.kind {
-            EventKind::JobGranted { stolen, speculative } => {
-                vec![("stolen", Json::Bool(stolen)), ("speculative", Json::Bool(speculative))]
-            }
+            EventKind::JobGranted { stolen, speculative, replica } => vec![
+                ("stolen", Json::Bool(stolen)),
+                ("speculative", Json::Bool(speculative)),
+                ("replica", Json::Bool(replica)),
+            ],
             EventKind::JobStarted { stolen } => vec![("stolen", Json::Bool(stolen))],
             EventKind::ChunkFetched { bytes, remote, retries } => vec![
                 ("bytes", Json::U64(bytes)),
@@ -396,7 +426,9 @@ impl Event {
                 ("late", Json::Bool(late)),
                 ("stolen", Json::Bool(stolen)),
             ],
-            EventKind::SpeculationResolved { won } => vec![("won", Json::Bool(won))],
+            EventKind::SpeculationResolved { won } | EventKind::ReplicaResolved { won } => {
+                vec![("won", Json::Bool(won))]
+            }
             EventKind::LostResult { stolen } => vec![("stolen", Json::Bool(stolen))],
             EventKind::MetricsSnapshot { grants, steals, completions, queue_depth, bytes } => vec![
                 ("grants", Json::U64(grants)),
@@ -473,6 +505,7 @@ impl Event {
             "job-granted" => EventKind::JobGranted {
                 stolen: bool_of(j, "stolen"),
                 speculative: bool_of(j, "speculative"),
+                replica: bool_of(j, "replica"),
             },
             "job-started" => EventKind::JobStarted { stolen: bool_of(j, "stolen") },
             "chunk-fetched" => EventKind::ChunkFetched {
@@ -491,11 +524,13 @@ impl Event {
                 stolen: bool_of(j, "stolen"),
             },
             "speculation-resolved" => EventKind::SpeculationResolved { won: bool_of(j, "won") },
+            "replica-resolved" => EventKind::ReplicaResolved { won: bool_of(j, "won") },
             "job-failed" => EventKind::JobFailed,
             "lease-reap" => EventKind::LeaseReaped,
             "job-evacuated" => EventKind::JobEvacuated,
             "site-evacuated" => EventKind::SiteEvacuated,
             "lost-result" => EventKind::LostResult { stolen: bool_of(j, "stolen") },
+            "refetch-saved" => EventKind::RefetchSaved,
             "job-abandoned" => EventKind::JobAbandoned,
             "heartbeat" => EventKind::Heartbeat,
             "metrics-snapshot" => EventKind::MetricsSnapshot {
@@ -1027,157 +1062,131 @@ fn meta_row(what: &str, pid: u64, tid: u64, name: &str) -> Json {
         .field("args", Json::obj().field("name", Json::Str(name.into())))
 }
 
-/// Derive the paper-shaped [`RunReport`] from an event stream.
-///
-/// This is the aggregator consumer: it rebuilds per-slave processing /
-/// retrieval sums and finish times from `job-processed` / `chunk-fetched` /
-/// `slave-finished` events, per-site job counts and fault counters from the
-/// pool's grant / completion / reap / evacuation events, then feeds them
-/// through [`crate::stats::assemble_sites`] — the *same* arithmetic the
-/// live runtimes use — so the derived report must match the legacy
-/// accumulators up to nanosecond timestamp quantization.
-#[must_use]
-pub fn derive_report(events: &[Event], env: &str) -> RunReport {
-    #[derive(Default)]
-    struct Slave {
-        processing: f64,
-        retrieval: f64,
-        finish: f64,
-    }
-    let mut slaves: BTreeMap<(SiteId, u32), Slave> = BTreeMap::new();
-    let mut merges: BTreeMap<SiteId, f64> = BTreeMap::new();
-    let mut site_finish: BTreeMap<SiteId, f64> = BTreeMap::new();
-    let mut counts: BTreeMap<SiteId, SiteJobCounts> = BTreeMap::new();
-    let mut remote_bytes: BTreeMap<SiteId, u64> = BTreeMap::new();
-    let mut retries: BTreeMap<SiteId, u64> = BTreeMap::new();
-    let mut faults = FaultCounters::default();
-    let mut global_reduction = 0.0;
-    let mut total_time = 0.0f64;
+/// The pool-side ledger: the fault counters and the per-site job counts of
+/// Table I. [`PoolTally::apply`] is the one place a pool event gets its
+/// meaning: [`JobPool`](crate::pool::JobPool) folds every event it states
+/// with it, and [`derive_report`] a recorded stream, so the two agree.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PoolTally {
+    /// Fault-path accounting (`rereduced_jobs` stays zero here: that fact is
+    /// a slave's, see [`SlaveSample::rereduced`]).
+    pub faults: FaultCounters,
+    /// Jobs merged per processing site, split local/stolen.
+    pub counts: BTreeMap<SiteId, SiteJobCounts>,
+}
 
-    for e in events {
-        let site = e.site;
+impl PoolTally {
+    /// Fold one event into the ledger. Inlined (the bare hint is declined): at
+    /// a call with the kind in hand only its arm is left, no event built whole.
+    #[inline(always)]
+    pub fn apply(&mut self, e: &Event) {
+        let faults = &mut self.faults;
         match e.kind {
-            EventKind::ChunkFetched { bytes, remote, retries: r } => {
-                if let (Some(s), Some(w)) = (site, e.worker) {
-                    slaves.entry((s, w)).or_default().retrieval += ns_to_secs(e.dur_ns);
-                    if remote {
-                        *remote_bytes.entry(s).or_insert(0) += bytes;
-                    }
-                    *retries.entry(s).or_insert(0) += r;
-                }
+            EventKind::JobGranted { speculative, replica, .. } => {
+                faults.speculative_grants += u64::from(speculative);
+                faults.replica_grants += u64::from(replica);
             }
-            EventKind::JobProcessed => {
-                if let (Some(s), Some(w)) = (site, e.worker) {
-                    slaves.entry((s, w)).or_default().processing += ns_to_secs(e.dur_ns);
-                }
-            }
-            EventKind::SlaveFinished => {
-                if let (Some(s), Some(w)) = (site, e.worker) {
-                    let sl = slaves.entry((s, w)).or_default();
-                    sl.finish = sl.finish.max(ns_to_secs(e.at_ns));
-                }
-            }
-            EventKind::SiteMerged => {
-                if let Some(s) = site {
-                    *merges.entry(s).or_insert(0.0) += ns_to_secs(e.dur_ns);
-                }
-            }
-            EventKind::SiteFinished => {
-                if let Some(s) = site {
-                    let f = site_finish.entry(s).or_insert(0.0);
-                    *f = f.max(ns_to_secs(e.at_ns));
-                }
-            }
-            EventKind::JobCompleted { merged, late, stolen } => {
-                if !merged {
-                    faults.duplicate_completions += 1;
-                } else {
-                    if late {
-                        faults.late_completions += 1;
-                    }
-                    if let Some(s) = site {
-                        let c = counts.entry(s).or_default();
-                        if stolen {
-                            c.stolen += 1;
-                        } else {
-                            c.local += 1;
-                        }
-                    }
+            EventKind::JobCompleted { merged: false, .. } => faults.duplicate_completions += 1,
+            EventKind::JobCompleted { merged: true, late, stolen } => {
+                faults.late_completions += u64::from(late);
+                if let Some(site) = e.site {
+                    let c = self.counts.entry(site).or_default();
+                    *(if stolen { &mut c.stolen } else { &mut c.local }) += 1;
                 }
             }
             EventKind::LostResult { stolen } => {
                 faults.lost_results += 1;
-                if let Some(s) = site {
-                    let c = counts.entry(s).or_default();
-                    if stolen {
-                        c.stolen -= 1;
-                    } else {
-                        c.local -= 1;
-                    }
+                if let Some(site) = e.site {
+                    let c = self.counts.entry(site).or_default();
+                    *(if stolen { &mut c.stolen } else { &mut c.local }) -= 1;
                 }
             }
-            EventKind::JobGranted { speculative, .. } => {
-                if speculative {
-                    faults.speculative_grants += 1;
-                }
-            }
-            EventKind::SpeculationResolved { won } => {
-                if won {
-                    faults.speculative_wins += 1;
-                } else {
-                    faults.speculative_losses += 1;
-                }
-            }
+            EventKind::SpeculationResolved { won: true } => faults.speculative_wins += 1,
+            EventKind::SpeculationResolved { won: false } => faults.speculative_losses += 1,
+            EventKind::ReplicaResolved { won: true } => faults.replica_wins += 1,
+            EventKind::ReplicaResolved { won: false } => faults.replica_fences += 1,
+            EventKind::RefetchSaved => faults.saved_refetches += 1,
             EventKind::LeaseReaped => faults.lease_expiries += 1,
-            EventKind::JobRereduced => faults.rereduced_jobs += 1,
             EventKind::JobEvacuated => faults.evacuated_jobs += 1,
             EventKind::JobAbandoned => {
-                if let Some(c) = e.chunk {
-                    faults.abandoned_jobs.push(AbandonedJob { chunk: c, last_site: site });
+                if let Some(chunk) = e.chunk {
+                    faults.abandoned_jobs.push(AbandonedJob { chunk, last_site: e.site });
                 }
             }
-            EventKind::GlobalReduction => global_reduction += ns_to_secs(e.dur_ns),
-            EventKind::RunFinished => total_time = total_time.max(ns_to_secs(e.at_ns)),
-            EventKind::JobStarted { .. }
-            | EventKind::StorageRetry { .. }
-            | EventKind::JobFailed
-            | EventKind::SiteEvacuated
-            | EventKind::Heartbeat
-            | EventKind::MetricsSnapshot { .. }
-            | EventKind::HealthTransition { .. } => {}
+            // Everything else is no entry in this ledger: slave, site and
+            // run facts, and signals nothing is counted from.
+            _ => {}
         }
     }
+}
 
-    let mut samples: BTreeMap<SiteId, SiteSample> = BTreeMap::new();
-    for (&site, &finish) in &site_finish {
-        samples.insert(
-            site,
-            SiteSample {
-                slaves: Vec::new(),
-                local_merge: merges.get(&site).copied().unwrap_or(0.0),
-                finish,
-                jobs: counts.get(&site).copied().unwrap_or_default(),
-                remote_bytes: remote_bytes.get(&site).copied().unwrap_or(0),
-                retries: retries.get(&site).copied().unwrap_or(0),
-            },
-        );
-    }
-    for ((site, _), sl) in &slaves {
-        if let Some(sample) = samples.get_mut(site) {
-            sample.slaves.push(SlaveSample {
-                processing: sl.processing,
-                retrieval: sl.retrieval,
-                finish: sl.finish,
-            });
+impl SlaveSample {
+    /// Fold one of the slave's own events into its ledger: what a live slave
+    /// does with every fact it states, and what [`derive_report`] does with
+    /// the slave's recorded events.
+    #[inline(always)]
+    pub fn apply(&mut self, e: &Event) {
+        match e.kind {
+            EventKind::ChunkFetched { bytes, remote, retries } => {
+                self.retrieval += ns_to_secs(e.dur_ns);
+                if remote {
+                    self.remote_bytes += bytes;
+                }
+                self.retries += retries;
+            }
+            EventKind::JobProcessed => {
+                self.processing += ns_to_secs(e.dur_ns);
+                self.jobs += 1;
+            }
+            EventKind::JobRereduced => self.rereduced += 1,
+            EventKind::SlaveFinished => self.finish = self.finish.max(ns_to_secs(e.at_ns)),
+            _ => {}
         }
     }
-    RunReport {
-        env: env.to_owned(),
-        sites: crate::stats::assemble_sites(&samples),
-        global_reduction,
-        total_time,
-        faults,
+}
+
+/// Derive the paper-shaped [`RunReport`] from an event stream.
+///
+/// This is the aggregator consumer: an event tagged with a worker goes to
+/// that slave's [`SlaveSample`], the site and run spans to sums kept here,
+/// everything else to one [`PoolTally`] — the *same* `apply` functions the
+/// live slaves and the live pool fold their facts with — and the lot to
+/// [`crate::stats::assemble_report`], like in the runtimes. The derived report
+/// therefore equals the live one, in every count and in every time that was
+/// read back from its event's stamp. A site has a row once it merged or
+/// finished.
+#[must_use]
+pub fn derive_report(events: &[Event], env: &str) -> RunReport {
+    let mut pool = PoolTally::default();
+    let mut slaves: BTreeMap<(SiteId, u32), SlaveSample> = BTreeMap::new();
+    let mut samples: BTreeMap<SiteId, SiteSample> = BTreeMap::new();
+    let mut global_reduction = 0.0;
+    let mut total_time = 0.0f64;
+
+    for e in events {
+        match (e.kind, e.site, e.worker) {
+            (_, Some(site), Some(worker)) => slaves.entry((site, worker)).or_default().apply(e),
+            (EventKind::SiteMerged, Some(site), _) => {
+                samples.entry(site).or_default().local_merge += ns_to_secs(e.dur_ns);
+            }
+            (EventKind::SiteFinished, Some(site), _) => {
+                let finish = &mut samples.entry(site).or_default().finish;
+                *finish = finish.max(ns_to_secs(e.at_ns));
+            }
+            (EventKind::GlobalReduction, ..) => global_reduction += ns_to_secs(e.dur_ns),
+            (EventKind::RunFinished, ..) => total_time = total_time.max(ns_to_secs(e.at_ns)),
+            _ => pool.apply(e),
+        }
     }
+    for ((site, _), slave) in slaves {
+        if let Some(sample) = samples.get_mut(&site) {
+            sample.slaves.push(slave);
+        }
+    }
+    for (site, sample) in &mut samples {
+        sample.jobs = pool.counts.get(site).copied().unwrap_or_default();
+    }
+    crate::stats::assemble_report(env, pool.faults, &samples, global_reduction, total_time)
 }
 
 #[cfg(test)]
@@ -1190,18 +1199,24 @@ mod tests {
         let c0 = ChunkId(0);
         let c1 = ChunkId(1);
         vec![
-            Event::at(0, EventKind::JobGranted { stolen: false, speculative: false })
-                .site(local)
-                .chunk(c0),
+            Event::at(
+                0,
+                EventKind::JobGranted { stolen: false, speculative: false, replica: false },
+            )
+            .site(local)
+            .chunk(c0),
             Event::at(10, EventKind::JobStarted { stolen: false }).site(local).worker(0).chunk(c0),
             Event::span(10, 300, EventKind::ChunkFetched { bytes: 64, remote: false, retries: 1 })
                 .site(local)
                 .worker(0)
                 .chunk(c0),
             Event::span(310, 700, EventKind::JobProcessed).site(local).worker(0).chunk(c0),
-            Event::at(5, EventKind::JobGranted { stolen: true, speculative: false })
-                .site(cloud)
-                .chunk(c1),
+            Event::at(
+                5,
+                EventKind::JobGranted { stolen: true, speculative: false, replica: false },
+            )
+            .site(cloud)
+            .chunk(c1),
             Event::at(20, EventKind::JobStarted { stolen: true }).site(cloud).worker(1).chunk(c1),
             Event::span(20, 400, EventKind::ChunkFetched { bytes: 128, remote: true, retries: 0 })
                 .site(cloud)
@@ -1227,8 +1242,14 @@ mod tests {
     #[test]
     fn events_round_trip_through_jsonl() {
         let mut events = sample_events();
-        // Exercise the causal fields and a stamped sequence too.
+        // Exercise the causal fields and a stamped sequence too, and the
+        // replica facts no sample run has.
         events[0] = events[0].span_id(7).cause(3);
+        let replica = EventKind::JobGranted { stolen: true, speculative: false, replica: true };
+        events.push(Event::at(6, replica).site(SiteId::CLOUD).chunk(ChunkId(0)));
+        events.push(Event::at(7, EventKind::ReplicaResolved { won: true }).site(SiteId::CLOUD));
+        events.push(Event::at(7, EventKind::ReplicaResolved { won: false }).site(SiteId::LOCAL));
+        events.push(Event::at(8, EventKind::RefetchSaved).site(SiteId::CLOUD).chunk(ChunkId(1)));
         for (i, e) in events.iter_mut().enumerate() {
             e.seq = i as u64 + 1;
         }
@@ -1352,7 +1373,8 @@ mod tests {
         assert!(EventKind::LeaseReaped.is_noteworthy());
         assert!(EventKind::SpeculationResolved { won: true }.is_noteworthy());
         assert!(!EventKind::JobProcessed.is_noteworthy());
-        assert!(!EventKind::JobGranted { stolen: true, speculative: false }.is_noteworthy());
+        assert!(!EventKind::JobGranted { stolen: true, speculative: false, replica: false }
+            .is_noteworthy());
     }
 
     #[test]
@@ -1440,17 +1462,32 @@ mod tests {
     #[test]
     fn display_names_distinguish_grant_flavors() {
         assert_eq!(
-            EventKind::JobGranted { stolen: false, speculative: false }.display_name(),
+            EventKind::JobGranted { stolen: false, speculative: false, replica: false }
+                .display_name(),
             "grant"
         );
         assert_eq!(
-            EventKind::JobGranted { stolen: true, speculative: false }.display_name(),
+            EventKind::JobGranted { stolen: true, speculative: false, replica: false }
+                .display_name(),
             "steal"
         );
         assert_eq!(
-            EventKind::JobGranted { stolen: true, speculative: true }.display_name(),
+            EventKind::JobGranted { stolen: true, speculative: true, replica: false }
+                .display_name(),
             "speculate"
         );
+        let replica = EventKind::JobGranted { stolen: true, speculative: false, replica: true };
+        assert_eq!(replica.display_name(), "replica");
+        assert!(replica.is_noteworthy());
+        assert_eq!(EventKind::ReplicaResolved { won: false }.display_name(), "replica-fence");
         assert_eq!(EventKind::LeaseReaped.display_name(), "lease-reap");
+    }
+
+    #[test]
+    fn a_grant_logged_before_the_replica_flag_existed_reads_as_no_replica() {
+        let old = r#"{"at_ns":5,"kind":"job-granted","site":"cloud","chunk":1,"stolen":true,"speculative":false}"#;
+        let e = Event::from_json(&Json::parse(old).unwrap()).expect("older JSONL still parses");
+        let granted = EventKind::JobGranted { stolen: true, speculative: false, replica: false };
+        assert_eq!(e.kind, granted);
     }
 }

@@ -182,7 +182,7 @@ proptest! {
             .iter()
             .map(|&(at, dur, sel, site, worker, span)| {
                 let kind = match sel {
-                    0 => EventKind::JobGranted { stolen: false, speculative: false },
+                    0 => EventKind::JobGranted { stolen: false, speculative: false, replica: false },
                     1 => EventKind::JobStarted { stolen: true },
                     2 => EventKind::ChunkFetched { bytes: 7, remote: sel % 2 == 0, retries: 1 },
                     3 => EventKind::JobProcessed,

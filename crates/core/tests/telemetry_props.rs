@@ -3,9 +3,10 @@
 //! causally ordered (a merge is always preceded by a grant of the same
 //! chunk), and informationally complete — the aggregator must be able to
 //! rebuild the pool's own fault counters and per-site job counts from the
-//! stream alone. Independently, for arbitrary synthesized per-slave
-//! measurements, [`derive_report`] must agree with the live-accumulator
-//! arithmetic ([`assemble_sites`]) up to nanosecond timestamp quantization.
+//! stream alone, replica facts under coded redundancy included.
+//! Independently, for arbitrary synthesized per-slave measurements,
+//! [`derive_report`] must agree with the direct assembly
+//! ([`assemble_sites`]) up to nanosecond timestamp quantization.
 
 use cloudburst_core::{
     assemble_sites, derive_report, ns_to_secs, secs_to_ns, BatchPolicy, ChunkId, DataIndex, Event,
@@ -55,27 +56,32 @@ fn arb_site() -> impl Strategy<Value = SiteSpec> {
 proptest! {
     /// The chaos-monkey property with a recorder attached: arbitrary
     /// interleavings of grants, completions, failures, lease reaps and an
-    /// evacuation. The stream must be monotonic, causally ordered, and the
-    /// aggregator must rebuild the pool's own ledgers from it exactly.
+    /// evacuation over three processing sites, with speculation or — when it
+    /// is off and `r > 1` — coded replicas filling the idle polls. The
+    /// stream must be monotonic, causally ordered, and the aggregator must
+    /// rebuild the pool's own ledgers from it exactly.
     #[test]
     fn pool_event_stream_is_monotonic_causal_and_complete(
         index in arb_index(),
         ops in prop::collection::vec((0u8..5, any::<u8>(), any::<u16>()), 0..250),
         batch in 1usize..5,
+        redundancy in 1u32..=3,
+        speculate in any::<bool>(),
     ) {
         let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(batch));
         let rec = Arc::new(Recorder::new());
         pool.set_sink(Telemetry::to(rec.clone()));
         pool.set_lease(LeaseConfig { base: 1.0, multiplier: 2.0, min: 0.5, max: 8.0 });
-        pool.set_speculation(true);
+        pool.set_speculation(speculate);
+        pool.set_redundancy(redundancy);
         pool.set_max_attempts(100);
-        let sites = [SiteId::LOCAL, SiteId::CLOUD];
+        let sites = [SiteId::LOCAL, SiteId::CLOUD, SiteId(2)];
         let mut held: BTreeMap<SiteId, Vec<ChunkId>> =
             sites.iter().map(|&s| (s, Vec::new())).collect();
         let mut t = 0.0f64;
         for &(op, s, x) in &ops {
             t += 0.3;
-            let site = sites[usize::from(s) % 2];
+            let site = sites[usize::from(s) % 3];
             match op {
                 0 => {
                     let b = pool.request_for_at(site, t);
@@ -149,6 +155,11 @@ proptest! {
         }
         let derived = derive_report(&events, "props");
         prop_assert_eq!(&derived.faults, pool.faults());
+        if redundancy == 1 {
+            let f = pool.faults();
+            let coded = f.replica_grants + f.replica_wins + f.replica_fences + f.saved_refetches;
+            prop_assert_eq!(coded, 0, "replica facts at r = 1");
+        }
         for site in sites {
             let expected = pool.site_counts().get(&site).copied().unwrap_or_default();
             let got =
@@ -175,8 +186,6 @@ proptest! {
                 local_merge: *local_merge,
                 finish: *finish,
                 jobs: SiteJobCounts { local: *local, stolen: *stolen },
-                remote_bytes: 0,
-                retries: 0,
             };
             for (w, &(proc_s, retr_s, fin, bytes, remote, retries)) in slaves.iter().enumerate() {
                 let w = w as u32;
@@ -201,11 +210,11 @@ proptest! {
                     processing: ns_to_secs(secs_to_ns(proc_s)),
                     retrieval: ns_to_secs(secs_to_ns(retr_s)),
                     finish: ns_to_secs(secs_to_ns(fin)),
+                    remote_bytes: if remote { bytes } else { 0 },
+                    retries,
+                    rereduced: 0,
+                    jobs: 1,
                 });
-                if remote {
-                    sample.remote_bytes += bytes;
-                }
-                sample.retries += retries;
             }
             for k in 0..(local + stolen) {
                 events.push(

@@ -24,9 +24,9 @@ use cloudburst_apps::knn::Knn;
 use cloudburst_apps::pagerank::PageRank;
 use cloudburst_cluster::FaultPolicy;
 use cloudburst_core::{
-    analyze, check_sequence, chrome_trace, diff_benchmarks, events_to_jsonl, http_get,
-    http_get_status, ns_since, parse_events_jsonl, parse_exposition, report_to_json, ConsoleSink,
-    Direction, Event, EventKind, EventSink, Exposition, FlightRecorder, HealthConfig,
+    analyze, check_sequence, chrome_trace, derive_report, diff_benchmarks, events_to_jsonl,
+    http_get, http_get_status, ns_since, parse_events_jsonl, parse_exposition, report_to_json,
+    ConsoleSink, Direction, Event, EventKind, EventSink, Exposition, FlightRecorder, HealthConfig,
     HealthMonitor, HealthSample, Histogram, Json, JsonlSink, LogLevel, Metrics, MetricsServer,
     Recorder, Registry, RouteHandler, Sample, Telemetry,
 };
@@ -147,9 +147,12 @@ OBSERVABILITY:
                      (last site, last slave), and attribute the whole
                      makespan to WAN fetch / local fetch / compute / pool
                      wait / recovery / reduction / idle — with a verdict
-                     naming the bottleneck. --stats cross-checks the
-                     makespan against a --stats-out document; --json writes
-                     the machine-readable analysis. Exits non-zero when the
+                     naming the bottleneck. --stats cross-checks a
+                     --stats-out document: the makespan (5% drift) and,
+                     exactly, the fault block and per-site job, byte and
+                     retry counts folded from the events (single-run
+                     commands, as for check-metrics); --json writes the
+                     machine-readable analysis. Exits non-zero when the
                      categories fail to account for the makespan
   bench-diff A B     compare two benchmark artifacts (e.g. the committed
                      BENCH_runtime.json vs a fresh one) leaf by leaf and
@@ -1477,7 +1480,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 
     // Optional cross-check against the run's --stats-out document: both are
     // clocked from the same epoch, so the stats' total_time and the event
-    // stream's makespan must agree closely.
+    // stream's makespan must agree closely, and the ledgers folded from the
+    // events must be the document's.
     if let Some(stats_path) = opt(args, "--stats") {
         let stats_text = std::fs::read_to_string(stats_path)
             .map_err(|e| format!("reading {stats_path}: {e}"))?;
@@ -1494,7 +1498,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
                 attr.makespan
             ));
         }
-        println!("  stats cross-check: total_time {total:.4}s agrees (drift {drift:.6}s)");
+        diff_ledgers(&events, &stats).map_err(|e| format!("{stats_path}: {e}"))?;
+        println!(
+            "  stats cross-check: total_time {total:.4}s agrees (drift {drift:.6}s), fault and \
+             per-site ledgers match exactly"
+        );
     }
 
     println!("  where the time went:");
@@ -1542,6 +1550,44 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             attr.total(),
             attr.makespan
         ));
+    }
+    Ok(())
+}
+
+/// The exact-match contract between an `--events-out` artifact and the
+/// `--stats-out` document of the same run: the report folded from the events
+/// ([`derive_report`], the functions the live run tallied with) has the
+/// document's fault block and, per site, its job counts, remote bytes and
+/// retries. Valid for single-run commands, like `check-metrics
+/// --against-stats`: an iterative app's events span every iteration while
+/// its stats cover the last.
+fn diff_ledgers(events: &[Event], stats: &Json) -> Result<(), String> {
+    let derived = report_to_json(&derive_report(events, ""));
+    let same = |what: &str, ours: &Json, theirs: &Json, key: &str| {
+        let text = |v: Option<&Json>| v.map_or("nothing".to_owned(), Json::to_text);
+        match (ours.get(key), theirs.get(key)) {
+            (Some(a), Some(b)) if a == b => Ok(()),
+            (a, b) => Err(format!(
+                "{what} `{key}`: the events say {}, the stats say {}",
+                text(a),
+                text(b)
+            )),
+        }
+    };
+    let theirs = stats.get("faults").ok_or("stats document lacks a `faults` block")?;
+    if let Some(ours @ Json::Obj(fields)) = derived.get("faults") {
+        fields.iter().try_for_each(|(key, _)| same("faults", ours, theirs, key))?;
+    }
+    let sites = |doc: &Json| doc.get("sites").and_then(Json::as_arr).unwrap_or_default().to_vec();
+    let (ours, theirs) = (sites(&derived), sites(stats));
+    if ours.len() != theirs.len() {
+        return Err(format!("the events name {} site(s), the stats {}", ours.len(), theirs.len()));
+    }
+    for (ours, theirs) in ours.iter().zip(&theirs) {
+        let what = format!("site {}", ours.get("site").and_then(Json::as_str).unwrap_or("?"));
+        ["site", "jobs_local", "jobs_stolen", "remote_bytes", "retries"]
+            .into_iter()
+            .try_for_each(|key| same(&what, ours, theirs, key))?;
     }
     Ok(())
 }

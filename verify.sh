@@ -43,6 +43,29 @@ if grep -rn --include='*.rs' -w unsafe crates src tests examples \
     exit 1
 fi
 
+echo "== hygiene: one ledger — a fact is counted where its event is folded, nowhere else"
+# The run report's counters are `PoolTally::apply` / `SlaveSample::apply` over
+# the events the pool and the slaves state through their one `note` call
+# (core/src/telemetry.rs, shared with `derive_report`). A direct increment of
+# a fault counter anywhere else, or the hand-kept slave accumulator and the
+# pool's unread failure map coming back, fails the run.
+if grep -rnE 'faults\.[a-z_]+ \+= |abandoned_jobs\.push' crates src \
+    | grep -v '^crates/core/src/telemetry.rs:'; then
+    echo "a fault counter is incremented outside the fold in core/src/telemetry.rs"
+    exit 1
+fi
+if grep -rn 'SlaveStats\|failure_counts' crates src tests; then
+    echo "SlaveStats / failure_counts are back: tally through SlaveSample::apply and PoolTally"
+    exit 1
+fi
+# The fold costs nothing only inlined, where the kind is a constant and its
+# arm all that is left; `#[inline]` alone was declined (3 % of grant-storm-tcp).
+if command -v nm >/dev/null && nm -C ladder/target/release/ladder \
+    | grep -E 'PoolTally::apply|SlaveSample::apply|SlaveCtx::note'; then
+    echo "the ledger's fold is out of line in the ladder's build: keep it #[inline(always)]"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -160,8 +183,9 @@ grep -q 'delivery sequence complete' "$SMOKE/seqcheck.txt" \
 "$BIN" check-json "$SMOKE/trace.json"
 # ...and the causal analysis must reconstruct the run exhaustively: explain
 # exits non-zero unless its seven categories account for the whole
-# makespan, cross-checks the makespan against the stats document, and the
-# machine artifact must carry a verdict.
+# makespan, cross-checks the makespan and — exactly — the fault and per-site
+# ledgers against the stats document, and the machine artifact must carry a
+# verdict.
 "$BIN" explain "$SMOKE/events.jsonl" --stats "$SMOKE/stats.json" \
     --json "$SMOKE/explain.json"
 "$BIN" check-json "$SMOKE/explain.json"
@@ -193,8 +217,11 @@ grep -q 'redundancy' "$SMOKE/info2.txt" \
 "$BIN" run wordcount --org "$SMOKE/org2" --local-cores 3 --cloud-cores 3 \
     --time-scale 2e-5 \
     --chaos 'seed=5,outage=cloud@0.1,slow=local:0:0.02,slow=local:1:0.02,slow=local:2:0.02,slow=cloud:0:0.02,slow=cloud:1:0.02,slow=cloud:2:0.02,hb=0.01:0.25' \
-    --stats-out "$SMOKE/cstats.json"
+    --stats-out "$SMOKE/cstats.json" --events-out "$SMOKE/cevents.jsonl"
 "$BIN" check-json "$SMOKE/cstats.json"
+# The ledger folded from the events must be the report's, the coded facts
+# (replica grants, wins and fences, re-fetches saved) included.
+"$BIN" explain "$SMOKE/cevents.jsonl" --stats "$SMOKE/cstats.json" >/dev/null
 SAVED=$(grep -o '"saved_refetches":[0-9]*' "$SMOKE/cstats.json" | grep -o '[0-9]*$')
 [[ -n "$SAVED" && "$SAVED" -gt 0 ]] \
     || { echo "evacuation saved no re-fetches (saved_refetches=${SAVED:-missing})"; exit 1; }
