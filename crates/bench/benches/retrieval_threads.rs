@@ -7,8 +7,8 @@ use bytes::Bytes;
 use cloudburst_core::{FileId, SiteId};
 use cloudburst_netsim::LinkSpec;
 use cloudburst_storage::{
-    fetch_range, fetch_range_pooled, ChunkStore, FetchConfig, FetcherPool, MemStore, RetryPolicy,
-    S3Config, S3SimStore,
+    fetch_range_pooled, ChunkStore, FetchConfig, FetcherPool, MemStore, RetryPolicy, S3Config,
+    S3SimStore,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -29,43 +29,25 @@ fn s3(bytes_per_file: usize, time_scale: f64) -> S3SimStore<MemStore> {
     )
 }
 
+/// One chunk through the one retrieval path, on a pool as wide as the
+/// fan-out under test.
+fn fetch(pool: &FetcherPool, store: &Arc<dyn ChunkStore>, len: u64, cfg: FetchConfig) -> Bytes {
+    let retry = RetryPolicy::default();
+    fetch_range_pooled(pool, store, FileId(0), 0, len, cfg, &retry, None).expect("fetch").0
+}
+
 fn bench_s3_fetch(c: &mut Criterion) {
     let chunk = 4 << 20; // 4 MiB chunk
-    let store = s3(chunk as usize, 1e-2);
+    let store: Arc<dyn ChunkStore> = Arc::new(s3(chunk as usize, 1e-2));
     let mut g = c.benchmark_group("s3_chunk_fetch_4MiB");
     g.sample_size(15);
     for threads in [1u32, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             let cfg = FetchConfig { threads: t, min_range: 128 * 1024 };
-            b.iter(|| black_box(fetch_range(&store, FileId(0), 0, chunk, cfg).expect("fetch")))
+            let pool = FetcherPool::new(t as usize);
+            b.iter(|| black_box(fetch(&pool, &store, chunk, cfg)))
         });
     }
-    g.finish();
-}
-
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // The routed fetch path used to spawn a thread::scope per chunk; it now
-    // reuses a persistent fetcher pool. Same store, same split, same thread
-    // count — the delta is pure spawn/join overhead per fetch.
-    let chunk = 4 << 20;
-    let threads = 4u32;
-    let cfg = FetchConfig { threads, min_range: 128 * 1024 };
-    let store: Arc<dyn ChunkStore> = Arc::new(s3(chunk as usize, 1e-2));
-    let pool = FetcherPool::new(threads as usize);
-    let retry = RetryPolicy::default();
-    let mut g = c.benchmark_group("s3_chunk_fetch_4MiB_pool_vs_spawn");
-    g.sample_size(15);
-    g.bench_function("scoped_spawn", |b| {
-        b.iter(|| black_box(fetch_range(store.as_ref(), FileId(0), 0, chunk, cfg).expect("fetch")))
-    });
-    g.bench_function("persistent_pool", |b| {
-        b.iter(|| {
-            black_box(
-                fetch_range_pooled(&pool, &store, FileId(0), 0, chunk, cfg, &retry, None)
-                    .expect("fetch"),
-            )
-        })
-    });
     g.finish();
 }
 
@@ -73,16 +55,18 @@ fn bench_local_fetch(c: &mut Criterion) {
     // Against an in-memory (zero-latency) store the split should cost ~no
     // extra: the default config must be safe to use unconditionally.
     let chunk = 4 << 20;
-    let store = MemStore::new(SiteId::LOCAL, vec![Bytes::from(vec![7u8; chunk as usize])]);
+    let store: Arc<dyn ChunkStore> =
+        Arc::new(MemStore::new(SiteId::LOCAL, vec![Bytes::from(vec![7u8; chunk as usize])]));
     let mut g = c.benchmark_group("local_chunk_fetch_4MiB");
     for threads in [1u32, 4] {
         g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
             let cfg = FetchConfig { threads: t, min_range: 128 * 1024 };
-            b.iter(|| black_box(fetch_range(&store, FileId(0), 0, chunk, cfg).expect("fetch")))
+            let pool = FetcherPool::new(t as usize);
+            b.iter(|| black_box(fetch(&pool, &store, chunk, cfg)))
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_s3_fetch, bench_pool_vs_spawn, bench_local_fetch);
+criterion_group!(benches, bench_s3_fetch, bench_local_fetch);
 criterion_main!(benches);

@@ -10,7 +10,8 @@
 //!
 //! Entry points: [`run_hybrid`] (channels) and [`run_hybrid_tcp`] (the
 //! same protocol with the head ↔ master control plane over real TCP
-//! sockets, see [`net`]/[`wire`]). There is one head, [`HeadCore`] — a state
+//! sockets, see [`net`]/[`wire`]) — one run scaffold in [`runtime`] under
+//! both, which asks the transport only for what differs. There is one head, [`HeadCore`] — a state
 //! machine that does no I/O — behind two adapters: [`head`] feeds it from a
 //! channel, [`reactor`] from every TCP connection on one `poll(2)` thread,
 //! speaking the one batched wire protocol of [`wire`].

@@ -18,53 +18,25 @@
 //! server and connects one control socket per site.
 
 use crate::error::RunError;
-use crate::head::HeadOptions;
-use crate::protocol::{HeadReport, MasterMsg};
+use crate::protocol::MasterMsg;
 pub use crate::reactor::{serve_head, serve_head_with};
 use crate::runtime::{
-    conclude, mailbox_tick, merge_site_outcome, panic_msg, prepare, run_slave, MasterMetrics,
-    Parked, Prepared, ReportSink, RunOutcome, RuntimeConfig, SiteOutcome, SlaveCtx, SlaveMetrics,
+    mailbox_tick, run_on, MasterStart, Parked, RunOutcome, RuntimeConfig, Transport,
 };
 use crate::wire::{
     put_ack_batch, put_to_head, read_batch_reply, read_hello_ack, write_hello, AckEntry,
     BatchReply, MasterToHead, WIRE_VERSION,
 };
 use cloudburst_core::{
-    ns_since, ChunkId, DataIndex, Event, EventKind, FaultPlan, HeartbeatConfig, MasterPool,
-    Reduction, RequestId, SiteId, SlaveSample, Take, Telemetry,
+    ns_since, ChunkId, DataIndex, Event, EventKind, MasterPool, Reduction, RequestId, SiteId, Take,
 };
 use cloudburst_storage::ChunkStore;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Everything one TCP site master is told at start-up.
-struct TcpMaster {
-    site: SiteId,
-    low_watermark: usize,
-    /// Hand-offs that keep every slave pipeline slot busy, plus one: in jobs
-    /// (times what a slave takes per hand-off) the part of a request's size
-    /// that does not depend on the link (see [`MasterPool::ask`]).
-    floor: usize,
-    /// One leg of modelled control-plane latency, in real time.
-    leg: Duration,
-    heartbeat: Option<HeartbeatConfig>,
-    chaos: Option<Arc<FaultPlan>>,
-    epoch: Instant,
-    telemetry: Telemetry,
-    metrics: MasterMetrics,
-}
-
-impl TcpMaster {
-    fn site_dead(&self) -> bool {
-        self.chaos
-            .as_deref()
-            .is_some_and(|p| p.site_dead(self.site, self.epoch.elapsed().as_secs_f64()))
-    }
-}
 
 /// Reports waiting for a frame are flushed at this many, well under the
 /// `u16` entry count of an `AckBatch`.
@@ -164,8 +136,8 @@ struct Inbound {
 /// Returns the pool for its ledger. A chaos-revoked site dies
 /// mid-conversation by design; its broken socket is the failure signal the
 /// head is meant to see, not an error of this process.
-fn run_tcp_master(
-    cfg: &TcpMaster,
+pub(crate) fn run_tcp_master(
+    cfg: &MasterStart,
     rx: Receiver<MasterMsg>,
     tx: Sender<MasterMsg>,
     stream: TcpStream,
@@ -182,7 +154,7 @@ fn run_tcp_master(
 /// Say hello, start the socket reader and run [`serve_site`] beside
 /// it.
 fn connect_and_serve(
-    cfg: &TcpMaster,
+    cfg: &MasterStart,
     rx: &Receiver<MasterMsg>,
     tx: Sender<MasterMsg>,
     stream: TcpStream,
@@ -215,7 +187,7 @@ fn connect_and_serve(
 
 /// The master loop proper (see [`run_tcp_master`]).
 fn serve_site(
-    cfg: &TcpMaster,
+    cfg: &MasterStart,
     rx: &Receiver<MasterMsg>,
     writer: &mut impl Write,
     pool: &mut MasterPool,
@@ -421,127 +393,19 @@ pub fn run_hybrid_tcp<R: Reduction>(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<RunOutcome<R::RObj>, RunError> {
-    let Prepared { active, head_site, chaos, router, pool, ft_active, dedup_active } =
-        prepare(index, stores, config)?;
-
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let head_addr: SocketAddr = listener.local_addr()?;
-    let n_masters = active.len();
-    let epoch = Instant::now();
-
-    let mut site_outcomes: Vec<Result<SiteOutcome<R::RObj>, RunError>> = Vec::new();
-    let mut head_result: Option<Result<HeadReport, RunError>> = None;
-
-    std::thread::scope(|scope| {
-        let head_options = HeadOptions::of(config, ft_active, epoch);
-        let head_handle = scope.spawn(move || {
-            serve_head_with(&listener, pool, n_masters, &head_options).map_err(RunError::Io)
-        });
-
-        // Each site keeps to as many CPUs as it has cores, its own where the
-        // host has enough: a slave ↔ master hand-off that crosses CPUs costs
-        // whatever the kernel's wake-up does that day.
-        let mut next_cpu = 0;
-        let coordinators: Vec<_> = active
-            .iter()
-            .map(|&(site, cores)| {
-                let router = &router;
-                let chaos = chaos.clone();
-                let first_cpu = next_cpu;
-                next_cpu += cores as usize;
-                scope.spawn(move || -> Result<SiteOutcome<R::RObj>, RunError> {
-                    crate::readiness::confine(first_cpu, cores as usize);
-                    let control_latency = config.topology.link(site.0, head_site.0).latency;
-                    let master_cfg = TcpMaster {
-                        site,
-                        low_watermark: config.low_watermark,
-                        floor: cores as usize * config.pipeline_depth.max(1) + 1,
-                        leg: Duration::from_secs_f64(
-                            (control_latency * config.time_scale).max(0.0),
-                        ),
-                        heartbeat: config.ft.heartbeat,
-                        chaos: chaos.clone(),
-                        epoch,
-                        telemetry: config.telemetry.clone(),
-                        metrics: MasterMetrics::new(&config.metrics, site),
-                    };
-                    let (master_tx, master_rx) = unbounded::<MasterMsg>();
-                    let stream = TcpStream::connect(head_addr)?;
-
-                    let mut results: Vec<Result<(R::RObj, SlaveSample), RunError>> = Vec::new();
-                    let mut master_result: Option<io::Result<MasterPool>> = None;
-                    std::thread::scope(|site_scope| {
-                        let master = site_scope.spawn({
-                            let (cfg, tx) = (&master_cfg, master_tx.clone());
-                            move || run_tcp_master(cfg, master_rx, tx, stream)
-                        });
-                        let handles: Vec<_> = (0..cores)
-                            .map(|worker| {
-                                let master_tx = master_tx.clone();
-                                site_scope.spawn({
-                                    let master_tx_for_reports = master_tx.clone();
-                                    let ctx = SlaveCtx {
-                                        site,
-                                        worker,
-                                        cancel: None, // TCP mode relies on dedup alone
-                                        chaos: chaos.clone(),
-                                        ack_gated: dedup_active,
-                                        epoch,
-                                        telemetry: config.telemetry.clone(),
-                                        metrics: SlaveMetrics::new(&config.metrics, site, worker),
-                                    };
-                                    move || {
-                                        run_slave(
-                                            app,
-                                            ctx,
-                                            &master_tx,
-                                            &ReportSink::Master(&master_tx_for_reports),
-                                            router,
-                                            config,
-                                        )
-                                    }
-                                })
-                            })
-                            .collect();
-                        results = handles
-                            .into_iter()
-                            .map(|h| {
-                                h.join()
-                                    .unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p))))
-                            })
-                            .collect();
-                        // The master's socket reader holds a sender too, so
-                        // hanging up would tell the master nothing.
-                        let _ = master_tx.send(MasterMsg::SlavesGone);
-                        master_result = Some(
-                            master.join().unwrap_or_else(|p| Err(io::Error::other(panic_msg(&p)))),
-                        );
-                    });
-                    master_result.expect("master joined")?;
-
-                    merge_site_outcome(site, results, chaos.as_deref(), epoch, &config.telemetry)
-                })
-            })
-            .collect();
-
-        site_outcomes = coordinators
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p)))))
-            .collect();
-        head_result =
-            Some(head_handle.join().unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p)))));
-    });
-
-    conclude(head_result.expect("head joined in scope")?, site_outcomes, head_site, config, epoch)
+    run_on(Transport::Tcp, app, index, stores, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::head::HeadOptions;
+    use crate::runtime::MasterMetrics;
     use crate::wire::put_hello_ack;
-    use cloudburst_core::{BatchPolicy, JobPool, LayoutParams};
-    use crossbeam::channel::bounded;
+    use cloudburst_core::{BatchPolicy, HeartbeatConfig, JobPool, LayoutParams, Telemetry};
+    use crossbeam::channel::{bounded, unbounded};
     use std::io::Read;
+    use std::net::{SocketAddr, TcpListener};
 
     fn pool(n_chunks: u64) -> JobPool {
         let params = LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 2 };
@@ -549,14 +413,15 @@ mod tests {
         JobPool::from_index(&idx, BatchPolicy::Fixed(2))
     }
 
-    fn master(site: SiteId, leg: Duration, heartbeat: Option<HeartbeatConfig>) -> TcpMaster {
-        TcpMaster {
+    fn master(site: SiteId, leg: Duration, heartbeat: Option<HeartbeatConfig>) -> MasterStart {
+        MasterStart {
             site,
             low_watermark: 1,
             floor: 2,
             leg,
             heartbeat,
             chaos: None,
+            cancel: None,
             epoch: Instant::now(),
             telemetry: Telemetry::off(),
             metrics: MasterMetrics::default(),
@@ -569,7 +434,7 @@ mod tests {
     /// master's outcome and the jobs taken.
     fn site(
         addr: SocketAddr,
-        cfg: &TcpMaster,
+        cfg: &MasterStart,
         limit: usize,
         acked: bool,
     ) -> (io::Result<MasterPool>, usize) {

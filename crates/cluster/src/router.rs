@@ -13,7 +13,7 @@ use cloudburst_core::{secs_to_ns, ChunkMeta, Metrics, SiteId};
 use cloudburst_netsim::{Throttle, Topology};
 use cloudburst_storage::{fetch_chunk_pooled, ChunkStore, FetchConfig, FetcherPool, RetryPolicy};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Outcome of one routed fetch.
 #[derive(Debug, Clone)]
@@ -27,19 +27,22 @@ pub struct Fetched {
     pub retries: u64,
 }
 
-/// Readers-per-site assumption used to size fetcher pools before
-/// [`StoreRouter::set_concurrency`] tells the router the real worker count.
+/// Concurrently fetching workers assumed until
+/// [`StoreRouter::set_concurrency`] tells the router the real count.
 const DEFAULT_READERS: usize = 4;
 
 /// The runtime's view of every site's storage plus the links between sites.
 ///
 /// Each hosting site owns one persistent [`FetcherPool`]: every chunk read
-/// against that site's store runs its concurrent range reads on the pool,
-/// so the per-fetch thread spawn/join of the scoped path never appears on
-/// the routed fast path.
+/// against that site's store runs its concurrent range reads on the pool, so
+/// no fetch spawns or joins a thread of its own. The pools are spawned once,
+/// by [`StoreRouter::set_concurrency`] — or, for a caller that never says how
+/// many workers fetch, by the first fetch against the site.
 pub struct StoreRouter {
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
-    pools: BTreeMap<SiteId, FetcherPool>,
+    pools: BTreeMap<SiteId, OnceLock<FetcherPool>>,
+    /// Workers that may fetch at once, each with `fetch.threads` ranges.
+    readers: usize,
     wan: BTreeMap<(SiteId, SiteId), Arc<Throttle>>,
     fetch: FetchConfig,
     retry: RetryPolicy,
@@ -68,10 +71,10 @@ impl StoreRouter {
                 }
             }
         }
-        let pools = Self::build_pools(&sites, fetch, DEFAULT_READERS);
         StoreRouter {
             stores,
-            pools,
+            pools: sites.iter().map(|&s| (s, OnceLock::new())).collect(),
+            readers: DEFAULT_READERS,
             wan,
             fetch,
             retry: RetryPolicy { max_retries: 0, ..RetryPolicy::default() },
@@ -79,24 +82,19 @@ impl StoreRouter {
         }
     }
 
-    fn build_pools(
-        sites: &[SiteId],
-        fetch: FetchConfig,
-        readers: usize,
-    ) -> BTreeMap<SiteId, FetcherPool> {
-        // `threads` ranges per chunk × every worker that may fetch
-        // concurrently: sized so pooling never serializes reads that the
-        // per-fetch spawns would have run in parallel.
-        let size = (fetch.threads.max(1) as usize).saturating_mul(readers.max(1));
-        sites.iter().map(|&s| (s, FetcherPool::new(size))).collect()
+    /// Spawn each site's fetcher pool for `readers` concurrently fetching
+    /// workers (the runtime calls this with the total core count before it
+    /// spawns slaves, on the thread that starts the run).
+    pub fn set_concurrency(&mut self, readers: usize) {
+        self.readers = readers;
+        let size = self.pool_size();
+        self.pools.values_mut().for_each(|pool| *pool = FetcherPool::new(size).into());
     }
 
-    /// Resize each site's fetcher pool for `readers` concurrent fetching
-    /// workers (the runtimes call this with the total core count before
-    /// spawning slaves).
-    pub fn set_concurrency(&mut self, readers: usize) {
-        let sites: Vec<SiteId> = self.stores.keys().copied().collect();
-        self.pools = Self::build_pools(&sites, self.fetch, readers);
+    /// `threads` ranges per chunk × every worker that may fetch at once, so
+    /// a pool never serializes range reads of different workers.
+    fn pool_size(&self) -> usize {
+        (self.fetch.threads.max(1) as usize).saturating_mul(self.readers.max(1))
     }
 
     /// Set the transient-failure retry policy applied to every range read.
@@ -144,12 +142,6 @@ impl StoreRouter {
         }
     }
 
-    /// Sites with a registered store.
-    #[must_use]
-    pub fn sites(&self) -> Vec<SiteId> {
-        self.stores.keys().copied().collect()
-    }
-
     /// Fetch `chunk` on behalf of a worker at `reader`: concurrent range
     /// reads on the hosting site's persistent fetcher pool, reassembled
     /// zero-copy.
@@ -164,6 +156,7 @@ impl StoreRouter {
         };
         let store = self.stores.get(&host).ok_or(RunError::NoStoreForSite(host))?;
         let pool = self.pools.get(&host).expect("one pool per store site");
+        let pool = pool.get_or_init(|| FetcherPool::new(self.pool_size()));
         let (bytes, retries) =
             fetch_chunk_pooled(pool, store, chunk, self.fetch, &self.retry, None)?;
         let remote = host != reader;
@@ -242,8 +235,25 @@ mod tests {
     }
 
     #[test]
-    fn sites_lists_registered_stores() {
-        assert_eq!(router(1.0).sites(), vec![SiteId::LOCAL, SiteId::CLOUD]);
+    fn a_sites_fetchers_are_spawned_once_at_the_size_the_run_asks_for() {
+        let threads = |r: &StoreRouter, site| r.pools[&site].get().map(FetcherPool::threads);
+        // `new` spawns nothing. A caller that never says how many workers
+        // fetch gets the default, for the site it fetches from, on first use.
+        let r = router(1e12);
+        assert!(r.pools.values().all(|p| p.get().is_none()), "`new` spawned fetchers");
+        r.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 100)).unwrap();
+        r.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 100)).unwrap();
+        assert_eq!(threads(&r, SiteId::LOCAL), Some(DEFAULT_READERS), "one range per chunk");
+        assert_eq!(threads(&r, SiteId::CLOUD), None);
+        // The runtime's sequence: the one generation is `set_concurrency`'s,
+        // `threads` ranges for each of its readers, and a fetch finds it.
+        let mut r = router(1e12);
+        r.fetch.threads = 4;
+        r.set_concurrency(6);
+        assert_eq!(threads(&r, SiteId::LOCAL), Some(24));
+        assert_eq!(threads(&r, SiteId::CLOUD), Some(24));
+        r.fetch(SiteId::CLOUD, &chunk(SiteId::LOCAL, 4096)).unwrap();
+        assert_eq!(threads(&r, SiteId::LOCAL), Some(24));
     }
 
     #[test]

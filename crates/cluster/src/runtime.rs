@@ -14,7 +14,9 @@
 
 use crate::error::RunError;
 use crate::head::{run_head, CancelBoard, HeadOptions};
+use crate::net::run_tcp_master;
 use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
+use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::{
@@ -28,9 +30,11 @@ use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, Retr
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// What to do when a slave fails to retrieve or process a job.
@@ -204,7 +208,7 @@ pub struct RunOutcome<R> {
 /// the pipeline-occupancy gauge are per-site, shared by all of a site's
 /// workers through the registry's get-or-create.
 #[derive(Clone, Default)]
-pub(crate) struct SlaveMetrics {
+struct SlaveMetrics {
     jobs: Counter,
     remote_bytes: Counter,
     retries: Counter,
@@ -218,7 +222,7 @@ pub(crate) struct SlaveMetrics {
 }
 
 impl SlaveMetrics {
-    pub(crate) fn new(metrics: &Metrics, site: SiteId, worker: u32) -> SlaveMetrics {
+    fn new(metrics: &Metrics, site: SiteId, worker: u32) -> SlaveMetrics {
         if !metrics.is_enabled() {
             return SlaveMetrics::default();
         }
@@ -320,31 +324,29 @@ impl SlaveMetrics {
 }
 
 /// Per-slave fault-tolerance context threaded through [`run_slave`].
-pub(crate) struct SlaveCtx {
+struct SlaveCtx {
     /// The slave's site.
-    pub(crate) site: SiteId,
+    site: SiteId,
     /// The slave's index within its site (chaos plans target it by this).
-    pub(crate) worker: u32,
+    worker: u32,
     /// Revoked executions to abort early (channel mode only).
-    pub(crate) cancel: Option<CancelBoard>,
+    cancel: Option<CancelBoard>,
     /// The fault-injection plan, if any.
-    pub(crate) chaos: Option<Arc<FaultPlan>>,
+    chaos: Option<Arc<FaultPlan>>,
     /// When true, a completion must be acked as *merged* by the head before
     /// the scratch object folds into the worker accumulator.
-    pub(crate) ack_gated: bool,
+    ack_gated: bool,
     /// Shared run clock origin.
-    pub(crate) epoch: Instant,
+    epoch: Instant,
     /// Event sink for this slave's job/fetch/processing spans.
-    pub(crate) telemetry: Telemetry,
+    telemetry: Telemetry,
     /// Live-metrics instruments for this slave (no-op when metrics are off).
-    pub(crate) metrics: SlaveMetrics,
+    metrics: SlaveMetrics,
 }
 
 impl SlaveCtx {
     fn site_dead(&self) -> bool {
-        self.chaos
-            .as_deref()
-            .is_some_and(|p| p.site_dead(self.site, self.epoch.elapsed().as_secs_f64()))
+        site_dead(self.chaos.as_deref(), self.site, self.epoch)
     }
 
     fn revoked(&self, chunk: ChunkId) -> bool {
@@ -368,27 +370,27 @@ fn of_job(event: Event, job: &LocalJob) -> Event {
     event.chunk(job.chunk.id).span_id(job.span)
 }
 
-/// What both deployment modes build before they spawn anything.
-pub(crate) struct Prepared {
+/// What a run builds before it spawns anything.
+struct Prepared {
     /// Sites with cores, and how many.
-    pub(crate) active: Vec<(SiteId, u32)>,
+    active: Vec<(SiteId, u32)>,
     /// The head is co-located with the local cluster when it is active
     /// (paper Fig. 2); centralized-cloud baselines host it in the cloud, so
     /// the baselines see no inter-cluster control traffic.
-    pub(crate) head_site: SiteId,
-    pub(crate) chaos: Option<Arc<FaultPlan>>,
-    pub(crate) router: StoreRouter,
-    pub(crate) pool: JobPool,
-    pub(crate) ft_active: bool,
+    head_site: SiteId,
+    chaos: Option<Arc<FaultPlan>>,
+    router: StoreRouter,
+    pool: JobPool,
+    ft_active: bool,
     /// Replica grants mean a chunk can complete more than once even with the
     /// FT stack off, so coded runs need the same dedup machinery: acked
     /// completions (the head's merge/discard verdict) and fencing of the
     /// losing copies.
-    pub(crate) dedup_active: bool,
+    dedup_active: bool,
 }
 
 /// Validate the run and build its router and job pool from `config`.
-pub(crate) fn prepare(
+fn prepare(
     index: &DataIndex,
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
@@ -455,64 +457,135 @@ pub fn run_hybrid<R: Reduction>(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<RunOutcome<R::RObj>, RunError> {
+    run_on(Transport::Channels, app, index, stores, config)
+}
+
+/// What carries a run's control plane between the head and the site masters;
+/// everything else about a run is the same code ([`run_on`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Transport {
+    /// In-process channels: [`run_head`] over one mailbox and [`run_master`].
+    /// Slaves settle with the head directly, see its revocations on a
+    /// [`CancelBoard`], and hanging up on their master tells it they left.
+    Channels,
+    /// Loopback TCP: the reactor head and [`run_tcp_master`]. Slaves report
+    /// through their master, dedup alone deals with revoked executions, each
+    /// site keeps to its own CPUs, and the coordinator says
+    /// [`MasterMsg::SlavesGone`] (the master's socket reader holds its
+    /// mailbox open).
+    Tcp,
+}
+
+/// A site's way to the head of one run: the head's mailbox, or where it
+/// listens.
+#[derive(Clone)]
+enum Uplink {
+    Mailbox(Sender<HeadMsg>),
+    Connect(SocketAddr),
+}
+
+/// The head of one run, ready to be served on its thread.
+type HeadServer = Box<dyn FnOnce(JobPool, HeadOptions) -> Result<HeadReport, RunError> + Send>;
+
+/// What a thread of the run came to; its panic is the run's error.
+fn joined<T>(handle: ScopedJoinHandle<'_, Result<T, RunError>>) -> Result<T, RunError> {
+    handle.join().unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p))))
+}
+
+/// One burst, on either transport: validate and build ([`prepare`]), start
+/// the run clock, serve the head on a thread, and per active site run a
+/// coordinator that starts the site's master and one slave per core, joins
+/// them and combines what the slaves accumulated ([`merge_site_outcome`]);
+/// then the global reduction and the report ([`conclude`]).
+pub(crate) fn run_on<R: Reduction>(
+    transport: Transport,
+    app: &R,
+    index: &DataIndex,
+    stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
+    config: &RuntimeConfig,
+) -> Result<RunOutcome<R::RObj>, RunError> {
     let Prepared { active, head_site, chaos, router, pool, ft_active, dedup_active } =
         prepare(index, stores, config)?;
+    let n_sites = active.len();
     // A cancel board lets slaves abandon executions the head has fenced.
-    let cancel = dedup_active.then(CancelBoard::new);
-
-    let (head_tx, head_rx) = unbounded::<HeadMsg>();
+    let cancel = (transport == Transport::Channels && dedup_active).then(CancelBoard::new);
+    let (uplink, serve_head): (Uplink, HeadServer) = match transport {
+        Transport::Channels => {
+            let (head_tx, head_rx) = unbounded::<HeadMsg>();
+            let board = cancel.clone();
+            let serve = move |pool, options: HeadOptions| {
+                Ok(run_head(pool, head_rx, n_sites, board.as_ref(), &options))
+            };
+            (Uplink::Mailbox(head_tx), Box::new(serve))
+        }
+        Transport::Tcp => {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let addr = listener.local_addr()?;
+            let serve = move |pool, options: HeadOptions| {
+                serve_head_with(&listener, pool, n_sites, &options).map_err(RunError::Io)
+            };
+            (Uplink::Connect(addr), Box::new(serve))
+        }
+    };
     let epoch = Instant::now();
 
-    let mut site_outcomes: Vec<Result<SiteOutcome<R::RObj>, RunError>> = Vec::new();
-    let mut head_result: Option<Result<HeadReport, RunError>> = None;
-
-    std::thread::scope(|scope| {
+    let (site_outcomes, head) = std::thread::scope(|scope| {
         let head_options = HeadOptions::of(config, ft_active, epoch);
-        let (n_sites, board) = (active.len(), cancel.as_ref());
-        let head_handle =
-            scope.spawn(move || run_head(pool, head_rx, n_sites, board, &head_options));
+        let head_handle = scope.spawn(move || serve_head(pool, head_options));
 
+        let mut next_cpu = 0;
         let coordinators: Vec<_> = active
             .iter()
             .map(|&(site, cores)| {
-                let head_tx = head_tx.clone();
-                let router = &router;
-                let chaos = chaos.clone();
-                let cancel = cancel.clone();
+                let (router, chaos, cancel, uplink) =
+                    (&router, chaos.clone(), cancel.clone(), uplink.clone());
+                let first_cpu = next_cpu;
+                next_cpu += cores as usize;
                 scope.spawn(move || -> Result<SiteOutcome<R::RObj>, RunError> {
+                    if transport == Transport::Tcp {
+                        // Each site keeps to as many CPUs as it has cores, its
+                        // own where the host has enough: a slave ↔ master
+                        // hand-off that crosses CPUs costs whatever the
+                        // kernel's wake-up does that day.
+                        crate::readiness::confine(first_cpu, cores as usize);
+                    }
                     // Control-plane latency between this site's master and
                     // the head (zero when co-located).
                     let control_latency = config.topology.link(site.0, head_site.0).latency;
+                    let start = &MasterStart {
+                        site,
+                        low_watermark: config.low_watermark,
+                        floor: cores as usize * config.pipeline_depth.max(1) + 1,
+                        leg: Duration::from_secs_f64(
+                            (control_latency * config.time_scale).max(0.0),
+                        ),
+                        heartbeat: config.ft.heartbeat,
+                        chaos: chaos.clone(),
+                        cancel: cancel.clone(),
+                        epoch,
+                        telemetry: config.telemetry.clone(),
+                        metrics: MasterMetrics::new(&config.metrics, site),
+                    };
                     let (master_tx, master_rx) = unbounded::<MasterMsg>();
-
-                    let mut results: Vec<Result<(R::RObj, SlaveSample), RunError>> = Vec::new();
-                    std::thread::scope(|site_scope| {
-                        let master = site_scope.spawn({
-                            let head_tx = head_tx.clone();
-                            let chaos = chaos.clone();
-                            let cancel = cancel.clone();
-                            move || {
-                                run_master(
-                                    site,
-                                    config.low_watermark,
-                                    control_latency * config.time_scale,
-                                    master_rx,
-                                    &head_tx,
-                                    MasterFt {
-                                        heartbeat: config.ft.heartbeat,
-                                        chaos,
-                                        cancel,
-                                        epoch,
-                                        telemetry: config.telemetry.clone(),
-                                        metrics: MasterMetrics::new(&config.metrics, site),
-                                    },
-                                )
+                    // This transport's master loop over the site's line to the head.
+                    let master: Box<dyn FnOnce() -> Result<MasterPool, RunError> + Send + '_> =
+                        match &uplink {
+                            Uplink::Mailbox(head_tx) => {
+                                Box::new(move || Ok(run_master(start, master_rx, head_tx)))
                             }
-                        });
+                            Uplink::Connect(addr) => {
+                                // The socket reader posts into the master's
+                                // own mailbox.
+                                let (stream, tx) = (TcpStream::connect(addr)?, master_tx.clone());
+                                Box::new(move || Ok(run_tcp_master(start, master_rx, tx, stream)?))
+                            }
+                        };
+
+                    let (results, master) = std::thread::scope(|site_scope| {
+                        let master = site_scope.spawn(master);
                         let handles: Vec<_> = (0..cores)
                             .map(|worker| {
-                                let master_tx = master_tx.clone();
-                                let head_tx = head_tx.clone();
+                                let (master_tx, uplink) = (master_tx.clone(), &uplink);
                                 let ctx = SlaveCtx {
                                     site,
                                     worker,
@@ -524,62 +597,57 @@ pub fn run_hybrid<R: Reduction>(
                                     metrics: SlaveMetrics::new(&config.metrics, site, worker),
                                 };
                                 site_scope.spawn(move || {
-                                    run_slave(
-                                        app,
-                                        ctx,
-                                        &master_tx,
-                                        &ReportSink::Head(&head_tx),
-                                        router,
-                                        config,
-                                    )
+                                    let reports = match uplink {
+                                        Uplink::Mailbox(head_tx) => ReportSink::Head(head_tx),
+                                        Uplink::Connect(_) => ReportSink::Master(&master_tx),
+                                    };
+                                    run_slave(app, ctx, &master_tx, &reports, router, config)
                                 })
                             })
                             .collect();
-                        drop(master_tx);
-                        results = handles
-                            .into_iter()
-                            .map(|h| {
-                                h.join()
-                                    .unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p))))
-                            })
-                            .collect();
-                        // Master exits once all its slaves hung up.
-                        let _ = master.join();
+                        let results: Vec<_> = handles.into_iter().map(joined).collect();
+                        // The master exits once it learns its slaves left.
+                        match transport {
+                            Transport::Channels => drop(master_tx),
+                            Transport::Tcp => {
+                                let _ = master_tx.send(MasterMsg::SlavesGone);
+                            }
+                        }
+                        (results, joined(master))
                     });
+                    master?;
 
-                    merge_site_outcome(site, results, chaos.as_deref(), epoch, &config.telemetry)
+                    merge_site_outcome(start, results)
                 })
             })
             .collect();
 
-        site_outcomes = coordinators
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| Err(RunError::WorkerPanic(panic_msg(&p)))))
-            .collect();
-        // All masters and slaves are done; let the head drain and exit.
-        drop(head_tx);
-        head_result = Some(head_handle.join().map_err(|p| RunError::WorkerPanic(panic_msg(&p))));
+        let site_outcomes: Vec<_> = coordinators.into_iter().map(joined).collect();
+        // All masters and slaves are done; a head over channels drains and
+        // exits once the last sender to its mailbox is gone.
+        drop(uplink);
+        (site_outcomes, joined(head_handle))
     });
 
-    conclude(head_result.expect("head joined in scope")?, site_outcomes, head_site, config, epoch)
+    conclude(head?, site_outcomes, head_site, config, epoch)
 }
 
 /// One site's end-of-run state, as collected by its coordinator.
-pub(crate) struct SiteOutcome<O> {
-    pub(crate) site: SiteId,
+struct SiteOutcome<O> {
+    site: SiteId,
     /// The site's locally combined reduction object (`None` when the site
     /// was revoked or fenced off as dead).
-    pub(crate) robj: Option<O>,
+    robj: Option<O>,
     /// Its slaves' tallies and its own times; the job counts are the head's
     /// to fill in.
-    pub(crate) sample: SiteSample,
+    sample: SiteSample,
 }
 
-/// What both deployment modes do once every thread has been joined: surface
+/// What a run does once every thread has been joined: surface
 /// failures, fence dead sites, run the global reduction and assemble the
 /// report — [`assemble_report`] over the slaves' tallies and the head's, the
 /// function [`cloudburst_core::derive_report`] ends in too.
-pub(crate) fn conclude<O: ReductionObject>(
+fn conclude<O: ReductionObject>(
     head: HeadReport,
     site_outcomes: Vec<Result<SiteOutcome<O>, RunError>>,
     head_site: SiteId,
@@ -621,23 +689,20 @@ pub(crate) fn conclude<O: ReductionObject>(
     Ok(RunOutcome { result, report, head })
 }
 
-/// Site-local combination shared by both runtimes, once every slave of
-/// `site` has been joined: the first slave failure if there was one, else a
-/// parallel binary-tree merge of the site's worker objects, with the
-/// `SiteMerged`/`SiteFinished` events emitted the same way in channel and
-/// TCP mode. A site taken down by the chaos plan loses everything it
-/// accumulated: its reduction object never reaches global reduction (the
-/// head evacuates and re-runs its jobs at surviving sites).
-pub(crate) fn merge_site_outcome<O: ReductionObject>(
-    site: SiteId,
+/// Site-local combination, once every slave of `start`'s site has been
+/// joined: the first slave failure if there was one, else a parallel
+/// binary-tree merge of the site's worker objects, with its
+/// `SiteMerged`/`SiteFinished` events. A site taken down by the chaos plan
+/// loses everything it accumulated: its reduction object never reaches global
+/// reduction (the head evacuates and re-runs its jobs at surviving sites).
+fn merge_site_outcome<O: ReductionObject>(
+    start: &MasterStart,
     results: Vec<Result<(O, SlaveSample), RunError>>,
-    chaos: Option<&FaultPlan>,
-    epoch: Instant,
-    telemetry: &Telemetry,
 ) -> Result<SiteOutcome<O>, RunError> {
+    let (site, epoch, telemetry) = (start.site, start.epoch, &start.telemetry);
     let (robjs, slaves): (Vec<O>, Vec<SlaveSample>) =
         results.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
-    let revoked = chaos.is_some_and(|p| p.site_dead(site, epoch.elapsed().as_secs_f64()));
+    let revoked = start.site_dead();
     let merge_start = Instant::now();
     let robj = if revoked { None } else { tree_reduce(robjs) };
     let merge_ns = merge_start.elapsed().as_nanos() as u64;
@@ -652,13 +717,13 @@ pub(crate) fn merge_site_outcome<O: ReductionObject>(
     Ok(SiteOutcome { site, robj, sample })
 }
 
-/// The global-reduction phase shared by both runtimes. Every remote site
+/// The global-reduction phase. Every remote site
 /// pushes its reduction object to the head concurrently — the modelled
 /// inter-site transfers overlap instead of queueing one after another —
 /// and the head merges arrivals in deterministic site order, so the phase
 /// costs the *largest* transfer rather than their sum. Returns
-/// `(result, global_reduction, total_time)` with the same accounting (and
-/// the same `GlobalReduction`/`RunFinished` events) as before.
+/// `(result, global_reduction, total_time)`, the times being those of the
+/// `GlobalReduction`/`RunFinished` events it emits.
 fn collect_global<O: ReductionObject>(
     outcomes: &mut [SiteOutcome<O>],
     head_site: SiteId,
@@ -686,8 +751,8 @@ fn collect_global<O: ReductionObject>(
                 })
             })
             .collect();
-        // Joining in site order keeps the merge order of the old serial
-        // loop, whatever order the transfers actually land in.
+        // Joining in site order keeps the merge order fixed, whatever order
+        // the transfers actually land in.
         for h in handles {
             let robj = h.join().expect("transfer thread panicked");
             final_robj = Some(match final_robj.take() {
@@ -762,26 +827,43 @@ impl MasterMetrics {
 /// how many jobs it asked for, and since when it has waited.
 pub(crate) type Parked = (Sender<Take>, usize, Instant);
 
-/// Fault-tolerance and observability context for one site master.
-struct MasterFt {
-    heartbeat: Option<HeartbeatConfig>,
-    chaos: Option<Arc<FaultPlan>>,
+/// Everything one site master is told at start-up, on either transport.
+pub(crate) struct MasterStart {
+    pub(crate) site: SiteId,
+    pub(crate) low_watermark: usize,
+    /// Hand-offs that keep every slave pipeline slot busy, plus one: in jobs
+    /// (times what a slave takes per hand-off) the part of a request's size
+    /// that does not depend on the link (see [`MasterPool::ask`]). The TCP
+    /// master sizes its requests; over channels the head's batch policy does.
+    pub(crate) floor: usize,
+    /// One leg of modelled control-plane latency, in real time.
+    pub(crate) leg: Duration,
+    pub(crate) heartbeat: Option<HeartbeatConfig>,
+    pub(crate) chaos: Option<Arc<FaultPlan>>,
     /// Revocations published by the head (replica fencing, evacuation):
-    /// queued jobs already fenced are dropped instead of dispatched.
-    cancel: Option<CancelBoard>,
-    epoch: Instant,
-    telemetry: Telemetry,
-    metrics: MasterMetrics,
+    /// queued jobs already fenced are dropped instead of dispatched. Channels
+    /// only; over TCP they come with the head's replies.
+    pub(crate) cancel: Option<CancelBoard>,
+    pub(crate) epoch: Instant,
+    pub(crate) telemetry: Telemetry,
+    pub(crate) metrics: MasterMetrics,
 }
 
-impl MasterFt {
-    fn site_dead(&self, site: SiteId) -> bool {
-        self.chaos.as_deref().is_some_and(|p| p.site_dead(site, self.epoch.elapsed().as_secs_f64()))
+impl MasterStart {
+    pub(crate) fn site_dead(&self) -> bool {
+        site_dead(self.chaos.as_deref(), self.site, self.epoch)
     }
 
     fn revoked(&self, chunk: ChunkId) -> bool {
         self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
     }
+}
+
+/// Whether the chaos plan has taken `site` down by now. A dead site stops
+/// without a word: its master sends no goodbye, its slaves report nothing,
+/// and what it accumulated never reaches the global reduction.
+fn site_dead(chaos: Option<&FaultPlan>, site: SiteId, epoch: Instant) -> bool {
+    chaos.is_some_and(|p| p.site_dead(site, epoch.elapsed().as_secs_f64()))
 }
 
 /// The longest a master sleeps with nothing due: half the heartbeat interval
@@ -806,33 +888,26 @@ pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
 ///
 /// The master owns its mailbox and lets go of it on every exit, so a request
 /// that reaches it too late fails at once instead of waiting for an answer.
-fn run_master(
-    site: SiteId,
-    low_watermark: usize,
-    control_latency_real: f64,
-    rx: Receiver<MasterMsg>,
-    head_tx: &Sender<HeadMsg>,
-    ft: MasterFt,
-) -> MasterPool {
-    let mut pool = MasterPool::new(site, low_watermark);
-    let leg = Duration::from_secs_f64(control_latency_real.max(0.0));
+fn run_master(cfg: &MasterStart, rx: Receiver<MasterMsg>, head_tx: &Sender<HeadMsg>) -> MasterPool {
+    let (site, leg) = (cfg.site, cfg.leg);
+    let mut pool = MasterPool::new(site, cfg.low_watermark);
     let mut due_at_head: VecDeque<(Instant, RequestId)> = VecDeque::new();
     let mut due_back: VecDeque<(Instant, RequestId)> = VecDeque::new();
     let mut waiting: VecDeque<Parked> = VecDeque::new();
-    let secs = |at: Instant| at.saturating_duration_since(ft.epoch).as_secs_f64();
+    let secs = |at: Instant| at.saturating_duration_since(cfg.epoch).as_secs_f64();
     let mut last_beat = Instant::now();
-    let tick = mailbox_tick(ft.heartbeat);
+    let tick = mailbox_tick(cfg.heartbeat);
     'serve: loop {
-        if ft.site_dead(site) {
+        if cfg.site_dead() {
             // Simulated spot revocation: no goodbye, no final report. The
             // head notices via the missed heartbeats (channel mode) or the
             // broken connection (TCP mode).
             break;
         }
-        if let Some(hb) = ft.heartbeat {
+        if let Some(hb) = cfg.heartbeat {
             if last_beat.elapsed().as_secs_f64() >= hb.interval {
                 let _ = head_tx.send(HeadMsg::Heartbeat { site });
-                ft.telemetry.emit(Event::at(ns_since(ft.epoch), EventKind::Heartbeat).site(site));
+                cfg.telemetry.emit(Event::at(ns_since(cfg.epoch), EventKind::Heartbeat).site(site));
                 last_beat = Instant::now();
             }
         }
@@ -840,18 +915,18 @@ fn run_master(
         while due_back.front().is_some_and(|&(due, _)| due <= now) {
             let (_, id) = due_back.pop_front().expect("front was checked");
             let rtt = pool.land(id, secs(now));
-            ft.metrics.grant_rtt.observe_secs(rtt);
+            cfg.metrics.grant_rtt.observe_secs(rtt);
         }
         while let Some((reply, want, since)) = waiting.front() {
             // A copy elsewhere already completed this chunk and the head
             // fenced it (or its site was evacuated): the grant is no longer
             // assigned to us, so drop it instead of dispatching dead work.
-            pool.skip_revoked(|chunk| ft.revoked(chunk));
+            pool.skip_revoked(|chunk| cfg.revoked(chunk));
             match pool.serve_parked(secs(now), *want) {
                 Take::NeedRefill => break,
                 take => {
-                    ft.metrics.starved.add(since.elapsed().as_nanos() as u64);
-                    ft.metrics.answer(reply, take);
+                    cfg.metrics.starved.add(since.elapsed().as_nanos() as u64);
+                    cfg.metrics.answer(reply, take);
                     waiting.pop_front();
                 }
             }
@@ -861,7 +936,7 @@ fn run_master(
         while let Some(id) = pool.next_request(secs(now)) {
             due_at_head.push_back((now + leg, id));
         }
-        ft.metrics.window.set(pool.window() as i64);
+        cfg.metrics.window.set(pool.window() as i64);
         // Requests arriving at the head. The exchange itself is a hop over
         // an in-process channel, so it is waited for; the modelled link
         // time is in the two legs around it. What it brings lands on the next
@@ -880,7 +955,7 @@ fn run_master(
             pool.granted(id, batch);
             due_back.push_back((Instant::now() + leg, id));
         }
-        let retry = pool.retry_at().map(|at| ft.epoch + Duration::from_secs_f64(at));
+        let retry = pool.retry_at().map(|at| cfg.epoch + Duration::from_secs_f64(at));
         let wake = [due_at_head.front().map(|r| r.0), due_back.front().map(|r| r.0), retry]
             .into_iter()
             .flatten()
@@ -898,10 +973,10 @@ fn run_master(
                 let _ = head_tx.send(HeadMsg::Complete { jobs: done, site, reply: None });
             }
             let now = Instant::now();
-            pool.skip_revoked(|chunk| ft.revoked(chunk));
+            pool.skip_revoked(|chunk| cfg.revoked(chunk));
             match pool.arrive(secs(now), want) {
                 Take::NeedRefill => waiting.push_back((reply, want, now)),
-                take => ft.metrics.answer(&reply, take),
+                take => cfg.metrics.answer(&reply, take),
             }
             next = rx.try_recv().ok();
         }
@@ -922,7 +997,7 @@ fn run_master(
     // one back as a failure so the head requeues it. A chaos-dead site
     // skips this: vanishing with its grants is the scenario, and the head's
     // evacuation (or lease reaping) recovers them.
-    if !ft.site_dead(site) {
+    if !cfg.site_dead() {
         for job in pool.close() {
             let _ = head_tx.send(HeadMsg::Failed { job: job.chunk.id, site });
         }
@@ -936,7 +1011,7 @@ fn run_master(
 /// Where a slave reports job completions and failures: directly to the
 /// head (the in-process runtime) or to its master, which forwards over the
 /// control connection (the TCP deployment mode).
-pub(crate) enum ReportSink<'a> {
+enum ReportSink<'a> {
     /// Report straight to the head's channel.
     Head(&'a Sender<HeadMsg>),
     /// Report to the site master.
@@ -1172,7 +1247,7 @@ impl Drop for JobSource<'_> {
 /// overlaps processing of chunk *N*; depth 1 pulls, fetches and processes
 /// in turn. Either way jobs come from one [`JobSource`] and every fetched
 /// job goes through [`Worker::process_job`].
-pub(crate) fn run_slave<R: Reduction>(
+fn run_slave<R: Reduction>(
     app: &R,
     ctx: SlaveCtx,
     master_tx: &Sender<MasterMsg>,
@@ -1570,7 +1645,7 @@ fn sleep_secs(secs: f64) {
     }
 }
 
-pub(crate) fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
+fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -1800,8 +1875,17 @@ mod tests {
         assert_eq!(out.report.total_jobs(), index.n_chunks() as u64);
     }
 
-    fn master_ft(heartbeat: Option<HeartbeatConfig>, chaos: Option<FaultPlan>) -> MasterFt {
-        MasterFt {
+    fn master_ft(
+        site: SiteId,
+        leg: f64,
+        heartbeat: Option<HeartbeatConfig>,
+        chaos: Option<FaultPlan>,
+    ) -> MasterStart {
+        MasterStart {
+            site,
+            low_watermark: 1,
+            floor: 0,
+            leg: Duration::from_secs_f64(leg),
             heartbeat,
             chaos: chaos.map(Arc::new),
             cancel: None,
@@ -1830,8 +1914,8 @@ mod tests {
         }
         let mut master_tx = Some(master_tx);
         std::thread::scope(|scope| {
-            let ft = master_ft(None, None);
-            scope.spawn(move || run_master(SiteId::LOCAL, 1, 0.0, master_rx, &head_tx, ft));
+            let ft = master_ft(SiteId::LOCAL, 0.0, None, None);
+            scope.spawn(move || run_master(&ft, master_rx, &head_tx));
             let mut requests = 0;
             loop {
                 match head_rx.recv_timeout(Duration::from_millis(5)) {
@@ -1871,11 +1955,12 @@ mod tests {
         batch.stolen = true;
         let (master_tx, master_rx) = unbounded::<MasterMsg>();
         let (head_tx, head_rx) = unbounded::<HeadMsg>();
-        let ft = master_ft(Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 }), None);
+        let heartbeat = Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 });
+        let ft = master_ft(SiteId::CLOUD, leg, heartbeat, None);
         std::thread::scope(|scope| {
             // The master owns its ends of both channels: when it returns,
             // the head's receiver disconnects.
-            scope.spawn(move || run_master(SiteId::CLOUD, 1, leg, master_rx, &head_tx, ft));
+            scope.spawn(move || run_master(&ft, master_rx, &head_tx));
             let (rtx, rrx) = bounded(1);
             master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
             // The head: answer the first request, note when each message
@@ -1922,7 +2007,7 @@ mod tests {
             site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.0 }),
             ..FaultPlan::seeded(1)
         };
-        run_master(SiteId::CLOUD, 1, 0.0, master_rx, &head_tx, master_ft(None, Some(plan)));
+        run_master(&master_ft(SiteId::CLOUD, 0.0, None, Some(plan)), master_rx, &head_tx);
         assert_eq!(
             rrx.recv_timeout(Duration::from_secs(1)),
             Err(RecvTimeoutError::Disconnected),
@@ -2372,12 +2457,9 @@ mod tests {
         assert_eq!(exp.sum_family("cloudburst_slave_jobs_total") as usize, done.len());
     }
 
-    type Run = fn(
-        &SumApp,
-        &DataIndex,
-        BTreeMap<SiteId, Arc<dyn ChunkStore>>,
-        &RuntimeConfig,
-    ) -> Result<RunOutcome<SumObj>, RunError>;
+    /// Both ways a run's control plane can travel; what a test says of "both
+    /// transports" it says of each of these.
+    const TRANSPORTS: [Transport; 2] = [Transport::Channels, Transport::Tcp];
 
     #[test]
     fn a_store_error_mid_batch_fails_the_run_promptly_and_leaks_no_grant() {
@@ -2387,9 +2469,8 @@ mod tests {
         // so the error strikes inside a batch. No lease reaper runs, so a
         // job left granted would hang the head; instead the run must return
         // the error at once with every grant either merged or failed back.
-        for (run, name) in
-            [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
-        {
+        for transport in TRANSPORTS {
+            let name = format!("{transport:?}");
             let (index, store) = fused_setup(4000, SiteId::LOCAL);
             store.reads_left.store(1000, std::sync::atomic::Ordering::SeqCst);
             let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> =
@@ -2399,7 +2480,7 @@ mod tests {
             let rec = Arc::new(Recorder::new());
             config.telemetry = Telemetry::to(rec.clone());
             let started = Instant::now();
-            let err = run(&SumApp, &index, stores, &config).unwrap_err();
+            let err = run_on(transport, &SumApp, &index, stores, &config).unwrap_err();
             assert!(started.elapsed() < Duration::from_secs(1), "{name}: {:?}", started.elapsed());
             assert!(matches!(&err, RunError::Io(e) if e.to_string().contains("fuse")), "{name}");
             let count = |pred: fn(&EventKind) -> bool| {
@@ -2449,27 +2530,19 @@ mod tests {
         (hists, n, sum)
     }
 
-    type SlowRun = fn(
-        &SlowSum,
-        &DataIndex,
-        BTreeMap<SiteId, Arc<dyn ChunkStore>>,
-        &RuntimeConfig,
-    ) -> Result<RunOutcome<SumObj>, RunError>;
-
     #[test]
     fn millisecond_jobs_are_taken_one_per_hand_off_on_both_transports() {
         // A job of a quantum or more — these last two — is asked for alone:
         // every answered request carried exactly one job, so each slave made
         // one request per job and the one that told it the pool had drained.
-        for (run, name) in
-            [(run_hybrid as SlowRun, "channels"), (crate::net::run_hybrid_tcp as SlowRun, "tcp")]
-        {
+        for transport in TRANSPORTS {
+            let name = format!("{transport:?}");
             let units = 64 * 48;
             let (index, stores) = setup(units, 0.5, 4);
             let mut config = fast_config(EnvConfig::new("slow-jobs", 0.5, 2, 2));
             config.metrics = Metrics::on();
             let app = SlowSum(Duration::from_secs_f64(2.0 * QUANTUM));
-            let out = run(&app, &index, stores, &config).unwrap();
+            let out = run_on(transport, &app, &index, stores, &config).unwrap();
             assert_eq!(out.result.0, expected_sum(units), "{name}");
             let (_, answers, jobs) = site_histograms(&config, "cloudburst_slave_batch_jobs");
             assert_eq!(jobs as u64, index.n_chunks() as u64, "{name}");
@@ -2479,7 +2552,7 @@ mod tests {
 
     /// 6 000 jobs of 160 bytes over two one-slave sites, metrics on: the
     /// outcome, and the configuration whose registry holds the histograms.
-    fn tiny_jobs_run(run: Run, ft: FtConfig) -> (RunOutcome<SumObj>, RuntimeConfig) {
+    fn tiny_jobs_run(transport: Transport, ft: FtConfig) -> (RunOutcome<SumObj>, RuntimeConfig) {
         let units = 40 * 6000;
         let data = dataset(units);
         let params = LayoutParams { unit_size: 4, units_per_chunk: 40, n_files: 4 };
@@ -2497,7 +2570,7 @@ mod tests {
         // threads is a hand-off of its own and no tiny job.
         config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
         (config.ft, config.metrics) = (ft, Metrics::on());
-        let out = run(&SumApp, &org.index, stores, &config).unwrap();
+        let out = run_on(transport, &SumApp, &org.index, stores, &config).unwrap();
         assert_eq!(out.result.0, expected_sum(units));
         (out, config)
     }
@@ -2514,23 +2587,21 @@ mod tests {
             heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
             ..FtConfig::enabled()
         };
-        for (run, name) in
-            [(run_hybrid as SlowRun, "channels"), (crate::net::run_hybrid_tcp as SlowRun, "tcp")]
-        {
+        for transport in TRANSPORTS {
+            let name = format!("{transport:?}");
             let (index, stores) = setup(64 * 48, 0.5, 4);
             let mut config = fast_config(EnvConfig::new("slow-ft-jobs", 0.5, 2, 2));
             (config.ft, config.metrics) = (ft.clone(), Metrics::on());
             let app = SlowSum(Duration::from_secs_f64(2.0 * QUANTUM));
-            let out = run(&app, &index, stores, &config).unwrap();
+            let out = run_on(transport, &app, &index, stores, &config).unwrap();
             assert_eq!(out.result.0, expected_sum(64 * 48), "{name}");
             let (_, messages, reported) = site_histograms(&config, "cloudburst_slave_settle_jobs");
             assert!(reported as u64 >= out.head.completions, "{name}");
             assert_eq!(messages, reported as u64, "{name}: one completion message per job");
         }
-        for (run, name) in
-            [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
-        {
-            let (out, config) = tiny_jobs_run(run, ft.clone());
+        for transport in TRANSPORTS {
+            let name = format!("{transport:?}");
+            let (out, config) = tiny_jobs_run(transport, ft.clone());
             let (_, hand_offs, _) = site_histograms(&config, "cloudburst_slave_batch_jobs");
             let (_, messages, reported) = site_histograms(&config, "cloudburst_slave_settle_jobs");
             assert!(reported as u64 >= out.head.completions, "{name}");
@@ -2546,10 +2617,9 @@ mod tests {
 
     #[test]
     fn tiny_jobs_are_taken_a_quantum_at_a_time_and_never_more_than_the_cap() {
-        for (run, name) in
-            [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
-        {
-            let (_, config) = tiny_jobs_run(run, FtConfig::default());
+        for transport in TRANSPORTS {
+            let name = format!("{transport:?}");
+            let (_, config) = tiny_jobs_run(transport, FtConfig::default());
             let (hists, answers, jobs) = site_histograms(&config, "cloudburst_slave_batch_jobs");
             assert_eq!(jobs as u64, 6000, "{name}");
             assert!(jobs / answers as f64 >= 8.0, "{name}: {jobs} jobs in {answers} hand-offs");
@@ -2591,20 +2661,9 @@ mod tests {
 
     #[test]
     fn ft_run_allocates_reduction_objects_per_worker_not_per_job() {
-        type Run = fn(
-            &CountingApp,
-            &DataIndex,
-            BTreeMap<SiteId, Arc<dyn ChunkStore>>,
-            &RuntimeConfig,
-        ) -> Result<RunOutcome<SumObj>, RunError>;
         let units = 8192;
         let workers = 6;
-        for (run, depth) in [
-            (run_hybrid as Run, 1),
-            (run_hybrid as Run, 3),
-            (crate::net::run_hybrid_tcp as Run, 1),
-            (crate::net::run_hybrid_tcp as Run, 3),
-        ] {
+        for (transport, depth) in TRANSPORTS.into_iter().flat_map(|t| [(t, 1), (t, 3)]) {
             let (index, stores) = setup(units, 0.5, 4);
             let mut config = fast_config(EnvConfig::new("ft-count", 0.5, 3, 3));
             config.pipeline_depth = depth;
@@ -2614,12 +2673,13 @@ mod tests {
                 ..FtConfig::enabled()
             };
             let app = CountingApp(std::sync::atomic::AtomicUsize::new(0));
-            let out = run(&app, &index, stores, &config).unwrap();
-            assert_eq!(out.result.0, expected_sum(units), "depth {depth}");
+            let out = run_on(transport, &app, &index, stores, &config).unwrap();
+            let what = format!("{transport:?}, depth {depth}");
+            assert_eq!(out.result.0, expected_sum(units), "{what}");
             let made = app.0.into_inner();
             // One accumulator and one lazily made scratch per worker.
             assert!(index.n_chunks() > 4 * workers, "the bound must separate jobs from workers");
-            assert!(made <= 2 * workers, "depth {depth}: {made} make_robj calls");
+            assert!(made <= 2 * workers, "{what}: {made} make_robj calls");
         }
     }
 
@@ -2682,14 +2742,12 @@ mod tests {
         type Case = fn() -> ((DataIndex, BTreeMap<SiteId, Arc<dyn ChunkStore>>), RuntimeConfig);
         let cases: [(&str, Case); 2] = [("ft+chaos", ft_chaos), ("coded+outage", coded_outage)];
         for (case, make) in cases {
-            for (run, transport) in
-                [(run_hybrid as Run, "channels"), (crate::net::run_hybrid_tcp as Run, "tcp")]
-            {
-                let what = format!("{case} over {transport}");
+            for transport in TRANSPORTS {
+                let what = format!("{case} over {transport:?}");
                 let ((index, stores), mut config) = make();
                 let rec = Arc::new(Recorder::new());
                 config.telemetry = Telemetry::to(rec.clone());
-                let out = run(&SumApp, &index, stores, &config).unwrap();
+                let out = run_on(transport, &SumApp, &index, stores, &config).unwrap();
                 let units: u64 = index.chunks.iter().map(|c| c.n_units).sum();
                 assert_eq!(out.result.0, expected_sum(units as u32), "{what}");
 

@@ -107,9 +107,10 @@ pub enum EventKind {
         retries: u64,
     },
     /// Transient storage-read failures were absorbed while fetching one
-    /// range (emitted once per affected range, after it finally succeeded).
+    /// chunk (emitted once per affected job, after its fetch finally
+    /// succeeded, just ahead of the job's `ChunkFetched`).
     StorageRetry {
-        /// Number of failed attempts before success.
+        /// Failed range reads absorbed, summed over the chunk's ranges.
         retries: u64,
     },
     /// A slave ran the reduction over a chunk (span).

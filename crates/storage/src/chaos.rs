@@ -111,8 +111,9 @@ impl ChunkStore for ChaosStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fetch::{fetch_range_with_retry, FetchConfig};
+    use crate::fetch::{fetch_range_pooled, FetchConfig};
     use crate::mem::MemStore;
+    use crate::pool::FetcherPool;
     use crate::retry::RetryPolicy;
 
     fn chaotic(rate: f64, max_consecutive: u32, data: Vec<u8>) -> ChaosStore {
@@ -162,11 +163,12 @@ mod tests {
     #[test]
     fn retrying_fetch_absorbs_injected_faults() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 241) as u8).collect();
-        let store = chaotic(0.6, 3, data.clone());
+        let store: Arc<dyn ChunkStore> = Arc::new(chaotic(0.6, 3, data.clone()));
+        let pool = FetcherPool::new(4);
         let cfg = FetchConfig { threads: 4, min_range: 512 };
         let policy = RetryPolicy { max_retries: 4, base: 0.0, cap: 0.0, seed: 1 };
         let (bytes, retries) =
-            fetch_range_with_retry(&store, FileId(0), 0, 10_000, cfg, &policy).unwrap();
+            fetch_range_pooled(&pool, &store, FileId(0), 0, 10_000, cfg, &policy, None).unwrap();
         assert_eq!(bytes.to_vec(), data, "reassembly must survive retries");
         assert!(retries > 0, "a 60% rate must inject something across 4 ranges");
     }

@@ -2,15 +2,15 @@
 //! jobs using multiple retrieval threads, to capitalize on the fast network
 //! interconnects in the cluster."
 //!
-//! A chunk is split into `threads` byte ranges fetched concurrently and
-//! reassembled in order. Against the simulated S3 this recovers most of the
-//! gap between one connection's bandwidth and the aggregate host cap; against
-//! local stores it degrades gracefully to a single sequential read.
+//! A chunk is split into `threads` byte ranges fetched concurrently on a
+//! persistent [`FetcherPool`] and reassembled in order — the one retrieval
+//! path, [`fetch_range_pooled`]. Against the simulated S3 this recovers most
+//! of the gap between one connection's bandwidth and the aggregate host cap;
+//! against local stores it degrades gracefully to a single sequential read.
 
 use crate::pool::FetcherPool;
 use crate::retry::{
-    read_into_with_retry, read_with_retry_observed, RetryAttempt, RetryObserver, RetryPolicy,
-    SharedRetryObserver,
+    read_into_with_retry, read_with_retry_observed, RetryAttempt, RetryPolicy, SharedRetryObserver,
 };
 use crate::store::ChunkStore;
 use bytes::{Bytes, BytesMut};
@@ -63,91 +63,28 @@ impl FetchConfig {
     }
 }
 
-/// Fetch `len` bytes of `file` at `offset` using up to `config.threads`
-/// concurrent range reads, returning the reassembled bytes.
-pub fn fetch_range<S: ChunkStore + ?Sized>(
-    store: &S,
-    file: FileId,
-    offset: ByteSize,
-    len: ByteSize,
-    config: FetchConfig,
-) -> io::Result<Bytes> {
-    let no_retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-    fetch_range_with_retry(store, file, offset, len, config, &no_retry).map(|(b, _)| b)
-}
-
-/// [`fetch_range`] with transient-failure retries *below* the chunk level:
-/// each concurrent range read independently retries per `retry`, so one
-/// reset connection re-reads only its own range, not the whole chunk.
-/// Returns the reassembled bytes and the total retries absorbed.
-pub fn fetch_range_with_retry<S: ChunkStore + ?Sized>(
-    store: &S,
-    file: FileId,
-    offset: ByteSize,
-    len: ByteSize,
-    config: FetchConfig,
-    retry: &RetryPolicy,
-) -> io::Result<(Bytes, u64)> {
-    fetch_range_observed(store, file, offset, len, config, retry, &|_| {})
-}
-
-/// [`fetch_range_with_retry`] that reports each absorbed transient failure to
-/// `observe` as it happens. The observer is shared by all concurrent range
-/// fetchers of the chunk, so it must be `Sync`.
-pub fn fetch_range_observed<S: ChunkStore + ?Sized>(
-    store: &S,
-    file: FileId,
-    offset: ByteSize,
-    len: ByteSize,
-    config: FetchConfig,
-    retry: &RetryPolicy,
-    observe: RetryObserver<'_>,
-) -> io::Result<(Bytes, u64)> {
-    let ranges = config.split(offset, len);
-    match ranges.len() {
-        0 => Ok((Bytes::new(), 0)),
-        1 => read_with_retry_observed(store, file, offset, len, retry, observe),
-        _ => {
-            // Zero-copy reassembly: one allocation for the whole chunk, each
-            // concurrent range read landing directly in its final position.
-            let mut buf = BytesMut::with_capacity(len as usize);
-            buf.resize(len as usize, 0);
-            let mut outcomes: Vec<io::Result<u64>> = Vec::new();
-            std::thread::scope(|scope| {
-                let mut rest: &mut [u8] = &mut buf;
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(o, l)| {
-                        let (slice, tail) = std::mem::take(&mut rest).split_at_mut(l as usize);
-                        rest = tail;
-                        scope.spawn(move || {
-                            read_into_with_retry(store, file, o, slice, retry, observe)
-                        })
-                    })
-                    .collect();
-                outcomes =
-                    handles.into_iter().map(|h| h.join().expect("fetch thread panicked")).collect();
-            });
-            let mut retries = 0;
-            for r in outcomes {
-                retries += r?;
-            }
-            Ok((buf.freeze(), retries))
-        }
+/// Report one absorbed transient failure to the fetch's observer, if any.
+fn notify(observe: &Option<SharedRetryObserver>, attempt: RetryAttempt) {
+    if let Some(observe) = observe {
+        observe(attempt);
     }
 }
 
-/// [`fetch_range_observed`] executed on a persistent [`FetcherPool`]
-/// instead of per-fetch spawned threads: range-read tasks are submitted to
-/// the pool, each filling an owned, disjoint sub-buffer of one
-/// pre-allocated chunk allocation ([`BytesMut::split_to`]), and the caller
-/// reassembles by stitching the contiguous sub-buffers back together
-/// ([`BytesMut::unsplit`], O(1)) — no spawn/join per chunk and no copy per
-/// range.
+/// Fetch `len` bytes of `file` at `offset` as up to `config.threads`
+/// concurrent range reads on a persistent [`FetcherPool`], each retrying its
+/// own transient failures per `retry` — one reset connection re-reads its own
+/// range, not the chunk — and reporting them to `observe` as they happen.
+/// Returns the bytes and the retries absorbed over all ranges.
 ///
-/// The store is passed by `Arc` because the pool's workers outlive this
-/// call's stack frame; likewise the optional observer is the owned
-/// [`SharedRetryObserver`] form.
+/// Each range task fills an owned, disjoint part of one pre-allocated chunk
+/// allocation ([`BytesMut::split_to`]) and the caller stitches the contiguous
+/// parts back together ([`BytesMut::unsplit`], O(1)): no spawn or join per
+/// chunk and no copy per range. A read that is one range is made on the
+/// calling thread — the pool round trip buys nothing — through the backend's
+/// zero-copy `read`.
+///
+/// The store is passed by `Arc`, and the observer in its owned form, because
+/// the pool's workers outlive this call's stack frame.
 #[allow(clippy::too_many_arguments)]
 pub fn fetch_range_pooled(
     pool: &FetcherPool,
@@ -160,67 +97,45 @@ pub fn fetch_range_pooled(
     observe: Option<SharedRetryObserver>,
 ) -> io::Result<(Bytes, u64)> {
     let ranges = config.split(offset, len);
-    let n = ranges.len();
-    match n {
-        0 => Ok((Bytes::new(), 0)),
+    match ranges.len() {
+        0 => return Ok((Bytes::new(), 0)),
         1 => {
-            // One range: the pool round trip buys nothing — read on the
-            // calling thread (and keep the backend's zero-copy `read`).
-            let obs: &(dyn Fn(RetryAttempt) + Sync) = &|a| {
-                if let Some(o) = &observe {
-                    o(a);
-                }
-            };
-            read_with_retry_observed(store.as_ref(), file, offset, len, retry, obs)
+            let observe = |a| notify(&observe, a);
+            return read_with_retry_observed(store.as_ref(), file, offset, len, retry, &observe);
         }
-        _ => {
-            let mut buf = BytesMut::with_capacity(len as usize);
-            buf.resize(len as usize, 0);
-            // Carve the chunk allocation into owned, disjoint parts — one
-            // per range — so `'static` pool tasks can write in place.
-            let parts: Vec<BytesMut> =
-                ranges.iter().map(|&(_, l)| buf.split_to(l as usize)).collect();
-            let (done_tx, done_rx) = bounded::<(usize, BytesMut, io::Result<u64>)>(n);
-            for (idx, (mut part, &(o, _))) in parts.into_iter().zip(&ranges).enumerate() {
-                let store = Arc::clone(store);
-                let retry = *retry;
-                let observe = observe.clone();
-                let done_tx = done_tx.clone();
-                pool.execute(move || {
-                    let obs: &(dyn Fn(RetryAttempt) + Sync) = &|a| {
-                        if let Some(o) = &observe {
-                            o(a);
-                        }
-                    };
-                    let r = read_into_with_retry(store.as_ref(), file, o, &mut part, &retry, obs);
-                    let _ = done_tx.send((idx, part, r));
-                });
-            }
-            drop(done_tx);
-            let mut slots: Vec<Option<(BytesMut, io::Result<u64>)>> =
-                (0..n).map(|_| None).collect();
-            for _ in 0..n {
-                let (idx, part, r) =
-                    done_rx.recv().map_err(|_| io::Error::other("fetcher pool task vanished"))?;
-                slots[idx] = Some((part, r));
-            }
-            let mut retries = 0u64;
-            let mut out: Option<BytesMut> = None;
-            for slot in slots {
-                let (part, r) = slot.expect("every range task reported");
-                retries += r?;
-                out = Some(match out {
-                    None => part,
-                    Some(mut acc) => {
-                        // Contiguous neighbors from one allocation: O(1).
-                        acc.unsplit(part);
-                        acc
-                    }
-                });
-            }
-            Ok((out.expect("at least two ranges").freeze(), retries))
-        }
+        _ => {}
     }
+    let mut buf = BytesMut::with_capacity(len as usize);
+    buf.resize(len as usize, 0);
+    let (done_tx, done_rx) = bounded::<(usize, BytesMut, io::Result<u64>)>(ranges.len());
+    for (idx, &(at, l)) in ranges.iter().enumerate() {
+        // An owned part of the chunk allocation, for a `'static` pool task
+        // to write in place.
+        let mut part = buf.split_to(l as usize);
+        let (store, retry, observe, done_tx) =
+            (Arc::clone(store), *retry, observe.clone(), done_tx.clone());
+        pool.execute(move || {
+            let observe = |a| notify(&observe, a);
+            let read = read_into_with_retry(store.as_ref(), file, at, &mut part, &retry, &observe);
+            let _ = done_tx.send((idx, part, read));
+        });
+    }
+    drop(done_tx);
+    // Every task answers or — its read having panicked — lets go of its
+    // sender, so this ends.
+    let mut parts: Vec<_> = done_rx.iter().collect();
+    if parts.len() < ranges.len() {
+        return Err(io::Error::other("fetcher pool task vanished"));
+    }
+    parts.sort_unstable_by_key(|&(idx, ..)| idx);
+    let mut retries = 0;
+    for (_, part, read) in parts {
+        retries += read?;
+        // Neighbours from one allocation (and `buf` is what is left of it,
+        // empty): O(1).
+        buf.unsplit(part);
+    }
+    Ok((buf.freeze(), retries))
 }
 
 /// [`fetch_range_pooled`] for one chunk described by its metadata.
@@ -235,46 +150,70 @@ pub fn fetch_chunk_pooled(
     fetch_range_pooled(pool, store, chunk.file, chunk.offset, chunk.len, config, retry, observe)
 }
 
-/// Fetch one chunk described by its metadata.
-pub fn fetch_chunk<S: ChunkStore + ?Sized>(
-    store: &S,
-    chunk: &ChunkMeta,
-    config: FetchConfig,
-) -> io::Result<Bytes> {
-    fetch_range(store, chunk.file, chunk.offset, chunk.len, config)
-}
-
-/// Fetch one chunk with below-chunk transient-failure retries; returns the
-/// bytes and the retries absorbed.
-pub fn fetch_chunk_with_retry<S: ChunkStore + ?Sized>(
-    store: &S,
-    chunk: &ChunkMeta,
-    config: FetchConfig,
-    retry: &RetryPolicy,
-) -> io::Result<(Bytes, u64)> {
-    fetch_range_with_retry(store, chunk.file, chunk.offset, chunk.len, config, retry)
-}
-
-/// [`fetch_chunk_with_retry`] that reports each absorbed transient failure
-/// to `observe` as it happens (see [`RetryObserver`]).
-pub fn fetch_chunk_observed<S: ChunkStore + ?Sized>(
-    store: &S,
-    chunk: &ChunkMeta,
-    config: FetchConfig,
-    retry: &RetryPolicy,
-    observe: RetryObserver<'_>,
-) -> io::Result<(Bytes, u64)> {
-    fetch_range_observed(store, chunk.file, chunk.offset, chunk.len, config, retry, observe)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::MemStore;
     use cloudburst_core::SiteId;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Mutex;
 
     fn pattern(n: usize) -> Bytes {
         Bytes::from((0..n).map(|i| (i % 251) as u8).collect::<Vec<_>>())
+    }
+
+    fn mem(n: usize) -> Arc<dyn ChunkStore> {
+        Arc::new(MemStore::new(SiteId::LOCAL, vec![pattern(n)]))
+    }
+
+    const NO_RETRY: RetryPolicy = RetryPolicy { max_retries: 0, base: 0.0, cap: 0.0, seed: 0 };
+
+    /// What becomes of a read that starts at a [`Trap`]'s offset.
+    enum Sprung {
+        Fails(io::ErrorKind),
+        /// Fails transiently this many times, then succeeds.
+        Flakes(u32),
+        Panics,
+    }
+
+    /// A `MemStore` with one bad offset; `hits` counts the reads that began
+    /// there.
+    struct Trap {
+        inner: MemStore,
+        at: ByteSize,
+        sprung: Sprung,
+        hits: AtomicU32,
+    }
+
+    fn trap(n: usize, at: ByteSize, sprung: Sprung) -> Arc<Trap> {
+        let inner = MemStore::new(SiteId::LOCAL, vec![pattern(n)]);
+        Arc::new(Trap { inner, at, sprung, hits: AtomicU32::new(0) })
+    }
+
+    impl ChunkStore for Trap {
+        fn site(&self) -> SiteId {
+            self.inner.site()
+        }
+        fn read(&self, file: FileId, offset: ByteSize, len: ByteSize) -> io::Result<Bytes> {
+            if offset == self.at {
+                let hit = self.hits.fetch_add(1, Ordering::SeqCst);
+                match self.sprung {
+                    Sprung::Fails(kind) => return Err(io::Error::new(kind, "trapped")),
+                    Sprung::Flakes(n) if hit < n => {
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, "trapped"))
+                    }
+                    Sprung::Flakes(_) => {}
+                    Sprung::Panics => panic!("injected: the read at {offset} panics"),
+                }
+            }
+            self.inner.read(file, offset, len)
+        }
+        fn file_len(&self, file: FileId) -> io::Result<ByteSize> {
+            self.inner.file_len(file)
+        }
+        fn n_files(&self) -> usize {
+            self.inner.n_files()
+        }
     }
 
     #[test]
@@ -309,102 +248,131 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fetch_reassembles_in_order() {
-        let data = pattern(10_000);
-        let store = MemStore::new(SiteId::LOCAL, vec![data.clone()]);
-        let cfg = FetchConfig { threads: 7, min_range: 100 };
-        let got = fetch_range(&store, FileId(0), 123, 7_531, cfg).unwrap();
-        assert_eq!(got, data.slice(123..123 + 7_531));
-    }
-
-    #[test]
-    fn sequential_config_uses_single_read() {
-        let data = pattern(1000);
-        let store = MemStore::new(SiteId::LOCAL, vec![data.clone()]);
-        let got = fetch_range(&store, FileId(0), 0, 1000, FetchConfig::sequential()).unwrap();
-        assert_eq!(got, data);
-    }
-
-    #[test]
-    fn fetch_chunk_uses_chunk_metadata() {
-        let data = pattern(4096);
-        let store = MemStore::new(SiteId::LOCAL, vec![data.clone()]);
-        let chunk = ChunkMeta {
-            id: cloudburst_core::ChunkId(0),
-            file: FileId(0),
-            offset: 512,
-            len: 1024,
-            n_units: 256,
-            site: SiteId::LOCAL,
-        };
-        let got = fetch_chunk(&store, &chunk, FetchConfig::default()).unwrap();
-        assert_eq!(got, data.slice(512..1536));
-    }
-
-    #[test]
-    fn errors_propagate_from_any_range() {
-        let store = MemStore::new(SiteId::LOCAL, vec![pattern(100)]);
-        let cfg = FetchConfig { threads: 4, min_range: 1 };
-        assert!(fetch_range(&store, FileId(0), 50, 100, cfg).is_err());
-    }
-
-    #[test]
-    fn pooled_fetch_reassembles_in_order() {
-        let data = pattern(10_000);
-        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new(SiteId::LOCAL, vec![data.clone()]));
+    fn a_fetch_of_several_ranges_equals_a_direct_read_of_the_span() {
+        let store = mem(10_000);
+        // Fewer workers than ranges: the excess tasks queue.
         let pool = FetcherPool::new(3);
-        let cfg = FetchConfig { threads: 7, min_range: 100 };
-        let no_retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-        for (offset, len) in [(0u64, 10_000u64), (123, 7_531), (9_999, 1), (40, 0)] {
+        let many = FetchConfig { threads: 7, min_range: 100 };
+        // More threads than parts: `min_range` clamps 120 bytes to three.
+        let clamped = FetchConfig { threads: 8, min_range: 50 };
+        assert_eq!(clamped.split(4_000, 120).len(), 3);
+        for (cfg, offset, len) in [
+            (many, 0u64, 10_000u64),
+            (many, 123, 7_531),
+            (many, 9_999, 1),
+            (many, 40, 0),
+            (clamped, 4_000, 120),
+        ] {
             let (got, retries) =
-                fetch_range_pooled(&pool, &store, FileId(0), offset, len, cfg, &no_retry, None)
+                fetch_range_pooled(&pool, &store, FileId(0), offset, len, cfg, &NO_RETRY, None)
                     .unwrap();
-            assert_eq!(got, data.slice(offset as usize..(offset + len) as usize));
+            assert_eq!(got, store.read(FileId(0), offset, len).unwrap(), "{offset}+{len}");
             assert_eq!(retries, 0);
         }
     }
 
     #[test]
-    fn pooled_fetch_matches_spawned_fetch() {
-        let data = pattern(50_000);
-        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new(SiteId::LOCAL, vec![data.clone()]));
-        let pool = FetcherPool::new(4);
-        let cfg = FetchConfig { threads: 4, min_range: 64 };
-        let no_retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-        let spawned = fetch_range(store.as_ref(), FileId(0), 11, 40_009, cfg).unwrap();
-        let (pooled, _) =
-            fetch_range_pooled(&pool, &store, FileId(0), 11, 40_009, cfg, &no_retry, None).unwrap();
-        assert_eq!(spawned, pooled);
+    fn a_fetch_of_one_range_is_the_backends_zero_copy_read() {
+        // Under `min_range`, or configured sequential: no part to fill, no
+        // trip through the pool — the very bytes the store holds.
+        let store = mem(4_096);
+        let pool = FetcherPool::new(2);
+        let whole = store.read(FileId(0), 0, 4_096).unwrap();
+        for cfg in [FetchConfig::default(), FetchConfig::sequential()] {
+            assert_eq!(cfg.split(512, 1_024).len(), 1);
+            let (got, _) =
+                fetch_range_pooled(&pool, &store, FileId(0), 512, 1_024, cfg, &NO_RETRY, None)
+                    .unwrap();
+            assert_eq!(got, store.read(FileId(0), 512, 1_024).unwrap());
+            assert_eq!(got.as_ptr(), whole[512..].as_ptr(), "a copy was made");
+        }
     }
 
     #[test]
-    fn pooled_fetch_propagates_errors_and_reports_retries() {
+    fn fetch_chunk_pooled_reads_the_span_its_metadata_names() {
+        let store = mem(4_096);
+        let pool = FetcherPool::new(2);
+        let chunk = ChunkMeta {
+            id: cloudburst_core::ChunkId(0),
+            file: FileId(0),
+            offset: 512,
+            len: 1_024,
+            n_units: 256,
+            site: SiteId::LOCAL,
+        };
+        let cfg = FetchConfig { threads: 4, min_range: 64 };
+        let (got, _) = fetch_chunk_pooled(&pool, &store, &chunk, cfg, &NO_RETRY, None).unwrap();
+        assert_eq!(got, store.read(FileId(0), 512, 1_024).unwrap());
+    }
+
+    #[test]
+    fn one_failing_range_surfaces_its_error_and_is_not_retried() {
+        let cfg = FetchConfig { threads: 4, min_range: 1 };
+        let third = cfg.split(0, 4_000)[2].0;
+        let trapped = trap(4_000, third, Sprung::Fails(io::ErrorKind::PermissionDenied));
+        let store: Arc<dyn ChunkStore> = trapped.clone();
+        let pool = FetcherPool::new(2);
+        let retry = RetryPolicy { max_retries: 3, base: 0.0, cap: 0.0, seed: 0 };
+        let err =
+            fetch_range_pooled(&pool, &store, FileId(0), 0, 4_000, cfg, &retry, None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        assert_eq!(trapped.hits.load(Ordering::SeqCst), 1, "a permanent error is final");
+    }
+
+    #[test]
+    fn a_ranges_retries_are_its_own_and_the_observer_hears_of_each() {
+        // The second of four ranges times out twice: two retries of that
+        // range, none of its neighbours, each reported with the range's
+        // offset as it happens.
+        let cfg = FetchConfig { threads: 4, min_range: 1 };
+        let second = cfg.split(100, 4_000)[1].0;
+        let trapped = trap(5_000, second, Sprung::Flakes(2));
+        let store: Arc<dyn ChunkStore> = trapped.clone();
+        let pool = FetcherPool::new(4);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let observe: SharedRetryObserver = {
+            let seen = seen.clone();
+            Arc::new(move |a| seen.lock().unwrap().push(a))
+        };
+        let retry = RetryPolicy { max_retries: 3, base: 0.0, cap: 0.0, seed: 0 };
+        let (got, retries) =
+            fetch_range_pooled(&pool, &store, FileId(0), 100, 4_000, cfg, &retry, Some(observe))
+                .unwrap();
+        assert_eq!(got, trapped.inner.read(FileId(0), 100, 4_000).unwrap());
+        assert_eq!(retries, 2);
+        assert_eq!(trapped.hits.load(Ordering::SeqCst), 3, "the range was read three times");
+        let attempt = |attempt| RetryAttempt {
+            file: FileId(0),
+            offset: second,
+            attempt,
+            kind: io::ErrorKind::TimedOut,
+        };
+        assert_eq!(*seen.lock().unwrap(), [attempt(0), attempt(1)]);
+    }
+
+    #[test]
+    fn retries_are_summed_over_ranges_and_an_exhausted_budget_is_the_fetchs_error() {
         use crate::chaos::ChaosStore;
         use cloudburst_core::FaultPlan;
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::atomic::AtomicU64;
 
-        // The chaos store remembers attempts per range, so each half of the
-        // test fetches through a fresh store.
+        // Every range fails once. The chaos store remembers attempts per
+        // range, so each half of the test fetches through a fresh store.
         let fresh = || -> Arc<dyn ChunkStore> {
             let plan = FaultPlan {
                 storage_error_rate: 1.0,
                 storage_max_consecutive: 1,
                 ..FaultPlan::seeded(3)
             };
-            let inner: Arc<dyn ChunkStore> =
-                Arc::new(MemStore::new(SiteId::LOCAL, vec![pattern(4_096)]));
-            Arc::new(ChaosStore::new(inner, Arc::new(plan)))
+            Arc::new(ChaosStore::new(mem(4_096), Arc::new(plan)))
         };
         let pool = FetcherPool::new(2);
         let cfg = FetchConfig { threads: 4, min_range: 128 };
 
         // Without retries the injected fault surfaces.
-        let store = fresh();
-        let no_retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
         assert!(
-            fetch_range_pooled(&pool, &store, FileId(0), 0, 4_096, cfg, &no_retry, None).is_err()
+            fetch_range_pooled(&pool, &fresh(), FileId(0), 0, 4_096, cfg, &NO_RETRY, None).is_err()
         );
-        let store = fresh();
 
         // With retries the fetch succeeds and the observer sees each one.
         let seen = Arc::new(AtomicU64::new(0));
@@ -416,21 +384,43 @@ mod tests {
         };
         let policy = RetryPolicy { max_retries: 3, base: 0.0, cap: 0.0, seed: 0 };
         let (bytes, retries) =
-            fetch_range_pooled(&pool, &store, FileId(0), 0, 4_096, cfg, &policy, Some(obs))
+            fetch_range_pooled(&pool, &fresh(), FileId(0), 0, 4_096, cfg, &policy, Some(obs))
                 .unwrap();
         assert_eq!(bytes, pattern(4_096));
-        assert!(retries > 0);
+        assert_eq!(retries, 4, "one per range");
         assert_eq!(seen.load(Ordering::SeqCst), retries);
     }
 
     #[test]
-    fn out_of_range_pooled_fetch_fails() {
-        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new(SiteId::LOCAL, vec![pattern(100)]));
+    fn a_fetch_beyond_the_file_fails_like_the_direct_read() {
+        let store = mem(100);
         let pool = FetcherPool::new(2);
-        let cfg = FetchConfig { threads: 4, min_range: 1 };
-        let no_retry = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
-        assert!(
-            fetch_range_pooled(&pool, &store, FileId(0), 50, 100, cfg, &no_retry, None).is_err()
-        );
+        let direct = store.read(FileId(0), 50, 100).unwrap_err();
+        for cfg in [FetchConfig { threads: 4, min_range: 1 }, FetchConfig::sequential()] {
+            let err = fetch_range_pooled(&pool, &store, FileId(0), 50, 100, cfg, &NO_RETRY, None)
+                .unwrap_err();
+            assert_eq!(err.kind(), direct.kind(), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn a_read_that_panics_costs_its_fetch_an_error_and_the_pool_no_worker() {
+        // One worker. A fetch whose second range panics in the store gets an
+        // error; the worker is still there for the next fetch, and for the
+        // next panic.
+        let cfg = FetchConfig { threads: 2, min_range: 1 };
+        let bad = cfg.split(0, 1_000)[1].0;
+        let trapped = trap(2_000, bad, Sprung::Panics);
+        let store: Arc<dyn ChunkStore> = trapped.clone();
+        let pool = FetcherPool::new(1);
+        for _ in 0..2 {
+            let err = fetch_range_pooled(&pool, &store, FileId(0), 0, 1_000, cfg, &NO_RETRY, None)
+                .unwrap_err();
+            assert!(err.to_string().contains("vanished"), "{err}");
+            let (got, _) =
+                fetch_range_pooled(&pool, &store, FileId(0), 1_000, 1_000, cfg, &NO_RETRY, None)
+                    .unwrap();
+            assert_eq!(got, trapped.inner.read(FileId(0), 1_000, 1_000).unwrap());
+        }
     }
 }

@@ -35,10 +35,7 @@ pub mod s3sim;
 pub mod store;
 
 pub use chaos::ChaosStore;
-pub use fetch::{
-    fetch_chunk, fetch_chunk_observed, fetch_chunk_pooled, fetch_chunk_with_retry, fetch_range,
-    fetch_range_observed, fetch_range_pooled, fetch_range_with_retry, FetchConfig,
-};
+pub use fetch::{fetch_chunk_pooled, fetch_range_pooled, FetchConfig};
 pub use file::FileStore;
 pub use index_io::{
     decode_index, decode_index_meta, encode_index, encode_index_redundant, read_index,
@@ -51,8 +48,8 @@ pub use organizer::{
 };
 pub use pool::FetcherPool;
 pub use retry::{
-    is_transient, read_into_with_retry, read_with_retry, read_with_retry_observed, RetryAttempt,
-    RetryObserver, RetryPolicy, SharedRetryObserver,
+    is_transient, read_into_with_retry, read_with_retry_observed, RetryAttempt, RetryObserver,
+    RetryPolicy, SharedRetryObserver,
 };
 pub use s3sim::{S3Config, S3Metrics, S3SimStore};
 pub use store::ChunkStore;

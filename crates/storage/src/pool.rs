@@ -1,12 +1,10 @@
 //! A persistent pool of fetcher threads for ranged retrieval.
 //!
-//! The original multi-threaded fetch path spawned fresh OS threads for
-//! every chunk (`std::thread::scope` in [`crate::fetch`]), paying a spawn +
-//! join round trip per retrieval — thousands of times per run. A
-//! [`FetcherPool`] is created once per store site and reused for every
-//! chunk read against that site: range-read tasks go down a channel, a
-//! fixed set of workers executes them, and the submitting thread collects
-//! the filled buffers through its own completion channel.
+//! A [`FetcherPool`] is created once per store site and reused for every
+//! chunk read against that site ([`crate::fetch`]): range-read tasks go down
+//! a channel, a fixed set of workers executes them, and the submitting thread
+//! collects the filled buffers through its own completion channel — no spawn
+//! and join per retrieval, thousands of times per run.
 //!
 //! Tasks must never block on *other pool tasks* (ours are leaf range reads,
 //! which only block on storage), so a bounded pool can be shared by any
@@ -14,6 +12,7 @@
 //! queue.
 
 use crossbeam::channel::{unbounded, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -39,9 +38,14 @@ impl FetcherPool {
                 std::thread::Builder::new()
                     .name(format!("fetcher-{i}"))
                     .spawn(move || {
-                        // Channel closed (pool dropped) ends the worker.
+                        // Channel closed (pool dropped) ends the worker; a
+                        // task that panics (a store's read) does not, or the
+                        // pool would shrink for good and `execute` panic once
+                        // the last worker is gone. The unwind drops what the
+                        // task captured — its completion sender, which is
+                        // how the submitting fetch learns.
                         while let Ok(task) = rx.recv() {
-                            task();
+                            let _ = catch_unwind(AssertUnwindSafe(task));
                         }
                     })
                     .expect("spawn fetcher thread")

@@ -93,29 +93,48 @@ pub struct RetryAttempt {
 }
 
 /// Callback invoked on every absorbed transient failure. `Sync` because the
-/// parallel range fetchers share one observer across their scoped threads.
+/// concurrent range reads of one chunk share one observer.
 pub type RetryObserver<'a> = &'a (dyn Fn(RetryAttempt) + Sync);
 
-/// An owned, shareable retry observer for the pooled fetch path, whose
-/// `'static` tasks outlive the submitting stack frame and so cannot borrow
-/// a [`RetryObserver`].
+/// An owned, shareable retry observer for the fetch path, whose `'static`
+/// pool tasks outlive the submitting stack frame and so cannot borrow a
+/// [`RetryObserver`].
 pub type SharedRetryObserver = std::sync::Arc<dyn Fn(RetryAttempt) + Send + Sync>;
 
-/// Read `len` bytes of `file` at `offset`, retrying transient failures with
-/// backoff. Returns the bytes and how many retries were needed; permanent
-/// errors and exhausted budgets surface the last error.
-pub fn read_with_retry<S: ChunkStore + ?Sized>(
-    store: &S,
+/// Run `read` — one ranged read of `file` at `offset` — until it succeeds,
+/// fails permanently or `policy`'s budget is spent, sleeping the policy's
+/// backoff between attempts and reporting each absorbed failure to `observe`
+/// before the sleep. Returns what the read returned and the retries it took.
+fn retrying<T>(
     file: FileId,
     offset: ByteSize,
-    len: ByteSize,
     policy: &RetryPolicy,
-) -> io::Result<(Bytes, u64)> {
-    read_with_retry_observed(store, file, offset, len, policy, &|_| {})
+    observe: RetryObserver<'_>,
+    mut read: impl FnMut() -> io::Result<T>,
+) -> io::Result<(T, u64)> {
+    let mut attempt: u32 = 0;
+    loop {
+        match read() {
+            Ok(got) => return Ok((got, u64::from(attempt))),
+            Err(e) if is_transient(e.kind()) && attempt < policy.max_retries => {
+                observe(RetryAttempt { file, offset, attempt, kind: e.kind() });
+                let wait = policy.delay(file, offset, attempt);
+                if !wait.is_zero() {
+                    std::thread::sleep(wait);
+                }
+                attempt += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
-/// [`read_with_retry`] that reports each absorbed failure to `observe` as it
-/// happens, below the chunk level.
+/// Read `len` bytes of `file` at `offset` through the backend's zero-copy
+/// [`ChunkStore::read`], retrying transient failures with backoff and
+/// reporting each to `observe` as it happens, below the chunk level. Returns
+/// the bytes and how many retries were needed; permanent errors and exhausted
+/// budgets surface the last error. This is the leg a fetch of one range
+/// stands on.
 pub fn read_with_retry_observed<S: ChunkStore + ?Sized>(
     store: &S,
     file: FileId,
@@ -124,28 +143,14 @@ pub fn read_with_retry_observed<S: ChunkStore + ?Sized>(
     policy: &RetryPolicy,
     observe: RetryObserver<'_>,
 ) -> io::Result<(Bytes, u64)> {
-    let mut attempt: u32 = 0;
-    loop {
-        match store.read(file, offset, len) {
-            Ok(bytes) => return Ok((bytes, u64::from(attempt))),
-            Err(e) if is_transient(e.kind()) && attempt < policy.max_retries => {
-                observe(RetryAttempt { file, offset, attempt, kind: e.kind() });
-                let wait = policy.delay(file, offset, attempt);
-                if !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    retrying(file, offset, policy, observe, || store.read(file, offset, len))
 }
 
 /// [`read_with_retry_observed`] over [`ChunkStore::read_into`]: fill the
-/// caller's buffer in place (its length is the read length), retrying
-/// transient failures with the same backoff schedule. Returns the retries
-/// absorbed. This is the zero-copy leg the reassembly path stands on — the
-/// buffer is a disjoint slice of the chunk's final allocation.
+/// caller's buffer in place (its length is the read length), with the same
+/// retries, backoff and reports. Returns the retries absorbed. This is the
+/// leg the reassembly of several ranges stands on — the buffer is a disjoint
+/// part of the chunk's final allocation.
 pub fn read_into_with_retry<S: ChunkStore + ?Sized>(
     store: &S,
     file: FileId,
@@ -154,21 +159,8 @@ pub fn read_into_with_retry<S: ChunkStore + ?Sized>(
     policy: &RetryPolicy,
     observe: RetryObserver<'_>,
 ) -> io::Result<u64> {
-    let mut attempt: u32 = 0;
-    loop {
-        match store.read_into(file, offset, out) {
-            Ok(()) => return Ok(u64::from(attempt)),
-            Err(e) if is_transient(e.kind()) && attempt < policy.max_retries => {
-                observe(RetryAttempt { file, offset, attempt, kind: e.kind() });
-                let wait = policy.delay(file, offset, attempt);
-                if !wait.is_zero() {
-                    std::thread::sleep(wait);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    retrying(file, offset, policy, observe, || store.read_into(file, offset, out))
+        .map(|((), retries)| retries)
 }
 
 #[cfg(test)]
@@ -236,7 +228,8 @@ mod tests {
         let store =
             Flaky { fail_first: 3, calls: AtomicU32::new(0), kind: io::ErrorKind::ConnectionReset };
         let policy = RetryPolicy { base: 0.0, cap: 0.0, ..RetryPolicy::default() };
-        let (bytes, retries) = read_with_retry(&store, FileId(0), 0, 16, &policy).unwrap();
+        let (bytes, retries) =
+            read_with_retry_observed(&store, FileId(0), 0, 16, &policy, &|_| {}).unwrap();
         assert_eq!(bytes.len(), 16);
         assert_eq!(retries, 3);
     }
@@ -285,7 +278,7 @@ mod tests {
         let store =
             Flaky { fail_first: 1, calls: AtomicU32::new(0), kind: io::ErrorKind::NotFound };
         let policy = RetryPolicy { base: 0.0, cap: 0.0, ..RetryPolicy::default() };
-        let err = read_with_retry(&store, FileId(0), 0, 16, &policy).unwrap_err();
+        let err = read_with_retry_observed(&store, FileId(0), 0, 16, &policy, &|_| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         assert_eq!(store.calls.load(Ordering::SeqCst), 1, "no retry on permanent errors");
     }
@@ -295,7 +288,7 @@ mod tests {
         let store =
             Flaky { fail_first: 10, calls: AtomicU32::new(0), kind: io::ErrorKind::TimedOut };
         let policy = RetryPolicy { max_retries: 2, base: 0.0, cap: 0.0, seed: 0 };
-        let err = read_with_retry(&store, FileId(0), 0, 16, &policy).unwrap_err();
+        let err = read_with_retry_observed(&store, FileId(0), 0, 16, &policy, &|_| {}).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::TimedOut);
         assert_eq!(store.calls.load(Ordering::SeqCst), 3, "initial + 2 retries");
     }

@@ -6,10 +6,11 @@
 use bytes::Bytes;
 use cloudburst_core::{DataIndex, LayoutParams, SiteId};
 use cloudburst_storage::{
-    decode_index, encode_index, fetch_range, fraction_placement, organize, reassemble, ChunkStore,
-    FetchConfig, MemStore,
+    decode_index, encode_index, fetch_range_pooled, fraction_placement, organize, reassemble,
+    ChunkStore, FetchConfig, FetcherPool, MemStore, RetryPolicy,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_layout() -> impl Strategy<Value = (LayoutParams, u64)> {
     (1u32..16, 1u64..20, 1u32..7, 1u64..200).prop_map(|(unit, upc, nf, n_chunk_ish)| {
@@ -66,16 +67,21 @@ proptest! {
         read_frac in 0.0f64..=1.0,
         threads in 1u32..9,
         min_range in 1u64..512,
+        workers in 1usize..5,
     ) {
         let data = dataset(len as u64, 1, 3);
-        let store = MemStore::new(SiteId::LOCAL, vec![data.clone()]);
+        let store: Arc<dyn ChunkStore> = Arc::new(MemStore::new(SiteId::LOCAL, vec![data.clone()]));
+        let pool = FetcherPool::new(workers);
         let offset = ((len as f64) * offset_frac) as u64;
         let max_read = len as u64 - offset;
         let read = ((max_read as f64) * read_frac) as u64;
         let cfg = FetchConfig { threads, min_range };
-        let got = fetch_range(&store, cloudburst_core::FileId(0), offset, read, cfg)
-            .expect("fetch");
+        let file = cloudburst_core::FileId(0);
+        let retry = RetryPolicy::default();
+        let (got, retries) =
+            fetch_range_pooled(&pool, &store, file, offset, read, cfg, &retry, None).expect("fetch");
         prop_assert_eq!(&got[..], &data[offset as usize..(offset + read) as usize]);
+        prop_assert_eq!(retries, 0);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 use cloudburst::prelude::*;
 use cloudburst_apps::gen::gen_id_points;
 use cloudburst_apps::knn::{knn_oracle, Knn};
-use cloudburst_storage::{fetch_range, FileStore, MemStore, S3Config, S3SimStore};
+use cloudburst_storage::{
+    fetch_range_pooled, FetcherPool, FileStore, MemStore, RetryPolicy, S3Config, S3SimStore,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -30,13 +32,15 @@ fn main() {
 
     // ---- Part 1: ranged-GET parallelism against simulated S3 ----
     let backing = MemStore::new(SiteId::CLOUD, vec![data.clone()]);
-    let s3 = S3SimStore::new(backing, S3Config::paper(2e-5));
-    let chunk_len = 2 << 20;
+    let s3 = Arc::new(S3SimStore::new(backing, S3Config::paper(2e-5)));
+    let store: Arc<dyn ChunkStore> = s3.clone();
+    let pool = FetcherPool::new(8);
+    let (file, chunk_len, retry) = (cloudburst_core::FileId(0), 2 << 20, RetryPolicy::default());
     for threads in [1u32, 4, 8] {
         let cfg = FetchConfig { threads, min_range: 64 * 1024 };
         let t = Instant::now();
-        let bytes =
-            fetch_range(&s3, cloudburst_core::FileId(0), 0, chunk_len, cfg).expect("ranged fetch");
+        let (bytes, _) = fetch_range_pooled(&pool, &store, file, 0, chunk_len, cfg, &retry, None)
+            .expect("ranged fetch");
         println!(
             "  fetch 2 MiB with {threads} connection(s): {:>7.1} ms  ({} bytes)",
             t.elapsed().as_secs_f64() * 1e3,

@@ -66,6 +66,33 @@ if command -v nm >/dev/null && nm -C ladder/target/release/ladder \
     exit 1
 fi
 
+echo "== hygiene: one scaffold, one fetch"
+# A burst is written once (`runtime::run_on` over `Transport`; `run_hybrid` and
+# `run_hybrid_tcp` only call it) and a chunk is retrieved one way
+# (`fetch_range_pooled`). The scoped-thread reassembly and its wrappers coming
+# back under any of their names, a `thread::scope` in the fetch path, or a
+# second hand-written copy of the scaffold — seen as a second call of what it
+# alone calls, above the test modules of crates/cluster/src — fails the run.
+if grep -rnwE 'fetch_range|fetch_range_with_retry|fetch_range_observed|fetch_chunk|fetch_chunk_with_retry|fetch_chunk_observed|read_with_retry' \
+    crates src tests examples; then
+    echo "a deleted fetch entry point is back: fetch through fetch_range_pooled / fetch_chunk_pooled"
+    exit 1
+fi
+if grep -n 'thread::scope' crates/storage/src/fetch.rs; then
+    echo "storage/src/fetch.rs spawns threads per fetch again: range reads run on the FetcherPool"
+    exit 1
+fi
+for call in 'HeadOptions::of(' 'merge_site_outcome(' 'run_slave('; do
+    CALLS=$(for f in crates/cluster/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep -F "$call" || true)
+    if [[ $(grep -c . <<<"$CALLS") -gt 1 ]]; then
+        echo "$CALLS"
+        echo "\`$call..)\` is called more than once: a second run scaffold beside runtime::run_on"
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
