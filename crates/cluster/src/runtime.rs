@@ -19,20 +19,18 @@ use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
 use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
+use cloudburst_core::slave::Step;
 use cloudburst_core::{
     assemble_report, ns_between, ns_since, ns_to_secs, tree_reduce, BatchPolicy, ChunkId,
     DataIndex, EnvConfig, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig,
     LocalJob, MasterPool, Reduction, ReductionObject, RequestId, RunReport, Seconds, SiteId,
-    SiteSample, SlaveSample, Take, Telemetry,
+    SiteSample, SlaveCore, SlaveSample, Take, Telemetry,
 };
 use cloudburst_netsim::Topology;
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
@@ -113,12 +111,11 @@ pub struct RuntimeConfig {
     pub topology: Topology,
     /// Compression of modelled network time into real time.
     pub time_scale: f64,
-    /// Jobs in flight per slave. Depth 1 is the classic serial loop:
+    /// Jobs in flight per slave. Depth 1 is the classic serial slave:
     /// request, fetch, process, repeat. Depth `d ≥ 2` overlaps retrieval
-    /// with computation — while a slave processes chunk *N*, a companion
-    /// prefetcher already has the next job granted and its fetch in
-    /// flight, keeping up to `d` jobs (one processing, one fetching, and
-    /// `d - 2` buffered) in the slave's pipeline.
+    /// with computation — while a slave processes chunk *N*, its fetch
+    /// executor already retrieves the next, keeping up to `d` jobs (one
+    /// processing, one fetching, and `d - 2` fetched) in the pipeline.
     pub pipeline_depth: usize,
     /// Coded-redundancy replication factor `r`. With `r ≥ 2` (and an
     /// organizer layout replicated to match) the pool proactively grants
@@ -310,17 +307,6 @@ impl SlaveMetrics {
             _ => {}
         }
     }
-
-    /// A prefetched job entered (+1) or left (-1) the pipeline buffer.
-    fn pipeline(&self, delta: i64) {
-        self.occupancy.add(delta);
-    }
-
-    /// A granted job was dropped before its fetch or at the prefetch/process
-    /// handoff because its execution had been revoked.
-    fn prefetch_dropped(&self) {
-        self.dropped.inc();
-    }
 }
 
 /// Per-slave fault-tolerance context threaded through [`run_slave`].
@@ -351,6 +337,21 @@ impl SlaveCtx {
 
     fn revoked(&self, chunk: ChunkId) -> bool {
         self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
+    }
+
+    /// `at` on the run clock.
+    fn secs(&self, at: Instant) -> Seconds {
+        at.saturating_duration_since(self.epoch).as_secs_f64()
+    }
+
+    /// `job` started. No ledger entry: straight to the sink, the clock read
+    /// only for a listener.
+    fn started(&self, job: &LocalJob) {
+        if self.telemetry.is_enabled() {
+            let started = EventKind::JobStarted { stolen: job.stolen };
+            let started = of_job(Event::at(ns_since(self.epoch), started), job);
+            self.telemetry.emit(started.site(self.site).worker(self.worker));
+        }
     }
 
     /// State one fact of this slave's — the only way a slave states any, the
@@ -419,8 +420,8 @@ fn prepare(
     };
     let mut router = StoreRouter::new(stores, &config.topology, config.fetch, config.time_scale);
     router.set_metrics(&config.metrics);
-    // Size the fetcher pools for every worker (and, with pipelining, its
-    // companion prefetcher) hitting storage at once.
+    // Size the fetcher pools for every worker (or, with pipelining, its
+    // fetch executor) hitting storage at once.
     router.set_concurrency(active.iter().map(|&(_, c)| c as usize).sum());
     if let Some(retry) = config.ft.retry {
         router.set_retry(retry);
@@ -1039,9 +1040,12 @@ impl ReportSink<'_> {
         verdicts.unwrap_or_else(|| vec![false; k])
     }
 
-    /// Hand over completions nobody waits on, outside a job request: what a
-    /// leaving slave still holds.
+    /// Hand over completions nobody waits on, outside a job request (none:
+    /// nothing is sent).
     fn done(&self, jobs: Vec<ChunkId>, site: SiteId) {
+        if jobs.is_empty() {
+            return;
+        }
         match self {
             ReportSink::Head(tx) => {
                 let _ = tx.send(HeadMsg::Complete { jobs, site, reply: None });
@@ -1064,189 +1068,13 @@ impl ReportSink<'_> {
     }
 }
 
-/// How much work a slave takes from its master in one exchange, as time: it
-/// asks for as many jobs as its own job times say fit in here, and under
-/// ack-gating it reports them — and waits for their verdicts — together. A
-/// blocking exchange (request, peer wake-up, reply, slave wake-up) measures
-/// 40–60 µs on the channel runtime, so a quantum of these buys a slave of
-/// microsecond jobs ≈ 20 exchanges' worth of work per exchange, and a job that
-/// takes this long or longer is asked for and reported alone. A constant and
-/// not a multiple of a measured hand-off: the time a request spends parked at
-/// a master that waits on its head is not the cost of a hand-off, and would
-/// make a slave of slow jobs hoard. Measured: DESIGN §3.4.3.
-const QUANTUM: Seconds = 1e-3;
-/// The most jobs a slave takes in one exchange, however short they are.
-const MAX_BATCH: usize = 64;
-
-/// Fire-and-forget completions of a slave, from where its processing half
-/// leaves them to where its next request picks them up.
-type DoneList = Mutex<Vec<ChunkId>>;
-
-/// Report the completions `done` holds outside a request for jobs.
-fn flush_done(ctx: &SlaveCtx, reports: &ReportSink<'_>, done: &DoneList) {
-    let done = std::mem::take(&mut *done.lock());
-    if !done.is_empty() {
-        reports.done(done, ctx.site);
-    }
-}
-
-/// Where a slave's jobs come from: the one place that talks to the master.
-/// It asks for a quantum of jobs at a time ([`QUANTUM`]), holds the ones not
-/// started yet, sends the completions nobody waits on along with the next
-/// request, and on the way out — whichever way — settles what it still
-/// holds.
-struct JobSource<'a> {
-    ctx: &'a SlaveCtx,
-    master_tx: &'a Sender<MasterMsg>,
-    reports: &'a ReportSink<'a>,
-    done: &'a DoneList,
-    /// Granted and not started, in grant order.
-    batch: VecDeque<LocalJob>,
-    /// When the current batch arrived and how many jobs it held.
-    batch_start: Option<(Instant, usize)>,
-    /// Running mean of what one job costs this slave end to end: the wall
-    /// time of a batch, from its arrival to the request for the next, over
-    /// its length. The wait for the master's answer is not part of it.
-    per_job: Option<Seconds>,
-    /// Jobs started so far, against the chaos plan's `crash_after`.
-    taken: u64,
-    crash_after: Option<u64>,
-    crashed: bool,
-}
-
-impl<'a> JobSource<'a> {
-    fn new(
-        ctx: &'a SlaveCtx,
-        master_tx: &'a Sender<MasterMsg>,
-        reports: &'a ReportSink<'a>,
-        done: &'a DoneList,
-    ) -> JobSource<'a> {
-        JobSource {
-            ctx,
-            master_tx,
-            reports,
-            done,
-            batch: VecDeque::new(),
-            batch_start: None,
-            per_job: None,
-            taken: 0,
-            crash_after: ctx.chaos.as_deref().and_then(|p| p.crash_after(ctx.site, ctx.worker)),
-            crashed: false,
-        }
-    }
-
-    /// The next job to fetch and process: `None` once the pool has drained,
-    /// the master is gone, the site died (it stops mid-run without a word)
-    /// or the chaos plan crashed this worker.
-    fn next(&mut self) -> Option<LocalJob> {
-        loop {
-            if let Some(job) = self.take() {
-                return Some(job);
-            }
-            self.refill()?;
-        }
-    }
-
-    /// The next job of the batch in hand: `None` when it is used up — the
-    /// moment to settle what is open, before [`JobSource::refill`] can block
-    /// on a master whose head waits for exactly those completions — and when
-    /// this slave is to stop, which `refill` then says.
-    fn take(&mut self) -> Option<LocalJob> {
-        let ctx = self.ctx;
-        while !ctx.site_dead() {
-            let job = self.batch.pop_front()?;
-            if ctx.revoked(job.chunk.id) {
-                // The grant was revoked (evacuation, a reaped lease, or a
-                // finished replica) while it sat in the master's queue or
-                // in this batch: skip the fetch entirely instead of
-                // retrieving bytes nobody will process. The head has
-                // already requeued or fenced the chunk.
-                ctx.metrics.prefetch_dropped();
-                continue;
-            }
-            // No ledger entry, and maybe said from the prefetcher's thread:
-            // straight to the sink, the clock read only for a listener.
-            if ctx.telemetry.is_enabled() {
-                let started = EventKind::JobStarted { stolen: job.stolen };
-                let started = of_job(Event::at(ns_since(ctx.epoch), started), &job);
-                ctx.telemetry.emit(started.site(ctx.site).worker(ctx.worker));
-            }
-            self.taken += 1;
-            if self.crash_after.is_some_and(|k| self.taken > k) {
-                // The job, and the rest of the batch behind it, leaks — only
-                // the head's lease reaper can recover them. Prior completed
-                // work stays valid (it is reported like any other).
-                self.crashed = true;
-                return None;
-            }
-            return Some(job);
-        }
-        None
-    }
-
-    /// Ask the master for the next quantum of jobs, handing it the
-    /// completions since the last request. `None` when there are no more, or
-    /// this slave crashed or its site died.
-    fn refill(&mut self) -> Option<()> {
-        if self.crashed || self.ctx.site_dead() {
-            return None;
-        }
-        if let Some((since, jobs)) = self.batch_start.take() {
-            let sample = since.elapsed().as_secs_f64() / jobs as f64;
-            self.per_job = Some(self.per_job.map_or(sample, |t| t + (sample - t) / 4.0));
-        }
-        // Before the first batch nothing is known: ask for one job.
-        let want = self.per_job.map_or(1, |t| ((QUANTUM / t) as usize).clamp(1, MAX_BATCH));
-        let done = std::mem::take(&mut *self.done.lock());
-        let (rtx, rrx) = bounded(1);
-        self.master_tx.send(MasterMsg::GetJobs { want, done, reply: rtx }).ok()?;
-        match rrx.recv().ok()? {
-            Take::Jobs(jobs) => {
-                self.batch_start = Some((Instant::now(), jobs.len()));
-                self.batch = jobs.into();
-                Some(())
-            }
-            Take::Drained => None,
-            Take::NeedRefill => unreachable!("master resolves refills internally"),
-        }
-    }
-
-    /// Take back a started job nobody will process (the processing half of
-    /// the pipeline hung up): it leaves with the rest of the batch.
-    fn unstarted(&mut self, job: LocalJob) {
-        self.batch.push_front(job);
-    }
-}
-
-impl Drop for JobSource<'_> {
-    /// Settle accounts with the head on every way out. What this slave
-    /// finished and has not said yet is said; what it was granted and never
-    /// started is failed back, because the head — which has no lease reaper
-    /// in classic mode — would wait for it forever. Two exits settle
-    /// nothing, by design: a dead site says no word at all (the head
-    /// evacuates it), and a crashed worker leaks its grants to the lease
-    /// reaper like the process it stands for.
-    fn drop(&mut self) {
-        let ctx = self.ctx;
-        if ctx.site_dead() {
-            return;
-        }
-        flush_done(ctx, self.reports, self.done);
-        if !self.crashed {
-            for job in self.batch.drain(..) {
-                self.reports.fail(job.chunk.id, ctx.site);
-            }
-        }
-    }
-}
-
-/// The slave loop: pull a job, retrieve its chunk (local stream or remote
-/// ranged fetch), split into cache-sized unit groups, and fold into the
-/// worker's reduction object. With `pipeline_depth ≥ 2` the pull+fetch
-/// half runs on a companion prefetcher so retrieval of chunk *N+1*
-/// overlaps processing of chunk *N*; depth 1 pulls, fetches and processes
-/// in turn. Either way jobs come from one [`JobSource`] and every fetched
-/// job goes through [`Worker::process_job`].
+/// The slave: one loop that carries out what its [`SlaveCore`] says — ask
+/// the master, fetch, process, settle, report — and tells the core what came
+/// of each. At depth 1 a chunk is fetched inline. At depth `d ≥ 2` a
+/// companion thread, one per slave for the whole run, is a plain fetch
+/// executor: a job goes in, a [`FetchedJob`] comes out. The core starts up
+/// to `d` jobs — the one processing, the rest with the executor — so
+/// retrieval of chunk *N+1* overlaps processing of chunk *N*.
 fn run_slave<R: Reduction>(
     app: &R,
     ctx: SlaveCtx,
@@ -1255,29 +1083,138 @@ fn run_slave<R: Reduction>(
     router: &StoreRouter,
     config: &RuntimeConfig,
 ) -> Result<(R::RObj, SlaveSample), RunError> {
-    let done = DoneList::default();
-    let mut worker = Worker::new(app, &ctx, reports, &done, config);
-    let source = JobSource::new(&ctx, master_tx, reports, &done);
-    let outcome = if config.pipeline_depth >= 2 {
-        run_slave_pipelined(&mut worker, source, router)
-    } else {
-        run_slave_serial(&mut worker, source, router)
-    };
-    // Whichever way the loop ended, every job still open is settled once.
-    worker.settle();
-    outcome?;
-    Ok(worker.finish())
+    let depth = config.pipeline_depth.max(1);
+    let crash_after = ctx.chaos.as_deref().and_then(|p| p.crash_after(ctx.site, ctx.worker));
+    let mut core = SlaveCore::new(depth, ctx.ack_gated, crash_after);
+    let ctx = &ctx;
+    let revoked = |chunk| ctx.revoked(chunk);
+    let mut worker = Worker::new(app, ctx, reports, config);
+    std::thread::scope(|scope| {
+        let executor = (depth > 1).then(|| {
+            // Never full: the core starts at most `depth` jobs.
+            let (job_tx, job_rx) = bounded::<LocalJob>(depth);
+            let (fetched_tx, fetched_rx) = bounded::<FetchedJob>(depth);
+            scope.spawn(move || {
+                for job in job_rx.iter() {
+                    if fetched_tx.send(FetchedJob::fetch(ctx, router, job)).is_err() {
+                        return;
+                    }
+                    ctx.metrics.occupancy.add(1);
+                }
+            });
+            (job_tx, fetched_rx)
+        });
+        let mut answer: Option<Receiver<Take>> = None;
+        // A fetched job taken off the executor while the slave blocked, to
+        // process once what came in meanwhile has been acted on.
+        let mut landed: Option<FetchedJob> = None;
+        // Nothing the slave waits for was ready at the last look.
+        let mut idle = false;
+        let outcome = loop {
+            if ctx.site_dead() {
+                break Ok(());
+            }
+            // The master's answer is taken the moment it is in.
+            if let Some(take) = answer.as_ref().and_then(answered) {
+                (answer, idle) = (None, false);
+                core.answer(take, ctx.secs(Instant::now()));
+            }
+            match core.poll(idle, revoked) {
+                Step::Ask => {
+                    let (want, done) = core.ask(ctx.secs(Instant::now()));
+                    let (reply, rx) = bounded(1);
+                    match master_tx.send(MasterMsg::GetJobs { want, done, reply }) {
+                        Ok(()) => answer = Some(rx),
+                        Err(_) => core.answer(None, 0.0),
+                    }
+                }
+                Step::Fetch(job) => {
+                    let Some((to_fetch, _)) = &executor else {
+                        let inline = FetchedJob::fetch(ctx, router, job);
+                        match worker.take(&mut core, inline) {
+                            Ok(()) => continue,
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    // Never full, and the executor outlives the loop.
+                    let _ = to_fetch.send(job);
+                }
+                Step::Dropped(_) => ctx.metrics.dropped.inc(),
+                Step::Settle(jobs) => worker.settle(&mut core, jobs),
+                Step::Done(jobs) => reports.done(jobs, ctx.site),
+                // The one place a slave blocks. A fetched job is taken if one
+                // is ready; else, once the core has said what it holds, the
+                // slave waits for the fetch in flight — it lands whatever the
+                // head does — or for the master's answer. With no `select!`
+                // in the vendored crossbeam, an answer that came in while it
+                // waited on the fetch is taken, and the next fetches started,
+                // on one more pass before the job is processed.
+                Step::Wait => {
+                    let fetched = executor.as_ref().map(|e| &e.1).filter(|_| core.in_flight() > 0);
+                    let pre =
+                        match landed.take().map(Ok).or_else(|| fetched.map(Receiver::try_recv)) {
+                            Some(Ok(pre)) => pre,
+                            _ if !std::mem::replace(&mut idle, true) => continue,
+                            Some(_) => {
+                                let pre = fetched.and_then(|rx| rx.recv().ok());
+                                (landed, idle) = (Some(pre.expect("the executor runs")), false);
+                                continue;
+                            }
+                            None => {
+                                idle = false;
+                                let take = answer.take().and_then(|rx| rx.recv().ok());
+                                core.answer(take, ctx.secs(Instant::now()));
+                                continue;
+                            }
+                        };
+                    idle = false;
+                    ctx.metrics.occupancy.add(-1);
+                    if let Err(e) = worker.take(&mut core, pre) {
+                        break Err(e);
+                    }
+                }
+                Step::Leave => break Ok(()),
+            }
+        };
+        // Whichever way the loop ended, what is open is settled once and
+        // what is owed is said. A request still out is answered once the head
+        // has heard that, and what it brings is owed back too.
+        let dead = ctx.site_dead();
+        if let Some(jobs) = if dead { None } else { core.settle(revoked) } {
+            worker.settle(&mut core, jobs);
+        }
+        while let Some(owed) = core.leave(dead) {
+            reports.done(owed.done, ctx.site);
+            for job in owed.failed {
+                reports.fail(job, ctx.site);
+            }
+            let Some(rx) = answer.take() else { break };
+            core.answer(rx.recv().ok(), 0.0);
+        }
+        if let Some((to_fetch, fetched)) = executor {
+            drop(to_fetch);
+            landed.into_iter().chain(fetched.iter()).for_each(|_| ctx.metrics.occupancy.add(-1));
+        }
+        outcome?;
+        Ok(worker.finish())
+    })
 }
 
-/// What a slave carries from one job to the next, and the
-/// process-and-commit half that the serial and pipelined loops share.
+/// The master's answer if it is in: `Some(None)` when it never will be.
+fn answered(rx: &Receiver<Take>) -> Option<Option<Take>> {
+    match rx.try_recv() {
+        Ok(take) => Some(Some(take)),
+        Err(TryRecvError::Disconnected) => Some(None),
+        Err(TryRecvError::Empty) => None,
+    }
+}
+
+/// What a slave carries from one job to the next, and the app-typed half of
+/// its work: decode and reduce, commit or re-reduce from the verdicts.
 struct Worker<'a, R: Reduction> {
     app: &'a R,
     ctx: &'a SlaveCtx,
     reports: &'a ReportSink<'a>,
-    /// Where completions nobody waits on go; the job source sends them with
-    /// its next request.
-    done: &'a DoneList,
     config: &'a RuntimeConfig,
     /// The worker's accumulator. On the isolated path it only ever holds
     /// whole jobs the head accepted.
@@ -1294,14 +1231,9 @@ struct Worker<'a, R: Reduction> {
     /// left it half-applied.
     scratch: Option<R::RObj>,
     /// The open jobs' decoded units, one job after the other, kept until
-    /// their verdicts because `commit`/`discard` walk them.
+    /// their verdicts because `commit`/`discard` walk them; the core holds
+    /// each job's range.
     items: Vec<R::Item>,
-    /// Ack-gated jobs reduced into the scratch and not reported yet, oldest
-    /// first, each with its share of `items`.
-    open: Vec<(ChunkId, std::ops::Range<usize>)>,
-    /// When the oldest open job began: all are settled a quantum later at
-    /// the latest, however many the batch still holds.
-    opened: Instant,
     /// The slave's share of the run report, folded from what it `note`s.
     stats: SlaveSample,
     slowdown: f64,
@@ -1313,7 +1245,6 @@ impl<'a, R: Reduction> Worker<'a, R> {
         app: &'a R,
         ctx: &'a SlaveCtx,
         reports: &'a ReportSink<'a>,
-        done: &'a DoneList,
         config: &'a RuntimeConfig,
     ) -> Worker<'a, R> {
         let chaos = ctx.chaos.as_deref();
@@ -1321,52 +1252,61 @@ impl<'a, R: Reduction> Worker<'a, R> {
             app,
             ctx,
             reports,
-            done,
             config,
             robj: app.make_robj(),
             isolate: ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. }),
             scratch: None,
             items: Vec::new(),
-            open: Vec::new(),
-            opened: ctx.epoch,
             stats: SlaveSample::default(),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
             site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
         }
     }
 
-    /// Whatever goes wrong with a granted job — retrieval error or a panic
-    /// inside the application's decode/reduce — it must be reported to the
-    /// head, or its masters would poll for it forever.
-    fn fail_job(&self, job: &LocalJob, e: RunError) -> Result<(), RunError> {
-        self.reports.fail(job.chunk.id, self.ctx.site);
-        match self.config.fault_policy {
-            FaultPolicy::FailFast => Err(e),
-            FaultPolicy::Retry { .. } => Ok(()), // head requeues/abandons
+    /// Take over a fetched job: fenced by the core at the hand-off,
+    /// processed, and its outcome told to the core. Whatever goes wrong with
+    /// it — retrieval error or a panic inside the application's
+    /// decode/reduce — is reported to the head, or its masters would poll for
+    /// it forever; under `FailFast` it ends the slave.
+    fn take(&mut self, core: &mut SlaveCore, pre: FetchedJob) -> Result<(), RunError> {
+        let (ctx, job) = (self.ctx, pre.job.chunk.id);
+        if !core.hand_off(job, |chunk| ctx.revoked(chunk)) {
+            ctx.metrics.dropped.inc();
+            return Ok(());
         }
+        match self.process_job(pre) {
+            Ok((items, began, ended)) => {
+                core.processed(job, items, ctx.secs(began), ctx.secs(ended));
+            }
+            Err(e) => {
+                core.failed();
+                self.reports.fail(job, ctx.site);
+                // Under the retry policy the head requeues or abandons it.
+                if self.config.fault_policy == FaultPolicy::FailFast {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Report every open job in one exchange and act on the head's verdicts.
-    /// All merged — nearly always — the scratch holds exactly what the head
+    /// Report `jobs` in one exchange and act on the head's verdicts. All
+    /// merged — nearly always — the scratch holds exactly what the head
     /// accepted and is committed in one walk over the batch's units. If a job
     /// was refused, was revoked while it was open (it lost its race: neither
     /// reported nor merged), or a panic cost the scratch, what the scratch
     /// holds is thrown away and each accepted job is reduced and committed
-    /// again on its own. A dead site says nothing.
-    fn settle(&mut self) {
-        if self.open.is_empty() || self.ctx.site_dead() {
-            return;
-        }
+    /// again on its own.
+    fn settle(&mut self, core: &mut SlaveCore, jobs: Vec<ChunkId>) {
         let (app, ctx) = (self.app, self.ctx);
-        let n_open = self.open.len();
-        self.open.retain(|(job, _)| !ctx.revoked(*job));
         let mut verdicts = Vec::new();
-        if !self.open.is_empty() {
-            ctx.metrics.settle_jobs.observe(self.open.len() as u64);
-            verdicts = self.reports.settle(self.open.iter().map(|o| o.0).collect(), ctx.site);
+        if !jobs.is_empty() {
+            ctx.metrics.settle_jobs.observe(jobs.len() as u64);
+            verdicts = self.reports.settle(jobs, ctx.site);
         }
+        let (all_merged, merged) = core.settled(&verdicts);
         match &mut self.scratch {
-            Some(scratch) if verdicts.len() == n_open && verdicts.iter().all(|&merged| merged) => {
+            Some(scratch) if all_merged => {
                 app.commit(&mut self.robj, scratch, &self.items);
             }
             scratch => {
@@ -1374,7 +1314,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
                     app.discard(scratch, &self.items);
                 }
                 let unit_group = self.config.unit_group.max(1);
-                for ((job, range), _) in self.open.drain(..).zip(verdicts).filter(|(_, v)| *v) {
+                for (job, range) in merged {
                     let units = &self.items[range];
                     let scratch = scratch.get_or_insert_with(|| app.make_robj());
                     units.chunks(unit_group).for_each(|group| app.reduce_group(scratch, group));
@@ -1384,33 +1324,31 @@ impl<'a, R: Reduction> Worker<'a, R> {
                 }
             }
         }
-        self.open.clear();
         self.items.clear();
     }
 
-    /// Account for one retrieval, decode and reduce the chunk, sit out any
-    /// injected straggling, and leave the completion where its report picks
-    /// it up: with the slave's next request, or — ack-gated — open until
-    /// [`Worker::settle`]. `Break` means the site died under the job: stop
-    /// without reporting (the coordinator discards the accumulated robj and
-    /// the head re-runs everything this site was credited with).
-    fn process_job(&mut self, pre: FetchedJob) -> Result<ControlFlow<()>, RunError> {
+    /// Account for one retrieval, decode and reduce the chunk and sit out any
+    /// injected straggling. Returns the job's units in `items`, when it began
+    /// and when it ended. Without dedup no duplicate can exist, so the
+    /// completion is merged by construction and committed at once; ack-gated
+    /// its units stay until the verdict. After a panic the scratch and the
+    /// job's units are gone.
+    fn process_job(
+        &mut self,
+        pre: FetchedJob,
+    ) -> Result<(std::ops::Range<usize>, Instant, Instant), RunError> {
         let ctx = self.ctx;
         let FetchedJob { job, fetched, fetch_start, fetch_dur } = pre;
-        let job = &job;
-        let fetched = match fetched {
-            Ok(f) => f,
-            Err(e) => {
-                self.fail_job(job, e)?;
-                return Ok(ControlFlow::Continue(()));
-            }
-        };
+        let (job, fetched) = (&job, fetched?);
         let (bytes, remote, retries) =
             (fetched.bytes.len() as u64, fetched.remote, fetched.retries);
         if retries > 0 {
             let retried = Event::at(ns_since(ctx.epoch), EventKind::StorageRetry { retries });
             ctx.note(&mut self.stats, of_job(retried, job));
         }
+        // Emitted here rather than by the fetch executor, so a job fetched
+        // and never processed is in neither the event stream nor the tally
+        // folded from it; the span still carries the fetch's true timing.
         let fetch = EventKind::ChunkFetched { bytes, remote, retries };
         let fetch =
             Event::span(ns_between(ctx.epoch, fetch_start), fetch_dur.as_nanos() as u64, fetch);
@@ -1435,12 +1373,10 @@ impl<'a, R: Reduction> Worker<'a, R> {
             // The buffer's tail may hold garbage from the aborted decode,
             // and the scratch a half-applied job that no walk over those
             // items could undo: drop both. The jobs open before it are whole
-            // in the buffer: settle them now, one by one.
+            // in the buffer; the core settles them next.
             self.items.truncate(first);
             self.scratch = None;
-            self.settle();
-            self.fail_job(job, RunError::WorkerPanic(panic_msg(&*p)))?;
-            return Ok(ControlFlow::Continue(()));
+            return Err(RunError::WorkerPanic(panic_msg(&*p)));
         }
         let proc_dur = proc_start.elapsed();
         let processed = Event::span(
@@ -1463,32 +1399,16 @@ impl<'a, R: Reduction> Worker<'a, R> {
                 std::thread::sleep(Duration::from_micros(500));
             }
         }
-        if ctx.site_dead() {
-            return Ok(ControlFlow::Break(()));
-        }
-
-        if ctx.ack_gated {
-            if self.open.is_empty() {
-                self.opened = proc_start;
+        // No clock is read for a job nothing delayed.
+        let ended = if delay > 0.0 { Instant::now() } else { proc_start + proc_dur };
+        let items = first..self.items.len();
+        if !ctx.ack_gated {
+            if let Some(scratch) = &mut self.scratch {
+                self.app.commit(&mut self.robj, scratch, &self.items);
             }
-            self.open.push((job.chunk.id, first..self.items.len()));
-            // A job of a quantum or more is reported alone, and a straggler
-            // does not sit on its batch-mates' completions. No clock is read
-            // for a job nothing delayed.
-            let now = if delay > 0.0 { Instant::now() } else { proc_start + proc_dur };
-            if now.duration_since(self.opened).as_secs_f64() >= QUANTUM {
-                self.settle();
-            }
-            return Ok(ControlFlow::Continue(()));
+            self.items.clear();
         }
-        // Without dedup no duplicate can exist: the completion is merged by
-        // construction and rides the next request for jobs.
-        self.done.lock().push(job.chunk.id);
-        if let Some(scratch) = &mut self.scratch {
-            self.app.commit(&mut self.robj, scratch, &self.items);
-        }
-        self.items.clear();
-        Ok(ControlFlow::Continue(()))
+        Ok((items, proc_start, ended))
     }
 
     fn finish(mut self) -> (R::RObj, SlaveSample) {
@@ -1498,33 +1418,9 @@ impl<'a, R: Reduction> Worker<'a, R> {
     }
 }
 
-/// The serial slave loop (`pipeline_depth ≤ 1`): pull, fetch, process,
-/// repeat — nothing in flight while the worker computes.
-fn run_slave_serial<R: Reduction>(
-    worker: &mut Worker<'_, R>,
-    mut source: JobSource<'_>,
-    router: &StoreRouter,
-) -> Result<(), RunError> {
-    let ctx = worker.ctx;
-    loop {
-        let Some(job) = source.take() else {
-            // The batch is used up: settle what is open before the request
-            // for the next can block — the head cannot drain without it.
-            worker.settle();
-            if source.refill().is_none() {
-                return Ok(());
-            }
-            continue;
-        };
-        if worker.process_job(FetchedJob::fetch(ctx, router, job))?.is_break() {
-            return Ok(());
-        }
-    }
-}
-
 /// A granted job and the outcome of retrieving its chunk — what the fetch
-/// half of a slave (its own loop, or the companion prefetcher) hands to
-/// [`Worker::process_job`].
+/// half of a slave (its own loop, or the fetch executor) hands to
+/// [`Worker::take`].
 struct FetchedJob {
     job: LocalJob,
     fetched: Result<Fetched, RunError>,
@@ -1533,110 +1429,14 @@ struct FetchedJob {
 }
 
 impl FetchedJob {
+    /// Retrieve `job`'s chunk; the job starts here, on the thread that
+    /// fetches it.
     fn fetch(ctx: &SlaveCtx, router: &StoreRouter, job: LocalJob) -> FetchedJob {
+        ctx.started(&job);
         let fetch_start = Instant::now();
         let fetched = router.fetch(ctx.site, &job.chunk);
         FetchedJob { job, fetched, fetch_start, fetch_dur: fetch_start.elapsed() }
     }
-}
-
-/// The pull+fetch half of a pipelined slave: pull jobs from the source and
-/// retrieve their chunks, handing each [`FetchedJob`] to the processing half
-/// over a bounded channel whose capacity enforces the pipeline depth. Runs
-/// until the source ends or the processing half says `stop` (abort or site
-/// death) and takes in what is on its way; should it hang up instead, the job
-/// that bounces goes back to the source, which settles it with the rest of
-/// its batch.
-fn prefetch_loop(
-    mut source: JobSource<'_>,
-    router: &StoreRouter,
-    ftx: Sender<FetchedJob>,
-    stop: &AtomicBool,
-) {
-    let ctx = source.ctx;
-    while !stop.load(Ordering::SeqCst) {
-        let Some(job) = source.next() else { return };
-        if let Err(bounced) = ftx.send(FetchedJob::fetch(ctx, router, job)) {
-            source.unstarted(bounced.0.job);
-            return;
-        }
-        ctx.metrics.pipeline(1);
-    }
-}
-
-/// The pipelined slave loop (`pipeline_depth ≥ 2`): a companion thread —
-/// one per slave for the whole run, not one per chunk — pulls and fetches
-/// ahead while this thread decodes and reduces, hiding retrieval behind
-/// computation.
-fn run_slave_pipelined<R: Reduction>(
-    worker: &mut Worker<'_, R>,
-    source: JobSource<'_>,
-    router: &StoreRouter,
-) -> Result<(), RunError> {
-    let ctx = worker.ctx;
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        // Depth d keeps one job processing here, one fetching on the
-        // companion, and d - 2 fetched-and-waiting in the channel (depth 2
-        // is a rendezvous channel: fetch exactly one ahead).
-        let (ftx, frx) = bounded::<FetchedJob>(worker.config.pipeline_depth - 2);
-        scope.spawn(|| prefetch_loop(source, router, ftx, &stop));
-        let mut drain = || -> Result<(), RunError> {
-            loop {
-                let pre = match frx.try_recv() {
-                    Ok(pre) => pre,
-                    Err(_) => {
-                        // With nothing fetched to take, the companion may be
-                        // waiting at the master, and the master on a head
-                        // that cannot call the run finished before it hears
-                        // of the jobs this half completed: say them now, the
-                        // companion's request being out without them.
-                        flush_done(ctx, worker.reports, worker.done);
-                        worker.settle();
-                        let Ok(pre) = frx.recv() else { return Ok(()) };
-                        pre
-                    }
-                };
-                ctx.metrics.pipeline(-1);
-                if ctx.site_dead() {
-                    return Ok(());
-                }
-                if ctx.revoked(pre.job.chunk.id) {
-                    // The fetch raced a revocation: the chunk was evacuated
-                    // or fenced while it sat buffered in the pipeline. Drop
-                    // it at the handoff instead of processing a result the
-                    // head would discard anyway.
-                    ctx.metrics.prefetch_dropped();
-                    continue;
-                }
-                // Fetch telemetry is emitted by `process_job` rather than by
-                // the companion, so a slave's unprocessed prefetches never
-                // show up in the event stream, nor in the slave's tally that
-                // is folded from it; the span still carries the companion's
-                // true fetch timing.
-                if worker.process_job(pre)?.is_break() {
-                    return Ok(());
-                }
-            }
-        };
-        let outcome = drain();
-        // Leaving on an error, say what was completed before it, for the
-        // same reason as above; then take in what the companion had fetched
-        // (it may be parked on a full channel) until it has seen `stop` and
-        // hung up, and hand each job back as its source does the unstarted
-        // ones — the head, which has no lease reaper in classic mode, would
-        // wait for them forever. A dead site says nothing.
-        stop.store(true, Ordering::SeqCst);
-        flush_done(ctx, worker.reports, worker.done);
-        worker.settle();
-        for pre in frx.iter() {
-            ctx.metrics.pipeline(-1);
-            if !ctx.site_dead() {
-                worker.reports.fail(pre.job.chunk.id, ctx.site);
-            }
-        }
-        outcome
-    })
 }
 
 fn sleep_secs(secs: f64) {
@@ -1659,6 +1459,7 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use cloudburst_core::slave::{MAX_BATCH, QUANTUM};
     use cloudburst_core::{reduce_serial, JobBatch, LayoutParams, Merge};
     use cloudburst_storage::{fraction_placement, organize, organize_redundant};
 
@@ -2018,10 +1819,12 @@ mod tests {
         assert!(master_tx.send(late).is_err(), "a later request has nowhere to go");
     }
 
-    /// A store that fails the `n`-th read after it is armed with `n`.
+    /// A store that fails the `n`-th read after it is armed with `n`, and
+    /// remembers the offset that read was for.
     struct FusedStore {
         inner: Arc<dyn ChunkStore>,
         reads_left: std::sync::atomic::AtomicI64,
+        blown_at: std::sync::atomic::AtomicU64,
     }
 
     impl ChunkStore for FusedStore {
@@ -2035,6 +1838,7 @@ mod tests {
             len: cloudburst_core::ByteSize,
         ) -> std::io::Result<Bytes> {
             if self.reads_left.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
+                self.blown_at.store(offset, std::sync::atomic::Ordering::SeqCst);
                 return Err(std::io::Error::other("injected: fuse blown"));
             }
             self.inner.read(file, offset, len)
@@ -2054,8 +1858,11 @@ mod tests {
         let frac = if site == SiteId::LOCAL { 1.0 } else { 0.0 };
         let org = organize(&data, params, &mut fraction_placement(frac, 1)).unwrap();
         let inner = Arc::new(org.stores[&site].clone()) as Arc<dyn ChunkStore>;
-        let fused =
-            FusedStore { inner, reads_left: std::sync::atomic::AtomicI64::new(i64::MAX / 2) };
+        let fused = FusedStore {
+            inner,
+            reads_left: std::sync::atomic::AtomicI64::new(i64::MAX / 2),
+            blown_at: std::sync::atomic::AtomicU64::new(u64::MAX),
+        };
         (org.index, Arc::new(fused))
     }
 
@@ -2197,12 +2004,13 @@ mod tests {
     #[test]
     fn a_slave_that_errors_out_mid_batch_says_what_it_finished_and_hands_the_rest_back() {
         // A scripted master gives the slave what it asks for; the store
-        // fails the second job of the first batch that has at least four.
-        // The slave (FailFast) must return that error having reported the
-        // batch's first job complete, the second failed, and every job it
+        // fails the second read after the first batch of at least four was
+        // granted (serially, that batch's second job). The slave (FailFast)
+        // must return that error having reported every job fetched before
+        // that read complete, the job it failed failed, and every job it
         // was granted and never processed failed too — what was still
-        // waiting in its batch and, pipelined, what its companion had
-        // already fetched — to the head directly or through its master,
+        // waiting in its batch and, pipelined, what its fetch executor had
+        // in hand — to the head directly or through its master,
         // whichever its reports go to, and whether or not a report waits for
         // verdicts (the fatal batch's first job is then still open when the
         // error strikes).
@@ -2239,16 +2047,25 @@ mod tests {
             assert_eq!(wants[0], 1, "{what}: nothing is known before the first job");
             assert!(wants.iter().all(|&w| (1..=MAX_BATCH).contains(&w)), "{what}: {wants:?}");
             assert!(batch_len >= 4, "{what}: 160-byte jobs are asked for in batches, {wants:?}");
-            // Everything before the fatal batch, plus its first job, is done;
-            // its second job and the ones behind it are failed.
+            // Chunks are fetched in grant order, so what was fetched before
+            // the failed read is done, and the job it failed and every job
+            // granted behind it are failed, each exactly once. Serially the
+            // failed read is the fatal batch's second job; a deeper pipeline
+            // fetches and asks ahead, so it may strike earlier in grant order.
+            let blown_at = store.blown_at.load(std::sync::atomic::Ordering::SeqCst);
+            let k = index.chunks.iter().position(|c| c.offset == blown_at).expect("a read failed");
+            if depth == 1 {
+                assert_eq!(k, granted - batch_len + 1, "{what}: the fatal batch's second job");
+            }
+            let ids = |chunks: &[cloudburst_core::ChunkMeta]| -> Vec<ChunkId> {
+                chunks.iter().map(|c| c.id).collect()
+            };
             let (mut done, mut failed) = (seen.reported(), seen.failed);
-            assert_eq!(done.len(), granted - batch_len + 1, "{what}");
-            assert_eq!(failed.len(), batch_len - 2 + 1, "{what}: handed back, plus the error");
             done.sort_unstable();
             failed.sort_unstable();
-            let expected: Vec<ChunkId> = index.chunks[..granted].iter().map(|c| c.id).collect();
-            done.extend(failed);
-            assert_eq!(done, expected, "{what}: every granted job is settled exactly once");
+            assert_eq!(done, ids(&index.chunks[..k]), "{what}: fetched before the failed read");
+            let rest = ids(&index.chunks[k..granted]);
+            assert_eq!(failed, rest, "{what}: the error, and the rest handed back");
         }
     }
 
@@ -2301,17 +2118,23 @@ mod tests {
             reports
         });
         let ctx = local_ctx(true, None, None);
-        let (reports, done) = (ReportSink::Head(&head_tx), DoneList::default());
-        let mut worker = Worker::new(&SumApp, &ctx, &reports, &done, &config);
-        for &chunk in &index.chunks {
-            let job = LocalJob { chunk, stolen: false, span: 0 };
-            assert!(worker
-                .process_job(FetchedJob::fetch(&ctx, &router, job))
-                .unwrap()
-                .is_continue());
+        let reports = ReportSink::Head(&head_tx);
+        let mut worker = Worker::new(&SumApp, &ctx, &reports, &config);
+        let mut core = SlaveCore::new(1, true, None);
+        let jobs = index.chunks.iter().map(|&chunk| LocalJob { chunk, stolen: false, span: 0 });
+        core.answer(Some(Take::Jobs(jobs.collect())), 0.0);
+        loop {
+            match core.poll(false, |_| false) {
+                Step::Fetch(job) => {
+                    worker.take(&mut core, FetchedJob::fetch(&ctx, &router, job)).unwrap();
+                }
+                Step::Settle(jobs) => worker.settle(&mut core, jobs),
+                Step::Ask => break,
+                step => panic!("{step:?}"),
+            }
         }
-        worker.settle();
-        assert!(worker.open.is_empty() && worker.items.is_empty());
+        // An ask with nothing in flight comes after the open jobs' settle.
+        assert!(worker.items.is_empty() && core.in_flight() == 0);
         assert_eq!(worker.scratch, Some(SumObj(0)), "the scratch is fresh after the verdicts");
         assert_eq!(worker.robj, SumObj(chunk_sum(0) + chunk_sum(2)));
         let rereduced = worker.stats.rereduced;
@@ -2323,7 +2146,7 @@ mod tests {
         // whatever shared a message with the duplicate was reduced again.)
         let mates = reports.iter().find(|r| r.contains(&duplicate)).unwrap().len() as u64 - 1;
         assert_eq!(rereduced, mates);
-        assert!(done.lock().is_empty(), "no completion of an ack-gated slave rides a request");
+        assert!(core.ask(0.0).1.is_empty(), "no completion of an ack-gated slave rides a request");
     }
 
     #[test]
@@ -2424,8 +2247,8 @@ mod tests {
 
     #[test]
     fn a_job_revoked_while_it_waits_in_the_slaves_batch_is_dropped_before_its_fetch() {
-        // Depth 1: the serial slave fences at the batch boundary like the
-        // prefetcher does. The master hands out a batch and the head revokes
+        // Depth 1: the slave fences at the batch boundary. The master hands
+        // out a batch and the head revokes
         // its second job before the slave gets to it.
         let (index, store) = fused_setup(200, SiteId::LOCAL);
         let plane = one_slave(store, 1, FaultPolicy::FailFast);
@@ -2890,7 +2713,7 @@ mod tests {
     #[test]
     fn pipelined_crash_leaks_are_recovered_by_lease_reaping() {
         // A crashing worker abandons not just the job it pulled but its
-        // companion's whole prefetched pipeline; the reaper must recover
+        // whole fetched pipeline; the reaper must recover
         // every leaked grant and the run must still be exact.
         let units = 2048;
         let (index, stores) = setup(units, 0.5, 4);

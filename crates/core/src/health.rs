@@ -109,18 +109,19 @@ impl HealthConfig {
     /// keys keep their defaults.
     ///
     /// # Errors
-    /// Unknown keys and unparseable values are rejected with a message
-    /// naming the offending clause.
+    /// Unknown keys, unparseable values and thresholds that are negative or
+    /// not finite are rejected with a message naming the offending clause.
     pub fn parse_spec(spec: &str) -> Result<HealthConfig, String> {
         let mut config = HealthConfig::default();
         for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
             let (key, value) = clause
                 .split_once('=')
                 .ok_or_else(|| format!("health clause `{clause}`: expected key=value"))?;
-            let f = || {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("health clause `{clause}`: bad number `{value}`"))
+            // Every threshold is a ratio, rate or factor: finite and >= 0.
+            let f = || match value.parse::<f64>() {
+                Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+                Ok(_) => Err(format!("health clause `{clause}`: `{value}` is not finite and >= 0")),
+                Err(_) => Err(format!("health clause `{clause}`: bad number `{value}`")),
             };
             match key {
                 "straggler" => config.straggler_ratio = f()?,
@@ -596,6 +597,25 @@ mod tests {
             ["\"status\"", "\"degraded\"", "\"detectors\"", "\"timeline\"", "\"queue-stall\""]
         {
             assert!(text.contains(key), "health document is missing {key}: {text}");
+        }
+    }
+
+    #[test]
+    fn spec_parser_rejects_thresholds_that_are_not_finite_and_non_negative() {
+        for (spec, ok) in [
+            ("straggler=0", true),
+            ("wan=2.5", true),
+            ("reaps=inf", false),
+            ("imbalance=NaN", false),
+            ("straggler=-0.5", false),
+            ("wan=-inf", false),
+            ("reaps=1e400", false),
+        ] {
+            let parsed = HealthConfig::parse_spec(spec);
+            assert_eq!(parsed.is_ok(), ok, "{spec}: {parsed:?}");
+            if let Err(e) = parsed {
+                assert!(e.contains(&format!("`{spec}`")), "{spec}: the message names it: {e}");
+            }
         }
     }
 

@@ -17,7 +17,8 @@
 //!   [`index`]);
 //! * the head node's global **job pool** with locality-aware consecutive
 //!   batching and inter-cluster **work stealing** behind one sized grant
-//!   ([`pool`]), and the per-site master pool ([`master`]);
+//!   ([`pool`]), the per-site master pool ([`master`]) and the slave's
+//!   protocol state ([`slave`]);
 //! * the experiment **environment configurations** ([`config`]) and the
 //!   **statistics model** matching the paper's figures and tables
 //!   ([`stats`]);
@@ -60,6 +61,7 @@ pub mod master;
 pub mod metrics;
 pub mod pool;
 pub mod reduction;
+pub mod slave;
 pub mod stats;
 pub mod telemetry;
 pub mod types;
@@ -89,6 +91,7 @@ pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};
 pub use reduction::{
     coded_combine, global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject,
 };
+pub use slave::SlaveCore;
 pub use stats::{
     assemble_report, assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport,
     SiteSample, SiteStats, SlaveSample,

@@ -110,7 +110,7 @@ pub fn ask_size(floor: usize, window: usize, outstanding: usize) -> usize {
 }
 
 /// Fold `sample` into the running mean `est` with weight `1 / weight`.
-fn ewma(est: &mut Option<Seconds>, sample: Seconds, weight: f64) {
+pub(crate) fn ewma(est: &mut Option<Seconds>, sample: Seconds, weight: f64) {
     *est = Some(est.map_or(sample, |e| e + (sample - e) / weight));
 }
 

@@ -167,7 +167,7 @@ OBSERVABILITY:
 
 PIPELINING:
   --pipeline-depth D  jobs in flight per slave (default 1). Depth 2+ gives
-                      each slave a companion prefetcher so the next chunk's
+                      each slave a fetch executor so the next chunk's
                       retrieval overlaps the current chunk's processing;
                       results are identical at every depth
 
@@ -1787,6 +1787,15 @@ fn parse_chaos(
     fn num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, String> {
         v.parse().map_err(|_| format!("invalid {what} `{v}` in --chaos"))
     }
+    /// A time, delay, factor or rate: finite and >= 0, or > 0 when `positive`.
+    fn real(clause: &str, v: &str, what: &str, positive: bool) -> Result<f64, String> {
+        let x: f64 = num(v, what)?;
+        if x.is_finite() && if positive { x > 0.0 } else { x >= 0.0 } {
+            return Ok(x);
+        }
+        let bound = if positive { "> 0" } else { ">= 0" };
+        Err(format!("chaos clause `{clause}`: {what} `{v}` is not finite and {bound}"))
+    }
     fn triple(v: &str) -> Result<(&str, &str, &str), String> {
         let mut it = v.splitn(3, ':');
         match (it.next(), it.next(), it.next()) {
@@ -1803,12 +1812,18 @@ fn parse_chaos(
             .ok_or_else(|| format!("chaos clause `{clause}` is not key=value"))?;
         match key {
             "seed" => plan.seed = num(val, "seed")?,
-            "storage" => plan.storage_error_rate = num(val, "storage error rate")?,
+            "storage" => {
+                plan.storage_error_rate = real(clause, val, "storage error rate", false)?;
+                if plan.storage_error_rate > 1.0 {
+                    return Err(format!("chaos clause `{clause}`: a rate is at most 1"));
+                }
+            }
             "outage" => {
                 let (s, at) = val
                     .split_once('@')
                     .ok_or_else(|| format!("outage clause `{val}` wants SITE@SECONDS"))?;
-                plan.site_outage = Some(SiteOutage { site: site(s)?, at: num(at, "outage time")? });
+                let at = real(clause, at, "outage time", false)?;
+                plan.site_outage = Some(SiteOutage { site: site(s)?, at });
             }
             "slow" => {
                 // Two forms, told apart by field count: SITE:FACTOR slows a
@@ -1817,15 +1832,15 @@ fn parse_chaos(
                 match val.split(':').count() {
                     2 => {
                         let (s, f) = val.split_once(':').expect("two fields");
-                        plan.slow_sites
-                            .push(SlowSite { site: site(s)?, factor: num(f, "slowdown factor")? });
+                        let factor = real(clause, f, "slowdown factor", false)?;
+                        plan.slow_sites.push(SlowSite { site: site(s)?, factor });
                     }
                     3 => {
                         let (s, w, d) = triple(val)?;
                         plan.slow_workers.push(SlowWorker {
                             site: site(s)?,
                             worker: num(w, "worker index")?,
-                            delay_per_job: num(d, "delay")?,
+                            delay_per_job: real(clause, d, "delay", false)?,
                         });
                     }
                     _ => {
@@ -1848,8 +1863,8 @@ fn parse_chaos(
                     .split_once(':')
                     .ok_or_else(|| format!("hb clause `{val}` wants INTERVAL:TIMEOUT"))?;
                 hb = Some(HeartbeatConfig {
-                    interval: num(i, "heartbeat interval")?,
-                    timeout: num(t, "heartbeat timeout")?,
+                    interval: real(clause, i, "heartbeat interval", true)?,
+                    timeout: real(clause, t, "heartbeat timeout", true)?,
                 });
             }
             "lease" => {
@@ -1858,10 +1873,10 @@ fn parse_chaos(
                     return Err(format!("lease clause `{val}` wants BASE:MIN:MAX:MULT"));
                 };
                 lease = Some(LeaseConfig {
-                    base: num(b, "lease base")?,
-                    min: num(min, "lease min")?,
-                    max: num(max, "lease max")?,
-                    multiplier: num(m, "lease multiplier")?,
+                    base: real(clause, b, "lease base", false)?,
+                    min: real(clause, min, "lease min", false)?,
+                    max: real(clause, max, "lease max", false)?,
+                    multiplier: real(clause, m, "lease multiplier", false)?,
                 });
             }
             other => return Err(format!("unknown chaos clause `{other}`")),
@@ -2062,6 +2077,42 @@ fn run_simulation(artifact: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chaos_specs_with_numbers_out_of_range_are_refused_by_clause() {
+        // Every spec verify.sh runs with parses.
+        for spec in [
+            "seed=5,storage=0.2,slow=cloud:0:0.5,crash=local:1:2,lease=0.004:0.004:0.02:8,hb=0.05:30",
+            "seed=7,outage=cloud@0.02,hb=0.005:0.03",
+            "seed=5,outage=cloud@0.1,slow=local:0:0.02,hb=0.01:0.25",
+            "seed=5,lease=0.0005:0.0005:0.001:1,slow=cloud:40",
+            "storage=0,storage=1,slow=cloud:0,outage=local@0",
+        ] {
+            assert!(parse_chaos(spec).is_ok(), "{spec}: {:?}", parse_chaos(spec).err());
+        }
+        for clause in [
+            "slow=local:0:inf",
+            "slow=local:0:-1",
+            "slow=local:0:nan",
+            "slow=cloud:NaN",
+            "slow=cloud:-2",
+            "hb=inf:1",
+            "hb=0.1:0",
+            "hb=0:1",
+            "hb=-1:1",
+            "storage=nan",
+            "storage=-1",
+            "storage=2",
+            "outage=cloud@nan",
+            "outage=cloud@-1",
+            "outage=cloud@inf",
+            "lease=0.1:0.1:inf:2",
+            "lease=0.1:-0.1:1:2",
+        ] {
+            let err = parse_chaos(&format!("seed=1,{clause}")).expect_err(clause);
+            assert!(err.contains(&format!("`{clause}`")), "{clause}: the message names it: {err}");
+        }
+    }
 
     #[test]
     fn pool_wait_advice_names_what_is_left_of_the_grant_path() {

@@ -93,6 +93,28 @@ for call in 'HeadOptions::of(' 'merge_site_outcome(' 'run_slave('; do
     fi
 done
 
+echo "== hygiene: one slave"
+# A slave's protocol is written once, as `SlaveCore` (core/src/slave.rs): pure
+# logic with no clock, channel, thread or lock, carried out by one driver loop
+# (`runtime::run_slave`). The job source, its done list and the serial and
+# pipelined loops coming back under any of their names, a second
+# `fn run_slave`, or the core reaching for a clock, a thread, a channel or a
+# lock fails the run.
+if grep -rnwE 'JobSource|DoneList|flush_done|run_slave_serial|run_slave_pipelined|prefetch_loop' \
+    crates src tests; then
+    echo "a deleted slave loop or its job source is back: drive SlaveCore from runtime::run_slave"
+    exit 1
+fi
+if [[ $(grep -rnw 'fn run_slave' crates src | wc -l) -ne 1 ]]; then
+    grep -rnw 'fn run_slave' crates src
+    echo "there is not exactly one slave loop"
+    exit 1
+fi
+if grep -nE 'Instant|std::thread|crossbeam|Mutex|Atomic' crates/core/src/slave.rs; then
+    echo "core/src/slave.rs reaches for a clock, a thread, a channel or a lock: it is sans-IO"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -118,6 +140,16 @@ echo "== the pool: exactly-once proptests at 256 cases"
 # soundness: no terminal grant before every job is done or abandoned.
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test pool_props
 
+echo "== the slave: its core on a virtual clock at 256 cases"
+# Depth 1 and 3, random grants, failed fetches, panics, refused verdicts,
+# revocations in the batch, at the hand-off and while open, a crash budget and
+# site death: every granted job ends exactly once (reported, failed back,
+# dropped as revoked, or leaked by a crash or a death), the first want is 1
+# and every want at most 64, no open job outlives a quantum plus the job that
+# overran it, nothing is held after leaving.
+PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test slave_core_props
+cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --lib slave::tests
+
 echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
 # Already part of `cargo test` above; named here so a failure says what
 # broke: the tiled AVX2 kernel and the `local_reduce` fold must agree on
@@ -128,11 +160,12 @@ echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
     && cargo test -q "${CARGO_FLAGS[@]}" --test e2e_apps kmeans; } \
     || { echo "k-means kernel differs from the reference loop"; exit 1; }
 
-echo "== slave quantum: hand-back, fencing at the batch boundary, the mailbox, batch sizes per transport, verdicts by the quantum"
+echo "== slave quantum: the driver's hand-back, fencing, the mailbox, batch sizes per transport, verdicts by the quantum"
 # Already part of `cargo test` above; named here so a failure says which
-# promise broke: a slave that errors out mid-batch settles every granted job
-# exactly once at depth 1 and 3, acked or not (scripted master, then both
-# runtimes end to end within a second), a job revoked in the slave's batch is
+# promise of the driver over `SlaveCore` broke: a slave that errors out
+# mid-batch settles every granted job exactly once at depth 1 and 3, acked or
+# not (scripted master, then both runtimes end to end within a second), a job
+# revoked in the slave's batch is
 # dropped before its fetch, a request in a dead master's mailbox fails at
 # once, jobs of two quanta go one per hand-off and 160-byte jobs a quantum at
 # a time, never over 64. Ack-gated, a hand-off of jobs is settled in one
