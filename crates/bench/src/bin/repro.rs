@@ -15,10 +15,7 @@
 //! attribution per pipeline depth, and rewrites `BENCH_runtime.json`;
 //! `all` includes it, so the bench artifact always tracks the tree.)
 
-use cloudburst_sim::figures::{
-    fig3, fig4, fig4_cumulative_efficiencies, fig4_efficiencies, summary, table1, table2,
-    Table1Row, Table2Row,
-};
+use cloudburst_sim::figures::print_artifact;
 use cloudburst_sim::{
     burst_frontier, simulate_multi, simulate_multi_traced, Activity, AppModel, MultiEnv,
     PricingModel, SimParams,
@@ -30,49 +27,23 @@ fn main() {
     let params = SimParams::paper();
 
     let apps = AppModel::paper_trio();
-    let by_letter = |c: char| match c {
-        'a' => AppModel::knn(),
-        'b' => AppModel::kmeans(),
-        _ => AppModel::pagerank(),
-    };
-
     match what {
-        "fig3a" | "fig3b" | "fig3c" => {
-            let app = by_letter(what.chars().last().unwrap());
-            print_fig3(&app, &params);
-        }
-        "fig4a" | "fig4b" | "fig4c" => {
-            let app = by_letter(what.chars().last().unwrap());
-            print_fig4(&app, &params);
-        }
         "cost" => print_cost(&apps, &params),
         "trace" => print_trace(&params),
         "runtime" => print_runtime(),
         "ablation" => print_ablation(&params),
-        "table1" => print_table1(&apps, &params),
-        "table2" => print_table2(&apps, &params),
-        "summary" => print_summary(&params),
         "all" => {
-            for app in &apps {
-                print_fig3(app, &params);
-            }
-            print_table1(&apps, &params);
-            print_table2(&apps, &params);
-            for app in &apps {
-                print_fig4(app, &params);
-            }
-            print_summary(&params);
+            print_artifact("all", &params).expect("`all` is a paper artifact");
             print_cost(&apps, &params);
             print_trace(&params);
             print_ablation(&params);
             print_runtime();
         }
-        other => {
-            eprintln!("unknown artifact `{other}`");
-            eprintln!(
-                "expected: fig3a fig3b fig3c table1 table2 fig4a fig4b fig4c summary cost trace ablation runtime all"
-            );
-            std::process::exit(2);
+        paper => {
+            if let Err(e) = print_artifact(paper, &params) {
+                eprintln!("{e}; repro also prints: cost trace ablation runtime");
+                std::process::exit(2);
+            }
         }
     }
 }
@@ -116,90 +87,6 @@ fn print_runtime() {
 
     let out = write_runtime_artifact(&report, &sweep);
     println!("\nwrote {out}");
-}
-
-fn print_fig3(app: &AppModel, params: &SimParams) {
-    let reports = fig3(app, params);
-    println!("\n=== Figure 3 ({}) — execution-time breakdown (seconds) ===", app.name);
-    println!(
-        "{:<12} {:>12} {:>12} {:>10} {:>10}",
-        "env", "processing", "retrieval", "sync", "total"
-    );
-    for r in &reports {
-        let b = r.overall_breakdown();
-        println!(
-            "{:<12} {:>12.1} {:>12.1} {:>10.1} {:>10.1}",
-            r.env, b.processing, b.retrieval, b.sync, r.total_time
-        );
-    }
-    let base = reports[0].total_time;
-    let ratios: Vec<String> = reports[2..]
-        .iter()
-        .map(|r| format!("{}: {:+.1}%", r.env, 100.0 * (r.total_time - base) / base))
-        .collect();
-    println!("slowdown vs env-local: {}", ratios.join("  "));
-}
-
-fn print_table1(apps: &[AppModel], params: &SimParams) {
-    println!("\n=== Table I — job assignment per application ===");
-    println!(
-        "{:<10} {:<11} {:>11} {:>11} {:>14} {:>14}",
-        "app", "env", "local jobs", "cloud jobs", "local stolen", "cloud stolen"
-    );
-    for Table1Row { app, env, local_jobs, cloud_jobs, local_stolen, cloud_stolen } in
-        table1(apps, params)
-    {
-        println!(
-            "{app:<10} {env:<11} {local_jobs:>11} {cloud_jobs:>11} {local_stolen:>14} {cloud_stolen:>14}"
-        );
-    }
-}
-
-fn print_table2(apps: &[AppModel], params: &SimParams) {
-    println!("\n=== Table II — overheads and slowdowns (seconds) ===");
-    println!(
-        "{:<10} {:<11} {:>10} {:>11} {:>11} {:>10} {:>9}",
-        "app", "env", "glob.red.", "idle local", "idle cloud", "slowdown", "ratio"
-    );
-    for Table2Row {
-        app,
-        env,
-        global_reduction,
-        idle_local,
-        idle_cloud,
-        slowdown,
-        slowdown_ratio,
-    } in table2(apps, params)
-    {
-        println!(
-            "{app:<10} {env:<11} {global_reduction:>10.2} {idle_local:>11.1} {idle_cloud:>11.1} {slowdown:>10.1} {:>8.1}%",
-            100.0 * slowdown_ratio
-        );
-    }
-}
-
-fn print_fig4(app: &AppModel, params: &SimParams) {
-    let reports = fig4(app, params);
-    println!("\n=== Figure 4 ({}) — scalability, all data in S3 ===", app.name);
-    println!(
-        "{:<10} {:>12} {:>12} {:>10} {:>10}",
-        "(m,m)", "processing", "retrieval", "sync", "total"
-    );
-    for r in &reports {
-        let b = r.overall_breakdown();
-        println!(
-            "{:<10} {:>12.1} {:>12.1} {:>10.1} {:>10.1}",
-            r.env, b.processing, b.retrieval, b.sync, r.total_time
-        );
-    }
-    let effs: Vec<String> =
-        fig4_efficiencies(&reports).iter().map(|e| format!("{:.1}%", 100.0 * e)).collect();
-    println!("per-doubling efficiency: {}", effs.join("  "));
-    let cums: Vec<String> = fig4_cumulative_efficiencies(&reports)
-        .iter()
-        .map(|e| format!("{:.1}%", 100.0 * e))
-        .collect();
-    println!("cumulative efficiency vs (4,4) [paper's bar labels]: {}", cums.join("  "));
 }
 
 fn print_cost(apps: &[AppModel], params: &SimParams) {
@@ -283,17 +170,4 @@ fn print_trace(params: &SimParams) {
         })
         .collect();
     println!("\nfleet utilization over time: [{bars}]  (total {:.1}s)", report.total_time);
-}
-
-fn print_summary(params: &SimParams) {
-    let s = summary(params);
-    println!("\n=== Headline summary (paper: 15.55% avg slowdown, 81% scaling) ===");
-    println!(
-        "average slowdown of cloud bursting vs centralized: {:.2}%",
-        100.0 * s.avg_slowdown_ratio
-    );
-    println!(
-        "average per-doubling scaling efficiency:           {:.1}%",
-        100.0 * s.avg_scaling_efficiency
-    );
 }

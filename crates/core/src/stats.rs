@@ -201,7 +201,7 @@ pub struct SiteSample {
 /// mean intra-site barrier (waiting for the slowest sibling slave) plus the
 /// local combination plus the end-of-run idle wait for the slowest *site*.
 /// The site's remote bytes and retries are its slaves' summed. Both threaded
-/// runtimes and the telemetry aggregator
+/// runtimes, the simulator and the telemetry aggregator
 /// ([`crate::telemetry::derive_report`]) come here through
 /// [`assemble_report`].
 #[must_use]

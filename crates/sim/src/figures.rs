@@ -7,6 +7,9 @@
 //! | [`table2`] | Table II: global reduction, idle times, total slowdown |
 //! | [`fig4`] | Fig. 4(a/b/c): scalability, all data in S3, (m, m) cores |
 //! | [`summary`] | headline numbers: 15.55% average slowdown, 81% scaling |
+//!
+//! [`print_artifact`] prints any of them as the tables `repro` and
+//! `cloudburst simulate` show.
 
 use crate::model::AppModel;
 use crate::params::SimParams;
@@ -175,6 +178,129 @@ pub fn summary(params: &SimParams) -> Summary {
     Summary { avg_slowdown_ratio, avg_scaling_efficiency }
 }
 
+/// Print one paper artifact — `fig3a`/`b`/`c` (knn, kmeans, pagerank),
+/// `table1`, `table2`, `fig4a`/`b`/`c`, `summary` — or `all` of them, as
+/// tables on stdout: the one printer behind `repro` and `cloudburst
+/// simulate`.
+///
+/// # Errors
+/// Fails on any other name, printing nothing.
+pub fn print_artifact(name: &str, params: &SimParams) -> Result<(), String> {
+    const ALL: [&str; 9] =
+        ["fig3a", "fig3b", "fig3c", "table1", "table2", "fig4a", "fig4b", "fig4c", "summary"];
+    let apps = AppModel::paper_trio();
+    let by_letter = |name: &str| match name.chars().last() {
+        Some('a') => AppModel::knn(),
+        Some('b') => AppModel::kmeans(),
+        _ => AppModel::pagerank(),
+    };
+    match name {
+        "fig3a" | "fig3b" | "fig3c" => print_fig3(&by_letter(name), params),
+        "fig4a" | "fig4b" | "fig4c" => print_fig4(&by_letter(name), params),
+        "table1" => print_table1(&apps, params),
+        "table2" => print_table2(&apps, params),
+        "summary" => print_summary(params),
+        "all" => ALL.iter().try_for_each(|a| print_artifact(a, params))?,
+        other => {
+            let known = ALL.join(" ");
+            return Err(format!("unknown artifact `{other}` (expected one of: {known} all)"));
+        }
+    }
+    Ok(())
+}
+
+/// A breakdown table under `title`: processing, retrieval, sync and total
+/// per run, after a first column `width` wide headed `first`.
+fn print_breakdown(title: &str, first: &str, width: usize, reports: &[RunReport]) {
+    println!("\n=== {title} ===");
+    let head = ["processing", "retrieval", "sync", "total"];
+    println!("{first:<width$} {:>12} {:>12} {:>10} {:>10}", head[0], head[1], head[2], head[3]);
+    for r in reports {
+        let b = r.overall_breakdown();
+        println!(
+            "{:<width$} {:>12.1} {:>12.1} {:>10.1} {:>10.1}",
+            r.env, b.processing, b.retrieval, b.sync, r.total_time
+        );
+    }
+}
+
+fn print_fig3(app: &AppModel, params: &SimParams) {
+    let reports = fig3(app, params);
+    let title = format!("Figure 3 ({}) — execution-time breakdown (seconds)", app.name);
+    print_breakdown(&title, "env", 12, &reports);
+    let base = reports[0].total_time;
+    let ratios: Vec<String> = reports[2..]
+        .iter()
+        .map(|r| format!("{}: {:+.1}%", r.env, 100.0 * (r.total_time - base) / base))
+        .collect();
+    println!("slowdown vs env-local: {}", ratios.join("  "));
+}
+
+fn print_table1(apps: &[AppModel], params: &SimParams) {
+    println!("\n=== Table I — job assignment per application ===");
+    println!(
+        "{:<10} {:<11} {:>11} {:>11} {:>14} {:>14}",
+        "app", "env", "local jobs", "cloud jobs", "local stolen", "cloud stolen"
+    );
+    for Table1Row { app, env, local_jobs, cloud_jobs, local_stolen, cloud_stolen } in
+        table1(apps, params)
+    {
+        println!(
+            "{app:<10} {env:<11} {local_jobs:>11} {cloud_jobs:>11} {local_stolen:>14} {cloud_stolen:>14}"
+        );
+    }
+}
+
+fn print_table2(apps: &[AppModel], params: &SimParams) {
+    println!("\n=== Table II — overheads and slowdowns (seconds) ===");
+    println!(
+        "{:<10} {:<11} {:>10} {:>11} {:>11} {:>10} {:>9}",
+        "app", "env", "glob.red.", "idle local", "idle cloud", "slowdown", "ratio"
+    );
+    for Table2Row {
+        app,
+        env,
+        global_reduction,
+        idle_local,
+        idle_cloud,
+        slowdown,
+        slowdown_ratio,
+    } in table2(apps, params)
+    {
+        println!(
+            "{app:<10} {env:<11} {global_reduction:>10.2} {idle_local:>11.1} {idle_cloud:>11.1} {slowdown:>10.1} {:>8.1}%",
+            100.0 * slowdown_ratio
+        );
+    }
+}
+
+fn print_fig4(app: &AppModel, params: &SimParams) {
+    let reports = fig4(app, params);
+    let title = format!("Figure 4 ({}) — scalability, all data in S3", app.name);
+    print_breakdown(&title, "(m,m)", 10, &reports);
+    let effs: Vec<String> =
+        fig4_efficiencies(&reports).iter().map(|e| format!("{:.1}%", 100.0 * e)).collect();
+    println!("per-doubling efficiency: {}", effs.join("  "));
+    let cums: Vec<String> = fig4_cumulative_efficiencies(&reports)
+        .iter()
+        .map(|e| format!("{:.1}%", 100.0 * e))
+        .collect();
+    println!("cumulative efficiency vs (4,4) [paper's bar labels]: {}", cums.join("  "));
+}
+
+fn print_summary(params: &SimParams) {
+    let s = summary(params);
+    println!("\n=== Headline summary (paper: 15.55% avg slowdown, 81% scaling) ===");
+    println!(
+        "average slowdown of cloud bursting vs centralized: {:.2}%",
+        100.0 * s.avg_slowdown_ratio
+    );
+    println!(
+        "average per-doubling scaling efficiency:           {:.1}%",
+        100.0 * s.avg_scaling_efficiency
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,6 +393,12 @@ mod tests {
             (31, 65, 16, 0),
         ];
         assert_eq!(table, expected);
+    }
+
+    #[test]
+    fn an_unknown_artifact_is_an_error_that_names_it_and_the_known_ones() {
+        let err = print_artifact("fig5", &fast()).expect_err("there is no Figure 5");
+        assert!(err.contains("`fig5`") && err.contains("table2") && err.contains("all"), "{err}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # cloudburst-sim
 //!
-//! The paper-scale simulation harness: replays the framework's real
-//! scheduling policies (`JobPool`, `MasterPool`) against a calibrated cost
+//! The paper-scale simulation harness: runs the framework's real protocol
+//! (`HeadCore`, `MasterPool`, `SlaveCore`) against a calibrated cost
 //! model of the paper's testbed (12 GB datasets, a campus cluster with a
 //! dedicated storage node, EC2 + S3, a 2011-era WAN), regenerating every
 //! figure and table of the evaluation (§IV) in seconds of CPU time.
@@ -9,7 +9,8 @@
 //! * [`model`] — per-application resource signatures (knn / kmeans /
 //!   pagerank);
 //! * [`params`] — the testbed's storage/WAN/compute parameters;
-//! * [`scenario`] — the discrete-event simulation itself;
+//! * [`multi`] — the discrete-event simulation itself, over any number of
+//!   sites; [`scenario`] — the paper's two sites;
 //! * [`figures`] — one function per figure/table of the paper;
 //! * [`cost`] — the dollar-cost model and deadline-provisioning planner
 //!   (the authors' follow-up extension).

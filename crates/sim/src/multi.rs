@@ -7,20 +7,24 @@
 //! (e.g. cluster + AWS + a second provider), each with its own compute
 //! profile and storage, joined by a shared inter-site bulk pipe.
 //!
-//! The two-site [`crate::scenario::simulate`] is a thin wrapper over
-//! [`simulate_multi`], so the calibrated paper numbers and the multi-site
-//! results come from the same engine.
+//! A run drives the runtime's own protocol — one `HeadCore`, a `MasterPool`
+//! per site, a `SlaveCore` per slave — and reports through `assemble_report`
+//! (DESIGN §3.5). The two-site [`crate::scenario::simulate`] is a thin
+//! wrapper over [`simulate_multi`]: the paper numbers come from this engine.
 
 use crate::model::AppModel;
 use crate::params::{ResourceSpec, SimParams};
+use cloudburst_cluster::wire::{Frame, MasterToHead};
+use cloudburst_cluster::HeadCore;
+use cloudburst_core::slave::Step;
 use cloudburst_core::{
-    secs_to_ns, BatchPolicy, Breakdown, ChunkId, DataIndex, Event, EventKind, FaultPlan, JobPool,
-    LayoutParams, LeaseConfig, LocalJob, MasterPool, RequestId, RunReport, Seconds, SiteId,
-    SiteStats, Take, Telemetry,
+    assemble_report, ns_to_secs, secs_to_ns, BatchPolicy, ChunkId, DataIndex, Event, EventKind,
+    FaultPlan, JobPool, LayoutParams, LeaseConfig, LocalJob, MasterPool, RequestId, RunReport,
+    Seconds, SiteId, SiteSample, SlaveCore, SlaveSample, Take, Telemetry,
 };
 use cloudburst_des::{EventQueue, Servers, SimTime, Timeline};
 use cloudburst_netsim::Jitter;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What a simulated slave is doing at a point in time (timeline kinds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,11 +176,13 @@ impl MultiEnv {
     }
 }
 
-/// Per-site derived slave shape.
-struct SlaveShape {
-    site: SiteId,
-    n_slaves: u32,
-    speed: f64,
+impl SiteSpec {
+    /// How many slaves the site's cores make, and each one's speed in cores.
+    fn slaves(&self) -> (u32, f64) {
+        let n = ((f64::from(self.cores) / f64::from(self.cores_per_slave.max(1))).round() as u32)
+            .max(1);
+        (n, f64::from(self.cores) / f64::from(n))
+    }
 }
 
 /// Simulate one run of `app` across `env`'s sites. Deterministic.
@@ -202,8 +208,10 @@ pub fn simulate_multi_traced(app: &AppModel, env: &MultiEnv) -> (RunReport, Time
 /// stream to `telemetry` — the same taxonomy the threaded runtimes emit,
 /// but clocked in *virtual* time (event timestamps are simulated seconds
 /// converted to ns). A simulated chaos run can thus be exported to the same
-/// JSONL / Chrome-trace artifacts as a real one. Emission never perturbs
-/// the simulation: the returned report is identical to [`simulate_multi`]'s.
+/// JSONL / Chrome-trace artifacts as a real one, and
+/// [`derive_report`](cloudburst_core::derive_report) over the stream is the
+/// returned report. Emission never perturbs the simulation: the returned
+/// report is identical to [`simulate_multi`]'s.
 #[must_use]
 pub fn simulate_multi_instrumented(
     app: &AppModel,
@@ -213,29 +221,21 @@ pub fn simulate_multi_instrumented(
     run_multi(app, env, None, telemetry)
 }
 
-/// A simulated slave's accumulators and fault profile.
-struct Worker {
+/// A simulated slave: the runtime's protocol core and ledger, and the cost
+/// and fault profile the simulator charges its jobs by.
+struct Slave {
     site: SiteId,
     /// Slave index within the site (the telemetry worker tag).
     lane: u32,
+    core: SlaveCore,
+    sample: SlaveSample,
     speed: f64,
     factor: f64,
-    processing: Seconds,
-    retrieval: Seconds,
-    /// Time spent parked at the master waiting for a grant to land.
-    control: Seconds,
-    remote_bytes: u64,
-    /// When the worker finished its last job — the paper's notion of a
-    /// worker going idle.
-    last_done: Seconds,
     jitter: Jitter,
     /// Injected per-job slowdown (straggler model).
     delay: Seconds,
     /// Site-wide multiplicative slowdown on compute (≥ 1.0).
     slow: f64,
-    /// Crash after taking this many jobs (the job in hand leaks).
-    crash_after: Option<u64>,
-    taken: u64,
 }
 
 /// What moves the simulation forward.
@@ -262,21 +262,20 @@ struct SimMaster {
     retry: Seconds,
 }
 
-impl SimMaster {
-    fn new(site: SiteId) -> SimMaster {
-        SimMaster { pool: MasterPool::new(site, 0), parked: VecDeque::new(), retry: 0.0 }
-    }
-}
-
 /// The mutable state of one simulated run.
 struct Sim<'a> {
     app: &'a AppModel,
     env: &'a MultiEnv,
-    specs: &'a BTreeMap<SiteId, &'a SiteSpec>,
     telemetry: &'a Telemetry,
     trace: Option<&'a mut Timeline<Activity>>,
-    workers: Vec<Worker>,
-    stores: BTreeMap<SiteId, Servers>,
+    head: HeadCore,
+    /// The executions the head revoked, as the channel runtime's cancel
+    /// board holds them: fed from [`HeadCore::take_revocations`], a chunk
+    /// cleared when it is granted anew.
+    revoked: BTreeSet<ChunkId>,
+    slaves: Vec<Slave>,
+    /// Each site's store, and the spec its service times come from.
+    stores: BTreeMap<SiteId, (Servers, ResourceSpec)>,
     wan: Servers,
     queue: EventQueue<Ev>,
     masters: BTreeMap<SiteId, SimMaster>,
@@ -287,72 +286,96 @@ impl Sim<'_> {
         self.masters.get_mut(&site).expect("active site has a master")
     }
 
-    /// The slave saw the drained signal, crashed, or lost its site.
-    fn slave_finished(&mut self, worker: usize, now: Seconds) {
-        let w = &self.workers[worker];
-        self.telemetry
-            .emit(Event::at(secs_to_ns(now), EventKind::SlaveFinished).site(w.site).worker(w.lane));
+    /// State one fact of slave `worker`'s, as the runtime's slave does: the
+    /// event, tagged with the slave, is folded into its ledger and emitted.
+    fn note(&mut self, worker: usize, event: Event) {
+        let slave = &mut self.slaves[worker];
+        let event = event.site(slave.site).worker(slave.lane);
+        slave.sample.apply(&event);
+        self.telemetry.emit(event);
+    }
+
+    /// Post what the head revoked since the last look.
+    fn publish(&mut self) {
+        self.revoked.extend(self.head.take_revocations().into_values().flatten());
+    }
+
+    /// Slave `worker` left — drained, crashed, or with its site — having
+    /// finished its last job at `last_done`. No thread is left to join, so
+    /// its exit is stamped there.
+    fn slave_finished(&mut self, worker: usize, last_done: Seconds) {
+        self.note(worker, Event::at(secs_to_ns(last_done), EventKind::SlaveFinished));
+    }
+
+    /// Carry out what slave `worker`'s core says at `now` — settle, ask its
+    /// master, fetch — until it starts a job, parks, or leaves. It has been
+    /// free since `free_since`.
+    fn drive(&mut self, worker: usize, now: Seconds, free_since: Seconds) {
+        let site = self.slaves[worker].site;
+        loop {
+            let revoked = &self.revoked;
+            match self.slaves[worker].core.poll(false, |job| revoked.contains(&job)) {
+                Step::Fetch(job) => return self.start_job(worker, job, now),
+                Step::Dropped(_) => {}
+                Step::Settle(jobs) => {
+                    let verdicts = self.head.settle(site, &jobs, now);
+                    self.publish();
+                    let _ = self.slaves[worker].core.settled(&verdicts);
+                }
+                Step::Ask => {
+                    // The ask carries the completions nobody waits on, and
+                    // the paper's slave takes one job per hand-off.
+                    let (_, done) = self.slaves[worker].core.ask(now);
+                    self.head.settle(site, &done, now);
+                    self.publish();
+                    match self.master(site).pool.arrive(now, 1) {
+                        Take::NeedRefill => {
+                            return self.master(site).parked.push_back((worker, now))
+                        }
+                        take => self.slaves[worker].core.answer(Some(take), now),
+                    }
+                }
+                Step::Leave => return self.slave_finished(worker, free_since),
+                Step::Done(_) | Step::Wait => unreachable!("a slave at depth 1 never idles"),
+            }
+        }
     }
 
     /// Slave `worker` was handed `job` at `now`: occupy the storage (and, for
     /// a remote chunk, the WAN), compute, and come back for more.
     fn start_job(&mut self, worker: usize, job: LocalJob, now: Seconds) {
-        let (env, telemetry) = (self.env, self.telemetry);
-        let w = &mut self.workers[worker];
-        let site = w.site;
-        w.taken += 1;
-        if w.crash_after.is_some_and(|k| w.taken > k) {
-            // Simulated worker crash: the job it just pulled leaks — the
-            // lease reaper recovers it once the deadline passes.
-            self.slave_finished(worker, now);
-            return;
-        }
-        telemetry.emit(
-            Event::at(secs_to_ns(now), EventKind::JobStarted { stolen: job.stolen })
-                .site(site)
-                .worker(w.lane)
-                .chunk(job.chunk.id)
-                .span_id(job.span),
-        );
-
+        let (env, app) = (self.env, self.app);
+        let slave = &mut self.slaves[worker];
+        let site = slave.site;
+        let compute = slave.jitter.stretch(app.compute_time(job.chunk.n_units, slave.factor))
+            / slave.speed
+            * slave.slow
+            + slave.delay;
         // Under coded redundancy the chunk's bytes are replicated at the
         // reader: the read is served on-site and never touches the WAN.
         let data_site = if env.redundancy > 1 { site } else { job.chunk.site };
-        let spec = self.specs[&data_site];
-        let store = self.stores.get_mut(&data_site).expect("store for data site");
-        let grant = store.request(SimTime::at(now), spec.store.service_time(job.chunk.len));
+        let (store, spec) = self.stores.get_mut(&data_site).expect("store for data site");
+        let grant = store.request(SimTime::at(now), spec.service_time(job.chunk.len));
         let mut retr_end = grant.finish.seconds();
         if data_site != site {
             let wg = self
                 .wan
                 .request(SimTime::at(retr_end.max(now)), env.wan.service_time(job.chunk.len));
             retr_end = wg.finish.seconds();
-            w.remote_bytes += job.chunk.len;
         }
-        w.retrieval += retr_end - now;
 
-        let compute =
-            w.jitter.stretch(self.app.compute_time(job.chunk.n_units, w.factor)) / w.speed * w.slow
-                + w.delay;
-        w.processing += compute;
-        w.last_done = retr_end + compute;
-        if telemetry.is_enabled() {
-            let tag = |e: Event| e.site(site).worker(w.lane).chunk(job.chunk.id).span_id(job.span);
-            telemetry.emit(tag(Event::span(
-                secs_to_ns(now),
-                secs_to_ns(retr_end - now),
-                EventKind::ChunkFetched {
-                    bytes: job.chunk.len,
-                    remote: data_site != site,
-                    retries: 0,
-                },
-            )));
-            telemetry.emit(tag(Event::span(
-                secs_to_ns(retr_end),
-                secs_to_ns(compute),
-                EventKind::JobProcessed,
-            )));
-        }
+        let of_job = |e: Event| e.chunk(job.chunk.id).span_id(job.span);
+        let started = EventKind::JobStarted { stolen: job.stolen };
+        self.note(worker, of_job(Event::at(secs_to_ns(now), started)));
+        let (bytes, remote) = (job.chunk.len, data_site != site);
+        let fetched = EventKind::ChunkFetched { bytes, remote, retries: 0 };
+        self.note(
+            worker,
+            of_job(Event::span(secs_to_ns(now), secs_to_ns(retr_end - now), fetched)),
+        );
+        let processed =
+            Event::span(secs_to_ns(retr_end), secs_to_ns(compute), EventKind::JobProcessed);
+        self.note(worker, of_job(processed));
         if let Some(t) = self.trace.as_deref_mut() {
             t.record(worker, Activity::Retrieval, SimTime::at(now), SimTime::at(retr_end));
             t.record(
@@ -387,8 +410,8 @@ fn run_multi(
 
     let batch_policy = BatchPolicy::Adaptive { divisor: 24, min: 1, max: 2 };
     let mut pool = JobPool::from_index(&index, batch_policy);
-    // The pool's clock is virtual (request_for_at / complete_at), so its
-    // grant / completion / reap events land in simulated time.
+    // The head's clock is virtual, so the pool's grant / completion / reap
+    // events land in simulated time.
     pool.set_sink(telemetry.clone());
     let chunk_bytes = index.chunks[0].len;
     let chunk_units = index.chunks[0].n_units;
@@ -410,107 +433,100 @@ fn run_multi(
         pool.set_speculation(true);
     }
     pool.set_redundancy(env.redundancy);
+    // As in the runtime: a chaos run is a fault-tolerant one, and copies
+    // that can complete twice need the head's verdicts.
+    let ft_active = chaos.is_some();
+    let ack_gated = ft_active || env.speculation || env.redundancy > 1;
 
-    let specs: BTreeMap<SiteId, &SiteSpec> = env.sites.iter().map(|s| (s.site, s)).collect();
-    let active: Vec<SlaveShape> = env
-        .sites
-        .iter()
-        .filter(|s| s.cores > 0)
-        .map(|s| {
-            let n_slaves =
-                ((f64::from(s.cores) / f64::from(s.cores_per_slave.max(1))).round() as u32).max(1);
-            SlaveShape { site: s.site, n_slaves, speed: f64::from(s.cores) / f64::from(n_slaves) }
-        })
-        .collect();
+    let active: Vec<&SiteSpec> = env.sites.iter().filter(|s| s.cores > 0).collect();
     assert!(!active.is_empty(), "environment has no workers");
     let head_site = active[0].site;
 
     // Rate-aware stealing: each active site's end-to-end cost to fetch and
     // process one remote chunk (worst remote store + WAN + compute).
-    for shape in active.iter().filter(|_| env.rate_aware_stealing) {
-        let spec = specs[&shape.site];
+    for spec in active.iter().filter(|_| env.rate_aware_stealing) {
         let worst_remote_store = env
             .sites
             .iter()
-            .filter(|s| s.site != shape.site)
+            .filter(|s| s.site != spec.site)
             .map(|s| s.store.service_time(chunk_bytes))
             .fold(0.0_f64, f64::max);
         let cost = env.wan.service_time(chunk_bytes)
             + worst_remote_store
-            + app.compute_time(chunk_units, spec.compute_factor) / shape.speed;
-        pool.set_steal_cost(shape.site, cost);
+            + app.compute_time(chunk_units, spec.compute_factor) / spec.slaves().1;
+        pool.set_steal_cost(spec.site, cost);
     }
 
-    let stores: BTreeMap<SiteId, Servers> =
-        env.sites.iter().map(|s| (s.site, Servers::new(s.store.servers))).collect();
-
-    let mut workers: Vec<Worker> = Vec::new();
-    for shape in &active {
-        let spec = specs[&shape.site];
-        for c in 0..shape.n_slaves {
-            workers.push(Worker {
-                site: shape.site,
-                lane: c,
-                speed: shape.speed,
+    let mut head = HeadCore::new(pool, active.len(), None, ft_active);
+    let (mut slaves, mut masters, mut queue) = (Vec::new(), BTreeMap::new(), EventQueue::new());
+    for spec in &active {
+        let (site, (n_slaves, speed)) = (spec.site, spec.slaves());
+        // Each master makes itself known at once, so that an outage before
+        // its first request still reaches the head as a site death.
+        head.on_frame(site.into(), Frame::Legacy(MasterToHead::Ping { site }), 0.0);
+        let (pool, parked) = (MasterPool::new(site, 0), VecDeque::new());
+        masters.insert(site, SimMaster { pool, parked, retry: 0.0 });
+        for lane in 0..n_slaves {
+            let crash_after = chaos.and_then(|p| p.crash_after(site, lane));
+            queue.schedule(SimTime::ZERO, Ev::Ready { worker: slaves.len(), completes: None });
+            slaves.push(Slave {
+                site,
+                lane,
+                core: SlaveCore::new(1, ack_gated, crash_after),
+                sample: SlaveSample::default(),
+                speed,
                 factor: spec.compute_factor,
-                processing: 0.0,
-                retrieval: 0.0,
-                control: 0.0,
-                remote_bytes: 0,
-                last_done: 0.0,
                 jitter: Jitter::new(
-                    env.seed ^ (u64::from(shape.site.0) << 32) ^ u64::from(c),
+                    env.seed ^ (u64::from(site.0) << 32) ^ u64::from(lane),
                     spec.jitter,
                 ),
-                delay: chaos.map_or(0.0, |p| p.worker_delay(shape.site, c)),
-                slow: chaos.map_or(1.0, |p| p.site_slowdown(shape.site)),
-                crash_after: chaos.and_then(|p| p.crash_after(shape.site, c)),
-                taken: 0,
+                delay: chaos.map_or(0.0, |p| p.worker_delay(site, lane)),
+                slow: chaos.map_or(1.0, |p| p.site_slowdown(site)),
             });
         }
     }
 
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    for w in 0..workers.len() {
-        queue.schedule(SimTime::ZERO, Ev::Ready { worker: w, completes: None });
-    }
     let mut sim = Sim {
         app,
         env,
-        specs: &specs,
         telemetry,
         trace,
-        workers,
-        stores,
+        head,
+        revoked: BTreeSet::new(),
+        slaves,
+        stores: env
+            .sites
+            .iter()
+            .map(|s| (s.site, (Servers::new(s.store.servers), s.store)))
+            .collect(),
         wan: Servers::new(env.wan.servers),
         queue,
-        masters: active.iter().map(|s| (s.site, SimMaster::new(s.site))).collect(),
+        masters,
     };
 
+    let outage = chaos.and_then(|p| p.site_outage);
     while let Some((at, ev)) = sim.queue.pop() {
         let now = at.seconds();
-        if let Some(plan) = chaos {
-            if let Some(o) = plan.site_outage {
-                if now >= o.at {
-                    pool.evacuate(o.site); // idempotent after the first call
-                }
-            }
-            for _ in pool.reap_expired(now) {}
+        if let Some(o) = outage.filter(|o| now >= o.at) {
+            // The site's master drops off the head's line; after the first
+            // time the head has forgotten it and this does nothing.
+            sim.head.on_disconnect(o.site.into());
         }
+        sim.head.on_tick(now);
+        sim.publish();
         let site = match ev {
-            Ev::Ready { worker, .. } => sim.workers[worker].site,
+            Ev::Ready { worker, .. } => sim.slaves[worker].site,
             Ev::AtHead { site, .. } | Ev::Landed { site, .. } | Ev::Retry { site } => site,
         };
         if chaos.is_some_and(|p| p.site_dead(site, now)) {
             // The site just lost power: the in-flight completion dies with
             // the site's robj, its master's requests and grants with the
-            // master; evacuation above re-homes its jobs.
+            // master; the head evacuated its jobs.
             if let Ev::Ready { worker, .. } = ev {
                 sim.slave_finished(worker, now);
             }
-            let parked = std::mem::take(&mut sim.master(site).parked);
-            for (worker, _) in parked {
-                sim.slave_finished(worker, now);
+            for (worker, since) in std::mem::take(&mut sim.master(site).parked) {
+                sim.slave_finished(worker, since);
             }
             continue;
         }
@@ -520,17 +536,17 @@ fn run_multi(
         match ev {
             Ev::Ready { worker, completes } => {
                 if let Some(job) = completes {
-                    pool.complete_at(job, site, now);
+                    // At depth 1 the settle before the next ask comes first,
+                    // whatever the job's start.
+                    sim.slaves[worker].core.processed(job, 0..0, now, now);
                 }
-                // The paper's slave takes one job per hand-off.
-                match sim.master(site).pool.arrive(now, 1) {
-                    Take::Jobs(jobs) => sim.start_job(worker, jobs[0], now),
-                    Take::NeedRefill => sim.master(site).parked.push_back((worker, now)),
-                    Take::Drained => sim.slave_finished(worker, now),
-                }
+                sim.drive(worker, now, now);
             }
             Ev::AtHead { id, .. } => {
-                let batch = pool.request_for_at(site, now);
+                let batch = sim.head.request(site, now);
+                for job in &batch.jobs {
+                    sim.revoked.remove(&job.id);
+                }
                 sim.master(site).pool.granted(id, batch);
                 sim.queue.schedule(SimTime::at(now + leg), Ev::Landed { site, id });
                 continue;
@@ -543,18 +559,12 @@ fn run_multi(
                         break;
                     }
                     sim.master(site).parked.pop_front();
-                    let Take::Jobs(jobs) = take else {
-                        // Waiting out the end of the run is barrier time,
-                        // accounted from the slave's last completion.
-                        sim.slave_finished(worker, now);
-                        continue;
-                    };
-                    // The wait for the grant is the slave's control time.
-                    sim.workers[worker].control += now - since;
-                    if let Some(t) = sim.trace.as_deref_mut() {
+                    if let (Take::Jobs(_), Some(t)) = (&take, sim.trace.as_deref_mut()) {
+                        // The wait for the grant: control, not sync.
                         t.record(worker, Activity::Control, SimTime::at(since), SimTime::at(now));
                     }
-                    sim.start_job(worker, jobs[0], now);
+                    sim.slaves[worker].core.answer(Some(take), now);
+                    sim.drive(worker, now, since);
                 }
             }
             Ev::Retry { .. } => {}
@@ -575,84 +585,54 @@ fn run_multi(
             sim.queue.schedule(SimTime::at(at), Ev::Retry { site });
         }
     }
-    let workers = sim.workers;
-
-    debug_assert!(pool.all_done(), "simulation ended with unprocessed jobs");
+    // Every master still up takes its leave — the head counts a silent one
+    // as a crash and evacuates it; a dead site's is gone already.
+    for spec in &active {
+        sim.head.on_frame(spec.site.into(), Frame::Legacy(MasterToHead::Bye), 0.0);
+    }
+    let head = sim.head.finish();
 
     // A site is "finished" when its last *completion* lands (plus the local
     // robj combination); the end-of-run polling a drained site does while
-    // the other site works is the paper's inter-cluster **idle** time.
-    let mut site_finish: BTreeMap<SiteId, Seconds> = BTreeMap::new();
-    for shape in &active {
-        let worker_finish = workers
-            .iter()
-            .filter(|w| w.site == shape.site)
-            .map(|w| w.last_done)
-            .fold(0.0_f64, f64::max);
-        let merge = f64::from(shape.n_slaves) * app.robj_bytes as f64 / env.merge_bw;
-        telemetry.emit(
-            Event::span(secs_to_ns(worker_finish), secs_to_ns(merge), EventKind::SiteMerged)
-                .site(shape.site),
-        );
-        telemetry.emit(
-            Event::at(secs_to_ns(worker_finish + merge), EventKind::SiteFinished).site(shape.site),
-        );
-        site_finish.insert(shape.site, worker_finish + merge);
-    }
-    let compute_finish = site_finish.values().copied().fold(0.0_f64, f64::max);
-
+    // the other site works is the paper's inter-cluster **idle** time. Every
+    // time below is its event's stamp read back, as in the runtime, so the
+    // report is the fold of the stream.
+    let mut samples = BTreeMap::new();
     let mut global_reduction = 0.0;
-    for shape in &active {
-        if shape.site != head_site {
-            global_reduction += env.control_latency
-                + 2.0 * f64::from(shape.n_slaves) * app.robj_bytes as f64 / env.robj_stream_bw
-                + f64::from(shape.n_slaves) * app.robj_bytes as f64 / env.merge_bw;
+    for spec in &active {
+        let site = spec.site;
+        let slaves: Vec<SlaveSample> =
+            sim.slaves.iter().filter(|s| s.site == site).map(|s| s.sample).collect();
+        let robjs = slaves.len() as f64 * app.robj_bytes as f64;
+        let worker_finish = slaves.iter().map(|s| s.finish).fold(0.0_f64, f64::max);
+        let merged = Event::span(
+            secs_to_ns(worker_finish),
+            secs_to_ns(robjs / env.merge_bw),
+            EventKind::SiteMerged,
+        );
+        let finished =
+            Event::at(secs_to_ns(worker_finish + robjs / env.merge_bw), EventKind::SiteFinished);
+        telemetry.emit(merged.site(site));
+        telemetry.emit(finished.site(site));
+        let jobs = head.counts.get(&site).copied().unwrap_or_default();
+        let (local_merge, finish) = (ns_to_secs(merged.dur_ns), ns_to_secs(finished.at_ns));
+        samples.insert(site, SiteSample { slaves, local_merge, finish, jobs });
+        if site != head_site {
+            global_reduction +=
+                env.control_latency + 2.0 * robjs / env.robj_stream_bw + robjs / env.merge_bw;
         }
     }
-    let total_time = compute_finish + global_reduction;
-    telemetry.emit(Event::span(
+    let compute_finish = samples.values().map(|s: &SiteSample| s.finish).fold(0.0_f64, f64::max);
+    let reduced = Event::span(
         secs_to_ns(compute_finish),
         secs_to_ns(global_reduction),
         EventKind::GlobalReduction,
-    ));
-    telemetry.emit(Event::at(secs_to_ns(total_time), EventKind::RunFinished));
-
-    let counts = pool.site_counts().clone();
-    let mut report = RunReport {
-        env: env.name.clone(),
-        global_reduction,
-        total_time,
-        faults: pool.faults().clone(),
-        ..RunReport::default()
-    };
-    for shape in &active {
-        let site = shape.site;
-        let site_workers: Vec<&Worker> = workers.iter().filter(|w| w.site == site).collect();
-        let n = site_workers.len().max(1) as f64;
-        let fin = site_finish[&site];
-        let mean_proc = site_workers.iter().map(|w| w.processing).sum::<f64>() / n;
-        let mean_retr = site_workers.iter().map(|w| w.retrieval).sum::<f64>() / n;
-        let mean_barrier =
-            site_workers.iter().map(|w| (fin - w.last_done).max(0.0)).sum::<f64>() / n;
-        let mean_control = site_workers.iter().map(|w| w.control).sum::<f64>() / n;
-        let idle = compute_finish - fin;
-        report.sites.insert(
-            site,
-            SiteStats {
-                breakdown: Breakdown {
-                    processing: mean_proc,
-                    retrieval: mean_retr,
-                    sync: mean_barrier + mean_control + idle,
-                },
-                finish_time: fin,
-                idle,
-                jobs: counts.get(&site).copied().unwrap_or_default(),
-                remote_bytes: site_workers.iter().map(|w| w.remote_bytes).sum(),
-                retries: 0,
-            },
-        );
-    }
-    report
+    );
+    let ended = Event::at(secs_to_ns(compute_finish + global_reduction), EventKind::RunFinished);
+    telemetry.emit(reduced);
+    telemetry.emit(ended);
+    let (global_reduction, total_time) = (ns_to_secs(reduced.dur_ns), ns_to_secs(ended.at_ns));
+    assemble_report(&env.name, head.faults, &samples, global_reduction, total_time)
 }
 
 #[cfg(test)]
@@ -934,6 +914,75 @@ mod tests {
                 *prev = e.at_ns;
             }
         }
+    }
+
+    /// The report the DES returns is the fold of the stream it records,
+    /// `derive_report` — exactly, on every paper configuration (Fig. 3's
+    /// fifteen, Fig. 4's twelve) and on the three-site run clean, under
+    /// chaos, and coded.
+    #[test]
+    fn the_report_is_the_fold_of_the_recorded_stream() {
+        use crate::figures::envs_for;
+        use cloudburst_core::config::scalability_envs;
+        use cloudburst_core::{derive_report, Recorder, SiteOutage, SlowSite, SlowWorker};
+        use cloudburst_core::{Telemetry, WorkerCrash};
+        use std::sync::Arc;
+        let params = SimParams::paper();
+        let mut runs = Vec::new();
+        for app in AppModel::paper_trio() {
+            for env in envs_for(&app).iter().chain(&scalability_envs(&[4, 8, 16, 32])) {
+                runs.push((app.clone(), MultiEnv::two_site(env, &app, &params)));
+            }
+        }
+        let (clean, mut chaos, mut coded) = (three_sites(), three_sites(), three_sites());
+        chaos.chaos = Some(FaultPlan {
+            site_outage: Some(SiteOutage { site: SiteId(2), at: 2.0 }),
+            worker_crash: vec![WorkerCrash { site: SiteId::CLOUD, worker: 0, after_jobs: 1 }],
+            slow_workers: vec![SlowWorker { site: SiteId::LOCAL, worker: 1, delay_per_job: 30.0 }],
+            ..FaultPlan::seeded(41)
+        });
+        coded.chaos = Some(FaultPlan {
+            slow_sites: vec![SlowSite { site: SiteId::CLOUD, factor: 8.0 }],
+            ..FaultPlan::seeded(31)
+        });
+        coded.redundancy = 2;
+        for env in [clean, chaos, coded] {
+            runs.push((AppModel::knn(), env));
+        }
+        for (app, env) in &runs {
+            let rec = Arc::new(Recorder::new());
+            let report = simulate_multi_instrumented(app, env, &Telemetry::to(rec.clone()));
+            let derived = derive_report(&rec.snapshot(), &env.name);
+            assert_eq!(derived, report, "{} on {}", app.name, env.name);
+        }
+        assert_eq!(runs.len(), 30);
+    }
+
+    /// With every active site dead nobody is left to finish the work: the
+    /// head abandons it, and the report says so.
+    #[test]
+    fn a_run_that_loses_every_active_site_abandons_the_rest_and_says_so() {
+        use cloudburst_core::config::paper_envs_even;
+        use cloudburst_core::SiteOutage;
+        let app = AppModel::knn();
+        let mut env = MultiEnv::two_site(&paper_envs_even(32)[0], &app, &SimParams::paper());
+        env.chaos = Some(FaultPlan {
+            site_outage: Some(SiteOutage { site: SiteId::LOCAL, at: 5.0 }),
+            ..FaultPlan::seeded(5)
+        });
+        let report = simulate_multi(&app, &env);
+        let abandoned = report.faults.abandoned_jobs.len() as u64;
+        assert!(abandoned > 0, "{:?}", report.faults);
+        assert_eq!(report.total_jobs() + abandoned, 96, "{:?}", report.faults);
+        // One site of three lost: the others finish everything.
+        let mut env = three_sites();
+        env.chaos = Some(FaultPlan {
+            site_outage: Some(SiteOutage { site: SiteId::LOCAL, at: 5.0 }),
+            ..FaultPlan::seeded(5)
+        });
+        let report = simulate_multi(&app, &env);
+        assert_eq!(report.total_jobs(), 96);
+        assert!(report.faults.abandoned_jobs.is_empty());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The paper-scale cloud-bursting scenario as a discrete-event simulation.
 //!
-//! The simulator replays the **exact** scheduling objects the threaded
-//! runtime uses — [`JobPool`](cloudburst_core::JobPool) (locality-aware consecutive batching +
-//! min-contention stealing) and [`MasterPool`](cloudburst_core::MasterPool) (on-demand batch refills) —
-//! against the cost model of [`crate::params`]. Every worker is an event-
+//! The paper's two sites over [`crate::multi`], which runs the **exact**
+//! protocol code the threaded runtime does — one
+//! [`HeadCore`](cloudburst_cluster::HeadCore) over the [`JobPool`](cloudburst_core::JobPool), a
+//! [`MasterPool`](cloudburst_core::MasterPool) per site and a [`SlaveCore`](cloudburst_core::SlaveCore) per slave —
+//! against the cost model of [`crate::params`]. Every slave is an event-
 //! driven actor: pull a job (paying control RPCs when the master refills),
 //! occupy a storage channel for the chunk (plus the WAN pipe when the job
 //! was stolen across sites), then compute for `units × cost × site-factor ×

@@ -1983,95 +1983,10 @@ fn max_page(
 // simulate
 // ---------------------------------------------------------------------------
 
+/// Regenerate paper artifacts in-process, as `repro` prints them.
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    run_simulation(args.first().map_or("all", String::as_str))
-}
-
-/// Regenerate paper artifacts in-process (shares code with the dedicated
-/// `repro` binary in `cloudburst-bench`).
-fn run_simulation(artifact: &str) -> Result<(), String> {
-    use cloudburst_sim::figures::{
-        fig3, fig4, fig4_cumulative_efficiencies, summary, table1, table2,
-    };
-    use cloudburst_sim::{AppModel, SimParams};
-    let params = SimParams::paper();
-    let apps = AppModel::paper_trio();
-    let pick = |c: char| match c {
-        'a' => AppModel::knn(),
-        'b' => AppModel::kmeans(),
-        _ => AppModel::pagerank(),
-    };
-    let fig3_print = |app: &AppModel| {
-        println!("\nFigure 3 ({}):", app.name);
-        for r in fig3(app, &params) {
-            let b = r.overall_breakdown();
-            println!(
-                "  {:<10} proc {:>7.1}s retr {:>7.1}s sync {:>6.1}s total {:>7.1}s",
-                r.env, b.processing, b.retrieval, b.sync, r.total_time
-            );
-        }
-    };
-    let fig4_print = |app: &AppModel| {
-        println!("\nFigure 4 ({}):", app.name);
-        let reports = fig4(app, &params);
-        for r in &reports {
-            println!("  {:<8} total {:>7.1}s", r.env, r.total_time);
-        }
-        let effs: Vec<String> = fig4_cumulative_efficiencies(&reports)
-            .iter()
-            .map(|e| format!("{:.1}%", 100.0 * e))
-            .collect();
-        println!("  efficiency vs (4,4): {}", effs.join("  "));
-    };
-    match artifact {
-        "fig3a" | "fig3b" | "fig3c" => fig3_print(&pick(artifact.chars().last().unwrap())),
-        "fig4a" | "fig4b" | "fig4c" => fig4_print(&pick(artifact.chars().last().unwrap())),
-        "table1" => {
-            for r in table1(&apps, &params) {
-                println!(
-                    "{:<9} {:<10} local {:>3} cloud {:>3} stolen {:>3}/{:<3}",
-                    r.app, r.env, r.local_jobs, r.cloud_jobs, r.local_stolen, r.cloud_stolen
-                );
-            }
-        }
-        "table2" => {
-            for r in table2(&apps, &params) {
-                println!(
-                    "{:<9} {:<10} gr {:>6.2}s idle {:>6.1}/{:<6.1}s slowdown {:>5.1}%",
-                    r.app,
-                    r.env,
-                    r.global_reduction,
-                    r.idle_local,
-                    r.idle_cloud,
-                    100.0 * r.slowdown_ratio
-                );
-            }
-        }
-        "summary" => {
-            let s = summary(&params);
-            println!(
-                "avg slowdown {:.2}% (paper 15.55%) | avg scaling {:.1}% (paper 81%)",
-                100.0 * s.avg_slowdown_ratio,
-                100.0 * s.avg_scaling_efficiency
-            );
-        }
-        "all" => {
-            for app in &apps {
-                fig3_print(app);
-            }
-            for app in &apps {
-                fig4_print(app);
-            }
-            let s = summary(&params);
-            println!(
-                "\navg slowdown {:.2}% (paper 15.55%) | avg scaling {:.1}% (paper 81%)",
-                100.0 * s.avg_slowdown_ratio,
-                100.0 * s.avg_scaling_efficiency
-            );
-        }
-        other => return Err(format!("unknown artifact `{other}`")),
-    }
-    Ok(())
+    let artifact = args.first().map_or("all", String::as_str);
+    cloudburst_sim::figures::print_artifact(artifact, &cloudburst_sim::SimParams::paper())
 }
 
 #[cfg(test)]

@@ -115,6 +115,25 @@ if grep -nE 'Instant|std::thread|crossbeam|Mutex|Atomic' crates/core/src/slave.r
     exit 1
 fi
 
+echo "== hygiene: the DES runs the real protocol"
+# The simulator is one more driver of the runtime's sans-IO cores: one
+# `HeadCore`, a `MasterPool` per site and a `SlaveCore` per slave, and its
+# report is `assemble_report` over the slaves' folded events — the function
+# the runtimes and `derive_report` end in. A direct call of the head's pool
+# methods, a crash budget of its own or a report assembled by hand coming
+# back to crates/sim fails the run.
+if grep -rnE 'request_for_at|complete_at|reap_expired|\.evacuate\(|\btaken\b|SiteStats \{|Breakdown \{' \
+    crates/sim/src; then
+    echo "crates/sim copies the head, the slave or the report: drive HeadCore and SlaveCore, report through assemble_report"
+    exit 1
+fi
+for core in HeadCore SlaveCore assemble_report; do
+    if ! grep -q "$core" crates/sim/src/multi.rs; then
+        echo "crates/sim/src/multi.rs no longer uses $core: the DES must run the real protocol"
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -202,6 +221,19 @@ cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --test head_core_props \
     --test reactor_readiness --test reactor_refusals
 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib net::tests
 cargo test -q "${CARGO_FLAGS[@]}" --test grant_window
+
+echo "== the simulator: seeded chaos at 256 cases, and the paper's headline"
+# A site outage at a random time, up to two worker crashes, a slow worker, a
+# slow site and redundancy 1 or 2 on three sites: every chunk merged once at
+# a site that survived or abandoned, no grant to a site after its outage, and
+# the report the fold of the recorded stream and a pure function of the plan.
+PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" --test sim_properties chaos
+SUMMARY=$(target/release/cloudburst simulate summary)
+echo "$SUMMARY"
+if ! grep -q 'average slowdown' <<<"$SUMMARY" || ! grep -q 'scaling efficiency' <<<"$SUMMARY"; then
+    echo "cloudburst simulate summary printed no headline"
+    exit 1
+fi
 
 echo "== hygiene: cargo fmt --check"
 # House style lives in rustfmt.toml; drift fails the run.
