@@ -21,7 +21,7 @@ use crate::error::RunError;
 use crate::protocol::MasterMsg;
 pub use crate::reactor::{serve_head, serve_head_with};
 use crate::runtime::{
-    mailbox_tick, run_on, MasterStart, Parked, RunOutcome, RuntimeConfig, Transport,
+    mailbox_tick, run_on, MasterStart, Parked, RunOutcome, RuntimeConfig, Transport, LOW_WATERMARK,
 };
 use crate::wire::{
     put_ack_batch, put_to_head, read_batch_reply, read_hello_ack, write_hello, AckEntry,
@@ -142,7 +142,7 @@ pub(crate) fn run_tcp_master(
     tx: Sender<MasterMsg>,
     stream: TcpStream,
 ) -> io::Result<MasterPool> {
-    let mut pool = MasterPool::new(cfg.site, cfg.low_watermark);
+    let mut pool = MasterPool::new(cfg.site, LOW_WATERMARK);
     let result = connect_and_serve(cfg, &rx, tx, stream, &mut pool);
     // Whatever is still in the mailbox holds a slave's reply channel: let go
     // of it, and of the mailbox, so no slave waits on a master that is gone.
@@ -164,7 +164,7 @@ fn connect_and_serve(
     let hang_up = HangUp(stream.try_clone()?);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let window = (cfg.floor + cfg.low_watermark).min(usize::from(u16::MAX)) as u16;
+    let window = (cfg.floor + LOW_WATERMARK).min(usize::from(u16::MAX)) as u16;
     write_hello(&mut writer, cfg.site, WIRE_VERSION, window)?;
     if read_hello_ack(&mut reader)? < WIRE_VERSION {
         return Err(io::Error::new(io::ErrorKind::Unsupported, "the head speaks an older wire"));
@@ -416,7 +416,6 @@ mod tests {
     fn master(site: SiteId, leg: Duration, heartbeat: Option<HeartbeatConfig>) -> MasterStart {
         MasterStart {
             site,
-            low_watermark: 1,
             floor: 2,
             leg,
             heartbeat,

@@ -53,7 +53,7 @@ pub struct StoreRouter {
 
 impl StoreRouter {
     /// Build a router over per-site stores, charging cross-site reads
-    /// against `topology`'s storage-access links at `time_scale`.
+    /// against `topology`'s link between reader and host at `time_scale`.
     #[must_use]
     pub fn new(
         stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
@@ -66,7 +66,7 @@ impl StoreRouter {
         for &reader in &sites {
             for &host in &sites {
                 if reader != host {
-                    let link = topology.storage_access(reader.0, host.0);
+                    let link = topology.link(reader.0, host.0);
                     wan.insert((reader, host), Arc::new(Throttle::new(link, time_scale)));
                 }
             }
@@ -199,9 +199,8 @@ mod tests {
             SiteId::CLOUD,
             Arc::new(MemStore::new(SiteId::CLOUD, vec![Bytes::from(vec![2u8; 4096])])),
         );
-        let topo = Topology::new()
-            .with_storage_access(SiteId::LOCAL.0, SiteId::CLOUD.0, LinkSpec::new(0.0, wan_bw))
-            .with_storage_access(SiteId::CLOUD.0, SiteId::LOCAL.0, LinkSpec::new(0.0, wan_bw));
+        let topo =
+            Topology::new().with_link(SiteId::LOCAL.0, SiteId::CLOUD.0, LinkSpec::new(0.0, wan_bw));
         StoreRouter::new(stores, &topo, FetchConfig::sequential(), 1e-3)
     }
 
@@ -308,9 +307,11 @@ mod tests {
             for site in [SiteId::LOCAL, SiteId::CLOUD] {
                 stores.insert(site, Arc::new(MemStore::new(site, vec![Bytes::from(data.clone())])));
             }
-            let topo = Topology::new()
-                .with_storage_access(SiteId::LOCAL.0, SiteId::CLOUD.0, LinkSpec::new(0.0, 1e12))
-                .with_storage_access(SiteId::CLOUD.0, SiteId::LOCAL.0, LinkSpec::new(0.0, 1e12));
+            let topo = Topology::new().with_link(
+                SiteId::LOCAL.0,
+                SiteId::CLOUD.0,
+                LinkSpec::new(0.0, 1e12),
+            );
             StoreRouter::new(stores, &topo, FetchConfig::sequential(), 1e-3)
         };
         let cloud_chunk = chunk(SiteId::CLOUD, 2048);
@@ -344,9 +345,8 @@ mod tests {
             SiteId::CLOUD,
             Arc::new(MemStore::new(SiteId::CLOUD, vec![Bytes::from(vec![2u8; 4096])])),
         );
-        let topo = Topology::new()
-            .with_storage_access(SiteId::LOCAL.0, SiteId::CLOUD.0, LinkSpec::new(0.0, 1e12))
-            .with_storage_access(SiteId::CLOUD.0, SiteId::LOCAL.0, LinkSpec::new(0.0, 1e12));
+        let topo =
+            Topology::new().with_link(SiteId::LOCAL.0, SiteId::CLOUD.0, LinkSpec::new(0.0, 1e12));
         let mut r = StoreRouter::new(stores, &topo, FetchConfig::sequential(), 1e-3);
         r.set_replicated(true);
         let f = r.fetch(SiteId::LOCAL, &chunk(SiteId::CLOUD, 1024)).unwrap();

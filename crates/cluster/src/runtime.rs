@@ -26,7 +26,7 @@ use cloudburst_core::{
     LocalJob, MasterPool, Reduction, ReductionObject, RequestId, RunReport, Seconds, SiteId,
     SiteSample, SlaveCore, SlaveSample, Take, Telemetry,
 };
-use cloudburst_netsim::Topology;
+use cloudburst_netsim::{Throttle, Topology};
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::collections::{BTreeMap, VecDeque};
@@ -105,8 +105,6 @@ pub struct RuntimeConfig {
     pub fetch: FetchConfig,
     /// Units per cache-sized reduction group.
     pub unit_group: usize,
-    /// Master refill watermark (jobs left when the next batch is requested).
-    pub low_watermark: usize,
     /// Link/topology model for inter-site charging.
     pub topology: Topology,
     /// Compression of modelled network time into real time.
@@ -150,7 +148,6 @@ impl RuntimeConfig {
             batch_policy: BatchPolicy::default_adaptive(2),
             fetch: FetchConfig::default(),
             unit_group: 1024,
-            low_watermark: 1,
             topology: Topology::paper_testbed(),
             time_scale,
             pipeline_depth: 1,
@@ -555,7 +552,6 @@ pub(crate) fn run_on<R: Reduction>(
                     let control_latency = config.topology.link(site.0, head_site.0).latency;
                     let start = &MasterStart {
                         site,
-                        low_watermark: config.low_watermark,
                         floor: cores as usize * config.pipeline_depth.max(1) + 1,
                         leg: Duration::from_secs_f64(
                             (control_latency * config.time_scale).max(0.0),
@@ -745,8 +741,7 @@ fn collect_global<O: ReductionObject>(
                         // its size is what makes pagerank's sync time large
                         // (paper §IV-B).
                         let link = config.topology.link(site.0, head_site.0);
-                        let modelled = link.transfer_time(robj.byte_size() as u64);
-                        sleep_secs(modelled * config.time_scale);
+                        Throttle::new(link, config.time_scale).transfer(robj.byte_size() as u64);
                     }
                     robj
                 })
@@ -828,10 +823,14 @@ impl MasterMetrics {
 /// how many jobs it asked for, and since when it has waited.
 pub(crate) type Parked = (Sender<Take>, usize, Instant);
 
+/// The request window's floor: jobs a master keeps queued, beyond what the
+/// grant round trip drains, when its next grant lands (see
+/// [`MasterPool::new`]).
+pub(crate) const LOW_WATERMARK: usize = 1;
+
 /// Everything one site master is told at start-up, on either transport.
 pub(crate) struct MasterStart {
     pub(crate) site: SiteId,
-    pub(crate) low_watermark: usize,
     /// Hand-offs that keep every slave pipeline slot busy, plus one: in jobs
     /// (times what a slave takes per hand-off) the part of a request's size
     /// that does not depend on the link (see [`MasterPool::ask`]). The TCP
@@ -891,7 +890,7 @@ pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
 /// that reaches it too late fails at once instead of waiting for an answer.
 fn run_master(cfg: &MasterStart, rx: Receiver<MasterMsg>, head_tx: &Sender<HeadMsg>) -> MasterPool {
     let (site, leg) = (cfg.site, cfg.leg);
-    let mut pool = MasterPool::new(site, cfg.low_watermark);
+    let mut pool = MasterPool::new(site, LOW_WATERMARK);
     let mut due_at_head: VecDeque<(Instant, RequestId)> = VecDeque::new();
     let mut due_back: VecDeque<(Instant, RequestId)> = VecDeque::new();
     let mut waiting: VecDeque<Parked> = VecDeque::new();
@@ -1439,12 +1438,6 @@ impl FetchedJob {
     }
 }
 
-fn sleep_secs(secs: f64) {
-    if secs > 0.0 {
-        std::thread::sleep(Duration::from_secs_f64(secs));
-    }
-}
-
 fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -1684,7 +1677,6 @@ mod tests {
     ) -> MasterStart {
         MasterStart {
             site,
-            low_watermark: 1,
             floor: 0,
             leg: Duration::from_secs_f64(leg),
             heartbeat,
@@ -2545,7 +2537,10 @@ mod tests {
         let coded_outage = || {
             let mut config = fast_config(EnvConfig::new("telemetry-eq-coded", 0.5, 2, 2));
             config.redundancy = 2;
-            (config.batch_policy, config.low_watermark) = (BatchPolicy::Fixed(64), 256);
+            // Slaves deep enough to hold every job at once take the whole
+            // pool in the first millisecond, so each site is soon handed
+            // replicas of the other's backlog.
+            (config.batch_policy, config.pipeline_depth) = (BatchPolicy::Fixed(64), 64);
             let mut plan = FaultPlan {
                 site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.1 }),
                 ..FaultPlan::seeded(5)

@@ -2,9 +2,10 @@
 //!
 //! All the paper's communication overheads — head↔master control traffic,
 //! reduction-object exchange at global reduction, and remote chunk retrieval
-//! — are functions of *(latency, bandwidth, bytes)*. This module is the
-//! single source of that arithmetic for both the real-time throttle and the
-//! discrete-event simulator.
+//! — are functions of *(latency, bandwidth, bytes)*. [`LinkSpec::transfer_time`]
+//! is the single source of that arithmetic, and [`crate::Pipe`] the single
+//! place a transfer is charged with it, under the real-time throttle and the
+//! discrete-event simulator alike.
 
 use serde::{Deserialize, Serialize};
 
@@ -36,25 +37,6 @@ impl LinkSpec {
     pub fn transfer_time(&self, bytes: u64) -> Seconds {
         self.latency + bytes as f64 / self.bandwidth
     }
-
-    /// Round-trip time of an empty request/response pair.
-    #[must_use]
-    pub fn rtt(&self) -> Seconds {
-        2.0 * self.latency
-    }
-
-    /// Time for a request/response exchange carrying `bytes` in the response
-    /// (the shape of a job-request RPC or a ranged GET).
-    #[must_use]
-    pub fn request_response(&self, bytes: u64) -> Seconds {
-        self.rtt() + bytes as f64 / self.bandwidth
-    }
-
-    /// Effective bandwidth when `n` equal streams share the link fairly.
-    #[must_use]
-    pub fn shared(&self, n: u32) -> LinkSpec {
-        LinkSpec { latency: self.latency, bandwidth: self.bandwidth / f64::from(n.max(1)) }
-    }
 }
 
 /// Built-in link profiles, calibrated to the paper's testbed (§IV-A):
@@ -63,20 +45,6 @@ impl LinkSpec {
 /// commodity WAN between Ohio and AWS circa 2011.
 pub mod profiles {
     use super::LinkSpec;
-
-    /// Intra-cluster Infiniband: ~1 GB/s effective, microsecond latency.
-    #[must_use]
-    pub fn infiniband() -> LinkSpec {
-        LinkSpec::new(5e-6, 1.0e9)
-    }
-
-    /// Cluster storage node over Infiniband (streaming reads off SATA-SCSI
-    /// RAID): the paper's local jobs stream at disk speed, ~350 MB/s
-    /// aggregate.
-    #[must_use]
-    pub fn cluster_storage() -> LinkSpec {
-        LinkSpec::new(2e-4, 350.0e6)
-    }
 
     /// One S3 GET connection from EC2: ~25 MB/s with ~30 ms time-to-first-
     /// byte. Parallel ranged GETs aggregate (paper: "multiple retrieval
@@ -115,32 +83,6 @@ mod tests {
         let l = LinkSpec::new(0.1, 1000.0);
         assert!((l.transfer_time(500) - 0.6).abs() < 1e-12);
         assert!((l.transfer_time(0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rtt_and_request_response() {
-        let l = LinkSpec::new(0.05, 100.0);
-        assert!((l.rtt() - 0.1).abs() < 1e-12);
-        assert!((l.request_response(50) - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shared_divides_bandwidth_not_latency() {
-        let l = LinkSpec::new(0.01, 800.0);
-        let s = l.shared(4);
-        assert_eq!(s.latency, 0.01);
-        assert_eq!(s.bandwidth, 200.0);
-        // Zero streams clamps to one.
-        assert_eq!(l.shared(0).bandwidth, 800.0);
-    }
-
-    #[test]
-    fn wan_is_slower_than_infiniband() {
-        let one_mb = 1 << 20;
-        assert!(
-            profiles::wan().transfer_time(one_mb)
-                > 10.0 * profiles::infiniband().transfer_time(one_mb)
-        );
     }
 
     #[test]

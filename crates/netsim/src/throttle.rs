@@ -2,15 +2,17 @@
 //!
 //! The threaded runtime executes on one machine, so "remote" transfers must
 //! be slowed down artificially to exercise the same code paths the paper's
-//! geo-distributed deployment does. [`Throttle`] paces callers against a
-//! shared token bucket so concurrent readers genuinely compete for the
+//! geo-distributed deployment does. [`Throttle`] is a [`Pipe`] under a
+//! mutex on the real clock: concurrent callers reserve its channels and
+//! sleep until their transfer is done, so they genuinely compete for the
 //! modelled bandwidth, exactly like slaves sharing the S3 egress pipe.
 //!
 //! A global `time_scale` lets tests compress the modelled world (e.g.
 //! `1e-3`: one modelled second = one real millisecond) while preserving every
 //! *ratio* the experiments care about.
 
-use crate::link::LinkSpec;
+use crate::link::{LinkSpec, Seconds};
+use crate::pipe::Pipe;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,12 +22,15 @@ use std::time::{Duration, Instant};
 /// without this crate depending on it.
 pub type TransferObserver = Arc<dyn Fn(u64, f64) + Send + Sync>;
 
-/// A shared pacing gate enforcing a [`LinkSpec`] in (scaled) real time.
+/// A [`Pipe`] on the real clock: transfers reserve its channels at the
+/// (scaled) time they arrive and sleep until they are done.
 pub struct Throttle {
-    spec: LinkSpec,
     /// Multiplier from modelled seconds to real seconds.
     time_scale: f64,
-    state: Mutex<State>,
+    /// Real instant of modelled time zero.
+    start: Instant,
+    /// The pipe, on the modelled clock.
+    pipe: Mutex<Pipe>,
     /// Optional per-transfer callback (bytes, modelled secs).
     observer: Mutex<Option<TransferObserver>>,
 }
@@ -33,38 +38,38 @@ pub struct Throttle {
 impl std::fmt::Debug for Throttle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Throttle")
-            .field("spec", &self.spec)
+            .field("pipe", &*self.pipe.lock())
             .field("time_scale", &self.time_scale)
             .field("observed", &self.observer.lock().is_some())
             .finish()
     }
 }
 
-#[derive(Debug)]
-struct State {
-    /// Epoch for the token-bucket schedule.
-    start: Instant,
-    /// Time (relative to `start`, in real seconds) until which the link's
-    /// serialization capacity is already reserved.
-    reserved_until: f64,
-}
-
 impl Throttle {
-    /// A throttle enforcing `spec`, with modelled time compressed by
-    /// `time_scale` (1.0 = real time; 1e-3 = 1000x faster).
+    /// A throttle enforcing one channel of `spec`, with modelled time
+    /// compressed by `time_scale` (1.0 = real time; 1e-3 = 1000x faster).
     ///
     /// # Panics
     /// Panics if `time_scale` is not finite and positive.
     #[must_use]
     pub fn new(spec: LinkSpec, time_scale: f64) -> Throttle {
+        Throttle::with_channels(spec, 1, time_scale)
+    }
+
+    /// A throttle over `channels` identical channels of `spec`.
+    ///
+    /// # Panics
+    /// Panics if `time_scale` is not finite and positive, or `channels == 0`.
+    #[must_use]
+    pub fn with_channels(spec: LinkSpec, channels: usize, time_scale: f64) -> Throttle {
         assert!(
             time_scale.is_finite() && time_scale > 0.0,
             "time_scale must be finite and positive"
         );
         Throttle {
-            spec,
             time_scale,
-            state: Mutex::new(State { start: Instant::now(), reserved_until: 0.0 }),
+            start: Instant::now(),
+            pipe: Mutex::new(Pipe::new(spec, channels)),
             observer: Mutex::new(None),
         }
     }
@@ -76,39 +81,38 @@ impl Throttle {
         *self.observer.lock() = Some(Arc::new(observer));
     }
 
-    /// The modelled link.
-    #[must_use]
-    pub fn spec(&self) -> LinkSpec {
-        self.spec
+    /// Reserve a transfer of `bytes` now without waiting for it: the real
+    /// instant it finishes and the modelled seconds it takes, queueing
+    /// included.
+    pub fn reserve(&self, bytes: u64) -> (Instant, Seconds) {
+        let mut pipe = self.pipe.lock();
+        let now = self.start.elapsed().as_secs_f64() / self.time_scale;
+        let done = pipe.reserve(now, bytes);
+        (self.start + Duration::from_secs_f64(done * self.time_scale), done - now)
     }
 
     /// Block the caller for the (scaled) time a transfer of `bytes` takes,
     /// *including queueing behind other in-flight transfers*. Returns the
     /// modelled (unscaled) seconds the transfer took, queueing included.
     pub fn transfer(&self, bytes: u64) -> f64 {
-        let service_real = self.spec.transfer_time(bytes) * self.time_scale;
-        let (anchor, enqueued_at, wake_at) = {
-            let mut st = self.state.lock();
-            let now = st.start.elapsed().as_secs_f64();
-            // Link capacity is reserved back-to-back, FIFO: a transfer that
-            // arrives while another is in flight queues behind it.
-            let begin = st.reserved_until.max(now);
-            st.reserved_until = begin + service_real;
-            (st.start, now, st.reserved_until)
-        };
-        loop {
-            let now = anchor.elapsed().as_secs_f64();
-            if now >= wake_at {
-                break;
-            }
-            std::thread::sleep(Duration::from_secs_f64((wake_at - now).min(0.05)));
-        }
-        let modelled = (wake_at - enqueued_at) / self.time_scale;
+        let (done, modelled) = self.reserve(bytes);
+        sleep_until(done);
         let observer = self.observer.lock().clone();
         if let Some(observe) = observer {
             observe(bytes, modelled);
         }
         modelled
+    }
+}
+
+/// Sleep until `deadline`, in slices of at most 50 ms.
+pub fn sleep_until(deadline: Instant) {
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            break;
+        }
+        std::thread::sleep((deadline - now).min(Duration::from_millis(50)));
     }
 }
 
@@ -179,9 +183,15 @@ mod tests {
     }
 
     #[test]
-    fn spec_accessor_returns_configuration() {
-        let s = spec(0.25, 42.0);
-        assert_eq!(Throttle::new(s, 1.0).spec(), s);
+    fn reserve_books_the_channel_without_waiting() {
+        // 1000 B at 1 B/s is 1000 modelled seconds of real time each.
+        let t = Throttle::new(spec(0.0, 1.0), 1.0);
+        let before = Instant::now();
+        let (first, m1) = t.reserve(1000);
+        let (second, m2) = t.reserve(1000);
+        assert!(before.elapsed() < Duration::from_secs(1));
+        assert!(second >= first + Duration::from_secs(999));
+        assert!(m1 >= 999.0 && m2 >= 1999.0, "{m1} {m2}");
     }
 
     #[test]

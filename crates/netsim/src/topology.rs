@@ -1,5 +1,5 @@
 //! The deployment's network topology: which link connects which pair of
-//! sites, and how each site reaches each storage service.
+//! sites.
 
 use crate::link::{profiles, LinkSpec};
 use serde::{Deserialize, Serialize};
@@ -14,43 +14,27 @@ pub const LOCAL: Site = 0;
 /// The cloud site.
 pub const CLOUD: Site = 1;
 
-/// The full topology: inter-site links plus per-site storage access links.
+/// The inter-site links. A cross-site chunk read, a control message and a
+/// reduction-object push between two sites all ride the one link between
+/// them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Topology {
     /// Inter-site links, keyed by unordered pair (lo, hi).
     links: BTreeMap<(Site, Site), LinkSpec>,
-    /// Access path from a compute site to a storage site's store:
-    /// `storage_access[(compute, storage)]`.
-    storage: BTreeMap<(Site, Site), LinkSpec>,
-    /// Per-connection limit when fetching from each storage site.
-    per_connection: BTreeMap<Site, LinkSpec>,
 }
 
 impl Topology {
-    /// An empty topology; populate with [`Topology::with_link`] etc.
+    /// An empty topology; populate with [`Topology::with_link`].
     #[must_use]
     pub fn new() -> Topology {
-        Topology {
-            links: BTreeMap::new(),
-            storage: BTreeMap::new(),
-            per_connection: BTreeMap::new(),
-        }
+        Topology { links: BTreeMap::new() }
     }
 
-    /// The paper's two-site deployment: a campus cluster (site 0, Infiniband
-    /// plus a dedicated storage node) and AWS (site 1, EC2 + S3), joined by
-    /// a commodity WAN.
+    /// The paper's two-site deployment: a campus cluster (site 0) and AWS
+    /// (site 1), joined by a commodity WAN.
     #[must_use]
     pub fn paper_testbed() -> Topology {
-        Topology::new()
-            .with_link(LOCAL, CLOUD, profiles::wan())
-            .with_storage_access(LOCAL, LOCAL, profiles::cluster_storage())
-            .with_storage_access(CLOUD, CLOUD, profiles::s3_host_cap())
-            // Cross-site storage access rides the WAN.
-            .with_storage_access(LOCAL, CLOUD, profiles::wan())
-            .with_storage_access(CLOUD, LOCAL, profiles::wan())
-            .with_per_connection(CLOUD, profiles::s3_connection())
-            .with_per_connection(LOCAL, profiles::cluster_storage())
+        Topology::new().with_link(LOCAL, CLOUD, profiles::wan())
     }
 
     /// Add (or replace) the inter-site link between `a` and `b`.
@@ -60,42 +44,14 @@ impl Topology {
         self
     }
 
-    /// Add (or replace) the access path from compute site `from` to the
-    /// store hosted at site `at`.
-    #[must_use]
-    pub fn with_storage_access(mut self, from: Site, at: Site, spec: LinkSpec) -> Topology {
-        self.storage.insert((from, at), spec);
-        self
-    }
-
-    /// Set the per-connection limit of the store hosted at `at`.
-    #[must_use]
-    pub fn with_per_connection(mut self, at: Site, spec: LinkSpec) -> Topology {
-        self.per_connection.insert(at, spec);
-        self
-    }
-
-    /// The link between two sites. Same-site traffic uses loopback.
+    /// The link between two sites. Same-site traffic uses loopback; a pair
+    /// with no link configured rides the WAN.
     #[must_use]
     pub fn link(&self, a: Site, b: Site) -> LinkSpec {
         if a == b {
             return profiles::loopback();
         }
         self.links.get(&Self::key(a, b)).copied().unwrap_or_else(profiles::wan)
-    }
-
-    /// The path from compute site `from` to the store at `at`. Falls back to
-    /// the inter-site link when no explicit storage path is configured.
-    #[must_use]
-    pub fn storage_access(&self, from: Site, at: Site) -> LinkSpec {
-        self.storage.get(&(from, at)).copied().unwrap_or_else(|| self.link(from, at))
-    }
-
-    /// Per-connection limit of the store at `at` (defaults to its aggregate
-    /// access path, i.e. a single connection can saturate the store).
-    #[must_use]
-    pub fn per_connection(&self, at: Site) -> LinkSpec {
-        self.per_connection.get(&at).copied().unwrap_or_else(|| self.storage_access(at, at))
     }
 
     fn key(a: Site, b: Site) -> (Site, Site) {
@@ -127,32 +83,10 @@ mod tests {
     }
 
     #[test]
-    fn local_storage_faster_than_cross_site() {
-        let t = Topology::paper_testbed();
-        let mb = 1 << 20;
-        let local = t.storage_access(LOCAL, LOCAL).transfer_time(mb);
-        let cross = t.storage_access(LOCAL, CLOUD).transfer_time(mb);
-        assert!(local < cross);
-    }
-
-    #[test]
-    fn cloud_reads_s3_faster_than_cluster_does() {
-        // Intra-AWS S3 access beats WAN S3 access — the basis of the paper's
-        // observation that env-cloud has *shorter* retrieval than env-local
-        // never holds for cross-site reads.
-        let t = Topology::paper_testbed();
-        let mb = 64 << 20;
-        assert!(
-            t.storage_access(CLOUD, CLOUD).transfer_time(mb)
-                < t.storage_access(LOCAL, CLOUD).transfer_time(mb)
-        );
-    }
-
-    #[test]
     fn unknown_pairs_fall_back_to_wan() {
         let t = Topology::paper_testbed();
         assert_eq!(t.link(0, 7), profiles::wan());
-        assert_eq!(t.storage_access(7, 8), profiles::wan());
+        assert_eq!(Topology::new().link(LOCAL, CLOUD), profiles::wan());
     }
 
     #[test]
@@ -160,11 +94,5 @@ mod tests {
         let fast = LinkSpec::new(1e-3, 1e9);
         let t = Topology::new().with_link(LOCAL, CLOUD, fast);
         assert_eq!(t.link(CLOUD, LOCAL), fast);
-    }
-
-    #[test]
-    fn per_connection_defaults_to_store_access() {
-        let t = Topology::new().with_storage_access(2, 2, LinkSpec::new(0.01, 123.0));
-        assert_eq!(t.per_connection(2).bandwidth, 123.0);
     }
 }

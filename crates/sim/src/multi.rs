@@ -22,8 +22,8 @@ use cloudburst_core::{
     FaultPlan, JobPool, LayoutParams, LeaseConfig, LocalJob, MasterPool, RequestId, RunReport,
     Seconds, SiteId, SiteSample, SlaveCore, SlaveSample, Take, Telemetry,
 };
-use cloudburst_des::{EventQueue, Servers, SimTime, Timeline};
-use cloudburst_netsim::Jitter;
+use cloudburst_des::{EventQueue, SimTime, Timeline};
+use cloudburst_netsim::{Jitter, Pipe};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// What a simulated slave is doing at a point in time (timeline kinds).
@@ -274,9 +274,9 @@ struct Sim<'a> {
     /// cleared when it is granted anew.
     revoked: BTreeSet<ChunkId>,
     slaves: Vec<Slave>,
-    /// Each site's store, and the spec its service times come from.
-    stores: BTreeMap<SiteId, (Servers, ResourceSpec)>,
-    wan: Servers,
+    /// Each site's store.
+    stores: BTreeMap<SiteId, Pipe>,
+    wan: Pipe,
     queue: EventQueue<Ev>,
     masters: BTreeMap<SiteId, SimMaster>,
 }
@@ -354,14 +354,10 @@ impl Sim<'_> {
         // Under coded redundancy the chunk's bytes are replicated at the
         // reader: the read is served on-site and never touches the WAN.
         let data_site = if env.redundancy > 1 { site } else { job.chunk.site };
-        let (store, spec) = self.stores.get_mut(&data_site).expect("store for data site");
-        let grant = store.request(SimTime::at(now), spec.service_time(job.chunk.len));
-        let mut retr_end = grant.finish.seconds();
+        let store = self.stores.get_mut(&data_site).expect("store for data site");
+        let mut retr_end = store.reserve(now, job.chunk.len);
         if data_site != site {
-            let wg = self
-                .wan
-                .request(SimTime::at(retr_end.max(now)), env.wan.service_time(job.chunk.len));
-            retr_end = wg.finish.seconds();
+            retr_end = self.wan.reserve(retr_end, job.chunk.len);
         }
 
         let of_job = |e: Event| e.chunk(job.chunk.id).span_id(job.span);
@@ -449,9 +445,9 @@ fn run_multi(
             .sites
             .iter()
             .filter(|s| s.site != spec.site)
-            .map(|s| s.store.service_time(chunk_bytes))
+            .map(|s| s.store.link.transfer_time(chunk_bytes))
             .fold(0.0_f64, f64::max);
-        let cost = env.wan.service_time(chunk_bytes)
+        let cost = env.wan.link.transfer_time(chunk_bytes)
             + worst_remote_store
             + app.compute_time(chunk_units, spec.compute_factor) / spec.slaves().1;
         pool.set_steal_cost(spec.site, cost);
@@ -497,9 +493,9 @@ fn run_multi(
         stores: env
             .sites
             .iter()
-            .map(|s| (s.site, (Servers::new(s.store.servers), s.store)))
+            .map(|s| (s.site, Pipe::new(s.store.link, s.store.channels)))
             .collect(),
-        wan: Servers::new(env.wan.servers),
+        wan: Pipe::new(env.wan.link, env.wan.channels),
         queue,
         masters,
     };
@@ -638,6 +634,7 @@ fn run_multi(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudburst_netsim::LinkSpec;
 
     /// Three providers: the campus cluster plus two clouds with different
     /// compute/storage profiles.
@@ -670,7 +667,7 @@ mod tests {
                     cores_per_slave: 2,
                     compute_factor: 1.5,
                     jitter: 0.2,
-                    store: ResourceSpec { servers: 16, per_channel_bw: 30e6, latency: 80e-3 },
+                    store: ResourceSpec { channels: 16, link: LinkSpec::new(80e-3, 30e6) },
                     data_fraction: 0.4,
                 },
             ],

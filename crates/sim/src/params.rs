@@ -14,32 +14,18 @@
 //!   for parallel bulk flows, but a single control/robj stream sustains
 //!   only a few MB/s.
 
+use cloudburst_netsim::LinkSpec;
 use serde::{Deserialize, Serialize};
 
-/// A contended store/link modelled as `servers` parallel channels of
-/// `per_channel_bw` bytes/s each, with `latency` seconds charged per request.
+/// A contended store or link: `channels` parallel channels of one
+/// [`LinkSpec`] (per-request latency, per-channel bandwidth), charged
+/// through a [`cloudburst_netsim::Pipe`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ResourceSpec {
-    /// Parallel service channels.
-    pub servers: usize,
-    /// Bandwidth of one channel, bytes/s.
-    pub per_channel_bw: f64,
-    /// Per-request latency, seconds.
-    pub latency: f64,
-}
-
-impl ResourceSpec {
-    /// Aggregate bandwidth across channels.
-    #[must_use]
-    pub fn aggregate_bw(&self) -> f64 {
-        self.per_channel_bw * self.servers as f64
-    }
-
-    /// Service time of one `bytes`-sized request on one channel.
-    #[must_use]
-    pub fn service_time(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.per_channel_bw
-    }
+    /// Parallel channels.
+    pub channels: usize,
+    /// One channel.
+    pub link: LinkSpec,
 }
 
 /// All tunables of the simulated testbed.
@@ -54,7 +40,7 @@ pub struct SimParams {
     /// The cluster's storage node as seen by one reading worker.
     pub cluster_disk: ResourceSpec,
     /// S3 as seen by one EC2 worker (multi-threaded GETs folded into the
-    /// per-channel rate; `servers` bounds how many workers stream at once).
+    /// per-channel rate; `channels` bounds how many workers stream at once).
     pub s3: ResourceSpec,
     /// The bulk WAN data path for stolen chunks (shared FIFO pipe).
     pub wan_bulk: ResourceSpec,
@@ -86,9 +72,9 @@ impl SimParams {
             dataset_bytes: 12 * (1 << 30),
             n_files: 32,
             n_chunks: 96,
-            cluster_disk: ResourceSpec { servers: 5, per_channel_bw: 88e6, latency: 2e-3 },
-            s3: ResourceSpec { servers: 12, per_channel_bw: 48e6, latency: 60e-3 },
-            wan_bulk: ResourceSpec { servers: 4, per_channel_bw: 30e6, latency: 40e-3 },
+            cluster_disk: ResourceSpec { channels: 5, link: LinkSpec::new(2e-3, 88e6) },
+            s3: ResourceSpec { channels: 12, link: LinkSpec::new(60e-3, 48e6) },
+            wan_bulk: ResourceSpec { channels: 4, link: LinkSpec::new(40e-3, 30e6) },
             control_latency: 40e-3,
             robj_stream_bw: 4e6,
             merge_bw: 2e9,
@@ -120,21 +106,15 @@ mod tests {
         assert_eq!(p.dataset_bytes, 12 * (1 << 30));
         assert_eq!(p.n_files, 32);
         assert_eq!(p.n_chunks, 96);
+        let aggregate = |r: ResourceSpec| r.link.bandwidth * r.channels as f64;
         // Cluster disk ≈ 440 MB/s aggregate; one slave node streams ~88 MB/s.
-        assert!(p.cluster_disk.aggregate_bw() > 300e6);
-        assert!(p.cluster_disk.per_channel_bw < 100e6);
+        assert!(aggregate(p.cluster_disk) > 300e6);
+        assert!(p.cluster_disk.link.bandwidth < 100e6);
         // S3 aggregate far exceeds one host; WAN is the slowest data path.
-        assert!(p.s3.aggregate_bw() > p.cluster_disk.aggregate_bw());
-        assert!(p.wan_bulk.aggregate_bw() < p.cluster_disk.aggregate_bw());
+        assert!(aggregate(p.s3) > aggregate(p.cluster_disk));
+        assert!(aggregate(p.wan_bulk) < aggregate(p.cluster_disk));
         // A single robj stream is much slower than the bulk path.
-        assert!(p.robj_stream_bw < p.wan_bulk.per_channel_bw);
-    }
-
-    #[test]
-    fn resource_arithmetic() {
-        let r = ResourceSpec { servers: 4, per_channel_bw: 10.0, latency: 0.5 };
-        assert_eq!(r.aggregate_bw(), 40.0);
-        assert_eq!(r.service_time(20), 0.5 + 2.0);
+        assert!(p.robj_stream_bw < p.wan_bulk.link.bandwidth);
     }
 
     #[test]

@@ -10,43 +10,16 @@
 //! 1. a single GET connection is slow (high latency, modest bandwidth), so
 //!    slaves fetch each chunk with **multiple retrieval threads**;
 //! 2. connections share an aggregate pipe, so adding threads saturates.
+//!
+//! Both are [`cloudburst_netsim::Pipe`]s, driven on the real clock by a
+//! [`Throttle`]: the store holds no permit and sleeps through netsim only.
 
 use crate::store::ChunkStore;
 use bytes::Bytes;
 use cloudburst_core::{ByteSize, FileId, SiteId};
-use cloudburst_netsim::{LinkSpec, Throttle};
-use parking_lot::{Condvar, Mutex};
+use cloudburst_netsim::{sleep_until, LinkSpec, Throttle};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// A counting semaphore bounding concurrent GET connections.
-#[derive(Debug)]
-struct ConnectionLimit {
-    permits: Mutex<u32>,
-    freed: Condvar,
-}
-
-impl ConnectionLimit {
-    fn new(max: u32) -> ConnectionLimit {
-        ConnectionLimit { permits: Mutex::new(max), freed: Condvar::new() }
-    }
-
-    fn acquire(&self) {
-        let mut p = self.permits.lock();
-        while *p == 0 {
-            self.freed.wait(&mut p);
-        }
-        *p -= 1;
-    }
-
-    fn release(&self) {
-        let mut p = self.permits.lock();
-        *p += 1;
-        drop(p);
-        self.freed.notify_one();
-    }
-}
 
 /// Configuration of the simulated object store.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,9 +61,10 @@ pub struct S3Metrics {
 /// bytes and charges realistic retrieval time for every read.
 pub struct S3SimStore<S> {
     inner: S,
-    config: S3Config,
+    /// One channel of [`S3Config::aggregate`], shared by every GET.
     aggregate: Throttle,
-    connections: ConnectionLimit,
+    /// [`S3Config::max_connections`] channels of [`S3Config::connection`].
+    connections: Throttle,
     gets: AtomicU64,
     bytes: AtomicU64,
 }
@@ -105,11 +79,14 @@ impl<S: ChunkStore> S3SimStore<S> {
         assert!(config.max_connections > 0, "S3 needs at least one connection");
         S3SimStore {
             aggregate: Throttle::new(config.aggregate, config.time_scale),
-            connections: ConnectionLimit::new(config.max_connections),
+            connections: Throttle::with_channels(
+                config.connection,
+                config.max_connections as usize,
+                config.time_scale,
+            ),
             gets: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             inner,
-            config,
         }
     }
 
@@ -128,25 +105,19 @@ impl<S: ChunkStore> S3SimStore<S> {
         &self.inner
     }
 
-    /// Run one GET of `len` payload bytes under the connection semaphore,
-    /// charging the aggregate pipe and the per-connection floor on success.
+    /// Run one GET of `len` payload bytes. A served GET reserves the
+    /// aggregate pipe and one connection, and returns when the later of the
+    /// two lets it go: it queues behind other GETs on the shared pipe, and
+    /// can never beat its own connection's link.
     fn get<T>(&self, len: ByteSize, op: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
-        self.connections.acquire();
-        let started = Instant::now();
         let result = op();
         if result.is_ok() {
-            // Aggregate pipe: queue behind other in-flight GETs.
-            self.aggregate.transfer(len);
-            // Per-connection floor: one GET can never beat its own link.
-            let conn_real = self.config.connection.transfer_time(len) * self.config.time_scale;
-            let elapsed = started.elapsed().as_secs_f64();
-            if conn_real > elapsed {
-                std::thread::sleep(Duration::from_secs_f64(conn_real - elapsed));
-            }
+            let (aggregate, _) = self.aggregate.reserve(len);
+            let (connection, _) = self.connections.reserve(len);
+            sleep_until(aggregate.max(connection));
             self.gets.fetch_add(1, Ordering::Relaxed);
             self.bytes.fetch_add(len, Ordering::Relaxed);
         }
-        self.connections.release();
         result
     }
 }
@@ -182,6 +153,7 @@ mod tests {
     use super::*;
     use crate::mem::MemStore;
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn base(bytes_per_file: usize, n_files: usize) -> MemStore {
         let files = (0..n_files).map(|i| Bytes::from(vec![i as u8; bytes_per_file])).collect();
@@ -262,6 +234,45 @@ mod tests {
         });
         let real = t.elapsed().as_secs_f64();
         assert!(real >= 1.8e-3, "limit=1 must serialize, took {real}");
+    }
+
+    /// A store whose reads of file 1 panic.
+    struct PanicsOnFile1(MemStore);
+
+    impl ChunkStore for PanicsOnFile1 {
+        fn site(&self) -> SiteId {
+            self.0.site()
+        }
+
+        fn read(&self, file: FileId, offset: ByteSize, len: ByteSize) -> io::Result<Bytes> {
+            assert_ne!(file, FileId(1), "a read of file 1 panics");
+            self.0.read(file, offset, len)
+        }
+
+        fn file_len(&self, file: FileId) -> io::Result<ByteSize> {
+            self.0.file_len(file)
+        }
+
+        fn n_files(&self) -> usize {
+            self.0.n_files()
+        }
+    }
+
+    #[test]
+    fn a_read_that_panics_keeps_no_connection() {
+        // The fetch path survives a read that panics; with one connection,
+        // the GET after it must still be served.
+        let s3 = Arc::new(S3SimStore::new(PanicsOnFile1(base(64, 2)), cfg(1e9, 1e9, 0.0, 1)));
+        let unwound = std::panic::catch_unwind(|| s3.read(FileId(1), 0, 8));
+        assert!(unwound.is_err());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&s3);
+        let next = std::thread::spawn(move || {
+            tx.send(reader.read(FileId(0), 0, 8).map(|b| b.len())).unwrap();
+        });
+        let served = rx.recv_timeout(Duration::from_secs(2)).expect("the next GET was not served");
+        assert_eq!(served.unwrap(), 8);
+        next.join().unwrap();
     }
 
     #[test]

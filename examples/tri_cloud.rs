@@ -12,6 +12,7 @@
 //! ```
 
 use cloudburst_core::SiteId;
+use cloudburst_netsim::LinkSpec;
 use cloudburst_sim::{simulate_multi, AppModel, MultiEnv, ResourceSpec, SimParams, SiteSpec};
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
         cores_per_slave: 2,  // smaller instances
         compute_factor: 1.5, // slower cores
         jitter: 0.2,         // noisier neighborhood
-        store: ResourceSpec { servers: 16, per_channel_bw: 30e6, latency: 80e-3 },
+        store: ResourceSpec { channels: 16, link: LinkSpec::new(80e-3, 30e6) },
         data_fraction: 0.4,
     };
 

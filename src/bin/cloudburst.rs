@@ -385,6 +385,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let cloud_cores: u32 = opt_parse(args, "--cloud-cores", 2)?;
     let retry: u8 = opt_parse(args, "--retry", 0)?;
     let time_scale: f64 = opt_parse(args, "--time-scale", 1e-4)?;
+    // Every modelled link is a `Throttle`, which needs a positive scale.
+    if !(time_scale.is_finite() && time_scale > 0.0) {
+        return Err(format!("--time-scale must be finite and > 0, got {time_scale}"));
+    }
     let pipeline_depth: usize = opt_parse(args, "--pipeline-depth", 1)?;
 
     // The index records whether the organizer replicated the data; the run

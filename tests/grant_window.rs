@@ -23,6 +23,7 @@
 use bytes::Bytes;
 use cloudburst_cluster::{run_hybrid, run_hybrid_tcp, RuntimeConfig};
 use cloudburst_core::{EnvConfig, LayoutParams, Merge, Reduction, ReductionObject, SiteId};
+use cloudburst_netsim::LinkSpec;
 use cloudburst_sim::multi::{simulate_multi, MultiEnv, SiteSpec};
 use cloudburst_sim::{AppModel, ResourceSpec};
 use cloudburst_storage::{fraction_placement, organize, ChunkStore};
@@ -108,7 +109,7 @@ fn predicted() -> (f64, u64) {
         robj_bytes: 8,
     };
     // In-memory stores: reads cost microseconds.
-    let memory = ResourceSpec { servers: 4, per_channel_bw: 1e9, latency: 1e-6 };
+    let memory = ResourceSpec { channels: 4, link: LinkSpec::new(1e-6, 1e9) };
     let site = |site: SiteId| SiteSpec {
         site,
         cores: 1,
@@ -121,7 +122,7 @@ fn predicted() -> (f64, u64) {
     let env = MultiEnv {
         name: "tiny-jobs".into(),
         sites: vec![site(SiteId::LOCAL), site(SiteId::CLOUD)],
-        wan: ResourceSpec { servers: 4, per_channel_bw: 50e6, latency: ONE_WAY },
+        wan: ResourceSpec { channels: 4, link: LinkSpec::new(ONE_WAY, 50e6) },
         control_latency: ONE_WAY,
         robj_stream_bw: 4e6,
         merge_bw: 2e9,

@@ -9,6 +9,7 @@ use cloudburst_core::{
     derive_report, secs_to_ns, EnvConfig, EventKind, FaultPlan, Recorder, SiteId, SiteOutage,
     SlowSite, SlowWorker, Telemetry, WorkerCrash,
 };
+use cloudburst_netsim::LinkSpec;
 use cloudburst_sim::{
     simulate, simulate_multi_instrumented, AppModel, MultiEnv, ResourceSpec, SimParams, SiteSpec,
 };
@@ -54,7 +55,7 @@ fn three_sites() -> MultiEnv {
         cores_per_slave: 2,
         compute_factor: 1.5,
         jitter: 0.2,
-        store: ResourceSpec { servers: 16, per_channel_bw: 30e6, latency: 80e-3 },
+        store: ResourceSpec { channels: 16, link: LinkSpec::new(80e-3, 30e6) },
         data_fraction: 0.4,
     });
     three

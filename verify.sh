@@ -134,6 +134,29 @@ for core in HeadCore SlaveCore assemble_report; do
     fi
 done
 
+echo "== hygiene: one link model"
+# Every modelled transfer — a cross-site read, an S3 GET, the reduction-object
+# push, a simulated store or WAN leg — is a reservation on netsim's clock-free
+# `Pipe` (crates/netsim/src/pipe.rs): on the real clock through `Throttle`, on
+# the DES's virtual clock directly. A second reservation rule (des's bank of
+# servers, S3's connection semaphore), a hand-written charge, the deleted
+# storage-access maps and closed forms, or S3 sleeping outside netsim's clock
+# fails the run.
+if grep -rnE '\bServers\b|ConnectionLimit|fn service_time|fn sleep_secs|storage_access|with_per_connection|request_response' \
+    crates src tests examples; then
+    echo "a second link model is back: charge transfers through cloudburst_netsim::Pipe"
+    exit 1
+fi
+if [[ -e crates/des/src/resource.rs ]]; then
+    echo "crates/des/src/resource.rs is back: the DES reserves netsim's Pipe"
+    exit 1
+fi
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FNR ": " $0 }' crates/storage/src/s3sim.rs \
+    | grep 'thread::sleep'; then
+    echo "crates/storage/src/s3sim.rs sleeps outside netsim's clock: reserve its pipes and sleep_until"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
