@@ -7,7 +7,7 @@
 //! dataset size. The per-unit cost is `k·D` multiply-adds, which is what
 //! makes kmeans the compute-bound application of the trio.
 
-use crate::kmeans_avx2::Tiles;
+use crate::kmeans_kernel::Filter;
 use crate::units::{decode_all, dist2, Point};
 use cloudburst_core::{Merge, Reduction, ReductionObject};
 use cloudburst_mapreduce::MapReduceApp;
@@ -74,9 +74,10 @@ impl ReductionObject for KMeansObj {
 #[derive(Debug, Clone)]
 pub struct KMeans<const D: usize> {
     centroids: Vec<[f64; D]>,
-    /// `centroids` again, in the assignment kernel's layout. Both fields are
-    /// private and set together in [`KMeans::new`], so they cannot disagree.
-    tiles: Tiles<D>,
+    /// `centroids` again, as the assignment kernel reads them. Both fields
+    /// are private and set together in [`KMeans::new`], so they cannot
+    /// disagree.
+    filter: Filter<D>,
 }
 
 impl<const D: usize> KMeans<D> {
@@ -87,8 +88,8 @@ impl<const D: usize> KMeans<D> {
     #[must_use]
     pub fn new(centroids: Vec<[f64; D]>) -> KMeans<D> {
         assert!(!centroids.is_empty(), "kmeans needs at least one centroid");
-        let tiles = Tiles::new(&centroids);
-        KMeans { centroids, tiles }
+        let filter = Filter::new(&centroids);
+        KMeans { centroids, filter }
     }
 
     /// The centroids this iteration assigns points to.
@@ -137,10 +138,11 @@ impl<const D: usize> Reduction for KMeans<D> {
         robj.counts[c] += 1;
     }
 
-    /// The tiled AVX2 kernel where the CPU has it, the `local_reduce` loop
-    /// elsewhere; the two produce the same bits (see `kmeans_avx2`).
+    /// The filter-and-certify kernel where the CPU has AVX-512F or AVX2 and
+    /// FMA, the `local_reduce` loop elsewhere; the two produce the same bits
+    /// (see `kmeans_kernel`).
     fn reduce_group(&self, robj: &mut KMeansObj, items: &[Point<D>]) {
-        if !self.tiles.reduce_group(robj, items) {
+        if self.filter.reduce_group(self, robj, items).is_none() {
             for item in items {
                 self.local_reduce(robj, item);
             }
@@ -219,6 +221,7 @@ pub fn kmeans_oracle<const D: usize>(data: &[u8], centroids: &[[f64; D]]) -> KMe
 mod tests {
     use super::*;
     use crate::gen::gen_clustered_points;
+    use crate::kmeans_kernel::Width;
     use cloudburst_core::reduce_serial;
 
     fn initial_centroids<const D: usize>(k: usize) -> Vec<[f64; D]> {
@@ -335,27 +338,55 @@ mod tests {
         (obj.sums.iter().map(canonical).collect(), &obj.counts)
     }
 
-    /// The reference fold against the dispatching `reduce_group` and the
-    /// AVX2 kernel called directly. Returns whether the kernel ran.
-    fn kernel_matches_fold<const D: usize>(app: &KMeans<D>, items: &[Point<D>]) -> bool {
+    /// The reference fold.
+    fn fold<const D: usize>(app: &KMeans<D>, items: &[Point<D>]) -> KMeansObj {
         let mut want = app.make_robj();
         for item in items {
             app.local_reduce(&mut want, item);
         }
+        want
+    }
+
+    /// The reference fold against the dispatching `reduce_group` and each
+    /// kernel width called directly. Returns the widths that ran, each
+    /// with the number of points it sent through the reference scan.
+    fn kernel_matches_fold<const D: usize>(
+        app: &KMeans<D>,
+        items: &[Point<D>],
+    ) -> Vec<(Width, usize)> {
+        let want = fold(app, items);
+        let k = app.centroids.len();
         let mut got = app.make_robj();
         app.reduce_group(&mut got, items);
-        assert_eq!(bits(&got), bits(&want), "reduce_group, k={} D={D}", app.centroids.len());
-        let mut got = app.make_robj();
-        let ran = app.tiles.reduce_group(&mut got, items);
-        if ran {
-            assert_eq!(bits(&got), bits(&want), "avx2 kernel, k={} D={D}", app.centroids.len());
+        assert_eq!(bits(&got), bits(&want), "reduce_group, k={k} D={D} n={}", items.len());
+        let mut ran = Vec::new();
+        for width in Width::ALL {
+            let mut got = app.make_robj();
+            if let Some(fallbacks) = app.filter.fold(width, app, &mut got, items) {
+                assert_eq!(bits(&got), bits(&want), "{width:?}, k={k} D={D} n={}", items.len());
+                ran.push((width, fallbacks));
+            }
         }
         ran
     }
 
-    fn kernel_cases<const D: usize>(rng: &mut SplitMix) -> bool {
-        let mut ran = true;
-        for k in [1, 5, 8, 9, 32, 33] {
+    /// Say on stderr which widths this CPU could not run, past libtest's
+    /// capture (which only intercepts the print macros).
+    fn report_skipped(ran: &[(Width, usize)]) {
+        use std::io::Write;
+        for width in Width::ALL {
+            if !ran.iter().any(|&(w, _)| w == width) {
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "skipped: kernel width {width:?} (not on this CPU)"
+                );
+            }
+        }
+    }
+
+    fn kernel_cases<const D: usize>(rng: &mut SplitMix) -> Vec<(Width, usize)> {
+        let mut ran = Vec::new();
+        for k in [1, 5, 8, 9, 16, 17, 32, 33] {
             let mut centroids: Vec<[f64; D]> = Vec::with_capacity(k);
             for i in 0..k {
                 // One centroid in four repeats an earlier one: a tie the
@@ -367,7 +398,7 @@ mod tests {
                 centroids.push(c);
             }
             let app = KMeans::new(centroids);
-            for len in [0, 1, 7, 1024] {
+            for len in [0, 1, 7, 15, 17, 1024] {
                 let items: Vec<Point<D>> = (0..len)
                     .map(|_| match rng.next() % 8 {
                         // A point on a centroid (distance exactly 0)...
@@ -384,7 +415,7 @@ mod tests {
                         _ => Point([0; D].map(|_| rng.coord())),
                     })
                     .collect();
-                ran &= kernel_matches_fold(&app, &items);
+                ran.extend(kernel_matches_fold(&app, &items));
             }
         }
         ran
@@ -393,14 +424,134 @@ mod tests {
     #[test]
     fn reduce_group_is_bit_exact_against_the_local_reduce_fold() {
         let mut rng = SplitMix(19);
-        let ran =
-            kernel_cases::<2>(&mut rng) & kernel_cases::<3>(&mut rng) & kernel_cases::<8>(&mut rng);
-        if !ran {
-            // Past libtest's capture, which only intercepts the print macros.
-            use std::io::Write;
-            let _ =
-                writeln!(std::io::stderr(), "skipped: no avx2 (default reduce_group path only)");
+        let mut ran = kernel_cases::<2>(&mut rng);
+        ran.extend(kernel_cases::<3>(&mut rng));
+        ran.extend(kernel_cases::<4>(&mut rng));
+        ran.extend(kernel_cases::<8>(&mut rng));
+        report_skipped(&ran);
+    }
+
+    /// `x` moved `steps` units in the last place (negative: towards −∞).
+    fn ulps(x: f32, steps: i64) -> f32 {
+        (0..steps.abs()).fold(x, |x, _| if steps > 0 { x.next_up() } else { x.next_down() })
+    }
+
+    /// Points on the bisector of centroids `a` and `b` (their midpoint in
+    /// `f32`, and that point slid along the bisector) and 1–4 `f32` ulps off
+    /// it, every coordinate moved independently.
+    fn around_the_bisector<const D: usize>(
+        rng: &mut SplitMix,
+        a: [f64; D],
+        b: [f64; D],
+    ) -> Vec<Point<D>> {
+        let mut points = Vec::new();
+        for _ in 0..8 {
+            // A direction orthogonal to `b − a`, to slide along the bisector.
+            let ab: [f64; D] = std::array::from_fn(|d| b[d] - a[d]);
+            let mut v = [0; D].map(|_| f64::from(rng.coord()) - 0.5);
+            let along = v.iter().zip(&ab).map(|(v, w)| v * w).sum::<f64>()
+                / ab.iter().map(|w| w * w).sum::<f64>().max(f64::MIN_POSITIVE);
+            v.iter_mut().zip(&ab).for_each(|(v, w)| *v -= along * w);
+            let t = f64::from(rng.coord()) * 0.2;
+            let on: [f32; D] = std::array::from_fn(|d| ((a[d] + b[d]) / 2.0 + t * v[d]) as f32);
+            points.push(Point(on));
+            for _ in 0..8 {
+                points.push(Point(on.map(|x| ulps(x, (rng.next() % 9) as i64 - 4))));
+            }
         }
+        points
+    }
+
+    /// A coordinate in `[0, 1)` with all 53 bits of an `f64`: `f32` cannot
+    /// hold it, so a centroid made of them has `r > 0`.
+    fn fine(rng: &mut SplitMix) -> f64 {
+        (rng.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn the_certificate_holds_at_its_edges() {
+        let mut ran = Vec::new();
+        let mut rng = SplitMix(5);
+        let mut check = |centroids: &[[f64; 4]], items: &[Point<4>]| {
+            ran.extend(kernel_matches_fold(&KMeans::new(centroids.to_vec()), items));
+        };
+        // Exact and near ties between `f32`-representable centroids
+        // (r = 0), with a far centroid so `m2` has more than one candidate.
+        for _ in 0..64 {
+            let (a, b) =
+                ([0; 4].map(|_| f64::from(rng.coord())), [0; 4].map(|_| f64::from(rng.coord())));
+            let items = around_the_bisector(&mut rng, a, b);
+            check(&[a, b, [9.0; 4]], &items);
+            check(&[[9.0; 4], b, a], &items);
+        }
+        // Centroids `f32` cannot hold: r > 0, and rounding them moves the
+        // bisector by as much as the points are off it. Far from the
+        // origin, r outweighs the arithmetic's own error.
+        for i in 0..64 {
+            let at = [0.0, 100.0][i % 2];
+            let (a, b) = ([0; 4].map(|_| at + fine(&mut rng)), [0; 4].map(|_| at + fine(&mut rng)));
+            assert!(KMeans::new(vec![a, b]).filter.r() > 0.0);
+            let items = around_the_bisector(&mut rng, a, b);
+            check(&[a, b, [0; 4].map(|_| fine(&mut rng))], &items);
+        }
+        // 1e-20 apart around the origin: every square is an `f32`
+        // subnormal or underflows to zero.
+        for _ in 0..16 {
+            let tiny = |rng: &mut SplitMix| [0; 4].map(|_| (fine(rng) - 0.5) * 1e-20);
+            let (a, b) = (tiny(&mut rng), tiny(&mut rng));
+            let mut items = around_the_bisector(&mut rng, a, b);
+            items.extend(
+                (0..64).map(|_| Point([0; 4].map(|_| (fine(&mut rng) - 0.5) as f32 * 2e-20))),
+            );
+            items.extend((-3..=3).map(|i| Point([i as f32 * f32::from_bits(1), 0.0, 0.0, 0.0])));
+            // Off the bisector by as little as the subnormal grid resolves.
+            for scale in [1e-27, 1e-26, 1e-25, 1e-24] {
+                items.extend((0..16).map(|_| {
+                    Point(std::array::from_fn(|d| {
+                        ((a[d] + b[d]) / 2.0 + (fine(&mut rng) - 0.5) * scale) as f32
+                    }))
+                }));
+            }
+            check(&[a, b, tiny(&mut rng)], &items);
+        }
+        // Squares beyond `f32` range: the filter's sums overflow to +∞.
+        let huge = [[2e19; 4], [-2e19, 2e19, 2e19, 2e19], [3e19, 0.0, 0.0, 1e19]];
+        let mut items = around_the_bisector(&mut rng, huge[0], huge[1]);
+        items.extend((0..64).map(|_| Point([0; 4].map(|_| (rng.coord() - 0.5) * 8e19))));
+        check(&huge, &items);
+        // Centroids beyond `f32` range: r = ∞, nothing is certified.
+        let items: Vec<Point<4>> = (0..64).map(|_| Point([0; 4].map(|_| rng.coord()))).collect();
+        for far in [1e39, 1e300, f64::INFINITY] {
+            check(&[[0.25; 4], [far, 0.5, 0.5, 0.5], [0.75; 4]], &items);
+        }
+        // Duplicated centroids: equal distances, the lower index wins.
+        check(&[[0.25; 4], [0.75; 4], [0.25; 4], [0.75; 4], [0.5; 4]], &items);
+        report_skipped(&ran);
+    }
+
+    #[test]
+    fn the_filter_certifies_nearly_every_clustered_point() {
+        // The ladder's shape: k = 32, D = 8, spread 0.08, started from the
+        // first 32 points.
+        let (data, _) = gen_clustered_points::<8>(16_384, 32, 0.08, 42);
+        let mut items = Vec::new();
+        decode_all(&data, Point::<8>::SIZE, &mut items, Point::<8>::decode);
+        let mut centroids: Vec<[f64; 8]> = items[..32].iter().map(|p| p.0.map(f64::from)).collect();
+        let mut ran = Vec::new();
+        for step in 0..2 {
+            let app = KMeans::new(centroids.clone());
+            for (width, fallbacks) in kernel_matches_fold(&app, &items) {
+                assert!(
+                    fallbacks * 100 <= items.len(),
+                    "{width:?}, step {step}: {fallbacks} of {} points fell back",
+                    items.len()
+                );
+                ran.push((width, fallbacks));
+            }
+            // After one Lloyd step the centroids are no longer f32 values.
+            centroids = fold(&app, &items).new_centroids(&centroids);
+        }
+        report_skipped(&ran);
     }
 
     #[test]

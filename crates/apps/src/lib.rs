@@ -14,7 +14,7 @@
 pub mod gen;
 pub mod gridding;
 pub mod kmeans;
-mod kmeans_avx2;
+mod kmeans_kernel;
 pub mod knn;
 pub mod pagerank;
 pub mod units;

@@ -235,6 +235,9 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         "knn" => (gen::gen_id_points::<DIM>(units, seed), 4 + 4 * DIM),
         "kmeans" => {
             let k: usize = opt_parse(args, "--clusters", 8)?;
+            if k == 0 {
+                return Err("--clusters must be at least 1".to_owned());
+            }
             let (data, _) = gen::gen_clustered_points::<DIM>(units, k, 0.03, seed);
             (data, 4 * DIM)
         }
@@ -380,6 +383,10 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let app = args.first().ok_or("run: missing application name")?.clone();
+    if app == "kmeans" {
+        // Checked before anything is set up, so a bad value is a usage error.
+        kmeans_k(args)?;
+    }
     let org_dir = PathBuf::from(required(args, "--org")?);
     let local_cores: u32 = opt_parse(args, "--local-cores", 2)?;
     let cloud_cores: u32 = opt_parse(args, "--cloud-cores", 2)?;
@@ -584,6 +591,14 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `run kmeans --k`: the number of centroids, at least one.
+fn kmeans_k(args: &[String]) -> Result<usize, String> {
+    match opt_parse(args, "--k", 8)? {
+        0 => Err("--k must be at least 1 (kmeans needs a centroid)".to_owned()),
+        k => Ok(k),
+    }
+}
+
 /// Execute the chosen application over the organized dataset, returning the
 /// (last iteration's) report. Split out of [`cmd_run`] so every fatal path
 /// funnels through one place where the black box is written.
@@ -617,7 +632,7 @@ fn execute_app(
             Some(out.report)
         }
         "kmeans" => {
-            let k: usize = opt_parse(args, "--k", 8)?;
+            let k = kmeans_k(args)?;
             let iterations: usize = opt_parse(args, "--iterations", 10)?;
             let mut centroids: Vec<[f64; DIM]> =
                 (0..k).map(|i| [(i as f64 + 0.5) / k as f64; DIM]).collect();

@@ -1,0 +1,60 @@
+//! Bad command-line values are usage errors: the `cloudburst` binary says
+//! what is wrong and exits 2, without panicking or leaving a crash black box.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("cloudburst-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn cloudburst(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_cloudburst"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("run cloudburst")
+}
+
+/// Exit 2 with `error: …` naming `flag`, no panic, no `crash-*` directory.
+fn assert_usage_error(dir: &Path, out: &Output, flag: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("error:") && stderr.contains(flag), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+    let crashes = std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().starts_with("crash-"))
+        .count();
+    assert_eq!(crashes, 0, "a usage error must not leave a black box");
+}
+
+#[test]
+fn generate_kmeans_with_zero_clusters_is_a_usage_error() {
+    let dir = scratch("gen0");
+    let out = cloudburst(&dir, &["generate", "kmeans", "--out", "points.bin", "--clusters", "0"]);
+    assert_usage_error(&dir, &out, "--clusters");
+    assert!(!dir.join("points.bin").exists(), "nothing is written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_kmeans_with_zero_centroids_is_a_usage_error() {
+    let dir = scratch("run0");
+    let gen = cloudburst(&dir, &["generate", "kmeans", "--out", "points.bin", "--units", "2000"]);
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let org = cloudburst(
+        &dir,
+        &["organize", "--data", "points.bin", "--unit-size", "16", "--out", "org"],
+    );
+    assert!(org.status.success(), "{}", String::from_utf8_lossy(&org.stderr));
+    let out = cloudburst(&dir, &["run", "kmeans", "--org", "org", "--k", "0"]);
+    assert_usage_error(&dir, &out, "--k");
+    // The same dataset runs with a centroid.
+    let ok = cloudburst(&dir, &["run", "kmeans", "--org", "org", "--k", "1", "--iterations", "1"]);
+    assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}

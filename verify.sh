@@ -32,14 +32,14 @@ cargo run --release --offline --quiet --manifest-path ladder/Cargo.toml -- \
 echo "== hygiene: \`unsafe\` only where it is accounted for"
 # core::json's byte scanner, cluster::readiness's libc calls (poll(2) and
 # the site CPU confinement's sched_{get,set}affinity(2)) and the k-means
-# assignment kernel (apps/src/kmeans_avx2.rs: the call into its
-# `target_feature(enable = "avx2")` function behind the CPU check, and that
-# function's unaligned loads and stores); any other occurrence (in code or
-# comment) fails the run.
+# assignment kernel (apps/src/kmeans_kernel.rs: the calls into its two
+# `target_feature` functions behind the CPU checks, and the AVX-512F and
+# AVX2 intrinsics its lane types wrap, whose values exist only after those
+# checks); any other occurrence (in code or comment) fails the run.
 if grep -rn --include='*.rs' -w unsafe crates src tests examples \
     | grep -v -e '^crates/core/src/json.rs:' -e '^crates/cluster/src/readiness.rs:' \
-        -e '^crates/apps/src/kmeans_avx2.rs:'; then
-    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs and apps/src/kmeans_avx2.rs"
+        -e '^crates/apps/src/kmeans_kernel.rs:'; then
+    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs and apps/src/kmeans_kernel.rs"
     exit 1
 fi
 
@@ -194,11 +194,16 @@ cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --lib slave::tests
 
 echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
 # Already part of `cargo test` above; named here so a failure says what
-# broke: the tiled AVX2 kernel and the `local_reduce` fold must agree on
-# every bit (ties, a point on a centroid, NaN and infinite coordinates, tail
-# tiles), a whole run must `==` the oracle on the classic and the FT path,
-# and the oracle itself must still be the plain loop over `units::dist2`.
+# broke: the filter-and-certify kernel, at every width the CPU has, and the
+# `local_reduce` fold must agree on every bit (ties, near-ties an ulp off a
+# bisector, centroids f32 cannot hold, subnormal and overflowing squares,
+# NaN and infinite coordinates, partial blocks), the filter must certify all
+# but 1 % of clustered points, a whole run must `==` the oracle on the
+# classic and the FT path, and the oracle itself must still be the plain
+# loop over `units::dist2`. The kernel tests run again in release: the
+# ladder runs optimised code, and the tier-1 suite only the debug build.
 { cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --lib kmeans::tests \
+    && cargo test -q --release "${CARGO_FLAGS[@]}" -p cloudburst-apps --lib kmeans::tests \
     && cargo test -q "${CARGO_FLAGS[@]}" --test e2e_apps kmeans; } \
     || { echo "k-means kernel differs from the reference loop"; exit 1; }
 
