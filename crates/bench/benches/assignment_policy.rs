@@ -3,8 +3,8 @@
 //! because it allows the compute units to sequentially read jobs from the
 //! files").
 //!
-//! Measures end-to-end wordcount runs on a real on-disk `FileStore` under
-//! (a) consecutive batches of 8 and (b) single-job grants, plus the raw
+//! Measures an end-to-end wordcount run on a real on-disk `FileStore`, whose
+//! masters ask for consecutive batches of their own size, plus the raw
 //! pool-operation throughput of the head's scheduler.
 
 use cloudburst_apps::gen::gen_words;
@@ -42,10 +42,9 @@ fn bench_batching(c: &mut Criterion) {
         m
     };
 
-    let run_with = |policy: BatchPolicy| {
+    let run = || {
         let env = EnvConfig::new("env-local", 1.0, 4, 0);
         let mut config = RuntimeConfig::new(env, 1e-7);
-        config.batch_policy = policy;
         config.fetch = FetchConfig::sequential();
         let out = run_hybrid(&WordCount, &index, stores.clone(), &config).expect("run");
         assert_eq!(out.result.total(), 400_000);
@@ -54,12 +53,7 @@ fn bench_batching(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("assignment");
     g.sample_size(20);
-    g.bench_function("consecutive_batches_of_8", |b| {
-        b.iter(|| black_box(run_with(BatchPolicy::Fixed(8))))
-    });
-    g.bench_function("single_job_grants", |b| {
-        b.iter(|| black_box(run_with(BatchPolicy::Fixed(1))))
-    });
+    g.bench_function("sized_consecutive_batches", |b| b.iter(|| black_box(run())));
     g.finish();
     let _ = std::fs::remove_dir_all(dir);
 }

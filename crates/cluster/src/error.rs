@@ -13,6 +13,9 @@ pub enum RunError {
     NoStoreForSite(SiteId),
     /// The environment has no cores anywhere.
     NoWorkers,
+    /// The run's configuration is one no run can start under (what is wrong
+    /// with it).
+    InvalidConfig(String),
     /// A runtime thread panicked (the payload's message, if any).
     WorkerPanic(String),
     /// No data was processed (empty index or all sites idle).
@@ -32,6 +35,7 @@ impl fmt::Display for RunError {
             RunError::Io(e) => write!(f, "chunk retrieval failed: {e}"),
             RunError::NoStoreForSite(s) => write!(f, "no store registered for {s}"),
             RunError::NoWorkers => write!(f, "environment has no worker cores"),
+            RunError::InvalidConfig(m) => write!(f, "invalid run configuration: {m}"),
             RunError::WorkerPanic(m) => write!(f, "runtime thread panicked: {m}"),
             RunError::NothingProcessed => write!(f, "no data was processed"),
             RunError::Incomplete { abandoned } => {

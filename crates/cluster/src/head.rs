@@ -1,14 +1,15 @@
 //! The head node over channels: [`HeadCore`] fed from one mailbox of
-//! [`HeadMsg`]s, with revoked executions published on a [`CancelBoard`].
+//! [`HeadMsg`]s, its answers posted into the masters' mailboxes, with revoked
+//! executions published on a [`CancelBoard`].
 
-use crate::head_core::HeadCore;
-use crate::protocol::{HeadMsg, HeadReport};
+use crate::head_core::{HeadCore, Reply};
+use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
 use crate::runtime::RuntimeConfig;
-use crate::wire::{Frame, MasterToHead};
-use cloudburst_core::{ChunkId, HeartbeatConfig, JobPool, Metrics};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use cloudburst_core::{ChunkId, HeartbeatConfig, JobPool, Metrics, SiteId};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
+use std::io;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,11 +92,29 @@ impl Default for HeadOptions {
     }
 }
 
+/// The mailboxes of the masters that joined, by site. However the head's
+/// loop ends — a panic included — each is told the head is gone, so no
+/// master waits for an answer that will not come.
+#[derive(Default)]
+struct Masters(BTreeMap<SiteId, Sender<MasterMsg>>);
+
+impl Drop for Masters {
+    fn drop(&mut self) {
+        for mailbox in self.0.values() {
+            let gone = io::Error::new(io::ErrorKind::BrokenPipe, "the head is gone");
+            let _ = mailbox.send(MasterMsg::HeadGone(gone));
+        }
+    }
+}
+
 /// Serve the head of a run of `n_sites` sites until every sender has hung
 /// up, then report: a [`HeadCore`] fed from the channel. The loop sleeps
-/// until a message arrives or the core's next deadline, and posts every
-/// revocation the core issues on `cancel` — where the slaves of every site
-/// look — taking a chunk off it again when the chunk is granted anew.
+/// until a message arrives or the core's next deadline. A master's frames
+/// are the core's `on_frame`, as over TCP, and each `BatchReply` is posted
+/// into the master's mailbox; the slaves settle with the head directly. Every
+/// revocation the core issues is posted on `cancel` — where the slaves of
+/// every site look — before the verdict that caused it is sent, and a chunk
+/// is taken off it again when it is granted anew.
 pub fn run_head(
     pool: JobPool,
     rx: Receiver<HeadMsg>,
@@ -104,6 +123,7 @@ pub fn run_head(
     options: &HeadOptions,
 ) -> HeadReport {
     let mut core = HeadCore::new(pool, n_sites, options.heartbeat, options.ft_active);
+    let mut masters = Masters::default();
     let publish = |core: &mut HeadCore| {
         if let Some(board) = cancel {
             for chunk in core.take_revocations().into_values().flatten() {
@@ -121,18 +141,25 @@ pub fn run_head(
         };
         let now = options.epoch.elapsed().as_secs_f64();
         match msg {
-            Ok(HeadMsg::RequestJobs { site, reply }) => {
-                let batch = core.request(site, now);
+            Ok(HeadMsg::Connect { site, mailbox }) => {
+                masters.0.insert(site, mailbox);
+            }
+            Ok(HeadMsg::Frame { site, frame }) => {
+                let Reply::Batch(reply) = core.on_frame(site.into(), frame, now) else {
+                    continue;
+                };
+                publish(&mut core);
                 if let Some(board) = cancel {
-                    for j in &batch.jobs {
-                        board.clear(j.id);
-                    }
+                    reply.revoked.iter().for_each(|&chunk| board.revoke(chunk));
+                    reply.grant.jobs.iter().for_each(|job| board.clear(job.id));
                 }
-                // A dropped reply means the master died; the pool keeps the
-                // jobs assigned, which surfaces as a lease expiry (FT on) or
-                // a runtime-detected worker panic (FT off) — never silent
-                // data loss.
-                let _ = reply.send(batch);
+                // A master that is gone has let go of its mailbox; the pool
+                // keeps its grant assigned, which surfaces as a lease expiry
+                // (FT on) or a runtime-detected worker panic (FT off) — never
+                // silent data loss.
+                if let Some(mailbox) = masters.0.get(&site) {
+                    let _ = mailbox.send(MasterMsg::HeadReply(reply));
+                }
             }
             Ok(HeadMsg::Complete { jobs, site, reply }) => {
                 let verdicts = core.settle(site, &jobs, now);
@@ -140,15 +167,6 @@ pub fn run_head(
                 if let Some(reply) = reply {
                     let _ = reply.send(verdicts);
                 }
-            }
-            Ok(HeadMsg::Failed { job, site }) => {
-                core.on_frame(site.into(), Frame::Legacy(MasterToHead::Failed { job, site }), now);
-            }
-            Ok(HeadMsg::Heartbeat { site }) => {
-                core.on_frame(site.into(), Frame::Legacy(MasterToHead::Ping { site }), now);
-            }
-            Ok(HeadMsg::Bye { site }) => {
-                core.on_frame(site.into(), Frame::Legacy(MasterToHead::Bye), now);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => return core.finish(),
@@ -159,13 +177,15 @@ pub fn run_head(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudburst_core::{BatchPolicy, DataIndex, LayoutParams, SiteId};
+    use crate::wire::{Frame, MasterToHead};
+    use cloudburst_core::{BatchPolicy, DataIndex, JobBatch, LayoutParams};
     use crossbeam::channel::{bounded, unbounded};
 
-    /// The adapter's own work, end to end and without a clock: messages in,
-    /// replies out, a revocation on the board before the verdict that caused
-    /// it is sent, off it when the chunk is granted again, and the report
-    /// when the senders are gone. (What the messages *mean* is tested against
+    /// The adapter's own work, end to end and without a clock: frames in,
+    /// replies into the masters' mailboxes, a revocation on the board before
+    /// the verdict that caused it is sent, off it when the chunk is granted
+    /// again, the report when the senders are gone, and then word to every
+    /// master that the head is. (What the messages *mean* is tested against
     /// [`HeadCore`] under a virtual clock.)
     #[test]
     fn head_serves_until_senders_drop_and_mirrors_revocations_onto_the_board() {
@@ -179,10 +199,18 @@ mod tests {
             let board = board.clone();
             move || run_head(pool, rx, 2, Some(&board), &HeadOptions::default())
         });
-        let request = |site| {
-            let (btx, brx) = bounded(1);
-            tx.send(HeadMsg::RequestJobs { site, reply: btx }).unwrap();
-            brx.recv().unwrap()
+        let mailboxes = [SiteId::LOCAL, SiteId::CLOUD].map(|site| {
+            let (mailbox, master) = unbounded();
+            tx.send(HeadMsg::Connect { site, mailbox }).unwrap();
+            master
+        });
+        let frame = |site: SiteId, frame| tx.send(HeadMsg::Frame { site, frame }).unwrap();
+        let request = |site: SiteId| -> JobBatch {
+            frame(site, Frame::AckBatch { site, want: 1, entries: Vec::new() });
+            match mailboxes[site.0 as usize].recv().unwrap() {
+                MasterMsg::HeadReply(reply) => reply.grant,
+                _ => panic!("a frame is answered by a batch reply"),
+            }
         };
         let settle = |site, job| {
             let (atx, arx) = bounded(1);
@@ -196,13 +224,16 @@ mod tests {
         assert_eq!(settle(SiteId::CLOUD, job), [true]);
         assert!(board.is_revoked(job), "the slower copy was not fenced");
         assert_eq!(settle(SiteId::LOCAL, job), [false]);
-        tx.send(HeadMsg::Heartbeat { site: SiteId::LOCAL }).unwrap();
-        tx.send(HeadMsg::Bye { site: SiteId::LOCAL }).unwrap();
+        frame(SiteId::LOCAL, Frame::Legacy(MasterToHead::Ping { site: SiteId::LOCAL }));
+        frame(SiteId::LOCAL, Frame::Legacy(MasterToHead::Bye));
         drop(tx);
         let report = head.join().unwrap();
         assert_eq!((report.requests, report.completions), (2, 1));
         assert_eq!(report.faults.replica_fences, 1);
         assert_eq!(report.counts[&SiteId::CLOUD].stolen, 1);
         assert!(report.dead_sites.is_empty());
+        for master in mailboxes {
+            assert!(matches!(master.try_recv(), Ok(MasterMsg::HeadGone(_))));
+        }
     }
 }

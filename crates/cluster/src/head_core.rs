@@ -194,8 +194,9 @@ impl HeadCore {
         batch
     }
 
-    /// A master on a transport without frames asks for a batch, sized by the
-    /// pool's policy.
+    /// A master asks for a batch sized by the pool's policy — the
+    /// simulator's masters, which do not size their own asks (the runtime's
+    /// speak frames, [`HeadCore::on_frame`]).
     pub fn request(&mut self, site: SiteId, now: Seconds) -> JobBatch {
         self.heard(site.into(), site, now);
         self.report.requests += 1;

@@ -1,8 +1,9 @@
-//! TCP deployment mode: the head ↔ master control plane over real sockets.
+//! The site master — one loop for both deployment modes — and the TCP
+//! deployment mode's head ↔ master control plane over real sockets.
 //!
-//! The in-process runtime wires Fig. 2's node roles with channels; this
-//! module runs the same protocol over TCP using the [`crate::wire`] codec,
-//! so job assignment, work stealing, completion reporting and the terminal
+//! A master speaks the [`crate::wire`] protocol to its head whatever carries
+//! it: a loopback socket, or the in-process head's mailbox. Over TCP, job
+//! assignment, work stealing, completion reporting and the terminal
 //! handshake genuinely cross a wire. Slaves still live in their master's
 //! process (as in the paper, where slaves and master share a cluster), and
 //! the data plane goes through the usual [`StoreRouter`].
@@ -16,16 +17,19 @@
 //! [`run_hybrid_tcp`] is a drop-in alternative to
 //! [`run_hybrid`](crate::runtime::run_hybrid) that binds a loopback head
 //! server and connects one control socket per site.
+//!
+//! [`StoreRouter`]: crate::router::StoreRouter
 
 use crate::error::RunError;
-use crate::protocol::MasterMsg;
+use crate::protocol::{HeadMsg, MasterMsg};
 pub use crate::reactor::{serve_head, serve_head_with};
 use crate::runtime::{
-    mailbox_tick, run_on, MasterStart, Parked, RunOutcome, RuntimeConfig, Transport, LOW_WATERMARK,
+    mailbox_tick, run_on, MasterStart, Parked, RunOutcome, RuntimeConfig, Transport, Uplink,
+    LOW_WATERMARK,
 };
 use crate::wire::{
-    put_ack_batch, put_to_head, read_batch_reply, read_hello_ack, write_hello, AckEntry,
-    BatchReply, MasterToHead, WIRE_VERSION,
+    put_frame, read_batch_reply, read_hello_ack, write_hello, AckEntry, BatchReply, Frame,
+    MasterToHead, WIRE_VERSION,
 };
 use cloudburst_core::{
     ns_since, ChunkId, DataIndex, Event, EventKind, MasterPool, Reduction, RequestId, SiteId, Take,
@@ -51,6 +55,49 @@ impl Drop for HangUp {
     fn drop(&mut self) {
         let _ = self.0.shutdown(Shutdown::Both);
     }
+}
+
+/// Where a master's frames go: its control socket, or the in-process head's
+/// mailbox. Either way the head's answers come back into the master's own
+/// mailbox — from the socket reader, or from the head itself — so the
+/// master never waits for one.
+enum HeadLink {
+    /// Frames are encoded into the buffer and written at each flush.
+    Socket(TcpStream, Vec<u8>),
+    /// Frames are handed over as they are, at each flush.
+    Mailbox { head: Sender<HeadMsg>, site: SiteId, frames: Vec<Frame> },
+}
+
+impl HeadLink {
+    fn push(&mut self, frame: Frame) {
+        match self {
+            HeadLink::Socket(_, wbuf) => put_frame(wbuf, &frame),
+            HeadLink::Mailbox { frames, .. } => frames.push(frame),
+        }
+    }
+
+    /// Send what was pushed; whether there was anything to send.
+    fn flush(&mut self) -> io::Result<bool> {
+        match self {
+            HeadLink::Socket(_, wbuf) if wbuf.is_empty() => Ok(false),
+            HeadLink::Socket(stream, wbuf) => {
+                stream.write_all(wbuf)?;
+                wbuf.clear();
+                Ok(true)
+            }
+            HeadLink::Mailbox { frames, .. } if frames.is_empty() => Ok(false),
+            HeadLink::Mailbox { head, site, frames } => {
+                for frame in frames.drain(..) {
+                    head.send(HeadMsg::Frame { site: *site, frame }).map_err(|_| head_gone())?;
+                }
+                Ok(true)
+            }
+        }
+    }
+}
+
+fn head_gone() -> io::Error {
+    io::Error::new(io::ErrorKind::BrokenPipe, "the head is gone")
 }
 
 /// Per report of a frame, the slave waiting for the head's verdict on it.
@@ -115,14 +162,13 @@ struct Inbound {
     revoked: Vec<ChunkId>,
 }
 
-/// The master side of the control connection plus the local slave-facing
-/// loop: a non-blocking adapter over [`MasterPool`], shaped like the channel
-/// runtime's master. Slaves are served from the site pool the moment they
-/// ask; the window rule decides when to ask the head for more and
+/// A site's master: a non-blocking loop over [`MasterPool`], on either link
+/// to the head. Slaves are served from the site pool the moment they ask;
+/// the window rule decides when to ask the head for more and
 /// [`MasterPool::ask`] how much; every exchange is an `AckBatch` out and a
 /// `BatchReply` back, several may be in flight (replies come back in order,
-/// decoded by a reader thread into this master's one mailbox), and each leg
-/// of modelled link latency is a delay queue rather than a sleep.
+/// into this master's one mailbox), and each leg of modelled link latency is
+/// a delay queue rather than a sleep.
 ///
 /// Completion and failure reports ride the next request — a slave's
 /// fire-and-forget completions reach the master with its own next request for
@@ -133,17 +179,33 @@ struct Inbound {
 /// at [`REPORT_FLUSH`], once the pool is drained and when the slaves are
 /// gone, so the head always learns what it needs to terminate.
 ///
+/// Over TCP, say hello and start the socket reader, which posts each reply
+/// into `tx`; in-process, give the head `tx` to post its replies into. Either
+/// way the master lets go of its mailbox on every exit, so a request that
+/// reaches it too late fails at once instead of waiting for an answer.
+///
 /// Returns the pool for its ledger. A chaos-revoked site dies
-/// mid-conversation by design; its broken socket is the failure signal the
+/// mid-conversation by design; its broken link is the failure signal the
 /// head is meant to see, not an error of this process.
-pub(crate) fn run_tcp_master(
+pub(crate) fn run_site_master(
     cfg: &MasterStart,
     rx: Receiver<MasterMsg>,
     tx: Sender<MasterMsg>,
-    stream: TcpStream,
+    uplink: &Uplink,
 ) -> io::Result<MasterPool> {
     let mut pool = MasterPool::new(cfg.site, LOW_WATERMARK);
-    let result = connect_and_serve(cfg, &rx, tx, stream, &mut pool);
+    let result = match uplink {
+        Uplink::Mailbox(head) => {
+            let connect = HeadMsg::Connect { site: cfg.site, mailbox: tx };
+            head.send(connect).map_err(|_| head_gone()).and_then(|()| {
+                let frames = Vec::new();
+                let mut link = HeadLink::Mailbox { head: head.clone(), site: cfg.site, frames };
+                serve_site(cfg, &rx, &mut link, &mut pool)
+            })
+        }
+        Uplink::Connect(addr) => TcpStream::connect(addr)
+            .and_then(|stream| connect_and_serve(cfg, &rx, tx, stream, &mut pool)),
+    };
     // Whatever is still in the mailbox holds a slave's reply channel: let go
     // of it, and of the mailbox, so no slave waits on a master that is gone.
     while rx.try_recv().is_ok() {}
@@ -181,15 +243,15 @@ fn connect_and_serve(
         // Dropped when this closure ends, however it ends — which is what
         // lets the scope join the reader.
         let _hang_up = hang_up;
-        serve_site(cfg, rx, &mut writer, pool)
+        serve_site(cfg, rx, &mut HeadLink::Socket(writer, Vec::new()), pool)
     })
 }
 
-/// The master loop proper (see [`run_tcp_master`]).
+/// The master loop proper (see [`run_site_master`]).
 fn serve_site(
     cfg: &MasterStart,
     rx: &Receiver<MasterMsg>,
-    writer: &mut impl Write,
+    link: &mut HeadLink,
     pool: &mut MasterPool,
 ) -> io::Result<()> {
     let site = cfg.site;
@@ -197,15 +259,14 @@ fn serve_site(
     let secs = |at: Instant| at.saturating_duration_since(cfg.epoch).as_secs_f64();
     let mut reports = Reports::default();
     let mut outbound: VecDeque<Outbound> = VecDeque::new();
-    // Frames on the wire, oldest first: the request each carries and the
+    // Frames on the link, oldest first: the request each carries and the
     // slaves its verdicts go to.
     let mut sent: VecDeque<(Option<RequestId>, Waiters)> = VecDeque::new();
     let mut inbound: VecDeque<Inbound> = VecDeque::new();
     // Slaves that found the pool empty, oldest first.
     let mut parked: VecDeque<Parked> = VecDeque::new();
-    // Encoded frames not yet written; any of them doubles as a liveness
-    // beacon, explicit pings cover idle stretches.
-    let mut wbuf: Vec<u8> = Vec::new();
+    // Any frame doubles as a liveness beacon; explicit pings cover idle
+    // stretches.
     let mut last_sent = Instant::now();
     let mut slaves_gone = false;
     // What a slave takes per hand-off, as of the last request: the floor is
@@ -215,13 +276,14 @@ fn serve_site(
 
     while !slaves_gone {
         if cfg.site_dead() {
-            // Simulated spot revocation: vanish without a Bye. The dropped
-            // socket is the head's cue to evacuate this site.
+            // Simulated spot revocation: vanish without a Bye. The silence
+            // (over TCP, the dropped socket) is the head's cue to evacuate
+            // this site.
             return Ok(());
         }
         let now = Instant::now();
         if cfg.heartbeat.is_some_and(|hb| (now - last_sent).as_secs_f64() >= hb.interval) {
-            put_to_head(&mut wbuf, &MasterToHead::Ping { site });
+            link.push(Frame::Legacy(MasterToHead::Ping { site }));
             cfg.telemetry.emit(Event::at(ns_since(cfg.epoch), EventKind::Heartbeat).site(site));
         }
         while inbound.front().is_some_and(|r| r.due <= now) {
@@ -237,6 +299,10 @@ fn serve_site(
             }
         }
         while let Some((reply, want, since)) = parked.front() {
+            // In-process the head also fences on the cancel board: a queued
+            // job posted there is no longer this site's, so it is dropped
+            // instead of dispatched.
+            pool.skip_revoked(|chunk| cfg.revoked(chunk));
             match pool.serve_parked(secs(now), *want) {
                 Take::NeedRefill => break,
                 take => {
@@ -249,7 +315,7 @@ fn serve_site(
         // Requests go out after the slaves were answered, so a slave is
         // already fetching while its master talks to the head.
         while let Some(id) = pool.next_request(secs(now)) {
-            let want = pool.ask(id, cfg.floor * quantum);
+            let want = pool.ask(id, floor(cfg.floor, quantum) * quantum);
             outbound.push_back(reports.frame(Some(id), want, now + cfg.leg));
         }
         cfg.metrics.window.set(pool.window() as i64);
@@ -261,12 +327,10 @@ fn serve_site(
         }
         while outbound.front().is_some_and(|f| f.due <= now) {
             let f = outbound.pop_front().expect("front was checked");
-            put_ack_batch(&mut wbuf, site, f.want, &f.entries);
+            link.push(Frame::AckBatch { site, want: f.want, entries: f.entries });
             sent.push_back((f.request, f.acks));
         }
-        if !wbuf.is_empty() {
-            writer.write_all(&wbuf)?;
-            wbuf.clear();
+        if link.flush()? {
             last_sent = now;
         }
 
@@ -282,7 +346,8 @@ fn serve_site(
         .min();
         let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
         // One pass serves everything the mailbox holds, so a burst of
-        // reports shares a frame.
+        // reports shares a frame, and a slave that asked while a grant was on
+        // its way is parked before the grant lands: it was waiting for it.
         let mut next = rx.recv_timeout(timeout).ok();
         let now = Instant::now();
         while let Some(msg) = next {
@@ -290,6 +355,7 @@ fn serve_site(
                 MasterMsg::GetJobs { want, done, reply } => {
                     quantum = want;
                     reports.done(done, now);
+                    pool.skip_revoked(|chunk| cfg.revoked(chunk));
                     match pool.arrive(secs(now), want) {
                         Take::NeedRefill => parked.push_back((reply, want, now)),
                         take => cfg.metrics.answer(&reply, take),
@@ -321,17 +387,16 @@ fn serve_site(
     // reaps them), stalling the surviving sites that poll for the work. So:
     // ship what reports are left (`want: 0` — requests still on the outbound
     // leg never reached the head and are forgotten), wait for the head's
-    // answer to every frame on the wire — it may still be granting jobs to
+    // answer to every frame on the link — it may still be granting jobs to
     // this master — and only then hand back the queue and every grant that
     // was travelling, as failures, before the orderly goodbye.
     let mut entries: Vec<AckEntry> = outbound.into_iter().flat_map(|f| f.entries).collect();
     entries.append(&mut reports.entries);
     for chunk in entries.chunks(REPORT_FLUSH) {
-        put_ack_batch(&mut wbuf, site, 0, chunk);
+        link.push(Frame::AckBatch { site, want: 0, entries: chunk.to_vec() });
         sent.push_back((None, vec![None; chunk.len()])); // nobody is left to tell
     }
-    writer.write_all(&wbuf)?;
-    wbuf.clear();
+    link.flush()?;
     while !sent.is_empty() {
         match rx.recv() {
             Ok(MasterMsg::HeadReply(reply)) => {
@@ -340,15 +405,27 @@ fn serve_site(
             }
             Ok(MasterMsg::HeadGone(e)) => return Err(e),
             Ok(_) => {}
-            Err(_) => return Err(io::Error::new(io::ErrorKind::BrokenPipe, "socket reader gone")),
+            Err(_) => return Err(head_gone()),
         }
     }
     for job in pool.close() {
-        put_to_head(&mut wbuf, &MasterToHead::Failed { job: job.chunk.id, site });
+        link.push(Frame::Legacy(MasterToHead::Failed { job: job.chunk.id, site }));
     }
-    put_to_head(&mut wbuf, &MasterToHead::Bye);
-    writer.write_all(&wbuf)?;
-    writer.flush()
+    link.push(Frame::Legacy(MasterToHead::Bye));
+    link.flush().map(drop)
+}
+
+/// The hand-offs a request tops the pool up to. The floor's last one is
+/// slack against a slave finding the queue empty, worth holding while a
+/// hand-off is short; a slave that takes one job per hand-off has jobs of a
+/// quantum or more, and one more of those queued here is that much tail
+/// another site could have run.
+fn floor(hand_offs: usize, quantum: usize) -> usize {
+    if quantum > 1 {
+        hand_offs
+    } else {
+        hand_offs.saturating_sub(1)
+    }
 }
 
 fn unasked(what: &str) -> io::Error {
@@ -399,13 +476,17 @@ pub fn run_hybrid_tcp<R: Reduction>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::head::HeadOptions;
+    use crate::head::{run_head, HeadOptions};
+    use crate::protocol::HeadReport;
     use crate::runtime::MasterMetrics;
     use crate::wire::put_hello_ack;
-    use cloudburst_core::{BatchPolicy, HeartbeatConfig, JobPool, LayoutParams, Telemetry};
-    use crossbeam::channel::{bounded, unbounded};
+    use cloudburst_core::{
+        BatchPolicy, FaultPlan, HeartbeatConfig, JobBatch, JobPool, LayoutParams, SiteOutage,
+        Telemetry,
+    };
+    use crossbeam::channel::{bounded, unbounded, RecvTimeoutError};
     use std::io::Read;
-    use std::net::{SocketAddr, TcpListener};
+    use std::net::TcpListener;
 
     fn pool(n_chunks: u64) -> JobPool {
         let params = LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 2 };
@@ -427,21 +508,20 @@ mod tests {
         }
     }
 
-    /// One site: a master on `addr` and a slave that takes up to `limit`
+    /// One site: a master on `uplink` and a slave that takes up to `limit`
     /// jobs one at a time, reports each complete (waiting for the verdict
     /// when `acked`, else with its next request) and leaves. Returns the
     /// master's outcome and the jobs taken.
     fn site(
-        addr: SocketAddr,
+        uplink: Uplink,
         cfg: &MasterStart,
         limit: usize,
         acked: bool,
     ) -> (io::Result<MasterPool>, usize) {
         let (tx, rx) = unbounded::<MasterMsg>();
-        let stream = TcpStream::connect(addr).unwrap();
         std::thread::scope(|scope| {
-            let reader_tx = tx.clone();
-            let master = scope.spawn(move || run_tcp_master(cfg, rx, reader_tx, stream));
+            let replies = tx.clone();
+            let master = scope.spawn(move || run_site_master(cfg, rx, replies, &uplink));
             let mut taken = 0;
             let mut done = Vec::new();
             while taken < limit {
@@ -468,48 +548,80 @@ mod tests {
         })
     }
 
+    /// The two links a master reaches its head by.
+    #[derive(Debug, Clone, Copy)]
+    enum Link {
+        Socket,
+        Mailbox,
+    }
+
+    /// A head for `sites` sites over `link` and the uplink to it: the
+    /// reactor on a loopback listener, or [`run_head`] over a mailbox.
+    fn head_on(
+        link: Link,
+        pool: JobPool,
+        sites: usize,
+        options: HeadOptions,
+    ) -> (Uplink, Box<dyn FnOnce() -> HeadReport + Send>) {
+        match link {
+            Link::Socket => {
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let uplink = Uplink::Connect(listener.local_addr().unwrap());
+                let serve = move || serve_head_with(&listener, pool, sites, &options).unwrap();
+                (uplink, Box::new(serve))
+            }
+            Link::Mailbox => {
+                let (tx, rx) = unbounded();
+                let serve = move || run_head(pool, rx, sites, None, &options);
+                (Uplink::Mailbox(tx), Box::new(serve))
+            }
+        }
+    }
+
     #[test]
     fn slaves_hanging_up_at_any_point_get_every_undispatched_grant_handed_back() {
         // Fault tolerance off: no reaper, so a single grant stranded at a
         // master that left would keep the other site polling forever. With a
-        // link latency there are requests on the wire and grants travelling
+        // link latency there are requests on the link and grants travelling
         // back whenever the slave leaves.
         const CHUNKS: u64 = 40;
-        for leg in [Duration::ZERO, Duration::from_millis(2)] {
-            for limit in [0, 1, 2, 3, 5, 9, 17] {
-                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-                let addr = listener.local_addr().unwrap();
-                let (quitter, finisher) =
-                    (master(SiteId::LOCAL, leg, None), master(SiteId::CLOUD, leg, None));
-                let (left, stayed, head) = std::thread::scope(|scope| {
-                    let head = scope.spawn(|| serve_head(&listener, pool(CHUNKS), 2));
-                    let left = scope.spawn(|| site(addr, &quitter, limit, false));
-                    let stayed = site(addr, &finisher, usize::MAX, false);
-                    (left.join().unwrap(), stayed, head.join().unwrap().unwrap())
-                });
-                let what = format!("leg {leg:?}, leaving after {limit}");
-                let (ledger, taken) = (left.0.unwrap().ledger(), left.1);
-                // (Fewer than `limit` only if the other site drained the pool.)
-                assert!(taken <= limit, "{what}");
-                assert_eq!(ledger.dispatched, taken as u64, "{what}");
-                assert_eq!(
-                    ledger.granted,
-                    ledger.dispatched + ledger.returned,
-                    "{what}: {ledger:?}"
-                );
-                assert_eq!(
-                    ledger.queued + ledger.in_flight + ledger.dropped,
-                    0,
-                    "{what}: {ledger:?}"
-                );
-                assert!(stayed.0.unwrap().ledger().balanced(), "{what}");
-                assert_eq!(taken + stayed.1, CHUNKS as usize, "{what}");
-                assert_eq!(head.completions, CHUNKS, "{what}");
-                assert_eq!(
-                    head.failures, ledger.returned,
-                    "{what}: one failure per job handed back"
-                );
-                assert_eq!(head.abandoned, 0, "{what}");
+        for link in [Link::Socket, Link::Mailbox] {
+            for leg in [Duration::ZERO, Duration::from_millis(2)] {
+                for limit in [0, 1, 2, 3, 5, 9, 17] {
+                    let (uplink, head) = head_on(link, pool(CHUNKS), 2, HeadOptions::default());
+                    let (quitter, finisher) =
+                        (master(SiteId::LOCAL, leg, None), master(SiteId::CLOUD, leg, None));
+                    let (left, stayed, head) = std::thread::scope(|scope| {
+                        let head = scope.spawn(head);
+                        let to_head = uplink.clone();
+                        let left = scope.spawn(|| site(to_head, &quitter, limit, false));
+                        let stayed = site(uplink, &finisher, usize::MAX, false);
+                        (left.join().unwrap(), stayed, head.join().unwrap())
+                    });
+                    let what = format!("{link:?} link, leg {leg:?}, leaving after {limit}");
+                    let (ledger, taken) = (left.0.unwrap().ledger(), left.1);
+                    // (Fewer than `limit` only if the other site drained the pool.)
+                    assert!(taken <= limit, "{what}");
+                    assert_eq!(ledger.dispatched, taken as u64, "{what}");
+                    assert_eq!(
+                        ledger.granted,
+                        ledger.dispatched + ledger.returned,
+                        "{what}: {ledger:?}"
+                    );
+                    assert_eq!(
+                        ledger.queued + ledger.in_flight + ledger.dropped,
+                        0,
+                        "{what}: {ledger:?}"
+                    );
+                    assert!(stayed.0.unwrap().ledger().balanced(), "{what}");
+                    assert_eq!(taken + stayed.1, CHUNKS as usize, "{what}");
+                    assert_eq!(head.completions, CHUNKS, "{what}");
+                    assert_eq!(
+                        head.failures, ledger.returned,
+                        "{what}: one failure per job handed back"
+                    );
+                    assert_eq!(head.abandoned, 0, "{what}");
+                }
             }
         }
     }
@@ -523,12 +635,11 @@ mod tests {
         // evacuated during the first.
         let heartbeat = Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 });
         let cfg = master(SiteId::LOCAL, Duration::from_millis(200), heartbeat);
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let options = HeadOptions { heartbeat, ft_active: true, ..HeadOptions::default() };
+        let (uplink, head) = head_on(Link::Socket, pool(3), 1, options);
         let (master, head) = std::thread::scope(|scope| {
-            let head = scope.spawn(|| serve_head_with(&listener, pool(3), 1, &options));
-            (site(addr, &cfg, usize::MAX, true), head.join().unwrap().unwrap())
+            let head = scope.spawn(head);
+            (site(uplink, &cfg, usize::MAX, true), head.join().unwrap())
         });
         assert_eq!(master.1, 3);
         assert!(master.0.unwrap().ledger().balanced());
@@ -551,9 +662,271 @@ mod tests {
                 put_hello_ack(&mut ack, 1);
                 conn.write_all(&ack).unwrap();
             });
-            let (outcome, taken) = site(addr, &cfg, 1, false);
+            let (outcome, taken) = site(Uplink::Connect(addr), &cfg, 1, false);
             assert_eq!(outcome.unwrap_err().kind(), io::ErrorKind::Unsupported);
             assert_eq!(taken, 0, "no master, no job");
         });
+    }
+
+    /// A head played by the test, in-process: the master's mailbox from its
+    /// `Connect`, then every message as it comes.
+    struct ScriptedHead {
+        rx: Receiver<HeadMsg>,
+        master: Option<Sender<MasterMsg>>,
+    }
+
+    impl ScriptedHead {
+        /// The next message within `wait`, taking the master's mailbox from a
+        /// `Connect` on the way.
+        fn next(&mut self, wait: Duration) -> Option<HeadMsg> {
+            loop {
+                match self.rx.recv_timeout(wait).ok()? {
+                    HeadMsg::Connect { mailbox, .. } => self.master = Some(mailbox),
+                    msg => return Some(msg),
+                }
+            }
+        }
+
+        /// Answer an `AckBatch` of `entries` reports with `grant`.
+        fn answer(&self, entries: usize, grant: JobBatch) {
+            let reply = BatchReply { verdicts: vec![true; entries], revoked: Vec::new(), grant };
+            let master = self.master.as_ref().expect("the master connected first");
+            let _ = master.send(MasterMsg::HeadReply(reply));
+        }
+
+        /// Answer every frame with nothing more to do until the master says
+        /// goodbye; the frames it sent meanwhile.
+        fn until_bye(&mut self) -> Vec<Frame> {
+            let mut frames = Vec::new();
+            while let Some(msg) = self.next(Duration::from_secs(5)) {
+                let HeadMsg::Frame { frame, .. } = msg else { continue };
+                if let Frame::AckBatch { entries, .. } = &frame {
+                    self.answer(entries.len(), JobBatch::empty(true));
+                }
+                let bye = frame == Frame::Legacy(MasterToHead::Bye);
+                frames.push(frame);
+                if bye {
+                    break;
+                }
+            }
+            frames
+        }
+    }
+
+    /// A master of `cfg` on a mailbox link to a head the test plays.
+    fn scripted<'scope>(
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        cfg: MasterStart,
+    ) -> (Sender<MasterMsg>, ScriptedHead) {
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, head_rx) = unbounded::<HeadMsg>();
+        let replies = master_tx.clone();
+        scope.spawn(move || run_site_master(&cfg, master_rx, replies, &Uplink::Mailbox(head_tx)));
+        (master_tx, ScriptedHead { rx: head_rx, master: None })
+    }
+
+    /// A slave's request for one job; its answer comes on the receiver.
+    fn ask_one(master: &Sender<MasterMsg>) -> Receiver<Take> {
+        let (reply, answer) = bounded(1);
+        master.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply }).unwrap();
+        answer
+    }
+
+    fn ack_batch(msg: Option<HeadMsg>) -> (u16, usize) {
+        match msg {
+            Some(HeadMsg::Frame { frame: Frame::AckBatch { want, entries, .. }, .. }) => {
+                (want, entries.len())
+            }
+            _ => panic!("expected an AckBatch frame"),
+        }
+    }
+
+    #[test]
+    fn a_slave_the_queue_can_serve_is_answered_while_the_head_sits_on_a_grant_request() {
+        // The head answers the first request with three jobs and sits on the
+        // second. Two slaves take one job each, which brings the queue down
+        // to the watermark and sends the second request; the third slave's
+        // job is in the queue all along. A master that waits for the head's
+        // answer before it reads its mailbox again leaves that slave waiting
+        // for as long as the head takes.
+        let mut jobs = pool(16);
+        std::thread::scope(|scope| {
+            let (master, mut head) = scripted(scope, master(SiteId::LOCAL, Duration::ZERO, None));
+            let first = ask_one(&master);
+            let (want, entries) = ack_batch(head.next(Duration::from_secs(5)));
+            assert!(want > 0);
+            head.answer(entries, jobs.grant(SiteId::LOCAL, 3, 0.0));
+            assert!(matches!(first.recv().unwrap(), Take::Jobs(j) if j.len() == 1));
+            assert!(matches!(ask_one(&master).recv().unwrap(), Take::Jobs(j) if j.len() == 1));
+            let (want, entries) = ack_batch(head.next(Duration::from_secs(5)));
+            assert!(want > 0, "the queue is at its watermark: the master asks again");
+            let third = ask_one(&master).recv_timeout(Duration::from_secs(2));
+            assert!(
+                matches!(third, Ok(Take::Jobs(ref j)) if j.len() == 1),
+                "a queued job waited on the head's answer to another request: {third:?}"
+            );
+            head.answer(entries, JobBatch::empty(true));
+            assert_eq!(ask_one(&master).recv().unwrap(), Take::Drained);
+            master.send(MasterMsg::SlavesGone).unwrap();
+            head.until_bye();
+        });
+    }
+
+    #[test]
+    fn a_master_of_one_job_hand_offs_asks_without_the_slack_hand_off() {
+        // One slave, so the floor is two hand-offs: the slave's slot and the
+        // slack. A slave that takes several jobs per hand-off gets both; one
+        // that takes a single job gets the slot alone, since one more long
+        // job queued is tail another site could have run. (The window adds
+        // the one job of the watermark.)
+        for (want, asked) in [(1, 2), (4, 9)] {
+            std::thread::scope(|scope| {
+                let cfg = master(SiteId::LOCAL, Duration::ZERO, None);
+                let (master, mut head) = scripted(scope, cfg);
+                let (reply, answer) = bounded(1);
+                master.send(MasterMsg::GetJobs { want, done: Vec::new(), reply }).unwrap();
+                let (ask, entries) = ack_batch(head.next(Duration::from_secs(5)));
+                assert_eq!(usize::from(ask), asked, "a slave taking {want} per hand-off");
+                head.answer(entries, JobBatch::empty(true));
+                assert_eq!(answer.recv().unwrap(), Take::Drained);
+                master.send(MasterMsg::SlavesGone).unwrap();
+                head.until_bye();
+            });
+        }
+    }
+
+    #[test]
+    fn slaves_that_asked_while_the_master_was_at_the_head_were_waiting_not_coming_back() {
+        // Three slaves ask at once; the head takes 2 ms to answer. All three
+        // waited for that grant. A master that serves the first from it and
+        // only then reads the second's request takes the microsecond between
+        // the two for its slaves' pace, divides the 2 ms round trip by it, and
+        // asks for a thousand jobs' worth of batches nobody is there to run.
+        let mut jobs = JobPool::from_index(
+            &DataIndex::build(
+                4096,
+                LayoutParams { unit_size: 4, units_per_chunk: 4, n_files: 1 },
+                |_| SiteId::LOCAL,
+            )
+            .unwrap(),
+            BatchPolicy::Fixed(8),
+        );
+        std::thread::scope(|scope| {
+            let mut cfg = master(SiteId::LOCAL, Duration::ZERO, None);
+            cfg.floor = 0;
+            let (master, mut head) = scripted(scope, cfg);
+            let mut hungry: Vec<_> = (0..3).map(|_| ask_one(&master)).collect();
+            let mut requests = 0;
+            while !hungry.is_empty() {
+                match head.next(Duration::from_millis(5)) {
+                    Some(HeadMsg::Frame {
+                        frame: Frame::AckBatch { want, entries, .. }, ..
+                    }) => {
+                        requests += usize::from(want > 0);
+                        std::thread::sleep(Duration::from_millis(2));
+                        let grant = if want > 0 {
+                            jobs.request_for(SiteId::LOCAL)
+                        } else {
+                            JobBatch::empty(false)
+                        };
+                        head.answer(entries.len(), grant);
+                    }
+                    Some(_) => {}
+                    // Quiet: once every slave has its job, they all hang up.
+                    None => hungry.retain(|slave| slave.try_recv().is_err()),
+                }
+            }
+            master.send(MasterMsg::SlavesGone).unwrap();
+            let rest = head.until_bye();
+            let asked =
+                rest.iter().filter(|f| matches!(f, Frame::AckBatch { want, .. } if *want > 0));
+            assert_eq!(
+                requests + asked.count(),
+                1,
+                "one batch of eight covers three slaves asking for one job each"
+            );
+        });
+    }
+
+    #[test]
+    fn master_keeps_beaconing_while_its_grant_requests_are_away() {
+        // A master 0.25 s from its head, beaconing every 10 ms. One slave
+        // asks for a job: the request takes a quarter second to reach the
+        // head and the grant as long to come back. Through all of it the
+        // head must keep hearing from the master — a master that sleeps out
+        // the legs is silent for their length, and a heartbeat timeout
+        // shorter than a round trip then evacuates a healthy site.
+        let leg = 0.25;
+        let mut batch = pool(128).request_for(SiteId::CLOUD);
+        batch.stolen = true;
+        let heartbeat = Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 });
+        let cfg = master(SiteId::CLOUD, Duration::from_secs_f64(leg), heartbeat);
+        std::thread::scope(|scope| {
+            let (master, mut head) = scripted(scope, cfg);
+            let slave = ask_one(&master);
+            // The head: answer the first request, note when each message
+            // arrives, stop once the slave has its job.
+            let mut last = Instant::now();
+            let mut longest_silence = Duration::ZERO;
+            let mut grant = Some(batch);
+            while let Some(msg) = head.next(Duration::from_secs(5)) {
+                longest_silence = longest_silence.max(last.elapsed());
+                last = Instant::now();
+                if let HeadMsg::Frame { frame: Frame::AckBatch { entries, .. }, .. } = msg {
+                    head.answer(entries.len(), grant.take().unwrap_or(JobBatch::empty(false)));
+                }
+                if let Ok(take) = slave.try_recv() {
+                    assert!(matches!(take, Take::Jobs(jobs) if jobs.len() == 1 && jobs[0].stolen));
+                    break;
+                }
+            }
+            master.send(MasterMsg::SlavesGone).unwrap(); // the master says goodbye
+            assert!(
+                longest_silence.as_secs_f64() < leg,
+                "the head heard nothing for {longest_silence:?} of a {leg} s leg"
+            );
+            // Shutdown hands the second granted job back, then the goodbye.
+            let rest = head.until_bye();
+            let failed = rest.iter().filter(|f| {
+                matches!(f, Frame::Legacy(MasterToHead::Failed { site: SiteId::CLOUD, .. }))
+            });
+            assert_eq!(
+                failed.count(),
+                1,
+                "the undispatched job of the batch goes back to the head"
+            );
+            assert_eq!(rest.last(), Some(&Frame::Legacy(MasterToHead::Bye)));
+        });
+    }
+
+    #[test]
+    fn a_request_in_the_mailbox_of_a_master_that_is_gone_fails_at_once() {
+        // The slave's request is in the mailbox before the master looks, and
+        // the master's site is dead from the first instant: it leaves
+        // without reading its mail. Other holders of the mailbox's sending
+        // end are still around (here: this test, and the head it connected
+        // to), so only the master letting go of the mailbox — and of what
+        // is in it — tells the slave.
+        let (master_tx, master_rx) = unbounded::<MasterMsg>();
+        let (head_tx, _head_rx) = unbounded::<HeadMsg>();
+        let slave = ask_one(&master_tx);
+        let plan = FaultPlan {
+            site_outage: Some(SiteOutage { site: SiteId::CLOUD, at: 0.0 }),
+            ..FaultPlan::seeded(1)
+        };
+        let cfg = MasterStart {
+            chaos: Some(Arc::new(plan)),
+            ..master(SiteId::CLOUD, Duration::ZERO, None)
+        };
+        let gone = run_site_master(&cfg, master_rx, master_tx.clone(), &Uplink::Mailbox(head_tx));
+        assert!(gone.is_ok(), "a dead site's master is not the run's error");
+        assert_eq!(
+            slave.recv_timeout(Duration::from_secs(1)),
+            Err(RecvTimeoutError::Disconnected),
+            "the slave must learn that nobody will answer"
+        );
+        let (rtx, _rrx) = bounded(1);
+        let late = MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx };
+        assert!(master_tx.send(late).is_err(), "a later request has nowhere to go");
     }
 }

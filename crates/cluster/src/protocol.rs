@@ -3,39 +3,52 @@
 //! The control plane (job assignment) flows over channels: slaves ask their
 //! site's **master** for jobs, a quantum of work per exchange, and hand it
 //! their finished jobs with the next request; masters ask the **head** for
-//! batches and report completions. The data plane — chunk bytes and
-//! reduction objects — never rides these channels: chunks go through the
-//! [`StoreRouter`](crate::router::StoreRouter), and reduction objects are
-//! merged at site level and charged explicitly against the inter-site link
-//! during global reduction.
+//! batches in frames of the wire protocol ([`crate::wire::Frame`]), carried
+//! over a socket or, in-process, as [`HeadMsg::Frame`]. Either way the head's
+//! answer comes back into the master's own mailbox
+//! ([`MasterMsg::HeadReply`]), so a master never waits for one. The data
+//! plane — chunk bytes and reduction objects — never rides these channels:
+//! chunks go through the [`StoreRouter`](crate::router::StoreRouter), and
+//! reduction objects are merged at site level and charged explicitly against
+//! the inter-site link during global reduction.
 //!
 //! When fault tolerance is on, completions become a *request/response*:
 //! the reporter attaches a reply channel and the head answers, for every job
 //! of the report, whether the result was merged (first completion of the
 //! chunk) or must be discarded (duplicate from a preempted, reaped, or
-//! evacuated execution) — one exchange per hand-off of jobs, not per job. Masters
-//! additionally emit [`HeadMsg::Heartbeat`] beacons so the head can detect
-//! a silently dead site.
+//! evacuated execution) — one exchange per hand-off of jobs, not per job. Any
+//! frame from a master doubles as its liveness beacon; an idle one sends
+//! `Ping` frames, so the head can detect a silently dead site.
 
-use crate::wire::BatchReply;
-use cloudburst_core::{ChunkId, FaultCounters, JobBatch, SiteId, SiteJobCounts, Take};
+use crate::wire::{BatchReply, Frame};
+use cloudburst_core::{ChunkId, FaultCounters, SiteId, SiteJobCounts, Take};
 use crossbeam::channel::Sender;
 use std::collections::BTreeMap;
 use std::io;
 
-/// Messages the head node serves.
+/// Messages the head node serves over the in-process transport.
 pub enum HeadMsg {
-    /// A master requests a batch of jobs for its site.
-    RequestJobs {
-        /// The requesting site.
+    /// A site master joins: the head posts its answers to the site's frames
+    /// into `mailbox` as [`MasterMsg::HeadReply`] — as the reactor writes a
+    /// reply to the connection its frame came on — and, should the head stop
+    /// while the master is still there, [`MasterMsg::HeadGone`].
+    Connect {
+        /// The joining site.
         site: SiteId,
-        /// Where to send the granted batch (empty batch = no work left).
-        reply: Sender<JobBatch>,
+        /// The master's own mailbox.
+        mailbox: Sender<MasterMsg>,
+    },
+    /// One frame of the wire protocol from `site`: its master's `AckBatch`,
+    /// `Ping`, `Failed` or `Bye`, or a slave's `Failed`.
+    Frame {
+        /// The site it comes from.
+        site: SiteId,
+        /// The frame.
+        frame: Frame,
     },
     /// Jobs a site's slaves finished: what one slave settles in one exchange
     /// (every job of a hand-off it reduced since its last report), or the
-    /// fire-and-forget completions it handed its master with a job request
-    /// ([`MasterMsg::GetJobs`]).
+    /// fire-and-forget completions of a slave that leaves.
     Complete {
         /// The finished jobs.
         jobs: Vec<ChunkId>,
@@ -47,34 +60,11 @@ pub enum HeadMsg {
         /// fault tolerance off, when no duplicate can exist.
         reply: Option<Sender<Vec<bool>>>,
     },
-    /// A slave failed to process one job (retrieval error, crash); the head
-    /// requeues it for reassignment or abandons it after too many attempts.
-    Failed {
-        /// The failed job.
-        job: ChunkId,
-        /// The site that failed it.
-        site: SiteId,
-    },
-    /// A site master's liveness beacon. A site that stays silent past the
-    /// heartbeat timeout is declared dead and evacuated.
-    Heartbeat {
-        /// The beaconing site.
-        site: SiteId,
-    },
-    /// A site master's orderly goodbye. With liveness tracking on, a site
-    /// that joined but hangs up without one is treated as crashed: the head
-    /// evacuates it when the channel drains, so its merged-then-lost results
-    /// are re-queued (or reported abandoned) instead of silently missing.
-    Bye {
-        /// The departing site.
-        site: SiteId,
-    },
 }
 
-/// Messages a site master serves: its slaves' requests and reports and, in
-/// the TCP deployment mode, what its control connection and its site
-/// coordinator have to tell it — one mailbox, so the master sleeps in one
-/// place.
+/// Messages a site master serves: its slaves' requests and reports, the
+/// head's answers and what its site coordinator has to tell it — one
+/// mailbox, so the master sleeps in one place.
 pub enum MasterMsg {
     /// A slave asks for its next jobs. The master answers with one to `want`
     /// of them the moment its pool holds any — it never waits to fill a
@@ -90,8 +80,8 @@ pub enum MasterMsg {
     },
     /// A slave reports the jobs it finished since its last report and waits
     /// for the head's merge/discard verdict on each (TCP deployment mode: the
-    /// master forwards both ways over its control connection; see
-    /// [`HeadMsg::Complete`]).
+    /// master forwards both ways over its control connection; in-process a
+    /// slave settles with the head directly, [`HeadMsg::Complete`]).
     Complete {
         /// The finished jobs.
         jobs: Vec<ChunkId>,
@@ -109,15 +99,15 @@ pub enum MasterMsg {
         /// The failed job.
         job: ChunkId,
     },
-    /// The head answered the oldest unanswered `AckBatch` on the control
-    /// connection (TCP deployment mode; replies arrive in request order).
+    /// The head answered the oldest unanswered `AckBatch` (replies arrive
+    /// in request order).
     HeadReply(BatchReply),
-    /// The control connection ended — EOF or a read error (TCP deployment
-    /// mode). Nothing follows it.
+    /// The head is gone: the control connection ended — EOF or a read
+    /// error — or the in-process head stopped. Nothing follows it.
     HeadGone(io::Error),
-    /// Every slave of the site has exited (TCP deployment mode). The master's
-    /// socket reader keeps the mailbox connected, so the site coordinator
-    /// says it in so many words.
+    /// Every slave of the site has exited. Whoever posts the head's answers
+    /// (the socket reader, or the in-process head) keeps the mailbox
+    /// connected, so the site coordinator says it in so many words.
     SlavesGone,
 }
 

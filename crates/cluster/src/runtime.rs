@@ -14,23 +14,24 @@
 
 use crate::error::RunError;
 use crate::head::{run_head, CancelBoard, HeadOptions};
-use crate::net::run_tcp_master;
+use crate::net::run_site_master;
 use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
 use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
+use crate::wire::{Frame, MasterToHead};
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::slave::Step;
 use cloudburst_core::{
     assemble_report, ns_between, ns_since, ns_to_secs, tree_reduce, BatchPolicy, ChunkId,
     DataIndex, EnvConfig, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig,
-    LocalJob, MasterPool, Reduction, ReductionObject, RequestId, RunReport, Seconds, SiteId,
-    SiteSample, SlaveCore, SlaveSample, Take, Telemetry,
+    LocalJob, Reduction, ReductionObject, RunReport, Seconds, SiteId, SiteSample, SlaveCore,
+    SlaveSample, Take, Telemetry,
 };
 use cloudburst_netsim::{Throttle, Topology};
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::collections::{BTreeMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError};
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
@@ -99,8 +100,6 @@ impl FtConfig {
 pub struct RuntimeConfig {
     /// Cores per site and data split.
     pub env: EnvConfig,
-    /// Head-node batch granting policy.
-    pub batch_policy: BatchPolicy,
     /// Per-slave retrieval parallelism.
     pub fetch: FetchConfig,
     /// Units per cache-sized reduction group.
@@ -145,7 +144,6 @@ impl RuntimeConfig {
     pub fn new(env: EnvConfig, time_scale: f64) -> RuntimeConfig {
         RuntimeConfig {
             env,
-            batch_policy: BatchPolicy::default_adaptive(2),
             fetch: FetchConfig::default(),
             unit_group: 1024,
             topology: Topology::paper_testbed(),
@@ -157,6 +155,40 @@ impl RuntimeConfig {
             telemetry: Telemetry::off(),
             metrics: Metrics::off(),
         }
+    }
+
+    /// Refuse what no run over `index` can start under: no cores anywhere,
+    /// or a `time_scale` under which the modelled latency of a link between
+    /// two of the run's sites — a master's leg to the head, a stolen read, a
+    /// reduction object's push — is no real time a thread can sleep (not
+    /// finite, not positive, or past what a [`Duration`] holds).
+    ///
+    /// # Errors
+    /// [`RunError::NoWorkers`] or [`RunError::InvalidConfig`], naming the link.
+    pub fn validate(&self, index: &DataIndex) -> Result<(), RunError> {
+        let mut sites = self.env.active_sites();
+        if sites.is_empty() {
+            return Err(RunError::NoWorkers);
+        }
+        let scale = self.time_scale;
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(RunError::InvalidConfig(format!(
+                "time_scale must be finite and > 0, got {scale}"
+            )));
+        }
+        sites.extend(index.chunks_per_site().into_keys());
+        for &a in &sites {
+            for &b in &sites {
+                let latency = self.topology.link(a.0, b.0).latency;
+                if Duration::try_from_secs_f64(latency * scale).is_err() {
+                    return Err(RunError::InvalidConfig(format!(
+                        "time_scale {scale:e} stretches the {latency} s latency between {a} and \
+                         {b} past what a Duration holds"
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -393,11 +425,9 @@ fn prepare(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<Prepared, RunError> {
+    config.validate(index)?;
     let active: Vec<(SiteId, u32)> =
         config.env.active_sites().into_iter().map(|s| (s, config.env.cores_at(s))).collect();
-    if active.is_empty() {
-        return Err(RunError::NoWorkers);
-    }
     // Verify every data-hosting site has a store before spawning anything.
     for (&site, &n) in index.chunks_per_site().iter() {
         if n > 0 && !stores.contains_key(&site) {
@@ -427,7 +457,9 @@ fn prepare(
     // serve replicated chunks from their own store instead of the WAN.
     router.set_replicated(config.redundancy > 1);
 
-    let mut pool = JobPool::from_index(index, config.batch_policy);
+    // The masters size their own grants (`net::serve_site`); a batch policy
+    // sizes only the simulator's.
+    let mut pool = JobPool::from_index(index, BatchPolicy::default_adaptive(active.len()));
     if let FaultPolicy::Retry { max_attempts } = config.fault_policy {
         pool.set_max_attempts(max_attempts);
     }
@@ -462,22 +494,21 @@ pub fn run_hybrid<R: Reduction>(
 /// everything else about a run is the same code ([`run_on`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Transport {
-    /// In-process channels: [`run_head`] over one mailbox and [`run_master`].
-    /// Slaves settle with the head directly, see its revocations on a
-    /// [`CancelBoard`], and hanging up on their master tells it they left.
+    /// In-process channels: [`run_head`] over one mailbox, which takes the
+    /// masters' frames and posts its answers into their mailboxes. Slaves
+    /// settle with the head directly and see its revocations on a
+    /// [`CancelBoard`].
     Channels,
-    /// Loopback TCP: the reactor head and [`run_tcp_master`]. Slaves report
-    /// through their master, dedup alone deals with revoked executions, each
-    /// site keeps to its own CPUs, and the coordinator says
-    /// [`MasterMsg::SlavesGone`] (the master's socket reader holds its
-    /// mailbox open).
+    /// Loopback TCP: the reactor head, a socket per master and a reader
+    /// thread beside it. Slaves report through their master, dedup alone
+    /// deals with revoked executions, and each site keeps to its own CPUs.
     Tcp,
 }
 
 /// A site's way to the head of one run: the head's mailbox, or where it
-/// listens.
+/// listens. Either way the site's master is [`run_site_master`].
 #[derive(Clone)]
-enum Uplink {
+pub(crate) enum Uplink {
     Mailbox(Sender<HeadMsg>),
     Connect(SocketAddr),
 }
@@ -564,22 +595,10 @@ pub(crate) fn run_on<R: Reduction>(
                         metrics: MasterMetrics::new(&config.metrics, site),
                     };
                     let (master_tx, master_rx) = unbounded::<MasterMsg>();
-                    // This transport's master loop over the site's line to the head.
-                    let master: Box<dyn FnOnce() -> Result<MasterPool, RunError> + Send + '_> =
-                        match &uplink {
-                            Uplink::Mailbox(head_tx) => {
-                                Box::new(move || Ok(run_master(start, master_rx, head_tx)))
-                            }
-                            Uplink::Connect(addr) => {
-                                // The socket reader posts into the master's
-                                // own mailbox.
-                                let (stream, tx) = (TcpStream::connect(addr)?, master_tx.clone());
-                                Box::new(move || Ok(run_tcp_master(start, master_rx, tx, stream)?))
-                            }
-                        };
-
                     let (results, master) = std::thread::scope(|site_scope| {
-                        let master = site_scope.spawn(master);
+                        let (tx, head) = (master_tx.clone(), &uplink);
+                        let master = site_scope
+                            .spawn(move || Ok(run_site_master(start, master_rx, tx, head)?));
                         let handles: Vec<_> = (0..cores)
                             .map(|worker| {
                                 let (master_tx, uplink) = (master_tx.clone(), &uplink);
@@ -604,12 +623,7 @@ pub(crate) fn run_on<R: Reduction>(
                             .collect();
                         let results: Vec<_> = handles.into_iter().map(joined).collect();
                         // The master exits once it learns its slaves left.
-                        match transport {
-                            Transport::Channels => drop(master_tx),
-                            Transport::Tcp => {
-                                let _ = master_tx.send(MasterMsg::SlavesGone);
-                            }
-                        }
+                        let _ = master_tx.send(MasterMsg::SlavesGone);
                         (results, joined(master))
                     });
                     master?;
@@ -825,16 +839,17 @@ pub(crate) type Parked = (Sender<Take>, usize, Instant);
 
 /// The request window's floor: jobs a master keeps queued, beyond what the
 /// grant round trip drains, when its next grant lands (see
-/// [`MasterPool::new`]).
+/// [`MasterPool::new`](cloudburst_core::MasterPool::new)).
 pub(crate) const LOW_WATERMARK: usize = 1;
 
 /// Everything one site master is told at start-up, on either transport.
 pub(crate) struct MasterStart {
     pub(crate) site: SiteId,
-    /// Hand-offs that keep every slave pipeline slot busy, plus one: in jobs
-    /// (times what a slave takes per hand-off) the part of a request's size
-    /// that does not depend on the link (see [`MasterPool::ask`]). The TCP
-    /// master sizes its requests; over channels the head's batch policy does.
+    /// Hand-offs that keep every slave pipeline slot busy, plus one as slack
+    /// (held while a hand-off is more than one job): in jobs (times what a
+    /// slave takes per hand-off) the part of a request's size that does not
+    /// depend on the link (see
+    /// [`MasterPool::ask`](cloudburst_core::MasterPool::ask)).
     pub(crate) floor: usize,
     /// One leg of modelled control-plane latency, in real time.
     pub(crate) leg: Duration,
@@ -842,7 +857,7 @@ pub(crate) struct MasterStart {
     pub(crate) chaos: Option<Arc<FaultPlan>>,
     /// Revocations published by the head (replica fencing, evacuation):
     /// queued jobs already fenced are dropped instead of dispatched. Channels
-    /// only; over TCP they come with the head's replies.
+    /// only; over TCP they come with the head's replies alone.
     pub(crate) cancel: Option<CancelBoard>,
     pub(crate) epoch: Instant,
     pub(crate) telemetry: Telemetry,
@@ -854,7 +869,7 @@ impl MasterStart {
         site_dead(self.chaos.as_deref(), self.site, self.epoch)
     }
 
-    fn revoked(&self, chunk: ChunkId) -> bool {
+    pub(crate) fn revoked(&self, chunk: ChunkId) -> bool {
         self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
     }
 }
@@ -872,140 +887,6 @@ pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
     heartbeat.map_or(Duration::from_millis(50), |h| {
         Duration::from_secs_f64((h.interval / 2.0).max(1e-4))
     })
-}
-
-/// The master loop: serve slaves from the site pool and keep it stocked from
-/// the head without ever waiting out a round trip. A grant request is two
-/// timed legs — due at the head, then due back here, one control-plane
-/// latency each — held in delay queues; the loop sleeps until the next slave
-/// message or the next due leg, parks slaves that find the pool empty and
-/// serves them the moment a batch lands. When and how many requests to
-/// issue is [`MasterPool`]'s window rule. A slave's request carries the jobs
-/// it finished since its last one, which go to the head as one message
-/// before anything the request causes. With heartbeats on the master
-/// beacons liveness on every pass; with a chaos outage scheduled it
-/// vanishes abruptly when the site's hour arrives.
-///
-/// The master owns its mailbox and lets go of it on every exit, so a request
-/// that reaches it too late fails at once instead of waiting for an answer.
-fn run_master(cfg: &MasterStart, rx: Receiver<MasterMsg>, head_tx: &Sender<HeadMsg>) -> MasterPool {
-    let (site, leg) = (cfg.site, cfg.leg);
-    let mut pool = MasterPool::new(site, LOW_WATERMARK);
-    let mut due_at_head: VecDeque<(Instant, RequestId)> = VecDeque::new();
-    let mut due_back: VecDeque<(Instant, RequestId)> = VecDeque::new();
-    let mut waiting: VecDeque<Parked> = VecDeque::new();
-    let secs = |at: Instant| at.saturating_duration_since(cfg.epoch).as_secs_f64();
-    let mut last_beat = Instant::now();
-    let tick = mailbox_tick(cfg.heartbeat);
-    'serve: loop {
-        if cfg.site_dead() {
-            // Simulated spot revocation: no goodbye, no final report. The
-            // head notices via the missed heartbeats (channel mode) or the
-            // broken connection (TCP mode).
-            break;
-        }
-        if let Some(hb) = cfg.heartbeat {
-            if last_beat.elapsed().as_secs_f64() >= hb.interval {
-                let _ = head_tx.send(HeadMsg::Heartbeat { site });
-                cfg.telemetry.emit(Event::at(ns_since(cfg.epoch), EventKind::Heartbeat).site(site));
-                last_beat = Instant::now();
-            }
-        }
-        let now = Instant::now();
-        while due_back.front().is_some_and(|&(due, _)| due <= now) {
-            let (_, id) = due_back.pop_front().expect("front was checked");
-            let rtt = pool.land(id, secs(now));
-            cfg.metrics.grant_rtt.observe_secs(rtt);
-        }
-        while let Some((reply, want, since)) = waiting.front() {
-            // A copy elsewhere already completed this chunk and the head
-            // fenced it (or its site was evacuated): the grant is no longer
-            // assigned to us, so drop it instead of dispatching dead work.
-            pool.skip_revoked(|chunk| cfg.revoked(chunk));
-            match pool.serve_parked(secs(now), *want) {
-                Take::NeedRefill => break,
-                take => {
-                    cfg.metrics.starved.add(since.elapsed().as_nanos() as u64);
-                    cfg.metrics.answer(reply, take);
-                    waiting.pop_front();
-                }
-            }
-        }
-        // Requests go out after the slaves were answered, so a slave is
-        // already fetching while its master talks to the head.
-        while let Some(id) = pool.next_request(secs(now)) {
-            due_at_head.push_back((now + leg, id));
-        }
-        cfg.metrics.window.set(pool.window() as i64);
-        // Requests arriving at the head. The exchange itself is a hop over
-        // an in-process channel, so it is waited for; the modelled link
-        // time is in the two legs around it. What it brings lands on the next
-        // pass, after the mailbox was read to the bottom: a slave that asked
-        // meanwhile was waiting for this grant. Taken for one that came back
-        // right after it, it would put a gap of a microsecond into the window
-        // rule, which then asks for the whole pool.
-        let now = Instant::now();
-        while due_at_head.front().is_some_and(|&(due, _)| due <= now) {
-            let (_, id) = due_at_head.pop_front().expect("front was checked");
-            let (btx, brx) = bounded(1);
-            if head_tx.send(HeadMsg::RequestJobs { site, reply: btx }).is_err() {
-                break 'serve; // head gone: shutting down
-            }
-            let Ok(batch) = brx.recv() else { break 'serve };
-            pool.granted(id, batch);
-            due_back.push_back((Instant::now() + leg, id));
-        }
-        let retry = pool.retry_at().map(|at| cfg.epoch + Duration::from_secs_f64(at));
-        let wake = [due_at_head.front().map(|r| r.0), due_back.front().map(|r| r.0), retry]
-            .into_iter()
-            .flatten()
-            .min();
-        let now = Instant::now();
-        let timeout = wake.map_or(tick, |at| at.saturating_duration_since(now).min(tick));
-        let mut next = match rx.recv_timeout(timeout) {
-            Err(RecvTimeoutError::Disconnected) => break,
-            first => first.ok(),
-        };
-        // Everything but `GetJobs` belongs to the TCP deployment mode: here
-        // slaves report to the head directly and there is no socket.
-        while let Some(MasterMsg::GetJobs { want, done, reply }) = next {
-            if !done.is_empty() {
-                let _ = head_tx.send(HeadMsg::Complete { jobs: done, site, reply: None });
-            }
-            let now = Instant::now();
-            pool.skip_revoked(|chunk| cfg.revoked(chunk));
-            match pool.arrive(secs(now), want) {
-                Take::NeedRefill => waiting.push_back((reply, want, now)),
-                take => cfg.metrics.answer(&reply, take),
-            }
-            next = rx.try_recv().ok();
-        }
-    }
-    // A request that reached the mailbox behind the message this master left
-    // on holds its slave's reply channel: drop it, the parked slaves' and the
-    // mailbox itself, so every slave still asking learns the master is gone
-    // instead of waiting on it. (The completions such a request carries are
-    // moot: the master leaves early only when its site died, whose work the
-    // head re-runs, or when the head is gone.)
-    drop(waiting);
-    while rx.try_recv().is_ok() {}
-    drop(rx);
-    // All slaves hung up (or the head did). Any job granted to this master
-    // and not dispatched — queued, or in a batch still on its way back —
-    // would stay assigned at the head forever (classic mode has no lease
-    // reaper), deadlocking the surviving sites that poll for it: hand every
-    // one back as a failure so the head requeues it. A chaos-dead site
-    // skips this: vanishing with its grants is the scenario, and the head's
-    // evacuation (or lease reaping) recovers them.
-    if !cfg.site_dead() {
-        for job in pool.close() {
-            let _ = head_tx.send(HeadMsg::Failed { job: job.chunk.id, site });
-        }
-        // The orderly goodbye: a site that vanishes without one is treated
-        // as crashed and evacuated when liveness tracking is on.
-        let _ = head_tx.send(HeadMsg::Bye { site });
-    }
-    pool
 }
 
 /// Where a slave reports job completions and failures: directly to the
@@ -1058,7 +939,8 @@ impl ReportSink<'_> {
     fn fail(&self, job: ChunkId, site: SiteId) {
         match self {
             ReportSink::Head(tx) => {
-                let _ = tx.send(HeadMsg::Failed { job, site });
+                let frame = Frame::Legacy(MasterToHead::Failed { job, site });
+                let _ = tx.send(HeadMsg::Frame { site, frame });
             }
             ReportSink::Master(tx) => {
                 let _ = tx.send(MasterMsg::Failed { job });
@@ -1453,7 +1335,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use cloudburst_core::slave::{MAX_BATCH, QUANTUM};
-    use cloudburst_core::{reduce_serial, JobBatch, LayoutParams, Merge};
+    use cloudburst_core::{reduce_serial, LayoutParams, Merge};
     use cloudburst_storage::{fraction_placement, organize, organize_redundant};
 
     /// Units are little-endian u32s; the result is their sum (order-free).
@@ -1629,6 +1511,23 @@ mod tests {
     }
 
     #[test]
+    fn a_time_scale_no_link_can_be_slept_at_is_refused_before_spawning() {
+        // Finite and positive, but the link between the two sites, stretched
+        // by it, outlasts any `Duration`: an error, not a panic on the thread
+        // that would sleep it.
+        let (index, stores) = setup(512, 0.5, 2);
+        let config =
+            RuntimeConfig { time_scale: 1e300, ..fast_config(EnvConfig::new("x", 0.5, 1, 1)) };
+        let err = run_hybrid(&SumApp, &index, stores.clone(), &config).unwrap_err();
+        assert!(matches!(&err, RunError::InvalidConfig(m) if m.contains("1e300 ")), "{err}");
+        for time_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let config = RuntimeConfig { time_scale, ..config.clone() };
+            let err = run_hybrid(&SumApp, &index, stores.clone(), &config).unwrap_err();
+            assert!(matches!(err, RunError::InvalidConfig(_)), "{time_scale}: {err}");
+        }
+    }
+
+    #[test]
     fn report_breakdowns_are_populated() {
         let units = 4096;
         let (index, stores) = setup(units, 0.5, 4);
@@ -1667,148 +1566,6 @@ mod tests {
         assert!(out.head.dead_sites.is_empty());
         assert_eq!(out.head.abandoned, 0);
         assert_eq!(out.report.total_jobs(), index.n_chunks() as u64);
-    }
-
-    fn master_ft(
-        site: SiteId,
-        leg: f64,
-        heartbeat: Option<HeartbeatConfig>,
-        chaos: Option<FaultPlan>,
-    ) -> MasterStart {
-        MasterStart {
-            site,
-            floor: 0,
-            leg: Duration::from_secs_f64(leg),
-            heartbeat,
-            chaos: chaos.map(Arc::new),
-            cancel: None,
-            epoch: Instant::now(),
-            telemetry: Telemetry::off(),
-            metrics: MasterMetrics::default(),
-        }
-    }
-
-    #[test]
-    fn slaves_that_asked_while_the_master_was_at_the_head_were_waiting_not_coming_back() {
-        // Three slaves ask at once; the head takes 2 ms to answer. All three
-        // waited for that grant. A master that serves the first from it and
-        // only then reads the second's request takes the microsecond between
-        // the two for its slaves' pace, divides the 2 ms round trip by it, and
-        // asks for a thousand jobs' worth of batches nobody is there to run.
-        let (index, _) = setup(4096, 1.0, 1);
-        let mut jobs = JobPool::from_index(&index, BatchPolicy::Fixed(8));
-        let (master_tx, master_rx) = unbounded::<MasterMsg>();
-        let (head_tx, head_rx) = unbounded::<HeadMsg>();
-        let mut hungry = Vec::new();
-        for _ in 0..3 {
-            let (rtx, rrx) = bounded(1);
-            master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
-            hungry.push(rrx);
-        }
-        let mut master_tx = Some(master_tx);
-        std::thread::scope(|scope| {
-            let ft = master_ft(SiteId::LOCAL, 0.0, None, None);
-            scope.spawn(move || run_master(&ft, master_rx, &head_tx));
-            let mut requests = 0;
-            loop {
-                match head_rx.recv_timeout(Duration::from_millis(5)) {
-                    Ok(HeadMsg::RequestJobs { site, reply }) => {
-                        requests += 1;
-                        std::thread::sleep(Duration::from_millis(2));
-                        let _ = reply.send(jobs.request_for(site));
-                    }
-                    Ok(_) => {}
-                    // Quiet: once every slave has its job, they all hang up.
-                    Err(RecvTimeoutError::Timeout) => {
-                        hungry.retain(|slave| slave.try_recv().is_err());
-                        master_tx = master_tx.filter(|_| !hungry.is_empty());
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            assert_eq!(
-                requests, 1,
-                "one batch of eight covers three slaves asking for one job each"
-            );
-        });
-    }
-
-    #[test]
-    fn master_keeps_beaconing_while_its_grant_requests_are_away() {
-        // A master 0.25 s from its head, beaconing every 10 ms. One slave
-        // asks for a job: the request takes a quarter second to reach the
-        // head and the grant as long to come back. Through all of it the
-        // head must keep hearing from the master — a master that sleeps out
-        // the legs is silent for their length, and a heartbeat timeout
-        // shorter than a round trip then evacuates a healthy site.
-        let leg = 0.25;
-        let (index, _) = setup(256, 1.0, 1);
-        let mut batch =
-            JobPool::from_index(&index, BatchPolicy::Fixed(2)).request_for(SiteId::CLOUD);
-        batch.stolen = true;
-        let (master_tx, master_rx) = unbounded::<MasterMsg>();
-        let (head_tx, head_rx) = unbounded::<HeadMsg>();
-        let heartbeat = Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 });
-        let ft = master_ft(SiteId::CLOUD, leg, heartbeat, None);
-        std::thread::scope(|scope| {
-            // The master owns its ends of both channels: when it returns,
-            // the head's receiver disconnects.
-            scope.spawn(move || run_master(&ft, master_rx, &head_tx));
-            let (rtx, rrx) = bounded(1);
-            master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
-            // The head: answer the first request, note when each message
-            // arrives, stop once the slave has its job.
-            let mut last = Instant::now();
-            let mut longest_silence = Duration::ZERO;
-            let mut grant = Some(batch);
-            while let Ok(msg) = head_rx.recv_timeout(Duration::from_secs(5)) {
-                longest_silence = longest_silence.max(last.elapsed());
-                last = Instant::now();
-                if let HeadMsg::RequestJobs { reply, .. } = msg {
-                    let _ = reply.send(grant.take().unwrap_or_else(|| JobBatch::empty(false)));
-                }
-                if let Ok(take) = rrx.try_recv() {
-                    assert!(matches!(take, Take::Jobs(jobs) if jobs.len() == 1 && jobs[0].stolen));
-                    break;
-                }
-            }
-            drop(master_tx); // the slave hangs up; the master says goodbye
-            assert!(
-                longest_silence.as_secs_f64() < leg,
-                "the head heard nothing for {longest_silence:?} of a {leg} s leg"
-            );
-            // Shutdown hands the second granted job back, then the goodbye.
-            let rest: Vec<HeadMsg> = head_rx.iter().collect();
-            let failed = rest.iter().filter(|m| matches!(m, HeadMsg::Failed { .. })).count();
-            assert_eq!(failed, 1, "the undispatched job of the batch goes back to the head");
-            assert!(matches!(rest.last(), Some(HeadMsg::Bye { site: SiteId::CLOUD })));
-        });
-    }
-
-    #[test]
-    fn a_request_in_the_mailbox_of_a_master_that_is_gone_fails_at_once() {
-        // The slave's request is in the mailbox before the master looks, and
-        // the master's site is dead from the first instant: it leaves
-        // without reading its mail. Other holders of the mailbox's sending
-        // end are still around (here: this test), so only the master letting
-        // go of the mailbox — and of what is in it — tells the slave.
-        let (master_tx, master_rx) = unbounded::<MasterMsg>();
-        let (head_tx, _head_rx) = unbounded::<HeadMsg>();
-        let (rtx, rrx) = bounded(1);
-        master_tx.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx }).unwrap();
-        let plan = FaultPlan {
-            site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.0 }),
-            ..FaultPlan::seeded(1)
-        };
-        run_master(&master_ft(SiteId::CLOUD, 0.0, None, Some(plan)), master_rx, &head_tx);
-        assert_eq!(
-            rrx.recv_timeout(Duration::from_secs(1)),
-            Err(RecvTimeoutError::Disconnected),
-            "the slave must learn that nobody will answer"
-        );
-        let (rtx, _rrx) = bounded(1);
-        let late = MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx };
-        assert!(master_tx.send(late).is_err(), "a later request has nowhere to go");
     }
 
     /// A store that fails the `n`-th read after it is armed with `n`, and
@@ -1940,7 +1697,10 @@ mod tests {
                             }
                             seen.reports.push(jobs);
                         }
-                        HeadMsg::Failed { job, .. } => seen.failed.push(job),
+                        HeadMsg::Frame {
+                            frame: Frame::Legacy(MasterToHead::Failed { job, .. }),
+                            ..
+                        } => seen.failed.push(job),
                         _ => panic!("unexpected message to the head"),
                     }
                 }
@@ -2378,9 +2138,6 @@ mod tests {
             .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
             .collect();
         let mut config = fast_config(EnvConfig::new("tiny-jobs", 0.5, 1, 1));
-        // The channel head sizes grants itself: let it grant a hand-off's
-        // worth, as the TCP master asks for unbidden.
-        config.batch_policy = BatchPolicy::Fixed(MAX_BATCH);
         // One plain read per chunk: a ranged fetch through the pool's
         // threads is a hand-off of its own and no tiny job.
         config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
@@ -2540,7 +2297,7 @@ mod tests {
             // Slaves deep enough to hold every job at once take the whole
             // pool in the first millisecond, so each site is soon handed
             // replicas of the other's backlog.
-            (config.batch_policy, config.pipeline_depth) = (BatchPolicy::Fixed(64), 64);
+            config.pipeline_depth = 64;
             let mut plan = FaultPlan {
                 site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.1 }),
                 ..FaultPlan::seeded(5)

@@ -291,8 +291,14 @@ pub(crate) fn put_ack_batch(out: &mut Vec<u8>, site: SiteId, want: u16, entries:
 #[must_use]
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
+    put_frame(&mut out, frame);
+    out
+}
+
+/// Append any frame to `out`.
+pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
-        Frame::Legacy(msg) => put_to_head(&mut out, msg),
+        Frame::Legacy(msg) => put_to_head(out, msg),
         Frame::Hello { site, version, credit } => {
             out.push(TAG_HELLO);
             out.extend_from_slice(&site.0.to_le_bytes());
@@ -304,9 +310,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             out.extend_from_slice(&site.0.to_le_bytes());
             out.extend_from_slice(&max.to_le_bytes());
         }
-        Frame::AckBatch { site, want, entries } => put_ack_batch(&mut out, *site, *want, entries),
+        Frame::AckBatch { site, want, entries } => put_ack_batch(out, *site, *want, entries),
     }
-    out
 }
 
 /// Open the handshake: announce `site` and the prefetch-credit window.

@@ -53,8 +53,8 @@
 //!
 //! # Sized requests
 //!
-//! The channel head sizes a grant by its own batch policy; the TCP head
-//! grants what a request asks for, so a master on that transport also has to
+//! The simulator's head sizes a grant by its own batch policy; the threaded
+//! runtime's heads grant what a request asks for, so its masters also have to
 //! say *how many*. [`MasterPool::ask`] sizes a request that the window rule
 //! just issued with [`ask_size`]: enough to bring what the master holds or
 //! expects up to a floor (one job per slave pipeline slot, plus one) plus the

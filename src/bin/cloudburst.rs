@@ -390,6 +390,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let org_dir = PathBuf::from(required(args, "--org")?);
     let local_cores: u32 = opt_parse(args, "--local-cores", 2)?;
     let cloud_cores: u32 = opt_parse(args, "--cloud-cores", 2)?;
+    if local_cores == 0 && cloud_cores == 0 {
+        return Err("--local-cores and --cloud-cores are both 0: a run needs a core".to_owned());
+    }
     let retry: u8 = opt_parse(args, "--retry", 0)?;
     let time_scale: f64 = opt_parse(args, "--time-scale", 1e-4)?;
     // Every modelled link is a `Throttle`, which needs a positive scale.
@@ -433,6 +436,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         cloud_cores,
     );
     let mut config = RuntimeConfig::new(env, time_scale);
+    // The run would refuse it too, but only once its black box is set up.
+    config.validate(&index).map_err(|e| format!("--time-scale: {e}"))?;
     config.pipeline_depth = pipeline_depth.max(1);
     config.redundancy = redundancy;
     if retry > 0 {

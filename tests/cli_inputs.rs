@@ -58,3 +58,35 @@ fn run_kmeans_with_zero_centroids_is_a_usage_error() {
     assert!(ok.status.success(), "{}", String::from_utf8_lossy(&ok.stderr));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A small k-NN dataset organized at `dir/org`, half of it at each site.
+fn knn_org(dir: &Path) {
+    let gen = cloudburst(dir, &["generate", "knn", "--out", "points.bin", "--units", "2000"]);
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let org =
+        cloudburst(dir, &["organize", "--data", "points.bin", "--unit-size", "20", "--out", "org"]);
+    assert!(org.status.success(), "{}", String::from_utf8_lossy(&org.stderr));
+}
+
+#[test]
+fn run_with_no_cores_anywhere_is_a_usage_error() {
+    let dir = scratch("cores0");
+    knn_org(&dir);
+    let out = cloudburst(
+        &dir,
+        &["run", "knn", "--org", "org", "--local-cores", "0", "--cloud-cores", "0"],
+    );
+    assert_usage_error(&dir, &out, "--local-cores");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_with_a_time_scale_no_link_can_be_slept_at_is_a_usage_error() {
+    let dir = scratch("scale");
+    knn_org(&dir);
+    // Finite and positive, but the link between the two sites, stretched by
+    // it, outlasts any `Duration`.
+    let out = cloudburst(&dir, &["run", "knn", "--org", "org", "--time-scale", "1e300"]);
+    assert_usage_error(&dir, &out, "--time-scale");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -115,6 +115,35 @@ if grep -nE 'Instant|std::thread|crossbeam|Mutex|Atomic' crates/core/src/slave.r
     exit 1
 fi
 
+echo "== hygiene: one master loop"
+# A site's master is written once: `net::serve_site`, a non-blocking loop over
+# `MasterPool` that sizes its own grant requests and reaches the head over
+# either link — the socket or the in-process head's mailbox — whose answers
+# come back into the master's own mailbox. The blocking channel master coming
+# back under its name, its policy-sized request message, a reply channel for
+# the head's grant (what a blocking master waits on), or a second loop — seen
+# as more than one master pool or more than one place that serves a parked
+# slave, above the test modules of crates/cluster/src — fails the run.
+if grep -rnwE 'fn run_master|RequestJobs' crates src tests examples; then
+    echo "the blocking channel master is back: serve every site through net::serve_site"
+    exit 1
+fi
+if grep -rnE '(Sender|Receiver)<(JobBatch|BatchReply)>|bounded::<(JobBatch|BatchReply)>' \
+    crates/cluster/src; then
+    echo "a reply channel for the head's grant is back: the head answers into the master's mailbox"
+    exit 1
+fi
+for call in 'MasterPool::new(' '.serve_parked('; do
+    CALLS=$(for f in crates/cluster/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+    done | grep -F "$call" || true)
+    if [[ $(grep -c . <<<"$CALLS") -ne 1 ]]; then
+        echo "$CALLS"
+        echo "\`$call..)\` is not called exactly once: there is not exactly one master loop"
+        exit 1
+    fi
+done
+
 echo "== hygiene: the DES runs the real protocol"
 # The simulator is one more driver of the runtime's sans-IO cores: one
 # `HeadCore`, a `MasterPool` per site and a `SlaveCore` per slave, and its
