@@ -8,8 +8,8 @@
 //! bytes) — between kmeans's kilobytes and pagerank's megabytes, making it
 //! a useful fourth point for the overhead analysis.
 
-use crate::units::decode_all;
-use bytes::{BufMut, BytesMut};
+use crate::units::{decode_all, for_each_unit};
+use bytes::{BufMut, Bytes, BytesMut};
 use cloudburst_core::{Merge, Reduction, ReductionObject};
 use cloudburst_mapreduce::MapReduceApp;
 use rand::rngs::StdRng;
@@ -85,9 +85,7 @@ impl Grid2D {
     /// Row-major cell index for a sample (coordinates clamp to the edges).
     #[must_use]
     pub fn cell_of(&self, x: f32, y: f32) -> usize {
-        let cx = ((f64::from(x) * self.width as f64) as isize).clamp(0, self.width as isize - 1);
-        let cy = ((f64::from(y) * self.height as f64) as isize).clamp(0, self.height as isize - 1);
-        cy as usize * self.width + cx as usize
+        cell_in(self.width, self.height, x, y)
     }
 
     /// Fold one sample into its cell.
@@ -145,6 +143,16 @@ impl Gridding {
     pub fn new(width: usize, height: usize) -> Gridding {
         Gridding { width, height }
     }
+
+    /// `f` on the cell every sample encoded in `chunks` falls into, read
+    /// where the sample lies.
+    fn for_each_cell(&self, chunks: &[Bytes], f: impl FnMut(usize)) {
+        let cell = |s: &[u8]| {
+            let s = Sample::decode(s);
+            cell_in(self.width, self.height, s.x, s.y)
+        };
+        for_each_unit(chunks.iter().map(|c| &c[..]), Sample::SIZE, cell, f);
+    }
 }
 
 impl Reduction for Gridding {
@@ -167,23 +175,28 @@ impl Reduction for Gridding {
         robj.observe(item);
     }
 
-    /// Move only the cells this job's samples fell into; the same result,
+    /// Move only the cells the batch's samples fell into; the same result,
     /// bit for bit, as the dense merge (see `PageRank::commit`).
-    fn commit(&self, acc: &mut Grid2D, scratch: &mut Grid2D, items: &[Sample]) {
-        for s in items {
-            let c = scratch.cell_of(s.x, s.y);
+    fn commit(&self, acc: &mut Grid2D, scratch: &mut Grid2D, chunks: &[Bytes]) {
+        self.for_each_cell(chunks, |c| {
             acc.counts[c] += std::mem::take(&mut scratch.counts[c]);
             acc.sums[c] += std::mem::take(&mut scratch.sums[c]);
-        }
+        });
     }
 
-    fn discard(&self, scratch: &mut Grid2D, items: &[Sample]) {
-        for s in items {
-            let c = scratch.cell_of(s.x, s.y);
+    fn discard(&self, scratch: &mut Grid2D, chunks: &[Bytes]) {
+        self.for_each_cell(chunks, |c| {
             scratch.counts[c] = 0;
             scratch.sums[c] = 0.0;
-        }
+        });
     }
+}
+
+/// [`Grid2D::cell_of`] for a `width × height` grid.
+fn cell_in(width: usize, height: usize, x: f32, y: f32) -> usize {
+    let cx = ((f64::from(x) * width as f64) as isize).clamp(0, width as isize - 1);
+    let cy = ((f64::from(y) * height as f64) as isize).clamp(0, height as isize - 1);
+    cy as usize * width + cx as usize
 }
 
 /// MapReduce formulation: one `(cell, (count, sum))` pair per sample.

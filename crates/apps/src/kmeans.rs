@@ -7,7 +7,7 @@
 //! dataset size. The per-unit cost is `k·D` multiply-adds, which is what
 //! makes kmeans the compute-bound application of the trio.
 
-use crate::kmeans_kernel::Filter;
+use crate::kmeans_kernel::{Filter, Group};
 use crate::units::{decode_all, dist2, Point};
 use cloudburst_core::{Merge, Reduction, ReductionObject};
 use cloudburst_mapreduce::MapReduceApp;
@@ -142,8 +142,21 @@ impl<const D: usize> Reduction for KMeans<D> {
     /// FMA, the `local_reduce` loop elsewhere; the two produce the same bits
     /// (see `kmeans_kernel`).
     fn reduce_group(&self, robj: &mut KMeansObj, items: &[Point<D>]) {
-        if self.filter.reduce_group(self, robj, items).is_none() {
+        if self.filter.reduce(self, robj, Group::Points(items)).is_none() {
             for item in items {
+                self.local_reduce(robj, item);
+            }
+        }
+    }
+
+    /// The same kernel reading the points where they lie in the chunk, so
+    /// `buf` is touched only on a CPU with no kernel.
+    fn reduce_units(&self, robj: &mut KMeansObj, units: &[u8], buf: &mut Vec<Point<D>>) {
+        debug_assert_eq!(units.len() % Point::<D>::SIZE, 0, "chunk not unit-aligned");
+        if self.filter.reduce(self, robj, Group::Units(units)).is_none() {
+            buf.clear();
+            decode_all(units, Point::<D>::SIZE, buf, Point::<D>::decode);
+            for item in buf.iter() {
                 self.local_reduce(robj, item);
             }
         }
@@ -221,7 +234,8 @@ pub fn kmeans_oracle<const D: usize>(data: &[u8], centroids: &[[f64; D]]) -> KMe
 mod tests {
     use super::*;
     use crate::gen::gen_clustered_points;
-    use crate::kmeans_kernel::Width;
+    use crate::kmeans_kernel::{Group, Width};
+    use bytes::{BufMut, BytesMut};
     use cloudburst_core::reduce_serial;
 
     fn initial_centroids<const D: usize>(k: usize) -> Vec<[f64; D]> {
@@ -347,25 +361,54 @@ mod tests {
         want
     }
 
-    /// The reference fold against the dispatching `reduce_group` and each
-    /// kernel width called directly. Returns the widths that ran, each
-    /// with the number of points it sent through the reference scan.
+    /// The reference fold against the dispatching `reduce_group` and
+    /// `reduce_units` and each kernel width called directly on both sources:
+    /// the points decoded, and their encoding read in place — from an odd
+    /// byte offset, whole and cut into groups of sizes that are and are not
+    /// multiples of a block. Returns the widths that ran, each with the
+    /// number of points it sent through the reference scan.
     fn kernel_matches_fold<const D: usize>(
         app: &KMeans<D>,
         items: &[Point<D>],
     ) -> Vec<(Width, usize)> {
         let want = fold(app, items);
-        let k = app.centroids.len();
+        let (k, n) = (app.centroids.len(), items.len());
+        // One byte in: a fetched chunk may start at any address.
+        let mut encoded = BytesMut::new();
+        encoded.put_u8(0xA5);
+        items.iter().for_each(|p| p.encode(&mut encoded));
+        let units = &encoded[1..];
         let mut got = app.make_robj();
         app.reduce_group(&mut got, items);
-        assert_eq!(bits(&got), bits(&want), "reduce_group, k={k} D={D} n={}", items.len());
+        assert_eq!(bits(&got), bits(&want), "reduce_group, k={k} D={D} n={n}");
+        let mut buf = Vec::new();
+        let mut got = app.make_robj();
+        app.reduce_units(&mut got, units, &mut buf);
+        assert_eq!(bits(&got), bits(&want), "reduce_units, k={k} D={D} n={n}");
         let mut ran = Vec::new();
         for width in Width::ALL {
             let mut got = app.make_robj();
-            if let Some(fallbacks) = app.filter.fold(width, app, &mut got, items) {
-                assert_eq!(bits(&got), bits(&want), "{width:?}, k={k} D={D} n={}", items.len());
-                ran.push((width, fallbacks));
+            let Some(fallbacks) = app.filter.fold(width, app, &mut got, Group::Points(items))
+            else {
+                continue;
+            };
+            assert_eq!(bits(&got), bits(&want), "{width:?} on points, k={k} D={D} n={n}");
+            let mut got = app.make_robj();
+            let read = app.filter.fold(width, app, &mut got, Group::Units(units));
+            assert_eq!(bits(&got), bits(&want), "{width:?} on units, k={k} D={D} n={n}");
+            assert_eq!(read, Some(fallbacks), "{width:?}: the same points fall back");
+            for cut in [3, 16, 37] {
+                let mut got = app.make_robj();
+                for group in units.chunks(cut * Point::<D>::SIZE) {
+                    app.filter.fold(width, app, &mut got, Group::Units(group));
+                }
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{width:?} on units by {cut}, k={k} D={D} n={n}"
+                );
             }
+            ran.push((width, fallbacks));
         }
         ran
     }
@@ -398,11 +441,13 @@ mod tests {
                 centroids.push(c);
             }
             let app = KMeans::new(centroids);
-            for len in [0, 1, 7, 15, 17, 1024] {
+            for len in [0, 1, 7, 15, 17, 33, 1024] {
                 let items: Vec<Point<D>> = (0..len)
                     .map(|_| match rng.next() % 8 {
                         // A point on a centroid (distance exactly 0)...
                         0 => Point(app.centroids[rng.next() as usize % k].map(|x| x as f32)),
+                        // ...one of `f32` subnormals...
+                        2 => Point([0; D].map(|_| f32::from_bits(rng.next() as u32 & 0x807F_FFFF))),
                         // ...and one no centroid can win: every distance is
                         // +inf or NaN, so it folds into centroid 0.
                         1 => {

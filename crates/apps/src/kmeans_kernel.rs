@@ -1,18 +1,21 @@
 //! The k-means assignment kernel: an `f32` filter proposes each point's
 //! nearest centroid, an `f64` certificate proves the proposal is what the
 //! reference `nearest` scan would pick, and the points it cannot prove go
-//! through that scan itself. This file holds the crate's only `unsafe`: the
-//! calls into the two `target_feature` functions behind their CPU checks,
-//! and the intrinsics wrapped by the lane types that only those checks
-//! construct.
+//! through that scan itself. It reads a group of decoded points or, with no
+//! decode pass, the little-endian chunk they were decoded from. This file
+//! holds the crate's only `unsafe`: the calls into the two `target_feature`
+//! functions behind their CPU checks, and the intrinsics wrapped by the lane
+//! types that only those checks construct.
 //!
 //! **Stage 1, points across lanes.** A block of `P` points is transposed so
 //! that lane `l` of row `d` is coordinate `d` of point `l` (`P` = 16 under
-//! AVX-512F, 8 under AVX2 + FMA). The centroids, rounded to `f32` (`c̃`),
-//! are scanned in order; each lane accumulates `s = Σ_d fma(x_d − c̃_d,
-//! x_d − c̃_d, s)` and keeps, with no branch and no horizontal reduction,
-//! the smallest `s` (`m1`, updated on strict `<`), its centroid (`idx`), and
-//! the smallest `s` of every *other* centroid (`m2`).
+//! AVX-512F, 8 under AVX2 + FMA): a full block of encoded points by one
+//! gather per row, anything else point by point. The centroids, rounded to
+//! `f32` (`c̃`), are scanned in order; each lane accumulates `s = Σ_d
+//! fma(x_d − c̃_d, x_d − c̃_d, s)` and keeps, with no branch and no
+//! horizontal reduction, the smallest `s` (`m1`, updated on strict `<`),
+//! its centroid (`idx`), and the smallest `s` of every *other* centroid
+//! (`m2`).
 //!
 //! **Stage 2, the certificate.** With `γ₃₂ = γ_{D+3}(2⁻²⁴)` bounding the
 //! `f32` sum, `γ₆₄ = γ_{D+3}(2⁻⁵³)` bounding `units::dist2`, `η` the `f32`
@@ -64,6 +67,17 @@ impl Width {
 /// The most points one block holds (the widest register's lanes).
 const MAX_P: usize = 16;
 
+/// A group of points as the kernel reads them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Group<'a, const D: usize> {
+    /// Decoded.
+    Points(&'a [Point<D>]),
+    /// Encoded, and read where they lie: `D` little-endian `f32` per point,
+    /// from any byte offset. A tail shorter than a point is not read, as
+    /// `units::decode_all` would not decode it.
+    Units(&'a [u8]),
+}
+
 /// The centroids of one iteration as stage 1 reads them, and the bound
 /// stage 2 needs on their rounding.
 #[derive(Debug, Clone)]
@@ -103,34 +117,34 @@ impl<const D: usize> Filter<D> {
         self.r
     }
 
-    /// Fold `items` into `robj` exactly as the `local_reduce` loop would,
-    /// with the widest kernel this CPU has. Returns how many points went
-    /// through the reference scan, or `None`, with `robj` untouched, when
-    /// the CPU has no kernel.
-    pub(crate) fn reduce_group(
+    /// Fold `group` into `robj` exactly as the `local_reduce` loop over its
+    /// decoded points would, with the widest kernel this CPU has. Returns
+    /// how many points went through the reference scan, or `None`, with
+    /// `robj` untouched, when the CPU has no kernel.
+    pub(crate) fn reduce(
         &self,
         app: &KMeans<D>,
         robj: &mut KMeansObj,
-        items: &[Point<D>],
+        group: Group<'_, D>,
     ) -> Option<usize> {
-        Width::ALL.into_iter().find_map(|width| self.fold(width, app, robj, items))
+        Width::ALL.into_iter().find_map(|width| self.fold(width, app, robj, group))
     }
 
-    /// [`Filter::reduce_group`] at one width; `None` when the CPU lacks it.
+    /// [`Filter::reduce`] at one width; `None` when the CPU lacks it.
     pub(crate) fn fold(
         &self,
         width: Width,
         app: &KMeans<D>,
         robj: &mut KMeansObj,
-        items: &[Point<D>],
+        group: Group<'_, D>,
     ) -> Option<usize> {
         #[cfg(target_arch = "x86_64")]
         {
-            x86::fold(width, self, app, robj, items)
+            x86::fold(width, self, app, robj, group)
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (width, app, robj, items, &self.rounded, self.r);
+            let _ = (width, app, robj, group, &self.rounded, self.r);
             None
         }
     }
@@ -138,63 +152,143 @@ impl<const D: usize> Filter<D> {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{certify, fold_into, Filter, Width, MAX_P};
+    use super::{certify, fold_into, Filter, Group, Width, MAX_P};
     use crate::kmeans::{KMeans, KMeansObj};
     use crate::units::Point;
     use cloudburst_core::Reduction;
     use core::arch::x86_64::{
         __m256, __m256i, __m512, __m512i, __mmask16, _mm256_blendv_epi8, _mm256_castps_si256,
-        _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_ps,
-        _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_blend_epi32,
+        _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_max_ps, _mm256_min_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_storeu_ps,
+        _mm256_storeu_si256, _mm256_sub_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps,
+        _mm512_i32gather_ps, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_mask_blend_epi32,
         _mm512_max_ps, _mm512_min_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_storeu_ps,
         _mm512_storeu_si512, _mm512_sub_ps, _CMP_LT_OQ,
     };
 
-    /// Run `filter` at `width` if this CPU has it.
+    /// Run `filter` over `group` at `width` if this CPU has it.
     pub(super) fn fold<const D: usize>(
         width: Width,
         filter: &Filter<D>,
         app: &KMeans<D>,
         robj: &mut KMeansObj,
-        items: &[Point<D>],
+        group: Group<'_, D>,
+    ) -> Option<usize> {
+        match group {
+            Group::Points(points) => fold_from(width, filter, app, robj, points),
+            Group::Units(units) => fold_from(width, filter, app, robj, Encoded(units)),
+        }
+    }
+
+    fn fold_from<S: Source<D>, const D: usize>(
+        width: Width,
+        filter: &Filter<D>,
+        app: &KMeans<D>,
+        robj: &mut KMeansObj,
+        points: S,
     ) -> Option<usize> {
         Some(match width {
             Width::X16 => {
                 let lanes = Avx512::new()?;
                 // SAFETY: an `Avx512` exists, so the CPU has avx512f, the one
                 // feature `fold_x16` enables.
-                unsafe { fold_x16(lanes, filter, app, robj, items) }
+                unsafe { fold_x16(lanes, filter, app, robj, points) }
             }
             Width::X8 => {
                 let lanes = Avx2::new()?;
                 // SAFETY: an `Avx2` exists, so the CPU has avx2 and fma, the
                 // features `fold_x8` enables.
-                unsafe { fold_x8(lanes, filter, app, robj, items) }
+                unsafe { fold_x8(lanes, filter, app, robj, points) }
             }
         })
     }
 
     #[target_feature(enable = "avx512f")]
-    fn fold_x16<const D: usize>(
+    fn fold_x16<S: Source<D>, const D: usize>(
         lanes: Avx512,
         filter: &Filter<D>,
         app: &KMeans<D>,
         robj: &mut KMeansObj,
-        items: &[Point<D>],
+        points: S,
     ) -> usize {
-        fold_lanes(lanes, filter, app, robj, items)
+        fold_lanes(lanes, filter, app, robj, points)
     }
 
     #[target_feature(enable = "avx2,fma")]
-    fn fold_x8<const D: usize>(
+    fn fold_x8<S: Source<D>, const D: usize>(
         lanes: Avx2,
         filter: &Filter<D>,
         app: &KMeans<D>,
         robj: &mut KMeansObj,
-        items: &[Point<D>],
+        points: S,
     ) -> usize {
-        fold_lanes(lanes, filter, app, robj, items)
+        fold_lanes(lanes, filter, app, robj, points)
+    }
+
+    /// Where [`fold_lanes`] reads a group's points from: both sources give
+    /// it the same points, in the same order.
+    trait Source<const D: usize>: Copy {
+        /// How many points the group holds.
+        fn count(self) -> usize;
+        /// Point `i`, for `i < count`.
+        fn point(self, i: usize) -> Point<D>;
+        /// Stage 1's rows for the `L::P` points from `i`, all below `count`.
+        fn rows<L: Lanes>(self, lanes: L, i: usize) -> [L::F; D];
+    }
+
+    impl<const D: usize> Source<D> for &[Point<D>] {
+        #[inline(always)]
+        fn count(self) -> usize {
+            self.len()
+        }
+
+        #[inline(always)]
+        fn point(self, i: usize) -> Point<D> {
+            self[i]
+        }
+
+        #[inline(always)]
+        fn rows<L: Lanes>(self, lanes: L, i: usize) -> [L::F; D] {
+            transpose(lanes, self[i..i + L::P].iter().copied())
+        }
+    }
+
+    /// Points read where they lie in their encoding ([`Group::Units`]).
+    #[derive(Clone, Copy)]
+    struct Encoded<'a>(&'a [u8]);
+
+    impl<const D: usize> Source<D> for Encoded<'_> {
+        #[inline(always)]
+        fn count(self) -> usize {
+            self.0.len() / Point::<D>::SIZE
+        }
+
+        #[inline(always)]
+        fn point(self, i: usize) -> Point<D> {
+            Point::decode(&self.0[i * Point::<D>::SIZE..][..Point::<D>::SIZE])
+        }
+
+        #[inline(always)]
+        fn rows<L: Lanes>(self, lanes: L, i: usize) -> [L::F; D] {
+            let size = Point::<D>::SIZE;
+            lanes.gather(&self.0[i * size..][..L::P * size])
+        }
+    }
+
+    /// Stage 1's rows for up to `P` points, one scalar store per coordinate
+    /// and a vector load per row; missing lanes hold zeros.
+    #[inline(always)]
+    fn transpose<L: Lanes, const D: usize>(
+        lanes: L,
+        block: impl Iterator<Item = Point<D>>,
+    ) -> [L::F; D] {
+        let mut rows = [[0f32; MAX_P]; D];
+        for (l, point) in block.enumerate() {
+            for (row, x) in rows.iter_mut().zip(point.0) {
+                row[l] = x;
+            }
+        }
+        rows.map(|row| lanes.load(&row))
     }
 
     /// The operations stage 1 is written in, on one register of `P` `f32`
@@ -212,6 +306,12 @@ mod x86 {
         fn splat(self, x: f32) -> Self::F;
         /// The first `P` of `lanes`.
         fn load(self, lanes: &[f32; MAX_P]) -> Self::F;
+        /// Stage 1's rows for the first `P` points encoded in `block`: lane
+        /// `l` of row `d` is the little-endian `f32` at byte `4·(l·D + d)`.
+        ///
+        /// # Panics
+        /// When `block` is shorter than `P` points of `D` coordinates.
+        fn gather<const D: usize>(self, block: &[u8]) -> [Self::F; D];
         /// Into the first `P` of `out`.
         fn store(self, v: Self::F, out: &mut [f32; MAX_P]);
         fn sub(self, a: Self::F, b: Self::F) -> Self::F;
@@ -242,7 +342,8 @@ mod x86 {
 
     // SAFETY (every block in this impl): `self` is an `Avx512`, which
     // exists only where the CPU has avx512f; the loads and stores touch the
-    // 16 `f32`/`u32` of the array they are given.
+    // 16 `f32`/`u32`/`i32` of the array they are given, and `gather` says
+    // what its gathers read.
     impl Lanes for Avx512 {
         const P: usize = 16;
         type F = __m512;
@@ -259,6 +360,25 @@ mod x86 {
         fn load(self, lanes: &[f32; MAX_P]) -> __m512 {
             // SAFETY: see the impl.
             unsafe { _mm512_loadu_ps(lanes.as_ptr()) }
+        }
+
+        #[inline(always)]
+        fn gather<const D: usize>(self, block: &[u8]) -> [__m512; D] {
+            assert!(D <= i32::MAX as usize / 16 && block.len() >= 16 * 4 * D, "16 points");
+            let offsets: [i32; MAX_P] = std::array::from_fn(|l| (l * D) as i32);
+            // SAFETY: see the impl.
+            let offsets = unsafe { _mm512_loadu_si512(offsets.as_ptr().cast()) };
+            std::array::from_fn(|d| {
+                // SAFETY: see the impl. Lane `l` reads the 4 bytes at byte
+                // `4·(l·D + d)` of `block` (an `f32` scale on the offsets
+                // `l·D`, which the assert keeps inside `i32`), and the
+                // highest, `4·(15·D + d) + 4 ≤ 64·D`, is inside `block` by
+                // the assert on its length. A gather has no alignment
+                // requirement, so `block` may start at any byte.
+                unsafe {
+                    _mm512_i32gather_ps::<4>(offsets, block.as_ptr().cast::<f32>().wrapping_add(d))
+                }
+            })
         }
 
         #[inline(always)]
@@ -329,7 +449,8 @@ mod x86 {
 
     // SAFETY (every block in this impl): `self` is an `Avx2`, which exists
     // only where the CPU has avx2 and fma; the loads and stores touch the
-    // first 8 `f32`/`u32` of the 16 in the array they are given.
+    // first 8 `f32`/`u32`/`i32` of the 16 in the array they are given, and
+    // `gather` says what its gathers read.
     impl Lanes for Avx2 {
         const P: usize = 8;
         type F = __m256;
@@ -346,6 +467,25 @@ mod x86 {
         fn load(self, lanes: &[f32; MAX_P]) -> __m256 {
             // SAFETY: see the impl.
             unsafe { _mm256_loadu_ps(lanes.as_ptr()) }
+        }
+
+        #[inline(always)]
+        fn gather<const D: usize>(self, block: &[u8]) -> [__m256; D] {
+            assert!(D <= i32::MAX as usize / 8 && block.len() >= 8 * 4 * D, "8 points");
+            let offsets: [i32; MAX_P] = std::array::from_fn(|l| (l * D) as i32);
+            // SAFETY: see the impl.
+            let offsets = unsafe { _mm256_loadu_si256(offsets.as_ptr().cast()) };
+            std::array::from_fn(|d| {
+                // SAFETY: see the impl. Lane `l` reads the 4 bytes at byte
+                // `4·(l·D + d)` of `block` (an `f32` scale on the offsets
+                // `l·D`, which the assert keeps inside `i32`), and the
+                // highest, `4·(7·D + d) + 4 ≤ 32·D`, is inside `block` by the
+                // assert on its length. A gather has no alignment
+                // requirement, so `block` may start at any byte.
+                unsafe {
+                    _mm256_i32gather_ps::<4>(block.as_ptr().cast::<f32>().wrapping_add(d), offsets)
+                }
+            })
         }
 
         #[inline(always)]
@@ -404,33 +544,33 @@ mod x86 {
         }
     }
 
-    /// The kernel, one body for both widths: `L::P` points at a time.
+    /// The kernel, one body for both widths and both sources: `L::P` points
+    /// at a time.
     #[inline(always)]
-    fn fold_lanes<L: Lanes, const D: usize>(
+    fn fold_lanes<L: Lanes, S: Source<D>, const D: usize>(
         lanes: L,
         filter: &Filter<D>,
         app: &KMeans<D>,
         robj: &mut KMeansObj,
-        items: &[Point<D>],
+        points: S,
     ) -> usize {
+        let n = points.count();
         if filter.rounded.len() == 1 {
             // One centroid: the reference scan answers 0 for every point.
-            for item in items {
-                fold_into(robj, 0, item);
+            for i in 0..n {
+                fold_into(robj, 0, &points.point(i));
             }
             return 0;
         }
         let mut fallbacks = 0;
-        for block in items.chunks(L::P) {
-            // Stage 1. A partial block's missing lanes hold zeros and are
-            // never folded.
-            let mut rows = [[0f32; MAX_P]; D];
-            for (l, item) in block.iter().enumerate() {
-                for (row, &x) in rows.iter_mut().zip(&item.0) {
-                    row[l] = x;
-                }
-            }
-            let xs = rows.map(|row| lanes.load(&row));
+        for at in (0..n).step_by(L::P) {
+            // Stage 1. A partial block is transposed point by point; its
+            // missing lanes hold zeros and are never folded.
+            let xs = if n - at >= L::P {
+                points.rows(lanes, at)
+            } else {
+                transpose(lanes, (at..n).map(|i| points.point(i)))
+            };
             let inf = lanes.splat(f32::INFINITY);
             let (mut m1, mut m2, mut idx) = (inf, inf, lanes.splat_index(0));
             for (j, c) in filter.rounded.iter().enumerate() {
@@ -452,12 +592,13 @@ mod x86 {
             lanes.store(m2, &mut rest);
             lanes.store_index(idx, &mut pick);
             let sure = certify::<D>(filter.r, &best[..L::P], &rest[..L::P]);
-            for (l, item) in block.iter().enumerate() {
+            for l in 0..L::P.min(n - at) {
+                let point = points.point(at + l);
                 if sure[l] {
-                    fold_into(robj, pick[l] as usize, item);
+                    fold_into(robj, pick[l] as usize, &point);
                 } else {
                     fallbacks += 1;
-                    app.local_reduce(robj, item);
+                    app.local_reduce(robj, &point);
                 }
             }
         }

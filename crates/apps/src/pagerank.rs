@@ -7,7 +7,8 @@
 //! robj), which is what makes PageRank's global reduction expensive across
 //! the WAN and limits its scalability (§IV-C).
 
-use crate::units::{decode_all, Edge};
+use crate::units::{decode_all, for_each_unit, Edge};
+use bytes::Bytes;
 use cloudburst_core::{Merge, Reduction, ReductionObject};
 use cloudburst_mapreduce::MapReduceApp;
 use std::sync::Arc;
@@ -122,24 +123,34 @@ impl Reduction for PageRank {
         robj.0[item.dst as usize] += self.contrib[item.src as usize];
     }
 
-    /// Move only the entries this job's edges deposited onto. Bit-identical
+    /// Each edge read where it lies in the chunk, in order: the
+    /// `local_reduce` fold with no decode pass.
+    fn reduce_units(&self, robj: &mut RankMass, units: &[u8], _: &mut Vec<Edge>) {
+        debug_assert_eq!(units.len() % Edge::SIZE, 0, "chunk not unit-aligned");
+        for_each_unit([units], Edge::SIZE, Edge::decode, |e| self.local_reduce(robj, &e));
+    }
+
+    /// Move only the entries the batch's edges deposited onto. Bit-identical
     /// to the dense merge: an untouched entry would have added `+0.0` (the
     /// accumulator never holds `-0.0`, since it only ever grows by adding
     /// onto `+0.0`), and a `dst` that repeats adds the zero left behind by
     /// its first visit.
-    fn commit(&self, acc: &mut RankMass, scratch: &mut RankMass, items: &[Edge]) {
-        for e in items {
-            let dst = e.dst as usize;
+    fn commit(&self, acc: &mut RankMass, scratch: &mut RankMass, chunks: &[Bytes]) {
+        for_each_dst(chunks, |dst| {
             acc.0[dst] += scratch.0[dst];
             scratch.0[dst] = 0.0;
-        }
+        });
     }
 
-    fn discard(&self, scratch: &mut RankMass, items: &[Edge]) {
-        for e in items {
-            scratch.0[e.dst as usize] = 0.0;
-        }
+    fn discard(&self, scratch: &mut RankMass, chunks: &[Bytes]) {
+        for_each_dst(chunks, |dst| scratch.0[dst] = 0.0);
     }
+}
+
+/// `f` on the `dst` of every edge encoded in `chunks`, read where it lies.
+fn for_each_dst(chunks: &[Bytes], f: impl FnMut(usize)) {
+    let dst = |e: &[u8]| Edge::decode(e).dst as usize;
+    for_each_unit(chunks.iter().map(|c| &c[..]), Edge::SIZE, dst, f);
 }
 
 /// The MapReduce formulation: each edge emits `(dst, contribution)`; the

@@ -2,18 +2,20 @@
 //! `Reduction::discard`).
 //!
 //! The runtime keeps one scratch reduction object per worker, reduces every
-//! job of a hand-off into it, and relies on two things for every shipped
-//! application: committing from the reused scratch — one job's units or
-//! several jobs' units concatenated — leaves the accumulator bit-equal to
-//! merging a freshly made object that the same units were reduced into, and
-//! after every `commit` and `discard` the scratch is indistinguishable from a
-//! fresh `make_robj()`. A batch with a rejected job in it is settled the way
-//! the runtime does it: the scratch is discarded over the whole batch's units
-//! and every accepted job is reduced and committed again on its own. A job
-//! that panics mid-reduce is modelled the way the runtime handles it too: the
-//! half-applied scratch is dropped, the jobs open before it are settled one
-//! by one, and the next job makes a new scratch.
+//! job of a hand-off into it through `reduce_units`, keeps the jobs' encoded
+//! chunks, and relies on two things for every shipped application:
+//! committing from the reused scratch — over one job's chunk or several
+//! jobs' chunks in order — leaves the accumulator bit-equal to merging a
+//! freshly made object that the same units were reduced into, and after
+//! every `commit` and `discard` the scratch is indistinguishable from a fresh
+//! `make_robj()`. A batch with a rejected job in it is settled the way the
+//! runtime does it: the scratch is discarded over the whole batch's chunks
+//! and every accepted job is reduced from its chunk and committed again on
+//! its own. A job that panics mid-reduce is modelled the way the runtime
+//! handles it too: the half-applied scratch is dropped, the jobs open before
+//! it are settled one by one, and the next job makes a new scratch.
 
+use bytes::Bytes;
 use cloudburst_apps::gen::{gen_clustered_points, gen_edges, gen_id_points, gen_words};
 use cloudburst_apps::gridding::gen_samples;
 use cloudburst_apps::{
@@ -46,19 +48,22 @@ fn f64_bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
     xs.iter().map(|x| x.to_bits())
 }
 
-/// Reduce `items` into `robj` in the small groups both sides use.
-fn reduce<R: Reduction>(app: &R, robj: &mut R::RObj, items: &[R::Item]) {
-    for group in items.chunks(7) {
-        app.reduce_group(robj, group);
+/// Reduce `chunk`'s units into `robj` in the small groups both sides use,
+/// through the one call the runtime makes on fetched data.
+fn reduce<R: Reduction>(app: &R, robj: &mut R::RObj, chunk: &[u8]) {
+    let mut buf = Vec::new();
+    for group in chunk.chunks(7 * app.unit_size()) {
+        app.reduce_units(robj, group, &mut buf);
     }
 }
 
 /// Run `data` as jobs of `units_per_chunk` units under `verdicts` (cycled),
 /// settled `batch` jobs at a time, two ways — one reused scratch with
-/// `commit`/`discard` as the runtime drives them, and freshly made objects
-/// with `merge` (one per batch when all of it is accepted, else one per
-/// accepted job) — checking the contract after every settlement. `same` is
-/// the application's notion of "bit-equal".
+/// `commit`/`discard` over the open jobs' encoded chunks as the runtime
+/// drives them, and freshly made objects with `merge` (one per batch when all
+/// of it is accepted, else one per accepted job) — checking the contract
+/// after every settlement. `same` is the application's notion of
+/// "bit-equal".
 fn reused_scratch_matches_fresh_objects<R: Reduction>(
     app: &R,
     data: &[u8],
@@ -70,48 +75,48 @@ fn reused_scratch_matches_fresh_objects<R: Reduction>(
     let mut acc = app.make_robj();
     let mut scratch: Option<R::RObj> = None;
     let mut reference = app.make_robj();
-    // The open jobs' units, one job after the other; each open job's share
-    // of them and whether it will be accepted; and what a fresh object per
-    // batch would hold.
-    let mut items: Vec<R::Item> = Vec::new();
-    let mut open: Vec<(std::ops::Range<usize>, bool)> = Vec::new();
+    // The open jobs' chunks, one job after the other; each open job's place
+    // among them and whether it will be accepted; and what a fresh object
+    // per batch would hold.
+    let mut chunks: Vec<Bytes> = Vec::new();
+    let mut open: Vec<(usize, bool)> = Vec::new();
     let mut fresh = app.make_robj();
-    let jobs: Vec<&[u8]> = data.chunks(units_per_chunk * app.unit_size()).collect();
+    let unit = app.unit_size();
+    let jobs: Vec<&[u8]> = data.chunks(units_per_chunk * unit).collect();
     for (job, (chunk, verdict)) in jobs.iter().zip(verdicts.iter().cycle()).enumerate() {
-        let first = items.len();
-        app.decode(chunk, &mut items);
         let reused = scratch.get_or_insert_with(|| app.make_robj());
         if matches!(verdict, Verdict::Panic) {
-            app.reduce_group(reused, &items[first..first + (items.len() - first) / 2]);
-            items.truncate(first);
+            reduce(app, reused, &chunk[..chunk.len() / unit / 2 * unit]);
             scratch = None;
         } else {
-            reduce(app, reused, &items[first..]);
-            reduce(app, &mut fresh, &items[first..]);
-            open.push((first..items.len(), matches!(verdict, Verdict::Accept)));
+            reduce(app, reused, chunk);
+            reduce(app, &mut fresh, chunk);
+            open.push((chunks.len(), matches!(verdict, Verdict::Accept)));
+            chunks.push(Bytes::from(chunk.to_vec()));
             if open.len() < batch && job + 1 < jobs.len() {
                 continue;
             }
         }
         match &mut scratch {
             Some(reused) if open.iter().all(|(_, accepted)| *accepted) => {
-                app.commit(&mut acc, reused, &items);
+                app.commit(&mut acc, reused, &chunks);
                 reference.merge(std::mem::replace(&mut fresh, app.make_robj()));
             }
             reused => {
                 if let Some(reused) = reused.as_mut() {
-                    app.discard(reused, &items);
+                    app.discard(reused, &chunks);
                     assert!(
                         same(reused, &app.make_robj()),
                         "job {job}: scratch not fresh, discard"
                     );
                 }
-                for (range, _) in open.iter().filter(|(_, accepted)| *accepted) {
+                for &(at, _) in open.iter().filter(|(_, accepted)| *accepted) {
+                    let kept = &chunks[at..=at];
                     let reused = reused.get_or_insert_with(|| app.make_robj());
-                    reduce(app, reused, &items[range.clone()]);
-                    app.commit(&mut acc, reused, &items[range.clone()]);
+                    reduce(app, reused, &kept[0]);
+                    app.commit(&mut acc, reused, kept);
                     let mut alone = app.make_robj();
-                    reduce(app, &mut alone, &items[range.clone()]);
+                    reduce(app, &mut alone, &kept[0]);
                     reference.merge(alone);
                 }
                 fresh = app.make_robj();
@@ -124,7 +129,7 @@ fn reused_scratch_matches_fresh_objects<R: Reduction>(
             );
         }
         assert!(same(&acc, &reference), "job {job}: accumulator diverged after {verdict:?}");
-        items.clear();
+        chunks.clear();
         open.clear();
     }
 }

@@ -36,4 +36,4 @@ pub use head_core::HeadCore;
 pub use net::{run_hybrid_tcp, serve_head};
 pub use protocol::{HeadMsg, HeadReport, MasterMsg};
 pub use router::{Fetched, StoreRouter};
-pub use runtime::{run_hybrid, FaultPolicy, FtConfig, RunOutcome, RuntimeConfig};
+pub use runtime::{check_units, run_hybrid, FaultPolicy, FtConfig, RunOutcome, RuntimeConfig};

@@ -19,6 +19,7 @@ use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
 use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
 use crate::wire::{Frame, MasterToHead};
+use bytes::Bytes;
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::slave::Step;
 use cloudburst_core::{
@@ -490,6 +491,25 @@ pub fn run_hybrid<R: Reduction>(
     run_on(Transport::Channels, app, index, stores, config)
 }
 
+/// Refuse to run an application whose units are `unit_size` bytes over
+/// `index` unless its data was organized in units of that size: any other
+/// size cuts records apart, and zero cuts nothing. [`run_hybrid`] and
+/// [`run_hybrid_tcp`](crate::run_hybrid_tcp) check it before they start a
+/// thread.
+///
+/// # Errors
+/// [`RunError::InvalidConfig`], naming both sizes.
+pub fn check_units(unit_size: usize, index: &DataIndex) -> Result<(), RunError> {
+    let organized = index.params.unit_size as usize;
+    if unit_size == 0 || unit_size != organized {
+        return Err(RunError::InvalidConfig(format!(
+            "the dataset is organized in {organized}-byte units, the application reads \
+             {unit_size}-byte units"
+        )));
+    }
+    Ok(())
+}
+
 /// What carries a run's control plane between the head and the site masters;
 /// everything else about a run is the same code ([`run_on`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -533,6 +553,7 @@ pub(crate) fn run_on<R: Reduction>(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<RunOutcome<R::RObj>, RunError> {
+    check_units(app.unit_size(), index)?;
     let Prepared { active, head_site, chaos, router, pool, ft_active, dedup_active } =
         prepare(index, stores, config)?;
     let n_sites = active.len();
@@ -970,6 +991,9 @@ fn run_slave<R: Reduction>(
     let ctx = &ctx;
     let revoked = |chunk| ctx.revoked(chunk);
     let mut worker = Worker::new(app, ctx, reports, config);
+    // The slave's one decode buffer, for an application that decodes a
+    // group of units before it reduces them; empty between groups.
+    let mut buf = Vec::new();
     std::thread::scope(|scope| {
         let executor = (depth > 1).then(|| {
             // Never full: the core starts at most `depth` jobs.
@@ -1012,7 +1036,7 @@ fn run_slave<R: Reduction>(
                 Step::Fetch(job) => {
                     let Some((to_fetch, _)) = &executor else {
                         let inline = FetchedJob::fetch(ctx, router, job);
-                        match worker.take(&mut core, inline) {
+                        match worker.take(&mut core, inline, &mut buf) {
                             Ok(()) => continue,
                             Err(e) => break Err(e),
                         }
@@ -1021,7 +1045,7 @@ fn run_slave<R: Reduction>(
                     let _ = to_fetch.send(job);
                 }
                 Step::Dropped(_) => ctx.metrics.dropped.inc(),
-                Step::Settle(jobs) => worker.settle(&mut core, jobs),
+                Step::Settle(jobs) => worker.settle(&mut core, jobs, &mut buf),
                 Step::Done(jobs) => reports.done(jobs, ctx.site),
                 // The one place a slave blocks. A fetched job is taken if one
                 // is ready; else, once the core has said what it holds, the
@@ -1050,7 +1074,7 @@ fn run_slave<R: Reduction>(
                         };
                     idle = false;
                     ctx.metrics.occupancy.add(-1);
-                    if let Err(e) = worker.take(&mut core, pre) {
+                    if let Err(e) = worker.take(&mut core, pre, &mut buf) {
                         break Err(e);
                     }
                 }
@@ -1062,7 +1086,7 @@ fn run_slave<R: Reduction>(
         // has heard that, and what it brings is owed back too.
         let dead = ctx.site_dead();
         if let Some(jobs) = if dead { None } else { core.settle(revoked) } {
-            worker.settle(&mut core, jobs);
+            worker.settle(&mut core, jobs, &mut buf);
         }
         while let Some(owed) = core.leave(dead) {
             reports.done(owed.done, ctx.site);
@@ -1091,7 +1115,7 @@ fn answered(rx: &Receiver<Take>) -> Option<Option<Take>> {
 }
 
 /// What a slave carries from one job to the next, and the app-typed half of
-/// its work: decode and reduce, commit or re-reduce from the verdicts.
+/// its work: reduce, commit or re-reduce from the verdicts.
 struct Worker<'a, R: Reduction> {
     app: &'a R,
     ctx: &'a SlaveCtx,
@@ -1111,10 +1135,13 @@ struct Worker<'a, R: Reduction> {
     /// until the first isolated job and after a caught panic, which may have
     /// left it half-applied.
     scratch: Option<R::RObj>,
-    /// The open jobs' decoded units, one job after the other, kept until
-    /// their verdicts because `commit`/`discard` walk them; the core holds
-    /// each job's range.
-    items: Vec<R::Item>,
+    /// The open jobs' fetched chunks in the order they were processed — a
+    /// reference count on each fetch, not a copy — kept until their verdicts
+    /// because `commit`/`discard` walk them and a refused batch's merged jobs
+    /// are reduced from them again; the core holds each job's place.
+    chunks: Vec<Bytes>,
+    /// Bytes in a cache-sized group of units (`unit_group` units).
+    group: usize,
     /// The slave's share of the run report, folded from what it `note`s.
     stats: SlaveSample,
     slowdown: f64,
@@ -1137,7 +1164,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
             robj: app.make_robj(),
             isolate: ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. }),
             scratch: None,
-            items: Vec::new(),
+            chunks: Vec::new(),
+            group: config.unit_group.max(1).saturating_mul(app.unit_size()),
             stats: SlaveSample::default(),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
             site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
@@ -1146,18 +1174,23 @@ impl<'a, R: Reduction> Worker<'a, R> {
 
     /// Take over a fetched job: fenced by the core at the hand-off,
     /// processed, and its outcome told to the core. Whatever goes wrong with
-    /// it — retrieval error or a panic inside the application's
-    /// decode/reduce — is reported to the head, or its masters would poll for
-    /// it forever; under `FailFast` it ends the slave.
-    fn take(&mut self, core: &mut SlaveCore, pre: FetchedJob) -> Result<(), RunError> {
+    /// it — retrieval error or a panic inside the application's reduce — is
+    /// reported to the head, or its masters would poll for it forever; under
+    /// `FailFast` it ends the slave. `buf` is the slave's decode buffer.
+    fn take(
+        &mut self,
+        core: &mut SlaveCore,
+        pre: FetchedJob,
+        buf: &mut Vec<R::Item>,
+    ) -> Result<(), RunError> {
         let (ctx, job) = (self.ctx, pre.job.chunk.id);
         if !core.hand_off(job, |chunk| ctx.revoked(chunk)) {
             ctx.metrics.dropped.inc();
             return Ok(());
         }
-        match self.process_job(pre) {
-            Ok((items, began, ended)) => {
-                core.processed(job, items, ctx.secs(began), ctx.secs(ended));
+        match self.process_job(pre, buf) {
+            Ok((kept, began, ended)) => {
+                core.processed(job, kept, ctx.secs(began), ctx.secs(ended));
             }
             Err(e) => {
                 core.failed();
@@ -1173,12 +1206,12 @@ impl<'a, R: Reduction> Worker<'a, R> {
 
     /// Report `jobs` in one exchange and act on the head's verdicts. All
     /// merged — nearly always — the scratch holds exactly what the head
-    /// accepted and is committed in one walk over the batch's units. If a job
-    /// was refused, was revoked while it was open (it lost its race: neither
-    /// reported nor merged), or a panic cost the scratch, what the scratch
-    /// holds is thrown away and each accepted job is reduced and committed
-    /// again on its own.
-    fn settle(&mut self, core: &mut SlaveCore, jobs: Vec<ChunkId>) {
+    /// accepted and is committed in one walk over the batch's chunks. If a
+    /// job was refused, was revoked while it was open (it lost its race:
+    /// neither reported nor merged), or a panic cost the scratch, what the
+    /// scratch holds is thrown away and each accepted job is reduced from its
+    /// kept chunk and committed again on its own.
+    fn settle(&mut self, core: &mut SlaveCore, jobs: Vec<ChunkId>, buf: &mut Vec<R::Item>) {
         let (app, ctx) = (self.app, self.ctx);
         let mut verdicts = Vec::new();
         if !jobs.is_empty() {
@@ -1188,35 +1221,37 @@ impl<'a, R: Reduction> Worker<'a, R> {
         let (all_merged, merged) = core.settled(&verdicts);
         match &mut self.scratch {
             Some(scratch) if all_merged => {
-                app.commit(&mut self.robj, scratch, &self.items);
+                app.commit(&mut self.robj, scratch, &self.chunks);
             }
             scratch => {
                 if let Some(scratch) = scratch.as_mut() {
-                    app.discard(scratch, &self.items);
+                    app.discard(scratch, &self.chunks);
                 }
-                let unit_group = self.config.unit_group.max(1);
-                for (job, range) in merged {
-                    let units = &self.items[range];
+                for (job, kept) in merged {
+                    let chunks = &self.chunks[kept];
                     let scratch = scratch.get_or_insert_with(|| app.make_robj());
-                    units.chunks(unit_group).for_each(|group| app.reduce_group(scratch, group));
-                    app.commit(&mut self.robj, scratch, units);
+                    for chunk in chunks {
+                        reduce_chunk(app, scratch, chunk, self.group, buf);
+                    }
+                    app.commit(&mut self.robj, scratch, chunks);
                     let rereduced = Event::at(ns_since(ctx.epoch), EventKind::JobRereduced);
                     ctx.note(&mut self.stats, rereduced.chunk(job));
                 }
             }
         }
-        self.items.clear();
+        self.chunks.clear();
     }
 
-    /// Account for one retrieval, decode and reduce the chunk and sit out any
-    /// injected straggling. Returns the job's units in `items`, when it began
-    /// and when it ended. Without dedup no duplicate can exist, so the
-    /// completion is merged by construction and committed at once; ack-gated
-    /// its units stay until the verdict. After a panic the scratch and the
-    /// job's units are gone.
+    /// Account for one retrieval, reduce the chunk and sit out any injected
+    /// straggling. Returns where the job's chunk is kept, when it began and
+    /// when it ended. Without dedup no duplicate can exist, so the completion
+    /// is merged by construction and committed at once; ack-gated its chunk
+    /// is kept until the verdict. After a panic the scratch is gone and the
+    /// chunk is not kept.
     fn process_job(
         &mut self,
         pre: FetchedJob,
+        buf: &mut Vec<R::Item>,
     ) -> Result<(std::ops::Range<usize>, Instant, Instant), RunError> {
         let ctx = self.ctx;
         let FetchedJob { job, fetched, fetch_start, fetch_dur } = pre;
@@ -1236,26 +1271,21 @@ impl<'a, R: Reduction> Worker<'a, R> {
         ctx.note(&mut self.stats, of_job(fetch, job));
 
         let proc_start = Instant::now();
-        let (app, unit_group) = (self.app, self.config.unit_group.max(1));
-        // Behind the open jobs' units; nothing is open unless ack-gated.
-        let first = self.items.len();
+        let (app, group) = (self.app, self.group);
         let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            app.decode(&fetched.bytes, &mut self.items);
             let target = if self.isolate {
                 self.scratch.get_or_insert_with(|| app.make_robj())
             } else {
                 &mut self.robj
             };
-            for group in self.items[first..].chunks(unit_group) {
-                app.reduce_group(target, group);
-            }
+            reduce_chunk(app, target, &fetched.bytes, group, buf);
         }));
         if let Err(p) = processed {
-            // The buffer's tail may hold garbage from the aborted decode,
-            // and the scratch a half-applied job that no walk over those
-            // items could undo: drop both. The jobs open before it are whole
-            // in the buffer; the core settles them next.
-            self.items.truncate(first);
+            // The scratch may hold a half-applied job that no walk over its
+            // chunk could undo: drop it, and whatever the aborted group left
+            // in the buffer. The jobs open before it keep their chunks; the
+            // core settles them next, and each accepted one is reduced again.
+            buf.clear();
             self.scratch = None;
             return Err(RunError::WorkerPanic(panic_msg(&*p)));
         }
@@ -1282,14 +1312,13 @@ impl<'a, R: Reduction> Worker<'a, R> {
         }
         // No clock is read for a job nothing delayed.
         let ended = if delay > 0.0 { Instant::now() } else { proc_start + proc_dur };
-        let items = first..self.items.len();
-        if !ctx.ack_gated {
-            if let Some(scratch) = &mut self.scratch {
-                self.app.commit(&mut self.robj, scratch, &self.items);
-            }
-            self.items.clear();
+        let kept = self.chunks.len()..self.chunks.len() + 1;
+        if ctx.ack_gated {
+            self.chunks.push(fetched.bytes);
+        } else if let Some(scratch) = &mut self.scratch {
+            app.commit(&mut self.robj, scratch, std::slice::from_ref(&fetched.bytes));
         }
-        Ok((items, proc_start, ended))
+        Ok((kept, proc_start, ended))
     }
 
     fn finish(mut self) -> (R::RObj, SlaveSample) {
@@ -1297,6 +1326,22 @@ impl<'a, R: Reduction> Worker<'a, R> {
         self.ctx.note(&mut self.stats, finished);
         (self.robj, self.stats)
     }
+}
+
+/// Reduce `chunk` into `robj` `group` bytes of units at a time, through the
+/// one call the slave makes on fetched data, [`Reduction::reduce_units`];
+/// `buf` is left empty.
+fn reduce_chunk<R: Reduction>(
+    app: &R,
+    robj: &mut R::RObj,
+    chunk: &[u8],
+    group: usize,
+    buf: &mut Vec<R::Item>,
+) {
+    for units in chunk.chunks(group) {
+        app.reduce_units(robj, units, buf);
+    }
+    buf.clear();
 }
 
 /// A granted job and the outcome of retrieving its chunk — what the fetch
@@ -1850,10 +1895,14 @@ mod tests {
 
     #[test]
     fn a_refused_job_costs_its_batch_mates_a_second_reduce_and_nothing_else() {
-        // Three jobs open on one worker, then one report; the head merges
-        // the first and the third and calls the second a duplicate. The
-        // accumulator must hold exactly the two accepted chunks, the scratch
-        // must be fresh again, and the accepted two were reduced twice.
+        refused_batch_mates_are_reduced_again(&SumApp);
+    }
+
+    /// Three jobs open on one worker, then one report; the head merges the
+    /// first and the third and calls the second a duplicate. The accumulator
+    /// must hold exactly the two accepted chunks, the scratch must be fresh
+    /// again, and the accepted two were reduced twice.
+    fn refused_batch_mates_are_reduced_again<R: Reduction<RObj = SumObj>>(app: &R) {
         let (index, store) = fused_setup(3, SiteId::LOCAL);
         let (config, router) = one_slave(store, 1, FaultPolicy::FailFast);
         let (head_tx, head_rx) = unbounded::<HeadMsg>();
@@ -1871,22 +1920,25 @@ mod tests {
         });
         let ctx = local_ctx(true, None, None);
         let reports = ReportSink::Head(&head_tx);
-        let mut worker = Worker::new(&SumApp, &ctx, &reports, &config);
+        let mut worker = Worker::new(app, &ctx, &reports, &config);
         let mut core = SlaveCore::new(1, true, None);
+        let mut buf = Vec::new();
         let jobs = index.chunks.iter().map(|&chunk| LocalJob { chunk, stolen: false, span: 0 });
         core.answer(Some(Take::Jobs(jobs.collect())), 0.0);
         loop {
             match core.poll(false, |_| false) {
                 Step::Fetch(job) => {
-                    worker.take(&mut core, FetchedJob::fetch(&ctx, &router, job)).unwrap();
+                    let pre = FetchedJob::fetch(&ctx, &router, job);
+                    worker.take(&mut core, pre, &mut buf).unwrap();
                 }
-                Step::Settle(jobs) => worker.settle(&mut core, jobs),
+                Step::Settle(jobs) => worker.settle(&mut core, jobs, &mut buf),
                 Step::Ask => break,
                 step => panic!("{step:?}"),
             }
         }
         // An ask with nothing in flight comes after the open jobs' settle.
-        assert!(worker.items.is_empty() && core.in_flight() == 0);
+        assert!(worker.chunks.is_empty() && core.in_flight() == 0);
+        assert!(buf.is_empty(), "no decoded unit outlives its group");
         assert_eq!(worker.scratch, Some(SumObj(0)), "the scratch is fresh after the verdicts");
         assert_eq!(worker.robj, SumObj(chunk_sum(0) + chunk_sum(2)));
         let rereduced = worker.stats.rereduced;
@@ -1899,6 +1951,57 @@ mod tests {
         let mates = reports.iter().find(|r| r.contains(&duplicate)).unwrap().len() as u64 - 1;
         assert_eq!(rereduced, mates);
         assert!(core.ask(0.0).1.is_empty(), "no completion of an ack-gated slave rides a request");
+    }
+
+    /// `SumApp` reading its units where they lie, counting every `decode`
+    /// it is asked for.
+    #[derive(Default)]
+    struct InPlaceSum(std::sync::atomic::AtomicUsize);
+
+    impl Reduction for InPlaceSum {
+        type Item = u32;
+        type RObj = SumObj;
+        fn make_robj(&self) -> SumObj {
+            SumObj(0)
+        }
+        fn unit_size(&self) -> usize {
+            4
+        }
+        fn decode(&self, chunk: &[u8], out: &mut Vec<u32>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            SumApp.decode(chunk, out);
+        }
+        fn local_reduce(&self, robj: &mut SumObj, item: &u32) {
+            SumApp.local_reduce(robj, item);
+        }
+        fn reduce_units(&self, robj: &mut SumObj, units: &[u8], _: &mut Vec<u32>) {
+            for unit in units.chunks_exact(4) {
+                robj.0 += u64::from(u32::from_le_bytes(unit.try_into().unwrap()));
+            }
+        }
+    }
+
+    #[test]
+    fn an_ack_gated_slave_keeps_its_chunks_encoded_and_never_decodes() {
+        // A whole run under the FT stack, on both control planes and at
+        // depth 1 and 3: exact, and not one unit decoded.
+        for (transport, depth) in TRANSPORTS.into_iter().flat_map(|t| [(t, 1), (t, 3)]) {
+            let units = 8192;
+            let (index, stores) = setup(units, 0.5, 4);
+            let mut config = fast_config(EnvConfig::new("ft-in-place", 0.5, 2, 2));
+            config.pipeline_depth = depth;
+            config.ft = FtConfig::enabled();
+            let app = InPlaceSum::default();
+            let out = run_on(transport, &app, &index, stores, &config).unwrap();
+            let what = format!("{transport:?}, depth {depth}");
+            assert_eq!(out.result.0, expected_sum(units), "{what}");
+            assert_eq!(app.0.into_inner(), 0, "{what}: the runtime decoded");
+        }
+        // A refused batch-mate's neighbours are reduced again from their
+        // kept chunks, still without a decode.
+        let app = InPlaceSum::default();
+        refused_batch_mates_are_reduced_again(&app);
+        assert_eq!(app.0.into_inner(), 0, "the re-reduce decoded");
     }
 
     #[test]
@@ -2223,10 +2326,10 @@ mod tests {
         fn local_reduce(&self, robj: &mut SumObj, item: &u32) {
             SumApp.local_reduce(robj, item);
         }
-        fn commit(&self, acc: &mut SumObj, scratch: &mut SumObj, _: &[u32]) {
+        fn commit(&self, acc: &mut SumObj, scratch: &mut SumObj, _: &[Bytes]) {
             acc.0 += std::mem::take(&mut scratch.0);
         }
-        fn discard(&self, scratch: &mut SumObj, _: &[u32]) {
+        fn discard(&self, scratch: &mut SumObj, _: &[Bytes]) {
             scratch.0 = 0;
         }
     }

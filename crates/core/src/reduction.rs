@@ -17,6 +17,7 @@
 //! that for every shipped application and combiner.
 
 use crate::types::Seconds;
+use bytes::Bytes;
 
 /// Pairwise combination of two partial results — the global-reduction step.
 ///
@@ -45,7 +46,8 @@ pub trait ReductionObject: Merge + Send + 'static {
 /// Applications provide: the reduction object, how to decode a chunk of raw
 /// bytes into data units, and the `proc(e)` local reduction. The runtime
 /// owns everything else: chunk retrieval, cache-sized unit grouping, worker
-/// scheduling, and the global reduction.
+/// scheduling, and the global reduction. It reduces every group of fetched
+/// units through [`Reduction::reduce_units`].
 pub trait Reduction: Send + Sync {
     /// One decoded data unit (the smallest atomically processed element).
     type Item: Send;
@@ -74,35 +76,48 @@ pub trait Reduction: Send + Sync {
         }
     }
 
+    /// Process a cache-sized group of *encoded* units, `units.len()` a
+    /// multiple of [`Reduction::unit_size`]: the one call the runtime makes
+    /// on fetched data. The default decodes the group into `buf` (cleared
+    /// first; the caller reuses it from group to group) and hands it to
+    /// [`Reduction::reduce_group`]. An application whose units can be read
+    /// where they lie overrides it to skip that copy, and must fold exactly
+    /// what the default would.
+    fn reduce_units(&self, robj: &mut Self::RObj, units: &[u8], buf: &mut Vec<Self::Item>) {
+        buf.clear();
+        self.decode(units, buf);
+        self.reduce_group(robj, buf);
+    }
+
     /// Fold accepted work into the worker's accumulator. `scratch` was equal
-    /// to a fresh [`Reduction::make_robj`] before exactly `items` were
-    /// reduced into it, in order: the decoded units of one job, or of several
-    /// jobs one after the other (the runtime settles a whole hand-off of
-    /// jobs in one call when the head accepted them all; units may repeat
-    /// across those jobs as they may within one). On return `acc` must hold
-    /// what `acc.merge(scratch)` would have produced and `scratch` must again
-    /// equal a fresh `make_robj()`, because the runtime keeps one scratch
-    /// object per worker and reuses it for the next batch.
+    /// to a fresh [`Reduction::make_robj`] before exactly the encoded units
+    /// of `chunks` were reduced into it, in order: one job's chunk, or the
+    /// chunks of several jobs one after the other (the runtime settles a
+    /// whole hand-off of jobs in one call when the head accepted them all;
+    /// units may repeat across those jobs as they may within one). On return
+    /// `acc` must hold what `acc.merge(scratch)` would have produced and
+    /// `scratch` must again equal a fresh `make_robj()`, because the runtime
+    /// keeps one scratch object per worker and reuses it for the next batch.
     ///
     /// The default swaps in a new object and merges the old one, which is
     /// right whenever the object is no larger than a chunk's footprint in it
     /// (k-means centroids, a k-NN heap, a word-count map). Override it —
     /// together with [`Reduction::discard`] — when the object is much larger
     /// than what one chunk touches (a dense rank vector, a raster grid): walk
-    /// `items`, move only the entries they hit, and zero those entries, so
-    /// committing costs O(units) instead of O(object).
-    fn commit(&self, acc: &mut Self::RObj, scratch: &mut Self::RObj, items: &[Self::Item]) {
-        let _ = items;
+    /// the units of `chunks`, move only the entries they hit, and zero those
+    /// entries, so committing costs O(units) instead of O(object).
+    fn commit(&self, acc: &mut Self::RObj, scratch: &mut Self::RObj, chunks: &[Bytes]) {
+        let _ = chunks;
         acc.merge(std::mem::replace(scratch, self.make_robj()));
     }
 
     /// Throw work away (the head rejected or revoked a job of the batch):
-    /// return `scratch`, into which exactly `items` — one job's units or
-    /// several jobs' concatenated — were reduced, to the state of a fresh
-    /// [`Reduction::make_robj`]. Same contract and same reason to override as
-    /// [`Reduction::commit`].
-    fn discard(&self, scratch: &mut Self::RObj, items: &[Self::Item]) {
-        let _ = items;
+    /// return `scratch`, into which exactly the units of `chunks` — one
+    /// job's chunk or several jobs' in order — were reduced, to the state of
+    /// a fresh [`Reduction::make_robj`]. Same contract and same reason to
+    /// override as [`Reduction::commit`].
+    fn discard(&self, scratch: &mut Self::RObj, chunks: &[Bytes]) {
+        let _ = chunks;
         *scratch = self.make_robj();
     }
 
@@ -121,11 +136,9 @@ pub fn reduce_serial<R: Reduction>(
     chunks: impl IntoIterator<Item = impl AsRef<[u8]>>,
 ) -> R::RObj {
     let mut robj = app.make_robj();
-    let mut items = Vec::new();
+    let mut buf = Vec::new();
     for chunk in chunks {
-        items.clear();
-        app.decode(chunk.as_ref(), &mut items);
-        app.reduce_group(&mut robj, &items);
+        app.reduce_units(&mut robj, chunk.as_ref(), &mut buf);
     }
     robj
 }
@@ -285,5 +298,17 @@ mod tests {
             app.local_reduce(&mut s, &i);
         }
         assert_eq!(g, s);
+    }
+
+    #[test]
+    fn reduce_units_default_decodes_each_group_afresh() {
+        let app = SumApp;
+        let mut robj = app.make_robj();
+        // Stale units in the reused buffer are not reduced again.
+        let mut buf = vec![1000, 2000];
+        app.reduce_units(&mut robj, &encode(&[1, 2, 3]), &mut buf);
+        app.reduce_units(&mut robj, &encode(&[10]), &mut buf);
+        assert_eq!(robj, SumObj(16));
+        assert_eq!(buf, [10]);
     }
 }

@@ -94,8 +94,9 @@ pub struct SlaveCore {
     in_flight: VecDeque<ChunkId>,
     /// Completions nobody waits on, not said yet.
     done: Vec<ChunkId>,
-    /// Processed and not settled, with their units; since `opened`. From a
-    /// settle to its verdicts, the jobs it reports.
+    /// Processed and not settled, each with its place among the chunks the
+    /// driver keeps; since `opened`. From a settle to its verdicts, the jobs
+    /// it reports.
     open: Vec<(ChunkId, Range<usize>)>,
     opened: Seconds,
     settle_due: bool,
@@ -196,9 +197,10 @@ impl SlaveCore {
         process
     }
 
-    /// `job` was processed from `began` to `now`, leaving its units in
-    /// `items` of the worker's buffer (ack-gated; otherwise it is done).
-    pub fn processed(&mut self, job: ChunkId, items: Range<usize>, began: Seconds, now: Seconds) {
+    /// `job` was processed from `began` to `now`; ack-gated, its fetched
+    /// chunk is kept at `kept` of the driver's open jobs until the verdict
+    /// (otherwise it is done).
+    pub fn processed(&mut self, job: ChunkId, kept: Range<usize>, began: Seconds, now: Seconds) {
         self.in_flight.pop_front();
         if !self.ack_gated {
             self.done.push(job);
@@ -207,7 +209,7 @@ impl SlaveCore {
         if self.open.is_empty() {
             self.opened = began;
         }
-        self.open.push((job, items));
+        self.open.push((job, kept));
         self.settle_due |= now - self.opened >= QUANTUM;
     }
 
@@ -233,7 +235,8 @@ impl SlaveCore {
 
     /// The verdicts on the last settle, one per reported job: whether every
     /// job open then merged (none refused, none revoked), and the merged
-    /// jobs with their units. The reported jobs are gone once it is dropped.
+    /// jobs with where their chunks are kept. The reported jobs are gone once
+    /// it is dropped.
     pub fn settled<'a>(
         &'a mut self,
         verdicts: &'a [bool],

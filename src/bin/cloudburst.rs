@@ -405,21 +405,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     // picks the coded-redundancy machinery up automatically from it.
     let (index, redundancy) =
         read_index_meta(org_dir.join("dataset.idx")).map_err(|e| e.to_string())?;
-    // Guard against running an application over a dataset organized with a
-    // different record size — decoding would silently produce garbage.
-    let expected_unit: u32 = match app.as_str() {
-        "knn" => (4 + 4 * DIM) as u32,
-        "kmeans" => (4 * DIM) as u32,
-        "pagerank" => 8,
-        "wordcount" => 16,
-        other => return Err(format!("unknown application `{other}`")),
-    };
-    if index.params.unit_size != expected_unit {
-        return Err(format!(
-            "dataset has {}-byte units but `{app}` expects {}-byte records              (was it generated for a different application?)",
-            index.params.unit_size, expected_unit
-        ));
-    }
+    // An application reading records of another size would cut them apart.
+    // The run refuses it too, but only once its black box is set up.
+    cloudburst_cluster::check_units(app_unit_size(&app)?, &index)
+        .map_err(|e| format!("--org: {e} (was it organized for another application?)"))?;
     let local_frac = index.byte_fraction_at(SiteId::LOCAL);
     let mut stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = BTreeMap::new();
     for (site, name) in [(SiteId::LOCAL, "local"), (SiteId::CLOUD, "cloud")] {
@@ -594,6 +583,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         )?;
     }
     Ok(())
+}
+
+/// The size of the records `app` reads, asked of the application itself.
+fn app_unit_size(app: &str) -> Result<usize, String> {
+    Ok(match app {
+        "wordcount" => Reduction::unit_size(&WordCount),
+        "knn" => Reduction::unit_size(&Knn::<DIM>::new([0.5; DIM], 1)),
+        "kmeans" => Reduction::unit_size(&KMeans::<DIM>::new(vec![[0.5; DIM]])),
+        "pagerank" => Reduction::unit_size(&PageRank::new(&[1.0], &[1], 0.85)),
+        other => return Err(format!("unknown application `{other}`")),
+    })
 }
 
 /// `run kmeans --k`: the number of centroids, at least one.

@@ -90,3 +90,20 @@ fn run_with_a_time_scale_no_link_can_be_slept_at_is_a_usage_error() {
     assert_usage_error(&dir, &out, "--time-scale");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn run_over_a_dataset_organized_for_another_application_is_a_usage_error() {
+    let dir = scratch("units");
+    // k-NN's 20-byte records read as k-means's 16-byte points, and the
+    // other way round, would cut every record apart.
+    knn_org(&dir);
+    for app in ["kmeans", "wordcount", "pagerank"] {
+        let out = cloudburst(&dir, &["run", app, "--org", "org"]);
+        assert_usage_error(&dir, &out, "--org");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("20-byte units"), "{app}: {stderr}");
+    }
+    let out = cloudburst(&dir, &["run", "knn", "--org", "org"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}

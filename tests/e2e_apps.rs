@@ -231,3 +231,30 @@ fn pagerank_isolated_path_is_bit_equal_to_per_job_dense_merge() {
     let bits = |m: &cloudburst_apps::RankMass| m.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&out.result), bits(&reference));
 }
+
+#[test]
+fn a_dataset_organized_in_other_units_is_refused_before_the_run() {
+    use cloudburst_cluster::{check_units, RunError};
+    // `KMeans<8>` reads 32-byte points; cut into 16-byte units, 63 to a
+    // chunk, every chunk would end half-way through a point.
+    let (data, centers) = gen_clustered_points::<8>(4_096, 4, 0.05, 5);
+    let app = KMeans::new(centers.iter().map(|c| c.map(f64::from)).collect());
+    let params = LayoutParams { unit_size: 16, units_per_chunk: 63, n_files: 2 };
+    let org = organize(&data, params, &mut fraction_placement(0.5, 2)).unwrap();
+    let stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = org
+        .stores
+        .iter()
+        .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
+        .collect();
+    let config = RuntimeConfig::new(EnvConfig::new("env-50/50", 0.5, 1, 1), 1e-6);
+    match run_hybrid(&app, &org.index, stores, &config) {
+        Err(RunError::InvalidConfig(why)) => {
+            assert!(why.contains("16-byte") && why.contains("32-byte"), "{why}");
+        }
+        Err(e) => panic!("refused for another reason: {e}"),
+        Ok(out) => panic!("ran, counting {} points", out.result.counts.iter().sum::<u64>()),
+    }
+    // Nor can an application of zero-byte units run over anything.
+    assert!(matches!(check_units(0, &org.index), Err(RunError::InvalidConfig(_))));
+    assert!(check_units(16, &org.index).is_ok());
+}

@@ -186,6 +186,25 @@ if awk '/^#\[cfg\(test\)\]/ { exit } { print FNR ": " $0 }' crates/storage/src/s
     exit 1
 fi
 
+echo "== hygiene: one processing path"
+# A slave hands every group of fetched units to `Reduction::reduce_units`
+# (`runtime::reduce_chunk`) — on the plain, the isolated and the re-reduce
+# path alike — and keeps an open job's fetched chunk, not its decoded units.
+# A call of `decode` or `reduce_group` above the test modules of
+# crates/cluster/src, or a `Vec<R::Item>` field on `Worker`, fails the run.
+CALLS=$(for f in crates/cluster/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E '\.(decode|reduce_group)\(' || true)
+if [[ -n "$CALLS" ]]; then
+    echo "$CALLS"
+    echo "the slave decodes or reduces beside Reduction::reduce_units: one processing path"
+    exit 1
+fi
+if awk '/^struct Worker</,/^}/' crates/cluster/src/runtime.rs | grep -n 'Vec<R::Item>'; then
+    echo "Worker holds decoded units again: keep the open jobs' chunks, reduce through reduce_units"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -221,18 +240,24 @@ echo "== the slave: its core on a virtual clock at 256 cases"
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test slave_core_props
 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --lib slave::tests
 
-echo "== k-means kernel: reduce_group against the reference loop, bit for bit"
+echo "== k-means kernel: reduce_group and reduce_units against the reference loop, bit for bit"
 # Already part of `cargo test` above; named here so a failure says what
-# broke: the filter-and-certify kernel, at every width the CPU has, and the
-# `local_reduce` fold must agree on every bit (ties, near-ties an ulp off a
-# bisector, centroids f32 cannot hold, subnormal and overflowing squares,
-# NaN and infinite coordinates, partial blocks), the filter must certify all
-# but 1 % of clustered points, a whole run must `==` the oracle on the
-# classic and the FT path, and the oracle itself must still be the plain
-# loop over `units::dist2`. The kernel tests run again in release: the
-# ladder runs optimised code, and the tier-1 suite only the debug build.
+# broke: the filter-and-certify kernel, at every width the CPU has and from
+# both sources — decoded points, and their encoding read in place from an
+# odd byte offset, whole and cut into groups — and the `local_reduce` fold
+# must agree on every bit (ties, near-ties an ulp off a bisector, centroids
+# f32 cannot hold, subnormal and overflowing squares, NaN and infinite
+# coordinates, partial blocks), the filter must certify all but 1 % of
+# clustered points, every app's `reduce_units` must equal `decode` +
+# `reduce_group` over any cut of a chunk (fused_units), a whole run must
+# `==` the oracle on the classic and the FT path, and the oracle itself must
+# still be the plain loop over `units::dist2`. The kernel tests run again in
+# release: the ladder runs optimised code, and the tier-1 suite only the
+# debug build.
 { cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --lib kmeans::tests \
     && cargo test -q --release "${CARGO_FLAGS[@]}" -p cloudburst-apps --lib kmeans::tests \
+    && cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --test fused_units \
+    && cargo test -q --release "${CARGO_FLAGS[@]}" -p cloudburst-apps --test fused_units \
     && cargo test -q "${CARGO_FLAGS[@]}" --test e2e_apps kmeans; } \
     || { echo "k-means kernel differs from the reference loop"; exit 1; }
 
