@@ -123,6 +123,7 @@ pub fn run_head(
     options: &HeadOptions,
 ) -> HeadReport {
     let mut core = HeadCore::new(pool, n_sites, options.heartbeat, options.ft_active);
+    core.set_ledger(options.metrics.ledger());
     let mut masters = Masters::default();
     let publish = |core: &mut HeadCore| {
         if let Some(board) = cancel {
@@ -135,6 +136,8 @@ pub fn run_head(
         let now = options.epoch.elapsed().as_secs_f64();
         core.on_tick(now);
         publish(&mut core);
+        // Every turn ends here, before the head waits again.
+        core.publish_ledger();
         let msg = match core.next_deadline() {
             Some(due) => rx.recv_timeout(Duration::from_secs_f64((due - now).max(0.0))),
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),

@@ -10,7 +10,9 @@
 
 use crate::protocol::HeadReport;
 use crate::wire::{BatchReply, Frame, MasterToHead, WIRE_VERSION};
-use cloudburst_core::{ChunkId, Completion, HeartbeatConfig, JobBatch, JobPool, Seconds, SiteId};
+use cloudburst_core::{
+    ChunkId, Completion, HeartbeatConfig, JobBatch, JobPool, LiveLedger, Seconds, SiteId,
+};
 use std::collections::BTreeMap;
 
 /// Lease-reap cadence.
@@ -78,6 +80,8 @@ pub struct HeadCore {
     /// A peer's silence deadline only ever moves later, so the earliest one
     /// seen at the last scan is a safe time to scan again.
     next_silence_scan: Seconds,
+    /// Where the pool's ledger is published for the scrape (off by default).
+    ledger: LiveLedger,
 }
 
 impl HeadCore {
@@ -102,7 +106,19 @@ impl HeadCore {
             silence,
             next_reap: REAP_EVERY,
             next_silence_scan: silence.unwrap_or(0.0),
+            ledger: LiveLedger::default(),
         }
+    }
+
+    /// Publish the pool to `ledger` now, at each publish and at the finish.
+    pub fn set_ledger(&mut self, ledger: LiveLedger) {
+        self.ledger = ledger;
+        self.publish_ledger();
+    }
+
+    /// Publish the pool to the live ledger, if any (after each turn).
+    pub fn publish_ledger(&self) {
+        self.ledger.publish_pool(&self.pool);
     }
 
     /// The pool, for inspection.
@@ -314,8 +330,10 @@ impl HeadCore {
         if !pool.all_done() && !pool.dead_sites().is_empty() {
             pool.abandon_unfinished();
         }
+        // The last scrape is the report.
+        self.ledger.publish_pool(&pool);
         let mut report = self.report;
-        report.counts = pool.site_counts().clone();
+        report.counts = pool.site_counts();
         report.abandoned = pool.abandoned() as u64;
         report.faults = pool.faults().clone();
         report.dead_sites = pool.dead_sites();
@@ -382,6 +400,31 @@ mod tests {
         assert_eq!(report.completions, 4);
         assert_eq!((report.counts[&LOCAL].local, report.counts[&CLOUD].stolen), (2, 2));
         assert!(report.faults.is_quiet() && report.dead_sites.is_empty());
+    }
+
+    #[test]
+    fn the_last_publish_of_the_ledger_is_the_report() {
+        // A site that took a batch and went away without a word is
+        // evacuated, and the rest abandoned, in `finish`: the live ledger's
+        // last publish is made there, after them.
+        let metrics = cloudburst_core::Metrics::on();
+        let mut head = HeadCore::new(pool(4, 2), 2, None, true);
+        head.set_ledger(metrics.ledger());
+        let scrape = || {
+            let text = metrics.registry().unwrap().render();
+            cloudburst_core::parse_exposition(&text).unwrap()
+        };
+        assert_eq!(scrape().get("cloudburst_pool_queue_depth", &[("site", "local")]), Some(4.0));
+        assert_eq!(head.request(CLOUD, 0.0).len(), 2);
+        head.publish_ledger();
+        assert_eq!(scrape().get("cloudburst_pool_in_flight", &[]), Some(2.0));
+        let report = head.finish();
+        assert_eq!((report.faults.evacuated_jobs, report.abandoned), (2, 4));
+        let exp = scrape();
+        let evacuated = exp.get("cloudburst_pool_evacuated_jobs_total", &[("site", "cloud")]);
+        assert_eq!(evacuated, Some(2.0));
+        assert_eq!(exp.get("cloudburst_pool_in_flight", &[]), Some(0.0));
+        assert_eq!(exp.get("cloudburst_pool_queue_depth", &[("site", "local")]), Some(0.0));
     }
 
     #[test]

@@ -72,6 +72,7 @@ pub fn serve_head_with(
     // last site is dead nobody is left asking, the loop ends, and `finish`
     // abandons the backlog — `n_masters` counts connections, not sites.
     let mut core = HeadCore::new(pool, 0, options.heartbeat, options.ft_active);
+    core.set_ledger(options.metrics.ledger());
     let clock = || options.epoch.elapsed().as_secs_f64();
     let mut conns: Vec<Conn> = Vec::new();
     // What the readiness wait watches: slot 0 is the listener, slot `i + 1`
@@ -174,6 +175,7 @@ pub fn serve_head_with(
             }
         }
         g_reclaimed.set((accepted - conns.len()) as i64);
+        core.publish_ledger();
     }
 
     let mut report = core.finish();

@@ -25,8 +25,8 @@ use cloudburst_core::slave::Step;
 use cloudburst_core::{
     assemble_report, ns_between, ns_since, ns_to_secs, tree_reduce, BatchPolicy, ChunkId,
     DataIndex, EnvConfig, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig,
-    LocalJob, Reduction, ReductionObject, RunReport, Seconds, SiteId, SiteSample, SlaveCore,
-    SlaveSample, Take, Telemetry,
+    LiveLedger, LocalJob, Reduction, ReductionObject, RunReport, Seconds, SiteId, SiteSample,
+    SlaveCore, SlaveSample, Take, Telemetry,
 };
 use cloudburst_netsim::{Throttle, Topology};
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
@@ -227,20 +227,14 @@ pub struct RunOutcome<R> {
 
 /// Per-slave live-metrics instruments, resolved once at spawn so the hot
 /// loop pays only relaxed atomic adds — or, with metrics off, a single
-/// branch inside each no-op instrument.
+/// branch inside each no-op instrument — and where the slave publishes its
+/// [`SlaveSample`] for the scrape.
 ///
-/// Job/byte/retry counters are per-worker and fed by [`SlaveCtx::note`], the
-/// call that feeds the slave's [`SlaveSample`], so summing a site's workers
-/// gives the run report's per-site numbers exactly; latency histograms and
-/// the pipeline-occupancy gauge are per-site, shared by all of a site's
-/// workers through the registry's get-or-create.
-#[derive(Clone, Default)]
+/// The instruments are per-site, shared by all of a site's workers through
+/// the registry's get-or-create, and measure what no event is folded for.
+#[derive(Default)]
 struct SlaveMetrics {
-    jobs: Counter,
-    remote_bytes: Counter,
-    retries: Counter,
-    fetch_time: Counter,
-    proc_time: Counter,
+    ledger: LiveLedger,
     fetch_hist: Histogram,
     proc_hist: Histogram,
     occupancy: Gauge,
@@ -254,35 +248,12 @@ impl SlaveMetrics {
             return SlaveMetrics::default();
         }
         let site_v = site.to_string();
-        let worker_v = worker.to_string();
-        let per_worker: &[(&str, &str)] = &[("site", &site_v), ("worker", &worker_v)];
         let per_site: &[(&str, &str)] = &[("site", &site_v)];
+        // The slave's series are in the scrape from the start.
+        let ledger = metrics.ledger();
+        ledger.publish_slave(site, worker, &SlaveSample::default());
         SlaveMetrics {
-            jobs: metrics.counter(
-                "cloudburst_slave_jobs_total",
-                "Jobs a slave fully decoded and reduced.",
-                per_worker,
-            ),
-            remote_bytes: metrics.counter(
-                "cloudburst_slave_remote_bytes_total",
-                "Bytes a slave fetched across sites (stolen reads).",
-                per_worker,
-            ),
-            retries: metrics.counter(
-                "cloudburst_slave_retries_total",
-                "Transient storage retries absorbed under a slave's fetches.",
-                per_worker,
-            ),
-            fetch_time: metrics.time_counter(
-                "cloudburst_slave_fetch_busy_seconds_total",
-                "Wall time a slave (or its prefetcher) spent in chunk retrieval.",
-                per_worker,
-            ),
-            proc_time: metrics.time_counter(
-                "cloudburst_slave_process_busy_seconds_total",
-                "Wall time a slave spent decoding and reducing.",
-                per_worker,
-            ),
+            ledger,
             fetch_hist: metrics.histogram(
                 "cloudburst_fetch_seconds",
                 "Per-chunk retrieval latency (ranged reads plus WAN charge).",
@@ -313,27 +284,13 @@ impl SlaveMetrics {
         }
     }
 
-    /// The registry's reading of one of the slave's events: a chunk
-    /// retrieval that finished (successfully) on its behalf, or a chunk
-    /// fully decoded and reduced.
+    /// The latency histograms' reading of one of the slave's events: a
+    /// chunk retrieval that finished on its behalf, or a chunk reduced.
     #[inline(always)]
     fn record(&self, e: &Event) {
         match e.kind {
-            EventKind::ChunkFetched { bytes, remote, retries } => {
-                self.fetch_time.add(e.dur_ns);
-                self.fetch_hist.observe(e.dur_ns);
-                if remote {
-                    self.remote_bytes.add(bytes);
-                }
-                if retries > 0 {
-                    self.retries.add(retries);
-                }
-            }
-            EventKind::JobProcessed => {
-                self.proc_time.add(e.dur_ns);
-                self.proc_hist.observe(e.dur_ns);
-                self.jobs.inc();
-            }
+            EventKind::ChunkFetched { .. } => self.fetch_hist.observe(e.dur_ns),
+            EventKind::JobProcessed => self.proc_hist.observe(e.dur_ns),
             _ => {}
         }
     }
@@ -386,11 +343,13 @@ impl SlaveCtx {
 
     /// State one fact of this slave's — the only way a slave states any, the
     /// twin of the pool's `note`: the event, tagged with the slave, is folded
-    /// into its `tally`, read off into its live counters and emitted.
+    /// into its `tally`, which the scrape shows from then on, timed into its
+    /// latency histograms and emitted.
     #[inline(always)]
     fn note(&self, tally: &mut SlaveSample, event: Event) {
         let event = event.site(self.site).worker(self.worker);
         tally.apply(&event);
+        self.metrics.ledger.publish_slave(self.site, self.worker, tally);
         self.metrics.record(&event);
         self.telemetry.emit(event);
     }
@@ -470,7 +429,6 @@ fn prepare(
     pool.set_speculation(config.ft.speculate);
     pool.set_redundancy(config.redundancy);
     pool.set_sink(config.telemetry.clone());
-    pool.set_metrics(config.metrics.clone());
     let ft_active = config.ft.active();
     let dedup_active = ft_active || config.redundancy > 1;
     Ok(Prepared { head_site: active[0].0, active, chaos, router, pool, ft_active, dedup_active })
@@ -2135,6 +2093,40 @@ mod tests {
         assert_eq!(exp.sum_family("cloudburst_slave_jobs_total") as usize, done.len());
     }
 
+    #[test]
+    fn a_slaves_completions_reach_the_scrape_before_it_leaves() {
+        // One hand-off brings every job and the next says drained, so no ask
+        // comes between the slave's last jobs and its exit. Each verdict the
+        // head rules must find its job already counted in the scrape.
+        for depth in [1, 3] {
+            let (index, store) = fused_setup(8, SiteId::LOCAL);
+            let plane = one_slave(store, depth, FaultPolicy::FailFast);
+            let metrics = Metrics::on();
+            let registry = metrics.registry().unwrap();
+            let mut ctx = local_ctx(true, None, None);
+            ctx.metrics = SlaveMetrics::new(&metrics, SiteId::LOCAL, 0);
+            let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
+            let grant = |_| batches.pop().unwrap();
+            // (jobs ruled on so far, jobs the scrape counted at the time)
+            let ruled = std::sync::Mutex::new(Vec::new());
+            let verdict = |_| {
+                let exp = cloudburst_core::parse_exposition(&registry.render()).unwrap();
+                let counted = exp.sum_family("cloudburst_slave_jobs_total") as usize;
+                let mut ruled = ruled.lock().unwrap();
+                let n = ruled.len() + 1;
+                ruled.push((n, counted));
+                true
+            };
+            let (outcome, _) = scripted_slave(&SumApp, ctx, &plane, false, grant, verdict);
+            assert_eq!(outcome.unwrap().1.jobs, 8);
+            let ruled = ruled.into_inner().unwrap();
+            assert_eq!(ruled.len(), 8, "depth {depth}");
+            for (n, counted) in ruled {
+                assert!(counted >= n, "depth {depth}: verdict {n} saw {counted} jobs");
+            }
+        }
+    }
+
     /// Both ways a run's control plane can travel; what a test says of "both
     /// transports" it says of each of these.
     const TRANSPORTS: [Transport; 2] = [Transport::Channels, Transport::Tcp];
@@ -2503,6 +2495,206 @@ mod tests {
         // Store decorators saw real traffic.
         assert!(exp.sum_family("cloudburst_store_requests_total") > 0.0);
         assert!(exp.sum_family("cloudburst_store_bytes_total") > 0.0);
+    }
+
+    /// The runs of the fault matrix: the two `event_stream_rederives_the_legacy_report`
+    /// folds — the whole FT stack under a chaos plan (retries, a crashed
+    /// worker's leaked job reaped, speculation on the slowest) and a coded
+    /// run (r = 2) whose cloud site dies — and one whose storage errors reach
+    /// the head as job failures, with no retry below the chunk.
+    fn fault_matrix() -> [(&'static str, FaultCase); 3] {
+        let ft_chaos = || {
+            let mut config = fast_config(EnvConfig::new("ledger-ft", 0.5, 2, 2));
+            config.fault_policy = FaultPolicy::Retry { max_attempts: 5 };
+            let mut plan = FaultPlan {
+                storage_error_rate: 0.2,
+                worker_crash: vec![cloudburst_core::WorkerCrash {
+                    site: SiteId::CLOUD,
+                    worker: 0,
+                    after_jobs: 2,
+                }],
+                ..FaultPlan::seeded(11)
+            };
+            slow_all_workers(&mut plan, 0.004);
+            plan.slow_workers[1].delay_per_job = 0.02;
+            config.ft = FtConfig {
+                lease: Some(LeaseConfig { base: 0.05, min: 0.05, max: 0.2, multiplier: 8.0 }),
+                heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
+                chaos: Some(Arc::new(plan)),
+                ..FtConfig::enabled()
+            };
+            (setup(8192, 0.5, 4), config)
+        };
+        let coded_outage = || {
+            let mut config = fast_config(EnvConfig::new("ledger-coded", 0.5, 2, 2));
+            config.redundancy = 2;
+            config.pipeline_depth = 64;
+            let mut plan = FaultPlan {
+                site_outage: Some(cloudburst_core::SiteOutage { site: SiteId::CLOUD, at: 0.1 }),
+                ..FaultPlan::seeded(5)
+            };
+            slow_all_workers(&mut plan, 0.02);
+            config.ft = FtConfig {
+                speculate: false,
+                heartbeat: Some(HeartbeatConfig { interval: 0.01, timeout: 0.25 }),
+                chaos: Some(Arc::new(plan)),
+                ..FtConfig::enabled()
+            };
+            (setup_redundant(8192, 0.5, 4, 2), config)
+        };
+        let failures = || {
+            let mut config = fast_config(EnvConfig::new("ledger-failures", 0.5, 2, 2));
+            config.fault_policy = FaultPolicy::Retry { max_attempts: 8 };
+            let plan = FaultPlan { storage_error_rate: 0.1, ..FaultPlan::seeded(3) };
+            config.ft = FtConfig { chaos: Some(Arc::new(plan)), ..FtConfig::default() };
+            (setup(8192, 0.5, 4), config)
+        };
+        [("ft+chaos", ft_chaos), ("coded+outage", coded_outage), ("failures", failures)]
+    }
+
+    type FaultCase = fn() -> ((DataIndex, BTreeMap<SiteId, Arc<dyn ChunkStore>>), RuntimeConfig);
+
+    /// What one run's ledger came to: its reports, and what its event stream
+    /// counts — the jobs its slaves processed per site, and the failures the
+    /// pool took (the head's `failures` also counts stale reports).
+    struct Ledgered {
+        report: RunReport,
+        head: HeadReport,
+        processed: BTreeMap<SiteId, u64>,
+        failed: u64,
+    }
+
+    /// Run `make`'s configuration over `transport` with `metrics`, checking
+    /// the result, and keep what its ledger came to.
+    fn ledgered(make: FaultCase, transport: Transport, metrics: &Metrics) -> Ledgered {
+        use cloudburst_core::Recorder;
+        let ((index, stores), mut config) = make();
+        let rec = Arc::new(Recorder::new());
+        config.telemetry = Telemetry::to(rec.clone());
+        config.metrics = metrics.clone();
+        let out = run_on(transport, &SumApp, &index, stores, &config).unwrap();
+        let units: u64 = index.chunks.iter().map(|c| c.n_units).sum();
+        assert_eq!(out.result.0, expected_sum(units as u32), "{transport:?}");
+        let (mut processed, mut failed) = (BTreeMap::new(), 0);
+        for e in rec.take() {
+            match (e.kind, e.site) {
+                (EventKind::JobProcessed, Some(site)) => *processed.entry(site).or_default() += 1,
+                (EventKind::JobFailed, _) => failed += 1,
+                _ => {}
+            }
+        }
+        assert!(failed <= out.head.failures, "a failure the head never heard of");
+        Ledgered { report: out.report, head: out.head, processed, failed }
+    }
+
+    /// The scrape `exp` shows exactly what the `runs` that shared its handle
+    /// tallied: per site and kind, per worker summed to the site, and in
+    /// every fault total of their reports.
+    fn assert_scrape_is_the_ledger(exp: &cloudburst_core::Exposition, runs: &[Ledgered]) {
+        let get = |name: &str, labels: &[(&str, &str)]| exp.get(name, labels).unwrap_or(0.0);
+        let sites: std::collections::BTreeSet<SiteId> =
+            runs.iter().flat_map(|r| r.report.sites.keys().copied()).collect();
+        let slaves = |name: &str| exp.by_label(name, "site");
+        let (jobs, bytes, retries) = (
+            slaves("cloudburst_slave_jobs_total"),
+            slaves("cloudburst_slave_remote_bytes_total"),
+            slaves("cloudburst_slave_retries_total"),
+        );
+        for site in sites {
+            let sv = site.to_string();
+            let stats: Vec<_> = runs.iter().filter_map(|r| r.report.sites.get(&site)).collect();
+            for (kind, stolen) in [("local", false), ("stolen", true)] {
+                let labels = [("site", sv.as_str()), ("kind", kind)];
+                let merged = get("cloudburst_pool_jobs_merged_total", &labels);
+                let lost = get("cloudburst_pool_results_lost_total", &labels);
+                let want: u64 =
+                    stats.iter().map(|s| if stolen { s.jobs.stolen } else { s.jobs.local }).sum();
+                assert_eq!((merged - lost) as u64, want, "{site} {kind} jobs");
+            }
+            let per_site = |m: &BTreeMap<String, f64>| m.get(&sv).copied().unwrap_or(0.0) as u64;
+            let processed: u64 = runs.iter().filter_map(|r| r.processed.get(&site)).sum();
+            assert_eq!(per_site(&jobs), processed, "{site} slave jobs");
+            let want: u64 = stats.iter().map(|s| s.remote_bytes).sum();
+            assert_eq!(per_site(&bytes), want, "{site} remote bytes");
+            let want: u64 = stats.iter().map(|s| s.retries).sum();
+            assert_eq!(per_site(&retries), want, "{site} retries");
+        }
+        let total = |name: &str| exp.sum_family(name) as u64;
+        let sum = |of: fn(&Ledgered) -> u64| runs.iter().map(of).sum::<u64>();
+        type Total = (&'static str, fn(&Ledgered) -> u64);
+        let families: [Total; 11] = [
+            ("cloudburst_pool_jobs_merged_total", |r| r.head.completions),
+            ("cloudburst_pool_results_lost_total", |r| r.head.faults.lost_results),
+            ("cloudburst_pool_duplicate_completions_total", |r| {
+                r.head.faults.duplicate_completions
+            }),
+            ("cloudburst_pool_lease_reaps_total", |r| r.report.faults.lease_expiries),
+            ("cloudburst_pool_evacuated_jobs_total", |r| r.report.faults.evacuated_jobs),
+            ("cloudburst_pool_speculations_total", |r| r.report.faults.speculative_grants),
+            ("cloudburst_pool_replica_grants_total", |r| r.report.faults.replica_grants),
+            ("cloudburst_pool_replica_wins_total", |r| r.report.faults.replica_wins),
+            ("cloudburst_pool_replica_fences_total", |r| r.report.faults.replica_fences),
+            ("cloudburst_pool_saved_refetch_total", |r| r.report.faults.saved_refetches),
+            ("cloudburst_pool_failures_total", |r| r.failed),
+        ];
+        for (name, of) in families {
+            assert_eq!(total(name), sum(of), "{name}");
+        }
+        // Every steal emptied some shard; every merge was granted first.
+        let steals = total("cloudburst_pool_steals_total");
+        assert_eq!(total("cloudburst_pool_shard_stolen_from_total"), steals);
+        assert!(
+            total("cloudburst_pool_grants_total") >= total("cloudburst_pool_jobs_merged_total")
+        );
+        assert_eq!(exp.sum_family("cloudburst_pool_queue_depth"), 0.0);
+        assert_eq!(exp.sum_family("cloudburst_pool_in_flight"), 0.0);
+    }
+
+    #[test]
+    fn the_scrape_is_the_ledger_under_faults_on_both_transports() {
+        use cloudburst_core::parse_exposition;
+        for (case, make) in fault_matrix() {
+            for transport in TRANSPORTS {
+                let metrics = Metrics::on();
+                let run = ledgered(make, transport, &metrics);
+                let quiet = run.report.faults.is_quiet() && run.failed == 0;
+                assert!(!quiet, "{case}: the fault path must run");
+                let exp = parse_exposition(&metrics.registry().unwrap().render()).unwrap();
+                assert_scrape_is_the_ledger(&exp, std::slice::from_ref(&run));
+            }
+        }
+    }
+
+    #[test]
+    fn runs_that_share_a_metrics_handle_add_up_in_the_scrape() {
+        use cloudburst_core::{check_monotonic, parse_exposition};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let metrics = Metrics::on();
+        let registry = metrics.registry().unwrap();
+        let done = AtomicBool::new(false);
+        let (runs, scrapes) = std::thread::scope(|scope| {
+            // Scraped throughout both runs, as a live endpoint would be.
+            let scraper = scope.spawn(|| {
+                let mut scrapes = Vec::new();
+                while !done.load(Ordering::Relaxed) {
+                    scrapes.push(parse_exposition(&registry.render()).unwrap());
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                scrapes
+            });
+            let [(_, make), ..] = fault_matrix();
+            let runs: Vec<_> =
+                TRANSPORTS.into_iter().map(|t| ledgered(make, t, &metrics)).collect();
+            done.store(true, Ordering::Relaxed);
+            (runs, scraper.join().unwrap())
+        });
+        let last = parse_exposition(&registry.render()).unwrap();
+        assert!(scrapes.len() > 2, "the runs were scraped while they ran");
+        for pair in scrapes.windows(2) {
+            check_monotonic(&pair[0], &pair[1]).unwrap();
+        }
+        check_monotonic(scrapes.last().unwrap(), &last).unwrap();
+        assert_scrape_is_the_ledger(&last, &runs);
     }
 
     #[test]

@@ -255,12 +255,15 @@ pub struct TopK<T: Ord> {
 }
 
 impl<T: Ord> TopK<T> {
+    /// The set grows with what it holds: `k` is a bound, never an up-front
+    /// allocation, so any `k` is cheap until that many elements are seen.
+    ///
     /// # Panics
     /// Panics if `k == 0`.
     #[must_use]
     pub fn new(k: usize) -> TopK<T> {
         assert!(k > 0, "TopK needs k >= 1");
-        TopK { k, items: Vec::with_capacity(k + 1) }
+        TopK { k, items: Vec::new() }
     }
 
     /// The bound `k`.

@@ -23,11 +23,17 @@
 //! Registration (cold path) goes through [`Registry`], which deduplicates
 //! by `(name, labels)` so re-registering returns the *same* instrument —
 //! iterative applications accumulate across `run_hybrid` calls instead of
-//! emitting duplicate series. [`Registry::render`] produces deterministic,
-//! sorted exposition text; [`parse_exposition`] is the matching strict
+//! emitting duplicate series. The pool's and the slaves' ledger families are
+//! no instruments: the handle's live ledger renders the tallies the reports
+//! are built from, as each run's head and slaves publish them.
+//! [`Registry::render`] produces deterministic, sorted exposition text; [`parse_exposition`] is the matching strict
 //! parser/validator used by `cloudburst check-metrics` and the proptests.
 //! [`MetricsServer`] is a dependency-free `/metrics` HTTP listener.
 
+use crate::pool::JobPool;
+use crate::stats::SlaveSample;
+use crate::telemetry::SiteRow;
+use crate::types::SiteId;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -352,8 +358,8 @@ struct Family {
 }
 
 /// One sample contributed by a [`Registry::register_collector`] closure —
-/// a pull-based bridge for foreign atomics (store counters, link stats)
-/// that are not registry instruments.
+/// a pull-based bridge for values that are not registry instruments (a
+/// handle's live ledger).
 #[derive(Debug, Clone)]
 pub struct Sample {
     /// Family name (without label braces).
@@ -669,19 +675,25 @@ fn fmt_value(v: f64) -> String {
 #[derive(Clone, Default)]
 pub struct Metrics {
     registry: Option<Arc<Registry>>,
+    /// The live ledger its registry renders.
+    ledger: Option<Arc<LedgerHub>>,
 }
 
 impl Metrics {
     /// The disabled handle: instruments cost one branch.
     #[must_use]
     pub fn off() -> Metrics {
-        Metrics { registry: None }
+        Metrics { registry: None, ledger: None }
     }
 
-    /// An enabled handle over a fresh registry.
+    /// An enabled handle over a fresh registry, which renders the handle's
+    /// live ledger.
     #[must_use]
     pub fn on() -> Metrics {
-        Metrics { registry: Some(Arc::new(Registry::new())) }
+        let (registry, ledger) = (Arc::new(Registry::new()), Arc::new(LedgerHub::default()));
+        let hub = Arc::clone(&ledger);
+        registry.register_collector("ledger", move || hub.render());
+        Metrics { registry: Some(registry), ledger: Some(ledger) }
     }
 
     /// Whether a registry is attached.
@@ -745,21 +757,223 @@ impl Metrics {
         }
     }
 
-    /// Install a keyed pull-based collector (no-op when disabled).
-    pub fn register_collector(
-        &self,
-        key: &str,
-        collect: impl Fn() -> Vec<Sample> + Send + Sync + 'static,
-    ) {
-        if let Some(r) = &self.registry {
-            r.register_collector(key, collect);
-        }
+    /// Where one head or one slave publishes its ledger to this handle;
+    /// what it publishes is in the scrape from then on.
+    #[must_use]
+    pub fn ledger(&self) -> LiveLedger {
+        let Some(hub) = &self.ledger else { return LiveLedger::default() };
+        let mine = Arc::new(Mutex::new(Totals::default()));
+        hub.0.lock().1.push(Arc::clone(&mine));
+        LiveLedger(Some((Arc::clone(hub), mine)))
     }
 }
 
 impl std::fmt::Debug for Metrics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Metrics({})", if self.is_enabled() { "on" } else { "off" })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The live ledger
+// ---------------------------------------------------------------------------
+
+/// Where one head or one slave publishes what it has tallied — the pool's
+/// [`PoolTally`](crate::telemetry::PoolTally) or the slave's [`SlaveSample`],
+/// which the run report is built from — for the scrape, which renders it.
+/// Made by [`Metrics::ledger`]; off, it is a `None`. Dropped, what it last
+/// counted moves into its handle's running totals, and nothing of its pool
+/// waits or is in flight any more.
+#[derive(Default)]
+pub struct LiveLedger(Option<(Arc<LedgerHub>, Arc<Mutex<Totals>>)>);
+
+/// The live ledger of one enabled [`Metrics`] handle, rendered by its one
+/// collector: the totals of the publishers already dropped, and the open
+/// publishers' own. Runs that share the handle add up, and what it holds
+/// follows the publishers alive, not the runs it served.
+#[derive(Default)]
+struct LedgerHub(Mutex<(Totals, Vec<Arc<Mutex<Totals>>>)>);
+
+/// The ledger families' values: each site's pool counts in
+/// [`POOL_FAMILIES`] order, the jobs waiting per shard (every shard, from
+/// the first publish on), the jobs in flight once a head published, and
+/// each slave's values in [`SLAVE_FAMILIES`] order.
+#[derive(Clone, Default)]
+struct Totals {
+    pool: Vec<[u64; 16]>,
+    depth: BTreeMap<SiteId, u64>,
+    in_flight: Option<u64>,
+    slaves: BTreeMap<(SiteId, u32), [f64; 5]>,
+}
+
+impl LiveLedger {
+    /// Publish the head's `pool`.
+    pub fn publish_pool(&self, pool: &JobPool) {
+        if let Some((_, mine)) = &self.0 {
+            mine.lock().set_pool(pool);
+        }
+    }
+
+    /// Publish what slave `worker` at `site` has tallied.
+    pub fn publish_slave(&self, site: SiteId, worker: u32, sample: &SlaveSample) {
+        if let Some((_, mine)) = &self.0 {
+            mine.lock().slaves.insert((site, worker), SLAVE_FAMILIES.map(|(.., v)| v(sample)));
+        }
+    }
+}
+
+impl Drop for LiveLedger {
+    fn drop(&mut self) {
+        if let Some((hub, mine)) = self.0.take() {
+            let (closed, open) = &mut *hub.0.lock();
+            let mut gone = mine.lock();
+            gone.depth.values_mut().for_each(|d| *d = 0);
+            gone.in_flight = gone.in_flight.map(|_| 0);
+            closed.add(&gone);
+            drop(gone);
+            open.retain(|other| !Arc::ptr_eq(other, &mine));
+        }
+    }
+}
+
+impl LedgerHub {
+    /// The one render of the ledger, under the lock a publisher's drop takes
+    /// to move its totals: no scrape counts them twice or not at all.
+    fn render(&self) -> Vec<Sample> {
+        let (closed, open) = &*self.0.lock();
+        let mut totals = closed.clone();
+        open.iter().for_each(|mine| totals.add(&mine.lock()));
+        totals.render()
+    }
+}
+
+/// The `# HELP` text of the ledger's families.
+mod help {
+    pub const GRANTS: &str = "Job leases granted by the head (speculative copies included).";
+    pub const STEALS: &str = "Cross-site (stolen) job grants.";
+    pub const STOLEN_FROM: &str = "Jobs stolen out of a site's shard by other sites.";
+    pub const SPECULATIONS: &str = "Speculative straggler re-executions granted.";
+    pub const REPLICAS: &str = "Proactive replica executions granted under coded redundancy.";
+    pub const MERGED: &str = "Completions accepted for merging, by processing site and job kind.";
+    pub const LOST: &str = "Merged results that died with an evacuated site's robj.";
+    pub const DUPLICATES: &str = "Completion reports discarded by the dedup verdict.";
+    pub const REAPS: &str = "Silent leases reclaimed after their deadline.";
+    pub const FAILURES: &str = "Processing failures reported per site.";
+    pub const EVACUATED: &str = "In-flight leases revoked by site evacuation.";
+    pub const WINS: &str = "Replica executions that completed first and were merged.";
+    pub const FENCES: &str = "Sibling executions fenced because a replica completed first.";
+    pub const SAVED: &str =
+        "Evacuation re-executions served from a local replica (no WAN re-fetch).";
+    pub const DEPTH: &str = "Jobs waiting in the head's pool by data-home site (shard depth).";
+    pub const IN_FLIGHT: &str = "Jobs currently leased to some site.";
+    pub const JOBS: &str = "Jobs a slave fully decoded and reduced.";
+    pub const BYTES: &str = "Bytes a slave fetched across sites (stolen reads).";
+    pub const RETRIES: &str = "Transient storage retries absorbed under a slave's fetches.";
+    pub const FETCH: &str = "Wall time a slave (or its prefetcher) spent in chunk retrieval.";
+    pub const PROCESS: &str = "Wall time a slave spent decoding and reducing.";
+}
+
+/// A pool family: name, help, the `kind` label of the two split by job kind,
+/// and its count in a site's row.
+type PoolFamily = (&'static str, &'static str, Option<&'static str>, fn(&SiteRow) -> u64);
+
+/// A slave family: name, help, and its value in a slave's sample.
+type SlaveFamily = (&'static str, &'static str, fn(&SlaveSample) -> f64);
+
+const POOL_FAMILIES: [PoolFamily; 16] = [
+    ("cloudburst_pool_grants_total", help::GRANTS, None, |r| r.grants),
+    ("cloudburst_pool_steals_total", help::STEALS, None, |r| r.steals),
+    ("cloudburst_pool_shard_stolen_from_total", help::STOLEN_FROM, None, |r| r.stolen_from),
+    ("cloudburst_pool_speculations_total", help::SPECULATIONS, None, |r| r.speculations),
+    ("cloudburst_pool_replica_grants_total", help::REPLICAS, None, |r| r.replica_grants),
+    ("cloudburst_pool_jobs_merged_total", help::MERGED, Some("local"), |r| r.merged[0]),
+    ("cloudburst_pool_jobs_merged_total", help::MERGED, Some("stolen"), |r| r.merged[1]),
+    ("cloudburst_pool_results_lost_total", help::LOST, Some("local"), |r| r.lost[0]),
+    ("cloudburst_pool_results_lost_total", help::LOST, Some("stolen"), |r| r.lost[1]),
+    ("cloudburst_pool_duplicate_completions_total", help::DUPLICATES, None, |r| r.duplicates),
+    ("cloudburst_pool_lease_reaps_total", help::REAPS, None, |r| r.reaps),
+    ("cloudburst_pool_failures_total", help::FAILURES, None, |r| r.failures),
+    ("cloudburst_pool_evacuated_jobs_total", help::EVACUATED, None, |r| r.evacuated),
+    ("cloudburst_pool_replica_wins_total", help::WINS, None, |r| r.replica_wins),
+    ("cloudburst_pool_replica_fences_total", help::FENCES, None, |r| r.replica_fences),
+    ("cloudburst_pool_saved_refetch_total", help::SAVED, None, |r| r.saved_refetches),
+];
+
+const SLAVE_FAMILIES: [SlaveFamily; 5] = [
+    ("cloudburst_slave_jobs_total", help::JOBS, |s| s.jobs as f64),
+    ("cloudburst_slave_remote_bytes_total", help::BYTES, |s| s.remote_bytes as f64),
+    ("cloudburst_slave_retries_total", help::RETRIES, |s| s.retries as f64),
+    ("cloudburst_slave_fetch_busy_seconds_total", help::FETCH, |s| s.retrieval),
+    ("cloudburst_slave_process_busy_seconds_total", help::PROCESS, |s| s.processing),
+];
+
+impl Totals {
+    fn set_pool(&mut self, pool: &JobPool) {
+        self.pool.resize(pool.tally.sites.len(), [0; 16]);
+        for (mine, row) in self.pool.iter_mut().zip(&pool.tally.sites) {
+            *mine = POOL_FAMILIES.map(|(.., count)| count(row));
+        }
+        self.depth.values_mut().for_each(|d| *d = 0);
+        for (site, n) in pool.pending_by_home() {
+            *self.depth.entry(site).or_default() += n as u64;
+        }
+        self.in_flight = Some(pool.in_flight() as u64);
+    }
+
+    fn add(&mut self, other: &Totals) {
+        if self.pool.len() < other.pool.len() {
+            self.pool.resize(other.pool.len(), [0; 16]);
+        }
+        for (mine, theirs) in self.pool.iter_mut().zip(&other.pool) {
+            mine.iter_mut().zip(theirs).for_each(|(a, b)| *a += b);
+        }
+        for (&site, &n) in &other.depth {
+            *self.depth.entry(site).or_default() += n;
+        }
+        if let Some(n) = other.in_flight {
+            *self.in_flight.get_or_insert(0) += n;
+        }
+        for (&slave, theirs) in &other.slaves {
+            let mine = self.slaves.entry(slave).or_default();
+            mine.iter_mut().zip(theirs).for_each(|(a, b)| *a += b);
+        }
+    }
+
+    /// A pool family's series once it counts anything, every shard's depth,
+    /// the jobs in flight, and each slave's series from its first publish.
+    fn render(&self) -> Vec<Sample> {
+        let (counter, gauge) = (MetricKind::Counter, MetricKind::Gauge);
+        let mut out = Vec::new();
+        let mut push = |name: &str, help: &str, kind, labels: &[(&str, &str)], value| {
+            let labels = labels.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect();
+            let (name, help) = (name.to_owned(), help.to_owned());
+            out.push(Sample { name, help, kind, labels, value });
+        };
+        for (i, counts) in self.pool.iter().enumerate() {
+            let site = SiteId(i as u16).to_string();
+            for (&(name, help, kind, _), &n) in POOL_FAMILIES.iter().zip(counts) {
+                if n > 0 {
+                    let mut labels = vec![("site", site.as_str())];
+                    labels.extend(kind.map(|kind| ("kind", kind)));
+                    push(name, help, counter, &labels, n as f64);
+                }
+            }
+        }
+        for (site, &n) in &self.depth {
+            let site = site.to_string();
+            push("cloudburst_pool_queue_depth", help::DEPTH, gauge, &[("site", &site)], n as f64);
+        }
+        if let Some(n) = self.in_flight {
+            push("cloudburst_pool_in_flight", help::IN_FLIGHT, gauge, &[], n as f64);
+        }
+        for (&(site, worker), values) in &self.slaves {
+            let (site, worker) = (site.to_string(), worker.to_string());
+            let labels = [("site", site.as_str()), ("worker", worker.as_str())];
+            for (&(name, help, _), &value) in SLAVE_FAMILIES.iter().zip(values) {
+                push(name, help, counter, &labels, value);
+            }
+        }
+        out
     }
 }
 
@@ -1333,7 +1547,7 @@ mod tests {
         let h = m.histogram("cloudburst_fetch_seconds", "fetch", &[("site", "local")]);
         h.observe_secs(0.001);
         h.observe_secs(0.004);
-        m.register_collector("extra", || {
+        m.registry().unwrap().register_collector("extra", || {
             vec![Sample {
                 name: "cloudburst_store_requests_total".into(),
                 help: "store reqs".into(),
@@ -1353,6 +1567,50 @@ mod tests {
         assert_eq!(exp.get("cloudburst_fetch_seconds_count", &[("site", "local")]), Some(2.0));
         let by = exp.by_label("cloudburst_jobs_granted_total", "site");
         assert_eq!(by.get("cloud"), Some(&4.0));
+    }
+
+    #[test]
+    fn a_handle_holds_one_ledger_however_many_runs_publish_to_it() {
+        // Each run's publishers fold into the handle's totals as they go, so
+        // a handle serving a thousand runs keeps one collector and no run.
+        let m = Metrics::on();
+        let sample = SlaveSample { jobs: 3, retries: 1, processing: 0.5, ..SlaveSample::default() };
+        let params = crate::LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 1 };
+        let index = crate::DataIndex::build(8, params, |_| SiteId::LOCAL).unwrap();
+        let pool = JobPool::from_index(&index, crate::BatchPolicy::Fixed(2));
+        let scrape = || parse_exposition(&m.registry().unwrap().render()).unwrap();
+        let mut last = scrape();
+        for run in 0..1000 {
+            let head = m.ledger();
+            head.publish_pool(&pool);
+            let slaves: Vec<_> = (0..4).map(|_| m.ledger()).collect();
+            for (worker, slave) in (0..).zip(&slaves) {
+                slave.publish_slave(SiteId::CLOUD, worker, &sample);
+            }
+            if run % 100 == 0 {
+                let now = scrape();
+                check_monotonic(&last, &now).unwrap();
+                let depth = now.get("cloudburst_pool_queue_depth", &[("site", "local")]);
+                assert_eq!(depth, Some(4.0), "the open run's shard");
+                last = now;
+            }
+        }
+        let hub = m.ledger.as_ref().unwrap().0.lock();
+        assert!(hub.1.is_empty(), "every publisher's totals were folded");
+        assert_eq!(hub.0.slaves.len(), 4);
+        drop(hub);
+        assert_eq!(m.registry().unwrap().collectors.lock().len(), 1);
+        let exp = scrape();
+        check_monotonic(&last, &exp).unwrap();
+        assert_eq!(exp.sum_family("cloudburst_slave_jobs_total"), 12_000.0);
+        let worker = [("site", "cloud"), ("worker", "3")];
+        assert_eq!(exp.get("cloudburst_slave_retries_total", &worker), Some(1000.0));
+        assert_eq!(exp.get("cloudburst_slave_process_busy_seconds_total", &worker), Some(500.0));
+        assert_eq!(exp.get("cloudburst_pool_in_flight", &[]), Some(0.0));
+        assert_eq!(exp.get("cloudburst_pool_queue_depth", &[("site", "local")]), Some(0.0));
+        // A handle no head published to shows no pool series.
+        let quiet = parse_exposition(&Metrics::on().registry().unwrap().render()).unwrap();
+        assert!(quiet.series.is_empty());
     }
 
     #[test]

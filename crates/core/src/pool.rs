@@ -32,7 +32,6 @@
 use crate::fault::{AbandonedJob, FaultCounters, LeaseConfig};
 use crate::index::DataIndex;
 use crate::layout::ChunkMeta;
-use crate::metrics::{Counter, Gauge, Metrics};
 use crate::telemetry::{secs_to_ns, Event, EventKind, PoolTally, Telemetry};
 use crate::types::{ChunkId, FileId, SiteId};
 use serde::{Deserialize, Serialize};
@@ -205,181 +204,6 @@ impl SiteJobCounts {
     }
 }
 
-/// A per-site counter family of the pool's ledger in a scrape; `Merged` and
-/// `Lost` carry whether the job was stolen (their `kind` label).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Family {
-    Grants,
-    Steals,
-    StolenFrom,
-    Speculations,
-    ReplicaGrants,
-    Merged(bool),
-    Lost(bool),
-    Duplicates,
-    Reaps,
-    Failures,
-    Evacuated,
-    ReplicaWins,
-    ReplicaFences,
-    SavedRefetches,
-}
-
-impl Family {
-    /// The family's metric name and help string.
-    fn spec(self) -> (&'static str, &'static str) {
-        match self {
-            Family::Grants => (
-                "cloudburst_pool_grants_total",
-                "Job leases granted by the head (speculative copies included).",
-            ),
-            Family::Steals => ("cloudburst_pool_steals_total", "Cross-site (stolen) job grants."),
-            Family::StolenFrom => (
-                "cloudburst_pool_shard_stolen_from_total",
-                "Jobs stolen out of a site's shard by other sites.",
-            ),
-            Family::Speculations => (
-                "cloudburst_pool_speculations_total",
-                "Speculative straggler re-executions granted.",
-            ),
-            Family::ReplicaGrants => (
-                "cloudburst_pool_replica_grants_total",
-                "Proactive replica executions granted under coded redundancy.",
-            ),
-            Family::Merged(_) => (
-                "cloudburst_pool_jobs_merged_total",
-                "Completions accepted for merging, by processing site and job kind.",
-            ),
-            Family::Lost(_) => (
-                "cloudburst_pool_results_lost_total",
-                "Merged results that died with an evacuated site's robj.",
-            ),
-            Family::Duplicates => (
-                "cloudburst_pool_duplicate_completions_total",
-                "Completion reports discarded by the dedup verdict.",
-            ),
-            Family::Reaps => (
-                "cloudburst_pool_lease_reaps_total",
-                "Silent leases reclaimed after their deadline.",
-            ),
-            Family::Failures => {
-                ("cloudburst_pool_failures_total", "Processing failures reported per site.")
-            }
-            Family::Evacuated => (
-                "cloudburst_pool_evacuated_jobs_total",
-                "In-flight leases revoked by site evacuation.",
-            ),
-            Family::ReplicaWins => (
-                "cloudburst_pool_replica_wins_total",
-                "Replica executions that completed first and were merged.",
-            ),
-            Family::ReplicaFences => (
-                "cloudburst_pool_replica_fences_total",
-                "Sibling executions fenced because a replica completed first.",
-            ),
-            Family::SavedRefetches => (
-                "cloudburst_pool_saved_refetch_total",
-                "Evacuation re-executions served from a local replica (no WAN re-fetch).",
-            ),
-        }
-    }
-
-    /// The `kind` label of the two families that have one.
-    fn kind(self) -> Option<&'static str> {
-        match self {
-            Family::Merged(stolen) | Family::Lost(stolen) => {
-                Some(if stolen { "stolen" } else { "local" })
-            }
-            _ => None,
-        }
-    }
-}
-
-/// The pool's live-metrics handles: the ledger counters, cached per
-/// `(family, site)` so an enabled increment is one `BTreeMap` lookup plus a
-/// relaxed atomic add, and the backlog gauges.
-#[derive(Debug, Clone, Default)]
-struct PoolMetrics {
-    handle: Metrics,
-    counters: BTreeMap<(Family, SiteId), Counter>,
-    /// Pending jobs per data-home site — one gauge per shard, so a scrape
-    /// (or `--watch`) shows shard imbalance, not just the global backlog.
-    queue_depth: BTreeMap<SiteId, Gauge>,
-    in_flight: Gauge,
-}
-
-impl PoolMetrics {
-    /// One depth gauge per shard (data-home site) up front, so every shard
-    /// shows up in a scrape from the first sample on — a site whose backlog
-    /// is zero is a signal, not a missing series.
-    fn new(handle: Metrics, shards: BTreeSet<SiteId>) -> PoolMetrics {
-        let in_flight =
-            handle.gauge("cloudburst_pool_in_flight", "Jobs currently leased to some site.", &[]);
-        let depth = |site: SiteId| {
-            handle.gauge(
-                "cloudburst_pool_queue_depth",
-                "Jobs waiting in the head's pool by data-home site (shard depth).",
-                &[("site", &site.to_string())],
-            )
-        };
-        let queue_depth = shards.into_iter().map(|site| (site, depth(site))).collect();
-        PoolMetrics { handle, counters: BTreeMap::new(), queue_depth, in_flight }
-    }
-
-    /// Increment `family`'s series for `site`, creating it at its first use.
-    fn bump(&mut self, family: Family, site: SiteId) {
-        let handle = &self.handle;
-        self.counters
-            .entry((family, site))
-            .or_insert_with(|| {
-                let (name, help) = family.spec();
-                let site = site.to_string();
-                let mut labels = vec![("site", site.as_str())];
-                labels.extend(family.kind().map(|kind| ("kind", kind)));
-                handle.counter(name, help, &labels)
-            })
-            .inc();
-    }
-
-    /// The registry's reading of a pool event — the third output of the one
-    /// fold, next to the tally and the sink: which families the event moves,
-    /// at its site. `home` is the data-home site of the event's chunk, the
-    /// one fact a family (`StolenFrom`: whose shard a steal came out of)
-    /// needs that the event does not carry.
-    fn record(&mut self, e: &Event, home: Option<SiteId>) {
-        let Some(site) = e.site else { return };
-        match e.kind {
-            EventKind::JobGranted { stolen, speculative, replica } => {
-                self.bump(Family::Grants, site);
-                if stolen {
-                    self.bump(Family::Steals, site);
-                    if let Some(home) = home {
-                        self.bump(Family::StolenFrom, home);
-                    }
-                }
-                if speculative {
-                    self.bump(Family::Speculations, site);
-                }
-                if replica {
-                    self.bump(Family::ReplicaGrants, site);
-                }
-            }
-            EventKind::JobCompleted { merged: true, stolen, .. } => {
-                self.bump(Family::Merged(stolen), site);
-            }
-            EventKind::JobCompleted { merged: false, .. } => self.bump(Family::Duplicates, site),
-            EventKind::LostResult { stolen } => self.bump(Family::Lost(stolen), site),
-            EventKind::LeaseReaped => self.bump(Family::Reaps, site),
-            EventKind::JobFailed => self.bump(Family::Failures, site),
-            EventKind::JobEvacuated => self.bump(Family::Evacuated, site),
-            EventKind::ReplicaResolved { won: true } => self.bump(Family::ReplicaWins, site),
-            EventKind::ReplicaResolved { won: false } => self.bump(Family::ReplicaFences, site),
-            EventKind::RefetchSaved => self.bump(Family::SavedRefetches, site),
-            _ => {}
-        }
-    }
-}
-
 /// The head node's global job pool.
 #[derive(Debug, Clone)]
 pub struct JobPool {
@@ -397,14 +221,11 @@ pub struct JobPool {
     /// "number of nodes currently processing" signal of the heuristic.
     readers: Vec<u32>,
     pending_total: usize,
-    done_total: usize,
     batch_policy: BatchPolicy,
     /// Estimated end-to-end cost (seconds) for each site to process one
     /// *stolen* job: remote retrieval plus processing. Zero disables the
     /// rate-aware steal condition for that site.
     steal_cost: BTreeMap<SiteId, f64>,
-    /// Completions per site, for online processing-rate estimation.
-    rate_completed: BTreeMap<SiteId, u64>,
     /// Latest timestamp observed from callers (seconds since run start).
     now: f64,
     /// Per-job processing attempts (for fault-tolerant requeueing).
@@ -426,17 +247,14 @@ pub struct JobPool {
     dead_sites: BTreeSet<SiteId>,
     /// Next causal span id to allocate (1-based; 0 means "no span").
     next_span: u64,
-    /// The run report's share of the pool: fault counters and per-site job
-    /// counts (Table I), folded from every event [`JobPool::note`] states.
-    tally: PoolTally,
+    /// The pool's one ledger: fault counters, per-site job counts (Table I)
+    /// and per-site rows, folded from every event [`JobPool::note`] states.
+    /// The run report and the live scrape are both read off it.
+    pub(crate) tally: PoolTally,
     /// Telemetry sink: every grant, completion verdict, reap, evacuation and
     /// abandonment is emitted here, stamped with the pool clock. Disabled by
     /// default (a single branch per would-be event).
     sink: Telemetry,
-    /// Live metrics: the ledger counters, fed by the same `note` as the
-    /// tally so a scrape and the report agree exactly, and the queue-depth
-    /// gauges. Off by default.
-    metrics: PoolMetrics,
 }
 
 impl JobPool {
@@ -459,10 +277,8 @@ impl JobPool {
             file_site: index.files.iter().map(|f| f.site).collect(),
             readers: vec![0; n_files],
             pending_total: n,
-            done_total: 0,
             batch_policy,
             steal_cost: BTreeMap::new(),
-            rate_completed: BTreeMap::new(),
             now: 0.0,
             attempts: vec![0; n],
             max_attempts: 3,
@@ -473,9 +289,11 @@ impl JobPool {
             ewma_dur: BTreeMap::new(),
             dead_sites: BTreeSet::new(),
             next_span: 1,
-            tally: PoolTally::default(),
+            tally: PoolTally {
+                homes: index.chunks.iter().map(|c| c.site).collect(),
+                ..PoolTally::default()
+            },
             sink: Telemetry::off(),
-            metrics: PoolMetrics::default(),
         }
     }
 
@@ -486,34 +304,6 @@ impl JobPool {
     /// simulator — drive this same pool, one sink covers them all.
     pub fn set_sink(&mut self, sink: Telemetry) {
         self.sink = sink;
-    }
-
-    /// Attach a live-metrics handle: grants, steals, speculative launches,
-    /// completion verdicts, reaps, failures and evacuations increment
-    /// per-site counters, and queue-depth / in-flight gauges track the
-    /// pool's backlog. The counters are fed by the same call that feeds the
-    /// run report's tally, so scrape totals and the end-of-run report agree
-    /// exactly.
-    pub fn set_metrics(&mut self, metrics: Metrics) {
-        self.metrics = PoolMetrics::new(metrics, self.file_site.iter().copied().collect());
-        self.sync_depth();
-    }
-
-    /// Refresh the backlog gauges: one queue-depth gauge per shard
-    /// (data-home site) plus the global in-flight count (no-op while
-    /// metrics are off).
-    fn sync_depth(&self) {
-        if !self.metrics.handle.is_enabled() {
-            return;
-        }
-        let mut depth: BTreeMap<SiteId, i64> = BTreeMap::new();
-        for (q, &site) in self.pending_by_file.iter().zip(&self.file_site) {
-            *depth.entry(site).or_insert(0) += q.len() as i64;
-        }
-        for (site, gauge) in &self.metrics.queue_depth {
-            gauge.set(depth.get(site).copied().unwrap_or(0));
-        }
-        self.metrics.in_flight.set(self.in_flight() as i64);
     }
 
     /// A pool event at the pool clock.
@@ -530,15 +320,10 @@ impl JobPool {
     }
 
     /// State one fact — the only way the pool states any: the event is
-    /// folded into the tally, read off into the registry's counters and
-    /// emitted to the sink.
+    /// folded into the tally and emitted to the sink.
     #[inline(always)]
     fn note(&mut self, e: Event) {
         self.tally.apply(&e);
-        if self.metrics.handle.is_enabled() {
-            let home = e.chunk.map(|c| self.chunks[c.0 as usize].site);
-            self.metrics.record(&e, home);
-        }
         self.sink.emit(e);
     }
 
@@ -587,22 +372,22 @@ impl JobPool {
         self.pending_total
     }
 
-    /// Jobs fully processed.
+    /// Jobs fully processed: merged, and not lost with a site's robj since.
     #[must_use]
     pub fn completed(&self) -> usize {
-        self.done_total
+        self.tally.sites.iter().map(|r| r.jobs().total() as usize).sum()
     }
 
     /// True when every job has been processed or permanently abandoned.
     #[must_use]
     pub fn all_done(&self) -> bool {
-        self.done_total + self.abandoned() == self.chunks.len()
+        self.completed() + self.abandoned() == self.chunks.len()
     }
 
     /// Jobs currently assigned but neither completed nor failed.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.chunks.len() - self.pending_total - self.done_total - self.abandoned()
+        self.chunks.len() - self.pending_total - self.completed() - self.abandoned()
     }
 
     /// Jobs permanently abandoned after exhausting their attempts.
@@ -621,6 +406,11 @@ impl JobPool {
     #[must_use]
     pub fn faults(&self) -> &FaultCounters {
         &self.tally.faults
+    }
+
+    /// Jobs waiting per file, by its data-home site (shard), once per file.
+    pub(crate) fn pending_by_home(&self) -> impl Iterator<Item = (SiteId, usize)> + '_ {
+        self.file_site.iter().copied().zip(self.pending_by_file.iter().map(VecDeque::len))
     }
 
     /// Sites that have been declared dead and evacuated.
@@ -654,8 +444,8 @@ impl JobPool {
 
     /// Per-site processed/stolen counts (Table I data).
     #[must_use]
-    pub fn site_counts(&self) -> &BTreeMap<SiteId, SiteJobCounts> {
-        &self.tally.counts
+    pub fn site_counts(&self) -> BTreeMap<SiteId, SiteJobCounts> {
+        self.tally.counts()
     }
 
     /// Whether `site` ever held (or still holds) a lease on job `i`, or
@@ -715,7 +505,6 @@ impl JobPool {
         let q = &mut self.pending_by_file[self.chunks[i].file.0 as usize];
         let pos = q.partition_point(|&c| c < job);
         q.insert(pos, job);
-        self.sync_depth();
     }
 
     /// Permanently give up on job `i`.
@@ -724,7 +513,6 @@ impl JobPool {
         let mut e = self.event(EventKind::JobAbandoned).chunk(self.chunks[i].id);
         e.site = last_site;
         self.note(e);
-        self.sync_depth();
     }
 
     /// Report that `site` failed to process `job` (retrieval error, worker
@@ -828,10 +616,6 @@ impl JobPool {
                 }
                 JobState::Done(s) if s == site => {
                     // The merged result died with the site's robj.
-                    self.done_total -= 1;
-                    if let Some(r) = self.rate_completed.get_mut(&site) {
-                        *r = r.saturating_sub(1);
-                    }
                     self.past[i].push(site);
                     let stolen = self.chunks[i].site != site;
                     self.note(self.job_event(EventKind::LostResult { stolen }, i, site, 0));
@@ -886,7 +670,8 @@ impl JobPool {
         if cost <= 0.0 || self.now <= 0.0 {
             return true; // rate awareness disabled or no signal yet
         }
-        let done = self.rate_completed.get(&owner).copied().unwrap_or(0);
+        // The owner's rate: the jobs it merged (and still holds) so far.
+        let done = self.tally.sites.get(usize::from(owner.0)).map_or(0, |r| r.jobs().total());
         if done == 0 {
             return true; // owner rate unknown; assume stealing helps
         }
@@ -918,8 +703,8 @@ impl JobPool {
         self.request_for_at(site, self.now)
     }
 
-    /// [`JobPool::complete`] with the caller's clock, feeding the rate and
-    /// job-duration estimators on accepted completions.
+    /// [`JobPool::complete`] with the caller's clock, feeding the
+    /// job-duration estimator on accepted completions.
     pub fn complete_at(&mut self, job: ChunkId, site: SiteId, now: f64) -> Completion {
         self.now = self.now.max(now);
         let sample = self.assignees[job.0 as usize]
@@ -927,12 +712,9 @@ impl JobPool {
             .find(|a| a.site == site)
             .map(|a| (now - a.assigned_at).max(0.0));
         let outcome = self.complete(job, site);
-        if outcome.is_merged() {
-            *self.rate_completed.entry(site).or_insert(0) += 1;
-            if let Some(d) = sample {
-                let e = self.ewma_dur.entry(site).or_insert(d);
-                *e = 0.8 * *e + 0.2 * d;
-            }
+        if let Some(d) = sample.filter(|_| outcome.is_merged()) {
+            let e = self.ewma_dur.entry(site).or_insert(d);
+            *e = 0.8 * *e + 0.2 * d;
         }
         outcome
     }
@@ -984,7 +766,7 @@ impl JobPool {
                         self.note(self.job_event(fenced, i, s, span));
                     }
                 }
-                self.finish(i, site);
+                self.state[i] = JobState::Done(site);
                 let late = winner.is_none();
                 let merged = EventKind::JobCompleted { merged: true, late, stolen };
                 self.note(self.job_event(merged, i, site, winner_span));
@@ -1006,7 +788,7 @@ impl JobPool {
                     q.remove(pos);
                 }
                 self.pending_total -= 1;
-                self.finish(i, site);
+                self.state[i] = JobState::Done(site);
                 let merged = EventKind::JobCompleted { merged: true, late: true, stolen };
                 self.note(self.job_event(merged, i, site, 0));
                 Completion::Merged { preempted: Vec::new() }
@@ -1019,14 +801,6 @@ impl JobPool {
         let dup = EventKind::JobCompleted { merged: false, late: false, stolen };
         self.note(self.job_event(dup, job.0 as usize, site, 0));
         Completion::Duplicate
-    }
-
-    /// Pool state once the dedup verdict is `Merged`; the ledger's entry is
-    /// the `JobCompleted` event the caller states.
-    fn finish(&mut self, i: usize, site: SiteId) {
-        self.state[i] = JobState::Done(site);
-        self.done_total += 1;
-        self.sync_depth();
     }
 
     /// Local file to serve next: the site's file with the most pending jobs,
@@ -1108,7 +882,6 @@ impl JobPool {
                 EventKind::JobGranted { stolen: batch.stolen, speculative: false, replica: false };
             self.note(self.job_event(granted, i, site, span));
         }
-        self.sync_depth();
     }
 
     /// The straggler to duplicate for an otherwise-idle `site`: the oldest

@@ -21,7 +21,8 @@
 //!   per-slave swimlanes), and [`ConsoleSink`] (filtered stderr log);
 //! * the ledger: [`PoolTally::apply`] and [`SlaveSample::apply`] give each
 //!   event its one meaning as a count or a time. The live pool and the live
-//!   slaves fold every fact they state through them, and [`derive_report`]
+//!   slaves fold every fact they state through them (and publish the result
+//!   for the live scrape, which renders it), and [`derive_report`]
 //!   folds a recorded stream through the same two functions into the same
 //!   [`crate::stats::assemble_report`], so the paper-shaped [`RunReport`]
 //!   (breakdowns, per-site counts, fault counters) rebuilt from the event
@@ -722,10 +723,11 @@ impl EventSink for Recorder {
 /// The always-on flight recorder: a bounded ring-buffer sink that keeps
 /// the last `capacity` events and overwrites the oldest beyond that.
 ///
-/// The slot vector is allocated once up front; steady-state recording is a
-/// `memcpy` into a preallocated slot under an uncontended `parking_lot`
-/// mutex — no allocation, no unbounded growth — so it can tee alongside
-/// every other sink for the whole run and still cost nothing measurable.
+/// The slot vector grows with what it holds, so the capacity is a bound,
+/// never an up-front allocation; once the ring is full, recording is a
+/// `memcpy` into a slot under an uncontended `parking_lot` mutex — no
+/// allocation, no unbounded growth — so it can tee alongside every other
+/// sink for the whole run and still cost nothing measurable.
 /// [`FlightRecorder::snapshot`] reconstructs the window oldest-first on
 /// demand; that is what `/debug/events` serves and what the black-box
 /// crash dump writes.
@@ -736,7 +738,7 @@ pub struct FlightRecorder {
 }
 
 struct Ring {
-    /// Grows to `capacity` once (preallocated), then stays put.
+    /// Grows as events arrive until it holds `capacity`, then stays put.
     slots: Vec<Event>,
     /// Overwrite cursor: index of the oldest slot once the ring is full.
     next: usize,
@@ -747,7 +749,7 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            ring: Mutex::new(Ring { slots: Vec::with_capacity(capacity), next: 0 }),
+            ring: Mutex::new(Ring { slots: Vec::new(), next: 0 }),
             capacity,
             total: std::sync::atomic::AtomicU64::new(0),
         }
@@ -1063,52 +1065,122 @@ fn meta_row(what: &str, pid: u64, tid: u64, name: &str) -> Json {
         .field("args", Json::obj().field("name", Json::Str(name.into())))
 }
 
-/// The pool-side ledger: the fault counters and the per-site job counts of
-/// Table I. [`PoolTally::apply`] is the one place a pool event gets its
-/// meaning: [`JobPool`](crate::pool::JobPool) folds every event it states
-/// with it, and [`derive_report`] a recorded stream, so the two agree.
+/// The pool-side ledger: the fault counters and one row per site, which the
+/// per-site job counts of Table I are read off. [`PoolTally::apply`] is the
+/// one place a pool event gets its meaning: [`JobPool`](crate::pool::JobPool)
+/// folds every event it states with it, and [`derive_report`] a recorded
+/// stream, so the two agree; the live scrape renders the pool's tally.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PoolTally {
     /// Fault-path accounting (`rereduced_jobs` stays zero here: that fact is
     /// a slave's, see [`SlaveSample::rereduced`]).
     pub faults: FaultCounters,
-    /// Jobs merged per processing site, split local/stolen.
-    pub counts: BTreeMap<SiteId, SiteJobCounts>,
+    /// One row per site, indexed by `SiteId`.
+    pub(crate) sites: Vec<SiteRow>,
+    /// Each chunk's data-home site, by `ChunkId`: whose shard a steal
+    /// emptied. Empty when folded from a recorded stream.
+    pub(crate) homes: Arc<[SiteId]>,
+}
+
+/// One site's row of the pool ledger: what the scrape's pool families show.
+/// `merged` and `lost` are split by the kind of job, `[local, stolen]`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SiteRow {
+    pub(crate) grants: u64,
+    pub(crate) steals: u64,
+    /// Jobs other sites stole out of this site's shard.
+    pub(crate) stolen_from: u64,
+    pub(crate) speculations: u64,
+    pub(crate) replica_grants: u64,
+    pub(crate) merged: [u64; 2],
+    /// Merged results lost with the site's robj.
+    pub(crate) lost: [u64; 2],
+    pub(crate) duplicates: u64,
+    pub(crate) reaps: u64,
+    pub(crate) failures: u64,
+    pub(crate) evacuated: u64,
+    pub(crate) replica_wins: u64,
+    pub(crate) replica_fences: u64,
+    pub(crate) saved_refetches: u64,
+}
+
+impl SiteRow {
+    /// What the site merged and did not lose with its robj, by kind.
+    pub(crate) fn jobs(&self) -> SiteJobCounts {
+        let net = |kind: usize| self.merged[kind].saturating_sub(self.lost[kind]);
+        SiteJobCounts { local: net(0), stolen: net(1) }
+    }
 }
 
 impl PoolTally {
+    /// Jobs merged per processing site, split local/stolen (Table I); a site
+    /// is in it once it merged a job.
+    #[must_use]
+    pub fn counts(&self) -> BTreeMap<SiteId, SiteJobCounts> {
+        let rows = self.sites.iter().enumerate().filter(|(_, r)| r.merged != [0, 0]);
+        rows.map(|(i, r)| (SiteId(i as u16), r.jobs())).collect()
+    }
+
     /// Fold one event into the ledger. Inlined (the bare hint is declined): at
     /// a call with the kind in hand only its arm is left, no event built whole.
     #[inline(always)]
     pub fn apply(&mut self, e: &Event) {
-        let faults = &mut self.faults;
+        let PoolTally { faults, sites, homes } = self;
+        // An event about no site counts in no row.
+        let mut unsited = SiteRow::default();
+        let row = match e.site {
+            Some(site) => row_mut(sites, site),
+            None => &mut unsited,
+        };
         match e.kind {
-            EventKind::JobGranted { speculative, replica, .. } => {
+            EventKind::JobGranted { stolen, speculative, replica } => {
                 faults.speculative_grants += u64::from(speculative);
                 faults.replica_grants += u64::from(replica);
+                row.grants += 1;
+                row.steals += u64::from(stolen);
+                row.speculations += u64::from(speculative);
+                row.replica_grants += u64::from(replica);
+                if stolen {
+                    if let Some(&home) = e.chunk.and_then(|c| homes.get(c.0 as usize)) {
+                        row_mut(sites, home).stolen_from += 1;
+                    }
+                }
             }
-            EventKind::JobCompleted { merged: false, .. } => faults.duplicate_completions += 1,
+            EventKind::JobCompleted { merged: false, .. } => {
+                faults.duplicate_completions += 1;
+                row.duplicates += 1;
+            }
             EventKind::JobCompleted { merged: true, late, stolen } => {
                 faults.late_completions += u64::from(late);
-                if let Some(site) = e.site {
-                    let c = self.counts.entry(site).or_default();
-                    *(if stolen { &mut c.stolen } else { &mut c.local }) += 1;
-                }
+                row.merged[usize::from(stolen)] += 1;
             }
             EventKind::LostResult { stolen } => {
                 faults.lost_results += 1;
-                if let Some(site) = e.site {
-                    let c = self.counts.entry(site).or_default();
-                    *(if stolen { &mut c.stolen } else { &mut c.local }) -= 1;
-                }
+                row.lost[usize::from(stolen)] += 1;
             }
             EventKind::SpeculationResolved { won: true } => faults.speculative_wins += 1,
             EventKind::SpeculationResolved { won: false } => faults.speculative_losses += 1,
-            EventKind::ReplicaResolved { won: true } => faults.replica_wins += 1,
-            EventKind::ReplicaResolved { won: false } => faults.replica_fences += 1,
-            EventKind::RefetchSaved => faults.saved_refetches += 1,
-            EventKind::LeaseReaped => faults.lease_expiries += 1,
-            EventKind::JobEvacuated => faults.evacuated_jobs += 1,
+            EventKind::ReplicaResolved { won: true } => {
+                faults.replica_wins += 1;
+                row.replica_wins += 1;
+            }
+            EventKind::ReplicaResolved { won: false } => {
+                faults.replica_fences += 1;
+                row.replica_fences += 1;
+            }
+            EventKind::RefetchSaved => {
+                faults.saved_refetches += 1;
+                row.saved_refetches += 1;
+            }
+            EventKind::LeaseReaped => {
+                faults.lease_expiries += 1;
+                row.reaps += 1;
+            }
+            EventKind::JobEvacuated => {
+                faults.evacuated_jobs += 1;
+                row.evacuated += 1;
+            }
+            EventKind::JobFailed => row.failures += 1,
             EventKind::JobAbandoned => {
                 if let Some(chunk) = e.chunk {
                     faults.abandoned_jobs.push(AbandonedJob { chunk, last_site: e.site });
@@ -1119,6 +1191,17 @@ impl PoolTally {
             _ => {}
         }
     }
+}
+
+/// `site`'s row, made (with any missing below it) at its first use; a
+/// `SiteId` is 16 bits, so the rows stay bounded whatever a peer says.
+#[inline(always)]
+fn row_mut(sites: &mut Vec<SiteRow>, site: SiteId) -> &mut SiteRow {
+    let i = usize::from(site.0);
+    if i >= sites.len() {
+        sites.resize(i + 1, SiteRow::default());
+    }
+    &mut sites[i]
 }
 
 impl SlaveSample {
@@ -1184,8 +1267,9 @@ pub fn derive_report(events: &[Event], env: &str) -> RunReport {
             sample.slaves.push(slave);
         }
     }
+    let counts = pool.counts();
     for (site, sample) in &mut samples {
-        sample.jobs = pool.counts.get(site).copied().unwrap_or_default();
+        sample.jobs = counts.get(site).copied().unwrap_or_default();
     }
     crate::stats::assemble_report(env, pool.faults, &samples, global_reduction, total_time)
 }
@@ -1438,6 +1522,21 @@ mod tests {
         let off = FlightRecorder::new(0);
         off.record(Event::at(1, EventKind::Heartbeat));
         assert!(off.snapshot().is_empty());
+    }
+
+    #[test]
+    fn a_flight_recorder_of_any_capacity_allocates_only_what_it_holds() {
+        // The cap bounds the window; it sizes nothing up front.
+        let fr = FlightRecorder::new(usize::MAX);
+        assert_eq!(fr.capacity(), usize::MAX);
+        for i in 0..5u64 {
+            fr.record(Event::at(i, EventKind::Heartbeat));
+        }
+        assert_eq!((fr.len(), fr.total_recorded()), (5, 5));
+        let at: Vec<u64> = fr.snapshot().iter().map(|e| e.at_ns).collect();
+        assert_eq!(at, vec![0, 1, 2, 3, 4]);
+        let tail: Vec<u64> = fr.last(2).iter().map(|e| e.at_ns).collect();
+        assert_eq!(tail, vec![3, 4]);
     }
 
     #[test]

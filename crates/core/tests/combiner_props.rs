@@ -139,6 +139,23 @@ proptest! {
     }
 
     #[test]
+    fn topk_with_an_unbounded_k_keeps_everything_sorted(
+        xs in prop::collection::vec(0i64..1000, 0..60),
+        split in 0usize..60,
+    ) {
+        // `k` bounds the set; it sizes nothing up front.
+        let split = split.min(xs.len());
+        let mut a = TopK::new(usize::MAX);
+        let mut b = TopK::new(usize::MAX);
+        xs[..split].iter().for_each(|&x| a.observe(x));
+        xs[split..].iter().for_each(|&x| b.observe(x));
+        a.merge(b);
+        let mut sorted = xs.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(a.into_sorted(), sorted);
+    }
+
+    #[test]
     fn concat_preserves_multiset(
         a in prop::collection::vec(0u32..100, 0..20),
         b in prop::collection::vec(0u32..100, 0..20),

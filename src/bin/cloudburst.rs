@@ -27,8 +27,8 @@ use cloudburst_core::{
     analyze, check_sequence, chrome_trace, derive_report, diff_benchmarks, events_to_jsonl,
     http_get, http_get_status, ns_since, parse_events_jsonl, parse_exposition, report_to_json,
     ConsoleSink, Direction, Event, EventKind, EventSink, Exposition, FlightRecorder, HealthConfig,
-    HealthMonitor, HealthSample, Histogram, Json, JsonlSink, LogLevel, Metrics, MetricsServer,
-    Recorder, Registry, RouteHandler, Sample, Telemetry,
+    HealthDetector, HealthMonitor, HealthSample, Histogram, Json, JsonlSink, LogLevel, Metrics,
+    MetricsServer, Recorder, Registry, RouteHandler, Sample, Telemetry,
 };
 use cloudburst_sim::{cost_of_usage, CostReport, PricingModel};
 use cloudburst_storage::{organize_redundant, read_index_meta, write_index_redundant, SiteStore};
@@ -383,9 +383,9 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let app = args.first().ok_or("run: missing application name")?.clone();
-    if app == "kmeans" {
+    if app == "kmeans" || app == "knn" {
         // Checked before anything is set up, so a bad value is a usage error.
-        kmeans_k(args)?;
+        app_k(&app, args)?;
     }
     let org_dir = PathBuf::from(required(args, "--org")?);
     let local_cores: u32 = opt_parse(args, "--local-cores", 2)?;
@@ -596,10 +596,11 @@ fn app_unit_size(app: &str) -> Result<usize, String> {
     })
 }
 
-/// `run kmeans --k`: the number of centroids, at least one.
-fn kmeans_k(args: &[String]) -> Result<usize, String> {
-    match opt_parse(args, "--k", 8)? {
-        0 => Err("--k must be at least 1 (kmeans needs a centroid)".to_owned()),
+/// `run kmeans|knn --k`: the number of centroids or neighbors, at least one.
+fn app_k(app: &str, args: &[String]) -> Result<usize, String> {
+    let (default, what) = if app == "knn" { (10, "a neighbor") } else { (8, "a centroid") };
+    match opt_parse(args, "--k", default)? {
+        0 => Err(format!("--k must be at least 1 ({app} needs {what})")),
         k => Ok(k),
     }
 }
@@ -627,7 +628,7 @@ fn execute_app(
             Some(out.report)
         }
         "knn" => {
-            let k: usize = opt_parse(args, "--k", 10)?;
+            let k = app_k(app, args)?;
             let knn = Knn::<DIM>::new([0.5; DIM], k);
             let out = run_hybrid(&knn, index, stores, config).map_err(|e| e.to_string())?;
             println!("{k} nearest neighbors of {:?}:", knn.query);
@@ -637,7 +638,7 @@ fn execute_app(
             Some(out.report)
         }
         "kmeans" => {
-            let k = kmeans_k(args)?;
+            let k = app_k(app, args)?;
             let iterations: usize = opt_parse(args, "--iterations", 10)?;
             let mut centroids: Vec<[f64; DIM]> =
                 (0..k).map(|i| [(i as f64 + 0.5) / k as f64; DIM]).collect();
@@ -1181,15 +1182,15 @@ fn sampler_loop(
             wan_fetch_secs: sums.wan_secs,
             wan_fetch_jobs: sums.cloud_gets,
         };
-        if let Ok(mut monitor) = health.lock() {
+        let tripped = health.lock().map(|mut monitor| {
             monitor.observe(&sample);
-        }
+            monitor.tripped()
+        });
         if watch {
             let elapsed = now.saturating_duration_since(epoch).as_secs_f64();
-            eprintln!(
-                "{}",
-                watch_line(&sums, &prev, dt, elapsed, local_cores, cloud_cores, pricing)
-            );
+            let cores = (local_cores, cloud_cores);
+            let tripped = tripped.unwrap_or_default();
+            eprintln!("{}", watch_line(&sums, &prev, dt, elapsed, cores, &tripped, pricing));
         }
         prev = sums;
         prev_at = now;
@@ -1197,14 +1198,15 @@ fn sampler_loop(
 }
 
 /// Render one `--watch` status line: overall progress, per-site throughput
-/// and utilization, a straggler alert, and the running dollar meter.
+/// and utilization, the straggler while the health monitor's detector for it
+/// is `tripped`, and the running dollar meter.
 fn watch_line(
     sums: &MetricSums,
     prev: &MetricSums,
     dt: f64,
     elapsed: f64,
-    local_cores: u32,
-    cloud_cores: u32,
+    (local_cores, cloud_cores): (u32, u32),
+    tripped: &[HealthDetector],
     pricing: &PricingModel,
 ) -> String {
     let mut line = format!(
@@ -1243,26 +1245,18 @@ fn watch_line(
             line.push_str(&format!(" | shard imb {:.1}x", max / mean));
         }
     }
-    // Straggler watch: a site whose per-core rate has fallen well below the
-    // mean while work remains is dragging the tail; estimate the drain time
-    // of the remaining jobs at the current aggregate rate.
+    // Straggler watch: while the health monitor's straggler detector is
+    // tripped (its threshold and hysteresis, the `/healthz` verdict), name
+    // the site with the lowest per-core rate and estimate the drain time of
+    // the remaining jobs at the current aggregate rate.
     let outstanding = sums.queue_depth.max(0) + sums.in_flight.max(0);
-    if rates.len() > 1 && outstanding > 0 {
-        let mean = rates.iter().map(|r| r.2).sum::<f64>() / rates.len() as f64;
-        if let Some(slow) = rates.iter().min_by(|a, b| a.2.total_cmp(&b.2)) {
-            if mean > 0.0 && slow.2 < 0.67 * mean {
-                let total_rate: f64 = rates.iter().map(|r| r.1).sum();
-                if total_rate > 0.0 {
-                    line.push_str(&format!(
-                        " | straggler {} (eta {:.1}s)",
-                        slow.0,
-                        outstanding as f64 / total_rate
-                    ));
-                } else {
-                    line.push_str(&format!(" | straggler {} (stalled)", slow.0));
-                }
-            }
-        }
+    let straggling = tripped.contains(&HealthDetector::Straggler) && rates.len() > 1;
+    let slowest = rates.iter().min_by(|a, b| a.2.total_cmp(&b.2));
+    if let Some(slow) = slowest.filter(|_| straggling && outstanding > 0) {
+        let total_rate: f64 = rates.iter().map(|r| r.1).sum();
+        let eta = outstanding as f64 / total_rate;
+        let eta = if total_rate > 0.0 { format!("eta {eta:.1}s") } else { "stalled".to_owned() };
+        line.push_str(&format!(" | straggler {} ({eta})", slow.0));
     }
     // TCP-mode runs: the head reactor's connection churn and its current
     // wake-up count (threaded-mode runs never move these instruments).
@@ -2066,6 +2060,25 @@ mod tests {
         assert!(advice.contains("batch size"), "{advice}");
         // The request window sizes itself; the watermark is only its floor.
         assert!(!advice.contains("watermark"), "{advice}");
+    }
+
+    #[test]
+    fn the_watch_line_names_a_straggler_only_while_the_detector_is_tripped() {
+        // Local runs 7 jobs a second per core, the cloud 3: 0.6 of the mean,
+        // slow, but whether that is a straggler is the health monitor's call.
+        let mut sums = MetricSums { queue_depth: 10, ..MetricSums::default() };
+        for (site, jobs) in [("local", 7), ("cloud", 3)] {
+            sums.sites.insert(site.to_owned(), SiteSums { jobs, ..SiteSums::default() });
+        }
+        let prev = MetricSums::default();
+        let pricing = PricingModel::aws_2011();
+        let line = |tripped: &[HealthDetector]| {
+            watch_line(&sums, &prev, 1.0, 1.0, (1, 1), tripped, &pricing)
+        };
+        let quiet = line(&[HealthDetector::QueueStall]);
+        assert!(!quiet.contains("straggler"), "{quiet}");
+        let tripped = line(&[HealthDetector::Straggler]);
+        assert!(tripped.contains("straggler cloud (eta 1.0s)"), "{tripped}");
     }
 
     #[test]

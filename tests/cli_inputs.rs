@@ -107,3 +107,36 @@ fn run_over_a_dataset_organized_for_another_application_is_a_usage_error() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn run_knn_with_zero_neighbors_is_a_usage_error() {
+    let dir = scratch("knn0");
+    knn_org(&dir);
+    let out = cloudburst(&dir, &["run", "knn", "--org", "org", "--k", "0"]);
+    assert_usage_error(&dir, &out, "--k");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_knn_with_more_neighbors_than_points_lists_every_point() {
+    let dir = scratch("knnbig");
+    knn_org(&dir);
+    // `k` bounds the answer; it must not size an allocation.
+    let out = cloudburst(&dir, &["run", "knn", "--org", "org", "--k", "100000000000"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stdout.lines().filter(|l| l.trim_start().starts_with("point ")).count(), 2000);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flight_recorder_cap_beyond_memory_is_only_a_bound() {
+    let dir = scratch("flightcap");
+    knn_org(&dir);
+    // The cap bounds the window; it must not size an allocation.
+    for cap in ["100000000000", "18446744073709551615"] {
+        let out = cloudburst(&dir, &["run", "knn", "--org", "org", "--flight-recorder-cap", cap]);
+        assert!(out.status.success(), "{cap}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -58,6 +58,30 @@ if grep -rn 'SlaveStats\|failure_counts' crates src tests; then
     echo "SlaveStats / failure_counts are back: tally through SlaveSample::apply and PoolTally"
     exit 1
 fi
+# The live scrape is a render of the same ledger: the head publishes its
+# pool's `PoolTally` and each slave its `SlaveSample` to the live ledger of
+# their `Metrics` handle, and one render (the "live ledger" section of core/src/metrics.rs) turns them
+# into the pool's and the slaves' ledger families. The pool naming a live
+# instrument, or one of those families named anywhere else in the library
+# crates above their test modules (a second fold counting them), fails the
+# run. The binary only reads the families (`summarize`, `check-metrics`).
+if grep -nwE 'Metrics|Counter|Gauge' crates/core/src/pool.rs; then
+    echo "core/src/pool.rs names a live instrument: the scrape renders the pool's PoolTally"
+    exit 1
+fi
+LEDGER_FAMILIES='cloudburst_pool_[a-z_]+|cloudburst_slave_(jobs|remote_bytes|retries|fetch_busy_seconds|process_busy_seconds)_total'
+STRAY=$(find crates -path '*/src/*' -name '*.rs' | sort | while read -r f; do
+    awk -v render="$([[ $f == crates/core/src/metrics.rs ]] && echo 1)" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^\/\/ The live ledger$/ { inside = render }
+        /^\/\/ Exposition parsing/ { inside = 0 }
+        !inside { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E "$LEDGER_FAMILIES" || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "a ledger family is named outside the live ledger's one render in core/src/metrics.rs"
+    exit 1
+fi
 # The fold costs nothing only inlined, where the kind is a constant and its
 # arm all that is left; `#[inline]` alone was declined (3 % of grant-storm-tcp).
 if command -v nm >/dev/null && nm -C ladder/target/release/ladder \
@@ -477,14 +501,17 @@ CLEAN=$(grep -o '"total_trips":[0-9]*' "$SMOKE/cleanstats.json" | grep -o '[0-9]
 [[ "$CLEAN" == "0" ]] \
     || { echo "clean run tripped a detector (total_trips=${CLEAN:-missing})"; exit 1; }
 echo "   health: chaos trips $TRIPS detector transition(s), clean run 0"
-# Fatal chaos: one lease attempt + a crawling cloud abandons jobs, the run
-# fails, and the black box must hold the three post-mortem artifacts in
-# the shapes the offline tooling consumes. The crash-<ts>/ dump lands in
-# the run's cwd, so run from $SMOKE (with $BIN resolved absolute first).
+# Fatal chaos: the only processing site dies mid-run, so once the head has
+# heard nothing for the heartbeat timeout it abandons what is left and the run
+# fails — by construction, not by a race: 118 chunks at 20 ms each on two
+# workers take about 1.2 s, and the outage comes at 0.1 s. The black box must
+# hold the three post-mortem artifacts in the shapes the offline tooling
+# consumes. The crash-<ts>/ dump lands in the run's cwd, so run from $SMOKE
+# (with $BIN resolved absolute first).
 ABSBIN="$PWD/$BIN"
 if ( cd "$SMOKE" && "$ABSBIN" run wordcount --org "$SMOKE/org" --local-cores 2 \
-    --cloud-cores 2 --time-scale 2e-3 --metrics-addr "127.0.0.1:$HPORT" \
-    --chaos 'seed=5,lease=0.0005:0.0005:0.001:1,slow=cloud:40' \
+    --cloud-cores 0 --time-scale 2e-3 --metrics-addr "127.0.0.1:$HPORT" \
+    --chaos 'seed=5,outage=local@0.1,slow=local:0:0.02,slow=local:1:0.02,hb=0.01:0.05' \
     >/dev/null 2>&1 ); then
     echo "abandoning chaos run unexpectedly passed"; exit 1
 fi
