@@ -12,8 +12,8 @@ use bytes::Bytes;
 use cloudburst_cluster::{run_hybrid, RuntimeConfig};
 use cloudburst_core::combiners::Sum;
 use cloudburst_core::{
-    analyze, DataIndex, EnvConfig, Event, EventKind, FlightRecorder, Json, LayoutParams,
-    MetricKind, Metrics, Recorder, Reduction, RunAnalysis, SiteId, Telemetry,
+    analyze, DataIndex, EnvConfig, Event, EventKind, FlightRecorder, Json, LayoutParams, Metrics,
+    Recorder, Reduction, RunAnalysis, SiteId, Telemetry,
 };
 use cloudburst_netsim::LinkSpec;
 use cloudburst_storage::{
@@ -466,17 +466,9 @@ pub fn quantify(sc: &OverlapScenario, depths: &[usize], reps: u32) -> OverlapRep
         }
     }
     let t_bare = median(&mut bare_times);
-    // Histograms flatten to their observe count in a registry snapshot, so
-    // this is the exact number of latency observations the metered runs
-    // made; each observe site also feeds a couple of counters, which the
+    // Each observe site also feeds a couple of counters, which the
     // microbenchmarked per-site cost bundles in.
-    let observes: f64 = groups
-        .iter()
-        .flat_map(|m| m.registry().expect("metrics are on").snapshot())
-        .filter(|s| s.kind == MetricKind::Histogram)
-        .map(|s| s.value)
-        .sum();
-    let observes_per_run = observes / f64::from(triplets);
+    let observes_per_run = groups.iter().map(observations).sum::<f64>() / f64::from(triplets);
     let events_per_run = ring.total_recorded() as f64 / f64::from(triplets);
     OverlapReport {
         runs,
@@ -488,6 +480,22 @@ pub fn quantify(sc: &OverlapScenario, depths: &[usize], reps: u32) -> OverlapRep
         flight_recorder_overhead: 1.0 + events_per_run * per_event_emit_seconds() / t_bare,
         latency: latency_floor(&groups),
     }
+}
+
+/// Every histogram a metered run observes into.
+const HISTOGRAMS: [&str; 6] = [
+    "cloudburst_store_read_seconds",
+    "cloudburst_fetch_seconds",
+    "cloudburst_process_seconds",
+    "cloudburst_slave_settle_jobs",
+    "cloudburst_master_grant_rtt_seconds",
+    "cloudburst_slave_batch_jobs",
+];
+
+/// The observations the runs metered by `metrics` made, all histograms.
+fn observations(metrics: &Metrics) -> f64 {
+    let registry = metrics.registry().expect("metrics are on");
+    HISTOGRAMS.iter().map(|name| registry.total(name, &[])).sum()
 }
 
 /// Floor cost of one `Telemetry::emit` teed into a flight ring: seq stamp,
@@ -624,6 +632,23 @@ mod tests {
         for key in ["\"dominant\"", "\"breakdown\"", "\"wan_fetch\"", "\"attribution_agrees\""] {
             assert!(text.contains(key), "attribution artifact is missing {key}");
         }
+    }
+
+    #[test]
+    fn every_histogram_a_metered_run_observes_is_counted() {
+        let sc = s3_heavy_scenario(4, 2);
+        let metrics = Metrics::on();
+        assert!(run_at_depth_with(&sc, 2, &metrics).result_ok);
+        let text = metrics.registry().unwrap().render();
+        let exp = cloudburst_core::parse_exposition(&text).unwrap();
+        let counted: f64 = exp
+            .types
+            .iter()
+            .filter(|(_, kind)| kind.as_str() == "histogram")
+            .map(|(name, _)| exp.sum_family(&format!("{name}_count")))
+            .sum();
+        assert!(counted > 0.0);
+        assert_eq!(observations(&metrics), counted, "{text}");
     }
 
     #[test]

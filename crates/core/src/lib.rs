@@ -84,8 +84,8 @@ pub use layout::{ChunkMeta, FileMeta, LayoutParams};
 pub use master::{ask_size, Ledger, LocalJob, MasterPool, RequestId, Take};
 pub use metrics::{
     check_monotonic, http_get, http_get_status, parse_exposition, Counter, Exposition, Gauge,
-    Histogram, LiveLedger, MetricKind, Metrics, MetricsServer, Registry, RouteHandler,
-    RouteResponse, Sample,
+    Histogram, LedgerTotals, LiveLedger, Metrics, MetricsServer, Registry, RouteHandler,
+    RouteResponse, SiteTotals,
 };
 pub use pool::Completion;
 pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};

@@ -24,10 +24,12 @@
 //! by `(name, labels)` so re-registering returns the *same* instrument —
 //! iterative applications accumulate across `run_hybrid` calls instead of
 //! emitting duplicate series. The pool's and the slaves' ledger families are
-//! no instruments: the handle's live ledger renders the tallies the reports
-//! are built from, as each run's head and slaves publish them.
-//! [`Registry::render`] produces deterministic, sorted exposition text; [`parse_exposition`] is the matching strict
-//! parser/validator used by `cloudburst check-metrics` and the proptests.
+//! no instruments: the registry owns the handle's live ledger (the tallies the
+//! reports are built from, as each run's head and slaves publish them), renders
+//! it beside the instruments, and reads both typed for the live view
+//! ([`Registry::ledger`], [`Registry::total`]). [`Registry::render`] produces
+//! deterministic, sorted exposition text; [`parse_exposition`] is the matching
+//! strict parser/validator used by `cloudburst check-metrics` and the proptests.
 //! [`MetricsServer`] is a dependency-free `/metrics` HTTP listener.
 
 use crate::pool::JobPool;
@@ -324,7 +326,7 @@ impl std::fmt::Debug for Histogram {
 
 /// The kind of a metric family, as rendered in `# TYPE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+enum MetricKind {
     /// Monotonically increasing.
     Counter,
     /// Instantaneous value.
@@ -357,31 +359,12 @@ struct Family {
     series: BTreeMap<LabelSet, Instrument>,
 }
 
-/// One sample contributed by a [`Registry::register_collector`] closure —
-/// a pull-based bridge for values that are not registry instruments (a
-/// handle's live ledger).
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Family name (without label braces).
-    pub name: String,
-    /// `# HELP` text for the family.
-    pub help: String,
-    /// Counter or gauge (collector histograms are not supported).
-    pub kind: MetricKind,
-    /// Label pairs, unsorted (the registry sorts them).
-    pub labels: Vec<(String, String)>,
-    /// Current value.
-    pub value: f64,
-}
-
-type Collector = Box<dyn Fn() -> Vec<Sample> + Send + Sync>;
-
 /// The metric store behind an enabled [`Metrics`] handle: families of
-/// labeled series plus pull-based collectors, rendered on demand.
+/// labeled instrument series and the handle's live ledger, rendered on demand.
 #[derive(Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
-    collectors: Mutex<BTreeMap<String, Collector>>,
+    ledger: LedgerHub,
 }
 
 fn canon_labels(labels: &[(&str, &str)]) -> LabelSet {
@@ -483,8 +466,7 @@ impl Registry {
     }
 
     /// The histogram series `name{labels}`, if one was ever created — a
-    /// read-only lookup for views that want quantiles, which
-    /// [`Registry::snapshot`] flattens away.
+    /// read-only lookup for views that want quantiles.
     #[must_use]
     pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
         match self.families.lock().get(name)?.series.get(&canon_labels(labels))? {
@@ -493,48 +475,24 @@ impl Registry {
         }
     }
 
-    /// Install (or replace) the named pull-based collector. Keying by name
-    /// lets iterative runs re-register their collectors without stacking
-    /// duplicate series.
-    pub fn register_collector(
-        &self,
-        key: &str,
-        collect: impl Fn() -> Vec<Sample> + Send + Sync + 'static,
-    ) {
-        self.collectors.lock().insert(key.to_owned(), Box::new(collect));
+    /// The instrument `name` summed over its series whose labels include
+    /// every pair of `labels`: a counter's or a gauge's value as rendered, a
+    /// histogram's count of observations; 0 when no series matches.
+    #[must_use]
+    pub fn total(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
+        let families = self.families.lock();
+        let Some(family) = families.get(name) else { return 0.0 };
+        let wanted = |have: &LabelSet| {
+            labels.iter().all(|&(k, v)| have.iter().any(|(hk, hv)| hk == k && hv == v))
+        };
+        family.series.iter().filter(|(have, _)| wanted(have)).map(|(_, i)| i.value()).sum()
     }
 
-    /// Current value of every series, flattened — the machine-readable twin
-    /// of [`Registry::render`], used by the live watch and the sampler.
+    /// The live ledger summed over every publisher this handle has had, by
+    /// site: what `--watch`, `/debug` and the health sampler show.
     #[must_use]
-    pub fn snapshot(&self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        {
-            let families = self.families.lock();
-            for (name, family) in families.iter() {
-                for (labels, inst) in &family.series {
-                    let value = match inst {
-                        Instrument::Counter(c) => c.total() as f64 * c.scale,
-                        Instrument::Gauge(g) => g.load(Ordering::Relaxed) as f64,
-                        // Histograms flatten to their count; quantiles are
-                        // read through the `Histogram` handle instead.
-                        Instrument::Histogram(h) => h.snapshot().0.iter().sum::<u64>() as f64,
-                    };
-                    out.push(Sample {
-                        name: name.clone(),
-                        help: family.help.clone(),
-                        kind: family.kind,
-                        labels: labels.clone(),
-                        value,
-                    });
-                }
-            }
-        }
-        let collectors = self.collectors.lock();
-        for collect in collectors.values() {
-            out.extend(collect());
-        }
-        out
+    pub fn ledger(&self) -> LedgerTotals {
+        self.ledger.sum().by_site()
     }
 
     /// Render Prometheus text exposition format 0.0.4: `# HELP`/`# TYPE`
@@ -542,66 +500,22 @@ impl Registry {
     /// `_bucket`/`_sum`/`_count`. Deterministic for a fixed metric state.
     #[must_use]
     pub fn render(&self) -> String {
-        // Merge instrument families with collector samples (summing any
-        // duplicate series so the output never repeats a series key).
-        struct RFamily {
-            help: String,
-            kind: MetricKind,
-            scalars: BTreeMap<LabelSet, f64>,
-            /// bucket counts, scaled sum, le-bound scale.
-            hists: BTreeMap<LabelSet, (Vec<u64>, f64, f64)>,
-        }
-        let mut render: BTreeMap<String, RFamily> = BTreeMap::new();
-        {
-            let families = self.families.lock();
-            for (name, family) in families.iter() {
-                let rf = render.entry(name.clone()).or_insert_with(|| RFamily {
-                    help: family.help.clone(),
-                    kind: family.kind,
-                    scalars: BTreeMap::new(),
-                    hists: BTreeMap::new(),
-                });
-                for (labels, inst) in &family.series {
-                    match inst {
-                        Instrument::Counter(c) => {
-                            *rf.scalars.entry(labels.clone()).or_insert(0.0) +=
-                                c.total() as f64 * c.scale;
-                        }
-                        Instrument::Gauge(g) => {
-                            *rf.scalars.entry(labels.clone()).or_insert(0.0) +=
-                                g.load(Ordering::Relaxed) as f64;
-                        }
-                        Instrument::Histogram(h) => {
-                            let (counts, sum) = h.snapshot();
-                            rf.hists
-                                .insert(labels.clone(), (counts, sum as f64 * h.scale, h.scale));
-                        }
+        let mut render: BTreeMap<String, Rendered> = BTreeMap::new();
+        for (name, family) in self.families.lock().iter() {
+            let rf = render
+                .entry(name.clone())
+                .or_insert_with(|| Rendered::new(&family.help, family.kind));
+            for (labels, inst) in &family.series {
+                match inst {
+                    Instrument::Histogram(h) => {
+                        let (counts, sum) = h.snapshot();
+                        rf.hists.insert(labels.clone(), (counts, sum as f64 * h.scale, h.scale));
                     }
+                    scalar => *rf.scalars.entry(labels.clone()).or_insert(0.0) += scalar.value(),
                 }
             }
         }
-        {
-            let collectors = self.collectors.lock();
-            for collect in collectors.values() {
-                for s in collect() {
-                    if !valid_name(&s.name) || s.kind == MetricKind::Histogram {
-                        continue;
-                    }
-                    let rf = render.entry(s.name.clone()).or_insert_with(|| RFamily {
-                        help: s.help.clone(),
-                        kind: s.kind,
-                        scalars: BTreeMap::new(),
-                        hists: BTreeMap::new(),
-                    });
-                    let labels: LabelSet = {
-                        let mut l = s.labels.clone();
-                        l.sort();
-                        l
-                    };
-                    *rf.scalars.entry(labels).or_insert(0.0) += s.value;
-                }
-            }
-        }
+        self.ledger.sum().render(&mut render);
 
         let mut out = String::new();
         for (name, rf) in &render {
@@ -634,6 +548,32 @@ impl Registry {
             }
         }
         out
+    }
+}
+
+impl Instrument {
+    /// A counter's or gauge's value as rendered; a histogram's count.
+    fn value(&self) -> f64 {
+        match self {
+            Instrument::Counter(c) => c.total() as f64 * c.scale,
+            Instrument::Gauge(g) => g.load(Ordering::Relaxed) as f64,
+            Instrument::Histogram(h) => h.snapshot().0.iter().sum::<u64>() as f64,
+        }
+    }
+}
+
+/// One family as [`Registry::render`] writes it.
+struct Rendered {
+    help: String,
+    kind: MetricKind,
+    scalars: BTreeMap<LabelSet, f64>,
+    /// bucket counts, scaled sum, le-bound scale.
+    hists: BTreeMap<LabelSet, (Vec<u64>, f64, f64)>,
+}
+
+impl Rendered {
+    fn new(help: &str, kind: MetricKind) -> Rendered {
+        Rendered { help: help.to_owned(), kind, scalars: BTreeMap::new(), hists: BTreeMap::new() }
     }
 }
 
@@ -675,25 +615,20 @@ fn fmt_value(v: f64) -> String {
 #[derive(Clone, Default)]
 pub struct Metrics {
     registry: Option<Arc<Registry>>,
-    /// The live ledger its registry renders.
-    ledger: Option<Arc<LedgerHub>>,
 }
 
 impl Metrics {
     /// The disabled handle: instruments cost one branch.
     #[must_use]
     pub fn off() -> Metrics {
-        Metrics { registry: None, ledger: None }
+        Metrics { registry: None }
     }
 
-    /// An enabled handle over a fresh registry, which renders the handle's
-    /// live ledger.
+    /// An enabled handle over a fresh registry, which holds and renders the
+    /// handle's live ledger.
     #[must_use]
     pub fn on() -> Metrics {
-        let (registry, ledger) = (Arc::new(Registry::new()), Arc::new(LedgerHub::default()));
-        let hub = Arc::clone(&ledger);
-        registry.register_collector("ledger", move || hub.render());
-        Metrics { registry: Some(registry), ledger: Some(ledger) }
+        Metrics { registry: Some(Arc::new(Registry::new())) }
     }
 
     /// Whether a registry is attached.
@@ -761,10 +696,10 @@ impl Metrics {
     /// what it publishes is in the scrape from then on.
     #[must_use]
     pub fn ledger(&self) -> LiveLedger {
-        let Some(hub) = &self.ledger else { return LiveLedger::default() };
+        let Some(registry) = &self.registry else { return LiveLedger::default() };
         let mine = Arc::new(Mutex::new(Totals::default()));
-        hub.0.lock().1.push(Arc::clone(&mine));
-        LiveLedger(Some((Arc::clone(hub), mine)))
+        registry.ledger.0.lock().1.push(Arc::clone(&mine));
+        LiveLedger(Some((Arc::clone(registry), mine)))
     }
 }
 
@@ -780,19 +715,65 @@ impl std::fmt::Debug for Metrics {
 
 /// Where one head or one slave publishes what it has tallied — the pool's
 /// [`PoolTally`](crate::telemetry::PoolTally) or the slave's [`SlaveSample`],
-/// which the run report is built from — for the scrape, which renders it.
+/// which the run report is built from — for the scrape and the live view.
 /// Made by [`Metrics::ledger`]; off, it is a `None`. Dropped, what it last
 /// counted moves into its handle's running totals, and nothing of its pool
 /// waits or is in flight any more.
 #[derive(Default)]
-pub struct LiveLedger(Option<(Arc<LedgerHub>, Arc<Mutex<Totals>>)>);
+pub struct LiveLedger(Option<(Arc<Registry>, Arc<Mutex<Totals>>)>);
 
-/// The live ledger of one enabled [`Metrics`] handle, rendered by its one
-/// collector: the totals of the publishers already dropped, and the open
-/// publishers' own. Runs that share the handle add up, and what it holds
-/// follows the publishers alive, not the runs it served.
+/// The live ledger of one enabled [`Metrics`] handle, held by its registry:
+/// the totals of the publishers already dropped, and the open publishers'
+/// own. Runs that share the handle add up, and what it holds follows the
+/// publishers alive, not the runs it served.
 #[derive(Default)]
 struct LedgerHub(Mutex<(Totals, Vec<Arc<Mutex<Totals>>>)>);
+
+/// The live ledger as the live view reads it ([`Registry::ledger`]): each
+/// site's totals, and the jobs in flight.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LedgerTotals {
+    /// Jobs leased to some site now.
+    pub in_flight: u64,
+    /// Every site a publisher has named: one whose shard holds data, whose
+    /// slaves published, or whose pool row counts anything.
+    pub sites: BTreeMap<SiteId, SiteTotals>,
+}
+
+/// One site's row of [`LedgerTotals`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct SiteTotals {
+    /// Job leases the head granted the site.
+    pub grants: u64,
+    /// Jobs the site stole from other sites' shards.
+    pub steals: u64,
+    /// Jobs other sites stole out of the site's shard.
+    pub stolen_from: u64,
+    /// The site's leases the head reaped.
+    pub lease_reaps: u64,
+    /// Jobs waiting in the site's shard.
+    pub depth: u64,
+    /// Jobs the site's slaves decoded and reduced.
+    pub jobs: u64,
+    /// Seconds the site's slaves spent fetching and processing.
+    pub busy_secs: f64,
+}
+
+impl LedgerTotals {
+    /// The sum of every site's row.
+    #[must_use]
+    pub fn all(&self) -> SiteTotals {
+        self.sites.values().fold(SiteTotals::default(), |a, s| SiteTotals {
+            grants: a.grants + s.grants,
+            steals: a.steals + s.steals,
+            stolen_from: a.stolen_from + s.stolen_from,
+            lease_reaps: a.lease_reaps + s.lease_reaps,
+            depth: a.depth + s.depth,
+            jobs: a.jobs + s.jobs,
+            busy_secs: a.busy_secs + s.busy_secs,
+        })
+    }
+}
 
 /// The ledger families' values: each site's pool counts in
 /// [`POOL_FAMILIES`] order, the jobs waiting per shard (every shard, from
@@ -824,8 +805,8 @@ impl LiveLedger {
 
 impl Drop for LiveLedger {
     fn drop(&mut self) {
-        if let Some((hub, mine)) = self.0.take() {
-            let (closed, open) = &mut *hub.0.lock();
+        if let Some((registry, mine)) = self.0.take() {
+            let (closed, open) = &mut *registry.ledger.0.lock();
             let mut gone = mine.lock();
             gone.depth.values_mut().for_each(|d| *d = 0);
             gone.in_flight = gone.in_flight.map(|_| 0);
@@ -837,13 +818,13 @@ impl Drop for LiveLedger {
 }
 
 impl LedgerHub {
-    /// The one render of the ledger, under the lock a publisher's drop takes
-    /// to move its totals: no scrape counts them twice or not at all.
-    fn render(&self) -> Vec<Sample> {
+    /// The ledger's one sum, under the lock a publisher's drop takes to move
+    /// its totals: no read counts them twice or not at all.
+    fn sum(&self) -> Totals {
         let (closed, open) = &*self.0.lock();
         let mut totals = closed.clone();
         open.iter().for_each(|mine| totals.add(&mine.lock()));
-        totals.render()
+        totals
     }
 }
 
@@ -880,10 +861,12 @@ type PoolFamily = (&'static str, &'static str, Option<&'static str>, fn(&SiteRow
 /// A slave family: name, help, and its value in a slave's sample.
 type SlaveFamily = (&'static str, &'static str, fn(&SlaveSample) -> f64);
 
+/// The four the live view reads come first; the render sorts by name.
 const POOL_FAMILIES: [PoolFamily; 16] = [
     ("cloudburst_pool_grants_total", help::GRANTS, None, |r| r.grants),
     ("cloudburst_pool_steals_total", help::STEALS, None, |r| r.steals),
     ("cloudburst_pool_shard_stolen_from_total", help::STOLEN_FROM, None, |r| r.stolen_from),
+    ("cloudburst_pool_lease_reaps_total", help::REAPS, None, |r| r.reaps),
     ("cloudburst_pool_speculations_total", help::SPECULATIONS, None, |r| r.speculations),
     ("cloudburst_pool_replica_grants_total", help::REPLICAS, None, |r| r.replica_grants),
     ("cloudburst_pool_jobs_merged_total", help::MERGED, Some("local"), |r| r.merged[0]),
@@ -891,7 +874,6 @@ const POOL_FAMILIES: [PoolFamily; 16] = [
     ("cloudburst_pool_results_lost_total", help::LOST, Some("local"), |r| r.lost[0]),
     ("cloudburst_pool_results_lost_total", help::LOST, Some("stolen"), |r| r.lost[1]),
     ("cloudburst_pool_duplicate_completions_total", help::DUPLICATES, None, |r| r.duplicates),
-    ("cloudburst_pool_lease_reaps_total", help::REAPS, None, |r| r.reaps),
     ("cloudburst_pool_failures_total", help::FAILURES, None, |r| r.failures),
     ("cloudburst_pool_evacuated_jobs_total", help::EVACUATED, None, |r| r.evacuated),
     ("cloudburst_pool_replica_wins_total", help::WINS, None, |r| r.replica_wins),
@@ -899,6 +881,7 @@ const POOL_FAMILIES: [PoolFamily; 16] = [
     ("cloudburst_pool_saved_refetch_total", help::SAVED, None, |r| r.saved_refetches),
 ];
 
+/// The live view reads the first (jobs) and the last two (busy seconds).
 const SLAVE_FAMILIES: [SlaveFamily; 5] = [
     ("cloudburst_slave_jobs_total", help::JOBS, |s| s.jobs as f64),
     ("cloudburst_slave_remote_bytes_total", help::BYTES, |s| s.remote_bytes as f64),
@@ -939,15 +922,14 @@ impl Totals {
         }
     }
 
-    /// A pool family's series once it counts anything, every shard's depth,
-    /// the jobs in flight, and each slave's series from its first publish.
-    fn render(&self) -> Vec<Sample> {
+    /// Add the ledger's families to `out`: a pool family's series once it
+    /// counts anything, every shard's depth, the jobs in flight, and each
+    /// slave's series from its first publish.
+    fn render(&self, out: &mut BTreeMap<String, Rendered>) {
         let (counter, gauge) = (MetricKind::Counter, MetricKind::Gauge);
-        let mut out = Vec::new();
-        let mut push = |name: &str, help: &str, kind, labels: &[(&str, &str)], value| {
-            let labels = labels.iter().map(|&(k, v)| (k.to_owned(), v.to_owned())).collect();
-            let (name, help) = (name.to_owned(), help.to_owned());
-            out.push(Sample { name, help, kind, labels, value });
+        let mut put = |name: &str, help: &str, kind, labels: &[(&str, &str)], value| {
+            let family = out.entry(name.to_owned()).or_insert_with(|| Rendered::new(help, kind));
+            *family.scalars.entry(canon_labels(labels)).or_insert(0.0) += value;
         };
         for (i, counts) in self.pool.iter().enumerate() {
             let site = SiteId(i as u16).to_string();
@@ -955,25 +937,43 @@ impl Totals {
                 if n > 0 {
                     let mut labels = vec![("site", site.as_str())];
                     labels.extend(kind.map(|kind| ("kind", kind)));
-                    push(name, help, counter, &labels, n as f64);
+                    put(name, help, counter, &labels, n as f64);
                 }
             }
         }
         for (site, &n) in &self.depth {
             let site = site.to_string();
-            push("cloudburst_pool_queue_depth", help::DEPTH, gauge, &[("site", &site)], n as f64);
+            put("cloudburst_pool_queue_depth", help::DEPTH, gauge, &[("site", &site)], n as f64);
         }
         if let Some(n) = self.in_flight {
-            push("cloudburst_pool_in_flight", help::IN_FLIGHT, gauge, &[], n as f64);
+            put("cloudburst_pool_in_flight", help::IN_FLIGHT, gauge, &[], n as f64);
         }
         for (&(site, worker), values) in &self.slaves {
             let (site, worker) = (site.to_string(), worker.to_string());
             let labels = [("site", site.as_str()), ("worker", worker.as_str())];
             for (&(name, help, _), &value) in SLAVE_FAMILIES.iter().zip(values) {
-                push(name, help, counter, &labels, value);
+                put(name, help, counter, &labels, value);
             }
         }
-        out
+    }
+
+    /// The typed read of the same totals, by site.
+    fn by_site(&self) -> LedgerTotals {
+        let mut sites: BTreeMap<SiteId, SiteTotals> = BTreeMap::new();
+        for (i, counts) in self.pool.iter().enumerate().filter(|(_, c)| c.iter().any(|&n| n > 0)) {
+            let [grants, steals, stolen_from, lease_reaps, ..] = *counts;
+            let row = SiteTotals { grants, steals, stolen_from, lease_reaps, ..Default::default() };
+            sites.insert(SiteId(i as u16), row);
+        }
+        for (&site, &depth) in &self.depth {
+            sites.entry(site).or_default().depth = depth;
+        }
+        for (&(site, _), &[jobs, _, _, fetch, process]) in &self.slaves {
+            let row = sites.entry(site).or_default();
+            row.jobs += jobs as u64;
+            row.busy_secs += fetch + process;
+        }
+        LedgerTotals { in_flight: self.in_flight.unwrap_or(0), sites }
     }
 }
 
@@ -1547,15 +1547,7 @@ mod tests {
         let h = m.histogram("cloudburst_fetch_seconds", "fetch", &[("site", "local")]);
         h.observe_secs(0.001);
         h.observe_secs(0.004);
-        m.registry().unwrap().register_collector("extra", || {
-            vec![Sample {
-                name: "cloudburst_store_requests_total".into(),
-                help: "store reqs".into(),
-                kind: MetricKind::Counter,
-                labels: vec![("store".into(), "s3".into())],
-                value: 9.0,
-            }]
-        });
+        m.counter("cloudburst_store_requests_total", "store reqs", &[("store", "s3")]).add(9);
         let reg = m.registry().unwrap();
         let text = reg.render();
         assert_eq!(text, reg.render(), "render must be deterministic");
@@ -1572,7 +1564,7 @@ mod tests {
     #[test]
     fn a_handle_holds_one_ledger_however_many_runs_publish_to_it() {
         // Each run's publishers fold into the handle's totals as they go, so
-        // a handle serving a thousand runs keeps one collector and no run.
+        // a handle serving a thousand runs keeps one ledger and no run.
         let m = Metrics::on();
         let sample = SlaveSample { jobs: 3, retries: 1, processing: 0.5, ..SlaveSample::default() };
         let params = crate::LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 1 };
@@ -1595,11 +1587,11 @@ mod tests {
                 last = now;
             }
         }
-        let hub = m.ledger.as_ref().unwrap().0.lock();
+        let registry = m.registry().unwrap();
+        let hub = registry.ledger.0.lock();
         assert!(hub.1.is_empty(), "every publisher's totals were folded");
         assert_eq!(hub.0.slaves.len(), 4);
         drop(hub);
-        assert_eq!(m.registry().unwrap().collectors.lock().len(), 1);
         let exp = scrape();
         check_monotonic(&last, &exp).unwrap();
         assert_eq!(exp.sum_family("cloudburst_slave_jobs_total"), 12_000.0);
@@ -1611,6 +1603,62 @@ mod tests {
         // A handle no head published to shows no pool series.
         let quiet = parse_exposition(&Metrics::on().registry().unwrap().render()).unwrap();
         assert!(quiet.series.is_empty());
+    }
+
+    #[test]
+    fn the_typed_reads_are_what_the_scrape_shows() {
+        let m = Metrics::on();
+        let registry = m.registry().unwrap();
+        assert_eq!(registry.ledger(), LedgerTotals::default(), "nothing published yet");
+        let params = crate::LayoutParams { unit_size: 1, units_per_chunk: 1, n_files: 2 };
+        let home = |f: crate::FileId| if f.0 == 0 { SiteId::LOCAL } else { SiteId::CLOUD };
+        let index = crate::DataIndex::build(8, params, home).unwrap();
+        let mut pool = JobPool::from_index(&index, crate::BatchPolicy::Fixed(1));
+        pool.set_lease(crate::LeaseConfig::default());
+        for _ in 0..5 {
+            for job in pool.grant(SiteId::CLOUD, 1, 0.0).jobs {
+                pool.complete(job.id, SiteId::CLOUD);
+            }
+        }
+        // The local site's first lease is reaped; its second stays in flight.
+        assert_eq!(pool.grant(SiteId::LOCAL, 1, 0.0).jobs.len(), 1);
+        assert_eq!(pool.reap_expired(1e6).len(), 1);
+        assert_eq!(pool.grant(SiteId::LOCAL, 1, 1e6).jobs.len(), 1);
+        let head = m.ledger();
+        head.publish_pool(&pool);
+        let sample =
+            SlaveSample { jobs: 3, retrieval: 0.25, processing: 0.5, ..SlaveSample::default() };
+        let slave = m.ledger();
+        slave.publish_slave(SiteId::LOCAL, 0, &sample);
+        m.ledger().publish_slave(SiteId::LOCAL, 1, &sample);
+        m.counter("x_total", "", &[("site", "cloud"), ("store", "mem")]).add(2);
+        m.counter("x_total", "", &[("site", "cloud"), ("store", "s3")]).add(5);
+        m.counter("x_total", "", &[("site", "local"), ("store", "s3")]).add(7);
+        m.histogram("y_seconds", "", &[]).observe_secs(0.5);
+
+        let exp = parse_exposition(&registry.render()).unwrap();
+        let read = registry.ledger();
+        assert_eq!(read.in_flight, 1);
+        assert_eq!(read.sites.keys().copied().collect::<Vec<_>>(), [SiteId::LOCAL, SiteId::CLOUD]);
+        for (site, row) in &read.sites {
+            let site = site.to_string();
+            let get = |name: &str| exp.get(name, &[("site", &site)]).unwrap_or(0.0) as u64;
+            assert_eq!(row.grants, get("cloudburst_pool_grants_total"), "{site}");
+            assert_eq!(row.steals, get("cloudburst_pool_steals_total"), "{site}");
+            assert_eq!(row.stolen_from, get("cloudburst_pool_shard_stolen_from_total"), "{site}");
+            assert_eq!(row.lease_reaps, get("cloudburst_pool_lease_reaps_total"), "{site}");
+            assert_eq!(row.depth, get("cloudburst_pool_queue_depth"), "{site}");
+            let jobs = exp.by_label("cloudburst_slave_jobs_total", "site");
+            assert_eq!(row.jobs as f64, jobs.get(&site).copied().unwrap_or(0.0), "{site}");
+        }
+        let local = read.sites[&SiteId::LOCAL];
+        assert_eq!((local.jobs, local.busy_secs), (6, 1.5), "a dropped slave's share stays");
+        assert_eq!((read.all().grants, local.lease_reaps), (7, 1));
+        assert_eq!(registry.total("x_total", &[("site", "cloud")]), 7.0);
+        assert_eq!(registry.total("x_total", &[("store", "s3")]), 12.0);
+        assert_eq!(registry.total("x_total", &[]), 14.0);
+        assert_eq!(registry.total("y_seconds", &[]), 1.0, "a histogram's count");
+        assert_eq!(registry.total("absent_total", &[]), 0.0);
     }
 
     #[test]

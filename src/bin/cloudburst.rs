@@ -27,8 +27,8 @@ use cloudburst_core::{
     analyze, check_sequence, chrome_trace, derive_report, diff_benchmarks, events_to_jsonl,
     http_get, http_get_status, ns_since, parse_events_jsonl, parse_exposition, report_to_json,
     ConsoleSink, Direction, Event, EventKind, EventSink, Exposition, FlightRecorder, HealthConfig,
-    HealthDetector, HealthMonitor, HealthSample, Histogram, Json, JsonlSink, LogLevel, Metrics,
-    MetricsServer, Recorder, Registry, RouteHandler, Sample, Telemetry,
+    HealthDetector, HealthMonitor, HealthSample, Json, JsonlSink, LedgerTotals, LogLevel, Metrics,
+    MetricsServer, Recorder, Registry, RouteHandler, SiteTotals, Telemetry,
 };
 use cloudburst_sim::{cost_of_usage, CostReport, PricingModel};
 use cloudburst_storage::{organize_redundant, read_index_meta, write_index_redundant, SiteStore};
@@ -84,7 +84,7 @@ USAGE:
              [--pipeline-depth D] [--ft] [--chaos SPEC]
              [--stats-out FILE] [--events-out FILE] [--trace-out FILE]
              [--log-level off|info|debug] [--metrics-addr ADDR] [--watch]
-             [--flight-recorder-cap N] [--health SPEC]
+             [--metrics-out FILE] [--flight-recorder-cap N] [--health SPEC]
              [--k K] [--pages N] [--iterations I] [--damping D]
   cloudburst simulate [fig3a|fig3b|fig3c|fig4a|fig4b|fig4c|table1|table2|summary|all]
   cloudburst check-json FILE [--seq]
@@ -107,6 +107,10 @@ OBSERVABILITY:
                      http://A/metrics (e.g. 127.0.0.1:9184; port 0 picks a
                      free port, printed to stderr). Scrape mid-run with
                      curl or `cloudburst check-metrics`
+  --metrics-out FILE write the final metrics exposition (Prometheus text,
+                     accumulated over every iteration) to FILE at exit; it
+                     turns live metrics on, and `check-metrics FILE
+                     --against-stats STATS` diffs it against --stats-out
   --watch            print a live status line to stderr every 250 ms:
                      per-site throughput, utilization, steal counts,
                      per-shard queue depth and imbalance, a straggler
@@ -534,8 +538,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         config.telemetry.clone(),
         health.clone(),
         watch,
-        local_cores,
-        cloud_cores,
+        config.env.clone(),
         pricing,
     );
 
@@ -776,28 +779,27 @@ fn debug_routes(
     routes.push((
         "/debug/pool".to_owned(),
         Box::new(move |_q| {
-            let mut body = pool_debug_json(&summarize(&reg.snapshot())).to_text();
+            let mut body = pool_debug_json(&reg.ledger()).to_text();
             body.push('\n');
             ("200 OK", "application/json", body)
         }),
     ));
     let reg = Arc::clone(registry);
     // Rates need a delta: remember the previous scrape per route instance.
-    let last_scrape: Mutex<Option<(Instant, MetricSums)>> = Mutex::new(None);
+    let last_scrape: Mutex<Option<(Instant, LedgerTotals)>> = Mutex::new(None);
     routes.push((
         "/debug/sites".to_owned(),
         Box::new(move |_q| {
-            let sums = summarize(&reg.snapshot());
+            let ledger = reg.ledger();
             let now = Instant::now();
             let prev = match last_scrape.lock() {
-                Ok(mut guard) => guard.replace((now, sums.clone())),
+                Ok(mut guard) => guard.replace((now, ledger.clone())),
                 Err(_) => None,
             };
             let prev_view = prev
                 .as_ref()
-                .map(|(at, sums)| (now.saturating_duration_since(*at).as_secs_f64(), sums));
-            let histogram = |name: &str, site: &str| reg.find_histogram(name, &[("site", site)]);
-            let mut body = sites_debug_json(&sums, prev_view, histogram).to_text();
+                .map(|(at, ledger)| (now.saturating_duration_since(*at).as_secs_f64(), ledger));
+            let mut body = sites_debug_json(&reg, &ledger, prev_view).to_text();
             body.push('\n');
             ("200 OK", "application/json", body)
         }),
@@ -817,81 +819,83 @@ fn debug_routes(
     routes
 }
 
-/// The `/debug/pool` document: global and per-shard pool state distilled
-/// from the registry (the live pool itself is internal to the runtime).
-fn pool_debug_json(sums: &MetricSums) -> Json {
-    let shards = sums
+/// The `/debug/pool` document: global and per-shard pool state, read off
+/// the live ledger (the live pool itself is internal to the runtime).
+fn pool_debug_json(ledger: &LedgerTotals) -> Json {
+    let shards = ledger
         .sites
         .iter()
         .map(|(site, s)| {
             Json::obj()
-                .field("site", Json::Str(site.clone()))
-                .field("queue", Json::U64(s.queue.max(0) as u64))
+                .field("site", Json::Str(site.to_string()))
+                .field("queue", Json::U64(s.depth))
                 .field("jobs", Json::U64(s.jobs))
                 .field("steals", Json::U64(s.steals))
                 .field("stolen_from", Json::U64(s.stolen_from))
         })
         .collect();
-    // The same max/mean depth ratio the imbalance detector judges.
-    let depths: Vec<i64> = sums.sites.values().map(|s| s.queue.max(0)).collect();
-    let total: i64 = depths.iter().sum();
-    let imbalance = if depths.len() > 1 && total > 0 {
-        depths.iter().copied().max().unwrap_or(0) as f64 * depths.len() as f64 / total as f64
-    } else {
-        1.0
-    };
+    let all = ledger.all();
     Json::obj()
-        .field("queue_depth", Json::U64(sums.queue_depth.max(0) as u64))
-        .field("in_flight", Json::U64(sums.in_flight.max(0) as u64))
-        .field("grants", Json::U64(sums.grants))
-        .field("completions", Json::U64(sums.completions))
-        .field("steals", Json::U64(sums.steals))
-        .field("lease_reaps", Json::U64(sums.lease_reaps))
-        .field("imbalance", Json::F64(imbalance))
+        .field("queue_depth", Json::U64(all.depth))
+        .field("in_flight", Json::U64(ledger.in_flight))
+        .field("grants", Json::U64(all.grants))
+        .field("completions", Json::U64(all.jobs))
+        .field("steals", Json::U64(all.steals))
+        .field("lease_reaps", Json::U64(all.lease_reaps))
+        .field("imbalance", Json::F64(imbalance(ledger).unwrap_or(1.0)))
         .field("shards", Json::Arr(shards))
+}
+
+/// The deepest shard against the mean depth, the ratio the imbalance
+/// detector judges: `None` with one shard or none waiting.
+fn imbalance(ledger: &LedgerTotals) -> Option<f64> {
+    let depths: Vec<u64> = ledger.sites.values().map(|s| s.depth).collect();
+    let total: u64 = depths.iter().sum();
+    let max = depths.iter().copied().max().unwrap_or(0);
+    (depths.len() > 1 && total > 0).then(|| max as f64 * depths.len() as f64 / total as f64)
 }
 
 /// The `/debug/sites` document: per-site throughput (over the window since
 /// the previous scrape), drain ETA, and the head reactor's connection
 /// accounting.
 fn sites_debug_json(
-    sums: &MetricSums,
-    prev: Option<(f64, &MetricSums)>,
-    histogram: impl Fn(&str, &str) -> Option<Histogram>,
+    registry: &Registry,
+    ledger: &LedgerTotals,
+    prev: Option<(f64, &LedgerTotals)>,
 ) -> Json {
-    let outstanding = (sums.queue_depth.max(0) + sums.in_flight.max(0)) as u64;
+    let outstanding = ledger.all().depth + ledger.in_flight;
     let mut total_rate = 0.0;
     let mut sites = Vec::new();
-    for (site, cur) in &sums.sites {
+    for (&site, cur) in &ledger.sites {
+        let name = site.to_string();
+        let labels = [("site", name.as_str())];
         let mut entry = Json::obj()
-            .field("site", Json::Str(site.clone()))
+            .field("site", Json::Str(name.clone()))
             .field("jobs", Json::U64(cur.jobs))
             .field("steals", Json::U64(cur.steals))
-            .field("queue", Json::U64(cur.queue.max(0) as u64))
+            .field("queue", Json::U64(cur.depth))
             .field("busy_secs", Json::F64(cur.busy_secs));
         // The grant layer, by the bench ladder's names: how long a request
         // to the head takes, how many jobs the master keeps on request to
         // cover it, what the slaves still waited, and how many jobs a slave
         // takes per hand-off and reports per completion message it waits on.
-        if cur.grant_round_trips > 0 {
+        let histogram = |name| registry.find_histogram(name, &labels).filter(|h| h.count() > 0);
+        if let Some(rtt) = histogram("cloudburst_master_grant_rtt_seconds") {
+            let window = registry.total("cloudburst_master_window_jobs", &labels);
+            let starved = registry.total("cloudburst_master_starved_seconds_total", &labels);
             let mut master = Json::obj()
-                .field("grant_round_trips", Json::U64(cur.grant_round_trips))
-                .field("window_jobs", Json::U64(cur.window_jobs.max(0) as u64))
-                .field("starved_secs", Json::F64(cur.starved_secs));
-            if let Some(h) = histogram("cloudburst_master_grant_rtt_seconds", site) {
-                master = master
-                    .field("grant_rtt_us_p50", Json::F64(h.quantile(0.5) * 1e6))
-                    .field("grant_rtt_us_p99", Json::F64(h.quantile(0.99) * 1e6));
-            }
-            let hand_offs = histogram("cloudburst_slave_batch_jobs", site);
-            if let Some(h) = hand_offs.filter(|h| h.count() > 0) {
+                .field("grant_round_trips", Json::U64(rtt.count()))
+                .field("window_jobs", Json::U64(window as u64))
+                .field("starved_secs", Json::F64(starved))
+                .field("grant_rtt_us_p50", Json::F64(rtt.quantile(0.5) * 1e6))
+                .field("grant_rtt_us_p99", Json::F64(rtt.quantile(0.99) * 1e6));
+            if let Some(h) = histogram("cloudburst_slave_batch_jobs") {
                 master = master
                     .field("hand_offs", Json::U64(h.count()))
                     .field("jobs_per_hand_off_mean", Json::F64(h.sum() / h.count() as f64))
                     .field("jobs_per_hand_off_p99", Json::F64(h.quantile(0.99)));
             }
-            let settles = histogram("cloudburst_slave_settle_jobs", site);
-            if let Some(h) = settles.filter(|h| h.count() > 0) {
+            if let Some(h) = histogram("cloudburst_slave_settle_jobs") {
                 master = master
                     .field("settles", Json::U64(h.count()))
                     .field("jobs_per_settle_mean", Json::F64(h.sum() / h.count() as f64))
@@ -901,8 +905,7 @@ fn sites_debug_json(
         }
         if let Some((dt, p)) = prev {
             if dt > 0.0 {
-                let before = p.sites.get(site).cloned().unwrap_or_default();
-                let rate = cur.jobs.saturating_sub(before.jobs) as f64 / dt;
+                let rate = jobs_since(p, site, cur) as f64 / dt;
                 total_rate += rate;
                 entry = entry.field("rate_jobs_per_sec", Json::F64(rate));
             }
@@ -914,13 +917,19 @@ fn sites_debug_json(
     if total_rate > 0.0 {
         out = out.field("eta_secs", Json::F64(outstanding as f64 / total_rate));
     }
+    let head = |name: &str| Json::U64(registry.total(name, &[]) as u64);
     out.field(
         "head",
         Json::obj()
-            .field("conns_opened", Json::U64(sums.head_conns_opened))
-            .field("conns_reclaimed", Json::U64(sums.head_conns_reclaimed))
-            .field("wakeups", Json::U64(sums.head_wakeups)),
+            .field("conns_opened", head("cloudburst_head_conns_opened_total"))
+            .field("conns_reclaimed", head("cloudburst_head_conns_reclaimed_total"))
+            .field("wakeups", head("cloudburst_head_wakeups_total")),
     )
+}
+
+/// The jobs `site`'s slaves completed since `prev`.
+fn jobs_since(prev: &LedgerTotals, site: SiteId, cur: &SiteTotals) -> u64 {
+    cur.jobs.saturating_sub(prev.sites.get(&site).map_or(0, |p| p.jobs))
 }
 
 /// `cloudburst health <url>`: fetch a run's `/healthz` verdict and render
@@ -960,129 +969,15 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 // live metrics: the background sampler behind --metrics-addr / --watch
 // ---------------------------------------------------------------------------
 
-/// Per-site totals distilled from one registry snapshot.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct SiteSums {
-    /// Jobs completed by the site's slaves.
-    jobs: u64,
-    /// Jobs granted to this site that are hosted elsewhere.
-    steals: u64,
-    /// Seconds the site's workers spent fetching + processing.
-    busy_secs: f64,
-    /// Pending jobs homed at this site (the site's shard depth).
-    queue: i64,
-    /// Jobs stolen *out of* this site's shard by other sites.
-    stolen_from: u64,
-    /// Grant round trips the site's master completed.
-    grant_round_trips: u64,
-    /// The master's current request window, in jobs.
-    window_jobs: i64,
-    /// Seconds the site's slaves spent parked at a master with no job.
-    starved_secs: f64,
+/// What the cloud bills so far: the object-store GETs it served (priced per
+/// 10k) and the bytes that crossed an inter-site link out of it (per GiB).
+fn cloud_usage(registry: &Registry) -> (u64, u64) {
+    let gets = registry.total("cloudburst_store_requests_total", &[("site", "cloud")]);
+    let egress = registry.total("cloudburst_net_bytes_total", &[("src", "cloud")]);
+    (gets as u64, egress as u64)
 }
 
-/// Everything the watch line and the snapshot event need, distilled from
-/// one `Registry::snapshot()`.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct MetricSums {
-    grants: u64,
-    steals: u64,
-    completions: u64,
-    queue_depth: i64,
-    in_flight: i64,
-    bytes: u64,
-    /// Object-store GETs served by the cloud site (priced per 10k).
-    cloud_gets: u64,
-    /// Bytes that crossed an inter-site link out of the cloud (priced/GiB).
-    cloud_egress: u64,
-    /// Jobs whose lease the head reaped (cumulative, all sites).
-    lease_reaps: u64,
-    /// Seconds spent on inter-site (WAN) transfers, all links.
-    wan_secs: f64,
-    /// Master connections the TCP head's reactor accepted (0 off TCP mode).
-    head_conns_opened: u64,
-    /// Connection states the reactor reclaimed on close/death.
-    head_conns_reclaimed: u64,
-    /// Times the reactor's readiness wait returned (socket activity plus
-    /// timer ticks).
-    head_wakeups: u64,
-    sites: BTreeMap<String, SiteSums>,
-}
-
-/// Fold a registry snapshot into the handful of totals the live view uses.
-/// Counter samples arrive already scaled (time counters in seconds).
-fn summarize(samples: &[Sample]) -> MetricSums {
-    let mut out = MetricSums::default();
-    for s in samples {
-        let label = |key: &str| s.labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str());
-        match s.name.as_str() {
-            "cloudburst_pool_grants_total" => out.grants += s.value as u64,
-            "cloudburst_pool_steals_total" => {
-                out.steals += s.value as u64;
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().steals += s.value as u64;
-                }
-            }
-            "cloudburst_slave_jobs_total" => {
-                out.completions += s.value as u64;
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().jobs += s.value as u64;
-                }
-            }
-            "cloudburst_pool_queue_depth" => {
-                out.queue_depth += s.value as i64;
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().queue += s.value as i64;
-                }
-            }
-            "cloudburst_pool_shard_stolen_from_total" => {
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().stolen_from += s.value as u64;
-                }
-            }
-            // A histogram flattens to its count in a snapshot.
-            "cloudburst_master_grant_rtt_seconds" => {
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().grant_round_trips +=
-                        s.value as u64;
-                }
-            }
-            "cloudburst_master_window_jobs" => {
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().window_jobs = s.value as i64;
-                }
-            }
-            "cloudburst_master_starved_seconds_total" => {
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().starved_secs += s.value;
-                }
-            }
-            "cloudburst_pool_in_flight" => out.in_flight += s.value as i64,
-            "cloudburst_pool_lease_reaps_total" => out.lease_reaps += s.value as u64,
-            "cloudburst_net_transfer_seconds_total" => out.wan_secs += s.value,
-            "cloudburst_head_conns_opened_total" => out.head_conns_opened += s.value as u64,
-            "cloudburst_head_conns_reclaimed_total" => out.head_conns_reclaimed += s.value as u64,
-            "cloudburst_head_wakeups_total" => out.head_wakeups += s.value as u64,
-            "cloudburst_store_bytes_total" => out.bytes += s.value as u64,
-            "cloudburst_store_requests_total" if label("site") == Some("cloud") => {
-                out.cloud_gets += s.value as u64;
-            }
-            "cloudburst_net_bytes_total" if label("src") == Some("cloud") => {
-                out.cloud_egress += s.value as u64;
-            }
-            "cloudburst_slave_fetch_busy_seconds_total"
-            | "cloudburst_slave_process_busy_seconds_total" => {
-                if let Some(site) = label("site") {
-                    out.sites.entry(site.to_owned()).or_default().busy_secs += s.value;
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// The background sampler: every 250 ms it snapshots the registry, emits a
+/// The background sampler: every 250 ms it reads the live ledger, emits a
 /// `MetricsSnapshot` telemetry event (so traces and metrics share one
 /// timeline), and — under `--watch` — prints a live status line. Drop stops
 /// and joins the thread.
@@ -1092,14 +987,12 @@ struct LiveMetrics {
 }
 
 impl LiveMetrics {
-    #[allow(clippy::too_many_arguments)]
     fn start(
         metrics: &Metrics,
         telemetry: Telemetry,
         health: Arc<Mutex<HealthMonitor>>,
         watch: bool,
-        local_cores: u32,
-        cloud_cores: u32,
+        env: EnvConfig,
         pricing: PricingModel,
     ) -> Option<LiveMetrics> {
         let registry = metrics.registry()?;
@@ -1108,16 +1001,7 @@ impl LiveMetrics {
         let thread = std::thread::Builder::new()
             .name("live-metrics".into())
             .spawn(move || {
-                sampler_loop(
-                    &registry,
-                    &telemetry,
-                    &health,
-                    watch,
-                    local_cores,
-                    cloud_cores,
-                    &pricing,
-                    &stop2,
-                );
+                sampler_loop(&registry, &telemetry, &health, watch, &env, &pricing, &stop2);
             })
             .ok()?;
         Some(LiveMetrics { stop, thread: Some(thread) })
@@ -1133,54 +1017,56 @@ impl Drop for LiveMetrics {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sampler_loop(
     registry: &Registry,
     telemetry: &Telemetry,
     health: &Mutex<HealthMonitor>,
     watch: bool,
-    local_cores: u32,
-    cloud_cores: u32,
+    env: &EnvConfig,
     pricing: &PricingModel,
     stop: &AtomicBool,
 ) {
     const TICK: Duration = Duration::from_millis(250);
     let epoch = Instant::now();
-    let mut prev = MetricSums::default();
+    let mut prev = LedgerTotals::default();
     let mut prev_at = epoch;
     while !stop.load(Ordering::Relaxed) {
         std::thread::sleep(TICK);
         let now = Instant::now();
-        let sums = summarize(&registry.snapshot());
+        let ledger = registry.ledger();
+        let all = ledger.all();
         let dt = now.saturating_duration_since(prev_at).as_secs_f64().max(1e-9);
         telemetry.emit(Event::at(
             ns_since(epoch),
             EventKind::MetricsSnapshot {
-                grants: sums.grants,
-                steals: sums.steals,
-                completions: sums.completions,
-                queue_depth: sums.queue_depth.max(0) as u64,
-                bytes: sums.bytes,
+                grants: all.grants,
+                steals: all.steals,
+                completions: all.jobs,
+                queue_depth: all.depth,
+                bytes: registry.total("cloudburst_store_bytes_total", &[]) as u64,
             },
         ));
-        // Feed the health detectors the same distilled tick the watch line
-        // renders: per-core completion rates, shard depths, reap and WAN
-        // counters. The monitor differentiates across ticks itself.
-        let mut site_rates = Vec::new();
-        for (site, cur) in &sums.sites {
-            let before = prev.sites.get(site).cloned().unwrap_or_default();
-            let cores = if site == "local" { local_cores } else { cloud_cores }.max(1);
-            site_rates.push(cur.jobs.saturating_sub(before.jobs) as f64 / (dt * f64::from(cores)));
-        }
+        // Feed the health detectors the same tick the watch line renders:
+        // per-core completion rates of the sites that have cores, shard
+        // depths, reap and WAN counters. The monitor differentiates across
+        // ticks itself.
+        let site_rates = ledger
+            .sites
+            .iter()
+            .filter(|&(&site, _)| env.cores_at(site) > 0)
+            .map(|(&site, cur)| {
+                jobs_since(&prev, site, cur) as f64 / (dt * f64::from(env.cores_at(site)))
+            })
+            .collect();
         let sample = HealthSample {
             at_ns: ns_since(epoch),
-            outstanding: (sums.queue_depth.max(0) + sums.in_flight.max(0)) as u64,
-            completions: sums.completions,
-            lease_reaps: sums.lease_reaps,
-            shard_depths: sums.sites.values().map(|s| s.queue.max(0) as u64).collect(),
+            outstanding: all.depth + ledger.in_flight,
+            completions: all.jobs,
+            lease_reaps: all.lease_reaps,
+            shard_depths: ledger.sites.values().map(|s| s.depth).collect(),
             site_rates,
-            wan_fetch_secs: sums.wan_secs,
-            wan_fetch_jobs: sums.cloud_gets,
+            wan_fetch_secs: registry.total("cloudburst_net_transfer_seconds_total", &[]),
+            wan_fetch_jobs: cloud_usage(registry).0,
         };
         let tripped = health.lock().map(|mut monitor| {
             monitor.observe(&sample);
@@ -1188,11 +1074,11 @@ fn sampler_loop(
         });
         if watch {
             let elapsed = now.saturating_duration_since(epoch).as_secs_f64();
-            let cores = (local_cores, cloud_cores);
             let tripped = tripped.unwrap_or_default();
-            eprintln!("{}", watch_line(&sums, &prev, dt, elapsed, cores, &tripped, pricing));
+            let line = watch_line(&ledger, &prev, registry, dt, elapsed, env, &tripped, pricing);
+            eprintln!("{line}");
         }
-        prev = sums;
+        prev = ledger;
         prev_at = now;
     }
 }
@@ -1200,56 +1086,54 @@ fn sampler_loop(
 /// Render one `--watch` status line: overall progress, per-site throughput
 /// and utilization, the straggler while the health monitor's detector for it
 /// is `tripped`, and the running dollar meter.
+#[allow(clippy::too_many_arguments)]
 fn watch_line(
-    sums: &MetricSums,
-    prev: &MetricSums,
+    ledger: &LedgerTotals,
+    prev: &LedgerTotals,
+    registry: &Registry,
     dt: f64,
     elapsed: f64,
-    (local_cores, cloud_cores): (u32, u32),
+    env: &EnvConfig,
     tripped: &[HealthDetector],
     pricing: &PricingModel,
 ) -> String {
+    let all = ledger.all();
     let mut line = format!(
         "[watch {elapsed:6.2}s] done {} ({} stolen) queue {} in-flight {}",
-        sums.completions,
-        sums.steals,
-        sums.queue_depth.max(0),
-        sums.in_flight.max(0)
+        all.jobs, all.steals, all.depth, ledger.in_flight
     );
-    // (site, jobs/s, per-core jobs/s) over the last tick.
-    let mut rates: Vec<(String, f64, f64)> = Vec::new();
-    for (site, cur) in &sums.sites {
-        let p = prev.sites.get(site).cloned().unwrap_or_default();
-        let cores = if site == "local" { local_cores } else { cloud_cores }.max(1);
-        let rate = cur.jobs.saturating_sub(p.jobs) as f64 / dt;
-        let util = ((cur.busy_secs - p.busy_secs) / (dt * f64::from(cores))).clamp(0.0, 1.0);
+    // (site, jobs/s, per-core jobs/s) over the last tick, of the sites that
+    // have cores: a site without any is no straggler.
+    let mut rates: Vec<(SiteId, f64, f64)> = Vec::new();
+    for (&site, cur) in &ledger.sites {
+        let p = prev.sites.get(&site).copied().unwrap_or_default();
+        let site_cores = env.cores_at(site);
+        let per_core = dt * f64::from(site_cores.max(1));
+        let rate = jobs_since(prev, site, cur) as f64 / dt;
+        let util = ((cur.busy_secs - p.busy_secs) / per_core).clamp(0.0, 1.0);
         line.push_str(&format!(
             " | {site} {rate:.0} j/s {:.0}% busy q {}",
             100.0 * util,
-            cur.queue.max(0)
+            cur.depth
         ));
         if cur.stolen_from > p.stolen_from {
             line.push_str(&format!(" (-{} stolen)", cur.stolen_from - p.stolen_from));
         }
-        rates.push((site.clone(), rate, rate / f64::from(cores)));
-    }
-    // Shard imbalance: the deepest shard against the mean depth. Healthy
-    // stealing keeps this near 1; a big ratio while work remains means one
-    // site's backlog is not draining (or being stolen) fast enough.
-    let depths: Vec<i64> = sums.sites.values().map(|s| s.queue.max(0)).collect();
-    let total_depth: i64 = depths.iter().sum();
-    if depths.len() > 1 && total_depth > 0 {
-        let mean = total_depth as f64 / depths.len() as f64;
-        let max = depths.iter().copied().max().unwrap_or(0) as f64;
-        if mean > 0.0 {
-            line.push_str(&format!(" | shard imb {:.1}x", max / mean));
+        if site_cores > 0 {
+            rates.push((site, rate, rate / f64::from(site_cores)));
         }
+    }
+    // Shard imbalance: healthy stealing keeps this near 1; a big ratio while
+    // work remains means one site's backlog is not draining (or being
+    // stolen) fast enough.
+    if let Some(ratio) = imbalance(ledger) {
+        line.push_str(&format!(" | shard imb {ratio:.1}x"));
     }
     // Straggler watch: while the health monitor's straggler detector is
     // tripped (its threshold and hysteresis, the `/healthz` verdict), name
     // the site with the lowest per-core rate and estimate the drain time of
     // the remaining jobs at the current aggregate rate.
-    let outstanding = sums.queue_depth.max(0) + sums.in_flight.max(0);
+    let outstanding = all.depth + ledger.in_flight;
     let straggling = tripped.contains(&HealthDetector::Straggler) && rates.len() > 1;
     let slowest = rates.iter().min_by(|a, b| a.2.total_cmp(&b.2));
     if let Some(slow) = slowest.filter(|_| straggling && outstanding > 0) {
@@ -1260,13 +1144,17 @@ fn watch_line(
     }
     // TCP-mode runs: the head reactor's connection churn and its current
     // wake-up count (threaded-mode runs never move these instruments).
-    if sums.head_conns_opened > 0 {
+    let head = |name: &str| registry.total(name, &[]) as u64;
+    let opened = head("cloudburst_head_conns_opened_total");
+    if opened > 0 {
         line.push_str(&format!(
-            " | head conns {}/{} wakeups {}",
-            sums.head_conns_opened, sums.head_conns_reclaimed, sums.head_wakeups
+            " | head conns {opened}/{} wakeups {}",
+            head("cloudburst_head_conns_reclaimed_total"),
+            head("cloudburst_head_wakeups_total")
         ));
     }
-    let cost = cost_of_usage(pricing, cloud_cores, elapsed, sums.cloud_gets, sums.cloud_egress);
+    let (gets, egress) = cloud_usage(registry);
+    let cost = cost_of_usage(pricing, env.cloud_cores, elapsed, gets, egress);
     line.push_str(&format!(" | ${:.4}", cost.total()));
     line
 }
@@ -1287,10 +1175,7 @@ fn final_cost(
     pricing: &PricingModel,
 ) -> CostReport {
     let (gets, egress) = match metrics.registry() {
-        Some(registry) => {
-            let sums = summarize(&registry.snapshot());
-            (sums.cloud_gets, sums.cloud_egress)
-        }
+        Some(registry) => cloud_usage(&registry),
         None => {
             let cloud_chunks =
                 index.chunks_per_site().get(&SiteId::CLOUD).copied().unwrap_or(0) as u64;
@@ -1350,9 +1235,8 @@ fn write_run_artifacts(
         text.push('\n');
         write(path, text, "Chrome trace (open in chrome://tracing or Perfetto)")?;
     }
-    if let Some(path) = metrics_out {
-        let registry = registry
-            .ok_or("--metrics-out requires live metrics (also pass --metrics-addr or --watch)")?;
+    // `--metrics-out` turns live metrics on itself.
+    if let (Some(path), Some(registry)) = (metrics_out, registry) {
         write(path, registry.render(), "metrics exposition (Prometheus 0.0.4)")?;
     }
     Ok(())
@@ -2066,19 +1950,35 @@ mod tests {
     fn the_watch_line_names_a_straggler_only_while_the_detector_is_tripped() {
         // Local runs 7 jobs a second per core, the cloud 3: 0.6 of the mean,
         // slow, but whether that is a straggler is the health monitor's call.
-        let mut sums = MetricSums { queue_depth: 10, ..MetricSums::default() };
-        for (site, jobs) in [("local", 7), ("cloud", 3)] {
-            sums.sites.insert(site.to_owned(), SiteSums { jobs, ..SiteSums::default() });
+        let mut ledger = LedgerTotals { in_flight: 10, ..LedgerTotals::default() };
+        for (site, jobs) in [(SiteId::LOCAL, 7), (SiteId::CLOUD, 3)] {
+            ledger.sites.insert(site, SiteTotals { jobs, ..SiteTotals::default() });
         }
-        let prev = MetricSums::default();
-        let pricing = PricingModel::aws_2011();
+        let prev = LedgerTotals::default();
+        let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
+        let env = EnvConfig::new("watch", 0.5, 1, 1);
         let line = |tripped: &[HealthDetector]| {
-            watch_line(&sums, &prev, 1.0, 1.0, (1, 1), tripped, &pricing)
+            watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, tripped, &pricing)
         };
         let quiet = line(&[HealthDetector::QueueStall]);
         assert!(!quiet.contains("straggler"), "{quiet}");
         let tripped = line(&[HealthDetector::Straggler]);
         assert!(tripped.contains("straggler cloud (eta 1.0s)"), "{tripped}");
+    }
+
+    #[test]
+    fn a_site_without_cores_is_no_straggler_on_the_watch_line() {
+        // The cloud has jobs waiting and no cores to run them: it completes
+        // nothing, and that names no straggler, tripped detector or not.
+        let mut ledger = LedgerTotals { in_flight: 2, ..LedgerTotals::default() };
+        ledger.sites.insert(SiteId::LOCAL, SiteTotals { jobs: 7, ..SiteTotals::default() });
+        ledger.sites.insert(SiteId::CLOUD, SiteTotals { depth: 8, ..SiteTotals::default() });
+        let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
+        let prev = LedgerTotals::default();
+        let (env, tripped) = (EnvConfig::new("watch", 0.5, 3, 0), [HealthDetector::Straggler]);
+        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &pricing);
+        assert!(line.contains("| cloud 0 j/s 0% busy q 8"), "{line}");
+        assert!(!line.contains("straggler"), "{line}");
     }
 
     #[test]
@@ -2098,10 +1998,10 @@ mod tests {
         for jobs in [12, 12, 6] {
             settle.observe(jobs);
         }
+        let slave = metrics.ledger();
+        slave.publish_slave(SiteId::CLOUD, 0, &cloudburst_core::SlaveSample::default());
         let registry = metrics.registry().expect("metrics are on");
-        let sums = summarize(&registry.snapshot());
-        let doc =
-            sites_debug_json(&sums, None, |name, s| registry.find_histogram(name, &[("site", s)]));
+        let doc = sites_debug_json(&registry, &registry.ledger(), None);
         let sites = doc.get("sites").and_then(Json::as_arr).expect("sites array");
         let master = sites[0].get("master").expect("a master that made a round trip");
         assert_eq!(master.get("grant_round_trips").and_then(Json::as_f64), Some(1.0));

@@ -140,3 +140,15 @@ fn a_flight_recorder_cap_beyond_memory_is_only_a_bound() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn help_lists_the_metrics_out_flag() {
+    let dir = scratch("help");
+    let out = cloudburst(&dir, &["help"]);
+    assert!(out.status.success());
+    let usage = String::from_utf8_lossy(&out.stdout);
+    let (synopsis, options) = usage.split_once("OBSERVABILITY:").expect("an OBSERVABILITY block");
+    assert!(synopsis.contains("[--metrics-out FILE]"), "{usage}");
+    assert!(options.contains("\n  --metrics-out FILE "), "{usage}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

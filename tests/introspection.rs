@@ -174,3 +174,59 @@ fn killed_run_leaves_whole_line_jsonl() {
     assert!(parsed >= 10, "too few whole records survived: {parsed}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A site run with no cores is no straggler: it processes nothing because it
+/// has nothing to process with. A run that leaves the cloud without cores
+/// (its shard drained by the local site's steals) must never trip the
+/// straggler detector behind `/healthz`, nor name the cloud on a `--watch`
+/// line.
+#[test]
+fn a_site_without_cores_is_never_named_a_straggler() {
+    let bin = env!("CARGO_BIN_EXE_cloudburst");
+    let dir = scratch("zero-cores");
+    let data = dir.join("words.bin");
+    let org = dir.join("org");
+    let stats = dir.join("stats.json");
+    let gen = Command::new(bin)
+        .args(["generate", "wordcount", "--units", "150000", "--vocab", "500"])
+        .arg("--out")
+        .arg(&data)
+        .output()
+        .expect("generate");
+    assert!(gen.status.success(), "{}", String::from_utf8_lossy(&gen.stderr));
+    let orgz = Command::new(bin)
+        .args(["organize", "--unit-size", "16", "--chunk-units", "4096", "--files", "8"])
+        .args(["--local-frac", "0.4"])
+        .arg("--data")
+        .arg(&data)
+        .arg("--out")
+        .arg(&org)
+        .output()
+        .expect("organize");
+    assert!(orgz.status.success(), "{}", String::from_utf8_lossy(&orgz.stderr));
+
+    // About two seconds: several 250 ms health ticks, enough for the
+    // straggler detector's hysteresis to trip if a rate of 0 reached it.
+    let run = Command::new(bin)
+        .args(["run", "wordcount", "--local-cores", "3", "--cloud-cores", "0"])
+        .args(["--time-scale", "2.0", "--watch"])
+        .arg("--org")
+        .arg(&org)
+        .arg("--stats-out")
+        .arg(&stats)
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{stderr}");
+    assert!(stderr.lines().filter(|l| l.starts_with("[watch ")).count() >= 4, "{stderr}");
+    assert!(!stderr.contains("straggler"), "{stderr}");
+    let doc = Json::parse(std::fs::read_to_string(&stats).unwrap().trim()).unwrap();
+    let detectors = doc.get("health").and_then(|h| h.get("detectors")).and_then(Json::as_arr);
+    let straggler = detectors
+        .into_iter()
+        .flatten()
+        .find(|d| d.get("detector").and_then(Json::as_str) == Some("straggler-eta"))
+        .expect("the straggler detector's verdict");
+    assert_eq!(straggler.get("trips").and_then(Json::as_f64), Some(0.0), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
