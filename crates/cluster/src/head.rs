@@ -164,6 +164,7 @@ pub fn run_head(
                     let _ = mailbox.send(MasterMsg::HeadReply(reply));
                 }
             }
+            Ok(HeadMsg::Spare(batch)) => core.recycle(batch),
             Ok(HeadMsg::Complete { jobs, site, reply }) => {
                 let verdicts = core.settle(site, &jobs, now);
                 publish(&mut core);

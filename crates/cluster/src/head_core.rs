@@ -9,7 +9,7 @@
 //! over TCP, and each waits no longer than [`HeadCore::next_deadline`].
 
 use crate::protocol::HeadReport;
-use crate::wire::{BatchReply, Frame, MasterToHead, WIRE_VERSION};
+use crate::wire::{BatchReply, Frame, MasterToHead, MAX_REVOKED, WIRE_VERSION};
 use cloudburst_core::{
     ChunkId, Completion, HeartbeatConfig, JobBatch, JobPool, LiveLedger, Seconds, SiteId,
 };
@@ -63,10 +63,13 @@ pub struct HeadCore {
     report: HeadReport,
     peers: BTreeMap<Peer, PeerState>,
     /// Revocation notices not yet delivered, by the site that must drop the
-    /// jobs: fed by the lease reaper and by completions that preempt a
-    /// slower copy, emptied for a chunk the moment the site is granted it
-    /// again.
+    /// jobs, oldest first: fed by the lease reaper and by completions that
+    /// preempt a slower copy, emptied for a chunk the moment the site is
+    /// granted it again.
     revocations: BTreeMap<SiteId, Vec<ChunkId>>,
+    /// Grants the transport is done with, emptied: the next grants are built
+    /// in their buffers ([`HeadCore::recycle`]).
+    spares: Vec<JobBatch>,
     /// How many sites the run started with; once that many are dead the
     /// rest of the work is abandoned, so grants turn terminal instead of
     /// letting survivors-that-aren't poll forever. `0` disables the check.
@@ -101,6 +104,7 @@ impl HeadCore {
             report: HeadReport::default(),
             peers: BTreeMap::new(),
             revocations: BTreeMap::new(),
+            spares: Vec::new(),
             n_sites,
             ft_active: ft_active || heartbeat.is_some(),
             silence,
@@ -196,18 +200,42 @@ impl HeadCore {
                 // `want: 0` carries verdicts or flushes reports; it still
                 // learns whether the run is over.
                 let grant = self.grant(site, usize::from(want), now);
-                let revoked = self.revocations.remove(&site).unwrap_or_default();
+                let revoked = self.notices_for(site);
                 Reply::Batch(BatchReply { verdicts, revoked, grant })
             }
         }
     }
 
-    /// Up to `max` jobs for `site`, counted as a request when it asks for any.
+    /// Up to `max` jobs for `site`, counted as a request when it asks for
+    /// any, in a spare grant's buffers if there is one.
     fn grant(&mut self, site: SiteId, max: usize, now: Seconds) -> JobBatch {
         self.report.requests += u64::from(max > 0);
-        let batch = self.pool.grant(site, max, now);
+        let spare = if max > 0 { self.spares.pop() } else { None };
+        let mut batch = spare.unwrap_or_else(|| JobBatch::empty(false));
+        self.pool.grant_into(site, max, now, &mut batch);
         self.clear_granted(site, &batch);
         batch
+    }
+
+    /// A grant the transport is done with — encoded, or queued by its master
+    /// — whose buffers serve a later grant. As many are kept as the
+    /// transport hands back, which is as many as were ever out at once.
+    pub fn recycle(&mut self, batch: JobBatch) {
+        if batch.jobs.capacity() > 0 {
+            self.spares.push(batch);
+        }
+    }
+
+    /// The revocation notices one reply to `site` carries: the oldest
+    /// [`MAX_REVOKED`], the rest kept for its next reply.
+    fn notices_for(&mut self, site: SiteId) -> Vec<ChunkId> {
+        match self.revocations.get_mut(&site) {
+            Some(list) if list.len() > MAX_REVOKED => {
+                let rest = list.split_off(MAX_REVOKED);
+                std::mem::replace(list, rest)
+            }
+            _ => self.revocations.remove(&site).unwrap_or_default(),
+        }
     }
 
     /// A master asks for a batch sized by the pool's policy — the
@@ -494,6 +522,46 @@ mod tests {
         // And a transport that publishes them itself takes them all.
         let (mut head, jobs) = reaped(CLOUD);
         assert_eq!(head.take_revocations(), BTreeMap::from([(CLOUD, jobs)]));
+    }
+
+    #[test]
+    fn more_notices_than_a_reply_can_count_reach_the_site_in_order_over_several_replies() {
+        // 70 000 leases of one site reaped at once: more notices than the
+        // `u16` count of one reply. Each reply crosses the wire and back.
+        const N: u64 = 70_000;
+        let lease = LeaseConfig { base: 0.01, min: 0.01, max: 0.01, ..LeaseConfig::default() };
+        let params = LayoutParams { unit_size: 1, units_per_chunk: 1, n_files: 1 };
+        let mut p = JobPool::from_index(
+            &DataIndex::build(N, params, |_| CLOUD).unwrap(),
+            BatchPolicy::Fixed(1),
+        );
+        p.set_lease(lease);
+        let mut head = HeadCore::new(p, 0, None, true);
+        let exchange = |head: &mut HeadCore, want, now| {
+            let reply = ack_batch(head, Peer(0), CLOUD, want, &[], now);
+            let mut bytes = Vec::new();
+            crate::wire::put_batch_reply(&mut bytes, &reply);
+            let back = crate::wire::read_batch_reply(&mut bytes.as_slice()).expect("decodes");
+            assert_eq!(back, reply);
+            back
+        };
+        let mut granted = Vec::new();
+        while granted.len() < N as usize {
+            granted.extend(ids(&exchange(&mut head, u16::MAX, 0.0).grant));
+        }
+        head.on_tick(0.02);
+        let (mut notices, mut replies) = (Vec::new(), 0);
+        loop {
+            let revoked = exchange(&mut head, 0, 0.02).revoked;
+            if revoked.is_empty() {
+                break;
+            }
+            assert!(revoked.len() <= MAX_REVOKED);
+            notices.extend(revoked);
+            replies += 1;
+        }
+        assert_eq!(replies, 2);
+        assert_eq!(notices, granted, "every notice once, oldest first");
     }
 
     #[test]

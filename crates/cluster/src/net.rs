@@ -21,21 +21,23 @@
 //! [`StoreRouter`]: crate::router::StoreRouter
 
 use crate::error::RunError;
-use crate::protocol::{HeadMsg, MasterMsg};
+use crate::protocol::{HeadMsg, MasterMsg, Reply};
 pub use crate::reactor::{serve_head, serve_head_with};
 use crate::runtime::{
-    mailbox_tick, run_on, MasterStart, Parked, RunOutcome, RuntimeConfig, Transport, Uplink,
-    LOW_WATERMARK,
+    mailbox_tick, run_on, MasterStart, RunOutcome, RuntimeConfig, Transport, Uplink, LOW_WATERMARK,
 };
 use crate::wire::{
-    put_frame, read_batch_reply, read_hello_ack, write_hello, AckEntry, BatchReply, Frame,
-    MasterToHead, WIRE_VERSION,
+    put_ack_batch, put_frame, read_batch_reply_with, read_hello_ack, write_hello, AckEntry,
+    BatchReply, Frame, MasterToHead, WIRE_VERSION,
 };
+use cloudburst_core::master::MAX_BDP_JOBS;
 use cloudburst_core::{
-    ns_since, ChunkId, DataIndex, Event, EventKind, MasterPool, Reduction, RequestId, SiteId, Take,
+    ns_since, ChunkId, DataIndex, Event, EventKind, JobBatch, LocalJob, MasterPool, Reduction,
+    RequestId, SiteId, Take,
 };
 use cloudburst_storage::ChunkStore;
 use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
@@ -57,36 +59,68 @@ impl Drop for HangUp {
     }
 }
 
+/// Grants the master has queued, emptied, for the socket reader to decode
+/// the next ones into.
+type Spares = Mutex<Vec<JobBatch>>;
+
 /// Where a master's frames go: its control socket, or the in-process head's
 /// mailbox. Either way the head's answers come back into the master's own
 /// mailbox — from the socket reader, or from the head itself — so the
 /// master never waits for one.
-enum HeadLink {
-    /// Frames are encoded into the buffer and written at each flush.
-    Socket(TcpStream, Vec<u8>),
-    /// Frames are handed over as they are, at each flush.
-    Mailbox { head: Sender<HeadMsg>, site: SiteId, frames: Vec<Frame> },
+enum HeadLink<'a> {
+    /// Frames are encoded into the buffer and written at each flush; landed
+    /// grants go back to the reader.
+    Socket(TcpStream, Vec<u8>, &'a Spares),
+    /// Frames are handed over as they are, at each flush, behind the landed
+    /// grants going back to the head — which the frames wake anyway.
+    Mailbox { head: Sender<HeadMsg>, site: SiteId, frames: Vec<Frame>, spares: Vec<JobBatch> },
 }
 
-impl HeadLink {
+impl HeadLink<'_> {
     fn push(&mut self, frame: Frame) {
         match self {
-            HeadLink::Socket(_, wbuf) => put_frame(wbuf, &frame),
+            HeadLink::Socket(_, wbuf, _) => put_frame(wbuf, &frame),
             HeadLink::Mailbox { frames, .. } => frames.push(frame),
+        }
+    }
+
+    /// Push an `AckBatch` of `entries` asking for `want` jobs — encoded
+    /// straight from the master's buffer onto a socket.
+    fn push_reports(&mut self, site: SiteId, want: u16, entries: &[AckEntry]) {
+        match self {
+            HeadLink::Socket(_, wbuf, _) => put_ack_batch(wbuf, site, want, entries),
+            HeadLink::Mailbox { .. } => {
+                self.push(Frame::AckBatch { site, want, entries: entries.to_vec() });
+            }
+        }
+    }
+
+    /// Hand a landed grant's buffers back to whoever builds the grants that
+    /// reach this master, so no exchange allocates one once they are grown.
+    fn recycle(&mut self, batch: JobBatch) {
+        if batch.jobs.capacity() == 0 {
+            return;
+        }
+        match self {
+            HeadLink::Socket(.., spares) => spares.lock().push(batch),
+            HeadLink::Mailbox { spares, .. } => spares.push(batch),
         }
     }
 
     /// Send what was pushed; whether there was anything to send.
     fn flush(&mut self) -> io::Result<bool> {
         match self {
-            HeadLink::Socket(_, wbuf) if wbuf.is_empty() => Ok(false),
-            HeadLink::Socket(stream, wbuf) => {
+            HeadLink::Socket(_, wbuf, _) if wbuf.is_empty() => Ok(false),
+            HeadLink::Socket(stream, wbuf, _) => {
                 stream.write_all(wbuf)?;
                 wbuf.clear();
                 Ok(true)
             }
             HeadLink::Mailbox { frames, .. } if frames.is_empty() => Ok(false),
-            HeadLink::Mailbox { head, site, frames } => {
+            HeadLink::Mailbox { head, site, frames, spares } => {
+                for batch in spares.drain(..) {
+                    head.send(HeadMsg::Spare(batch)).map_err(|_| head_gone())?;
+                }
                 for frame in frames.drain(..) {
                     head.send(HeadMsg::Frame { site: *site, frame }).map_err(|_| head_gone())?;
                 }
@@ -100,57 +134,84 @@ fn head_gone() -> io::Error {
     io::Error::new(io::ErrorKind::BrokenPipe, "the head is gone")
 }
 
-/// Per report of a frame, the slave waiting for the head's verdict on it.
-type Waiters = Vec<Option<Sender<bool>>>;
+/// Per report, the slave waiting for the head's verdict on it.
+type Waiters = VecDeque<Option<Sender<bool>>>;
 
-/// An `AckBatch` travelling the outbound leg.
+/// An `AckBatch` travelling the outbound leg: the oldest `reports` of those
+/// cut.
 struct Outbound {
     due: Instant,
     /// The grant request it carries, if any (else `want` is 0).
     request: Option<RequestId>,
     want: u16,
-    entries: Vec<AckEntry>,
-    acks: Waiters,
+    reports: usize,
 }
 
-/// Completion and failure reports no frame carries yet.
+/// Completion and failure reports not sent yet, oldest first: the first
+/// `cut` belong to frames on the outbound leg, the rest to none yet. The
+/// buffers are the run's, so a frame allocates nothing.
 #[derive(Default)]
 struct Reports {
     entries: Vec<AckEntry>,
     acks: Waiters,
-    /// Since when the oldest has waited.
+    cut: usize,
+    /// Since when the oldest not cut has waited.
     since: Option<Instant>,
 }
 
 impl Reports {
     fn push(&mut self, job: ChunkId, ok: bool, ack: Option<Sender<bool>>, now: Instant) {
         self.entries.push(AckEntry { job, ok });
-        self.acks.push(ack);
+        self.acks.push_back(ack);
         self.since.get_or_insert(now);
     }
 
     /// Completions nobody waits on.
-    fn done(&mut self, jobs: Vec<ChunkId>, now: Instant) {
-        for job in jobs {
+    fn done(&mut self, jobs: &mut Vec<ChunkId>, now: Instant) {
+        for job in jobs.drain(..) {
             self.push(job, true, None, now);
         }
     }
 
-    /// Cut a frame due at `due`: up to [`REPORT_FLUSH`] of the reports,
-    /// oldest first, with `request` asking for `want` jobs.
+    /// Reports no frame carries yet.
+    fn uncut(&self) -> usize {
+        self.entries.len() - self.cut
+    }
+
+    /// Whether a slave waits on a report no frame carries yet.
+    fn awaited(&self) -> bool {
+        self.acks.range(self.cut..).any(Option::is_some)
+    }
+
+    /// Cut a frame due at `due`: up to [`REPORT_FLUSH`] of the reports no
+    /// frame carries, oldest first, with `request` asking for `want` jobs.
     fn frame(&mut self, request: Option<RequestId>, want: usize, due: Instant) -> Outbound {
-        let n = self.entries.len().min(REPORT_FLUSH);
-        if n == self.entries.len() {
+        let reports = self.uncut().min(REPORT_FLUSH);
+        self.cut += reports;
+        if self.uncut() == 0 {
             self.since = None;
         }
-        Outbound {
-            due,
-            request,
-            want: want.min(usize::from(u16::MAX)) as u16,
-            entries: self.entries.drain(..n).collect(),
-            acks: self.acks.drain(..n).collect(),
-        }
+        Outbound { due, request, want: want.min(usize::from(u16::MAX)) as u16, reports }
     }
+
+    /// Put frame `f`, the oldest cut, on `link`; its waiters join `waiting`.
+    fn send(&mut self, f: &Outbound, site: SiteId, link: &mut HeadLink<'_>, waiting: &mut Waiters) {
+        link.push_reports(site, f.want, &self.entries[..f.reports]);
+        self.entries.drain(..f.reports);
+        waiting.extend(self.acks.drain(..f.reports));
+        self.cut -= f.reports;
+    }
+}
+
+/// A slave whose request found the pool empty: where to answer it, how many
+/// jobs it asked for, the buffers it handed back, and since when it has
+/// waited.
+struct Parked {
+    reply: Reply,
+    want: usize,
+    buf: Vec<LocalJob>,
+    done: Vec<ChunkId>,
+    since: Instant,
 }
 
 /// A `BatchReply` travelling the return leg. Its grant is already with the
@@ -184,22 +245,24 @@ struct Inbound {
 /// way the master lets go of its mailbox on every exit, so a request that
 /// reaches it too late fails at once instead of waiting for an answer.
 ///
-/// Returns the pool for its ledger. A chaos-revoked site dies
+/// `pool` is the site's, built where the run started. Returns the pool for
+/// its ledger. A chaos-revoked site dies
 /// mid-conversation by design; its broken link is the failure signal the
 /// head is meant to see, not an error of this process.
 pub(crate) fn run_site_master(
     cfg: &MasterStart,
+    mut pool: MasterPool,
     rx: Receiver<MasterMsg>,
     tx: Sender<MasterMsg>,
     uplink: &Uplink,
 ) -> io::Result<MasterPool> {
-    let mut pool = MasterPool::new(cfg.site, LOW_WATERMARK);
     let result = match uplink {
         Uplink::Mailbox(head) => {
             let connect = HeadMsg::Connect { site: cfg.site, mailbox: tx };
             head.send(connect).map_err(|_| head_gone()).and_then(|()| {
                 let frames = Vec::new();
-                let mut link = HeadLink::Mailbox { head: head.clone(), site: cfg.site, frames };
+                let (head, site, spares) = (head.clone(), cfg.site, Vec::new());
+                let mut link = HeadLink::Mailbox { head, site, frames, spares };
                 serve_site(cfg, &rx, &mut link, &mut pool)
             })
         }
@@ -231,19 +294,24 @@ fn connect_and_serve(
     if read_hello_ack(&mut reader)? < WIRE_VERSION {
         return Err(io::Error::new(io::ErrorKind::Unsupported, "the head speaks an older wire"));
     }
+    let spares = &Spares::default();
     std::thread::scope(|scope| {
-        scope.spawn(move || loop {
-            let msg = read_batch_reply(&mut reader)
-                .map_or_else(MasterMsg::HeadGone, MasterMsg::HeadReply);
-            let last = matches!(msg, MasterMsg::HeadGone(_));
-            if tx.send(msg).is_err() || last {
-                break;
+        scope.spawn(move || {
+            // The reader's one buffer for a reply's bytes.
+            let mut body = Vec::new();
+            loop {
+                let msg = read_batch_reply_with(&mut reader, &mut body, || spares.lock().pop())
+                    .map_or_else(MasterMsg::HeadGone, MasterMsg::HeadReply);
+                let last = matches!(msg, MasterMsg::HeadGone(_));
+                if tx.send(msg).is_err() || last {
+                    break;
+                }
             }
         });
         // Dropped when this closure ends, however it ends — which is what
         // lets the scope join the reader.
         let _hang_up = hang_up;
-        serve_site(cfg, rx, &mut HeadLink::Socket(writer, Vec::new()), pool)
+        serve_site(cfg, rx, &mut HeadLink::Socket(writer, Vec::new(), spares), pool)
     })
 }
 
@@ -251,7 +319,7 @@ fn connect_and_serve(
 fn serve_site(
     cfg: &MasterStart,
     rx: &Receiver<MasterMsg>,
-    link: &mut HeadLink,
+    link: &mut HeadLink<'_>,
     pool: &mut MasterPool,
 ) -> io::Result<()> {
     let site = cfg.site;
@@ -259,9 +327,10 @@ fn serve_site(
     let secs = |at: Instant| at.saturating_duration_since(cfg.epoch).as_secs_f64();
     let mut reports = Reports::default();
     let mut outbound: VecDeque<Outbound> = VecDeque::new();
-    // Frames on the link, oldest first: the request each carries and the
-    // slaves its verdicts go to.
-    let mut sent: VecDeque<(Option<RequestId>, Waiters)> = VecDeque::new();
+    // Frames on the link, oldest first: the request each carries and how
+    // many reports; and the slaves their verdicts go to, report by report.
+    let mut sent: VecDeque<(Option<RequestId>, usize)> = VecDeque::new();
+    let mut waiting = Waiters::new();
     let mut inbound: VecDeque<Inbound> = VecDeque::new();
     // Slaves that found the pool empty, oldest first.
     let mut parked: VecDeque<Parked> = VecDeque::new();
@@ -295,40 +364,46 @@ fn serve_site(
             // before the refill can resurrect a fresh copy of the same chunk.
             pool.drop_revoked(&reply.revoked);
             if let Some(id) = reply.request {
-                cfg.metrics.grant_rtt.observe_secs(pool.land(id, secs(now)));
+                let (rtt, spent) = pool.land(id, secs(now));
+                cfg.metrics.grant_rtt.observe_secs(rtt);
+                link.recycle(spent);
             }
         }
-        while let Some((reply, want, since)) = parked.front() {
+        while let Some(slave) = parked.front_mut() {
             // In-process the head also fences on the cancel board: a queued
             // job posted there is no longer this site's, so it is dropped
             // instead of dispatched.
             pool.skip_revoked(|chunk| cfg.revoked(chunk));
-            match pool.serve_parked(secs(now), *want) {
+            match pool.serve_parked(secs(now), slave.want, &mut slave.buf) {
                 Take::NeedRefill => break,
                 take => {
-                    cfg.metrics.starved.add(since.elapsed().as_nanos() as u64);
-                    cfg.metrics.answer(reply, take);
-                    parked.pop_front();
+                    let slave = parked.pop_front().expect("front was checked");
+                    cfg.metrics.starved.add(slave.since.elapsed().as_nanos() as u64);
+                    cfg.metrics.answer(slave.reply, take, slave.done);
                 }
             }
         }
         // Requests go out after the slaves were answered, so a slave is
         // already fetching while its master talks to the head.
         while let Some(id) = pool.next_request(secs(now)) {
-            let want = pool.ask(id, floor(cfg.floor, quantum) * quantum);
+            // At most a hand-off's bound per request, so a grant, its frame
+            // and its decode stay within the buffers a hand-off needs; the
+            // pool counts the grant, not the ask, once it lands, and a
+            // master short of more asks again.
+            let want = pool.ask(id, floor(cfg.floor, quantum) * quantum).min(MAX_BDP_JOBS);
             outbound.push_back(reports.frame(Some(id), want, now + cfg.leg));
         }
         cfg.metrics.window.set(pool.window() as i64);
-        let flush = reports.acks.iter().any(Option::is_some)
+        let flush = reports.awaited()
             || pool.is_drained()
             || reports.since.is_some_and(|since| now - since >= tick);
-        while reports.entries.len() >= REPORT_FLUSH || (flush && !reports.entries.is_empty()) {
+        while reports.uncut() >= REPORT_FLUSH || (flush && reports.uncut() > 0) {
             outbound.push_back(reports.frame(None, 0, now + cfg.leg));
         }
         while outbound.front().is_some_and(|f| f.due <= now) {
             let f = outbound.pop_front().expect("front was checked");
-            link.push(Frame::AckBatch { site, want: f.want, entries: f.entries });
-            sent.push_back((f.request, f.acks));
+            reports.send(&f, site, link, &mut waiting);
+            sent.push_back((f.request, f.reports));
         }
         if link.flush()? {
             last_sent = now;
@@ -352,13 +427,15 @@ fn serve_site(
         let now = Instant::now();
         while let Some(msg) = next {
             match msg {
-                MasterMsg::GetJobs { want, done, reply } => {
+                MasterMsg::GetJobs { want, mut done, mut buf, reply } => {
                     quantum = want;
-                    reports.done(done, now);
+                    reports.done(&mut done, now);
                     pool.skip_revoked(|chunk| cfg.revoked(chunk));
-                    match pool.arrive(secs(now), want) {
-                        Take::NeedRefill => parked.push_back((reply, want, now)),
-                        take => cfg.metrics.answer(&reply, take),
+                    match pool.arrive(secs(now), want, &mut buf) {
+                        Take::NeedRefill => {
+                            parked.push_back(Parked { reply, want, buf, done, since: now });
+                        }
+                        take => cfg.metrics.answer(reply, take, done),
                     }
                 }
                 MasterMsg::Complete { jobs, reply } => {
@@ -366,11 +443,12 @@ fn serve_site(
                         reports.push(job, true, Some(reply.clone()), now);
                     }
                 }
-                MasterMsg::Done { jobs } => reports.done(jobs, now),
+                MasterMsg::Done { mut jobs } => reports.done(&mut jobs, now),
                 MasterMsg::Failed { job } => reports.push(job, false, None, now),
                 MasterMsg::HeadReply(reply) => {
-                    let (request, acks) = sent.pop_front().ok_or_else(|| unasked("reply"))?;
-                    inbound.push_back(receive(pool, reply, request, acks, now + cfg.leg)?);
+                    let (request, n) = sent.pop_front().ok_or_else(|| unasked("reply"))?;
+                    let due = now + cfg.leg;
+                    inbound.push_back(receive(pool, reply, request, waiting.drain(..n), due)?);
                 }
                 MasterMsg::HeadGone(e) => return Err(e),
                 MasterMsg::SlavesGone => slaves_gone = true,
@@ -390,18 +468,17 @@ fn serve_site(
     // answer to every frame on the link — it may still be granting jobs to
     // this master — and only then hand back the queue and every grant that
     // was travelling, as failures, before the orderly goodbye.
-    let mut entries: Vec<AckEntry> = outbound.into_iter().flat_map(|f| f.entries).collect();
-    entries.append(&mut reports.entries);
-    for chunk in entries.chunks(REPORT_FLUSH) {
-        link.push(Frame::AckBatch { site, want: 0, entries: chunk.to_vec() });
-        sent.push_back((None, vec![None; chunk.len()])); // nobody is left to tell
+    for chunk in reports.entries.chunks(REPORT_FLUSH) {
+        link.push_reports(site, 0, chunk);
+        sent.push_back((None, chunk.len()));
+        waiting.extend(chunk.iter().map(|_| None)); // nobody is left to tell
     }
     link.flush()?;
     while !sent.is_empty() {
         match rx.recv() {
             Ok(MasterMsg::HeadReply(reply)) => {
-                let (request, acks) = sent.pop_front().expect("checked non-empty");
-                receive(pool, reply, request, acks, Instant::now())?;
+                let (request, n) = sent.pop_front().expect("checked non-empty");
+                receive(pool, reply, request, waiting.drain(..n), Instant::now())?;
             }
             Ok(MasterMsg::HeadGone(e)) => return Err(e),
             Ok(_) => {}
@@ -439,7 +516,7 @@ fn receive(
     pool: &mut MasterPool,
     reply: BatchReply,
     request: Option<RequestId>,
-    acks: Waiters,
+    acks: impl ExactSizeIterator<Item = Option<Sender<bool>>>,
     due: Instant,
 ) -> io::Result<Inbound> {
     if reply.verdicts.len() != acks.len() {
@@ -453,8 +530,7 @@ fn receive(
         None if !reply.grant.is_empty() => return Err(unasked("grant")),
         None => {}
     }
-    let verdicts =
-        acks.into_iter().zip(reply.verdicts).filter_map(|(a, v)| Some((a?, v))).collect();
+    let verdicts = acks.zip(reply.verdicts).filter_map(|(a, v)| Some((a?, v))).collect();
     Ok(Inbound { due, request, verdicts, revoked: reply.revoked })
 }
 
@@ -477,14 +553,14 @@ pub fn run_hybrid_tcp<R: Reduction>(
 mod tests {
     use super::*;
     use crate::head::{run_head, HeadOptions};
-    use crate::protocol::HeadReport;
+    use crate::protocol::{Answer, HeadReport};
     use crate::runtime::MasterMetrics;
     use crate::wire::put_hello_ack;
     use cloudburst_core::{
         BatchPolicy, FaultPlan, HeartbeatConfig, JobBatch, JobPool, LayoutParams, SiteOutage,
         Telemetry,
     };
-    use crossbeam::channel::{bounded, unbounded, RecvTimeoutError};
+    use crossbeam::channel::{bounded, unbounded};
     use std::io::Read;
     use std::net::TcpListener;
 
@@ -492,6 +568,11 @@ mod tests {
         let params = LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 2 };
         let idx = DataIndex::build(n_chunks * 2, params, |_| SiteId::LOCAL).unwrap();
         JobPool::from_index(&idx, BatchPolicy::Fixed(2))
+    }
+
+    /// The pool a run starts `cfg`'s master with.
+    fn fresh(cfg: &MasterStart) -> MasterPool {
+        MasterPool::new(cfg.site, LOW_WATERMARK)
     }
 
     fn master(site: SiteId, leg: Duration, heartbeat: Option<HeartbeatConfig>) -> MasterStart {
@@ -521,17 +602,13 @@ mod tests {
         let (tx, rx) = unbounded::<MasterMsg>();
         std::thread::scope(|scope| {
             let replies = tx.clone();
-            let master = scope.spawn(move || run_site_master(cfg, rx, replies, &uplink));
+            let master =
+                scope.spawn(move || run_site_master(cfg, fresh(cfg), rx, replies, &uplink));
             let mut taken = 0;
             let mut done = Vec::new();
             while taken < limit {
-                let (rtx, rrx) = bounded(1);
-                let request =
-                    MasterMsg::GetJobs { want: 1, done: std::mem::take(&mut done), reply: rtx };
-                if tx.send(request).is_err() {
-                    break;
-                }
-                let Ok(Take::Jobs(jobs)) = rrx.recv() else { break };
+                let rrx = ask(&tx, 1, std::mem::take(&mut done));
+                let Ok(Some((Take::Jobs(jobs), _))) = rrx.recv() else { break };
                 let job = jobs[0].chunk.id;
                 taken += 1;
                 if acked {
@@ -669,7 +746,8 @@ mod tests {
     }
 
     /// A head played by the test, in-process: the master's mailbox from its
-    /// `Connect`, then every message as it comes.
+    /// `Connect`, then every message as it comes but the grants it hands
+    /// back to be built again in.
     struct ScriptedHead {
         rx: Receiver<HeadMsg>,
         master: Option<Sender<MasterMsg>>,
@@ -682,6 +760,7 @@ mod tests {
             loop {
                 match self.rx.recv_timeout(wait).ok()? {
                     HeadMsg::Connect { mailbox, .. } => self.master = Some(mailbox),
+                    HeadMsg::Spare(_) => {}
                     msg => return Some(msg),
                 }
             }
@@ -721,15 +800,33 @@ mod tests {
         let (master_tx, master_rx) = unbounded::<MasterMsg>();
         let (head_tx, head_rx) = unbounded::<HeadMsg>();
         let replies = master_tx.clone();
-        scope.spawn(move || run_site_master(&cfg, master_rx, replies, &Uplink::Mailbox(head_tx)));
+        scope.spawn(move || {
+            run_site_master(&cfg, fresh(&cfg), master_rx, replies, &Uplink::Mailbox(head_tx))
+        });
         (master_tx, ScriptedHead { rx: head_rx, master: None })
     }
 
-    /// A slave's request for one job; its answer comes on the receiver.
-    fn ask_one(master: &Sender<MasterMsg>) -> Receiver<Take> {
-        let (reply, answer) = bounded(1);
-        master.send(MasterMsg::GetJobs { want: 1, done: Vec::new(), reply }).unwrap();
+    /// A slave's request for `want` jobs, carrying `done`; its answer comes
+    /// on the receiver — `None` when the master let it go unanswered.
+    fn ask(
+        master: &Sender<MasterMsg>,
+        want: usize,
+        done: Vec<ChunkId>,
+    ) -> Receiver<Option<Answer>> {
+        let (to, answer) = bounded(1);
+        let reply = Reply::new(&to);
+        let _ = master.send(MasterMsg::GetJobs { want, done, buf: Vec::new(), reply });
         answer
+    }
+
+    /// A slave's request for one job.
+    fn ask_one(master: &Sender<MasterMsg>) -> Receiver<Option<Answer>> {
+        ask(master, 1, Vec::new())
+    }
+
+    /// What the master answered the request `answer` stands for.
+    fn taken(answer: &Receiver<Option<Answer>>) -> Take {
+        answer.recv().unwrap().expect("the master answered").0
     }
 
     fn ack_batch(msg: Option<HeadMsg>) -> (u16, usize) {
@@ -756,17 +853,17 @@ mod tests {
             let (want, entries) = ack_batch(head.next(Duration::from_secs(5)));
             assert!(want > 0);
             head.answer(entries, jobs.grant(SiteId::LOCAL, 3, 0.0));
-            assert!(matches!(first.recv().unwrap(), Take::Jobs(j) if j.len() == 1));
-            assert!(matches!(ask_one(&master).recv().unwrap(), Take::Jobs(j) if j.len() == 1));
+            assert!(matches!(taken(&first), Take::Jobs(j) if j.len() == 1));
+            assert!(matches!(taken(&ask_one(&master)), Take::Jobs(j) if j.len() == 1));
             let (want, entries) = ack_batch(head.next(Duration::from_secs(5)));
             assert!(want > 0, "the queue is at its watermark: the master asks again");
             let third = ask_one(&master).recv_timeout(Duration::from_secs(2));
             assert!(
-                matches!(third, Ok(Take::Jobs(ref j)) if j.len() == 1),
+                matches!(third, Ok(Some((Take::Jobs(ref j), _))) if j.len() == 1),
                 "a queued job waited on the head's answer to another request: {third:?}"
             );
             head.answer(entries, JobBatch::empty(true));
-            assert_eq!(ask_one(&master).recv().unwrap(), Take::Drained);
+            assert_eq!(taken(&ask_one(&master)), Take::Drained);
             master.send(MasterMsg::SlavesGone).unwrap();
             head.until_bye();
         });
@@ -783,12 +880,11 @@ mod tests {
             std::thread::scope(|scope| {
                 let cfg = master(SiteId::LOCAL, Duration::ZERO, None);
                 let (master, mut head) = scripted(scope, cfg);
-                let (reply, answer) = bounded(1);
-                master.send(MasterMsg::GetJobs { want, done: Vec::new(), reply }).unwrap();
+                let answer = ask(&master, want, Vec::new());
                 let (ask, entries) = ack_batch(head.next(Duration::from_secs(5)));
                 assert_eq!(usize::from(ask), asked, "a slave taking {want} per hand-off");
                 head.answer(entries, JobBatch::empty(true));
-                assert_eq!(answer.recv().unwrap(), Take::Drained);
+                assert_eq!(taken(&answer), Take::Drained);
                 master.send(MasterMsg::SlavesGone).unwrap();
                 head.until_bye();
             });
@@ -875,7 +971,7 @@ mod tests {
                 if let HeadMsg::Frame { frame: Frame::AckBatch { entries, .. }, .. } = msg {
                     head.answer(entries.len(), grant.take().unwrap_or(JobBatch::empty(false)));
                 }
-                if let Ok(take) = slave.try_recv() {
+                if let Ok(Some((take, _))) = slave.try_recv() {
                     assert!(matches!(take, Take::Jobs(jobs) if jobs.len() == 1 && jobs[0].stolen));
                     break;
                 }
@@ -918,15 +1014,22 @@ mod tests {
             chaos: Some(Arc::new(plan)),
             ..master(SiteId::CLOUD, Duration::ZERO, None)
         };
-        let gone = run_site_master(&cfg, master_rx, master_tx.clone(), &Uplink::Mailbox(head_tx));
+        let gone = run_site_master(
+            &cfg,
+            fresh(&cfg),
+            master_rx,
+            master_tx.clone(),
+            &Uplink::Mailbox(head_tx),
+        );
         assert!(gone.is_ok(), "a dead site's master is not the run's error");
         assert_eq!(
             slave.recv_timeout(Duration::from_secs(1)),
-            Err(RecvTimeoutError::Disconnected),
+            Ok(None),
             "the slave must learn that nobody will answer"
         );
-        let (rtx, _rrx) = bounded(1);
-        let late = MasterMsg::GetJobs { want: 1, done: Vec::new(), reply: rtx };
+        let (to, _answer) = bounded(1);
+        let reply = Reply::new(&to);
+        let late = MasterMsg::GetJobs { want: 1, done: Vec::new(), buf: Vec::new(), reply };
         assert!(master_tx.send(late).is_err(), "a later request has nowhere to go");
     }
 }

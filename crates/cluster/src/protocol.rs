@@ -21,7 +21,7 @@
 //! `Ping` frames, so the head can detect a silently dead site.
 
 use crate::wire::{BatchReply, Frame};
-use cloudburst_core::{ChunkId, FaultCounters, SiteId, SiteJobCounts, Take};
+use cloudburst_core::{ChunkId, FaultCounters, JobBatch, LocalJob, SiteId, SiteJobCounts, Take};
 use crossbeam::channel::Sender;
 use std::collections::BTreeMap;
 use std::io;
@@ -60,6 +60,44 @@ pub enum HeadMsg {
         /// fault tolerance off, when no duplicate can exist.
         reply: Option<Sender<Vec<bool>>>,
     },
+    /// A grant a master has queued, emptied: its buffers serve a later grant,
+    /// so the head allocates none per exchange once they are grown.
+    Spare(JobBatch),
+}
+
+/// A master's answer to a slave's request for jobs: the jobs, or why there
+/// are none, and the buffer of the completions the request carried, emptied,
+/// for the slave to say its next ones in.
+pub type Answer = (Take, Vec<ChunkId>);
+
+/// Where a master answers a slave's request for jobs: the slave's one reply
+/// channel, kept for its whole run, so an exchange allocates no channel. A
+/// reply dropped unanswered — its master is gone — says so with `None`,
+/// which a channel that outlives the request cannot.
+pub struct Reply(Option<Sender<Option<Answer>>>);
+
+impl Reply {
+    /// A reply on the slave's channel `to` (one request out at a time, so a
+    /// channel of one never blocks the master).
+    #[must_use]
+    pub fn new(to: &Sender<Option<Answer>>) -> Reply {
+        Reply(Some(to.clone()))
+    }
+
+    /// Answer the request.
+    pub fn send(mut self, answer: Answer) {
+        if let Some(to) = self.0.take() {
+            let _ = to.send(Some(answer));
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(to) = self.0.take() {
+            let _ = to.send(None);
+        }
+    }
 }
 
 /// Messages a site master serves: its slaves' requests and reports, the
@@ -68,15 +106,21 @@ pub enum HeadMsg {
 pub enum MasterMsg {
     /// A slave asks for its next jobs. The master answers with one to `want`
     /// of them the moment its pool holds any — it never waits to fill a
-    /// batch — and parks the request while the pool is empty.
+    /// batch — and parks the request while the pool is empty. The buffers
+    /// travel back and forth, so a hand-off allocates nothing once they are
+    /// grown.
     GetJobs {
         /// The most jobs the slave takes: one quantum of its work.
         want: usize,
         /// The jobs the slave finished since its last request whose
-        /// completion nobody waits on; the master passes them to the head.
+        /// completion nobody waits on; the master passes them to the head
+        /// and answers with the buffer emptied.
         done: Vec<ChunkId>,
+        /// The emptied buffer of the slave's last batch, which the master
+        /// fills with the jobs.
+        buf: Vec<LocalJob>,
         /// Where to send the jobs (or the drained signal).
-        reply: Sender<Take>,
+        reply: Reply,
     },
     /// A slave reports the jobs it finished since its last report and waits
     /// for the head's merge/discard verdict on each (TCP deployment mode: the

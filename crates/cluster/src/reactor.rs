@@ -2,9 +2,11 @@
 //! thousands of master connections without thousands of OS threads.
 //!
 //! Every connection is served from one thread: non-blocking sockets, a
-//! per-connection read buffer fed into the incremental [`try_read_frame`]
-//! decoder, and a write buffer drained as the socket accepts it (partial
-//! writes tracked by offset). The house rule is *no async runtime*, so the
+//! per-connection read buffer fed into the incremental
+//! [`try_read_frame`](crate::wire::try_read_frame) decoder, and a write buffer
+//! drained as the socket accepts it (partial writes tracked by offset). Both
+//! are kept for the connection's life, and each grant is encoded and handed
+//! back to the core to be built again in: a frame costs no buffer. The house rule is *no async runtime*, so the
 //! thread blocks in `poll(2)` ([`crate::readiness`]) over the listener and
 //! every connection — write interest only while a reply is buffered — until
 //! a socket is ready or the core's next deadline (lease reap, heartbeat
@@ -25,8 +27,7 @@ use crate::head::HeadOptions;
 use crate::head_core::{HeadCore, Peer, Reply};
 use crate::protocol::HeadReport;
 use crate::readiness::{self, PollFd, READABLE, WRITABLE};
-use crate::wire::{put_batch_reply, put_grant, put_hello_ack, try_read_frame};
-use bytes::BytesMut;
+use crate::wire::{put_batch_reply, put_grant, put_hello_ack, read_frame};
 use cloudburst_core::JobPool;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -39,7 +40,7 @@ struct Conn {
     /// What the core knows this connection as.
     peer: Peer,
     /// Bytes read but not yet decoded (partial frames included).
-    rbuf: BytesMut,
+    rbuf: Vec<u8>,
     /// Encoded replies not yet written; `wpos` marks the flushed prefix.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -121,7 +122,7 @@ pub fn serve_head_with(
                         conns.push(Conn {
                             stream,
                             peer,
-                            rbuf: BytesMut::with_capacity(1024),
+                            rbuf: Vec::with_capacity(1024),
                             wbuf: Vec::new(),
                             wpos: 0,
                             said_bye: false,
@@ -221,13 +222,21 @@ fn pump(conn: &mut Conn, scratch: &mut [u8], core: &mut HeadCore, now: f64) -> i
         }
     }
 
+    let mut decoded = 0;
     while !conn.said_bye {
-        let Some(frame) = try_read_frame(&mut conn.rbuf)? else { break };
+        let Some((frame, len)) = read_frame(&conn.rbuf[decoded..])? else { break };
+        decoded += len;
         match core.on_frame(conn.peer, frame, now) {
             Reply::None => {}
             Reply::HelloAck(version) => put_hello_ack(&mut conn.wbuf, version),
-            Reply::Grant(batch) => put_grant(&mut conn.wbuf, &batch),
-            Reply::Batch(reply) => put_batch_reply(&mut conn.wbuf, &reply),
+            Reply::Grant(batch) => {
+                put_grant(&mut conn.wbuf, &batch);
+                core.recycle(batch);
+            }
+            Reply::Batch(reply) => {
+                put_batch_reply(&mut conn.wbuf, &reply);
+                core.recycle(reply.grant);
+            }
             Reply::Bye => conn.said_bye = true,
             Reply::Refused(version) => {
                 put_hello_ack(&mut conn.wbuf, version);
@@ -236,6 +245,8 @@ fn pump(conn: &mut Conn, scratch: &mut [u8], core: &mut HeadCore, now: f64) -> i
             }
         }
     }
+    // What is left is a frame still arriving: moved to the front.
+    conn.rbuf.drain(..decoded);
 
     flush(conn)?;
 

@@ -108,6 +108,18 @@ const GRANT_RECORD: usize = 42;
 
 /// Read a grant from a stream.
 pub fn read_grant(r: &mut impl Read) -> io::Result<JobBatch> {
+    read_grant_with(r, &mut Vec::new(), || None)
+}
+
+/// [`read_grant`] through `body`, the caller's scratch buffer for the
+/// frame's bytes, and into the batch `spare` gives — one emptied for reuse —
+/// when the grant has jobs: a reader that keeps both allocates nothing per
+/// grant once they are grown.
+fn read_grant_with(
+    r: &mut impl Read,
+    body: &mut Vec<u8>,
+    spare: impl FnOnce() -> Option<JobBatch>,
+) -> io::Result<JobBatch> {
     let mut head = [0u8; 7];
     r.read_exact(&mut head)?;
     if head[0] != TAG_GRANT {
@@ -119,11 +131,18 @@ pub fn read_grant(r: &mut impl Read) -> io::Result<JobBatch> {
     if n > MAX_GRANT_JOBS {
         return Err(err("grant length prefix unreasonably large"));
     }
-    let mut body = vec![0u8; n * GRANT_RECORD];
-    r.read_exact(&mut body)?;
+    if n == 0 {
+        return Ok(JobBatch { stolen, ..JobBatch::empty(terminal) });
+    }
+    read_body(r, body, n * GRANT_RECORD)?;
     let mut buf = body.as_slice();
-    let mut jobs = Vec::with_capacity(n);
-    let mut spans = Vec::with_capacity(n);
+    let mut batch = spare().unwrap_or_else(|| JobBatch::empty(false));
+    (batch.stolen, batch.terminal) = (stolen, terminal);
+    let JobBatch { jobs, spans, .. } = &mut batch;
+    jobs.clear();
+    spans.clear();
+    jobs.reserve(n);
+    spans.reserve(n);
     for _ in 0..n {
         jobs.push(ChunkMeta {
             id: ChunkId(buf.get_u32_le()),
@@ -135,7 +154,14 @@ pub fn read_grant(r: &mut impl Read) -> io::Result<JobBatch> {
         });
         spans.push(buf.get_u64_le());
     }
-    Ok(JobBatch { jobs, spans, stolen, terminal })
+    Ok(batch)
+}
+
+/// Read the next `len` bytes of a stream into `body`, replacing what it held.
+fn read_body(r: &mut impl Read, body: &mut Vec<u8>, len: usize) -> io::Result<()> {
+    body.clear();
+    body.resize(len, 0);
+    r.read_exact(body)
 }
 
 const TAG_HELLO: u8 = 8;
@@ -195,6 +221,10 @@ pub enum Frame {
     },
 }
 
+/// The most revocation notices one [`BatchReply`] carries (its count is a
+/// `u16`); the head keeps the rest for the site's next reply.
+pub const MAX_REVOKED: usize = u16::MAX as usize;
+
 /// The head's lockstep reply to an `AckBatch` frame.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReply {
@@ -202,7 +232,8 @@ pub struct BatchReply {
     /// failure reports get `false`). Positional.
     pub verdicts: Vec<bool>,
     /// Jobs whose leases the head revoked (reaped or evacuated) since the
-    /// last reply: the master must drop any of these it still has queued.
+    /// last reply, oldest first and at most [`MAX_REVOKED`]: the master must
+    /// drop any of these it still has queued.
     pub revoked: Vec<ChunkId>,
     /// Refill grant (empty + terminal once the pool is drained).
     pub grant: JobBatch,
@@ -213,6 +244,14 @@ pub struct BatchReply {
 /// place and read more. Nothing is allocated until a frame's bytes have
 /// fully arrived, and a `u16` entry count bounds `AckBatch` at ~320 KiB.
 pub fn try_read_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
+    let Some((frame, len)) = read_frame(buf)? else { return Ok(None) };
+    buf.advance(len);
+    Ok(Some(frame))
+}
+
+/// [`try_read_frame`] over bytes the caller keeps: the frame at the front of
+/// `buf` and its length in bytes, for a reader that reuses one buffer.
+pub(crate) fn read_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     let Some(&tag) = buf.first() else { return Ok(None) };
     let need = match tag {
         TAG_PING => 3,
@@ -232,8 +271,7 @@ pub fn try_read_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
     if buf.len() < need {
         return Ok(None);
     }
-    let mut frame = buf.split_to(need);
-    frame.advance(1);
+    let mut frame = &buf[1..need];
     let decoded = match tag {
         TAG_PING => Frame::Legacy(MasterToHead::Ping { site: SiteId(frame.get_u16_le()) }),
         TAG_FAILED => {
@@ -267,7 +305,7 @@ pub fn try_read_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
         }
         _ => unreachable!("tag validated above"),
     };
-    Ok(Some(decoded))
+    Ok(Some((decoded, need)))
 }
 
 /// Append an `AckBatch` frame to `out`.
@@ -360,10 +398,16 @@ pub fn write_ack_batch(
 }
 
 /// Append a [`BatchReply`] to `out`.
+///
+/// # Panics
+/// Panics when it holds more than `u16::MAX` verdicts — one per report of an
+/// `AckBatch`, whose count is a `u16` — or more than [`MAX_REVOKED`] notices.
 pub(crate) fn put_batch_reply(out: &mut Vec<u8>, reply: &BatchReply) {
+    let verdicts = u16::try_from(reply.verdicts.len()).expect("one verdict per AckBatch report");
+    assert!(reply.revoked.len() <= MAX_REVOKED, "the head sends at most MAX_REVOKED notices");
     out.reserve(5 + reply.verdicts.len() + reply.revoked.len() * 4);
     out.push(TAG_BATCH_REPLY);
-    out.extend_from_slice(&(reply.verdicts.len() as u16).to_le_bytes());
+    out.extend_from_slice(&verdicts.to_le_bytes());
     out.extend(reply.verdicts.iter().map(|&v| u8::from(v)));
     out.extend_from_slice(&(reply.revoked.len() as u16).to_le_bytes());
     for job in &reply.revoked {
@@ -375,25 +419,34 @@ pub(crate) fn put_batch_reply(out: &mut Vec<u8>, reply: &BatchReply) {
 /// Read a [`BatchReply`] from a stream. Both length prefixes are `u16`, so
 /// the decode allocation is bounded without a separate cap.
 pub fn read_batch_reply(r: &mut impl Read) -> io::Result<BatchReply> {
+    read_batch_reply_with(r, &mut Vec::new(), || None)
+}
+
+/// [`read_batch_reply`] through `body`, the caller's scratch buffer for the
+/// frame's bytes, with the grant decoded into the batch `spare` gives when
+/// it has jobs (see [`read_grant_with`]).
+pub(crate) fn read_batch_reply_with(
+    r: &mut impl Read,
+    body: &mut Vec<u8>,
+    spare: impl FnOnce() -> Option<JobBatch>,
+) -> io::Result<BatchReply> {
     let mut head = [0u8; 3];
     r.read_exact(&mut head)?;
     if head[0] != TAG_BATCH_REPLY {
         return Err(err(&format!("expected batch reply, got tag {}", head[0])));
     }
     let n = u16::from_le_bytes([head[1], head[2]]) as usize;
-    let mut verdict_bytes = vec![0u8; n];
-    r.read_exact(&mut verdict_bytes)?;
-    let verdicts = verdict_bytes.iter().map(|&b| b != 0).collect();
+    read_body(r, body, n)?;
+    let verdicts = body.iter().map(|&b| b != 0).collect();
     let mut rb = [0u8; 2];
     r.read_exact(&mut rb)?;
     let n_revoked = u16::from_le_bytes(rb) as usize;
-    let mut revoked_bytes = vec![0u8; n_revoked * 4];
-    r.read_exact(&mut revoked_bytes)?;
-    let revoked = revoked_bytes
+    read_body(r, body, n_revoked * 4)?;
+    let revoked = body
         .chunks_exact(4)
         .map(|c| ChunkId(u32::from_le_bytes(c.try_into().expect("job id"))))
         .collect();
-    let grant = read_grant(r)?;
+    let grant = read_grant_with(r, body, spare)?;
     Ok(BatchReply { verdicts, revoked, grant })
 }
 

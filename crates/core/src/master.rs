@@ -71,9 +71,14 @@ use std::collections::VecDeque;
 pub const POLL_MIN: Seconds = 100e-6;
 /// Longest wait between polls of a head that has nothing.
 pub const POLL_CAP: Seconds = 5e-3;
-/// Upper bound on `⌊rtt / gap⌋`, so one wild measurement (two slaves asking
-/// in the same microsecond) cannot make a master hoard the whole dataset.
-const MAX_BDP_JOBS: usize = 1024;
+/// The most jobs in one hand-off, in a master's window beyond its floor and
+/// in one request of the runtime's master: the bound on what a slave asks for
+/// ([`crate::slave::SlaveCore::ask`]), however short its jobs, and on
+/// `⌊rtt / gap⌋`, so one wild measurement (two slaves asking in the same
+/// microsecond) cannot make a master hoard the whole dataset. One bound for
+/// all three: a master that opens its window this far can answer such a
+/// hand-off from its queue, refilled a hand-off's worth per request.
+pub const MAX_BDP_JOBS: usize = 1024;
 
 /// Identifies one grant request between [`MasterPool::next_request`] and
 /// [`MasterPool::land`].
@@ -217,6 +222,13 @@ impl MasterPool {
         }
     }
 
+    /// Room for `jobs` queued jobs, allocated now: on the thread that
+    /// outlives a run's threads, the run's largest buffer is not left in the
+    /// malloc arena of a thread that exits with the run.
+    pub fn reserve(&mut self, jobs: usize) {
+        self.queue.reserve(jobs);
+    }
+
     /// The site this master manages.
     #[must_use]
     pub fn site(&self) -> SiteId {
@@ -229,26 +241,35 @@ impl MasterPool {
         self.queue.len()
     }
 
-    /// Queue a landed grant. An empty **terminal** batch marks the pool as
-    /// drained: the head has guaranteed no work will ever appear again. An
-    /// empty *non*-terminal batch leaves the pool as-is — in-flight jobs
-    /// elsewhere may still fail and be requeued.
-    fn enqueue(&mut self, batch: JobBatch) {
+    /// Queue a landed grant and empty it, keeping its buffers. An empty
+    /// **terminal** batch marks the pool as drained: the head has guaranteed
+    /// no work will ever appear again. An empty *non*-terminal batch leaves
+    /// the pool as-is — in-flight jobs elsewhere may still fail and be
+    /// requeued.
+    fn enqueue(&mut self, batch: &mut JobBatch) {
         self.refills += 1;
         if batch.is_empty() && batch.terminal {
             self.drained = true;
         }
-        self.queue.extend(jobs_of(&batch));
+        self.queue.extend(jobs_of(batch));
+        batch.jobs.clear();
+        batch.spans.clear();
     }
 
-    /// Hand a slave the next `want` jobs, or as many as are queued: a
-    /// batch is never waited for.
-    fn take(&mut self, want: usize) -> Take {
+    /// Hand a slave the next `want` jobs, or as many as are queued, in `buf`
+    /// — the buffer of its last hand-off, so a hand-off allocates nothing
+    /// once the buffers are grown: a batch is never waited for. `buf` stays
+    /// with the caller unless jobs are handed out.
+    fn take(&mut self, want: usize, buf: &mut Vec<LocalJob>) -> Take {
         debug_assert!(want > 0, "a slave asks for at least one job");
         let n = want.min(self.queue.len());
         if n > 0 {
             self.dispatched += n as u64;
-            return Take::Jobs(self.queue.drain(..n).collect());
+            buf.clear();
+            // As large as the largest hand-off, no larger.
+            buf.reserve_exact(n);
+            buf.extend(self.queue.drain(..n));
+            return Take::Jobs(std::mem::take(buf));
         }
         // A grant with jobs that is still travelling back must be waited
         // for even after a terminal answer overtook it.
@@ -259,10 +280,11 @@ impl MasterPool {
         }
     }
 
-    /// A slave asks for up to `want` jobs at `now`. `Take::NeedRefill` means
-    /// it has to wait: the caller parks it and offers it
+    /// A slave asks for up to `want` jobs at `now`, handing back `buf`, the
+    /// emptied buffer of its last hand-off, to be filled. `Take::NeedRefill`
+    /// means it has to wait: the caller parks it with `buf` and offers it
     /// [`MasterPool::serve_parked`] after the next grant lands.
-    pub fn arrive(&mut self, now: Seconds, want: usize) -> Take {
+    pub fn arrive(&mut self, now: Seconds, want: usize, buf: &mut Vec<LocalJob>) -> Take {
         // The time since the last dispatch is how long the slaves took to
         // come back for more, and it bought as many jobs as that dispatch
         // handed out — unless a slave is parked already, in which case it
@@ -270,7 +292,7 @@ impl MasterPool {
         if let (0, Some((last, jobs))) = (self.parked, self.last_dispatch) {
             ewma(&mut self.gap, (now - last).max(0.0) / jobs as f64, 8.0);
         }
-        let take = self.take(want);
+        let take = self.take(want, buf);
         match &take {
             Take::Jobs(jobs) => self.dispatched_at(now, jobs.len()),
             Take::NeedRefill => self.parked += 1,
@@ -280,10 +302,11 @@ impl MasterPool {
     }
 
     /// Offer the longest-parked slave the up to `want` jobs it asked for at
-    /// `now`; `Take::NeedRefill` leaves it parked.
-    pub fn serve_parked(&mut self, now: Seconds, want: usize) -> Take {
+    /// `now`, in the buffer it handed back; `Take::NeedRefill` leaves it
+    /// parked.
+    pub fn serve_parked(&mut self, now: Seconds, want: usize, buf: &mut Vec<LocalJob>) -> Take {
         debug_assert!(self.parked > 0, "no slave is parked");
-        let take = self.take(want);
+        let take = self.take(want, buf);
         match &take {
             Take::Jobs(jobs) => {
                 self.parked -= 1;
@@ -394,14 +417,15 @@ impl MasterPool {
 
     /// The grant for request `id` arrived at `now`: queue its jobs and take
     /// the round-trip sample. Returns that sample, for the adapter's
-    /// histogram.
+    /// histogram, and the grant emptied, for whoever builds grants to fill
+    /// again.
     ///
     /// # Panics
     /// Panics when `id` is not in flight or was never [`MasterPool::granted`].
-    pub fn land(&mut self, id: RequestId, now: Seconds) -> Seconds {
+    pub fn land(&mut self, id: RequestId, now: Seconds) -> (Seconds, JobBatch) {
         let at = self.in_flight.iter().position(|r| r.id == id).expect("request is in flight");
         let req = self.in_flight.remove(at);
-        let batch = req.batch.expect("a grant lands after the head answered");
+        let mut batch = req.batch.expect("a grant lands after the head answered");
         let rtt = (now - req.issued_at).max(0.0);
         let dev = self.rtt.map_or(0.0, |mean| (rtt - mean).abs());
         ewma(&mut self.rtt_dev, dev, 4.0);
@@ -420,8 +444,8 @@ impl MasterPool {
             self.idle_wait = POLL_MIN;
             self.poll_at = 0.0;
         }
-        self.enqueue(batch);
-        rtt
+        self.enqueue(&mut batch);
+        (rtt, batch)
     }
 
     /// When to call [`MasterPool::next_request`] again although nothing else
@@ -572,17 +596,17 @@ mod tests {
     }
 
     /// A grant that is simply there, the way a blocking master added it.
-    fn refill(mp: &mut MasterPool, batch: JobBatch) {
+    fn refill(mp: &mut MasterPool, mut batch: JobBatch) {
         mp.granted += batch.len() as u64;
-        mp.enqueue(batch);
+        mp.enqueue(&mut batch);
     }
 
     #[test]
     fn empty_pool_requests_refill_then_serves() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.take(1), Take::NeedRefill);
+        assert_eq!(mp.take(1, &mut Vec::new()), Take::NeedRefill);
         refill(&mut mp, some_batch(3, false));
-        assert!(!one(mp.take(1)).stolen);
+        assert!(!one(mp.take(1, &mut Vec::new())).stolen);
         assert_eq!(mp.queued(), 2);
         assert_eq!(mp.dispatched(), 1);
     }
@@ -591,20 +615,20 @@ mod tests {
     fn stolen_flag_propagates_to_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(1, true));
-        assert!(one(mp.take(1)).stolen);
+        assert!(one(mp.take(1, &mut Vec::new())).stolen);
     }
 
     #[test]
     fn spans_propagate_in_grant_order_and_default_to_zero() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(2, false));
-        assert_eq!(one(mp.take(1)).span, 1);
-        assert_eq!(one(mp.take(1)).span, 2);
+        assert_eq!(one(mp.take(1, &mut Vec::new())).span, 1);
+        assert_eq!(one(mp.take(1, &mut Vec::new())).span, 2);
         // A batch without span tracking yields span 0 (untracked).
         let mut bare = some_batch(1, false);
         bare.spans.clear();
         refill(&mut mp, bare);
-        assert_eq!(one(mp.take(1)).span, 0);
+        assert_eq!(one(mp.take(1, &mut Vec::new())).span, 0);
     }
 
     #[test]
@@ -613,8 +637,8 @@ mod tests {
         refill(&mut mp, some_batch(1, false));
         refill(&mut mp, JobBatch::empty(true));
         assert!(!mp.is_drained(), "queued job still to be handed out");
-        assert!(matches!(mp.take(1), Take::Jobs(_)));
-        assert_eq!(mp.take(1), Take::Drained);
+        assert!(matches!(mp.take(1, &mut Vec::new()), Take::Jobs(_)));
+        assert_eq!(mp.take(1, &mut Vec::new()), Take::Drained);
         assert!(mp.is_drained());
         assert_eq!(mp.next_request(0.0), None, "a drained pool must not ask again");
     }
@@ -624,16 +648,16 @@ mod tests {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, JobBatch::empty(false));
         assert!(!mp.is_drained());
-        assert_eq!(mp.take(1), Take::NeedRefill, "must keep polling");
+        assert_eq!(mp.take(1, &mut Vec::new()), Take::NeedRefill, "must keep polling");
         refill(&mut mp, JobBatch::empty(true));
-        assert_eq!(mp.take(1), Take::Drained);
+        assert_eq!(mp.take(1, &mut Vec::new()), Take::Drained);
     }
 
     #[test]
     fn drop_revoked_removes_only_undispatched_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(3, false));
-        let first = one(mp.take(1)).chunk.id;
+        let first = one(mp.take(1, &mut Vec::new())).chunk.id;
         // The dispatched job is out of the queue: revoking it is a no-op.
         assert_eq!(mp.drop_revoked(&[first]), 0);
         assert_eq!(mp.queued(), 2);
@@ -641,7 +665,7 @@ mod tests {
         let target = mp.queue.front().copied().unwrap().chunk.id;
         assert_eq!(mp.drop_revoked(&[target]), 1);
         assert_eq!(mp.queued(), 1);
-        assert_ne!(one(mp.take(1)).chunk.id, target);
+        assert_ne!(one(mp.take(1, &mut Vec::new())).chunk.id, target);
     }
 
     /// Carry request `id` to a head that answers with `batch` and back.
@@ -654,14 +678,14 @@ mod tests {
     fn slow_jobs_keep_one_request_at_the_watermark() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
         assert_eq!(mp.next_request(0.0), None, "nobody asked for anything yet");
-        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1, &mut Vec::new()), Take::NeedRefill);
         let id = mp.next_request(0.0).expect("a slave is waiting");
         assert_eq!(mp.next_request(0.0), None, "one request covers a window of one job");
         round_trip(&mut mp, id, some_batch(3, false), 0.1);
-        assert!(matches!(mp.serve_parked(0.1, 1), Take::Jobs(_)));
+        assert!(matches!(mp.serve_parked(0.1, 1, &mut Vec::new()), Take::Jobs(_)));
         assert_eq!(mp.next_request(0.1), None, "two jobs queued, watermark one");
         // Jobs take 1 s, the link 0.1 s: the window stays at the watermark.
-        assert!(matches!(mp.arrive(1.1, 1), Take::Jobs(_)));
+        assert!(matches!(mp.arrive(1.1, 1, &mut Vec::new()), Take::Jobs(_)));
         assert_eq!(mp.window(), 1);
         assert!(mp.next_request(1.1).is_some(), "at the watermark after a dispatch");
         assert_eq!(mp.next_request(1.1), None);
@@ -671,12 +695,12 @@ mod tests {
     #[test]
     fn fast_jobs_open_the_window_by_the_jobs_in_one_round_trip() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1, &mut Vec::new()), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, id, some_batch(4, false), 1.0);
-        assert!(matches!(mp.serve_parked(1.0, 1), Take::Jobs(_)));
+        assert!(matches!(mp.serve_parked(1.0, 1, &mut Vec::new()), Take::Jobs(_)));
         // The slave is back after 1/8 s; the round trip took 1 s.
-        assert!(matches!(mp.arrive(1.125, 1), Take::Jobs(_)));
+        assert!(matches!(mp.arrive(1.125, 1, &mut Vec::new()), Take::Jobs(_)));
         assert_eq!(mp.window(), 1 + 8);
         // Two queued; requests (4 jobs each, like the last grant) go out
         // until 9 jobs are covered.
@@ -688,7 +712,7 @@ mod tests {
     #[test]
     fn dry_head_is_polled_only_for_a_waiting_slave_and_backs_off() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1, &mut Vec::new()), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, id, JobBatch::empty(false), 0.0);
         assert_eq!(mp.next_request(0.0), None, "backing off");
@@ -698,24 +722,24 @@ mod tests {
         assert_eq!(mp.retry_at(), Some(POLL_MIN + 2.0 * POLL_MIN), "the wait doubles");
         let id = mp.next_request(1.0).unwrap();
         round_trip(&mut mp, id, JobBatch::empty(true), 1.0);
-        assert_eq!(mp.serve_parked(1.0, 1), Take::Drained);
+        assert_eq!(mp.serve_parked(1.0, 1, &mut Vec::new()), Take::Drained);
         assert_eq!(mp.next_request(2.0), None, "drained: never ask again");
     }
 
     #[test]
     fn close_hands_back_queued_jobs_and_grants_still_travelling() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1, &mut Vec::new()), Take::NeedRefill);
         let landed = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, landed, some_batch(3, false), 0.1);
-        assert!(matches!(mp.serve_parked(0.1, 1), Take::Jobs(_)));
+        assert!(matches!(mp.serve_parked(0.1, 1, &mut Vec::new()), Take::Jobs(_)));
         // Empty the queue so the master asks again; close while that grant
         // is on its way back and one more request never reached the head.
-        assert!(matches!(mp.arrive(0.2, 1), Take::Jobs(_)));
-        assert!(matches!(mp.arrive(0.3, 1), Take::Jobs(_)));
+        assert!(matches!(mp.arrive(0.2, 1, &mut Vec::new()), Take::Jobs(_)));
+        assert!(matches!(mp.arrive(0.3, 1, &mut Vec::new()), Take::Jobs(_)));
         let answered = mp.next_request(0.3).unwrap();
         mp.granted(answered, some_batch(2, false));
-        assert_eq!(mp.take(1), Take::NeedRefill, "granted jobs are not here yet");
+        assert_eq!(mp.take(1, &mut Vec::new()), Take::NeedRefill, "granted jobs are not here yet");
         let handed_back = mp.close();
         assert_eq!(handed_back.len(), 2);
         let ledger = mp.ledger();
@@ -732,7 +756,7 @@ mod tests {
         assert_eq!(ask_size(3, 1, 9), 1, "an issued request never asks for nothing");
 
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.arrive(0.0, 1), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 1, &mut Vec::new()), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         assert_eq!(mp.ask(id, 3), 4, "empty pool, window 1: floor + window");
         assert_eq!(mp.outstanding(), 4, "the ask is what the request is expected to bring");
@@ -740,7 +764,7 @@ mod tests {
         mp.granted(id, some_batch(2, false));
         assert_eq!(mp.outstanding(), 2);
         mp.land(id, 0.1);
-        assert!(matches!(mp.serve_parked(0.1, 1), Take::Jobs(_)));
+        assert!(matches!(mp.serve_parked(0.1, 1, &mut Vec::new()), Take::Jobs(_)));
         let id = mp.next_request(0.1).expect("one queued, at the watermark");
         assert_eq!(mp.ask(id, 3), 3, "one queued besides this request");
     }
@@ -748,14 +772,20 @@ mod tests {
     #[test]
     fn a_sized_take_hands_out_what_is_queued_up_to_the_want_and_never_waits() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        assert_eq!(mp.arrive(0.0, 8), Take::NeedRefill, "an empty pool parks whatever the want");
+        assert_eq!(
+            mp.arrive(0.0, 8, &mut Vec::new()),
+            Take::NeedRefill,
+            "an empty pool parks whatever the want"
+        );
         let id = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, id, some_batch(5, false), 0.1);
         // Five landed, eight wanted: the slave gets the five now.
-        assert!(matches!(mp.serve_parked(0.1, 8), Take::Jobs(jobs) if jobs.len() == 5));
+        assert!(
+            matches!(mp.serve_parked(0.1, 8, &mut Vec::new()), Take::Jobs(jobs) if jobs.len() == 5)
+        );
         assert_eq!((mp.parked(), mp.queued(), mp.dispatched()), (0, 0, 5));
         refill(&mut mp, some_batch(5, false));
-        assert!(matches!(mp.arrive(0.2, 2), Take::Jobs(jobs) if jobs.len() == 2));
+        assert!(matches!(mp.arrive(0.2, 2, &mut Vec::new()), Take::Jobs(jobs) if jobs.len() == 2));
         assert_eq!(mp.queued(), 3);
         assert!(mp.ledger().balanced());
     }
@@ -766,11 +796,13 @@ mod tests {
         // back after half a second: 1/8 s per job, a window of 8 jobs — what
         // four one-job hand-offs 1/8 s apart measure.
         let mut mp = MasterPool::new(SiteId::LOCAL, 1);
-        assert_eq!(mp.arrive(0.0, 4), Take::NeedRefill);
+        assert_eq!(mp.arrive(0.0, 4, &mut Vec::new()), Take::NeedRefill);
         let id = mp.next_request(0.0).unwrap();
         round_trip(&mut mp, id, some_batch(8, false), 1.0);
-        assert!(matches!(mp.serve_parked(1.0, 4), Take::Jobs(jobs) if jobs.len() == 4));
-        assert!(matches!(mp.arrive(1.5, 4), Take::Jobs(jobs) if jobs.len() == 4));
+        assert!(
+            matches!(mp.serve_parked(1.0, 4, &mut Vec::new()), Take::Jobs(jobs) if jobs.len() == 4)
+        );
+        assert!(matches!(mp.arrive(1.5, 4, &mut Vec::new()), Take::Jobs(jobs) if jobs.len() == 4));
         assert_eq!(mp.window(), 1 + 8);
     }
 
@@ -780,7 +812,7 @@ mod tests {
         refill(&mut mp, some_batch(3, false));
         let ids: Vec<ChunkId> = mp.queue.iter().map(|j| j.chunk.id).collect();
         assert_eq!(mp.skip_revoked(|c| c == ids[0] || c == ids[2]), 1);
-        assert_eq!(one(mp.arrive(0.0, 1)).chunk.id, ids[1]);
+        assert_eq!(one(mp.arrive(0.0, 1, &mut Vec::new())).chunk.id, ids[1]);
         assert_eq!(mp.ledger().dropped, 1);
         assert!(mp.ledger().balanced());
     }

@@ -47,7 +47,7 @@ pub const MAX_ASSIGNEES: usize = 2;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobState {
     Pending,
-    /// One or more sites hold a lease on the job (see `Pool::assignees`).
+    /// One or more sites hold a lease on the job (see [`Leases`]).
     Assigned,
     Done(SiteId),
     /// Permanently given up after exhausting retry attempts.
@@ -72,6 +72,94 @@ struct Assignee {
     /// this execution — on the head *and*, via [`JobBatch::spans`], on the
     /// processing site — carries it.
     span: u64,
+}
+
+/// The live leases on every job, in grant order: the one a job nearly always
+/// has in a slab of live leases, found by a four-byte slot per job, and its
+/// rare siblings — speculative copies and replicas — out of line, so a grant
+/// allocates nothing and a job costs the table four bytes. A job with no
+/// first lease has none.
+#[derive(Debug, Clone)]
+struct Leases {
+    /// Per job, the slot of its oldest lease in `slab`, or [`Leases::NONE`].
+    first: Vec<u32>,
+    /// The first leases, and the free slots among them.
+    slab: Vec<Assignee>,
+    free: Vec<u32>,
+    more: BTreeMap<usize, Vec<Assignee>>,
+}
+
+impl Leases {
+    const NONE: u32 = u32::MAX;
+
+    /// No lease on any of `n` jobs.
+    fn new(n: usize) -> Leases {
+        Leases {
+            first: vec![Leases::NONE; n],
+            slab: Vec::new(),
+            free: Vec::new(),
+            more: BTreeMap::new(),
+        }
+    }
+
+    /// Job `i`'s leases, oldest first.
+    fn of(&self, i: usize) -> impl Iterator<Item = &Assignee> {
+        self.first(i).into_iter().chain(self.more.get(&i).into_iter().flatten())
+    }
+
+    /// Job `i`'s oldest lease.
+    fn first(&self, i: usize) -> Option<&Assignee> {
+        self.slab.get(self.first[i] as usize)
+    }
+
+    fn is_empty(&self, i: usize) -> bool {
+        self.first[i] == Leases::NONE
+    }
+
+    fn count(&self, i: usize) -> usize {
+        usize::from(!self.is_empty(i)) + self.more.get(&i).map_or(0, Vec::len)
+    }
+
+    fn push(&mut self, i: usize, lease: Assignee) {
+        if !self.is_empty(i) {
+            self.more.entry(i).or_default().push(lease);
+        } else if let Some(slot) = self.free.pop() {
+            self.slab[slot as usize] = lease;
+            self.first[i] = slot;
+        } else {
+            self.first[i] = u32::try_from(self.slab.len()).expect("fewer live leases than u32");
+            self.slab.push(lease);
+        }
+    }
+
+    /// Take `site`'s lease on job `i` off, the rest staying in grant order;
+    /// `None` when `site` held none.
+    fn remove(&mut self, i: usize, site: SiteId) -> Option<Assignee> {
+        let first = self.first(i).copied();
+        let more = self.more.get_mut(&i);
+        let released = match first {
+            Some(first) if first.site == site => {
+                let slot = self.first[i];
+                match more.map(|more| more.remove(0)) {
+                    Some(next) => self.slab[slot as usize] = next,
+                    None => {
+                        self.free.push(slot);
+                        self.first[i] = Leases::NONE;
+                    }
+                }
+                first
+            }
+            _ => {
+                let more = more?;
+                let pos = more.iter().position(|a| a.site == site)?;
+                more.remove(pos)
+            }
+        };
+        if self.more.get(&i).is_some_and(Vec::is_empty) {
+            self.more.remove(&i);
+        }
+        Some(released)
+    }
 }
 
 /// What happened to a completion report — the dedup verdict.
@@ -209,8 +297,9 @@ impl SiteJobCounts {
 pub struct JobPool {
     chunks: Vec<ChunkMeta>,
     state: Vec<JobState>,
-    /// Live leases per job (at most [`MAX_ASSIGNEES`]).
-    assignees: Vec<Vec<Assignee>>,
+    /// Live leases per job (at most [`MAX_ASSIGNEES`], or the replication
+    /// factor).
+    assignees: Leases,
     /// Sites whose lease on the job was revoked (failed, reaped or
     /// evacuated) — their eventual reports are stale, not protocol errors.
     past: Vec<Vec<SiteId>>,
@@ -271,7 +360,7 @@ impl JobPool {
         JobPool {
             chunks: index.chunks.clone(),
             state: vec![JobState::Pending; n],
-            assignees: vec![Vec::new(); n],
+            assignees: Leases::new(n),
             past: vec![Vec::new(); n],
             pending_by_file,
             file_site: index.files.iter().map(|f| f.site).collect(),
@@ -428,12 +517,7 @@ impl JobPool {
     /// Sites currently holding a lease on `job` (test/diagnostic aid).
     #[must_use]
     pub fn assignees_of(&self, job: ChunkId) -> Vec<SiteId> {
-        self.assignees[job.0 as usize].iter().map(|a| a.site).collect()
-    }
-
-    /// The empty grant, terminal only when no work can ever appear again.
-    fn empty_grant(&self) -> JobBatch {
-        JobBatch::empty(self.all_done())
+        self.assignees.of(job.0 as usize).map(|a| a.site).collect()
     }
 
     /// True when the pool still has unassigned jobs hosted at `site`.
@@ -452,7 +536,7 @@ impl JobPool {
     /// finished it — i.e. a report from `site` is stale rather than a
     /// protocol violation.
     fn knows_site(&self, i: usize, site: SiteId) -> bool {
-        self.assignees[i].iter().any(|a| a.site == site)
+        self.assignees.of(i).any(|a| a.site == site)
             || self.past[i].contains(&site)
             || self.state[i] == JobState::Done(site)
     }
@@ -461,14 +545,7 @@ impl JobPool {
     /// accounting. Returns the released lease, `None` when `site` held no
     /// lease.
     fn release_assignee(&mut self, i: usize, site: SiteId) -> Option<Assignee> {
-        let pos = self.assignees[i].iter().position(|a| a.site == site)?;
-        let released = self.assignees[i].remove(pos);
-        if self.assignees[i].is_empty() {
-            // Give the lease list's buffer back with the last lease: kept,
-            // it is a heap block per job ever granted that lives as long as
-            // the pool, and the next grant can have this one.
-            self.assignees[i] = Vec::new();
-        }
+        let released = self.assignees.remove(i, site)?;
         self.readers[self.chunks[i].file.0 as usize] -= 1;
         *self.assigned_to.entry(site).or_insert(1) -= 1;
         Some(released)
@@ -533,7 +610,7 @@ impl JobPool {
             if released.speculative {
                 self.speculation_lost(i, site, released.span);
             }
-            if self.assignees[i].is_empty() {
+            if self.assignees.is_empty(i) {
                 if self.attempts[i] >= self.max_attempts {
                     self.abandon(i, Some(site));
                     return false;
@@ -563,8 +640,9 @@ impl JobPool {
             if self.state[i] != JobState::Assigned {
                 continue;
             }
-            let expired: Vec<(SiteId, bool, u64)> = self.assignees[i]
-                .iter()
+            let expired: Vec<(SiteId, bool, u64)> = self
+                .assignees
+                .of(i)
                 .filter(|a| a.deadline <= now)
                 .map(|a| (a.site, a.speculative, a.span))
                 .collect();
@@ -578,7 +656,7 @@ impl JobPool {
                 }
                 reaped.push((self.chunks[i].id, site));
             }
-            if self.state[i] == JobState::Assigned && self.assignees[i].is_empty() {
+            if self.state[i] == JobState::Assigned && self.assignees.is_empty(i) {
                 if self.attempts[i] >= self.max_attempts {
                     self.abandon(i, self.past[i].last().copied());
                 } else {
@@ -609,7 +687,7 @@ impl JobPool {
                     if released.speculative {
                         self.speculation_lost(i, site, released.span);
                     }
-                    if self.assignees[i].is_empty() {
+                    if self.assignees.is_empty(i) {
                         self.requeue(i);
                         self.refetch_saved(i, site);
                     }
@@ -645,7 +723,7 @@ impl JobPool {
                 }
                 JobState::Assigned => {
                     let holders: Vec<(SiteId, bool, u64)> =
-                        self.assignees[i].iter().map(|a| (a.site, a.speculative, a.span)).collect();
+                        self.assignees.of(i).map(|a| (a.site, a.speculative, a.span)).collect();
                     for &(site, speculative, span) in &holders {
                         self.release_assignee(i, site);
                         self.past[i].push(site);
@@ -707,8 +785,9 @@ impl JobPool {
     /// job-duration estimator on accepted completions.
     pub fn complete_at(&mut self, job: ChunkId, site: SiteId, now: f64) -> Completion {
         self.now = self.now.max(now);
-        let sample = self.assignees[job.0 as usize]
-            .iter()
+        let sample = self
+            .assignees
+            .of(job.0 as usize)
             .find(|a| a.site == site)
             .map(|a| (now - a.assigned_at).max(0.0));
         let outcome = self.complete(job, site);
@@ -749,8 +828,9 @@ impl JobPool {
                 let winner = self.release_assignee(i, site);
                 let winner_replica = winner.as_ref().is_some_and(|w| w.replica);
                 let winner_span = winner.as_ref().map_or(0, |w| w.span);
-                let losers: Vec<(SiteId, bool, bool, u64)> = self.assignees[i]
-                    .iter()
+                let losers: Vec<(SiteId, bool, bool, u64)> = self
+                    .assignees
+                    .of(i)
                     .map(|a| (a.site, a.speculative, a.replica, a.span))
                     .collect();
                 for &(s, speculative, replica, span) in &losers {
@@ -828,10 +908,11 @@ impl JobPool {
     }
 
     /// Grant up to `want` *consecutive* jobs from the front of `file`'s
-    /// pending queue.
-    fn grant_from_file(&mut self, file: FileId, want: usize, stolen: bool) -> JobBatch {
+    /// pending queue into the empty `batch`.
+    fn grant_from_file(&mut self, file: FileId, want: usize, stolen: bool, batch: &mut JobBatch) {
         let q = &mut self.pending_by_file[file.0 as usize];
-        let mut jobs = Vec::with_capacity(want.min(q.len()));
+        let jobs = &mut batch.jobs;
+        jobs.reserve(want.min(q.len()));
         while jobs.len() < want {
             let Some(id) = q.front().copied() else { break };
             // Keep the run physically consecutive: stop at a gap.
@@ -844,7 +925,7 @@ impl JobPool {
             q.pop_front();
             jobs.push(self.chunks[id.0 as usize]);
         }
-        JobBatch { jobs, spans: Vec::new(), stolen, terminal: false }
+        batch.stolen = stolen;
     }
 
     /// The lease deadline for a fresh grant to `site` at the current clock.
@@ -860,6 +941,7 @@ impl JobPool {
     /// `batch.spans` so the grant carries them to the processing site).
     fn assign_to(&mut self, batch: &mut JobBatch, site: SiteId) {
         let deadline = self.deadline_for(site);
+        batch.spans.reserve(batch.jobs.len());
         for k in 0..batch.jobs.len() {
             let j = batch.jobs[k];
             let i = j.id.0 as usize;
@@ -867,14 +949,15 @@ impl JobPool {
             self.state[i] = JobState::Assigned;
             let span = self.alloc_span();
             batch.spans.push(span);
-            self.assignees[i].push(Assignee {
+            let lease = Assignee {
                 site,
                 assigned_at: self.now,
                 deadline,
                 speculative: false,
                 replica: false,
                 span,
-            });
+            };
+            self.assignees.push(i, lease);
             self.readers[j.file.0 as usize] += 1;
             self.pending_total -= 1;
             *self.assigned_to.entry(site).or_insert(0) += 1;
@@ -894,39 +977,43 @@ impl JobPool {
         (0..self.state.len())
             .filter(|&i| self.state[i] == JobState::Assigned)
             .filter(|&i| {
-                !self.assignees[i].is_empty()
-                    && self.assignees[i].len() < cap
-                    && self.assignees[i].iter().all(|a| a.site != site)
+                !self.assignees.is_empty(i)
+                    && self.assignees.count(i) < cap
+                    && self.assignees.of(i).all(|a| a.site != site)
             })
             .min_by(|&a, &b| {
-                let ta = self.assignees[a][0].assigned_at;
-                let tb = self.assignees[b][0].assigned_at;
+                let oldest = |i| self.assignees.first(i).map_or(0.0, |a| a.assigned_at);
+                let (ta, tb) = (oldest(a), oldest(b));
                 ta.partial_cmp(&tb).unwrap().then(self.chunks[a].id.cmp(&self.chunks[b].id))
             })
     }
 
     /// Hand `site` an extra copy of in-flight job `i` (a speculative
-    /// re-execution or a coded replica) and return the one-job batch. The
-    /// copy gets a fresh span whose *parent* is the oldest live execution's
-    /// span — the replica/speculation lineage edge of the run DAG.
-    fn grant_duplicate(&mut self, i: usize, site: SiteId, speculative: bool) -> JobBatch {
+    /// re-execution or a coded replica) as the one job of the empty `batch`.
+    /// The copy gets a fresh span whose *parent* is the oldest live
+    /// execution's span — the replica/speculation lineage edge of the run
+    /// DAG.
+    fn grant_duplicate(&mut self, i: usize, site: SiteId, speculative: bool, batch: &mut JobBatch) {
         let deadline = self.deadline_for(site);
-        let parent = self.assignees[i].first().map_or(0, |a| a.span);
+        let parent = self.assignees.first(i).map_or(0, |a| a.span);
         let span = self.alloc_span();
-        self.assignees[i].push(Assignee {
+        let lease = Assignee {
             site,
             assigned_at: self.now,
             deadline,
             speculative,
             replica: !speculative,
             span,
-        });
+        };
+        self.assignees.push(i, lease);
         self.readers[self.chunks[i].file.0 as usize] += 1;
         *self.assigned_to.entry(site).or_insert(0) += 1;
         let stolen = self.chunks[i].site != site;
         let granted = EventKind::JobGranted { stolen, speculative, replica: !speculative };
         self.note(self.job_event(granted, i, site, span).cause(parent));
-        JobBatch { jobs: vec![self.chunks[i]], spans: vec![span], stolen, terminal: false }
+        batch.jobs.push(self.chunks[i]);
+        batch.spans.push(span);
+        batch.stolen = stolen;
     }
 
     /// Grant `site` up to `max` jobs — the one place pending jobs are
@@ -945,9 +1032,22 @@ impl JobPool {
     /// way. `max == 0` only asks whether the run is over: nothing is
     /// granted, no copy launched. A dead site gets the same empty answer.
     pub fn grant(&mut self, site: SiteId, max: usize, now: f64) -> JobBatch {
+        let mut batch = JobBatch::empty(false);
+        self.grant_into(site, max, now, &mut batch);
+        batch
+    }
+
+    /// [`JobPool::grant`] into `batch`, emptied first: a head that keeps the
+    /// buffers of its grants allocates nothing per grant once they are
+    /// grown.
+    pub fn grant_into(&mut self, site: SiteId, max: usize, now: f64, batch: &mut JobBatch) {
+        (batch.stolen, batch.terminal) = (false, false);
+        batch.jobs.clear();
+        batch.spans.clear();
         self.now = self.now.max(now);
         if max == 0 || self.dead_sites.contains(&site) {
-            return self.empty_grant();
+            batch.terminal = self.all_done();
+            return;
         }
         let pick = match self.pick_local_file(site) {
             Some(file) => Some((file, max, false)),
@@ -957,24 +1057,24 @@ impl JobPool {
                 .map(|file| (file, max.min(STEAL_BATCH_MAX), true)),
         };
         if let Some((file, want, stolen)) = pick {
-            let mut batch = self.grant_from_file(file, want, stolen);
-            self.assign_to(&mut batch, site);
-            return batch;
+            self.grant_from_file(file, want, stolen, batch);
+            self.assign_to(batch, site);
+            return;
         }
         if !self.all_done() {
             if self.speculate {
                 if let Some(i) = self.pick_duplicate_target(site, MAX_ASSIGNEES) {
-                    return self.grant_duplicate(i, site, true);
+                    return self.grant_duplicate(i, site, true, batch);
                 }
             }
             if self.redundancy > 1 {
                 let cap = MAX_ASSIGNEES.max(self.redundancy as usize);
                 if let Some(i) = self.pick_duplicate_target(site, cap) {
-                    return self.grant_duplicate(i, site, false);
+                    return self.grant_duplicate(i, site, false, batch);
                 }
             }
         }
-        self.empty_grant()
+        batch.terminal = self.all_done();
     }
 }
 
@@ -1029,6 +1129,33 @@ mod tests {
         let b = pool.request_for(SiteId::LOCAL);
         assert!(!b.stolen);
         assert!(b.jobs.iter().all(|c| c.site == SiteId::LOCAL));
+    }
+
+    #[test]
+    fn a_grant_into_a_used_batch_is_a_fresh_grant_and_leases_reuse_their_slots() {
+        let idx = index(4, 3, half_split);
+        let (mut pool, mut twin) = (
+            JobPool::from_index(&idx, BatchPolicy::Fixed(2)),
+            JobPool::from_index(&idx, BatchPolicy::Fixed(2)),
+        );
+        // Stale jobs, spans and flags in the batch count for nothing.
+        let mut batch =
+            JobBatch { stolen: true, terminal: true, ..twin.grant(SiteId::CLOUD, 5, 0.0) };
+        pool.grant(SiteId::CLOUD, 5, 0.0);
+        for (site, max) in [(SiteId::LOCAL, 4), (SiteId::CLOUD, 2), (SiteId::LOCAL, 9)] {
+            pool.grant_into(site, max, 0.0, &mut batch);
+            assert_eq!(batch, twin.grant(site, max, 0.0), "{site} asking for {max}");
+        }
+        // A finished job's slot serves the next grant: the slab holds what is
+        // in flight at most, not what was ever granted.
+        let in_flight = pool.in_flight();
+        for job in idx.chunks.iter().filter(|c| c.site == SiteId::LOCAL) {
+            pool.complete(job.id, SiteId::LOCAL);
+        }
+        assert_eq!(pool.in_flight(), in_flight - 6);
+        let slots = pool.assignees.slab.len();
+        assert_eq!(pool.grant(SiteId::LOCAL, 6, 0.0).len(), 1, "the cloud's last job, stolen");
+        assert_eq!(pool.assignees.slab.len(), slots, "a freed slot holds the new lease");
     }
 
     #[test]

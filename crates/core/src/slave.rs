@@ -4,10 +4,17 @@
 //! next comes out of [`SlaveCore::poll`] as a [`Step`] for a driver to carry
 //! out — the threaded runtime, or a test on a virtual clock.
 //!
-//! A slave asks for `clamp(⌊QUANTUM / per_job⌋, 1, MAX_BATCH)` jobs, where
-//! `per_job` is a running mean (weight ¼) of a batch's wall time, from its
-//! arrival to the next ask, over its length; the first ask is for one. It
-//! asks again once the batch is used up: at depth 1 after its last job,
+//! A slave asks for `clamp(⌊QUANTUM / per_job⌋, 1, MAX_BDP_JOBS)` jobs,
+//! where `per_job` is a running mean (weight ¼) of a batch's wall time, from
+//! its arrival to the next ask, over its length; the first ask is for one.
+//! The quantum alone sizes a hand-off: the bound is the one a master's
+//! window has ([`crate::master::MAX_BDP_JOBS`]), so a slave of sub-µs jobs
+//! pays one exchange per quantum like any other. The ask hands back the
+//! emptied buffer of the last batch for the master to fill, and the master
+//! the emptied buffer of the completions the ask carried
+//! ([`SlaveCore::reuse_done`]), so a hand-off allocates nothing once the
+//! buffers are grown. A slave asks again once the batch is used up: at
+//! depth 1 after its last job,
 //! deeper as soon as its last fetch has started. Without dedup a completion
 //! is merged by construction and rides the next ask. Ack-gated it stays
 //! *open* until it is settled with its batch-mates — reported, and the
@@ -19,24 +26,24 @@
 //! while fetching at the hand-off, and one revoked while open is neither
 //! reported nor merged. [`SlaveCore::leave`] says what an exit owes.
 
-use crate::master::{ewma, LocalJob, Take};
+use crate::master::{ewma, LocalJob, Take, MAX_BDP_JOBS};
 use crate::types::{ChunkId, Seconds};
 use std::collections::VecDeque;
 use std::ops::Range;
 
 /// How much work a slave takes from its master in one exchange, as time: it
-/// asks for as many jobs as its own job times say fit in here, and under
-/// ack-gating it reports them — and waits for their verdicts — together. A
-/// blocking exchange (request, peer wake-up, reply, slave wake-up) measures
-/// 40–60 µs on the channel runtime, so a quantum of these buys a slave of
-/// microsecond jobs ≈ 20 exchanges' worth of work per exchange, and a job that
-/// takes this long or longer is asked for and reported alone. A constant and
-/// not a multiple of a measured hand-off: the time a request spends parked at
-/// a master that waits on its head is not the cost of a hand-off, and would
-/// make a slave of slow jobs hoard. Measured: DESIGN §3.4.3.
+/// asks for as many jobs as its own job times say fit in here — up to
+/// [`MAX_BDP_JOBS`], the bound of a master's window — and under ack-gating
+/// it reports them, and waits for their verdicts, together. A blocking
+/// exchange (request, peer wake-up, reply, slave wake-up) measures 40–80 µs
+/// on either runtime, so a quantum buys a slave ≈ 20 exchanges' worth of
+/// work per exchange for jobs down to ≈ 1 µs; 1 024 jobs of ≈ 0.6 µs still
+/// buy ≈ 12 (64 of them bought less than one). A job that takes a quantum
+/// or longer is asked for and reported alone. A constant and not a multiple of a measured hand-off: the
+/// time a request spends parked at a master that waits on its head is not the
+/// cost of a hand-off, and would make a slave of slow jobs hoard. Measured:
+/// DESIGN §3.4.3.
 pub const QUANTUM: Seconds = 1e-3;
-/// The most jobs a slave takes in one exchange, however short they are.
-pub const MAX_BATCH: usize = 64;
 
 /// What the slave does next ([`SlaveCore::poll`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -161,15 +168,38 @@ impl SlaveCore {
         Step::Wait
     }
 
-    /// The request for jobs goes out at `now`: how many to ask for, and the
-    /// completions it carries.
-    pub fn ask(&mut self, now: Seconds) -> (usize, Vec<ChunkId>) {
+    /// The request for jobs goes out at `now`: how many to ask for, the
+    /// completions it carries, and the emptied buffer of the last batch, for
+    /// the master to fill.
+    pub fn ask(&mut self, now: Seconds) -> (usize, Vec<ChunkId>, Vec<LocalJob>) {
         if let Some((at, jobs)) = self.arrived.take() {
             ewma(&mut self.per_job, (now - at) / jobs as f64, 4.0);
         }
         self.asking = true;
-        let want = self.per_job.map_or(1, |t| ((QUANTUM / t) as usize).clamp(1, MAX_BATCH));
-        (want, std::mem::take(&mut self.done))
+        let want = self.per_job.map_or(1, |t| ((QUANTUM / t) as usize).clamp(1, MAX_BDP_JOBS));
+        // Asked only once the batch is used up: an empty deque's buffer
+        // becomes a `Vec` without a move.
+        (want, std::mem::take(&mut self.done), std::mem::take(&mut self.batch).into())
+    }
+
+    /// Batches to come are held in `buf`, emptied, if no batch is held and
+    /// it is the larger buffer (one reserved at the bound of a hand-off,
+    /// say, so it never grows).
+    pub fn reuse_batch(&mut self, mut buf: Vec<LocalJob>) {
+        if self.batch.is_empty() && buf.capacity() > self.batch.capacity() {
+            buf.clear();
+            self.batch = buf.into();
+        }
+    }
+
+    /// The completions an ask carried came back in `buf`, emptied: the next
+    /// ones are said in it, if it is the larger buffer.
+    pub fn reuse_done(&mut self, mut buf: Vec<ChunkId>) {
+        if buf.capacity() > self.done.capacity() {
+            buf.clear();
+            buf.append(&mut self.done);
+            self.done = buf;
+        }
     }
 
     /// The master answered at `now` (`None`: it is gone). Anything but jobs
@@ -310,13 +340,16 @@ mod tests {
     fn the_first_ask_is_for_one_job_and_later_ones_fill_a_quantum() {
         let mut core = SlaveCore::new(1, false, None);
         assert_eq!(core.poll(false, NONE), Step::Ask);
-        assert_eq!(core.ask(0.0), (1, vec![]));
+        let (want, done, buf) = core.ask(0.0);
+        assert_eq!((want, done, buf.capacity()), (1, vec![], 0));
         assert_eq!(core.poll(false, NONE), Step::Wait, "the answer is out");
         let batch = jobs(1);
         core.answer(Some(Take::Jobs(batch.clone())), 0.0);
         let end = run_jobs(&mut core, 1, 0.0, QUANTUM / 8.0);
         assert_eq!(core.poll(false, NONE), Step::Ask);
-        assert_eq!(core.ask(end), (8, ids(&batch)), "eight jobs to a quantum");
+        let (want, done, buf) = core.ask(end);
+        assert_eq!((want, done), (8, ids(&batch)), "eight jobs to a quantum");
+        assert!(buf.is_empty() && buf.capacity() >= 1, "the last batch's buffer goes back");
         core.answer(Some(Take::Drained), end);
         assert_eq!(core.poll(false, NONE), Step::Leave);
         assert_eq!(core.leave(false), Some(Owed::default()));

@@ -26,8 +26,10 @@
 //!
 //! A failure prints the generated scenario, which replays it.
 
-use cloudburst_core::master::{POLL_CAP, POLL_MIN};
-use cloudburst_core::{ChunkId, ChunkMeta, FileId, JobBatch, MasterPool, RequestId, SiteId, Take};
+use cloudburst_core::master::{MAX_BDP_JOBS, POLL_CAP, POLL_MIN};
+use cloudburst_core::{
+    ChunkId, ChunkMeta, FileId, JobBatch, LocalJob, MasterPool, RequestId, SiteId, Take,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -44,7 +46,8 @@ struct Scenario {
     low_watermark: usize,
     total: usize,
     /// A slave asks for `1 ..= max_want` jobs, drawn per request from `seed`;
-    /// 1 is the paper's one job per hand-off.
+    /// 1 is the paper's one job per hand-off, [`MAX_BDP_JOBS`] the most a
+    /// slave of the threaded runtime asks for.
     max_want: usize,
     seed: u64,
 }
@@ -163,8 +166,9 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
         // Staggered starts, so undisturbed slaves ask once per `gap`.
         agenda.schedule(sc.gap * i as f64, Ev::Arrive);
     }
-    // The wants of the slaves waiting for a grant, oldest first.
-    let mut parked: VecDeque<usize> = VecDeque::new();
+    // The wants of the slaves waiting for a grant, and the buffers they
+    // handed back, oldest first.
+    let mut parked: VecDeque<(usize, Vec<LocalJob>)> = VecDeque::new();
     let mut wants = sc.seed;
     let mut finished = 0usize;
     let mut retry_at = 0.0;
@@ -193,10 +197,11 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
         match ev {
             Ev::Arrive => {
                 let (want, queued) = (next_want(&mut wants, sc.max_want), pool.queued());
-                match pool.arrive(now, want) {
+                let mut buf = Vec::new();
+                match pool.arrive(now, want, &mut buf) {
                     Take::NeedRefill => {
                         assert_eq!(queued, 0, "a slave waits with {queued} jobs queued in {sc:?}");
-                        parked.push_back(want);
+                        parked.push_back((want, buf));
                         trace.parks.push((now, head.pending()));
                     }
                     take => answered(take, want, queued),
@@ -212,9 +217,9 @@ fn run(sc: Scenario, close_after: Option<u64>, sized: bool) -> (MasterPool, Trac
                 if landings == 2 {
                     trace.warm_at = Some(now);
                 }
-                while let Some(&want) = parked.front() {
-                    let queued = pool.queued();
-                    match pool.serve_parked(now, want) {
+                while let Some((want, buf)) = parked.front_mut() {
+                    let (want, queued) = (*want, pool.queued());
+                    match pool.serve_parked(now, want, buf) {
                         Take::NeedRefill => break,
                         take => answered(take, want, queued),
                     }
@@ -333,7 +338,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                     slaves,
                     low_watermark,
                     total,
-                    max_want: if sized { 64 } else { 1 },
+                    max_want: if sized { MAX_BDP_JOBS } else { 1 },
                     seed,
                 }
             },

@@ -12,14 +12,17 @@
 //!
 //! Checked: every granted job ends exactly once — reported complete, failed
 //! back, dropped as revoked, or leaked, and leaked only by a crash or a
-//! death; the first `want` is 1 and every `want` is in 1 ..= `MAX_BATCH`; a
+//! death; the first `want` is 1 and every `want` is in 1 ..= `MAX_BDP_JOBS`,
+//! the bound of a master's window, and each ask hands back the emptied
+//! buffer of the last batch, which the model master fills; a
 //! settle comes before the open jobs span a quantum plus the job that
 //! overran it, and nothing is open or unsaid when the slave blocks; after
 //! leaving nothing is held.
 //!
 //! A failure prints the generated scenario, which replays it.
 
-use cloudburst_core::slave::{Owed, Step, MAX_BATCH, QUANTUM};
+use cloudburst_core::master::MAX_BDP_JOBS;
+use cloudburst_core::slave::{Owed, Step, QUANTUM};
 use cloudburst_core::{ChunkId, ChunkMeta, FileId, LocalJob, Seconds, SiteId, SlaveCore, Take};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -164,33 +167,33 @@ fn run(sc: Scenario) -> (Trace, SlaveCore) {
                 // An ask waited for at once goes out with nothing open.
                 let waited_for = core.in_flight() == 0;
                 assert!(!waited_for || t.open.is_empty(), "asks holding: {sc:?}");
-                let (want, done) = core.ask(now);
+                let (want, done, mut buf) = core.ask(now);
                 assert!(!t.wants.is_empty() || want == 1, "the first want is 1: {sc:?}");
-                assert!((1..=MAX_BATCH).contains(&want), "want {want}: {sc:?}");
+                assert!((1..=MAX_BDP_JOBS).contains(&want), "want {want}: {sc:?}");
+                assert!(buf.is_empty(), "an ask hands back an emptied batch: {sc:?}");
                 t.wants.push(want);
                 assert_eq!(done, std::mem::take(&mut t.unsaid), "{sc:?}");
                 t.reported(&done, &sc);
                 let take = match dice.below(82) {
                     0 => Some(Take::Drained),
                     81 => None,
-                    n => Some(Take::Jobs(
-                        (0..n)
-                            .map(|_| {
-                                next_id += 1;
-                                let id = ChunkId(next_id);
-                                t.granted.push(id);
-                                let chunk = ChunkMeta {
-                                    id,
-                                    file: FileId(0),
-                                    offset: 0,
-                                    len: 1,
-                                    n_units: 1,
-                                    site: SiteId::LOCAL,
-                                };
-                                LocalJob { chunk, stolen: false, span: 0 }
-                            })
-                            .collect(),
-                    )),
+                    n => Some(Take::Jobs({
+                        buf.extend((0..n).map(|_| {
+                            next_id += 1;
+                            let id = ChunkId(next_id);
+                            t.granted.push(id);
+                            let chunk = ChunkMeta {
+                                id,
+                                file: FileId(0),
+                                offset: 0,
+                                len: 1,
+                                n_units: 1,
+                                site: SiteId::LOCAL,
+                            };
+                            LocalJob { chunk, stolen: false, span: 0 }
+                        }));
+                        buf
+                    })),
                 };
                 answer = Some(Answer { at: now + dice.span(), take });
             }

@@ -325,10 +325,11 @@ impl Sim<'_> {
                 Step::Ask => {
                     // The ask carries the completions nobody waits on, and
                     // the paper's slave takes one job per hand-off.
-                    let (_, done) = self.slaves[worker].core.ask(now);
+                    let (_, done, mut buf) = self.slaves[worker].core.ask(now);
                     self.head.settle(site, &done, now);
+                    self.slaves[worker].core.reuse_done(done);
                     self.publish();
-                    match self.master(site).pool.arrive(now, 1) {
+                    match self.master(site).pool.arrive(now, 1, &mut buf) {
                         Take::NeedRefill => {
                             return self.master(site).parked.push_back((worker, now))
                         }
@@ -550,7 +551,7 @@ fn run_multi(
             Ev::Landed { id, .. } => {
                 sim.master(site).pool.land(id, now);
                 while let Some(&(worker, since)) = sim.master(site).parked.front() {
-                    let take = sim.master(site).pool.serve_parked(now, 1);
+                    let take = sim.master(site).pool.serve_parked(now, 1, &mut Vec::new());
                     if take == Take::NeedRefill {
                         break;
                     }

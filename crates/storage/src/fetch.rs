@@ -41,15 +41,20 @@ impl FetchConfig {
         FetchConfig { threads: 1, min_range: 1 }
     }
 
+    /// How many ranges a read of `len` bytes is split into ([`FetchConfig::split`]).
+    #[must_use]
+    pub fn parts(&self, len: ByteSize) -> u64 {
+        u64::from(self.threads.max(1)).min(len.div_ceil(self.min_range.max(1)))
+    }
+
     /// The byte ranges `(offset, len)` a read of `[offset, offset+len)` is
     /// split into: contiguous, non-empty, ascending.
     #[must_use]
     pub fn split(&self, offset: ByteSize, len: ByteSize) -> Vec<(ByteSize, ByteSize)> {
-        if len == 0 {
+        let parts = self.parts(len);
+        if parts == 0 {
             return Vec::new();
         }
-        let max_parts = len.div_ceil(self.min_range.max(1));
-        let parts = u64::from(self.threads.max(1)).min(max_parts);
         let base = len / parts;
         let extra = len % parts;
         let mut ranges = Vec::with_capacity(parts as usize);
@@ -81,7 +86,7 @@ fn notify(observe: &Option<SharedRetryObserver>, attempt: RetryAttempt) {
 /// parts back together ([`BytesMut::unsplit`], O(1)): no spawn or join per
 /// chunk and no copy per range. A read that is one range is made on the
 /// calling thread — the pool round trip buys nothing — through the backend's
-/// zero-copy `read`.
+/// zero-copy `read`, and allocates nothing here.
 ///
 /// The store is passed by `Arc`, and the observer in its owned form, because
 /// the pool's workers outlive this call's stack frame.
@@ -96,8 +101,7 @@ pub fn fetch_range_pooled(
     retry: &RetryPolicy,
     observe: Option<SharedRetryObserver>,
 ) -> io::Result<(Bytes, u64)> {
-    let ranges = config.split(offset, len);
-    match ranges.len() {
+    match config.parts(len) {
         0 => return Ok((Bytes::new(), 0)),
         1 => {
             let observe = |a| notify(&observe, a);
@@ -105,6 +109,7 @@ pub fn fetch_range_pooled(
         }
         _ => {}
     }
+    let ranges = config.split(offset, len);
     let mut buf = BytesMut::with_capacity(len as usize);
     buf.resize(len as usize, 0);
     let (done_tx, done_rx) = bounded::<(usize, BytesMut, io::Result<u64>)>(ranges.len());
@@ -240,6 +245,10 @@ mod tests {
         assert_eq!(cfg.split(0, 120).len(), 3);
         // Tiny range -> single part.
         assert_eq!(cfg.split(0, 10).len(), 1);
+        // The count the one-range read path decides on, without the ranges.
+        for len in [0, 1, 10, 49, 50, 51, 120, 400, 4_000] {
+            assert_eq!(cfg.parts(len), cfg.split(7, len).len() as u64, "{len} bytes");
+        }
     }
 
     #[test]

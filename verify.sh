@@ -35,11 +35,14 @@ echo "== hygiene: \`unsafe\` only where it is accounted for"
 # assignment kernel (apps/src/kmeans_kernel.rs: the calls into its two
 # `target_feature` functions behind the CPU checks, and the AVX-512F and
 # AVX2 intrinsics its lane types wrap, whose values exist only after those
-# checks); any other occurrence (in code or comment) fails the run.
+# checks) and the counting global allocator of tests/alloc_per_job.rs (a
+# `GlobalAlloc` impl that forwards every call to `System` unchanged); any
+# other occurrence (in code or comment) fails the run.
 if grep -rn --include='*.rs' -w unsafe crates src tests examples \
     | grep -v -e '^crates/core/src/json.rs:' -e '^crates/cluster/src/readiness.rs:' \
-        -e '^crates/apps/src/kmeans_kernel.rs:'; then
-    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs and apps/src/kmeans_kernel.rs"
+        -e '^crates/apps/src/kmeans_kernel.rs:' -e '^tests/alloc_per_job.rs:'; then
+    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs, apps/src/kmeans_kernel.rs" \
+        "and tests/alloc_per_job.rs"
     exit 1
 fi
 
@@ -160,6 +163,19 @@ if grep -nE 'Instant|std::thread|crossbeam|Mutex|Atomic' crates/core/src/slave.r
     echo "core/src/slave.rs reaches for a clock, a thread, a channel or a lock: it is sans-IO"
     exit 1
 fi
+# A hand-off is sized by the quantum alone, bounded by the one constant that
+# bounds a master's window (`master::MAX_BDP_JOBS`). The old job-count cap
+# coming back under its name, the slave defining a count of its own, or its
+# ask clamped by anything else fails the run.
+if grep -rnw 'MAX_BATCH' crates src tests; then
+    echo "MAX_BATCH is back: a hand-off is bounded by master::MAX_BDP_JOBS alone"
+    exit 1
+fi
+if grep -nE 'const [A-Z_]+: *(usize|u16|u32|u64)' crates/core/src/slave.rs \
+    || [[ $(grep -c 'clamp(1, MAX_BDP_JOBS)' crates/core/src/slave.rs) -ne 1 ]]; then
+    echo "a second hand-off bound: SlaveCore::ask clamps a quantum's jobs by MAX_BDP_JOBS alone"
+    exit 1
+fi
 
 echo "== hygiene: one master loop"
 # A site's master is written once: `net::serve_site`, a non-blocking loop over
@@ -258,7 +274,7 @@ echo "== tier-1: cargo test -q"
 cargo test -q "${CARGO_FLAGS[@]}"
 
 echo "== master window: virtual-clock proptests at 256 cases"
-# Conservation, 1..=want jobs per hand-off with wants drawn from 1..=64, a
+# Conservation, 1..=want jobs per hand-off with wants drawn from 1..=1024, a
 # parked slave served as soon as one job lands, the outstanding bound, no
 # starvation once warm, the slow-job degeneration to the blocking loop's
 # request count, the size of every sized request, the hand-back at any close
@@ -281,7 +297,8 @@ echo "== the slave: its core on a virtual clock at 256 cases"
 # revocations in the batch, at the hand-off and while open, a crash budget and
 # site death: every granted job ends exactly once (reported, failed back,
 # dropped as revoked, or leaked by a crash or a death), the first want is 1
-# and every want at most 64, no open job outlives a quantum plus the job that
+# and every want at most 1024 (the window's bound), each ask handing back the
+# emptied batch buffer, no open job outlives a quantum plus the job that
 # overran it, nothing is held after leaving.
 PROPTEST_CASES=256 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --test slave_core_props
 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-core --lib slave::tests
@@ -315,7 +332,7 @@ echo "== slave quantum: the driver's hand-back, fencing, the mailbox, batch size
 # revoked in the slave's batch is
 # dropped before its fetch, a request in a dead master's mailbox fails at
 # once, jobs of two quanta go one per hand-off and 160-byte jobs a quantum at
-# a time, never over 64. Ack-gated, a hand-off of jobs is settled in one
+# a time, some over 64 and never over 1024. Ack-gated, a hand-off of jobs is settled in one
 # exchange: a refused job costs its batch-mates a second reduce and leaves the
 # scratch fresh, a panic leaves the jobs open before it mergeable, a job
 # revoked while open is neither reported nor merged, a slow job does not sit
@@ -336,6 +353,17 @@ cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib -- \
     runtime::tests::under_fault_tolerance_a_completion_message \
     runtime::tests::ft_run_allocates_reduction_objects_per_worker
 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --test scratch_props
+
+echo "== the control plane: heap blocks per job and per exchange, counted"
+# Already part of `cargo test` above; named here, and run again in release,
+# where a hand-off of tiny jobs is the ladder's 1 024: over TCP and over
+# channels, fewer than 0.1 heap blocks per extra job between a 24 000- and a
+# 96 000-job run (a lease, a range list or a hand-off buffer per job makes
+# one or more), and fewer than one block of 64 KiB or more per 4 096 extra
+# jobs on the run's threads (a buffer allocated per exchange makes one per
+# hand-off).
+cargo test -q "${CARGO_FLAGS[@]}" --test alloc_per_job
+cargo test -q --release "${CARGO_FLAGS[@]}" --test alloc_per_job
 
 echo "== the head: its core on a virtual clock, reactor readiness and refusals, the master adapter, the 40 ms link"
 # Already part of `cargo test` above; named here so a failure says which
