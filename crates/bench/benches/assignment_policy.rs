@@ -73,7 +73,7 @@ fn bench_pool_throughput(c: &mut Criterion) {
             while !pool.all_done() {
                 let site = if turn.is_multiple_of(2) { SiteId::LOCAL } else { SiteId::CLOUD };
                 turn += 1;
-                let batch = pool.request_for(site);
+                let batch = pool.grant(site, 8, 0.0);
                 for j in &batch.jobs {
                     pool.complete(j.id, site);
                 }

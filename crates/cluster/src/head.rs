@@ -1,10 +1,12 @@
 //! The head node over channels: [`HeadCore`] fed from one mailbox of
-//! [`HeadMsg`]s, its answers posted into the masters' mailboxes, with revoked
-//! executions published on a [`CancelBoard`].
+//! [`HeadMsg`]s, every one of them a frame for [`HeadCore::on_frame`], its
+//! answers posted into the masters' mailboxes or to the settling slave, with
+//! revoked executions published on a [`CancelBoard`].
 
 use crate::head_core::{HeadCore, Reply};
 use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
 use crate::runtime::RuntimeConfig;
+use crate::wire::{AckEntry, Frame};
 use cloudburst_core::{ChunkId, HeartbeatConfig, JobPool, Metrics, SiteId};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use parking_lot::RwLock;
@@ -111,10 +113,11 @@ impl Drop for Masters {
 /// up, then report: a [`HeadCore`] fed from the channel. The loop sleeps
 /// until a message arrives or the core's next deadline. A master's frames
 /// are the core's `on_frame`, as over TCP, and each `BatchReply` is posted
-/// into the master's mailbox; the slaves settle with the head directly. Every
-/// revocation the core issues is posted on `cancel` — where the slaves of
-/// every site look — before the verdict that caused it is sent, and a chunk
-/// is taken off it again when it is granted anew.
+/// into the master's mailbox; a slave's settle is served as an `AckBatch`
+/// that asks for nothing, its verdicts sent back. Every revocation the core
+/// issues is posted on `cancel` — where the slaves of every site look —
+/// before the verdict that caused it is sent, and a chunk is taken off it
+/// again when it is granted anew.
 pub fn run_head(
     pool: JobPool,
     rx: Receiver<HeadMsg>,
@@ -143,37 +146,38 @@ pub fn run_head(
             None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         let now = options.epoch.elapsed().as_secs_f64();
-        match msg {
+        // A frame, and the slave whose settle it serves, if it is one.
+        let (site, frame, slave) = match msg {
             Ok(HeadMsg::Connect { site, mailbox }) => {
                 masters.0.insert(site, mailbox);
+                continue;
             }
-            Ok(HeadMsg::Frame { site, frame }) => {
-                let Reply::Batch(reply) = core.on_frame(site.into(), frame, now) else {
-                    continue;
-                };
-                publish(&mut core);
-                if let Some(board) = cancel {
-                    reply.revoked.iter().for_each(|&chunk| board.revoke(chunk));
-                    reply.grant.jobs.iter().for_each(|job| board.clear(job.id));
-                }
-                // A master that is gone has let go of its mailbox; the pool
-                // keeps its grant assigned, which surfaces as a lease expiry
-                // (FT on) or a runtime-detected worker panic (FT off) — never
-                // silent data loss.
-                if let Some(mailbox) = masters.0.get(&site) {
-                    let _ = mailbox.send(MasterMsg::HeadReply(reply));
-                }
+            Ok(HeadMsg::Spare(batch)) => {
+                core.recycle(batch);
+                continue;
             }
-            Ok(HeadMsg::Spare(batch)) => core.recycle(batch),
+            Ok(HeadMsg::Frame { site, frame }) => (site, frame, None),
             Ok(HeadMsg::Complete { jobs, site, reply }) => {
-                let verdicts = core.settle(site, &jobs, now);
-                publish(&mut core);
-                if let Some(reply) = reply {
-                    let _ = reply.send(verdicts);
-                }
+                let entries = jobs.into_iter().map(|job| AckEntry { job, ok: true }).collect();
+                (site, Frame::AckBatch { site, want: 0, entries }, Some(reply))
             }
-            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return core.finish(),
+        };
+        let Reply::Batch(reply) = core.on_frame(site.into(), frame, now) else { continue };
+        publish(&mut core);
+        if let Some(board) = cancel {
+            reply.revoked.iter().for_each(|&chunk| board.revoke(chunk));
+            reply.grant.jobs.iter().for_each(|job| board.clear(job.id));
+        }
+        if let Some(slave) = slave {
+            let _ = slave.send(reply.verdicts);
+        } else if let Some(mailbox) = masters.0.get(&site) {
+            // A master that is gone has let go of its mailbox; the pool
+            // keeps its grant assigned, which surfaces as a lease expiry
+            // (FT on) or a runtime-detected worker panic (FT off) — never
+            // silent data loss.
+            let _ = mailbox.send(MasterMsg::HeadReply(reply));
         }
     }
 }
@@ -181,7 +185,7 @@ pub fn run_head(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{Frame, MasterToHead};
+    use crate::wire::MasterToHead;
     use cloudburst_core::{BatchPolicy, DataIndex, JobBatch, LayoutParams};
     use crossbeam::channel::{bounded, unbounded};
 
@@ -218,7 +222,7 @@ mod tests {
         };
         let settle = |site, job| {
             let (atx, arx) = bounded(1);
-            tx.send(HeadMsg::Complete { jobs: vec![job], site, reply: Some(atx) }).unwrap();
+            tx.send(HeadMsg::Complete { jobs: vec![job], site, reply: atx }).unwrap();
             arx.recv().unwrap()
         };
         let job = request(SiteId::LOCAL).jobs[0].id;

@@ -4,12 +4,15 @@
 //! to discard — and runs the recovery machinery: the lease reaper on a 1 ms
 //! tick, evacuation of a peer that fell silent past the heartbeat timeout or
 //! went away without a goodbye, and the abandonment of what nobody is left to
-//! do. Messages and the time come in as arguments, replies go out as return
-//! values; [`crate::head`] carries them over channels and [`crate::reactor`]
-//! over TCP, and each waits no longer than [`HeadCore::next_deadline`].
+//! do. Every message is a wire frame for [`HeadCore::on_frame`]; beside
+//! frames the head hears only of connections, ticks and the run's end.
+//! Messages and the time come in as arguments, replies go out as return
+//! values; [`crate::head`] carries them over channels, [`crate::reactor`]
+//! over TCP and `cloudburst-sim` on its virtual clock, and each waits no
+//! longer than [`HeadCore::next_deadline`].
 
 use crate::protocol::HeadReport;
-use crate::wire::{BatchReply, Frame, MasterToHead, MAX_REVOKED, WIRE_VERSION};
+use crate::wire::{AckEntry, BatchReply, Frame, MasterToHead, MAX_REVOKED, WIRE_VERSION};
 use cloudburst_core::{
     ChunkId, Completion, HeartbeatConfig, JobBatch, JobPool, LiveLedger, Seconds, SiteId,
 };
@@ -156,12 +159,6 @@ impl HeadCore {
     /// Serve one frame of the wire protocol.
     pub fn on_frame(&mut self, peer: Peer, frame: Frame, now: Seconds) -> Reply {
         match frame {
-            Frame::Legacy(MasterToHead::Failed { job, site }) => {
-                self.heard(peer, site, now);
-                self.report.failures += 1;
-                self.pool.fail(job, site);
-                Reply::None
-            }
             Frame::Legacy(MasterToHead::Ping { site }) => {
                 self.heard(peer, site, now);
                 Reply::None
@@ -185,18 +182,7 @@ impl HeadCore {
             }
             Frame::AckBatch { site, want, entries } => {
                 self.heard(peer, site, now);
-                let verdicts = entries
-                    .iter()
-                    .map(|e| {
-                        if e.ok {
-                            self.complete(e.job, site, now)
-                        } else {
-                            self.report.failures += 1;
-                            self.pool.fail(e.job, site);
-                            false
-                        }
-                    })
-                    .collect();
+                let verdicts = entries.iter().map(|&e| self.rule(e, site, now)).collect();
                 // `want: 0` carries verdicts or flushes reports; it still
                 // learns whether the run is over.
                 let grant = self.grant(site, usize::from(want), now);
@@ -238,26 +224,14 @@ impl HeadCore {
         }
     }
 
-    /// A master asks for a batch sized by the pool's policy — the
-    /// simulator's masters, which do not size their own asks (the runtime's
-    /// speak frames, [`HeadCore::on_frame`]).
-    pub fn request(&mut self, site: SiteId, now: Seconds) -> JobBatch {
-        self.heard(site.into(), site, now);
-        self.report.requests += 1;
-        let batch = self.pool.request_for_at(site, now);
-        self.clear_granted(site, &batch);
-        batch
-    }
-
-    /// `site`'s slaves report `jobs` complete: per job, whether the result
-    /// is the chunk's first and must be merged (`true`) or a duplicate to
-    /// discard.
-    pub fn settle(&mut self, site: SiteId, jobs: &[ChunkId], now: Seconds) -> Vec<bool> {
-        self.heard(site.into(), site, now);
-        jobs.iter().map(|&job| self.complete(job, site, now)).collect()
-    }
-
-    fn complete(&mut self, job: ChunkId, site: SiteId, now: Seconds) -> bool {
+    /// Rule on one report of `site`'s: a completion to merge (`true`) or to
+    /// discard, or a failure (`false`).
+    fn rule(&mut self, AckEntry { job, ok }: AckEntry, site: SiteId, now: Seconds) -> bool {
+        if !ok {
+            self.report.failures += 1;
+            self.pool.fail(job, site);
+            return false;
+        }
         let outcome = self.pool.complete_at(job, site, now);
         if let Completion::Merged { preempted } = &outcome {
             self.report.completions += 1;
@@ -391,6 +365,20 @@ mod tests {
         batch.jobs.iter().map(|j| j.id).collect()
     }
 
+    /// A master's `GetJobs` for two jobs, on its site's one connection.
+    fn get_jobs(head: &mut HeadCore, site: SiteId, now: Seconds) -> JobBatch {
+        match head.on_frame(site.into(), Frame::GetJobs { site, max: 2 }, now) {
+            Reply::Grant(batch) => batch,
+            other => panic!("a GetJobs is answered by a grant, not {other:?}"),
+        }
+    }
+
+    /// Report `jobs` complete in an `AckBatch` that asks for nothing: the
+    /// verdicts.
+    fn settle(head: &mut HeadCore, site: SiteId, jobs: &[ChunkId], now: Seconds) -> Vec<bool> {
+        ack_batch(head, site.into(), site, 0, jobs, now).verdicts
+    }
+
     /// The `AckBatch` exchange: report `done` complete, ask for `want` more.
     fn ack_batch(
         head: &mut HeadCore,
@@ -411,9 +399,9 @@ mod tests {
     fn serves_until_drained_and_counts_only_requests_that_ask_for_jobs() {
         let mut head = HeadCore::new(pool(4, 2), 2, None, false);
         assert_eq!(head.next_deadline(), None, "a fault-oblivious head has no timer");
-        let first = head.request(LOCAL, 0.0);
+        let first = get_jobs(&mut head, LOCAL, 0.0);
         assert_eq!(first.len(), 2);
-        assert_eq!(head.settle(LOCAL, &ids(&first), 0.1), [true, true]);
+        assert_eq!(settle(&mut head, LOCAL, &ids(&first), 0.1), [true, true]);
         // All-local data read from the cloud, over frames: a steal.
         let peer = Peer(7);
         let stolen = ack_batch(&mut head, peer, CLOUD, 8, &[], 0.2).grant;
@@ -422,7 +410,7 @@ mod tests {
         let last = ack_batch(&mut head, peer, CLOUD, 0, &ids(&stolen), 0.3);
         assert_eq!(last.verdicts, vec![true; stolen.len()]);
         assert!(last.grant.is_empty() && last.grant.terminal);
-        assert!(head.request(LOCAL, 0.4).terminal);
+        assert!(get_jobs(&mut head, LOCAL, 0.4).terminal);
         let report = head.finish();
         assert_eq!(report.requests, 3);
         assert_eq!(report.completions, 4);
@@ -443,7 +431,7 @@ mod tests {
             cloudburst_core::parse_exposition(&text).unwrap()
         };
         assert_eq!(scrape().get("cloudburst_pool_queue_depth", &[("site", "local")]), Some(4.0));
-        assert_eq!(head.request(CLOUD, 0.0).len(), 2);
+        assert_eq!(get_jobs(&mut head, CLOUD, 0.0).len(), 2);
         head.publish_ledger();
         assert_eq!(scrape().get("cloudburst_pool_in_flight", &[]), Some(2.0));
         let report = head.finish();
@@ -461,14 +449,14 @@ mod tests {
         let mut head = HeadCore::new(pool(4, 2), 2, Some(HEARTBEAT), false);
         // The cloud site takes a batch, then goes silent. The local site
         // keeps asking and eventually inherits the work.
-        assert_eq!(head.request(CLOUD, 0.0).len(), 2);
+        assert_eq!(get_jobs(&mut head, CLOUD, 0.0).len(), 2);
         let (mut done, mut lost) = (0, Vec::new());
         while done < 4 {
             let now = head.next_deadline().expect("the reaper and the silence scan are timers");
             assert!(now < 1.0, "the local site never inherited the work");
             lost.extend(head.on_tick(now));
-            let batch = head.request(LOCAL, now);
-            let verdicts = head.settle(LOCAL, &ids(&batch), now);
+            let batch = get_jobs(&mut head, LOCAL, now);
+            let verdicts = settle(&mut head, LOCAL, &ids(&batch), now);
             assert_eq!(verdicts, vec![true; batch.len()], "survivor completions must merge");
             done += batch.len();
         }
@@ -485,11 +473,11 @@ mod tests {
         let mut p = pool(2, 1);
         p.set_lease(LeaseConfig::default());
         let mut head = HeadCore::new(p, 0, None, true);
-        let jobs = ids(&head.request(LOCAL, 0.0));
-        assert_eq!(head.settle(LOCAL, &jobs[..1], 0.1), [true], "first completion merges");
+        let jobs = ids(&get_jobs(&mut head, LOCAL, 0.0));
+        assert_eq!(settle(&mut head, LOCAL, &jobs[..1], 0.1), [true], "first completion merges");
         // One report, a verdict per job: the repeat is a duplicate, its
         // batch-mate merges.
-        assert_eq!(head.settle(LOCAL, &jobs, 0.2), [false, true]);
+        assert_eq!(settle(&mut head, LOCAL, &jobs, 0.2), [false, true]);
         let report = head.finish();
         assert_eq!(report.completions, 2);
         assert_eq!(report.faults.duplicate_completions, 1);
@@ -502,7 +490,7 @@ mod tests {
             let mut p = pool(2, 1);
             p.set_lease(lease);
             let mut head = HeadCore::new(p, 0, None, true);
-            let jobs = ids(&head.request(site, 0.0));
+            let jobs = ids(&get_jobs(&mut head, site, 0.0));
             assert_eq!(jobs.len(), 2);
             assert!(head.on_tick(0.0005).is_empty() && head.revocations.is_empty());
             head.on_tick(0.02);
@@ -512,7 +500,7 @@ mod tests {
         // Granted to the same site again, the chunks are live: the stale
         // notices must not kill the new executions.
         let (mut head, jobs) = reaped(LOCAL);
-        assert_eq!(ids(&head.request(LOCAL, 0.02)), jobs);
+        assert_eq!(ids(&get_jobs(&mut head, LOCAL, 0.02)), jobs);
         assert!(head.revocations.is_empty());
         assert!(head.finish().faults.lease_expiries >= 2);
         // Otherwise they ride the site's next reply, once.
@@ -602,18 +590,18 @@ mod tests {
         // Fault tolerance off: a vanished peer is the transport's error, the
         // pool is left alone.
         let mut head = HeadCore::new(pool(4, 1), 2, None, false);
-        head.request(LOCAL, 0.0);
+        get_jobs(&mut head, LOCAL, 0.0);
         head.on_disconnect(LOCAL.into());
         assert!(head.finish().dead_sites.is_empty());
 
         let mut head = HeadCore::new(pool(4, 1), 2, None, true);
-        let taken = ids(&head.request(LOCAL, 0.0));
-        assert_eq!(head.settle(LOCAL, &taken[..1], 0.1), [true]);
-        head.request(CLOUD, 0.2);
+        let taken = ids(&get_jobs(&mut head, LOCAL, 0.0));
+        assert_eq!(settle(&mut head, LOCAL, &taken[..1], 0.1), [true]);
+        get_jobs(&mut head, CLOUD, 0.2);
         head.on_disconnect(LOCAL.into());
         // What the dead site merged died with it, and it is granted nothing.
-        assert!(head.request(LOCAL, 0.3).is_empty());
-        assert_eq!(head.settle(LOCAL, &taken[1..], 0.3), [false]);
+        assert!(get_jobs(&mut head, LOCAL, 0.3).is_empty());
+        assert_eq!(settle(&mut head, LOCAL, &taken[1..], 0.3), [false]);
         // The other site never takes its leave: `finish` counts that a crash
         // too, and with every site dead the backlog is abandoned.
         let report = head.finish();

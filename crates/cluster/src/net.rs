@@ -464,29 +464,35 @@ fn serve_site(
     // would stay assigned at the head forever (and without leases nothing
     // reaps them), stalling the surviving sites that poll for the work. So:
     // ship what reports are left (`want: 0` — requests still on the outbound
-    // leg never reached the head and are forgotten), wait for the head's
+    // leg never reached the head and are forgotten) and wait for the head's
     // answer to every frame on the link — it may still be granting jobs to
-    // this master — and only then hand back the queue and every grant that
-    // was travelling, as failures, before the orderly goodbye.
-    for chunk in reports.entries.chunks(REPORT_FLUSH) {
-        link.push_reports(site, 0, chunk);
-        sent.push_back((None, chunk.len()));
-        waiting.extend(chunk.iter().map(|_| None)); // nobody is left to tell
-    }
-    link.flush()?;
-    while !sent.is_empty() {
-        match rx.recv() {
-            Ok(MasterMsg::HeadReply(reply)) => {
-                let (request, n) = sent.pop_front().expect("checked non-empty");
-                receive(pool, reply, request, waiting.drain(..n), Instant::now())?;
+    // this master; then hand back the queue and every grant that was
+    // travelling, as failures in frames that ask for nothing, and wait for
+    // their answers too before the orderly goodbye.
+    for handing_back in [false, true] {
+        if handing_back {
+            for job in pool.close() {
+                reports.push(job.chunk.id, false, None, Instant::now());
             }
-            Ok(MasterMsg::HeadGone(e)) => return Err(e),
-            Ok(_) => {}
-            Err(_) => return Err(head_gone()),
         }
-    }
-    for job in pool.close() {
-        link.push(Frame::Legacy(MasterToHead::Failed { job: job.chunk.id, site }));
+        for chunk in reports.entries.chunks(REPORT_FLUSH) {
+            link.push_reports(site, 0, chunk);
+            sent.push_back((None, chunk.len()));
+            waiting.extend(chunk.iter().map(|_| None)); // nobody is left to tell
+        }
+        reports.entries.clear();
+        link.flush()?;
+        while !sent.is_empty() {
+            match rx.recv() {
+                Ok(MasterMsg::HeadReply(reply)) => {
+                    let (request, n) = sent.pop_front().expect("checked non-empty");
+                    receive(pool, reply, request, waiting.drain(..n), Instant::now())?;
+                }
+                Ok(MasterMsg::HeadGone(e)) => return Err(e),
+                Ok(_) => {}
+                Err(_) => return Err(head_gone()),
+            }
+        }
     }
     link.push(Frame::Legacy(MasterToHead::Bye));
     link.flush().map(drop)
@@ -921,7 +927,7 @@ mod tests {
                         requests += usize::from(want > 0);
                         std::thread::sleep(Duration::from_millis(2));
                         let grant = if want > 0 {
-                            jobs.request_for(SiteId::LOCAL)
+                            jobs.grant(SiteId::LOCAL, 8, 0.0)
                         } else {
                             JobBatch::empty(false)
                         };
@@ -953,7 +959,7 @@ mod tests {
         // the legs is silent for their length, and a heartbeat timeout
         // shorter than a round trip then evacuates a healthy site.
         let leg = 0.25;
-        let mut batch = pool(128).request_for(SiteId::CLOUD);
+        let mut batch = pool(128).grant(SiteId::CLOUD, 2, 0.0);
         batch.stolen = true;
         let heartbeat = Some(HeartbeatConfig { interval: 0.01, timeout: 0.3 });
         let cfg = master(SiteId::CLOUD, Duration::from_secs_f64(leg), heartbeat);
@@ -981,16 +987,17 @@ mod tests {
                 longest_silence.as_secs_f64() < leg,
                 "the head heard nothing for {longest_silence:?} of a {leg} s leg"
             );
-            // Shutdown hands the second granted job back, then the goodbye.
+            // Shutdown hands the second granted job back, as a failure in a
+            // frame that asks for nothing, then the goodbye.
             let rest = head.until_bye();
-            let failed = rest.iter().filter(|f| {
-                matches!(f, Frame::Legacy(MasterToHead::Failed { site: SiteId::CLOUD, .. }))
-            });
-            assert_eq!(
-                failed.count(),
-                1,
-                "the undispatched job of the batch goes back to the head"
-            );
+            let failed: Vec<_> = (rest.iter())
+                .flat_map(|f| match f {
+                    Frame::AckBatch { site: SiteId::CLOUD, want: 0, entries } => entries.as_slice(),
+                    _ => &[],
+                })
+                .filter(|e| !e.ok)
+                .collect();
+            assert_eq!(failed.len(), 1, "the undispatched job of the batch goes back to the head");
             assert_eq!(rest.last(), Some(&Frame::Legacy(MasterToHead::Bye)));
         });
     }

@@ -12,13 +12,14 @@
 //! reduction objects are merged at site level and charged explicitly against
 //! the inter-site link during global reduction.
 //!
-//! When fault tolerance is on, completions become a *request/response*:
-//! the reporter attaches a reply channel and the head answers, for every job
-//! of the report, whether the result was merged (first completion of the
-//! chunk) or must be discarded (duplicate from a preempted, reaped, or
-//! evacuated execution) — one exchange per hand-off of jobs, not per job. Any
-//! frame from a master doubles as its liveness beacon; an idle one sends
-//! `Ping` frames, so the head can detect a silently dead site.
+//! A slave's completions and failures go to its master, which reports them
+//! as the entries of an `AckBatch` (a failure has `ok: false`). When fault
+//! tolerance is on, a slave *settles* the jobs of a hand-off in one exchange
+//! and waits for the head's verdict on each: merged (first completion of the
+//! chunk) or to discard (a duplicate). In-process the settle is the one
+//! message a slave sends the head itself ([`HeadMsg::Complete`]). Any frame
+//! from a master doubles as its liveness beacon; an idle one sends `Ping`
+//! frames, so the head can detect a silently dead site.
 
 use crate::wire::{BatchReply, Frame};
 use cloudburst_core::{ChunkId, FaultCounters, JobBatch, LocalJob, SiteId, SiteJobCounts, Take};
@@ -38,27 +39,25 @@ pub enum HeadMsg {
         /// The master's own mailbox.
         mailbox: Sender<MasterMsg>,
     },
-    /// One frame of the wire protocol from `site`: its master's `AckBatch`,
-    /// `Ping`, `Failed` or `Bye`, or a slave's `Failed`.
+    /// One frame of the wire protocol from `site`'s master: an `AckBatch`,
+    /// a `Ping` or its `Bye`.
     Frame {
         /// The site it comes from.
         site: SiteId,
         /// The frame.
         frame: Frame,
     },
-    /// Jobs a site's slaves finished: what one slave settles in one exchange
-    /// (every job of a hand-off it reduced since its last report), or the
-    /// fire-and-forget completions of a slave that leaves.
+    /// What one slave settles in one exchange: every job of a hand-off it
+    /// reduced since its last report. The head serves it as an `AckBatch`
+    /// from `site` that asks for nothing.
     Complete {
         /// The finished jobs.
         jobs: Vec<ChunkId>,
         /// The site that processed them.
         site: SiteId,
-        /// When present, the head answers, job by job and in one reply,
-        /// whether the result was merged (`true`) or is a duplicate to
-        /// discard (`false`). Fire-and-forget (`None`) is only sound with
-        /// fault tolerance off, when no duplicate can exist.
-        reply: Option<Sender<Vec<bool>>>,
+        /// Where the head answers, job by job and in one reply, whether the
+        /// result was merged (`true`) or is a duplicate to discard (`false`).
+        reply: Sender<Vec<bool>>,
     },
     /// A grant a master has queued, emptied: its buffers serve a later grant,
     /// so the head allocates none per exchange once they are grown.
@@ -132,13 +131,13 @@ pub enum MasterMsg {
         /// Where the master sends the verdicts, one per job, in order.
         reply: Sender<bool>,
     },
-    /// A slave that is leaving hands over the completions no request of its
-    /// own will carry any more (TCP deployment mode).
+    /// Completions nobody waits on and no request carries: a slave's as it
+    /// is about to block or to leave.
     Done {
         /// The finished jobs.
         jobs: Vec<ChunkId>,
     },
-    /// A slave reports a failed job (TCP deployment mode).
+    /// A slave reports a failed job.
     Failed {
         /// The failed job.
         job: ChunkId,

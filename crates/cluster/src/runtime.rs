@@ -18,7 +18,6 @@ use crate::net::run_site_master;
 use crate::protocol::{Answer, HeadMsg, HeadReport, MasterMsg, Reply};
 use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
-use crate::wire::{Frame, MasterToHead};
 use bytes::Bytes;
 use cloudburst_core::master::MAX_BDP_JOBS;
 use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
@@ -874,13 +873,13 @@ pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
     })
 }
 
-/// Where a slave reports job completions and failures: directly to the
-/// head (the in-process runtime) or to its master, which forwards over the
-/// control connection (the TCP deployment mode).
+/// Where a slave settles: directly with the head (in-process) or through its
+/// master, which forwards over the control connection (the TCP deployment
+/// mode). Everything else a slave reports goes to its master.
 enum ReportSink<'a> {
-    /// Report straight to the head's channel.
+    /// Settle straight with the head's channel.
     Head(&'a Sender<HeadMsg>),
-    /// Report to the site master.
+    /// Settle through the site master.
     Master(&'a Sender<MasterMsg>),
 }
 
@@ -892,7 +891,7 @@ impl ReportSink<'_> {
         let verdicts = match self {
             ReportSink::Head(tx) => {
                 let (ack_tx, ack_rx) = bounded(1);
-                let report = HeadMsg::Complete { jobs, site, reply: Some(ack_tx) };
+                let report = HeadMsg::Complete { jobs, site, reply: ack_tx };
                 tx.send(report).ok().and_then(|()| ack_rx.recv().ok())
             }
             ReportSink::Master(tx) => {
@@ -903,34 +902,6 @@ impl ReportSink<'_> {
         };
         // A torn-down control plane can no longer merge anything: discard.
         verdicts.unwrap_or_else(|| vec![false; k])
-    }
-
-    /// Hand over completions nobody waits on, outside a job request (none:
-    /// nothing is sent).
-    fn done(&self, jobs: Vec<ChunkId>, site: SiteId) {
-        if jobs.is_empty() {
-            return;
-        }
-        match self {
-            ReportSink::Head(tx) => {
-                let _ = tx.send(HeadMsg::Complete { jobs, site, reply: None });
-            }
-            ReportSink::Master(tx) => {
-                let _ = tx.send(MasterMsg::Done { jobs });
-            }
-        }
-    }
-
-    fn fail(&self, job: ChunkId, site: SiteId) {
-        match self {
-            ReportSink::Head(tx) => {
-                let frame = Frame::Legacy(MasterToHead::Failed { job, site });
-                let _ = tx.send(HeadMsg::Frame { site, frame });
-            }
-            ReportSink::Master(tx) => {
-                let _ = tx.send(MasterMsg::Failed { job });
-            }
-        }
     }
 }
 
@@ -957,7 +928,7 @@ fn run_slave<R: Reduction>(
     core.reuse_batch(Vec::with_capacity(MAX_BDP_JOBS));
     let ctx = &ctx;
     let revoked = |chunk| ctx.revoked(chunk);
-    let mut worker = Worker::new(app, ctx, reports, config);
+    let mut worker = Worker::new(app, ctx, master_tx, reports, config);
     // The slave's one decode buffer, for an application that decodes a
     // group of units before it reduces them; empty between groups.
     let mut buf = Vec::new();
@@ -1022,7 +993,9 @@ fn run_slave<R: Reduction>(
                 }
                 Step::Dropped(_) => ctx.metrics.dropped.inc(),
                 Step::Settle(jobs) => worker.settle(&mut core, jobs, &mut buf),
-                Step::Done(jobs) => reports.done(jobs, ctx.site),
+                Step::Done(jobs) => {
+                    let _ = master_tx.send(MasterMsg::Done { jobs });
+                }
                 // The one place a slave blocks. A fetched job is taken if one
                 // is ready; else, once the core has said what it holds, the
                 // slave waits for the fetch in flight — it lands whatever the
@@ -1067,9 +1040,11 @@ fn run_slave<R: Reduction>(
             worker.settle(&mut core, jobs, &mut buf);
         }
         while let Some(owed) = core.leave(dead) {
-            reports.done(owed.done, ctx.site);
+            if !owed.done.is_empty() {
+                let _ = master_tx.send(MasterMsg::Done { jobs: owed.done });
+            }
             for job in owed.failed {
-                reports.fail(job, ctx.site);
+                let _ = master_tx.send(MasterMsg::Failed { job });
             }
             if !std::mem::take(&mut asking) {
                 break;
@@ -1102,6 +1077,7 @@ fn hear(core: &mut SlaveCore, answer: Option<Answer>, now: Seconds) {
 struct Worker<'a, R: Reduction> {
     app: &'a R,
     ctx: &'a SlaveCtx,
+    master: &'a Sender<MasterMsg>,
     reports: &'a ReportSink<'a>,
     config: &'a RuntimeConfig,
     /// The worker's accumulator. On the isolated path it only ever holds
@@ -1135,6 +1111,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
     fn new(
         app: &'a R,
         ctx: &'a SlaveCtx,
+        master: &'a Sender<MasterMsg>,
         reports: &'a ReportSink<'a>,
         config: &'a RuntimeConfig,
     ) -> Worker<'a, R> {
@@ -1142,6 +1119,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
         Worker {
             app,
             ctx,
+            master,
             reports,
             config,
             robj: app.make_robj(),
@@ -1158,7 +1136,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
     /// Take over a fetched job: fenced by the core at the hand-off,
     /// processed, and its outcome told to the core. Whatever goes wrong with
     /// it — retrieval error or a panic inside the application's reduce — is
-    /// reported to the head, or its masters would poll for it forever; under
+    /// reported to the master, which tells the head, or the masters would
+    /// poll for it forever; under
     /// `FailFast` it ends the slave. `buf` is the slave's decode buffer.
     fn take(
         &mut self,
@@ -1177,7 +1156,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
             }
             Err(e) => {
                 core.failed();
-                self.reports.fail(job, ctx.site);
+                let _ = self.master.send(MasterMsg::Failed { job });
                 // Under the retry policy the head requeues or abandons it.
                 if self.config.fault_policy == FaultPolicy::FailFast {
                     return Err(e);
@@ -1701,7 +1680,7 @@ mod tests {
 
     /// Run one slave against a scripted master and head. The master answers
     /// every request for jobs with `grant(want)`; the head — or, when the
-    /// slave reports `through_master`, the master on its behalf — rules
+    /// slave settles `through_master`, the master on its behalf — rules
     /// `verdict(job)` on every job of a report that waits for verdicts.
     fn scripted_slave<R: Reduction>(
         app: &R,
@@ -1716,23 +1695,15 @@ mod tests {
         let verdict = &verdict;
         std::thread::scope(|scope| {
             let head = scope.spawn(move || {
-                let mut seen = Seen::default();
+                let mut settled = Vec::new();
                 for msg in head_rx.iter() {
-                    match msg {
-                        HeadMsg::Complete { jobs, reply, .. } => {
-                            if let Some(reply) = reply {
-                                let _ = reply.send(jobs.iter().map(|&j| verdict(j)).collect());
-                            }
-                            seen.reports.push(jobs);
-                        }
-                        HeadMsg::Frame {
-                            frame: Frame::Legacy(MasterToHead::Failed { job, .. }),
-                            ..
-                        } => seen.failed.push(job),
-                        _ => panic!("unexpected message to the head"),
-                    }
+                    let HeadMsg::Complete { jobs, reply, .. } = msg else {
+                        panic!("a slave sends the head nothing but its settles")
+                    };
+                    let _ = reply.send(jobs.iter().map(|&j| verdict(j)).collect());
+                    settled.push(jobs);
                 }
-                seen
+                settled
             });
             let slave = scope.spawn({
                 let master_tx = master_tx.clone();
@@ -1774,9 +1745,7 @@ mod tests {
             }
             let outcome = slave.join().unwrap();
             // The slave's was the last sender to the head.
-            let at_head = head.join().unwrap();
-            seen.reports.extend(at_head.reports);
-            seen.failed.extend(at_head.failed);
+            seen.reports.extend(head.join().unwrap());
             (outcome, seen)
         })
     }
@@ -1790,10 +1759,9 @@ mod tests {
         // that read complete, the job it failed failed, and every job it
         // was granted and never processed failed too — what was still
         // waiting in its batch and, pipelined, what its fetch executor had
-        // in hand — to the head directly or through its master,
-        // whichever its reports go to, and whether or not a report waits for
-        // verdicts (the fatal batch's first job is then still open when the
-        // error strikes).
+        // in hand — whether it settles with the head directly or through its
+        // master, and whether or not a report waits for verdicts (the fatal
+        // batch's first job is then still open when the error strikes).
         for (through_master, depth, ack_gated) in [
             (false, 1, false),
             (true, 1, false),
@@ -1893,7 +1861,7 @@ mod tests {
         let head = std::thread::spawn(move || {
             let mut reports = Vec::new();
             for msg in head_rx.iter() {
-                let HeadMsg::Complete { jobs, reply: Some(reply), .. } = msg else {
+                let HeadMsg::Complete { jobs, reply, .. } = msg else {
                     panic!("only reports that wait for verdicts are expected")
                 };
                 reply.send(jobs.iter().map(|&j| j != duplicate).collect()).unwrap();
@@ -1903,7 +1871,8 @@ mod tests {
         });
         let ctx = local_ctx(true, None, None);
         let reports = ReportSink::Head(&head_tx);
-        let mut worker = Worker::new(app, &ctx, &reports, &config);
+        let (master_tx, _master_rx) = unbounded::<MasterMsg>();
+        let mut worker = Worker::new(app, &ctx, &master_tx, &reports, &config);
         let mut core = SlaveCore::new(1, true, None);
         let mut buf = Vec::new();
         let jobs = index.chunks.iter().map(|&chunk| LocalJob { chunk, stolen: false, span: 0 });

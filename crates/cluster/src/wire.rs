@@ -15,25 +15,19 @@
 //! below [`WIRE_VERSION`] is then dropped, not half-served. Work moves in
 //! batches: `GetJobs{max}` is answered by a grant, and an `AckBatch` carrying
 //! many completion/failure reports by one [`BatchReply`] (per-report
-//! verdicts, revoked-lease notices and a piggybacked refill grant). Three
-//! single-job frames remain beside them — `Failed`, `Ping`, `Bye` — under the
-//! names [`Frame::Legacy`] and [`MasterToHead`], which the benchmark in
-//! `ladder/` pins. Tags 1, 2 and 6, once a single-job RPC, are unknown tags.
+//! verdicts, revoked-lease notices and a piggybacked refill grant): a
+//! failure is a report with `ok: false`. Two frames without a job remain
+//! beside them — `Ping` and `Bye` — under the names [`Frame::Legacy`] and
+//! [`MasterToHead`]; the benchmark in `ladder/` pins `Bye`. Tags 1, 2, 3 and
+//! 6, once single-job RPCs, are unknown tags.
 
 use bytes::{Buf, BytesMut};
 use cloudburst_core::{ByteSize, ChunkId, ChunkMeta, FileId, JobBatch, SiteId};
 use std::io::{self, ErrorKind, Read, Write};
 
-/// Messages a master sends to the head.
+/// The frames a master sends the head that carry no job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MasterToHead {
-    /// Report a failed job.
-    Failed {
-        /// The failed job.
-        job: ChunkId,
-        /// Reporting site.
-        site: SiteId,
-    },
     /// Liveness beacon (fault-tolerant mode): resets the head's
     /// per-connection silence clock without requesting anything.
     Ping {
@@ -44,7 +38,6 @@ pub enum MasterToHead {
     Bye,
 }
 
-const TAG_FAILED: u8 = 3;
 const TAG_BYE: u8 = 4;
 const TAG_GRANT: u8 = 5;
 const TAG_PING: u8 = 7;
@@ -56,30 +49,6 @@ pub const MAX_GRANT_JOBS: usize = 1 << 16;
 
 fn err(msg: &str) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, msg)
-}
-
-/// Append one master→head message to `out`.
-pub(crate) fn put_to_head(out: &mut Vec<u8>, msg: &MasterToHead) {
-    match *msg {
-        MasterToHead::Failed { job, site } => {
-            out.push(TAG_FAILED);
-            out.extend_from_slice(&job.0.to_le_bytes());
-            out.extend_from_slice(&site.0.to_le_bytes());
-        }
-        MasterToHead::Ping { site } => {
-            out.push(TAG_PING);
-            out.extend_from_slice(&site.0.to_le_bytes());
-        }
-        MasterToHead::Bye => out.push(TAG_BYE),
-    }
-}
-
-/// Write one master→head message to a stream.
-pub fn write_to_head(w: &mut impl Write, msg: &MasterToHead) -> io::Result<()> {
-    let mut out = Vec::with_capacity(8);
-    put_to_head(&mut out, msg);
-    w.write_all(&out)?;
-    w.flush()
 }
 
 /// Append a head→master grant (the reply to `GetJobs`) to `out`. Each job
@@ -185,11 +154,11 @@ pub struct AckEntry {
     pub ok: bool,
 }
 
-/// Any frame a master may send — what the head decodes. The single-job
-/// frames (`Failed`, `Ping`, `Bye`) may come between batched ones.
+/// Any frame a master may send — what the head decodes. The frames without a
+/// job (`Ping`, `Bye`) may come between batched ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
-    /// A single-job frame.
+    /// A frame without a job.
     Legacy(MasterToHead),
     /// Opening handshake: announce the speaker and its prefetch window.
     Hello {
@@ -255,7 +224,6 @@ pub(crate) fn read_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     let Some(&tag) = buf.first() else { return Ok(None) };
     let need = match tag {
         TAG_PING => 3,
-        TAG_FAILED => 7,
         TAG_BYE => 1,
         TAG_HELLO => 7,
         TAG_GET_JOBS => 5,
@@ -274,11 +242,6 @@ pub(crate) fn read_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     let mut frame = &buf[1..need];
     let decoded = match tag {
         TAG_PING => Frame::Legacy(MasterToHead::Ping { site: SiteId(frame.get_u16_le()) }),
-        TAG_FAILED => {
-            let job = ChunkId(frame.get_u32_le());
-            let site = SiteId(frame.get_u16_le());
-            Frame::Legacy(MasterToHead::Failed { job, site })
-        }
         TAG_BYE => Frame::Legacy(MasterToHead::Bye),
         TAG_HELLO => {
             let site = SiteId(frame.get_u16_le());
@@ -336,7 +299,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// Append any frame to `out`.
 pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
-        Frame::Legacy(msg) => put_to_head(out, msg),
+        Frame::Legacy(MasterToHead::Ping { site }) => {
+            out.push(TAG_PING);
+            out.extend_from_slice(&site.0.to_le_bytes());
+        }
+        Frame::Legacy(MasterToHead::Bye) => out.push(TAG_BYE),
         Frame::Hello { site, version, credit } => {
             out.push(TAG_HELLO);
             out.extend_from_slice(&site.0.to_le_bytes());
@@ -540,7 +507,6 @@ mod tests {
                 ],
             },
             Frame::AckBatch { site: SiteId(0), want: 0, entries: Vec::new() },
-            Frame::Legacy(MasterToHead::Failed { job: ChunkId(7), site: SiteId(3) }),
             Frame::Legacy(MasterToHead::Ping { site: SiteId(3) }),
             Frame::Legacy(MasterToHead::Bye),
         ];
@@ -577,9 +543,9 @@ mod tests {
 
     #[test]
     fn incremental_decoder_rejects_unknown_tags_the_deleted_rpcs_among_them() {
-        // 1, 2 and 6 were `Request`, `Complete` and its ack: a peer that
-        // still sends them is refused at the tag, whatever follows it.
-        for tag in [0xEEu8, 0, 1, 2, 6] {
+        // 1, 2, 3 and 6 were `Request`, `Complete`, `Failed` and the ack: a
+        // peer that still sends them is refused at the tag, whatever follows.
+        for tag in [0xEEu8, 0, 1, 2, 3, 6] {
             let mut buf = BytesMut::from(&[tag, 1, 2, 3, 4, 5, 6, 7][..]);
             let e = try_read_frame(&mut buf).unwrap_err();
             assert_eq!(e.kind(), ErrorKind::InvalidData, "tag {tag}");

@@ -1,7 +1,7 @@
 //! `HeadCore` under a virtual clock and a random schedule of everything a
-//! transport can hand it — policy-sized requests, `GetJobs` and `AckBatch`
-//! frames, direct settles, failures, pings, goodbyes, connections that just
-//! go away, and ticks — with leases that expire, speculation, and a
+//! transport can hand it — `GetJobs` frames, `AckBatch` frames that ask for
+//! jobs or only settle, failures (`ok: false`), pings, goodbyes after a
+//! hand-back, connections that just go away, and ticks — with leases that expire, speculation, and a
 //! heartbeat timeout the schedule regularly outruns. Checked after every
 //! step:
 //!
@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 const SITES: [SiteId; 3] = [SiteId(0), SiteId(1), SiteId(2)];
 const HEARTBEAT: HeartbeatConfig = HeartbeatConfig { interval: 0.005, timeout: 0.04 };
 
-/// What a policy-sized `request` may grant: the pool's `BatchPolicy::Fixed`.
+/// What a master's fixed-size `GetJobs` asks for.
 const POLICY_BATCH: usize = 2;
 
 /// The head and what its peers know.
@@ -85,7 +85,10 @@ impl World {
         match op {
             _ if self.left[s] => {}
             0 => {
-                let batch = self.head.request(site, now);
+                let ask = Frame::GetJobs { site, max: POLICY_BATCH as u16 };
+                let Reply::Grant(batch) = self.head.on_frame(peer, ask, now) else {
+                    panic!("GetJobs is answered by a grant")
+                };
                 self.take_grant(s, was_dead, POLICY_BATCH, batch);
             }
             1 => {
@@ -99,8 +102,12 @@ impl World {
             }
             2 => {
                 let jobs: Vec<ChunkId> = self.held[s].drain(..k).collect();
-                let verdicts = self.head.settle(site, &jobs, now);
-                self.take_verdicts(s, &jobs, &verdicts);
+                let entries = jobs.iter().map(|&job| AckEntry { job, ok: true }).collect();
+                let settle = Frame::AckBatch { site, want: 0, entries };
+                let Reply::Batch(reply) = self.head.on_frame(peer, settle, now) else {
+                    panic!("AckBatch is answered by a BatchReply")
+                };
+                self.take_verdicts(s, &jobs, &reply.verdicts);
             }
             3 => {
                 // Now and then every other entry reports a failure: verdict
@@ -126,11 +133,8 @@ impl World {
             }
             4 => {
                 if let Some(job) = self.held[s].pop() {
-                    self.head.on_frame(
-                        peer,
-                        Frame::Legacy(MasterToHead::Failed { job, site }),
-                        now,
-                    );
+                    let entries = vec![AckEntry { job, ok: false }];
+                    self.head.on_frame(peer, Frame::AckBatch { site, want: 0, entries }, now);
                 }
             }
             5 => {
@@ -138,12 +142,10 @@ impl World {
             }
             6 => {
                 // A master hands back what it holds before it leaves.
-                for job in std::mem::take(&mut self.held[s]) {
-                    self.head.on_frame(
-                        peer,
-                        Frame::Legacy(MasterToHead::Failed { job, site }),
-                        now,
-                    );
+                let held = std::mem::take(&mut self.held[s]);
+                if !held.is_empty() {
+                    let entries = held.into_iter().map(|job| AckEntry { job, ok: false }).collect();
+                    self.head.on_frame(peer, Frame::AckBatch { site, want: 0, entries }, now);
                 }
                 assert_eq!(
                     self.head.on_frame(peer, Frame::Legacy(MasterToHead::Bye), now),

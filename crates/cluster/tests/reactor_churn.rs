@@ -7,7 +7,7 @@
 
 use cloudburst_cluster::net::serve_head_with;
 use cloudburst_cluster::wire::{
-    read_hello_ack, write_hello, write_to_head, MasterToHead, WIRE_VERSION,
+    encode_frame, read_hello_ack, write_hello, Frame, MasterToHead, WIRE_VERSION,
 };
 use cloudburst_cluster::HeadOptions;
 use cloudburst_core::{BatchPolicy, DataIndex, JobPool, LayoutParams, SiteId};
@@ -43,7 +43,7 @@ fn five_hundred_connect_disconnect_cycles_leak_nothing() {
         write_hello(&mut stream, SiteId::LOCAL, WIRE_VERSION, 8).unwrap();
         stream.flush().unwrap();
         assert_eq!(read_hello_ack(&mut stream).unwrap(), WIRE_VERSION);
-        write_to_head(&mut stream, &MasterToHead::Bye).unwrap();
+        stream.write_all(&encode_frame(&Frame::Legacy(MasterToHead::Bye))).unwrap();
         stream.flush().unwrap();
         drop(stream);
 

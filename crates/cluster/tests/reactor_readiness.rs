@@ -7,7 +7,7 @@
 use cloudburst_cluster::net::serve_head_with;
 use cloudburst_cluster::wire::{
     encode_frame, read_batch_reply, read_grant, read_hello_ack, write_ack_batch, write_hello,
-    write_to_head, Frame, MasterToHead, WIRE_VERSION,
+    Frame, MasterToHead, WIRE_VERSION,
 };
 use cloudburst_cluster::{HeadOptions, HeadReport};
 use cloudburst_core::{BatchPolicy, DataIndex, JobPool, LayoutParams, Metrics, SiteId};
@@ -38,7 +38,7 @@ fn with_head(
     write_hello(&mut stream, SiteId::LOCAL, WIRE_VERSION, 8).unwrap();
     assert_eq!(read_hello_ack(&mut stream).unwrap(), WIRE_VERSION);
     client(&mut stream);
-    write_to_head(&mut stream, &MasterToHead::Bye).unwrap();
+    stream.write_all(&encode_frame(&Frame::Legacy(MasterToHead::Bye))).unwrap();
     head.join().unwrap().unwrap()
 }
 

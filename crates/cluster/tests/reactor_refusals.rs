@@ -8,7 +8,7 @@
 
 use cloudburst_cluster::net::serve_head_with;
 use cloudburst_cluster::wire::{
-    read_batch_reply, read_hello_ack, write_ack_batch, write_hello, write_to_head, AckEntry,
+    encode_frame, read_batch_reply, read_hello_ack, write_ack_batch, write_hello, AckEntry, Frame,
     MasterToHead, WIRE_VERSION,
 };
 use cloudburst_cluster::{HeadOptions, HeadReport};
@@ -47,7 +47,7 @@ fn with_head(ft_active: bool, intruder: impl FnOnce(&mut TcpStream)) -> io::Resu
             write_ack_batch(&mut local, SiteId::LOCAL, 2, &done)?;
             let grant = read_batch_reply(&mut local)?.grant;
             if grant.terminal {
-                return write_to_head(&mut local, &MasterToHead::Bye);
+                return local.write_all(&encode_frame(&Frame::Legacy(MasterToHead::Bye)));
             }
             done = grant.jobs.iter().map(|j| AckEntry { job: j.id, ok: true }).collect();
         }
@@ -76,12 +76,20 @@ fn a_hello_below_the_wire_version_is_acknowledged_and_shown_the_door() {
 
 #[test]
 fn a_frame_with_a_deleted_tag_ends_the_connection() {
-    // Tag 1 was the single-job `Request`: tag, then the site.
-    let old_request = |stream: &mut TcpStream| {
-        write_hello(stream, SiteId::CLOUD, WIRE_VERSION, 2).unwrap();
-        assert_eq!(read_hello_ack(stream).unwrap(), WIRE_VERSION);
-        stream.write_all(&[1, 1, 0]).unwrap();
-    };
-    the_run_went_on(&with_head(true, old_request).unwrap(), &[SiteId::CLOUD]);
-    assert_eq!(with_head(false, old_request).unwrap_err().kind(), ErrorKind::InvalidData);
+    // The single-job frames, each as it was once sent: tag 1 `Request` (the
+    // site), 2 `Complete` and 3 `Failed` (the job, then the site) and 6 the
+    // head's ack of a completion (the job). The decoder refuses each at its
+    // tag, before it reads, let alone allocates for, a byte of what follows.
+    let old_frames: [&[u8]; 4] =
+        [&[1, 1, 0], &[2, 0, 0, 0, 0, 1, 0], &[3, 0, 0, 0, 0, 1, 0], &[6, 0, 0, 0, 0]];
+    for old in old_frames {
+        let old_frame = |stream: &mut TcpStream| {
+            write_hello(stream, SiteId::CLOUD, WIRE_VERSION, 2).unwrap();
+            assert_eq!(read_hello_ack(stream).unwrap(), WIRE_VERSION);
+            stream.write_all(old).unwrap();
+        };
+        the_run_went_on(&with_head(true, old_frame).unwrap(), &[SiteId::CLOUD]);
+        let refused = with_head(false, old_frame).unwrap_err();
+        assert_eq!(refused.kind(), ErrorKind::InvalidData, "tag {}", old[0]);
+    }
 }

@@ -163,7 +163,8 @@ pub struct HealthSample {
     /// Current per-shard queue depths (order is irrelevant).
     pub shard_depths: Vec<u64>,
     /// Per-core completion rates of the active sites over the last tick
-    /// (jobs/sec/core); sites with zero cores are excluded by the caller.
+    /// (jobs/sec/core); the caller leaves out the sites that cannot be
+    /// stragglers: those with zero cores and those holding no lease.
     pub site_rates: Vec<f64>,
     /// Cumulative WAN (cloud) fetch busy seconds.
     pub wan_fetch_secs: f64,

@@ -88,15 +88,6 @@ impl LayoutParams {
     }
 }
 
-/// How many units to hand to the reduction layer at a time so that the
-/// working set (group plus the reduction object) stays cache resident
-/// (paper: "the data units maximize the cache utilization").
-#[must_use]
-pub fn cache_sized_group(unit_size: u32, cache_bytes: u64, robj_bytes: u64) -> u64 {
-    let budget = cache_bytes.saturating_sub(robj_bytes).max(u64::from(unit_size));
-    (budget / u64::from(unit_size)).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,18 +121,5 @@ mod tests {
         assert!(LayoutParams { unit_size: 0, ..ok }.validate().is_err());
         assert!(LayoutParams { units_per_chunk: 0, ..ok }.validate().is_err());
         assert!(LayoutParams { n_files: 0, ..ok }.validate().is_err());
-    }
-
-    #[test]
-    fn cache_group_fits_cache_minus_robj() {
-        // 32 KiB cache, 8 KiB robj, 64 B units -> (32-8)KiB / 64 = 384 units.
-        assert_eq!(cache_sized_group(64, 32 * 1024, 8 * 1024), 384);
-    }
-
-    #[test]
-    fn cache_group_is_at_least_one_unit() {
-        // robj larger than cache must still make forward progress.
-        assert_eq!(cache_sized_group(64, 1024, 4096), 1);
-        assert_eq!(cache_sized_group(4096, 1024, 0), 1);
     }
 }

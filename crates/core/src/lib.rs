@@ -89,9 +89,7 @@ pub use metrics::{
 };
 pub use pool::Completion;
 pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};
-pub use reduction::{
-    coded_combine, global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject,
-};
+pub use reduction::{global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject};
 pub use slave::SlaveCore;
 pub use stats::{
     assemble_report, assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport,
@@ -102,4 +100,4 @@ pub use telemetry::{
     ConsoleSink, Event, EventKind, EventSink, FlightRecorder, JsonlSink, LogLevel, PoolTally,
     Recorder, Telemetry,
 };
-pub use types::{ByteSize, ChunkId, FileId, JobId, NodeId, Seconds, SiteId};
+pub use types::{ByteSize, ChunkId, FileId, NodeId, Seconds, SiteId};

@@ -753,6 +753,9 @@ pub struct SiteTotals {
     pub lease_reaps: u64,
     /// Jobs waiting in the site's shard.
     pub depth: u64,
+    /// Jobs leased to the site now: granted, not yet completed, failed,
+    /// reaped or evacuated. A site that holds none has run out of work.
+    pub leased: u64,
     /// Jobs the site's slaves decoded and reduced.
     pub jobs: u64,
     /// Seconds the site's slaves spent fetching and processing.
@@ -769,6 +772,7 @@ impl LedgerTotals {
             stolen_from: a.stolen_from + s.stolen_from,
             lease_reaps: a.lease_reaps + s.lease_reaps,
             depth: a.depth + s.depth,
+            leased: a.leased + s.leased,
             jobs: a.jobs + s.jobs,
             busy_secs: a.busy_secs + s.busy_secs,
         })
@@ -778,11 +782,14 @@ impl LedgerTotals {
 /// The ledger families' values: each site's pool counts in
 /// [`POOL_FAMILIES`] order, the jobs waiting per shard (every shard, from
 /// the first publish on), the jobs in flight once a head published, and
-/// each slave's values in [`SLAVE_FAMILIES`] order.
+/// each slave's values in [`SLAVE_FAMILIES`] order. Beside them, the jobs
+/// leased to each site, which the live view reads typed and the scrape
+/// does not show.
 #[derive(Clone, Default)]
 struct Totals {
     pool: Vec<[u64; 16]>,
     depth: BTreeMap<SiteId, u64>,
+    leased: BTreeMap<SiteId, u64>,
     in_flight: Option<u64>,
     slaves: BTreeMap<(SiteId, u32), [f64; 5]>,
 }
@@ -809,6 +816,7 @@ impl Drop for LiveLedger {
             let (closed, open) = &mut *registry.ledger.0.lock();
             let mut gone = mine.lock();
             gone.depth.values_mut().for_each(|d| *d = 0);
+            gone.leased.values_mut().for_each(|n| *n = 0);
             gone.in_flight = gone.in_flight.map(|_| 0);
             closed.add(&gone);
             drop(gone);
@@ -900,6 +908,9 @@ impl Totals {
         for (site, n) in pool.pending_by_home() {
             *self.depth.entry(site).or_default() += n as u64;
         }
+        for (&site, &n) in &pool.assigned_to {
+            self.leased.insert(site, n as u64);
+        }
         self.in_flight = Some(pool.in_flight() as u64);
     }
 
@@ -912,6 +923,9 @@ impl Totals {
         }
         for (&site, &n) in &other.depth {
             *self.depth.entry(site).or_default() += n;
+        }
+        for (&site, &n) in &other.leased {
+            *self.leased.entry(site).or_default() += n;
         }
         if let Some(n) = other.in_flight {
             *self.in_flight.get_or_insert(0) += n;
@@ -967,6 +981,9 @@ impl Totals {
         }
         for (&site, &depth) in &self.depth {
             sites.entry(site).or_default().depth = depth;
+        }
+        for (&site, &leased) in self.leased.iter().filter(|(_, &n)| n > 0) {
+            sites.entry(site).or_default().leased = leased;
         }
         for (&(site, _), &[jobs, _, _, fetch, process]) in &self.slaves {
             let row = sites.entry(site).or_default();
@@ -1603,6 +1620,37 @@ mod tests {
         // A handle no head published to shows no pool series.
         let quiet = parse_exposition(&Metrics::on().registry().unwrap().render()).unwrap();
         assert!(quiet.series.is_empty());
+    }
+
+    #[test]
+    fn the_typed_read_names_the_jobs_leased_to_each_site() {
+        let m = Metrics::on();
+        let registry = m.registry().unwrap();
+        let params = crate::LayoutParams { unit_size: 1, units_per_chunk: 1, n_files: 2 };
+        let home = |f: crate::FileId| if f.0 == 0 { SiteId::LOCAL } else { SiteId::CLOUD };
+        let index = crate::DataIndex::build(8, params, home).unwrap();
+        let mut pool = JobPool::from_index(&index, crate::BatchPolicy::Fixed(1));
+        // The cloud holds two leases; the local site finished its one job.
+        let cloud = pool.grant(SiteId::CLOUD, 2, 0.0);
+        for job in pool.grant(SiteId::LOCAL, 1, 0.0).jobs {
+            pool.complete(job.id, SiteId::LOCAL);
+        }
+        let head = m.ledger();
+        head.publish_pool(&pool);
+        let read = registry.ledger();
+        let leased = |read: &LedgerTotals, site| read.sites[&site].leased;
+        assert_eq!((leased(&read, SiteId::LOCAL), leased(&read, SiteId::CLOUD)), (0, 2));
+        assert_eq!(read.all().leased, read.in_flight);
+        for job in &cloud.jobs {
+            pool.complete(job.id, SiteId::CLOUD);
+        }
+        head.publish_pool(&pool);
+        assert_eq!(registry.ledger().all().leased, 0, "a site out of work holds no lease");
+        pool.grant(SiteId::CLOUD, 1, 0.0);
+        head.publish_pool(&pool);
+        assert_eq!(leased(&registry.ledger(), SiteId::CLOUD), 1);
+        drop(head);
+        assert_eq!(registry.ledger().all().leased, 0, "a head that is gone leases nothing");
     }
 
     #[test]

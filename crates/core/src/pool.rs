@@ -26,8 +26,8 @@
 //!
 //! The pool is pure single-threaded logic with one sized grant,
 //! [`JobPool::grant`]: the head's sans-IO core owns it by value on the
-//! channel and the TCP transport alike, and the discrete-event simulator
-//! drives it directly, so every runtime executes the *same* policy.
+//! channel and the TCP transport alike and in the discrete-event simulator,
+//! so every runtime executes the *same* policy.
 
 use crate::fault::{AbandonedJob, FaultCounters, LeaseConfig};
 use crate::index::DataIndex;
@@ -238,7 +238,7 @@ impl JobBatch {
     }
 }
 
-/// How many jobs to grant per request.
+/// How many jobs a simulated master asks for, by the pool's backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BatchPolicy {
     /// Always grant up to `n` jobs.
@@ -310,7 +310,6 @@ pub struct JobPool {
     /// "number of nodes currently processing" signal of the heuristic.
     readers: Vec<u32>,
     pending_total: usize,
-    batch_policy: BatchPolicy,
     /// Estimated end-to-end cost (seconds) for each site to process one
     /// *stolen* job: remote retrieval plus processing. Zero disables the
     /// rate-aware steal condition for that site.
@@ -322,7 +321,7 @@ pub struct JobPool {
     /// Attempts after which a failing job is abandoned.
     max_attempts: u8,
     /// Jobs currently assigned to each processing site.
-    assigned_to: BTreeMap<SiteId, usize>,
+    pub(crate) assigned_to: BTreeMap<SiteId, usize>,
     /// Lease sizing; `None` disables deadlines (infinite leases).
     lease: Option<LeaseConfig>,
     /// Whether tail stragglers may be speculatively re-executed.
@@ -349,8 +348,10 @@ pub struct JobPool {
 impl JobPool {
     /// Build the pool from a data index ("the head node ... reads the index
     /// file in order to generate the job pool").
+    /// A grant holds what its request asks for, so `_batch_policy` is read
+    /// by nothing: `ladder/src/api.rs` pins it (ROADMAP item 1 drops it).
     #[must_use]
-    pub fn from_index(index: &DataIndex, batch_policy: BatchPolicy) -> JobPool {
+    pub fn from_index(index: &DataIndex, _batch_policy: BatchPolicy) -> JobPool {
         let n_files = index.files.len();
         let mut pending_by_file = vec![VecDeque::new(); n_files];
         for c in &index.chunks {
@@ -366,7 +367,6 @@ impl JobPool {
             file_site: index.files.iter().map(|f| f.site).collect(),
             readers: vec![0; n_files],
             pending_total: n,
-            batch_policy,
             steal_cost: BTreeMap::new(),
             now: 0.0,
             attempts: vec![0; n],
@@ -769,18 +769,6 @@ impl JobPool {
         backlog / rate > cost
     }
 
-    /// A master's request for as many jobs as the batch policy gives at the
-    /// current backlog: [`JobPool::grant`] at that size.
-    pub fn request_for_at(&mut self, site: SiteId, now: f64) -> JobBatch {
-        self.grant(site, self.batch_policy.batch_size(self.pending_total), now)
-    }
-
-    /// [`JobPool::request_for_at`] without a clock of the caller's: the
-    /// rate-aware steal condition sees no time pass.
-    pub fn request_for(&mut self, site: SiteId) -> JobBatch {
-        self.request_for_at(site, self.now)
-    }
-
     /// [`JobPool::complete`] with the caller's clock, feeding the
     /// job-duration estimator on accepted completions.
     pub fn complete_at(&mut self, job: ChunkId, site: SiteId, now: f64) -> Completion {
@@ -1126,7 +1114,7 @@ mod tests {
     fn grants_local_jobs_first() {
         let idx = index(4, 3, half_split);
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(2));
-        let b = pool.request_for(SiteId::LOCAL);
+        let b = pool.grant(SiteId::LOCAL, 2, 0.0);
         assert!(!b.stolen);
         assert!(b.jobs.iter().all(|c| c.site == SiteId::LOCAL));
     }
@@ -1162,7 +1150,7 @@ mod tests {
     fn batches_are_consecutive_chunks_of_one_file() {
         let idx = index(2, 6, |_| SiteId::LOCAL);
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(4));
-        let b = pool.request_for(SiteId::LOCAL);
+        let b = pool.grant(SiteId::LOCAL, 4, 0.0);
         assert_eq!(b.len(), 4);
         let file = b.jobs[0].file;
         for w in b.jobs.windows(2) {
@@ -1176,7 +1164,7 @@ mod tests {
     fn steals_only_after_local_exhausted() {
         let idx = index(2, 4, |f| if f.0 == 0 { SiteId::LOCAL } else { SiteId::CLOUD });
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(2));
-        let b1 = pool.request_for(SiteId::LOCAL);
+        let b1 = pool.grant(SiteId::LOCAL, 2, 0.0);
         assert!(!b1.stolen);
         assert_eq!(b1.len(), 2);
         // A sized grant is one file's run, however much is asked for.
@@ -1196,17 +1184,17 @@ mod tests {
         let idx = index(4, 2, half_split); // files 0,1 local; 2,3 cloud
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(1));
         // Cloud takes one job -> becomes a reader of one of its files.
-        let cb = pool.request_for(SiteId::CLOUD);
+        let cb = pool.grant(SiteId::CLOUD, 1, 0.0);
         let busy_file = cb.jobs[0].file;
         // Drain local jobs.
         while pool.has_local_pending(SiteId::LOCAL) {
-            let b = pool.request_for(SiteId::LOCAL);
+            let b = pool.grant(SiteId::LOCAL, 1, 0.0);
             for j in &b.jobs {
                 pool.complete(j.id, SiteId::LOCAL);
             }
         }
         // First steal must avoid the file the cloud is reading.
-        let sb = pool.request_for(SiteId::LOCAL);
+        let sb = pool.grant(SiteId::LOCAL, 1, 0.0);
         assert!(sb.stolen);
         assert_ne!(sb.jobs[0].file, busy_file);
     }
@@ -1221,7 +1209,7 @@ mod tests {
         while !pool.all_done() {
             let site = sites[turn % 2];
             turn += 1;
-            let b = pool.request_for(site);
+            let b = pool.grant(site, 2, 0.0);
             for j in &b.jobs {
                 seen[j.id.0 as usize] += 1;
                 pool.complete(j.id, site);
@@ -1239,7 +1227,7 @@ mod tests {
         let idx = index(2, 4, |_| SiteId::CLOUD);
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(3));
         while !pool.all_done() {
-            let b = pool.request_for(SiteId::LOCAL);
+            let b = pool.grant(SiteId::LOCAL, 3, 0.0);
             assert!(b.stolen);
             for j in &b.jobs {
                 pool.complete(j.id, SiteId::LOCAL);
@@ -1254,11 +1242,11 @@ mod tests {
     fn empty_batch_when_drained() {
         let idx = index(1, 1, |_| SiteId::LOCAL);
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(8));
-        let b = pool.request_for(SiteId::LOCAL);
+        let b = pool.grant(SiteId::LOCAL, 8, 0.0);
         assert_eq!(b.len(), 1);
-        let b2 = pool.request_for(SiteId::LOCAL);
+        let b2 = pool.grant(SiteId::LOCAL, 8, 0.0);
         assert!(b2.is_empty());
-        let b3 = pool.request_for(SiteId::CLOUD);
+        let b3 = pool.grant(SiteId::CLOUD, 8, 0.0);
         assert!(b3.is_empty());
     }
 
@@ -1306,7 +1294,7 @@ mod fault_tests {
     #[test]
     fn failed_job_is_requeued_and_completes_later() {
         let mut p = pool(4, 3);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         let victim = b.jobs[0].id;
         assert!(p.fail(victim, SiteId::LOCAL), "first failure requeues");
         assert_eq!(p.in_flight(), b.len() - 1);
@@ -1334,11 +1322,11 @@ mod fault_tests {
     #[test]
     fn requeued_job_keeps_physical_order() {
         let mut p = pool(4, 5);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         // Fail both; they go back in id order regardless of failure order.
         assert!(p.fail(b.jobs[1].id, SiteId::LOCAL));
         assert!(p.fail(b.jobs[0].id, SiteId::LOCAL));
-        let again = p.request_for(SiteId::LOCAL);
+        let again = p.grant(SiteId::LOCAL, 2, 0.0);
         assert!(again.jobs.windows(2).all(|w| w[1].id == w[0].id.next()));
     }
 
@@ -1346,7 +1334,7 @@ mod fault_tests {
     fn exhausted_attempts_abandon_the_job() {
         let mut p = pool(1, 2);
         for round in 0..2 {
-            let b = p.request_for(SiteId::LOCAL);
+            let b = p.grant(SiteId::LOCAL, 2, 0.0);
             assert_eq!(b.len(), 1, "round {round}");
             let requeued = p.fail(b.jobs[0].id, SiteId::LOCAL);
             assert_eq!(requeued, round == 0);
@@ -1355,20 +1343,20 @@ mod fault_tests {
         assert_eq!(p.abandoned(), 1);
         assert_eq!(p.abandoned_jobs().len(), 1);
         assert_eq!(p.abandoned_jobs()[0].last_site, Some(SiteId::LOCAL));
-        assert!(p.request_for(SiteId::LOCAL).terminal);
+        assert!(p.grant(SiteId::LOCAL, 2, 0.0).terminal);
     }
 
     #[test]
     fn empty_grant_is_nonterminal_while_jobs_in_flight() {
         let mut p = pool(1, 3);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         assert_eq!(b.len(), 1);
         // Nothing pending, but the job is in flight: not terminal.
-        let empty = p.request_for(SiteId::CLOUD);
+        let empty = p.grant(SiteId::CLOUD, 2, 0.0);
         assert!(empty.is_empty());
         assert!(!empty.terminal, "in-flight job could still fail and requeue");
         p.complete(b.jobs[0].id, SiteId::LOCAL);
-        assert!(p.request_for(SiteId::CLOUD).terminal);
+        assert!(p.grant(SiteId::CLOUD, 2, 0.0).terminal);
     }
 
     #[test]
@@ -1405,7 +1393,7 @@ mod lease_tests {
     fn expired_lease_is_reaped_and_requeued() {
         let mut p = pool(1);
         p.set_lease(short_lease());
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         assert_eq!(b.len(), 1);
         assert!(p.reap_expired(0.5).is_empty(), "lease still live");
         let reaped = p.reap_expired(1.5);
@@ -1413,7 +1401,7 @@ mod lease_tests {
         assert_eq!(p.pending(), 1, "job back in the pool");
         assert_eq!(p.faults().lease_expiries, 1);
         // Re-grant to another site; the grant must be the same chunk.
-        let b2 = p.request_for_at(SiteId::CLOUD, 2.0);
+        let b2 = p.grant(SiteId::CLOUD, 2, 2.0);
         assert_eq!(b2.jobs[0].id, b.jobs[0].id);
         assert!(p.complete(b2.jobs[0].id, SiteId::CLOUD).is_merged());
     }
@@ -1422,7 +1410,7 @@ mod lease_tests {
     fn late_completion_after_reap_still_merges_exactly_once() {
         let mut p = pool(1);
         p.set_lease(short_lease());
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         let job = b.jobs[0].id;
         p.reap_expired(5.0);
         // The written-off worker finishes after all, before any re-grant.
@@ -1431,17 +1419,17 @@ mod lease_tests {
         assert!(p.all_done());
         assert_eq!(p.pending(), 0, "pending re-execution withdrawn");
         // Nothing left to grant.
-        assert!(p.request_for_at(SiteId::CLOUD, 5.2).terminal);
+        assert!(p.grant(SiteId::CLOUD, 2, 5.2).terminal);
     }
 
     #[test]
     fn late_completion_races_rerun_and_rerun_is_preempted() {
         let mut p = pool(1);
         p.set_lease(short_lease());
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         let job = b.jobs[0].id;
         p.reap_expired(5.0);
-        let b2 = p.request_for_at(SiteId::CLOUD, 5.0);
+        let b2 = p.grant(SiteId::CLOUD, 2, 5.0);
         assert_eq!(b2.jobs[0].id, job, "reaped job re-granted");
         // Original worker reports first: accepted; rerun preempted.
         match p.complete_at(job, SiteId::LOCAL, 5.5) {
@@ -1459,7 +1447,7 @@ mod lease_tests {
         let mut p = pool(2);
         p.set_lease(short_lease());
         p.set_speculation(true);
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         assert_eq!(b.len(), 2);
         p.complete_at(b.jobs[1].id, SiteId::LOCAL, 0.2);
         // Asking for nothing only learns that the run is not over: no copy
@@ -1469,14 +1457,14 @@ mod lease_tests {
         assert_eq!(p.faults().speculative_grants, 0);
         // Cloud polls with nothing pending: granted a speculative copy of
         // the straggler.
-        let spec = p.request_for_at(SiteId::CLOUD, 0.3);
+        let spec = p.grant(SiteId::CLOUD, 2, 0.3);
         assert_eq!(spec.len(), 1);
         assert_eq!(spec.jobs[0].id, b.jobs[0].id);
         assert!(spec.stolen);
         assert_eq!(p.faults().speculative_grants, 1);
         assert_eq!(p.assignees_of(b.jobs[0].id), vec![SiteId::LOCAL, SiteId::CLOUD]);
         // No third copy.
-        assert!(p.request_for_at(SiteId::CLOUD, 0.4).is_empty());
+        assert!(p.grant(SiteId::CLOUD, 2, 0.4).is_empty());
         // Speculative copy finishes first; the straggler is preempted.
         match p.complete_at(b.jobs[0].id, SiteId::CLOUD, 0.5) {
             Completion::Merged { preempted } => assert_eq!(preempted, vec![SiteId::LOCAL]),
@@ -1501,9 +1489,9 @@ mod lease_tests {
         p.set_sink(Telemetry::to(rec.clone()));
         p.set_lease(short_lease());
         p.set_speculation(true);
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         p.complete_at(b.jobs[1].id, SiteId::LOCAL, 0.2);
-        let spec = p.request_for_at(SiteId::CLOUD, 0.3);
+        let spec = p.grant(SiteId::CLOUD, 2, 0.3);
         assert_eq!(spec.len(), 1);
         // This time the straggler beats its speculative copy: the copy is
         // preempted and the gamble is written off as a loss.
@@ -1540,9 +1528,9 @@ mod lease_tests {
         let mut p = pool(2);
         p.set_lease(short_lease());
         p.set_speculation(true);
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         p.complete_at(b.jobs[1].id, SiteId::LOCAL, 0.2);
-        let spec = p.request_for_at(SiteId::CLOUD, 0.3);
+        let spec = p.grant(SiteId::CLOUD, 2, 0.3);
         assert_eq!(spec.len(), 1);
         // Both leases expire; only the speculative one counts as a loss.
         let reaped = p.reap_expired(1000.0);
@@ -1554,11 +1542,11 @@ mod lease_tests {
     #[test]
     fn evacuation_requeues_in_flight_and_done_jobs() {
         let mut p = pool(4);
-        let b1 = p.request_for(SiteId::CLOUD); // 2 jobs in flight at cloud
+        let b1 = p.grant(SiteId::CLOUD, 2, 0.0); // 2 jobs in flight at cloud
         p.complete(b1.jobs[0].id, SiteId::CLOUD); // 1 done at cloud
         let done_at_cloud = b1.jobs[0].id;
         let inflight_at_cloud = b1.jobs[1].id;
-        let b2 = p.request_for(SiteId::LOCAL);
+        let b2 = p.grant(SiteId::LOCAL, 2, 0.0);
         assert_eq!(b2.len(), 2);
         p.evacuate(SiteId::CLOUD);
         p.evacuate(SiteId::CLOUD); // idempotent
@@ -1579,7 +1567,7 @@ mod lease_tests {
             assert!(p.complete(j.id, SiteId::LOCAL).is_merged());
         }
         while !p.all_done() {
-            let b = p.request_for(SiteId::LOCAL);
+            let b = p.grant(SiteId::LOCAL, 2, 0.0);
             for j in &b.jobs {
                 assert!(p.complete(j.id, SiteId::LOCAL).is_merged());
             }
@@ -1597,7 +1585,7 @@ mod lease_tests {
     #[test]
     fn abandon_unfinished_records_last_sites() {
         let mut p = pool(2);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         assert_eq!(b.len(), 2);
         p.evacuate(SiteId::LOCAL);
         assert_eq!(p.pending(), 2);
@@ -1613,11 +1601,11 @@ mod lease_tests {
     fn leases_scale_with_observed_duration() {
         let mut p = pool(8);
         p.set_lease(LeaseConfig { base: 100.0, multiplier: 2.0, min: 0.1, max: 1000.0 });
-        let b = p.request_for_at(SiteId::LOCAL, 0.0);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         for j in &b.jobs {
             p.complete_at(j.id, SiteId::LOCAL, 1.0); // ~1s jobs observed
         }
-        let b2 = p.request_for_at(SiteId::LOCAL, 1.0);
+        let b2 = p.grant(SiteId::LOCAL, 2, 1.0);
         // With ~1s EWMA and multiplier 2, the lease is ~2s, far below base:
         // jobs granted now must be reapable shortly after, not in 100s.
         assert!(p.reap_expired(1.5).is_empty());
@@ -1645,10 +1633,10 @@ mod redundancy_tests {
     fn r1_never_grants_replicas() {
         let mut p = pool(1);
         p.set_redundancy(1);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         assert_eq!(b.len(), 1);
         // Idle poll while a job is in flight: empty at r=1, no replica.
-        assert!(p.request_for(SiteId::CLOUD).is_empty());
+        assert!(p.grant(SiteId::CLOUD, 2, 0.0).is_empty());
         assert_eq!(p.faults().replica_grants, 0);
         p.complete(b.jobs[0].id, SiteId::LOCAL);
         assert_eq!(p.faults().replica_wins, 0);
@@ -1659,18 +1647,18 @@ mod redundancy_tests {
     fn replica_first_completion_wins_and_fences_the_original() {
         let mut p = pool(1);
         p.set_redundancy(2);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         let job = b.jobs[0].id;
         // The idle site is handed a proactive replica, not an empty poll —
         // unless it asked for nothing.
         assert!(p.grant(SiteId::CLOUD, 0, 0.0).is_empty());
         assert_eq!(p.faults().replica_grants, 0);
-        let rep = p.request_for(SiteId::CLOUD);
+        let rep = p.grant(SiteId::CLOUD, 2, 0.0);
         assert_eq!(rep.len(), 1);
         assert_eq!(rep.jobs[0].id, job);
         assert_eq!(p.faults().replica_grants, 1);
         // No third copy on a two-site testbed: both sites already hold one.
-        assert!(p.request_for(SiteId::CLOUD).is_empty());
+        assert!(p.grant(SiteId::CLOUD, 2, 0.0).is_empty());
         // Replica finishes first: merged, and the original is fenced.
         match p.complete(job, SiteId::CLOUD) {
             Completion::Merged { preempted } => assert_eq!(preempted, vec![SiteId::LOCAL]),
@@ -1688,9 +1676,9 @@ mod redundancy_tests {
     fn original_first_completion_fences_the_replica() {
         let mut p = pool(1);
         p.set_redundancy(2);
-        let b = p.request_for(SiteId::LOCAL);
+        let b = p.grant(SiteId::LOCAL, 2, 0.0);
         let job = b.jobs[0].id;
-        assert_eq!(p.request_for(SiteId::CLOUD).len(), 1);
+        assert_eq!(p.grant(SiteId::CLOUD, 2, 0.0).len(), 1);
         match p.complete(job, SiteId::LOCAL) {
             Completion::Merged { preempted } => assert_eq!(preempted, vec![SiteId::CLOUD]),
             Completion::Duplicate => panic!("original completion must merge"),
@@ -1704,7 +1692,7 @@ mod redundancy_tests {
     fn evacuation_under_redundancy_counts_saved_refetches() {
         let mut p = pool(2);
         p.set_redundancy(2);
-        let b = p.request_for(SiteId::CLOUD);
+        let b = p.grant(SiteId::CLOUD, 2, 0.0);
         assert_eq!(b.len(), 2);
         p.complete(b.jobs[0].id, SiteId::CLOUD); // one done, one in flight
         p.evacuate(SiteId::CLOUD);
@@ -1713,7 +1701,7 @@ mod redundancy_tests {
         assert_eq!(p.pending(), 2);
         assert_eq!(p.faults().saved_refetches, 2);
         while !p.all_done() {
-            let b = p.request_for(SiteId::LOCAL);
+            let b = p.grant(SiteId::LOCAL, 2, 0.0);
             for j in &b.jobs {
                 assert!(p.complete(j.id, SiteId::LOCAL).is_merged());
             }
@@ -1724,7 +1712,7 @@ mod redundancy_tests {
     #[test]
     fn evacuation_at_r1_saves_nothing() {
         let mut p = pool(2);
-        let b = p.request_for(SiteId::CLOUD);
+        let b = p.grant(SiteId::CLOUD, 2, 0.0);
         p.complete(b.jobs[0].id, SiteId::CLOUD);
         p.evacuate(SiteId::CLOUD);
         assert_eq!(p.pending(), 2);

@@ -185,18 +185,6 @@ pub fn tree_reduce<R: ReductionObject>(mut parts: Vec<R>) -> Option<R> {
     global_reduce(parts)
 }
 
-/// Coded global reduction: merge the partial reduction objects from any
-/// *surviving* replica set. Under coded redundancy each job's result may be
-/// produced by several sites; a straggling or evacuated site simply
-/// contributes `None` and — because every chunk's work exists on another
-/// replica — the survivors alone still cover the whole dataset. Survivors
-/// are combined with the same deterministic binary tree as
-/// [`tree_reduce`], so the result is bit-exact with the fault-free run.
-/// Returns `None` when no partial survived at all.
-pub fn coded_combine<R: ReductionObject>(parts: impl IntoIterator<Item = Option<R>>) -> Option<R> {
-    tree_reduce(parts.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,17 +263,6 @@ mod tests {
         let b = reduce_serial(&SumApp, [encode(&all[3..])]);
         let merged = global_reduce([a, b]).unwrap();
         assert_eq!(serial, merged);
-    }
-
-    #[test]
-    fn coded_combine_skips_dead_replicas() {
-        // Two of four replica slots survived; the merge covers them only.
-        let merged = coded_combine([Some(SumObj(5)), None, Some(SumObj(7)), None]).unwrap();
-        assert_eq!(merged, SumObj(12));
-        assert!(coded_combine::<SumObj>([None, None]).is_none());
-        // All-survivor combine equals the plain global reduction.
-        let all = coded_combine((1..=9u64).map(SumObj).map(Some));
-        assert_eq!(all, global_reduce((1..=9u64).map(SumObj)));
     }
 
     #[test]

@@ -86,10 +86,6 @@ impl fmt::Display for ChunkId {
     }
 }
 
-/// A job is the unit of assignment: exactly one chunk. The alias is kept
-/// because jobs carry assignment state while chunks are pure layout.
-pub type JobId = ChunkId;
-
 /// Byte counts throughout the framework.
 pub type ByteSize = u64;
 

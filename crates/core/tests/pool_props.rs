@@ -47,7 +47,7 @@ proptest! {
                 SiteId::CLOUD
             };
             i += 1;
-            let b = pool.request_for(site);
+            let b = pool.grant(site, batch, 0.0);
             if b.is_empty() {
                 // Nothing pending: only legal when all jobs are assigned.
                 prop_assert_eq!(pool.pending(), 0);
@@ -71,7 +71,7 @@ proptest! {
     ) {
         let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(batch));
         while !pool.all_done() {
-            let b = pool.request_for(SiteId::LOCAL);
+            let b = pool.grant(SiteId::LOCAL, batch, 0.0);
             for w in b.jobs.windows(2) {
                 prop_assert_eq!(w[0].file, w[1].file);
                 prop_assert_eq!(w[1].id, w[0].id.next());
@@ -96,7 +96,7 @@ proptest! {
             .map(|c| c.id.0)
             .collect();
         while !pool.all_done() {
-            let b = pool.request_for(SiteId::LOCAL);
+            let b = pool.grant(SiteId::LOCAL, batch, 0.0);
             if b.stolen {
                 prop_assert!(
                     local_pending.is_empty(),
@@ -119,7 +119,7 @@ proptest! {
         let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(2));
         // The local site processes everything.
         while !pool.all_done() {
-            let b = pool.request_for(SiteId::LOCAL);
+            let b = pool.grant(SiteId::LOCAL, 2, 0.0);
             for j in &b.jobs {
                 pool.complete(j.id, SiteId::LOCAL);
             }
@@ -129,8 +129,8 @@ proptest! {
         prop_assert_eq!(c.stolen, index.n_chunks() as u64 - n_local_chunks);
     }
 
-    /// The chaos-monkey property: random interleavings of policy-sized and
-    /// sized grants (`max` in 1..=64), completions each followed by its
+    /// The chaos-monkey property: random interleavings of grants of the
+    /// case's batch size and of any size (`max` in 1..=64), completions each followed by its
     /// duplicate, failures, lease reaps and a cloud evacuation, then the
     /// surviving local site drains the rest. Each chunk must end up merged
     /// in exactly one *surviving* robj or abandoned — never both, never
@@ -159,12 +159,8 @@ proptest! {
             let site = sites[usize::from(s) % 2];
             match op {
                 0 | 5 => {
-                    let (max, b) = if op == 0 {
-                        (batch, pool.request_for_at(site, t))
-                    } else {
-                        let max = usize::from(x) % 64 + 1;
-                        (max, pool.grant(site, max, t))
-                    };
+                    let max = if op == 0 { batch } else { usize::from(x) % 64 + 1 };
+                    let b = pool.grant(site, max, t);
                     prop_assert!(b.len() <= max, "granted {} jobs for max {max}", b.len());
                     prop_assert!(!b.terminal || pool.all_done(), "terminal grant too early");
                     held.get_mut(&site).unwrap().extend(b.jobs.iter().map(|j| j.id));
@@ -247,7 +243,7 @@ proptest! {
         let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(1));
         pool.set_lease(LeaseConfig { base: 1.0, multiplier: 1.0, min: 1.0, max: 1.0 });
         pool.set_max_attempts(100);
-        let job = pool.request_for_at(SiteId::LOCAL, 0.0).jobs[0].id;
+        let job = pool.grant(SiteId::LOCAL, 1, 0.0).jobs[0].id;
         // The lease silently expires and is reaped; the oblivious local
         // worker keeps running.
         let reaped = pool.reap_expired(100.0);
@@ -256,7 +252,7 @@ proptest! {
         // there (other grants complete immediately to keep the pool moving).
         let mut regranted = false;
         while !regranted {
-            let b = pool.request_for_at(SiteId::CLOUD, 100.0);
+            let b = pool.grant(SiteId::CLOUD, 1, 100.0);
             prop_assert!(!b.is_empty(), "the reaped job was never re-granted");
             for j in &b.jobs {
                 if j.id == job {

@@ -84,7 +84,7 @@ proptest! {
             let site = sites[usize::from(s) % 3];
             match op {
                 0 => {
-                    let b = pool.request_for_at(site, t);
+                    let b = pool.grant(site, batch, t);
                     held.get_mut(&site).unwrap().extend(b.jobs.iter().map(|j| j.id));
                 }
                 1 | 2 => {
@@ -114,7 +114,7 @@ proptest! {
         while !pool.all_done() {
             t += 1.0;
             pool.reap_expired(t);
-            let b = pool.request_for_at(SiteId::LOCAL, t);
+            let b = pool.grant(SiteId::LOCAL, batch, t);
             for j in &b.jobs {
                 pool.complete_at(j.id, SiteId::LOCAL, t);
             }

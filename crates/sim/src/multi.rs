@@ -9,12 +9,15 @@
 //!
 //! A run drives the runtime's own protocol — one `HeadCore`, a `MasterPool`
 //! per site, a `SlaveCore` per slave — and reports through `assemble_report`
-//! (DESIGN §3.5). The two-site [`crate::scenario::simulate`] is a thin
-//! wrapper over [`simulate_multi`]: the paper numbers come from this engine.
+//! (DESIGN §3.5). The head hears frames, as the runtime's does: a `GetJobs`
+//! sized by the simulator's batch policy, an `AckBatch` that asks for
+//! nothing. The two-site [`crate::scenario::simulate`] is a thin wrapper over
+//! [`simulate_multi`]: the paper numbers come from this engine.
 
 use crate::model::AppModel;
 use crate::params::{ResourceSpec, SimParams};
-use cloudburst_cluster::wire::{Frame, MasterToHead};
+use cloudburst_cluster::head_core::Reply;
+use cloudburst_cluster::wire::{AckEntry, Frame, MasterToHead};
 use cloudburst_cluster::HeadCore;
 use cloudburst_core::slave::Step;
 use cloudburst_core::{
@@ -270,8 +273,8 @@ struct Sim<'a> {
     trace: Option<&'a mut Timeline<Activity>>,
     head: HeadCore,
     /// The executions the head revoked, as the channel runtime's cancel
-    /// board holds them: fed from [`HeadCore::take_revocations`], a chunk
-    /// cleared when it is granted anew.
+    /// board holds them: fed from its replies and [`HeadCore::take_revocations`],
+    /// a chunk cleared when it is granted anew.
     revoked: BTreeSet<ChunkId>,
     slaves: Vec<Slave>,
     /// Each site's store.
@@ -300,6 +303,21 @@ impl Sim<'_> {
         self.revoked.extend(self.head.take_revocations().into_values().flatten());
     }
 
+    /// `site` reports `jobs` (if any) in an `AckBatch` that asks for nothing.
+    fn report(&mut self, site: SiteId, jobs: &[ChunkId], now: Seconds) -> Vec<bool> {
+        if jobs.is_empty() {
+            return Vec::new();
+        }
+        let entries = jobs.iter().map(|&job| AckEntry { job, ok: true }).collect();
+        let frame = Frame::AckBatch { site, want: 0, entries };
+        let Reply::Batch(reply) = self.head.on_frame(site.into(), frame, now) else {
+            unreachable!("an AckBatch is answered by a BatchReply")
+        };
+        self.revoked.extend(reply.revoked);
+        self.publish();
+        reply.verdicts
+    }
+
     /// Slave `worker` left — drained, crashed, or with its site — having
     /// finished its last job at `last_done`. No thread is left to join, so
     /// its exit is stamped there.
@@ -318,17 +336,15 @@ impl Sim<'_> {
                 Step::Fetch(job) => return self.start_job(worker, job, now),
                 Step::Dropped(_) => {}
                 Step::Settle(jobs) => {
-                    let verdicts = self.head.settle(site, &jobs, now);
-                    self.publish();
+                    let verdicts = self.report(site, &jobs, now);
                     let _ = self.slaves[worker].core.settled(&verdicts);
                 }
                 Step::Ask => {
                     // The ask carries the completions nobody waits on, and
                     // the paper's slave takes one job per hand-off.
                     let (_, done, mut buf) = self.slaves[worker].core.ask(now);
-                    self.head.settle(site, &done, now);
+                    self.report(site, &done, now);
                     self.slaves[worker].core.reuse_done(done);
-                    self.publish();
                     match self.master(site).pool.arrive(now, 1, &mut buf) {
                         Take::NeedRefill => {
                             return self.master(site).parked.push_back((worker, now))
@@ -540,7 +556,11 @@ fn run_multi(
                 sim.drive(worker, now, now);
             }
             Ev::AtHead { id, .. } => {
-                let batch = sim.head.request(site, now);
+                let max = batch_policy.batch_size(sim.head.pool().pending());
+                let ask = Frame::GetJobs { site, max: u16::try_from(max).unwrap_or(u16::MAX) };
+                let Reply::Grant(batch) = sim.head.on_frame(site.into(), ask, now) else {
+                    unreachable!("a GetJobs is answered by a grant")
+                };
                 for job in &batch.jobs {
                     sim.revoked.remove(&job.id);
                 }

@@ -555,14 +555,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     };
     if let Some(report) = report {
-        let cost = final_cost(
-            &config.metrics,
-            &report,
-            &index,
-            cloud_cores,
-            run_started.elapsed().as_secs_f64(),
-            &pricing,
-        );
+        let elapsed = run_started.elapsed().as_secs_f64();
+        let cost = final_cost(&config, &report, &index, passes(&app, args)?, elapsed, &pricing);
         print_report(&report, &cost);
         let monitor = health.lock().map_err(|_| "health monitor poisoned".to_owned())?;
         if monitor.total_trips() > 0 {
@@ -642,7 +636,7 @@ fn execute_app(
         }
         "kmeans" => {
             let k = app_k(app, args)?;
-            let iterations: usize = opt_parse(args, "--iterations", 10)?;
+            let iterations = passes(app, args)?;
             let mut centroids: Vec<[f64; DIM]> =
                 (0..k).map(|i| [(i as f64 + 0.5) / k as f64; DIM]).collect();
             let mut last_report = None;
@@ -664,7 +658,7 @@ fn execute_app(
             last_report
         }
         "pagerank" => {
-            let iterations: usize = opt_parse(args, "--iterations", 10)?;
+            let iterations = passes(app, args)?;
             let damping: f64 = opt_parse(args, "--damping", 0.85)?;
             // Page count: one past the largest id seen in the edge list.
             let n_pages = max_page(index, &stores)? + 1;
@@ -932,6 +926,23 @@ fn jobs_since(prev: &LedgerTotals, site: SiteId, cur: &SiteTotals) -> u64 {
     cur.jobs.saturating_sub(prev.sites.get(&site).map_or(0, |p| p.jobs))
 }
 
+/// Whether `site` may be named a straggler: it has cores and holds a lease.
+/// A site without either completes nothing, which says nothing of its pace.
+fn straggler_candidate(env: &EnvConfig, site: SiteId, cur: &SiteTotals) -> bool {
+    env.cores_at(site) > 0 && cur.leased > 0
+}
+
+/// The health sampler's per-core completion rates since `prev`, `dt`
+/// seconds ago, of the sites that may be named a straggler.
+fn site_rates(ledger: &LedgerTotals, prev: &LedgerTotals, dt: f64, env: &EnvConfig) -> Vec<f64> {
+    (ledger.sites.iter())
+        .filter(|&(&site, cur)| straggler_candidate(env, site, cur))
+        .map(|(&site, cur)| {
+            jobs_since(prev, site, cur) as f64 / (dt * f64::from(env.cores_at(site)))
+        })
+        .collect()
+}
+
 /// `cloudburst health <url>`: fetch a run's `/healthz` verdict and render
 /// it; exits non-zero when any detector is tripped.
 fn cmd_health(args: &[String]) -> Result<(), String> {
@@ -1047,17 +1058,9 @@ fn sampler_loop(
             },
         ));
         // Feed the health detectors the same tick the watch line renders:
-        // per-core completion rates of the sites that have cores, shard
-        // depths, reap and WAN counters. The monitor differentiates across
-        // ticks itself.
-        let site_rates = ledger
-            .sites
-            .iter()
-            .filter(|&(&site, _)| env.cores_at(site) > 0)
-            .map(|(&site, cur)| {
-                jobs_since(&prev, site, cur) as f64 / (dt * f64::from(env.cores_at(site)))
-            })
-            .collect();
+        // per-core completion rates, shard depths, reap and WAN counters.
+        // The monitor differentiates across ticks itself.
+        let site_rates = site_rates(&ledger, &prev, dt, env);
         let sample = HealthSample {
             at_ns: ns_since(epoch),
             outstanding: all.depth + ledger.in_flight,
@@ -1103,7 +1106,7 @@ fn watch_line(
         all.jobs, all.steals, all.depth, ledger.in_flight
     );
     // (site, jobs/s, per-core jobs/s) over the last tick, of the sites that
-    // have cores: a site without any is no straggler.
+    // may be named a straggler.
     let mut rates: Vec<(SiteId, f64, f64)> = Vec::new();
     for (&site, cur) in &ledger.sites {
         let p = prev.sites.get(&site).copied().unwrap_or_default();
@@ -1119,7 +1122,7 @@ fn watch_line(
         if cur.stolen_from > p.stolen_from {
             line.push_str(&format!(" (-{} stolen)", cur.stolen_from - p.stolen_from));
         }
-        if site_cores > 0 {
+        if straggler_candidate(env, site, cur) {
             rates.push((site, rate, rate / f64::from(site_cores)));
         }
     }
@@ -1159,31 +1162,40 @@ fn watch_line(
     line
 }
 
+/// How many times `app` reads the dataset: once per iteration of an
+/// iterative application, once otherwise.
+fn passes(app: &str, args: &[String]) -> Result<usize, String> {
+    match app {
+        "kmeans" | "pagerank" => opt_parse(args, "--iterations", 10),
+        _ => Ok(1),
+    }
+}
+
 /// Price the finished run. With live metrics on, the GET and egress
 /// counters are read from the registry (exact, and covering every iteration
-/// of an iterative command). With metrics off, fall back to the 2011 price
-/// card's static estimate: `gets_per_chunk` ranged GETs per cloud-hosted
-/// chunk and the local site's remote bytes as egress (one pass over the
-/// data — iterative apps pay this per iteration, which the estimate
-/// undercounts; enable metrics for exact accounting).
+/// of an iterative command). With metrics off, the GETs follow the
+/// runtime's read rule — each cloud-hosted chunk read once per pass, in
+/// `FetchConfig::parts` ranged GETs — which is exact for a run without
+/// retries or duplicate executions, and the egress is the local site's
+/// remote bytes of the last pass.
 fn final_cost(
-    metrics: &Metrics,
+    config: &RuntimeConfig,
     report: &RunReport,
     index: &DataIndex,
-    cloud_cores: u32,
+    passes: usize,
     elapsed_secs: f64,
     pricing: &PricingModel,
 ) -> CostReport {
-    let (gets, egress) = match metrics.registry() {
+    let (gets, egress) = match config.metrics.registry() {
         Some(registry) => cloud_usage(&registry),
         None => {
-            let cloud_chunks =
-                index.chunks_per_site().get(&SiteId::CLOUD).copied().unwrap_or(0) as u64;
+            let cloud = index.chunks.iter().filter(|c| c.site == SiteId::CLOUD);
+            let per_pass: u64 = cloud.map(|c| config.fetch.parts(c.len)).sum();
             let egress = report.sites.get(&SiteId::LOCAL).map_or(0, |s| s.remote_bytes);
-            (cloud_chunks * pricing.gets_per_chunk, egress)
+            (per_pass * passes as u64, egress)
         }
     };
-    cost_of_usage(pricing, cloud_cores, elapsed_secs, gets, egress)
+    cost_of_usage(pricing, config.env.cloud_cores, elapsed_secs, gets, egress)
 }
 
 /// The `cost` block attached to `--stats-out` documents.
@@ -1952,7 +1964,7 @@ mod tests {
         // slow, but whether that is a straggler is the health monitor's call.
         let mut ledger = LedgerTotals { in_flight: 10, ..LedgerTotals::default() };
         for (site, jobs) in [(SiteId::LOCAL, 7), (SiteId::CLOUD, 3)] {
-            ledger.sites.insert(site, SiteTotals { jobs, ..SiteTotals::default() });
+            ledger.sites.insert(site, SiteTotals { jobs, leased: 5, ..SiteTotals::default() });
         }
         let prev = LedgerTotals::default();
         let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
@@ -1971,13 +1983,43 @@ mod tests {
         // The cloud has jobs waiting and no cores to run them: it completes
         // nothing, and that names no straggler, tripped detector or not.
         let mut ledger = LedgerTotals { in_flight: 2, ..LedgerTotals::default() };
-        ledger.sites.insert(SiteId::LOCAL, SiteTotals { jobs: 7, ..SiteTotals::default() });
+        let local = SiteTotals { jobs: 7, leased: 2, ..SiteTotals::default() };
+        ledger.sites.insert(SiteId::LOCAL, local);
         ledger.sites.insert(SiteId::CLOUD, SiteTotals { depth: 8, ..SiteTotals::default() });
         let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
         let prev = LedgerTotals::default();
         let (env, tripped) = (EnvConfig::new("watch", 0.5, 3, 0), [HealthDetector::Straggler]);
         let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &pricing);
         assert!(line.contains("| cloud 0 j/s 0% busy q 8"), "{line}");
+        assert!(!line.contains("straggler"), "{line}");
+    }
+
+    #[test]
+    fn a_site_that_ran_out_of_work_is_no_straggler() {
+        // Both sites have cores. The cloud drained its shard and holds no
+        // lease while the local site works through its last jobs: the cloud
+        // completes nothing, and that is no pace to compare with anyone's.
+        let mut prev = LedgerTotals::default();
+        prev.sites.insert(SiteId::CLOUD, SiteTotals { jobs: 9, ..SiteTotals::default() });
+        let mut ledger = LedgerTotals { in_flight: 2, ..prev.clone() };
+        let local = SiteTotals { jobs: 6, leased: 2, ..SiteTotals::default() };
+        ledger.sites.insert(SiteId::LOCAL, local);
+        let env = EnvConfig::new("drained", 0.5, 3, 3);
+        assert_eq!(site_rates(&ledger, &prev, 1.0, &env), [2.0], "the local site's alone");
+        let mut monitor = HealthMonitor::new(HealthConfig::default(), Telemetry::off());
+        for tick in 1..=4 {
+            monitor.observe(&HealthSample {
+                at_ns: tick * 250_000_000,
+                outstanding: 2,
+                completions: 15 + tick,
+                site_rates: site_rates(&ledger, &prev, 1.0, &env),
+                ..HealthSample::default()
+            });
+        }
+        assert!(!monitor.tripped().contains(&HealthDetector::Straggler));
+        let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
+        let tripped = [HealthDetector::Straggler];
+        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &pricing);
         assert!(!line.contains("straggler"), "{line}");
     }
 

@@ -230,3 +230,36 @@ fn a_site_without_cores_is_never_named_a_straggler() {
     assert_eq!(straggler.get("trips").and_then(Json::as_f64), Some(0.0), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `cost` block prices a run's GETs the same whether or not live metrics
+/// are on: read off the store counters, or by the runtime's read rule — each
+/// cloud chunk in `FetchConfig::parts` ranged GETs, once per pass. The data
+/// is eight whole chunks of 256 KiB, each read in four ranges.
+#[test]
+fn the_cost_block_counts_the_same_gets_with_metrics_on_or_off() {
+    let bin = env!("CARGO_BIN_EXE_cloudburst");
+    let dir = scratch("gets");
+    let cli = |args: &[&str]| {
+        let out = Command::new(bin).current_dir(&dir).args(args).output().expect("cloudburst");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    let gets = |stats: &str| {
+        let doc = Json::parse(std::fs::read_to_string(dir.join(stats)).unwrap().trim()).unwrap();
+        let cost = doc.get("cost").expect("a cost block");
+        cost.get("get_requests").and_then(Json::as_f64).expect("get_requests") as u64
+    };
+    let wordcount: &[&str] = &["run", "wordcount", "--org", "org"];
+    let kmeans: &[&str] = &["run", "kmeans", "--org", "org", "--k", "2", "--iterations", "2"];
+    for (app, run, passes) in [("wordcount", wordcount, 1), ("kmeans", kmeans, 2)] {
+        cli(&["generate", app, "--out", "data.bin", "--units", "131072"]);
+        let _ = std::fs::remove_dir_all(dir.join("org"));
+        let layout = ["--unit-size", "16", "--chunk-units", "16384", "--files", "4"];
+        cli(&[&["organize", "--data", "data.bin", "--out", "org"][..], &layout].concat());
+        cli(&[run, &["--stats-out", "off.json"]].concat());
+        cli(&[run, &["--metrics-out", "on.prom", "--stats-out", "on.json"]].concat());
+        let off = gets("off.json");
+        assert_eq!(off, gets("on.json"), "{app}");
+        assert!(off > 0 && off % (4 * passes) == 0, "{app}: {off} GETs");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -206,6 +206,26 @@ for call in 'MasterPool::new(' '.serve_parked('; do
     fi
 done
 
+echo "== hygiene: one way into the head"
+# Every message reaches the head as a wire frame, through `HeadCore::on_frame`
+# (beside it the core hears only connect, tick, disconnect and finish), and a
+# failure is an `AckBatch` entry with `ok: false`. A second entry point on the
+# core (`fn request`, `fn settle`), the deleted `Failed` frame, or a reply to
+# a `HeadMsg` that may be absent — a fire-and-forget report that skips the
+# master — coming back fails the run.
+STRAY=$( (awk '/^impl HeadCore \{/ { inside = 1 } /^\}/ { inside = 0 }
+        inside && /fn (request|settle)\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/cluster/src/head_core.rs
+    awk '/^pub enum (MasterToHead|HeadMsg) \{/ { inside = 1 } /^\}/ { inside = 0 }
+        inside && !/^ *\/\// && /Failed|Option</ { print FILENAME ":" FNR ": " $0 }' \
+        crates/cluster/src/wire.rs crates/cluster/src/protocol.rs
+    grep -rn 'MasterToHead::Failed' crates src tests examples ladder/src) || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "a second way into the head is back: send HeadCore frames, failures as ok: false"
+    exit 1
+fi
+
 echo "== hygiene: the DES runs the real protocol"
 # The simulator is one more driver of the runtime's sans-IO cores: one
 # `HeadCore`, a `MasterPool` per site and a `SlaveCore` per slave, and its
@@ -551,11 +571,23 @@ wait "$HRUN_PID" || { cat "$SMOKE/hrun.txt"; exit 1; }
 TRIPS=$(grep -o '"total_trips":[0-9]*' "$SMOKE/hstats.json" | grep -o '[0-9]*$')
 [[ -n "$TRIPS" && "$TRIPS" -gt 0 ]] \
     || { echo "chaos run tripped no health detector (total_trips=${TRIPS:-missing})"; exit 1; }
-"$BIN" run wordcount --org "$SMOKE/org" --local-cores 2 --cloud-cores 2 \
-    --time-scale 2e-5 --stats-out "$SMOKE/cleanstats.json" >/dev/null 2>&1
+# The clean run: the sick run's dataset and cores without the chaos, under
+# --watch so the sampler feeds the detectors every 250 ms tick. It lasts
+# about 1.25 s, five ticks, which leaves room for the two-tick hysteresis
+# to trip — it did in 6 of 6 runs when a site that had run out of work
+# still counted as a straggler candidate.
+"$BIN" run wordcount --org "$SMOKE/borg" --local-cores 3 --cloud-cores 3 \
+    --time-scale 2.0 --watch --stats-out "$SMOKE/cleanstats.json" >/dev/null \
+    2>"$SMOKE/clean.txt"
+TICKS=$(grep -c '^\[watch ' "$SMOKE/clean.txt" || true)
+[[ "$TICKS" -ge 3 ]] \
+    || { echo "clean run saw $TICKS sampler ticks, not 3"; cat "$SMOKE/clean.txt"; exit 1; }
 CLEAN=$(grep -o '"total_trips":[0-9]*' "$SMOKE/cleanstats.json" | grep -o '[0-9]*$')
-[[ "$CLEAN" == "0" ]] \
-    || { echo "clean run tripped a detector (total_trips=${CLEAN:-missing})"; exit 1; }
+[[ "$CLEAN" == "0" ]] || {
+    echo "clean run tripped a detector (total_trips=${CLEAN:-missing})"
+    cat "$SMOKE/clean.txt"
+    exit 1
+}
 echo "   health: chaos trips $TRIPS detector transition(s), clean run 0"
 # Fatal chaos: the only processing site dies mid-run, so once the head has
 # heard nothing for the heartbeat timeout it abandons what is left and the run
