@@ -8,9 +8,9 @@
 //! bytes) — between kmeans's kilobytes and pagerank's megabytes, making it
 //! a useful fourth point for the overhead analysis.
 
-use crate::units::{decode_all, for_each_unit};
-use bytes::{BufMut, Bytes, BytesMut};
-use cloudburst_core::{Merge, Reduction, ReductionObject};
+use crate::units::{decode_all, for_each_block};
+use bytes::{BufMut, BytesMut};
+use cloudburst_core::{Merge, Reduction, ReductionObject, Undo};
 use cloudburst_mapreduce::MapReduceApp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,16 +143,6 @@ impl Gridding {
     pub fn new(width: usize, height: usize) -> Gridding {
         Gridding { width, height }
     }
-
-    /// `f` on the cell every sample encoded in `chunks` falls into, read
-    /// where the sample lies.
-    fn for_each_cell(&self, chunks: &[Bytes], f: impl FnMut(usize)) {
-        let cell = |s: &[u8]| {
-            let s = Sample::decode(s);
-            cell_in(self.width, self.height, s.x, s.y)
-        };
-        for_each_unit(chunks.iter().map(|c| &c[..]), Sample::SIZE, cell, f);
-    }
 }
 
 impl Reduction for Gridding {
@@ -175,19 +165,44 @@ impl Reduction for Gridding {
         robj.observe(item);
     }
 
-    /// Move only the cells the batch's samples fell into; the same result,
-    /// bit for bit, as the dense merge (see `PageRank::commit`).
-    fn commit(&self, acc: &mut Grid2D, scratch: &mut Grid2D, chunks: &[Bytes]) {
-        self.for_each_cell(chunks, |c| {
-            acc.counts[c] += std::mem::take(&mut scratch.counts[c]);
-            acc.sums[c] += std::mem::take(&mut scratch.sums[c]);
+    /// Two journal notes per sample: its cell's count and sum.
+    fn journal_len(&self, units: usize) -> usize {
+        2 * units
+    }
+
+    /// `reduce_units` straight into the accumulator, the cell's old count
+    /// and sum noted before each sample is folded in (slot `2·cell` the
+    /// count, `2·cell + 1` the sum).
+    fn reduce_open(
+        &self,
+        acc: &mut Grid2D,
+        undo: &mut Undo<Grid2D>,
+        units: &[u8],
+        _: &mut Vec<Sample>,
+    ) {
+        let journal = &mut undo.journal;
+        let read = |u: &[u8]| {
+            let s = Sample::decode(u);
+            (cell_in(self.width, self.height, s.x, s.y), s.value)
+        };
+        for_each_block(units, Sample::SIZE, read, |samples| {
+            for &(c, value) in samples {
+                journal.note(2 * c, acc.counts[c]);
+                journal.note(2 * c + 1, acc.sums[c].to_bits());
+                acc.counts[c] += 1;
+                acc.sums[c] += f64::from(value);
+            }
         });
     }
 
-    fn discard(&self, scratch: &mut Grid2D, chunks: &[Bytes]) {
-        self.for_each_cell(chunks, |c| {
-            scratch.counts[c] = 0;
-            scratch.sums[c] = 0.0;
+    fn accept(&self, _: &mut Grid2D, undo: &mut Undo<Grid2D>) {
+        undo.journal.clear();
+    }
+
+    fn rollback(&self, acc: &mut Grid2D, undo: &mut Undo<Grid2D>) {
+        undo.journal.undo(|slot, bits| match slot % 2 {
+            0 => acc.counts[slot / 2] = bits,
+            _ => acc.sums[slot / 2] = f64::from_bits(bits),
         });
     }
 }

@@ -7,9 +7,8 @@
 //! robj), which is what makes PageRank's global reduction expensive across
 //! the WAN and limits its scalability (§IV-C).
 
-use crate::units::{decode_all, for_each_unit, Edge};
-use bytes::Bytes;
-use cloudburst_core::{Merge, Reduction, ReductionObject};
+use crate::units::{decode_all, for_each_block, Edge};
+use cloudburst_core::{Merge, Reduction, ReductionObject, Undo};
 use cloudburst_mapreduce::MapReduceApp;
 use std::sync::Arc;
 
@@ -127,30 +126,46 @@ impl Reduction for PageRank {
     /// `local_reduce` fold with no decode pass.
     fn reduce_units(&self, robj: &mut RankMass, units: &[u8], _: &mut Vec<Edge>) {
         debug_assert_eq!(units.len() % Edge::SIZE, 0, "chunk not unit-aligned");
-        for_each_unit([units], Edge::SIZE, Edge::decode, |e| self.local_reduce(robj, &e));
-    }
-
-    /// Move only the entries the batch's edges deposited onto. Bit-identical
-    /// to the dense merge: an untouched entry would have added `+0.0` (the
-    /// accumulator never holds `-0.0`, since it only ever grows by adding
-    /// onto `+0.0`), and a `dst` that repeats adds the zero left behind by
-    /// its first visit.
-    fn commit(&self, acc: &mut RankMass, scratch: &mut RankMass, chunks: &[Bytes]) {
-        for_each_dst(chunks, |dst| {
-            acc.0[dst] += scratch.0[dst];
-            scratch.0[dst] = 0.0;
+        for_each_block(units, Edge::SIZE, Edge::decode, |edges| {
+            edges.iter().for_each(|e| self.local_reduce(robj, e));
         });
     }
 
-    fn discard(&self, scratch: &mut RankMass, chunks: &[Bytes]) {
-        for_each_dst(chunks, |dst| scratch.0[dst] = 0.0);
+    /// One journal note per edge.
+    fn journal_len(&self, units: usize) -> usize {
+        units
     }
-}
 
-/// `f` on the `dst` of every edge encoded in `chunks`, read where it lies.
-fn for_each_dst(chunks: &[Bytes], f: impl FnMut(usize)) {
-    let dst = |e: &[u8]| Edge::decode(e).dst as usize;
-    for_each_unit(chunks.iter().map(|c| &c[..]), Edge::SIZE, dst, f);
+    /// `reduce_units` straight into the accumulator: the same additions in
+    /// the same order as the fold with nothing open, each rank's bits noted
+    /// as it is read for its deposit. A block's notes go into the journal in
+    /// one `extend`, which checks its room once, not once per edge.
+    fn reduce_open(
+        &self,
+        acc: &mut RankMass,
+        undo: &mut Undo<RankMass>,
+        units: &[u8],
+        _: &mut Vec<Edge>,
+    ) {
+        debug_assert_eq!(units.len() % Edge::SIZE, 0, "chunk not unit-aligned");
+        let journal = &mut undo.journal;
+        for_each_block(units, Edge::SIZE, Edge::decode, |edges| {
+            journal.extend(edges.iter().map(|e| {
+                let rank = &mut acc.0[e.dst as usize];
+                let old = rank.to_bits();
+                *rank += self.contrib[e.src as usize];
+                (e.dst as usize, old)
+            }));
+        });
+    }
+
+    fn accept(&self, _: &mut RankMass, undo: &mut Undo<RankMass>) {
+        undo.journal.clear();
+    }
+
+    fn rollback(&self, acc: &mut RankMass, undo: &mut Undo<RankMass>) {
+        undo.journal.undo(|dst, bits| acc.0[dst] = f64::from_bits(bits));
+    }
 }
 
 /// The MapReduce formulation: each edge emits `(dst, contribution)`; the

@@ -157,32 +157,30 @@ pub fn decode_all<T>(chunk: &[u8], size: usize, out: &mut Vec<T>, decode_one: im
     out.extend(chunk.chunks_exact(size).map(decode_one));
 }
 
-/// Hand `f`, in order, what `read` makes of every `size`-byte unit encoded
-/// in `chunks`. The units are read 256 at a time into a block on the stack
-/// before `f` sees them, so a walk that does random access with each
-/// unit (a rank vector, a grid) reads its chunks in sequential bursts: one
-/// unit at a time, the reads of a chunk the cache has since dropped wait
-/// behind those random accesses. A tail shorter than a unit is not read, as
+/// Hand `f`, in order and in blocks of up to 256, what `read` makes of
+/// every `size`-byte unit encoded in `units`. A block is read onto the stack
+/// before `f` sees it, so a walk that does random access with each unit (a
+/// rank vector, a grid) reads its units in sequential bursts: one unit at a
+/// time, the reads of a chunk the cache has since dropped wait behind those
+/// random accesses. A tail shorter than a unit is not read, as
 /// [`decode_all`] would not decode it.
-pub fn for_each_unit<'a, T: Copy + Default>(
-    chunks: impl IntoIterator<Item = &'a [u8]>,
+pub fn for_each_block<T: Copy + Default>(
+    units: &[u8],
     size: usize,
     read: impl Fn(&[u8]) -> T,
-    mut f: impl FnMut(T),
+    mut f: impl FnMut(&[T]),
 ) {
     let mut block = [T::default(); STAGE];
-    for chunk in chunks {
-        for units in chunk.chunks(STAGE * size) {
-            let n = units.len() / size;
-            for (slot, unit) in block.iter_mut().zip(units.chunks_exact(size)) {
-                *slot = read(unit);
-            }
-            block[..n].iter().for_each(|&t| f(t));
+    for staged in units.chunks(STAGE * size) {
+        let n = staged.len() / size;
+        for (slot, unit) in block.iter_mut().zip(staged.chunks_exact(size)) {
+            *slot = read(unit);
         }
+        f(&block[..n]);
     }
 }
 
-/// Units [`for_each_unit`] reads ahead of what it does with them.
+/// Units [`for_each_block`] reads ahead of what it does with them.
 const STAGE: usize = 256;
 
 /// Squared Euclidean distance between two same-dimension slices.

@@ -170,8 +170,8 @@ pub fn run_head(
             reply.revoked.iter().for_each(|&chunk| board.revoke(chunk));
             reply.grant.jobs.iter().for_each(|job| board.clear(job.id));
         }
-        if let Some(slave) = slave {
-            let _ = slave.send(reply.verdicts);
+        if let Some(mut slave) = slave {
+            reply.verdicts.into_iter().for_each(|merged| slave.send(merged));
         } else if let Some(mailbox) = masters.0.get(&site) {
             // A master that is gone has let go of its mailbox; the pool
             // keeps its grant assigned, which surfaces as a lease expiry
@@ -185,6 +185,7 @@ pub fn run_head(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Verdicts;
     use crate::wire::MasterToHead;
     use cloudburst_core::{BatchPolicy, DataIndex, JobBatch, LayoutParams};
     use crossbeam::channel::{bounded, unbounded};
@@ -222,8 +223,9 @@ mod tests {
         };
         let settle = |site, job| {
             let (atx, arx) = bounded(1);
-            tx.send(HeadMsg::Complete { jobs: vec![job], site, reply: atx }).unwrap();
-            arx.recv().unwrap()
+            let reply = Verdicts::new(&atx, 1);
+            tx.send(HeadMsg::Complete { jobs: vec![job], site, reply }).unwrap();
+            [arx.recv().unwrap() == Some(true)]
         };
         let job = request(SiteId::LOCAL).jobs[0].id;
         board.revoke(job); // stale, from some earlier life of the chunk

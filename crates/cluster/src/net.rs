@@ -21,7 +21,7 @@
 //! [`StoreRouter`]: crate::router::StoreRouter
 
 use crate::error::RunError;
-use crate::protocol::{HeadMsg, MasterMsg, Reply};
+use crate::protocol::{HeadMsg, MasterMsg, Reply, Verdicts};
 pub use crate::reactor::{serve_head, serve_head_with};
 use crate::runtime::{
     mailbox_tick, run_on, MasterStart, RunOutcome, RuntimeConfig, Transport, Uplink, LOW_WATERMARK,
@@ -135,7 +135,7 @@ fn head_gone() -> io::Error {
 }
 
 /// Per report, the slave waiting for the head's verdict on it.
-type Waiters = VecDeque<Option<Sender<bool>>>;
+type Waiters = VecDeque<Option<Verdicts>>;
 
 /// An `AckBatch` travelling the outbound leg: the oldest `reports` of those
 /// cut.
@@ -160,7 +160,7 @@ struct Reports {
 }
 
 impl Reports {
-    fn push(&mut self, job: ChunkId, ok: bool, ack: Option<Sender<bool>>, now: Instant) {
+    fn push(&mut self, job: ChunkId, ok: bool, ack: Option<Verdicts>, now: Instant) {
         self.entries.push(AckEntry { job, ok });
         self.acks.push_back(ack);
         self.since.get_or_insert(now);
@@ -219,7 +219,7 @@ struct Parked {
 struct Inbound {
     due: Instant,
     request: Option<RequestId>,
-    verdicts: Vec<(Sender<bool>, bool)>,
+    verdicts: Vec<(Verdicts, bool)>,
     revoked: Vec<ChunkId>,
 }
 
@@ -357,8 +357,8 @@ fn serve_site(
         }
         while inbound.front().is_some_and(|r| r.due <= now) {
             let reply = inbound.pop_front().expect("front was checked");
-            for (ack, verdict) in reply.verdicts {
-                let _ = ack.send(verdict);
+            for (mut ack, verdict) in reply.verdicts {
+                ack.send(verdict);
             }
             // Fencing: every undelivered job the head revoked dies here,
             // before the refill can resurrect a fresh copy of the same chunk.
@@ -438,9 +438,9 @@ fn serve_site(
                         take => cfg.metrics.answer(reply, take, done),
                     }
                 }
-                MasterMsg::Complete { jobs, reply } => {
+                MasterMsg::Complete { jobs, mut reply } => {
                     for job in jobs {
-                        reports.push(job, true, Some(reply.clone()), now);
+                        reports.push(job, true, Some(reply.split()), now);
                     }
                 }
                 MasterMsg::Done { mut jobs } => reports.done(&mut jobs, now),
@@ -522,7 +522,7 @@ fn receive(
     pool: &mut MasterPool,
     reply: BatchReply,
     request: Option<RequestId>,
-    acks: impl ExactSizeIterator<Item = Option<Sender<bool>>>,
+    acks: impl ExactSizeIterator<Item = Option<Verdicts>>,
     due: Instant,
 ) -> io::Result<Inbound> {
     if reply.verdicts.len() != acks.len() {
@@ -619,8 +619,9 @@ mod tests {
                 taken += 1;
                 if acked {
                     let (atx, arx) = bounded(1);
-                    tx.send(MasterMsg::Complete { jobs: vec![job], reply: atx }).unwrap();
-                    assert!(arx.recv().unwrap(), "a first completion merges");
+                    let reply = Verdicts::new(&atx, 1);
+                    tx.send(MasterMsg::Complete { jobs: vec![job], reply }).unwrap();
+                    assert_eq!(arx.recv().unwrap(), Some(true), "a first completion merges");
                 } else {
                     done.push(job);
                 }

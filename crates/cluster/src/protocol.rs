@@ -55,9 +55,9 @@ pub enum HeadMsg {
         jobs: Vec<ChunkId>,
         /// The site that processed them.
         site: SiteId,
-        /// Where the head answers, job by job and in one reply, whether the
-        /// result was merged (`true`) or is a duplicate to discard (`false`).
-        reply: Sender<Vec<bool>>,
+        /// Where the head answers, job by job, whether the result was merged
+        /// (`true`) or is a duplicate to discard (`false`).
+        reply: Verdicts,
     },
     /// A grant a master has queued, emptied: its buffers serve a later grant,
     /// so the head allocates none per exchange once they are grown.
@@ -99,6 +99,48 @@ impl Drop for Reply {
     }
 }
 
+/// Where the verdicts on a slave's settle go: the slave's one verdict
+/// channel, kept for its whole run, so a settle allocates no channel. It owes
+/// the slave one verdict per settled job, in order; each one dropped unsaid —
+/// the control plane was torn down — arrives as `None`, so a settle always
+/// reads exactly its own verdicts, which a channel that outlives the settle
+/// needs.
+pub struct Verdicts {
+    to: Sender<Option<bool>>,
+    owed: usize,
+}
+
+impl Verdicts {
+    /// `owed` verdicts on the slave's channel `to`.
+    #[must_use]
+    pub fn new(to: &Sender<Option<bool>>, owed: usize) -> Verdicts {
+        Verdicts { to: to.clone(), owed }
+    }
+
+    /// Say the next verdict: whether that job's result was merged.
+    pub fn send(&mut self, merged: bool) {
+        if self.owed > 0 {
+            self.owed -= 1;
+            let _ = self.to.send(Some(merged));
+        }
+    }
+
+    /// Hand over the next verdict, to be said on its own later.
+    pub fn split(&mut self) -> Verdicts {
+        debug_assert!(self.owed > 0, "a verdict is owed");
+        self.owed -= 1;
+        Verdicts { to: self.to.clone(), owed: 1 }
+    }
+}
+
+impl Drop for Verdicts {
+    fn drop(&mut self) {
+        for _ in 0..self.owed {
+            let _ = self.to.send(None);
+        }
+    }
+}
+
 /// Messages a site master serves: its slaves' requests and reports, the
 /// head's answers and what its site coordinator has to tell it — one
 /// mailbox, so the master sleeps in one place.
@@ -129,7 +171,7 @@ pub enum MasterMsg {
         /// The finished jobs.
         jobs: Vec<ChunkId>,
         /// Where the master sends the verdicts, one per job, in order.
-        reply: Sender<bool>,
+        reply: Verdicts,
     },
     /// Completions nobody waits on and no request carries: a slave's as it
     /// is about to block or to leave.

@@ -15,7 +15,7 @@
 use crate::error::RunError;
 use crate::head::{run_head, CancelBoard, HeadOptions};
 use crate::net::run_site_master;
-use crate::protocol::{Answer, HeadMsg, HeadReport, MasterMsg, Reply};
+use crate::protocol::{Answer, HeadMsg, HeadReport, MasterMsg, Reply, Verdicts};
 use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
 use bytes::Bytes;
@@ -24,9 +24,9 @@ use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
 use cloudburst_core::slave::Step;
 use cloudburst_core::{
     assemble_report, ns_between, ns_since, ns_to_secs, tree_reduce, BatchPolicy, ChunkId,
-    DataIndex, EnvConfig, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, LeaseConfig,
-    LiveLedger, LocalJob, MasterPool, Reduction, ReductionObject, RunReport, Seconds, SiteId,
-    SiteSample, SlaveCore, SlaveSample, Take, Telemetry,
+    DataIndex, EnvConfig, Event, EventKind, FaultPlan, HeartbeatConfig, JobPool, Journal,
+    LeaseConfig, LiveLedger, LocalJob, MasterPool, Reduction, ReductionObject, RunReport, Seconds,
+    SiteId, SiteSample, SlaveCore, SlaveSample, Take, Telemetry, Undo,
 };
 use cloudburst_netsim::{Throttle, Topology};
 use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
@@ -307,7 +307,7 @@ struct SlaveCtx {
     /// The fault-injection plan, if any.
     chaos: Option<Arc<FaultPlan>>,
     /// When true, a completion must be acked as *merged* by the head before
-    /// the scratch object folds into the worker accumulator.
+    /// the worker accepts its reduce ([`Reduction::accept`]).
     ack_gated: bool,
     /// Shared run clock origin.
     epoch: Instant,
@@ -535,6 +535,16 @@ pub(crate) fn run_on<R: Reduction>(
             (Uplink::Connect(addr), Box::new(serve))
         }
     };
+    // An application that journals does so because its object is large
+    // (DESIGN §3.4.2): its accumulators, and its journals when jobs are
+    // isolated, are allocated here, by the thread that outlives the run, at
+    // room for a chunk or more, and never grow (DESIGN §3.4.3). A small
+    // object is made on its slave's own thread.
+    let journals = app.journal_len(1) > 0;
+    let isolate = dedup_active || matches!(config.fault_policy, FaultPolicy::Retry { .. });
+    let largest = index.chunks.iter().map(|c| c.n_units as usize).max().unwrap_or(0);
+    let journal_len =
+        if journals && isolate { app.journal_len(largest.max(JOURNAL_UNITS)) } else { 0 };
     let epoch = Instant::now();
 
     let (site_outcomes, head) = std::thread::scope(|scope| {
@@ -557,6 +567,11 @@ pub(crate) fn run_on<R: Reduction>(
                 // the run's threads are new each run (DESIGN §3.4.3).
                 let mut pool = MasterPool::new(site, LOW_WATERMARK);
                 pool.reserve((floor + 2) * MAX_BDP_JOBS);
+                let held: Vec<_> = (0..cores)
+                    .map(|_| {
+                        (journals.then(|| app.make_robj()), Journal::with_capacity(journal_len))
+                    })
+                    .collect();
                 scope.spawn(move || -> Result<SiteOutcome<R::RObj>, RunError> {
                     if transport == Transport::Tcp {
                         // Each site keeps to as many CPUs as it has cores, its
@@ -587,7 +602,8 @@ pub(crate) fn run_on<R: Reduction>(
                         let master = site_scope
                             .spawn(move || Ok(run_site_master(start, pool, master_rx, tx, head)?));
                         let handles: Vec<_> = (0..cores)
-                            .map(|worker| {
+                            .zip(held)
+                            .map(|(worker, held)| {
                                 let (master_tx, uplink) = (master_tx.clone(), &uplink);
                                 let ctx = SlaveCtx {
                                     site,
@@ -600,11 +616,13 @@ pub(crate) fn run_on<R: Reduction>(
                                     metrics: SlaveMetrics::new(&config.metrics, site, worker),
                                 };
                                 site_scope.spawn(move || {
-                                    let reports = match uplink {
-                                        Uplink::Mailbox(head_tx) => ReportSink::Head(head_tx),
-                                        Uplink::Connect(_) => ReportSink::Master(&master_tx),
-                                    };
-                                    run_slave(app, ctx, &master_tx, &reports, router, config)
+                                    let reports = ReportSink::new(match uplink {
+                                        Uplink::Mailbox(head_tx) => Route::Head(head_tx),
+                                        Uplink::Connect(_) => Route::Master(&master_tx),
+                                    });
+                                    let worker =
+                                        Worker::new(app, &ctx, &master_tx, &reports, config, held);
+                                    run_slave(worker, router)
                                 })
                             })
                             .collect();
@@ -826,6 +844,14 @@ impl MasterMetrics {
 /// [`MasterPool::new`](cloudburst_core::MasterPool::new)).
 pub(crate) const LOW_WATERMARK: usize = 1;
 
+/// Units a journal has room for at least (or a chunk's, if a chunk is
+/// larger). A slave settles before a job that would overflow its journal:
+/// on `pagerank-ft-5050` that would be after 16 of its 4 096-edge jobs,
+/// 1 MiB of notes, but a slave there settles every hand-off, ≈ 8.5 jobs, so
+/// the bound seldom binds. 2¹⁵, 2¹⁷ and 2¹⁸ units measured no faster there
+/// (CHANGES.md).
+const JOURNAL_UNITS: usize = 1 << 16;
+
 /// Everything one site master is told at start-up, on either transport.
 pub(crate) struct MasterStart {
     pub(crate) site: SiteId,
@@ -873,35 +899,44 @@ pub(crate) fn mailbox_tick(heartbeat: Option<HeartbeatConfig>) -> Duration {
     })
 }
 
-/// Where a slave settles: directly with the head (in-process) or through its
-/// master, which forwards over the control connection (the TCP deployment
-/// mode). Everything else a slave reports goes to its master.
-enum ReportSink<'a> {
+/// Where a slave settles — directly with the head (in-process), or through
+/// its master, which forwards over the control connection (the TCP
+/// deployment mode) — and the slave's one verdict channel for the run.
+/// Everything else a slave reports goes to its master.
+struct ReportSink<'a> {
+    route: Route<'a>,
+    verdict_to: Sender<Option<bool>>,
+    verdicts: Receiver<Option<bool>>,
+}
+
+/// The way a slave's settles go.
+enum Route<'a> {
     /// Settle straight with the head's channel.
     Head(&'a Sender<HeadMsg>),
     /// Settle through the site master.
     Master(&'a Sender<MasterMsg>),
 }
 
-impl ReportSink<'_> {
+impl<'a> ReportSink<'a> {
+    fn new(route: Route<'a>) -> ReportSink<'a> {
+        let (verdict_to, verdicts) = unbounded();
+        ReportSink { route, verdict_to, verdicts }
+    }
+
     /// Report completions the head must rule on, in one exchange: blocks for
-    /// its merge/discard verdicts and returns them, one per job.
-    fn settle(&self, jobs: Vec<ChunkId>, site: SiteId) -> Vec<bool> {
+    /// its merge/discard verdicts and puts them in `into`, one per job. A
+    /// torn-down control plane can no longer merge anything: a verdict it
+    /// never said is a discard.
+    fn settle(&self, jobs: Vec<ChunkId>, site: SiteId, into: &mut Vec<bool>) {
         let k = jobs.len();
-        let verdicts = match self {
-            ReportSink::Head(tx) => {
-                let (ack_tx, ack_rx) = bounded(1);
-                let report = HeadMsg::Complete { jobs, site, reply: ack_tx };
-                tx.send(report).ok().and_then(|()| ack_rx.recv().ok())
-            }
-            ReportSink::Master(tx) => {
-                let (ack_tx, ack_rx) = bounded(k);
-                let report = MasterMsg::Complete { jobs, reply: ack_tx };
-                tx.send(report).ok().and_then(|()| (0..k).map(|_| ack_rx.recv().ok()).collect())
-            }
+        // Undelivered, the report drops its verdicts unsaid.
+        let reply = Verdicts::new(&self.verdict_to, k);
+        let _ = match self.route {
+            Route::Head(tx) => tx.send(HeadMsg::Complete { jobs, site, reply }).map_err(drop),
+            Route::Master(tx) => tx.send(MasterMsg::Complete { jobs, reply }).map_err(drop),
         };
-        // A torn-down control plane can no longer merge anything: discard.
-        verdicts.unwrap_or_else(|| vec![false; k])
+        into.clear();
+        into.extend((0..k).map(|_| self.verdicts.recv().ok().flatten().unwrap_or(false)));
     }
 }
 
@@ -913,22 +948,17 @@ impl ReportSink<'_> {
 /// to `d` jobs — the one processing, the rest with the executor — so
 /// retrieval of chunk *N+1* overlaps processing of chunk *N*.
 fn run_slave<R: Reduction>(
-    app: &R,
-    ctx: SlaveCtx,
-    master_tx: &Sender<MasterMsg>,
-    reports: &ReportSink<'_>,
+    mut worker: Worker<'_, R>,
     router: &StoreRouter,
-    config: &RuntimeConfig,
 ) -> Result<(R::RObj, SlaveSample), RunError> {
-    let depth = config.pipeline_depth.max(1);
+    let (ctx, master_tx) = (worker.ctx, worker.master);
+    let depth = worker.config.pipeline_depth.max(1);
     let crash_after = ctx.chaos.as_deref().and_then(|p| p.crash_after(ctx.site, ctx.worker));
     let mut core = SlaveCore::new(depth, ctx.ack_gated, crash_after);
     // The buffer the batches travel in, at the bound once: grown hand-off
     // by hand-off, its outgrown blocks would stay behind in an arena.
     core.reuse_batch(Vec::with_capacity(MAX_BDP_JOBS));
-    let ctx = &ctx;
     let revoked = |chunk| ctx.revoked(chunk);
-    let mut worker = Worker::new(app, ctx, master_tx, reports, config);
     // The slave's one decode buffer, for an application that decodes a
     // group of units before it reduces them; empty between groups.
     let mut buf = Vec::new();
@@ -1073,32 +1103,36 @@ fn hear(core: &mut SlaveCore, answer: Option<Answer>, now: Seconds) {
 }
 
 /// What a slave carries from one job to the next, and the app-typed half of
-/// its work: reduce, commit or re-reduce from the verdicts.
+/// its work: reduce, then accept or roll back and re-reduce from the
+/// verdicts.
 struct Worker<'a, R: Reduction> {
     app: &'a R,
     ctx: &'a SlaveCtx,
     master: &'a Sender<MasterMsg>,
     reports: &'a ReportSink<'a>,
     config: &'a RuntimeConfig,
-    /// The worker's accumulator. On the isolated path it only ever holds
-    /// whole jobs the head accepted.
+    /// The worker's accumulator. On the isolated path it holds, besides
+    /// whole jobs the head accepted, only what `undo` can take back.
     robj: R::RObj,
-    /// Under the retry policy (or any FT machinery) a chunk is reduced into
-    /// this scratch object and moved into `robj` only on success/ack, so a
+    /// Under the retry policy (or any FT machinery) a job is reduced *open*
+    /// ([`Reduction::reduce_open`]) and accepted only on success/ack, so a
     /// mid-chunk panic cannot leave a partially-applied job in the
     /// accumulator and a deduplicated completion is never double-merged.
     isolate: bool,
-    /// The one scratch object of the isolated path: the open jobs' units
-    /// reduced, so equal to a fresh `make_robj()` while none is open
-    /// ([`Reduction::commit`] and [`Reduction::discard`] restore it). `None`
-    /// until the first isolated job and after a caught panic, which may have
-    /// left it half-applied.
-    scratch: Option<R::RObj>,
+    /// What takes the open jobs back: the scratch object of the default
+    /// hooks, or a journaling application's journal, reserved by the run at
+    /// its bound.
+    undo: Undo<R::RObj>,
+    /// A panic rolled back the open jobs: at their settle each accepted one
+    /// is reduced again, whatever the verdicts.
+    undone: bool,
     /// The open jobs' fetched chunks in the order they were processed — a
     /// reference count on each fetch, not a copy — kept until their verdicts
-    /// because `commit`/`discard` walk them and a refused batch's merged jobs
-    /// are reduced from them again; the core holds each job's place.
+    /// because after a rollback the accepted ones are reduced from them
+    /// again; the core holds each job's place.
     chunks: Vec<Bytes>,
+    /// The last settle's verdicts, one per reported job.
+    verdicts: Vec<bool>,
     /// Bytes in a cache-sized group of units (`unit_group` units).
     group: usize,
     /// The slave's share of the run report, folded from what it `note`s.
@@ -1108,12 +1142,14 @@ struct Worker<'a, R: Reduction> {
 }
 
 impl<'a, R: Reduction> Worker<'a, R> {
+    /// A worker with the accumulator and journal its run allocated, if any.
     fn new(
         app: &'a R,
         ctx: &'a SlaveCtx,
         master: &'a Sender<MasterMsg>,
         reports: &'a ReportSink<'a>,
         config: &'a RuntimeConfig,
+        (robj, journal): (Option<R::RObj>, Journal),
     ) -> Worker<'a, R> {
         let chaos = ctx.chaos.as_deref();
         Worker {
@@ -1122,10 +1158,12 @@ impl<'a, R: Reduction> Worker<'a, R> {
             master,
             reports,
             config,
-            robj: app.make_robj(),
+            robj: robj.unwrap_or_else(|| app.make_robj()),
             isolate: ctx.ack_gated || matches!(config.fault_policy, FaultPolicy::Retry { .. }),
-            scratch: None,
+            undo: Undo::new(journal),
+            undone: false,
             chunks: Vec::new(),
+            verdicts: Vec::new(),
             group: config.unit_group.max(1).saturating_mul(app.unit_size()),
             stats: SlaveSample::default(),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
@@ -1150,6 +1188,14 @@ impl<'a, R: Reduction> Worker<'a, R> {
             ctx.metrics.dropped.inc();
             return Ok(());
         }
+        // What is open is settled first if this job's notes would overflow
+        // the journal: it never grows on this thread.
+        let notes = self.app.journal_len(pre.job.chunk.n_units as usize);
+        if self.isolate && notes > self.undo.journal.room() {
+            if let Some(jobs) = core.settle(|chunk| ctx.revoked(chunk)) {
+                self.settle(core, jobs, buf);
+            }
+        }
         match self.process_job(pre, buf) {
             Ok((kept, began, ended)) => {
                 core.processed(job, kept, ctx.secs(began), ctx.secs(ended));
@@ -1167,38 +1213,32 @@ impl<'a, R: Reduction> Worker<'a, R> {
     }
 
     /// Report `jobs` in one exchange and act on the head's verdicts. All
-    /// merged — nearly always — the scratch holds exactly what the head
-    /// accepted and is committed in one walk over the batch's chunks. If a
-    /// job was refused, was revoked while it was open (it lost its race:
-    /// neither reported nor merged), or a panic cost the scratch, what the
-    /// scratch holds is thrown away and each accepted job is reduced from its
-    /// kept chunk and committed again on its own.
+    /// merged — nearly always — the open jobs' reduce is accepted as it
+    /// stands. If a job was refused, was revoked while it was open (it lost
+    /// its race: neither reported nor merged), or a panic rolled the open
+    /// jobs back, they are rolled back (once) and each accepted job is
+    /// reduced again from its kept chunk and accepted on its own.
     fn settle(&mut self, core: &mut SlaveCore, jobs: Vec<ChunkId>, buf: &mut Vec<R::Item>) {
         let (app, ctx) = (self.app, self.ctx);
-        let mut verdicts = Vec::new();
+        self.verdicts.clear();
         if !jobs.is_empty() {
             ctx.metrics.settle_jobs.observe(jobs.len() as u64);
-            verdicts = self.reports.settle(jobs, ctx.site);
+            self.reports.settle(jobs, ctx.site, &mut self.verdicts);
         }
-        let (all_merged, merged) = core.settled(&verdicts);
-        match &mut self.scratch {
-            Some(scratch) if all_merged => {
-                app.commit(&mut self.robj, scratch, &self.chunks);
+        let (all_merged, merged) = core.settled(&self.verdicts);
+        if all_merged && !self.undone {
+            app.accept(&mut self.robj, &mut self.undo);
+        } else {
+            if !std::mem::take(&mut self.undone) {
+                app.rollback(&mut self.robj, &mut self.undo);
             }
-            scratch => {
-                if let Some(scratch) = scratch.as_mut() {
-                    app.discard(scratch, &self.chunks);
+            for (job, kept) in merged {
+                for chunk in &self.chunks[kept] {
+                    reduce_chunk(app, &mut self.robj, Some(&mut self.undo), chunk, self.group, buf);
                 }
-                for (job, kept) in merged {
-                    let chunks = &self.chunks[kept];
-                    let scratch = scratch.get_or_insert_with(|| app.make_robj());
-                    for chunk in chunks {
-                        reduce_chunk(app, scratch, chunk, self.group, buf);
-                    }
-                    app.commit(&mut self.robj, scratch, chunks);
-                    let rereduced = Event::at(ns_since(ctx.epoch), EventKind::JobRereduced);
-                    ctx.note(&mut self.stats, rereduced.chunk(job));
-                }
+                app.accept(&mut self.robj, &mut self.undo);
+                let rereduced = Event::at(ns_since(ctx.epoch), EventKind::JobRereduced);
+                ctx.note(&mut self.stats, rereduced.chunk(job));
             }
         }
         self.chunks.clear();
@@ -1207,9 +1247,9 @@ impl<'a, R: Reduction> Worker<'a, R> {
     /// Account for one retrieval, reduce the chunk and sit out any injected
     /// straggling. Returns where the job's chunk is kept, when it began and
     /// when it ended. Without dedup no duplicate can exist, so the completion
-    /// is merged by construction and committed at once; ack-gated its chunk
-    /// is kept until the verdict. After a panic the scratch is gone and the
-    /// chunk is not kept.
+    /// is merged by construction and an isolated job is accepted at once;
+    /// ack-gated its chunk is kept until the verdict. A panic rolls back
+    /// every open job, and the chunk is not kept.
     fn process_job(
         &mut self,
         pre: FetchedJob,
@@ -1234,21 +1274,20 @@ impl<'a, R: Reduction> Worker<'a, R> {
 
         let proc_start = Instant::now();
         let (app, group) = (self.app, self.group);
+        let undo = self.isolate.then_some(&mut self.undo);
         let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let target = if self.isolate {
-                self.scratch.get_or_insert_with(|| app.make_robj())
-            } else {
-                &mut self.robj
-            };
-            reduce_chunk(app, target, &fetched.bytes, group, buf);
+            reduce_chunk(app, &mut self.robj, undo, &fetched.bytes, group, buf);
         }));
         if let Err(p) = processed {
-            // The scratch may hold a half-applied job that no walk over its
-            // chunk could undo: drop it, and whatever the aborted group left
-            // in the buffer. The jobs open before it keep their chunks; the
-            // core settles them next, and each accepted one is reduced again.
+            // The accumulator may hold a half-applied job: every open job is
+            // taken back, and so is whatever the aborted group left in the
+            // buffer. The jobs open before it keep their chunks; the core
+            // settles them next, and each accepted one is reduced again.
             buf.clear();
-            self.scratch = None;
+            if self.isolate {
+                app.rollback(&mut self.robj, &mut self.undo);
+                self.undone = !self.chunks.is_empty();
+            }
             return Err(RunError::WorkerPanic(panic_msg(&*p)));
         }
         let proc_dur = proc_start.elapsed();
@@ -1277,8 +1316,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
         let kept = self.chunks.len()..self.chunks.len() + 1;
         if ctx.ack_gated {
             self.chunks.push(fetched.bytes);
-        } else if let Some(scratch) = &mut self.scratch {
-            app.commit(&mut self.robj, scratch, std::slice::from_ref(&fetched.bytes));
+        } else if self.isolate {
+            app.accept(&mut self.robj, &mut self.undo);
         }
         Ok((kept, proc_start, ended))
     }
@@ -1290,18 +1329,23 @@ impl<'a, R: Reduction> Worker<'a, R> {
     }
 }
 
-/// Reduce `chunk` into `robj` `group` bytes of units at a time, through the
-/// one call the slave makes on fetched data, [`Reduction::reduce_units`];
-/// `buf` is left empty.
+/// Reduce `chunk` into `robj` `group` bytes of units at a time: open
+/// ([`Reduction::reduce_open`]) when there is an `undo` to take it back by,
+/// else through the one call the classic path makes on fetched data,
+/// [`Reduction::reduce_units`]. `buf` is left empty.
 fn reduce_chunk<R: Reduction>(
     app: &R,
     robj: &mut R::RObj,
+    mut undo: Option<&mut Undo<R::RObj>>,
     chunk: &[u8],
     group: usize,
     buf: &mut Vec<R::Item>,
 ) {
     for units in chunk.chunks(group) {
-        app.reduce_units(robj, units, buf);
+        match undo.as_deref_mut() {
+            Some(undo) => app.reduce_open(robj, undo, units, buf),
+            None => app.reduce_units(robj, units, buf),
+        }
     }
     buf.clear();
 }
@@ -1678,6 +1722,12 @@ mod tests {
         Take::Jobs(chunks.iter().map(|&chunk| LocalJob { chunk, stolen: false, span: 0 }).collect())
     }
 
+    /// What a run hands a slave of `app`: nothing made, and a journal
+    /// reserved at the run's bound if the application journals.
+    fn held<R: Reduction>(app: &R) -> (Option<R::RObj>, Journal) {
+        (None, Journal::with_capacity(app.journal_len(JOURNAL_UNITS)))
+    }
+
     /// Run one slave against a scripted master and head. The master answers
     /// every request for jobs with `grant(want)`; the head — or, when the
     /// slave settles `through_master`, the master on its behalf — rules
@@ -1697,10 +1747,10 @@ mod tests {
             let head = scope.spawn(move || {
                 let mut settled = Vec::new();
                 for msg in head_rx.iter() {
-                    let HeadMsg::Complete { jobs, reply, .. } = msg else {
+                    let HeadMsg::Complete { jobs, mut reply, .. } = msg else {
                         panic!("a slave sends the head nothing but its settles")
                     };
-                    let _ = reply.send(jobs.iter().map(|&j| verdict(j)).collect());
+                    jobs.iter().for_each(|&j| reply.send(verdict(j)));
                     settled.push(jobs);
                 }
                 settled
@@ -1708,12 +1758,15 @@ mod tests {
             let slave = scope.spawn({
                 let master_tx = master_tx.clone();
                 move || {
-                    let reports = if through_master {
-                        ReportSink::Master(&master_tx)
+                    let reports = ReportSink::new(if through_master {
+                        Route::Master(&master_tx)
                     } else {
-                        ReportSink::Head(&head_tx)
-                    };
-                    run_slave(app, ctx, &master_tx, &reports, router, config)
+                        Route::Head(&head_tx)
+                    });
+                    run_slave(
+                        Worker::new(app, &ctx, &master_tx, &reports, config, held(app)),
+                        router,
+                    )
                 }
             });
             let mut seen = Seen::default();
@@ -1725,10 +1778,8 @@ mod tests {
                     }
                     reply.send((grant(want), Vec::new()));
                 }
-                MasterMsg::Complete { jobs, reply } => {
-                    for &job in &jobs {
-                        let _ = reply.send(verdict(job));
-                    }
+                MasterMsg::Complete { jobs, mut reply } => {
+                    jobs.iter().for_each(|&job| reply.send(verdict(job)));
                     seen.reports.push(jobs);
                 }
                 MasterMsg::Done { jobs } => seen.reports.push(jobs),
@@ -1849,10 +1900,15 @@ mod tests {
         refused_batch_mates_are_reduced_again(&SumApp);
     }
 
+    #[test]
+    fn a_refused_job_rolls_a_journal_back_and_costs_its_batch_mates_a_second_reduce() {
+        refused_batch_mates_are_reduced_again(&JournalingSum::default());
+    }
+
     /// Three jobs open on one worker, then one report; the head merges the
     /// first and the third and calls the second a duplicate. The accumulator
-    /// must hold exactly the two accepted chunks, the scratch must be fresh
-    /// again, and the accepted two were reduced twice.
+    /// must hold exactly the two accepted chunks, nothing may be left to
+    /// take back, and the accepted two were reduced twice.
     fn refused_batch_mates_are_reduced_again<R: Reduction<RObj = SumObj>>(app: &R) {
         let (index, store) = fused_setup(3, SiteId::LOCAL);
         let (config, router) = one_slave(store, 1, FaultPolicy::FailFast);
@@ -1861,18 +1917,18 @@ mod tests {
         let head = std::thread::spawn(move || {
             let mut reports = Vec::new();
             for msg in head_rx.iter() {
-                let HeadMsg::Complete { jobs, reply, .. } = msg else {
+                let HeadMsg::Complete { jobs, mut reply, .. } = msg else {
                     panic!("only reports that wait for verdicts are expected")
                 };
-                reply.send(jobs.iter().map(|&j| j != duplicate).collect()).unwrap();
+                jobs.iter().for_each(|&j| reply.send(j != duplicate));
                 reports.push(jobs);
             }
             reports
         });
         let ctx = local_ctx(true, None, None);
-        let reports = ReportSink::Head(&head_tx);
+        let reports = ReportSink::new(Route::Head(&head_tx));
         let (master_tx, _master_rx) = unbounded::<MasterMsg>();
-        let mut worker = Worker::new(app, &ctx, &master_tx, &reports, &config);
+        let mut worker = Worker::new(app, &ctx, &master_tx, &reports, &config, held(app));
         let mut core = SlaveCore::new(1, true, None);
         let mut buf = Vec::new();
         let jobs = index.chunks.iter().map(|&chunk| LocalJob { chunk, stolen: false, span: 0 });
@@ -1891,7 +1947,11 @@ mod tests {
         // An ask with nothing in flight comes after the open jobs' settle.
         assert!(worker.chunks.is_empty() && core.in_flight() == 0);
         assert!(buf.is_empty(), "no decoded unit outlives its group");
-        assert_eq!(worker.scratch, Some(SumObj(0)), "the scratch is fresh after the verdicts");
+        let undo = &worker.undo;
+        assert!(
+            undo.scratch.is_none() && undo.journal.is_empty(),
+            "nothing open after the verdicts"
+        );
         assert_eq!(worker.robj, SumObj(chunk_sum(0) + chunk_sum(2)));
         let rereduced = worker.stats.rereduced;
         drop(worker);
@@ -1958,19 +2018,25 @@ mod tests {
 
     #[test]
     fn a_panic_in_a_batch_leaves_the_jobs_before_it_reportable_and_mergeable() {
-        // Four jobs in one hand-off, the third panics in the application.
-        // Under the retry policy the slave goes on: the first two are
-        // reported and merged although the panic cost the scratch they had
-        // been reduced into, the third is failed, the fourth is processed.
+        let hook = |first| assert_ne!(first, 2 * 40, "injected: chunk 2 panics");
+        panic_in_a_batch(&HookedSum(hook));
+        // Half-way through its chunk, with the jobs before it in the
+        // accumulator: the journal takes all three back.
+        panic_in_a_batch(&JournalingSum(std::sync::atomic::AtomicUsize::new(0), hook));
+    }
+
+    /// Four jobs in one hand-off, the third panics in the application. Under
+    /// the retry policy the slave goes on: the first two are reported and
+    /// merged although the panic rolled back the reduce they were open in,
+    /// the third is failed, the fourth is processed.
+    fn panic_in_a_batch<R: Reduction<RObj = SumObj>>(app: &R) {
         for through_master in [false, true] {
             let (index, store) = fused_setup(4, SiteId::LOCAL);
             let plane = one_slave(store, 1, FaultPolicy::Retry { max_attempts: 2 });
-            let app = HookedSum(|first| assert_ne!(first, 2 * 40, "injected: chunk 2 panics"));
             let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
             let grant = |_| batches.pop().unwrap();
             let ctx = local_ctx(true, None, None);
-            let (outcome, seen) =
-                scripted_slave(&app, ctx, &plane, through_master, grant, |_| true);
+            let (outcome, seen) = scripted_slave(app, ctx, &plane, through_master, grant, |_| true);
             let (robj, stats) = outcome.unwrap();
             assert_eq!(robj, SumObj(chunk_sum(0) + chunk_sum(1) + chunk_sum(3)));
             assert_eq!(seen.failed, [index.chunks[2].id]);
@@ -2304,11 +2370,18 @@ mod tests {
         }
     }
 
-    /// `SumApp` that counts `make_robj` calls and commits from the reused
-    /// scratch in place, the way an app with a large object would.
-    struct CountingApp(std::sync::atomic::AtomicUsize);
+    /// `SumApp` that counts `make_robj` calls and journals, the way an app
+    /// with a large object does, with a hook half-way through every group
+    /// it reduces open, handed the group's first unit.
+    struct JournalingSum<F = fn(u32)>(std::sync::atomic::AtomicUsize, F);
 
-    impl Reduction for CountingApp {
+    impl Default for JournalingSum {
+        fn default() -> JournalingSum {
+            JournalingSum(std::sync::atomic::AtomicUsize::new(0), |_| {})
+        }
+    }
+
+    impl<F: Fn(u32) + Send + Sync> Reduction for JournalingSum<F> {
         type Item = u32;
         type RObj = SumObj;
         fn make_robj(&self) -> SumObj {
@@ -2324,11 +2397,30 @@ mod tests {
         fn local_reduce(&self, robj: &mut SumObj, item: &u32) {
             SumApp.local_reduce(robj, item);
         }
-        fn commit(&self, acc: &mut SumObj, scratch: &mut SumObj, _: &[Bytes]) {
-            acc.0 += std::mem::take(&mut scratch.0);
+        fn journal_len(&self, units: usize) -> usize {
+            units
         }
-        fn discard(&self, scratch: &mut SumObj, _: &[Bytes]) {
-            scratch.0 = 0;
+        fn reduce_open(
+            &self,
+            acc: &mut SumObj,
+            undo: &mut Undo<SumObj>,
+            units: &[u8],
+            _: &mut Vec<u32>,
+        ) {
+            let unit = |i: usize| u32::from_le_bytes(units[4 * i..4 * i + 4].try_into().unwrap());
+            for i in 0..units.len() / 4 {
+                if i == units.len() / 8 {
+                    (self.1)(unit(0));
+                }
+                undo.journal.note(0, acc.0);
+                acc.0 += u64::from(unit(i));
+            }
+        }
+        fn accept(&self, _: &mut SumObj, undo: &mut Undo<SumObj>) {
+            undo.journal.clear();
+        }
+        fn rollback(&self, acc: &mut SumObj, undo: &mut Undo<SumObj>) {
+            undo.journal.undo(|_, bits| acc.0 = bits);
         }
     }
 
@@ -2345,14 +2437,14 @@ mod tests {
                 heartbeat: Some(HeartbeatConfig { interval: 0.02, timeout: 10.0 }),
                 ..FtConfig::enabled()
             };
-            let app = CountingApp(std::sync::atomic::AtomicUsize::new(0));
+            let app = JournalingSum::default();
             let out = run_on(transport, &app, &index, stores, &config).unwrap();
             let what = format!("{transport:?}, depth {depth}");
             assert_eq!(out.result.0, expected_sum(units), "{what}");
             let made = app.0.into_inner();
-            // One accumulator and one lazily made scratch per worker.
+            // One accumulator per worker, and no second object.
             assert!(index.n_chunks() > 4 * workers, "the bound must separate jobs from workers");
-            assert!(made <= 2 * workers, "{what}: {made} make_robj calls");
+            assert_eq!(made, workers, "{what}: {made} make_robj calls");
         }
     }
 

@@ -89,7 +89,9 @@ pub use metrics::{
 };
 pub use pool::Completion;
 pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};
-pub use reduction::{global_reduce, reduce_serial, tree_reduce, Merge, Reduction, ReductionObject};
+pub use reduction::{
+    global_reduce, reduce_serial, tree_reduce, Journal, Merge, Reduction, ReductionObject, Undo,
+};
 pub use slave::SlaveCore;
 pub use stats::{
     assemble_report, assemble_sites, doubling_efficiency, report_to_json, Breakdown, RunReport,

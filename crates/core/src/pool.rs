@@ -165,7 +165,7 @@ impl Leases {
 /// What happened to a completion report — the dedup verdict.
 ///
 /// The runtimes acknowledge completions with this, and only `Merged`
-/// completions may fold a worker's scratch result into its site robj; that
+/// completions may fold a worker's open result into its site robj; that
 /// is what makes "each chunk reduced exactly once" hold under retries,
 /// speculation and evacuation.
 #[derive(Debug, Clone, PartialEq, Eq)]

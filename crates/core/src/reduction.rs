@@ -17,7 +17,6 @@
 //! that for every shipped application and combiner.
 
 use crate::types::Seconds;
-use bytes::Bytes;
 
 /// Pairwise combination of two partial results — the global-reduction step.
 ///
@@ -47,7 +46,9 @@ pub trait ReductionObject: Merge + Send + 'static {
 /// bytes into data units, and the `proc(e)` local reduction. The runtime
 /// owns everything else: chunk retrieval, cache-sized unit grouping, worker
 /// scheduling, and the global reduction. It reduces every group of fetched
-/// units through [`Reduction::reduce_units`].
+/// units through [`Reduction::reduce_units`] — or, while the head may still
+/// refuse the job, through [`Reduction::reduce_open`], and then accepts or
+/// rolls back what that did.
 pub trait Reduction: Send + Sync {
     /// One decoded data unit (the smallest atomically processed element).
     type Item: Send;
@@ -89,36 +90,59 @@ pub trait Reduction: Send + Sync {
         self.reduce_group(robj, buf);
     }
 
-    /// Fold accepted work into the worker's accumulator. `scratch` was equal
-    /// to a fresh [`Reduction::make_robj`] before exactly the encoded units
-    /// of `chunks` were reduced into it, in order: one job's chunk, or the
-    /// chunks of several jobs one after the other (the runtime settles a
-    /// whole hand-off of jobs in one call when the head accepted them all;
-    /// units may repeat across those jobs as they may within one). On return
-    /// `acc` must hold what `acc.merge(scratch)` would have produced and
-    /// `scratch` must again equal a fresh `make_robj()`, because the runtime
-    /// keeps one scratch object per worker and reuses it for the next batch.
-    ///
-    /// The default swaps in a new object and merges the old one, which is
-    /// right whenever the object is no larger than a chunk's footprint in it
-    /// (k-means centroids, a k-NN heap, a word-count map). Override it —
-    /// together with [`Reduction::discard`] — when the object is much larger
-    /// than what one chunk touches (a dense rank vector, a raster grid): walk
-    /// the units of `chunks`, move only the entries they hit, and zero those
-    /// entries, so committing costs O(units) instead of O(object).
-    fn commit(&self, acc: &mut Self::RObj, scratch: &mut Self::RObj, chunks: &[Bytes]) {
-        let _ = chunks;
-        acc.merge(std::mem::replace(scratch, self.make_robj()));
+    /// Journal entries the [`Reduction::reduce_open`] of `units` units notes
+    /// at most. `0`, the default, is an application whose open jobs reduce
+    /// into a scratch object; the runtime reserves a journal only for one
+    /// that says otherwise, at the bound of a chunk or more, and settles the
+    /// open jobs before a job that would overflow it.
+    fn journal_len(&self, units: usize) -> usize {
+        let _ = units;
+        0
     }
 
-    /// Throw work away (the head rejected or revoked a job of the batch):
-    /// return `scratch`, into which exactly the units of `chunks` — one
-    /// job's chunk or several jobs' in order — were reduced, to the state of
-    /// a fresh [`Reduction::make_robj`]. Same contract and same reason to
-    /// override as [`Reduction::commit`].
-    fn discard(&self, scratch: &mut Self::RObj, chunks: &[Bytes]) {
-        let _ = chunks;
-        *scratch = self.make_robj();
+    /// Reduce a group of an *open* job's encoded units — work the head may
+    /// still refuse, or that may panic half-way — so that
+    /// [`Reduction::rollback`] can take it back out. The runtime reduces each
+    /// isolated job through here, group by group, and ends every run of open
+    /// jobs in one [`Reduction::accept`] or one [`Reduction::rollback`].
+    ///
+    /// The default reduces into `undo.scratch`, made fresh when there is none,
+    /// and leaves `acc` alone: right whenever the object is no larger than a
+    /// chunk's footprint in it (k-means centroids, a k-NN heap, a word-count
+    /// map). Override all three hooks — with [`Reduction::journal_len`] —
+    /// when the object is much larger than what one chunk touches (a dense
+    /// rank vector, a raster grid): reduce straight into `acc`, exactly as
+    /// [`Reduction::reduce_units`] would, noting each slot's old bits in
+    /// `undo.journal` before it is written.
+    fn reduce_open(
+        &self,
+        acc: &mut Self::RObj,
+        undo: &mut Undo<Self::RObj>,
+        units: &[u8],
+        buf: &mut Vec<Self::Item>,
+    ) {
+        let _ = acc;
+        let scratch = undo.scratch.get_or_insert_with(|| self.make_robj());
+        self.reduce_units(scratch, units, buf);
+    }
+
+    /// Every open job was accepted: on return `acc` holds their work and
+    /// `undo` holds nothing to take back. The default merges the scratch
+    /// away; a journaling application clears its journal.
+    fn accept(&self, acc: &mut Self::RObj, undo: &mut Undo<Self::RObj>) {
+        if let Some(scratch) = undo.scratch.take() {
+            acc.merge(scratch);
+        }
+    }
+
+    /// Take every open job back, also one whose reduce panicked part-way: on
+    /// return `acc` is, bit for bit, what it was at the last
+    /// [`Reduction::accept`] or `rollback`, and `undo` holds nothing. The
+    /// default drops the scratch; a journaling application replays its
+    /// journal newest-first ([`Journal::undo`]).
+    fn rollback(&self, acc: &mut Self::RObj, undo: &mut Undo<Self::RObj>) {
+        let _ = acc;
+        undo.scratch = None;
     }
 
     /// Optional cost-model hint: seconds of compute per unit on a reference
@@ -126,6 +150,85 @@ pub trait Reduction: Send + Sync {
     /// measures real time. `None` means "calibrate by measurement".
     fn compute_hint(&self) -> Option<Seconds> {
         None
+    }
+}
+
+/// What a worker keeps to take back the jobs it has reduced and the head
+/// has not yet accepted ([`Reduction::reduce_open`]): one of the two halves,
+/// by the application's hooks.
+#[derive(Debug, Default)]
+pub struct Undo<O> {
+    /// The default hooks' scratch object: the open jobs' units reduced into
+    /// a fresh object, `None` while nothing is open.
+    pub scratch: Option<O>,
+    /// A journaling application's record of what the open jobs overwrote in
+    /// the accumulator.
+    pub journal: Journal,
+}
+
+impl<O> Undo<O> {
+    /// Nothing open, with a journal of `journal` (empty for an application
+    /// that does not journal).
+    #[must_use]
+    pub fn new(journal: Journal) -> Undo<O> {
+        Undo { scratch: None, journal }
+    }
+}
+
+/// An undo log of an accumulator's slots: before each write a journaling
+/// application notes the slot and its old bits, and replaying the notes
+/// newest-first restores the accumulator bit for bit. Reserved once by the
+/// runtime, which never lets it grow: it settles the open jobs before a job
+/// that would overflow it.
+#[derive(Debug, Default)]
+pub struct Journal(Vec<(usize, u64)>);
+
+impl Journal {
+    /// An empty journal with room for `entries` notes.
+    #[must_use]
+    pub fn with_capacity(entries: usize) -> Journal {
+        Journal(Vec::with_capacity(entries))
+    }
+
+    /// `slot` held `bits` before the write about to happen.
+    #[inline(always)]
+    pub fn note(&mut self, slot: usize, bits: u64) {
+        debug_assert!(self.0.len() < self.0.capacity(), "a journal never grows");
+        self.0.push((slot, bits));
+    }
+
+    /// [`Journal::note`] each of `notes` in order: one check of the room
+    /// for all of them.
+    pub fn extend(&mut self, notes: impl ExactSizeIterator<Item = (usize, u64)>) {
+        debug_assert!(notes.len() <= self.room(), "a journal never grows");
+        self.0.extend(notes);
+    }
+
+    /// Whether no note is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Notes the journal takes before it would grow.
+    #[must_use]
+    pub fn room(&self) -> usize {
+        self.0.capacity() - self.0.len()
+    }
+
+    /// Forget every note: the writes stand.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// Take every write back: `restore(slot, bits)` for each note,
+    /// newest-first, then forget them. A slot written twice ends with the
+    /// bits it had before the first write.
+    pub fn undo(&mut self, mut restore: impl FnMut(usize, u64)) {
+        for &(slot, bits) in self.0.iter().rev() {
+            restore(slot, bits);
+        }
+        self.0.clear();
     }
 }
 
@@ -275,6 +378,36 @@ mod tests {
             app.local_reduce(&mut s, &i);
         }
         assert_eq!(g, s);
+    }
+
+    #[test]
+    fn a_journal_replays_newest_first_to_the_bits_before_the_first_write() {
+        let mut slots = [10u64, 20, 30];
+        let mut journal = Journal::with_capacity(4);
+        for (slot, value) in [(1, 21), (1, 22), (2, 31)] {
+            journal.note(slot, slots[slot]);
+            slots[slot] = value;
+        }
+        journal.extend([(0, slots[0])].into_iter());
+        slots[0] = 11;
+        assert_eq!(journal.room(), 0);
+        journal.undo(|slot, bits| slots[slot] = bits);
+        assert_eq!(slots, [10, 20, 30]);
+        assert!(journal.is_empty() && journal.room() == 4, "undone notes are forgotten");
+    }
+
+    #[test]
+    fn the_default_hooks_merge_a_scratch_on_accept_and_drop_it_on_rollback() {
+        let app = SumApp;
+        let (mut acc, mut undo) = (SumObj(5), Undo::new(Journal::default()));
+        let mut buf = Vec::new();
+        app.reduce_open(&mut acc, &mut undo, &encode(&[1, 2]), &mut buf);
+        assert_eq!((&acc, &undo.scratch), (&SumObj(5), &Some(SumObj(3))), "acc untouched");
+        app.rollback(&mut acc, &mut undo);
+        assert_eq!((&acc, &undo.scratch), (&SumObj(5), &None));
+        app.reduce_open(&mut acc, &mut undo, &encode(&[4]), &mut buf);
+        app.accept(&mut acc, &mut undo);
+        assert_eq!((&acc, &undo.scratch), (&SumObj(9), &None));
     }
 
     #[test]

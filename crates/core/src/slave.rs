@@ -399,7 +399,7 @@ mod tests {
             "the revoked one is not said"
         );
         let (all_merged, merged) = core.settled(&[false, true]);
-        assert!(!all_merged, "its units are in the scratch");
+        assert!(!all_merged, "its units are in the open reduce");
         assert_eq!(merged.map(|(job, _)| job).collect::<Vec<_>>(), ids(&batch[2..]));
         assert_eq!(held(&core), 0);
     }

@@ -554,9 +554,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             return Err(e);
         }
     };
-    if let Some(report) = report {
+    if let Some((report, egress)) = report {
         let elapsed = run_started.elapsed().as_secs_f64();
-        let cost = final_cost(&config, &report, &index, passes(&app, args)?, elapsed, &pricing);
+        let cost = final_cost(&config, egress, &index, passes(&app, args)?, elapsed, &pricing);
         print_report(&report, &cost);
         let monitor = health.lock().map_err(|_| "health monitor poisoned".to_owned())?;
         if monitor.total_trips() > 0 {
@@ -603,7 +603,8 @@ fn app_k(app: &str, args: &[String]) -> Result<usize, String> {
 }
 
 /// Execute the chosen application over the organized dataset, returning the
-/// (last iteration's) report. Split out of [`cmd_run`] so every fatal path
+/// (last iteration's) report and the bytes the local site read from the
+/// cloud over every iteration. Split out of [`cmd_run`] so every fatal path
 /// funnels through one place where the black box is written.
 fn execute_app(
     app: &str,
@@ -611,7 +612,14 @@ fn execute_app(
     index: &DataIndex,
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
-) -> Result<Option<RunReport>, String> {
+) -> Result<Option<(RunReport, u64)>, String> {
+    // What the local site read from the cloud, over every iteration: the
+    // egress a run without live metrics is priced by.
+    let mut egress = 0;
+    let mut pass = |report: RunReport| {
+        egress += report.sites.get(&SiteId::LOCAL).map_or(0, |s| s.remote_bytes);
+        report
+    };
     let report = match app {
         "wordcount" => {
             let out = run_hybrid(&WordCount, index, stores, config).map_err(|e| e.to_string())?;
@@ -622,7 +630,7 @@ fn execute_app(
             for (w, c) in counts.iter().take(10) {
                 println!("  {w:<16} {c}");
             }
-            Some(out.report)
+            Some(pass(out.report))
         }
         "knn" => {
             let k = app_k(app, args)?;
@@ -632,7 +640,7 @@ fn execute_app(
             for n in out.result.0.into_sorted() {
                 println!("  point {:<10} dist² {:.6}", n.id, n.dist2());
             }
-            Some(out.report)
+            Some(pass(out.report))
         }
         "kmeans" => {
             let k = app_k(app, args)?;
@@ -646,7 +654,7 @@ fn execute_app(
                     run_hybrid(&km, index, stores.clone(), config).map_err(|e| e.to_string())?;
                 centroids = out.result.new_centroids(&centroids);
                 println!("iteration {iter}: {:.3}s", out.report.total_time);
-                last_report = Some(out.report);
+                last_report = Some(pass(out.report));
             }
             println!("final centroids:");
             for c in &centroids {
@@ -676,7 +684,7 @@ fn execute_app(
                     out.report.total_time,
                     out.result.byte_size()
                 );
-                last_report = Some(out.report);
+                last_report = Some(pass(out.report));
             }
             let mut top: Vec<(usize, f64)> = ranks.iter().copied().enumerate().collect();
             top.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -688,7 +696,7 @@ fn execute_app(
         }
         other => return Err(format!("unknown application `{other}`")),
     };
-    Ok(report)
+    Ok(report.map(|report| (report, egress)))
 }
 
 /// Everything the black-box crash dump needs, shared between the panic hook
@@ -1176,11 +1184,11 @@ fn passes(app: &str, args: &[String]) -> Result<usize, String> {
 /// of an iterative command). With metrics off, the GETs follow the
 /// runtime's read rule — each cloud-hosted chunk read once per pass, in
 /// `FetchConfig::parts` ranged GETs — which is exact for a run without
-/// retries or duplicate executions, and the egress is the local site's
-/// remote bytes of the last pass.
+/// retries or duplicate executions, and the egress is `egress`, the local
+/// site's remote bytes summed over every pass.
 fn final_cost(
     config: &RuntimeConfig,
-    report: &RunReport,
+    egress: u64,
     index: &DataIndex,
     passes: usize,
     elapsed_secs: f64,
@@ -1191,7 +1199,6 @@ fn final_cost(
         None => {
             let cloud = index.chunks.iter().filter(|c| c.site == SiteId::CLOUD);
             let per_pass: u64 = cloud.map(|c| config.fetch.parts(c.len)).sum();
-            let egress = report.sites.get(&SiteId::LOCAL).map_or(0, |s| s.remote_bytes);
             (per_pass * passes as u64, egress)
         }
     };

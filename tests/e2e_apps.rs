@@ -90,7 +90,8 @@ fn kmeans_end_to_end_matches_oracle() {
     let oracle = kmeans_oracle::<D>(&data, &centroids);
     assert_eq!(oracle.counts.iter().sum::<u64>(), 5_000);
     // The classic path reduces into the slave's accumulator; under FT every
-    // job goes through the scratch object and the default `commit`.
+    // job is reduced open into the default hooks' scratch object and merged
+    // once accepted.
     for ft in [FtConfig::default(), FtConfig::enabled()] {
         let mut config = RuntimeConfig::new(EnvConfig::new("env-50/50", 0.5, 2, 2), 1e-6);
         config.ft = ft;
@@ -193,26 +194,27 @@ fn head_counts_agree_with_site_reports() {
 }
 
 #[test]
-fn pagerank_isolated_path_is_bit_equal_to_per_job_dense_merge() {
+fn pagerank_isolated_path_is_bit_equal_to_a_straight_reduce() {
     use cloudburst_cluster::FaultPolicy;
-    use cloudburst_core::{EventKind, Merge, Recorder, Telemetry};
+    use cloudburst_core::{EventKind, Recorder, Telemetry};
     let n_pages = 500;
     let data = gen_edges(n_pages, 6_000, 91);
     let outdeg = PageRank::outdegrees(&data, n_pages as usize);
     let ranks = vec![1.0 / f64::from(n_pages); n_pages as usize];
     let app = PageRank::new(&ranks, &outdeg, 0.85);
     let (index, stores) = hybrid_setup(&data, 8, 1.0);
-    // The retry policy puts every job on the isolated path (reused scratch,
-    // `commit` on success); one worker makes the commit order the order of
-    // the `JobProcessed` events.
+    // The retry policy puts every job on the isolated path (reduced open
+    // into the accumulator under the journal, accepted on success); one
+    // worker makes the order of the `JobProcessed` events the order of the
+    // reduce.
     let mut config = RuntimeConfig::new(EnvConfig::new("env-local", 1.0, 1, 0), 1e-6);
     config.fault_policy = FaultPolicy::Retry { max_attempts: 2 };
     let recorder = Arc::new(Recorder::new());
     config.telemetry = Telemetry::to(recorder.clone());
     let out = run_hybrid(&app, &index, stores.clone(), &config).expect("hybrid run");
 
-    // What the runtime did before it reused the scratch: a fresh object per
-    // job, dense-merged into the accumulator in processing order.
+    // What a run with no isolation folds: every chunk reduced straight into
+    // one object, in processing order.
     let mut reference = app.make_robj();
     let mut items = Vec::new();
     let events = recorder.take();
@@ -222,11 +224,7 @@ fn pagerank_isolated_path_is_bit_equal_to_per_job_dense_merge() {
     for event in processed {
         let chunk = &index.chunks[event.chunk.expect("job events name their chunk").0 as usize];
         let bytes = stores[&chunk.site].read(chunk.file, chunk.offset, chunk.len).unwrap();
-        items.clear();
-        app.decode(&bytes, &mut items);
-        let mut fresh = app.make_robj();
-        app.reduce_group(&mut fresh, &items);
-        reference.merge(fresh);
+        app.reduce_units(&mut reference, &bytes, &mut items);
     }
     let bits = |m: &cloudburst_apps::RankMass| m.0.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&out.result), bits(&reference));

@@ -263,3 +263,32 @@ fn the_cost_block_counts_the_same_gets_with_metrics_on_or_off() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `cost` block prices the egress of every pass whether or not live
+/// metrics are on: off the registry's WAN counter, or summed from each
+/// iteration's report. The cloud site has data and no cores, so the local
+/// site reads every cloud chunk once per pass and the bytes are the run's
+/// shape, not its timing: 3 passes over the 75 % of 2 MiB the cloud holds.
+#[test]
+fn the_cost_block_prices_every_passes_egress_with_metrics_on_or_off() {
+    let bin = env!("CARGO_BIN_EXE_cloudburst");
+    let dir = scratch("egress");
+    let cli = |args: &[&str]| {
+        let out = Command::new(bin).current_dir(&dir).args(args).output().expect("cloudburst");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    let egress = |stats: &str| {
+        let doc = Json::parse(std::fs::read_to_string(dir.join(stats)).unwrap().trim()).unwrap();
+        let cost = doc.get("cost").expect("a cost block");
+        cost.get("egress_bytes").and_then(Json::as_f64).expect("egress_bytes") as u64
+    };
+    cli(&["generate", "kmeans", "--out", "data.bin", "--units", "131072"]);
+    let layout = ["--unit-size", "16", "--local-frac", "0.2"];
+    cli(&[&["organize", "--data", "data.bin", "--out", "org"][..], &layout].concat());
+    let run = ["run", "kmeans", "--org", "org", "--iterations", "3", "--cloud-cores", "0"];
+    cli(&[&run[..], &["--stats-out", "off.json"]].concat());
+    cli(&[&run[..], &["--metrics-out", "on.prom", "--stats-out", "on.json"]].concat());
+    assert_eq!(egress("off.json"), 3 * 1_572_864, "metrics off");
+    assert_eq!(egress("on.json"), 3 * 1_572_864, "metrics on");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -35,14 +35,16 @@ echo "== hygiene: \`unsafe\` only where it is accounted for"
 # assignment kernel (apps/src/kmeans_kernel.rs: the calls into its two
 # `target_feature` functions behind the CPU checks, and the AVX-512F and
 # AVX2 intrinsics its lane types wrap, whose values exist only after those
-# checks) and the counting global allocator of tests/alloc_per_job.rs (a
-# `GlobalAlloc` impl that forwards every call to `System` unchanged); any
-# other occurrence (in code or comment) fails the run.
+# checks) and the counting global allocators of tests/alloc_per_job.rs and
+# tests/robj_placement.rs (`GlobalAlloc` impls that forward every call to
+# `System` unchanged); any other occurrence (in code or comment) fails the
+# run.
 if grep -rn --include='*.rs' -w unsafe crates src tests examples \
     | grep -v -e '^crates/core/src/json.rs:' -e '^crates/cluster/src/readiness.rs:' \
-        -e '^crates/apps/src/kmeans_kernel.rs:' -e '^tests/alloc_per_job.rs:'; then
-    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs, apps/src/kmeans_kernel.rs" \
-        "and tests/alloc_per_job.rs"
+        -e '^crates/apps/src/kmeans_kernel.rs:' -e '^tests/alloc_per_job.rs:' \
+        -e '^tests/robj_placement.rs:'; then
+    echo "unsafe outside core/src/json.rs, cluster/src/readiness.rs, apps/src/kmeans_kernel.rs," \
+        "tests/alloc_per_job.rs and tests/robj_placement.rs"
     exit 1
 fi
 
@@ -270,8 +272,9 @@ fi
 
 echo "== hygiene: one processing path"
 # A slave hands every group of fetched units to `Reduction::reduce_units`
-# (`runtime::reduce_chunk`) — on the plain, the isolated and the re-reduce
-# path alike — and keeps an open job's fetched chunk, not its decoded units.
+# (`runtime::reduce_chunk`) — on the isolated and the re-reduce path through
+# `Reduction::reduce_open`, whose default does the same — and keeps an open
+# job's fetched chunk, not its decoded units.
 # A call of `decode` or `reduce_group` above the test modules of
 # crates/cluster/src, or a `Vec<R::Item>` field on `Worker`, fails the run.
 CALLS=$(for f in crates/cluster/src/*.rs; do
@@ -284,6 +287,23 @@ if [[ -n "$CALLS" ]]; then
 fi
 if awk '/^struct Worker</,/^}/' crates/cluster/src/runtime.rs | grep -n 'Vec<R::Item>'; then
     echo "Worker holds decoded units again: keep the open jobs' chunks, reduce through reduce_units"
+    exit 1
+fi
+
+echo "== hygiene: one isolation path — an open job is accepted or rolled back"
+# An isolated job is reduced open (`Reduction::reduce_open`) and ends in one
+# `accept` or one `rollback`; a journaling application (PageRank, Gridding)
+# writes straight into its accumulator under an undo journal. `fn commit` or
+# `fn discard` back in `Reduction`, or a walk over a batch's chunks back in
+# crates/apps (a `fn commit`/`fn discard`, `for_each_dst`, `for_each_cell`),
+# fails the run.
+STRAY=$( (awk '/^pub trait Reduction/ { inside = 1 } /^\}/ { inside = 0 }
+        inside && /fn (commit|discard)\(/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/core/src/reduction.rs
+    grep -rnE 'fn (commit|discard)\(|for_each_dst|for_each_cell' crates/apps) || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "the scratch-and-commit lifecycle is back: reduce open, then accept or roll back"
     exit 1
 fi
 
@@ -353,12 +373,13 @@ echo "== slave quantum: the driver's hand-back, fencing, the mailbox, batch size
 # dropped before its fetch, a request in a dead master's mailbox fails at
 # once, jobs of two quanta go one per hand-off and 160-byte jobs a quantum at
 # a time, some over 64 and never over 1024. Ack-gated, a hand-off of jobs is settled in one
-# exchange: a refused job costs its batch-mates a second reduce and leaves the
-# scratch fresh, a panic leaves the jobs open before it mergeable, a job
-# revoked while open is neither reported nor merged, a slow job does not sit
-# on its batch-mates' completions, and under the FT stack a completion message
-# carries one slow job or a hand-off of tiny ones; `commit`/`discard` over
-# several jobs' units hold their contract for all five apps.
+# exchange: a refused job costs its batch-mates a second reduce and leaves
+# nothing open (a scratch or a journal rolled back), a panic leaves the jobs
+# open before it mergeable, a job revoked while open is neither reported nor
+# merged, a slow job does not sit on its batch-mates' completions, and under
+# the FT stack a completion message carries one slow job or a hand-off of
+# tiny ones; `reduce_open`/`accept`/`rollback` over several jobs' units hold
+# their contract for all five apps, the journal's bit for bit.
 cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib -- \
     runtime::tests::a_slave_that_errors_out_mid_batch \
     runtime::tests::a_store_error_mid_batch \
@@ -367,12 +388,13 @@ cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-cluster --lib -- \
     runtime::tests::millisecond_jobs_are_taken_one_per_hand_off \
     runtime::tests::tiny_jobs_are_taken_a_quantum_at_a_time \
     runtime::tests::a_refused_job_costs_its_batch_mates \
+    runtime::tests::a_refused_job_rolls_a_journal_back \
     runtime::tests::a_panic_in_a_batch \
     runtime::tests::a_job_revoked_while_it_is_open \
     runtime::tests::a_slow_job_does_not_sit \
     runtime::tests::under_fault_tolerance_a_completion_message \
     runtime::tests::ft_run_allocates_reduction_objects_per_worker
-cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --test scratch_props
+cargo test -q "${CARGO_FLAGS[@]}" -p cloudburst-apps --test undo_props
 
 echo "== the control plane: heap blocks per job and per exchange, counted"
 # Already part of `cargo test` above; named here, and run again in release,
@@ -381,9 +403,12 @@ echo "== the control plane: heap blocks per job and per exchange, counted"
 # 96 000-job run (a lease, a range list or a hand-off buffer per job makes
 # one or more), and fewer than one block of 64 KiB or more per 4 096 extra
 # jobs on the run's threads (a buffer allocated per exchange makes one per
-# hand-off).
-cargo test -q "${CARGO_FLAGS[@]}" --test alloc_per_job
-cargo test -q --release "${CARGO_FLAGS[@]}" --test alloc_per_job
+# hand-off); under fault tolerance fewer than 16 blocks per settle exchange,
+# however many jobs it carries (a verdict channel built per settle made 20 on
+# TCP). A journaling application's accumulators and journals come from the
+# calling thread: no run thread asks for a block of 256 KiB or more.
+cargo test -q "${CARGO_FLAGS[@]}" --test alloc_per_job --test robj_placement
+cargo test -q --release "${CARGO_FLAGS[@]}" --test alloc_per_job --test robj_placement
 
 echo "== the head: its core on a virtual clock, reactor readiness and refusals, the master adapter, the 40 ms link"
 # Already part of `cargo test` above; named here so a failure says which
