@@ -10,7 +10,7 @@
 
 use crate::units::{decode_all, for_each_block};
 use bytes::{BufMut, BytesMut};
-use cloudburst_core::{Merge, Reduction, ReductionObject, Undo};
+use cloudburst_core::{resident_zeros, Merge, Reduction, ReductionObject, Undo};
 use cloudburst_mapreduce::MapReduceApp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -60,14 +60,16 @@ pub struct Grid2D {
 }
 
 impl Grid2D {
-    /// An empty `width × height` grid.
+    /// An empty `width × height` grid, resident: a sample lands in any cell,
+    /// so the first job's deposits take no page fault.
     ///
     /// # Panics
     /// Panics on zero dimensions.
     #[must_use]
     pub fn new(width: usize, height: usize) -> Grid2D {
         assert!(width > 0 && height > 0, "grid needs positive dimensions");
-        Grid2D { width, height, counts: vec![0; width * height], sums: vec![0.0; width * height] }
+        let cells = width * height;
+        Grid2D { width, height, counts: resident_zeros(cells), sums: resident_zeros(cells) }
     }
 
     /// Grid width in cells.
@@ -229,8 +231,8 @@ impl MapReduceApp for Gridding {
     }
 
     fn map(&self, item: &Sample, emit: &mut dyn FnMut(u32, (u64, f64))) {
-        let grid = Grid2D::new(self.width, self.height);
-        emit(grid.cell_of(item.x, item.y) as u32, (1, f64::from(item.value)));
+        let cell = cell_in(self.width, self.height, item.x, item.y);
+        emit(cell as u32, (1, f64::from(item.value)));
     }
 
     fn reduce(&self, _key: &u32, values: Vec<(u64, f64)>) -> (u64, f64) {

@@ -8,7 +8,7 @@
 //! the WAN and limits its scalability (§IV-C).
 
 use crate::units::{decode_all, for_each_block, Edge};
-use cloudburst_core::{Merge, Reduction, ReductionObject, Undo};
+use cloudburst_core::{resident_zeros, Merge, Reduction, ReductionObject, Undo};
 use cloudburst_mapreduce::MapReduceApp;
 use std::sync::Arc;
 
@@ -106,8 +106,9 @@ impl Reduction for PageRank {
     type Item = Edge;
     type RObj = RankMass;
 
+    /// Resident: the first job's random deposits take no page fault.
     fn make_robj(&self) -> RankMass {
-        RankMass(vec![0.0; self.n_pages])
+        RankMass(resident_zeros(self.n_pages))
     }
 
     fn unit_size(&self) -> usize {

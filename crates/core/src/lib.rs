@@ -90,7 +90,8 @@ pub use metrics::{
 pub use pool::Completion;
 pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};
 pub use reduction::{
-    global_reduce, reduce_serial, tree_reduce, Journal, Merge, Reduction, ReductionObject, Undo,
+    global_reduce, reduce_serial, resident_zeros, tree_reduce, Journal, Merge, Reduction,
+    ReductionObject, Undo,
 };
 pub use slave::SlaveCore;
 pub use stats::{

@@ -57,6 +57,13 @@ pub trait Reduction: Send + Sync {
 
     /// A fresh, empty reduction object ("initially declared by the
     /// programmer"; allocated by the middleware per worker).
+    ///
+    /// An object that a job writes at random — a dense rank vector, a
+    /// raster grid — is returned *resident*: its storage comes from
+    /// [`resident_zeros`], every page already backed, so the page faults of
+    /// a lazily zeroed block are paid here, not by the first job that
+    /// touches it. The runtime makes a journaling application's objects on
+    /// the thread that calls the run, before its slaves spawn.
     fn make_robj(&self) -> Self::RObj;
 
     /// Size in bytes of one encoded data unit.
@@ -230,6 +237,32 @@ impl Journal {
         }
         self.0.clear();
     }
+}
+
+/// The smallest page size of any target: touching one element in every
+/// `MIN_PAGE` bytes touches every page, whatever the page size.
+const MIN_PAGE: usize = 4096;
+
+/// `n` zeros (`T::default()`) whose pages are all backed when it returns:
+/// the storage of a reduction object that jobs write at random.
+///
+/// A zero-filled block is asked for as `alloc_zeroed`, which a fresh
+/// mapping serves with pages the kernel zeroes only when they are first
+/// touched (and the optimiser folds a `resize` to zeros into the same call).
+/// Touched by a job's random deposits, such a block takes up to two minor
+/// faults a page, one to map the shared zero page on a read and one to copy
+/// it on the write: ≈ 1 530 for a 3.2 MB rank vector, which made the first job
+/// of every slave tens of times slower than the rest (DESIGN §3.4.2). So a
+/// zero is written into every page here, opaquely to the optimiser: each
+/// page takes one fault, on the calling thread, once.
+#[must_use]
+pub fn resident_zeros<T: Copy + Default>(n: usize) -> Vec<T> {
+    let mut v = vec![T::default(); n];
+    let stride = (MIN_PAGE / std::mem::size_of::<T>().max(1)).max(1);
+    for slot in v.iter_mut().step_by(stride) {
+        *std::hint::black_box(slot) = T::default();
+    }
+    v
 }
 
 /// Sequentially process a whole dataset (all chunks, in order) on one core —

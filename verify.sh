@@ -307,6 +307,21 @@ if [[ -n "$STRAY" ]]; then
     exit 1
 fi
 
+echo "== hygiene: a large reduction object is made resident"
+# PageRank's rank vector and Gridding's grid are written at random by every
+# job: their storage comes from `core::resident_zeros`, every page backed
+# when `make_robj` returns (DESIGN §3.4.2). `vec![0.0; n]` / `vec![0; n]`
+# back in either file above its test module — a lazily zeroed object whose
+# faults land on each slave's first job — fails the run.
+STRAY=$(for f in crates/apps/src/pagerank.rs crates/apps/src/gridding.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -E 'vec!\[0(\.0)?; ' || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "RankMass / Grid2D are lazily zeroed again: allocate them with resident_zeros"
+    exit 1
+fi
+
 echo "== tier-1: cargo build --release"
 cargo build --release "${CARGO_FLAGS[@]}"
 
@@ -406,9 +421,16 @@ echo "== the control plane: heap blocks per job and per exchange, counted"
 # hand-off); under fault tolerance fewer than 16 blocks per settle exchange,
 # however many jobs it carries (a verdict channel built per settle made 20 on
 # TCP). A journaling application's accumulators and journals come from the
-# calling thread: no run thread asks for a block of 256 KiB or more.
-cargo test -q "${CARGO_FLAGS[@]}" --test alloc_per_job --test robj_placement
-cargo test -q --release "${CARGO_FLAGS[@]}" --test alloc_per_job --test robj_placement
+# calling thread: no run thread asks for a block of 256 KiB or more. And its
+# objects are resident when made (resident_accumulators): a fresh 3.2 MB
+# rank vector and a 3.3 MB grid take no more minor faults in their first open
+# job than their journal's pages and 16 (a lazily zeroed object takes ≈ 800
+# to 1 530) — in release too, where the optimiser could fold a zero fill back
+# into a lazily zeroed allocation.
+cargo test -q "${CARGO_FLAGS[@]}" --test alloc_per_job --test robj_placement \
+    --test resident_accumulators
+cargo test -q --release "${CARGO_FLAGS[@]}" --test alloc_per_job --test robj_placement \
+    --test resident_accumulators
 
 echo "== the head: its core on a virtual clock, reactor readiness and refusals, the master adapter, the 40 ms link"
 # Already part of `cargo test` above; named here so a failure says which
