@@ -483,8 +483,7 @@ pub fn quantify(sc: &OverlapScenario, depths: &[usize], reps: u32) -> OverlapRep
 }
 
 /// Every histogram a metered run observes into.
-const HISTOGRAMS: [&str; 6] = [
-    "cloudburst_store_read_seconds",
+const HISTOGRAMS: [&str; 5] = [
     "cloudburst_fetch_seconds",
     "cloudburst_process_seconds",
     "cloudburst_slave_settle_jobs",

@@ -9,7 +9,7 @@
 
 use crate::error::RunError;
 use bytes::Bytes;
-use cloudburst_core::{secs_to_ns, ChunkMeta, Metrics, SiteId};
+use cloudburst_core::{ChunkMeta, SiteId};
 use cloudburst_netsim::{Throttle, Topology};
 use cloudburst_storage::{fetch_chunk_pooled, ChunkStore, FetchConfig, FetcherPool, RetryPolicy};
 use std::collections::BTreeMap;
@@ -109,37 +109,6 @@ impl StoreRouter {
     /// primary-site path.
     pub fn set_replicated(&mut self, on: bool) {
         self.replicated = on;
-    }
-
-    /// Publish WAN traffic on the live-metrics registry: every modelled
-    /// cross-site transfer feeds `cloudburst_net_bytes_total` and
-    /// `cloudburst_net_transfer_seconds_total` with `src` (hosting site) and
-    /// `dst` (reading site) labels. Instruments are resolved here, once per
-    /// link; the per-transfer cost is two relaxed atomic adds inside the
-    /// throttle's observer callback. A no-op when metrics are off.
-    pub fn set_metrics(&self, metrics: &Metrics) {
-        if !metrics.is_enabled() {
-            return;
-        }
-        for (&(reader, host), throttle) in &self.wan {
-            let src = host.to_string();
-            let dst = reader.to_string();
-            let labels: &[(&str, &str)] = &[("dst", &dst), ("src", &src)];
-            let bytes = metrics.counter(
-                "cloudburst_net_bytes_total",
-                "Bytes pushed across an inter-site link (modelled WAN).",
-                labels,
-            );
-            let time = metrics.time_counter(
-                "cloudburst_net_transfer_seconds_total",
-                "Modelled transfer time charged on an inter-site link.",
-                labels,
-            );
-            throttle.set_observer(move |b, secs| {
-                bytes.add(b);
-                time.add(secs_to_ns(secs));
-            });
-        }
     }
 
     /// Fetch `chunk` on behalf of a worker at `reader`: concurrent range
@@ -283,22 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn wan_metrics_count_cross_site_bytes() {
-        let r = router(1e12);
-        let metrics = Metrics::on();
-        r.set_metrics(&metrics);
-        r.fetch(SiteId::LOCAL, &chunk(SiteId::CLOUD, 2048)).unwrap();
-        r.fetch(SiteId::LOCAL, &chunk(SiteId::CLOUD, 1024)).unwrap();
-        r.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 512)).unwrap(); // local: uncharged
-        let text = metrics.registry().unwrap().render();
-        assert!(
-            text.contains("cloudburst_net_bytes_total{dst=\"local\",src=\"cloud\"} 3072"),
-            "missing WAN byte series in:\n{text}"
-        );
-        assert!(text.contains("cloudburst_net_transfer_seconds_total{dst=\"local\",src=\"cloud\"}"));
-    }
-
-    #[test]
     fn replicated_routing_serves_replicas_locally() {
         // Both stores hold the same file (coded r = 2 placement).
         let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
@@ -321,18 +274,9 @@ mod tests {
         // On: the local replica serves it with zero WAN bytes.
         let mut r = mk();
         r.set_replicated(true);
-        let metrics = Metrics::on();
-        r.set_metrics(&metrics);
         let f = r.fetch(SiteId::LOCAL, &cloud_chunk).unwrap();
         assert!(!f.remote, "replica read must not count as remote");
         assert_eq!(f.bytes.as_ref(), &data[..2048]);
-        let text = metrics.registry().unwrap().render();
-        // The link series are registered eagerly; a replica read must leave
-        // every one of them at zero.
-        assert!(
-            text.contains("cloudburst_net_bytes_total{dst=\"local\",src=\"cloud\"} 0"),
-            "replica read must not touch the WAN:\n{text}"
-        );
     }
 
     #[test]

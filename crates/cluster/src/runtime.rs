@@ -29,7 +29,7 @@ use cloudburst_core::{
     SiteId, SiteSample, SlaveCore, SlaveSample, Take, Telemetry, Undo,
 };
 use cloudburst_netsim::{Throttle, Topology};
-use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, MeteredStore, RetryPolicy};
+use cloudburst_storage::{ChaosStore, ChunkStore, FetchConfig, RetryPolicy};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -193,26 +193,6 @@ impl RuntimeConfig {
     }
 }
 
-/// Wrap every site store in a [`MeteredStore`] when metrics are on, so each
-/// backend publishes request/byte/error counters and read-latency
-/// histograms. The decorator sits *below* the chaos layer: it counts
-/// physical reads against the real backend, not injected failures.
-fn meter_stores(
-    stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
-    metrics: &Metrics,
-) -> BTreeMap<SiteId, Arc<dyn ChunkStore>> {
-    if !metrics.is_enabled() {
-        return stores;
-    }
-    stores
-        .into_iter()
-        .map(|(s, st)| {
-            let kind = st.kind();
-            (s, Arc::new(MeteredStore::new(st, metrics, kind)) as Arc<dyn ChunkStore>)
-        })
-        .collect()
-}
-
 /// The result of a run: the final reduction object plus the paper-shaped
 /// statistics record.
 #[derive(Debug)]
@@ -237,7 +217,6 @@ struct SlaveMetrics {
     ledger: LiveLedger,
     fetch_hist: Histogram,
     proc_hist: Histogram,
-    occupancy: Gauge,
     dropped: Counter,
     settle_jobs: Histogram,
 }
@@ -262,11 +241,6 @@ impl SlaveMetrics {
             proc_hist: metrics.histogram(
                 "cloudburst_process_seconds",
                 "Per-chunk decode-and-reduce latency.",
-                per_site,
-            ),
-            occupancy: metrics.gauge(
-                "cloudburst_pipeline_prefetched",
-                "Fetched-and-waiting jobs buffered in slave pipelines.",
                 per_site,
             ),
             dropped: metrics.counter(
@@ -395,7 +369,6 @@ fn prepare(
         }
     }
     let chaos = config.ft.chaos.clone().filter(|p| !p.is_empty());
-    let stores = meter_stores(stores, &config.metrics);
     let stores = match &chaos {
         // Storage faults are injected between the router and the backends,
         // so every site's reads draw from the same seeded schedule.
@@ -406,7 +379,6 @@ fn prepare(
         _ => stores,
     };
     let mut router = StoreRouter::new(stores, &config.topology, config.fetch, config.time_scale);
-    router.set_metrics(&config.metrics);
     // Size the fetcher pools for every worker (or, with pipelining, its
     // fetch executor) hitting storage at once.
     router.set_concurrency(active.iter().map(|&(_, c)| c as usize).sum());
@@ -972,7 +944,6 @@ fn run_slave<R: Reduction>(
                     if fetched_tx.send(FetchedJob::fetch(ctx, router, job)).is_err() {
                         return;
                     }
-                    ctx.metrics.occupancy.add(1);
                 }
             });
             (job_tx, fetched_rx)
@@ -1054,7 +1025,6 @@ fn run_slave<R: Reduction>(
                             }
                         };
                     idle = false;
-                    ctx.metrics.occupancy.add(-1);
                     if let Err(e) = worker.take(&mut core, pre, &mut buf) {
                         break Err(e);
                     }
@@ -1081,9 +1051,11 @@ fn run_slave<R: Reduction>(
             }
             hear(&mut core, replies.recv().ok().flatten(), 0.0);
         }
+        // Close the executor's queue and take what it still fetched, so it
+        // is not left blocked on a full channel.
         if let Some((to_fetch, fetched)) = executor {
             drop(to_fetch);
-            landed.into_iter().chain(fetched.iter()).for_each(|_| ctx.metrics.occupancy.add(-1));
+            fetched.iter().for_each(drop);
         }
         outcome?;
         Ok(worker.finish())
@@ -2581,8 +2553,6 @@ mod tests {
             exp.sum_family("cloudburst_pool_steals_total") as u64,
             out.report.total_stolen()
         );
-        let remote_total: u64 = out.report.sites.values().map(|s| s.remote_bytes).sum();
-        assert_eq!(exp.sum_family("cloudburst_net_bytes_total") as u64, remote_total);
         // Every job went through the latency histograms; gauges settled.
         assert_eq!(
             exp.sum_family("cloudburst_process_seconds_count") as u64,
@@ -2590,9 +2560,6 @@ mod tests {
         );
         assert_eq!(exp.sum_family("cloudburst_pool_queue_depth") as i64, 0);
         assert_eq!(exp.sum_family("cloudburst_pool_in_flight") as i64, 0);
-        // Store decorators saw real traffic.
-        assert!(exp.sum_family("cloudburst_store_requests_total") > 0.0);
-        assert!(exp.sum_family("cloudburst_store_bytes_total") > 0.0);
     }
 
     /// The runs of the fault matrix: the two `event_stream_rederives_the_legacy_report`

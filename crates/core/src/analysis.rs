@@ -28,14 +28,14 @@
 //!   cross-run gate `verify.sh` runs against the committed baseline.
 //!
 //! One classification rule deserves a callout: a `chunk-fetched` event is
-//! counted as **WAN-class** when it was remote *or* when the fetching site
-//! is not the local cluster. In the paper's testbed the cloud site's
+//! counted as **WAN-class** ([`wan_class`]) when it was remote *or* when the
+//! fetching site is not the local cluster. In the paper's testbed the cloud site's
 //! storage *is* S3 — a cloud worker's "local" read still crosses the S3
 //! front-end (30 ms TTFB, shared host cap), which is exactly the cost cloud
 //! bursting pays for elasticity. Only campus-cluster reads ride the LAN.
 
 use crate::json::Json;
-use crate::telemetry::{ns_to_secs, Event, EventKind};
+use crate::telemetry::{ns_to_secs, wan_class, Event, EventKind};
 use crate::types::{ChunkId, Seconds, SiteId};
 use std::collections::BTreeMap;
 
@@ -498,7 +498,7 @@ pub fn analyze(events: &[Event]) -> Result<RunAnalysis, String> {
             // Cloud-site storage is S3: every cloud read is WAN-class even
             // when it never crossed the inter-site link (module docs).
             EventKind::ChunkFetched { remote, .. } => {
-                if remote || e.site != Some(SiteId::LOCAL) {
+                if wan_class(e.site, remote) {
                     1
                 } else {
                     2

@@ -166,9 +166,9 @@ pub struct HealthSample {
     /// (jobs/sec/core); the caller leaves out the sites that cannot be
     /// stragglers: those with zero cores and those holding no lease.
     pub site_rates: Vec<f64>,
-    /// Cumulative WAN (cloud) fetch busy seconds.
+    /// Cumulative seconds of the WAN-class fetches (`telemetry::wan_class`).
     pub wan_fetch_secs: f64,
-    /// Cumulative WAN (cloud) fetch requests.
+    /// Cumulative WAN-class chunk fetches: the ones `wan_fetch_secs` timed.
     pub wan_fetch_jobs: u64,
 }
 

@@ -100,7 +100,7 @@ pub use stats::{
 };
 pub use telemetry::{
     chrome_trace, derive_report, events_to_jsonl, ns_between, ns_since, ns_to_secs, secs_to_ns,
-    ConsoleSink, Event, EventKind, EventSink, FlightRecorder, JsonlSink, LogLevel, PoolTally,
-    Recorder, Telemetry,
+    wan_class, ConsoleSink, Event, EventKind, EventSink, FlightRecorder, JsonlSink, LogLevel,
+    PoolTally, Recorder, Telemetry,
 };
 pub use types::{ByteSize, ChunkId, FileId, NodeId, Seconds, SiteId};

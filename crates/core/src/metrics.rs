@@ -128,7 +128,7 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// An instantaneous value (queue depth, pipeline occupancy).
+/// An instantaneous value (a request window, a connection count).
 #[derive(Clone, Default)]
 pub struct Gauge(Option<Arc<AtomicI64>>);
 
@@ -144,14 +144,6 @@ impl Gauge {
     pub fn set(&self, v: i64) {
         if let Some(g) = &self.0 {
             g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Add `d` (may be negative).
-    #[inline]
-    pub fn add(&self, d: i64) {
-        if let Some(g) = &self.0 {
-            g.fetch_add(d, Ordering::Relaxed);
         }
     }
 
@@ -760,6 +752,14 @@ pub struct SiteTotals {
     pub jobs: u64,
     /// Seconds the site's slaves spent fetching and processing.
     pub busy_secs: f64,
+    /// Bytes the site's slaves fetched across sites.
+    pub remote_bytes: u64,
+    /// Bytes the site's slaves fetched, from any store.
+    pub fetched_bytes: u64,
+    /// WAN-class fetches the site's slaves made.
+    pub wan_fetches: u64,
+    /// Seconds the site's WAN-class fetches took.
+    pub wan_secs: f64,
 }
 
 impl LedgerTotals {
@@ -775,6 +775,10 @@ impl LedgerTotals {
             leased: a.leased + s.leased,
             jobs: a.jobs + s.jobs,
             busy_secs: a.busy_secs + s.busy_secs,
+            remote_bytes: a.remote_bytes + s.remote_bytes,
+            fetched_bytes: a.fetched_bytes + s.fetched_bytes,
+            wan_fetches: a.wan_fetches + s.wan_fetches,
+            wan_secs: a.wan_secs + s.wan_secs,
         })
     }
 }
@@ -782,16 +786,16 @@ impl LedgerTotals {
 /// The ledger families' values: each site's pool counts in
 /// [`POOL_FAMILIES`] order, the jobs waiting per shard (every shard, from
 /// the first publish on), the jobs in flight once a head published, and
-/// each slave's values in [`SLAVE_FAMILIES`] order. Beside them, the jobs
-/// leased to each site, which the live view reads typed and the scrape
-/// does not show.
+/// each slave's sample, rendered as [`SLAVE_FAMILIES`]. Beside them, the
+/// jobs leased to each site and the samples' fetch fields the families do
+/// not show, which the live view reads typed.
 #[derive(Clone, Default)]
 struct Totals {
     pool: Vec<[u64; 16]>,
     depth: BTreeMap<SiteId, u64>,
     leased: BTreeMap<SiteId, u64>,
     in_flight: Option<u64>,
-    slaves: BTreeMap<(SiteId, u32), [f64; 5]>,
+    slaves: BTreeMap<(SiteId, u32), SlaveSample>,
 }
 
 impl LiveLedger {
@@ -805,7 +809,7 @@ impl LiveLedger {
     /// Publish what slave `worker` at `site` has tallied.
     pub fn publish_slave(&self, site: SiteId, worker: u32, sample: &SlaveSample) {
         if let Some((_, mine)) = &self.0 {
-            mine.lock().slaves.insert((site, worker), SLAVE_FAMILIES.map(|(.., v)| v(sample)));
+            mine.lock().slaves.insert((site, worker), *sample);
         }
     }
 }
@@ -889,7 +893,7 @@ const POOL_FAMILIES: [PoolFamily; 16] = [
     ("cloudburst_pool_saved_refetch_total", help::SAVED, None, |r| r.saved_refetches),
 ];
 
-/// The live view reads the first (jobs) and the last two (busy seconds).
+/// Rendered in this order; the live view reads the samples typed.
 const SLAVE_FAMILIES: [SlaveFamily; 5] = [
     ("cloudburst_slave_jobs_total", help::JOBS, |s| s.jobs as f64),
     ("cloudburst_slave_remote_bytes_total", help::BYTES, |s| s.remote_bytes as f64),
@@ -932,7 +936,16 @@ impl Totals {
         }
         for (&slave, theirs) in &other.slaves {
             let mine = self.slaves.entry(slave).or_default();
-            mine.iter_mut().zip(theirs).for_each(|(a, b)| *a += b);
+            mine.processing += theirs.processing;
+            mine.retrieval += theirs.retrieval;
+            mine.finish = mine.finish.max(theirs.finish);
+            mine.remote_bytes += theirs.remote_bytes;
+            mine.fetched_bytes += theirs.fetched_bytes;
+            mine.wan_fetches += theirs.wan_fetches;
+            mine.wan_secs += theirs.wan_secs;
+            mine.retries += theirs.retries;
+            mine.rereduced += theirs.rereduced;
+            mine.jobs += theirs.jobs;
         }
     }
 
@@ -962,11 +975,11 @@ impl Totals {
         if let Some(n) = self.in_flight {
             put("cloudburst_pool_in_flight", help::IN_FLIGHT, gauge, &[], n as f64);
         }
-        for (&(site, worker), values) in &self.slaves {
+        for (&(site, worker), sample) in &self.slaves {
             let (site, worker) = (site.to_string(), worker.to_string());
             let labels = [("site", site.as_str()), ("worker", worker.as_str())];
-            for (&(name, help, _), &value) in SLAVE_FAMILIES.iter().zip(values) {
-                put(name, help, counter, &labels, value);
+            for &(name, help, value) in &SLAVE_FAMILIES {
+                put(name, help, counter, &labels, value(sample));
             }
         }
     }
@@ -985,10 +998,14 @@ impl Totals {
         for (&site, &leased) in self.leased.iter().filter(|(_, &n)| n > 0) {
             sites.entry(site).or_default().leased = leased;
         }
-        for (&(site, _), &[jobs, _, _, fetch, process]) in &self.slaves {
+        for (&(site, _), slave) in &self.slaves {
             let row = sites.entry(site).or_default();
-            row.jobs += jobs as u64;
-            row.busy_secs += fetch + process;
+            row.jobs += slave.jobs;
+            row.busy_secs += slave.retrieval + slave.processing;
+            row.remote_bytes += slave.remote_bytes;
+            row.fetched_bytes += slave.fetched_bytes;
+            row.wan_fetches += slave.wan_fetches;
+            row.wan_secs += slave.wan_secs;
         }
         LedgerTotals { in_flight: self.in_flight.unwrap_or(0), sites }
     }
@@ -1564,7 +1581,7 @@ mod tests {
         let h = m.histogram("cloudburst_fetch_seconds", "fetch", &[("site", "local")]);
         h.observe_secs(0.001);
         h.observe_secs(0.004);
-        m.counter("cloudburst_store_requests_total", "store reqs", &[("store", "s3")]).add(9);
+        m.counter("cloudburst_reads_total", "reads", &[("store", "s3")]).add(9);
         let reg = m.registry().unwrap();
         let text = reg.render();
         assert_eq!(text, reg.render(), "render must be deterministic");
@@ -1572,7 +1589,7 @@ mod tests {
         assert_eq!(exp.get("cloudburst_jobs_granted_total", &[("site", "local")]), Some(3.0));
         assert_eq!(exp.sum_family("cloudburst_jobs_granted_total"), 7.0);
         assert_eq!(exp.get("cloudburst_jobs_pending", &[]), Some(11.0));
-        assert_eq!(exp.get("cloudburst_store_requests_total", &[("store", "s3")]), Some(9.0));
+        assert_eq!(exp.get("cloudburst_reads_total", &[("store", "s3")]), Some(9.0));
         assert_eq!(exp.get("cloudburst_fetch_seconds_count", &[("site", "local")]), Some(2.0));
         let by = exp.by_label("cloudburst_jobs_granted_total", "site");
         assert_eq!(by.get("cloud"), Some(&4.0));

@@ -171,6 +171,12 @@ pub struct SlaveSample {
     pub finish: Seconds,
     /// Bytes the slave fetched from remote storage.
     pub remote_bytes: u64,
+    /// Bytes the slave fetched, from any store.
+    pub fetched_bytes: u64,
+    /// WAN-class fetches the slave made (`telemetry::wan_class`).
+    pub wan_fetches: u64,
+    /// Seconds the slave's WAN-class fetches took.
+    pub wan_secs: Seconds,
     /// Transient storage-read failures absorbed under the slave's fetches.
     pub retries: u64,
     /// Accepted jobs the slave reduced a second time because a job settled

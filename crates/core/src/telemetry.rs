@@ -1204,6 +1204,17 @@ fn row_mut(sites: &mut Vec<SiteRow>, site: SiteId) -> &mut SiteRow {
     &mut sites[i]
 }
 
+/// Whether a chunk fetched by a slave at `site` is WAN-class: it crossed
+/// the inter-site link, or the slave is not at the local cluster. Only the
+/// campus cluster's storage is on the LAN; the cloud's is S3, whose
+/// front-end every read crosses. The run analysis attributes time and the
+/// slave's ledger counts fetches by this one rule.
+#[inline(always)]
+#[must_use]
+pub fn wan_class(site: Option<SiteId>, remote: bool) -> bool {
+    remote || site != Some(SiteId::LOCAL)
+}
+
 impl SlaveSample {
     /// Fold one of the slave's own events into its ledger: what a live slave
     /// does with every fact it states, and what [`derive_report`] does with
@@ -1212,9 +1223,15 @@ impl SlaveSample {
     pub fn apply(&mut self, e: &Event) {
         match e.kind {
             EventKind::ChunkFetched { bytes, remote, retries } => {
-                self.retrieval += ns_to_secs(e.dur_ns);
+                let secs = ns_to_secs(e.dur_ns);
+                self.retrieval += secs;
+                self.fetched_bytes += bytes;
                 if remote {
                     self.remote_bytes += bytes;
+                }
+                if wan_class(e.site, remote) {
+                    self.wan_fetches += 1;
+                    self.wan_secs += secs;
                 }
                 self.retries += retries;
             }

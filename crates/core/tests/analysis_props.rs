@@ -5,9 +5,12 @@
 //! makespan within tolerance), every category must be non-negative, and the
 //! critical path must never claim more time than the run took. The
 //! sequence audit must accept every permutation of a complete stamp set and
-//! reject any drop or duplication.
+//! reject any drop or duplication. The slave's ledger counts as WAN-class
+//! exactly the fetches the analysis attributes to `wan_fetch`.
 
-use cloudburst_core::{analyze, check_sequence, secs_to_ns, ChunkId, Event, EventKind, SiteId};
+use cloudburst_core::{
+    analyze, check_sequence, ns_to_secs, secs_to_ns, ChunkId, Event, EventKind, SiteId, SlaveSample,
+};
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-6;
@@ -215,6 +218,54 @@ proptest! {
         }
         prop_assert!(run.critical_path_secs() <= attr.makespan + TOL,
             "critical path {} exceeds makespan {}", run.critical_path_secs(), attr.makespan);
+    }
+
+    /// One WAN-class rule: over a random lane of fetches — remote or not,
+    /// by a slave at the local cluster, the cloud or a third site — the
+    /// slave's ledger counts as WAN-class the fetches the analysis puts in
+    /// `wan_fetch` when it sees each alone, and their seconds are the
+    /// lane's `wan_fetch`; the rest of its retrieval is `local_fetch`.
+    #[test]
+    fn the_ledger_counts_the_fetches_analysis_calls_wan(
+        site in 0u16..3,
+        fetches in prop::collection::vec((1u64..1_000_000, any::<bool>(), 0u64..10_000), 1..40),
+    ) {
+        let site = SiteId(site);
+        // A lane ending at `end`, closed as the runtime closes a run.
+        let closed = |mut lane: Vec<Event>, end: u64| {
+            lane.push(Event::at(end, EventKind::SlaveFinished).site(site).worker(0));
+            lane.push(Event::at(end, EventKind::SiteMerged).site(site));
+            lane.push(Event::at(end, EventKind::SiteFinished).site(site));
+            lane.push(Event::at(end, EventKind::GlobalReduction));
+            lane.push(Event::at(end, EventKind::RunFinished));
+            lane
+        };
+        let mut lane = Vec::new();
+        let mut t = 0;
+        for &(dur, remote, gap) in &fetches {
+            t += gap;
+            let fetched = EventKind::ChunkFetched { bytes: 64, remote, retries: 0 };
+            lane.push(Event::span(t, dur, fetched).site(site).worker(0));
+            t += dur;
+        }
+        let (mut wan_fetches, mut wan_secs) = (0, 0.0);
+        for e in &lane {
+            let alone = analyze(&closed(vec![*e], e.at_ns + e.dur_ns)).expect("one fetch analyzes");
+            if alone.attribution.wan_fetch > 0.0 {
+                wan_fetches += 1;
+                wan_secs += ns_to_secs(e.dur_ns);
+            }
+        }
+        let mut ledger = SlaveSample::default();
+        lane.iter().for_each(|e| ledger.apply(e));
+        let attr = analyze(&closed(lane, t)).expect("the lane analyzes").attribution;
+
+        prop_assert_eq!(ledger.wan_fetches, wan_fetches);
+        prop_assert!((ledger.wan_secs - wan_secs).abs() < TOL, "{} vs {}", ledger.wan_secs, wan_secs);
+        prop_assert!((ledger.wan_secs - attr.wan_fetch).abs() < TOL,
+            "ledger {} vs analysis {}", ledger.wan_secs, attr.wan_fetch);
+        prop_assert!((ledger.retrieval - ledger.wan_secs - attr.local_fetch).abs() < TOL,
+            "ledger {} vs analysis {}", ledger.retrieval - ledger.wan_secs, attr.local_fetch);
     }
 
     /// The sequence audit accepts any delivery order of a complete stamp

@@ -214,6 +214,7 @@ proptest! {
                     retries,
                     rereduced: 0,
                     jobs: 1,
+                    ..SlaveSample::default()
                 });
             }
             for k in 0..(local + stolen) {

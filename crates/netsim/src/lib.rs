@@ -25,5 +25,5 @@ pub mod topology;
 pub use jitter::Jitter;
 pub use link::{profiles, LinkSpec};
 pub use pipe::Pipe;
-pub use throttle::{sleep_until, Throttle, TransferObserver};
+pub use throttle::{sleep_until, Throttle};
 pub use topology::Topology;

@@ -14,13 +14,7 @@
 use crate::link::{LinkSpec, Seconds};
 use crate::pipe::Pipe;
 use parking_lot::Mutex;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Callback invoked after every completed transfer with `(bytes, modelled
-/// seconds, queueing included)`. Lets a metrics layer count link traffic
-/// without this crate depending on it.
-pub type TransferObserver = Arc<dyn Fn(u64, f64) + Send + Sync>;
 
 /// A [`Pipe`] on the real clock: transfers reserve its channels at the
 /// (scaled) time they arrive and sleep until they are done.
@@ -31,8 +25,6 @@ pub struct Throttle {
     start: Instant,
     /// The pipe, on the modelled clock.
     pipe: Mutex<Pipe>,
-    /// Optional per-transfer callback (bytes, modelled secs).
-    observer: Mutex<Option<TransferObserver>>,
 }
 
 impl std::fmt::Debug for Throttle {
@@ -40,7 +32,6 @@ impl std::fmt::Debug for Throttle {
         f.debug_struct("Throttle")
             .field("pipe", &*self.pipe.lock())
             .field("time_scale", &self.time_scale)
-            .field("observed", &self.observer.lock().is_some())
             .finish()
     }
 }
@@ -66,19 +57,7 @@ impl Throttle {
             time_scale.is_finite() && time_scale > 0.0,
             "time_scale must be finite and positive"
         );
-        Throttle {
-            time_scale,
-            start: Instant::now(),
-            pipe: Mutex::new(Pipe::new(spec, channels)),
-            observer: Mutex::new(None),
-        }
-    }
-
-    /// Install (or replace) the per-transfer observer: called after every
-    /// completed [`Throttle::transfer`] with the byte count and the modelled
-    /// seconds the transfer took, queueing included.
-    pub fn set_observer(&self, observer: impl Fn(u64, f64) + Send + Sync + 'static) {
-        *self.observer.lock() = Some(Arc::new(observer));
+        Throttle { time_scale, start: Instant::now(), pipe: Mutex::new(Pipe::new(spec, channels)) }
     }
 
     /// Reserve a transfer of `bytes` now without waiting for it: the real
@@ -97,10 +76,6 @@ impl Throttle {
     pub fn transfer(&self, bytes: u64) -> f64 {
         let (done, modelled) = self.reserve(bytes);
         sleep_until(done);
-        let observer = self.observer.lock().clone();
-        if let Some(observe) = observer {
-            observe(bytes, modelled);
-        }
         modelled
     }
 }
@@ -164,22 +139,6 @@ mod tests {
         let real = before.elapsed().as_secs_f64();
         // 10 modelled seconds at 1e-3 = 10 ms real, minus scheduling slack.
         assert!(real >= 8e-3, "two transfers must serialize, took {real}");
-    }
-
-    #[test]
-    fn observer_sees_every_transfer() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let t = Throttle::new(spec(0.0, 1e6), 1e-4);
-        let total = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&total);
-        t.set_observer(move |bytes, modelled| {
-            assert!(modelled > 0.0);
-            seen.fetch_add(bytes, Ordering::Relaxed);
-        });
-        let m1 = t.transfer(1000);
-        let m2 = t.transfer(500);
-        assert!(m1 > 0.0 && m2 > 0.0);
-        assert_eq!(total.load(Ordering::Relaxed), 1500);
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //! * the binary on-disk index format ([`index_io`]);
 //! * transient-error classification and capped exponential backoff with
 //!   deterministic jitter for range reads ([`retry`]);
-//! * seeded, replayable fault injection over any store ([`chaos`]);
-//! * live-metrics decoration over any store — request/byte/error counters
-//!   and read-latency histograms ([`metered`]).
+//! * seeded, replayable fault injection over any store ([`chaos`]).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -27,7 +25,6 @@ pub mod fetch;
 pub mod file;
 pub mod index_io;
 pub mod mem;
-pub mod metered;
 pub mod organizer;
 pub mod pool;
 pub mod retry;
@@ -42,7 +39,6 @@ pub use index_io::{
     read_index_meta, write_index, write_index_redundant,
 };
 pub use mem::MemStore;
-pub use metered::MeteredStore;
 pub use organizer::{
     fraction_placement, organize, organize_redundant, reassemble, Organized, SiteStore,
 };

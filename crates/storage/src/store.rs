@@ -15,7 +15,7 @@ pub trait ChunkStore: Send + Sync {
     fn site(&self) -> SiteId;
 
     /// A short static name for the backend flavor (`"mem"`, `"file"`,
-    /// `"s3sim"`), used as the `store` label on live-metrics series.
+    /// `"s3sim"`), by which a profiling decorator names the reads it times.
     /// Decorators delegate to their inner store.
     fn kind(&self) -> &'static str {
         "store"

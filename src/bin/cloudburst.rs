@@ -502,7 +502,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         config.metrics = Metrics::on();
     }
     let health = Arc::new(Mutex::new(HealthMonitor::new(health_config, config.telemetry.clone())));
-    let pricing = PricingModel::aws_2011();
+    let meter = CostMeter::new(&config, &index);
     // Keep the server handle alive for the whole command; Drop stops the
     // listener and joins its thread.
     let _server = match &metrics_addr {
@@ -539,7 +539,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         health.clone(),
         watch,
         config.env.clone(),
-        pricing,
+        meter,
     );
 
     let run_result = execute_app(&app, args, &index, stores, &config);
@@ -556,7 +556,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     };
     if let Some((report, egress)) = report {
         let elapsed = run_started.elapsed().as_secs_f64();
-        let cost = final_cost(&config, egress, &index, passes(&app, args)?, elapsed, &pricing);
+        let reads = meter.cloud_chunks * passes(&app, args)? as u64;
+        let cost = meter.price(elapsed, reads, egress);
         print_report(&report, &cost);
         let monitor = health.lock().map_err(|_| "health monitor poisoned".to_owned())?;
         if monitor.total_trips() > 0 {
@@ -603,8 +604,8 @@ fn app_k(app: &str, args: &[String]) -> Result<usize, String> {
 }
 
 /// Execute the chosen application over the organized dataset, returning the
-/// (last iteration's) report and the bytes the local site read from the
-/// cloud over every iteration. Split out of [`cmd_run`] so every fatal path
+/// (last iteration's) report and the bytes that left the cloud over every
+/// iteration. Split out of [`cmd_run`] so every fatal path
 /// funnels through one place where the black box is written.
 fn execute_app(
     app: &str,
@@ -613,11 +614,11 @@ fn execute_app(
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     config: &RuntimeConfig,
 ) -> Result<Option<(RunReport, u64)>, String> {
-    // What the local site read from the cloud, over every iteration: the
-    // egress a run without live metrics is priced by.
+    // What left the cloud over every iteration: the egress the run is
+    // priced by.
     let mut egress = 0;
     let mut pass = |report: RunReport| {
-        egress += report.sites.get(&SiteId::LOCAL).map_or(0, |s| s.remote_bytes);
+        egress += cloud_egress(report.sites.iter().map(|(&site, s)| (site, s.remote_bytes)));
         report
     };
     let report = match app {
@@ -951,6 +952,30 @@ fn site_rates(ledger: &LedgerTotals, prev: &LedgerTotals, dt: f64, env: &EnvConf
         .collect()
 }
 
+/// The health detectors' reading of the live ledger at `at_ns`, `dt`
+/// seconds after `prev`: outstanding and completed jobs, reaps, shard
+/// depths, per-core rates, and the slaves' WAN-class fetches and their
+/// seconds, both counted off the same fetches.
+fn health_sample(
+    ledger: &LedgerTotals,
+    prev: &LedgerTotals,
+    at_ns: u64,
+    dt: f64,
+    env: &EnvConfig,
+) -> HealthSample {
+    let all = ledger.all();
+    HealthSample {
+        at_ns,
+        outstanding: all.depth + ledger.in_flight,
+        completions: all.jobs,
+        lease_reaps: all.lease_reaps,
+        shard_depths: ledger.sites.values().map(|s| s.depth).collect(),
+        site_rates: site_rates(ledger, prev, dt, env),
+        wan_fetch_secs: all.wan_secs,
+        wan_fetch_jobs: all.wan_fetches,
+    }
+}
+
 /// `cloudburst health <url>`: fetch a run's `/healthz` verdict and render
 /// it; exits non-zero when any detector is tripped.
 fn cmd_health(args: &[String]) -> Result<(), String> {
@@ -988,12 +1013,51 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
 // live metrics: the background sampler behind --metrics-addr / --watch
 // ---------------------------------------------------------------------------
 
-/// What the cloud bills so far: the object-store GETs it served (priced per
-/// 10k) and the bytes that crossed an inter-site link out of it (per GiB).
-fn cloud_usage(registry: &Registry) -> (u64, u64) {
-    let gets = registry.total("cloudburst_store_requests_total", &[("site", "cloud")]);
-    let egress = registry.total("cloudburst_net_bytes_total", &[("src", "cloud")]);
-    (gets as u64, egress as u64)
+/// The one rule a run is priced by, live and in its `cost` block: the cloud's
+/// instances for the time so far, a GET for each of the `FetchConfig::parts`
+/// ranges of every read of a cloud-hosted chunk (priced per 10k), and the
+/// bytes the other sites fetched across sites as egress (per GiB).
+#[derive(Clone, Copy)]
+struct CostMeter {
+    pricing: PricingModel,
+    cloud_cores: u32,
+    /// Cloud-hosted chunks, and the GETs one read of each of them takes.
+    cloud_chunks: u64,
+    gets_per_pass: u64,
+}
+
+impl CostMeter {
+    fn new(config: &RuntimeConfig, index: &DataIndex) -> CostMeter {
+        let cloud = index.chunks.iter().filter(|c| c.site == SiteId::CLOUD);
+        let (cloud_chunks, gets_per_pass) =
+            cloud.fold((0, 0), |(n, gets), c| (n + 1, gets + config.fetch.parts(c.len)));
+        let (pricing, cloud_cores) = (PricingModel::aws_2011(), config.env.cloud_cores);
+        CostMeter { pricing, cloud_cores, cloud_chunks, gets_per_pass }
+    }
+
+    /// The cost of `elapsed` seconds in which `reads` cloud-hosted chunks
+    /// were read and `egress` bytes left the cloud. The GETs are exact when
+    /// every chunk was read as often as every other, as at the end of a pass
+    /// that read none twice: retries below the chunk are not counted.
+    fn price(&self, elapsed: f64, reads: u64, egress: u64) -> CostReport {
+        let gets = (self.gets_per_pass * reads).checked_div(self.cloud_chunks).unwrap_or(0);
+        cost_of_usage(&self.pricing, self.cloud_cores, elapsed, gets, egress)
+    }
+
+    /// The run so far, off the live ledger: the cloud-hosted chunks read are
+    /// the cloud's grants of its own shard and the steals out of it.
+    fn so_far(&self, ledger: &LedgerTotals, elapsed: f64) -> CostReport {
+        let cloud = ledger.sites.get(&SiteId::CLOUD).copied().unwrap_or_default();
+        let reads = cloud.grants.saturating_sub(cloud.steals) + cloud.stolen_from;
+        let egress = cloud_egress(ledger.sites.iter().map(|(&site, s)| (site, s.remote_bytes)));
+        self.price(elapsed, reads, egress)
+    }
+}
+
+/// The bytes that left the cloud: what the other sites fetched across sites,
+/// of each site's remote bytes.
+fn cloud_egress(remote_bytes: impl Iterator<Item = (SiteId, u64)>) -> u64 {
+    remote_bytes.filter(|&(site, _)| site != SiteId::CLOUD).map(|(_, bytes)| bytes).sum()
 }
 
 /// The background sampler: every 250 ms it reads the live ledger, emits a
@@ -1012,7 +1076,7 @@ impl LiveMetrics {
         health: Arc<Mutex<HealthMonitor>>,
         watch: bool,
         env: EnvConfig,
-        pricing: PricingModel,
+        meter: CostMeter,
     ) -> Option<LiveMetrics> {
         let registry = metrics.registry()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -1020,7 +1084,7 @@ impl LiveMetrics {
         let thread = std::thread::Builder::new()
             .name("live-metrics".into())
             .spawn(move || {
-                sampler_loop(&registry, &telemetry, &health, watch, &env, &pricing, &stop2);
+                sampler_loop(&registry, &telemetry, &health, watch, &env, &meter, &stop2);
             })
             .ok()?;
         Some(LiveMetrics { stop, thread: Some(thread) })
@@ -1029,7 +1093,7 @@ impl LiveMetrics {
 
 impl Drop for LiveMetrics {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -1042,43 +1106,37 @@ fn sampler_loop(
     health: &Mutex<HealthMonitor>,
     watch: bool,
     env: &EnvConfig,
-    pricing: &PricingModel,
+    meter: &CostMeter,
     stop: &AtomicBool,
 ) {
     const TICK: Duration = Duration::from_millis(250);
     let epoch = Instant::now();
     let mut prev = LedgerTotals::default();
     let mut prev_at = epoch;
-    while !stop.load(Ordering::Relaxed) {
+    // The tick that sees the stop (`Release` in `Drop`, `Acquire` here) reads
+    // the finished run, so the last line shows what the run's artifacts do.
+    let mut last = false;
+    while !last {
         std::thread::sleep(TICK);
+        last = stop.load(Ordering::Acquire);
         let now = Instant::now();
         let ledger = registry.ledger();
         let all = ledger.all();
+        let at_ns = ns_since(epoch);
         let dt = now.saturating_duration_since(prev_at).as_secs_f64().max(1e-9);
         telemetry.emit(Event::at(
-            ns_since(epoch),
+            at_ns,
             EventKind::MetricsSnapshot {
                 grants: all.grants,
                 steals: all.steals,
                 completions: all.jobs,
                 queue_depth: all.depth,
-                bytes: registry.total("cloudburst_store_bytes_total", &[]) as u64,
+                bytes: all.fetched_bytes,
             },
         ));
-        // Feed the health detectors the same tick the watch line renders:
-        // per-core completion rates, shard depths, reap and WAN counters.
+        // Feed the health detectors the same tick the watch line renders.
         // The monitor differentiates across ticks itself.
-        let site_rates = site_rates(&ledger, &prev, dt, env);
-        let sample = HealthSample {
-            at_ns: ns_since(epoch),
-            outstanding: all.depth + ledger.in_flight,
-            completions: all.jobs,
-            lease_reaps: all.lease_reaps,
-            shard_depths: ledger.sites.values().map(|s| s.depth).collect(),
-            site_rates,
-            wan_fetch_secs: registry.total("cloudburst_net_transfer_seconds_total", &[]),
-            wan_fetch_jobs: cloud_usage(registry).0,
-        };
+        let sample = health_sample(&ledger, &prev, at_ns, dt, env);
         let tripped = health.lock().map(|mut monitor| {
             monitor.observe(&sample);
             monitor.tripped()
@@ -1086,7 +1144,7 @@ fn sampler_loop(
         if watch {
             let elapsed = now.saturating_duration_since(epoch).as_secs_f64();
             let tripped = tripped.unwrap_or_default();
-            let line = watch_line(&ledger, &prev, registry, dt, elapsed, env, &tripped, pricing);
+            let line = watch_line(&ledger, &prev, registry, dt, elapsed, env, &tripped, meter);
             eprintln!("{line}");
         }
         prev = ledger;
@@ -1096,7 +1154,8 @@ fn sampler_loop(
 
 /// Render one `--watch` status line: overall progress, per-site throughput
 /// and utilization, the straggler while the health monitor's detector for it
-/// is `tripped`, and the running dollar meter.
+/// is `tripped`, and the running dollar meter with the GETs and egress it
+/// prices.
 #[allow(clippy::too_many_arguments)]
 fn watch_line(
     ledger: &LedgerTotals,
@@ -1106,7 +1165,7 @@ fn watch_line(
     elapsed: f64,
     env: &EnvConfig,
     tripped: &[HealthDetector],
-    pricing: &PricingModel,
+    meter: &CostMeter,
 ) -> String {
     let all = ledger.all();
     let mut line = format!(
@@ -1164,9 +1223,13 @@ fn watch_line(
             head("cloudburst_head_wakeups_total")
         ));
     }
-    let (gets, egress) = cloud_usage(registry);
-    let cost = cost_of_usage(pricing, env.cloud_cores, elapsed, gets, egress);
-    line.push_str(&format!(" | ${:.4}", cost.total()));
+    let cost = meter.so_far(ledger, elapsed);
+    line.push_str(&format!(
+        " | ${:.4} ({} GETs, {} B egress)",
+        cost.total(),
+        cost.get_requests,
+        cost.egress_bytes
+    ));
     line
 }
 
@@ -1177,32 +1240,6 @@ fn passes(app: &str, args: &[String]) -> Result<usize, String> {
         "kmeans" | "pagerank" => opt_parse(args, "--iterations", 10),
         _ => Ok(1),
     }
-}
-
-/// Price the finished run. With live metrics on, the GET and egress
-/// counters are read from the registry (exact, and covering every iteration
-/// of an iterative command). With metrics off, the GETs follow the
-/// runtime's read rule — each cloud-hosted chunk read once per pass, in
-/// `FetchConfig::parts` ranged GETs — which is exact for a run without
-/// retries or duplicate executions, and the egress is `egress`, the local
-/// site's remote bytes summed over every pass.
-fn final_cost(
-    config: &RuntimeConfig,
-    egress: u64,
-    index: &DataIndex,
-    passes: usize,
-    elapsed_secs: f64,
-    pricing: &PricingModel,
-) -> CostReport {
-    let (gets, egress) = match config.metrics.registry() {
-        Some(registry) => cloud_usage(&registry),
-        None => {
-            let cloud = index.chunks.iter().filter(|c| c.site == SiteId::CLOUD);
-            let per_pass: u64 = cloud.map(|c| config.fetch.parts(c.len)).sum();
-            (per_pass * passes as u64, egress)
-        }
-    };
-    cost_of_usage(pricing, config.env.cloud_cores, elapsed_secs, gets, egress)
 }
 
 /// The `cost` block attached to `--stats-out` documents.
@@ -1586,8 +1623,7 @@ const CORE_FAMILIES: &[&str] = &[
     "cloudburst_pool_grants_total",
     "cloudburst_pool_jobs_merged_total",
     "cloudburst_slave_jobs_total",
-    "cloudburst_store_requests_total",
-    "cloudburst_store_bytes_total",
+    "cloudburst_slave_fetch_busy_seconds_total",
 ];
 
 /// Validate a metrics scrape: the text must parse as exposition format
@@ -1914,6 +1950,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// The meter of a run whose data is all at the local site.
+    fn no_cloud_data() -> CostMeter {
+        let pricing = PricingModel::aws_2011();
+        CostMeter { pricing, cloud_cores: 1, cloud_chunks: 0, gets_per_pass: 0 }
+    }
+
     #[test]
     fn chaos_specs_with_numbers_out_of_range_are_refused_by_clause() {
         // Every spec verify.sh runs with parses.
@@ -1974,10 +2016,10 @@ mod tests {
             ledger.sites.insert(site, SiteTotals { jobs, leased: 5, ..SiteTotals::default() });
         }
         let prev = LedgerTotals::default();
-        let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
+        let (registry, meter) = (Registry::new(), no_cloud_data());
         let env = EnvConfig::new("watch", 0.5, 1, 1);
         let line = |tripped: &[HealthDetector]| {
-            watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, tripped, &pricing)
+            watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, tripped, &meter)
         };
         let quiet = line(&[HealthDetector::QueueStall]);
         assert!(!quiet.contains("straggler"), "{quiet}");
@@ -1993,10 +2035,10 @@ mod tests {
         let local = SiteTotals { jobs: 7, leased: 2, ..SiteTotals::default() };
         ledger.sites.insert(SiteId::LOCAL, local);
         ledger.sites.insert(SiteId::CLOUD, SiteTotals { depth: 8, ..SiteTotals::default() });
-        let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
+        let (registry, meter) = (Registry::new(), no_cloud_data());
         let prev = LedgerTotals::default();
         let (env, tripped) = (EnvConfig::new("watch", 0.5, 3, 0), [HealthDetector::Straggler]);
-        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &pricing);
+        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &meter);
         assert!(line.contains("| cloud 0 j/s 0% busy q 8"), "{line}");
         assert!(!line.contains("straggler"), "{line}");
     }
@@ -2024,10 +2066,47 @@ mod tests {
             });
         }
         assert!(!monitor.tripped().contains(&HealthDetector::Straggler));
-        let (registry, pricing) = (Registry::new(), PricingModel::aws_2011());
+        let (registry, meter) = (Registry::new(), no_cloud_data());
         let tripped = [HealthDetector::Straggler];
-        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &pricing);
+        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &meter);
         assert!(!line.contains("straggler"), "{line}");
+    }
+
+    #[test]
+    fn the_wan_detectors_inputs_are_the_wan_class_fetches_the_run_logged() {
+        // The cloud hosts a tenth of the data and has as many cores as the
+        // local site: it runs dry first and steals, so the run makes LAN
+        // reads, the cloud's reads of its own S3-class store and stolen ones.
+        let data = gen::gen_words(40_000, 64, 7);
+        let params = LayoutParams { unit_size: 16, units_per_chunk: 256, n_files: 10 };
+        let org = organize(&data, params, &mut fraction_placement(0.9, 10)).unwrap();
+        let stores = (org.stores.iter())
+            .map(|(&s, st)| (s, Arc::new(st.clone()) as Arc<dyn ChunkStore>))
+            .collect();
+        let env = EnvConfig::new("wan-sample", 0.9, 2, 2);
+        let mut config = RuntimeConfig::new(env.clone(), 1e-6);
+        config.metrics = Metrics::on();
+        let recorder = Arc::new(Recorder::new());
+        config.telemetry = Telemetry::to(recorder.clone());
+        let out = run_hybrid(&WordCount, &org.index, stores, &config).unwrap();
+        assert!(out.report.total_stolen() > 0, "the run was to steal");
+
+        let ledger = config.metrics.registry().expect("metrics are on").ledger();
+        let sample = health_sample(&ledger, &LedgerTotals::default(), 0, 1.0, &env);
+        let events = recorder.take();
+        let wan: Vec<(bool, u64)> = (events.iter())
+            .filter_map(|e| match e.kind {
+                EventKind::ChunkFetched { remote, .. } => Some((remote, e.site, e.dur_ns)),
+                _ => None,
+            })
+            .filter(|&(remote, site, _)| cloudburst_core::wan_class(site, remote))
+            .map(|(remote, _, dur_ns)| (remote, dur_ns))
+            .collect();
+        assert!(wan.iter().any(|w| w.0) && wan.iter().any(|w| !w.0), "both kinds of WAN read");
+        assert_eq!(sample.wan_fetch_jobs, wan.len() as u64);
+        let secs: f64 = wan.iter().map(|&(_, dur_ns)| cloudburst_core::ns_to_secs(dur_ns)).sum();
+        let drift = (sample.wan_fetch_secs - secs).abs();
+        assert!(drift < 1e-9, "{} s counted, {secs} s logged", sample.wan_fetch_secs);
     }
 
     #[test]

@@ -231,10 +231,10 @@ fn a_site_without_cores_is_never_named_a_straggler() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `cost` block prices a run's GETs the same whether or not live metrics
-/// are on: read off the store counters, or by the runtime's read rule — each
-/// cloud chunk in `FetchConfig::parts` ranged GETs, once per pass. The data
-/// is eight whole chunks of 256 KiB, each read in four ranges.
+/// The `cost` block prices a run's GETs by one rule whether or not live
+/// metrics are on — each cloud chunk in `FetchConfig::parts` ranged GETs,
+/// once per pass — and a range read that failed and was retried is no GET
+/// more. The data is eight whole chunks of 256 KiB, each read in four ranges.
 #[test]
 fn the_cost_block_counts_the_same_gets_with_metrics_on_or_off() {
     let bin = env!("CARGO_BIN_EXE_cloudburst");
@@ -261,12 +261,53 @@ fn the_cost_block_counts_the_same_gets_with_metrics_on_or_off() {
         assert_eq!(off, gets("on.json"), "{app}");
         assert!(off > 0 && off % (4 * passes) == 0, "{app}: {off} GETs");
     }
+    // A read that failed and was retried below the chunk is no GET more.
+    let chaos = [kmeans, &["--chaos", "seed=3,storage=0.2"]].concat();
+    cli(&[&chaos[..], &["--stats-out", "off.json"]].concat());
+    cli(&[&chaos[..], &["--metrics-out", "on.prom", "--stats-out", "on.json"]].concat());
+    let doc = Json::parse(std::fs::read_to_string(dir.join("on.json")).unwrap().trim()).unwrap();
+    let retries = doc.get("total_retries").and_then(Json::as_f64).expect("total_retries");
+    assert!(retries > 0.0, "the chaos run was to retry reads");
+    assert_eq!(gets("off.json"), gets("on.json"), "kmeans under storage chaos");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The live `$` meter prices by the `cost` block's rule, off the ledger: a
+/// run's last `--watch` line, printed once the run is over, names the GETs
+/// and the egress its `cost` block prices. The local site holds a fifth of
+/// the data, so it steals from the cloud, whose one core works through its
+/// own shard, over two passes.
+#[test]
+fn the_last_watch_line_prices_what_the_cost_block_prices() {
+    let bin = env!("CARGO_BIN_EXE_cloudburst");
+    let dir = scratch("watch-cost");
+    let cli = |args: &[&str]| {
+        let out = Command::new(bin).current_dir(&dir).args(args).output().expect("cloudburst");
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    cli(&["generate", "kmeans", "--out", "data.bin", "--units", "131072"]);
+    let layout = ["--unit-size", "16", "--chunk-units", "16384", "--files", "4"];
+    let org = [&["organize", "--data", "data.bin", "--out", "org"][..], &layout].concat();
+    cli(&[&org[..], &["--local-frac", "0.2"]].concat());
+    let run = ["run", "kmeans", "--org", "org", "--k", "2", "--iterations", "2"];
+    let cores = ["--local-cores", "2", "--cloud-cores", "1"];
+    let stderr = cli(&[&run[..], &cores, &["--watch", "--stats-out", "stats.json"]].concat());
+
+    let last = stderr.lines().rfind(|l| l.starts_with("[watch ")).expect("a watch line");
+    let meter = last.rsplit("| $").next().expect("a dollar meter");
+    let doc = Json::parse(std::fs::read_to_string(dir.join("stats.json")).unwrap().trim()).unwrap();
+    let cost = doc.get("cost").expect("a cost block");
+    let field = |name: &str| cost.get(name).and_then(Json::as_f64).expect(name) as u64;
+    let (gets, egress) = (field("get_requests"), field("egress_bytes"));
+    assert!(gets > 0 && egress > 0, "{gets} GETs, {egress} B egress");
+    assert!(meter.contains(&format!("({gets} GETs, {egress} B egress)")), "{last}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `cost` block prices the egress of every pass whether or not live
-/// metrics are on: off the registry's WAN counter, or summed from each
-/// iteration's report. The cloud site has data and no cores, so the local
+/// metrics are on, summed from each iteration's report. The cloud site has
+/// data and no cores, so the local
 /// site reads every cloud chunk once per pass and the bytes are the run's
 /// shape, not its timing: 3 passes over the 75 % of 2 MiB the cloud holds.
 #[test]

@@ -117,6 +117,21 @@ if command -v nm >/dev/null && nm -C ladder/target/release/ladder \
     exit 1
 fi
 
+echo "== hygiene: one record per fetch"
+# What a chunk fetch moved and how long it took is recorded once, in the
+# slave's ledger (`SlaveSample::apply` over `ChunkFetched`): the cost meter,
+# the WAN detector and the sampler's byte count read it typed. The store
+# decorator, the link observer, their series or the unread prefetch gauge
+# coming back fails the run. core/tests/golden_render.rs pins the registry's
+# render of arbitrary instrument names, two of them these, and is left out.
+STRAY=$(grep -rnE 'MeteredStore|set_observer|TransferObserver|cloudburst_(store|net)_|cloudburst_pipeline_prefetched' \
+    crates src tests examples | grep -v '^crates/core/tests/golden_render.rs:' || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "a second record of a fetch is back: fold it in SlaveSample::apply, read Registry::ledger"
+    exit 1
+fi
+
 echo "== hygiene: one scaffold, one fetch"
 # A burst is written once (`runtime::run_on` over `Transport`; `run_hybrid` and
 # `run_hybrid_tcp` only call it) and a chunk is retrieved one way
