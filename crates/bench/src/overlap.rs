@@ -13,7 +13,7 @@ use cloudburst_cluster::{run_hybrid, RuntimeConfig};
 use cloudburst_core::combiners::Sum;
 use cloudburst_core::{
     analyze, DataIndex, EnvConfig, Event, EventKind, FlightRecorder, Json, LayoutParams, Metrics,
-    Recorder, Reduction, RunAnalysis, SiteId, Telemetry,
+    Recorder, Reduction, RunAnalysis, SiteId, SlaveSample, Telemetry,
 };
 use cloudburst_netsim::LinkSpec;
 use cloudburst_storage::{
@@ -466,8 +466,8 @@ pub fn quantify(sc: &OverlapScenario, depths: &[usize], reps: u32) -> OverlapRep
         }
     }
     let t_bare = median(&mut bare_times);
-    // Each observe site also feeds a couple of counters, which the
-    // microbenchmarked per-site cost bundles in.
+    // Each observation comes with the publish of the slave's ledger that
+    // its note makes, which the microbenchmarked per-site cost bundles in.
     let observes_per_run = groups.iter().map(observations).sum::<f64>() / f64::from(triplets);
     let events_per_run = ring.total_recorded() as f64 / f64::from(triplets);
     OverlapReport {
@@ -482,19 +482,14 @@ pub fn quantify(sc: &OverlapScenario, depths: &[usize], reps: u32) -> OverlapRep
     }
 }
 
-/// Every histogram a metered run observes into.
-const HISTOGRAMS: [&str; 5] = [
-    "cloudburst_fetch_seconds",
-    "cloudburst_process_seconds",
-    "cloudburst_slave_settle_jobs",
-    "cloudburst_master_grant_rtt_seconds",
-    "cloudburst_slave_batch_jobs",
-];
+/// Every histogram a metered run observes into: a chunk's fetch and its
+/// processing, one observation each.
+const HISTOGRAMS: [&str; 2] = ["cloudburst_fetch_seconds", "cloudburst_process_seconds"];
 
 /// The observations the runs metered by `metrics` made, all histograms.
 fn observations(metrics: &Metrics) -> f64 {
     let registry = metrics.registry().expect("metrics are on");
-    HISTOGRAMS.iter().map(|name| registry.total(name, &[])).sum()
+    HISTOGRAMS.iter().map(|name| registry.total(name, &[]) as f64).sum()
 }
 
 /// Floor cost of one `Telemetry::emit` teed into a flight ring: seq stamp,
@@ -515,20 +510,22 @@ fn per_event_emit_seconds() -> f64 {
 }
 
 /// Floor cost of one metering site shaped like the runtime's per-chunk
-/// instrumentation: a histogram observe plus two counter updates.
+/// instrumentation: each of a chunk's two notes — its fetch and its
+/// processing — observes a latency histogram and publishes the slave's
+/// ledger, so a metered chunk costs two of these.
 fn per_observe_site_seconds() -> f64 {
     let metrics = Metrics::on();
-    let ops = metrics.counter("attrib_ops_total", "attribution microbench", &[]);
-    let bytes = metrics.counter("attrib_bytes_total", "attribution microbench", &[]);
     let lat = metrics.histogram("attrib_seconds", "attribution microbench", &[]);
+    let ledger = metrics.ledger();
+    let mut sample = SlaveSample::default();
     const SITES: u32 = 50_000;
     let mut best = f64::INFINITY;
     for _ in 0..10 {
         let start = Instant::now();
         for i in 0..u64::from(SITES) {
-            ops.inc();
-            bytes.add(i & 1023);
+            sample.jobs += 1;
             lat.observe(i);
+            ledger.publish_slave(SiteId::CLOUD, 0, &sample);
         }
         best = best.min(start.elapsed().as_secs_f64() / f64::from(SITES));
     }

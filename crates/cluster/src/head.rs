@@ -70,8 +70,8 @@ pub struct HeadOptions {
     /// The origin of the head's clock; lease deadlines and heartbeat ages
     /// are measured in real seconds since this instant.
     pub epoch: Instant,
-    /// Live-metrics handle for the TCP head's connection gauges and wake-up
-    /// counter (`cloudburst_head_*`); [`Metrics::off`] publishes nothing.
+    /// Live-metrics handle the head publishes its pool's ledger to;
+    /// [`Metrics::off`] publishes nothing.
     pub metrics: Metrics,
 }
 

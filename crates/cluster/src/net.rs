@@ -204,14 +204,12 @@ impl Reports {
 }
 
 /// A slave whose request found the pool empty: where to answer it, how many
-/// jobs it asked for, the buffers it handed back, and since when it has
-/// waited.
+/// jobs it asked for, and the buffers it handed back.
 struct Parked {
     reply: Reply,
     want: usize,
     buf: Vec<LocalJob>,
     done: Vec<ChunkId>,
-    since: Instant,
 }
 
 /// A `BatchReply` travelling the return leg. Its grant is already with the
@@ -364,9 +362,7 @@ fn serve_site(
             // before the refill can resurrect a fresh copy of the same chunk.
             pool.drop_revoked(&reply.revoked);
             if let Some(id) = reply.request {
-                let (rtt, spent) = pool.land(id, secs(now));
-                cfg.metrics.grant_rtt.observe_secs(rtt);
-                link.recycle(spent);
+                link.recycle(pool.land(id, secs(now)));
             }
         }
         while let Some(slave) = parked.front_mut() {
@@ -378,8 +374,7 @@ fn serve_site(
                 Take::NeedRefill => break,
                 take => {
                     let slave = parked.pop_front().expect("front was checked");
-                    cfg.metrics.starved.add(slave.since.elapsed().as_nanos() as u64);
-                    cfg.metrics.answer(slave.reply, take, slave.done);
+                    slave.reply.send((take, slave.done));
                 }
             }
         }
@@ -393,7 +388,6 @@ fn serve_site(
             let want = pool.ask(id, floor(cfg.floor, quantum) * quantum).min(MAX_BDP_JOBS);
             outbound.push_back(reports.frame(Some(id), want, now + cfg.leg));
         }
-        cfg.metrics.window.set(pool.window() as i64);
         let flush = reports.awaited()
             || pool.is_drained()
             || reports.since.is_some_and(|since| now - since >= tick);
@@ -432,10 +426,8 @@ fn serve_site(
                     reports.done(&mut done, now);
                     pool.skip_revoked(|chunk| cfg.revoked(chunk));
                     match pool.arrive(secs(now), want, &mut buf) {
-                        Take::NeedRefill => {
-                            parked.push_back(Parked { reply, want, buf, done, since: now });
-                        }
-                        take => cfg.metrics.answer(reply, take, done),
+                        Take::NeedRefill => parked.push_back(Parked { reply, want, buf, done }),
+                        take => reply.send((take, done)),
                     }
                 }
                 MasterMsg::Complete { jobs, mut reply } => {
@@ -560,7 +552,6 @@ mod tests {
     use super::*;
     use crate::head::{run_head, HeadOptions};
     use crate::protocol::{Answer, HeadReport};
-    use crate::runtime::MasterMetrics;
     use crate::wire::put_hello_ack;
     use cloudburst_core::{
         BatchPolicy, FaultPlan, HeartbeatConfig, JobBatch, JobPool, LayoutParams, SiteOutage,
@@ -591,7 +582,6 @@ mod tests {
             cancel: None,
             epoch: Instant::now(),
             telemetry: Telemetry::off(),
-            metrics: MasterMetrics::default(),
         }
     }
 

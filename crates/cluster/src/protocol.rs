@@ -223,4 +223,7 @@ pub struct HeadReport {
     /// any run that leaks nothing, whether the peer said Bye, vanished, or
     /// timed out.
     pub conns_reclaimed: u64,
+    /// Returns of the head reactor's readiness wait — socket activity plus
+    /// timer ticks (TCP reactor mode; 0 in channel mode).
+    pub wakeups: u64,
 }

@@ -83,31 +83,13 @@ pub fn serve_head_with(
     let mut first_err: Option<io::Error> = None;
     // Every connection reads through this one buffer.
     let mut scratch = [0u8; 16384];
-
-    // Introspection instruments for the /debug/sites plane: connection churn
-    // and how often the reactor thread wakes, resolved once so the loop pays
-    // only relaxed stores (nothing at all with metrics off).
-    let g_opened = options.metrics.gauge(
-        "cloudburst_head_conns_opened_total",
-        "Master connections accepted by the head reactor",
-        &[],
-    );
-    let g_reclaimed = options.metrics.gauge(
-        "cloudburst_head_conns_reclaimed_total",
-        "Master connection states reclaimed by the head reactor",
-        &[],
-    );
-    let c_wakeups = options.metrics.counter(
-        "cloudburst_head_wakeups_total",
-        "Returns of the head reactor's readiness wait: socket activity plus timer ticks",
-        &[],
-    );
+    let mut wakeups = 0;
 
     while accepted < n_masters || !conns.is_empty() {
         let timer =
             core.next_deadline().map(|due| Duration::from_secs_f64((due - clock()).max(0.0)));
         let mut ready = readiness::wait(&mut fds, timer)?;
-        c_wakeups.inc();
+        wakeups += 1;
 
         if fds[0].ready() {
             ready -= 1;
@@ -129,7 +111,6 @@ pub fn serve_head_with(
                             closed: false,
                         });
                         accepted += 1;
-                        g_opened.set(accepted as i64);
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -175,13 +156,13 @@ pub fn serve_head_with(
                 reclaim(&mut core, &mut conns, &mut fds, i);
             }
         }
-        g_reclaimed.set((accepted - conns.len()) as i64);
         core.publish_ledger();
     }
 
     let mut report = core.finish();
     report.conns_opened = accepted as u64;
     report.conns_reclaimed = (accepted - conns.len()) as u64;
+    report.wakeups = wakeups;
     match first_err {
         Some(e) => Err(e),
         None => Ok(report),

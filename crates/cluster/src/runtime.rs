@@ -20,7 +20,7 @@ use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
 use bytes::Bytes;
 use cloudburst_core::master::MAX_BDP_JOBS;
-use cloudburst_core::metrics::{Counter, Gauge, Histogram, Metrics};
+use cloudburst_core::metrics::{Histogram, Metrics};
 use cloudburst_core::slave::Step;
 use cloudburst_core::{
     assemble_report, ns_between, ns_since, ns_to_secs, tree_reduce, BatchPolicy, ChunkId,
@@ -130,11 +130,11 @@ pub struct RuntimeConfig {
     /// Event sink for the run (off by default): the pool, the masters, and
     /// every slave emit typed, timestamped events through this handle.
     pub telemetry: Telemetry,
-    /// Live-metrics registry handle (off by default). When enabled, the
-    /// pool, every slave, every store, and every WAN link publish counters,
-    /// gauges, and latency histograms through it — incremented at the same
-    /// code points that feed the run-report accumulators, so a mid-run
-    /// scrape and the end-of-run report agree exactly.
+    /// Live-metrics registry handle (off by default). When enabled, the head
+    /// publishes its pool's ledger and every slave its own to it — the
+    /// tallies the run report is folded from, so a mid-run scrape and the
+    /// end-of-run report agree exactly — and every slave times its chunks'
+    /// fetches and processing into its two latency histograms.
     pub metrics: Metrics,
 }
 
@@ -205,20 +205,18 @@ pub struct RunOutcome<R> {
     pub head: HeadReport,
 }
 
-/// Per-slave live-metrics instruments, resolved once at spawn so the hot
-/// loop pays only relaxed atomic adds — or, with metrics off, a single
-/// branch inside each no-op instrument — and where the slave publishes its
-/// [`SlaveSample`] for the scrape.
+/// Where a slave publishes its [`SlaveSample`] for the scrape, and its two
+/// latency histograms, resolved once at spawn so the hot loop pays only
+/// relaxed atomic adds — or, with metrics off, a single branch each.
 ///
-/// The instruments are per-site, shared by all of a site's workers through
-/// the registry's get-or-create, and measure what no event is folded for.
+/// The histograms are per-site, shared by all of a site's workers through
+/// the registry's get-or-create, and measure what no event is folded for:
+/// the distribution of its chunks' latencies.
 #[derive(Default)]
 struct SlaveMetrics {
     ledger: LiveLedger,
     fetch_hist: Histogram,
     proc_hist: Histogram,
-    dropped: Counter,
-    settle_jobs: Histogram,
 }
 
 impl SlaveMetrics {
@@ -241,18 +239,6 @@ impl SlaveMetrics {
             proc_hist: metrics.histogram(
                 "cloudburst_process_seconds",
                 "Per-chunk decode-and-reduce latency.",
-                per_site,
-            ),
-            dropped: metrics.counter(
-                "cloudburst_prefetch_dropped_total",
-                "Granted jobs a slave dropped unprocessed because their execution was \
-                 revoked (evacuation or a finished replica) while they waited in its \
-                 batch or its pipeline.",
-                per_site,
-            ),
-            settle_jobs: metrics.size_histogram(
-                "cloudburst_slave_settle_jobs",
-                "Jobs a slave reported in one completion message it waited for verdicts on.",
                 per_site,
             ),
         }
@@ -287,7 +273,8 @@ struct SlaveCtx {
     epoch: Instant,
     /// Event sink for this slave's job/fetch/processing spans.
     telemetry: Telemetry,
-    /// Live-metrics instruments for this slave (no-op when metrics are off).
+    /// Where this slave publishes its ledger, and its latency histograms
+    /// (no-ops when metrics are off).
     metrics: SlaveMetrics,
 }
 
@@ -566,7 +553,6 @@ pub(crate) fn run_on<R: Reduction>(
                         cancel: cancel.clone(),
                         epoch,
                         telemetry: config.telemetry.clone(),
-                        metrics: MasterMetrics::new(&config.metrics, site),
                     };
                     let (master_tx, master_rx) = unbounded::<MasterMsg>();
                     let (results, master) = std::thread::scope(|site_scope| {
@@ -759,58 +745,6 @@ fn collect_global<O: ReductionObject>(
     (final_robj, ns_to_secs(reduced.dur_ns), ns_to_secs(finished.at_ns))
 }
 
-/// Per-master live-metrics instruments for the grant layer, per site (no-ops
-/// with metrics off).
-#[derive(Clone, Default)]
-pub(crate) struct MasterMetrics {
-    pub(crate) grant_rtt: Histogram,
-    pub(crate) batch_jobs: Histogram,
-    pub(crate) window: Gauge,
-    pub(crate) starved: Counter,
-}
-
-impl MasterMetrics {
-    pub(crate) fn new(metrics: &Metrics, site: SiteId) -> MasterMetrics {
-        if !metrics.is_enabled() {
-            return MasterMetrics::default();
-        }
-        let site_v = site.to_string();
-        let per_site: &[(&str, &str)] = &[("site", &site_v)];
-        MasterMetrics {
-            grant_rtt: metrics.histogram(
-                "cloudburst_master_grant_rtt_seconds",
-                "Time from a master issuing a grant request to the batch landing in its pool.",
-                per_site,
-            ),
-            batch_jobs: metrics.size_histogram(
-                "cloudburst_slave_batch_jobs",
-                "Jobs a master handed a slave in answer to one request.",
-                per_site,
-            ),
-            window: metrics.gauge(
-                "cloudburst_master_window_jobs",
-                "Jobs a master keeps queued or on request: low watermark plus the jobs \
-                 dispatched during one grant round trip.",
-                per_site,
-            ),
-            starved: metrics.time_counter(
-                "cloudburst_master_starved_seconds_total",
-                "Time slaves' job requests spent parked at a master with an empty pool.",
-                per_site,
-            ),
-        }
-    }
-
-    /// Answer a slave's request for jobs, handing back the buffer its
-    /// completions came in.
-    pub(crate) fn answer(&self, reply: Reply, take: Take, done: Vec<ChunkId>) {
-        if let Take::Jobs(jobs) = &take {
-            self.batch_jobs.observe(jobs.len() as u64);
-        }
-        reply.send((take, done));
-    }
-}
-
 /// The request window's floor: jobs a master keeps queued, beyond what the
 /// grant round trip drains, when its next grant lands (see
 /// [`MasterPool::new`](cloudburst_core::MasterPool::new)).
@@ -843,7 +777,6 @@ pub(crate) struct MasterStart {
     pub(crate) cancel: Option<CancelBoard>,
     pub(crate) epoch: Instant,
     pub(crate) telemetry: Telemetry,
-    pub(crate) metrics: MasterMetrics,
 }
 
 impl MasterStart {
@@ -964,7 +897,7 @@ fn run_slave<R: Reduction>(
             // The master's answer is taken the moment it is in.
             if let Some(answer) = asking.then(|| replies.try_recv().ok()).flatten() {
                 (asking, idle) = (false, false);
-                hear(&mut core, answer, ctx.secs(Instant::now()));
+                worker.hear(&mut core, answer, ctx.secs(Instant::now()));
             }
             match core.poll(idle, revoked) {
                 Step::Ask => {
@@ -976,7 +909,7 @@ fn run_slave<R: Reduction>(
                         // The master is gone: the reply the request took
                         // says so as it drops.
                         drop(unsent);
-                        hear(&mut core, replies.recv().ok().flatten(), 0.0);
+                        worker.hear(&mut core, replies.recv().ok().flatten(), 0.0);
                     } else {
                         asking = true;
                     }
@@ -992,7 +925,7 @@ fn run_slave<R: Reduction>(
                     // Never full, and the executor outlives the loop.
                     let _ = to_fetch.send(job);
                 }
-                Step::Dropped(_) => ctx.metrics.dropped.inc(),
+                Step::Dropped(job) => worker.dropped(job),
                 Step::Settle(jobs) => worker.settle(&mut core, jobs, &mut buf),
                 Step::Done(jobs) => {
                     let _ = master_tx.send(MasterMsg::Done { jobs });
@@ -1020,7 +953,7 @@ fn run_slave<R: Reduction>(
                                 let answer = std::mem::take(&mut asking)
                                     .then(|| replies.recv().ok().flatten())
                                     .flatten();
-                                hear(&mut core, answer, ctx.secs(Instant::now()));
+                                worker.hear(&mut core, answer, ctx.secs(Instant::now()));
                                 continue;
                             }
                         };
@@ -1049,7 +982,7 @@ fn run_slave<R: Reduction>(
             if !std::mem::take(&mut asking) {
                 break;
             }
-            hear(&mut core, replies.recv().ok().flatten(), 0.0);
+            worker.hear(&mut core, replies.recv().ok().flatten(), 0.0);
         }
         // Close the executor's queue and take what it still fetched, so it
         // is not left blocked on a full channel.
@@ -1060,18 +993,6 @@ fn run_slave<R: Reduction>(
         outcome?;
         Ok(worker.finish())
     })
-}
-
-/// Tell the core what its master answered at `now` (`None`: the master is
-/// gone), and hand it back the buffer its completions went out in.
-fn hear(core: &mut SlaveCore, answer: Option<Answer>, now: Seconds) {
-    match answer {
-        Some((take, done)) => {
-            core.reuse_done(done);
-            core.answer(Some(take), now);
-        }
-        None => core.answer(None, now),
-    }
 }
 
 /// What a slave carries from one job to the next, and the app-typed half of
@@ -1143,6 +1064,25 @@ impl<'a, R: Reduction> Worker<'a, R> {
         }
     }
 
+    /// Tell the core what its master answered at `now` (`None`: the master is
+    /// gone), and hand it back the buffer its completions went out in. An
+    /// answer that brings jobs is a hand-off.
+    fn hear(&mut self, core: &mut SlaveCore, answer: Option<Answer>, now: Seconds) {
+        let Some((take, done)) = answer else { return core.answer(None, now) };
+        if let Take::Jobs(jobs) = &take {
+            let hand_off = EventKind::HandOff { jobs: jobs.len() as u64 };
+            self.ctx.note(&mut self.stats, Event::at(ns_since(self.ctx.epoch), hand_off));
+        }
+        core.reuse_done(done);
+        core.answer(Some(take), now);
+    }
+
+    /// Drop `job` unprocessed: its execution was revoked while it waited.
+    fn dropped(&mut self, job: ChunkId) {
+        let dropped = Event::at(ns_since(self.ctx.epoch), EventKind::JobDropped);
+        self.ctx.note(&mut self.stats, dropped.chunk(job));
+    }
+
     /// Take over a fetched job: fenced by the core at the hand-off,
     /// processed, and its outcome told to the core. Whatever goes wrong with
     /// it — retrieval error or a panic inside the application's reduce — is
@@ -1157,7 +1097,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
     ) -> Result<(), RunError> {
         let (ctx, job) = (self.ctx, pre.job.chunk.id);
         if !core.hand_off(job, |chunk| ctx.revoked(chunk)) {
-            ctx.metrics.dropped.inc();
+            self.dropped(job);
             return Ok(());
         }
         // What is open is settled first if this job's notes would overflow
@@ -1194,7 +1134,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
         let (app, ctx) = (self.app, self.ctx);
         self.verdicts.clear();
         if !jobs.is_empty() {
-            ctx.metrics.settle_jobs.observe(jobs.len() as u64);
+            let settled = EventKind::Settled { jobs: jobs.len() as u64 };
+            ctx.note(&mut self.stats, Event::at(ns_since(ctx.epoch), settled));
             self.reports.settle(jobs, ctx.site, &mut self.verdicts);
         }
         let (all_merged, merged) = core.settled(&self.verdicts);
@@ -2220,16 +2161,10 @@ mod tests {
         }
     }
 
-    /// The per-site histograms called `name` of a run's metrics, summed:
-    /// (observations, observed total).
-    fn site_histograms(config: &RuntimeConfig, name: &str) -> (Vec<Histogram>, u64, f64) {
-        let registry = config.metrics.registry().unwrap();
-        let hists: Vec<Histogram> = [SiteId::LOCAL, SiteId::CLOUD]
-            .iter()
-            .filter_map(|site| registry.find_histogram(name, &[("site", &site.to_string())]))
-            .collect();
-        let (n, sum) = hists.iter().fold((0, 0.0), |(n, sum), h| (n + h.count(), sum + h.sum()));
-        (hists, n, sum)
+    /// Every site's row of a run's live ledger, summed: its slaves'
+    /// hand-offs and settles among the rest.
+    fn ledger_of(config: &RuntimeConfig) -> cloudburst_core::SiteTotals {
+        config.metrics.registry().unwrap().ledger().all()
     }
 
     #[test]
@@ -2246,18 +2181,21 @@ mod tests {
             let app = SlowSum(Duration::from_secs_f64(2.0 * QUANTUM));
             let out = run_on(transport, &app, &index, stores, &config).unwrap();
             assert_eq!(out.result.0, expected_sum(units), "{name}");
-            let (_, answers, jobs) = site_histograms(&config, "cloudburst_slave_batch_jobs");
-            assert_eq!(jobs as u64, index.n_chunks() as u64, "{name}");
+            let ledger = ledger_of(&config);
+            assert_eq!(ledger.handed, index.n_chunks() as u64, "{name}");
+            let answers = ledger.hand_offs;
             assert_eq!(answers, index.n_chunks() as u64, "{name}: one job per answered request");
         }
     }
 
-    /// `jobs` jobs of 160 bytes over two one-slave sites, metrics on: the
-    /// outcome, and the configuration whose registry holds the histograms.
+    /// `jobs` jobs of 160 bytes over two one-slave sites, metrics on and
+    /// events to `telemetry`: the outcome, and the configuration whose
+    /// registry holds the ledger.
     fn tiny_jobs_run(
         transport: Transport,
         ft: FtConfig,
         jobs: u32,
+        telemetry: Telemetry,
     ) -> (RunOutcome<SumObj>, RuntimeConfig) {
         let units = 40 * jobs;
         let data = dataset(units);
@@ -2272,7 +2210,7 @@ mod tests {
         // One plain read per chunk: a ranged fetch through the pool's
         // threads is a hand-off of its own and no tiny job.
         config.fetch = FetchConfig { threads: 1, min_range: 1 << 20 };
-        (config.ft, config.metrics) = (ft, Metrics::on());
+        (config.ft, config.metrics, config.telemetry) = (ft, Metrics::on(), telemetry);
         let out = run_on(transport, &SumApp, &org.index, stores, &config).unwrap();
         assert_eq!(out.result.0, expected_sum(units));
         (out, config)
@@ -2298,18 +2236,20 @@ mod tests {
             let app = SlowSum(Duration::from_secs_f64(2.0 * QUANTUM));
             let out = run_on(transport, &app, &index, stores, &config).unwrap();
             assert_eq!(out.result.0, expected_sum(64 * 48), "{name}");
-            let (_, messages, reported) = site_histograms(&config, "cloudburst_slave_settle_jobs");
-            assert!(reported as u64 >= out.head.completions, "{name}");
-            assert_eq!(messages, reported as u64, "{name}: one completion message per job");
+            let ledger = ledger_of(&config);
+            let (messages, reported) = (ledger.settles, ledger.settled);
+            assert!(reported >= out.head.completions, "{name}");
+            assert_eq!(messages, reported, "{name}: one completion message per job");
         }
         for transport in TRANSPORTS {
             let name = format!("{transport:?}");
-            let (out, config) = tiny_jobs_run(transport, ft.clone(), 6000);
-            let (_, hand_offs, _) = site_histograms(&config, "cloudburst_slave_batch_jobs");
-            let (_, messages, reported) = site_histograms(&config, "cloudburst_slave_settle_jobs");
-            assert!(reported as u64 >= out.head.completions, "{name}");
+            let (out, config) = tiny_jobs_run(transport, ft.clone(), 6000, Telemetry::off());
+            let ledger = ledger_of(&config);
+            let (hand_offs, messages, reported) =
+                (ledger.hand_offs, ledger.settles, ledger.settled);
+            assert!(reported >= out.head.completions, "{name}");
             assert!(
-                reported / messages as f64 >= 4.0,
+                reported as f64 / messages as f64 >= 4.0,
                 "{name}: {reported} jobs, {messages} reports"
             );
             // One report when the batch is used up, and at most one more
@@ -2318,27 +2258,41 @@ mod tests {
         }
     }
 
+    /// The largest hand-off in a run's events.
+    #[derive(Default)]
+    struct LargestHandOff(std::sync::atomic::AtomicU64);
+
+    impl cloudburst_core::EventSink for LargestHandOff {
+        fn record(&self, e: Event) {
+            if let EventKind::HandOff { jobs } = e.kind {
+                self.0.fetch_max(jobs, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+    }
+
     #[test]
     fn tiny_jobs_are_taken_a_quantum_at_a_time_and_never_more_than_the_cap() {
-        use cloudburst_core::metrics::{bucket_index, bucket_upper};
         for transport in TRANSPORTS {
             let name = format!("{transport:?}");
             // Enough hand-offs that an unoptimised build, where a job costs
             // ≈ 20 µs and the mean hand-off is ≈ 40 jobs, still reaches past
             // 64 on one of them.
-            let (_, config) = tiny_jobs_run(transport, FtConfig::default(), 24_000);
-            let (hists, answers, jobs) = site_histograms(&config, "cloudburst_slave_batch_jobs");
-            assert_eq!(jobs as u64, 24_000, "{name}");
-            assert!(jobs / answers as f64 >= 8.0, "{name}: {jobs} jobs in {answers} hand-offs");
-            // The histogram's grid puts a hand-off in a bucket that ends at
-            // or above it: the cap's bucket bounds them all, and one past the
-            // bucket of 64 — the cap's old value — shows the quantum, not a
-            // job count, sized a hand-off of these sub-µs jobs.
-            let largest = hists.iter().map(|h| h.quantile_raw(1.0)).max().unwrap_or(0);
-            let cap = bucket_upper(bucket_index(MAX_BDP_JOBS as u64));
-            assert!(largest <= cap, "{name}: a hand-off over {MAX_BDP_JOBS}");
-            let old_cap = bucket_upper(bucket_index(64));
-            assert!(largest > old_cap, "{name}: no hand-off over 64 (largest ≤ {largest})");
+            let largest = Arc::new(LargestHandOff::default());
+            let telemetry = Telemetry::to(largest.clone());
+            let (_, config) = tiny_jobs_run(transport, FtConfig::default(), 24_000, telemetry);
+            let ledger = ledger_of(&config);
+            let (answers, jobs) = (ledger.hand_offs, ledger.handed);
+            assert_eq!(jobs, 24_000, "{name}");
+            assert!(
+                jobs as f64 / answers as f64 >= 8.0,
+                "{name}: {jobs} jobs in {answers} hand-offs"
+            );
+            // The cap bounds every hand-off, and one past 64 — the cap's old
+            // value — shows the quantum, not a job count, sized a hand-off
+            // of these sub-µs jobs.
+            let largest = largest.0.load(std::sync::atomic::Ordering::Relaxed);
+            assert!(largest <= MAX_BDP_JOBS as u64, "{name}: a hand-off of {largest}");
+            assert!(largest > 64, "{name}: no hand-off over 64 (largest {largest})");
         }
     }
 
@@ -2620,13 +2574,15 @@ mod tests {
     type FaultCase = fn() -> ((DataIndex, BTreeMap<SiteId, Arc<dyn ChunkStore>>), RuntimeConfig);
 
     /// What one run's ledger came to: its reports, and what its event stream
-    /// counts — the jobs its slaves processed per site, and the failures the
-    /// pool took (the head's `failures` also counts stale reports).
+    /// counts — the jobs its slaves processed per site, the failures the
+    /// pool took (the head's `failures` also counts stale reports), and per
+    /// site its slaves' `hand-off`, `settle` and `job-dropped` events.
     struct Ledgered {
         report: RunReport,
         head: HeadReport,
         processed: BTreeMap<SiteId, u64>,
         failed: u64,
+        exchanges: BTreeMap<SiteId, [u64; 3]>,
     }
 
     /// Run `make`'s configuration over `transport` with `metrics`, checking
@@ -2640,16 +2596,26 @@ mod tests {
         let out = run_on(transport, &SumApp, &index, stores, &config).unwrap();
         let units: u64 = index.chunks.iter().map(|c| c.n_units).sum();
         assert_eq!(out.result.0, expected_sum(units as u32), "{transport:?}");
-        let (mut processed, mut failed) = (BTreeMap::new(), 0);
+        let (mut processed, mut failed, mut exchanges) = (BTreeMap::new(), 0, BTreeMap::new());
         for e in rec.take() {
-            match (e.kind, e.site) {
-                (EventKind::JobProcessed, Some(site)) => *processed.entry(site).or_default() += 1,
-                (EventKind::JobFailed, _) => failed += 1,
-                _ => {}
-            }
+            let exchange = match e.kind {
+                EventKind::HandOff { .. } => 0,
+                EventKind::Settled { .. } => 1,
+                EventKind::JobDropped => 2,
+                EventKind::JobProcessed => {
+                    *processed.entry(e.site.unwrap()).or_default() += 1;
+                    continue;
+                }
+                EventKind::JobFailed => {
+                    failed += 1;
+                    continue;
+                }
+                _ => continue,
+            };
+            exchanges.entry(e.site.unwrap()).or_insert([0; 3])[exchange] += 1;
         }
         assert!(failed <= out.head.failures, "a failure the head never heard of");
-        Ledgered { report: out.report, head: out.head, processed, failed }
+        Ledgered { report: out.report, head: out.head, processed, failed, exchanges }
     }
 
     /// The scrape `exp` shows exactly what the `runs` that shared its handle
@@ -2726,6 +2692,44 @@ mod tests {
                 assert!(!quiet, "{case}: the fault path must run");
                 let exp = parse_exposition(&metrics.registry().unwrap().render()).unwrap();
                 assert_scrape_is_the_ledger(&exp, std::slice::from_ref(&run));
+            }
+        }
+    }
+
+    #[test]
+    fn a_slaves_exchanges_are_recorded_once_beside_two_instruments_on_both_transports() {
+        use cloudburst_core::parse_exposition;
+        let [ft_chaos, coded_outage, _] = fault_matrix();
+        for (case, make) in [ft_chaos, coded_outage] {
+            for transport in TRANSPORTS {
+                let what = format!("{case}, {transport:?}");
+                let metrics = Metrics::on();
+                let run = ledgered(make, transport, &metrics);
+                let registry = metrics.registry().unwrap();
+                let (ledger, exp) =
+                    (registry.ledger(), parse_exposition(&registry.render()).unwrap());
+                // Each site's ledger counts what its slaves' events say,
+                // and nothing else does.
+                let dropped = exp.by_label("cloudburst_prefetch_dropped_total", "site");
+                assert!(run.exchanges.keys().all(|site| ledger.sites.contains_key(site)), "{what}");
+                for (site, row) in &ledger.sites {
+                    let drops = dropped.get(&site.to_string()).map_or(0, |&n| n as u64);
+                    let events = run.exchanges.get(site).copied().unwrap_or_default();
+                    assert_eq!([row.hand_offs, row.settles, drops], events, "{what}: {site}");
+                }
+                let all = ledger.all();
+                assert!(all.hand_offs > 0 && all.settles > 0, "{what}: FT runs settle");
+                // Beside the ledger's families, the two latency histograms.
+                let two = ["cloudburst_fetch_seconds", "cloudburst_process_seconds"];
+                for (family, kind) in &exp.types {
+                    let of_ledger = family.starts_with("cloudburst_pool_")
+                        || family.starts_with("cloudburst_slave_")
+                        || family == "cloudburst_prefetch_dropped_total";
+                    let instrument = two.contains(&family.as_str());
+                    assert_ne!(of_ledger, instrument, "{what}: {family}");
+                    assert_eq!(kind == "histogram", instrument, "{what}: {family} is a {kind}");
+                }
+                assert!(two.iter().all(|family| exp.types.contains_key(*family)), "{what}");
             }
         }
     }

@@ -10,7 +10,7 @@ use cloudburst_cluster::wire::{
     Frame, MasterToHead, WIRE_VERSION,
 };
 use cloudburst_cluster::{HeadOptions, HeadReport};
-use cloudburst_core::{BatchPolicy, DataIndex, JobPool, LayoutParams, Metrics, SiteId};
+use cloudburst_core::{BatchPolicy, DataIndex, JobPool, LayoutParams, SiteId};
 use std::collections::HashSet;
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -89,11 +89,8 @@ fn a_reply_larger_than_the_socket_buffers_completes_through_write_readiness() {
 
 /// Wake-ups of a head whose one master says hello, nothing for `quiet`, and
 /// goodbye.
-fn wakeups_while_silent(mut options: HeadOptions, quiet: Duration) -> u64 {
-    let metrics = Metrics::on();
-    options.metrics = metrics.clone();
-    with_head(pool(8), options, |_| thread::sleep(quiet));
-    metrics.counter("cloudburst_head_wakeups_total", "", &[]).value()
+fn wakeups_while_silent(options: HeadOptions, quiet: Duration) -> u64 {
+    with_head(pool(8), options, |_| thread::sleep(quiet)).wakeups
 }
 
 #[test]

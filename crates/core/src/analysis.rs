@@ -442,13 +442,13 @@ pub fn analyze(events: &[Event]) -> Result<RunAnalysis, String> {
         .unwrap_or(end_ns);
     let makespan = ns_to_secs(makespan_ns);
 
-    let reduction_start = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::GlobalReduction))
-        .map(|e| ns_to_secs(e.at_ns))
-        .fold(f64::NEG_INFINITY, f64::max)
-        .clamp(0.0, makespan);
-    let reduction_start = if reduction_start.is_finite() { reduction_start } else { makespan };
+    // The latest stamp of the boundary events `of`, clamped into
+    // `[0, bound]`; `bound` itself when there is none.
+    let latest = |of: &dyn Fn(&&Event) -> bool, bound: f64| {
+        let at = events.iter().filter(of).map(|e| ns_to_secs(e.at_ns)).reduce(f64::max);
+        at.map_or(bound, |at| at.clamp(0.0, bound))
+    };
+    let reduction_start = latest(&|e| matches!(e.kind, EventKind::GlobalReduction), makespan);
 
     // The critical site: the one whose completion the run waited for.
     let critical_site = events
@@ -457,22 +457,10 @@ pub fn analyze(events: &[Event]) -> Result<RunAnalysis, String> {
         .max_by_key(|e| e.at_ns)
         .and_then(|e| e.site);
     let at_crit_site = |e: &&Event| critical_site.is_none() || e.site == critical_site;
-    let site_end = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::SiteFinished))
-        .filter(at_crit_site)
-        .map(|e| ns_to_secs(e.at_ns))
-        .fold(f64::NEG_INFINITY, f64::max)
-        .clamp(0.0, reduction_start);
-    let site_end = if site_end.is_finite() { site_end } else { reduction_start };
-    let merge_start = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::SiteMerged))
-        .filter(at_crit_site)
-        .map(|e| ns_to_secs(e.at_ns))
-        .fold(f64::NEG_INFINITY, f64::max)
-        .clamp(0.0, site_end);
-    let merge_start = if merge_start.is_finite() { merge_start } else { site_end };
+    let site_end =
+        latest(&|e| matches!(e.kind, EventKind::SiteFinished) && at_crit_site(e), reduction_start);
+    let merge_start =
+        latest(&|e| matches!(e.kind, EventKind::SiteMerged) && at_crit_site(e), site_end);
 
     // The critical slave: the last one to finish at the critical site.
     let critical_finish = events
@@ -798,6 +786,25 @@ mod tests {
         assert!(run.critical_path_secs() <= a.makespan);
         assert!((run.critical_path_secs() - 2.9).abs() < 1e-9);
         assert!(run.critical_path.windows(2).all(|w| w[0].end <= w[1].start + 1e-12));
+    }
+
+    #[test]
+    fn a_run_without_merge_or_reduction_events_spends_nothing_reducing() {
+        // One cloud fetch, then the slave, its site and the run finish: no
+        // `local-merge` and no `global-reduction` event to bound anything by.
+        let s = secs_to_ns;
+        let fetch = EventKind::ChunkFetched { bytes: 64, remote: false, retries: 0 };
+        let cloud = |e: Event| e.site(SiteId::CLOUD);
+        let events = [
+            cloud(Event::span(s(0.0), s(1.0), fetch)).worker(0).chunk(ChunkId(0)),
+            cloud(Event::at(s(1.0), EventKind::SlaveFinished)).worker(0),
+            cloud(Event::at(s(1.0), EventKind::SiteFinished)),
+            Event::at(s(1.0), EventKind::RunFinished),
+        ];
+        let a = analyze(&events).unwrap().attribution;
+        assert!(a.agrees(), "total {} vs makespan {}", a.total(), a.makespan);
+        assert_eq!(a.reduction, 0.0, "{a:?}");
+        assert!((a.wan_fetch - 1.0).abs() < 1e-9, "{a:?}");
     }
 
     #[test]

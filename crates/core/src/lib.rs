@@ -83,9 +83,9 @@ pub use json::Json;
 pub use layout::{ChunkMeta, FileMeta, LayoutParams};
 pub use master::{ask_size, Ledger, LocalJob, MasterPool, RequestId, Take};
 pub use metrics::{
-    check_monotonic, http_get, http_get_status, parse_exposition, Counter, Exposition, Gauge,
-    Histogram, LedgerTotals, LiveLedger, Metrics, MetricsServer, Registry, RouteHandler,
-    RouteResponse, SiteTotals,
+    check_monotonic, http_get, http_get_status, parse_exposition, Exposition, Histogram,
+    LedgerTotals, LiveLedger, Metrics, MetricsServer, Registry, RouteHandler, RouteResponse,
+    SiteTotals,
 };
 pub use pool::Completion;
 pub use pool::{BatchPolicy, JobBatch, JobPool, ShardedPool, SiteJobCounts};

@@ -157,8 +157,6 @@ pub struct MasterPool {
     /// Set when the head returned an empty terminal batch: no more work
     /// exists.
     drained: bool,
-    /// Grants received (control-traffic accounting).
-    refills: u64,
     /// Jobs handed to slaves.
     dispatched: u64,
     /// Requests issued and not yet landed, oldest first.
@@ -202,7 +200,6 @@ impl MasterPool {
             queue: VecDeque::new(),
             low_watermark,
             drained: false,
-            refills: 0,
             dispatched: 0,
             in_flight: Vec::new(),
             next_id: 0,
@@ -247,7 +244,6 @@ impl MasterPool {
     /// the pool as-is — in-flight jobs elsewhere may still fail and be
     /// requeued.
     fn enqueue(&mut self, batch: &mut JobBatch) {
-        self.refills += 1;
         if batch.is_empty() && batch.terminal {
             self.drained = true;
         }
@@ -416,13 +412,12 @@ impl MasterPool {
     }
 
     /// The grant for request `id` arrived at `now`: queue its jobs and take
-    /// the round-trip sample. Returns that sample, for the adapter's
-    /// histogram, and the grant emptied, for whoever builds grants to fill
-    /// again.
+    /// the round-trip sample. Returns the grant emptied, for whoever builds
+    /// grants to fill again.
     ///
     /// # Panics
     /// Panics when `id` is not in flight or was never [`MasterPool::granted`].
-    pub fn land(&mut self, id: RequestId, now: Seconds) -> (Seconds, JobBatch) {
+    pub fn land(&mut self, id: RequestId, now: Seconds) -> JobBatch {
         let at = self.in_flight.iter().position(|r| r.id == id).expect("request is in flight");
         let req = self.in_flight.remove(at);
         let mut batch = req.batch.expect("a grant lands after the head answered");
@@ -445,7 +440,7 @@ impl MasterPool {
             self.poll_at = 0.0;
         }
         self.enqueue(&mut batch);
-        (rtt, batch)
+        batch
     }
 
     /// When to call [`MasterPool::next_request`] again although nothing else
@@ -503,12 +498,6 @@ impl MasterPool {
         let n = before - self.queue.len();
         self.dropped += n as u64;
         n
-    }
-
-    /// Number of grants received so far.
-    #[must_use]
-    pub fn refill_count(&self) -> u64 {
-        self.refills
     }
 
     /// Number of jobs dispatched to slaves so far.
@@ -818,10 +807,11 @@ mod tests {
     }
 
     #[test]
-    fn refill_count_tracks_requests() {
+    fn each_refill_queues_its_jobs() {
         let mut mp = MasterPool::new(SiteId::LOCAL, 0);
         refill(&mut mp, some_batch(1, false));
         refill(&mut mp, some_batch(1, false));
-        assert_eq!(mp.refill_count(), 2);
+        assert_eq!(mp.queued(), 2);
+        assert_eq!(mp.ledger().granted, 2);
     }
 }

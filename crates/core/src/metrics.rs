@@ -1,6 +1,5 @@
-//! Live run metrics: sharded atomic counters, gauges, and log-linear
-//! (HDR-style) latency histograms, exposed through a registry that renders
-//! Prometheus text exposition format 0.0.4.
+//! Live run metrics: the live ledger and two latency histograms, exposed
+//! through a registry that renders Prometheus text exposition format 0.0.4.
 //!
 //! Telemetry (`crate::telemetry`) records *every* event; that is the right
 //! shape for traces and post-hoc analysis but the wrong one for a live
@@ -9,27 +8,28 @@
 //! This module keeps *aggregates* instead, with the same cost discipline as
 //! the telemetry handle:
 //!
-//! * **disabled = one branch.** Every instrument handle is an
-//!   `Option<Arc<..>>`; a run built with [`Metrics::off`] pays a single
-//!   well-predicted `None` test per would-be increment.
-//! * **enabled = lock-free.** Counters are sharded across cache-line-padded
-//!   atomics indexed by a per-thread shard id, so concurrent slaves never
-//!   contend on one line; histograms are two relaxed `fetch_add`s.
-//! * **bounded memory.** A histogram is a fixed 496-bucket log-linear grid
-//!   (exact below 16, then 8 sub-buckets per power of two — ≤ 12.5%
-//!   relative error) totalling ~4 KB regardless of how many values it
-//!   absorbs.
+//! * **one ledger.** Every count is a fold of events: the registry owns the
+//!   handle's live ledger — the pool's and the slaves' tallies the reports are
+//!   built from, as each run's head and slaves publish them — renders it as
+//!   the pool's and the slaves' families, and reads it typed for the live view
+//!   ([`Registry::ledger`]).
+//! * **two instruments.** What no fold gives is the distribution of the
+//!   per-chunk fetch and process latencies: `cloudburst_fetch_seconds` and
+//!   `cloudburst_process_seconds`, recorded in nanoseconds and rendered in
+//!   seconds. A histogram is a fixed 496-bucket log-linear grid (exact below
+//!   16, then 8 sub-buckets per power of two — ≤ 12.5% relative error)
+//!   totalling ~4 KB however many values it absorbs; recording is two relaxed
+//!   `fetch_add`s.
+//! * **disabled = one branch.** A handle built with [`Metrics::off`] hands
+//!   out histograms and ledgers that are a `None`: a would-be observation or
+//!   publish costs one well-predicted test.
 //!
 //! Registration (cold path) goes through [`Registry`], which deduplicates
-//! by `(name, labels)` so re-registering returns the *same* instrument —
+//! by `(name, labels)` so re-registering returns the *same* histogram —
 //! iterative applications accumulate across `run_hybrid` calls instead of
-//! emitting duplicate series. The pool's and the slaves' ledger families are
-//! no instruments: the registry owns the handle's live ledger (the tallies the
-//! reports are built from, as each run's head and slaves publish them), renders
-//! it beside the instruments, and reads both typed for the live view
-//! ([`Registry::ledger`], [`Registry::total`]). [`Registry::render`] produces
-//! deterministic, sorted exposition text; [`parse_exposition`] is the matching
-//! strict parser/validator used by `cloudburst check-metrics` and the proptests.
+//! emitting duplicate series. [`Registry::render`] produces deterministic,
+//! sorted exposition text; [`parse_exposition`] is the matching strict
+//! parser/validator used by `cloudburst check-metrics` and the proptests.
 //! [`MetricsServer`] is a dependency-free `/metrics` HTTP listener.
 
 use crate::pool::JobPool;
@@ -41,124 +41,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// ---------------------------------------------------------------------------
-// Sharded counters
-// ---------------------------------------------------------------------------
-
-/// Number of counter shards; a power of two so the thread id maps with a
-/// mask. 16 shards × 64 B = 1 KB per counter, enough to keep a machine's
-/// worth of slave threads off each other's cache lines.
-const SHARDS: usize = 16;
-
-/// One cache line holding one shard's partial count.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread gets a fixed shard assigned round-robin at first use.
-    static THREAD_SHARD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
-}
-
-#[inline]
-fn thread_shard() -> usize {
-    THREAD_SHARD.with(|s| *s)
-}
-
-/// Shared state of one counter series.
-struct CounterCore {
-    shards: [PaddedU64; SHARDS],
-    /// Multiplier applied when rendering (1.0 for plain counts; 1e-9 for
-    /// counters that accumulate nanoseconds but expose seconds).
-    scale: f64,
-}
-
-impl CounterCore {
-    fn new(scale: f64) -> CounterCore {
-        CounterCore { shards: Default::default(), scale }
-    }
-
-    fn total(&self) -> u64 {
-        self.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// A monotonically increasing counter. Cloning is cheap (an `Arc`); a
-/// default-constructed or [`Counter::noop`] handle ignores increments.
-#[derive(Clone, Default)]
-pub struct Counter(Option<Arc<CounterCore>>);
-
-impl Counter {
-    /// A disabled counter: `add` is a single branch.
-    #[must_use]
-    pub fn noop() -> Counter {
-        Counter(None)
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(core) = &self.0 {
-            core.shards[thread_shard()].0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current total across all shards (0 for a no-op handle).
-    #[must_use]
-    pub fn value(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.total())
-    }
-}
-
-impl std::fmt::Debug for Counter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Counter({})", self.value())
-    }
-}
-
-/// An instantaneous value (a request window, a connection count).
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicI64>>);
-
-impl Gauge {
-    /// A disabled gauge.
-    #[must_use]
-    pub fn noop() -> Gauge {
-        Gauge(None)
-    }
-
-    /// Set the gauge to `v`.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 for a no-op handle).
-    #[must_use]
-    pub fn value(&self) -> i64 {
-        self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Gauge({})", self.value())
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Log-linear histograms
@@ -168,6 +53,10 @@ impl std::fmt::Debug for Gauge {
 /// buckets, then every power of two up to `u64::MAX` is split into 8 linear
 /// sub-buckets (HDR-histogram style), bounding relative error at 12.5%.
 pub const HISTOGRAM_BUCKETS: usize = 16 + 60 * 8;
+
+/// Seconds per recorded unit: histograms record nanoseconds and render
+/// seconds.
+const SECS_PER_NS: f64 = 1e-9;
 
 /// Bucket index of a raw value.
 #[inline]
@@ -200,17 +89,13 @@ pub fn bucket_upper(i: usize) -> u64 {
 struct HistogramCore {
     counts: Vec<AtomicU64>,
     sum: AtomicU64,
-    /// Render-time multiplier (1e-9 for nanosecond-recorded, seconds-exposed
-    /// latency histograms).
-    scale: f64,
 }
 
 impl HistogramCore {
-    fn new(scale: f64) -> HistogramCore {
+    fn new() -> HistogramCore {
         HistogramCore {
             counts: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
-            scale,
         }
     }
 
@@ -220,8 +105,10 @@ impl HistogramCore {
     }
 }
 
-/// A bounded-memory latency/size distribution. Recording is two relaxed
-/// atomic adds; quantile queries walk the 496-bucket grid.
+/// A bounded-memory latency distribution, recorded in nanoseconds and read
+/// in seconds. Recording is two relaxed atomic adds; quantile queries walk
+/// the 496-bucket grid. Cloning is cheap (an `Arc`); a default-constructed
+/// or [`Histogram::noop`] handle ignores observations.
 #[derive(Clone, Default)]
 pub struct Histogram(Option<Arc<HistogramCore>>);
 
@@ -232,7 +119,7 @@ impl Histogram {
         Histogram(None)
     }
 
-    /// Record a raw value.
+    /// Record a raw value (nanoseconds).
     #[inline]
     pub fn observe(&self, v: u64) {
         if let Some(core) = &self.0 {
@@ -241,8 +128,7 @@ impl Histogram {
         }
     }
 
-    /// Record a duration in seconds as nanoseconds (the convention for all
-    /// `*_seconds` histograms: raw unit ns, render scale 1e-9).
+    /// Record a duration in seconds as nanoseconds.
     #[inline]
     pub fn observe_secs(&self, secs: f64) {
         if self.0.is_some() {
@@ -257,10 +143,10 @@ impl Histogram {
         self.0.as_ref().map_or(0, |c| c.snapshot().0.iter().sum())
     }
 
-    /// Sum of recorded values in render units (e.g. seconds).
+    /// Sum of recorded values in seconds.
     #[must_use]
     pub fn sum(&self) -> f64 {
-        self.0.as_ref().map_or(0.0, |c| c.sum.load(Ordering::Relaxed) as f64 * c.scale)
+        self.0.as_ref().map_or(0.0, |c| c.sum.load(Ordering::Relaxed) as f64 * SECS_PER_NS)
     }
 
     /// Raw-unit quantile estimate: the upper bound of the bucket holding the
@@ -285,11 +171,10 @@ impl Histogram {
         bucket_upper(HISTOGRAM_BUCKETS - 1)
     }
 
-    /// Quantile in render units (seconds for `*_seconds` histograms).
+    /// Quantile in seconds.
     #[must_use]
     pub fn quantile(&self, q: f64) -> f64 {
-        let scale = self.0.as_ref().map_or(1.0, |c| c.scale);
-        self.quantile_raw(q) as f64 * scale
+        self.quantile_raw(q) as f64 * SECS_PER_NS
     }
 
     /// Fold another histogram's counts into this one (shard merge). Both
@@ -339,20 +224,14 @@ impl MetricKind {
 
 type LabelSet = Vec<(String, String)>;
 
-enum Instrument {
-    Counter(Arc<CounterCore>),
-    Gauge(Arc<AtomicI64>),
-    Histogram(Arc<HistogramCore>),
-}
-
+/// One histogram family: its help and its series by label set.
 struct Family {
     help: String,
-    kind: MetricKind,
-    series: BTreeMap<LabelSet, Instrument>,
+    series: BTreeMap<LabelSet, Arc<HistogramCore>>,
 }
 
 /// The metric store behind an enabled [`Metrics`] handle: families of
-/// labeled instrument series and the handle's live ledger, rendered on demand.
+/// labeled histogram series and the handle's live ledger, rendered on demand.
 #[derive(Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<String, Family>>,
@@ -378,106 +257,28 @@ impl Registry {
         Registry::default()
     }
 
-    fn instrument<T>(
-        &self,
-        name: &str,
-        help: &str,
-        kind: MetricKind,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Instrument,
-        get: impl FnOnce(&Instrument) -> Option<T>,
-    ) -> T {
+    /// Get-or-create the histogram series `name{labels}`.
+    fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         assert!(valid_name(name), "invalid metric name `{name}`");
         let mut families = self.families.lock();
-        let family = families.entry(name.to_owned()).or_insert_with(|| Family {
-            help: help.to_owned(),
-            kind,
-            series: BTreeMap::new(),
-        });
-        assert!(
-            family.kind == kind,
-            "metric `{name}` registered as {:?} and {kind:?}",
-            family.kind
-        );
-        let entry = family.series.entry(canon_labels(labels)).or_insert_with(make);
-        get(entry).expect("series kind matches family kind")
+        let family = (families.entry(name.to_owned()))
+            .or_insert_with(|| Family { help: help.to_owned(), series: BTreeMap::new() });
+        let core = (family.series.entry(canon_labels(labels)))
+            .or_insert_with(|| Arc::new(HistogramCore::new()));
+        Histogram(Some(Arc::clone(core)))
     }
 
-    fn counter_scaled(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        scale: f64,
-    ) -> Counter {
-        Counter(Some(self.instrument(
-            name,
-            help,
-            MetricKind::Counter,
-            labels,
-            || Instrument::Counter(Arc::new(CounterCore::new(scale))),
-            |i| match i {
-                Instrument::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )))
-    }
-
-    fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        Gauge(Some(self.instrument(
-            name,
-            help,
-            MetricKind::Gauge,
-            labels,
-            || Instrument::Gauge(Arc::new(AtomicI64::new(0))),
-            |i| match i {
-                Instrument::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )))
-    }
-
-    fn histogram_scaled(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        scale: f64,
-    ) -> Histogram {
-        Histogram(Some(self.instrument(
-            name,
-            help,
-            MetricKind::Histogram,
-            labels,
-            || Instrument::Histogram(Arc::new(HistogramCore::new(scale))),
-            |i| match i {
-                Instrument::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )))
-    }
-
-    /// The histogram series `name{labels}`, if one was ever created — a
-    /// read-only lookup for views that want quantiles.
+    /// The observations of histogram `name` over its series whose labels
+    /// include every pair of `labels`; 0 when no series matches.
     #[must_use]
-    pub fn find_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<Histogram> {
-        match self.families.lock().get(name)?.series.get(&canon_labels(labels))? {
-            Instrument::Histogram(h) => Some(Histogram(Some(Arc::clone(h)))),
-            _ => None,
-        }
-    }
-
-    /// The instrument `name` summed over its series whose labels include
-    /// every pair of `labels`: a counter's or a gauge's value as rendered, a
-    /// histogram's count of observations; 0 when no series matches.
-    #[must_use]
-    pub fn total(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
+    pub fn total(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         let families = self.families.lock();
-        let Some(family) = families.get(name) else { return 0.0 };
+        let Some(family) = families.get(name) else { return 0 };
         let wanted = |have: &LabelSet| {
             labels.iter().all(|&(k, v)| have.iter().any(|(hk, hv)| hk == k && hv == v))
         };
-        family.series.iter().filter(|(have, _)| wanted(have)).map(|(_, i)| i.value()).sum()
+        let series = family.series.iter().filter(|(have, _)| wanted(have));
+        series.map(|(_, h)| h.snapshot().0.iter().sum::<u64>()).sum()
     }
 
     /// The live ledger summed over every publisher this handle has had, by
@@ -489,22 +290,16 @@ impl Registry {
 
     /// Render Prometheus text exposition format 0.0.4: `# HELP`/`# TYPE`
     /// once per family, series sorted, histograms as cumulative
-    /// `_bucket`/`_sum`/`_count`. Deterministic for a fixed metric state.
+    /// `_bucket`/`_sum`/`_count` in seconds. Deterministic for a fixed
+    /// metric state.
     #[must_use]
     pub fn render(&self) -> String {
         let mut render: BTreeMap<String, Rendered> = BTreeMap::new();
         for (name, family) in self.families.lock().iter() {
-            let rf = render
-                .entry(name.clone())
-                .or_insert_with(|| Rendered::new(&family.help, family.kind));
-            for (labels, inst) in &family.series {
-                match inst {
-                    Instrument::Histogram(h) => {
-                        let (counts, sum) = h.snapshot();
-                        rf.hists.insert(labels.clone(), (counts, sum as f64 * h.scale, h.scale));
-                    }
-                    scalar => *rf.scalars.entry(labels.clone()).or_insert(0.0) += scalar.value(),
-                }
+            let rf = (render.entry(name.clone()))
+                .or_insert_with(|| Rendered::new(&family.help, MetricKind::Histogram));
+            for (labels, h) in &family.series {
+                rf.hists.insert(labels.clone(), h.snapshot());
             }
         }
         self.ledger.sum().render(&mut render);
@@ -517,14 +312,14 @@ impl Registry {
                 let _ =
                     writeln!(out, "{name}{} {}", render_labels(labels, None), fmt_value(*value));
             }
-            for (labels, (counts, sum, hist_scale)) in &rf.hists {
+            for (labels, (counts, sum)) in &rf.hists {
                 let mut cumulative = 0u64;
                 for (i, c) in counts.iter().enumerate() {
                     if *c == 0 {
                         continue;
                     }
                     cumulative += c;
-                    let le = bucket_upper(i) as f64 * hist_scale;
+                    let le = bucket_upper(i) as f64 * SECS_PER_NS;
                     let _ = writeln!(
                         out,
                         "{name}_bucket{} {cumulative}",
@@ -534,23 +329,12 @@ impl Registry {
                 let total: u64 = counts.iter().sum();
                 let _ =
                     writeln!(out, "{name}_bucket{} {total}", render_labels(labels, Some("+Inf")));
-                let _ =
-                    writeln!(out, "{name}_sum{} {}", render_labels(labels, None), fmt_value(*sum));
+                let sum = fmt_value(*sum as f64 * SECS_PER_NS);
+                let _ = writeln!(out, "{name}_sum{} {sum}", render_labels(labels, None));
                 let _ = writeln!(out, "{name}_count{} {total}", render_labels(labels, None));
             }
         }
         out
-    }
-}
-
-impl Instrument {
-    /// A counter's or gauge's value as rendered; a histogram's count.
-    fn value(&self) -> f64 {
-        match self {
-            Instrument::Counter(c) => c.total() as f64 * c.scale,
-            Instrument::Gauge(g) => g.load(Ordering::Relaxed) as f64,
-            Instrument::Histogram(h) => h.snapshot().0.iter().sum::<u64>() as f64,
-        }
     }
 }
 
@@ -559,8 +343,8 @@ struct Rendered {
     help: String,
     kind: MetricKind,
     scalars: BTreeMap<LabelSet, f64>,
-    /// bucket counts, scaled sum, le-bound scale.
-    hists: BTreeMap<LabelSet, (Vec<u64>, f64, f64)>,
+    /// A histogram's bucket counts and raw sum.
+    hists: BTreeMap<LabelSet, (Vec<u64>, u64)>,
 }
 
 impl Rendered {
@@ -603,14 +387,14 @@ fn fmt_value(v: f64) -> String {
 
 /// The cheap, cloneable metrics handle threaded through the runtime — the
 /// metrics twin of [`crate::telemetry::Telemetry`]. Disabled ([`Metrics::off`])
-/// it is a `None` and every instrument it hands out is a no-op.
+/// it is a `None`, and every histogram and ledger it hands out is a no-op.
 #[derive(Clone, Default)]
 pub struct Metrics {
     registry: Option<Arc<Registry>>,
 }
 
 impl Metrics {
-    /// The disabled handle: instruments cost one branch.
+    /// The disabled handle: histograms and ledgers cost one branch.
     #[must_use]
     pub fn off() -> Metrics {
         Metrics { registry: None }
@@ -635,51 +419,12 @@ impl Metrics {
         self.registry.clone()
     }
 
-    /// Get-or-create a counter series.
-    #[must_use]
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match &self.registry {
-            Some(r) => r.counter_scaled(name, help, labels, 1.0),
-            None => Counter::noop(),
-        }
-    }
-
-    /// Get-or-create a counter that accumulates nanoseconds and renders
-    /// seconds (name it `*_seconds_total`; feed it with [`Counter::add`] of
-    /// nanosecond values).
-    #[must_use]
-    pub fn time_counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        match &self.registry {
-            Some(r) => r.counter_scaled(name, help, labels, 1e-9),
-            None => Counter::noop(),
-        }
-    }
-
-    /// Get-or-create a gauge series.
-    #[must_use]
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        match &self.registry {
-            Some(r) => r.gauge(name, help, labels),
-            None => Gauge::noop(),
-        }
-    }
-
     /// Get-or-create a latency histogram recording nanoseconds and rendering
     /// seconds (name it `*_seconds`; feed it with [`Histogram::observe_secs`]).
     #[must_use]
     pub fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
         match &self.registry {
-            Some(r) => r.histogram_scaled(name, help, labels, 1e-9),
-            None => Histogram::noop(),
-        }
-    }
-
-    /// Get-or-create a histogram of plain counts or sizes: recorded and
-    /// rendered in the same unit (feed it with [`Histogram::observe`]).
-    #[must_use]
-    pub fn size_histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Histogram {
-        match &self.registry {
-            Some(r) => r.histogram_scaled(name, help, labels, 1.0),
+            Some(r) => r.histogram(name, help, labels),
             None => Histogram::noop(),
         }
     }
@@ -760,6 +505,14 @@ pub struct SiteTotals {
     pub wan_fetches: u64,
     /// Seconds the site's WAN-class fetches took.
     pub wan_secs: f64,
+    /// Answers with jobs the site's slaves heard from its master.
+    pub hand_offs: u64,
+    /// Jobs those answers brought.
+    pub handed: u64,
+    /// Exchanges in which the site's slaves reported jobs for verdicts.
+    pub settles: u64,
+    /// Jobs those exchanges reported.
+    pub settled: u64,
 }
 
 impl LedgerTotals {
@@ -779,6 +532,10 @@ impl LedgerTotals {
             fetched_bytes: a.fetched_bytes + s.fetched_bytes,
             wan_fetches: a.wan_fetches + s.wan_fetches,
             wan_secs: a.wan_secs + s.wan_secs,
+            hand_offs: a.hand_offs + s.hand_offs,
+            handed: a.handed + s.handed,
+            settles: a.settles + s.settles,
+            settled: a.settled + s.settled,
         })
     }
 }
@@ -786,7 +543,8 @@ impl LedgerTotals {
 /// The ledger families' values: each site's pool counts in
 /// [`POOL_FAMILIES`] order, the jobs waiting per shard (every shard, from
 /// the first publish on), the jobs in flight once a head published, and
-/// each slave's sample, rendered as [`SLAVE_FAMILIES`]. Beside them, the
+/// each slave's sample, rendered as [`SLAVE_FAMILIES`] and, summed by site,
+/// [`EXCHANGE_FAMILIES`]. Beside them, the
 /// jobs leased to each site and the samples' fetch fields the families do
 /// not show, which the live view reads typed.
 #[derive(Clone, Default)]
@@ -864,6 +622,13 @@ mod help {
     pub const RETRIES: &str = "Transient storage retries absorbed under a slave's fetches.";
     pub const FETCH: &str = "Wall time a slave (or its prefetcher) spent in chunk retrieval.";
     pub const PROCESS: &str = "Wall time a slave spent decoding and reducing.";
+    pub const HAND_OFFS: &str = "Answers with jobs a site's slaves heard from its master.";
+    pub const HANDED: &str = "Jobs a site's master handed its slaves.";
+    pub const SETTLES: &str = "Exchanges in which a site's slaves reported jobs for verdicts.";
+    pub const SETTLED: &str = "Jobs a site's slaves reported in exchanges for verdicts.";
+    pub const DROPPED: &str = "Granted jobs a slave dropped unprocessed because their execution \
+                               was revoked (evacuation or a finished replica) while they waited \
+                               in its batch or its pipeline.";
 }
 
 /// A pool family: name, help, the `kind` label of the two split by job kind,
@@ -900,6 +665,16 @@ const SLAVE_FAMILIES: [SlaveFamily; 5] = [
     ("cloudburst_slave_retries_total", help::RETRIES, |s| s.retries as f64),
     ("cloudburst_slave_fetch_busy_seconds_total", help::FETCH, |s| s.retrieval),
     ("cloudburst_slave_process_busy_seconds_total", help::PROCESS, |s| s.processing),
+];
+
+/// A slave's exchanges with its master, rendered per site; the live view
+/// reads the first four typed.
+const EXCHANGE_FAMILIES: [SlaveFamily; 5] = [
+    ("cloudburst_slave_hand_offs_total", help::HAND_OFFS, |s| s.hand_offs as f64),
+    ("cloudburst_slave_handed_jobs_total", help::HANDED, |s| s.handed as f64),
+    ("cloudburst_slave_settles_total", help::SETTLES, |s| s.settles as f64),
+    ("cloudburst_slave_settled_jobs_total", help::SETTLED, |s| s.settled as f64),
+    ("cloudburst_prefetch_dropped_total", help::DROPPED, |s| s.dropped as f64),
 ];
 
 impl Totals {
@@ -946,12 +721,17 @@ impl Totals {
             mine.retries += theirs.retries;
             mine.rereduced += theirs.rereduced;
             mine.jobs += theirs.jobs;
+            mine.hand_offs += theirs.hand_offs;
+            mine.handed += theirs.handed;
+            mine.settles += theirs.settles;
+            mine.settled += theirs.settled;
+            mine.dropped += theirs.dropped;
         }
     }
 
     /// Add the ledger's families to `out`: a pool family's series once it
     /// counts anything, every shard's depth, the jobs in flight, and each
-    /// slave's series from its first publish.
+    /// slave's series, and its site's, from its first publish.
     fn render(&self, out: &mut BTreeMap<String, Rendered>) {
         let (counter, gauge) = (MetricKind::Counter, MetricKind::Gauge);
         let mut put = |name: &str, help: &str, kind, labels: &[(&str, &str)], value| {
@@ -981,6 +761,9 @@ impl Totals {
             for &(name, help, value) in &SLAVE_FAMILIES {
                 put(name, help, counter, &labels, value(sample));
             }
+            for &(name, help, value) in &EXCHANGE_FAMILIES {
+                put(name, help, counter, &labels[..1], value(sample));
+            }
         }
     }
 
@@ -1006,6 +789,10 @@ impl Totals {
             row.fetched_bytes += slave.fetched_bytes;
             row.wan_fetches += slave.wan_fetches;
             row.wan_secs += slave.wan_secs;
+            row.hand_offs += slave.hand_offs;
+            row.handed += slave.handed;
+            row.settles += slave.settles;
+            row.settled += slave.settled;
         }
         LedgerTotals { in_flight: self.in_flight.unwrap_or(0), sites }
     }
@@ -1503,39 +1290,18 @@ mod tests {
     }
 
     #[test]
-    fn disabled_instruments_are_inert() {
+    fn a_disabled_handle_is_inert() {
         let m = Metrics::off();
-        let c = m.counter("x_total", "", &[]);
-        let g = m.gauge("x", "", &[]);
         let h = m.histogram("x_seconds", "", &[]);
-        c.add(5);
-        g.set(7);
         h.observe(9);
-        assert_eq!(c.value(), 0);
-        assert_eq!(g.value(), 0);
+        m.ledger().publish_slave(
+            SiteId::LOCAL,
+            0,
+            &SlaveSample { jobs: 1, ..SlaveSample::default() },
+        );
         assert_eq!(h.count(), 0);
         assert!(!m.is_enabled());
-    }
-
-    #[test]
-    fn counters_shard_and_sum_across_threads() {
-        let m = Metrics::on();
-        let c = m.counter("jobs_total", "jobs", &[("site", "local")]);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let c = c.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        c.inc();
-                    }
-                });
-            }
-        });
-        assert_eq!(c.value(), 8000);
-        // Re-registering the same (name, labels) returns the same series.
-        let again = m.counter("jobs_total", "jobs", &[("site", "local")]);
-        again.add(2);
-        assert_eq!(c.value(), 8002);
+        assert!(m.registry().is_none());
     }
 
     #[test]
@@ -1551,6 +1317,10 @@ mod tests {
         assert!((p50 - 500_000.0).abs() / 500_000.0 < 0.13, "p50 {p50}");
         assert!((p99 - 990_000.0).abs() / 990_000.0 < 0.13, "p99 {p99}");
         assert!(h.quantile(0.5) > 0.0);
+
+        // Re-registering the same (name, labels) returns the same series.
+        m.histogram("lat_seconds", "", &[]).observe(1);
+        assert_eq!(h.count(), 1001);
 
         let whole = m.histogram("whole_seconds", "", &[]);
         let a = m.histogram("a_seconds", "", &[]);
@@ -1575,24 +1345,28 @@ mod tests {
     #[test]
     fn render_parses_and_is_deterministic() {
         let m = Metrics::on();
-        m.counter("cloudburst_jobs_granted_total", "granted", &[("site", "local")]).add(3);
-        m.counter("cloudburst_jobs_granted_total", "granted", &[("site", "cloud")]).add(4);
-        m.gauge("cloudburst_jobs_pending", "pending", &[]).set(11);
         let h = m.histogram("cloudburst_fetch_seconds", "fetch", &[("site", "local")]);
         h.observe_secs(0.001);
         h.observe_secs(0.004);
-        m.counter("cloudburst_reads_total", "reads", &[("store", "s3")]).add(9);
+        let sample = |jobs, hand_offs| SlaveSample { jobs, hand_offs, ..SlaveSample::default() };
+        let (local, cloud) = (m.ledger(), m.ledger());
+        local.publish_slave(SiteId::LOCAL, 0, &sample(3, 1));
+        cloud.publish_slave(SiteId::CLOUD, 0, &sample(4, 2));
+        cloud.publish_slave(SiteId::CLOUD, 0, &sample(5, 2));
+        m.ledger().publish_slave(SiteId::CLOUD, 1, &sample(1, 1));
         let reg = m.registry().unwrap();
         let text = reg.render();
         assert_eq!(text, reg.render(), "render must be deterministic");
         let exp = parse_exposition(&text).expect("our own exposition parses");
-        assert_eq!(exp.get("cloudburst_jobs_granted_total", &[("site", "local")]), Some(3.0));
-        assert_eq!(exp.sum_family("cloudburst_jobs_granted_total"), 7.0);
-        assert_eq!(exp.get("cloudburst_jobs_pending", &[]), Some(11.0));
-        assert_eq!(exp.get("cloudburst_reads_total", &[("store", "s3")]), Some(9.0));
+        let worker = |site, worker| [("site", site), ("worker", worker)];
+        assert_eq!(exp.get("cloudburst_slave_jobs_total", &worker("local", "0")), Some(3.0));
+        assert_eq!(exp.get("cloudburst_slave_jobs_total", &worker("cloud", "0")), Some(5.0));
+        assert_eq!(exp.sum_family("cloudburst_slave_jobs_total"), 9.0);
+        assert_eq!(exp.get("cloudburst_slave_hand_offs_total", &[("site", "cloud")]), Some(3.0));
+        assert_eq!(exp.types["cloudburst_slave_hand_offs_total"], "counter");
         assert_eq!(exp.get("cloudburst_fetch_seconds_count", &[("site", "local")]), Some(2.0));
-        let by = exp.by_label("cloudburst_jobs_granted_total", "site");
-        assert_eq!(by.get("cloud"), Some(&4.0));
+        let by = exp.by_label("cloudburst_slave_jobs_total", "site");
+        assert_eq!(by.get("cloud"), Some(&6.0));
     }
 
     #[test]
@@ -1691,15 +1465,26 @@ mod tests {
         assert_eq!(pool.grant(SiteId::LOCAL, 1, 1e6).jobs.len(), 1);
         let head = m.ledger();
         head.publish_pool(&pool);
-        let sample =
-            SlaveSample { jobs: 3, retrieval: 0.25, processing: 0.5, ..SlaveSample::default() };
+        let sample = SlaveSample {
+            jobs: 3,
+            retrieval: 0.25,
+            processing: 0.5,
+            hand_offs: 2,
+            handed: 5,
+            settles: 1,
+            settled: 3,
+            dropped: 2,
+            ..SlaveSample::default()
+        };
         let slave = m.ledger();
         slave.publish_slave(SiteId::LOCAL, 0, &sample);
         m.ledger().publish_slave(SiteId::LOCAL, 1, &sample);
-        m.counter("x_total", "", &[("site", "cloud"), ("store", "mem")]).add(2);
-        m.counter("x_total", "", &[("site", "cloud"), ("store", "s3")]).add(5);
-        m.counter("x_total", "", &[("site", "local"), ("store", "s3")]).add(7);
-        m.histogram("y_seconds", "", &[]).observe_secs(0.5);
+        let observe = |labels: &[(&str, &str)], n| {
+            (0..n).for_each(|_| m.histogram("x_seconds", "", labels).observe_secs(0.5));
+        };
+        observe(&[("site", "cloud"), ("store", "mem")], 2);
+        observe(&[("site", "cloud"), ("store", "s3")], 5);
+        observe(&[("site", "local"), ("store", "s3")], 7);
 
         let exp = parse_exposition(&registry.render()).unwrap();
         let read = registry.ledger();
@@ -1715,15 +1500,21 @@ mod tests {
             assert_eq!(row.depth, get("cloudburst_pool_queue_depth"), "{site}");
             let jobs = exp.by_label("cloudburst_slave_jobs_total", "site");
             assert_eq!(row.jobs as f64, jobs.get(&site).copied().unwrap_or(0.0), "{site}");
+            assert_eq!(row.hand_offs, get("cloudburst_slave_hand_offs_total"), "{site}");
+            assert_eq!(row.handed, get("cloudburst_slave_handed_jobs_total"), "{site}");
+            assert_eq!(row.settles, get("cloudburst_slave_settles_total"), "{site}");
+            assert_eq!(row.settled, get("cloudburst_slave_settled_jobs_total"), "{site}");
         }
         let local = read.sites[&SiteId::LOCAL];
         assert_eq!((local.jobs, local.busy_secs), (6, 1.5), "a dropped slave's share stays");
+        assert_eq!((local.hand_offs, local.handed, local.settles, local.settled), (4, 10, 2, 6));
+        let dropped = exp.get("cloudburst_prefetch_dropped_total", &[("site", "local")]);
+        assert_eq!(dropped, Some(4.0));
         assert_eq!((read.all().grants, local.lease_reaps), (7, 1));
-        assert_eq!(registry.total("x_total", &[("site", "cloud")]), 7.0);
-        assert_eq!(registry.total("x_total", &[("store", "s3")]), 12.0);
-        assert_eq!(registry.total("x_total", &[]), 14.0);
-        assert_eq!(registry.total("y_seconds", &[]), 1.0, "a histogram's count");
-        assert_eq!(registry.total("absent_total", &[]), 0.0);
+        assert_eq!(registry.total("x_seconds", &[("site", "cloud")]), 7);
+        assert_eq!(registry.total("x_seconds", &[("store", "s3")]), 12);
+        assert_eq!(registry.total("x_seconds", &[]), 14);
+        assert_eq!(registry.total("absent_seconds", &[]), 0);
     }
 
     #[test]
@@ -1737,6 +1528,9 @@ mod tests {
         let bad_hist = "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\n\
                         h_bucket{le=\"+Inf\"} 5\nh_count 5\nh_sum 2\n";
         assert!(parse_exposition(bad_hist).is_err(), "non-cumulative buckets");
+        // A gauge may go below zero, as text from outside the program says.
+        let gauge = parse_exposition("# TYPE g gauge\ng{site=\"cloud\"} -3\n").unwrap();
+        assert_eq!(gauge.get("g", &[("site", "cloud")]), Some(-3.0));
     }
 
     #[test]
@@ -1750,12 +1544,13 @@ mod tests {
     #[test]
     fn http_server_serves_metrics_and_404s() {
         let m = Metrics::on();
-        m.counter("cloudburst_smoke_total", "smoke", &[]).add(42);
+        let slave = m.ledger();
+        slave.publish_slave(SiteId::LOCAL, 0, &SlaveSample { jobs: 42, ..SlaveSample::default() });
         let server = MetricsServer::bind(m.registry().unwrap(), "127.0.0.1:0").unwrap();
         let url = format!("http://{}/metrics", server.local_addr());
         let body = http_get(&url, Duration::from_secs(2)).unwrap();
         let exp = parse_exposition(&body).unwrap();
-        assert_eq!(exp.get("cloudburst_smoke_total", &[]), Some(42.0));
+        assert_eq!(exp.sum_family("cloudburst_slave_jobs_total"), 42.0);
         let miss =
             http_get(&format!("http://{}/nope", server.local_addr()), Duration::from_secs(2));
         assert!(miss.is_err());

@@ -520,12 +520,6 @@ impl JobPool {
         self.assignees.of(job.0 as usize).map(|a| a.site).collect()
     }
 
-    /// True when the pool still has unassigned jobs hosted at `site`.
-    #[must_use]
-    pub fn has_local_pending(&self, site: SiteId) -> bool {
-        self.pending_by_file.iter().zip(&self.file_site).any(|(q, &s)| s == site && !q.is_empty())
-    }
-
     /// Per-site processed/stolen counts (Table I data).
     #[must_use]
     pub fn site_counts(&self) -> BTreeMap<SiteId, SiteJobCounts> {
@@ -1187,7 +1181,9 @@ mod tests {
         let cb = pool.grant(SiteId::CLOUD, 1, 0.0);
         let busy_file = cb.jobs[0].file;
         // Drain local jobs.
-        while pool.has_local_pending(SiteId::LOCAL) {
+        let local_pending =
+            |pool: &JobPool| pool.pending_by_home().any(|(home, n)| home == SiteId::LOCAL && n > 0);
+        while local_pending(&pool) {
             let b = pool.grant(SiteId::LOCAL, 1, 0.0);
             for j in &b.jobs {
                 pool.complete(j.id, SiteId::LOCAL);

@@ -184,6 +184,17 @@ pub struct SlaveSample {
     pub rereduced: u64,
     /// Jobs the slave fully decoded and reduced.
     pub jobs: u64,
+    /// Answers with jobs the slave heard from its master.
+    pub hand_offs: u64,
+    /// Jobs those answers brought.
+    pub handed: u64,
+    /// Exchanges in which the slave reported open jobs for verdicts.
+    pub settles: u64,
+    /// Jobs those exchanges reported.
+    pub settled: u64,
+    /// Granted jobs the slave dropped unprocessed because their execution
+    /// was revoked.
+    pub dropped: u64,
 }
 
 /// Raw per-site measurements feeding [`assemble_sites`].

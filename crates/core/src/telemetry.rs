@@ -119,6 +119,21 @@ pub enum EventKind {
     /// A slave reduced an accepted job a second time, because a job it shared
     /// the scratch object with was refused or revoked.
     JobRereduced,
+    /// A slave heard its master answer a request with jobs.
+    HandOff {
+        /// Jobs the answer brought.
+        jobs: u64,
+    },
+    /// A slave reported open jobs in one exchange and waited for the
+    /// head's verdicts on them.
+    Settled {
+        /// Jobs the exchange reported.
+        jobs: u64,
+    },
+    /// A slave dropped a granted job unprocessed: its execution was revoked
+    /// (an evacuation or a finished replica) while it waited in the slave's
+    /// batch or pipeline.
+    JobDropped,
     /// The head ruled on a completion report (the dedup verdict).
     JobCompleted {
         /// The result was accepted for merging (first completion wins).
@@ -214,6 +229,9 @@ impl EventKind {
             EventKind::StorageRetry { .. } => "storage-retry",
             EventKind::JobProcessed => "job-processed",
             EventKind::JobRereduced => "job-rereduced",
+            EventKind::HandOff { .. } => "hand-off",
+            EventKind::Settled { .. } => "settle",
+            EventKind::JobDropped => "job-dropped",
             EventKind::JobCompleted { .. } => "job-completed",
             EventKind::SpeculationResolved { .. } => "speculation-resolved",
             EventKind::ReplicaResolved { .. } => "replica-resolved",
@@ -276,6 +294,9 @@ impl EventKind {
             EventKind::JobStarted { .. }
             | EventKind::JobProcessed
             | EventKind::JobRereduced
+            | EventKind::HandOff { .. }
+            | EventKind::Settled { .. }
+            | EventKind::JobDropped
             | EventKind::SlaveFinished => "slave",
             EventKind::ChunkFetched { .. } | EventKind::StorageRetry { .. } => "storage",
             EventKind::SiteEvacuated
@@ -299,6 +320,7 @@ impl EventKind {
                 | EventKind::JobCompleted { merged: false, .. }
                 | EventKind::JobCompleted { late: true, .. }
                 | EventKind::JobRereduced
+                | EventKind::JobDropped
                 | EventKind::SpeculationResolved { .. }
                 | EventKind::ReplicaResolved { .. }
                 | EventKind::JobFailed
@@ -423,6 +445,9 @@ impl Event {
                 ("retries", Json::U64(retries)),
             ],
             EventKind::StorageRetry { retries } => vec![("retries", Json::U64(retries))],
+            EventKind::HandOff { jobs } | EventKind::Settled { jobs } => {
+                vec![("jobs", Json::U64(jobs))]
+            }
             EventKind::JobCompleted { merged, late, stolen } => vec![
                 ("merged", Json::Bool(merged)),
                 ("late", Json::Bool(late)),
@@ -520,6 +545,9 @@ impl Event {
             }
             "job-processed" => EventKind::JobProcessed,
             "job-rereduced" => EventKind::JobRereduced,
+            "hand-off" => EventKind::HandOff { jobs: u64_of(j, "jobs").unwrap_or(0) },
+            "settle" => EventKind::Settled { jobs: u64_of(j, "jobs").unwrap_or(0) },
+            "job-dropped" => EventKind::JobDropped,
             "job-completed" => EventKind::JobCompleted {
                 merged: bool_of(j, "merged"),
                 late: bool_of(j, "late"),
@@ -1240,6 +1268,15 @@ impl SlaveSample {
                 self.jobs += 1;
             }
             EventKind::JobRereduced => self.rereduced += 1,
+            EventKind::HandOff { jobs } => {
+                self.hand_offs += 1;
+                self.handed += jobs;
+            }
+            EventKind::Settled { jobs } => {
+                self.settles += 1;
+                self.settled += jobs;
+            }
+            EventKind::JobDropped => self.dropped += 1,
             EventKind::SlaveFinished => self.finish = self.finish.max(ns_to_secs(e.at_ns)),
             _ => {}
         }
@@ -1352,6 +1389,11 @@ mod tests {
         events.push(Event::at(7, EventKind::ReplicaResolved { won: true }).site(SiteId::CLOUD));
         events.push(Event::at(7, EventKind::ReplicaResolved { won: false }).site(SiteId::LOCAL));
         events.push(Event::at(8, EventKind::RefetchSaved).site(SiteId::CLOUD).chunk(ChunkId(1)));
+        // And a slave's exchanges with its master.
+        let slave = |e: Event| e.site(SiteId::LOCAL).worker(1);
+        events.push(slave(Event::at(9, EventKind::HandOff { jobs: 12 })));
+        events.push(slave(Event::at(10, EventKind::Settled { jobs: 5 })));
+        events.push(slave(Event::at(11, EventKind::JobDropped).chunk(ChunkId(2))));
         for (i, e) in events.iter_mut().enumerate() {
             e.seq = i as u64 + 1;
         }
@@ -1361,6 +1403,23 @@ mod tests {
                 .expect("event parses back");
             assert_eq!(back, *e, "round trip diverged for {line}");
         }
+    }
+
+    #[test]
+    fn a_slaves_exchanges_with_its_master_fold_into_its_ledger() {
+        let mut sample = SlaveSample::default();
+        for kind in [
+            EventKind::HandOff { jobs: 12 },
+            EventKind::HandOff { jobs: 4 },
+            EventKind::Settled { jobs: 9 },
+            EventKind::JobDropped,
+        ] {
+            sample.apply(&Event::at(1, kind).site(SiteId::CLOUD).worker(0));
+        }
+        let exchanges =
+            (sample.hand_offs, sample.handed, sample.settles, sample.settled, sample.dropped);
+        assert_eq!(exchanges, (2, 16, 1, 9, 1));
+        assert_eq!(sample.jobs, 0, "an exchange processes nothing");
     }
 
     #[test]

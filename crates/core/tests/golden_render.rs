@@ -1,8 +1,9 @@
 //! The exposition text of one fixed metrics state, byte for byte: which
 //! families there are and in what order, their HELP and TYPE lines, the order
 //! of labels, and when a series exists at all. The live ledger's families are
-//! rendered from what a head and its slaves publish; the instruments sit
-//! beside them in the same sorted family map.
+//! rendered from what a head and its slaves publish; the two latency
+//! histograms sit beside them in the same sorted family map. The ledger's
+//! counter and gauge families pin both of those `# TYPE` renders.
 
 use cloudburst_core::{
     BatchPolicy, DataIndex, JobPool, LayoutParams, Metrics, SiteId, SlaveSample,
@@ -41,6 +42,11 @@ fn the_exposition_of_a_fixed_state_is_pinned() {
         retries: 1,
         retrieval: 0.25,
         processing: 1.5,
+        hand_offs: 2,
+        handed: 7,
+        settles: 1,
+        settled: 3,
+        dropped: 1,
         ..SlaveSample::default()
     };
     alive.publish_slave(SiteId::LOCAL, 0, &sample);
@@ -48,9 +54,6 @@ fn the_exposition_of_a_fixed_state_is_pinned() {
     gone.publish_slave(SiteId::CLOUD, 1, &SlaveSample { jobs: 5, ..sample });
     drop(gone);
 
-    m.counter("cloudburst_store_requests_total", "Reads.", &[("store", "mem"), ("site", "local")])
-        .add(7);
-    m.gauge("cloudburst_pipeline_prefetched", "Buffered.", &[("site", "cloud")]).set(2);
     let h = m.histogram("cloudburst_fetch_seconds", "Fetches.", &[("site", "local")]);
     h.observe_secs(0.001);
     h.observe_secs(0.004);
@@ -66,9 +69,6 @@ cloudburst_fetch_seconds_bucket{site="local",le="0.004194303"} 2
 cloudburst_fetch_seconds_bucket{site="local",le="+Inf"} 2
 cloudburst_fetch_seconds_sum{site="local"} 0.005
 cloudburst_fetch_seconds_count{site="local"} 2
-# HELP cloudburst_pipeline_prefetched Buffered.
-# TYPE cloudburst_pipeline_prefetched gauge
-cloudburst_pipeline_prefetched{site="cloud"} 2
 # HELP cloudburst_pool_grants_total Job leases granted by the head (speculative copies included).
 # TYPE cloudburst_pool_grants_total counter
 cloudburst_pool_grants_total{site="cloud"} 5
@@ -95,10 +95,22 @@ cloudburst_pool_shard_stolen_from_total{site="local"} 1
 # HELP cloudburst_pool_steals_total Cross-site (stolen) job grants.
 # TYPE cloudburst_pool_steals_total counter
 cloudburst_pool_steals_total{site="cloud"} 1
+# HELP cloudburst_prefetch_dropped_total Granted jobs a slave dropped unprocessed because their execution was revoked (evacuation or a finished replica) while they waited in its batch or its pipeline.
+# TYPE cloudburst_prefetch_dropped_total counter
+cloudburst_prefetch_dropped_total{site="cloud"} 1
+cloudburst_prefetch_dropped_total{site="local"} 1
 # HELP cloudburst_slave_fetch_busy_seconds_total Wall time a slave (or its prefetcher) spent in chunk retrieval.
 # TYPE cloudburst_slave_fetch_busy_seconds_total counter
 cloudburst_slave_fetch_busy_seconds_total{site="cloud",worker="1"} 0.25
 cloudburst_slave_fetch_busy_seconds_total{site="local",worker="0"} 0.25
+# HELP cloudburst_slave_hand_offs_total Answers with jobs a site's slaves heard from its master.
+# TYPE cloudburst_slave_hand_offs_total counter
+cloudburst_slave_hand_offs_total{site="cloud"} 2
+cloudburst_slave_hand_offs_total{site="local"} 2
+# HELP cloudburst_slave_handed_jobs_total Jobs a site's master handed its slaves.
+# TYPE cloudburst_slave_handed_jobs_total counter
+cloudburst_slave_handed_jobs_total{site="cloud"} 7
+cloudburst_slave_handed_jobs_total{site="local"} 7
 # HELP cloudburst_slave_jobs_total Jobs a slave fully decoded and reduced.
 # TYPE cloudburst_slave_jobs_total counter
 cloudburst_slave_jobs_total{site="cloud",worker="1"} 5
@@ -115,7 +127,12 @@ cloudburst_slave_remote_bytes_total{site="local",worker="0"} 4096
 # TYPE cloudburst_slave_retries_total counter
 cloudburst_slave_retries_total{site="cloud",worker="1"} 1
 cloudburst_slave_retries_total{site="local",worker="0"} 1
-# HELP cloudburst_store_requests_total Reads.
-# TYPE cloudburst_store_requests_total counter
-cloudburst_store_requests_total{site="local",store="mem"} 7
+# HELP cloudburst_slave_settled_jobs_total Jobs a site's slaves reported in exchanges for verdicts.
+# TYPE cloudburst_slave_settled_jobs_total counter
+cloudburst_slave_settled_jobs_total{site="cloud"} 3
+cloudburst_slave_settled_jobs_total{site="local"} 3
+# HELP cloudburst_slave_settles_total Exchanges in which a site's slaves reported jobs for verdicts.
+# TYPE cloudburst_slave_settles_total counter
+cloudburst_slave_settles_total{site="cloud"} 1
+cloudburst_slave_settles_total{site="local"} 1
 "#;

@@ -1,109 +1,136 @@
-//! Property tests for the metrics subsystem: whatever mix of counters,
-//! gauges and histograms a run registers, the rendered Prometheus
-//! exposition must be strictly parseable (no duplicate series, no
-//! malformed lines, cumulative buckets), values must round-trip exactly,
-//! and successive scrapes must satisfy the counter-monotonicity contract.
+//! Property tests for the metrics subsystem: whatever the live ledger holds
+//! and whatever the latency histograms observe, the rendered Prometheus
+//! exposition must be strictly parseable (no duplicate series, no malformed
+//! lines, cumulative buckets), values must round-trip exactly, and
+//! successive scrapes must satisfy the counter-monotonicity contract.
 //! Histograms share one fixed bucket grid, so merging per-shard histograms
-//! must be indistinguishable from observing everything into one — the
-//! invariant the sharded slave handles rely on. Alongside, edge-case tests
-//! pin the exporters' behavior on empty and single-event streams.
+//! must be indistinguishable from observing everything into one.
+//! Alongside, edge-case tests pin the exporters' behavior on empty and
+//! single-event streams.
 
 use cloudburst_core::{
-    check_monotonic, chrome_trace, events_to_jsonl, parse_exposition, Event, EventKind, Json,
-    Metrics, SiteId,
+    check_monotonic, chrome_trace, events_to_jsonl, parse_exposition, BatchPolicy, DataIndex,
+    Event, EventKind, JobPool, Json, LayoutParams, LiveLedger, Metrics, SiteId, SlaveSample,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// (name index, label index, delta) — one counter increment.
-type CounterSpec = (usize, usize, u64);
-/// (name index, label index, level) — one gauge store.
-type GaugeSpec = (usize, usize, i64);
+/// (worker, site index, jobs) — one slave's hand-off of `jobs` jobs, all
+/// processed, published.
+type SlaveSpec = (u32, u16, u64);
+/// (site index, jobs) — one grant of the head's pool, published.
+type GrantSpec = (u16, usize);
 /// (name index, raw nanosecond observations) — one histogram batch.
 type HistSpec = (usize, Vec<u64>);
 
-fn counter_name(n: usize) -> String {
-    format!("t_ops_{n}_total")
-}
+/// Jobs in the head's pool, half homed at each of two sites.
+const JOBS: u64 = 64;
 
 fn hist_name(n: usize) -> String {
     format!("t_lat_{n}_seconds")
 }
 
-fn site_label(l: usize) -> String {
-    format!("s{l}")
+/// What a head and its slaves publish to one handle.
+struct Publishers {
+    metrics: Metrics,
+    pool: JobPool,
+    head: LiveLedger,
+    slaves: BTreeMap<(SiteId, u32), (LiveLedger, SlaveSample)>,
 }
 
-/// Apply one batch of arbitrary instrument updates through the public
-/// get-or-create handles, exactly as the runtimes do.
-fn apply(metrics: &Metrics, counters: &[CounterSpec], gauges: &[GaugeSpec], hists: &[HistSpec]) {
-    for &(n, l, v) in counters {
-        let site = site_label(l);
-        metrics.counter(&counter_name(n), "test ops", &[("site", &site)]).add(v);
+impl Publishers {
+    fn new(metrics: &Metrics) -> Publishers {
+        let params = LayoutParams { unit_size: 1, units_per_chunk: 1, n_files: 2 };
+        let home = |f: cloudburst_core::FileId| SiteId(f.0 as u16);
+        let index = DataIndex::build(JOBS, params, home).unwrap();
+        let pool = JobPool::from_index(&index, BatchPolicy::Fixed(1));
+        let head = metrics.ledger();
+        head.publish_pool(&pool);
+        Publishers { metrics: metrics.clone(), pool, head, slaves: BTreeMap::new() }
     }
-    for &(n, l, v) in gauges {
-        let site = site_label(l);
-        metrics.gauge(&format!("t_level_{n}"), "test level", &[("site", &site)]).set(v);
-    }
-    for (n, obs) in hists {
-        let h = metrics.histogram(&hist_name(*n), "test latency", &[]);
-        for &v in obs {
-            h.observe(v);
+
+    /// Publish each slave's grown ledger and each grant, exactly as the
+    /// runtimes do, and observe the histograms.
+    fn apply(&mut self, slaves: &[SlaveSpec], grants: &[GrantSpec], hists: &[HistSpec]) {
+        for &(worker, site, jobs) in slaves {
+            let site = SiteId(site);
+            let metrics = &self.metrics;
+            let (ledger, sample) = (self.slaves.entry((site, worker)))
+                .or_insert_with(|| (metrics.ledger(), SlaveSample::default()));
+            sample.hand_offs += 1;
+            sample.handed += jobs;
+            sample.jobs += jobs;
+            ledger.publish_slave(site, worker, sample);
+        }
+        for &(site, jobs) in grants {
+            self.pool.grant(SiteId(site), jobs, 0.0);
+            self.head.publish_pool(&self.pool);
+        }
+        for (n, obs) in hists {
+            let h = self.metrics.histogram(&hist_name(*n), "test latency", &[]);
+            for &v in obs {
+                h.observe(v);
+            }
         }
     }
 }
 
-fn arb_counters() -> impl Strategy<Value = Vec<CounterSpec>> {
-    prop::collection::vec((0usize..4, 0usize..3, 0u64..1_000), 0..24)
+fn arb_slaves() -> impl Strategy<Value = Vec<SlaveSpec>> {
+    prop::collection::vec((0u32..3, 0u16..3, 0u64..1_000), 0..24)
+}
+
+fn arb_grants() -> impl Strategy<Value = Vec<GrantSpec>> {
+    prop::collection::vec((0u16..2, 0usize..6), 0..8)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any registry contents render to an exposition the strict parser
-    /// accepts (it rejects duplicate series, malformed lines, and
+    /// Any ledger and histogram contents render to an exposition the strict
+    /// parser accepts (it rejects duplicate series, malformed lines, and
     /// non-cumulative buckets), every counter/gauge/histogram-count value
-    /// round-trips exactly, and a second scrape after further increments
+    /// round-trips exactly, and a second scrape after further publishes
     /// never violates counter monotonicity.
     #[test]
     fn rendered_exposition_parses_and_scrapes_stay_monotonic(
-        counters in arb_counters(),
-        gauges in prop::collection::vec((0usize..3, 0usize..3, -500i64..500), 0..16),
+        slaves in arb_slaves(),
+        grants in arb_grants(),
         hists in prop::collection::vec(
             (0usize..2, prop::collection::vec(0u64..5_000_000_000, 0..8)),
             0..8,
         ),
-        more in arb_counters(),
+        more in arb_slaves(),
+        more_grants in arb_grants(),
     ) {
         let metrics = Metrics::on();
         let registry = metrics.registry().expect("metrics just enabled");
-        apply(&metrics, &counters, &gauges, &hists);
+        let mut publishers = Publishers::new(&metrics);
+        publishers.apply(&slaves, &grants, &hists);
 
         let first = registry.render();
         let parsed = parse_exposition(&first);
         prop_assert!(parsed.is_ok(), "first scrape rejected: {:?}\n{}", parsed, first);
         let e1 = parsed.unwrap();
 
-        // Counters round-trip: the rendered series equals the sum of adds.
-        let mut want_counters: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for &(n, l, v) in &counters {
-            *want_counters.entry((n, l)).or_default() += v;
+        // Counters round-trip: a slave's series is its last publish, and a
+        // site's the sum of its slaves'.
+        let mut handed: BTreeMap<String, u64> = BTreeMap::new();
+        for (&(site, worker), (_, sample)) in &publishers.slaves {
+            let (site, worker) = (site.to_string(), worker.to_string());
+            let got = e1.get("cloudburst_slave_jobs_total", &[("site", &site), ("worker", &worker)]);
+            prop_assert_eq!(got, Some(sample.jobs as f64), "slave ({}, {})", site, worker);
+            *handed.entry(site).or_default() += sample.handed;
         }
-        for (&(n, l), &want) in &want_counters {
-            let site = site_label(l);
-            let got = e1.get(&counter_name(n), &[("site", &site)]);
-            prop_assert_eq!(got, Some(want as f64), "counter ({}, {})", n, l);
+        for (site, want) in &handed {
+            let got = e1.get("cloudburst_slave_handed_jobs_total", &[("site", site)]);
+            prop_assert_eq!(got, Some(*want as f64), "site {}", site);
         }
-        // Gauges round-trip: last store wins.
-        let mut want_gauges: BTreeMap<(usize, usize), i64> = BTreeMap::new();
-        for &(n, l, v) in &gauges {
-            want_gauges.insert((n, l), v);
-        }
-        for (&(n, l), &want) in &want_gauges {
-            let site = site_label(l);
-            let got = e1.get(&format!("t_level_{n}"), &[("site", &site)]);
-            prop_assert_eq!(got, Some(want as f64), "gauge ({}, {})", n, l);
-        }
+        // Gauges round-trip: every job granted is in flight, every other
+        // one waits in its shard.
+        let in_flight = publishers.pool.in_flight() as f64;
+        prop_assert_eq!(e1.get("cloudburst_pool_in_flight", &[]), Some(in_flight));
+        let waiting = e1.sum_family("cloudburst_pool_queue_depth");
+        prop_assert_eq!(waiting + in_flight, JOBS as f64);
         // Histogram counts round-trip through the bucket expansion.
         let mut want_obs: BTreeMap<usize, u64> = BTreeMap::new();
         for (n, obs) in &hists {
@@ -114,9 +141,9 @@ proptest! {
             prop_assert_eq!(got, Some(want as f64), "histogram {} count", n);
         }
 
-        // Second scrape after more increments and repeated observations:
+        // Second scrape after more publishes and repeated observations:
         // the counter families present earlier must never go backwards.
-        apply(&metrics, &more, &[], &hists);
+        publishers.apply(&more, &more_grants, &hists);
         let second = registry.render();
         let parsed = parse_exposition(&second);
         prop_assert!(parsed.is_ok(), "second scrape rejected: {:?}\n{}", parsed, second);
@@ -127,7 +154,7 @@ proptest! {
 
     /// Merging per-shard histograms into one equals observing every value
     /// into a single histogram: identical counts, sums, and quantiles at
-    /// every probed rank. This is what makes per-worker handles safe.
+    /// every probed rank.
     #[test]
     fn histogram_merge_of_shards_equals_the_whole(
         shards in prop::collection::vec(

@@ -802,7 +802,7 @@ fn debug_routes(
             let prev_view = prev
                 .as_ref()
                 .map(|(at, ledger)| (now.saturating_duration_since(*at).as_secs_f64(), ledger));
-            let mut body = sites_debug_json(&reg, &ledger, prev_view).to_text();
+            let mut body = sites_debug_json(&ledger, prev_view).to_text();
             body.push('\n');
             ("200 OK", "application/json", body)
         }),
@@ -859,52 +859,30 @@ fn imbalance(ledger: &LedgerTotals) -> Option<f64> {
 }
 
 /// The `/debug/sites` document: per-site throughput (over the window since
-/// the previous scrape), drain ETA, and the head reactor's connection
-/// accounting.
-fn sites_debug_json(
-    registry: &Registry,
-    ledger: &LedgerTotals,
-    prev: Option<(f64, &LedgerTotals)>,
-) -> Json {
+/// the previous scrape), the slaves' exchanges with their master, and the
+/// drain ETA.
+fn sites_debug_json(ledger: &LedgerTotals, prev: Option<(f64, &LedgerTotals)>) -> Json {
     let outstanding = ledger.all().depth + ledger.in_flight;
     let mut total_rate = 0.0;
     let mut sites = Vec::new();
     for (&site, cur) in &ledger.sites {
-        let name = site.to_string();
-        let labels = [("site", name.as_str())];
         let mut entry = Json::obj()
-            .field("site", Json::Str(name.clone()))
+            .field("site", Json::Str(site.to_string()))
             .field("jobs", Json::U64(cur.jobs))
             .field("steals", Json::U64(cur.steals))
             .field("queue", Json::U64(cur.depth))
-            .field("busy_secs", Json::F64(cur.busy_secs));
-        // The grant layer, by the bench ladder's names: how long a request
-        // to the head takes, how many jobs the master keeps on request to
-        // cover it, what the slaves still waited, and how many jobs a slave
-        // takes per hand-off and reports per completion message it waits on.
-        let histogram = |name| registry.find_histogram(name, &labels).filter(|h| h.count() > 0);
-        if let Some(rtt) = histogram("cloudburst_master_grant_rtt_seconds") {
-            let window = registry.total("cloudburst_master_window_jobs", &labels);
-            let starved = registry.total("cloudburst_master_starved_seconds_total", &labels);
-            let mut master = Json::obj()
-                .field("grant_round_trips", Json::U64(rtt.count()))
-                .field("window_jobs", Json::U64(window as u64))
-                .field("starved_secs", Json::F64(starved))
-                .field("grant_rtt_us_p50", Json::F64(rtt.quantile(0.5) * 1e6))
-                .field("grant_rtt_us_p99", Json::F64(rtt.quantile(0.99) * 1e6));
-            if let Some(h) = histogram("cloudburst_slave_batch_jobs") {
-                master = master
-                    .field("hand_offs", Json::U64(h.count()))
-                    .field("jobs_per_hand_off_mean", Json::F64(h.sum() / h.count() as f64))
-                    .field("jobs_per_hand_off_p99", Json::F64(h.quantile(0.99)));
+            .field("busy_secs", Json::F64(cur.busy_secs))
+            .field("hand_offs", Json::U64(cur.hand_offs))
+            .field("settles", Json::U64(cur.settles));
+        // How many jobs a slave takes per hand-off and reports per exchange
+        // it waits on for verdicts.
+        for (name, jobs, exchanges) in [
+            ("jobs_per_hand_off", cur.handed, cur.hand_offs),
+            ("jobs_per_settle", cur.settled, cur.settles),
+        ] {
+            if exchanges > 0 {
+                entry = entry.field(name, Json::F64(jobs as f64 / exchanges as f64));
             }
-            if let Some(h) = histogram("cloudburst_slave_settle_jobs") {
-                master = master
-                    .field("settles", Json::U64(h.count()))
-                    .field("jobs_per_settle_mean", Json::F64(h.sum() / h.count() as f64))
-                    .field("jobs_per_settle_p99", Json::F64(h.quantile(0.99)));
-            }
-            entry = entry.field("master", master);
         }
         if let Some((dt, p)) = prev {
             if dt > 0.0 {
@@ -915,19 +893,12 @@ fn sites_debug_json(
         }
         sites.push(entry);
     }
-    let mut out =
+    let out =
         Json::obj().field("outstanding", Json::U64(outstanding)).field("sites", Json::Arr(sites));
     if total_rate > 0.0 {
-        out = out.field("eta_secs", Json::F64(outstanding as f64 / total_rate));
+        return out.field("eta_secs", Json::F64(outstanding as f64 / total_rate));
     }
-    let head = |name: &str| Json::U64(registry.total(name, &[]) as u64);
-    out.field(
-        "head",
-        Json::obj()
-            .field("conns_opened", head("cloudburst_head_conns_opened_total"))
-            .field("conns_reclaimed", head("cloudburst_head_conns_reclaimed_total"))
-            .field("wakeups", head("cloudburst_head_wakeups_total")),
-    )
+    out
 }
 
 /// The jobs `site`'s slaves completed since `prev`.
@@ -1144,7 +1115,7 @@ fn sampler_loop(
         if watch {
             let elapsed = now.saturating_duration_since(epoch).as_secs_f64();
             let tripped = tripped.unwrap_or_default();
-            let line = watch_line(&ledger, &prev, registry, dt, elapsed, env, &tripped, meter);
+            let line = watch_line(&ledger, &prev, dt, elapsed, env, &tripped, meter);
             eprintln!("{line}");
         }
         prev = ledger;
@@ -1160,7 +1131,6 @@ fn sampler_loop(
 fn watch_line(
     ledger: &LedgerTotals,
     prev: &LedgerTotals,
-    registry: &Registry,
     dt: f64,
     elapsed: f64,
     env: &EnvConfig,
@@ -1211,17 +1181,6 @@ fn watch_line(
         let eta = outstanding as f64 / total_rate;
         let eta = if total_rate > 0.0 { format!("eta {eta:.1}s") } else { "stalled".to_owned() };
         line.push_str(&format!(" | straggler {} ({eta})", slow.0));
-    }
-    // TCP-mode runs: the head reactor's connection churn and its current
-    // wake-up count (threaded-mode runs never move these instruments).
-    let head = |name: &str| registry.total(name, &[]) as u64;
-    let opened = head("cloudburst_head_conns_opened_total");
-    if opened > 0 {
-        line.push_str(&format!(
-            " | head conns {opened}/{} wakeups {}",
-            head("cloudburst_head_conns_reclaimed_total"),
-            head("cloudburst_head_wakeups_total")
-        ));
     }
     let cost = meter.so_far(ledger, elapsed);
     line.push_str(&format!(
@@ -1396,14 +1355,15 @@ fn verdict_for(category: &str) -> &'static str {
         }
         "pool_wait" => {
             "workers wait between jobs: the master already hides the head round trip \
-             behind a window of requests (see cloudburst_master_starved_seconds_total) \
-             and a slave takes a quantum of jobs per hand-off (see \
-             cloudburst_slave_batch_jobs) and reports them together — riding its next \
-             request or, under fault tolerance or coded replicas, in one verdict \
-             exchange per hand-off (see cloudburst_slave_settle_jobs) — so what is left \
-             is one blocking exchange per millisecond of work, and the second reduce of \
-             a refused job's batch-mates (faults: re-reduced) — use larger chunks, or \
-             raise the head's batch size if the masters do starve."
+             behind a window of requests, and a slave takes a quantum of jobs per \
+             hand-off (see cloudburst_slave_handed_jobs_total over \
+             cloudburst_slave_hand_offs_total) and reports them together — riding its \
+             next request or, under fault tolerance or coded replicas, in one verdict \
+             exchange per hand-off (see cloudburst_slave_settled_jobs_total over \
+             cloudburst_slave_settles_total) — so what is left is one blocking exchange \
+             per millisecond of work, and the second reduce of a refused job's \
+             batch-mates (faults: re-reduced) — use larger chunks, or raise the head's \
+             batch size if the masters do starve."
         }
         "recovery" => {
             "fault recovery dominates: leases, evacuations or retries are eating the \
@@ -1949,6 +1909,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudburst_core::SlaveSample;
 
     /// The meter of a run whose data is all at the local site.
     fn no_cloud_data() -> CostMeter {
@@ -1997,8 +1958,14 @@ mod tests {
         let advice = verdict_for("pool_wait");
         assert!(advice.contains("one verdict exchange per hand-off"), "{advice}");
         assert!(advice.contains("fault tolerance"), "{advice}");
-        assert!(advice.contains("cloudburst_slave_batch_jobs"), "{advice}");
-        assert!(advice.contains("cloudburst_slave_settle_jobs"), "{advice}");
+        for family in [
+            "cloudburst_slave_hand_offs_total",
+            "cloudburst_slave_handed_jobs_total",
+            "cloudburst_slave_settles_total",
+            "cloudburst_slave_settled_jobs_total",
+        ] {
+            assert!(advice.contains(family), "{advice}");
+        }
         assert!(advice.contains("re-reduced"), "{advice}");
         // Neither a request for jobs nor a verdict is a per-job cost any more.
         assert!(!advice.contains("per-job"), "{advice}");
@@ -2016,10 +1983,9 @@ mod tests {
             ledger.sites.insert(site, SiteTotals { jobs, leased: 5, ..SiteTotals::default() });
         }
         let prev = LedgerTotals::default();
-        let (registry, meter) = (Registry::new(), no_cloud_data());
-        let env = EnvConfig::new("watch", 0.5, 1, 1);
+        let (env, meter) = (EnvConfig::new("watch", 0.5, 1, 1), no_cloud_data());
         let line = |tripped: &[HealthDetector]| {
-            watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, tripped, &meter)
+            watch_line(&ledger, &prev, 1.0, 1.0, &env, tripped, &meter)
         };
         let quiet = line(&[HealthDetector::QueueStall]);
         assert!(!quiet.contains("straggler"), "{quiet}");
@@ -2035,10 +2001,9 @@ mod tests {
         let local = SiteTotals { jobs: 7, leased: 2, ..SiteTotals::default() };
         ledger.sites.insert(SiteId::LOCAL, local);
         ledger.sites.insert(SiteId::CLOUD, SiteTotals { depth: 8, ..SiteTotals::default() });
-        let (registry, meter) = (Registry::new(), no_cloud_data());
-        let prev = LedgerTotals::default();
+        let (prev, meter) = (LedgerTotals::default(), no_cloud_data());
         let (env, tripped) = (EnvConfig::new("watch", 0.5, 3, 0), [HealthDetector::Straggler]);
-        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &meter);
+        let line = watch_line(&ledger, &prev, 1.0, 1.0, &env, &tripped, &meter);
         assert!(line.contains("| cloud 0 j/s 0% busy q 8"), "{line}");
         assert!(!line.contains("straggler"), "{line}");
     }
@@ -2066,9 +2031,8 @@ mod tests {
             });
         }
         assert!(!monitor.tripped().contains(&HealthDetector::Straggler));
-        let (registry, meter) = (Registry::new(), no_cloud_data());
-        let tripped = [HealthDetector::Straggler];
-        let line = watch_line(&ledger, &prev, &registry, 1.0, 1.0, &env, &tripped, &meter);
+        let (tripped, meter) = ([HealthDetector::Straggler], no_cloud_data());
+        let line = watch_line(&ledger, &prev, 1.0, 1.0, &env, &tripped, &meter);
         assert!(!line.contains("straggler"), "{line}");
     }
 
@@ -2110,37 +2074,31 @@ mod tests {
     }
 
     #[test]
-    fn debug_sites_shows_the_grant_layer_per_master() {
+    fn debug_sites_shows_each_sites_hand_offs_and_settles() {
         let metrics = Metrics::on();
-        let site = [("site", "cloud")];
-        let rtt = metrics.histogram("cloudburst_master_grant_rtt_seconds", "rtt", &site);
-        rtt.observe_secs(0.002);
-        metrics.gauge("cloudburst_master_window_jobs", "window", &site).set(12);
-        metrics
-            .time_counter("cloudburst_master_starved_seconds_total", "starved", &site)
-            .add(1_500_000);
-        let batch = metrics.size_histogram("cloudburst_slave_batch_jobs", "jobs", &site);
-        batch.observe(64);
-        batch.observe(16);
-        let settle = metrics.size_histogram("cloudburst_slave_settle_jobs", "jobs", &site);
-        for jobs in [12, 12, 6] {
-            settle.observe(jobs);
-        }
-        let slave = metrics.ledger();
-        slave.publish_slave(SiteId::CLOUD, 0, &cloudburst_core::SlaveSample::default());
+        // Two cloud slaves: 80 jobs in two hand-offs, 30 settled in three
+        // exchanges. The local slave has heard nothing yet.
+        let exchanges = |hand_offs, handed, settles, settled| SlaveSample {
+            hand_offs,
+            handed,
+            settles,
+            settled,
+            ..SlaveSample::default()
+        };
+        let slaves: Vec<_> = (0..3).map(|_| metrics.ledger()).collect();
+        slaves[0].publish_slave(SiteId::CLOUD, 0, &exchanges(1, 64, 2, 24));
+        slaves[1].publish_slave(SiteId::CLOUD, 1, &exchanges(1, 16, 1, 6));
+        slaves[2].publish_slave(SiteId::LOCAL, 0, &SlaveSample::default());
         let registry = metrics.registry().expect("metrics are on");
-        let doc = sites_debug_json(&registry, &registry.ledger(), None);
+        let doc = sites_debug_json(&registry.ledger(), None);
         let sites = doc.get("sites").and_then(Json::as_arr).expect("sites array");
-        let master = sites[0].get("master").expect("a master that made a round trip");
-        assert_eq!(master.get("grant_round_trips").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(master.get("window_jobs").and_then(Json::as_f64), Some(12.0));
-        let starved = master.get("starved_secs").and_then(Json::as_f64).expect("starved_secs");
-        assert!((starved - 0.0015).abs() < 1e-9, "{starved}");
-        let p50 = master.get("grant_rtt_us_p50").and_then(Json::as_f64).expect("p50");
-        assert!((1_750.0..=2_300.0).contains(&p50), "one 2 ms sample, got {p50} us");
-        assert_eq!(master.get("hand_offs").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(master.get("jobs_per_hand_off_mean").and_then(Json::as_f64), Some(40.0));
-        assert_eq!(master.get("settles").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(master.get("jobs_per_settle_mean").and_then(Json::as_f64), Some(10.0));
+        let field = |i: usize, name| sites[i].get(name).and_then(Json::as_f64);
+        // Sites in id order: local, then cloud.
+        assert_eq!(field(1, "hand_offs"), Some(2.0));
+        assert_eq!(field(1, "jobs_per_hand_off"), Some(40.0));
+        assert_eq!(field(1, "settles"), Some(3.0));
+        assert_eq!(field(1, "jobs_per_settle"), Some(10.0));
+        assert_eq!((field(0, "hand_offs"), field(0, "jobs_per_hand_off")), (Some(0.0), None));
+        assert!(doc.get("head").is_none() && sites[1].get("master").is_none(), "{}", doc.to_text());
     }
 }

@@ -123,7 +123,7 @@ fn measure(w: &Workload, tcp: bool, ft: bool) -> (u64, u64, u64) {
     let app = Knn::<D>::new([0.4, 0.6, 0.2, 0.8], 10);
     let mut config = RuntimeConfig::new(EnvConfig::new("alloc", 0.5, 1, 1), 1e-9);
     if ft {
-        // Counts the settles (one histogram observation each).
+        // Counts the settles: the slaves' ledger, published live.
         config.metrics = Metrics::on();
         // Heartbeats alone turn on the settle path (every completion waits
         // for its verdict) without leases and speculation, which act on how
@@ -139,10 +139,7 @@ fn measure(w: &Workload, tcp: bool, ft: bool) -> (u64, u64, u64) {
     }
     .expect("run");
     let counted = (ALLOCS.load(Relaxed) - allocs, BIG_ALLOCS.load(Relaxed) - big);
-    let settles = config
-        .metrics
-        .registry()
-        .map_or(0, |r| r.total("cloudburst_slave_settle_jobs", &[]) as u64);
+    let settles = config.metrics.registry().map_or(0, |r| r.ledger().all().settles);
     assert_eq!(out.result.0.items(), knn_oracle::<D>(&w.data, &app.query, 10).as_slice());
     assert_eq!(out.head.completions, w.index.n_chunks() as u64);
     (counted.0, counted.1, settles)

@@ -122,13 +122,27 @@ echo "== hygiene: one record per fetch"
 # slave's ledger (`SlaveSample::apply` over `ChunkFetched`): the cost meter,
 # the WAN detector and the sampler's byte count read it typed. The store
 # decorator, the link observer, their series or the unread prefetch gauge
-# coming back fails the run. core/tests/golden_render.rs pins the registry's
-# render of arbitrary instrument names, two of them these, and is left out.
+# coming back fails the run.
 STRAY=$(grep -rnE 'MeteredStore|set_observer|TransferObserver|cloudburst_(store|net)_|cloudburst_pipeline_prefetched' \
-    crates src tests examples | grep -v '^crates/core/tests/golden_render.rs:' || true)
+    crates src tests examples || true)
 if [[ -n "$STRAY" ]]; then
     echo "$STRAY"
     echo "a second record of a fetch is back: fold it in SlaveSample::apply, read Registry::ledger"
+    exit 1
+fi
+
+echo "== hygiene: two instruments"
+# Every count is a fold of events: a slave's hand-offs, settles and dropped
+# jobs are its own events, folded by SlaveSample::apply. The registry's only
+# instruments are the fetch and process latency histograms; the reactor's
+# connection counts and wake-ups are HeadReport fields. The grant layer's
+# instruments, counters, gauges, time counters or size histograms coming
+# back — or one of the series they rendered — fails the run.
+STRAY=$(grep -rnE 'MasterMetrics|fn time_counter|fn size_histogram|struct Gauge|struct Counter|cloudburst_master_(grant_rtt_seconds|window_jobs|starved_seconds_total)|cloudburst_slave_(batch|settle)_jobs\b|cloudburst_head_(conns_opened|conns_reclaimed|wakeups)_total' \
+    crates src tests examples || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "an instrument beside the ledger is back: state the fact as an event and fold it"
     exit 1
 fi
 
