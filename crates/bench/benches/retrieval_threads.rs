@@ -33,7 +33,7 @@ fn s3(bytes_per_file: usize, time_scale: f64) -> S3SimStore<MemStore> {
 /// fan-out under test.
 fn fetch(pool: &FetcherPool, store: &Arc<dyn ChunkStore>, len: u64, cfg: FetchConfig) -> Bytes {
     let retry = RetryPolicy::default();
-    fetch_range_pooled(pool, store, FileId(0), 0, len, cfg, &retry, None).expect("fetch").0
+    fetch_range_pooled(|| pool, store, FileId(0), 0, len, cfg, &retry, None).expect("fetch").0
 }
 
 fn bench_s3_fetch(c: &mut Criterion) {

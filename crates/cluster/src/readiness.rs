@@ -59,7 +59,7 @@ extern "C" {
 type CpuMask = [u64; 16];
 
 /// The CPUs the calling thread may run on, lowest first.
-fn allowed_cpus() -> Vec<usize> {
+pub(crate) fn allowed_cpus() -> Vec<usize> {
     let mut mask: CpuMask = [0; 16];
     // SAFETY: the kernel writes at most the `size_of::<CpuMask>()` bytes it
     // is told `mask` has.

@@ -2,16 +2,16 @@
 //! charging for cross-site ("stolen") reads.
 //!
 //! A slave always asks the router for a chunk; the router finds the hosting
-//! site's store, fetches with the configured number of retrieval threads,
-//! and — when reader and host differ — pushes the bytes through the shared
-//! inter-site throttle so concurrent thieves genuinely compete for WAN
-//! bandwidth.
+//! site's store, fetches with the configured number of retrieval threads
+//! (on the slave's own thread when the chunk is one range), and — when
+//! reader and host differ — pushes the bytes through the shared inter-site
+//! throttle so concurrent thieves genuinely compete for WAN bandwidth.
 
 use crate::error::RunError;
 use bytes::Bytes;
 use cloudburst_core::{ChunkMeta, SiteId};
 use cloudburst_netsim::{Throttle, Topology};
-use cloudburst_storage::{fetch_chunk_pooled, ChunkStore, FetchConfig, FetcherPool, RetryPolicy};
+use cloudburst_storage::{fetch_range_pooled, ChunkStore, FetchConfig, FetcherPool, RetryPolicy};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
@@ -33,11 +33,13 @@ const DEFAULT_READERS: usize = 4;
 
 /// The runtime's view of every site's storage plus the links between sites.
 ///
-/// Each hosting site owns one persistent [`FetcherPool`]: every chunk read
-/// against that site's store runs its concurrent range reads on the pool, so
-/// no fetch spawns or joins a thread of its own. The pools are spawned once,
-/// by [`StoreRouter::set_concurrency`] — or, for a caller that never says how
-/// many workers fetch, by the first fetch against the site.
+/// Each hosting site may own one persistent [`FetcherPool`]: every chunk read
+/// against that site's store that splits into ranges runs them on the pool,
+/// so no fetch spawns or joins a thread of its own. A read that is one range
+/// never touches a pool, and a router whose reads are all one range spawns
+/// none. The pools are spawned once, by [`StoreRouter::set_concurrency`] —
+/// or, for a caller that never says how many workers fetch, by the first
+/// split read against the site.
 pub struct StoreRouter {
     stores: BTreeMap<SiteId, Arc<dyn ChunkStore>>,
     pools: BTreeMap<SiteId, OnceLock<FetcherPool>>,
@@ -82,13 +84,28 @@ impl StoreRouter {
         }
     }
 
-    /// Spawn each site's fetcher pool for `readers` concurrently fetching
-    /// workers (the runtime calls this with the total core count before it
-    /// spawns slaves, on the thread that starts the run).
+    /// Spawn each site's fetcher pool, on this thread, for `readers`
+    /// concurrently fetching workers. The runtime calls this with the total
+    /// core count, before it spawns slaves and only when its largest chunk
+    /// splits into ranges.
     pub fn set_concurrency(&mut self, readers: usize) {
         self.readers = readers;
-        let size = self.pool_size();
-        self.pools.values_mut().for_each(|pool| *pool = FetcherPool::new(size).into());
+        self.pools.values_mut().for_each(|pool| drop(pool.take()));
+        for &site in self.pools.keys() {
+            self.pool(site);
+        }
+    }
+
+    /// `site`'s fetcher pool, spawned here if nothing spawned it yet: the
+    /// one place a router spawns fetchers.
+    fn pool(&self, site: SiteId) -> &FetcherPool {
+        self.pools[&site].get_or_init(|| FetcherPool::new(self.pool_size()))
+    }
+
+    /// `site`'s fetcher pool, if one was spawned.
+    #[cfg(test)]
+    pub(crate) fn spawned(&self, site: SiteId) -> Option<&FetcherPool> {
+        self.pools[&site].get()
     }
 
     /// `threads` ranges per chunk × every worker that may fetch at once, so
@@ -111,9 +128,9 @@ impl StoreRouter {
         self.replicated = on;
     }
 
-    /// Fetch `chunk` on behalf of a worker at `reader`: concurrent range
-    /// reads on the hosting site's persistent fetcher pool, reassembled
-    /// zero-copy.
+    /// Fetch `chunk` on behalf of a worker at `reader`: one read on the
+    /// calling thread, or concurrent range reads on the hosting site's
+    /// persistent fetcher pool, reassembled zero-copy.
     pub fn fetch(&self, reader: SiteId, chunk: &ChunkMeta) -> Result<Fetched, RunError> {
         // Replica-aware host election: prefer the reader's own store when it
         // holds the chunk's byte range (a coded replica), so the read never
@@ -124,10 +141,10 @@ impl StoreRouter {
             chunk.site
         };
         let store = self.stores.get(&host).ok_or(RunError::NoStoreForSite(host))?;
-        let pool = self.pools.get(&host).expect("one pool per store site");
-        let pool = pool.get_or_init(|| FetcherPool::new(self.pool_size()));
+        let (file, offset, len) = (chunk.file, chunk.offset, chunk.len);
+        let pool = || self.pool(host);
         let (bytes, retries) =
-            fetch_chunk_pooled(pool, store, chunk, self.fetch, &self.retry, None)?;
+            fetch_range_pooled(pool, store, file, offset, len, self.fetch, &self.retry, None)?;
         let remote = host != reader;
         if remote {
             if let Some(throttle) = self.wan.get(&(reader, host)) {
@@ -203,25 +220,43 @@ mod tests {
     }
 
     #[test]
-    fn a_sites_fetchers_are_spawned_once_at_the_size_the_run_asks_for() {
-        let threads = |r: &StoreRouter, site| r.pools[&site].get().map(FetcherPool::threads);
-        // `new` spawns nothing. A caller that never says how many workers
-        // fetch gets the default, for the site it fetches from, on first use.
-        let r = router(1e12);
-        assert!(r.pools.values().all(|p| p.get().is_none()), "`new` spawned fetchers");
-        r.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 100)).unwrap();
-        r.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 100)).unwrap();
-        assert_eq!(threads(&r, SiteId::LOCAL), Some(DEFAULT_READERS), "one range per chunk");
-        assert_eq!(threads(&r, SiteId::CLOUD), None);
-        // The runtime's sequence: the one generation is `set_concurrency`'s,
-        // `threads` ranges for each of its readers, and a fetch finds it.
+    fn a_one_range_fetch_leaves_every_pool_unspawned() {
+        // `new` spawns nothing, and a chunk too small to split — configured
+        // sequential, or under `min_range` — is read on the caller's thread,
+        // local or stolen: no pool is ever spawned for it.
+        let sequential = router(1e12);
+        sequential.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 100)).unwrap();
+        sequential.fetch(SiteId::LOCAL, &chunk(SiteId::CLOUD, 4096)).unwrap();
+        let mut small = router(1e12);
+        small.fetch = FetchConfig::default();
+        small.fetch(SiteId::CLOUD, &chunk(SiteId::LOCAL, 4096)).unwrap();
+        for r in [&sequential, &small] {
+            assert!([SiteId::LOCAL, SiteId::CLOUD].iter().all(|&s| r.spawned(s).is_none()));
+        }
+    }
+
+    #[test]
+    fn set_concurrency_spawns_every_sites_fetchers_once_for_its_split_reads() {
+        // `threads` ranges for each of the readers, at every store site; a
+        // split read finds that pool and spawns no other.
         let mut r = router(1e12);
-        r.fetch.threads = 4;
+        r.fetch = FetchConfig { threads: 4, min_range: 64 };
         r.set_concurrency(6);
-        assert_eq!(threads(&r, SiteId::LOCAL), Some(24));
-        assert_eq!(threads(&r, SiteId::CLOUD), Some(24));
-        r.fetch(SiteId::CLOUD, &chunk(SiteId::LOCAL, 4096)).unwrap();
-        assert_eq!(threads(&r, SiteId::LOCAL), Some(24));
+        let before = r.spawned(SiteId::LOCAL).map(std::ptr::from_ref);
+        for site in [SiteId::LOCAL, SiteId::CLOUD] {
+            assert_eq!(r.spawned(site).map(FetcherPool::threads), Some(24), "{site}");
+        }
+        let f = r.fetch(SiteId::CLOUD, &chunk(SiteId::LOCAL, 4096)).unwrap();
+        assert_eq!(f.bytes, Bytes::from(vec![1u8; 4096]));
+        assert_eq!(r.spawned(SiteId::LOCAL).map(std::ptr::from_ref), before, "spawned again");
+        // A caller that never says how many workers fetch gets the default,
+        // for the site it reads from, at its first split read.
+        let mut r = router(1e12);
+        r.fetch = FetchConfig { threads: 4, min_range: 64 };
+        r.fetch(SiteId::LOCAL, &chunk(SiteId::LOCAL, 4096)).unwrap();
+        let threads = FetchConfig::default().threads as usize * DEFAULT_READERS;
+        assert_eq!(r.spawned(SiteId::LOCAL).map(FetcherPool::threads), Some(threads));
+        assert!(r.spawned(SiteId::CLOUD).is_none());
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl RuntimeConfig {
                 "time_scale must be finite and > 0, got {scale}"
             )));
         }
-        sites.extend(index.chunks_per_site().into_keys());
+        sites.extend(index.host_sites());
         for &a in &sites {
             for &b in &sites {
                 let latency = self.topology.link(a.0, b.0).latency;
@@ -292,12 +292,12 @@ impl SlaveCtx {
         at.saturating_duration_since(self.epoch).as_secs_f64()
     }
 
-    /// `job` started. No ledger entry: straight to the sink, the clock read
-    /// only for a listener.
-    fn started(&self, job: &LocalJob) {
+    /// `job` started `at`. No ledger entry: straight to the sink, for a
+    /// listener only.
+    fn started(&self, job: &LocalJob, at: Instant) {
         if self.telemetry.is_enabled() {
             let started = EventKind::JobStarted { stolen: job.stolen };
-            let started = of_job(Event::at(ns_since(self.epoch), started), job);
+            let started = of_job(Event::at(ns_between(self.epoch, at), started), job);
             self.telemetry.emit(started.site(self.site).worker(self.worker));
         }
     }
@@ -332,6 +332,8 @@ struct Prepared {
     chaos: Option<Arc<FaultPlan>>,
     router: StoreRouter,
     pool: JobPool,
+    /// Units in the dataset's largest chunk.
+    largest: usize,
     ft_active: bool,
     /// Replica grants mean a chunk can complete more than once even with the
     /// FT stack off, so coded runs need the same dedup machinery: acked
@@ -350,10 +352,8 @@ fn prepare(
     let active: Vec<(SiteId, u32)> =
         config.env.active_sites().into_iter().map(|s| (s, config.env.cores_at(s))).collect();
     // Verify every data-hosting site has a store before spawning anything.
-    for (&site, &n) in index.chunks_per_site().iter() {
-        if n > 0 && !stores.contains_key(&site) {
-            return Err(RunError::NoStoreForSite(site));
-        }
+    if let Some(&site) = index.host_sites().iter().find(|s| !stores.contains_key(s)) {
+        return Err(RunError::NoStoreForSite(site));
     }
     let chaos = config.ft.chaos.clone().filter(|p| !p.is_empty());
     let stores = match &chaos {
@@ -366,9 +366,17 @@ fn prepare(
         _ => stores,
     };
     let mut router = StoreRouter::new(stores, &config.topology, config.fetch, config.time_scale);
-    // Size the fetcher pools for every worker (or, with pipelining, its
-    // fetch executor) hitting storage at once.
-    router.set_concurrency(active.iter().map(|&(_, c)| c as usize).sum());
+    // A chunk that is one range is read on its slave's own thread, so a run
+    // whose largest chunk does not split spawns no fetcher. One whose does
+    // gets its pools here, on the thread that starts the run — before any
+    // site confines its threads to its own CPUs, since the pools serve
+    // every site — sized for every worker (or, with pipelining, its fetch
+    // executor) hitting storage at once (DESIGN §3.4.1).
+    let largest = index.chunks.iter().map(|c| c.n_units as usize).max().unwrap_or(0);
+    let unit = u64::from(index.params.unit_size);
+    if config.fetch.parts(largest as u64 * unit) > 1 {
+        router.set_concurrency(active.iter().map(|&(_, c)| c as usize).sum());
+    }
     if let Some(retry) = config.ft.retry {
         router.set_retry(retry);
     }
@@ -390,7 +398,8 @@ fn prepare(
     pool.set_sink(config.telemetry.clone());
     let ft_active = config.ft.active();
     let dedup_active = ft_active || config.redundancy > 1;
-    Ok(Prepared { head_site: active[0].0, active, chaos, router, pool, ft_active, dedup_active })
+    let head_site = active[0].0;
+    Ok(Prepared { active, head_site, chaos, router, pool, largest, ft_active, dedup_active })
 }
 
 /// Execute `app` over the dataset described by `index`, with per-site
@@ -471,7 +480,7 @@ pub(crate) fn run_on<R: Reduction>(
     config: &RuntimeConfig,
 ) -> Result<RunOutcome<R::RObj>, RunError> {
     check_units(app.unit_size(), index)?;
-    let Prepared { active, head_site, chaos, router, pool, ft_active, dedup_active } =
+    let Prepared { active, head_site, chaos, router, pool, largest, ft_active, dedup_active } =
         prepare(index, stores, config)?;
     let n_sites = active.len();
     // A cancel board lets slaves abandon executions the head has fenced.
@@ -501,7 +510,6 @@ pub(crate) fn run_on<R: Reduction>(
     // object is made on its slave's own thread.
     let journals = app.journal_len(1) > 0;
     let isolate = dedup_active || matches!(config.fault_policy, FaultPolicy::Retry { .. });
-    let largest = index.chunks.iter().map(|c| c.n_units as usize).max().unwrap_or(0);
     let journal_len =
         if journals && isolate { app.journal_len(largest.max(JOURNAL_UNITS)) } else { 0 };
     let epoch = Instant::now();
@@ -874,7 +882,8 @@ fn run_slave<R: Reduction>(
             let (fetched_tx, fetched_rx) = bounded::<FetchedJob>(depth);
             scope.spawn(move || {
                 for job in job_rx.iter() {
-                    if fetched_tx.send(FetchedJob::fetch(ctx, router, job)).is_err() {
+                    let fetched = FetchedJob::fetch(ctx, router, job, Instant::now());
+                    if fetched_tx.send(fetched).is_err() {
                         return;
                     }
                 }
@@ -897,11 +906,11 @@ fn run_slave<R: Reduction>(
             // The master's answer is taken the moment it is in.
             if let Some(answer) = asking.then(|| replies.try_recv().ok()).flatten() {
                 (asking, idle) = (false, false);
-                worker.hear(&mut core, answer, ctx.secs(Instant::now()));
+                worker.hear(&mut core, answer);
             }
             match core.poll(idle, revoked) {
                 Step::Ask => {
-                    let (want, done, buf) = core.ask(ctx.secs(Instant::now()));
+                    let (want, done, buf) = core.ask(worker.tick());
                     let reply = Reply::new(&reply_to);
                     if let Err(unsent) =
                         master_tx.send(MasterMsg::GetJobs { want, done, buf, reply })
@@ -909,14 +918,15 @@ fn run_slave<R: Reduction>(
                         // The master is gone: the reply the request took
                         // says so as it drops.
                         drop(unsent);
-                        worker.hear(&mut core, replies.recv().ok().flatten(), 0.0);
+                        worker.hear(&mut core, replies.recv().ok().flatten());
                     } else {
                         asking = true;
                     }
                 }
                 Step::Fetch(job) => {
                     let Some((to_fetch, _)) = &executor else {
-                        let inline = FetchedJob::fetch(ctx, router, job);
+                        // Inline, the fetch begins where the last step ended.
+                        let inline = FetchedJob::fetch(ctx, router, job, worker.last);
                         match worker.take(&mut core, inline, &mut buf) {
                             Ok(()) => continue,
                             Err(e) => break Err(e),
@@ -946,6 +956,7 @@ fn run_slave<R: Reduction>(
                             Some(_) => {
                                 let pre = fetched.and_then(|rx| rx.recv().ok());
                                 (landed, idle) = (Some(pre.expect("the executor runs")), false);
+                                worker.tick();
                                 continue;
                             }
                             None => {
@@ -953,7 +964,7 @@ fn run_slave<R: Reduction>(
                                 let answer = std::mem::take(&mut asking)
                                     .then(|| replies.recv().ok().flatten())
                                     .flatten();
-                                worker.hear(&mut core, answer, ctx.secs(Instant::now()));
+                                worker.hear(&mut core, answer);
                                 continue;
                             }
                         };
@@ -982,7 +993,7 @@ fn run_slave<R: Reduction>(
             if !std::mem::take(&mut asking) {
                 break;
             }
-            worker.hear(&mut core, replies.recv().ok().flatten(), 0.0);
+            worker.hear(&mut core, replies.recv().ok().flatten());
         }
         // Close the executor's queue and take what it still fetched, so it
         // is not left blocked on a full channel.
@@ -1030,6 +1041,11 @@ struct Worker<'a, R: Reduction> {
     group: usize,
     /// The slave's share of the run report, folded from what it `note`s.
     stats: SlaveSample,
+    /// When the slave loop's last step ended, read once per transition: a
+    /// fetch ends where processing begins and a job ends where the next
+    /// inline fetch begins, so a depth-1 job costs two clock reads. The loop's
+    /// bookkeeping between two steps is charged to the step that follows.
+    last: Instant,
     slowdown: f64,
     site_factor: f64,
 }
@@ -1059,19 +1075,29 @@ impl<'a, R: Reduction> Worker<'a, R> {
             verdicts: Vec::new(),
             group: config.unit_group.max(1).saturating_mul(app.unit_size()),
             stats: SlaveSample::default(),
+            last: Instant::now(),
             slowdown: chaos.map_or(0.0, |p| p.worker_delay(ctx.site, ctx.worker)),
             site_factor: chaos.map_or(1.0, |p| p.site_slowdown(ctx.site)),
         }
     }
 
-    /// Tell the core what its master answered at `now` (`None`: the master is
+    /// A transition of the slave loop: the clock read once, as the time the
+    /// next step begins, on the run clock.
+    fn tick(&mut self) -> Seconds {
+        self.last = Instant::now();
+        self.ctx.secs(self.last)
+    }
+
+    /// Tell the core what its master answered, now (`None`: the master is
     /// gone), and hand it back the buffer its completions went out in. An
     /// answer that brings jobs is a hand-off.
-    fn hear(&mut self, core: &mut SlaveCore, answer: Option<Answer>, now: Seconds) {
+    fn hear(&mut self, core: &mut SlaveCore, answer: Option<Answer>) {
+        let now = self.tick();
         let Some((take, done)) = answer else { return core.answer(None, now) };
         if let Take::Jobs(jobs) = &take {
             let hand_off = EventKind::HandOff { jobs: jobs.len() as u64 };
-            self.ctx.note(&mut self.stats, Event::at(ns_since(self.ctx.epoch), hand_off));
+            let at = ns_between(self.ctx.epoch, self.last);
+            self.ctx.note(&mut self.stats, Event::at(at, hand_off));
         }
         core.reuse_done(done);
         core.answer(Some(take), now);
@@ -1096,6 +1122,9 @@ impl<'a, R: Reduction> Worker<'a, R> {
         buf: &mut Vec<R::Item>,
     ) -> Result<(), RunError> {
         let (ctx, job) = (self.ctx, pre.job.chunk.id);
+        // Processing can begin once both the fetch and the slave's last step
+        // are over.
+        self.last = self.last.max(pre.fetch_end);
         if !core.hand_off(job, |chunk| ctx.revoked(chunk)) {
             self.dropped(job);
             return Ok(());
@@ -1137,6 +1166,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
             let settled = EventKind::Settled { jobs: jobs.len() as u64 };
             ctx.note(&mut self.stats, Event::at(ns_since(ctx.epoch), settled));
             self.reports.settle(jobs, ctx.site, &mut self.verdicts);
+            // The exchange blocked: what follows begins when it is over.
+            self.last = Instant::now();
         }
         let (all_merged, merged) = core.settled(&self.verdicts);
         if all_merged && !self.undone {
@@ -1158,18 +1189,20 @@ impl<'a, R: Reduction> Worker<'a, R> {
     }
 
     /// Account for one retrieval, reduce the chunk and sit out any injected
-    /// straggling. Returns where the job's chunk is kept, when it began and
-    /// when it ended. Without dedup no duplicate can exist, so the completion
-    /// is merged by construction and an isolated job is accepted at once;
-    /// ack-gated its chunk is kept until the verdict. A panic rolls back
-    /// every open job, and the chunk is not kept.
+    /// straggling. Processing begins at the slave's last transition and its
+    /// end is the next one. Returns where the job's chunk is kept, when it
+    /// began and when it ended. Without dedup no duplicate can exist, so the
+    /// completion is merged by construction and an isolated job is accepted
+    /// at once; ack-gated its chunk is kept until the verdict. A panic rolls
+    /// back every open job, and the chunk is not kept.
     fn process_job(
         &mut self,
         pre: FetchedJob,
         buf: &mut Vec<R::Item>,
     ) -> Result<(std::ops::Range<usize>, Instant, Instant), RunError> {
         let ctx = self.ctx;
-        let FetchedJob { job, fetched, fetch_start, fetch_dur } = pre;
+        let FetchedJob { job, fetched, fetch_start, fetch_end } = pre;
+        let fetch_dur = fetch_end.saturating_duration_since(fetch_start);
         let (job, fetched) = (&job, fetched?);
         let (bytes, remote, retries) =
             (fetched.bytes.len() as u64, fetched.remote, fetched.retries);
@@ -1185,7 +1218,7 @@ impl<'a, R: Reduction> Worker<'a, R> {
             Event::span(ns_between(ctx.epoch, fetch_start), fetch_dur.as_nanos() as u64, fetch);
         ctx.note(&mut self.stats, of_job(fetch, job));
 
-        let proc_start = Instant::now();
+        let proc_start = self.last;
         let (app, group) = (self.app, self.group);
         let undo = self.isolate.then_some(&mut self.undo);
         let processed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1201,9 +1234,11 @@ impl<'a, R: Reduction> Worker<'a, R> {
                 app.rollback(&mut self.robj, &mut self.undo);
                 self.undone = !self.chunks.is_empty();
             }
+            self.last = Instant::now();
             return Err(RunError::WorkerPanic(panic_msg(&*p)));
         }
-        let proc_dur = proc_start.elapsed();
+        let proc_end = Instant::now();
+        let proc_dur = proc_end.saturating_duration_since(proc_start);
         let processed = Event::span(
             ns_between(ctx.epoch, proc_start),
             proc_dur.as_nanos() as u64,
@@ -1225,7 +1260,8 @@ impl<'a, R: Reduction> Worker<'a, R> {
             }
         }
         // No clock is read for a job nothing delayed.
-        let ended = if delay > 0.0 { Instant::now() } else { proc_start + proc_dur };
+        let ended = if delay > 0.0 { Instant::now() } else { proc_end };
+        self.last = ended;
         let kept = self.chunks.len()..self.chunks.len() + 1;
         if ctx.ack_gated {
             self.chunks.push(fetched.bytes);
@@ -1270,17 +1306,21 @@ struct FetchedJob {
     job: LocalJob,
     fetched: Result<Fetched, RunError>,
     fetch_start: Instant,
-    fetch_dur: Duration,
+    fetch_end: Instant,
 }
 
 impl FetchedJob {
-    /// Retrieve `job`'s chunk; the job starts here, on the thread that
-    /// fetches it.
-    fn fetch(ctx: &SlaveCtx, router: &StoreRouter, job: LocalJob) -> FetchedJob {
-        ctx.started(&job);
-        let fetch_start = Instant::now();
+    /// Retrieve `job`'s chunk, begun at `fetch_start`; the job starts then,
+    /// on the thread that fetches it, and the clock is read once, at the end.
+    fn fetch(
+        ctx: &SlaveCtx,
+        router: &StoreRouter,
+        job: LocalJob,
+        fetch_start: Instant,
+    ) -> FetchedJob {
+        ctx.started(&job, fetch_start);
         let fetched = router.fetch(ctx.site, &job.chunk);
-        FetchedJob { job, fetched, fetch_start, fetch_dur: fetch_start.elapsed() }
+        FetchedJob { job, fetched, fetch_start, fetch_end: Instant::now() }
     }
 }
 
@@ -1849,7 +1889,7 @@ mod tests {
         loop {
             match core.poll(false, |_| false) {
                 Step::Fetch(job) => {
-                    let pre = FetchedJob::fetch(&ctx, &router, job);
+                    let pre = FetchedJob::fetch(&ctx, &router, job, worker.last);
                     worker.take(&mut core, pre, &mut buf).unwrap();
                 }
                 Step::Settle(jobs) => worker.settle(&mut core, jobs, &mut buf),
@@ -2294,6 +2334,125 @@ mod tests {
             assert!(largest <= MAX_BDP_JOBS as u64, "{name}: a hand-off of {largest}");
             assert!(largest > 64, "{name}: no hand-off over 64 (largest {largest})");
         }
+    }
+
+    #[test]
+    fn a_slaves_retrieval_and_processing_fit_in_its_lifetime_on_both_transports() {
+        // A slave reads the clock once per transition, so its fetch and
+        // processing spans tile its loop without overlap: their sum stays
+        // within the time from its first hand-off to its exit, and neither
+        // is empty.
+        for transport in TRANSPORTS {
+            let name = format!("{transport:?}");
+            let events = Arc::new(cloudburst_core::Recorder::new());
+            let telemetry = Telemetry::to(events.clone());
+            tiny_jobs_run(transport, FtConfig::default(), 6000, telemetry);
+            let mut slaves: BTreeMap<(SiteId, u32), (SlaveSample, Option<u64>)> = BTreeMap::new();
+            for e in events.take() {
+                let (Some(site), Some(worker)) = (e.site, e.worker) else { continue };
+                let (sample, first) = slaves.entry((site, worker)).or_default();
+                sample.apply(&e);
+                if matches!(e.kind, EventKind::HandOff { .. }) {
+                    first.get_or_insert(e.at_ns);
+                }
+            }
+            assert_eq!(slaves.len(), 2, "{name}: one slave per site");
+            for ((site, worker), (s, first)) in slaves {
+                let lifetime = s.finish - ns_to_secs(first.expect("a slave was handed jobs"));
+                let busy = s.retrieval + s.processing;
+                assert!(s.retrieval > 0.0 && s.processing > 0.0, "{name} {site}/{worker}: {s:?}");
+                assert!(busy <= lifetime, "{name} {site}/{worker}: busy {busy} s of {lifetime} s");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_spawns_fetchers_in_prepare_only_when_its_largest_chunk_splits() {
+        // 256-byte chunks. Under a 64-byte `min_range` each splits in two
+        // ranges: `prepare` spawns every store site's pool, `threads` ranges
+        // for each of the run's 5 cores, and the run's reads use it and
+        // spawn no other. Under a `min_range` past the largest chunk, every
+        // read is one range on the reader's thread, and nothing is spawned.
+        let (index, stores) = setup(4096, 0.5, 4);
+        let config = fast_config(EnvConfig::new("split", 0.5, 2, 3));
+        let Prepared { router, .. } = prepare(&index, stores.clone(), &config).unwrap();
+        let pools =
+            [SiteId::LOCAL, SiteId::CLOUD].map(|s| router.spawned(s).map(std::ptr::from_ref));
+        for site in [SiteId::LOCAL, SiteId::CLOUD] {
+            let threads = router.spawned(site).map(cloudburst_storage::FetcherPool::threads);
+            assert_eq!(threads, Some(2 * 5), "{site}");
+        }
+        for chunk in &index.chunks {
+            router.fetch(SiteId::LOCAL, chunk).unwrap();
+        }
+        let after =
+            [SiteId::LOCAL, SiteId::CLOUD].map(|s| router.spawned(s).map(std::ptr::from_ref));
+        assert_eq!(after, pools, "a read spawned fetchers");
+
+        let mut config = config;
+        config.fetch.min_range = 257;
+        let Prepared { router, .. } = prepare(&index, stores, &config).unwrap();
+        for chunk in &index.chunks {
+            router.fetch(SiteId::CLOUD, chunk).unwrap();
+        }
+        assert!([SiteId::LOCAL, SiteId::CLOUD].iter().all(|&s| router.spawned(s).is_none()));
+    }
+
+    /// A store that notes how many CPUs each fetcher thread reading from it
+    /// may run on.
+    struct AffinityProbe {
+        inner: Arc<dyn ChunkStore>,
+        fetchers: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl ChunkStore for AffinityProbe {
+        fn site(&self) -> SiteId {
+            self.inner.site()
+        }
+        fn read(
+            &self,
+            file: cloudburst_core::FileId,
+            offset: u64,
+            len: u64,
+        ) -> std::io::Result<Bytes> {
+            if std::thread::current().name().is_some_and(|n| n.starts_with("fetcher-")) {
+                self.fetchers.lock().unwrap().push(crate::readiness::allowed_cpus().len());
+            }
+            self.inner.read(file, offset, len)
+        }
+        fn file_len(&self, file: cloudburst_core::FileId) -> std::io::Result<u64> {
+            self.inner.file_len(file)
+        }
+        fn n_files(&self) -> usize {
+            self.inner.n_files()
+        }
+    }
+
+    #[test]
+    fn a_tcp_runs_fetchers_are_spawned_before_any_site_is_confined() {
+        // Over TCP each one-core site keeps its threads to one CPU. The
+        // fetchers serve both sites, so they must keep every CPU the run's
+        // starting thread has: spawned by `prepare`, not by a confined
+        // slave's first split read.
+        let wide = crate::readiness::allowed_cpus().len();
+        if wide < 2 {
+            eprintln!("skipped: this thread may run on {wide} CPU, as narrow as a site");
+            return;
+        }
+        let (index, stores) = setup(4096, 0.5, 4);
+        let probes: Vec<Arc<AffinityProbe>> = stores
+            .into_values()
+            .map(|inner| Arc::new(AffinityProbe { inner, fetchers: Default::default() }))
+            .collect();
+        let stores = probes.iter().map(|p| (p.site(), p.clone() as Arc<dyn ChunkStore>)).collect();
+        let config = fast_config(EnvConfig::new("tcp-split", 0.5, 1, 1));
+        let out = crate::run_hybrid_tcp(&SumApp, &index, stores, &config).unwrap();
+        assert_eq!(out.result.0, expected_sum(4096));
+        let seen: Vec<usize> =
+            probes.iter().flat_map(|p| p.fetchers.lock().unwrap().clone()).collect();
+        assert!(!seen.is_empty(), "no range was read on a fetcher");
+        let narrowest = seen.iter().min();
+        assert_eq!(narrowest, Some(&wide), "a fetcher ran on fewer CPUs than the run's thread");
     }
 
     /// `SumApp` that counts `make_robj` calls and journals, the way an app

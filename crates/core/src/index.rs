@@ -8,7 +8,7 @@
 use crate::layout::{ChunkMeta, FileMeta, LayoutParams};
 use crate::types::{ByteSize, ChunkId, FileId, SiteId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Complete layout metadata for one dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,6 +110,13 @@ impl DataIndex {
             *m.entry(c.site).or_insert(0) += 1;
         }
         m
+    }
+
+    /// The sites that host data — those with a file that holds chunks — from
+    /// the files alone, in O(files): a run needs them, not a count per chunk.
+    #[must_use]
+    pub fn host_sites(&self) -> BTreeSet<SiteId> {
+        self.files.iter().filter(|f| !f.chunks.is_empty()).map(|f| f.site).collect()
     }
 
     /// Fraction of bytes hosted at `site`.

@@ -176,19 +176,6 @@ impl Histogram {
     pub fn quantile(&self, q: f64) -> f64 {
         self.quantile_raw(q) as f64 * SECS_PER_NS
     }
-
-    /// Fold another histogram's counts into this one (shard merge). Both
-    /// share the fixed grid, so merge-of-shards equals the whole.
-    pub fn merge_from(&self, other: &Histogram) {
-        let (Some(dst), Some(src)) = (&self.0, &other.0) else { return };
-        let (counts, sum) = src.snapshot();
-        for (i, c) in counts.into_iter().enumerate() {
-            if c > 0 {
-                dst.counts[i].fetch_add(c, Ordering::Relaxed);
-            }
-        }
-        dst.sum.fetch_add(sum, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for Histogram {
@@ -687,7 +674,7 @@ impl Totals {
         for (site, n) in pool.pending_by_home() {
             *self.depth.entry(site).or_default() += n as u64;
         }
-        for (&site, &n) in &pool.assigned_to {
+        for (site, n) in pool.leased() {
             self.leased.insert(site, n as u64);
         }
         self.in_flight = Some(pool.in_flight() as u64);
@@ -1305,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_and_merge() {
+    fn histogram_quantiles_and_one_series_per_name() {
         let m = Metrics::on();
         let h = m.histogram("lat_seconds", "", &[]);
         for v in 1..=1000u64 {
@@ -1321,25 +1308,6 @@ mod tests {
         // Re-registering the same (name, labels) returns the same series.
         m.histogram("lat_seconds", "", &[]).observe(1);
         assert_eq!(h.count(), 1001);
-
-        let whole = m.histogram("whole_seconds", "", &[]);
-        let a = m.histogram("a_seconds", "", &[]);
-        let b = m.histogram("b_seconds", "", &[]);
-        for v in [3u64, 17, 900, 65_536, 12] {
-            whole.observe(v);
-            if v % 2 == 0 {
-                a.observe(v)
-            } else {
-                b.observe(v)
-            }
-        }
-        let merged = m.histogram("merged_seconds", "", &[]);
-        merged.merge_from(&a);
-        merged.merge_from(&b);
-        assert_eq!(merged.count(), whole.count());
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(merged.quantile_raw(q), whole.quantile_raw(q));
-        }
     }
 
     #[test]

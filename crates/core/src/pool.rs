@@ -300,9 +300,10 @@ pub struct JobPool {
     /// Live leases per job (at most [`MAX_ASSIGNEES`], or the replication
     /// factor).
     assignees: Leases,
-    /// Sites whose lease on the job was revoked (failed, reaped or
-    /// evacuated) — their eventual reports are stale, not protocol errors.
-    past: Vec<Vec<SiteId>>,
+    /// Sites whose lease on a job was revoked (failed, reaped or evacuated)
+    /// — their eventual reports are stale, not protocol errors — for the
+    /// few jobs that have any.
+    past: BTreeMap<usize, Vec<SiteId>>,
     /// Pending chunks per file, front = lowest id (physical order).
     pending_by_file: Vec<VecDeque<ChunkId>>,
     file_site: Vec<SiteId>,
@@ -320,8 +321,9 @@ pub struct JobPool {
     attempts: Vec<u8>,
     /// Attempts after which a failing job is abandoned.
     max_attempts: u8,
-    /// Jobs currently assigned to each processing site.
-    pub(crate) assigned_to: BTreeMap<SiteId, usize>,
+    /// Jobs currently assigned to each processing site, by site index
+    /// (counted a grant at a time).
+    assigned_to: Vec<usize>,
     /// Lease sizing; `None` disables deadlines (infinite leases).
     lease: Option<LeaseConfig>,
     /// Whether tail stragglers may be speculatively re-executed.
@@ -329,8 +331,9 @@ pub struct JobPool {
     /// Coded-redundancy replication factor; 1 (the default) disables
     /// proactive replica grants and is bit-exact with the classic pool.
     redundancy: u32,
-    /// Exponentially-weighted mean job duration per site (lease sizing).
-    ewma_dur: BTreeMap<SiteId, f64>,
+    /// Exponentially-weighted mean job duration per site, by site index:
+    /// lease sizing is its only reader, so it is fed only while leases are on.
+    ewma_dur: Vec<Option<f64>>,
     /// Sites declared dead and evacuated.
     dead_sites: BTreeSet<SiteId>,
     /// Next causal span id to allocate (1-based; 0 means "no span").
@@ -362,7 +365,7 @@ impl JobPool {
             chunks: index.chunks.clone(),
             state: vec![JobState::Pending; n],
             assignees: Leases::new(n),
-            past: vec![Vec::new(); n],
+            past: BTreeMap::new(),
             pending_by_file,
             file_site: index.files.iter().map(|f| f.site).collect(),
             readers: vec![0; n_files],
@@ -371,11 +374,11 @@ impl JobPool {
             now: 0.0,
             attempts: vec![0; n],
             max_attempts: 3,
-            assigned_to: BTreeMap::new(),
+            assigned_to: Vec::new(),
             lease: None,
             speculate: false,
             redundancy: 1,
-            ewma_dur: BTreeMap::new(),
+            ewma_dur: Vec::new(),
             dead_sites: BTreeSet::new(),
             next_span: 1,
             tally: PoolTally {
@@ -497,6 +500,11 @@ impl JobPool {
         &self.tally.faults
     }
 
+    /// Jobs leased to each site that was ever granted one, by site.
+    pub(crate) fn leased(&self) -> impl Iterator<Item = (SiteId, usize)> + '_ {
+        (0..).zip(&self.assigned_to).map(|(k, &n)| (SiteId(k), n))
+    }
+
     /// Jobs waiting per file, by its data-home site (shard), once per file.
     pub(crate) fn pending_by_home(&self) -> impl Iterator<Item = (SiteId, usize)> + '_ {
         self.file_site.iter().copied().zip(self.pending_by_file.iter().map(VecDeque::len))
@@ -526,12 +534,17 @@ impl JobPool {
         self.tally.counts()
     }
 
+    /// The sites whose lease on job `i` was revoked, oldest first.
+    fn past_of(&self, i: usize) -> &[SiteId] {
+        self.past.get(&i).map_or(&[], Vec::as_slice)
+    }
+
     /// Whether `site` ever held (or still holds) a lease on job `i`, or
     /// finished it — i.e. a report from `site` is stale rather than a
     /// protocol violation.
     fn knows_site(&self, i: usize, site: SiteId) -> bool {
         self.assignees.of(i).any(|a| a.site == site)
-            || self.past[i].contains(&site)
+            || self.past_of(i).contains(&site)
             || self.state[i] == JobState::Done(site)
     }
 
@@ -541,7 +554,8 @@ impl JobPool {
     fn release_assignee(&mut self, i: usize, site: SiteId) -> Option<Assignee> {
         let released = self.assignees.remove(i, site)?;
         self.readers[self.chunks[i].file.0 as usize] -= 1;
-        *self.assigned_to.entry(site).or_insert(1) -= 1;
+        // A site that held a lease was counted when it was granted.
+        self.assigned_to[usize::from(site.0)] -= 1;
         Some(released)
     }
 
@@ -599,7 +613,7 @@ impl JobPool {
         let i = job.0 as usize;
         if let Some(released) = self.release_assignee(i, site) {
             self.attempts[i] = self.attempts[i].saturating_add(1);
-            self.past[i].push(site);
+            self.past.entry(i).or_default().push(site);
             self.note(self.job_event(EventKind::JobFailed, i, site, released.span));
             if released.speculative {
                 self.speculation_lost(i, site, released.span);
@@ -642,7 +656,7 @@ impl JobPool {
                 .collect();
             for (site, speculative, span) in expired {
                 self.release_assignee(i, site);
-                self.past[i].push(site);
+                self.past.entry(i).or_default().push(site);
                 self.attempts[i] = self.attempts[i].saturating_add(1);
                 self.note(self.job_event(EventKind::LeaseReaped, i, site, span));
                 if speculative {
@@ -652,7 +666,7 @@ impl JobPool {
             }
             if self.state[i] == JobState::Assigned && self.assignees.is_empty(i) {
                 if self.attempts[i] >= self.max_attempts {
-                    self.abandon(i, self.past[i].last().copied());
+                    self.abandon(i, self.past_of(i).last().copied());
                 } else {
                     self.requeue(i);
                 }
@@ -676,7 +690,7 @@ impl JobPool {
             match state {
                 JobState::Assigned => {
                     let Some(released) = self.release_assignee(i, site) else { continue };
-                    self.past[i].push(site);
+                    self.past.entry(i).or_default().push(site);
                     self.note(self.job_event(EventKind::JobEvacuated, i, site, released.span));
                     if released.speculative {
                         self.speculation_lost(i, site, released.span);
@@ -688,7 +702,7 @@ impl JobPool {
                 }
                 JobState::Done(s) if s == site => {
                     // The merged result died with the site's robj.
-                    self.past[i].push(site);
+                    self.past.entry(i).or_default().push(site);
                     let stolen = self.chunks[i].site != site;
                     self.note(self.job_event(EventKind::LostResult { stolen }, i, site, 0));
                     self.requeue(i);
@@ -712,7 +726,7 @@ impl JobPool {
                         q.remove(pos);
                     }
                     self.pending_total -= 1;
-                    let last = self.past[i].last().copied();
+                    let last = self.past_of(i).last().copied();
                     self.abandon(i, last);
                 }
                 JobState::Assigned => {
@@ -720,7 +734,7 @@ impl JobPool {
                         self.assignees.of(i).map(|a| (a.site, a.speculative, a.span)).collect();
                     for &(site, speculative, span) in &holders {
                         self.release_assignee(i, site);
-                        self.past[i].push(site);
+                        self.past.entry(i).or_default().push(site);
                         if speculative {
                             self.speculation_lost(i, site, span);
                         }
@@ -758,23 +772,22 @@ impl JobPool {
         // The owner's true remaining work also includes its in-flight jobs
         // (half-done on average); ignoring them makes the estimate stop
         // stealing too early and strands the thief idle over the tail.
-        let in_flight = self.assigned_to.get(&owner).copied().unwrap_or(0);
+        let in_flight = self.assigned_to.get(usize::from(owner.0)).copied().unwrap_or(0);
         let backlog = pending as f64 + 0.5 * in_flight as f64;
         backlog / rate > cost
     }
 
     /// [`JobPool::complete`] with the caller's clock, feeding the
-    /// job-duration estimator on accepted completions.
+    /// job-duration estimator on accepted completions while leases are on.
     pub fn complete_at(&mut self, job: ChunkId, site: SiteId, now: f64) -> Completion {
         self.now = self.now.max(now);
-        let sample = self
-            .assignees
-            .of(job.0 as usize)
-            .find(|a| a.site == site)
-            .map(|a| (now - a.assigned_at).max(0.0));
+        let sample = self.lease.and_then(|_| {
+            let lease = self.assignees.of(job.0 as usize).find(|a| a.site == site)?;
+            Some((now - lease.assigned_at).max(0.0))
+        });
         let outcome = self.complete(job, site);
         if let Some(d) = sample.filter(|_| outcome.is_merged()) {
-            let e = self.ewma_dur.entry(site).or_insert(d);
+            let e = at_site(&mut self.ewma_dur, site).get_or_insert(d);
             *e = 0.8 * *e + 0.2 * d;
         }
         outcome
@@ -817,7 +830,7 @@ impl JobPool {
                     .collect();
                 for &(s, speculative, replica, span) in &losers {
                     self.release_assignee(i, s);
-                    self.past[i].push(s);
+                    self.past.entry(i).or_default().push(s);
                     if speculative {
                         self.speculation_lost(i, s, span);
                     }
@@ -913,7 +926,9 @@ impl JobPool {
     /// The lease deadline for a fresh grant to `site` at the current clock.
     fn deadline_for(&self, site: SiteId) -> f64 {
         match self.lease {
-            Some(cfg) => self.now + cfg.lease_for(self.ewma_dur.get(&site).copied()),
+            Some(cfg) => {
+                self.now + cfg.lease_for(self.ewma_dur.get(usize::from(site.0)).copied().flatten())
+            }
             None => f64::INFINITY,
         }
     }
@@ -923,6 +938,7 @@ impl JobPool {
     /// `batch.spans` so the grant carries them to the processing site).
     fn assign_to(&mut self, batch: &mut JobBatch, site: SiteId) {
         let deadline = self.deadline_for(site);
+        *at_site(&mut self.assigned_to, site) += batch.jobs.len();
         batch.spans.reserve(batch.jobs.len());
         for k in 0..batch.jobs.len() {
             let j = batch.jobs[k];
@@ -942,7 +958,6 @@ impl JobPool {
             self.assignees.push(i, lease);
             self.readers[j.file.0 as usize] += 1;
             self.pending_total -= 1;
-            *self.assigned_to.entry(site).or_insert(0) += 1;
             let granted =
                 EventKind::JobGranted { stolen: batch.stolen, speculative: false, replica: false };
             self.note(self.job_event(granted, i, site, span));
@@ -989,7 +1004,7 @@ impl JobPool {
         };
         self.assignees.push(i, lease);
         self.readers[self.chunks[i].file.0 as usize] += 1;
-        *self.assigned_to.entry(site).or_insert(0) += 1;
+        *at_site(&mut self.assigned_to, site) += 1;
         let stolen = self.chunks[i].site != site;
         let granted = EventKind::JobGranted { stolen, speculative, replica: !speculative };
         self.note(self.job_event(granted, i, site, span).cause(parent));
@@ -1058,6 +1073,15 @@ impl JobPool {
         }
         batch.terminal = self.all_done();
     }
+}
+
+/// `site`'s entry of a per-site vector, made room for.
+fn at_site<T: Clone + Default>(by_site: &mut Vec<T>, site: SiteId) -> &mut T {
+    let k = usize::from(site.0);
+    if k >= by_site.len() {
+        by_site.resize(k + 1, T::default());
+    }
+    &mut by_site[k]
 }
 
 /// What `ladder/src/api.rs` still pins from the time several head threads

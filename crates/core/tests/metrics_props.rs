@@ -3,8 +3,6 @@
 //! exposition must be strictly parseable (no duplicate series, no malformed
 //! lines, cumulative buckets), values must round-trip exactly, and
 //! successive scrapes must satisfy the counter-monotonicity contract.
-//! Histograms share one fixed bucket grid, so merging per-shard histograms
-//! must be indistinguishable from observing everything into one.
 //! Alongside, edge-case tests pin the exporters' behavior on empty and
 //! single-event streams.
 
@@ -150,40 +148,6 @@ proptest! {
         let e2 = parsed.unwrap();
         let mono = check_monotonic(&e1, &e2);
         prop_assert!(mono.is_ok(), "scrapes not monotonic: {:?}", mono);
-    }
-
-    /// Merging per-shard histograms into one equals observing every value
-    /// into a single histogram: identical counts, sums, and quantiles at
-    /// every probed rank.
-    #[test]
-    fn histogram_merge_of_shards_equals_the_whole(
-        shards in prop::collection::vec(
-            prop::collection::vec(0u64..10_000_000_000, 0..40),
-            1..5,
-        ),
-    ) {
-        let whole = Metrics::on().histogram("w_seconds", "whole", &[]);
-        let merged = Metrics::on().histogram("m_seconds", "merged", &[]);
-        for obs in &shards {
-            let shard = Metrics::on().histogram("s_seconds", "shard", &[]);
-            for &v in obs {
-                shard.observe(v);
-                whole.observe(v);
-            }
-            merged.merge_from(&shard);
-        }
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert!(
-            (merged.sum() - whole.sum()).abs() < 1e-12,
-            "sums diverged: {} vs {}", merged.sum(), whole.sum()
-        );
-        for q in [0.0, 0.5, 0.9, 0.95, 0.99, 1.0] {
-            prop_assert_eq!(
-                merged.quantile_raw(q),
-                whole.quantile_raw(q),
-                "quantile {} diverged", q
-            );
-        }
     }
 
     /// Percentile sanity on one histogram: quantiles are monotone in the

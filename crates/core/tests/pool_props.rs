@@ -8,7 +8,8 @@
 //! grant before every job is done or abandoned.
 
 use cloudburst_core::{
-    BatchPolicy, ChunkId, Completion, DataIndex, JobPool, LayoutParams, LeaseConfig, SiteId,
+    BatchPolicy, ChunkId, Completion, DataIndex, JobPool, LayoutParams, LeaseConfig, Metrics,
+    SiteId,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -273,5 +274,62 @@ proptest! {
         prop_assert!(verdicts[0].is_merged(), "the first report must win the race");
         prop_assert!(pool.faults().lease_expiries >= 1);
         prop_assert!(pool.faults().duplicate_completions >= 1);
+    }
+
+    /// The jobs leased to each site, counted a grant at a time, are the live
+    /// leases at that site, job by job, after any interleaving of grants of
+    /// any size (steals among them, and a third site with no data that only
+    /// steals), completions, failures, reaps, speculative copies, replicas
+    /// and evacuations — read where the live view reads them,
+    /// `SiteTotals::leased`.
+    #[test]
+    fn the_jobs_leased_to_each_site_are_its_live_leases(
+        index in arb_index(),
+        ops in prop::collection::vec((0u8..5, any::<u8>(), any::<u16>()), 0..200),
+        redundancy in 1u32..3,
+    ) {
+        let mut pool = JobPool::from_index(&index, BatchPolicy::Fixed(1));
+        pool.set_lease(LeaseConfig { base: 1.0, multiplier: 2.0, min: 0.5, max: 8.0 });
+        pool.set_speculation(true);
+        pool.set_redundancy(redundancy);
+        pool.set_max_attempts(100);
+        let sites = [SiteId::LOCAL, SiteId::CLOUD, SiteId(2)];
+        let metrics = Metrics::on();
+        let (head, registry) = (metrics.ledger(), metrics.registry().unwrap());
+        let mut held: BTreeMap<SiteId, Vec<ChunkId>> =
+            sites.iter().map(|&s| (s, Vec::new())).collect();
+        let mut t = 0.0f64;
+        for &(op, s, x) in &ops {
+            t += 0.3;
+            let site = sites[usize::from(s) % sites.len()];
+            let h = held.get_mut(&site).unwrap();
+            match op {
+                0 => h.extend(pool.grant(site, usize::from(x) % 64 + 1, t).jobs.iter().map(|j| j.id)),
+                1 | 2 if !h.is_empty() => {
+                    let job = h.remove(usize::from(x) % h.len());
+                    if op == 1 {
+                        pool.complete_at(job, site, t);
+                    } else {
+                        pool.fail(job, site);
+                    }
+                }
+                3 => {
+                    pool.reap_expired(t);
+                }
+                4 => pool.evacuate(site),
+                _ => {}
+            }
+            head.publish_pool(&pool);
+            let read = registry.ledger();
+            for site in sites {
+                let live = index
+                    .chunks
+                    .iter()
+                    .map(|c| pool.assignees_of(c.id).iter().filter(|&&s| s == site).count())
+                    .sum::<usize>() as u64;
+                let leased = read.sites.get(&site).map_or(0, |t| t.leased);
+                prop_assert_eq!(leased, live, "{} after {:?}", site, (op, s, x));
+            }
+        }
     }
 }

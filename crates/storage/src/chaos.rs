@@ -168,7 +168,7 @@ mod tests {
         let cfg = FetchConfig { threads: 4, min_range: 512 };
         let policy = RetryPolicy { max_retries: 4, base: 0.0, cap: 0.0, seed: 1 };
         let (bytes, retries) =
-            fetch_range_pooled(&pool, &store, FileId(0), 0, 10_000, cfg, &policy, None).unwrap();
+            fetch_range_pooled(|| &pool, &store, FileId(0), 0, 10_000, cfg, &policy, None).unwrap();
         assert_eq!(bytes.to_vec(), data, "reassembly must survive retries");
         assert!(retries > 0, "a 60% rate must inject something across 4 ranges");
     }

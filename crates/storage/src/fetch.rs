@@ -88,11 +88,14 @@ fn notify(observe: &Option<SharedRetryObserver>, attempt: RetryAttempt) {
 /// calling thread — the pool round trip buys nothing — through the backend's
 /// zero-copy `read`, and allocates nothing here.
 ///
+/// `pool` is asked for only when the read splits, so a caller whose reads
+/// are all one range never needs a pool to exist.
+///
 /// The store is passed by `Arc`, and the observer in its owned form, because
 /// the pool's workers outlive this call's stack frame.
 #[allow(clippy::too_many_arguments)]
-pub fn fetch_range_pooled(
-    pool: &FetcherPool,
+pub fn fetch_range_pooled<'p>(
+    pool: impl FnOnce() -> &'p FetcherPool,
     store: &Arc<dyn ChunkStore>,
     file: FileId,
     offset: ByteSize,
@@ -109,7 +112,7 @@ pub fn fetch_range_pooled(
         }
         _ => {}
     }
-    let ranges = config.split(offset, len);
+    let (pool, ranges) = (pool(), config.split(offset, len));
     let mut buf = BytesMut::with_capacity(len as usize);
     buf.resize(len as usize, 0);
     let (done_tx, done_rx) = bounded::<(usize, BytesMut, io::Result<u64>)>(ranges.len());
@@ -152,7 +155,7 @@ pub fn fetch_chunk_pooled(
     retry: &RetryPolicy,
     observe: Option<SharedRetryObserver>,
 ) -> io::Result<(Bytes, u64)> {
-    fetch_range_pooled(pool, store, chunk.file, chunk.offset, chunk.len, config, retry, observe)
+    fetch_range_pooled(|| pool, store, chunk.file, chunk.offset, chunk.len, config, retry, observe)
 }
 
 #[cfg(test)]
@@ -273,7 +276,7 @@ mod tests {
             (clamped, 4_000, 120),
         ] {
             let (got, retries) =
-                fetch_range_pooled(&pool, &store, FileId(0), offset, len, cfg, &NO_RETRY, None)
+                fetch_range_pooled(|| &pool, &store, FileId(0), offset, len, cfg, &NO_RETRY, None)
                     .unwrap();
             assert_eq!(got, store.read(FileId(0), offset, len).unwrap(), "{offset}+{len}");
             assert_eq!(retries, 0);
@@ -290,11 +293,36 @@ mod tests {
         for cfg in [FetchConfig::default(), FetchConfig::sequential()] {
             assert_eq!(cfg.split(512, 1_024).len(), 1);
             let (got, _) =
-                fetch_range_pooled(&pool, &store, FileId(0), 512, 1_024, cfg, &NO_RETRY, None)
+                fetch_range_pooled(|| &pool, &store, FileId(0), 512, 1_024, cfg, &NO_RETRY, None)
                     .unwrap();
             assert_eq!(got, store.read(FileId(0), 512, 1_024).unwrap());
             assert_eq!(got.as_ptr(), whole[512..].as_ptr(), "a copy was made");
         }
+    }
+
+    #[test]
+    fn a_fetch_of_one_range_never_asks_for_the_pool() {
+        // No pool exists for a caller whose reads are all one range; one
+        // that splits asks for it once.
+        let store = mem(4_096);
+        let no_pool = || -> &FetcherPool { panic!("a one-range read asked for the pool") };
+        for (cfg, len) in [(FetchConfig::default(), 4_096), (FetchConfig::sequential(), 100)] {
+            let (got, _) =
+                fetch_range_pooled(no_pool, &store, FileId(0), 0, len, cfg, &NO_RETRY, None)
+                    .unwrap();
+            assert_eq!(got, store.read(FileId(0), 0, len).unwrap());
+        }
+        let (pool, asked) = (FetcherPool::new(2), AtomicU32::new(0));
+        let split = FetchConfig { threads: 4, min_range: 64 };
+        let lazily = || {
+            asked.fetch_add(1, Ordering::SeqCst);
+            &pool
+        };
+        let (got, _) =
+            fetch_range_pooled(lazily, &store, FileId(0), 0, 4_096, split, &NO_RETRY, None)
+                .unwrap();
+        assert_eq!(got, store.read(FileId(0), 0, 4_096).unwrap());
+        assert_eq!(asked.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -322,8 +350,8 @@ mod tests {
         let store: Arc<dyn ChunkStore> = trapped.clone();
         let pool = FetcherPool::new(2);
         let retry = RetryPolicy { max_retries: 3, base: 0.0, cap: 0.0, seed: 0 };
-        let err =
-            fetch_range_pooled(&pool, &store, FileId(0), 0, 4_000, cfg, &retry, None).unwrap_err();
+        let err = fetch_range_pooled(|| &pool, &store, FileId(0), 0, 4_000, cfg, &retry, None)
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         assert_eq!(trapped.hits.load(Ordering::SeqCst), 1, "a permanent error is final");
     }
@@ -345,7 +373,7 @@ mod tests {
         };
         let retry = RetryPolicy { max_retries: 3, base: 0.0, cap: 0.0, seed: 0 };
         let (got, retries) =
-            fetch_range_pooled(&pool, &store, FileId(0), 100, 4_000, cfg, &retry, Some(observe))
+            fetch_range_pooled(|| &pool, &store, FileId(0), 100, 4_000, cfg, &retry, Some(observe))
                 .unwrap();
         assert_eq!(got, trapped.inner.read(FileId(0), 100, 4_000).unwrap());
         assert_eq!(retries, 2);
@@ -379,9 +407,8 @@ mod tests {
         let cfg = FetchConfig { threads: 4, min_range: 128 };
 
         // Without retries the injected fault surfaces.
-        assert!(
-            fetch_range_pooled(&pool, &fresh(), FileId(0), 0, 4_096, cfg, &NO_RETRY, None).is_err()
-        );
+        assert!(fetch_range_pooled(|| &pool, &fresh(), FileId(0), 0, 4_096, cfg, &NO_RETRY, None)
+            .is_err());
 
         // With retries the fetch succeeds and the observer sees each one.
         let seen = Arc::new(AtomicU64::new(0));
@@ -393,7 +420,7 @@ mod tests {
         };
         let policy = RetryPolicy { max_retries: 3, base: 0.0, cap: 0.0, seed: 0 };
         let (bytes, retries) =
-            fetch_range_pooled(&pool, &fresh(), FileId(0), 0, 4_096, cfg, &policy, Some(obs))
+            fetch_range_pooled(|| &pool, &fresh(), FileId(0), 0, 4_096, cfg, &policy, Some(obs))
                 .unwrap();
         assert_eq!(bytes, pattern(4_096));
         assert_eq!(retries, 4, "one per range");
@@ -406,8 +433,9 @@ mod tests {
         let pool = FetcherPool::new(2);
         let direct = store.read(FileId(0), 50, 100).unwrap_err();
         for cfg in [FetchConfig { threads: 4, min_range: 1 }, FetchConfig::sequential()] {
-            let err = fetch_range_pooled(&pool, &store, FileId(0), 50, 100, cfg, &NO_RETRY, None)
-                .unwrap_err();
+            let err =
+                fetch_range_pooled(|| &pool, &store, FileId(0), 50, 100, cfg, &NO_RETRY, None)
+                    .unwrap_err();
             assert_eq!(err.kind(), direct.kind(), "{cfg:?}");
         }
     }
@@ -423,11 +451,12 @@ mod tests {
         let store: Arc<dyn ChunkStore> = trapped.clone();
         let pool = FetcherPool::new(1);
         for _ in 0..2 {
-            let err = fetch_range_pooled(&pool, &store, FileId(0), 0, 1_000, cfg, &NO_RETRY, None)
-                .unwrap_err();
+            let err =
+                fetch_range_pooled(|| &pool, &store, FileId(0), 0, 1_000, cfg, &NO_RETRY, None)
+                    .unwrap_err();
             assert!(err.to_string().contains("vanished"), "{err}");
             let (got, _) =
-                fetch_range_pooled(&pool, &store, FileId(0), 1_000, 1_000, cfg, &NO_RETRY, None)
+                fetch_range_pooled(|| &pool, &store, FileId(0), 1_000, 1_000, cfg, &NO_RETRY, None)
                     .unwrap();
             assert_eq!(got, trapped.inner.read(FileId(0), 1_000, 1_000).unwrap());
         }

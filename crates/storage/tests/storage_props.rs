@@ -79,7 +79,7 @@ proptest! {
         let file = cloudburst_core::FileId(0);
         let retry = RetryPolicy::default();
         let (got, retries) =
-            fetch_range_pooled(&pool, &store, file, offset, read, cfg, &retry, None).expect("fetch");
+            fetch_range_pooled(|| &pool, &store, file, offset, read, cfg, &retry, None).expect("fetch");
         prop_assert_eq!(&got[..], &data[offset as usize..(offset + read) as usize]);
         prop_assert_eq!(retries, 0);
     }

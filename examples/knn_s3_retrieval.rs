@@ -39,8 +39,9 @@ fn main() {
     for threads in [1u32, 4, 8] {
         let cfg = FetchConfig { threads, min_range: 64 * 1024 };
         let t = Instant::now();
-        let (bytes, _) = fetch_range_pooled(&pool, &store, file, 0, chunk_len, cfg, &retry, None)
-            .expect("ranged fetch");
+        let (bytes, _) =
+            fetch_range_pooled(|| &pool, &store, file, 0, chunk_len, cfg, &retry, None)
+                .expect("ranged fetch");
         println!(
             "  fetch 2 MiB with {threads} connection(s): {:>7.1} ms  ({} bytes)",
             t.elapsed().as_secs_f64() * 1e3,

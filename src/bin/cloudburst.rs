@@ -415,8 +415,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("--org: {e} (was it organized for another application?)"))?;
     let local_frac = index.byte_fraction_at(SiteId::LOCAL);
     let mut stores: BTreeMap<SiteId, Arc<dyn ChunkStore>> = BTreeMap::new();
+    let hosts = index.host_sites();
     for (site, name) in [(SiteId::LOCAL, "local"), (SiteId::CLOUD, "cloud")] {
-        if index.chunks_per_site().get(&site).copied().unwrap_or(0) > 0 {
+        if hosts.contains(&site) {
             let store = open_site_dir(site, &org_dir.join(name), &index)?;
             stores.insert(site, Arc::new(store));
         }

@@ -173,6 +173,30 @@ for call in 'HeadOptions::of(' 'merge_site_outcome(' 'run_slave('; do
     fi
 done
 
+echo "== hygiene: a run pays for what it uses"
+# A run learns which sites host data from its files (`DataIndex::host_sites`,
+# one look per file), not from a count per chunk, and spawns fetcher threads
+# only for chunks that split into ranges: `StoreRouter::pool` is the one place
+# a router spawns them, and the runtime has them spawned in `prepare`, on the
+# thread that starts the run, only when its largest chunk splits (DESIGN
+# §3.4.1). `chunks_per_site(` above the test modules of crates/cluster/src, or
+# `FetcherPool::new` anywhere in crates/cluster/src but that one place, fails
+# the run.
+STRAY=$(for f in crates/cluster/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f"
+done | grep -F 'chunks_per_site(' || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "a run counts chunks per site again: ask DataIndex::host_sites which sites host data"
+    exit 1
+fi
+SPAWNS=$(grep -rnF 'FetcherPool::new' crates/cluster/src || true)
+if [[ $(grep -c . <<<"$SPAWNS") -ne 1 ]] || ! grep -q '^crates/cluster/src/router.rs:' <<<"$SPAWNS"; then
+    echo "$SPAWNS"
+    echo "fetchers are spawned beside StoreRouter::pool: spawn them once, for split chunks only"
+    exit 1
+fi
+
 echo "== hygiene: one slave"
 # A slave's protocol is written once, as `SlaveCore` (core/src/slave.rs): pure
 # logic with no clock, channel, thread or lock, carried out by one driver loop
