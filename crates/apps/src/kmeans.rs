@@ -6,6 +6,15 @@
 //! The reduction object is `k × (D sums + count)` — kilobytes regardless of
 //! dataset size. The per-unit cost is `k·D` multiply-adds, which is what
 //! makes kmeans the compute-bound application of the trio.
+//!
+//! `reduce_group` and `reduce_units` run that loop as the kernel in
+//! `kmeans_kernel` where the CPU has AVX-512F or AVX2 and FMA: per
+//! centroid, `D` fused multiply-adds in `f32` on coordinates centred at the
+//! centroids' mean, then one vectorised `f64` check per block that proves
+//! each pick is the one `nearest` makes, and a vector fold of the proven
+//! points. Points the check cannot prove go through `local_reduce`; the
+//! accumulator is the same bits either way. `nearest`, `local_reduce` and
+//! [`kmeans_oracle`] stay the plain loops they are checked against.
 
 use crate::kmeans_kernel::{Filter, Group};
 use crate::units::{decode_all, dist2, Point};
@@ -515,63 +524,141 @@ mod tests {
 
     #[test]
     fn the_certificate_holds_at_its_edges() {
+        let mut ran = certificate_edges::<4>(&mut SplitMix(5));
+        ran.extend(certificate_edges::<8>(&mut SplitMix(5)));
+        report_skipped(&ran);
+    }
+
+    /// [`kernel_matches_fold`] at the certificate's edges, in `D`
+    /// dimensions: the widths that ran, with their fallbacks.
+    fn certificate_edges<const D: usize>(rng: &mut SplitMix) -> Vec<(Width, usize)> {
         let mut ran = Vec::new();
-        let mut rng = SplitMix(5);
-        let mut check = |centroids: &[[f64; 4]], items: &[Point<4>]| {
+        let mut check = |centroids: &[[f64; D]], items: &[Point<D>]| {
             ran.extend(kernel_matches_fold(&KMeans::new(centroids.to_vec()), items));
+        };
+        // `D` coordinates, the first `first` and the rest `rest`.
+        let lead = |first: f64, rest: f64| -> [f64; D] {
+            std::array::from_fn(|d| if d == 0 { first } else { rest })
         };
         // Exact and near ties between `f32`-representable centroids
         // (r = 0), with a far centroid so `m2` has more than one candidate.
         for _ in 0..64 {
             let (a, b) =
-                ([0; 4].map(|_| f64::from(rng.coord())), [0; 4].map(|_| f64::from(rng.coord())));
-            let items = around_the_bisector(&mut rng, a, b);
-            check(&[a, b, [9.0; 4]], &items);
-            check(&[[9.0; 4], b, a], &items);
+                ([0; D].map(|_| f64::from(rng.coord())), [0; D].map(|_| f64::from(rng.coord())));
+            let items = around_the_bisector(rng, a, b);
+            check(&[a, b, [9.0; D]], &items);
+            check(&[[9.0; D], b, a], &items);
         }
         // Centroids `f32` cannot hold: r > 0, and rounding them moves the
         // bisector by as much as the points are off it. Far from the
-        // origin, r outweighs the arithmetic's own error.
+        // origin the points' own rounding joins in.
         for i in 0..64 {
             let at = [0.0, 100.0][i % 2];
-            let (a, b) = ([0; 4].map(|_| at + fine(&mut rng)), [0; 4].map(|_| at + fine(&mut rng)));
+            let (a, b) = ([0; D].map(|_| at + fine(rng)), [0; D].map(|_| at + fine(rng)));
             assert!(KMeans::new(vec![a, b]).filter.r() > 0.0);
-            let items = around_the_bisector(&mut rng, a, b);
-            check(&[a, b, [0; 4].map(|_| fine(&mut rng))], &items);
+            let items = around_the_bisector(rng, a, b);
+            check(&[a, b, [0; D].map(|_| fine(rng))], &items);
         }
         // 1e-20 apart around the origin: every square is an `f32`
         // subnormal or underflows to zero.
         for _ in 0..16 {
-            let tiny = |rng: &mut SplitMix| [0; 4].map(|_| (fine(rng) - 0.5) * 1e-20);
-            let (a, b) = (tiny(&mut rng), tiny(&mut rng));
-            let mut items = around_the_bisector(&mut rng, a, b);
-            items.extend(
-                (0..64).map(|_| Point([0; 4].map(|_| (fine(&mut rng) - 0.5) as f32 * 2e-20))),
-            );
-            items.extend((-3..=3).map(|i| Point([i as f32 * f32::from_bits(1), 0.0, 0.0, 0.0])));
+            let tiny = |rng: &mut SplitMix| [0; D].map(|_| (fine(rng) - 0.5) * 1e-20);
+            let (a, b) = (tiny(rng), tiny(rng));
+            let mut items = around_the_bisector(rng, a, b);
+            items.extend((0..64).map(|_| Point([0; D].map(|_| (fine(rng) - 0.5) as f32 * 2e-20))));
+            items.extend((-3..=3).map(|i| {
+                Point(std::array::from_fn(
+                    |d| if d == 0 { i as f32 * f32::from_bits(1) } else { 0.0 },
+                ))
+            }));
             // Off the bisector by as little as the subnormal grid resolves.
             for scale in [1e-27, 1e-26, 1e-25, 1e-24] {
                 items.extend((0..16).map(|_| {
                     Point(std::array::from_fn(|d| {
-                        ((a[d] + b[d]) / 2.0 + (fine(&mut rng) - 0.5) * scale) as f32
+                        ((a[d] + b[d]) / 2.0 + (fine(rng) - 0.5) * scale) as f32
                     }))
                 }));
             }
-            check(&[a, b, tiny(&mut rng)], &items);
+            check(&[a, b, tiny(rng)], &items);
         }
-        // Squares beyond `f32` range: the filter's sums overflow to +∞.
-        let huge = [[2e19; 4], [-2e19, 2e19, 2e19, 2e19], [3e19, 0.0, 0.0, 1e19]];
-        let mut items = around_the_bisector(&mut rng, huge[0], huge[1]);
-        items.extend((0..64).map(|_| Point([0; 4].map(|_| (rng.coord() - 0.5) * 8e19))));
+        // Squares beyond `f32` range: the centred centroids' squares and
+        // the points' `‖x′‖²` overflow to +∞.
+        let mut last = [0.0; D];
+        (last[0], last[D - 1]) = (3e19, 1e19);
+        let huge = [[2e19; D], lead(-2e19, 2e19), last];
+        let mut items = around_the_bisector(rng, huge[0], huge[1]);
+        items.extend((0..64).map(|_| Point([0; D].map(|_| (rng.coord() - 0.5) * 8e19))));
         check(&huge, &items);
         // Centroids beyond `f32` range: r = ∞, nothing is certified.
-        let items: Vec<Point<4>> = (0..64).map(|_| Point([0; 4].map(|_| rng.coord()))).collect();
+        let items: Vec<Point<D>> = (0..64).map(|_| Point([0; D].map(|_| rng.coord()))).collect();
         for far in [1e39, 1e300, f64::INFINITY] {
-            check(&[[0.25; 4], [far, 0.5, 0.5, 0.5], [0.75; 4]], &items);
+            check(&[[0.25; D], lead(far, 0.5), [0.75; D]], &items);
         }
         // Duplicated centroids: equal distances, the lower index wins.
-        check(&[[0.25; 4], [0.75; 4], [0.25; 4], [0.75; 4], [0.5; 4]], &items);
-        report_skipped(&ran);
+        check(&[[0.25; D], [0.75; D], [0.25; D], [0.75; D], [0.5; D]], &items);
+        ran
+    }
+
+    /// Steps 1–2 of the certificate's derivation, checked directly: for
+    /// random `f32` points and centroids near the origin, far from it, with
+    /// subnormal squares, with subnormal coordinates, and near `f32`
+    /// overflow, stage 1's `‖x′‖²` stays under the bound stage 2 puts on it,
+    /// and every score within the charge of `‖x′ − ĉⱼ‖² − ‖x′‖²`, computed in
+    /// `f64` from the same `f32` inputs (exact products; the sum's own
+    /// rounding, under `2⁻⁴⁸` of the terms, is what the `2⁻²⁰` of slack
+    /// allows). Whether any point falls back plays no part.
+    #[test]
+    fn stage_one_stays_within_what_stage_two_charges() {
+        let mut rng = SplitMix(11);
+        stage_one_bound::<4>(&mut rng);
+        stage_one_bound::<8>(&mut rng);
+    }
+
+    fn stage_one_bound<const D: usize>(rng: &mut SplitMix) {
+        let slack = 1.0 + 1.0 / f64::from(1u32 << 20);
+        // Centroids at `at` ± `spread / 2`, points at `at` ± `reach / 2`.
+        let cases = [
+            (0.0, 1.0, 1.0),
+            (1e3, 1.0, 1.0),
+            (-3e4, 10.0, 10.0),
+            (1e6, 1e3, 1e3),
+            (0.0, 1e-20, 1e-20),
+            (0.0, 1e-22, 1e-22),
+            (0.0, 1e-40, 1e-40),
+            (1e-38, 1e-39, 1e-39),
+            (0.0, 2e18, 2e18),
+            (0.0, 1e18, 1.2e19),
+        ];
+        for (at, spread, reach) in cases {
+            let coord = |rng: &mut SplitMix, scale: f64| at + (fine(rng) - 0.5) * scale;
+            let app = KMeans::new((0..9).map(|_| [0; D].map(|_| coord(rng, spread))).collect());
+            let (centred, origin) = app.filter.centred();
+            let mut charged = 0;
+            for _ in 0..512 {
+                let x: [f32; D] = [0; D].map(|_| coord(rng, reach) as f32);
+                let (nx, scores) = app.filter.scores(&x);
+                let Some((x_bar, charge)) = app.filter.charges(nx) else {
+                    continue;
+                };
+                charged += 1;
+                let x: [f64; D] = std::array::from_fn(|d| f64::from(x[d] - origin[d]));
+                let norm: f64 = x.iter().map(|x| x * x).sum();
+                assert!(norm <= x_bar, "D={D} at {at} ± {reach}: ‖x′‖² {norm} > {x_bar}");
+                for (c, &s) in centred.iter().zip(&scores) {
+                    let exact: f64 = c
+                        .iter()
+                        .zip(&x)
+                        .map(|(&c, &x)| f64::from(c) * (f64::from(c) - 2.0 * x))
+                        .sum();
+                    let err = (f64::from(s) - exact).abs();
+                    assert!(
+                        err <= charge * slack,
+                        "D={D} at {at} ± {reach}: score {s} is {err} off {exact}, charged {charge}"
+                    );
+                }
+            }
+            assert!(charged > 256, "D={D} at {at} ± {reach}: {charged} of 512 points charged");
+        }
     }
 
     #[test]
@@ -597,6 +684,143 @@ mod tests {
             centroids = fold(&app, &items).new_centroids(&centroids);
         }
         report_skipped(&ran);
+    }
+
+    /// Steps 4–8 of the derivation, checked directly: wherever stage 2's
+    /// linear test passes, the inequality it stands for holds, `√b − δ >
+    /// κ(√a + δ) + θ` at the largest `‖x′‖²` stage 1 allows (the worst
+    /// case: the left side falls faster as it grows), with `a`, `b` the
+    /// bounds on the nearest and the runner-up, `δ = u₃₂·√X̄ + r` and `κ`,
+    /// `θ` the reference's rounding, each computed here from its
+    /// definition. `m2` is the smallest `f32` that passes, for `‖x′‖²`,
+    /// nearest distances and centroid spreads over many orders of
+    /// magnitude.
+    #[test]
+    fn stage_two_passes_only_where_its_inequality_holds() {
+        let mut rng = SplitMix(13);
+        stage_two_holds::<4>(&mut rng);
+        stage_two_holds::<8>(&mut rng);
+    }
+
+    fn stage_two_holds<const D: usize>(rng: &mut SplitMix) {
+        let g64 = {
+            let nu = (D + 3) as f64 * f64::EPSILON / 2.0;
+            nu / (1.0 - nu)
+        };
+        let kappa = ((1.0 + g64) / (1.0 - g64)).sqrt();
+        let theta = (4.0 * 3.0 * D as f64 * f64::from_bits(1) / (1.0 - g64)).sqrt();
+        let u = f64::from(f32::EPSILON) / 2.0;
+        // Centroids at `at` ± `scale / 2`, with all 53 bits (r > 0).
+        for (at, scale) in [(0.0, 1.0), (1e3, 1.0), (0.0, 1e4), (0.0, 1e-20), (1e6, 1e-3)] {
+            let app = KMeans::new(
+                (0..9).map(|_| [0; D].map(|_| at + (fine(rng) - 0.5) * scale)).collect(),
+            );
+            let (filter, r) = (&app.filter, app.filter.r());
+            let mut tried = 0;
+            for _ in 0..4096 {
+                // `‖x′‖²` and the nearest distance `a`, log-uniform.
+                let log =
+                    |rng: &mut SplitMix, lo: f64, hi: f64| 10f64.powf(lo + fine(rng) * (hi - lo));
+                let nx = log(rng, -45.0, 2.0 * (scale + 1.0).log10() + 2.0) as f32;
+                let Some((x_bar, charge)) = filter.charges(nx) else {
+                    continue;
+                };
+                let a_want = log(rng, -46.0, (x_bar + 1.0).log10() + 1.0);
+                let m1 = (a_want - x_bar - charge) as f32;
+                let a = x_bar + f64::from(m1) + charge;
+                if a < 0.0 || !filter.passes(nx, m1, f32::MAX) {
+                    continue;
+                }
+                // The smallest `m2` that passes.
+                let (mut lo, mut hi) = (m1, f32::MAX);
+                while lo.next_up() < hi {
+                    let mid = (lo + (hi - lo) / 2.0).clamp(lo.next_up(), hi.next_down());
+                    if filter.passes(nx, m1, mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                tried += 1;
+                let b = x_bar + f64::from(hi) - charge;
+                let delta = u * x_bar.sqrt() + r;
+                assert!(
+                    b >= 0.0 && b.sqrt() - delta > kappa * (a.sqrt() + delta) + theta,
+                    "D={D} at {at} ± {scale}: nx {nx} m1 {m1} m2 {hi} (a {a}, b {b}, δ {delta})"
+                );
+            }
+            assert!(tried > 1024, "D={D} at {at} ± {scale}: {tried} cases");
+        }
+    }
+
+    /// The first 32 points as centroids, and after one Lloyd step: at
+    /// most 1 % of `items` may fall back, at every width, from both sources,
+    /// with the fold's bits.
+    fn nearly_every_point_is_certified(name: &str, items: &[Point<8>]) -> Vec<(Width, usize)> {
+        let mut centroids: Vec<[f64; 8]> = items[..32].iter().map(|p| p.0.map(f64::from)).collect();
+        let mut ran = Vec::new();
+        for step in 0..2 {
+            let app = KMeans::new(centroids.clone());
+            for (width, fallbacks) in kernel_matches_fold(&app, items) {
+                assert!(
+                    fallbacks * 100 <= items.len(),
+                    "{name}, {width:?}, step {step}: {fallbacks} of {} points fell back",
+                    items.len()
+                );
+                ran.push((width, fallbacks));
+            }
+            centroids = fold(&app, items).new_centroids(&centroids);
+        }
+        ran
+    }
+
+    #[test]
+    fn the_filter_certifies_shifted_and_widely_spread_clusters() {
+        // The ladder's shape moved by +1 000 in every coordinate: centred,
+        // `x − o` is exact and the scores as small as at the origin.
+        let (data, _) = gen_clustered_points::<8>(16_384, 32, 0.08, 42);
+        let mut shifted = Vec::new();
+        decode_all(&data, Point::<8>::SIZE, &mut shifted, Point::<8>::decode);
+        shifted.iter_mut().for_each(|p| p.0 = p.0.map(|x| x + 1000.0));
+        // Tight clusters spread wide: 32 centres anywhere in [−10⁴, 10⁴)⁸,
+        // each point within 5·10⁻³ of its centre in every coordinate.
+        let mut rng = SplitMix(23);
+        let centres: Vec<[f32; 8]> =
+            (0..32).map(|_| [0; 8].map(|_| ((fine(&mut rng) - 0.5) * 2e4) as f32)).collect();
+        let spread: Vec<Point<8>> = (0..16_384)
+            .map(|i| Point(centres[i % 32].map(|c| c + (rng.coord() - 0.5) * 1e-2)))
+            .collect();
+        let mut ran = nearly_every_point_is_certified("shifted", &shifted);
+        ran.extend(nearly_every_point_is_certified("spread", &spread));
+        report_skipped(&ran);
+    }
+
+    /// A dispatcher that always fell back would pass every bit-exact test
+    /// and only be slow: on a CPU with AVX2 and FMA, `Filter::reduce` must
+    /// run a kernel, and on the ladder's shape send at most 1 % of points
+    /// through the reference scan; elsewhere it must leave `robj` alone.
+    #[test]
+    fn the_dispatcher_runs_a_kernel_wherever_the_cpu_has_one() {
+        #[cfg(target_arch = "x86_64")]
+        let kernel = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let kernel = false;
+        let (data, _) = gen_clustered_points::<8>(16_384, 32, 0.08, 42);
+        let mut items = Vec::new();
+        decode_all(&data, Point::<8>::SIZE, &mut items, Point::<8>::decode);
+        let app = KMeans::new(items[..32].iter().map(|p| p.0.map(f64::from)).collect());
+        let want = fold(&app, &items);
+        for group in [Group::Points(&items), Group::Units(&data)] {
+            let mut got = app.make_robj();
+            let fallbacks = app.filter.reduce(&app, &mut got, group);
+            if kernel {
+                let fallbacks = fallbacks.expect("a CPU with AVX2 and FMA runs a kernel");
+                assert!(fallbacks * 100 <= items.len(), "{fallbacks} of {} fell back", items.len());
+                assert_eq!(bits(&got), bits(&want));
+            } else {
+                assert_eq!((fallbacks, got), (None, app.make_robj()));
+            }
+        }
     }
 
     #[test]

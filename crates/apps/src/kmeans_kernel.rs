@@ -7,42 +7,61 @@
 //! functions behind their CPU checks, and the intrinsics wrapped by the lane
 //! types that only those checks construct.
 //!
-//! **Stage 1, points across lanes.** A block of `P` points is transposed so
-//! that lane `l` of row `d` is coordinate `d` of point `l` (`P` = 16 under
-//! AVX-512F, 8 under AVX2 + FMA): a full block of encoded points by one
-//! gather per row, anything else point by point. The centroids, rounded to
-//! `f32` (`c̃`), are scanned in order; each lane accumulates `s = Σ_d
-//! fma(x_d − c̃_d, x_d − c̃_d, s)` and keeps, with no branch and no
-//! horizontal reduction, the smallest `s` (`m1`, updated on strict `<`),
-//! its centroid (`idx`), and the smallest `s` of every *other* centroid
-//! (`m2`).
+//! **Stage 1, points across lanes, centred, in dot form.** A block of `P`
+//! points is transposed so that lane `l` of row `d` is coordinate `d` of
+//! point `l` (`P` = 16 under AVX-512F, 8 under AVX2 + FMA): a full block of
+//! encoded points by one gather per row, anything else point by point. Each
+//! row is moved to the filter's `f32` origin `o` (`x′ = x − o`, one
+//! subtraction per row and block) and `‖x′‖²` is formed once. The centred
+//! centroids `ĉⱼ = (cⱼ − o) as f32` are scanned in order as `wⱼ = −2ĉⱼ` and
+//! `qⱼ = ‖ĉⱼ‖²`: each lane accumulates `s = Σ_d fma(x′_d, wⱼ_d, ·)` from
+//! `qⱼ`, which is `‖x′ − ĉⱼ‖² − ‖x′‖²` up to rounding, and keeps, with no
+//! branch and no horizontal reduction, the smallest `s` (`m1`, updated on
+//! strict `<`), its centroid (`idx`), and the smallest `s` of every *other*
+//! centroid (`m2`).
 //!
-//! **Stage 2, the certificate.** With `γ₃₂ = γ_{D+3}(2⁻²⁴)` bounding the
-//! `f32` sum, `γ₆₄ = γ_{D+3}(2⁻⁵³)` bounding `units::dist2`, `η` the `f32`
-//! underflow term and `r ≥ maxⱼ ‖cⱼ − c̃ⱼ‖₂`, a lane's `idx` is accepted only
-//! if
+//! **Stage 2, the certificate, across the block.** The three `f32` vectors
+//! `‖x′‖²`, `m1` and `m2` are widened to `f64` and a lane's `idx` is
+//! accepted only if
 //!
 //! ```text
-//! (1+γ₆₄)·(√((m1+η)/(1−γ₃₂)) + r)²·(1+σ) < (1−γ₆₄)·max(0, √(max(0, m2−η)/(1+γ₃₂)) − r)²·(1−σ)
+//! m2 − m1 > c0 + c1·‖x′‖² + c2·m1
 //! ```
 //!
-//! and then `dist2(x, c_idx) < dist2(x, c_j)` for every `j ≠ idx`, so the
-//! reference scan picks `idx` whatever its tie order. DESIGN.md §3.1.1
-//! derives the bound, rounding by rounding. The fold is the reference's:
-//! points in group order, `sums[idx·D + d] += x_d`, `counts[idx] += 1`.
+//! with three constants per iteration ([`Check`]) that charge the scores'
+//! absolute error, `‖x′‖²`'s, the rounding of `x − o`, the centroids'
+//! rounding `r`, and the reference's own rounding. Then `dist2(x, c_idx) <
+//! dist2(x, c_j)` for every `j ≠ idx`, so the reference scan picks `idx`
+//! whatever its tie order. DESIGN.md §3.1.1 derives the test, rounding by
+//! rounding. The fold is the reference's: points in group order,
+//! `sums[idx·D + d] += x_d` as one widening convert and one vector add,
+//! `counts[idx] += 1`.
 
-// Off x86-64 no width is compiled, and the stage-2 helpers go unused.
+// Off x86-64 no width is compiled, and stage 2's constants go unused.
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
 use crate::kmeans::{KMeans, KMeansObj};
 use crate::units::Point;
 
-/// The check's own roundings (a score of `2⁻⁵³` steps) with room to spare.
-const SIGMA: f64 = 1.0 / (1u64 << 30) as f64;
+/// `u₃₂ = 2⁻²⁴`: the relative error of one `f32` rounding.
+const U32: f64 = f32::EPSILON as f64 / 2.0;
 
 /// `2⁻¹⁴⁹`, the smallest `f32` subnormal: twice the absolute error of one
 /// `f32` rounding that underflows.
 const F32_TINY: f64 = f32::from_bits(1) as f64;
+
+/// `2¹²⁵`: a filter whose centred centroids' squares reach it certifies
+/// nothing. Below it no stage-1 operation on a finite `‖x′‖²` can overflow
+/// `f32`: every partial score is at most `Q + 2√(‖x′‖²·Q) < 2¹²⁷·⁸`.
+const LIMIT: f64 = (1u128 << 125) as f64;
+
+/// `τ`: the AM–GM split of the certificate's one cross term, `2κh√a ≤
+/// κτ·a + κh²/τ`. It asks a margin of `τ` relative to the nearest distance.
+const TAU: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// The check's own roundings (a constant of `2⁻⁵³` steps) with room to
+/// spare.
+const SIGMA: f64 = 1.0 / (1u64 << 30) as f64;
 
 /// `γ_n(u) = n·u / (1 − n·u)`: `(1 ± u)ⁿ` lies within `1 ± γ_n(u)`.
 fn gamma(n: usize, u: f64) -> f64 {
@@ -78,29 +97,62 @@ pub(crate) enum Group<'a, const D: usize> {
     Units(&'a [u8]),
 }
 
-/// The centroids of one iteration as stage 1 reads them, and the bound
-/// stage 2 needs on their rounding.
+/// The centroids of one iteration as stage 1 reads them, and stage 2's
+/// test for them.
 #[derive(Debug, Clone)]
 pub(crate) struct Filter<const D: usize> {
-    /// `c as f32`, in centroid order.
-    rounded: Vec<[f32; D]>,
-    /// An upper bound on `maxⱼ ‖cⱼ − c̃ⱼ‖₂`; `+∞` when a centroid is not
-    /// finite or outside `f32` range, and then no point is certified.
+    /// `o`: the centroids' mean, rounded to `f32`.
+    origin: [f32; D],
+    /// `wⱼ = −2ĉⱼ`, with `ĉⱼ = (cⱼ − o) as f32`, in centroid order.
+    w: Vec<[f32; D]>,
+    /// `qⱼ = ‖ĉⱼ‖²`, rounded to `f32`.
+    q: Vec<f32>,
+    check: Check,
+    /// `r ≥ maxⱼ ‖(cⱼ − o) − ĉⱼ‖₂`, for tests.
+    #[cfg(test)]
     r: f64,
+    /// `Q ≥ maxⱼ max(qⱼ, ‖ĉⱼ‖²)`, for tests.
+    #[cfg(test)]
+    q_max: f64,
 }
 
 impl<const D: usize> Filter<D> {
     pub(crate) fn new(centroids: &[[f64; D]]) -> Filter<D> {
-        let rounded: Vec<[f32; D]> = centroids.iter().map(|c| c.map(|x| x as f32)).collect();
-        let r2 = centroids
-            .iter()
-            .zip(&rounded)
-            .map(|(c, c32)| {
-                c.iter().zip(c32).map(|(&x, &y)| (x - f64::from(y)) * (x - f64::from(y))).sum()
-            })
-            // A centroid `f32` cannot hold (beyond its range: `∞ − ∞` is
-            // NaN; or infinite, or NaN) makes the bound `+∞`.
-            .fold(0.0, |r2: f64, e: f64| if e.is_nan() { f64::INFINITY } else { r2.max(e) });
+        let k = centroids.len() as f64;
+        let origin: [f32; D] = std::array::from_fn(|d| {
+            let o = (centroids.iter().map(|c| c[d]).sum::<f64>() / k) as f32;
+            if o.is_finite() {
+                o
+            } else {
+                0.0
+            }
+        });
+        let (mut w, mut q) =
+            (Vec::with_capacity(centroids.len()), Vec::with_capacity(centroids.len()));
+        let (mut r2, mut q_max) = (0f64, 0f64);
+        // `f64` sums of `D` exact squares, rounded up.
+        let sum_up = 1.0 + 2.0 * gamma(D, f64::EPSILON / 2.0);
+        for c in centroids {
+            let mut e2 = 0.0;
+            let centred: [f32; D] = std::array::from_fn(|d| {
+                let t = c[d] - f64::from(origin[d]);
+                let ct = t as f32;
+                // `t − ĉ` is exact (ĉ is `t` rounded), and `t` is within
+                // `2⁻⁵³·|t|` of the exact `c − o`. A centroid `f32` cannot
+                // hold (beyond its range, infinite, or NaN) makes `e` NaN
+                // or `+∞`.
+                let e = (t - f64::from(ct)).abs() + t.abs() * f64::EPSILON;
+                e2 += e * e;
+                ct
+            });
+            r2 = if e2.is_nan() { f64::INFINITY } else { r2.max(e2) };
+            let norm: f64 = centred.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
+            let qj = norm as f32;
+            let top = (norm * sum_up).max(f64::from(qj));
+            q_max = if top.is_nan() { f64::INFINITY } else { q_max.max(top) };
+            w.push(centred.map(|x| -2.0 * x));
+            q.push(qj);
+        }
         // Rounded up: the sum's relative error γ (doubled to cover the
         // product that applies it), the square root's half ulp, and the
         // `f64` underflow of the squares, at most `√(D·2⁻¹⁰⁷⁴)` — far below
@@ -108,13 +160,16 @@ impl<const D: usize> Filter<D> {
         let slack = 1.0 + 2.0 * gamma(D + 3, f64::EPSILON / 2.0);
         let r =
             (r2 * slack).sqrt() * (1.0 + 4.0 * f64::EPSILON) + f64::from_bits((1023 - 500) << 52);
-        Filter { rounded, r }
-    }
-
-    /// The bound on the centroids' rounding, for tests.
-    #[cfg(test)]
-    pub(crate) fn r(&self) -> f64 {
-        self.r
+        Filter {
+            origin,
+            w,
+            q,
+            check: Check::new::<D>(q_max, r),
+            #[cfg(test)]
+            r,
+            #[cfg(test)]
+            q_max,
+        }
     }
 
     /// Fold `group` into `robj` exactly as the `local_reduce` loop over its
@@ -144,26 +199,145 @@ impl<const D: usize> Filter<D> {
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (width, app, robj, group, &self.rounded, self.r);
+            let _ = (width, app, robj, group, &self.origin, &self.w, &self.q, self.check);
             None
+        }
+    }
+}
+
+#[cfg(test)]
+impl<const D: usize> Filter<D> {
+    pub(crate) fn r(&self) -> f64 {
+        self.r
+    }
+
+    /// One lane of stage 1 for the point `x`: its `‖x′‖²` and every
+    /// centroid's score, by the kernel's operations in the kernel's order
+    /// (`f32::mul_add` rounds once, as `vfmadd` does).
+    pub(crate) fn scores(&self, x: &[f32; D]) -> (f32, Vec<f32>) {
+        let x: [f32; D] = std::array::from_fn(|d| x[d] - self.origin[d]);
+        let nx = x.iter().fold(0.0, |acc, &v| v.mul_add(v, acc));
+        let scores = self
+            .w
+            .iter()
+            .zip(&self.q)
+            .map(|(w, &q)| x.iter().zip(w).fold(q, |s, (&x, &w)| x.mul_add(w, s)));
+        (nx, scores.collect())
+    }
+
+    /// `ĉⱼ` (exactly `−wⱼ / 2`) and `o`.
+    pub(crate) fn centred(&self) -> (Vec<[f32; D]>, [f32; D]) {
+        (self.w.iter().map(|w| w.map(|x| x * -0.5)).collect(), self.origin)
+    }
+
+    /// What stage 2 charges a point whose `‖x′‖²` stage 1 computed as `nx`:
+    /// an upper bound on the exact `‖x′‖²`, and on how far each score may
+    /// be from `‖x′ − ĉⱼ‖² − ‖x′‖²`. `None` when stage 2 refuses the point
+    /// whatever its scores.
+    pub(crate) fn charges(&self, nx: f32) -> Option<(f64, f64)> {
+        let nx = f64::from(nx);
+        let x_bar = norm_bound::<D>().at(nx);
+        (nx.is_finite() && self.check.c0.is_finite())
+            .then(|| (x_bar, score_error::<D>(self.q_max).at(x_bar)))
+    }
+
+    /// One lane of stage 2: whether a point with these stage-1 results is
+    /// certified, by the kernel's `f64` operations in the kernel's order.
+    pub(crate) fn passes(&self, nx: f32, m1: f32, m2: f32) -> bool {
+        let Check { c0, c1, c2 } = self.check;
+        let (nx, m1) = (f64::from(nx), f64::from(m1));
+        c1.mul_add(nx, c2.mul_add(m1, c0)) < f64::from(m2) - m1
+    }
+}
+
+/// `slope·v + offset`: the shape of every bound stage 2 charges.
+#[derive(Debug, Clone, Copy)]
+struct Affine {
+    slope: f64,
+    offset: f64,
+}
+
+impl Affine {
+    fn at(self, v: f64) -> f64 {
+        self.slope * v + self.offset
+    }
+}
+
+/// `X̄(nx)`: an upper bound on the exact `‖x′‖²` of a lane whose `D` fused
+/// squares stage 1 summed to `nx`, underflow included.
+fn norm_bound<const D: usize>() -> Affine {
+    let slope = 1.0 + gamma(2 * D, U32);
+    Affine { slope, offset: slope * D as f64 * F32_TINY }
+}
+
+/// `A(X̄)`: how far a score may be from `‖x′ − ĉⱼ‖² − ‖x′‖²` when `‖x′‖² ≤
+/// X̄` and `Q ≥ maxⱼ max(qⱼ, ‖ĉⱼ‖²)`. The `D` FMAs from `qⱼ` err by at most
+/// `γ_D·(qⱼ + Σ|x′_d·wⱼ_d|) ≤ γ_D·(2Q + X̄)` (AM–GM on `2‖x′‖·‖ĉⱼ‖`) plus
+/// `2⁻¹⁵⁰` each when they underflow, and `qⱼ` itself is `‖ĉⱼ‖²` to within
+/// `2u₃₂·Q + 2⁻¹⁵⁰`.
+fn score_error<const D: usize>(q: f64) -> Affine {
+    let g = gamma(D + 1, U32);
+    Affine { slope: g, offset: 2.0 * g * q + D as f64 * F32_TINY + 2.0 * U32 * q + F32_TINY / 2.0 }
+}
+
+/// Stage 2's test for one iteration: lane `l` passes when `m2 − m1 > c0 +
+/// c1·nx + c2·m1`, with `nx` its `‖x′‖²` (DESIGN.md §3.1.1 derives it). An
+/// `nx` that is `+∞` or NaN makes the right side `+∞` or NaN, and the
+/// lane fails.
+#[derive(Debug, Clone, Copy)]
+struct Check {
+    c0: f64,
+    c1: f64,
+    c2: f64,
+}
+
+impl Check {
+    /// The test for `Q ≥ maxⱼ max(qⱼ, ‖ĉⱼ‖²)` and `r ≥ maxⱼ ‖(cⱼ − o) −
+    /// ĉⱼ‖₂`; `c0 = +∞`, which no lane passes, when either is out of range.
+    fn new<const D: usize>(q: f64, r: f64) -> Check {
+        // `dist2`'s rounding: its two sides differ by `κ² = (1+γ₆₄)/(1−γ₆₄)`.
+        let g64 = gamma(D + 3, f64::EPSILON / 2.0);
+        let kappa2 = (1.0 + g64) / (1.0 - g64);
+        let kappa = kappa2.sqrt();
+        let lambda = kappa2 + kappa * TAU - 1.0;
+        let mu = 3.0 * (1.0 + kappa / TAU) * (1.0 + kappa) * (1.0 + kappa);
+        // `θ² ≥ 2ζ/(1−γ₆₄)`, `ζ = 3D·2⁻¹⁰⁷⁴` bounding `dist2`'s underflow.
+        let theta2 = (12 * D) as f64 * f64::from_bits(1);
+        // (2+λ)·A + λ·(X̄ + m1) + μ·(u₃₂²·X̄ + r² + θ²), affine in X̄ and
+        // X̄ affine in nx.
+        let (x_bar, score) = (norm_bound::<D>(), score_error::<D>(q));
+        let rhs = Affine {
+            slope: (2.0 + lambda) * score.slope + lambda + mu * U32 * U32,
+            offset: (2.0 + lambda) * score.offset + mu * (r * r + theta2),
+        };
+        let c0 = rhs.at(x_bar.offset);
+        Check {
+            c0: if q <= LIMIT && r.is_finite() { c0 * (1.0 + SIGMA) } else { f64::INFINITY },
+            c1: rhs.slope * x_bar.slope * (1.0 + SIGMA),
+            c2: lambda,
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{certify, fold_into, Filter, Group, Width, MAX_P};
+    use super::{Check, Filter, Group, Width, MAX_P};
     use crate::kmeans::{KMeans, KMeansObj};
     use crate::units::Point;
     use cloudburst_core::Reduction;
     use core::arch::x86_64::{
-        __m256, __m256i, __m512, __m512i, __mmask16, _mm256_blendv_epi8, _mm256_castps_si256,
-        _mm256_cmp_ps, _mm256_fmadd_ps, _mm256_i32gather_ps, _mm256_loadu_ps, _mm256_loadu_si256,
-        _mm256_max_ps, _mm256_min_ps, _mm256_set1_epi32, _mm256_set1_ps, _mm256_storeu_ps,
-        _mm256_storeu_si256, _mm256_sub_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps,
-        _mm512_i32gather_ps, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_mask_blend_epi32,
-        _mm512_max_ps, _mm512_min_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_storeu_ps,
-        _mm512_storeu_si512, _mm512_sub_ps, _CMP_LT_OQ,
+        __m256, __m256d, __m256i, __m512, __m512d, __m512i, __mmask16, _mm256_add_pd,
+        _mm256_blendv_epi8, _mm256_castpd_ps, _mm256_castps256_ps128, _mm256_castps_si256,
+        _mm256_cmp_pd, _mm256_cmp_ps, _mm256_cvtps_pd, _mm256_extractf128_ps, _mm256_fmadd_pd,
+        _mm256_fmadd_ps, _mm256_i32gather_ps, _mm256_loadu_pd, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_max_ps, _mm256_min_ps, _mm256_movemask_pd, _mm256_set1_epi32, _mm256_set1_pd,
+        _mm256_set1_ps, _mm256_storeu_pd, _mm256_storeu_si256, _mm256_sub_pd, _mm256_sub_ps,
+        _mm512_add_pd, _mm512_castps512_ps256, _mm512_castps_pd, _mm512_cmp_pd_mask,
+        _mm512_cmp_ps_mask, _mm512_cvtps_pd, _mm512_extractf64x4_pd, _mm512_fmadd_pd,
+        _mm512_fmadd_ps, _mm512_i32gather_ps, _mm512_loadu_pd, _mm512_loadu_ps, _mm512_loadu_si512,
+        _mm512_mask_blend_epi32, _mm512_max_ps, _mm512_min_ps, _mm512_set1_epi32, _mm512_set1_pd,
+        _mm512_set1_ps, _mm512_storeu_pd, _mm512_storeu_si512, _mm512_sub_pd, _mm512_sub_ps,
+        _mm_loadu_ps, _CMP_LT_OQ,
     };
 
     /// Run `filter` over `group` at `width` if this CPU has it.
@@ -291,18 +465,19 @@ mod x86 {
         rows.map(|row| lanes.load(&row))
     }
 
-    /// The operations stage 1 is written in, on one register of `P` `f32`
-    /// lanes (`F`), their centroid indices (`I`) and a lane mask (`M`). A
-    /// value of the implementing type is proof that the CPU has the
-    /// instructions: its one constructor is the CPU check. Every method is
-    /// `#[inline(always)]`, so inside `fold_x16`/`fold_x8` each becomes the
-    /// one instruction it names.
+    /// The operations the kernel is written in, on one register of `P`
+    /// `f32` lanes (`F`), their centroid indices (`I`), a lane mask (`M`),
+    /// and half as many `f64` lanes (`W`). A value of the implementing type
+    /// is proof that the CPU has the instructions: its one constructor is
+    /// the CPU check. Every method is `#[inline(always)]`, so inside
+    /// `fold_x16`/`fold_x8` each becomes the instructions it names.
     trait Lanes: Copy {
         /// Points per register.
         const P: usize;
         type F: Copy;
         type I: Copy;
         type M: Copy;
+        type W: Copy;
         fn splat(self, x: f32) -> Self::F;
         /// The first `P` of `lanes`.
         fn load(self, lanes: &[f32; MAX_P]) -> Self::F;
@@ -312,8 +487,6 @@ mod x86 {
         /// # Panics
         /// When `block` is shorter than `P` points of `D` coordinates.
         fn gather<const D: usize>(self, block: &[u8]) -> [Self::F; D];
-        /// Into the first `P` of `out`.
-        fn store(self, v: Self::F, out: &mut [f32; MAX_P]);
         fn sub(self, a: Self::F, b: Self::F) -> Self::F;
         /// `a·b + c`, rounded once.
         fn fma(self, a: Self::F, b: Self::F, c: Self::F) -> Self::F;
@@ -328,6 +501,18 @@ mod x86 {
         fn select_index(self, m: Self::M, a: Self::I, b: Self::I) -> Self::I;
         /// Into the first `P` of `out`.
         fn store_index(self, v: Self::I, out: &mut [u32; MAX_P]);
+        /// The low and the high `P/2` lanes of `v`, each widened to `f64`
+        /// (exactly).
+        fn widen(self, v: Self::F) -> [Self::W; 2];
+        fn splat_f64(self, x: f64) -> Self::W;
+        fn sub_f64(self, a: Self::W, b: Self::W) -> Self::W;
+        /// `a·b + c`, rounded once.
+        fn fma_f64(self, a: Self::W, b: Self::W, c: Self::W) -> Self::W;
+        /// Bit `l` set where `a < b` in lane `l`, clear on NaN.
+        fn lt_f64(self, a: Self::W, b: Self::W) -> u32;
+        /// `sums[d] += f64::from(x[d])` for every `d`: the same IEEE adds,
+        /// a vector of them at a time.
+        fn add_widened<const D: usize>(self, sums: &mut [f64; D], x: &[f32; D]);
     }
 
     /// AVX-512F: 16 lanes.
@@ -341,14 +526,16 @@ mod x86 {
     }
 
     // SAFETY (every block in this impl): `self` is an `Avx512`, which
-    // exists only where the CPU has avx512f; the loads and stores touch the
-    // 16 `f32`/`u32`/`i32` of the array they are given, and `gather` says
-    // what its gathers read.
+    // exists only where the CPU has avx512f (and with it avx2); the loads
+    // and stores touch the 16 `u32`/`i32` of the array they are given or the
+    // 8 `f32`/`f64` of the slices `add_widened` cuts, and `gather` says what
+    // its gathers read.
     impl Lanes for Avx512 {
         const P: usize = 16;
         type F = __m512;
         type I = __m512i;
         type M = __mmask16;
+        type W = __m512d;
 
         #[inline(always)]
         fn splat(self, x: f32) -> __m512 {
@@ -379,12 +566,6 @@ mod x86 {
                     _mm512_i32gather_ps::<4>(offsets, block.as_ptr().cast::<f32>().wrapping_add(d))
                 }
             })
-        }
-
-        #[inline(always)]
-        fn store(self, v: __m512, out: &mut [f32; MAX_P]) {
-            // SAFETY: see the impl.
-            unsafe { _mm512_storeu_ps(out.as_mut_ptr(), v) }
         }
 
         #[inline(always)]
@@ -434,6 +615,57 @@ mod x86 {
             // SAFETY: see the impl.
             unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), v) }
         }
+
+        #[inline(always)]
+        fn widen(self, v: __m512) -> [__m512d; 2] {
+            // SAFETY: see the impl.
+            unsafe {
+                let high = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+                [_mm512_cvtps_pd(_mm512_castps512_ps256(v)), _mm512_cvtps_pd(high)]
+            }
+        }
+
+        #[inline(always)]
+        fn splat_f64(self, x: f64) -> __m512d {
+            // SAFETY: see the impl.
+            unsafe { _mm512_set1_pd(x) }
+        }
+
+        #[inline(always)]
+        fn sub_f64(self, a: __m512d, b: __m512d) -> __m512d {
+            // SAFETY: see the impl.
+            unsafe { _mm512_sub_pd(a, b) }
+        }
+
+        #[inline(always)]
+        fn fma_f64(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+            // SAFETY: see the impl.
+            unsafe { _mm512_fmadd_pd(a, b, c) }
+        }
+
+        #[inline(always)]
+        fn lt_f64(self, a: __m512d, b: __m512d) -> u32 {
+            // SAFETY: see the impl.
+            u32::from(unsafe { _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, b) })
+        }
+
+        #[inline(always)]
+        fn add_widened<const D: usize>(self, sums: &mut [f64; D], x: &[f32; D]) {
+            let whole = D - D % 8;
+            for (sums, x) in sums[..whole].chunks_exact_mut(8).zip(x.chunks_exact(8)) {
+                // SAFETY: see the impl; both slices are 8 long.
+                unsafe {
+                    let x = _mm512_cvtps_pd(_mm256_loadu_ps(x.as_ptr()));
+                    _mm512_storeu_pd(
+                        sums.as_mut_ptr(),
+                        _mm512_add_pd(_mm512_loadu_pd(sums.as_ptr()), x),
+                    );
+                }
+            }
+            for (sum, &x) in sums[whole..].iter_mut().zip(&x[whole..]) {
+                *sum += f64::from(x);
+            }
+        }
     }
 
     /// AVX2 with FMA: 8 lanes.
@@ -449,13 +681,15 @@ mod x86 {
 
     // SAFETY (every block in this impl): `self` is an `Avx2`, which exists
     // only where the CPU has avx2 and fma; the loads and stores touch the
-    // first 8 `f32`/`u32`/`i32` of the 16 in the array they are given, and
-    // `gather` says what its gathers read.
+    // first 8 `f32`/`u32`/`i32` of the 16 in the array they are given or the
+    // 4 `f32`/`f64` of the slices `add_widened` cuts, and `gather` says what
+    // its gathers read.
     impl Lanes for Avx2 {
         const P: usize = 8;
         type F = __m256;
         type I = __m256i;
         type M = __m256;
+        type W = __m256d;
 
         #[inline(always)]
         fn splat(self, x: f32) -> __m256 {
@@ -486,12 +720,6 @@ mod x86 {
                     _mm256_i32gather_ps::<4>(block.as_ptr().cast::<f32>().wrapping_add(d), offsets)
                 }
             })
-        }
-
-        #[inline(always)]
-        fn store(self, v: __m256, out: &mut [f32; MAX_P]) {
-            // SAFETY: see the impl.
-            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) }
         }
 
         #[inline(always)]
@@ -542,6 +770,59 @@ mod x86 {
             // SAFETY: see the impl.
             unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast(), v) }
         }
+
+        #[inline(always)]
+        fn widen(self, v: __m256) -> [__m256d; 2] {
+            // SAFETY: see the impl.
+            unsafe {
+                [
+                    _mm256_cvtps_pd(_mm256_castps256_ps128(v)),
+                    _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)),
+                ]
+            }
+        }
+
+        #[inline(always)]
+        fn splat_f64(self, x: f64) -> __m256d {
+            // SAFETY: see the impl.
+            unsafe { _mm256_set1_pd(x) }
+        }
+
+        #[inline(always)]
+        fn sub_f64(self, a: __m256d, b: __m256d) -> __m256d {
+            // SAFETY: see the impl.
+            unsafe { _mm256_sub_pd(a, b) }
+        }
+
+        #[inline(always)]
+        fn fma_f64(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+            // SAFETY: see the impl.
+            unsafe { _mm256_fmadd_pd(a, b, c) }
+        }
+
+        #[inline(always)]
+        fn lt_f64(self, a: __m256d, b: __m256d) -> u32 {
+            // SAFETY: see the impl. `movmskpd` sets only the low 4 bits.
+            unsafe { _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(a, b)) as u32 }
+        }
+
+        #[inline(always)]
+        fn add_widened<const D: usize>(self, sums: &mut [f64; D], x: &[f32; D]) {
+            let whole = D - D % 4;
+            for (sums, x) in sums[..whole].chunks_exact_mut(4).zip(x.chunks_exact(4)) {
+                // SAFETY: see the impl; both slices are 4 long.
+                unsafe {
+                    let x = _mm256_cvtps_pd(_mm_loadu_ps(x.as_ptr()));
+                    _mm256_storeu_pd(
+                        sums.as_mut_ptr(),
+                        _mm256_add_pd(_mm256_loadu_pd(sums.as_ptr()), x),
+                    );
+                }
+            }
+            for (sum, &x) in sums[whole..].iter_mut().zip(&x[whole..]) {
+                *sum += f64::from(x);
+            }
+        }
     }
 
     /// The kernel, one body for both widths and both sources: `L::P` points
@@ -555,30 +836,28 @@ mod x86 {
         points: S,
     ) -> usize {
         let n = points.count();
-        if filter.rounded.len() == 1 {
-            // One centroid: the reference scan answers 0 for every point.
-            for i in 0..n {
-                fold_into(robj, 0, &points.point(i));
-            }
-            return 0;
-        }
+        let inf = lanes.splat(f32::INFINITY);
+        let mut pick = [0u32; MAX_P];
         let mut fallbacks = 0;
         for at in (0..n).step_by(L::P) {
-            // Stage 1. A partial block is transposed point by point; its
-            // missing lanes hold zeros and are never folded.
-            let xs = if n - at >= L::P {
+            // Stage 1: the block centred on `o`, its `‖x′‖²`, and every
+            // centroid's score. A partial block is transposed point by
+            // point; its missing lanes hold zeros and are never folded.
+            let mut x = if n - at >= L::P {
                 points.rows(lanes, at)
             } else {
                 transpose(lanes, (at..n).map(|i| points.point(i)))
             };
-            let inf = lanes.splat(f32::INFINITY);
+            for (x, &o) in x.iter_mut().zip(&filter.origin) {
+                *x = lanes.sub(*x, lanes.splat(o));
+            }
+            let nx = x.iter().fold(lanes.splat(0.0), |nx, &x| lanes.fma(x, x, nx));
             let (mut m1, mut m2, mut idx) = (inf, inf, lanes.splat_index(0));
-            for (j, c) in filter.rounded.iter().enumerate() {
-                let mut s = lanes.splat(0.0);
-                for (&x, &cd) in xs.iter().zip(c) {
-                    let t = lanes.sub(x, lanes.splat(cd));
-                    s = lanes.fma(t, t, s);
-                }
+            for (j, (w, &q)) in filter.w.iter().zip(&filter.q).enumerate() {
+                let s = x
+                    .iter()
+                    .zip(w)
+                    .fold(lanes.splat(q), |s, (&x, &w)| lanes.fma(x, lanes.splat(w), s));
                 // `m2` takes whichever of `s` and `m1` loses. A NaN `s`
                 // (`maxps` then answers `m1`) pulls `m2` down to `m1`, and
                 // the certificate fails.
@@ -587,15 +866,15 @@ mod x86 {
                 m1 = lanes.min(s, m1);
             }
             // Stage 2, then the fold in point order.
-            let (mut best, mut rest, mut pick) = ([0f32; MAX_P], [0f32; MAX_P], [0u32; MAX_P]);
-            lanes.store(m1, &mut best);
-            lanes.store(m2, &mut rest);
+            let sure = certify(lanes, &filter.check, nx, m1, m2);
             lanes.store_index(idx, &mut pick);
-            let sure = certify::<D>(filter.r, &best[..L::P], &rest[..L::P]);
-            for l in 0..L::P.min(n - at) {
+            for (l, &c) in pick.iter().enumerate().take(L::P.min(n - at)) {
                 let point = points.point(at + l);
-                if sure[l] {
-                    fold_into(robj, pick[l] as usize, &point);
+                if sure >> l & 1 == 1 {
+                    let c = c as usize;
+                    let sums = robj.sums[c * D..].first_chunk_mut().expect("a centroid's sums");
+                    lanes.add_widened(sums, &point.0);
+                    robj.counts[c] += 1;
                 } else {
                     fallbacks += 1;
                     app.local_reduce(robj, &point);
@@ -604,39 +883,20 @@ mod x86 {
         }
         fallbacks
     }
-}
 
-/// `local_reduce`'s fold with the centroid already known.
-#[inline(always)]
-fn fold_into<const D: usize>(robj: &mut KMeansObj, c: usize, item: &Point<D>) {
-    // Widened first, so no store to `sums` can alias the point and the
-    // adds can go as one vector (each lane the same scalar add).
-    let x = item.0.map(f64::from);
-    for (sum, x) in robj.sums[c * D..][..D].iter_mut().zip(x) {
-        *sum += x;
+    /// Stage 2 for a block: bit `l` is set where lane `l`'s `idx` is
+    /// certified, `m2 − m1 > c0 + c1·nx + c2·m1` in `f64` (see [`Check`]).
+    #[inline(always)]
+    fn certify<L: Lanes>(lanes: L, check: &Check, nx: L::F, m1: L::F, m2: L::F) -> u32 {
+        let (c0, c1, c2) =
+            (lanes.splat_f64(check.c0), lanes.splat_f64(check.c1), lanes.splat_f64(check.c2));
+        let (nx, m1, m2) = (lanes.widen(nx), lanes.widen(m1), lanes.widen(m2));
+        let mut sure = 0;
+        for half in 0..2 {
+            let gap = lanes.sub_f64(m2[half], m1[half]);
+            let bound = lanes.fma_f64(c1, nx[half], lanes.fma_f64(c2, m1[half], c0));
+            sure |= lanes.lt_f64(bound, gap) << (half * L::P / 2);
+        }
+        sure
     }
-    robj.counts[c] += 1;
-}
-
-/// Stage 2 for each lane: whether `m1`'s centroid is provably the strict
-/// nearest in `f64` (see the module docs and DESIGN.md §3.1.1).
-#[inline(always)]
-fn certify<const D: usize>(r: f64, m1: &[f32], m2: &[f32]) -> [bool; MAX_P] {
-    let g32 = gamma(D + 3, f64::from(f32::EPSILON) / 2.0);
-    let g64 = gamma(D + 3, f64::EPSILON / 2.0);
-    // At most `2⁻¹⁵⁰` per rounding that can underflow (the `D` products),
-    // doubled to cover the roundings that follow it.
-    let eta = D as f64 * F32_TINY;
-    let (near_scale, far_scale) = (1.0 / (1.0 - g32), 1.0 / (1.0 + g32));
-    let (lhs_scale, rhs_scale) = ((1.0 + g64) * (1.0 + SIGMA), (1.0 - g64) * (1.0 - SIGMA));
-    let mut sure = [false; MAX_P];
-    for ((sure, &m1), &m2) in sure.iter_mut().zip(m1).zip(m2) {
-        let (a, b) = (f64::from(m1), f64::from(m2));
-        let near = ((a + eta) * near_scale).sqrt() + r;
-        let rest = b - eta;
-        let far = (if rest > 0.0 { rest } else { 0.0 } * far_scale).sqrt() - r;
-        let far = if far > 0.0 { far } else { 0.0 };
-        *sure = a.is_finite() & b.is_finite() & (lhs_scale * near * near < rhs_scale * far * far);
-    }
-    sure
 }

@@ -418,8 +418,16 @@ echo "== k-means kernel: reduce_group and reduce_units against the reference loo
 # odd byte offset, whole and cut into groups — and the `local_reduce` fold
 # must agree on every bit (ties, near-ties an ulp off a bisector, centroids
 # f32 cannot hold, subnormal and overflowing squares, NaN and infinite
-# coordinates, partial blocks), the filter must certify all but 1 % of
-# clustered points, every app's `reduce_units` must equal `decode` +
+# coordinates, partial blocks; `the_certificate_holds_at_its_edges` at D = 4
+# and 8), stage 1's scores must stay within the error stage 2 charges
+# (`stage_one_stays_within_what_stage_two_charges`) and stage 2 must pass
+# only where the inequality it stands for holds
+# (`stage_two_passes_only_where_its_inequality_holds`), the filter must
+# certify all but 1 % of clustered points, also shifted by +1 000 and
+# spread over 10⁴ (`the_filter_certifies_shifted_and_widely_spread_clusters`),
+# the dispatcher itself must run a kernel on a CPU with AVX2 and FMA
+# (`the_dispatcher_runs_a_kernel_wherever_the_cpu_has_one`), every app's
+# `reduce_units` must equal `decode` +
 # `reduce_group` over any cut of a chunk (fused_units), a whole run must
 # `==` the oracle on the classic and the FT path, and the oracle itself must
 # still be the plain loop over `units::dist2`. The kernel tests run again in
