@@ -1,7 +1,8 @@
 //! The head node over channels: [`HeadCore`] fed from one mailbox of
 //! [`HeadMsg`]s, every one of them a frame for [`HeadCore::on_frame`], its
-//! answers posted into the masters' mailboxes or to the settling slave, with
-//! revoked executions published on a [`CancelBoard`].
+//! answers posted into the masters' mailboxes or to the settling slave.
+//! Revocation notices reach a site only in its master's replies, as over
+//! TCP.
 
 use crate::head_core::{HeadCore, Reply};
 use crate::protocol::{HeadMsg, HeadReport, MasterMsg};
@@ -9,53 +10,9 @@ use crate::runtime::RuntimeConfig;
 use crate::wire::{AckEntry, Frame};
 use cloudburst_core::{ChunkId, HeartbeatConfig, JobPool, Metrics, SiteId};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use parking_lot::RwLock;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A shared board of revoked chunk executions.
-///
-/// When the head reaps a lease or preempts a losing speculative copy it
-/// posts the chunk here; slaves poll the board between (and during slow)
-/// executions and abort work that can no longer win. Cancellation is purely
-/// an optimization — the pool's dedup already guarantees exactly-once
-/// merging even if a revoked execution runs to completion.
-#[derive(Clone, Default)]
-pub struct CancelBoard {
-    inner: Arc<RwLock<HashSet<ChunkId>>>,
-}
-
-impl CancelBoard {
-    /// An empty board.
-    #[must_use]
-    pub fn new() -> CancelBoard {
-        CancelBoard::default()
-    }
-
-    /// Post `chunk` as revoked.
-    pub fn revoke(&self, chunk: ChunkId) {
-        self.inner.write().insert(chunk);
-    }
-
-    /// Clear `chunk`, typically because it was re-granted to a new owner.
-    pub fn clear(&self, chunk: ChunkId) {
-        self.inner.write().remove(&chunk);
-    }
-
-    /// Is `chunk` currently revoked?
-    #[must_use]
-    pub fn is_revoked(&self, chunk: ChunkId) -> bool {
-        self.inner.read().contains(&chunk)
-    }
-}
-
-impl std::fmt::Debug for CancelBoard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelBoard").field("revoked", &self.inner.read().len()).finish()
-    }
-}
 
 /// What a head is told at start-up, on either transport. [`Default`] is the
 /// classic fault-oblivious head.
@@ -114,31 +71,22 @@ impl Drop for Masters {
 /// until a message arrives or the core's next deadline. A master's frames
 /// are the core's `on_frame`, as over TCP, and each `BatchReply` is posted
 /// into the master's mailbox; a slave's settle is served as an `AckBatch`
-/// that asks for nothing, its verdicts sent back. Every revocation the core
-/// issues is posted on `cancel` — where the slaves of every site look —
-/// before the verdict that caused it is sent, and a chunk is taken off it
-/// again when it is granted anew.
+/// that asks for nothing, its verdicts sent back, and the site's revocation
+/// notices that reply took are carried to the front of its master's next
+/// one — a reply the master handles before any later grant lands.
 pub fn run_head(
     pool: JobPool,
     rx: Receiver<HeadMsg>,
     n_sites: usize,
-    cancel: Option<&CancelBoard>,
     options: &HeadOptions,
 ) -> HeadReport {
     let mut core = HeadCore::new(pool, n_sites, options.heartbeat, options.ft_active);
     core.set_ledger(options.metrics.ledger());
     let mut masters = Masters::default();
-    let publish = |core: &mut HeadCore| {
-        if let Some(board) = cancel {
-            for chunk in core.take_revocations().into_values().flatten() {
-                board.revoke(chunk);
-            }
-        }
-    };
+    let mut carried: BTreeMap<SiteId, Vec<ChunkId>> = BTreeMap::new();
     loop {
         let now = options.epoch.elapsed().as_secs_f64();
         core.on_tick(now);
-        publish(&mut core);
         // Every turn ends here, before the head waits again.
         core.publish_ledger();
         let msg = match core.next_deadline() {
@@ -164,15 +112,17 @@ pub fn run_head(
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return core.finish(),
         };
-        let Reply::Batch(reply) = core.on_frame(site.into(), frame, now) else { continue };
-        publish(&mut core);
-        if let Some(board) = cancel {
-            reply.revoked.iter().for_each(|&chunk| board.revoke(chunk));
-            reply.grant.jobs.iter().for_each(|job| board.clear(job.id));
-        }
+        let Reply::Batch(mut reply) = core.on_frame(site.into(), frame, now) else { continue };
         if let Some(mut slave) = slave {
             reply.verdicts.into_iter().for_each(|merged| slave.send(merged));
+            if !reply.revoked.is_empty() {
+                carried.entry(site).or_default().append(&mut reply.revoked);
+            }
         } else if let Some(mailbox) = masters.0.get(&site) {
+            if let Some(mut notices) = carried.remove(&site) {
+                notices.append(&mut reply.revoked);
+                reply.revoked = notices;
+            }
             // A master that is gone has let go of its mailbox; the pool
             // keeps its grant assigned, which surfaces as a lease expiry
             // (FT on) or a runtime-detected worker panic (FT off) — never
@@ -186,38 +136,34 @@ pub fn run_head(
 mod tests {
     use super::*;
     use crate::protocol::Verdicts;
-    use crate::wire::MasterToHead;
-    use cloudburst_core::{BatchPolicy, DataIndex, JobBatch, LayoutParams};
+    use crate::wire::{BatchReply, Frame, MasterToHead};
+    use cloudburst_core::{BatchPolicy, DataIndex, LayoutParams};
     use crossbeam::channel::{bounded, unbounded};
 
     /// The adapter's own work, end to end and without a clock: frames in,
-    /// replies into the masters' mailboxes, a revocation on the board before
-    /// the verdict that caused it is sent, off it when the chunk is granted
-    /// again, the report when the senders are gone, and then word to every
-    /// master that the head is. (What the messages *mean* is tested against
-    /// [`HeadCore`] under a virtual clock.)
+    /// replies into the masters' mailboxes, a slave's settle answered with
+    /// its verdicts alone — a fence rides the losing master's next reply,
+    /// even one the settle's own reply took — the report when the senders
+    /// are gone, and then word to every master that the head is. (What the
+    /// messages *mean* is tested against [`HeadCore`] under a virtual clock.)
     #[test]
-    fn head_serves_until_senders_drop_and_mirrors_revocations_onto_the_board() {
+    fn head_serves_until_senders_drop_and_fences_only_in_the_masters_replies() {
         let params = LayoutParams { unit_size: 1, units_per_chunk: 2, n_files: 1 };
         let idx = DataIndex::build(2, params, |_| SiteId::LOCAL).unwrap();
         let mut pool = JobPool::from_index(&idx, BatchPolicy::Fixed(2));
         pool.set_redundancy(2);
         let (tx, rx) = unbounded();
-        let board = CancelBoard::new();
-        let head = std::thread::spawn({
-            let board = board.clone();
-            move || run_head(pool, rx, 2, Some(&board), &HeadOptions::default())
-        });
+        let head = std::thread::spawn(move || run_head(pool, rx, 2, &HeadOptions::default()));
         let mailboxes = [SiteId::LOCAL, SiteId::CLOUD].map(|site| {
             let (mailbox, master) = unbounded();
             tx.send(HeadMsg::Connect { site, mailbox }).unwrap();
             master
         });
         let frame = |site: SiteId, frame| tx.send(HeadMsg::Frame { site, frame }).unwrap();
-        let request = |site: SiteId| -> JobBatch {
-            frame(site, Frame::AckBatch { site, want: 1, entries: Vec::new() });
+        let exchange = |site: SiteId, want| -> BatchReply {
+            frame(site, Frame::AckBatch { site, want, entries: Vec::new() });
             match mailboxes[site.0 as usize].recv().unwrap() {
-                MasterMsg::HeadReply(reply) => reply.grant,
+                MasterMsg::HeadReply(reply) => reply,
                 _ => panic!("a frame is answered by a batch reply"),
             }
         };
@@ -227,14 +173,20 @@ mod tests {
             tx.send(HeadMsg::Complete { jobs: vec![job], site, reply }).unwrap();
             [arx.recv().unwrap() == Some(true)]
         };
-        let job = request(SiteId::LOCAL).jobs[0].id;
-        board.revoke(job); // stale, from some earlier life of the chunk
-        assert_eq!(request(SiteId::CLOUD).jobs[0].id, job, "the idle site gets a replica");
-        assert!(!board.is_revoked(job), "a granted chunk is live");
+        let job = exchange(SiteId::LOCAL, 1).grant.jobs[0].id;
+        assert_eq!(
+            exchange(SiteId::CLOUD, 1).grant.jobs[0].id,
+            job,
+            "the idle site gets a replica"
+        );
         assert_eq!(settle(SiteId::CLOUD, job), [true]);
-        assert!(board.is_revoked(job), "the slower copy was not fenced");
+        assert!(exchange(SiteId::CLOUD, 0).revoked.is_empty(), "the winner is not fenced");
+        // The slower copy's settle takes its site's notice: carried on, not
+        // lost, and heard once, in the master's next reply.
         assert_eq!(settle(SiteId::LOCAL, job), [false]);
-        frame(SiteId::LOCAL, Frame::Legacy(MasterToHead::Ping { site: SiteId::LOCAL }));
+        assert!(mailboxes[0].try_recv().is_err(), "a settle is answered to its slave alone");
+        assert_eq!(exchange(SiteId::LOCAL, 0).revoked, [job], "the slower copy is fenced");
+        assert!(exchange(SiteId::LOCAL, 0).revoked.is_empty());
         frame(SiteId::LOCAL, Frame::Legacy(MasterToHead::Bye));
         drop(tx);
         let report = head.join().unwrap();

@@ -9,7 +9,10 @@
 //! Messages and the time come in as arguments, replies go out as return
 //! values; [`crate::head`] carries them over channels, [`crate::reactor`]
 //! over TCP and `cloudburst-sim` on its virtual clock, and each waits no
-//! longer than [`HeadCore::next_deadline`].
+//! longer than [`HeadCore::next_deadline`]. A revocation notice leaves the
+//! core one way only: in a `BatchReply` to the site that must drop the job,
+//! so whatever carries the frames, a site hears of its revoked jobs in its
+//! own replies.
 
 use crate::protocol::HeadReport;
 use crate::wire::{AckEntry, BatchReply, Frame, MasterToHead, MAX_REVOKED, WIRE_VERSION};
@@ -43,8 +46,6 @@ struct PeerState {
 /// What the head answers a [`Frame`] with.
 #[derive(Debug, PartialEq)]
 pub enum Reply {
-    /// Nothing.
-    None,
     /// The version this connection will speak: the lower of the peer's and
     /// this head's.
     HelloAck(u16),
@@ -159,10 +160,6 @@ impl HeadCore {
     /// Serve one frame of the wire protocol.
     pub fn on_frame(&mut self, peer: Peer, frame: Frame, now: Seconds) -> Reply {
         match frame {
-            Frame::Legacy(MasterToHead::Ping { site }) => {
-                self.heard(peer, site, now);
-                Reply::None
-            }
             Frame::Legacy(MasterToHead::Bye) => {
                 if let Some(state) = self.peers.get_mut(&peer) {
                     state.said_bye = true;
@@ -183,8 +180,9 @@ impl HeadCore {
             Frame::AckBatch { site, want, entries } => {
                 self.heard(peer, site, now);
                 let verdicts = entries.iter().map(|&e| self.rule(e, site, now)).collect();
-                // `want: 0` carries verdicts or flushes reports; it still
-                // learns whether the run is over.
+                // `want: 0` carries verdicts, flushes reports or — empty —
+                // is an idle master's beacon; it still learns whether the
+                // run is over, and the site's pending notices.
                 let grant = self.grant(site, usize::from(want), now);
                 let revoked = self.notices_for(site);
                 Reply::Batch(BatchReply { verdicts, revoked, grant })
@@ -251,12 +249,6 @@ impl HeadCore {
                 self.revocations.remove(&site);
             }
         }
-    }
-
-    /// Every undelivered revocation notice, for a transport that publishes
-    /// them itself instead of waiting for the site's next `AckBatch`.
-    pub fn take_revocations(&mut self) -> BTreeMap<SiteId, Vec<ChunkId>> {
-        std::mem::take(&mut self.revocations)
     }
 
     /// When [`HeadCore::on_tick`] next has something to do, if ever.
@@ -507,9 +499,6 @@ mod tests {
         let (mut head, jobs) = reaped(CLOUD);
         assert_eq!(ack_batch(&mut head, Peer(0), CLOUD, 0, &[], 0.02).revoked, jobs);
         assert!(ack_batch(&mut head, Peer(0), CLOUD, 0, &[], 0.02).revoked.is_empty());
-        // And a transport that publishes them itself takes them all.
-        let (mut head, jobs) = reaped(CLOUD);
-        assert_eq!(head.take_revocations(), BTreeMap::from([(CLOUD, jobs)]));
     }
 
     #[test]
@@ -569,7 +558,7 @@ mod tests {
         let mut now = 0.003;
         while now < 10.0 * HEARTBEAT.timeout {
             now += HEARTBEAT.interval;
-            head.on_frame(cloud, Frame::Legacy(MasterToHead::Ping { site: CLOUD }), now);
+            ack_batch(&mut head, cloud, CLOUD, 0, &[], now);
             assert!(head.on_tick(now).is_empty(), "a peer was declared silent at {now}");
         }
         let rest = ack_batch(&mut head, cloud, CLOUD, 2, &[], now).grant;

@@ -31,9 +31,9 @@ pub mod runtime;
 pub mod wire;
 
 pub use error::RunError;
-pub use head::{run_head, CancelBoard, HeadOptions};
+pub use head::{run_head, HeadOptions};
 pub use head_core::HeadCore;
-pub use net::{run_hybrid_tcp, serve_head};
+pub use net::{run_hybrid_tcp, serve_head, CancelBoard};
 pub use protocol::{HeadMsg, HeadReport, MasterMsg};
 pub use router::{Fetched, StoreRouter};
 pub use runtime::{check_units, run_hybrid, FaultPolicy, FtConfig, RunOutcome, RuntimeConfig};

@@ -9,10 +9,12 @@
 //! the data plane goes through the usual [`StoreRouter`].
 //!
 //! Fault tolerance maps naturally onto the transport: any frame from a
-//! master doubles as its liveness beacon (idle masters send explicit ping
-//! frames), the head's per-connection read timeout is the death detector,
+//! master doubles as its liveness beacon (an idle master sends an empty
+//! `AckBatch`), the head's per-connection read timeout is the death detector,
 //! and an EOF without an orderly `Bye` — a crashed or revoked site — gets
-//! the site evacuated and its work re-homed to the survivors.
+//! the site evacuated and its work re-homed to the survivors. The master is
+//! also the one way a revocation reaches its site: it posts the notices its
+//! replies carry on the site's [`CancelBoard`], where its slaves look.
 //!
 //! [`run_hybrid_tcp`] is a drop-in alternative to
 //! [`run_hybrid`](crate::runtime::run_hybrid) that binds a loopback head
@@ -37,12 +39,65 @@ use cloudburst_core::{
 };
 use cloudburst_storage::ChunkStore;
 use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use parking_lot::{Mutex, RwLock};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The revoked executions of one site, as its master heard of them.
+///
+/// The site's master is the board's one writer. Each of the head's replies
+/// carries the notices for this site — a lease reaped, a losing copy
+/// preempted, a site evacuated — and the master posts them as the reply's
+/// return leg ends; it takes a chunk off when a grant of it lands. Replies
+/// are handled in order, so a fresh grant clears an older notice and never
+/// the other way round. The site's slaves read the board between (and during
+/// slow) executions and drop work that can no longer win. Cancellation is
+/// purely an optimization — the pool's dedup already guarantees exactly-once
+/// merging even if a revoked execution runs to completion.
+#[derive(Clone, Default)]
+pub struct CancelBoard {
+    inner: Arc<RwLock<HashSet<ChunkId>>>,
+}
+
+impl CancelBoard {
+    /// An empty board.
+    #[must_use]
+    pub fn new() -> CancelBoard {
+        CancelBoard::default()
+    }
+
+    /// Post `chunks` as revoked.
+    pub fn revoke(&self, chunks: &[ChunkId]) {
+        if !chunks.is_empty() {
+            self.inner.write().extend(chunks);
+        }
+    }
+
+    /// Clear the chunks of `grant`, which just landed: these copies are live.
+    pub fn clear(&self, grant: &JobBatch) {
+        let mut revoked = self.inner.write();
+        if !revoked.is_empty() {
+            for job in &grant.jobs {
+                revoked.remove(&job.id);
+            }
+        }
+    }
+
+    /// Is `chunk` currently revoked?
+    #[must_use]
+    pub fn is_revoked(&self, chunk: ChunkId) -> bool {
+        self.inner.read().contains(&chunk)
+    }
+}
+
+impl std::fmt::Debug for CancelBoard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CancelBoard").field("revoked", &self.inner.read().len()).finish()
+    }
+}
 
 /// Reports waiting for a frame are flushed at this many, well under the
 /// `u16` entry count of an `AckBatch`.
@@ -332,7 +387,7 @@ fn serve_site(
     let mut inbound: VecDeque<Inbound> = VecDeque::new();
     // Slaves that found the pool empty, oldest first.
     let mut parked: VecDeque<Parked> = VecDeque::new();
-    // Any frame doubles as a liveness beacon; explicit pings cover idle
+    // Any frame doubles as a liveness beacon; an empty `AckBatch` covers idle
     // stretches.
     let mut last_sent = Instant::now();
     let mut slaves_gone = false;
@@ -350,7 +405,10 @@ fn serve_site(
         }
         let now = Instant::now();
         if cfg.heartbeat.is_some_and(|hb| (now - last_sent).as_secs_f64() >= hb.interval) {
-            link.push(Frame::Legacy(MasterToHead::Ping { site }));
+            // Straight onto the link, and answered like any frame: its reply
+            // brings the site's notices to a master that has nothing to ask.
+            link.push_reports(site, 0, &[]);
+            sent.push_back((None, 0));
             cfg.telemetry.emit(Event::at(ns_since(cfg.epoch), EventKind::Heartbeat).site(site));
         }
         while inbound.front().is_some_and(|r| r.due <= now) {
@@ -358,18 +416,23 @@ fn serve_site(
             for (mut ack, verdict) in reply.verdicts {
                 ack.send(verdict);
             }
-            // Fencing: every undelivered job the head revoked dies here,
-            // before the refill can resurrect a fresh copy of the same chunk.
+            // Fencing, the one place this site learns of it: every job the
+            // head revoked dies here — queued ones dropped, those its slaves
+            // hold posted for them — before the refill can resurrect a fresh
+            // copy of the same chunk, which takes it off the board again.
             pool.drop_revoked(&reply.revoked);
+            if let Some(board) = &cfg.cancel {
+                board.revoke(&reply.revoked);
+            }
             if let Some(id) = reply.request {
-                link.recycle(pool.land(id, secs(now)));
+                let landed = pool.land(id, secs(now));
+                if let Some(board) = &cfg.cancel {
+                    board.clear(&landed);
+                }
+                link.recycle(landed);
             }
         }
         while let Some(slave) = parked.front_mut() {
-            // In-process the head also fences on the cancel board: a queued
-            // job posted there is no longer this site's, so it is dropped
-            // instead of dispatched.
-            pool.skip_revoked(|chunk| cfg.revoked(chunk));
             match pool.serve_parked(secs(now), slave.want, &mut slave.buf) {
                 Take::NeedRefill => break,
                 take => {
@@ -424,7 +487,6 @@ fn serve_site(
                 MasterMsg::GetJobs { want, mut done, mut buf, reply } => {
                     quantum = want;
                     reports.done(&mut done, now);
-                    pool.skip_revoked(|chunk| cfg.revoked(chunk));
                     match pool.arrive(secs(now), want, &mut buf) {
                         Take::NeedRefill => parked.push_back(Parked { reply, want, buf, done }),
                         take => reply.send((take, done)),
@@ -646,7 +708,7 @@ mod tests {
             }
             Link::Mailbox => {
                 let (tx, rx) = unbounded();
-                let serve = move || run_head(pool, rx, sites, None, &options);
+                let serve = move || run_head(pool, rx, sites, &options);
                 (Uplink::Mailbox(tx), Box::new(serve))
             }
         }
@@ -765,7 +827,11 @@ mod tests {
 
         /// Answer an `AckBatch` of `entries` reports with `grant`.
         fn answer(&self, entries: usize, grant: JobBatch) {
-            let reply = BatchReply { verdicts: vec![true; entries], revoked: Vec::new(), grant };
+            self.reply(BatchReply { verdicts: vec![true; entries], revoked: Vec::new(), grant });
+        }
+
+        /// Answer the oldest unanswered `AckBatch` with `reply`.
+        fn reply(&self, reply: BatchReply) {
             let master = self.master.as_ref().expect("the master connected first");
             let _ = master.send(MasterMsg::HeadReply(reply));
         }
@@ -942,6 +1008,61 @@ mod tests {
     }
 
     #[test]
+    fn a_revocation_and_a_later_grant_of_its_chunk_reach_the_board_in_reply_order() {
+        // The head sits on the master's beacons until its slave's request is
+        // in, then answers them all at once: the oldest beacon's reply
+        // revokes chunk X — an earlier copy of this site's — and the
+        // request's grants X afresh. Handled in reply order, X is posted and
+        // then cleared: the fresh copy is dispatched, not dropped, and the
+        // board no longer holds it. A later reply that revokes X again posts
+        // it for the slave that now holds it.
+        let batch = pool(4).grant(SiteId::LOCAL, 1, 0.0);
+        let x = batch.jobs[0].id;
+        let board = CancelBoard::new();
+        let heartbeat = Some(HeartbeatConfig { interval: 0.005, timeout: 10.0 });
+        let cfg = MasterStart {
+            cancel: Some(board.clone()),
+            ..master(SiteId::LOCAL, Duration::ZERO, heartbeat)
+        };
+        let revoking = |verdicts| BatchReply {
+            verdicts: vec![true; verdicts],
+            revoked: vec![x],
+            grant: JobBatch::empty(false),
+        };
+        std::thread::scope(|scope| {
+            let (master, mut head) = scripted(scope, cfg);
+            let first = ack_batch(head.next(Duration::from_secs(5)));
+            assert_eq!(first, (0, 0), "an idle master beacons with an empty AckBatch");
+            let slave = ask_one(&master);
+            let mut beacons = 1;
+            loop {
+                match ack_batch(head.next(Duration::from_secs(5))) {
+                    (0, 0) => beacons += 1,
+                    (want, 0) if want > 0 => break,
+                    other => panic!("a beacon or a request, not {other:?}"),
+                }
+            }
+            head.reply(revoking(0));
+            for _ in 1..beacons {
+                head.answer(0, JobBatch::empty(false));
+            }
+            head.answer(0, batch);
+            let Take::Jobs(jobs) = taken(&slave) else { panic!("the fresh copy was dropped") };
+            assert_eq!(jobs[0].chunk.id, x);
+            assert!(!board.is_revoked(x), "a granted chunk is live");
+            let (_, entries) = ack_batch(head.next(Duration::from_secs(5)));
+            head.reply(revoking(entries));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !board.is_revoked(x) {
+                assert!(Instant::now() < deadline, "the fenced copy was never posted");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            master.send(MasterMsg::SlavesGone).unwrap();
+            head.until_bye();
+        });
+    }
+
+    #[test]
     fn master_keeps_beaconing_while_its_grant_requests_are_away() {
         // A master 0.25 s from its head, beaconing every 10 ms. One slave
         // asks for a job: the request takes a quarter second to reach the
@@ -957,16 +1078,18 @@ mod tests {
         std::thread::scope(|scope| {
             let (master, mut head) = scripted(scope, cfg);
             let slave = ask_one(&master);
-            // The head: answer the first request, note when each message
-            // arrives, stop once the slave has its job.
+            // The head: answer the first request, and every beacon with an
+            // empty grant; note when each message arrives, stop once the
+            // slave has its job.
             let mut last = Instant::now();
             let mut longest_silence = Duration::ZERO;
             let mut grant = Some(batch);
             while let Some(msg) = head.next(Duration::from_secs(5)) {
                 longest_silence = longest_silence.max(last.elapsed());
                 last = Instant::now();
-                if let HeadMsg::Frame { frame: Frame::AckBatch { entries, .. }, .. } = msg {
-                    head.answer(entries.len(), grant.take().unwrap_or(JobBatch::empty(false)));
+                if let HeadMsg::Frame { frame: Frame::AckBatch { want, entries, .. }, .. } = msg {
+                    let grant = grant.take_if(|_| want > 0);
+                    head.answer(entries.len(), grant.unwrap_or(JobBatch::empty(false)));
                 }
                 if let Ok(Some((take, _))) = slave.try_recv() {
                     assert!(matches!(take, Take::Jobs(jobs) if jobs.len() == 1 && jobs[0].stolen));

@@ -17,9 +17,12 @@
 //! tolerance is on, a slave *settles* the jobs of a hand-off in one exchange
 //! and waits for the head's verdict on each: merged (first completion of the
 //! chunk) or to discard (a duplicate). In-process the settle is the one
-//! message a slave sends the head itself ([`HeadMsg::Complete`]). Any frame
-//! from a master doubles as its liveness beacon; an idle one sends `Ping`
-//! frames, so the head can detect a silently dead site.
+//! message a slave sends the head itself ([`HeadMsg::Complete`]); its
+//! verdicts go back to the slave alone. Any frame from a master doubles as its
+//! liveness beacon; an idle one sends an empty `AckBatch`, so the head can
+//! detect a silently dead site. Revocation notices reach a site only in the
+//! `BatchReply`s to its master's frames, on both transports; the master posts
+//! them on its site's [`CancelBoard`](crate::net::CancelBoard).
 
 use crate::wire::{BatchReply, Frame};
 use cloudburst_core::{ChunkId, FaultCounters, JobBatch, LocalJob, SiteId, SiteJobCounts, Take};
@@ -39,8 +42,8 @@ pub enum HeadMsg {
         /// The master's own mailbox.
         mailbox: Sender<MasterMsg>,
     },
-    /// One frame of the wire protocol from `site`'s master: an `AckBatch`,
-    /// a `Ping` or its `Bye`.
+    /// One frame of the wire protocol from `site`'s master: an `AckBatch`
+    /// or its `Bye`.
     Frame {
         /// The site it comes from.
         site: SiteId,
@@ -49,7 +52,9 @@ pub enum HeadMsg {
     },
     /// What one slave settles in one exchange: every job of a hand-off it
     /// reduced since its last report. The head serves it as an `AckBatch`
-    /// from `site` that asks for nothing.
+    /// from `site` that asks for nothing; the verdicts go back to the slave,
+    /// and any revocation notices the reply took go to the front of the
+    /// site's master's next reply.
     Complete {
         /// The finished jobs.
         jobs: Vec<ChunkId>,

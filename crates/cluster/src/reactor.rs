@@ -16,7 +16,9 @@
 //! What a frame means is the core's business; this module moves bytes. A
 //! connection that breaks, falls silent or leaves without `Bye` is reported
 //! to the core, which evacuates its site; the revocations the core holds for
-//! a site ride that site's next [`BatchReply`](crate::wire::BatchReply).
+//! a site ride that site's next [`BatchReply`](crate::wire::BatchReply). A
+//! beaconing master that is idle beacons with an empty `AckBatch`, so that
+//! reply is never more than a heartbeat interval away.
 //!
 //! Connection state is reclaimed on every exit path (Bye, EOF, timeout,
 //! error): the per-connection buffers drop with the `Conn`, and the head
@@ -208,7 +210,6 @@ fn pump(conn: &mut Conn, scratch: &mut [u8], core: &mut HeadCore, now: f64) -> i
         let Some((frame, len)) = read_frame(&conn.rbuf[decoded..])? else { break };
         decoded += len;
         match core.on_frame(conn.peer, frame, now) {
-            Reply::None => {}
             Reply::HelloAck(version) => put_hello_ack(&mut conn.wbuf, version),
             Reply::Grant(batch) => {
                 put_grant(&mut conn.wbuf, &batch);

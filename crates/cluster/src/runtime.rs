@@ -13,8 +13,8 @@
 //! chaos injection on top without touching the fault-free fast path.
 
 use crate::error::RunError;
-use crate::head::{run_head, CancelBoard, HeadOptions};
-use crate::net::run_site_master;
+use crate::head::{run_head, HeadOptions};
+use crate::net::{run_site_master, CancelBoard};
 use crate::protocol::{Answer, HeadMsg, HeadReport, MasterMsg, Reply, Verdicts};
 use crate::reactor::serve_head_with;
 use crate::router::{Fetched, StoreRouter};
@@ -262,7 +262,8 @@ struct SlaveCtx {
     site: SiteId,
     /// The slave's index within its site (chaos plans target it by this).
     worker: u32,
-    /// Revoked executions to abort early (channel mode only).
+    /// The site's revoked executions, to abort early (whenever copies can
+    /// complete twice); its master posts them.
     cancel: Option<CancelBoard>,
     /// The fault-injection plan, if any.
     chaos: Option<Arc<FaultPlan>>,
@@ -437,17 +438,18 @@ pub fn check_units(unit_size: usize, index: &DataIndex) -> Result<(), RunError> 
 }
 
 /// What carries a run's control plane between the head and the site masters;
-/// everything else about a run is the same code ([`run_on`]).
+/// everything else about a run is the same code ([`run_on`]). On both, a site
+/// hears of its revoked jobs in its master's replies alone, and the master
+/// posts them on the site's [`CancelBoard`] for its slaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Transport {
     /// In-process channels: [`run_head`] over one mailbox, which takes the
     /// masters' frames and posts its answers into their mailboxes. Slaves
-    /// settle with the head directly and see its revocations on a
-    /// [`CancelBoard`].
+    /// settle with the head directly.
     Channels,
     /// Loopback TCP: the reactor head, a socket per master and a reader
-    /// thread beside it. Slaves report through their master, dedup alone
-    /// deals with revoked executions, and each site keeps to its own CPUs.
+    /// thread beside it. Slaves report through their master, and each site
+    /// keeps to its own CPUs.
     Tcp,
 }
 
@@ -483,15 +485,11 @@ pub(crate) fn run_on<R: Reduction>(
     let Prepared { active, head_site, chaos, router, pool, largest, ft_active, dedup_active } =
         prepare(index, stores, config)?;
     let n_sites = active.len();
-    // A cancel board lets slaves abandon executions the head has fenced.
-    let cancel = (transport == Transport::Channels && dedup_active).then(CancelBoard::new);
     let (uplink, serve_head): (Uplink, HeadServer) = match transport {
         Transport::Channels => {
             let (head_tx, head_rx) = unbounded::<HeadMsg>();
-            let board = cancel.clone();
-            let serve = move |pool, options: HeadOptions| {
-                Ok(run_head(pool, head_rx, n_sites, board.as_ref(), &options))
-            };
+            let serve =
+                move |pool, options: HeadOptions| Ok(run_head(pool, head_rx, n_sites, &options));
             (Uplink::Mailbox(head_tx), Box::new(serve))
         }
         Transport::Tcp => {
@@ -522,8 +520,10 @@ pub(crate) fn run_on<R: Reduction>(
         let coordinators: Vec<_> = active
             .iter()
             .map(|&(site, cores)| {
-                let (router, chaos, cancel, uplink) =
-                    (&router, chaos.clone(), cancel.clone(), uplink.clone());
+                let (router, chaos, uplink) = (&router, chaos.clone(), uplink.clone());
+                // Where copies can complete twice, the site's master posts
+                // the revocations its replies carry, for its slaves to drop.
+                let cancel = dedup_active.then(CancelBoard::new);
                 let first_cpu = next_cpu;
                 next_cpu += cores as usize;
                 let floor = cores as usize * config.pipeline_depth.max(1) + 1;
@@ -779,9 +779,8 @@ pub(crate) struct MasterStart {
     pub(crate) leg: Duration,
     pub(crate) heartbeat: Option<HeartbeatConfig>,
     pub(crate) chaos: Option<Arc<FaultPlan>>,
-    /// Revocations published by the head (replica fencing, evacuation):
-    /// queued jobs already fenced are dropped instead of dispatched. Channels
-    /// only; over TCP they come with the head's replies alone.
+    /// The site's board, which the master alone writes: the revocations
+    /// the head's replies carry, posted for the slaves.
     pub(crate) cancel: Option<CancelBoard>,
     pub(crate) epoch: Instant,
     pub(crate) telemetry: Telemetry,
@@ -790,10 +789,6 @@ pub(crate) struct MasterStart {
 impl MasterStart {
     pub(crate) fn site_dead(&self) -> bool {
         site_dead(self.chaos.as_deref(), self.site, self.epoch)
-    }
-
-    pub(crate) fn revoked(&self, chunk: ChunkId) -> bool {
-        self.cancel.as_ref().is_some_and(|b| b.is_revoked(chunk))
     }
 }
 
@@ -2014,7 +2009,7 @@ mod tests {
             let fenced = index.chunks[1].id;
             let app = HookedSum(|first| {
                 if first == 40 {
-                    board.revoke(fenced);
+                    board.revoke(&[fenced]);
                 }
             });
             let mut batches = vec![jobs_of(&[]), jobs_of(&index.chunks)];
@@ -2087,7 +2082,7 @@ mod tests {
         let grant = |want: usize| {
             let jobs: Vec<_> = chunks.by_ref().take(want).copied().collect();
             if jobs.len() >= 3 {
-                board.revoke(jobs[1].id);
+                board.revoke(&[jobs[1].id]);
                 revoked.push(jobs[1].id);
             }
             jobs_of(&jobs)
@@ -2143,6 +2138,42 @@ mod tests {
     /// Both ways a run's control plane can travel; what a test says of "both
     /// transports" it says of each of these.
     const TRANSPORTS: [Transport; 2] = [Transport::Channels, Transport::Tcp];
+
+    #[test]
+    fn a_revoked_crawl_ends_within_a_heartbeat_on_both_transports() {
+        // The one local slave crawls through a delay of twenty heartbeat
+        // intervals on every job; the cloud drains the rest and wins a
+        // speculative copy of what the local site holds. The local master,
+        // with nothing to ask, beacons within an interval and a mailbox tick
+        // (half an interval) of its last frame; the reply to that beacon
+        // carries the notice, the master posts it on the site's board, and
+        // the crawl, which looks every 500 µs, ends. Everything else takes
+        // milliseconds, so the run ends well inside three intervals — or,
+        // when a slave never hears of the revocation, after the delay.
+        let units = 64 * 16;
+        let (index, stores) = setup(units, 0.5, 2);
+        let env = EnvConfig::new("crawl", 0.5, 1, 2);
+        for transport in TRANSPORTS {
+            let mut config = fast_config(env.clone());
+            config.ft = FtConfig::enabled();
+            let interval = config.ft.heartbeat.expect("FT beacons").interval;
+            let mut plan = FaultPlan::seeded(1);
+            let delay_per_job = 20.0 * interval;
+            let crawl =
+                cloudburst_core::SlowWorker { site: SiteId::LOCAL, worker: 0, delay_per_job };
+            plan.slow_workers.push(crawl);
+            config.ft.chaos = Some(Arc::new(plan));
+            let started = Instant::now();
+            let out = run_on(transport, &SumApp, &index, stores.clone(), &config).unwrap();
+            let took = started.elapsed().as_secs_f64();
+            assert_eq!(out.result.0, expected_sum(units), "{transport:?}");
+            assert!(out.report.faults.speculative_wins > 0, "{transport:?}: no copy won");
+            assert!(
+                took < 3.0 * interval,
+                "{transport:?}: the run took {took:.2} s, the crawl {delay_per_job} s a job"
+            );
+        }
+    }
 
     #[test]
     fn a_store_error_mid_batch_fails_the_run_promptly_and_leaks_no_grant() {

@@ -16,31 +16,26 @@
 //! batches: `GetJobs{max}` is answered by a grant, and an `AckBatch` carrying
 //! many completion/failure reports by one [`BatchReply`] (per-report
 //! verdicts, revoked-lease notices and a piggybacked refill grant): a
-//! failure is a report with `ok: false`. Two frames without a job remain
-//! beside them — `Ping` and `Bye` — under the names [`Frame::Legacy`] and
-//! [`MasterToHead`]; the benchmark in `ladder/` pins `Bye`. Tags 1, 2, 3 and
-//! 6, once single-job RPCs, are unknown tags.
+//! failure is a report with `ok: false`. An idle master's liveness beacon is
+//! an `AckBatch` with no reports that asks for nothing: its reply carries the
+//! site's pending revocation notices like any other. One frame without a job
+//! remains beside them — `Bye`, under the names [`Frame::Legacy`] and
+//! [`MasterToHead`], which the benchmark in `ladder/` pins. Tags 1, 2, 3 and
+//! 6, once single-job RPCs, and 7, once `Ping`, are unknown tags.
 
 use bytes::{Buf, BytesMut};
 use cloudburst_core::{ByteSize, ChunkId, ChunkMeta, FileId, JobBatch, SiteId};
 use std::io::{self, ErrorKind, Read, Write};
 
-/// The frames a master sends the head that carry no job.
+/// The frame a master sends the head that carries no job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MasterToHead {
-    /// Liveness beacon (fault-tolerant mode): resets the head's
-    /// per-connection silence clock without requesting anything.
-    Ping {
-        /// Beaconing site.
-        site: SiteId,
-    },
     /// Orderly goodbye: the master is done.
     Bye,
 }
 
 const TAG_BYE: u8 = 4;
 const TAG_GRANT: u8 = 5;
-const TAG_PING: u8 = 7;
 
 /// The most jobs a single grant frame may carry. Real grants are tens of
 /// jobs; the cap bounds the decode allocation at ~2 MiB so a hostile length
@@ -154,8 +149,8 @@ pub struct AckEntry {
     pub ok: bool,
 }
 
-/// Any frame a master may send — what the head decodes. The frames without a
-/// job (`Ping`, `Bye`) may come between batched ones.
+/// Any frame a master may send — what the head decodes. The frame without a
+/// job (`Bye`) comes after the batched ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// A frame without a job.
@@ -183,7 +178,8 @@ pub enum Frame {
         /// Reporting site.
         site: SiteId,
         /// Refill credit: how many jobs the reply grant may carry (0 = the
-        /// master only wants the verdicts, e.g. during shutdown).
+        /// master only wants the verdicts, e.g. during shutdown, or — with
+        /// no entries — beacons).
         want: u16,
         /// The reports, in the order the verdicts must come back.
         entries: Vec<AckEntry>,
@@ -200,9 +196,10 @@ pub struct BatchReply {
     /// Per-report merge verdicts, in `entries` order (`true` = merged;
     /// failure reports get `false`). Positional.
     pub verdicts: Vec<bool>,
-    /// Jobs whose leases the head revoked (reaped or evacuated) since the
-    /// last reply, oldest first and at most [`MAX_REVOKED`]: the master must
-    /// drop any of these it still has queued.
+    /// Jobs of this site's the head revoked (reaped, evacuated, or beaten
+    /// by another copy) since the last reply, oldest first and at most
+    /// [`MAX_REVOKED`]: the master drops any of these it still has queued and
+    /// posts them on its site's board, where its slaves drop what they hold.
     pub revoked: Vec<ChunkId>,
     /// Refill grant (empty + terminal once the pool is drained).
     pub grant: JobBatch,
@@ -223,7 +220,6 @@ pub fn try_read_frame(buf: &mut BytesMut) -> io::Result<Option<Frame>> {
 pub(crate) fn read_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     let Some(&tag) = buf.first() else { return Ok(None) };
     let need = match tag {
-        TAG_PING => 3,
         TAG_BYE => 1,
         TAG_HELLO => 7,
         TAG_GET_JOBS => 5,
@@ -241,7 +237,6 @@ pub(crate) fn read_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
     }
     let mut frame = &buf[1..need];
     let decoded = match tag {
-        TAG_PING => Frame::Legacy(MasterToHead::Ping { site: SiteId(frame.get_u16_le()) }),
         TAG_BYE => Frame::Legacy(MasterToHead::Bye),
         TAG_HELLO => {
             let site = SiteId(frame.get_u16_le());
@@ -299,10 +294,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// Append any frame to `out`.
 pub(crate) fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
-        Frame::Legacy(MasterToHead::Ping { site }) => {
-            out.push(TAG_PING);
-            out.extend_from_slice(&site.0.to_le_bytes());
-        }
         Frame::Legacy(MasterToHead::Bye) => out.push(TAG_BYE),
         Frame::Hello { site, version, credit } => {
             out.push(TAG_HELLO);
@@ -507,7 +498,6 @@ mod tests {
                 ],
             },
             Frame::AckBatch { site: SiteId(0), want: 0, entries: Vec::new() },
-            Frame::Legacy(MasterToHead::Ping { site: SiteId(3) }),
             Frame::Legacy(MasterToHead::Bye),
         ];
         let mut buf = BytesMut::new();
@@ -543,9 +533,10 @@ mod tests {
 
     #[test]
     fn incremental_decoder_rejects_unknown_tags_the_deleted_rpcs_among_them() {
-        // 1, 2, 3 and 6 were `Request`, `Complete`, `Failed` and the ack: a
-        // peer that still sends them is refused at the tag, whatever follows.
-        for tag in [0xEEu8, 0, 1, 2, 3, 6] {
+        // 1, 2, 3 and 6 were `Request`, `Complete`, `Failed` and the ack, 7
+        // was `Ping`: a peer that still sends them is refused at the tag,
+        // whatever follows.
+        for tag in [0xEEu8, 0, 1, 2, 3, 6, 7] {
             let mut buf = BytesMut::from(&[tag, 1, 2, 3, 4, 5, 6, 7][..]);
             let e = try_read_frame(&mut buf).unwrap_err();
             assert_eq!(e.kind(), ErrorKind::InvalidData, "tag {tag}");

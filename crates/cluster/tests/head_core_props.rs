@@ -138,7 +138,8 @@ impl World {
                 }
             }
             5 => {
-                self.head.on_frame(peer, Frame::Legacy(MasterToHead::Ping { site }), now);
+                let beacon = Frame::AckBatch { site, want: 0, entries: Vec::new() };
+                self.head.on_frame(peer, beacon, now);
             }
             6 => {
                 // A master hands back what it holds before it leaves.

@@ -53,10 +53,10 @@ impl LeaseConfig {
 
 /// Master → head liveness beacons (real wall-clock seconds).
 ///
-/// In channel mode masters emit explicit heartbeat messages; in TCP mode the
-/// beacon is a ping frame and the detector is the head's per-connection read
-/// timeout. Either way, a site silent for longer than `timeout` is declared
-/// dead and evacuated.
+/// Any frame from a master is a beacon; an idle master sends an `AckBatch`
+/// with no reports that asks for nothing, on either transport, and its reply
+/// brings the site's pending revocation notices. A site silent for longer
+/// than `timeout` is declared dead and evacuated.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HeartbeatConfig {
     /// How often a master beacons when otherwise idle.

@@ -238,18 +238,15 @@ impl MasterPool {
         self.queue.len()
     }
 
-    /// Queue a landed grant and empty it, keeping its buffers. An empty
-    /// **terminal** batch marks the pool as drained: the head has guaranteed
-    /// no work will ever appear again. An empty *non*-terminal batch leaves
-    /// the pool as-is — in-flight jobs elsewhere may still fail and be
-    /// requeued.
-    fn enqueue(&mut self, batch: &mut JobBatch) {
+    /// Queue a landed grant's jobs. An empty **terminal** batch marks the
+    /// pool as drained: the head has guaranteed no work will ever appear
+    /// again. An empty *non*-terminal batch leaves the pool as-is — in-flight
+    /// jobs elsewhere may still fail and be requeued.
+    fn enqueue(&mut self, batch: &JobBatch) {
         if batch.is_empty() && batch.terminal {
             self.drained = true;
         }
         self.queue.extend(jobs_of(batch));
-        batch.jobs.clear();
-        batch.spans.clear();
     }
 
     /// Hand a slave the next `want` jobs, or as many as are queued, in `buf`
@@ -412,15 +409,15 @@ impl MasterPool {
     }
 
     /// The grant for request `id` arrived at `now`: queue its jobs and take
-    /// the round-trip sample. Returns the grant emptied, for whoever builds
-    /// grants to fill again.
+    /// the round-trip sample. Returns the grant — what landed — whose buffers
+    /// whoever builds grants empties and fills again.
     ///
     /// # Panics
     /// Panics when `id` is not in flight or was never [`MasterPool::granted`].
     pub fn land(&mut self, id: RequestId, now: Seconds) -> JobBatch {
         let at = self.in_flight.iter().position(|r| r.id == id).expect("request is in flight");
         let req = self.in_flight.remove(at);
-        let mut batch = req.batch.expect("a grant lands after the head answered");
+        let batch = req.batch.expect("a grant lands after the head answered");
         let rtt = (now - req.issued_at).max(0.0);
         let dev = self.rtt.map_or(0.0, |mean| (rtt - mean).abs());
         ewma(&mut self.rtt_dev, dev, 4.0);
@@ -439,7 +436,7 @@ impl MasterPool {
             self.idle_wait = POLL_MIN;
             self.poll_at = 0.0;
         }
-        self.enqueue(&mut batch);
+        self.enqueue(&batch);
         batch
     }
 
@@ -482,19 +479,6 @@ impl MasterPool {
     pub fn drop_revoked(&mut self, revoked: &[ChunkId]) -> usize {
         let before = self.queue.len();
         self.queue.retain(|j| !revoked.contains(&j.chunk.id));
-        let n = before - self.queue.len();
-        self.dropped += n as u64;
-        n
-    }
-
-    /// Drop jobs from the front of the queue while `is_revoked` says their
-    /// grant is dead, so the next [`MasterPool::arrive`] dispatches live
-    /// work. Returns how many were dropped.
-    pub fn skip_revoked(&mut self, is_revoked: impl Fn(ChunkId) -> bool) -> usize {
-        let before = self.queue.len();
-        while self.queue.front().is_some_and(|j| is_revoked(j.chunk.id)) {
-            self.queue.pop_front();
-        }
         let n = before - self.queue.len();
         self.dropped += n as u64;
         n
@@ -585,9 +569,9 @@ mod tests {
     }
 
     /// A grant that is simply there, the way a blocking master added it.
-    fn refill(mp: &mut MasterPool, mut batch: JobBatch) {
+    fn refill(mp: &mut MasterPool, batch: JobBatch) {
         mp.granted += batch.len() as u64;
-        mp.enqueue(&mut batch);
+        mp.enqueue(&batch);
     }
 
     #[test]
@@ -793,17 +777,6 @@ mod tests {
         );
         assert!(matches!(mp.arrive(1.5, 4, &mut Vec::new()), Take::Jobs(jobs) if jobs.len() == 4));
         assert_eq!(mp.window(), 1 + 8);
-    }
-
-    #[test]
-    fn skip_revoked_drops_dead_grants_from_the_front_only() {
-        let mut mp = MasterPool::new(SiteId::LOCAL, 0);
-        refill(&mut mp, some_batch(3, false));
-        let ids: Vec<ChunkId> = mp.queue.iter().map(|j| j.chunk.id).collect();
-        assert_eq!(mp.skip_revoked(|c| c == ids[0] || c == ids[2]), 1);
-        assert_eq!(one(mp.arrive(0.0, 1, &mut Vec::new())).chunk.id, ids[1]);
-        assert_eq!(mp.ledger().dropped, 1);
-        assert!(mp.ledger().balanced());
     }
 
     #[test]

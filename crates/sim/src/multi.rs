@@ -259,6 +259,10 @@ enum Ev {
 /// runs, with the simulator as its transport.
 struct SimMaster {
     pool: MasterPool,
+    /// The site's revoked executions, as the runtime's master posts them on
+    /// its board: fed from the site's own replies, a chunk cleared when it is
+    /// granted anew.
+    revoked: BTreeSet<ChunkId>,
     /// Slaves waiting for a grant, oldest first, and since when.
     parked: VecDeque<(usize, Seconds)>,
     /// The latest instant a [`Ev::Retry`] is scheduled for.
@@ -272,10 +276,6 @@ struct Sim<'a> {
     telemetry: &'a Telemetry,
     trace: Option<&'a mut Timeline<Activity>>,
     head: HeadCore,
-    /// The executions the head revoked, as the channel runtime's cancel
-    /// board holds them: fed from its replies and [`HeadCore::take_revocations`],
-    /// a chunk cleared when it is granted anew.
-    revoked: BTreeSet<ChunkId>,
     slaves: Vec<Slave>,
     /// Each site's store.
     stores: BTreeMap<SiteId, Pipe>,
@@ -298,11 +298,6 @@ impl Sim<'_> {
         self.telemetry.emit(event);
     }
 
-    /// Post what the head revoked since the last look.
-    fn publish(&mut self) {
-        self.revoked.extend(self.head.take_revocations().into_values().flatten());
-    }
-
     /// `site` reports `jobs` (if any) in an `AckBatch` that asks for nothing.
     fn report(&mut self, site: SiteId, jobs: &[ChunkId], now: Seconds) -> Vec<bool> {
         if jobs.is_empty() {
@@ -313,8 +308,7 @@ impl Sim<'_> {
         let Reply::Batch(reply) = self.head.on_frame(site.into(), frame, now) else {
             unreachable!("an AckBatch is answered by a BatchReply")
         };
-        self.revoked.extend(reply.revoked);
-        self.publish();
+        self.master(site).revoked.extend(reply.revoked);
         reply.verdicts
     }
 
@@ -331,7 +325,7 @@ impl Sim<'_> {
     fn drive(&mut self, worker: usize, now: Seconds, free_since: Seconds) {
         let site = self.slaves[worker].site;
         loop {
-            let revoked = &self.revoked;
+            let revoked = &self.masters[&site].revoked;
             match self.slaves[worker].core.poll(false, |job| revoked.contains(&job)) {
                 Step::Fetch(job) => return self.start_job(worker, job, now),
                 Step::Dropped(_) => {}
@@ -474,11 +468,13 @@ fn run_multi(
     let (mut slaves, mut masters, mut queue) = (Vec::new(), BTreeMap::new(), EventQueue::new());
     for spec in &active {
         let (site, (n_slaves, speed)) = (spec.site, spec.slaves());
-        // Each master makes itself known at once, so that an outage before
-        // its first request still reaches the head as a site death.
-        head.on_frame(site.into(), Frame::Legacy(MasterToHead::Ping { site }), 0.0);
-        let (pool, parked) = (MasterPool::new(site, 0), VecDeque::new());
-        masters.insert(site, SimMaster { pool, parked, retry: 0.0 });
+        // Each master makes itself known at once, with the runtime's idle
+        // beacon, so that an outage before its first request still reaches
+        // the head as a site death.
+        let beacon = Frame::AckBatch { site, want: 0, entries: Vec::new() };
+        head.on_frame(site.into(), beacon, 0.0);
+        let (pool, parked, revoked) = (MasterPool::new(site, 0), VecDeque::new(), BTreeSet::new());
+        masters.insert(site, SimMaster { pool, revoked, parked, retry: 0.0 });
         for lane in 0..n_slaves {
             let crash_after = chaos.and_then(|p| p.crash_after(site, lane));
             queue.schedule(SimTime::ZERO, Ev::Ready { worker: slaves.len(), completes: None });
@@ -505,7 +501,6 @@ fn run_multi(
         telemetry,
         trace,
         head,
-        revoked: BTreeSet::new(),
         slaves,
         stores: env
             .sites
@@ -526,7 +521,6 @@ fn run_multi(
             sim.head.on_disconnect(o.site.into());
         }
         sim.head.on_tick(now);
-        sim.publish();
         let site = match ev {
             Ev::Ready { worker, .. } => sim.slaves[worker].site,
             Ev::AtHead { site, .. } | Ev::Landed { site, .. } | Ev::Retry { site } => site,
@@ -561,10 +555,11 @@ fn run_multi(
                 let Reply::Grant(batch) = sim.head.on_frame(site.into(), ask, now) else {
                     unreachable!("a GetJobs is answered by a grant")
                 };
+                let master = sim.master(site);
                 for job in &batch.jobs {
-                    sim.revoked.remove(&job.id);
+                    master.revoked.remove(&job.id);
                 }
-                sim.master(site).pool.granted(id, batch);
+                master.pool.granted(id, batch);
                 sim.queue.schedule(SimTime::at(now + leg), Ev::Landed { site, id });
                 continue;
             }

@@ -281,6 +281,40 @@ if [[ -n "$STRAY" ]]; then
     exit 1
 fi
 
+echo "== hygiene: one revocation rule"
+# A site hears of its revoked jobs one way, on both transports: in the
+# `BatchReply`s to its own master's frames, whose `revoked` notices the master
+# drops from its queue and posts on the site's `CancelBoard`, the board's one
+# writer (`net::serve_site`). An idle master's beacon is an empty `AckBatch`,
+# so its reply brings the notices. The head publishing notices itself
+# (`take_revocations`, or a board handed to `run_head` or named anywhere in
+# the head's files), the master's second fencing path (`skip_revoked`), the
+# replyless `Ping` beacon, or a non-test call of `CancelBoard::revoke` outside
+# `serve_site` coming back fails the run.
+STRAY=$( (grep -rnE '\b(take_revocations|skip_revoked|TAG_PING)\b|MasterToHead::Ping' \
+        crates src tests examples ladder/src
+    awk '/^pub enum MasterToHead \{/ { inside = 1 } /^\}/ { inside = 0 }
+        inside && !/^ *\/\// && /Ping/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/cluster/src/wire.rs
+    grep -nw 'CancelBoard' crates/cluster/src/head.rs crates/cluster/src/head_core.rs \
+        crates/cluster/src/reactor.rs) || true)
+if [[ -n "$STRAY" ]]; then
+    echo "$STRAY"
+    echo "a second revocation rule is back: notices reach a site in its master's replies alone"
+    exit 1
+fi
+REVOKES=$(for f in crates/*/src/*.rs src/*.rs src/bin/*.rs examples/*.rs ladder/src/*.rs; do
+    [[ -f "$f" ]] || continue
+    awk '/^#\[cfg\(test\)\]/ { exit }
+        /^fn serve_site\(/ { master = 1 } master && /^\}/ { master = 0 }
+        /\.revoke\(/ { print (master ? "master " : "other ") FILENAME ":" FNR ": " $0 }' "$f"
+done)
+if [[ $(grep -c . <<<"$REVOKES") -ne 1 ]] || ! grep -q '^master crates/cluster/src/net.rs:' <<<"$REVOKES"; then
+    echo "$REVOKES"
+    echo "the site's board is written outside its master: post revocations in net::serve_site alone"
+    exit 1
+fi
+
 echo "== hygiene: the DES runs the real protocol"
 # The simulator is one more driver of the runtime's sans-IO cores: one
 # `HeadCore`, a `MasterPool` per site and a `SlaveCore` per slave, and its
